@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench-smoke bench-json bench-compare fuzz-smoke profile staticcheck checkdocs docs
+.PHONY: check fmt vet build test race bench-smoke bench-json bench-compare fuzz-smoke profile staticcheck checkdocs docs loc
 
 check: fmt vet build test checkdocs
 
@@ -31,7 +31,7 @@ bench-smoke:
 # Regenerate the checked-in benchmark baseline (run after an accepted,
 # intentional performance change, and commit the result).
 bench-json:
-	$(GO) run ./cmd/pidbench -exp fig14,async,multitenant,fusion,funcspeed,cluster,serving,algo,reorder -backend=cost -json > bench_baseline.json
+	$(GO) run ./cmd/pidbench -exp fig14,async,multitenant,fusion,cluster,serving,algo,reorder -backend=cost -json > bench_baseline.json
 
 # The CI benchmark-regression gate: recollect the metrics and fail on
 # any >10% cost/makespan regression against bench_baseline.json.
@@ -69,3 +69,15 @@ docs:
 		echo "godoc not installed (go install golang.org/x/tools/cmd/godoc@latest); printing package docs:"; \
 		for p in $$($(GO) list ./...); do echo; echo "=== $$p"; $(GO) doc $$p; done; \
 	fi
+
+# The tracked size of the product: non-test Go lines per package
+# (benchmark/ excluded) and in total, plus the exported-method counts of
+# the two widest types. ROADMAP wants these numbers to go down.
+loc:
+	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs -r cat | wc -l); \
+		total=$$((total + n)); \
+		[ $$n -gt 0 ] && printf '%7d  %s\n' $$n .$${d#$$PWD}; \
+	done; printf '%7d  total non-test Go lines\n' $$total
+	@printf '%7d  exported methods on core.Comm\n' $$($(GO) doc ./internal/core Comm | grep -c '^func (c \*Comm)')
+	@printf '%7d  exported methods on pidcomm.Machine\n' $$($(GO) doc ./pidcomm Machine | grep -c '^func (m \*Machine)')

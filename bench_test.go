@@ -22,7 +22,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dram"
 	"repro/internal/elem"
-	"repro/internal/multihost"
+	"repro/pidcomm"
 )
 
 const benchSize = 16 << 10 // per-PE payload for primitive micro-benches
@@ -258,7 +258,8 @@ func BenchmarkFig23aTopology(b *testing.B) {
 				for pe := 0; pe < 256; pe++ {
 					comm.SetPEBuffer(pe, 0, buf)
 				}
-				bd, err := comm.AllReduceTopo(topo, "10", 0, 2*m, m, elem.I32, elem.Sum)
+				bd, err := comm.AllReduceTopo(topo, core.Collective{Dims: "10",
+					Src: core.Span(0, m), Dst: core.At(2 * m), Elem: elem.I32, Op: elem.Sum})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -276,7 +277,11 @@ func BenchmarkFig23bMultiHost(b *testing.B) {
 		b.Run(fmt.Sprintf("%dhosts", hosts), func(b *testing.B) {
 			var netShare float64
 			for i := 0; i < b.N; i++ {
-				cl, err := multihost.New(hosts, geo, cost.DefaultParams())
+				cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sess, err := cl.Comm()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,10 +290,13 @@ func BenchmarkFig23bMultiHost(b *testing.B) {
 				buf := make([]byte, m)
 				for h := 0; h < hosts; h++ {
 					for p := 0; p < P; p++ {
-						cl.Host(h).SetPEBuffer(p, 0, buf)
+						sess.Host(h).SetPEBuffer(p, 0, buf)
 					}
 				}
-				bd, err := cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, core.CM)
+				bd, err := sess.Run(pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+					Prim: pidcomm.AllReduce, Dims: "1",
+					Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
+					Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.CM}})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -10,7 +10,7 @@
 //	pidbench -exp async -sched lookahead
 //	pidbench -exp reorder
 //	pidbench -exp all [-full] [-backend=cost] [-async] [-workers N]
-//	pidbench -exp fig14,async,multitenant,fusion,funcspeed -backend=cost -json
+//	pidbench -exp fig14,async,multitenant,fusion -backend=cost -json
 //	pidbench -compare bench_baseline.json [-threshold 0.10]
 //	pidbench -exp fig14 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -33,8 +33,7 @@
 // hotspots: `make profile` wraps a functional fig14 run with both.
 //
 // -json emits the selected experiments' regression metrics (simulated
-// seconds — plus funcspeed's wall-clock parallel/serial ratio) as JSON —
-// the format of the checked-in bench_baseline.json. -compare recollects
+// seconds) as JSON — the format of the checked-in bench_baseline.json. -compare recollects
 // those metrics and fails (exit 1) on any metric more than -threshold
 // worse than the baseline: the CI benchmark-regression gate.
 package main

@@ -179,7 +179,7 @@ func printAuto(mram int) error {
 	for _, obj := range []core.AutoObjective{core.AutoMeter, core.AutoMakespan} {
 		comm.SetAutoObjective(obj)
 		for _, d := range sigs {
-			if _, _, err := comm.AutoResolveOf(d); err != nil {
+			if _, _, err := comm.Resolve(d); err != nil {
 				return err
 			}
 		}
@@ -229,13 +229,18 @@ func printPlanCache(mram int) error {
 		return fmt.Errorf("-mram %d too small for the plan-cache demo (need at least %d B/bank)", mram, 5*256)
 	}
 	run := func() error {
-		if _, err := comm.AlltoAll("10", 0, 2*m, m, core.CM); err != nil {
+		if _, err := comm.Run(core.Collective{Prim: core.AlltoAll, Dims: "10",
+			Src: core.Span(0, m), Dst: core.At(2 * m), Level: core.CM}); err != nil {
 			return err
 		}
-		if _, err := comm.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, core.IM); err != nil {
+		if _, err := comm.Run(core.Collective{Prim: core.ReduceScatter, Dims: "10",
+			Src: core.Span(0, m), Dst: core.At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: core.IM}); err != nil {
 			return err
 		}
-		if _, err := comm.AllReduce("10", 0, 2*m, m, elem.I32, elem.Sum, core.IM); err != nil {
+		if _, err := comm.Run(core.Collective{Prim: core.AllReduce, Dims: "10",
+			Src: core.Span(0, m), Dst: core.At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: core.IM}); err != nil {
 			return err
 		}
 		return nil

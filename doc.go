@@ -11,11 +11,12 @@
 //	                    Collective descriptor with its three entry
 //	                    points (Run/Compile/Submit), compiled plans,
 //	                    async futures
-//	internal/core       the engine: hypercube model, Collective
-//	                    normalization, schedule IR, functional +
-//	                    cost-only backends, compiled plans, level
-//	                    autotuner, tenant arenas + weighted-fair
-//	                    submission scheduling
+//	internal/core       the engine: hypercube model, the Collective
+//	                    shape table and its one validation path,
+//	                    schedule IR, functional + cost-only backends,
+//	                    compiled plans, level autotuner, tenant arenas
+//	                    + weighted-fair submission scheduling, the
+//	                    multi-host cluster layer (§ IX-A)
 //	internal/dram       the DIMM hierarchy, entangled-group striping,
 //	                    per-bank arena carving
 //	internal/host       the host CPU: bulk/staged and burst/streaming
@@ -27,7 +28,6 @@
 //	                    model
 //	internal/apps       the five application studies (DLRM, GNN, BFS,
 //	                    CC, MLP), bit-exact vs CPU references
-//	internal/multihost  the multi-host extension study (§ IX-A)
 //	internal/bench      the evaluation harness (one experiment per paper
 //	                    artifact, plus replay and async experiments)
 //	internal/fuzz       randomized cross-level consistency checking

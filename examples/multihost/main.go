@@ -10,17 +10,20 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/dram"
-	"repro/internal/elem"
-	"repro/internal/multihost"
+	"repro/pidcomm"
 )
 
 func main() {
-	geo := dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 18}
+	geo := pidcomm.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 18}
 	for _, hosts := range []int{1, 2, 4} {
-		cl, err := multihost.New(hosts, geo, cost.DefaultParams())
+		// Every host is a 1-D hypercube over its PEs; the cluster treats
+		// the hosts × PEs as one flat communicator.
+		cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		sess, err := cl.Comm()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -31,10 +34,13 @@ func main() {
 		for h := 0; h < hosts; h++ {
 			for p := 0; p < P; p++ {
 				rng.Read(buf)
-				cl.Host(h).SetPEBuffer(p, 0, buf)
+				sess.Host(h).SetPEBuffer(p, 0, buf)
 			}
 		}
-		bd, err := cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, core.CM)
+		bd, err := sess.Run(pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+			Prim: pidcomm.AllReduce, Dims: "1",
+			Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
+			Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.CM}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		picked, err := comm.AutoLevel(aa)
+		_, picked, err := comm.AutoResolve(aa)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -213,7 +213,7 @@ func TestAutoSearchesAlgorithms(t *testing.T) {
 	d := core.Collective{Prim: core.AllReduce, Dims: "10",
 		Src: core.Span(0, 64), Dst: core.At(64), Elem: elem.I32, Op: elem.Sum,
 		Level: core.Auto, Algorithm: core.AlgoRing}
-	alg, lvl, err := c.AutoResolveOf(d)
+	alg, lvl, err := c.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAutoSearchesAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Algorithm = core.AlgoAuto
-	alg, lvl, err = c.AutoResolveOf(d)
+	alg, lvl, err = c.Resolve(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +276,12 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 			d.Elem, d.Op = elem.I32, elem.Sum
 		}
 		c.SetAutoObjective(core.AutoMeter)
-		if _, _, err := c.AutoResolveOf(d); err != nil {
+		if _, _, err := c.Resolve(d); err != nil {
 			t.Fatal(err)
 		}
 		meterPick := find(sg.prim, sg.m)
 		c.SetAutoObjective(core.AutoMakespan)
-		if _, _, err := c.AutoResolveOf(d); err != nil {
+		if _, _, err := c.Resolve(d); err != nil {
 			t.Fatal(err)
 		}
 		ksPick := find(sg.prim, sg.m)

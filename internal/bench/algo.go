@@ -121,7 +121,7 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 			return r, err
 		}
 		c.SetAutoObjective(obj)
-		alg, lvl, err := c.AutoResolveOf(core.Collective{Prim: core.AllGather, Dims: algoPinDims,
+		alg, lvl, err := c.Resolve(core.Collective{Prim: core.AllGather, Dims: algoPinDims,
 			Src: core.Span(0, s), Dst: core.At(2 * s), Level: core.Auto})
 		if err != nil {
 			return r, err

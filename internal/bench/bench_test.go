@@ -260,19 +260,59 @@ func TestAsyncPrimitiveTablesIdentical(t *testing.T) {
 	}
 }
 
-// The plan-cache acceptance bar: on the paper-scale 1024-PE cost-only
-// config, cached CompiledPlan replay must beat compile-each-call by at
-// least 5x (measured headroom is 1-2 orders of magnitude, so this bound
-// is robust to CI noise).
-func TestReplaySpeedupAtLeast5x(t *testing.T) {
-	results, err := MeasureReplay(1<<20, 200)
+// Why cached replay is fast, as deterministic facts instead of a
+// wall-clock ratio (which benchmark/ measures: cost_sweep, func_replay):
+// on the paper-scale 1024-PE cost-only config, recompiling a descriptor
+// is a plan-cache hit that lowers and traces nothing — the host-input
+// primitives, whose schedules bind caller buffers, rebuild the plan but
+// still share the cached charge trace — and replaying the cached plan
+// allocates nothing, whatever the payload and PE count.
+func TestCachedReplayIsAHitAndAllocatesNothing(t *testing.T) {
+	const recvPerPE = 1 << 20
+	comm, err := newPrimComm([]int{32, 32}, 1024, recvPerPE, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		t.Logf("%v: cold %.0f/s, cached %.0f/s (%.1fx)", r.Prim, r.ColdPerSec, r.CachedPerSec, r.Speedup)
-		if r.Speedup < 5 {
-			t.Errorf("%v: cached replay only %.1fx faster than compile-each-call (want >= 5x)", r.Prim, r.Speedup)
+	for _, prim := range core.Primitives() {
+		d, err := primCollective(PrimSpec{Prim: prim, Dims: "10", RecvPerPE: recvPerPE,
+			Level: core.IM, Elem: elem.I32, Op: elem.Sum}, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostInput := prim == core.Scatter || prim == core.Broadcast
+		if prim == core.Broadcast {
+			d.Hosts = make([][]byte, 32)
+			for g := range d.Hosts {
+				d.Hosts[g] = make([]byte, recvPerPE)
+			}
+		}
+		if _, err := comm.Compile(d); err != nil {
+			t.Fatalf("%v: cold compile: %v", prim, err)
+		}
+		before := comm.PlanCacheStats()
+		cp, err := comm.Compile(d)
+		if err != nil {
+			t.Fatalf("%v: cached compile: %v", prim, err)
+		}
+		after := comm.PlanCacheStats()
+		if after.TraceMisses != before.TraceMisses || after.TraceHits != before.TraceHits+1 {
+			t.Errorf("%v: recompile traced again: %+v -> %+v", prim, before, after)
+		}
+		wantHits, wantMisses := before.PlanHits+1, before.PlanMisses
+		if hostInput {
+			wantHits, wantMisses = before.PlanHits, before.PlanMisses+1
+		}
+		if after.PlanHits != wantHits || after.PlanMisses != wantMisses {
+			t.Errorf("%v: recompile: plan hits/misses %d/%d, want %d/%d",
+				prim, after.PlanHits, after.PlanMisses, wantHits, wantMisses)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := cp.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: cached cost-only Run allocates %.0f objects, want 0", prim, allocs)
 		}
 	}
 }

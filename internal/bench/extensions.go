@@ -38,20 +38,17 @@ func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, 
 			comm.SetPEBuffer(pe, 0, buf)
 		}
 	}
-	var bd cost.Breakdown
 	switch prim {
-	case core.AlltoAll:
-		bd, err = comm.AlltoAll(dims, 0, 2*size, size, lvl)
-	case core.ReduceScatter:
-		bd, err = comm.ReduceScatter(dims, 0, 2*size, size, elem.I32, elem.Sum, lvl)
-	case core.AllReduce:
-		bd, err = comm.AllReduce(dims, 0, 2*size, size, elem.I32, elem.Sum, lvl)
-	case core.AllGather:
-		s := size / nGroupSize(comm, dims)
-		bd, err = comm.AllGather(dims, 0, 2*s, s, lvl)
+	case core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather:
 	default:
 		return 0, cost.Breakdown{}, fmt.Errorf("bench: extension runner supports AA/RS/AR/AG, got %v", prim)
 	}
+	d, err := primCollective(PrimSpec{Prim: prim, Dims: dims, RecvPerPE: size, Level: lvl,
+		Elem: elem.I32, Op: elem.Sum}, nGroupSize(comm, dims))
+	if err != nil {
+		return 0, cost.Breakdown{}, err
+	}
+	bd, err := comm.Run(d)
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}

@@ -45,7 +45,8 @@ func measureFuncSpeed(shape []int, recvPerPE, workers, trials int) (funcSpeedRes
 		rng.Read(buf)
 		comm.SetPEBuffer(pe, 0, buf)
 	}
-	cp, err := comm.CompileAlltoAll("10", 0, 2*recvPerPE, recvPerPE, core.CM)
+	cp, err := comm.Compile(core.Collective{Prim: core.AlltoAll, Dims: "10",
+		Src: core.Span(0, recvPerPE), Dst: core.At(2 * recvPerPE), Level: core.CM})
 	if err != nil {
 		return funcSpeedResult{}, err
 	}
@@ -82,23 +83,6 @@ func funcSpeedWorkers() int {
 		w = 8
 	}
 	return w
-}
-
-func collectFuncSpeed(add func(string, float64)) error {
-	workers := funcSpeedWorkers()
-	if workers == 1 {
-		// Single-CPU machine: both settings run the identical serial
-		// path, so the true ratio is 1 by definition — record that
-		// rather than timing noise the regression gate would trip on.
-		add("ratio", 1.0)
-		return nil
-	}
-	r, err := measureFuncSpeed([]int{16, 16}, 32<<10, workers, 5)
-	if err != nil {
-		return err
-	}
-	add("ratio", r.Parallel.Seconds()/r.Serial.Seconds())
-	return nil
 }
 
 func init() {

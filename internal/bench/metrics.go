@@ -30,24 +30,18 @@ type MetricsFile struct {
 	// from, in collection order.
 	Experiments []string `json:"experiments"`
 	// Metrics maps "<experiment>/<name>" to simulated seconds (lower is
-	// better). The funcspeed experiment's "ratio" is the one
-	// dimensionless entry: parallel/serial wall-clock of the functional
-	// executor (still lower-is-better, so the same gate applies).
+	// better). Wall-clock is not gated here; that is benchmark/'s job.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
 // metricExperiments maps each gated experiment ID to its collector.
 // Collectors run cost-only at fixed small-scale configurations, so the
-// whole set completes in CI time and the values are deterministic. The
-// one exception is funcspeed, whose subject is the parallel functional
-// executor itself: its metric is the dimensionless parallel/serial
-// wall-clock ratio (best-of-N, so it stays stable enough to gate).
+// whole set completes in CI time and the values are deterministic.
 var metricExperiments = map[string]func(add func(name string, seconds float64)) error{
 	"fig14":       collectFig14,
 	"async":       collectAsync,
 	"multitenant": collectMultiTenant,
 	"fusion":      collectFusion,
-	"funcspeed":   collectFuncSpeed,
 	"cluster":     collectCluster,
 	"serving":     collectServing,
 	"algo":        collectAlgo,

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dram"
-	"repro/internal/elem"
-	"repro/internal/multihost"
+	"repro/pidcomm"
 )
 
 func init() {
@@ -22,17 +20,19 @@ func init() {
 			}
 			for _, hosts := range []int{1, 2, 4} {
 				var times [2]cost.Breakdown
-				for i, lvl := range []core.Level{core.Baseline, core.CM} {
+				for i, lvl := range []pidcomm.Level{pidcomm.Baseline, pidcomm.CM} {
 					// 256 PEs per host (one four-rank channel), § IX-A.
 					geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8,
 						MramPerBank: mramFor(3 * perPE * max(1, hosts))}
-					var cl *multihost.Cluster
-					var err error
+					var opts []pidcomm.MachineOption
 					if o.CostOnly {
-						cl, err = multihost.NewCostOnly(hosts, geo, cost.DefaultParams())
-					} else {
-						cl, err = multihost.New(hosts, geo, cost.DefaultParams())
+						opts = append(opts, pidcomm.CostOnly())
 					}
+					cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()}, opts...)
+					if err != nil {
+						return err
+					}
+					sess, err := cl.Comm()
 					if err != nil {
 						return err
 					}
@@ -55,16 +55,17 @@ func init() {
 						for h := 0; h < hosts; h++ {
 							for p := 0; p < P; p++ {
 								rng.Read(buf)
-								cl.Host(h).SetPEBuffer(p, 0, buf)
+								sess.Host(h).SetPEBuffer(p, 0, buf)
 							}
 						}
 					}
-					var bd cost.Breakdown
-					if aa {
-						bd, err = cl.AlltoAll(0, 2*m, m/(hosts*P), lvl)
-					} else {
-						bd, err = cl.AllReduce(0, 2*m, m, elem.I32, elem.Sum, lvl)
+					d := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+						Prim: pidcomm.AlltoAll, Dims: "1",
+						Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m), Level: lvl}}
+					if !aa {
+						d.Prim, d.Elem, d.Op = pidcomm.AllReduce, pidcomm.I32, pidcomm.Sum
 					}
+					bd, err := sess.Run(d)
 					if err != nil {
 						return err
 					}

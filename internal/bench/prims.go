@@ -94,87 +94,32 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 	if spec.Algo != core.AlgoAuto && spec.Prim != core.AllReduce && spec.Prim != core.Broadcast {
 		return 0, cost.Breakdown{}, host.XferStats{}, fmt.Errorf("bench: algorithm %v not supported for %v", spec.Algo, spec.Prim)
 	}
-	var bd cost.Breakdown
-	var fut *core.Future
-	var bytes int64
-	switch spec.Prim {
-	case core.AlltoAll:
-		fill(m)
-		if spec.Async {
-			fut, err = comm.SubmitAlltoAll(spec.Dims, 0, 2*m, m, spec.Level)
-		} else {
-			bd, err = comm.AlltoAll(spec.Dims, 0, 2*m, m, spec.Level)
-		}
-		bytes = int64(m) * int64(n)
-	case core.ReduceScatter:
-		fill(m)
-		if spec.Async {
-			fut, err = comm.SubmitReduceScatter(spec.Dims, 0, 2*m, m, spec.Elem, spec.Op, spec.Level)
-		} else {
-			bd, err = comm.ReduceScatter(spec.Dims, 0, 2*m, m, spec.Elem, spec.Op, spec.Level)
-		}
-		bytes = int64(m) * int64(n) // before reduction
-	case core.AllReduce:
-		fill(m)
-		d := core.Collective{Prim: core.AllReduce, Dims: spec.Dims,
-			Src: core.Span(0, m), Dst: core.At(2 * m),
-			Elem: spec.Elem, Op: spec.Op, Level: spec.Level, Algorithm: spec.Algo}
-		if spec.Async {
-			fut, err = comm.Submit(d)
-		} else {
-			bd, err = comm.Run(d)
-		}
-		bytes = int64(m) * int64(n)
-	case core.AllGather:
-		s := m / gsize
-		fill(s)
-		if spec.Async {
-			fut, err = comm.SubmitAllGather(spec.Dims, 0, 2*s, s, spec.Level)
-		} else {
-			bd, err = comm.AllGather(spec.Dims, 0, 2*s, s, spec.Level)
-		}
-		bytes = int64(s) * int64(gsize) * int64(n) // output side
-	case core.Scatter:
-		var bufs [][]byte
-		if !spec.CostOnly { // cost backend accepts nil: sizes are implied
-			bufs = hostBufs(gsize * m)
-		}
-		if spec.Async {
-			fut, err = comm.SubmitScatter(spec.Dims, bufs, 0, m, spec.Level)
-		} else {
-			bd, err = comm.Scatter(spec.Dims, bufs, 0, m, spec.Level)
-		}
-		bytes = int64(m) * int64(n)
-	case core.Gather:
-		fill(m)
-		if spec.Async {
-			fut, err = comm.SubmitGather(spec.Dims, 0, m, spec.Level)
-		} else {
-			_, bd, err = comm.Gather(spec.Dims, 0, m, spec.Level)
-		}
-		bytes = int64(m) * int64(n)
-	case core.Reduce:
-		fill(m)
-		if spec.Async {
-			fut, err = comm.SubmitReduce(spec.Dims, 0, m, spec.Elem, spec.Op, spec.Level)
-		} else {
-			_, bd, err = comm.Reduce(spec.Dims, 0, m, spec.Elem, spec.Op, spec.Level)
-		}
-		bytes = int64(m) * int64(n)
-	case core.Broadcast:
-		d := core.Collective{Prim: core.Broadcast, Dims: spec.Dims,
-			Hosts: hostBufs(m), Dst: core.At(0), Level: spec.Level, Algorithm: spec.Algo}
-		if spec.Async {
-			fut, err = comm.Submit(d)
-		} else {
-			bd, err = comm.Run(d)
-		}
-		bytes = int64(m) * int64(n) // received side
-	default:
-		return 0, cost.Breakdown{}, host.XferStats{}, fmt.Errorf("bench: unknown primitive %v", spec.Prim)
+	d, err := primCollective(spec, gsize)
+	if err != nil {
+		return 0, cost.Breakdown{}, host.XferStats{}, err
 	}
-	if err == nil && fut != nil {
-		bd, err = fut.Wait()
+	bytes := int64(m) * int64(n)
+	switch spec.Prim {
+	case core.Scatter:
+		if !spec.CostOnly { // cost backend accepts nil: sizes are implied
+			d.Hosts = hostBufs(gsize * m)
+		}
+	case core.Broadcast:
+		d.Hosts = hostBufs(m)
+	case core.AllGather:
+		fill(d.Src.Bytes)
+		bytes = int64(d.Src.Bytes) * int64(gsize) * int64(n) // output side
+	default:
+		fill(m)
+	}
+	var bd cost.Breakdown
+	if spec.Async {
+		var fut *core.Future
+		if fut, err = comm.Submit(d); err == nil {
+			bd, err = fut.Wait()
+		}
+	} else {
+		bd, err = comm.Run(d)
 	}
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
@@ -203,6 +148,19 @@ func ResolvePrimitive(spec PrimSpec) (core.Algorithm, core.Level, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	d, err := primCollective(spec, len(groups[0]))
+	if err != nil {
+		return 0, 0, err
+	}
+	return comm.Resolve(d)
+}
+
+// primCollective returns the descriptor of the spec's measurement on
+// groups of gsize PEs: the payload at offset 0 and the destination, where
+// there is one, two payloads further on. Host payloads are left to the
+// caller (a cost-only Scatter needs none; Broadcast states its size in
+// Dst).
+func primCollective(spec PrimSpec, gsize int) (core.Collective, error) {
 	m := spec.RecvPerPE
 	d := core.Collective{Prim: spec.Prim, Dims: spec.Dims, Level: spec.Level, Algorithm: spec.Algo}
 	switch spec.Prim {
@@ -211,20 +169,18 @@ func ResolvePrimitive(spec PrimSpec) (core.Algorithm, core.Level, error) {
 	case core.ReduceScatter, core.AllReduce:
 		d.Src, d.Dst, d.Elem, d.Op = core.Span(0, m), core.At(2*m), spec.Elem, spec.Op
 	case core.AllGather:
-		s := m / len(groups[0])
+		s := m / gsize
 		d.Src, d.Dst = core.Span(0, s), core.At(2*s)
-	case core.Scatter:
+	case core.Scatter, core.Broadcast:
 		d.Dst = core.Span(0, m)
 	case core.Gather:
 		d.Src = core.Span(0, m)
 	case core.Reduce:
 		d.Src, d.Elem, d.Op = core.Span(0, m), spec.Elem, spec.Op
-	case core.Broadcast:
-		d.Dst = core.Span(0, m)
 	default:
-		return 0, 0, fmt.Errorf("bench: unknown primitive %v", spec.Prim)
+		return d, fmt.Errorf("bench: unknown primitive %v", spec.Prim)
 	}
-	return comm.AutoResolveOf(d)
+	return d, nil
 }
 
 func newPrimComm(shape []int, n, recvPerPE int, costOnly bool) (*core.Comm, error) {
@@ -484,7 +440,8 @@ func init() {
 					comm.SetPEBuffer(pe, 0, buf)
 				}
 			}
-			bd, err := comm.AllReduceTopo(topo, "10", 0, 2*size, size, elem.I32, elem.Sum)
+			bd, err := comm.AllReduceTopo(topo, core.Collective{Dims: "10",
+				Src: core.Span(0, size), Dst: core.At(2 * size), Elem: elem.I32, Op: elem.Sum})
 			if err != nil {
 				return err
 			}

@@ -43,11 +43,14 @@ func reorderPlans(c *core.Comm, m, batches int) ([]*core.CompiledPlan, error) {
 	var plans []*core.CompiledPlan
 	for b := 0; b < batches; b++ {
 		base := b * 4 * m
-		aa, err := c.CompileAlltoAll("10", base, base+m, m, core.CM)
+		aa, err := c.Compile(core.Collective{Prim: core.AlltoAll, Dims: "10",
+			Src: core.Span(base, m), Dst: core.At(base + m), Level: core.CM})
 		if err != nil {
 			return nil, err
 		}
-		rs, err := c.CompileReduceScatter("10", base+2*m, base+3*m, m, elem.I32, elem.Sum, core.IM)
+		rs, err := c.Compile(core.Collective{Prim: core.ReduceScatter, Dims: "10",
+			Src: core.Span(base+2*m, m), Dst: core.At(base + 3*m),
+			Elem: elem.I32, Op: elem.Sum, Level: core.IM})
 		if err != nil {
 			return nil, err
 		}

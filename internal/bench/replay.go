@@ -43,7 +43,6 @@ func MeasureReplay(recvPerPE, iters int) ([]ReplayResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := recvPerPE
 	specs := []replaySpec{
 		{core.AlltoAll, core.CM},
 		{core.ReduceScatter, core.IM},
@@ -51,16 +50,13 @@ func MeasureReplay(recvPerPE, iters int) ([]ReplayResult, error) {
 	}
 	var out []ReplayResult
 	for _, sp := range specs {
+		d, err := primCollective(PrimSpec{Prim: sp.prim, Dims: "10", RecvPerPE: recvPerPE,
+			Level: sp.lvl, Elem: elem.I32, Op: elem.Sum}, 32)
+		if err != nil {
+			return nil, err
+		}
 		oneShot := func() error {
-			var err error
-			switch sp.prim {
-			case core.AlltoAll:
-				_, err = comm.AlltoAll("10", 0, 2*m, m, sp.lvl)
-			case core.ReduceScatter:
-				_, err = comm.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, sp.lvl)
-			case core.AllReduce:
-				_, err = comm.AllReduce("10", 0, 2*m, m, elem.I32, elem.Sum, sp.lvl)
-			}
+			_, err := comm.Run(d)
 			return err
 		}
 		// Cold: compile each call.

@@ -273,13 +273,14 @@ func checkAlgo(alg Algorithm, env *AlgoEnv) error {
 	return nil
 }
 
-// algoLower returns the schedule producer for the resolved call: the
-// reference closure for AlgoReference, the registered lowering
+// algoLower lowers the resolved call: through the shape table's
+// reference lowering for AlgoReference, the registered lowering
 // otherwise. The spec was validated by checkAlgo at spec time, so the
-// lookup here cannot fail.
-func algoLower(alg Algorithm, env *AlgoEnv, ref func() *Schedule) *Schedule {
+// lookup here cannot fail. cp is the plan being compiled (the rooted
+// reference lowerings bind its result buffers).
+func algoLower(alg Algorithm, env *AlgoEnv, cp *CompiledPlan) *Schedule {
 	if alg == AlgoReference {
-		return ref()
+		return shapes[env.prim].lower(env, cp)
 	}
 	sp, err := algoSpecOf(env.prim, alg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/elem"
 )
 
 // This file implements asynchronous plan execution: Submit enqueues a
@@ -732,100 +731,4 @@ func (c *Comm) ExtendElapsed(b cost.Breakdown) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	c.placeSerialLocked(segs)
-}
-
-// ---------------------------------------------------------------------
-// Submit entry points (one per primitive): Compile* + Submit. All are
-// deprecated positional shims — new code should build a Collective
-// descriptor and call Comm.Submit.
-// ---------------------------------------------------------------------
-
-// SubmitAlltoAll compiles (or fetches the cached plan for) an AlltoAll
-// call and submits one asynchronous execution. See Comm.AlltoAll for call
-// semantics and CompiledPlan.Submit for queue semantics.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAlltoAll(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileAlltoAll(dims, srcOff, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitReduceScatter compiles a ReduceScatter call and submits one
-// asynchronous execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitReduceScatter(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileReduceScatter(dims, srcOff, dstOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitAllReduce compiles an AllReduce call and submits one asynchronous
-// execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAllReduce(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileAllReduce(dims, srcOff, dstOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitAllGather compiles an AllGather call and submits one asynchronous
-// execution.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitAllGather(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileAllGather(dims, srcOff, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitScatter compiles a Scatter call bound to bufs and submits one
-// asynchronous execution. The buffers are read when the plan executes:
-// do not refill them until the future completes.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitScatter(dims string, bufs [][]byte, dstOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileScatter(dims, bufs, dstOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitGather compiles a rooted Gather and submits one asynchronous
-// execution; the future's Results hold the per-group buffers.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitGather(dims string, srcOff, bytesPerPE int, lvl Level) (*Future, error) {
-	cp, err := c.CompileGather(dims, srcOff, bytesPerPE, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitReduce compiles a rooted Reduce and submits one asynchronous
-// execution; the future's Results hold the per-group buffers.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitReduce(dims string, srcOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*Future, error) {
-	cp, err := c.CompileReduce(dims, srcOff, bytesPerPE, t, op, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// SubmitBroadcast compiles a Broadcast bound to bufs and submits one
-// asynchronous execution. The buffers are read when the plan executes.//
-// Deprecated: build a Collective descriptor and call Comm.Submit.
-func (c *Comm) SubmitBroadcast(dims string, bufs [][]byte, dstOff int, lvl Level) (*Future, error) {
-	cp, err := c.CompileBroadcast(dims, bufs, dstOff, lvl)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
 }

@@ -91,27 +91,35 @@ func TestAsyncMatchesSerialBitIdentical(t *testing.T) {
 			switch cl.prim {
 			case AlltoAll:
 				if asyncMode {
-					f, err = c.SubmitAlltoAll("1", cl.src, cl.dst, cl.bytes, cl.lvl)
+					f, err = c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Level: cl.lvl})
 				} else {
-					_, err = c.AlltoAll("1", cl.src, cl.dst, cl.bytes, cl.lvl)
+					_, err = c.Run(Collective{Prim: AlltoAll, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Level: cl.lvl})
 				}
 			case AllReduce:
 				if asyncMode {
-					f, err = c.SubmitAllReduce("1", cl.src, cl.dst, cl.bytes, elem.I32, elem.Sum, cl.lvl)
+					f, err = c.Submit(Collective{Prim: AllReduce, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Elem: elem.I32, Op: elem.Sum, Level: cl.lvl})
 				} else {
-					_, err = c.AllReduce("1", cl.src, cl.dst, cl.bytes, elem.I32, elem.Sum, cl.lvl)
+					_, err = c.Run(Collective{Prim: AllReduce, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Elem: elem.I32, Op: elem.Sum, Level: cl.lvl})
 				}
 			case ReduceScatter:
 				if asyncMode {
-					f, err = c.SubmitReduceScatter("1", cl.src, cl.dst, cl.bytes, elem.I32, elem.Sum, cl.lvl)
+					f, err = c.Submit(Collective{Prim: ReduceScatter, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Elem: elem.I32, Op: elem.Sum, Level: cl.lvl})
 				} else {
-					_, err = c.ReduceScatter("1", cl.src, cl.dst, cl.bytes, elem.I32, elem.Sum, cl.lvl)
+					_, err = c.Run(Collective{Prim: ReduceScatter, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Elem: elem.I32, Op: elem.Sum, Level: cl.lvl})
 				}
 			case AllGather:
 				if asyncMode {
-					f, err = c.SubmitAllGather("1", cl.src, cl.dst, cl.bytes, cl.lvl)
+					f, err = c.Submit(Collective{Prim: AllGather, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Level: cl.lvl})
 				} else {
-					_, err = c.AllGather("1", cl.src, cl.dst, cl.bytes, cl.lvl)
+					_, err = c.Run(Collective{Prim: AllGather, Dims: "1",
+						Src: Span(cl.src, cl.bytes), Dst: At(cl.dst), Level: cl.lvl})
 				}
 			}
 			if err != nil {
@@ -160,16 +168,19 @@ func TestAsyncHazardOrdering(t *testing.T) {
 	c := asyncTestComm(t, true)
 
 	// Writer -> reader chain on the same region: must serialize.
-	w, err := c.SubmitAlltoAll("1", 0, m, m, Baseline) // writes [m,2m)
+	w, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(m), Level: Baseline}) // writes [m,2m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.SubmitAllGather("1", m, 4*m, m/32, IM) // reads [m, m+m/32)
+	r, err := c.Submit(Collective{Prim: AllGather, Dims: "1",
+		Src: Span(m, m/32), Dst: At(4 * m), Level: IM}) // reads [m, m+m/32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Independent plan: may overlap the writer.
-	ind, err := c.SubmitAllReduce("1", 8*m, 9*m, m, elem.I32, elem.Sum, IM)
+	ind, err := c.Submit(Collective{Prim: AllReduce, Dims: "1",
+		Src: Span(8*m, m), Dst: At(9 * m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +217,15 @@ func TestAsyncConcurrentSubmitStress(t *testing.T) {
 			base := w * 4 * m
 			var fs []*Future
 			for i := 0; i < itersPerWorker; i++ {
-				f, err := c.SubmitAlltoAll("1", base, base+m, m, CM)
+				f, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+					Src: Span(base, m), Dst: At(base + m), Level: CM})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
 				fs = append(fs, f)
-				f2, err := c.SubmitAllReduce("1", base+2*m, base+3*m, m, elem.I32, elem.Sum, IM)
+				f2, err := c.Submit(Collective{Prim: AllReduce, Dims: "1",
+					Src: Span(base+2*m, m), Dst: At(base + 3*m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -266,11 +279,13 @@ func TestAsyncCostNeverAboveSerial(t *testing.T) {
 				dst = (src + 2*m) % (16 * m)
 			}
 			lvl := Levels()[rng.Intn(4)]
-			sp, err := serial.CompileAlltoAll("1", src, dst, m, lvl)
+			sp, err := serial.Compile(Collective{Prim: AlltoAll, Dims: "1",
+				Src: Span(src, m), Dst: At(dst), Level: lvl})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ap, err := async.CompileAlltoAll("1", src, dst, m, lvl)
+			ap, err := async.Compile(Collective{Prim: AlltoAll, Dims: "1",
+				Src: Span(src, m), Dst: At(dst), Level: lvl})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -325,13 +340,15 @@ func TestFutureErrSurfacesBackendErrorExactlyOnce(t *testing.T) {
 	c := asyncTestComm(t, false)
 	fillPEs(c, 0, 4*m, 7)
 
-	ok1, err := c.SubmitAlltoAll("1", 0, m, m, CM)
+	ok1, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := failingPlan(c).Submit()
 	bad2 := failingPlan(c).Submit()
-	ok2, err := c.SubmitAlltoAll("1", 2*m, 3*m, m, Baseline)
+	ok2, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(2*m, m), Dst: At(3 * m), Level: Baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +378,8 @@ func TestFutureErrSurfacesBackendErrorExactlyOnce(t *testing.T) {
 	}
 	var fs []*Future
 	for i := 0; i < 32; i++ {
-		f, err := c.SubmitAlltoAll("1", 0, m, m, CM)
+		f, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+			Src: Span(0, m), Dst: At(m), Level: CM})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,11 +402,13 @@ func TestFutureErrSurfacesBackendErrorExactlyOnce(t *testing.T) {
 func TestSerialRunIsBarrier(t *testing.T) {
 	const m = 32 * 8
 	c := asyncTestComm(t, true)
-	f, err := c.SubmitAlltoAll("1", 0, m, m, CM)
+	f, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AllReduce("1", 2*m, 3*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: AllReduce, Dims: "1",
+		Src: Span(2*m, m), Dst: At(3 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	_, fEnd := f.Window()
@@ -397,7 +417,8 @@ func TestSerialRunIsBarrier(t *testing.T) {
 		t.Fatalf("serial run did not extend the timeline: elapsed %v, future end %v", el, fEnd)
 	}
 	// Post-flush submissions start at or after the barrier.
-	f2, err := c.SubmitAlltoAll("1", 4*m, 5*m, m, CM)
+	f2, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(4*m, m), Dst: At(5 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +436,8 @@ func TestPlanCacheStats(t *testing.T) {
 	if st := c.PlanCacheStats(); st != (PlanCacheStats{}) {
 		t.Fatalf("fresh comm has non-zero cache stats: %+v", st)
 	}
-	if _, err := c.AlltoAll("1", 0, m, m, CM); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(m), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.PlanCacheStats()
@@ -423,7 +445,8 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatalf("after first call: %+v", st)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.AlltoAll("1", 0, m, m, CM); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "1",
+			Src: Span(0, m), Dst: At(m), Level: CM}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,10 +463,12 @@ func TestPlanCacheStats(t *testing.T) {
 	// Host-input plans miss the plan cache but hit the trace cache.
 	bufs := [][]byte{nil}
 	_ = bufs
-	if _, err := c.Scatter("1", nil, 4*m, m/32, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: Scatter, Dims: "1",
+		Hosts: nil, Dst: Span(4*m, m/32), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Scatter("1", nil, 4*m, m/32, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: Scatter, Dims: "1",
+		Hosts: nil, Dst: Span(4*m, m/32), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	st = c.PlanCacheStats()
@@ -466,7 +491,7 @@ func TestSubmitRootedResults(t *testing.T) {
 	const s = 64
 	c := asyncTestComm(t, false)
 	fillPEs(c, 0, s, 5)
-	f, err := c.SubmitGather("1", 0, s, IM)
+	f, err := c.Submit(Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +502,7 @@ func TestSubmitRootedResults(t *testing.T) {
 	snapshot := append([]byte(nil), bufs[0]...)
 	// Overwrite MRAM and rerun: the future's buffers must not change.
 	fillPEs(c, 0, s, 6)
-	if _, _, err := c.Gather("1", 0, s, IM); err != nil {
+	if _, _, err := runRooted(c, Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(snapshot, bufs[0]) {

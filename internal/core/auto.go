@@ -187,80 +187,72 @@ func (c *Comm) autoLess(a, b autoDecision) bool {
 	return tx < ty
 }
 
-// AutoLevel returns the optimization level Auto would choose for the
-// given call signature under the full (algorithm x level) search.
-// bytesPerPE has the same meaning as in the corresponding collective
-// (for AllGather it is the per-PE contribution; for Scatter the per-PE
-// destination size). t and op are ignored for non-reducing primitives.
-// The decision is cached on the Comm, so repeated Auto calls with the
-// same signature resolve in a map lookup.
-func (c *Comm) AutoLevel(prim Primitive, dims string, bytesPerPE int, t elem.Type, op elem.Op) (Level, error) {
-	dec, err := c.autoResolve(prim, dims, bytesPerPE, t, op, AlgoAuto, false)
-	if err != nil {
-		return 0, err
-	}
-	return dec.lvl, nil
-}
-
-// autoResolve resolves an Auto signature to its winning (algorithm,
-// level) decision: the full search for algo == AlgoAuto, the level-only
-// search for a concrete algorithm constraint. inPlace is the in-place
-// bit of the originating call (an in-place AlltoAll restricts the
-// applicable levels).
-func (c *Comm) autoResolve(prim Primitive, dims string, bytesPerPE int, t elem.Type, op elem.Op, algo Algorithm, inPlace bool) (autoDecision, error) {
-	if prim == Broadcast {
+// autoResolve resolves d's Auto signature to its winning (algorithm,
+// level) decision: the full search for d.Algorithm == AlgoAuto, the
+// level-only search for a concrete algorithm constraint. The signature
+// is read off the shape table: the payload bytes, element/op for the
+// reducing primitives, and the in-place bit (an in-place AlltoAll
+// restricts the applicable levels). The decision is cached on the Comm,
+// so repeated Auto calls with one signature resolve in a map lookup.
+func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
+	if d.Prim == Broadcast {
 		// Single level at every optimization setting (§ VIII-B); the
 		// algorithm constraint passes through (AlgoAuto resolves to the
 		// reference driver broadcast — alternatives are opt-in).
-		alg := algo
+		alg := d.Algorithm
 		if alg == AlgoAuto {
 			alg = AlgoReference
 		}
 		return autoDecision{algo: alg, lvl: Baseline}, nil
 	}
-	key := autoKey{prim: prim, dims: dims, bytes: bytesPerPE, inPlace: inPlace, algo: algo}
-	switch prim {
-	case ReduceScatter, AllReduce, Reduce:
-		key.elemType, key.op = t, op
+	sh, err := shapeOf(d.Prim)
+	if err != nil {
+		return autoDecision{}, err
 	}
-	dec, err := c.autoPick(key, func(sh *Comm, alg Algorithm, lvl Level) (*CompiledPlan, error) {
-		return autoDryCompile(sh, prim, dims, bytesPerPE, t, op, alg, lvl, inPlace)
+	key := autoKey{prim: d.Prim, dims: d.Dims, bytes: sh.payload(d), inPlace: sh.inPlace(d), algo: d.Algorithm}
+	if sh.reducing {
+		key.elemType, key.op = d.Elem, d.Op
+	}
+	dec, err := c.autoPick(key, func(shadow *Comm, alg Algorithm, lvl Level) (*CompiledPlan, error) {
+		d.Algorithm, d.Level = alg, lvl
+		return autoDryCompile(shadow, d)
 	})
 	if err != nil {
-		return autoDecision{}, fmt.Errorf("Auto(%v): %w", prim, err)
+		return autoDecision{}, fmt.Errorf("Auto(%v): %w", d.Prim, err)
 	}
 	return dec, nil
 }
 
-// autoDryCompile compiles one candidate on the cost-only shadow with
-// canonical offsets (source at 0, destination immediately after the
-// source region — or coinciding with it for an in-place signature). The
-// shadow shares the caller's system geometry, so a signature that fits
-// the caller's MRAM fits here too. Compilation alone yields the
-// candidate's precomputed per-run cost and lane segments; nothing
-// executes.
-func autoDryCompile(sh *Comm, prim Primitive, dims string, bytesPerPE int, t elem.Type, op elem.Op, alg Algorithm, lvl Level, inPlace bool) (*CompiledPlan, error) {
-	m := bytesPerPE
-	dst := m
-	if inPlace {
-		dst = 0
+// autoDryCompile compiles candidate d — a caller's descriptor with the
+// candidate (algorithm, level) filled in — on the cost-only shadow with
+// canonical offsets: source at 0, destination immediately after the
+// source region, or coinciding with it for an in-place call; a
+// host-input destination at 0 with nil Hosts, whose sizes the cost-only
+// backend implies. The shadow shares the caller's system geometry, so a
+// signature that fits the caller's MRAM fits here too. Compilation alone
+// yields the candidate's precomputed per-run cost and lane segments;
+// nothing executes.
+func autoDryCompile(shadow *Comm, d Collective) (*CompiledPlan, error) {
+	sh, err := shapeOf(d.Prim)
+	if err != nil {
+		return nil, err
 	}
-	d := Collective{Prim: prim, Dims: dims, Level: lvl, Algorithm: alg}
-	switch prim {
-	case AlltoAll:
-		d.Src, d.Dst = Span(0, m), At(dst)
-	case ReduceScatter, AllReduce, AllGather:
-		d.Src, d.Dst, d.Elem, d.Op = Span(0, m), At(m), t, op
-	case Scatter:
-		d.Dst = Span(0, m) // nil Hosts: cost-only sizes are implied
-	case Gather:
-		d.Src = Span(0, m)
-	case Reduce:
-		d.Src, d.Elem, d.Op = Span(0, m), t, op
+	m := sh.payload(d)
+	dry := Collective{Prim: d.Prim, Dims: d.Dims, Level: d.Level, Algorithm: d.Algorithm}
+	if sh.reducing {
+		dry.Elem, dry.Op = d.Elem, d.Op
+	}
+	switch {
+	case sh.hostInput():
+		dry.Dst = Span(0, m)
+	case sh.rooted():
+		dry.Src = Span(0, m)
+	case sh.inPlace(d):
+		dry.Src, dry.Dst = Span(0, m), At(0)
 	default:
-		return nil, fmt.Errorf("core: no dry run for primitive %v", prim)
+		dry.Src, dry.Dst = Span(0, m), At(m)
 	}
-	return sh.Compile(d)
+	return shadow.Compile(dry)
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by

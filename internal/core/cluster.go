@@ -50,10 +50,7 @@ import (
 // AllReduce as the benchmark baseline.
 //
 // On a cost-only cluster Hosts may be nil even for Broadcast; the
-// payload size is then taken from Dst.Bytes. (The legacy multihost
-// layer instead satisfied payload validation with a shared zero-scratch
-// buffer, which aliased across call sites; the descriptor form removes
-// the buffer entirely.)
+// payload size is then taken from Dst.Bytes.
 type ClusterCollective struct {
 	Collective
 	Root int
@@ -343,40 +340,62 @@ func ceilLog2(h int) int {
 
 // clusterBuild accumulates one host's member specs.
 type clusterBuild struct {
-	cl    *Cluster
-	c     *Comm
-	h     int // host index
-	p     *plan
-	ar    arena
-	st    *clusterState
-	d     ClusterCollective
+	cl *Cluster
+	c  *Comm
+	h  int // host index
+	p  *plan
+	ar arena
+	st *clusterState
+	d  ClusterCollective
+	// m and s are the global call's per-PE payload and block size, as
+	// validated against the shape table.
+	m, s  int
 	specs []planSpec
 }
 
-func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) ([]planSpec, error) {
+func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) (specs []planSpec, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s: %w", d.Prim.LongName(), err)
+		}
+	}()
+	sh, err := shapeOf(d.Prim)
+	if err != nil {
+		return nil, err
+	}
 	c := cl.comms[h]
 	p, err := c.plan(d.Dims)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", d.Prim.LongName(), err)
+		return nil, err
 	}
 	if p.n != cl.p {
-		return nil, fmt.Errorf("%s: cluster collectives span the whole host: dims %q groups %d of %d PEs", d.Prim.LongName(), d.Dims, len(p.groups), p.n)
+		return nil, fmt.Errorf("cluster collectives span the whole host: dims %q groups %d of %d PEs", d.Dims, len(p.groups), p.n)
 	}
 	if d.Root < 0 || d.Root >= len(cl.comms) {
-		return nil, fmt.Errorf("%s: root host %d out of range [0,%d)", d.Prim.LongName(), d.Root, len(cl.comms))
+		return nil, fmt.Errorf("root host %d out of range [0,%d)", d.Root, len(cl.comms))
 	}
 	if d.Flat && d.Prim != AllReduce {
-		return nil, fmt.Errorf("%s: the flat (non-hierarchical) lowering is only implemented for AllReduce", d.Prim.LongName())
+		return nil, fmt.Errorf("the flat (non-hierarchical) lowering is only implemented for AllReduce")
 	}
-	b := &clusterBuild{cl: cl, c: c, h: h, p: p, ar: ar, st: st, d: d}
 	if d.Algorithm != AlgoAuto && !(d.Prim == AllReduce && !d.Flat) {
 		// The algorithm axis at cluster level selects the host-level wire
 		// algorithm, which only the hierarchical AllReduce diversifies so
 		// far. Local legs always resolve their own machine-level
 		// algorithm; an explicit constraint elsewhere would be silently
 		// dropped, so reject it instead.
-		return nil, fmt.Errorf("%s: cluster algorithm %v not supported (only hierarchical AllReduce selects a host algorithm)",
-			d.Prim.LongName(), d.Algorithm)
+		return nil, fmt.Errorf("cluster algorithm %v not supported (only hierarchical AllReduce selects a host algorithm)", d.Algorithm)
+	}
+	// The global descriptor is one row of the shape table on a single
+	// group of H×P ranks: block g of a ReduceScatter, AlltoAll or Scatter
+	// belongs to global rank g. AllReduce and Reduce index no rank with
+	// their result, so only their local leg — P ranks — is blocked.
+	n := cl.NumPEs()
+	if d.Prim == AllReduce || d.Prim == Reduce {
+		n = cl.p
+	}
+	b := &clusterBuild{cl: cl, c: c, h: h, p: p, ar: ar, st: st, d: d}
+	if b.m, b.s, err = sh.check(ar, d.Collective, n, 1, !cl.functional); err != nil {
+		return nil, err
 	}
 	switch {
 	case d.Flat:
@@ -397,11 +416,9 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 		err = b.gather()
 	case d.Prim == Reduce:
 		err = b.reduce()
-	default:
-		err = fmt.Errorf("core: unknown primitive %v", d.Prim)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", d.Prim.LongName(), err)
+		return nil, err
 	}
 	b.fence()
 	return b.specs, nil
@@ -512,17 +529,7 @@ func (b *clusterBuild) publishMerge(merge func()) func(cp *CompiledPlan) func() 
 // --- AllReduce: Reduce → ring AllReduce on the wire → Broadcast -------
 
 func (b *clusterBuild) allReduce() error {
-	d, H := b.d, len(b.cl.comms)
-	m := d.Src.Bytes
-	if err := impliedBytes("Dst", d.Dst.Bytes, m); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, m); err != nil {
-		return err
-	}
-	if overlap(d.Src.Off, m, d.Dst.Off, m) {
-		return fmt.Errorf("core: src and dst regions overlap")
-	}
+	d, H, m := b.d, len(b.cl.comms), b.m
 	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
 		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
 		return err
@@ -572,28 +579,14 @@ func (b *clusterBuild) bcastGlobal(dstOff, n int) {
 		if bufs == nil {
 			bufs = [][]byte{nil} // cost-only: never dereferenced
 		}
-		return c.lowerBroadcast(p, bufs, absDst, n)
+		return lowerBroadcast(&AlgoEnv{c: c, p: p, prim: Broadcast, eff: Baseline, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
 	})
 }
 
 // --- ReduceScatter: Reduce → ring on the wire → Scatter ---------------
 
 func (b *clusterBuild) reduceScatter() error {
-	d, H, P := b.d, len(b.cl.comms), b.cl.p
-	m := d.Src.Bytes
-	s, err := blockSize(m, H*P)
-	if err != nil {
-		return err
-	}
-	if err := impliedBytes("Dst", d.Dst.Bytes, s); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, s); err != nil {
-		return err
-	}
-	if overlap(d.Src.Off, m, d.Dst.Off, s) {
-		return fmt.Errorf("core: src and dst regions overlap")
-	}
+	d, H, P, m, s := b.d, len(b.cl.comms), b.cl.p, b.m, b.s
 	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
 		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
 		return err
@@ -608,7 +601,7 @@ func (b *clusterBuild) reduceScatter() error {
 // scatterGlobal appends the local leg that scatters this host's portion
 // of st.global (P blocks of s starting at part) to its PEs.
 func (b *clusterBuild) scatterGlobal(dstOff, s, part int) error {
-	_, eff, err := b.c.resolveAlgoLevel(Collective{Prim: Scatter, Dims: b.d.Dims, Level: b.d.Level}, s, false)
+	_, eff, err := b.c.Resolve(Collective{Prim: Scatter, Dims: b.d.Dims, Dst: Span(dstOff, s), Level: b.d.Level})
 	if err != nil {
 		return err
 	}
@@ -622,7 +615,7 @@ func (b *clusterBuild) scatterGlobal(dstOff, s, part int) error {
 		if st.global != nil {
 			bufs = [][]byte{st.global[part : part+P*s]}
 		}
-		return c.lowerScatter(p, bufs, absDst, s, eff)
+		return lowerScatter(&AlgoEnv{c: c, p: p, prim: Scatter, eff: eff, dstOff: absDst, m: s, s: s, hosts: bufs}, nil)
 	})
 	return nil
 }
@@ -630,17 +623,7 @@ func (b *clusterBuild) scatterGlobal(dstOff, s, part int) error {
 // --- AllGather: Gather → all-gather on the wire → Broadcast -----------
 
 func (b *clusterBuild) allGather() error {
-	d, H, P := b.d, len(b.cl.comms), b.cl.p
-	s := d.Src.Bytes
-	if err := impliedBytes("Dst", d.Dst.Bytes, H*P*s); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, H*P*s); err != nil {
-		return err
-	}
-	if overlap(d.Src.Off, s, d.Dst.Off, H*P*s) {
-		return fmt.Errorf("core: src and dst regions overlap")
-	}
+	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
 	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
 		Src: Span(d.Src.Off, s), Level: d.Level}); err != nil {
 		return err
@@ -663,26 +646,7 @@ func (b *clusterBuild) allGather() error {
 // --- AlltoAll: local own-part AlltoAll ∥ pack → exchange → unpack -----
 
 func (b *clusterBuild) alltoAll() error {
-	d, H, P, h := b.d, len(b.cl.comms), b.cl.p, b.h
-	m := d.Src.Bytes
-	s, err := blockSize(m, H*P)
-	if err != nil {
-		return err
-	}
-	if err := impliedBytes("Dst", d.Dst.Bytes, m); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Src.Off, m); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, m); err != nil {
-		return err
-	}
-	inPlace := d.Src.Off == d.Dst.Off
-	if overlap(d.Src.Off, m, d.Dst.Off, m) && !inPlace {
-		return fmt.Errorf("core: src [%d,%d) and dst [%d,%d) overlap",
-			d.Src.Off, d.Src.Off+m, d.Dst.Off, d.Dst.Off+m)
-	}
+	d, H, P, h, s := b.d, len(b.cl.comms), b.cl.p, b.h, b.s
 	PS := P * s // one host's portion per PE
 	// Intra-host leg: an ordinary local AlltoAll on the region of blocks
 	// destined to this host (global block h*P+k ≡ local block k there).
@@ -794,26 +758,13 @@ func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
 // --- Rooted primitives ------------------------------------------------
 
 func (b *clusterBuild) broadcast() error {
-	d, H := b.d, len(b.cl.comms)
-	var payload []byte
-	n := d.Dst.Bytes
-	if d.Hosts != nil {
-		if len(d.Hosts) != 1 {
-			return fmt.Errorf("core: cluster Broadcast takes one global payload, got %d buffers", len(d.Hosts))
-		}
-		payload = d.Hosts[0]
-		if err := impliedBytes("Dst", n, len(payload)); err != nil {
-			return err
-		}
-		n = len(payload)
-	} else if b.cl.functional {
-		return fmt.Errorf("core: functional cluster Broadcast needs the payload in Hosts")
-	}
+	d, H, n := b.d, len(b.cl.comms), b.m
 	if n <= 0 {
-		return fmt.Errorf("core: cost-only cluster Broadcast without Hosts needs Dst.Bytes for the payload size")
+		return fmt.Errorf("core: cluster Broadcast needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
 	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, n); err != nil {
-		return err
+	var payload []byte
+	if d.Hosts != nil {
+		payload = d.Hosts[0]
 	}
 	st, root := b.st, b.h == d.Root
 	st.ensure(b.cl.functional, n, false, H)
@@ -834,25 +785,13 @@ func (b *clusterBuild) broadcast() error {
 }
 
 func (b *clusterBuild) scatter() error {
-	d, H, P := b.d, len(b.cl.comms), b.cl.p
-	s := d.Dst.Bytes
-	if err := checkArenaRegion(b.ar, d.Dst.Off, s); err != nil {
-		return err
-	}
+	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
 	if s <= 0 {
 		return fmt.Errorf("core: cluster Scatter needs Dst.Bytes (the per-PE block size)")
 	}
 	var payload []byte
 	if d.Hosts != nil {
-		if len(d.Hosts) != 1 {
-			return fmt.Errorf("core: cluster Scatter takes one global payload, got %d buffers", len(d.Hosts))
-		}
 		payload = d.Hosts[0]
-		if len(payload) != H*P*s {
-			return fmt.Errorf("core: cluster Scatter payload has %d bytes, want %d", len(payload), H*P*s)
-		}
-	} else if b.cl.functional {
-		return fmt.Errorf("core: functional cluster Scatter needs the payload in Hosts")
 	}
 	st, root := b.st, b.h == d.Root
 	st.ensure(b.cl.functional, H*P*s, false, H)
@@ -874,8 +813,7 @@ func (b *clusterBuild) scatter() error {
 }
 
 func (b *clusterBuild) gather() error {
-	d, H, P := b.d, len(b.cl.comms), b.cl.p
-	s := d.Src.Bytes
+	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
 	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
 		Src: Span(d.Src.Off, s), Level: d.Level}); err != nil {
 		return err
@@ -896,8 +834,7 @@ func (b *clusterBuild) gather() error {
 }
 
 func (b *clusterBuild) reduce() error {
-	d, H := b.d, len(b.cl.comms)
-	m := d.Src.Bytes
+	d, H, m := b.d, len(b.cl.comms), b.m
 	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
 		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
 		return err
@@ -924,17 +861,7 @@ func (b *clusterBuild) reduce() error {
 // benchmark baseline the hierarchical lowering is gated against
 // (pidbench -exp cluster).
 func (b *clusterBuild) flatAllReduce() error {
-	d, H, P := b.d, len(b.cl.comms), b.cl.p
-	m := d.Src.Bytes
-	if err := impliedBytes("Dst", d.Dst.Bytes, m); err != nil {
-		return err
-	}
-	if err := checkArenaRegion(b.ar, d.Dst.Off, m); err != nil {
-		return err
-	}
-	if overlap(d.Src.Off, m, d.Dst.Off, m) {
-		return fmt.Errorf("core: src and dst regions overlap")
-	}
+	d, H, P, m := b.d, len(b.cl.comms), b.cl.p, b.m
 	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
 		Src: Span(d.Src.Off, m), Level: d.Level}); err != nil {
 		return err

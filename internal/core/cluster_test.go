@@ -130,7 +130,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AllReduce("1", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AllReduce, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, m)
@@ -147,7 +148,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.ReduceScatter("1", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: ReduceScatter, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, s)
@@ -162,7 +164,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AllGather("1", 0, 1024, s, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AllGather, Dims: "1",
+				Src: Span(0, s), Dst: At(1024), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 1024, H*P*s)
@@ -178,7 +181,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.AlltoAll("1", 0, 2*m, m, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: AlltoAll, Dims: "1",
+				Src: Span(0, m), Dst: At(2 * m), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 2*m, m)
@@ -193,7 +197,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}, Root: H - 1}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.Broadcast("1", [][]byte{payload}, 64, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: Broadcast, Dims: "1",
+				Hosts: [][]byte{payload}, Dst: At(64), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 64, len(payload))
@@ -208,7 +213,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			}}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flat.Scatter("1", [][]byte{buf}, 256, s, IM); err != nil {
+			if _, err := flat.Run(Collective{Prim: Scatter, Dims: "1",
+				Hosts: [][]byte{buf}, Dst: Span(256, s), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			comparePEs(t, cl, ranks, flat, flatRank, 256, s)
@@ -227,7 +233,7 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			if _, err := cp.Run(); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := flat.Gather("1", 0, s, IM)
+			want, _, err := runRooted(flat, Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +257,7 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			if _, err := cp.Run(); err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := flat.Reduce("1", 0, m, elem.I16, elem.Sum, IM)
+			want, _, err := runRooted(flat, Collective{Prim: Reduce, Dims: "1", Src: Span(0, m), Elem: elem.I16, Op: elem.Sum, Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -534,5 +540,97 @@ func TestClusterValidation(t *testing.T) {
 	}}
 	if _, err := cl.Run(shortScatter); err == nil {
 		t.Error("undersized Scatter payload accepted")
+	}
+}
+
+// runGlobal builds a functional cluster of 1-D hosts over geo, fills
+// every PE's source region with seeded random bytes and runs d once.
+func runGlobal(t *testing.T, hosts int, geo dram.Geometry, d ClusterCollective) cost.Breakdown {
+	t.Helper()
+	cl := testCluster(t, hosts, geo, []int{geo.NumPEs()}, false)
+	rng := rand.New(rand.NewSource(3))
+	buf := make([]byte, d.Src.Bytes)
+	for h := 0; h < hosts; h++ {
+		for pe := 0; pe < cl.PEsPerHost(); pe++ {
+			rng.Read(buf)
+			cl.Host(h).SetPEBuffer(pe, d.Src.Off, buf)
+		}
+	}
+	bd, err := cl.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bd
+}
+
+// Figure 23(b) trends: network overhead grows with host count;
+// AllReduce's network share is far smaller than AlltoAll's (reduced
+// data crosses the wire); PID-Comm stays ahead of the baseline.
+func TestClusterFigure23bTrends(t *testing.T) {
+	// Sizes large enough that bandwidth terms dominate latency and launch
+	// overheads (the regime of Figure 23(b): 2 MB per PE on real
+	// hardware). 128 PEs per host on one channel approximates the paper's
+	// 256-PE hosts' bus-share-per-PE regime.
+	geo := dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 19}
+	P := geo.NumPEs()
+	allReduce := func(hosts int) cost.Breakdown {
+		m := P * 1024
+		return runGlobal(t, hosts, geo, ClusterCollective{Collective: Collective{
+			Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: CM}})
+	}
+	alltoAll := func(hosts int, lvl Level) cost.Breakdown {
+		m := hosts * P * 512 // 512 B blocks per global PE
+		return runGlobal(t, hosts, geo, ClusterCollective{Collective: Collective{
+			Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: lvl}})
+	}
+	ar2, ar4 := allReduce(2), allReduce(4)
+	if !(ar4.Get(cost.Network) > ar2.Get(cost.Network)) {
+		t.Error("AllReduce network time should grow with hosts")
+	}
+	if allReduce(1).Get(cost.Network) != 0 {
+		t.Error("single host should have no network time")
+	}
+	aa2 := alltoAll(2, CM)
+	arFrac := float64(ar2.Get(cost.Network)) / float64(ar2.Total())
+	aaFrac := float64(aa2.Get(cost.Network)) / float64(aa2.Total())
+	if aaFrac <= arFrac {
+		t.Errorf("AlltoAll net fraction %.3f should exceed AllReduce's %.3f", aaFrac, arFrac)
+	}
+	if base := alltoAll(2, Baseline); base.Total() <= aa2.Total() {
+		t.Errorf("baseline cluster AlltoAll (%v) should be slower than PID-Comm (%v)",
+			base.Total(), aa2.Total())
+	}
+}
+
+// § IX-A trend: ReduceScatter sends data after reduction, so its network
+// time stays far below an AlltoAll's of the same payload.
+func TestClusterReducedTrafficTrends(t *testing.T) {
+	const H, P, blk = 2, 16, 64
+	m := H * P * blk
+	rs := runGlobal(t, H, geoHost, ClusterCollective{Collective: Collective{
+		Prim: ReduceScatter, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+		Elem: elem.I32, Op: elem.Sum, Level: IM}})
+	aa := runGlobal(t, H, geoHost, ClusterCollective{Collective: Collective{
+		Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}})
+	if rs.Get(cost.Network) >= aa.Get(cost.Network) {
+		t.Errorf("RS network time %v should be below AlltoAll's %v",
+			rs.Get(cost.Network), aa.Get(cost.Network))
+	}
+}
+
+// The cluster's breakdown is the slowest host's: with host 0 alone doing
+// work, it equals host 0's meter.
+func TestClusterBreakdownTakesSlowestHost(t *testing.T) {
+	const P = 16
+	cl := testCluster(t, 2, geoHost, []int{P}, false)
+	m := P * 8
+	fillSrc(cl.Host(0), 0, m, 1)
+	if _, err := cl.Host(0).Run(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Breakdown().Total() != cl.Host(0).Meter().Snapshot().Total() {
+		t.Error("cluster breakdown should equal the busiest host's meter")
 	}
 }

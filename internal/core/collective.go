@@ -11,11 +11,11 @@ import (
 // This file implements the descriptor-based collective API: one
 // Collective struct describes any of the eight primitives, and exactly
 // three entry points consume it — Compile (plan once), Run (one-shot)
-// and Submit (asynchronous). The 24 positional-argument methods
-// (AlltoAll/CompileAlltoAll/SubmitAlltoAll, ...) are thin shims that
-// build a Collective and call these entry points, so every execution
-// path — one-shot, compiled replay, async, tenant-scoped — funnels
-// through the same normalization and validation.
+// and Submit (asynchronous) — and nothing else. What distinguishes the
+// primitives — which regions they use, what sizes those imply, whether
+// they reduce — is one static table (shapes), read by the single spec
+// function (specIn), the cluster layer (cluster.go, with n = H×P) and
+// the autotuner (auto.go).
 //
 // All offsets in a Collective are relative to the arena the call is
 // resolved against: the whole per-PE MRAM for a plain Comm, or the
@@ -46,16 +46,19 @@ func Span(off, bytes int) Region { return Region{Off: off, Bytes: bytes} }
 // picks the cheapest applicable level), and a Dst/Src region with zero
 // Bytes takes the size the primitive implies.
 //
-// Field use by primitive:
+// Field use by primitive (n = group size; the shapes table below states
+// the same rows in the same order):
 //
-//	AlltoAll       Src (bytes/PE), Dst (same size)
+//	AlltoAll       Src (bytes/PE), Dst (same size; may coincide with Src)
 //	ReduceScatter  Src (bytes/PE), Dst (Src/n), Elem, Op
 //	AllReduce      Src (bytes/PE), Dst (same size), Elem, Op
 //	AllGather      Src (contribution), Dst (n×Src)
-//	Scatter        Hosts (one buffer per group), Dst (bytes/PE)
+//	Scatter        Hosts (n×Dst per group), Dst (bytes/PE, explicit)
 //	Gather         Src (bytes/PE); results via CompiledPlan/Future Results
 //	Reduce         Src (bytes/PE), Elem, Op; results via Results
-//	Broadcast      Hosts (one payload per group), Dst
+//	Broadcast      Hosts (one payload per group), Dst (payload size)
+//
+// A region or Hosts slice a primitive does not use must be left zero.
 //
 // Hosts buffers are bound by reference: a compiled Scatter/Broadcast
 // plan reads their current contents on every Run.
@@ -99,23 +102,14 @@ func (c *Comm) fullArena() arena { return arena{0, c.hc.sys.MramSize()} }
 
 // checkArenaRegion validates an arena-relative region common to all PEs.
 func checkArenaRegion(ar arena, off, n int) error {
-	if off < 0 || n < 0 || off+n > ar.size {
-		return fmt.Errorf("core: region [%d,%d) exceeds arena size %d", off, off+n, ar.size)
+	if off < 0 || n < 0 || off > ar.size || n > ar.size-off {
+		return fmt.Errorf("core: region at %d of %d bytes exceeds arena size %d", off, n, ar.size)
 	}
 	if off%dram.BankBurstBytes != 0 {
 		return fmt.Errorf("core: offset %d not %d-byte aligned", off, dram.BankBurstBytes)
 	}
 	if n%dram.BankBurstBytes != 0 {
 		return fmt.Errorf("core: size %d not a multiple of %d", n, dram.BankBurstBytes)
-	}
-	return nil
-}
-
-// impliedBytes validates an optional explicit region size against the
-// size the primitive implies for that role.
-func impliedBytes(role string, got, implied int) error {
-	if got != 0 && got != implied {
-		return fmt.Errorf("core: %s region has %d bytes, want %d (or 0 for the implied size)", role, got, implied)
 	}
 	return nil
 }
@@ -151,28 +145,14 @@ func (c *Comm) Submit(d Collective) (*Future, error) {
 	return cp.Submit(), nil
 }
 
-// AutoLevelOf returns the concrete level the Auto pseudo-level resolves
-// to for descriptor d (whatever d.Level says), under d's algorithm
-// constraint.
-func (c *Comm) AutoLevelOf(d Collective) (Level, error) {
-	bytesPerPE := d.Src.Bytes
-	if d.Prim == Scatter || d.Prim == Broadcast {
-		bytesPerPE = d.Dst.Bytes
-	}
-	inPlace := d.Prim == AlltoAll && d.Src.Off == d.Dst.Off
-	dec, err := c.autoResolve(d.Prim, d.Dims, bytesPerPE, d.Elem, d.Op, d.Algorithm, inPlace)
-	if err != nil {
-		return 0, err
-	}
-	return dec.lvl, nil
-}
-
-// AutoResolveOf returns the (algorithm, level) pair descriptor d
-// resolves to: the autotuner's pick where either axis is Auto, the
-// explicit value (with AlgoAuto mapped to AlgoReference, and the level
-// mapped to its effective value) where it is not. This is exactly what
-// Compile would resolve d to, without compiling anything.
-func (c *Comm) AutoResolveOf(d Collective) (Algorithm, Level, error) {
+// Resolve returns the (algorithm, level) pair Compile(d) would pick,
+// without validating regions or compiling anything: an explicit level
+// keeps its effective value and AlgoAuto maps to AlgoReference (no
+// search, identical plans and costs); Level Auto hands the pair to the
+// autotuner, constrained to d.Algorithm when that is explicit. Whether
+// an explicitly requested algorithm applies to the resolved call is
+// Compile's check, not Resolve's.
+func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
 	if d.Level != Auto {
 		alg := d.Algorithm
 		if alg == AlgoAuto {
@@ -180,12 +160,7 @@ func (c *Comm) AutoResolveOf(d Collective) (Algorithm, Level, error) {
 		}
 		return alg, EffectiveLevel(d.Prim, d.Level), nil
 	}
-	bytesPerPE := d.Src.Bytes
-	if d.Prim == Scatter || d.Prim == Broadcast {
-		bytesPerPE = d.Dst.Bytes
-	}
-	inPlace := d.Prim == AlltoAll && d.Src.Off == d.Dst.Off
-	dec, err := c.autoResolve(d.Prim, d.Dims, bytesPerPE, d.Elem, d.Op, d.Algorithm, inPlace)
+	dec, err := c.autoResolve(d)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,7 +169,7 @@ func (c *Comm) AutoResolveOf(d Collective) (Algorithm, Level, error) {
 
 // compileIn resolves d against the arena and compiles it; owner is the
 // tenant the resulting plan is charged to (nil for a plain Comm). The
-// single funnel behind Compile/Run/Submit and their positional shims.
+// single funnel behind Compile/Run/Submit.
 func (c *Comm) compileIn(ar arena, owner *Tenant, d Collective) (*CompiledPlan, error) {
 	spec, err := c.specIn(ar, d)
 	if err != nil {
@@ -232,13 +207,13 @@ func (c *Comm) compileSequenceIn(ar arena, owner *Tenant, ds []Collective) (*Com
 	}
 	specs := make([]planSpec, len(ds))
 	for i, d := range ds {
-		if d.Prim == Gather || d.Prim == Reduce {
-			return nil, fmt.Errorf("sequence[%d]: %s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
-				i, d.Prim.LongName())
-		}
 		sp, err := c.specIn(ar, d)
 		if err != nil {
 			return nil, fmt.Errorf("sequence[%d]: %w", i, err)
+		}
+		if shapes[d.Prim].rooted() {
+			return nil, fmt.Errorf("sequence[%d]: %s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
+				i, d.Prim.LongName())
 		}
 		specs[i] = sp
 	}
@@ -249,392 +224,217 @@ func (c *Comm) compileSequenceIn(ar arena, owner *Tenant, ds []Collective) (*Com
 	return cp, nil
 }
 
+// sizeRule derives the byte size of one role of a collective (the Dst
+// region, one Hosts buffer) from the per-PE payload m and the group
+// size n.
+type sizeRule uint8
+
+const (
+	sizeNone     sizeRule = iota // the primitive does not use the role
+	sizeSame                     // m
+	sizePerRank                  // m/n: one block
+	sizeAllRanks                 // n×m: one payload per rank
+)
+
+func (r sizeRule) of(m, n int) int {
+	switch r {
+	case sizePerRank:
+		return m / n
+	case sizeAllRanks:
+		return n * m
+	case sizeSame:
+		return m
+	}
+	return 0
+}
+
+// shape is one row of the shape table: everything that distinguishes a
+// primitive's descriptor from the other seven.
+type shape struct {
+	// reducing primitives combine elements with (Elem, Op); the others
+	// ignore both.
+	reducing bool
+	// blocked payloads are n blocks of m/n burst-aligned bytes.
+	blocked bool
+	// dst is the implied Dst size; sizeNone marks a rooted primitive,
+	// whose output is host-side (Results) and which takes no Dst.
+	dst sizeRule
+	// host is the size of each Hosts buffer; sizeNone everywhere but the
+	// host-input primitives, which in turn take no Src.
+	host sizeRule
+	// sizedByHosts: the payload is the length of the Hosts buffers and
+	// Dst.Bytes is implied by it (Broadcast). Otherwise a host-input
+	// payload is Dst.Bytes, stated explicitly (Scatter).
+	sizedByHosts bool
+	// consumesSrc: levels from PR up rotate Src in place, so it counts as
+	// written for hazard detection.
+	consumesSrc bool
+	// inPlaceOK: Src.Off == Dst.Off is legal (on the staged levels only,
+	// see specIn); everywhere else any src/dst overlap is an error.
+	inPlaceOK bool
+	// lower is the reference lowering (schedule.go).
+	lower func(e *AlgoEnv, cp *CompiledPlan) *Schedule
+}
+
+func (sh *shape) hostInput() bool { return sh.host != sizeNone }
+func (sh *shape) rooted() bool    { return sh.dst == sizeNone }
+
+// shapes is the shape table, indexed by Primitive.
+var shapes = [...]shape{
+	AlltoAll:      {blocked: true, dst: sizeSame, consumesSrc: true, inPlaceOK: true, lower: lowerAlltoAll},
+	ReduceScatter: {reducing: true, blocked: true, dst: sizePerRank, consumesSrc: true, lower: lowerReduceScatter},
+	AllReduce:     {reducing: true, blocked: true, dst: sizeSame, consumesSrc: true, lower: lowerAllReduce},
+	AllGather:     {dst: sizeAllRanks, lower: lowerAllGather},
+	Scatter:       {dst: sizeSame, host: sizeAllRanks, lower: lowerScatter},
+	Gather:        {lower: lowerGather},
+	Reduce:        {reducing: true, blocked: true, consumesSrc: true, lower: lowerReduce},
+	Broadcast:     {dst: sizeSame, host: sizeSame, sizedByHosts: true, lower: lowerBroadcast},
+}
+
+// shapeOf returns p's row of the shape table.
+func shapeOf(p Primitive) (*shape, error) {
+	if p < 0 || int(p) >= len(shapes) {
+		return nil, fmt.Errorf("core: unknown primitive %v", p)
+	}
+	return &shapes[p], nil
+}
+
+// payload returns d's per-PE payload size m, the quantity every other
+// size of the call derives from (and the bytes of an Auto signature).
+func (sh *shape) payload(d Collective) int {
+	switch {
+	case !sh.hostInput():
+		return d.Src.Bytes
+	case sh.sizedByHosts && len(d.Hosts) > 0:
+		return len(d.Hosts[0])
+	}
+	return d.Dst.Bytes
+}
+
+// inPlace reports whether d is an in-place call of a primitive that has
+// one.
+func (sh *shape) inPlace(d Collective) bool { return sh.inPlaceOK && d.Src.Off == d.Dst.Off }
+
+// check validates d against its row for a communicator of groups groups
+// of n ranks whose regions live in ar — everything about a descriptor
+// that does not depend on the resolved (algorithm, level) — and returns
+// the payload m and the block size s (== m where the primitive has no
+// blocks). nilHosts lets a host-input descriptor leave Hosts nil: a
+// cost-only caller whose payload size Dst.Bytes states.
+func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m, s int, err error) {
+	if d.Hosts != nil && !sh.hostInput() {
+		return 0, 0, fmt.Errorf("core: takes no host payload (Hosts must be nil)")
+	}
+	if sh.hostInput() && d.Src != (Region{}) {
+		return 0, 0, fmt.Errorf("core: input is host-side (Hosts), not a Src region")
+	}
+	if sh.rooted() && d.Dst != (Region{}) {
+		return 0, 0, fmt.Errorf("core: output is host-side (Results), not a Dst region")
+	}
+	if sh.reducing {
+		if err := checkElem(d.Elem, d.Op); err != nil {
+			return 0, 0, err
+		}
+	}
+	// Each region bounds the payload by the arena before a larger size
+	// (n×m) is derived from it, so the derivations cannot overflow: Src
+	// here, a host-input Dst — which is the payload — below.
+	m = sh.payload(d)
+	if !sh.hostInput() {
+		if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
+			return 0, 0, err
+		}
+	}
+	s = m
+	if sh.blocked {
+		if s, err = blockSize(m, n); err != nil {
+			return 0, 0, err
+		}
+	}
+	if !sh.rooted() {
+		dst := sh.dst.of(m, n)
+		if d.Dst.Bytes != 0 && d.Dst.Bytes != dst {
+			return 0, 0, fmt.Errorf("core: Dst region has %d bytes, want %d (or 0 for the implied size)", d.Dst.Bytes, dst)
+		}
+		if err := checkArenaRegion(ar, d.Dst.Off, dst); err != nil {
+			return 0, 0, err
+		}
+		if !sh.hostInput() && overlap(d.Src.Off, m, d.Dst.Off, dst) && !sh.inPlace(d) {
+			return 0, 0, fmt.Errorf("core: src [%d,%d) and dst [%d,%d) overlap",
+				d.Src.Off, d.Src.Off+m, d.Dst.Off, d.Dst.Off+dst)
+		}
+	}
+	if sh.hostInput() && !(d.Hosts == nil && nilHosts) {
+		if len(d.Hosts) != groups {
+			return 0, 0, fmt.Errorf("core: %d host buffers for %d groups", len(d.Hosts), groups)
+		}
+		want := sh.host.of(m, n)
+		for g, b := range d.Hosts {
+			if len(b) != want {
+				return 0, 0, fmt.Errorf("core: host buffer %d has %d bytes, want %d", g, len(b), want)
+			}
+		}
+	}
+	return m, s, nil
+}
+
 // specIn validates d against the arena, resolves Auto, and returns the
 // plan spec (cache key, MRAM footprint, lowering closure) without
-// compiling anything — the shared front half of compileIn and
-// compileSequenceIn.
+// compiling anything — the shared front half of compileIn,
+// compileSequenceIn and the cluster layer's local legs.
 func (c *Comm) specIn(ar arena, d Collective) (spec planSpec, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("%s: %w", d.Prim.LongName(), err)
 		}
 	}()
-	if d.Hosts != nil && !hostInput(d.Prim) {
-		return planSpec{}, fmt.Errorf("core: takes no host payload (Hosts must be nil)")
-	}
-	if hostInput(d.Prim) && d.Src != (Region{}) {
-		return planSpec{}, fmt.Errorf("core: input is host-side (Hosts), not a Src region")
-	}
-	if (d.Prim == Gather || d.Prim == Reduce) && d.Dst != (Region{}) {
-		return planSpec{}, fmt.Errorf("core: output is host-side (Results), not a Dst region")
-	}
-	switch d.Prim {
-	case AlltoAll:
-		return c.specAlltoAll(ar, d)
-	case ReduceScatter:
-		return c.specReduceScatter(ar, d)
-	case AllReduce:
-		return c.specAllReduce(ar, d)
-	case AllGather:
-		return c.specAllGather(ar, d)
-	case Scatter:
-		return c.specScatter(ar, d)
-	case Gather:
-		return c.specGather(ar, d)
-	case Reduce:
-		return c.specReduce(ar, d)
-	case Broadcast:
-		return c.specBroadcast(ar, d)
-	default:
-		return planSpec{}, fmt.Errorf("core: unknown primitive %v", d.Prim)
-	}
-}
-
-// resolveAlgoLevel resolves the descriptor's (Algorithm, Level) pair to
-// concrete values: an explicit level keeps the pre-algorithm fast path
-// (AlgoAuto maps to AlgoReference — no search, identical plans and
-// costs); Level Auto hands the pair to the autotuner, constrained to
-// d.Algorithm when that is explicit. The returned algorithm still needs
-// a checkAlgo applicability pass once the caller has built the AlgoEnv.
-func (c *Comm) resolveAlgoLevel(d Collective, bytesPerPE int, inPlace bool) (Algorithm, Level, error) {
-	if d.Level != Auto {
-		alg := d.Algorithm
-		if alg == AlgoAuto {
-			alg = AlgoReference
-		}
-		return alg, EffectiveLevel(d.Prim, d.Level), nil
-	}
-	dec, err := c.autoResolve(d.Prim, d.Dims, bytesPerPE, d.Elem, d.Op, d.Algorithm, inPlace)
+	sh, err := shapeOf(d.Prim)
 	if err != nil {
-		return 0, 0, err
-	}
-	return dec.algo, dec.lvl, nil
-}
-
-func (c *Comm) specAlltoAll(ar arena, d Collective) (planSpec, error) {
-	m := d.Src.Bytes
-	if err := impliedBytes("Dst", d.Dst.Bytes, m); err != nil {
 		return planSpec{}, err
 	}
 	p, err := c.plan(d.Dims)
 	if err != nil {
 		return planSpec{}, err
 	}
-	if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	inPlace := d.Src.Off == d.Dst.Off
-	if overlap(d.Src.Off, m, d.Dst.Off, m) && !inPlace {
-		return planSpec{}, fmt.Errorf("core: src [%d,%d) and dst [%d,%d) overlap",
-			d.Src.Off, d.Src.Off+m, d.Dst.Off, d.Dst.Off+m)
-	}
-	s, err := blockSize(m, p.n)
+	// Only a payload whose size the descriptor states can be left out on
+	// the cost-only backend.
+	m, s, err := sh.check(ar, d, p.n, len(p.groups), !c.backend.Functional() && !sh.sizedByHosts)
 	if err != nil {
 		return planSpec{}, err
 	}
-	alg, eff, err := c.resolveAlgoLevel(d, m, inPlace)
+	alg, eff, err := c.Resolve(d)
 	if err != nil {
 		return planSpec{}, err
 	}
-	if err := checkInPlace(AlltoAll, eff, inPlace); err != nil {
-		return planSpec{}, err
+	if sh.inPlace(d) && eff >= IM {
+		// The staged levels' full host staging buffer decouples every read
+		// from every write; the streaming engine overwrites destination
+		// blocks before later source blocks are read. Auto skips IM/CM.
+		return planSpec{}, fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", d.Prim.LongName(), eff)
 	}
-	srcOff, dstOff := ar.base+d.Src.Off, ar.base+d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: AlltoAll, eff: eff, srcOff: srcOff, dstOff: dstOff, m: m, s: s}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: AlltoAll, dims: d.Dims, srcOff: srcOff, dstOff: dstOff, bytes: m, lvl: eff, algo: alg}
+	env := &AlgoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s}
+	key := planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}
 	var regs planRegions
-	regs.srcRegion(srcOff, m, eff >= PR)
-	regs.write(dstOff, m)
-	return planSpec{key: key, regs: regs, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerAlltoAll(p, srcOff, dstOff, s, eff)
-		})
-	}}, nil
-}
-
-func (c *Comm) specReduceScatter(ar arena, d Collective) (planSpec, error) {
-	m := d.Src.Bytes
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
+	if sh.reducing {
+		env.t, env.op = d.Elem, d.Op
+		key.elemType, key.op = d.Elem, d.Op
 	}
-	if err := checkElem(d.Elem, d.Op); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	s, err := blockSize(m, p.n)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if err := impliedBytes("Dst", d.Dst.Bytes, s); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, s); err != nil {
-		return planSpec{}, err
-	}
-	if overlap(d.Src.Off, m, d.Dst.Off, s) {
-		return planSpec{}, fmt.Errorf("core: src and dst regions overlap")
-	}
-	alg, eff, err := c.resolveAlgoLevel(d, m, false)
-	if err != nil {
-		return planSpec{}, err
-	}
-	srcOff, dstOff := ar.base+d.Src.Off, ar.base+d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: ReduceScatter, eff: eff, srcOff: srcOff, dstOff: dstOff, m: m, s: s, t: d.Elem, op: d.Op}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: ReduceScatter, dims: d.Dims, srcOff: srcOff, dstOff: dstOff, bytes: m, elemType: d.Elem, op: d.Op, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.srcRegion(srcOff, m, eff >= PR)
-	regs.write(dstOff, s)
-	return planSpec{key: key, regs: regs, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerReduceScatter(p, srcOff, dstOff, s, d.Elem, d.Op, eff)
-		})
-	}}, nil
-}
-
-func (c *Comm) specAllReduce(ar arena, d Collective) (planSpec, error) {
-	m := d.Src.Bytes
-	if err := impliedBytes("Dst", d.Dst.Bytes, m); err != nil {
-		return planSpec{}, err
-	}
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if err := checkElem(d.Elem, d.Op); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	if overlap(d.Src.Off, m, d.Dst.Off, m) {
-		return planSpec{}, fmt.Errorf("core: src [%d,%d) and dst [%d,%d) overlap",
-			d.Src.Off, d.Src.Off+m, d.Dst.Off, d.Dst.Off+m)
-	}
-	s, err := blockSize(m, p.n)
-	if err != nil {
-		return planSpec{}, err
-	}
-	alg, eff, err := c.resolveAlgoLevel(d, m, false)
-	if err != nil {
-		return planSpec{}, err
-	}
-	srcOff, dstOff := ar.base+d.Src.Off, ar.base+d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: AllReduce, eff: eff, srcOff: srcOff, dstOff: dstOff, m: m, s: s, t: d.Elem, op: d.Op}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: AllReduce, dims: d.Dims, srcOff: srcOff, dstOff: dstOff, bytes: m, elemType: d.Elem, op: d.Op, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.srcRegion(srcOff, m, eff >= PR)
-	regs.write(dstOff, m)
-	return planSpec{key: key, regs: regs, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerAllReduce(p, srcOff, dstOff, s, d.Elem, d.Op, eff)
-		})
-	}}, nil
-}
-
-func (c *Comm) specAllGather(ar arena, d Collective) (planSpec, error) {
-	s := d.Src.Bytes
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if err := impliedBytes("Dst", d.Dst.Bytes, p.n*s); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Src.Off, s); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, p.n*s); err != nil {
-		return planSpec{}, err
-	}
-	if overlap(d.Src.Off, s, d.Dst.Off, p.n*s) {
-		return planSpec{}, fmt.Errorf("core: src and dst regions overlap")
-	}
-	alg, eff, err := c.resolveAlgoLevel(d, s, false)
-	if err != nil {
-		return planSpec{}, err
-	}
-	srcOff, dstOff := ar.base+d.Src.Off, ar.base+d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: AllGather, eff: eff, srcOff: srcOff, dstOff: dstOff, m: s, s: s}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: AllGather, dims: d.Dims, srcOff: srcOff, dstOff: dstOff, bytes: s, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.read(srcOff, s)
-	regs.write(dstOff, p.n*s)
-	return planSpec{key: key, regs: regs, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerAllGather(p, srcOff, dstOff, s, eff)
-		})
-	}}, nil
-}
-
-func (c *Comm) specGather(ar arena, d Collective) (planSpec, error) {
-	s := d.Src.Bytes
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Src.Off, s); err != nil {
-		return planSpec{}, err
-	}
-	alg, eff, err := c.resolveAlgoLevel(d, s, false)
-	if err != nil {
-		return planSpec{}, err
-	}
-	srcOff := ar.base + d.Src.Off
-	env := &AlgoEnv{c: c, p: p, prim: Gather, eff: eff, srcOff: srcOff, m: s, s: s}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: Gather, dims: d.Dims, srcOff: srcOff, bytes: s, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.read(srcOff, s)
-	return planSpec{key: key, regs: regs, lower: func(cp *CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerGather(p, srcOff, s, eff, cp)
-		})
-	}}, nil
-}
-
-func (c *Comm) specReduce(ar arena, d Collective) (planSpec, error) {
-	m := d.Src.Bytes
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if err := checkElem(d.Elem, d.Op); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
-		return planSpec{}, err
-	}
-	s, err := blockSize(m, p.n)
-	if err != nil {
-		return planSpec{}, err
-	}
-	alg, eff, err := c.resolveAlgoLevel(d, m, false)
-	if err != nil {
-		return planSpec{}, err
-	}
-	srcOff := ar.base + d.Src.Off
-	env := &AlgoEnv{c: c, p: p, prim: Reduce, eff: eff, srcOff: srcOff, m: m, s: s, t: d.Elem, op: d.Op}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: Reduce, dims: d.Dims, srcOff: srcOff, bytes: m, elemType: d.Elem, op: d.Op, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.srcRegion(srcOff, m, eff >= PR)
-	return planSpec{key: key, regs: regs, lower: func(cp *CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerReduce(p, srcOff, s, d.Elem, d.Op, eff, cp)
-		})
-	}}, nil
-}
-
-func (c *Comm) specScatter(ar arena, d Collective) (planSpec, error) {
-	s := d.Dst.Bytes
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	if s%dram.BankBurstBytes != 0 {
-		return planSpec{}, fmt.Errorf("core: Dst bytes %d not a multiple of %d", s, dram.BankBurstBytes)
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, s); err != nil {
-		return planSpec{}, err
-	}
-	bufs := d.Hosts
-	if bufs == nil && !c.backend.Functional() {
-		// Cost-only dry run: sizes are fully determined by the plan.
+	if sh.hostInput() {
+		env.hosts = d.Hosts
 	} else {
-		if len(bufs) != len(p.groups) {
-			return planSpec{}, fmt.Errorf("core: %d host buffers for %d groups", len(bufs), len(p.groups))
-		}
-		for g, b := range bufs {
-			if len(b) != p.n*s {
-				return planSpec{}, fmt.Errorf("core: host buffer %d has %d bytes, want %d", g, len(b), p.n*s)
-			}
-		}
+		env.srcOff = ar.base + d.Src.Off
+		key.srcOff = env.srcOff
+		regs.srcRegion(env.srcOff, m, sh.consumesSrc && eff >= PR)
 	}
-	alg, eff, err := c.resolveAlgoLevel(d, s, false)
-	if err != nil {
-		return planSpec{}, err
+	if !sh.rooted() {
+		env.dstOff = ar.base + d.Dst.Off
+		key.dstOff = env.dstOff
+		regs.write(env.dstOff, sh.dst.of(m, p.n))
 	}
-	dstOff := ar.base + d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: Scatter, eff: eff, dstOff: dstOff, m: s, s: s, hosts: bufs}
 	if err := checkAlgo(alg, env); err != nil {
 		return planSpec{}, err
 	}
-	key := planKey{prim: Scatter, dims: d.Dims, dstOff: dstOff, bytes: s, lvl: eff, algo: alg}
-	var regs planRegions
-	regs.write(dstOff, s)
-	return planSpec{key: key, regs: regs, hostBufs: true, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerScatter(p, bufs, dstOff, s, eff)
-		})
-	}}, nil
-}
-
-func (c *Comm) specBroadcast(ar arena, d Collective) (planSpec, error) {
-	p, err := c.plan(d.Dims)
-	if err != nil {
-		return planSpec{}, err
-	}
-	bufs := d.Hosts
-	if len(bufs) != len(p.groups) {
-		return planSpec{}, fmt.Errorf("core: %d host buffers for %d groups", len(bufs), len(p.groups))
-	}
-	s := -1
-	for g, b := range bufs {
-		if s == -1 {
-			s = len(b)
-		} else if len(b) != s {
-			return planSpec{}, fmt.Errorf("core: host buffer %d has %d bytes, want %d", g, len(b), s)
-		}
-	}
-	if err := impliedBytes("Dst", d.Dst.Bytes, s); err != nil {
-		return planSpec{}, err
-	}
-	if err := checkArenaRegion(ar, d.Dst.Off, s); err != nil {
-		return planSpec{}, err
-	}
-	// Broadcast has a single implementation level (§ VIII-B); the
-	// algorithm axis still applies (AlgoAuto resolves to the reference
-	// driver broadcast, alternatives are explicit opt-ins).
-	alg := d.Algorithm
-	if alg == AlgoAuto {
-		alg = AlgoReference
-	}
-	dstOff := ar.base + d.Dst.Off
-	env := &AlgoEnv{c: c, p: p, prim: Broadcast, eff: Baseline, dstOff: dstOff, m: s, s: s, hosts: bufs}
-	if err := checkAlgo(alg, env); err != nil {
-		return planSpec{}, err
-	}
-	key := planKey{prim: Broadcast, dims: d.Dims, dstOff: dstOff, bytes: s, lvl: Baseline, algo: alg}
-	var regs planRegions
-	regs.write(dstOff, s)
-	return planSpec{key: key, regs: regs, hostBufs: true, lower: func(*CompiledPlan) *Schedule {
-		return algoLower(alg, env, func() *Schedule {
-			return c.lowerBroadcast(p, bufs, dstOff, s)
-		})
+	return planSpec{key: key, regs: regs, hostBufs: sh.hostInput(), lower: func(cp *CompiledPlan) *Schedule {
+		return algoLower(alg, env, cp)
 	}}, nil
 }

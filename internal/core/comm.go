@@ -28,7 +28,7 @@ import (
 // kernels) touching overlapping MRAM regions race semantically even
 // though each executes atomically.
 //
-// Asynchronous execution (async.go): Submit* methods enqueue compiled
+// Asynchronous execution (async.go): Submit enqueues compiled
 // plans on a per-Comm submission queue and return Futures; independent
 // plans overlap on the elapsed-time timeline (Elapsed), hazardous plans
 // are ordered by their MRAM footprints, and Flush is the barrier. Serial
@@ -273,7 +273,7 @@ func (c *Comm) Backend() Backend { return c.backend }
 // plans (fuse.go). The default is FuseFull. The level is part of the
 // plan-cache key, so toggling it never serves a plan fused at another
 // level; plans already handed out keep the level they were compiled at.
-// Cached AutoLevel decisions are dropped on a change — they were made
+// Cached Auto decisions are dropped on a change — they were made
 // against schedules fused at the old level and the cheapest level may
 // differ at the new one.
 func (c *Comm) SetFuse(f FuseLevel) {
@@ -351,12 +351,6 @@ func (c *Comm) GetPEBuffer(pe, off, n int) []byte {
 	return out
 }
 
-// checkRegion validates an MRAM region common to all PEs against the
-// whole MRAM (the arena of a plain Comm).
-func (c *Comm) checkRegion(off, n int) error {
-	return checkArenaRegion(c.fullArena(), off, n)
-}
-
 // blockSize computes and validates the per-block size s = bytesPerPE / n
 // for block-structured primitives.
 func blockSize(bytesPerPE, n int) (int, error) {
@@ -370,11 +364,15 @@ func blockSize(bytesPerPE, n int) (int, error) {
 	return s, nil
 }
 
+// checkElem validates a reducing call's element type and operator by
+// value: elem's own accessors panic on an unknown one.
 func checkElem(t elem.Type, op elem.Op) error {
-	if t.Size() <= 0 || t.Size() > 8 {
+	if t < elem.I8 || t > elem.I64 {
 		return fmt.Errorf("core: unsupported element type %v", t)
 	}
-	_ = op.Identity(t) // panics on unknown op
+	if op < elem.Sum || op > elem.Xor {
+		return fmt.Errorf("core: unsupported reduction operator %v", op)
+	}
 	return nil
 }
 

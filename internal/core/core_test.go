@@ -25,6 +25,17 @@ func testSystem(t *testing.T, geo dram.Geometry, shape []int) *Comm {
 	return NewComm(hc, cost.DefaultParams())
 }
 
+// runRooted runs a rooted collective (Gather, Reduce) once and returns
+// its per-group host results with the run's breakdown.
+func runRooted(c *Comm, d Collective) ([][]byte, cost.Breakdown, error) {
+	cp, err := c.Compile(d)
+	if err != nil {
+		return nil, cost.Breakdown{}, err
+	}
+	bd, err := cp.Run()
+	return cp.Results(), bd, err
+}
+
 var geo64 = dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 14} // 64 PEs
 var geo24 = dram.Geometry{Channels: 3, RanksPerChannel: 1, BanksPerChip: 1, MramPerBank: 1 << 14} // 24 PEs
 
@@ -89,7 +100,8 @@ func TestAlltoAllAllLevels(t *testing.T) {
 				s := 16 // bytes per block
 				m := p.n * s
 				in := fillSrc(c, 0, m, 42)
-				if _, err := c.AlltoAll(tc.dims, 0, 2*m, m, lvl); err != nil {
+				if _, err := c.Run(Collective{Prim: AlltoAll, Dims: tc.dims,
+					Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 					t.Fatal(err)
 				}
 				for _, grp := range p.groups {
@@ -115,7 +127,8 @@ func TestReduceScatterAllLevels(t *testing.T) {
 				s := 16
 				m := p.n * s
 				in := fillSrc(c, 0, m, 7)
-				if _, err := c.ReduceScatter(tc.dims, 0, 2*m, m, elem.I32, elem.Sum, lvl); err != nil {
+				if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: tc.dims,
+					Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl}); err != nil {
 					t.Fatal(err)
 				}
 				for _, grp := range p.groups {
@@ -149,7 +162,8 @@ func TestAllReduceAllLevelsTypesOps(t *testing.T) {
 					s := 8
 					m := p.n * s
 					in := fillSrc(c, 0, m, int64(lvl)*100+int64(combo.op))
-					if _, err := c.AllReduce(tc.dims, 0, 2*m, m, combo.t, combo.op, lvl); err != nil {
+					if _, err := c.Run(Collective{Prim: AllReduce, Dims: tc.dims,
+						Src: Span(0, m), Dst: At(2 * m), Elem: combo.t, Op: combo.op, Level: lvl}); err != nil {
 						t.Fatal(err)
 					}
 					for _, grp := range p.groups {
@@ -175,7 +189,8 @@ func TestAllGatherAllLevels(t *testing.T) {
 				p, _ := c.plan(tc.dims)
 				s := 16
 				in := fillSrc(c, 0, s, 99)
-				if _, err := c.AllGather(tc.dims, 0, 1024, s, lvl); err != nil {
+				if _, err := c.Run(Collective{Prim: AllGather, Dims: tc.dims,
+					Src: Span(0, s), Dst: At(1024), Level: lvl}); err != nil {
 					t.Fatal(err)
 				}
 				for _, grp := range p.groups {
@@ -205,7 +220,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 					bufs[g] = make([]byte, p.n*s)
 					rng.Read(bufs[g])
 				}
-				if _, err := c.Scatter(tc.dims, bufs, 0, s, lvl); err != nil {
+				if _, err := c.Run(Collective{Prim: Scatter, Dims: tc.dims,
+					Hosts: bufs, Dst: Span(0, s), Level: lvl}); err != nil {
 					t.Fatal(err)
 				}
 				// Each PE must hold its block.
@@ -217,7 +233,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 						}
 					}
 				}
-				got, _, err := c.Gather(tc.dims, 0, s, lvl)
+				got, _, err := runRooted(c, Collective{Prim: Gather, Dims: tc.dims, Src: Span(0, s), Level: lvl})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,7 +256,7 @@ func TestReduceAllLevels(t *testing.T) {
 				s := 8
 				m := p.n * s
 				in := fillSrc(c, 0, m, 123)
-				got, _, err := c.Reduce(tc.dims, 0, m, elem.I16, elem.Sum, lvl)
+				got, _, err := runRooted(c, Collective{Prim: Reduce, Dims: tc.dims, Src: Span(0, m), Elem: elem.I16, Op: elem.Sum, Level: lvl})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,7 +283,8 @@ func TestBroadcast(t *testing.T) {
 				bufs[g] = make([]byte, s)
 				rng.Read(bufs[g])
 			}
-			if _, err := c.Broadcast(tc.dims, bufs, 64, IM); err != nil {
+			if _, err := c.Run(Collective{Prim: Broadcast, Dims: tc.dims,
+				Hosts: bufs, Dst: At(64), Level: IM}); err != nil {
 				t.Fatal(err)
 			}
 			for g, grp := range p.groups {
@@ -291,7 +308,8 @@ func TestLevelsProduceIdenticalResults(t *testing.T) {
 		p, _ := c.plan(tc.dims)
 		m := p.n * 8
 		fillSrc(c, 0, m, 77)
-		if _, err := c.AlltoAll(tc.dims, 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: tc.dims,
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 		var all []byte
@@ -318,7 +336,8 @@ func TestCostStructureByLevel(t *testing.T) {
 		c := testSystem(t, geo, []int{16, 16})
 		m := 16 * 1024
 		fillSrc(c, 0, m, 3)
-		bd, err := c.AlltoAll("10", 0, 2*m, m, lvl)
+		bd, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +380,8 @@ func TestInt8SkipsDomainTransfer(t *testing.T) {
 		c := testSystem(t, geo64, []int{8, 8})
 		m := 8 * 64
 		fillSrc(c, 0, m, 4)
-		bd, err := c.AllReduce("10", 0, 2*m, m, et, elem.Sum, IM)
+		bd, err := c.Run(Collective{Prim: AllReduce, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Elem: et, Op: elem.Sum, Level: IM})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,28 +397,36 @@ func TestInt8SkipsDomainTransfer(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
-	if _, err := c.AlltoAll("1", 0, 512, 512, CM); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "1",
+		Src: Span(0, 512), Dst: At(512), Level: CM}); err == nil {
 		t.Error("wrong dims length accepted")
 	}
-	if _, err := c.AlltoAll("00", 0, 512, 512, CM); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "00",
+		Src: Span(0, 512), Dst: At(512), Level: CM}); err == nil {
 		t.Error("empty dims accepted")
 	}
-	if _, err := c.AlltoAll("10", 0, 256, 512, CM); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, 512), Dst: At(256), Level: CM}); err == nil {
 		t.Error("overlapping src/dst accepted")
 	}
-	if _, err := c.AlltoAll("10", 0, 1024, 100, CM); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, 100), Dst: At(1024), Level: CM}); err == nil {
 		t.Error("unaligned size accepted")
 	}
-	if _, err := c.AlltoAll("10", 0, 1024, 24, CM); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, 24), Dst: At(1024), Level: CM}); err == nil {
 		t.Error("block size not divisible accepted (24/8 = 3 bytes)")
 	}
-	if _, err := c.ReduceScatter("10", 0, 1024, 1<<20, elem.I32, elem.Sum, IM); err == nil {
+	if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+		Src: Span(0, 1<<20), Dst: At(1024), Elem: elem.I32, Op: elem.Sum, Level: IM}); err == nil {
 		t.Error("oversized region accepted")
 	}
-	if _, err := c.Scatter("10", make([][]byte, 3), 0, 64, IM); err == nil {
+	if _, err := c.Run(Collective{Prim: Scatter, Dims: "10",
+		Hosts: make([][]byte, 3), Dst: Span(0, 64), Level: IM}); err == nil {
 		t.Error("wrong buffer count accepted")
 	}
-	if _, err := c.Broadcast("10", [][]byte{make([]byte, 64)}, 0, IM); err == nil {
+	if _, err := c.Run(Collective{Prim: Broadcast, Dims: "10",
+		Hosts: [][]byte{make([]byte, 64)}, Dst: At(0), Level: IM}); err == nil {
 		t.Error("wrong broadcast buffer count accepted")
 	}
 }
@@ -407,11 +435,13 @@ func TestMeterAccumulatesAcrossCalls(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * 16
 	fillSrc(c, 0, m, 1)
-	if _, err := c.AlltoAll("10", 0, 2*m, m, CM); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
 	t1 := c.Meter().Total()
-	if _, err := c.AlltoAll("10", 0, 2*m, m, CM); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
 	if t2 := c.Meter().Total(); t2 <= t1 {

@@ -20,9 +20,12 @@
 // (collective.go): primitive, dims bitmap, arena-relative Region
 // handles, element type/operator, level (zero value = Auto) and host
 // payloads. Exactly three entry points consume it — Compile, Run,
-// Submit — and the positional-argument methods (AlltoAll,
-// CompileAlltoAll, SubmitAlltoAll, ...) are thin shims over the same
-// funnel, so every path shares one normalization and validation.
+// Submit — and nothing else does. What distinguishes the eight
+// primitives' descriptors (which regions they use, the sizes those
+// imply, whether they reduce, whether they may run in place) is one
+// static table, shapes, read by the one validation path (specIn), the
+// cluster layer (a global call is the same row on H×P ranks) and the
+// autotuner; the table also names each primitive's reference lowering.
 //
 // # Pipeline
 //
@@ -41,7 +44,7 @@
 //   - Backend (exec.go) executes steps: the functional backend moves real
 //     bytes; the cost-only backend charges the identical cost (pinned
 //     bit-for-bit by exec_test.go) while moving nothing — the engine for
-//     paper-scale sweeps and AutoLevel dry runs.
+//     paper-scale sweeps and Auto dry runs.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
 //     compiled once (validation, Auto resolution, lowering, charge
 //     precomputation) and replayed many times, with a per-Comm cache
@@ -124,7 +127,7 @@
 //
 // # Paper map
 //
-//	Figure 2      Primitive (level.go)
+//	Figure 2      Primitive (level.go), shapes (collective.go)
 //	Figures 5, 6  Hypercube, Groups (hypercube.go)
 //	Figure 7      lowerAlltoAll (schedule.go)
 //	Figure 8      lowerReduceScatter / lowerAllReduce / lowerAllGather

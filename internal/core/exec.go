@@ -16,7 +16,7 @@ import (
 //   - the cost-only backend skips all data movement and only drives the
 //     cost.Meter, reproducing the functional backend's breakdown
 //     bit-for-bit at a tiny fraction of the work — the engine for
-//     paper-scale sweeps and AutoLevel dry runs.
+//     paper-scale sweeps and Auto dry runs.
 //
 // Step charges declared in the schedule are applied by the shared
 // executor for both backends, so the backends can only diverge on bus

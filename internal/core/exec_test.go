@@ -69,26 +69,32 @@ func runOnBackend(t *testing.T, c *Comm, prim Primitive, dims string, lvl Level,
 	switch prim {
 	case AlltoAll:
 		fill(m)
-		bd, err = c.AlltoAll(dims, 0, 2*m, m, lvl)
+		bd, err = c.Run(Collective{Prim: AlltoAll, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl})
 	case ReduceScatter:
 		fill(m)
-		bd, err = c.ReduceScatter(dims, 0, 2*m, m, elem.I32, elem.Sum, lvl)
+		bd, err = c.Run(Collective{Prim: ReduceScatter, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
 	case AllReduce:
 		fill(m)
-		bd, err = c.AllReduce(dims, 0, 2*m, m, elem.I32, elem.Sum, lvl)
+		bd, err = c.Run(Collective{Prim: AllReduce, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
 	case AllGather:
 		fill(s)
-		bd, err = c.AllGather(dims, 0, 2*s, s, lvl)
+		bd, err = c.Run(Collective{Prim: AllGather, Dims: dims,
+			Src: Span(0, s), Dst: At(2 * s), Level: lvl})
 	case Scatter:
-		bd, err = c.Scatter(dims, hostBufs(p.n*s), 0, s, lvl)
+		bd, err = c.Run(Collective{Prim: Scatter, Dims: dims,
+			Hosts: hostBufs(p.n * s), Dst: Span(0, s), Level: lvl})
 	case Gather:
 		fill(s)
-		_, bd, err = c.Gather(dims, 0, s, lvl)
+		_, bd, err = runRooted(c, Collective{Prim: Gather, Dims: dims, Src: Span(0, s), Level: lvl})
 	case Reduce:
 		fill(m)
-		_, bd, err = c.Reduce(dims, 0, m, elem.I32, elem.Sum, lvl)
+		_, bd, err = runRooted(c, Collective{Prim: Reduce, Dims: dims, Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
 	case Broadcast:
-		bd, err = c.Broadcast(dims, hostBufs(s), 0, lvl)
+		bd, err = c.Run(Collective{Prim: Broadcast, Dims: dims,
+			Hosts: hostBufs(s), Dst: At(0), Level: lvl})
 	default:
 		t.Fatalf("unknown primitive %v", prim)
 	}
@@ -137,7 +143,7 @@ func TestCostBackendMatchesFunctional(t *testing.T) {
 }
 
 // The cost backend must accept nil Scatter buffers (sizes are implied),
-// which is what AutoLevel dry runs rely on.
+// which is what Auto dry runs rely on.
 func TestCostBackendScatterNilBufs(t *testing.T) {
 	cc := costSystem(t, geo64, []int{8, 8})
 	fc := testSystem(t, geo64, []int{8, 8})
@@ -148,11 +154,13 @@ func TestCostBackendScatterNilBufs(t *testing.T) {
 		bufs[g] = make([]byte, p.n*s)
 	}
 	for _, lvl := range []Level{Baseline, IM} {
-		want, err := fc.Scatter("10", bufs, 0, s, lvl)
+		want, err := fc.Run(Collective{Prim: Scatter, Dims: "10",
+			Hosts: bufs, Dst: Span(0, s), Level: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cc.Scatter("10", nil, 0, s, lvl)
+		got, err := cc.Run(Collective{Prim: Scatter, Dims: "10",
+			Hosts: nil, Dst: Span(0, s), Level: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +169,8 @@ func TestCostBackendScatterNilBufs(t *testing.T) {
 		}
 	}
 	// The functional backend must still reject nil buffers.
-	if _, err := fc.Scatter("10", nil, 0, s, IM); err == nil {
+	if _, err := fc.Run(Collective{Prim: Scatter, Dims: "10",
+		Hosts: nil, Dst: Span(0, s), Level: IM}); err == nil {
 		t.Error("functional Scatter accepted nil buffers")
 	}
 }
@@ -173,11 +182,11 @@ func TestCostBackendTopoComparators(t *testing.T) {
 		cc := costSystem(t, geo64, []int{8, 8})
 		m := 8 * 16
 		fillSrcComm(fc, 0, m, 21)
-		want, err := fc.AllReduceTopo(topo, "10", 0, 2*m, m, elem.I32, elem.Sum)
+		want, err := fc.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cc.AllReduceTopo(topo, "10", 0, 2*m, m, elem.I32, elem.Sum)
+		got, err := cc.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum})
 		if err != nil {
 			t.Fatal(err)
 		}

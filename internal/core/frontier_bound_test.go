@@ -16,7 +16,8 @@ func TestFrontierStaysBounded(t *testing.T) {
 	var last *Future
 	for i := 0; i < 3000; i++ {
 		base := (i % 8) * 2 * m
-		f, err := c.SubmitAllReduce("1", base, base+m, m, elem.I32, elem.Sum, IM)
+		f, err := c.Submit(Collective{Prim: AllReduce, Dims: "1",
+			Src: Span(base, m), Dst: At(base + m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,21 +97,24 @@ func runParallelWorkload(t *testing.T, c *Comm, dims string) []byte {
 	m := p.n * s
 	for i, lvl := range Levels() {
 		fillSrc(c, 0, m, int64(100+i))
-		if _, err := c.AlltoAll(dims, 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, lvl := range []Level{Baseline, PR, IM} {
 		fillSrc(c, 0, m, int64(200+i))
-		if _, err := c.ReduceScatter(dims, 0, 2*m, m, elem.I32, elem.Sum, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 		fillSrc(c, 0, m, int64(300+i))
-		if _, err := c.AllReduce(dims, 0, 2*m, m, elem.I16, elem.Max, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AllReduce, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I16, Op: elem.Max, Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 		fillSrc(c, 0, m, int64(400+i))
-		got, _, err := c.Reduce(dims, 0, m, elem.I32, elem.Sum, lvl)
+		got, _, err := runRooted(c, Collective{Prim: Reduce, Dims: dims, Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +122,8 @@ func runParallelWorkload(t *testing.T, c *Comm, dims string) []byte {
 	}
 	for i, lvl := range Levels() {
 		fillSrc(c, 0, s, int64(500+i))
-		if _, err := c.AllGather(dims, 0, 2*m, s, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AllGather, Dims: dims,
+			Src: Span(0, s), Dst: At(2 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,10 +134,11 @@ func runParallelWorkload(t *testing.T, c *Comm, dims string) []byte {
 			bufs[g] = make([]byte, p.n*s)
 			rng.Read(bufs[g])
 		}
-		if _, err := c.Scatter(dims, bufs, 0, s, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: Scatter, Dims: dims,
+			Hosts: bufs, Dst: Span(0, s), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := c.Gather(dims, 0, s, lvl)
+		got, _, err := runRooted(c, Collective{Prim: Gather, Dims: dims, Src: Span(0, s), Level: lvl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +150,8 @@ func runParallelWorkload(t *testing.T, c *Comm, dims string) []byte {
 		bufs[g] = make([]byte, 2*s)
 		rng.Read(bufs[g])
 	}
-	if _, err := c.Broadcast(dims, bufs, 64, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: Broadcast, Dims: dims,
+		Hosts: bufs, Dst: At(64), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	return rooted
@@ -236,12 +242,14 @@ func TestReplayAllocsStreaming(t *testing.T) {
 	m := 8 * s
 	fillSrc(c, 0, m, 9)
 	if n := replayAllocs(t, c, func() (*CompiledPlan, error) {
-		return c.CompileAlltoAll("10", 0, 2*m, m, IM)
+		return c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: IM})
 	}); n != 0 {
 		t.Errorf("streaming AlltoAll replay allocates %.1f objects/run, want 0", n)
 	}
 	if n := replayAllocs(t, c, func() (*CompiledPlan, error) {
-		return c.CompileAlltoAll("10", 0, 2*m, m, CM)
+		return c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	}); n != 0 {
 		t.Errorf("streaming CM AlltoAll replay allocates %.1f objects/run, want 0", n)
 	}
@@ -256,7 +264,8 @@ func TestReplayAllocsRooted(t *testing.T) {
 	m := 8 * s
 	fillSrc(c, 0, m, 11)
 	if n := replayAllocs(t, c, func() (*CompiledPlan, error) {
-		return c.CompileReduce("10", 0, m, elem.I32, elem.Sum, IM)
+		return c.Compile(Collective{Prim: Reduce, Dims: "10",
+			Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 	}); n != 0 {
 		t.Errorf("rooted Reduce replay allocates %.1f objects/run, want 0", n)
 	}
@@ -273,7 +282,8 @@ func TestReplayAllocsStaged(t *testing.T) {
 	m := 8 * s
 	fillSrc(c, 0, m, 13)
 	if n := replayAllocs(t, c, func() (*CompiledPlan, error) {
-		return c.CompileAlltoAll("10", 0, 2*m, m, Baseline)
+		return c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: Baseline})
 	}); n > 16 {
 		t.Errorf("staged Baseline AlltoAll replay allocates %.1f objects/run, want <= 16", n)
 	}
@@ -295,7 +305,8 @@ func TestFuncSpeedup(t *testing.T) {
 	c := testSystem(t, geo, []int{32, 32})
 	m := 64 << 10
 	fillSrc(c, 0, m, 1)
-	cp, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,10 @@ import (
 // This file implements the plan/execute split: a collective is compiled
 // once — validated, Auto-resolved, lowered to its IR Schedule, and its
 // charges precomputed — into a CompiledPlan that can be replayed many
-// times. The one-shot collectives (AlltoAll, ReduceScatter, ...) are thin
-// wrappers over Compile*+Run, so iterative workloads that repeat a call
-// signature every layer/iteration (DLRM, GNN, MLP, BFS/CC — and the
-// paper-scale sweeps of the bench harness) amortize all per-call setup.
+// times. Comm.Run is Compile+Run over the plan cache, so iterative
+// workloads that repeat a call signature every layer/iteration (DLRM,
+// GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench harness)
+// amortize all per-call setup.
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
@@ -46,7 +46,7 @@ type planKey struct {
 	// distinct plans with distinct charge traces.
 	algo  Algorithm
 	fused bool
-	// tag disambiguates synthetic plans that share a positional signature
+	// tag disambiguates synthetic plans that share a call signature
 	// with an ordinary collective but lower differently — the cluster
 	// layer (cluster.go) tags its network-leg and staging members so they
 	// can never be served from (or pollute) the single-host cache.
@@ -64,9 +64,9 @@ type planSpec struct {
 	// hostBufs marks a lowering that captures caller-owned host buffers
 	// by reference, which makes the compiled schedule single-use: the
 	// plan cache must not serve it for a later call that binds different
-	// buffers. Set by specScatter/specBroadcast; cluster-internal
-	// broadcast legs reading plan-owned staging leave it false and stay
-	// cacheable.
+	// buffers. Set by specIn for the host-input primitives;
+	// cluster-internal broadcast legs reading plan-owned staging leave it
+	// false and stay cacheable.
 	hostBufs bool
 }
 
@@ -91,8 +91,8 @@ func (tr *chargeTrace) memBytes() int64 {
 }
 
 // CompiledPlan is a collective lowered once to its IR Schedule plus
-// precomputed charges, ready to be replayed. Obtain one from the Comm's
-// Compile* methods; Run executes a replay. Plans stay valid for the
+// precomputed charges, ready to be replayed. Obtain one from Compile or
+// CompileSequence; Run executes a replay. Plans stay valid for the
 // lifetime of their Comm and may be Run from multiple goroutines
 // (executions serialize on the Comm).
 //
@@ -307,10 +307,6 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 	return tr
 }
 
-// hostInput reports whether the primitive consumes host-side buffers,
-// which a compiled schedule captures by reference.
-func hostInput(p Primitive) bool { return p == Scatter || p == Broadcast }
-
 // compiledPlan returns the plan for spec, lowering and tracing on a
 // cache miss. Host-input primitives are compiled fresh every call —
 // their schedules capture the caller's buffer slices — but share the
@@ -494,102 +490,4 @@ func (c *Comm) ClearPlanCache() {
 	c.compiled = make(map[planKey]*CompiledPlan)
 	c.traces = make(map[planKey]*chargeTrace)
 	c.seqPlans = make(map[string]*CompiledPlan)
-}
-
-// checkInPlace rejects in-place (srcOff == dstOff) calls at levels whose
-// streaming engine cannot run them. Only AlltoAll supports in-place
-// operation, and only on the staged bulk paths (Baseline/PR): the full
-// host staging buffer decouples every read from every write. The
-// optimized levels (IM/CM) stream block columns and overwrite destination
-// blocks before later source blocks are read, so they are inapplicable —
-// Auto skips them and picks the cheapest applicable level.
-func checkInPlace(prim Primitive, eff Level, inPlace bool) error {
-	if !inPlace {
-		return nil
-	}
-	if eff >= IM {
-		return fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", prim.LongName(), eff)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Positional compile shims (one per primitive): each builds a Collective
-// descriptor and funnels into Comm.Compile. All of them are deprecated —
-// new code should build the Collective descriptor directly; they remain
-// only so the paper-figure harness reads like the original library. The
-// last internal layer that used them (internal/multihost) now goes
-// through descriptors via the cluster layer.
-// ---------------------------------------------------------------------
-
-// CompileAlltoAll compiles an AlltoAll call (see Comm.AlltoAll for the
-// call semantics). srcOff == dstOff compiles an in-place AlltoAll, which
-// only the staged levels (Baseline/PR) support.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAlltoAll(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AlltoAll, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Level: lvl})
-}
-
-// CompileReduceScatter compiles a ReduceScatter call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileReduceScatter(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: ReduceScatter, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileAllReduce compiles an AllReduce call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAllReduce(dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AllReduce, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileAllGather compiles an AllGather call.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileAllGather(dims string, srcOff, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: AllGather, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Dst: At(dstOff), Level: lvl})
-}
-
-// CompileGather compiles a rooted Gather; each Run leaves the per-group
-// results in Results.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileGather(dims string, srcOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Gather, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Level: lvl})
-}
-
-// CompileReduce compiles a rooted Reduce; each Run leaves the per-group
-// results in Results.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileReduce(dims string, srcOff, bytesPerPE int, t elem.Type, op elem.Op, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Reduce, Dims: dims,
-		Src: Span(srcOff, bytesPerPE), Elem: t, Op: op, Level: lvl})
-}
-
-// CompileScatter compiles a Scatter call bound to bufs: each Run reads
-// the buffers' current contents, so iterative callers refill the same
-// slices between runs. On a cost-only backend bufs may be nil.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileScatter(dims string, bufs [][]byte, dstOff, bytesPerPE int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Scatter, Dims: dims,
-		Hosts: bufs, Dst: Span(dstOff, bytesPerPE), Level: lvl})
-}
-
-// CompileBroadcast compiles a Broadcast call bound to bufs (one payload
-// per communication group): each Run reads the buffers' current
-// contents.
-//
-// Deprecated: build a Collective descriptor and call Comm.Compile.
-func (c *Comm) CompileBroadcast(dims string, bufs [][]byte, dstOff int, lvl Level) (*CompiledPlan, error) {
-	return c.Compile(Collective{Prim: Broadcast, Dims: dims,
-		Hosts: bufs, Dst: At(dstOff), Level: lvl})
 }

@@ -37,15 +37,17 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 			m := p.n * s
 
 			// Compile once on c2; c1 uses the one-shot entry points.
-			aa, err := c2.CompileAlltoAll("10", 0, 2*m, m, CM)
+			aa, err := c2.Compile(Collective{Prim: AlltoAll, Dims: "10",
+				Src: Span(0, m), Dst: At(2 * m), Level: CM})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := c2.CompileReduceScatter("10", 4*m, 6*m, m, elem.I32, elem.Sum, IM)
+			rs, err := c2.Compile(Collective{Prim: ReduceScatter, Dims: "10",
+				Src: Span(4*m, m), Dst: At(6 * m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ga, err := c2.CompileGather("10", 0, s, IM)
+			ga, err := c2.Compile(Collective{Prim: Gather, Dims: "10", Src: Span(0, s), Level: IM})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +59,8 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 					fillSrcComm(c1, 4*m, m, seed+1)
 					fillSrcComm(c2, 4*m, m, seed+1)
 				}
-				bd1, err := c1.AlltoAll("10", 0, 2*m, m, CM)
+				bd1, err := c1.Run(Collective{Prim: AlltoAll, Dims: "10",
+					Src: Span(0, m), Dst: At(2 * m), Level: CM})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -68,7 +71,8 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 				if d := diffBreakdowns(bd1, bd2); d != "" {
 					t.Fatalf("iter %d AlltoAll: one-shot vs replay: %s", iter, d)
 				}
-				bd1, err = c1.ReduceScatter("10", 4*m, 6*m, m, elem.I32, elem.Sum, IM)
+				bd1, err = c1.Run(Collective{Prim: ReduceScatter, Dims: "10",
+					Src: Span(4*m, m), Dst: At(6 * m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +82,7 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 				if d := diffBreakdowns(bd1, bd2); d != "" {
 					t.Fatalf("iter %d ReduceScatter: one-shot vs replay: %s", iter, d)
 				}
-				out1, bd1, err := c1.Gather("10", 0, s, IM)
+				out1, bd1, err := runRooted(c1, Collective{Prim: Gather, Dims: "10", Src: Span(0, s), Level: IM})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -134,7 +138,8 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 	for g := range bufs {
 		bufs[g] = make([]byte, p.n*s)
 	}
-	cp, err := c.CompileScatter("10", bufs, 0, s, IM)
+	cp, err := c.Compile(Collective{Prim: Scatter, Dims: "10",
+		Hosts: bufs, Dst: Span(0, s), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,8 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 		if _, err := cp.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.Scatter("10", bufs, 0, s, IM); err != nil {
+		if _, err := ref.Run(Collective{Prim: Scatter, Dims: "10",
+			Hosts: bufs, Dst: Span(0, s), Level: IM}); err != nil {
 			t.Fatal(err)
 		}
 		for pe := 0; pe < 64; pe++ {
@@ -162,11 +168,13 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 func TestPlanCacheAndCostPreview(t *testing.T) {
 	c := costSystem(t, geo64, []int{8, 8})
 	m := 8 * 16
-	cp1, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp1, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp2, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp2, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +183,13 @@ func TestPlanCacheAndCostPreview(t *testing.T) {
 	}
 	// Requesting a level that degrades to the same effective level shares
 	// the plan too.
-	if cp3, _ := c.CompileAlltoAll("10", 0, 2*m, m, CM); cp3 != cp1 {
+	if cp3, _ := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM}); cp3 != cp1 {
 		t.Error("effective-level alias missed the cache")
 	}
 	c.ClearPlanCache()
-	cp4, err := c.CompileAlltoAll("10", 0, 2*m, m, CM)
+	cp4, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: CM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +218,8 @@ func TestInPlaceAlltoAll(t *testing.T) {
 		p, _ := c.plan("10")
 		m := p.n * s
 		in := fillSrc(c, 0, m, 91)
-		if _, err := c.AlltoAll("10", 0, 0, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(0), Level: lvl}); err != nil {
 			t.Fatalf("%v in-place: %v", lvl, err)
 		}
 		for _, grp := range p.groups {
@@ -223,25 +234,28 @@ func TestInPlaceAlltoAll(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * s
 	for _, lvl := range []Level{IM, CM} {
-		if _, err := c.AlltoAll("10", 0, 0, m, lvl); err == nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(0), Level: lvl}); err == nil {
 			t.Errorf("%v accepted an in-place AlltoAll", lvl)
 		}
 	}
-	if _, err := c.AlltoAll("10", 0, m/2, m, Baseline); err == nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(m / 2), Level: Baseline}); err == nil {
 		t.Error("partially overlapping regions accepted")
 	}
 }
 
-// Regression for the AutoLevel abort-on-inapplicable-level bug: on an
+// Regression for the Auto abort-on-inapplicable-level bug: on an
 // in-place AlltoAll signature the streaming candidates (IM/CM) are
 // inapplicable and their dry runs fail. Auto must skip them and pick the
 // cheapest applicable level instead of aborting the whole decision.
-func TestAutoLevelSkipsInapplicableLevels(t *testing.T) {
+func TestAutoSkipsInapplicableLevels(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	p, _ := c.plan("10")
 	m := p.n * 16
 	in := fillSrc(c, 0, m, 47)
-	if _, err := c.AlltoAll("10", 0, 0, m, Auto); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(0), Level: Auto}); err != nil {
 		t.Fatalf("Auto in-place AlltoAll aborted: %v", err)
 	}
 	picked, ok := c.autoCache[autoKey{prim: AlltoAll, dims: "10", bytes: m, inPlace: true}]
@@ -261,12 +275,12 @@ func TestAutoLevelSkipsInapplicableLevels(t *testing.T) {
 	}
 	// The same signature out of place must still be free to pick a
 	// streaming level (separate cache entries).
-	lvl, err := c.AutoLevel(AlltoAll, "10", m, 0, 0)
+	_, lvl, err := c.Resolve(Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(2 * m)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lvl != EffectiveLevel(AlltoAll, lvl) {
-		t.Fatalf("AutoLevel returned non-effective level %v", lvl)
+		t.Fatalf("Resolve returned non-effective level %v", lvl)
 	}
 }
 
@@ -319,7 +333,7 @@ func TestConcurrentCollectives(t *testing.T) {
 
 	// Slab 0 is reserved for the shared Gather plan's source data.
 	sharedIn := fillSrc(c, 0, 32, 5)
-	gatherPlan, err := c.CompileGather("10", 0, 32, IM)
+	gatherPlan, err := c.Compile(Collective{Prim: Gather, Dims: "10", Src: Span(0, 32), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +349,8 @@ func TestConcurrentCollectives(t *testing.T) {
 			m := n * s // 256
 			for iter := 0; iter < iters; iter++ {
 				in := fillSrc(c, base, m, int64(g*100+iter))
-				if _, err := c.AlltoAll("10", base, base+m, m, Auto); err != nil {
+				if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+					Src: Span(base, m), Dst: At(base + m), Level: Auto}); err != nil {
 					errs <- err
 					return
 				}
@@ -349,7 +364,9 @@ func TestConcurrentCollectives(t *testing.T) {
 					}
 				}
 				in = fillSrc(c, base+2*m, m, int64(g*200+iter))
-				if _, err := c.ReduceScatter("10", base+2*m, base+3*m, m, elem.I32, elem.Sum, IM); err != nil {
+				if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+					Src: Span(base+2*m, m), Dst: At(base + 3*m),
+					Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 					errs <- err
 					return
 				}
@@ -363,7 +380,8 @@ func TestConcurrentCollectives(t *testing.T) {
 					}
 				}
 				// Exercise the shared Auto cache from every goroutine.
-				if _, err := c.AutoLevel(AllReduce, "10", m, elem.I32, elem.Sum); err != nil {
+				if _, _, err := c.Resolve(Collective{Prim: AllReduce, Dims: "10",
+					Src: Span(0, m), Dst: At(m), Elem: elem.I32, Op: elem.Sum}); err != nil {
 					errs <- err
 					return
 				}

@@ -22,10 +22,12 @@ func TestAlltoAllInvolution(t *testing.T) {
 		p, _ := c.plan("10")
 		m := p.n * 24
 		in := fillSrc(c, 0, m, 55)
-		if _, err := c.AlltoAll("10", 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.AlltoAll("10", 2*m, 4*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(2*m, m), Dst: At(4 * m), Level: lvl}); err != nil {
 			t.Fatal(err)
 		}
 		for pe := 0; pe < 64; pe++ {
@@ -47,10 +49,11 @@ func TestBroadcastGatherRoundTrip(t *testing.T) {
 		bufs[g] = make([]byte, s)
 		rng.Read(bufs[g])
 	}
-	if _, err := c.Broadcast("01", bufs, 0, CM); err != nil {
+	if _, err := c.Run(Collective{Prim: Broadcast, Dims: "01",
+		Hosts: bufs, Dst: At(0), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := c.Gather("01", 0, s, IM)
+	got, _, err := runRooted(c, Collective{Prim: Gather, Dims: "01", Src: Span(0, s), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +73,11 @@ func TestReduceEqualsFoldedGather(t *testing.T) {
 	s := 8
 	m := p.n * s
 	fillSrc(c, 0, m, 71)
-	gathered, _, err := c.Gather("101", 0, m, IM)
+	gathered, _, err := runRooted(c, Collective{Prim: Gather, Dims: "101", Src: Span(0, m), Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, _, err := c.Reduce("101", 0, m, elem.I32, elem.Sum, IM)
+	reduced, _, err := runRooted(c, Collective{Prim: Reduce, Dims: "101", Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +105,20 @@ func TestAllReduceEqualsRSThenAG(t *testing.T) {
 	s := 16
 	m := n * s
 	in := fillSrc(c1, 0, m, 88)
-	if _, err := c1.AllReduce("01", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c1.Run(Collective{Prim: AllReduce, Dims: "01",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	c2, _ := mk()
 	for pe := range in {
 		c2.SetPEBuffer(pe, 0, in[pe])
 	}
-	if _, err := c2.ReduceScatter("01", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c2.Run(Collective{Prim: ReduceScatter, Dims: "01",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.AllGather("01", 2*m, 4*m, s, IM); err != nil {
+	if _, err := c2.Run(Collective{Prim: AllGather, Dims: "01",
+		Src: Span(2*m, s), Dst: At(4 * m), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 64; pe++ {
@@ -146,7 +152,8 @@ func TestAlltoAllQuickProperty(t *testing.T) {
 		s := 8 * (1 + int(sizePick)%3)
 		m := p.n * s
 		in := fillSrc(c, 0, m, seed)
-		if _, err := c.AlltoAll(dims, 0, 2*m, m, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: AlltoAll, Dims: dims,
+			Src: Span(0, m), Dst: At(2 * m), Level: lvl}); err != nil {
 			return false
 		}
 		for _, grp := range p.groups {
@@ -176,7 +183,8 @@ func TestReduceScatterQuickProperty(t *testing.T) {
 		s := 16
 		m := p.n * s
 		in := fillSrc(c, 0, m, seed)
-		if _, err := c.ReduceScatter("10", 0, 2*m, m, typ, op, lvl); err != nil {
+		if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Elem: typ, Op: op, Level: lvl}); err != nil {
 			return false
 		}
 		for _, grp := range p.groups {
@@ -206,10 +214,12 @@ func TestAlternatingDimsComposition(t *testing.T) {
 	in := fillSrc(c, 0, m, 13)
 
 	// RS along x, then AG along y on the results.
-	if _, err := c.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AllGather("01", 2*m, 4*m, s, IM); err != nil {
+	if _, err := c.Run(Collective{Prim: AllGather, Dims: "01",
+		Src: Span(2*m, s), Dst: At(4 * m), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
 	// Expected: per x-group RS result, then per y-group concatenation.
@@ -247,7 +257,8 @@ func TestDSAOffloadSpeedsUpWithoutChangingResults(t *testing.T) {
 		c := NewComm(hc, params)
 		m := 16 * 1024
 		fillSrcComm(c, 0, m, 3)
-		bd, err := c.ReduceScatter("10", 0, 2*m, m, elem.I32, elem.Sum, IM)
+		bd, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,10 +278,10 @@ func TestDSAOffloadSpeedsUpWithoutChangingResults(t *testing.T) {
 	}
 }
 
-// AutoLevel property: the auto-picked level is never costlier than any
+// Auto property: the auto-picked level is never costlier than any
 // fixed level for the same call, across primitives, shapes and element
 // types — on the cost model that both backends share bit-for-bit.
-func TestAutoLevelNeverCostlier(t *testing.T) {
+func TestAutoNeverCostlier(t *testing.T) {
 	type combo struct {
 		prim  Primitive
 		shape []int
@@ -297,7 +308,19 @@ func TestAutoLevelNeverCostlier(t *testing.T) {
 			}
 			bytesPerPE := p.n * 8 * blocks // always block-divisible
 			t.Run(fmt.Sprintf("%v/%s/%d", cb.prim, cb.dims, bytesPerPE), func(t *testing.T) {
-				auto, err := c.AutoLevel(cb.prim, cb.dims, bytesPerPE, cb.et, cb.op)
+				d := Collective{Prim: cb.prim, Dims: cb.dims}
+				switch sh := &shapes[cb.prim]; {
+				case sh.hostInput():
+					d.Dst = Span(0, bytesPerPE)
+				case sh.rooted():
+					d.Src = Span(0, bytesPerPE)
+				default:
+					d.Src, d.Dst = Span(0, bytesPerPE), At(bytesPerPE)
+				}
+				if shapes[cb.prim].reducing {
+					d.Elem, d.Op = cb.et, cb.op
+				}
+				_, auto, err := c.Resolve(d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +328,8 @@ func TestAutoLevelNeverCostlier(t *testing.T) {
 				// check the auto pick against the minimum.
 				fixed := func(lvl Level) cost.Seconds {
 					cc := NewCostComm(c.Hypercube(), cost.DefaultParams())
-					cp, err := autoDryCompile(cc, cb.prim, cb.dims, bytesPerPE, cb.et, cb.op, AlgoReference, lvl, false)
+					d.Algorithm, d.Level = AlgoReference, lvl
+					cp, err := autoDryCompile(cc, d)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -323,15 +347,17 @@ func TestAutoLevelNeverCostlier(t *testing.T) {
 }
 
 // Collectives must accept the Auto sentinel directly and produce results
-// identical to the concrete level AutoLevel reports.
+// identical to the concrete level Resolve reports.
 func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * 32
 	in := fillSrc(c, 0, m, 31)
-	if _, err := c.AlltoAll("10", 0, 2*m, m, Auto); err != nil {
+	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: Auto}); err != nil {
 		t.Fatal(err)
 	}
-	picked, err := c.AutoLevel(AlltoAll, "10", m, 0, 0)
+	auto := Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(2 * m)}
+	_, picked, err := c.Resolve(auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +365,8 @@ func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 	for pe, b := range in {
 		ref.SetPEBuffer(pe, 0, b)
 	}
-	if _, err := ref.AlltoAll("10", 0, 2*m, m, picked); err != nil {
+	if _, err := ref.Run(Collective{Prim: AlltoAll, Dims: "10",
+		Src: Span(0, m), Dst: At(2 * m), Level: picked}); err != nil {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 64; pe++ {
@@ -348,8 +375,8 @@ func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 		}
 	}
 	// The decision must be cached: a second resolution hits the map.
-	if again, _ := c.AutoLevel(AlltoAll, "10", m, 0, 0); again != picked {
-		t.Errorf("cached AutoLevel changed: %v then %v", picked, again)
+	if _, again, _ := c.Resolve(auto); again != picked {
+		t.Errorf("cached Auto decision changed: %v then %v", picked, again)
 	}
 }
 

@@ -153,11 +153,11 @@ func TestLookaheadStarvationBound(t *testing.T) {
 func schedPropertyPlans(t *testing.T, c *Comm) []*CompiledPlan {
 	t.Helper()
 	const m = 16 * 8
-	ta, err := c.NewTenant("a", 0, 1<<12, 2, 0)
+	ta, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12, Weight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant("b", 1<<12, 1<<12, 1, 0)
+	tb, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 12, Bytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

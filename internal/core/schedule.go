@@ -238,9 +238,14 @@ func (c *Comm) numPEBytes(perPE int) int64 {
 // AlltoAll (Figure 7)
 // ---------------------------------------------------------------------
 
-// lowerAlltoAll lowers one AlltoAll call. lvl must be a concrete
-// effective level.
-func (c *Comm) lowerAlltoAll(p *plan, srcOff, dstOff, s int, lvl Level) *Schedule {
+// The lowerX producers are the reference lowerings the shape table
+// (collective.go) points at. Each reads the resolved call — comm, group
+// plan, absolute offsets, block size, element/op, concrete effective
+// level — from its AlgoEnv; the rooted ones also take the plan whose
+// result buffers they fill.
+
+func lowerAlltoAll(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AlltoAll/" + lvl.String()}
@@ -329,7 +334,8 @@ func (c *Comm) lowerAlltoAll(p *plan, srcOff, dstOff, s int, lvl Level) *Schedul
 // ReduceScatter and Reduce (Figure 8(b), § V-B2/B4)
 // ---------------------------------------------------------------------
 
-func (c *Comm) lowerReduceScatter(p *plan, srcOff, dstOff, s int, t elem.Type, op elem.Op, lvl Level) *Schedule {
+func lowerReduceScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
@@ -411,7 +417,8 @@ func (c *Comm) lowerReduceScatter(p *plan, srcOff, dstOff, s int, t elem.Type, o
 // in cp's rooted result buffers (cp.rootedBufs; published via Results);
 // the functional backend fills them, the cost-only backend leaves the
 // results nil.
-func (c *Comm) lowerReduce(p *plan, srcOff, s int, t elem.Type, op elem.Op, lvl Level, cp *CompiledPlan) *Schedule {
+func lowerReduce(env *AlgoEnv, cp *CompiledPlan) *Schedule {
+	c, p, srcOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "Reduce/" + lvl.String()}
@@ -504,7 +511,8 @@ func (c *Comm) lowerReduce(p *plan, srcOff, s int, t elem.Type, op elem.Op, lvl 
 // AllReduce (Figure 8(c), § V-B3)
 // ---------------------------------------------------------------------
 
-func (c *Comm) lowerAllReduce(p *plan, srcOff, dstOff, s int, t elem.Type, op elem.Op, lvl Level) *Schedule {
+func lowerAllReduce(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AllReduce/" + lvl.String()}
@@ -600,7 +608,8 @@ func (c *Comm) lowerAllReduce(p *plan, srcOff, dstOff, s int, t elem.Type, op el
 // AllGather and Gather (Figure 8(a), § V-B1/B4)
 // ---------------------------------------------------------------------
 
-func (c *Comm) lowerAllGather(p *plan, srcOff, dstOff, s int, lvl Level) *Schedule {
+func lowerAllGather(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "AllGather/" + lvl.String()}
 	colB := c.columnBytes()
@@ -693,7 +702,8 @@ func (c *Comm) lowerAllGather(p *plan, srcOff, dstOff, s int, lvl Level) *Schedu
 	return sched
 }
 
-func (c *Comm) lowerGather(p *plan, srcOff, s int, lvl Level, cp *CompiledPlan) *Schedule {
+func lowerGather(env *AlgoEnv, cp *CompiledPlan) *Schedule {
+	c, p, srcOff, s, lvl := env.c, env.p, env.srcOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "Gather/" + lvl.String()}
 	if lvl == Baseline {
@@ -747,7 +757,8 @@ func (c *Comm) lowerGather(p *plan, srcOff, s int, lvl Level, cp *CompiledPlan) 
 // Scatter and Broadcast (§ V-B4, § VIII-B)
 // ---------------------------------------------------------------------
 
-func (c *Comm) lowerScatter(p *plan, bufs [][]byte, dstOff, s int, lvl Level) *Schedule {
+func lowerScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, bufs, dstOff, s, lvl := env.c, env.p, env.hosts, env.dstOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "Scatter/" + lvl.String()}
 	if lvl == Baseline {
@@ -786,7 +797,8 @@ func (c *Comm) lowerScatter(p *plan, bufs [][]byte, dstOff, s int, lvl Level) *S
 	return sched
 }
 
-func (c *Comm) lowerBroadcast(p *plan, bufs [][]byte, dstOff, s int) *Schedule {
+func lowerBroadcast(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+	c, p, bufs, dstOff, s := env.c, env.p, env.hosts, env.dstOff, env.s
 	// The native driver path is already near-optimal (§ VIII-B): one
 	// domain transfer per payload serves all PEs, so all optimization
 	// levels share this lowering.

@@ -87,7 +87,7 @@ func TestSteppedStepAndFlush(t *testing.T) {
 	if f := c.Step(); f != nil {
 		t.Fatalf("Step on an idle comm returned %v", f)
 	}
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSteppedStepAndFlush(t *testing.T) {
 func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	c.SetStepped(true)
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 1, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 1, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 func TestShedOldestDropsQueuedVictim(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	c.SetStepped(true)
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 1, ShedOldest))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 1, ShedOldest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestShedOldestDropsQueuedVictim(t *testing.T) {
 // intact.
 func TestTenantCloseRetires(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestTenantCloseRetires(t *testing.T) {
 // the cache must miss — not adopt the dead tenant's plan.
 func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	if err := ta.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenantCfg(servingTenantCfg("b", 0, 0, ShedReject))
+	tb, err := c.NewTenant(servingTenantCfg("b", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,11 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 // clock — no burst credit accumulated while it did not exist.
 func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenantCfg(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenantCfg(servingTenantCfg("b", 1<<12, 0, ShedReject))
+	tb, err := c.NewTenant(servingTenantCfg("b", 1<<12, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	if err := ta.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tc, err := c.NewTenantCfg(servingTenantCfg("c", 0, 0, ShedReject))
+	tc, err := c.NewTenant(servingTenantCfg("c", 0, 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,8 +93,7 @@ type Tenant struct {
 	closed   bool
 }
 
-// TenantConfig parameterizes NewTenantCfg, the full-featured tenant
-// registration; the positional NewTenant covers the common subset.
+// TenantConfig parameterizes NewTenant.
 type TenantConfig struct {
 	// Name labels the tenant in diagnostics and ownership errors.
 	Name string
@@ -115,19 +114,11 @@ type TenantConfig struct {
 }
 
 // NewTenant registers a tenant session over the per-PE MRAM window
-// [base, base+bytes), which must be BankBurstBytes-aligned and disjoint
-// from every existing tenant's arena. weight is the tenant's share in
-// the weighted-fair submission scheduler (0 means 1); quota, if
-// positive, bounds the total simulated time the tenant may admit
-// (enforced against each plan's predicted cost at Run/Submit).
-func (c *Comm) NewTenant(name string, base, bytes int, weight float64, quota cost.Seconds) (*Tenant, error) {
-	return c.NewTenantCfg(TenantConfig{Name: name, Base: base, Bytes: bytes, Weight: weight, Quota: quota})
-}
-
-// NewTenantCfg registers a tenant session with the full serving
-// configuration (overload bounds, shed policy) — see TenantConfig and
-// NewTenant.
-func (c *Comm) NewTenantCfg(cfg TenantConfig) (*Tenant, error) {
+// [cfg.Base, cfg.Base+cfg.Bytes), which must be BankBurstBytes-aligned
+// and disjoint from every existing tenant's arena. See TenantConfig for
+// the scheduler weight, the simulated-time quota (enforced against each
+// plan's predicted cost at Run/Submit) and the overload bounds.
+func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	name, base, bytes, weight, quota := cfg.Name, cfg.Base, cfg.Bytes, cfg.Weight, cfg.Quota
 	if bytes <= 0 || base < 0 || base+bytes > c.hc.sys.MramSize() {
 		return nil, fmt.Errorf("core: tenant %q arena [%d,%d) exceeds MRAM size %d",
@@ -306,12 +297,8 @@ func (t *Tenant) Submit(d Collective) (*Future, error) {
 	return cp.Submit(), nil
 }
 
-// AutoLevelOf returns the concrete level Auto resolves to for d.
-func (t *Tenant) AutoLevelOf(d Collective) (Level, error) { return t.c.AutoLevelOf(d) }
-
-// AutoResolveOf returns the (algorithm, level) pair d resolves to —
-// the autotuner's pick where either axis is Auto.
-func (t *Tenant) AutoResolveOf(d Collective) (Algorithm, Level, error) { return t.c.AutoResolveOf(d) }
+// Resolve returns the (algorithm, level) pair Compile(d) would pick.
+func (t *Tenant) Resolve(d Collective) (Algorithm, Level, error) { return t.c.Resolve(d) }
 
 // SetPEBuffer writes raw bytes into the tenant's arena of a PE's MRAM
 // (no cost), off arena-relative. Like Comm.SetPEBuffer it is a setup

@@ -108,11 +108,11 @@ func TestWeightedFairKeepsCrossBucketHazardOrder(t *testing.T) {
 // burning accumulated credit in a burst.
 func TestIdleBucketJoinsAtVirtualClock(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant("a", 0, 1<<12, 1, 0)
+	ta, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant("b", 1<<12, 1<<12, 1, 0)
+	tb, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 12, Bytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +153,16 @@ func TestIdleBucketJoinsAtVirtualClock(t *testing.T) {
 // Tenants with overlapping arenas must be rejected at registration.
 func TestTenantArenasDisjoint(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	if _, err := c.NewTenant("a", 0, 1<<12, 1, 0); err != nil {
+	if _, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.NewTenant("b", 1<<11, 1<<12, 1, 0); err == nil {
+	if _, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 11, Bytes: 1 << 12}); err == nil {
 		t.Fatal("overlapping arena accepted")
 	}
-	if _, err := c.NewTenant("c", 1<<12, 1<<13, 1, 0); err == nil {
+	if _, err := c.NewTenant(TenantConfig{Name: "c", Base: 1 << 12, Bytes: 1 << 13}); err == nil {
 		t.Fatal("arena beyond MRAM accepted")
 	}
-	if _, err := c.NewTenant("d", 1<<12, 1<<12, 1, 0); err != nil {
+	if _, err := c.NewTenant(TenantConfig{Name: "d", Base: 1 << 12, Bytes: 1 << 12}); err != nil {
 		t.Fatalf("disjoint arena rejected: %v", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestTenantArenasDisjoint(t *testing.T) {
 // hole of mixing session kinds over the same offsets.
 func TestPlanOwnershipConflict(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ten, err := c.NewTenant("a", 0, 1<<13, 1, 0)
+	ten, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTenantQuota(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	const m = 16 * 8
 	d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
-	probe, err := c.NewTenant("probe", 0, 1<<12, 1, 0)
+	probe, err := c.NewTenant(TenantConfig{Name: "probe", Bytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTenantQuota(t *testing.T) {
 	}
 	per := cp.Cost().Total()
 
-	ten, err := c.NewTenant("capped", 1<<12, 1<<12, 1, per*2)
+	ten, err := c.NewTenant(TenantConfig{Name: "capped", Base: 1 << 12, Bytes: 1 << 12, Quota: per * 2})
 	if err != nil {
 		t.Fatal(err)
 	}

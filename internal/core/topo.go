@@ -38,11 +38,13 @@ func (tp Topology) String() string {
 	}
 }
 
-// AllReduceTopo runs AllReduce with the chosen algorithmic topology, all
-// with PID-Comm's PR/IM/CM register optimizations applied (as in the
-// paper's comparison). The ring and tree comparators compute the same
-// functional result; their costs follow the structural analysis below,
-// because on PIM-enabled DIMMs every "link" is the host bus:
+// AllReduceTopo runs the AllReduce d describes with the chosen
+// algorithmic topology, all with PID-Comm's PR/IM/CM register
+// optimizations applied (as in the paper's comparison): d.Prim and
+// d.Level are implied (AllReduce at CM) and ignored. The ring and tree
+// comparators compute the same functional result; their costs follow
+// the structural analysis below, because on PIM-enabled DIMMs every
+// "link" is the host bus:
 //
 //   - Ring: each of the 2(n-1) steps reroutes m/n bytes per PE through
 //     the host (read + write), so total bus traffic is ~4m per PE versus
@@ -52,17 +54,20 @@ func (tp Topology) String() string {
 //     lanes are progressively wasted (factor min(2^l, 8) within entangled
 //     groups, 8 beyond); the broadcast-down phase mirrors it. Latency is
 //     2*ceil(log2 n) synchronized passes.
-func (c *Comm) AllReduceTopo(topo Topology, dims string, srcOff, dstOff, bytesPerPE int, t elem.Type, op elem.Op) (cost.Breakdown, error) {
+func (c *Comm) AllReduceTopo(topo Topology, d Collective) (cost.Breakdown, error) {
+	d.Prim, d.Level = AllReduce, CM
 	if topo == TopoHypercube {
-		return c.AllReduce(dims, srcOff, dstOff, bytesPerPE, t, op, CM)
+		return c.Run(d)
 	}
-	p, s, err := c.prepBlocks(dims, srcOff, dstOff, bytesPerPE, false)
+	p, err := c.plan(d.Dims)
 	if err != nil {
 		return cost.Breakdown{}, fmt.Errorf("AllReduceTopo(%v): %w", topo, err)
 	}
-	if err := checkElem(t, op); err != nil {
+	m, _, err := shapes[AllReduce].check(c.fullArena(), d, p.n, len(p.groups), false)
+	if err != nil {
 		return cost.Breakdown{}, fmt.Errorf("AllReduceTopo(%v): %w", topo, err)
 	}
+	srcOff, dstOff, t, op := d.Src.Off, d.Dst.Off, d.Elem, d.Op
 	c.Flush() // serial execution is a barrier w.r.t. submitted plans
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
@@ -71,7 +76,6 @@ func (c *Comm) AllReduceTopo(topo Topology, dims string, srcOff, dstOff, bytesPe
 	// Functional result: same as any AllReduce. (Cost-only backends skip
 	// the data movement; the structural cost model below is backend-
 	// independent.)
-	m := p.n * s
 	if c.backend.Functional() {
 		for _, grp := range p.groups {
 			in := make([][]byte, len(grp))

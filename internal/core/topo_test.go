@@ -14,7 +14,7 @@ func TestTopoAllProduceCorrectResults(t *testing.T) {
 		p, _ := c.plan("10")
 		m := p.n * 16
 		in := fillSrc(c, 0, m, 31)
-		if _, err := c.AllReduceTopo(topo, "10", 0, 2*m, m, elem.I32, elem.Sum); err != nil {
+		if _, err := c.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum}); err != nil {
 			t.Fatalf("%v: %v", topo, err)
 		}
 		for _, grp := range p.groups {
@@ -36,7 +36,7 @@ func TestTopoOrderingMatchesFigure23a(t *testing.T) {
 		c := testSystem(t, geo, []int{16, 16})
 		m := 16 * 4096 // large enough that data terms dominate sync terms
 		fillSrc(c, 0, m, 9)
-		bd, err := c.AllReduceTopo(topo, "10", 0, 2*m, m, elem.I32, elem.Sum)
+		bd, err := c.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestTopoStrings(t *testing.T) {
 func TestTopoUnknownErrors(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	fillSrc(c, 0, 128, 1)
-	if _, err := c.AllReduceTopo(Topology(9), "10", 0, 256, 128, elem.I32, elem.Sum); err == nil {
+	if _, err := c.AllReduceTopo(Topology(9), Collective{Dims: "10", Src: Span(0, 128), Dst: At(256), Elem: elem.I32, Op: elem.Sum}); err == nil {
 		t.Error("unknown topology accepted")
 	}
 }

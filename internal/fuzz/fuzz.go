@@ -168,7 +168,8 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 
 	// AlltoAll.
 	c, in, groups, m := mk()
-	if _, err := c.AlltoAll(sc.Dims, 0, 2*m, m, sc.Lvl); err != nil {
+	if _, err := c.Run(core.Collective{Prim: core.AlltoAll, Dims: sc.Dims,
+		Src: core.Span(0, m), Dst: core.At(2 * m), Level: sc.Lvl}); err != nil {
 		return fmt.Errorf("AlltoAll: %w", err)
 	}
 	for _, grp := range groups {
@@ -181,7 +182,9 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	}
 	// ReduceScatter.
 	c, in, groups, m = mk()
-	if _, err := c.ReduceScatter(sc.Dims, 0, 2*m, m, sc.Typ, sc.Op, sc.Lvl); err != nil {
+	if _, err := c.Run(core.Collective{Prim: core.ReduceScatter, Dims: sc.Dims,
+		Src: core.Span(0, m), Dst: core.At(2 * m),
+		Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl}); err != nil {
 		return fmt.Errorf("ReduceScatter: %w", err)
 	}
 	for _, grp := range groups {
@@ -212,7 +215,8 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	// AllGather (input s per PE).
 	c, in, groups, _ = mk()
 	n := len(groups[0])
-	if _, err := c.AllGather(sc.Dims, 0, m, sc.S, sc.Lvl); err != nil {
+	if _, err := c.Run(core.Collective{Prim: core.AllGather, Dims: sc.Dims,
+		Src: core.Span(0, sc.S), Dst: core.At(m), Level: sc.Lvl}); err != nil {
 		return fmt.Errorf("AllGather: %w", err)
 	}
 	for _, grp := range groups {
@@ -234,7 +238,8 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	if core.EffectiveLevel(core.AlltoAll, ipLvl) >= core.IM {
 		ipLvl = core.Auto
 	}
-	if _, err := c.AlltoAll(sc.Dims, 0, 0, m, ipLvl); err != nil {
+	if _, err := c.Run(core.Collective{Prim: core.AlltoAll, Dims: sc.Dims,
+		Src: core.Span(0, m), Dst: core.At(0), Level: ipLvl}); err != nil {
 		return fmt.Errorf("in-place AlltoAll: %w", err)
 	}
 	for _, grp := range groups {
@@ -247,7 +252,8 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	}
 	// Gather + Reduce round trips (host-rooted).
 	c, in, groups, m = mk()
-	got, _, err := c.Gather(sc.Dims, 0, sc.S, sc.Lvl)
+	got, err := runRooted(c, core.Collective{Prim: core.Gather, Dims: sc.Dims,
+		Src: core.Span(0, sc.S), Level: sc.Lvl})
 	if err != nil {
 		return fmt.Errorf("Gather: %w", err)
 	}
@@ -260,7 +266,8 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 			return fmt.Errorf("Gather diverges at group %d (%+v)", g, sc)
 		}
 	}
-	red, _, err := c.Reduce(sc.Dims, 0, m, sc.Typ, sc.Op, sc.Lvl)
+	red, err := runRooted(c, core.Collective{Prim: core.Reduce, Dims: sc.Dims,
+		Src: core.Span(0, m), Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl})
 	if err != nil {
 		return fmt.Errorf("Reduce: %w", err)
 	}
@@ -343,4 +350,17 @@ func (sc Scenario) checkFusedSequence(hc *core.Hypercube, rng *rand.Rand) error 
 		}
 	}
 	return nil
+}
+
+// runRooted runs a rooted collective (Gather, Reduce) once and returns
+// its per-group host results.
+func runRooted(c *core.Comm, d core.Collective) ([][]byte, error) {
+	cp, err := c.Compile(d)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cp.Run(); err != nil {
+		return nil, err
+	}
+	return cp.Results(), nil
 }

@@ -75,8 +75,7 @@ func WithExecWorkers(n int) MachineOption {
 // construction: SchedWFQ (weighted-fair, the default), SchedEDF
 // (earliest-deadline-first), SchedFIFO (global submission order) or
 // SchedLookahead (makespan-aware reordering). Use ParseSchedPolicy to
-// map names to values. Machine.SetSched switches the policy later at
-// runtime.
+// map names to values.
 func WithSched(p SchedPolicy) MachineOption {
 	return func(mc *machineConfig) { mc.sched = p }
 }
@@ -199,7 +198,7 @@ func (m *Machine) NewTenant(cfg TenantConfig) (*Comm, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pidcomm: tenant %q: %w", name, err)
 	}
-	t, err := m.cc.NewTenantCfg(core.TenantConfig{
+	t, err := m.cc.NewTenant(core.TenantConfig{
 		Name: name, Base: ar.Base, Bytes: ar.Bytes,
 		Weight: cfg.Weight, Quota: cfg.Quota,
 		MaxPending: cfg.MaxPending, Shed: cfg.Shed,
@@ -309,29 +308,8 @@ func (m *Machine) AutoObjective() AutoObjective { return m.cc.AutoObjective() }
 // same table on a representative comm).
 func (m *Machine) AutoDecisions() []AutoDecision { return m.cc.AutoDecisions() }
 
-// SetSched switches the machine's submission scheduling policy at
-// runtime: SchedWFQ (weighted-fair, the default), SchedEDF
-// (earliest-deadline-first), SchedFIFO (global submission order) or
-// SchedLookahead (makespan-aware reordering). Safe to call between
-// submissions — bucket virtual times advance identically under every
-// policy, so switching resumes fair.
-//
-// Deprecated: configure the initial policy with the WithSched option at
-// construction; SetSched remains for switching policies at runtime.
-func (m *Machine) SetSched(p SchedPolicy) { m.cc.SetSched(p) }
-
 // Sched returns the machine's submission scheduling policy.
 func (m *Machine) Sched() SchedPolicy { return m.cc.Sched() }
-
-// SetStepped switches the machine into stepped serving mode: Submit
-// only enqueues and the caller drives execution one plan at a time with
-// Step — the deterministic substrate of the open-loop serving driver
-// (internal/serve). Flip it only while nothing is in flight.
-//
-// Deprecated: build stepped machines with the WithStepped option at
-// construction; SetStepped remains for toggling the mode at runtime
-// (only while nothing is in flight).
-func (m *Machine) SetStepped(on bool) { m.cc.SetStepped(on) }
 
 // SetLookahead sets the candidate window of the window-scanning
 // scheduling policies at runtime (see WithLookahead). k must be in
@@ -509,15 +487,11 @@ func (c *Comm) Closed() bool { return c.t.Closed() }
 // Pending returns the session's submitted-but-uncompleted plan count.
 func (c *Comm) Pending() int { return c.t.Pending() }
 
-// AutoLevel returns the concrete level the Auto pseudo-level resolves
-// to for descriptor d (whatever d.Level says).
-func (c *Comm) AutoLevel(d Collective) (Level, error) { return c.t.AutoLevelOf(d) }
-
 // AutoResolve returns the (algorithm, level) pair descriptor d resolves
 // to: the autotuner's pick (under the machine's Auto objective) where
 // either axis is Auto, the explicit selection otherwise. Exactly what
 // Compile would resolve d to, without compiling anything.
-func (c *Comm) AutoResolve(d Collective) (Algorithm, Level, error) { return c.t.AutoResolveOf(d) }
+func (c *Comm) AutoResolve(d Collective) (Algorithm, Level, error) { return c.t.Resolve(d) }
 
 // SetPEBuffer writes raw bytes directly into the session's arena of a
 // PE's MRAM (no cost): test/application setup representing data the PE

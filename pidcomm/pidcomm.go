@@ -88,7 +88,7 @@ const (
 // pseudo-level and the Level zero value: a Collective that leaves Level
 // unset dry-runs every applicable level on the cost-only backend, picks
 // the cheapest for the call signature, caches the decision and executes
-// with it (see Comm.AutoLevel).
+// with it (see Comm.AutoResolve).
 const (
 	Auto     = core.Auto
 	Baseline = core.Baseline
@@ -246,7 +246,7 @@ var ErrTenantClosed = core.ErrTenantClosed
 type SubmitOptions = core.SubmitOptions
 
 // SchedPolicy selects how the machine picks the next queued plan
-// (WithSched / Machine.SetSched). Every value resolves through the
+// (WithSched). Every value resolves through the
 // scheduler registry; ParseSchedPolicy maps names to values.
 type SchedPolicy = core.SchedPolicy
 

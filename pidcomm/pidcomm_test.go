@@ -137,12 +137,12 @@ func TestCostOnlyMachineAndAuto(t *testing.T) {
 	auto := aa
 	auto.Level = pidcomm.Auto
 	auto.Src, auto.Dst = pidcomm.Span(2*m, m), pidcomm.At(4*m)
-	lvl, err := cc.AutoLevel(auto)
+	_, lvl, err := cc.AutoResolve(auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lvl == pidcomm.Auto {
-		t.Error("AutoLevel returned the Auto sentinel")
+		t.Error("AutoResolve returned the Auto sentinel")
 	}
 	if _, err := comm.Run(auto); err != nil {
 		t.Fatal(err)
