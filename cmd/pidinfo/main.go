@@ -118,8 +118,8 @@ func main() {
 		float64(p.Net.LinkLatency)*1e6, p.Net.SwitchTiers)
 }
 
-// printScheds lists the scheduler registry: one row per registered
-// submission scheduling policy, in value order — the name column is what
+// printScheds lists the schedulers table: one row per submission
+// scheduling policy, in value order — the name column is what
 // ParseSchedPolicy (and therefore `pidbench -sched`) accepts.
 func printScheds() {
 	fmt.Println("Registered submission scheduling policies (WithSched / pidbench -sched):")

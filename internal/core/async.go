@@ -33,8 +33,7 @@ const MaxPendingPlans = 1024
 
 // SchedPolicy selects how the submission worker picks the next queued
 // plan across buckets. Every value resolves to a Scheduler through the
-// process-wide registry (sched.go); the constants below name the four
-// built-in policies.
+// schedulers table (sched.go); the constants below name its four rows.
 type SchedPolicy int
 
 const (
@@ -66,7 +65,7 @@ const (
 // SetSched selects the submission scheduling policy. Safe to call at any
 // time; plans already popped by the worker are unaffected, and bucket
 // virtual times advance identically under every policy, so switching
-// back to SchedWFQ resumes fair. A value with no registered Scheduler
+// back to SchedWFQ resumes fair. A value outside the schedulers table
 // falls back to SchedWFQ at pick time.
 func (c *Comm) SetSched(p SchedPolicy) {
 	c.asyncMu.Lock()
@@ -444,14 +443,13 @@ func (c *Comm) completeDroppedLocked(f *Future, err error) {
 // schedulerLocked resolves the Comm's active Scheduler, (re)instantiating
 // it lazily on the first pick and after every policy change — which also
 // keeps bare Comm literals in tests working with just the policy value
-// set. A policy value with no registered Scheduler falls back to
-// weighted-fair queuing, mirroring the pre-registry behavior of an
-// unknown enum value. Callers hold asyncMu.
+// set. A policy value outside the schedulers table falls back to
+// weighted-fair queuing. Callers hold asyncMu.
 func (c *Comm) schedulerLocked() Scheduler {
 	if c.schedImpl == nil || c.schedImplOf != c.sched {
-		sp, ok := schedSpecOf(c.sched)
-		if !ok {
-			sp, _ = schedSpecOf(SchedWFQ)
+		sp := schedulers[SchedWFQ]
+		if c.sched >= 0 && int(c.sched) < len(schedulers) {
+			sp = schedulers[c.sched]
 		}
 		c.schedImpl = sp.New()
 		c.schedImplOf = c.sched
@@ -506,7 +504,7 @@ func (c *Comm) pickLocked() *Future {
 	}
 	k := s.Pick(cands)
 	if k < 0 || k >= len(cands) {
-		panic(fmt.Sprintf("core: scheduler %q picked candidate %d of %d", s.Name(), k, len(cands)))
+		panic(fmt.Sprintf("core: scheduler %q picked candidate %d of %d", c.sched, k, len(cands)))
 	}
 	pick := cands[k]
 	q := pick.q
@@ -587,9 +585,9 @@ func (c *Comm) runSubmitted(f *Future) {
 		t.inflight--
 	}
 	c.asyncPending--
+	<-c.asyncSlots // release the queue slot before a Flush can see the drain
 	c.asyncCond.Broadcast()
 	c.asyncMu.Unlock()
-	<-c.asyncSlots // release the queue slot
 }
 
 // execSubmitted places one plan on the timeline (hazard-ordered, overlap-

@@ -13,6 +13,24 @@ package core
 // cross-leg rewrite on every hierarchical plan) and replays through the
 // same engine as a single-host collective.
 //
+// The leg table (clusterShapes below states the same rows in the same
+// order; H hosts, P PEs per host, m the reduced or per-PE payload):
+//
+//	              local leg   wire (rounds × bytes per round)            redistribution
+//	ReduceScatter Reduce      all-pairs: (H-1) × m/H                     Scatter
+//	AllReduce     Reduce      ring 2(H-1) × m/H | tree 2⌈log2 H⌉ × m     Broadcast
+//	AllGather     Gather      all-pairs: (H-1) × P·m                     Broadcast
+//	Scatter       —           rooted: (root H-1 | else 1) × P·m          Scatter
+//	Gather        Gather      rooted: (root H-1 | else 1) × P·m          — (Results)
+//	Reduce        Reduce      rooted: (root H-1 | else 1) × m            — (Results)
+//	Broadcast     —           fan-out: ⌈log2 H⌉ × m                      Broadcast
+//	Flat          Gather      rooted × P·m, root reduce, fan-out × m     Broadcast
+//
+// AlltoAll is the one lowering outside the table — its remote portions
+// are a prefix and a suffix around the host's own, which no (local, wire,
+// redistribution) triple expresses: a local AlltoAll of the host's own
+// portion, then pack → exchange ((H-1) × P·P·s) → unpack.
+//
 // Global shape: a cluster collective treats the H×P PEs (P per host) as
 // one flat communicator. Global rank g = h*P + j, where j is the PE's
 // rank within its host's group for the descriptor's Dims — which must
@@ -33,9 +51,11 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/elem"
 )
 
 // ClusterCollective describes one collective over every PE of a
@@ -57,13 +77,24 @@ type ClusterCollective struct {
 	Flat bool
 }
 
-// keyString identifies the descriptor for the cluster's plan and state
-// caches. Hosts buffers are identified by presence only — plans that
-// capture caller payloads are not cached (mirroring the single-host
-// host-input rule).
-func (d ClusterCollective) keyString() string {
-	return fmt.Sprintf("%v|%s|src=%+v|dst=%+v|%v|%v|%v|algo=%v|root=%d|flat=%v|hosts=%t",
-		d.Prim, d.Dims, d.Src, d.Dst, d.Elem, d.Op, d.Level, d.Algorithm, d.Root, d.Flat, d.Hosts != nil)
+// clusterKey identifies a descriptor in the cluster cache. Hosts buffers
+// are identified by presence only — plans that capture caller payloads
+// are not cached (mirroring the single-host host-input rule). owner is
+// host 0's tenant of a CompileOn owner set (nil for Compile): its
+// identity, not its name, so a session that reuses a closed session's
+// name never meets the closed session's plans.
+type clusterKey struct {
+	prim     Primitive
+	dims     string
+	src, dst Region
+	elem     elem.Type
+	op       elem.Op
+	level    Level
+	algo     Algorithm
+	root     int
+	flat     bool
+	hosts    bool
+	owner    *Tenant
 }
 
 // barrier is a reusable generation-counting rendezvous for the H host
@@ -106,23 +137,27 @@ func (b *barrier) await(action func()) {
 	b.mu.Unlock()
 }
 
-// clusterState is the per-descriptor shared staging of one cluster
-// plan: what the network legs move between the hosts. It is allocated
-// once per descriptor and bound into the per-host schedules at compile
-// time, so cached replays reuse it; the trailing fence barrier of every
-// plan keeps run N+1 from overwriting it while run N still streams.
-// Buffers and barrier exist only on the functional backend — cost-only
-// sweeps to thousands of hosts allocate no O(data) staging.
+// clusterState is one cluster-cache entry: the per-descriptor shared
+// staging — what the network legs move between the hosts — and, when
+// cacheable, the plan. The staging is allocated once per descriptor and
+// bound into the per-host schedules at compile time, so cached replays
+// reuse it; the trailing fence barrier of every plan keeps run N+1 from
+// overwriting it while run N still streams. Buffers and barrier exist
+// only on the functional backend — cost-only sweeps to thousands of
+// hosts allocate no O(data) staging.
 type clusterState struct {
 	id int
+	// owners is the tenant set the entry was compiled on (nil for the
+	// machine); the entry is evicted when any of them closes.
+	owners []*Tenant
+	// plan is the compiled plan, nil while uncompiled and for plans that
+	// capture a caller payload.
+	plan *ClusterPlan
 	// parts[h] is host h's published rooted-leg result for this run.
 	parts [][]byte
 	// global is the assembled / merged cluster-wide buffer the
 	// redistribution legs read (and rooted Results return).
 	global []byte
-	// gbufs aliases global as the one-group Hosts slice the broadcast
-	// and scatter legs bind ([][]byte{global}).
-	gbufs [][]byte
 	// xfer[src][dst] is the AlltoAll exchange slab: P*P blocks of s
 	// bytes, block (j,k) at (j*P+k)*s — source rank j to dest rank k.
 	xfer [][][]byte
@@ -138,12 +173,11 @@ type Cluster struct {
 	p          int // PEs per host
 	functional bool
 
-	// mu guards the plan/state caches and the id counter; execMu
-	// serializes serial cluster runs and makes Submit's multi-host
-	// enqueue atomic (a single global order of cluster plans).
+	// mu guards the cache and the id counter; execMu serializes serial
+	// cluster runs and makes Submit's multi-host enqueue atomic (a single
+	// global order of cluster plans).
 	mu     sync.Mutex
-	states map[string]*clusterState
-	plans  map[string]*ClusterPlan
+	cache  map[clusterKey]*clusterState
 	nextID int
 	execMu sync.Mutex
 }
@@ -168,26 +202,20 @@ func NewCluster(comms []*Comm) (*Cluster, error) {
 		if got := c.hc.sys.Geometry().NumPEs(); got != p {
 			return nil, fmt.Errorf("core: host %d has %d PEs, host 0 has %d (cluster hosts must be homogeneous)", h, got, p)
 		}
-		if gs := c.hc.Shape(); len(gs) != len(shape) {
-			return nil, fmt.Errorf("core: host %d hypercube rank %d != host 0 rank %d", h, len(gs), len(shape))
-		} else {
-			for i := range gs {
-				if gs[i] != shape[i] {
-					return nil, fmt.Errorf("core: host %d hypercube shape %v != host 0 shape %v", h, gs, shape)
-				}
-			}
+		if gs := c.hc.Shape(); !slices.Equal(gs, shape) {
+			return nil, fmt.Errorf("core: host %d hypercube shape %v != host 0 shape %v", h, gs, shape)
 		}
 		if c.backend.Functional() != functional {
 			return nil, fmt.Errorf("core: host %d backend %q differs from host 0 (mixed functional/cost clusters are not supported)", h, c.backend.Name())
 		}
 	}
-	return &Cluster{
-		comms:      comms,
-		p:          p,
-		functional: functional,
-		states:     make(map[string]*clusterState),
-		plans:      make(map[string]*ClusterPlan),
-	}, nil
+	cl := &Cluster{comms: comms, p: p, functional: functional, cache: make(map[clusterKey]*clusterState)}
+	for _, c := range comms {
+		c.tenantMu.Lock()
+		c.clusters = append(c.clusters, cl)
+		c.tenantMu.Unlock()
+	}
+	return cl, nil
 }
 
 // NumHosts returns the number of hosts.
@@ -283,24 +311,27 @@ func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
 }
 
 func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
+	key := clusterKey{prim: d.Prim, dims: d.Dims, src: d.Src, dst: d.Dst, elem: d.Elem, op: d.Op,
+		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil}
+	if owners != nil {
+		key.owner = owners[0]
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	key := d.keyString()
-	for _, t := range owners {
-		key += "|tenant=" + t.name
-	}
-	cacheable := !(cl.functional && d.Hosts != nil)
-	if cp, ok := cl.plans[key]; ok && cacheable {
-		return cp, nil
-	}
-	st, ok := cl.states[key]
-	if !ok {
-		st = &clusterState{id: cl.nextID}
+	st, ok := cl.cache[key]
+	switch {
+	case !ok:
+		st = &clusterState{id: cl.nextID, owners: slices.Clone(owners)}
 		cl.nextID++
 		if cl.functional {
 			st.bar = newBarrier(len(cl.comms))
 		}
-		cl.states[key] = st
+		cl.cache[key] = st
+	case !slices.Equal(st.owners, owners):
+		// The entry's staging and member tags are bound to its owner set.
+		return nil, fmt.Errorf("core: tenant %q already shards a different cluster owner set", owners[0].name)
+	case st.plan != nil:
+		return st.plan, nil
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
 	for h := range cl.comms {
@@ -312,7 +343,7 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		}
 		specs, err := cl.hostSpecs(h, ar, st, d)
 		if err != nil {
-			return nil, fmt.Errorf("cluster host %d: %w", h, err)
+			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
 		hp := cl.comms[h].compiledSequence(specs)
 		if err := hp.adopt(owner); err != nil {
@@ -320,23 +351,90 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		}
 		cp.plans[h] = hp
 	}
-	if cacheable {
-		cl.plans[key] = cp
+	if !(cl.functional && d.Hosts != nil) {
+		st.plan = cp
 	}
 	return cp, nil
+}
+
+// evictOwned drops every cache entry compiled on t, the cluster half of
+// Tenant.Close's plan eviction: one closed shard makes a plan unrunnable.
+func (cl *Cluster) evictOwned(t *Tenant) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for k, st := range cl.cache {
+		if slices.Contains(st.owners, t) {
+			delete(cl.cache, k)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
 // Per-host lowering: one []planSpec per host, fed to compiledSequence.
 // ---------------------------------------------------------------------
 
-// ceilLog2 returns ceil(log2(h)) — the rounds of a binomial fan-out.
-func ceilLog2(h int) int {
-	if h <= 1 {
-		return 0
-	}
-	return bits.Len(uint(h - 1))
+// ceilLog2 returns ceil(log2(h)) for h >= 1 — the rounds of a binomial
+// fan-out.
+func ceilLog2(h int) int { return bits.Len(uint(h - 1)) }
+
+// wireLeg is the shape of a lowering's one trip over the network (the
+// header's leg table gives each shape's rounds × bytes).
+type wireLeg uint8
+
+const (
+	wireAllPairs wireLeg = iota // every host's 1/H portion of the global buffer to every other host
+	wireRooted                  // one host's part per round: the root serves every other host
+	wireFanOut                  // a binomial fan-out of the whole buffer from the root
+	// wireAllReduce is the host-level algorithm d.Algorithm selects. The
+	// ring moves one reduced 1/H portion per round; the tree climbs and
+	// re-descends a binary host tree with the whole buffer — fewer, fatter
+	// rounds, so it wins when the per-round latency dominates (small
+	// payloads, many hosts). AlgoAuto prices both on the wire model and
+	// keeps the cheaper; an explicit choice pins the leg.
+	wireAllReduce
+)
+
+// noLeg marks a leg a lowering does not have.
+const noLeg Primitive = -1
+
+// clusterShape is one row of the leg table: a hierarchical lowering the
+// way § IX-A states it — a local leg, one trip over the wire (data are
+// sent after being reduced and before being duplicated), a
+// redistribution leg. Both outer legs are single-host rows of shapes.
+type clusterShape struct {
+	// local is the collective whose rooted result the host puts on the
+	// wire: Reduce (the wire merges the hosts' parts with (Elem, Op)) or
+	// Gather (it concatenates them in host order). noLeg: the root's
+	// caller payload enters the wire.
+	local Primitive
+	wire  wireLeg
+	name  string // the wire leg's schedule name and cache tag
+	// redist hands the global buffer to the PEs: a Broadcast of all of it
+	// or a Scatter of the host's 1/H portion. noLeg: a rooted result,
+	// read from the staging by Results.
+	redist Primitive
 }
+
+// clusterShapes is the leg table, indexed by Primitive like shapes;
+// AlltoAll's row stays empty (the one hand-written lowering, alltoAll).
+var clusterShapes = [...]clusterShape{
+	AlltoAll:      {},
+	ReduceScatter: {Reduce, wireAllPairs, "ring", Scatter},
+	AllReduce:     {Reduce, wireAllReduce, "", Broadcast},
+	AllGather:     {Gather, wireAllPairs, "allgather", Broadcast},
+	Scatter:       {noLeg, wireRooted, "scatter", Scatter},
+	Gather:        {Gather, wireRooted, "gather", noLeg},
+	Reduce:        {Reduce, wireRooted, "reduce", noLeg},
+	Broadcast:     {noLeg, wireFanOut, "fanout", Broadcast},
+}
+
+// clusterFlat is the ninth row, the naive AllReduce of a cluster that
+// does NOT reduce locally before the wire: every PE's raw buffer is
+// gathered to the root host (P×m per host crosses the network instead of
+// m/H), the root CPU reduces all H*P buffers, and the result fans back
+// out (the d.Flat block of legs). It exists as the benchmark baseline
+// the hierarchical lowering is gated against (pidbench -exp cluster).
+var clusterFlat = clusterShape{Gather, wireRooted, "flat:gather", Broadcast}
 
 // clusterBuild accumulates one host's member specs.
 type clusterBuild struct {
@@ -353,12 +451,7 @@ type clusterBuild struct {
 	specs []planSpec
 }
 
-func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) (specs []planSpec, err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("%s: %w", d.Prim.LongName(), err)
-		}
-	}()
+func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) ([]planSpec, error) {
 	sh, err := shapeOf(d.Prim)
 	if err != nil {
 		return nil, err
@@ -398,29 +491,21 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 		return nil, err
 	}
 	switch {
-	case d.Flat:
-		err = b.flatAllReduce()
-	case d.Prim == AllReduce:
-		err = b.allReduce()
-	case d.Prim == ReduceScatter:
-		err = b.reduceScatter()
-	case d.Prim == AllGather:
-		err = b.allGather()
 	case d.Prim == AlltoAll:
 		err = b.alltoAll()
-	case d.Prim == Broadcast:
-		err = b.broadcast()
-	case d.Prim == Scatter:
-		err = b.scatter()
-	case d.Prim == Gather:
-		err = b.gather()
-	case d.Prim == Reduce:
-		err = b.reduce()
+	case d.Flat:
+		err = b.legs(&clusterFlat, sh)
+	default:
+		err = b.legs(&clusterShapes[d.Prim], sh)
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.fence()
+	// The trailing fence: a zero-round network step whose only job
+	// (functional) is to keep any host from starting the plan's next run —
+	// overwriting the shared staging — while another host still streams
+	// this run's data. It charges nothing on either backend.
+	b.net("fence", 0, 0, b.await, false)
 	return b.specs, nil
 }
 
@@ -439,7 +524,7 @@ func (b *clusterBuild) tag(name string) string {
 	return fmt.Sprintf("clu%d:h%d:%s", b.st.id, b.h, name)
 }
 
-// net appends the inter-host network leg: rounds exchange rounds of
+// net appends an inter-host network leg: rounds exchange rounds of
 // bytesPerRound each, charged through cost.NetParams onto the host's
 // network lane, plus (functional) the rendezvous closure run. hostBufs
 // marks a run closure that captures a caller payload.
@@ -469,177 +554,159 @@ func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run fun
 		}})
 }
 
-// fence appends the trailing rendezvous member: a zero-round network
-// step whose only job (functional) is to keep any host from starting
-// the plan's next run — overwriting the shared staging — while another
-// host still streams this run's data. It charges nothing on either
-// backend.
-func (b *clusterBuild) fence() {
+// await is the net-leg run closure of a pure rendezvous.
+func (b *clusterBuild) await(*CompiledPlan) func() {
 	bar := b.st.bar
-	key := planKey{prim: b.d.Prim, dims: b.d.Dims, tag: b.tag("fence")}
-	b.specs = append(b.specs, planSpec{key: key,
-		lower: func(*CompiledPlan) *Schedule {
-			st := &StepNetTransfer{}
-			if b.cl.functional {
-				st.Run = func() { bar.await(nil) }
-			} else {
-				st.Run = func() {} // keep fusion symmetric with functional
-			}
-			sched := &Schedule{Name: "NetTransfer/fence"}
-			sched.add(st)
-			sched.add(&StepSync{})
-			return sched
-		}})
+	return func() { bar.await(nil) }
 }
 
 // member appends a hand-built redistribution member.
-func (b *clusterBuild) member(name string, regs planRegions, hostBufs bool, lower func(cp *CompiledPlan) *Schedule) {
+func (b *clusterBuild) member(name string, regs planRegions, lower func(cp *CompiledPlan) *Schedule) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims, tag: b.tag(name)}
-	b.specs = append(b.specs, planSpec{key: key, regs: regs, hostBufs: hostBufs, lower: lower})
+	b.specs = append(b.specs, planSpec{key: key, regs: regs, lower: lower})
 }
 
-// ensure sizes the shared staging (functional only; cost-only clusters
-// keep everything nil so sweeps allocate no O(data) state).
-func (st *clusterState) ensure(functional bool, globalBytes int, parts bool, hosts int) {
-	if !functional {
-		return
+// legs lowers one row of the leg table: local leg → wire → (Flat: root
+// reduce and fan-out) → redistribution leg.
+func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
+	d, H, P, h, m, st := b.d, len(b.cl.comms), b.cl.p, b.h, b.m, b.st
+	root := h == d.Root
+	// part is what one host puts on (or takes off) the wire, global the
+	// cluster-wide buffer the wire assembles in the staging: one payload
+	// where the parts merge by reduction, H parts where they concatenate.
+	part, global := m, m
+	if row.local == noLeg {
+		// The caller's payload is the global buffer, sized by the shape
+		// table's host rule on the H×P ranks.
+		if global = sh.host.of(m, b.cl.NumPEs()); global <= 0 {
+			return fmt.Errorf("core: cluster collective needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
+		}
+		part = global / H
+	} else {
+		if row.local == Gather {
+			if part = P * m; !sh.reducing {
+				global = H * part
+			}
+		}
+		if err := b.local(Collective{Prim: row.local, Dims: d.Dims,
+			Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
+			return err
+		}
 	}
-	if globalBytes > 0 && len(st.global) != globalBytes {
-		st.global = make([]byte, globalBytes)
-		st.gbufs = [][]byte{st.global}
+	// The staging exists on the functional backend only: cost-only
+	// clusters keep everything nil so sweeps allocate no O(data) state.
+	if b.cl.functional {
+		if len(st.global) != global {
+			st.global = make([]byte, global)
+		}
+		if row.local != noLeg && len(st.parts) != H {
+			st.parts = make([][]byte, H)
+		}
 	}
-	if parts && len(st.parts) != hosts {
-		st.parts = make([][]byte, hosts)
+	// The wire's rendezvous: a host publishes what it brings — its local
+	// leg's rooted result, or at the root the caller's payload (the
+	// closure exists on the functional backend only, where check has
+	// required it) — and the last to arrive merges the parts (there are
+	// none without a local leg) into the global buffer. The closures get
+	// copies of the fields they read, not the 128-byte descriptor each.
+	elemT, op, flat, hosts := d.Elem, d.Op, d.Flat, d.Hosts
+	merge := func() {
+		if !sh.reducing {
+			for hh, p := range st.parts {
+				copy(st.global[hh*part:], p)
+			}
+			return
+		}
+		bufs := st.parts
+		if flat { // each part is P raw buffers
+			bufs = make([][]byte, 0, H*P)
+			for _, p := range st.parts {
+				for j := 0; j < P; j++ {
+					bufs = append(bufs, p[j*m:(j+1)*m])
+				}
+			}
+		}
+		copy(st.global, RefReduce(elemT, op, bufs))
 	}
-}
-
-// publishMerge returns a net-leg run closure: publish this host's
-// rooted-leg result, rendezvous, and have the last arriver merge every
-// host's part into st.global.
-func (b *clusterBuild) publishMerge(merge func()) func(cp *CompiledPlan) func() {
-	st, h := b.st, b.h
-	return func(cp *CompiledPlan) func() {
+	run := func(cp *CompiledPlan) func() {
 		return func() {
-			st.parts[h] = cp.rooted[0]
+			if row.local != noLeg {
+				st.parts[h] = cp.rooted[0]
+			} else if root {
+				copy(st.global, hosts[0])
+			}
 			st.bar.await(merge)
 		}
 	}
-}
 
-// --- AllReduce: Reduce → ring AllReduce on the wire → Broadcast -------
-
-func (b *clusterBuild) allReduce() error {
-	d, H, m := b.d, len(b.cl.comms), b.m
-	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
-		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
-		return err
-	}
-	st := b.st
-	st.ensure(b.cl.functional, m, true, H)
-	merge := func() { copy(st.global, RefReduce(d.Elem, d.Op, st.parts)) }
-	// Host-level wire algorithm. Ring: 2(H-1) overlapped rounds of one
-	// reduced 1/H portion each (§ IX-A: data are sent after reduction).
-	// Tree: the reduced payload climbs and re-descends a binary host tree
-	// in 2*ceil(log2 H) rounds of the full m bytes — fewer, fatter rounds,
-	// so it wins when the per-round latency dominates (small payloads,
-	// many hosts). AlgoAuto prices both legs on the wire model and keeps
-	// the cheaper; an explicit choice pins the leg.
-	alg := d.Algorithm
-	if alg == AlgoAuto {
-		net := b.c.h.Params().Net
-		ringT := cost.Seconds(2*(H-1)) * net.RoundTime(int64(m/H))
-		treeT := cost.Seconds(2*ceilLog2(H)) * net.RoundTime(int64(m))
-		if treeT < ringT {
-			alg = AlgoTree
-		} else {
+	name, rounds, bytes := row.name, H-1, global/H // wireAllPairs
+	switch row.wire {
+	case wireRooted:
+		if bytes = part; !root {
+			rounds = 1
+		}
+	case wireFanOut:
+		rounds, bytes = ceilLog2(H), global
+	case wireAllReduce:
+		ring, tree := 2*(H-1), 2*ceilLog2(H)
+		alg := d.Algorithm
+		if alg == AlgoAuto {
+			net := b.c.h.Params().Net
 			alg = AlgoRing
+			if cost.Seconds(tree)*net.RoundTime(int64(global)) < cost.Seconds(ring)*net.RoundTime(int64(bytes)) {
+				alg = AlgoTree
+			}
+		}
+		switch alg {
+		case AlgoReference, AlgoRing:
+			name, rounds = "ring", ring
+		case AlgoTree:
+			name, rounds, bytes = "tree", tree, global
+		default:
+			return fmt.Errorf("core: cluster AllReduce: unsupported host algorithm %v (want Auto, ref, ring, or tree)", alg)
 		}
 	}
-	switch alg {
-	case AlgoReference, AlgoRing:
-		b.net("ring", 2*(H-1), int64(m/H), b.publishMerge(merge), false)
-	case AlgoTree:
-		b.net("tree", 2*ceilLog2(H), int64(m), b.publishMerge(merge), false)
-	default:
-		return fmt.Errorf("core: cluster AllReduce: unsupported host algorithm %v (want Auto, ref, ring, or tree)", alg)
-	}
-	b.bcastGlobal(d.Dst.Off, m)
-	return nil
-}
+	b.net(name, rounds, int64(bytes), run, root && d.Hosts != nil)
 
-// bcastGlobal appends the local redistribution leg that broadcasts
-// st.global to every PE at dstOff.
-func (b *clusterBuild) bcastGlobal(dstOff, n int) {
-	absDst := b.ar.base + dstOff
-	var regs planRegions
-	regs.write(absDst, n)
-	c, p, st := b.c, b.p, b.st
-	b.member("bcast", regs, false, func(*CompiledPlan) *Schedule {
-		bufs := st.gbufs
-		if bufs == nil {
-			bufs = [][]byte{nil} // cost-only: never dereferenced
+	if d.Flat {
+		if root {
+			// The root CPU reduces H*P raw buffers serially.
+			b.member("flat:reduce", planRegions{}, func(*CompiledPlan) *Schedule {
+				sched := &Schedule{Name: "FlatReduce"}
+				sched.add(&StepHostCompute{Charges: []Charge{
+					{ChargeScalarReduce, int64(H) * int64(P) * int64(m)},
+				}})
+				sched.add(&StepSync{})
+				return sched
+			})
 		}
-		return lowerBroadcast(&AlgoEnv{c: c, p: p, prim: Broadcast, eff: Baseline, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
-	})
-}
-
-// --- ReduceScatter: Reduce → ring on the wire → Scatter ---------------
-
-func (b *clusterBuild) reduceScatter() error {
-	d, H, P, m, s := b.d, len(b.cl.comms), b.cl.p, b.m, b.s
-	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
-		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
-		return err
+		b.net("flat:bcast", ceilLog2(H), int64(global), nil, false)
 	}
-	st := b.st
-	st.ensure(b.cl.functional, m, true, H)
-	merge := func() { copy(st.global, RefReduce(d.Elem, d.Op, st.parts)) }
-	b.net("ring", H-1, int64(P*s), b.publishMerge(merge), false)
-	return b.scatterGlobal(d.Dst.Off, s, b.h*P*s)
-}
 
-// scatterGlobal appends the local leg that scatters this host's portion
-// of st.global (P blocks of s starting at part) to its PEs.
-func (b *clusterBuild) scatterGlobal(dstOff, s, part int) error {
-	_, eff, err := b.c.Resolve(Collective{Prim: Scatter, Dims: b.d.Dims, Dst: Span(dstOff, s), Level: b.d.Level})
+	// The redistribution leg: the single-host lowering of row.redist, fed
+	// from the staging — all of it (Broadcast, n bytes per PE) or this
+	// host's 1/H portion (Scatter, one block per PE).
+	if row.redist == noLeg {
+		return nil
+	}
+	n, lo, hi := global, 0, global
+	if row.redist == Scatter {
+		n, lo, hi = b.s, h*(global/H), (h+1)*(global/H)
+	}
+	_, eff, err := b.c.Resolve(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
 	if err != nil {
 		return err
 	}
-	absDst := b.ar.base + dstOff
+	absDst := b.ar.base + d.Dst.Off
 	var regs planRegions
-	regs.write(absDst, s)
-	c, p, st := b.c, b.p, b.st
-	P := b.cl.p
-	b.member("scatter", regs, false, func(*CompiledPlan) *Schedule {
+	regs.write(absDst, n)
+	b.member("redist", regs, func(*CompiledPlan) *Schedule {
 		bufs := [][]byte{nil} // cost-only: never dereferenced
 		if st.global != nil {
-			bufs = [][]byte{st.global[part : part+P*s]}
+			bufs = [][]byte{st.global[lo:hi]}
 		}
-		return lowerScatter(&AlgoEnv{c: c, p: p, prim: Scatter, eff: eff, dstOff: absDst, m: s, s: s, hosts: bufs}, nil)
+		return shapes[row.redist].lower(&AlgoEnv{c: b.c, p: b.p, prim: row.redist, eff: eff, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
 	})
-	return nil
-}
-
-// --- AllGather: Gather → all-gather on the wire → Broadcast -----------
-
-func (b *clusterBuild) allGather() error {
-	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
-	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
-		Src: Span(d.Src.Off, s), Level: d.Level}); err != nil {
-		return err
-	}
-	st := b.st
-	st.ensure(b.cl.functional, H*P*s, true, H)
-	merge := func() {
-		for hh, part := range st.parts {
-			copy(st.global[hh*P*s:(hh+1)*P*s], part)
-		}
-	}
-	// § IX-A: data are sent before duplication — one P*s portion per
-	// host per round crosses the wire; the H-fold fan-out to the PEs
-	// happens after it.
-	b.net("allgather", H-1, int64(P*s), b.publishMerge(merge), false)
-	b.bcastGlobal(d.Dst.Off, H*P*s)
 	return nil
 }
 
@@ -673,9 +740,7 @@ func (b *clusterBuild) alltoAll() error {
 	// and unpack the incoming slabs transposed into destination order.
 	b.pack("pack:lo", absSrc, 0, h, PS, s)
 	b.pack("pack:hi", absSrc+(h+1)*PS, h+1, H, PS, s)
-	b.net("exchange", H-1, int64(P*PS), func(*CompiledPlan) func() {
-		return func() { st.bar.await(nil) }
-	}, false)
+	b.net("exchange", H-1, int64(P*PS), b.await, false)
 	b.unpack("unpack:lo", absDst, 0, h, PS, s)
 	b.unpack("unpack:hi", absDst+(h+1)*PS, h+1, H, PS, s)
 	return nil
@@ -692,7 +757,7 @@ func (b *clusterBuild) pack(name string, readOff, dstLo, dstHi, PS, s int) {
 	var regs planRegions
 	regs.read(readOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(name, regs, false, func(*CompiledPlan) *Schedule {
+	b.member(name, regs, func(*CompiledPlan) *Schedule {
 		sched := &Schedule{Name: "ClusterPack"}
 		sched.add(&StepBulk{
 			Read: true, ReadOff: readOff, ReadPerPE: per,
@@ -727,7 +792,7 @@ func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
 	var regs planRegions
 	regs.write(writeOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(name, regs, false, func(*CompiledPlan) *Schedule {
+	b.member(name, regs, func(*CompiledPlan) *Schedule {
 		sched := &Schedule{Name: "ClusterUnpack"}
 		sched.add(&StepBulk{
 			Write: true, WriteOff: writeOff, WritePerPE: per,
@@ -753,149 +818,6 @@ func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
 		sched.add(&StepSync{})
 		return sched
 	})
-}
-
-// --- Rooted primitives ------------------------------------------------
-
-func (b *clusterBuild) broadcast() error {
-	d, H, n := b.d, len(b.cl.comms), b.m
-	if n <= 0 {
-		return fmt.Errorf("core: cluster Broadcast needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
-	}
-	var payload []byte
-	if d.Hosts != nil {
-		payload = d.Hosts[0]
-	}
-	st, root := b.st, b.h == d.Root
-	st.ensure(b.cl.functional, n, false, H)
-	run := func(*CompiledPlan) func() {
-		if root {
-			return func() {
-				copy(st.global, payload)
-				st.bar.await(nil)
-			}
-		}
-		return func() { st.bar.await(nil) }
-	}
-	// Binomial fan-out from the root: ceil(log2 H) overlapped rounds of
-	// the full payload.
-	b.net("fanout", ceilLog2(H), int64(n), run, root && payload != nil)
-	b.bcastGlobal(d.Dst.Off, n)
-	return nil
-}
-
-func (b *clusterBuild) scatter() error {
-	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
-	if s <= 0 {
-		return fmt.Errorf("core: cluster Scatter needs Dst.Bytes (the per-PE block size)")
-	}
-	var payload []byte
-	if d.Hosts != nil {
-		payload = d.Hosts[0]
-	}
-	st, root := b.st, b.h == d.Root
-	st.ensure(b.cl.functional, H*P*s, false, H)
-	rounds := 1 // non-root hosts receive their one portion
-	if root {
-		rounds = H - 1 // the root ships every other host its portion
-	}
-	run := func(*CompiledPlan) func() {
-		if root {
-			return func() {
-				copy(st.global, payload)
-				st.bar.await(nil)
-			}
-		}
-		return func() { st.bar.await(nil) }
-	}
-	b.net("scatter", rounds, int64(P*s), run, root && payload != nil)
-	return b.scatterGlobal(d.Dst.Off, s, b.h*P*s)
-}
-
-func (b *clusterBuild) gather() error {
-	d, H, P, s := b.d, len(b.cl.comms), b.cl.p, b.s
-	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
-		Src: Span(d.Src.Off, s), Level: d.Level}); err != nil {
-		return err
-	}
-	st, root := b.st, b.h == d.Root
-	st.ensure(b.cl.functional, H*P*s, true, H)
-	merge := func() {
-		for hh, part := range st.parts {
-			copy(st.global[hh*P*s:(hh+1)*P*s], part)
-		}
-	}
-	rounds := 1 // non-root hosts send their one portion
-	if root {
-		rounds = H - 1 // the root receives every other host's portion
-	}
-	b.net("gather", rounds, int64(P*s), b.publishMerge(merge), false)
-	return nil
-}
-
-func (b *clusterBuild) reduce() error {
-	d, H, m := b.d, len(b.cl.comms), b.m
-	if err := b.local(Collective{Prim: Reduce, Dims: d.Dims,
-		Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
-		return err
-	}
-	st, root := b.st, b.h == d.Root
-	st.ensure(b.cl.functional, m, true, H)
-	merge := func() { copy(st.global, RefReduce(d.Elem, d.Op, st.parts)) }
-	rounds := 1
-	if root {
-		rounds = H - 1
-	}
-	// § IX-A: data are sent after being reduced — one reduced m-byte
-	// copy per non-root host crosses the wire.
-	b.net("reduce", rounds, int64(m), b.publishMerge(merge), false)
-	return nil
-}
-
-// --- Flat AllReduce: the naive non-hierarchical baseline --------------
-
-// flatAllReduce emulates a cluster that does NOT reduce locally before
-// the wire: every PE's raw buffer is gathered to the root host (P×m per
-// host crosses the network instead of m/H), the root CPU reduces all
-// H*P buffers, and the result fans back out. It exists as the
-// benchmark baseline the hierarchical lowering is gated against
-// (pidbench -exp cluster).
-func (b *clusterBuild) flatAllReduce() error {
-	d, H, P, m := b.d, len(b.cl.comms), b.cl.p, b.m
-	if err := b.local(Collective{Prim: Gather, Dims: d.Dims,
-		Src: Span(d.Src.Off, m), Level: d.Level}); err != nil {
-		return err
-	}
-	st, root := b.st, b.h == d.Root
-	st.ensure(b.cl.functional, m, true, H)
-	merge := func() {
-		bufs := make([][]byte, 0, H*P)
-		for _, part := range st.parts {
-			for j := 0; j < P; j++ {
-				bufs = append(bufs, part[j*m:(j+1)*m])
-			}
-		}
-		copy(st.global, RefReduce(d.Elem, d.Op, bufs))
-	}
-	rounds := 1
-	if root {
-		rounds = H - 1
-	}
-	b.net("flat:gather", rounds, int64(P*m), b.publishMerge(merge), false)
-	if root {
-		// The root CPU reduces H*P raw buffers serially.
-		b.member("flat:reduce", planRegions{}, false, func(*CompiledPlan) *Schedule {
-			sched := &Schedule{Name: "FlatReduce"}
-			sched.add(&StepHostCompute{Charges: []Charge{
-				{ChargeScalarReduce, int64(H) * int64(P) * int64(m)},
-			}})
-			sched.add(&StepSync{})
-			return sched
-		})
-	}
-	b.net("flat:bcast", ceilLog2(H), int64(m), nil, false)
-	b.bcastGlobal(d.Dst.Off, m)
-	return nil
 }
 
 // ---------------------------------------------------------------------
@@ -940,12 +862,14 @@ func (cp *ClusterPlan) FusionReports() []FusionReport {
 
 // admitAll reserves quota on every owning tenant up front, so a
 // rejection can never strand part of the cluster at a rendezvous
-// barrier. Hosts admitted before a mid-scan rejection keep their
-// reservation (the simulator does not refund); the call itself runs
-// nothing.
+// barrier. A mid-scan rejection refunds the hosts admitted before it:
+// the call runs nothing, so it charges nothing.
 func (cp *ClusterPlan) admitAll() error {
 	for h, hp := range cp.plans {
 		if err := hp.owner.admit(hp.tr.total.Total()); err != nil {
+			for _, prev := range cp.plans[:h] {
+				prev.owner.refund(prev.tr.total.Total())
+			}
 			return fmt.Errorf("cluster host %d: %w", h, err)
 		}
 	}
@@ -994,10 +918,7 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 // and for non-rooted primitives. Call only after Run returns or the
 // submitted future completes.
 func (cp *ClusterPlan) Results() []byte {
-	if cp.st.global == nil {
-		return nil
-	}
-	if cp.d.Prim != Gather && cp.d.Prim != Reduce {
+	if cp.st.global == nil || !shapes[cp.d.Prim].rooted() {
 		return nil
 	}
 	return append([]byte(nil), cp.st.global...)

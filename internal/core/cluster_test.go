@@ -391,6 +391,58 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	if bp1 == bp2 {
 		t.Error("payload-capturing cluster plan was cached")
 	}
+
+	// Tenant-owned plans are cached per owner set — by identity, not by
+	// name — and leave the cache when their tenants close.
+	shards := func(base int) []*Tenant {
+		ts := make([]*Tenant, H)
+		for h := range ts {
+			if ts[h], err = cl.Host(h).NewTenant(TenantConfig{Name: "shard", Base: base, Bytes: 4 * m}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ts
+	}
+	a, b := shards(4*m), shards(8*m)
+	ap1, err := cl.CompileOn(a, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap2, err := cl.CompileOn(a, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, err := cl.CompileOn(b, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap1 != ap2 {
+		t.Error("recompiling on the same owners missed the cluster plan cache")
+	}
+	if ap1 == bp {
+		t.Error("different owners of the same name share a cluster plan")
+	}
+	for _, o := range a {
+		if err := o.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	live := 0
+	for _, st := range cl.cache {
+		for _, o := range st.owners {
+			if o.isClosed() {
+				t.Errorf("cluster cache keeps an entry owned by closed tenant %q", o.name)
+			}
+		}
+		if st.plan == bp {
+			live++
+		}
+	}
+	if live != 1 {
+		t.Errorf("closing one owner set evicted the other's plan (%d entries hold it, want 1)", live)
+	}
 }
 
 // Satellite regression: the legacy cost-only cluster satisfied payload
@@ -632,5 +684,155 @@ func TestClusterBreakdownTakesSlowestHost(t *testing.T) {
 	}
 	if cl.Breakdown().Total() != cl.Host(0).Meter().Snapshot().Total() {
 		t.Error("cluster breakdown should equal the busiest host's meter")
+	}
+}
+
+// TestClusterWireLegs pins every cluster lowering's wire charge against
+// the § IX-A closed forms, written out here as the test's own table:
+// per host, cost.Network of the compiled plan must equal the sum over
+// the lowering's network legs of rounds × RoundTime(bytes). The
+// differential tests (cost-only == functional, cluster == flat comm)
+// hold for a wrong round or byte count on both sides; this one does not.
+func TestClusterWireLegs(t *testing.T) {
+	const P, s = 16, 8
+	const m = 8 * P * 30 // a reduced payload every tested H divides
+	net := cost.DefaultParams().Net
+	log2 := func(h int) int { // ceil(log2 h)
+		r := 0
+		for 1<<r < h {
+			r++
+		}
+		return r
+	}
+	// rootedRounds: the root serves every other host, the others move
+	// their one portion.
+	rootedRounds := func(H int, root bool) int {
+		if root {
+			return H - 1
+		}
+		return 1
+	}
+	ring := func(H int) cost.Seconds { return cost.Seconds(2*(H-1)) * net.RoundTime(int64(m/H)) }
+	tree := func(H int) cost.Seconds { return cost.Seconds(2*log2(H)) * net.RoundTime(int64(m)) }
+	reduceD := func(p Primitive, bytes int, dst bool) Collective {
+		c := Collective{Prim: p, Dims: "1", Src: Span(0, bytes), Elem: elem.I32, Op: elem.Sum, Level: IM}
+		if dst {
+			c.Dst = At(8192)
+		}
+		return c
+	}
+	cases := []struct {
+		name   string
+		rooted bool // the wire charge depends on whether the host is the root
+		d      func(H int) ClusterCollective
+		want   func(H int, root bool) cost.Seconds
+	}{
+		{"AlltoAll", false, // H-1 rounds of one host's P×P blocks
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: Collective{Prim: AlltoAll, Dims: "1",
+					Src: Span(0, H*P*s), Dst: At(8192), Level: IM}}
+			},
+			func(H int, _ bool) cost.Seconds { return cost.Seconds(H-1) * net.RoundTime(P*P*s) }},
+		{"ReduceScatter", false, // H-1 rounds of one host's reduced P blocks
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: reduceD(ReduceScatter, H*P*s, true)}
+			},
+			func(H int, _ bool) cost.Seconds { return cost.Seconds(H-1) * net.RoundTime(P*s) }},
+		{"AllReduce/auto", false, // the cheaper of ring and tree, ring on a tie
+			func(H int) ClusterCollective { return ClusterCollective{Collective: reduceD(AllReduce, m, true)} },
+			func(H int, _ bool) cost.Seconds {
+				if tree(H) < ring(H) {
+					return tree(H)
+				}
+				return ring(H)
+			}},
+		{"AllReduce/ring", false, // 2(H-1) rounds of a 1/H portion
+			func(H int) ClusterCollective {
+				d := reduceD(AllReduce, m, true)
+				d.Algorithm = AlgoRing
+				return ClusterCollective{Collective: d}
+			},
+			func(H int, _ bool) cost.Seconds { return ring(H) }},
+		{"AllReduce/tree", false, // 2⌈log2 H⌉ rounds of the whole reduced buffer
+			func(H int) ClusterCollective {
+				d := reduceD(AllReduce, m, true)
+				d.Algorithm = AlgoTree
+				return ClusterCollective{Collective: d}
+			},
+			func(H int, _ bool) cost.Seconds { return tree(H) }},
+		{"AllGather", false, // H-1 rounds of one host's P contributions
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: Collective{Prim: AllGather, Dims: "1",
+					Src: Span(0, s), Dst: At(8192), Level: IM}}
+			},
+			func(H int, _ bool) cost.Seconds { return cost.Seconds(H-1) * net.RoundTime(P*s) }},
+		{"Scatter", true, // one host's P blocks per round
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: Collective{Prim: Scatter, Dims: "1", Dst: Span(0, s), Level: IM}}
+			},
+			func(H int, root bool) cost.Seconds {
+				return cost.Seconds(rootedRounds(H, root)) * net.RoundTime(P*s)
+			}},
+		{"Gather", true, // one host's P contributions per round
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}}
+			},
+			func(H int, root bool) cost.Seconds {
+				return cost.Seconds(rootedRounds(H, root)) * net.RoundTime(P*s)
+			}},
+		{"Reduce", true, // one reduced copy per round
+			func(H int) ClusterCollective { return ClusterCollective{Collective: reduceD(Reduce, m, false)} },
+			func(H int, root bool) cost.Seconds {
+				return cost.Seconds(rootedRounds(H, root)) * net.RoundTime(m)
+			}},
+		{"Broadcast", false, // binomial fan-out of the whole payload
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: Collective{Prim: Broadcast, Dims: "1", Dst: Span(0, 256), Level: IM}}
+			},
+			func(H int, _ bool) cost.Seconds { return cost.Seconds(log2(H)) * net.RoundTime(256) }},
+		{"Flat", true, // P raw buffers per host to the root, then a fan-out of the result
+			func(H int) ClusterCollective {
+				return ClusterCollective{Collective: reduceD(AllReduce, m, true), Flat: true}
+			},
+			func(H int, root bool) cost.Seconds {
+				var w cost.Seconds // a zero-round leg charges nothing, not 0 × RoundTime
+				if r := rootedRounds(H, root); r > 0 {
+					w += cost.Seconds(r) * net.RoundTime(P*m)
+				}
+				if r := log2(H); r > 0 {
+					w += cost.Seconds(r) * net.RoundTime(m)
+				}
+				return w
+			}},
+	}
+	for _, H := range []int{1, 2, 3, 5} {
+		cl := testCluster(t, H, geoHost, []int{P}, true)
+		for _, c := range cases {
+			for _, root := range []int{0, H - 1} {
+				d := c.d(H)
+				d.Root = root
+				cp, err := cl.Compile(d)
+				if err != nil {
+					t.Fatalf("H=%d %s root=%d: %v", H, c.name, root, err)
+				}
+				for h := 0; h < H; h++ {
+					got := cp.HostPlan(h).Cost().Get(cost.Network)
+					if want := c.want(H, h == root); got != want {
+						t.Errorf("H=%d %s root=%d host %d: network %v, want %v", H, c.name, root, h, got, want)
+					}
+				}
+				// Root and non-root hosts differ exactly where the forms
+				// say: a rooted wire on more than two hosts (at H = 2 the
+				// root's H-1 rounds are the non-root's one).
+				if other := (root + 1) % H; other != root {
+					rootNet := cp.HostPlan(root).Cost().Get(cost.Network)
+					otherNet := cp.HostPlan(other).Cost().Get(cost.Network)
+					if differ := rootNet != otherNet; differ != (c.rooted && H > 2) {
+						t.Errorf("H=%d %s root=%d: root %v vs non-root %v, differ=%v want %v",
+							H, c.name, root, rootNet, otherNet, differ, c.rooted && H > 2)
+					}
+				}
+			}
+		}
 	}
 }

@@ -84,7 +84,7 @@ type Comm struct {
 	// plans submitted outside any tenant; every tenant appends its own
 	// (async.go, tenant.go).
 	// sched, lookahead and stepped are the serving knobs: the pick
-	// policy (resolved through the Scheduler registry into schedImpl,
+	// policy (resolved through the schedulers table into schedImpl,
 	// lazily and again after every policy change — schedImplOf records
 	// which policy the instance serves), the candidate window depth of
 	// the window-scanning policies (0 = DefaultLookahead), and stepped
@@ -107,11 +107,14 @@ type Comm struct {
 	stepped      bool
 
 	// tenantMu guards the tenant registry, used to keep arenas disjoint,
-	// and the retired list of closed tenants, kept so machine-total
-	// accounting still sees their meters (tenant.go).
+	// the retired list of closed tenants, kept so machine-total
+	// accounting still sees their meters (tenant.go), and the clusters
+	// this Comm is a host of, whose caches a closing tenant is evicted
+	// from too.
 	tenantMu sync.Mutex
 	tenants  []*Tenant
 	retired  []*Tenant
+	clusters []*Cluster
 
 	// Parallel-execution state, all guarded by execMu (the knob and the
 	// per-shard contexts are only touched while an execution holds the

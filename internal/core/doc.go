@@ -108,22 +108,21 @@
 //
 // # Submission scheduling
 //
-// Which queued plan runs next is a pluggable policy behind one funnel
-// (sched.go, pickLocked in async.go), mirroring the algorithm registry:
-// the funnel enumerates the hazard-free candidates near every bucket's
-// head and the registered Scheduler's Pick chooses among them. Hazard
-// ordering, weighted-fair virtual-time bookkeeping and queue removal
-// are funnel invariants — a policy only reorders independent plans, so
-// results stay bit-identical to a serial replay in the chosen order.
-// Four policies are built in: WFQ (default), EDF, FIFO and Lookahead, a
-// makespan-aware list scheduler that dry-places candidate charge traces
-// on a projection cost.Timeline and serves the one minimizing the
-// projected joint makespan, under a WFQ virtual-time starvation bound.
-// RegisterScheduler accepts external policies; ParseSchedPolicy and
-// SchedPolicy.String round-trip every registered name. SetLookahead
-// bounds the candidate window of the window-scanning policies. The
-// bench "reorder" experiment measures the lookahead payoff on an
-// adversarial submission order.
+// Which queued plan runs next is a policy behind one funnel (sched.go,
+// pickLocked in async.go): the funnel enumerates the hazard-free
+// candidates near every bucket's head and the active Scheduler's Pick
+// chooses among them. Hazard ordering, weighted-fair virtual-time
+// bookkeeping and queue removal are funnel invariants — a policy only
+// reorders independent plans, so results stay bit-identical to a serial
+// replay in the chosen order. The schedulers table has four rows: WFQ
+// (default), EDF, FIFO and Lookahead, a makespan-aware list scheduler
+// that dry-places candidate charge traces on a projection cost.Timeline
+// and serves the one minimizing the projected joint makespan, under a
+// WFQ virtual-time starvation bound. ParseSchedPolicy and
+// SchedPolicy.String round-trip every name. SetLookahead bounds the
+// candidate window of the window-scanning policies. The bench "reorder"
+// experiment measures the lookahead payoff on an adversarial submission
+// order.
 //
 // # Paper map
 //

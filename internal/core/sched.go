@@ -3,16 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/cost"
 )
 
-// This file is the scheduler seam of the submission queue: a process-wide
-// registry maps SchedPolicy values to Scheduler implementations, exactly
-// as the algorithm registry (algorithm.go) maps Algorithm values to
-// schedule-IR producers. pickLocked (async.go) is the single funnel: it
+// This file is the scheduler seam of the submission queue: a static
+// table (schedulers) maps SchedPolicy values to Scheduler
+// implementations. pickLocked (async.go) is the single funnel: it
 // enumerates the hazard-free candidates near every bucket's head, hands
 // them to the active policy's Pick, and performs the shared bookkeeping
 // (queue removal, weighted-fair virtual-time advance). A policy therefore
@@ -56,13 +53,11 @@ type Candidate struct {
 }
 
 // Scheduler picks the next plan to serve among independent candidates.
-// Implementations are registered with RegisterScheduler and instantiated
-// per Comm (a Scheduler may keep state across picks — the lookahead
-// policy keeps a projection timeline). Calls are serialized under the
-// Comm's submission lock; implementations need no locking of their own.
+// Implementations are rows of the schedulers table, instantiated per
+// Comm (a Scheduler may keep state across picks — the lookahead policy
+// keeps a projection timeline). Calls are serialized under the Comm's
+// submission lock; implementations need no locking of their own.
 type Scheduler interface {
-	// Name is the parseable policy name as printed by SchedPolicy.String.
-	Name() string
 	// Window bounds how deep into each bucket the funnel enumerates
 	// candidates, given the Comm's configured lookahead (Comm.Lookahead).
 	// Head-only policies return 1.
@@ -74,134 +69,67 @@ type Scheduler interface {
 	Pick(cands []Candidate) int
 }
 
-// SchedSpec registers one submission scheduling policy.
+// SchedSpec describes one submission scheduling policy.
 type SchedSpec struct {
 	// Policy is the enum value the policy resolves from.
 	Policy SchedPolicy
 	// Name is the parseable policy name ("wfq", "edf", ...).
 	Name string
-	// Desc is a one-line description for registry tables (pidinfo -sched).
+	// Desc is a one-line description for policy tables (pidinfo -sched).
 	Desc string
 	// New creates a fresh instance; called lazily per Comm on first pick
 	// under the policy (and again after a policy switch).
 	New func() Scheduler
 }
 
-// The process-wide scheduling-policy registry. The built-ins register in
-// an init function below; external packages may add policies the same
-// way the algorithm registry accepts lowerings.
-var (
-	schedMu    sync.RWMutex
-	schedReg   = map[SchedPolicy]SchedSpec{}
-	schedNames = map[string]SchedPolicy{}
-)
-
-// RegisterScheduler adds a scheduling policy to the registry. It panics
-// on an invalid spec or a duplicate value or name — registration is an
-// init-time programming act, not a runtime input.
-func RegisterScheduler(sp SchedSpec) {
-	if sp.New == nil {
-		panic("core: RegisterScheduler with nil New")
-	}
-	if sp.Name == "" {
-		panic("core: RegisterScheduler with empty Name")
-	}
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	if _, dup := schedReg[sp.Policy]; dup {
-		panic(fmt.Sprintf("core: duplicate scheduling policy %d", int(sp.Policy)))
-	}
-	if _, dup := schedNames[sp.Name]; dup {
-		panic(fmt.Sprintf("core: duplicate scheduling policy name %q", sp.Name))
-	}
-	schedReg[sp.Policy] = sp
-	schedNames[sp.Name] = sp.Policy
+// schedulers is the scheduling-policy table, indexed by SchedPolicy.
+var schedulers = [...]SchedSpec{
+	SchedWFQ: {Policy: SchedWFQ, Name: "wfq",
+		Desc: "weighted fair across buckets (smallest virtual time; default)",
+		New:  func() Scheduler { return wfqSched{} }},
+	SchedEDF: {Policy: SchedEDF, Name: "edf",
+		Desc: "earliest deadline first among windowed hazard-free candidates",
+		New:  func() Scheduler { return edfSched{} }},
+	SchedFIFO: {Policy: SchedFIFO, Name: "fifo",
+		Desc: "global submission order (the pre-tenancy queue)",
+		New:  func() Scheduler { return fifoSched{} }},
+	SchedLookahead: {Policy: SchedLookahead, Name: "lookahead",
+		Desc: "makespan-aware reordering by dry-placed projection (WFQ-bounded)",
+		New:  func() Scheduler { return &lookaheadSched{} }},
 }
 
-// SchedPolicies returns the registered policy values in ascending value
-// order (deterministic regardless of registration order).
+// SchedPolicies returns the policy values in ascending value order.
 func SchedPolicies() []SchedPolicy {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	out := make([]SchedPolicy, 0, len(schedReg))
-	for p := range schedReg {
-		out = append(out, p)
+	out := make([]SchedPolicy, len(schedulers))
+	for i := range out {
+		out[i] = SchedPolicy(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// SchedSpecs returns the registered policy specs in ascending value
-// order — the registry table pidinfo -sched prints.
-func SchedSpecs() []SchedSpec {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	out := make([]SchedSpec, 0, len(schedReg))
-	for _, sp := range schedReg {
-		out = append(out, sp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Policy < out[j].Policy })
-	return out
-}
+// SchedSpecs returns the policy specs in ascending value order — the
+// table pidinfo -sched prints.
+func SchedSpecs() []SchedSpec { return append([]SchedSpec(nil), schedulers[:]...) }
 
 // ParseSchedPolicy parses a scheduling policy name as printed by
-// SchedPolicy.String ("wfq", "edf", "fifo", "lookahead", plus any
-// externally registered names).
+// SchedPolicy.String ("wfq", "edf", "fifo", "lookahead").
 func ParseSchedPolicy(s string) (SchedPolicy, error) {
-	schedMu.RLock()
-	p, ok := schedNames[s]
-	schedMu.RUnlock()
-	if !ok {
-		names := make([]string, 0, len(schedReg))
-		for _, sp := range SchedSpecs() {
-			names = append(names, sp.Name)
+	names := make([]string, len(schedulers))
+	for i, sp := range schedulers {
+		if sp.Name == s {
+			return sp.Policy, nil
 		}
-		return 0, fmt.Errorf("core: unknown scheduling policy %q (want one of %v)", s, names)
+		names[i] = sp.Name
 	}
-	return p, nil
+	return 0, fmt.Errorf("core: unknown scheduling policy %q (want one of %v)", s, names)
 }
 
-// String names the policy for tables and diagnostics, consulting the
-// registry so externally registered policies print their own names.
+// String names the policy for tables and diagnostics.
 func (p SchedPolicy) String() string {
-	schedMu.RLock()
-	sp, ok := schedReg[p]
-	schedMu.RUnlock()
-	if ok {
-		return sp.Name
+	if p >= 0 && int(p) < len(schedulers) {
+		return schedulers[p].Name
 	}
 	return fmt.Sprintf("SchedPolicy(%d)", int(p))
-}
-
-// schedSpecOf looks up a registered policy.
-func schedSpecOf(p SchedPolicy) (SchedSpec, bool) {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	sp, ok := schedReg[p]
-	return sp, ok
-}
-
-func init() {
-	RegisterScheduler(SchedSpec{
-		Policy: SchedWFQ, Name: "wfq",
-		Desc: "weighted fair across buckets (smallest virtual time; default)",
-		New:  func() Scheduler { return wfqSched{} },
-	})
-	RegisterScheduler(SchedSpec{
-		Policy: SchedEDF, Name: "edf",
-		Desc: "earliest deadline first among windowed hazard-free candidates",
-		New:  func() Scheduler { return edfSched{} },
-	})
-	RegisterScheduler(SchedSpec{
-		Policy: SchedFIFO, Name: "fifo",
-		Desc: "global submission order (the pre-tenancy queue)",
-		New:  func() Scheduler { return fifoSched{} },
-	})
-	RegisterScheduler(SchedSpec{
-		Policy: SchedLookahead, Name: "lookahead",
-		Desc: "makespan-aware reordering by dry-placed projection (WFQ-bounded)",
-		New:  func() Scheduler { return &lookaheadSched{} },
-	})
 }
 
 // fifoSched serves the globally oldest queued plan: plain submission
@@ -209,7 +137,6 @@ func init() {
 // FIFO pick never jumps a queue-mate.
 type fifoSched struct{}
 
-func (fifoSched) Name() string   { return "fifo" }
 func (fifoSched) Window(int) int { return 1 }
 func (fifoSched) Pick(cands []Candidate) int {
 	best := 0
@@ -228,7 +155,6 @@ func (fifoSched) Pick(cands []Candidate) int {
 // plain FIFO.
 type wfqSched struct{}
 
-func (wfqSched) Name() string   { return "wfq" }
 func (wfqSched) Window(int) int { return 1 }
 func (wfqSched) Pick(cands []Candidate) int {
 	best := 0
@@ -247,7 +173,6 @@ func (wfqSched) Pick(cands []Candidate) int {
 // later switch back to SchedWFQ resumes fair.
 type edfSched struct{}
 
-func (edfSched) Name() string     { return "edf" }
 func (edfSched) Window(k int) int { return k }
 func (edfSched) Pick(cands []Candidate) int {
 	best := 0
@@ -296,7 +221,6 @@ type lookaheadSched struct {
 	elig   []int // scratch: indices of starvation-eligible candidates
 }
 
-func (s *lookaheadSched) Name() string     { return "lookahead" }
 func (s *lookaheadSched) Window(k int) int { return k }
 
 func (s *lookaheadSched) Pick(cands []Candidate) int {

@@ -7,19 +7,19 @@ import (
 	"repro/internal/cost"
 )
 
-// Tests for the scheduler registry and the policies behind the
+// Tests for the schedulers table and the policies behind the
 // pickLocked funnel: name round-trips, the lookahead policy's
 // makespan-aware reordering and starvation bound, the configurable
 // candidate window, and the funnel's bit-identical-to-serial contract
-// under every registered policy.
+// under every policy.
 
-// Every registered policy name must round-trip through ParseSchedPolicy
+// Every policy name must round-trip through ParseSchedPolicy
 // and String, and the four built-ins must be present under their
 // documented names.
 func TestParseSchedPolicyRoundTrip(t *testing.T) {
 	pols := SchedPolicies()
 	if len(pols) < 4 {
-		t.Fatalf("registry has %d policies, want at least the 4 built-ins", len(pols))
+		t.Fatalf("table has %d policies, want at least the 4 built-ins", len(pols))
 	}
 	for _, p := range pols {
 		got, err := ParseSchedPolicy(p.String())
@@ -43,7 +43,7 @@ func TestParseSchedPolicyRoundTrip(t *testing.T) {
 		t.Errorf("parse error %q does not list the valid names", err)
 	}
 	if s := SchedPolicy(97).String(); s != "SchedPolicy(97)" {
-		t.Errorf("unregistered policy prints %q", s)
+		t.Errorf("out-of-table policy prints %q", s)
 	}
 }
 
@@ -177,11 +177,10 @@ func schedPropertyPlans(t *testing.T, c *Comm) []*CompiledPlan {
 	return plans
 }
 
-// Every registered policy preserves hazard order and stays bit-identical
+// Every policy preserves hazard order and stays bit-identical
 // to a serial replay in the order it chose: per-future breakdowns and
-// the machine meter must match the twin's bit for bit. Runs the full
-// registry, so an externally registered policy is held to the same
-// contract.
+// the machine meter must match the twin's bit for bit. Runs the whole
+// table, so a new row is held to the same contract.
 func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -238,7 +237,7 @@ func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 	}
 }
 
-// Every registered policy drains a live (non-stepped) queue cleanly:
+// Every policy drains a live (non-stepped) queue cleanly:
 // the background worker picks while submissions race in, which puts the
 // funnel's locking under the race detector for each policy.
 func TestSchedulersConcurrentDrain(t *testing.T) {

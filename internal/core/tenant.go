@@ -189,9 +189,10 @@ func (c *Comm) RetiredTenants() []*Tenant {
 
 // Close retires the tenant: it drains the machine, rejects every later
 // admission with ErrTenantClosed, removes the tenant's scheduler bucket
-// and evicts its owned plans from the plan caches — plan keys carry
-// absolute offsets, so a successor tenant reusing the arena would
-// otherwise collide with the retiree's cached plans. The tenant's meter
+// and evicts its owned plans from the plan caches, the Comm's and those
+// of the clusters it is a host of — plan keys carry absolute offsets, so
+// a successor tenant reusing the arena would otherwise collide with the
+// retiree's cached plans. The tenant's meter
 // survives on the Comm's retired list (RetiredTenants); the arena
 // window itself is the caller's to reclaim (pidcomm.Machine.CloseTenant
 // returns it to the dram free-list allocator). Returns ErrTenantClosed
@@ -230,8 +231,12 @@ func (t *Tenant) Close() error {
 		}
 	}
 	c.retired = append(c.retired, t)
+	clusters := c.clusters
 	c.tenantMu.Unlock()
 	c.evictOwnedPlans(t)
+	for _, cl := range clusters {
+		cl.evictOwned(t)
+	}
 	return nil
 }
 

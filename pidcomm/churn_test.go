@@ -1,6 +1,8 @@
 package pidcomm_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"sync"
 	"testing"
 
@@ -122,5 +124,131 @@ func TestChurnMeterProperty(t *testing.T) {
 	spans := mach.FreeArenaSpans()
 	if len(spans) != 1 || spans[0].Base != 0 || spans[0].Bytes != tenantGeo.MramPerBank {
 		t.Fatalf("allocator did not return to its initial free state: %v", spans)
+	}
+}
+
+// A fresh cluster session after tenant churn must compile its own
+// plans: the closed session's cluster plans are owned by dead tenants
+// and used to be served to any later session of the same name (every
+// cl.Comm() is named "machine"), failing its first Run with
+// ErrTenantClosed. The third cycle carves the session behind a pad, so
+// a plan bound to the previous session's base offset would read the
+// pad's zeros and miss the expected sums.
+func TestClusterSessionAfterChurn(t *testing.T) {
+	const hosts, P, m = 2, 32, 8 * 32
+	cl, err := pidcomm.NewCluster(hosts, tenantGeo, []int{P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+		Prim: pidcomm.AllReduce, Dims: "1", Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
+		Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.IM,
+	}}
+	cycle := func(name string, cc *pidcomm.ClusterComm, err error, wantBase int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if base, _ := cc.Arena(); base != wantBase {
+			t.Fatalf("%s: session carved at base %d, want %d", name, base, wantBase)
+		}
+		// Global rank g contributes g+1 in every element.
+		var want uint32
+		for g := 0; g < hosts*P; g++ {
+			buf := make([]byte, m)
+			for i := 0; i < m; i += 4 {
+				binary.LittleEndian.PutUint32(buf[i:], uint32(g+1))
+			}
+			cc.Host(g/P).SetPEBuffer(g%P, 0, buf)
+			want += uint32(g + 1)
+		}
+		if _, err := cc.Run(d); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for g := 0; g < hosts*P; g++ {
+			got := cc.Host(g/P).GetPEBuffer(g%P, 2*m, m)
+			for i := 0; i < m; i += 4 {
+				if v := binary.LittleEndian.Uint32(got[i:]); v != want {
+					t.Fatalf("%s: global rank %d element %d = %d, want %d", name, g, i/4, v, want)
+				}
+			}
+		}
+		for h := 0; h < hosts; h++ {
+			if err := cc.Host(h).Close(); err != nil {
+				t.Fatalf("%s: closing shard %d: %v", name, h, err)
+			}
+		}
+	}
+	cc, err := cl.Comm()
+	cycle("first session", cc, err, 0)
+	cc, err = cl.Comm()
+	cycle("session after churn", cc, err, 0)
+	const pad = 1 << 10
+	if _, err := cl.NewTenant(pidcomm.TenantConfig{Name: "pad", ArenaBytes: pad}); err != nil {
+		t.Fatal(err)
+	}
+	cc, err = cl.NewTenant(pidcomm.TenantConfig{Name: "machine", ArenaBytes: 4 * m})
+	cycle("session behind a pad", cc, err, pad)
+}
+
+// A cluster run rejected by one host's quota must leave no host
+// charged: admission scans the hosts in order, so the hosts before the
+// rejecting one used to keep their reservation for a run that never
+// happened. Gather rooted at the last host puts the expensive plan last.
+func TestClusterRejectedRunRefundsQuota(t *testing.T) {
+	const hosts, P = 3, 32
+	cl, err := pidcomm.NewCluster(hosts, tenantGeo, []int{P}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gather := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+		Prim: pidcomm.Gather, Dims: "1", Src: pidcomm.Span(0, 512), Level: pidcomm.IM}, Root: hosts - 1}
+	bcast := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+		Prim: pidcomm.Broadcast, Dims: "1", Dst: pidcomm.Span(0, 8), Level: pidcomm.IM}}
+	probe, err := cl.NewTenant(pidcomm.TenantConfig{Name: "probe", ArenaBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostCost := func(d pidcomm.ClusterCollective, h int) pidcomm.Seconds {
+		cp, err := probe.Compile(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp.HostPlan(h).Cost().Total()
+	}
+	nonRoot, root, small := hostCost(gather, 0), hostCost(gather, hosts-1), hostCost(bcast, 0)
+	// The quota admits the non-root gather and the broadcast on their
+	// own, but neither the root gather nor the broadcast on top of a
+	// leaked non-root reservation.
+	quota := (max(nonRoot, small) + root) / 2
+	if !(max(nonRoot, small) < quota && quota < root && nonRoot+small > quota) {
+		t.Fatalf("cost model drifted: non-root %v, root %v, broadcast %v leave no quota between", nonRoot, root, small)
+	}
+	cc, err := cl.NewTenant(pidcomm.TenantConfig{Name: "capped", ArenaBytes: 1 << 10, Quota: quota})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRefunded := func(what string) {
+		t.Helper()
+		for h := 0; h < hosts; h++ {
+			if got := cc.Host(h).Admitted(); got != 0 {
+				t.Errorf("after a rejected %s, host %d keeps %v admitted", what, h, got)
+			}
+		}
+	}
+	if _, err := cc.Run(gather); !errors.Is(err, pidcomm.ErrQuotaExceeded) {
+		t.Fatalf("over-quota Run: got %v, want ErrQuotaExceeded", err)
+	}
+	checkRefunded("Run")
+	fut, err := cc.Submit(gather)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Err(); !errors.Is(err, pidcomm.ErrQuotaExceeded) {
+		t.Fatalf("over-quota Submit: got %v, want ErrQuotaExceeded", err)
+	}
+	checkRefunded("Submit")
+	if _, err := cc.Run(bcast); err != nil {
+		t.Fatalf("in-quota run after the rejections: %v", err)
 	}
 }

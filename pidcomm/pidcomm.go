@@ -246,8 +246,7 @@ var ErrTenantClosed = core.ErrTenantClosed
 type SubmitOptions = core.SubmitOptions
 
 // SchedPolicy selects how the machine picks the next queued plan
-// (WithSched). Every value resolves through the
-// scheduler registry; ParseSchedPolicy maps names to values.
+// (WithSched); ParseSchedPolicy maps names to values.
 type SchedPolicy = core.SchedPolicy
 
 // Re-exported scheduling policies: weighted-fair queuing (default),
@@ -265,8 +264,7 @@ const (
 // name-based selection `pidbench -sched` and `pidinfo -sched` use.
 func ParseSchedPolicy(s string) (SchedPolicy, error) { return core.ParseSchedPolicy(s) }
 
-// SchedPolicies returns the registered scheduling policies in value
-// order.
+// SchedPolicies returns the scheduling policies in value order.
 func SchedPolicies() []SchedPolicy { return core.SchedPolicies() }
 
 // DefaultLookahead is the default candidate window depth of the
