@@ -72,7 +72,8 @@ docs:
 
 # The tracked size of the product: non-test Go lines per package
 # (benchmark/ excluded) and in total, plus the exported-method counts of
-# the two widest types. ROADMAP wants these numbers to go down.
+# the two widest types and of the session type (core.Tenant, which
+# pidcomm re-exports as Comm). ROADMAP wants these numbers to go down.
 loc:
 	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./... | grep -v '/benchmark$$'); do \
 		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs -r cat | wc -l); \
@@ -81,12 +82,13 @@ loc:
 	done; printf '%7d  total non-test Go lines\n' $$total
 	@printf '%7d  exported methods on core.Comm\n' $$($(GO) doc ./internal/core Comm | grep -c '^func (c \*Comm)')
 	@printf '%7d  exported methods on pidcomm.Machine\n' $$($(GO) doc ./pidcomm Machine | grep -c '^func (m \*Machine)')
+	@printf '%7d  exported methods on core.Tenant (= pidcomm.Comm)\n' $$($(GO) doc ./internal/core Tenant | grep -c '^func (t \*Tenant)')
 
 # The size ratchet: internal/core + pidcomm may not grow past the
 # non-test line count of the last PR that shrank them. A shrinking PR
 # lowers the constant to its own number; raising it needs a reason in
 # CHANGES.md.
-LOC_CEILING = 7905
+LOC_CEILING = 7698
 
 loc-check:
 	@n=$$(ls internal/core/*.go pidcomm/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

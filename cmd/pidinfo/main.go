@@ -437,13 +437,14 @@ func printTenants(mram int) error {
 		"tenant", "arena [base,end)", "weight", "quota (ms)", "admitted(ms)", "meter(ms)", "rejected")
 	for _, ti := range mach.Tenants() {
 		quota := "unlimited"
-		if ti.Quota > 0 {
-			quota = fmt.Sprintf("%.3f", float64(ti.Quota)*1e3)
+		if ti.Quota() > 0 {
+			quota = fmt.Sprintf("%.3f", float64(ti.Quota())*1e3)
 		}
+		base, bytes := ti.Arena()
 		fmt.Printf("%-8s [%8d,%8d) %6.0f %12s %12.3f %10.3f %8d\n",
-			ti.Name, ti.ArenaBase, ti.ArenaBase+ti.ArenaBytes, ti.Weight,
-			quota, float64(ti.Admitted)*1e3, float64(ti.Meter.Total())*1e3,
-			rejected[ti.Name])
+			ti.Name(), base, base+bytes, ti.Weight(),
+			quota, float64(ti.Admitted())*1e3, float64(ti.Meter().Total())*1e3,
+			rejected[ti.Name()])
 	}
 	fmt.Printf("\nmachine breakdown (sum of tenant meters): %v\n", mach.Breakdown())
 	fmt.Printf("elapsed (overlap-aware makespan):         %.3f ms\n", float64(mach.Elapsed())*1e3)

@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, picked, err := comm.AutoResolve(aa)
+		_, picked, err := comm.Resolve(aa)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func tenantRequest(m int) [2]pidcomm.Collective {
 // given tenants, each serving requests request-pairs of m bytes/PE.
 // It returns the two machine breakdowns (for the equality pin) and the
 // two makespans.
-func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidcomm.Breakdown, serial, fair pidcomm.Seconds, infos []pidcomm.TenantInfo, err error) {
+func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidcomm.Breakdown, serial, fair pidcomm.Seconds, infos []*pidcomm.Comm, err error) {
 	arena := 4 * m
 
 	// Serial: every plan runs blocking, a machine-wide barrier each.
@@ -125,10 +125,11 @@ func writeMultiTenant(w io.Writer, specs []tenantSpec, m, requests int) error {
 	}
 	t := newTable("Tenant", "Weight", "Arena KiB/PE", "Plans", "Attributed ms")
 	for _, ti := range infos {
-		t.add(ti.Name, fmt.Sprintf("%.0f", ti.Weight),
-			fmt.Sprintf("%d", ti.ArenaBytes>>10),
+		_, arenaBytes := ti.Arena()
+		t.add(ti.Name(), fmt.Sprintf("%.0f", ti.Weight()),
+			fmt.Sprintf("%d", arenaBytes>>10),
 			fmt.Sprintf("%d", 2*requests),
-			fmt.Sprintf("%.3f", float64(ti.Meter.Total())*1e3))
+			fmt.Sprintf("%.3f", float64(ti.Meter().Total())*1e3))
 	}
 	t.write(w)
 	fmt.Fprintf(w, "\nwork identical across modes: %v\n", serialBD == fairBD)

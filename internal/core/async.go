@@ -73,13 +73,6 @@ func (c *Comm) SetSched(p SchedPolicy) {
 	c.asyncMu.Unlock()
 }
 
-// Sched returns the current submission scheduling policy.
-func (c *Comm) Sched() SchedPolicy {
-	c.asyncMu.Lock()
-	defer c.asyncMu.Unlock()
-	return c.sched
-}
-
 // SetLookahead configures the candidate window: how deep into each
 // bucket the window-scanning policies (SchedEDF, SchedLookahead)
 // consider hazard-free plans at each pick. The default is
@@ -121,13 +114,6 @@ func (c *Comm) SetStepped(on bool) {
 	c.asyncMu.Lock()
 	c.stepped = on
 	c.asyncMu.Unlock()
-}
-
-// Stepped reports whether the Comm is in stepped serving mode.
-func (c *Comm) Stepped() bool {
-	c.asyncMu.Lock()
-	defer c.asyncMu.Unlock()
-	return c.stepped
 }
 
 // Pending returns the number of submitted plans not yet completed
@@ -289,14 +275,6 @@ func (f *Future) Window() (start, end cost.Seconds) {
 // Plan returns the compiled plan this future executes.
 func (f *Future) Plan() *CompiledPlan { return f.cp }
 
-// Deadline returns the absolute simulated-time deadline the plan was
-// submitted with (0 = none).
-func (f *Future) Deadline() cost.Seconds { return f.deadline }
-
-// NotBefore returns the simulated arrival time the plan was submitted
-// with: its timeline placement starts no earlier.
-func (f *Future) NotBefore() cost.Seconds { return f.notBefore }
-
 // subQueue is one weighted-fair submission bucket: the default queue of
 // a Comm (weight 1) or one tenant's queue. Within a bucket plans execute
 // in FIFO submission order — which is what preserves the hazard ordering
@@ -367,7 +345,7 @@ func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
 		// Re-check closure under asyncMu: a Close racing this submission
 		// has either already swept the bucket (we must not re-populate
 		// it) or will sweep the entry we are about to append.
-		if t.isClosed() {
+		if t.Closed() {
 			c.asyncMu.Unlock()
 			<-c.asyncSlots
 			t.refund(cp.tr.total.Total())

@@ -112,13 +112,6 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 	}
 }
 
-// AutoObjective returns the comm's current Auto objective.
-func (c *Comm) AutoObjective() AutoObjective {
-	c.autoMu.Lock()
-	defer c.autoMu.Unlock()
-	return c.autoObj
-}
-
 // autoPick evaluates every candidate (algorithm, level) pair for the key
 // on the cost-only shadow and returns the best under the comm's
 // objective. The algorithm axis is the key's constraint (AlgoAuto means

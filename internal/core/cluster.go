@@ -276,7 +276,8 @@ func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
 // CompileOn is Compile resolved against one tenant per host: regions
 // are arena-relative, runs are admitted against every host's tenant
 // quota up front, and charges are attributed per host tenant. The
-// pidcomm layer uses it to shard a serving tenant across a cluster.
+// pidcomm layer uses it to shard a serving tenant across a cluster. A
+// closed owner fails with ErrTenantClosed and caches nothing.
 func (cl *Cluster) CompileOn(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
 	if len(owners) != len(cl.comms) {
 		return nil, fmt.Errorf("core: %d tenants for %d hosts", len(owners), len(cl.comms))
@@ -318,6 +319,13 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	// Under cl.mu, which Tenant.Close's evictOwned takes after setting the
+	// flag: a closed owner adds no entry, a racing Close evicts it.
+	for _, t := range owners {
+		if err := t.errIfClosed(); err != nil {
+			return nil, err
+		}
+	}
 	st, ok := cl.cache[key]
 	switch {
 	case !ok:
@@ -345,11 +353,9 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
-		hp := cl.comms[h].compiledSequence(specs)
-		if err := hp.adopt(owner); err != nil {
+		if cp.plans[h], err = cl.comms[h].compiledSequence(specs, owner); err != nil {
 			return nil, fmt.Errorf("cluster host %d: %w", h, err)
 		}
-		cp.plans[h] = hp
 	}
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp

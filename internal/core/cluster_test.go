@@ -394,16 +394,18 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 
 	// Tenant-owned plans are cached per owner set — by identity, not by
 	// name — and leave the cache when their tenants close.
-	shards := func(base int) []*Tenant {
+	shards := func() []*Tenant {
 		ts := make([]*Tenant, H)
 		for h := range ts {
-			if ts[h], err = cl.Host(h).NewTenant(TenantConfig{Name: "shard", Base: base, Bytes: 4 * m}); err != nil {
+			if ts[h], err = cl.Host(h).NewTenant(TenantConfig{Name: "shard", ArenaBytes: 4 * m}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return ts
 	}
-	a, b := shards(4*m), shards(8*m)
+	// The first set only pads [0, 4m), where the machine-owned plans above
+	// live: a's and b's keys carry their own bases.
+	_, a, b := shards(), shards(), shards()
 	ap1, err := cl.CompileOn(a, d)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +434,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	live := 0
 	for _, st := range cl.cache {
 		for _, o := range st.owners {
-			if o.isClosed() {
+			if o.Closed() {
 				t.Errorf("cluster cache keeps an entry owned by closed tenant %q", o.name)
 			}
 		}

@@ -175,11 +175,7 @@ func (c *Comm) compileIn(ar arena, owner *Tenant, d Collective) (*CompiledPlan, 
 	if err != nil {
 		return nil, err
 	}
-	cp := c.compiledPlan(spec)
-	if err := cp.adopt(owner); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	return c.compiledPlan(spec, owner)
 }
 
 // CompileSequence compiles ds as one fused multi-collective plan: the
@@ -217,11 +213,7 @@ func (c *Comm) compileSequenceIn(ar arena, owner *Tenant, ds []Collective) (*Com
 		}
 		specs[i] = sp
 	}
-	cp := c.compiledSequence(specs)
-	if err := cp.adopt(owner); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	return c.compiledSequence(specs, owner)
 }
 
 // sizeRule derives the byte size of one role of a collective (the Dst

@@ -106,15 +106,16 @@ type Comm struct {
 	cands        []Candidate
 	stepped      bool
 
-	// tenantMu guards the tenant registry, used to keep arenas disjoint,
-	// the retired list of closed tenants, kept so machine-total
-	// accounting still sees their meters (tenant.go), and the clusters
-	// this Comm is a host of, whose caches a closing tenant is evicted
-	// from too.
-	tenantMu sync.Mutex
-	tenants  []*Tenant
-	retired  []*Tenant
-	clusters []*Cluster
+	// tenantMu guards the registry of live tenants, tenantSeq, the count
+	// of tenants ever registered that default names are drawn from, the
+	// retired list of closed tenants, kept so machine-total accounting
+	// still sees their meters (tenant.go), and the clusters this Comm is a
+	// host of, whose caches a closing tenant is evicted from too.
+	tenantMu  sync.Mutex
+	tenants   []*Tenant
+	tenantSeq int
+	retired   []*Tenant
+	clusters  []*Cluster
 
 	// Parallel-execution state, all guarded by execMu (the knob and the
 	// per-shard contexts are only touched while an execution holds the

@@ -99,12 +99,15 @@
 // tenant owns a disjoint per-PE MRAM arena its descriptors are resolved
 // against, a meter that mirrors every charge of its plans (bit-identical
 // to running alone), a weight, and an optional simulated-time quota
-// enforced at admission. The submission queue becomes per-tenant
-// buckets served by start-time weighted fair queuing (async.go); within
-// a bucket FIFO order — and with it hazard order — is preserved, while
-// across tenants the disjoint arenas guarantee hazard-freedom and the
-// shared timeline overlaps the streams. The bench "multitenant"
-// experiment measures the serving win.
+// enforced at admission. The whole lifecycle lives there: NewTenant
+// carves the arena from the system's free-list allocator and registers
+// the session, Close retires it, evicts its plans and frees the arena —
+// pidcomm re-exports the type as its Comm. The submission queue becomes
+// per-tenant buckets served by start-time weighted fair queuing
+// (async.go); within a bucket FIFO order — and with it hazard order — is
+// preserved, while across tenants the disjoint arenas guarantee
+// hazard-freedom and the shared timeline overlaps the streams. The bench
+// "multitenant" experiment measures the serving win.
 //
 // # Submission scheduling
 //

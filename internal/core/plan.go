@@ -108,11 +108,9 @@ type CompiledPlan struct {
 	// regs is the plan's per-PE MRAM footprint, used for hazard
 	// detection between asynchronously submitted plans (async.go).
 	regs planRegions
-	// owner is the tenant every run of this plan is attributed to and
-	// admitted against (nil for a plain Comm); owned marks that the
-	// first compile has bound it. Guarded by c.compMu (tenant.go).
+	// owner is the tenant that compiled the plan: every run is attributed
+	// to it and admitted against it (nil for a plain Comm). Immutable.
 	owner *Tenant
-	owned bool
 
 	// fusion reports what the fusion pipeline did to the schedule
 	// (zero-valued when the plan was compiled with FuseOff).
@@ -314,20 +312,29 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 // else is cached whole, so a repeated signature is a map lookup. With
 // fusion enabled the lowered schedule goes through the peephole passes
 // (fuse.go) before tracing, so the cached charge trace is the fused one.
-func (c *Comm) compiledPlan(spec planSpec) *CompiledPlan {
+//
+// owner is the tenant the plan is charged to (nil for a plain Comm): a
+// miss binds it, a hit verifies it, and a closed owner compiles nothing.
+// The closed check runs under compMu, which Tenant.Close's eviction
+// takes after setting the flag, so a Close racing the compile either
+// stops it here or evicts what it cached.
+func (c *Comm) compiledPlan(spec planSpec, owner *Tenant) (*CompiledPlan, error) {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
+	if err := owner.errIfClosed(); err != nil {
+		return nil, err
+	}
 	key := spec.key
 	key.fused = c.fuse.enabled()
 	if !spec.hostBufs {
 		if cp, ok := c.compiled[key]; ok {
 			c.cacheSt.PlanHits++
 			c.cacheSt.TraceHits++
-			return cp
+			return cp, cp.checkOwner(owner)
 		}
 	}
 	c.cacheSt.PlanMisses++
-	cp := &CompiledPlan{c: c, key: key, regs: spec.regs}
+	cp := &CompiledPlan{c: c, key: key, regs: spec.regs, owner: owner}
 	cp.sched = spec.lower(cp)
 	cp.fusion = c.fuseLocked(cp.sched)
 	if tr, ok := c.traces[key]; ok {
@@ -342,7 +349,7 @@ func (c *Comm) compiledPlan(spec planSpec) *CompiledPlan {
 	if !spec.hostBufs {
 		c.compiled[key] = cp
 	}
-	return cp
+	return cp, nil
 }
 
 // fuseLocked applies the fusion pipeline to sched in place (no-op at
@@ -381,9 +388,13 @@ func (c *Comm) finishFusionLocked(cp *CompiledPlan) {
 // plan boundaries, epoch coalescing) happen — and traced as a single
 // plan. Sequences with no host-input member are cached by their member
 // signatures; each member's unfused cost is traced for attribution.
-func (c *Comm) compiledSequence(specs []planSpec) *CompiledPlan {
+// owner is bound, verified and checked open as in compiledPlan.
+func (c *Comm) compiledSequence(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
+	if err := owner.errIfClosed(); err != nil {
+		return nil, err
+	}
 	cacheable := true
 	var sb strings.Builder
 	for _, sp := range specs {
@@ -398,13 +409,13 @@ func (c *Comm) compiledSequence(specs []planSpec) *CompiledPlan {
 		if cp, ok := c.seqPlans[seqKey]; ok {
 			c.cacheSt.PlanHits++
 			c.cacheSt.TraceHits++
-			return cp
+			return cp, cp.checkOwner(owner)
 		}
 	}
 	c.cacheSt.PlanMisses++
 	c.cacheSt.TraceMisses++
 
-	cp := &CompiledPlan{c: c, key: specs[0].key}
+	cp := &CompiledPlan{c: c, key: specs[0].key, owner: owner}
 	cp.key.fused = c.fuse.enabled()
 	cp.members = make([]Primitive, len(specs))
 	cp.memberCosts = make([]cost.Breakdown, len(specs))
@@ -427,7 +438,7 @@ func (c *Comm) compiledSequence(specs []planSpec) *CompiledPlan {
 	if cacheable {
 		c.seqPlans[seqKey] = cp
 	}
-	return cp
+	return cp, nil
 }
 
 // PlanCacheStats reports the compiled-plan cache's behavior and memory

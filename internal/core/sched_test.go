@@ -153,11 +153,11 @@ func TestLookaheadStarvationBound(t *testing.T) {
 func schedPropertyPlans(t *testing.T, c *Comm) []*CompiledPlan {
 	t.Helper()
 	const m = 16 * 8
-	ta, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12, Weight: 2})
+	ta, err := c.NewTenant(TenantConfig{Name: "a", ArenaBytes: 1 << 12, Weight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 12, Bytes: 1 << 12})
+	tb, err := c.NewTenant(TenantConfig{Name: "b", ArenaBytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 
 // servingTenantCfg builds a TenantConfig over the tenantTestComm
 // geometry.
-func servingTenantCfg(name string, base int, maxPending int, shed ShedPolicy) TenantConfig {
-	return TenantConfig{Name: name, Base: base, Bytes: 1 << 12, Weight: 1,
+func servingTenantCfg(name string, maxPending int, shed ShedPolicy) TenantConfig {
+	return TenantConfig{Name: name, ArenaBytes: 1 << 12, Weight: 1,
 		MaxPending: maxPending, Shed: shed}
 }
 
@@ -87,7 +87,7 @@ func TestSteppedStepAndFlush(t *testing.T) {
 	if f := c.Step(); f != nil {
 		t.Fatalf("Step on an idle comm returned %v", f)
 	}
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSteppedStepAndFlush(t *testing.T) {
 func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	c.SetStepped(true)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 1, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 func TestShedOldestDropsQueuedVictim(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	c.SetStepped(true)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 1, ShedOldest))
+	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedOldest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +189,21 @@ func TestShedOldestDropsQueuedVictim(t *testing.T) {
 }
 
 // Tenant.Close retires the session: queued work drains first, later
-// submissions and runs fail with ErrTenantClosed, a second Close fails
+// compiles, runs and submissions fail with ErrTenantClosed (a plan
+// compiled before the close through its future), a second Close fails
 // the same way, and the tenant moves to the retired list with its meter
 // intact.
 func TestTenantCloseRetires(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := ta.Submit(servingCollective)
+	cp, err := ta.Compile(servingCollective)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := cp.Submit()
 	if err := ta.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -217,12 +219,11 @@ func TestTenantCloseRetires(t *testing.T) {
 	if _, err := ta.Run(servingCollective); !errors.Is(err, ErrTenantClosed) {
 		t.Fatalf("Run after close error = %v, want ErrTenantClosed", err)
 	}
-	fc, err := ta.Submit(servingCollective)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := ta.Submit(servingCollective); !errors.Is(err, ErrTenantClosed) {
+		t.Fatalf("Submit after close error = %v, want ErrTenantClosed", err)
 	}
-	if !errors.Is(fc.Err(), ErrTenantClosed) {
-		t.Fatalf("Submit after close future error = %v, want ErrTenantClosed", fc.Err())
+	if fc := cp.Submit(); !errors.Is(fc.Err(), ErrTenantClosed) {
+		t.Fatalf("future of a pre-close plan submitted after close: error = %v, want ErrTenantClosed", fc.Err())
 	}
 	for _, live := range c.Tenants() {
 		if live == ta {
@@ -233,7 +234,7 @@ func TestTenantCloseRetires(t *testing.T) {
 	if len(retired) != 1 || retired[0] != ta {
 		t.Fatalf("retired list %v, want [a]", retired)
 	}
-	if retired[0].Meter().Snapshot().Total() == 0 {
+	if retired[0].Meter().Total() == 0 {
 		t.Fatal("retired tenant lost its meter")
 	}
 }
@@ -244,7 +245,7 @@ func TestTenantCloseRetires(t *testing.T) {
 // the cache must miss — not adopt the dead tenant's plan.
 func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	if err := ta.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant(servingTenantCfg("b", 0, 0, ShedReject))
+	tb, err := c.NewTenant(servingTenantCfg("b", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +284,11 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 // clock — no burst credit accumulated while it did not exist.
 func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, 0, ShedReject))
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant(servingTenantCfg("b", 1<<12, 0, ShedReject))
+	tb, err := c.NewTenant(servingTenantCfg("b", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	if err := ta.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tc, err := c.NewTenant(servingTenantCfg("c", 0, 0, ShedReject))
+	tc, err := c.NewTenant(servingTenantCfg("c", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +323,46 @@ func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	c.asyncMu.Unlock()
 	if vc == 0 {
 		t.Errorf("successor bucket kept zero vtime (burst credit); want join at vclock ~%v", vb)
+	}
+}
+
+// A Close racing Compile must not leave a plan owned by the closed
+// tenant behind: the compile either fails with ErrTenantClosed or caches
+// its plan before the eviction runs. Meaningful under -race.
+func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
+	c := tenantTestComm(t, 1<<13)
+	for round := 0; round < 50; round++ {
+		ten, err := c.NewTenant(servingTenantCfg("racer", 0, ShedReject))
+		if err != nil {
+			t.Fatal(err)
+		}
+		started, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			d := servingCollective
+			for k := 0; ; k++ { // distinct keys, Dst clear of Src
+				d.Dst.Off = servingCollective.Dst.Off + 8*(k%256)
+				if _, err := ten.Compile(d); err != nil {
+					done <- err
+					return
+				}
+				if k == 0 {
+					close(started)
+				}
+			}
+		}()
+		<-started
+		if err := ten.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, ErrTenantClosed) {
+			t.Fatalf("round %d: compile loop ended with %v, want ErrTenantClosed", round, err)
+		}
+		c.compMu.Lock()
+		for _, cp := range c.compiled {
+			if cp.owner == ten {
+				t.Errorf("round %d: plan %s of the closed tenant survived the eviction", round, cp.sched.Name)
+			}
+		}
+		c.compMu.Unlock()
 	}
 }

@@ -3,20 +3,23 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
 )
 
-// This file implements tenant sessions: arena-scoped views of one Comm
+// This file implements tenant sessions — arena-scoped views of one Comm
 // that let many independent workloads ("models being served") share one
-// simulated machine. A Tenant owns a disjoint window of every PE's MRAM
-// — all of its Collective regions are validated against that window and
-// translated to absolute offsets, so tenants cannot name, let alone
-// alias, each other's footprints — plus its own cost.Meter, a weight in
-// the machine's weighted-fair submission scheduler (async.go), and an
-// optional simulated-time quota.
+// simulated machine — and their whole lifecycle: NewTenant carves and
+// registers, Close retires, evicts and frees. A Tenant owns a disjoint
+// window of every PE's MRAM, handed out by the system's free-list
+// allocator — all of its Collective regions are validated against that
+// window and translated to absolute offsets, so tenants cannot name, let
+// alone alias, each other's footprints — plus its own cost.Meter, a
+// weight in the machine's weighted-fair submission scheduler (async.go),
+// and an optional simulated-time quota.
 //
 // Accounting invariant: every charge a tenant's plan makes on the
 // machine meter is mirrored — same operands, same order — into the
@@ -35,8 +38,8 @@ var ErrQuotaExceeded = errors.New("core: tenant quota exceeded")
 // ShedOldest the dropped (oldest queued) future does.
 var ErrOverloaded = errors.New("core: tenant overloaded")
 
-// ErrTenantClosed is wrapped by admission errors of a closed Tenant and
-// returned by a double Close.
+// ErrTenantClosed is wrapped by compile and admission errors of a closed
+// Tenant and returned by a double Close.
 var ErrTenantClosed = errors.New("core: tenant closed")
 
 // ShedPolicy selects which plan an overloaded tenant sheds when a
@@ -66,8 +69,12 @@ func (p ShedPolicy) String() string {
 	return fmt.Sprintf("ShedPolicy(%d)", int(p))
 }
 
-// Tenant is one arena-scoped session on a shared Comm. Create tenants
-// with Comm.NewTenant; a Tenant is safe for concurrent use.
+// Tenant is one arena-scoped session on a shared Comm (pidcomm's Comm):
+// Run executes a Collective one-shot, Compile returns a replayable
+// CompiledPlan, Submit enqueues asynchronously, and every Region is
+// arena-relative, so a session cannot name MRAM outside its window.
+// Create tenants with Comm.NewTenant; Close returns the arena. A Tenant
+// is safe for concurrent use.
 type Tenant struct {
 	c      *Comm
 	name   string
@@ -93,40 +100,47 @@ type Tenant struct {
 	closed   bool
 }
 
-// TenantConfig parameterizes NewTenant.
+// TenantConfig describes one session on a shared machine.
 type TenantConfig struct {
-	// Name labels the tenant in diagnostics and ownership errors.
+	// Name labels the tenant in diagnostics, ownership errors and
+	// `pidinfo -tenants`; empty picks "tenant-N", N counting the sessions
+	// the machine has created so far.
 	Name string
-	// Base and Bytes give the tenant's per-PE MRAM arena [Base,
-	// Base+Bytes); both must be dram.BankBurstBytes-aligned and the
-	// window disjoint from every live tenant's arena.
-	Base, Bytes int
-	// Weight is the tenant's weighted-fair scheduler share (0 = 1).
+	// ArenaBytes is the per-PE MRAM window carved for the tenant
+	// (rounded up to the 8-byte bank-burst granule). Every Region the
+	// tenant names is validated against [0, ArenaBytes).
+	ArenaBytes int
+	// Weight is the tenant's share in the weighted-fair submission
+	// scheduler; 0 means 1.
 	Weight float64
 	// Quota, if positive, bounds the total simulated time the tenant
-	// may admit.
+	// may admit; a Run/Submit whose predicted cost would exceed it
+	// fails with ErrQuotaExceeded.
 	Quota cost.Seconds
 	// MaxPending, if positive, bounds the tenant's in-flight
-	// submissions; beyond it, submissions shed per Shed.
+	// submissions: beyond it, submissions shed per the Shed policy with
+	// ErrOverloaded instead of queuing without bound — the serving
+	// path's admission control.
 	MaxPending int
-	// Shed is the overload policy applied beyond MaxPending.
+	// Shed selects what an overloaded tenant drops: the incoming
+	// submission (ShedReject, the default) or its oldest queued plan
+	// (ShedOldest).
 	Shed ShedPolicy
 }
 
-// NewTenant registers a tenant session over the per-PE MRAM window
-// [cfg.Base, cfg.Base+cfg.Bytes), which must be BankBurstBytes-aligned
-// and disjoint from every existing tenant's arena. See TenantConfig for
-// the scheduler weight, the simulated-time quota (enforced against each
-// plan's predicted cost at Run/Submit) and the overload bounds.
+// NewTenant carves a fresh disjoint MRAM arena of cfg.ArenaBytes per PE
+// and returns the session bound to it. Arenas come first-fit from the
+// system's free-list allocator (Tenant.Close returns them); NewTenant
+// fails when no contiguous free window can fit the request. See
+// TenantConfig for the scheduler weight, the simulated-time quota
+// (enforced against each plan's predicted cost at Run/Submit) and the
+// overload bounds.
 func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
-	name, base, bytes, weight, quota := cfg.Name, cfg.Base, cfg.Bytes, cfg.Weight, cfg.Quota
-	if bytes <= 0 || base < 0 || base+bytes > c.hc.sys.MramSize() {
-		return nil, fmt.Errorf("core: tenant %q arena [%d,%d) exceeds MRAM size %d",
-			name, base, base+bytes, c.hc.sys.MramSize())
-	}
-	if base%dram.BankBurstBytes != 0 || bytes%dram.BankBurstBytes != 0 {
-		return nil, fmt.Errorf("core: tenant %q arena [%d,%d) not %d-byte aligned",
-			name, base, base+bytes, dram.BankBurstBytes)
+	c.tenantMu.Lock()
+	defer c.tenantMu.Unlock()
+	name, weight := cfg.Name, cfg.Weight
+	if name == "" {
+		name = fmt.Sprintf("tenant-%d", c.tenantSeq)
 	}
 	if weight == 0 {
 		weight = 1
@@ -134,33 +148,29 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	if weight < 0 {
 		return nil, fmt.Errorf("core: tenant %q weight %v must be positive", name, weight)
 	}
-	if quota < 0 {
-		return nil, fmt.Errorf("core: tenant %q quota %v must be non-negative", name, quota)
+	if cfg.Quota < 0 {
+		return nil, fmt.Errorf("core: tenant %q quota %v must be non-negative", name, cfg.Quota)
 	}
 	if cfg.MaxPending < 0 {
 		return nil, fmt.Errorf("core: tenant %q MaxPending %d must be non-negative", name, cfg.MaxPending)
 	}
+	ar, err := c.hc.sys.CarveArena(cfg.ArenaBytes)
+	if err != nil {
+		return nil, fmt.Errorf("core: tenant %q: %w", name, err)
+	}
 	t := &Tenant{
 		c:          c,
 		name:       name,
-		ar:         arena{base, bytes},
+		ar:         arena{ar.Base, ar.Bytes},
 		meter:      cost.NewMeter(),
 		weight:     weight,
-		quota:      quota,
+		quota:      cfg.Quota,
 		maxPending: cfg.MaxPending,
 		shed:       cfg.Shed,
 		sq:         &subQueue{weight: weight},
 	}
-	c.tenantMu.Lock()
-	for _, o := range c.tenants {
-		if overlap(base, bytes, o.ar.base, o.ar.size) {
-			c.tenantMu.Unlock()
-			return nil, fmt.Errorf("core: tenant %q arena [%d,%d) overlaps tenant %q arena [%d,%d)",
-				name, base, base+bytes, o.name, o.ar.base, o.ar.base+o.ar.size)
-		}
-	}
+	c.tenantSeq++
 	c.tenants = append(c.tenants, t)
-	c.tenantMu.Unlock()
 	c.asyncMu.Lock()
 	c.queues = append(c.queues, t.sq)
 	c.asyncMu.Unlock()
@@ -171,9 +181,7 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 func (c *Comm) Tenants() []*Tenant {
 	c.tenantMu.Lock()
 	defer c.tenantMu.Unlock()
-	out := make([]*Tenant, len(c.tenants))
-	copy(out, c.tenants)
-	return out
+	return slices.Clone(c.tenants)
 }
 
 // RetiredTenants returns the closed tenants in closing order. Their
@@ -182,21 +190,20 @@ func (c *Comm) Tenants() []*Tenant {
 func (c *Comm) RetiredTenants() []*Tenant {
 	c.tenantMu.Lock()
 	defer c.tenantMu.Unlock()
-	out := make([]*Tenant, len(c.retired))
-	copy(out, c.retired)
-	return out
+	return slices.Clone(c.retired)
 }
 
-// Close retires the tenant: it drains the machine, rejects every later
-// admission with ErrTenantClosed, removes the tenant's scheduler bucket
-// and evicts its owned plans from the plan caches, the Comm's and those
-// of the clusters it is a host of — plan keys carry absolute offsets, so
-// a successor tenant reusing the arena would otherwise collide with the
-// retiree's cached plans. The tenant's meter
-// survives on the Comm's retired list (RetiredTenants); the arena
-// window itself is the caller's to reclaim (pidcomm.Machine.CloseTenant
-// returns it to the dram free-list allocator). Returns ErrTenantClosed
-// on a double close.
+// Close retires the tenant — the teardown half of tenant churn. It
+// drains the machine, rejects every later compile and admission with
+// ErrTenantClosed, removes the tenant's scheduler bucket, evicts its
+// owned plans from the plan caches, the Comm's and those of the clusters
+// it is a host of — plan keys carry absolute offsets, so a successor
+// tenant reusing the arena would otherwise collide with the retiree's
+// cached plans — and then returns the arena to the system's coalescing
+// free-list allocator for future NewTenant calls. The tenant's meter
+// survives on the Comm's retired list (RetiredTenants), so machine-total
+// accounting stays bit-identical across create/teardown cycles. Returns
+// ErrTenantClosed on a double close.
 func (t *Tenant) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -237,13 +244,14 @@ func (t *Tenant) Close() error {
 	for _, cl := range clusters {
 		cl.evictOwned(t)
 	}
+	if err := c.hc.sys.FreeArena(dram.Arena{Base: t.ar.base, Bytes: t.ar.size}); err != nil {
+		return fmt.Errorf("core: closing tenant %q: %w", t.name, err)
+	}
 	return nil
 }
 
 // Closed reports whether the tenant has been closed.
-func (t *Tenant) Closed() bool { return t.isClosed() }
-
-func (t *Tenant) isClosed() bool {
+func (t *Tenant) Closed() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.closed
@@ -256,34 +264,55 @@ func (c *Comm) evictOwnedPlans(t *Tenant) {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
 	for k, cp := range c.compiled {
-		if cp.owned && cp.owner == t {
+		if cp.owner == t {
 			delete(c.compiled, k)
 		}
 	}
 	for k, cp := range c.seqPlans {
-		if cp.owned && cp.owner == t {
+		if cp.owner == t {
 			delete(c.seqPlans, k)
 		}
 	}
 }
 
-// Compile compiles d against the tenant's arena: every region must lie
-// within [0, ArenaBytes). The returned plan is owned by the tenant —
-// each Run/Submit is admitted against the quota and attributed to the
-// tenant's meter.
+// Compile compiles d — validation against the tenant's arena (every
+// region must lie within [0, ArenaBytes)), Auto resolution, lowering to
+// schedule IR, charge precomputation — into a CompiledPlan ready for
+// repeated Run/Submit:
+//
+//	plan, _ := comm.Compile(pidcomm.Collective{...})
+//	for layer := 0; layer < L; layer++ {
+//	    bd, _ := plan.Run() // identical cost/result to a one-shot Run
+//	}
+//
+// Repeated one-shot Runs of an equal descriptor hit the same cache, so
+// they amortize too. The returned plan is owned by the tenant — each
+// Run/Submit is admitted against the quota and attributed to the
+// tenant's meter. A closed tenant compiles nothing: ErrTenantClosed.
 func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) {
 	return t.c.compileIn(t.ar, t, d)
 }
 
 // CompileSequence compiles ds as one fused multi-collective plan
-// against the tenant's arena (see Comm.CompileSequence). The plan is
-// owned by the tenant: runs are admitted against its quota as a unit
-// and attributed to its meter.
+// against the tenant's arena: the members lower in order into a single
+// schedule, and the machine's fusion passes rewrite across the member
+// boundaries — interior synchronizations collapse, inverse
+// rotate/unrotate pairs cancel, back-to-back transfer epochs coalesce —
+// so an iterative pipeline (e.g. DLRM's per-batch
+// ReduceScatter→AlltoAll) replays as one denser plan. Functionally
+// byte-identical to running the members serially;
+// CompiledPlan.FusionReport quotes the saving. Rooted primitives
+// (Gather, Reduce) cannot join a sequence. The plan is owned by the
+// tenant: runs are admitted against its quota as a unit and attributed
+// to its meter.
 func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	return t.c.compileSequenceIn(t.ar, t, ds)
 }
 
-// Run compiles (or fetches) the plan for d and executes one replay.
+// Run compiles (or fetches the cached plan for) d and executes one
+// replay, returning the run's cost breakdown. Rooted primitives
+// (Gather, Reduce) leave their results on the plan: use Compile and
+// CompiledPlan.Results to read them.
 func (t *Tenant) Run(d Collective) (cost.Breakdown, error) {
 	cp, err := t.Compile(d)
 	if err != nil {
@@ -292,22 +321,39 @@ func (t *Tenant) Run(d Collective) (cost.Breakdown, error) {
 	return cp.Run()
 }
 
-// Submit compiles (or fetches) the plan for d and enqueues one
-// asynchronous execution on the tenant's weighted-fair bucket.
+// Submit compiles (or fetches the cached plan for) d, enqueues one
+// asynchronous execution on the tenant's weighted-fair bucket and
+// returns its Future. Plans of one session execute in submission order;
+// plans with data hazards (RAW/WAR/WAW on a region) are ordered, and
+// independent plans — always including other tenants' plans, whose
+// arenas are disjoint — overlap on the shared elapsed-time timeline.
 func (t *Tenant) Submit(d Collective) (*Future, error) {
+	return t.SubmitOpts(d, SubmitOptions{})
+}
+
+// SubmitOpts is Submit with explicit serving attributes: a simulated
+// arrival time the placement may not precede (NotBefore) and an
+// absolute deadline the EDF policy schedules against (Deadline). An
+// admission rejection (quota, overload) returns an already-completed
+// Future carrying the error, with a zero Window.
+func (t *Tenant) SubmitOpts(d Collective, o SubmitOptions) (*Future, error) {
 	cp, err := t.Compile(d)
 	if err != nil {
 		return nil, err
 	}
-	return cp.Submit(), nil
+	return cp.SubmitOpts(o), nil
 }
 
-// Resolve returns the (algorithm, level) pair Compile(d) would pick.
+// Resolve returns the (algorithm, level) pair descriptor d resolves to:
+// the autotuner's pick (under the machine's Auto objective) where
+// either axis is Auto, the explicit selection otherwise. Exactly what
+// Compile would resolve d to, without compiling anything.
 func (t *Tenant) Resolve(d Collective) (Algorithm, Level, error) { return t.c.Resolve(d) }
 
-// SetPEBuffer writes raw bytes into the tenant's arena of a PE's MRAM
-// (no cost), off arena-relative. Like Comm.SetPEBuffer it is a setup
-// helper; call Flush first if submissions may be in flight.
+// SetPEBuffer writes raw bytes directly into the tenant's arena of a
+// PE's MRAM (no cost): test/application setup representing data the PE
+// itself produced. off is arena-relative. Call Flush first if
+// submissions may be in flight.
 func (t *Tenant) SetPEBuffer(pe, off int, data []byte) {
 	if off < 0 || off+len(data) > t.ar.size {
 		panic(fmt.Sprintf("core: tenant %q buffer [%d,%d) outside arena size %d",
@@ -326,9 +372,10 @@ func (t *Tenant) GetPEBuffer(pe, off, n int) []byte {
 	return t.c.GetPEBuffer(pe, t.ar.base+off, n)
 }
 
-// Meter returns the tenant's cost meter: exactly the charges of this
-// tenant's plans, bit-identical to running the same workload alone.
-func (t *Tenant) Meter() *cost.Meter { return t.meter }
+// Meter returns the tenant's attributed cost so far: exactly the
+// charges of this tenant's plans, bit-identical to running the same
+// workload alone on its own machine.
+func (t *Tenant) Meter() cost.Breakdown { return t.meter.Snapshot() }
 
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
@@ -338,20 +385,6 @@ func (t *Tenant) Weight() float64 { return t.weight }
 
 // Quota returns the tenant's simulated-time budget (0 = unlimited).
 func (t *Tenant) Quota() cost.Seconds { return t.quota }
-
-// MaxPending returns the tenant's in-flight submission bound
-// (0 = unlimited).
-func (t *Tenant) MaxPending() int { return t.maxPending }
-
-// Shed returns the tenant's overload shed policy.
-func (t *Tenant) Shed() ShedPolicy { return t.shed }
-
-// Pending returns the tenant's submitted-but-uncompleted plan count.
-func (t *Tenant) Pending() int {
-	t.c.asyncMu.Lock()
-	defer t.c.asyncMu.Unlock()
-	return t.inflight
-}
 
 // Admitted returns the predicted simulated time admitted so far — the
 // quantity the quota is enforced against.
@@ -365,7 +398,8 @@ func (t *Tenant) Admitted() cost.Seconds {
 func (t *Tenant) Arena() (base, bytes int) { return t.ar.base, t.ar.size }
 
 // Flush blocks until every plan submitted on the shared machine has
-// completed (the machine-wide barrier; see Comm.Flush).
+// completed — the barrier before touching MRAM directly while
+// submissions may be in flight.
 func (t *Tenant) Flush() { t.c.Flush() }
 
 // Elapsed returns the shared machine's overlap-aware elapsed time.
@@ -402,6 +436,16 @@ func (t *Tenant) refund(c cost.Seconds) {
 	t.mu.Unlock()
 }
 
+// errIfClosed is the compile-time closed check: plans compiled on a
+// closed tenant would outlive its eviction and collide with a successor
+// at the same base. A nil tenant (the machine) never closes.
+func (t *Tenant) errIfClosed() error {
+	if t != nil && t.Closed() {
+		return fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)
+	}
+	return nil
+}
+
 // ownerName labels a plan owner in diagnostics.
 func ownerName(t *Tenant) string {
 	if t == nil {
@@ -410,19 +454,12 @@ func ownerName(t *Tenant) string {
 	return fmt.Sprintf("tenant %q", t.name)
 }
 
-// adopt binds the plan to its owner on first compile and verifies the
-// binding on cache hits. Tenants can never collide on a plan key (their
-// arenas are disjoint, and keys carry absolute offsets), so a conflict
-// means a plain-Comm caller and a tenant named the same MRAM — which
-// the tenancy contract forbids.
-func (cp *CompiledPlan) adopt(t *Tenant) error {
-	c := cp.c
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	if !cp.owned {
-		cp.owned, cp.owner = true, t
-		return nil
-	}
+// checkOwner is the ownership half of a plan-cache hit: a plan belongs
+// to whoever compiled it first. Tenants can never collide on a plan key
+// (their arenas are disjoint, and keys carry absolute offsets), so a
+// conflict means a plain-Comm caller and a tenant named the same MRAM —
+// which the tenancy contract forbids.
+func (cp *CompiledPlan) checkOwner(t *Tenant) error {
 	if cp.owner != t {
 		return fmt.Errorf("core: plan %s is owned by %s, not %s",
 			cp.sched.Name, ownerName(cp.owner), ownerName(t))

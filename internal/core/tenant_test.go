@@ -108,11 +108,11 @@ func TestWeightedFairKeepsCrossBucketHazardOrder(t *testing.T) {
 // burning accumulated credit in a burst.
 func TestIdleBucketJoinsAtVirtualClock(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12})
+	ta, err := c.NewTenant(TenantConfig{Name: "a", ArenaBytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 12, Bytes: 1 << 12})
+	tb, err := c.NewTenant(TenantConfig{Name: "b", ArenaBytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,20 +150,25 @@ func TestIdleBucketJoinsAtVirtualClock(t *testing.T) {
 	}
 }
 
-// Tenants with overlapping arenas must be rejected at registration.
+// Arenas come from the system's allocator: the second starts where the
+// first ends, and a request beyond the free MRAM is rejected and carves
+// nothing. (Disjointness under churn is dram's TestArenaChurnProperty.)
 func TestTenantArenasDisjoint(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	if _, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 12}); err != nil {
+	a, err := c.NewTenant(TenantConfig{Name: "a", ArenaBytes: 1 << 12})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.NewTenant(TenantConfig{Name: "b", Base: 1 << 11, Bytes: 1 << 12}); err == nil {
-		t.Fatal("overlapping arena accepted")
+	if _, err := c.NewTenant(TenantConfig{Name: "c", ArenaBytes: 1 << 13}); err == nil {
+		t.Fatal("arena beyond the free MRAM accepted")
 	}
-	if _, err := c.NewTenant(TenantConfig{Name: "c", Base: 1 << 12, Bytes: 1 << 13}); err == nil {
-		t.Fatal("arena beyond MRAM accepted")
+	d, err := c.NewTenant(TenantConfig{Name: "d", ArenaBytes: 1 << 12})
+	if err != nil {
+		t.Fatalf("fitting arena rejected after an over-capacity request: %v", err)
 	}
-	if _, err := c.NewTenant(TenantConfig{Name: "d", Base: 1 << 12, Bytes: 1 << 12}); err != nil {
-		t.Fatalf("disjoint arena rejected: %v", err)
+	_, aBytes := a.Arena()
+	if base, _ := d.Arena(); base != aBytes {
+		t.Fatalf("second arena starts at %d, want %d where the first ends", base, aBytes)
 	}
 }
 
@@ -172,7 +177,7 @@ func TestTenantArenasDisjoint(t *testing.T) {
 // hole of mixing session kinds over the same offsets.
 func TestPlanOwnershipConflict(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
-	ten, err := c.NewTenant(TenantConfig{Name: "a", Bytes: 1 << 13})
+	ten, err := c.NewTenant(TenantConfig{Name: "a", ArenaBytes: 1 << 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func TestTenantQuota(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	const m = 16 * 8
 	d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
-	probe, err := c.NewTenant(TenantConfig{Name: "probe", Bytes: 1 << 12})
+	probe, err := c.NewTenant(TenantConfig{Name: "probe", ArenaBytes: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +241,7 @@ func TestTenantQuota(t *testing.T) {
 	}
 	per := cp.Cost().Total()
 
-	ten, err := c.NewTenant(TenantConfig{Name: "capped", Base: 1 << 12, Bytes: 1 << 12, Quota: per * 2})
+	ten, err := c.NewTenant(TenantConfig{Name: "capped", ArenaBytes: 1 << 12, Quota: per * 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@
 //     free.
 //   - Arena / CarveArena / FreeArena carve each bank's MRAM into
 //     disjoint, burst-aligned per-tenant windows — the provisioning
-//     substrate of the multi-tenant session layer (core.Tenant,
-//     pidcomm.Machine). Allocation is first-fit over a coalescing free
+//     substrate of the multi-tenant session layer (core.Tenant is
+//     the one caller). Allocation is first-fit over a coalescing free
 //     list, so tenant churn (create/teardown at runtime,
-//     Machine.CloseTenant) returns windows to the pool instead of
+//     Tenant.Close) returns windows to the pool instead of
 //     fragmenting MRAM; FreeSpans and LargestFree expose the pool state.
 //
 // # Concurrency

@@ -104,10 +104,10 @@ func TestChurnMeterProperty(t *testing.T) {
 	// meters — bit-identical, not approximately equal.
 	var fold pidcomm.Breakdown
 	for _, ti := range mach.RetiredTenants() {
-		fold = fold.Add(ti.Meter)
+		fold = fold.Add(ti.Meter())
 	}
 	for _, ti := range mach.Tenants() {
-		fold = fold.Add(ti.Meter)
+		fold = fold.Add(ti.Meter())
 	}
 	if bd := mach.Breakdown(); bd != fold {
 		t.Fatalf("Breakdown diverged from tenant-meter fold:\n got %v\nfold %v", bd, fold)
@@ -250,5 +250,197 @@ func TestClusterRejectedRunRefundsQuota(t *testing.T) {
 	checkRefunded("Submit")
 	if _, err := cc.Run(bcast); err != nil {
 		t.Fatalf("in-quota run after the rejections: %v", err)
+	}
+}
+
+// hostState is what a failed cluster-wide carve must leave untouched on
+// every host: the free MRAM and the live sessions.
+func hostState(cl *pidcomm.Cluster) (free, live []int) {
+	for h := 0; h < cl.NumHosts(); h++ {
+		free = append(free, cl.Machine(h).FreeArenaBytes())
+		live = append(live, len(cl.Machine(h).Tenants()))
+	}
+	return free, live
+}
+
+// A Cluster.NewTenant that fails on a later host — no room there, or
+// room only at another base — must close the shards it already made:
+// they used to stay live and carved forever on the earlier hosts.
+func TestFailedClusterTenantLeavesNoShards(t *testing.T) {
+	geo := tenantGeo
+	geo.MramPerBank = 4096
+	cl, err := pidcomm.NewCluster(3, geo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		host, size int // the direct tenant that makes this host differ
+	}{
+		{"last host full", 2, 4096},
+		{"arena diverges on host 1", 1, 1024},
+	} {
+		blocker, err := cl.Machine(tc.host).NewTenant(pidcomm.TenantConfig{Name: "blocker", ArenaBytes: tc.size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFree, wantLive := hostState(cl)
+		if _, err := cl.NewTenant(pidcomm.TenantConfig{Name: "x", ArenaBytes: 2048}); err == nil {
+			t.Fatalf("%s: cluster tenant accepted", tc.name)
+		}
+		free, live := hostState(cl)
+		for h := range free {
+			if free[h] != wantFree[h] || live[h] != wantLive[h] {
+				t.Errorf("%s: host %d left with %d B free and %d live tenants, want %d and %d as before the failed call",
+					tc.name, h, free[h], live[h], wantFree[h], wantLive[h])
+			}
+		}
+		if err := blocker.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.NewTenant(pidcomm.TenantConfig{Name: "x", ArenaBytes: 2048}); err != nil {
+		t.Fatalf("fitting cluster tenant after the failed ones: %v", err)
+	}
+}
+
+// Compiling on a closed session must fail and cache nothing: the plan
+// used to be cached, owned by the dead tenant, after the close had
+// already evicted — and the successor carved at the same base then hit
+// it and failed its first Run with an ownership error.
+func TestCompileOnClosedSessionPoisonsNothing(t *testing.T) {
+	const arena, m = 1 << 12, 8 * 32
+	ag := pidcomm.Collective{Prim: pidcomm.AllGather, Dims: "1",
+		Src: pidcomm.Span(0, m/32), Dst: pidcomm.At(m), Level: pidcomm.Baseline}
+	aa := pidcomm.Collective{Prim: pidcomm.AlltoAll, Dims: "1",
+		Src: pidcomm.Span(2*m, m), Dst: pidcomm.At(3 * m), Level: pidcomm.Baseline}
+
+	mach, err := pidcomm.NewMachine(tenantGeo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := mach.NewTenant(pidcomm.TenantConfig{Name: "a", ArenaBytes: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := mach.PlanCacheStats()
+	if _, err := a.Compile(ag); !errors.Is(err, pidcomm.ErrTenantClosed) {
+		t.Errorf("Compile on a closed session: got %v, want ErrTenantClosed", err)
+	}
+	if _, err := a.CompileSequence(ag, aa); !errors.Is(err, pidcomm.ErrTenantClosed) {
+		t.Errorf("CompileSequence on a closed session: got %v, want ErrTenantClosed", err)
+	}
+	if after := mach.PlanCacheStats(); after != before {
+		t.Errorf("compiling on a closed session touched the plan caches:\n before %+v\n after  %+v", before, after)
+	}
+	b, err := mach.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run(ag); err != nil {
+		t.Errorf("successor at the same base: %v", err)
+	}
+	if _, err := b.CompileSequence(ag, aa); err != nil {
+		t.Errorf("successor sequence at the same base: %v", err)
+	}
+
+	const hosts = 2
+	cl, err := pidcomm.NewCluster(hosts, tenantGeo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cag := pidcomm.ClusterCollective{Collective: pidcomm.Collective{Prim: pidcomm.AllGather, Dims: "1",
+		Src: pidcomm.Span(0, m/32), Dst: pidcomm.At(m), Level: pidcomm.Baseline}}
+	ca, err := cl.NewTenant(pidcomm.TenantConfig{Name: "a", ArenaBytes: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats [hosts]pidcomm.PlanCacheStats
+	for h := 0; h < hosts; h++ {
+		if err := ca.Host(h).Close(); err != nil {
+			t.Fatal(err)
+		}
+		stats[h] = cl.Machine(h).PlanCacheStats()
+	}
+	if _, err := ca.Compile(cag); !errors.Is(err, pidcomm.ErrTenantClosed) {
+		t.Errorf("cluster Compile on a closed session: got %v, want ErrTenantClosed", err)
+	}
+	for h := 0; h < hosts; h++ {
+		if after := cl.Machine(h).PlanCacheStats(); after != stats[h] {
+			t.Errorf("cluster compile on a closed session touched host %d's plan caches:\n before %+v\n after  %+v", h, stats[h], after)
+		}
+	}
+	cb, err := cl.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.Run(cag); err != nil {
+		t.Errorf("successor cluster session at the same base: %v", err)
+	}
+}
+
+// Default names are drawn from a per-machine counter, not from the
+// number of live sessions: after churn a new unnamed session used to
+// take a live session's name.
+func TestDefaultTenantNamesSurviveChurn(t *testing.T) {
+	mach, err := pidcomm.NewMachine(tenantGeo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed := func() *pidcomm.Comm {
+		c, err := mach.NewTenant(pidcomm.TenantConfig{ArenaBytes: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	first, second := unnamed(), unnamed()
+	if first.Name() != "tenant-0" || second.Name() != "tenant-1" {
+		t.Fatalf("default names %q, %q, want tenant-0, tenant-1", first.Name(), second.Name())
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if third := unnamed(); third.Name() == second.Name() {
+		t.Errorf("two live sessions are both named %q", third.Name())
+	}
+}
+
+// CloseTenant of another machine's session is an error that closes and
+// frees nothing (it used to close the session, leak its window on its
+// own machine and free the same range underneath this machine's live
+// tenant); the session's own Close is all a teardown needs.
+func TestCloseTenantOfForeignSession(t *testing.T) {
+	var machs [2]*pidcomm.Machine
+	var comms [2]*pidcomm.Comm
+	for i := range machs {
+		var err error
+		if machs[i], err = pidcomm.NewMachine(tenantGeo, []int{32}, pidcomm.CostOnly()); err != nil {
+			t.Fatal(err)
+		}
+		if comms[i], err = machs[i].NewTenant(pidcomm.TenantConfig{Name: "t", ArenaBytes: 1 << 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	free := [2]int{machs[0].FreeArenaBytes(), machs[1].FreeArenaBytes()}
+	if err := machs[1].CloseTenant(comms[0]); err == nil {
+		t.Error("CloseTenant accepted another machine's session")
+	}
+	if comms[0].Closed() {
+		t.Error("the foreign CloseTenant closed the session")
+	}
+	for i, m := range machs {
+		if got := m.FreeArenaBytes(); got != free[i] {
+			t.Errorf("machine %d has %d B free after the foreign CloseTenant, want %d", i, got, free[i])
+		}
+	}
+	if err := comms[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := machs[0].FreeArenaBytes(); got != tenantGeo.MramPerBank {
+		t.Errorf("Close alone left %d B free, want the whole %d", got, tenantGeo.MramPerBank)
 	}
 }

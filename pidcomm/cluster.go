@@ -1,6 +1,7 @@
 package pidcomm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -99,27 +100,29 @@ func (cl *Cluster) Flush() { cl.cc.Flush() }
 // session resolve regions against the arena, admit against every
 // shard's quota up front, and meter each host's charges to that host's
 // shard. The per-host shards (Host) remain full single-machine sessions
-// for local collectives and data placement.
+// for local collectives and data placement. When a host cannot fit the
+// arena, or fits it at a different base, the shards already made are
+// closed again: a failed call leaves every host as it found it.
 func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) {
-	shards := make([]*Comm, len(cl.machines))
-	owners := make([]*core.Tenant, len(cl.machines))
+	shards := make([]*Comm, 0, len(cl.machines))
 	for h, m := range cl.machines {
 		c, err := m.NewTenant(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("pidcomm: cluster host %d: %w", h, err)
-		}
-		if b0, n0 := shards[0], c; h > 0 {
-			base0, bytes0 := b0.Arena()
-			base, bytes := n0.Arena()
-			if base != base0 || bytes != bytes0 {
-				return nil, fmt.Errorf("pidcomm: tenant %q arena diverges across hosts ([%d,+%d) on host 0, [%d,+%d) on host %d); carve cluster tenants only through Cluster.NewTenant",
-					c.Name(), base0, bytes0, base, bytes, h)
+		if err == nil {
+			shards = append(shards, c)
+			base0, bytes0 := shards[0].Arena()
+			if base, bytes := c.Arena(); base != base0 || bytes != bytes0 {
+				err = fmt.Errorf("tenant %q arena diverges across hosts ([%d,+%d) on host 0, [%d,+%d) here); carve cluster tenants only through Cluster.NewTenant",
+					c.Name(), base0, bytes0, base, bytes)
 			}
 		}
-		shards[h] = c
-		owners[h] = c.t
+		if err != nil {
+			for _, s := range shards {
+				err = errors.Join(err, s.Close())
+			}
+			return nil, fmt.Errorf("pidcomm: cluster host %d: %w", h, err)
+		}
 	}
-	return &ClusterComm{cl: cl, shards: shards, owners: owners}, nil
+	return &ClusterComm{cl: cl, shards: shards}, nil
 }
 
 // Comm returns the whole-cluster convenience session: one tenant named
@@ -141,7 +144,6 @@ func (cl *Cluster) Comm() (*ClusterComm, error) {
 type ClusterComm struct {
 	cl     *Cluster
 	shards []*Comm
-	owners []*core.Tenant
 }
 
 // Host returns the session's shard on host h — a full single-machine
@@ -158,7 +160,7 @@ func (c *ClusterComm) Arena() (base, bytes int) { return c.shards[0].Arena() }
 // Compile lowers d into one compiled plan per host against the
 // session's arena; see Cluster.Compile.
 func (c *ClusterComm) Compile(d ClusterCollective) (*ClusterPlan, error) {
-	return c.cl.cc.CompileOn(c.owners, d)
+	return c.cl.cc.CompileOn(c.shards, d)
 }
 
 // Run compiles (or fetches the cached plans for) d and executes it once

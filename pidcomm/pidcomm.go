@@ -15,8 +15,10 @@
 // three-lane elapsed-time timeline and the compiled-plan caches.
 // Sessions on the machine are Comms, created with NewTenant (or the
 // whole-machine convenience Comm): each tenant is bound to a disjoint
-// per-PE MRAM arena, meters its own costs, and competes for the machine
-// under a weighted-fair scheduler.
+// per-PE MRAM arena carved from the machine's free-list allocator,
+// meters its own costs, and competes for the machine under a
+// weighted-fair scheduler. Comm.Close retires a session and returns its
+// arena to the allocator.
 //
 // Every collective is described by one Collective value and consumed by
 // exactly three entry points — Run (one-shot), Compile (plan once,
@@ -55,7 +57,10 @@
 // The heavy lifting lives in internal/core (collectives), internal/dram,
 // internal/dpu, internal/host (the PIM-DIMM substrate) and internal/cost
 // (the calibrated timing model); this package re-exports the stable
-// surface.
+// surface — descriptors, plans, futures and the session type itself
+// (Comm is core.Tenant, whose methods are all arena-relative) — and
+// wraps only Machine and Cluster, which hide the machine-absolute entry
+// points of their core counterparts.
 package pidcomm
 
 import (
@@ -88,7 +93,7 @@ const (
 // pseudo-level and the Level zero value: a Collective that leaves Level
 // unset dry-runs every applicable level on the cost-only backend, picks
 // the cheapest for the call signature, caches the decision and executes
-// with it (see Comm.AutoResolve).
+// with it (see Comm.Resolve).
 const (
 	Auto     = core.Auto
 	Baseline = core.Baseline
@@ -237,8 +242,8 @@ var ErrQuotaExceeded = core.ErrQuotaExceeded
 // tenant overload admission (TenantConfig.MaxPending + ShedPolicy).
 var ErrOverloaded = core.ErrOverloaded
 
-// ErrTenantClosed is wrapped by Run/Submit errors of a session retired
-// with Machine.CloseTenant, and by a double close.
+// ErrTenantClosed is wrapped by Compile/Run/Submit errors of a closed
+// session (Comm.Close, Machine.CloseTenant), and by a double close.
 var ErrTenantClosed = core.ErrTenantClosed
 
 // SubmitOptions carries the serving attributes of one submission:

@@ -137,7 +137,7 @@ func TestCostOnlyMachineAndAuto(t *testing.T) {
 	auto := aa
 	auto.Level = pidcomm.Auto
 	auto.Src, auto.Dst = pidcomm.Span(2*m, m), pidcomm.At(4*m)
-	_, lvl, err := cc.AutoResolve(auto)
+	_, lvl, err := cc.Resolve(auto)
 	if err != nil {
 		t.Fatal(err)
 	}
