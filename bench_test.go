@@ -9,6 +9,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/bfs"
@@ -240,33 +241,16 @@ func BenchmarkFig22WordWidth(b *testing.B) {
 
 // Figure 23(a): AllReduce topology comparison.
 func BenchmarkFig23aTopology(b *testing.B) {
-	for _, topo := range []core.Topology{core.TopoHypercube, core.TopoRing, core.TopoTree} {
-		b.Run(topo.String(), func(b *testing.B) {
-			var total cost.Seconds
-			for i := 0; i < b.N; i++ {
-				sys, err := dram.NewSystem(dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 17})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hc, err := core.NewHypercube(sys, []int{16, 16})
-				if err != nil {
-					b.Fatal(err)
-				}
-				comm := core.NewComm(hc, cost.DefaultParams())
-				m := 16 * 1024
-				buf := make([]byte, m)
-				for pe := 0; pe < 256; pe++ {
-					comm.SetPEBuffer(pe, 0, buf)
-				}
-				bd, err := comm.AllReduceTopo(topo, core.Collective{Dims: "10",
-					Src: core.Span(0, m), Dst: core.At(2 * m), Elem: elem.I32, Op: elem.Sum})
-				if err != nil {
-					b.Fatal(err)
-				}
-				total = bd.Total()
-			}
-			reportGBs(b, "sim-ms", float64(total)*1e3)
-		})
+	var rows []bench.TopoResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = bench.MeasureTopologies([]int{16, 16}, "10", 16*1024, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		// First word of the row label: a metric unit may not contain spaces.
+		reportGBs(b, strings.ToLower(strings.Fields(r.Name)[0])+"-sim-ms", float64(r.Cost.Total())*1e3)
 	}
 }
 

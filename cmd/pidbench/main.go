@@ -1,6 +1,7 @@
-// Command pidbench regenerates the paper's evaluation artifacts: every
-// table and figure of § VIII has a registered experiment (see DESIGN.md's
-// per-experiment index).
+// Command pidbench regenerates the paper's evaluation artifacts on the
+// simulated clock: every table and figure of § VIII has a registered
+// experiment (see DESIGN.md's per-experiment index). Wall-clock
+// measurements of the simulator itself live in benchmark/.
 //
 // Usage:
 //
@@ -9,28 +10,19 @@
 //	pidbench -exp async -backend=cost
 //	pidbench -exp async -sched lookahead
 //	pidbench -exp reorder
-//	pidbench -exp all [-full] [-backend=cost] [-async] [-workers N]
+//	pidbench -exp all [-full] [-backend=cost]
 //	pidbench -exp fig14,async,multitenant,fusion -backend=cost -json
 //	pidbench -compare bench_baseline.json [-threshold 0.10]
-//	pidbench -exp fig14 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The default scale keeps the whole suite within laptop memory and
 // minutes; -full uses paper-scale payloads (the timing model is linear in
 // payload, so shapes are identical; see EXPERIMENTS.md). -backend=cost
 // runs the primitive experiments on the cost-only backend (identical
-// tables, orders of magnitude faster); -async routes primitive
-// measurements through the Submit/Future API (identical tables — the
-// "async" experiment measures the overlap speedup itself). -workers
-// fixes the functional backend's worker-pool size for every experiment
-// comm (0 = GOMAXPROCS). -sched names the submission scheduling policy
-// the "async" experiment's scheduled comm uses (wfq, edf, fifo,
-// lookahead — see `pidinfo -sched`); the "reorder" experiment sweeps
-// all registered policies against an adversarial submission order.
-// -exp accepts a comma-separated list.
-//
-// -cpuprofile/-memprofile write pprof profiles of the run (the heap
-// profile is taken at exit), for digging into the simulator's own
-// hotspots: `make profile` wraps a functional fig14 run with both.
+// tables, orders of magnitude faster). -sched names the submission
+// scheduling policy the "async" experiment's scheduled comm uses (wfq,
+// edf, fifo, lookahead — see `pidinfo -sched`); the "reorder" experiment
+// sweeps all registered policies against an adversarial submission
+// order. -exp accepts a comma-separated list.
 //
 // -json emits the selected experiments' regression metrics (simulated
 // seconds) as JSON — the format of the checked-in bench_baseline.json. -compare recollects
@@ -42,8 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -57,15 +47,10 @@ func run() int {
 	exp := flag.String("exp", "", "experiment ID (e.g. fig14, table1), a comma-separated list, or 'all'")
 	full := flag.Bool("full", false, "use paper-scale payloads (slower, more memory)")
 	backend := flag.String("backend", "functional", "execution backend for primitive experiments: 'functional' (moves real bytes) or 'cost' (cost-only; identical tables, orders of magnitude faster — application experiments always run functionally)")
-	async := flag.Bool("async", false, "route primitive measurements through the Submit/Future async API (identical tables; validates the async path). The 'async' experiment measures the overlap speedup itself")
 	sched := flag.String("sched", "wfq", "submission scheduling policy of the 'async' experiment's scheduled comm, by registry name (see pidinfo -sched); the 'reorder' experiment sweeps all registered policies")
-	workers := flag.Int("workers", 0, "functional-backend worker-pool size for every experiment comm (0 = GOMAXPROCS)")
-	replay := flag.Int("replay", 0, "run the plan-cache replay experiment with N iterations per mode (cold compile-each-call vs cached CompiledPlan replay)")
 	jsonOut := flag.Bool("json", false, "emit the selected experiments' regression metrics as JSON instead of tables (deterministic)")
 	compare := flag.String("compare", "", "baseline metrics JSON to compare against; exits 1 on >threshold regression")
 	threshold := flag.Float64("threshold", 0.10, "relative regression allowed by -compare (0.10 = 10%)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Parse()
 
@@ -78,41 +63,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "pidbench: unknown backend %q (want 'functional' or 'cost')\n", *backend)
 		return 2
 	}
-	bench.SetExecWorkers(*workers)
 	pol, err := pidcomm.ParseSchedPolicy(*sched)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pidbench:", err)
 		return 2
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pidbench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pidbench:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pidbench:", err)
-				return
-			}
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "pidbench:", err)
-			}
-			f.Close()
-		}()
 	}
 
 	ids := strings.FieldsFunc(*exp, func(r rune) bool { return r == ',' })
@@ -145,17 +99,6 @@ func run() int {
 		return 0
 	}
 
-	if *replay > 0 {
-		fmt.Printf("=== replay: plan-cache throughput, %d iterations per mode ===\n", *replay)
-		start := time.Now()
-		if err := bench.RunReplay(bench.Options{W: os.Stdout, Full: *full, CostOnly: true}, *replay); err != nil {
-			fmt.Fprintln(os.Stderr, "pidbench:", err)
-			return 1
-		}
-		fmt.Printf("\n(%s)\n", time.Since(start).Round(time.Millisecond))
-		return 0
-	}
-
 	if *list || *exp == "" {
 		fmt.Println("Available experiments:")
 		for _, e := range bench.Experiments() {
@@ -166,7 +109,7 @@ func run() int {
 		}
 		return 0
 	}
-	o := bench.Options{W: os.Stdout, Full: *full, CostOnly: costOnly, Async: *async, Sched: pol}
+	o := bench.Options{W: os.Stdout, Full: *full, CostOnly: costOnly, Sched: pol}
 	start := time.Now()
 	if *exp == "all" {
 		err = bench.RunAll(o)

@@ -139,15 +139,10 @@ func printScheds() {
 // objective; rows where the two picks differ are where the makespan
 // objective earns its keep.
 func printAuto(mram int) error {
-	sys, err := dram.NewPhantomSystem(dram.PaperGeometry(mram))
+	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
 	if err != nil {
 		return err
 	}
-	hc, err := core.NewHypercube(sys, []int{32, 32})
-	if err != nil {
-		return err
-	}
-	comm := core.NewCostComm(hc, cost.DefaultParams())
 	m := 64 << 10
 	if 5*m > mram {
 		m = mram / 5
@@ -209,15 +204,10 @@ func printAuto(mram int) error {
 // misaligned payload for odd -mram values, every compile failed, and the
 // command reported statistics with no plan ever compiled.
 func printPlanCache(mram int) error {
-	sys, err := dram.NewPhantomSystem(dram.PaperGeometry(mram))
+	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
 	if err != nil {
 		return err
 	}
-	hc, err := core.NewHypercube(sys, []int{32, 32})
-	if err != nil {
-		return err
-	}
-	comm := core.NewCostComm(hc, cost.DefaultParams())
 	m := 64 << 10
 	if 5*m > mram {
 		m = mram / 5

@@ -4,8 +4,10 @@
 // — per host — into a single schedule-IR plan, so it compiles, caches,
 // fuses and replays exactly like a single-machine collective.
 //
-// Part 1 runs a functional 2-host cluster on real data and checks the
-// global AllReduce result. Part 2 sweeps host counts on the cost-only
+// Part 1 runs functional clusters of 1, 2 and 4 hosts on real data,
+// checking the global AllReduce result: only locally-reduced data
+// crosses the wire, so the network share grows slowly with the host
+// count. Part 2 sweeps host counts on the cost-only
 // backend, comparing the hierarchical lowering (local reduce →
 // inter-host ring → local broadcast) against the naive flat emulation
 // that ships every PE's raw data to a root host, then re-prices the
@@ -22,43 +24,48 @@ import (
 )
 
 func main() {
-	// --- Part 1: functional cluster, real data -------------------------
+	// --- Part 1: functional clusters, real data ------------------------
 	geo := pidcomm.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 8, MramPerBank: 1 << 18}
-	cl, err := pidcomm.NewCluster(2, geo, []int{geo.NumPEs()})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sess, err := cl.Comm()
-	if err != nil {
-		log.Fatal(err)
-	}
-	G := cl.NumPEs()
-	m := 8 * G // per-PE bytes; AllReduce needs a multiple of 8×(global ranks)
-	ones := make([]byte, m)
-	for i := 0; i < m; i += 4 {
-		binary.LittleEndian.PutUint32(ones[i:], 1)
-	}
-	for h := 0; h < cl.NumHosts(); h++ {
-		for p := 0; p < cl.PEsPerHost(); p++ {
-			sess.Host(h).SetPEBuffer(p, 0, ones)
+	for _, hosts := range []int{1, 2, 4} {
+		// Every host is a 1-D hypercube over its PEs; the cluster treats
+		// the hosts × PEs as one flat communicator.
+		cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()})
+		if err != nil {
+			log.Fatal(err)
 		}
+		sess, err := cl.Comm()
+		if err != nil {
+			log.Fatal(err)
+		}
+		G := cl.NumPEs()
+		m := 512 * cl.PEsPerHost() // per-PE bytes; AllReduce needs a multiple of 8×(global ranks)
+		ones := make([]byte, m)
+		for i := 0; i < m; i += 4 {
+			binary.LittleEndian.PutUint32(ones[i:], 1)
+		}
+		for h := 0; h < hosts; h++ {
+			for p := 0; p < cl.PEsPerHost(); p++ {
+				sess.Host(h).SetPEBuffer(p, 0, ones)
+			}
+		}
+		bd, err := sess.Run(pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+			Prim: pidcomm.AllReduce, Dims: "1",
+			Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
+			Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.CM,
+		}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		got := binary.LittleEndian.Uint32(sess.Host(hosts-1).GetPEBuffer(0, 2*m, 4))
+		if got != uint32(G) {
+			log.Fatalf("global AllReduce: element = %d, want %d", got, G)
+		}
+		fmt.Printf("%d host(s) x %d PEs, functional: every element summed to %d; "+
+			"AllReduce %6.3f ms (network %4.1f%%)\n",
+			hosts, cl.PEsPerHost(), got, float64(bd.Total())*1e3,
+			100*float64(bd.Get(cost.Network))/float64(bd.Total()))
 	}
-	bd, err := sess.Run(pidcomm.ClusterCollective{Collective: pidcomm.Collective{
-		Prim: pidcomm.AllReduce, Dims: "1",
-		Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
-		Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.CM,
-	}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	got := binary.LittleEndian.Uint32(sess.Host(1).GetPEBuffer(0, 2*m, 4))
-	if got != uint32(G) {
-		log.Fatalf("global AllReduce: element = %d, want %d", got, G)
-	}
-	fmt.Printf("2 hosts x %d PEs, functional: every element summed to %d across all %d PEs; "+
-		"AllReduce %6.3f ms (network %4.1f%%)\n\n",
-		cl.PEsPerHost(), got, G, float64(bd.Total())*1e3,
-		100*float64(bd.Get(cost.Network))/float64(bd.Total()))
+	fmt.Println()
 
 	// --- Part 2: cost-only sweep, hierarchical vs flat -----------------
 	// Cost-only clusters move no bytes (payload regions are priced, not

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
@@ -42,15 +41,11 @@ var cases = []caseSpec{
 
 func newComm(t *testing.T, geo dram.Geometry, shape []int) *core.Comm {
 	t.Helper()
-	sys, err := dram.NewSystem(geo)
+	c, err := core.New(geo, shape, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := core.NewHypercube(sys, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.NewComm(hc, cost.DefaultParams())
+	return c
 }
 
 func fillSrc(c *core.Comm, off, n int, seed int64) {
@@ -242,15 +237,11 @@ func TestAutoSearchesAlgorithms(t *testing.T) {
 // makespan is never worse than the meter-cheapest pick's makespan (and
 // symmetrically for the meter).
 func TestMakespanAutoNeverWorse(t *testing.T) {
-	sys, err := dram.NewPhantomSystem(dram.Geometry{Channels: 2, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 22})
+	c, err := core.New(dram.Geometry{Channels: 2, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 22},
+		[]int{16, 8}, core.Config{Backend: core.CostBackend()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := core.NewHypercube(sys, []int{16, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := core.NewCostComm(hc, cost.DefaultParams())
 	find := func(prim core.Primitive, bytes int) core.AutoDecision {
 		t.Helper()
 		for _, dec := range c.AutoDecisions() {
@@ -309,15 +300,7 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 	build := func() *core.Cluster {
 		comms := make([]*core.Comm, H)
 		for h := range comms {
-			sys, err := dram.NewSystem(geo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hc, err := core.NewHypercube(sys, []int{16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			comms[h] = core.NewComm(hc, cost.DefaultParams())
+			comms[h] = newComm(t, geo, []int{16})
 		}
 		cl, err := core.NewCluster(comms)
 		if err != nil {

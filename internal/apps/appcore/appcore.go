@@ -34,11 +34,12 @@ type Profile struct {
 // Total returns kernel + communication time.
 func (p *Profile) Total() cost.Seconds { return p.KernelTime + p.CommTotal() }
 
-// CommTotal returns the summed communication time.
+// CommTotal returns the summed communication time, added in primitive
+// order so the low bits do not depend on map iteration.
 func (p *Profile) CommTotal() cost.Seconds {
 	var t cost.Seconds
-	for _, v := range p.ByPrimitive {
-		t += v
+	for _, prim := range core.Primitives() {
+		t += p.ByPrimitive[prim]
 	}
 	return t
 }
@@ -216,19 +217,12 @@ func (m CPUModel) LookupTime(rows int64) cost.Seconds {
 	return cost.Seconds(float64(rows) / m.LookupsPerSec)
 }
 
-// NewComm builds a system, hypercube and comm for an app config.
-func NewComm(shape []int, pes, mramPerBank int, params cost.Params) (*core.Comm, error) {
+// CommForPEs builds the functional comm of an app config: the default
+// configuration on the canonical geometry of pes PEs.
+func CommForPEs(shape []int, pes, mramPerBank int) (*core.Comm, error) {
 	geo, err := GeoForPEs(pes, mramPerBank)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := dram.NewSystem(geo)
-	if err != nil {
-		return nil, err
-	}
-	hc, err := core.NewHypercube(sys, shape)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewComm(hc, params), nil
+	return core.New(geo, shape, core.Config{})
 }

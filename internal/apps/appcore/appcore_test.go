@@ -125,7 +125,7 @@ func TestDefaultCPUIsSane(t *testing.T) {
 }
 
 func TestTrackerAttribution(t *testing.T) {
-	comm, err := NewComm([]int{16}, 16, 4096, cost.DefaultParams())
+	comm, err := CommForPEs([]int{16}, 16, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTrackerAttribution(t *testing.T) {
 }
 
 func TestTrackerPropagatesErrors(t *testing.T) {
-	comm, _ := NewComm([]int{16}, 16, 4096, cost.DefaultParams())
+	comm, _ := CommForPEs([]int{16}, 16, 4096)
 	tr := NewTracker(comm)
 	bd, err := comm.Run(core.Collective{Prim: core.Gather, Dims: "bad-dims",
 		Src: core.Span(0, 8), Level: core.IM})
@@ -168,11 +168,11 @@ func TestTrackerPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestNewCommValidation(t *testing.T) {
-	if _, err := NewComm([]int{10}, 10, 4096, cost.DefaultParams()); err == nil {
+func TestCommForPEsValidation(t *testing.T) {
+	if _, err := CommForPEs([]int{10}, 10, 4096); err == nil {
 		t.Error("bad PE count accepted")
 	}
-	if _, err := NewComm([]int{32}, 64, 4096, cost.DefaultParams()); err == nil {
+	if _, err := CommForPEs([]int{32}, 64, 4096); err == nil {
 		t.Error("shape/PE mismatch accepted")
 	}
 }

@@ -77,7 +77,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	flagOff := distOff + distB   // "frontier non-empty" flag
 	mram := nextPow2(flagOff + 8)
 
-	comm, err := appcore.NewComm([]int{N}, N, mram, cost.DefaultParams())
+	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
 		return nil, nil, err
 	}

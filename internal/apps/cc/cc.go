@@ -76,7 +76,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	flagOff := newOff + lB     // "any label changed" flag
 	mram := nextPow2(flagOff + 8)
 
-	comm, err := appcore.NewComm([]int{N}, N, mram, cost.DefaultParams())
+	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -207,7 +207,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	outOff := wOff + wB
 	mram := nextPow2(outOff + outB)
 
-	comm, err := appcore.NewComm([]int{X, Y, Z}, N, mram, cost.DefaultParams())
+	comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, mram)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -244,7 +244,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	xsubOff := candOff + stripB
 	mram := nextPow2(xsubOff + subB)
 
-	comm, err := appcore.NewComm([]int{C, R}, N, mram, cost.DefaultParams())
+	comm, err := appcore.CommForPEs([]int{C, R}, N, mram)
 	if err != nil {
 		return nil, nil, err
 	}

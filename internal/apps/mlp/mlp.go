@@ -128,7 +128,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	outOff := partOff + F*4
 	mram := nextPow2(outOff + sliceB)
 
-	comm, err := appcore.NewComm([]int{N}, N, mram, cost.DefaultParams())
+	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -116,7 +116,7 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 	var r AutoGainResult
 	for _, obj := range []core.AutoObjective{core.AutoMeter, core.AutoMakespan} {
 		geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 20}
-		c, err := newCommOn(geo, algoPinShape, cost.DefaultParams(), true)
+		c, err := newCommOn(geo, algoPinShape, true, core.Config{})
 		if err != nil {
 			return r, err
 		}

@@ -30,14 +30,11 @@ type AsyncResult struct {
 	Speedup float64
 }
 
-// asyncComm builds a cost-only comm on the paper's 1024-PE machine with
-// enough phantom MRAM for `batches` disjoint region sets of payload m.
-func asyncComm(m, batches int) (*core.Comm, error) {
-	mram := 1
-	for mram < 4*m*batches+64 {
-		mram *= 2
-	}
-	return newCommOn(dram.PaperGeometry(mram), []int{32, 32}, cost.DefaultParams(), true)
+// asyncComm builds a cost-only comm at cfg on the paper's 1024-PE machine
+// with enough phantom MRAM for `batches` disjoint region sets of payload
+// m.
+func asyncComm(m, batches int, cfg core.Config) (*core.Comm, error) {
+	return newCommOn(dram.PaperGeometry(mramFor(4*m*batches+64)), []int{32, 32}, true, cfg)
 }
 
 // asyncPlans compiles the pipeline's plans on c: per batch a
@@ -86,17 +83,13 @@ func MeasureAsyncOverlap(m int, depths []int) ([]AsyncResult, error) {
 func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]AsyncResult, error) {
 	var out []AsyncResult
 	for _, batches := range depths {
-		serial, err := asyncComm(m, batches)
+		serial, err := asyncComm(m, batches, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		async, err := asyncComm(m, batches)
+		async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: stepped})
 		if err != nil {
 			return nil, err
-		}
-		async.SetSched(pol)
-		if stepped {
-			async.SetStepped(true)
 		}
 		sp, err := asyncPlans(serial, m, batches)
 		if err != nil {

@@ -22,12 +22,6 @@ type Options struct {
 	// backend) at a fraction of the wall-clock and memory, since no MRAM
 	// is allocated and no bytes move. Use for Full-scale sweeps.
 	CostOnly bool
-	// Async routes every primitive measurement through the asynchronous
-	// Submit/Future API instead of the blocking calls: the tables are
-	// identical (a lone submitted plan charges exactly what a serial run
-	// does), validating the async path across the whole suite. The
-	// dedicated "async" experiment measures the overlap itself.
-	Async bool
 	// Sched selects the submission scheduling policy of the async
 	// experiment's scheduled comm (`pidbench -sched`). The zero value is
 	// core.SchedWFQ, the machine default. A non-default policy runs the

@@ -79,21 +79,6 @@ func TestRunPrimitiveUnknown(t *testing.T) {
 	}
 }
 
-func TestGeoForPEsFlexible(t *testing.T) {
-	for _, n := range []int{8, 32, 64, 256, 512, 1024} {
-		g, err := geoForPEsFlexible(n, 4096)
-		if err != nil {
-			t.Fatalf("%d PEs: %v", n, err)
-		}
-		if g.NumPEs() != n {
-			t.Errorf("%d PEs: got %d", n, g.NumPEs())
-		}
-	}
-	if _, err := geoForPEsFlexible(12, 4096); err == nil {
-		t.Error("12 PEs accepted")
-	}
-}
-
 func TestGeomeanAndGbps(t *testing.T) {
 	if g := geomean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("geomean = %v", g)
@@ -240,79 +225,22 @@ func TestAsyncExperimentRegistered(t *testing.T) {
 	}
 }
 
-// The -async mode must not change any measurement: one plan alone on the
-// submission queue charges exactly what a serial run charges.
-func TestAsyncPrimitiveTablesIdentical(t *testing.T) {
-	for _, prim := range core.Primitives() {
-		spec := PrimSpec{Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512, Prim: prim, Level: core.CM, CostOnly: true}
-		_, bd, err := RunPrimitive(spec)
-		if err != nil {
-			t.Fatalf("%v: %v", prim, err)
-		}
-		spec.Async = true
-		_, abd, err := RunPrimitive(spec)
-		if err != nil {
-			t.Fatalf("%v async: %v", prim, err)
-		}
-		if bd != abd {
-			t.Errorf("%v: async breakdown diverges from serial:\n serial %v\n async  %v", prim, bd, abd)
-		}
-	}
-}
-
-// Why cached replay is fast, as deterministic facts instead of a
-// wall-clock ratio (which benchmark/ measures: cost_sweep, func_replay):
-// on the paper-scale 1024-PE cost-only config, recompiling a descriptor
-// is a plan-cache hit that lowers and traces nothing — the host-input
-// primitives, whose schedules bind caller buffers, rebuild the plan but
-// still share the cached charge trace — and replaying the cached plan
-// allocates nothing, whatever the payload and PE count.
-func TestCachedReplayIsAHitAndAllocatesNothing(t *testing.T) {
-	const recvPerPE = 1 << 20
-	comm, err := newPrimComm([]int{32, 32}, 1024, recvPerPE, true)
+// Figure 23(a): hypercube beats ring beats tree, with tree substantially
+// slower (paper: up to 2.05x and 7.89x at 32x32). The payload is large
+// enough that data terms dominate sync terms.
+func TestTopoOrderingMatchesFigure23a(t *testing.T) {
+	rows, err := MeasureTopologies([]int{16, 16}, "10", 16*4096, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prim := range core.Primitives() {
-		d, err := primCollective(PrimSpec{Prim: prim, Dims: "10", RecvPerPE: recvPerPE,
-			Level: core.IM, Elem: elem.I32, Op: elem.Sum}, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hostInput := prim == core.Scatter || prim == core.Broadcast
-		if prim == core.Broadcast {
-			d.Hosts = make([][]byte, 32)
-			for g := range d.Hosts {
-				d.Hosts[g] = make([]byte, recvPerPE)
-			}
-		}
-		if _, err := comm.Compile(d); err != nil {
-			t.Fatalf("%v: cold compile: %v", prim, err)
-		}
-		before := comm.PlanCacheStats()
-		cp, err := comm.Compile(d)
-		if err != nil {
-			t.Fatalf("%v: cached compile: %v", prim, err)
-		}
-		after := comm.PlanCacheStats()
-		if after.TraceMisses != before.TraceMisses || after.TraceHits != before.TraceHits+1 {
-			t.Errorf("%v: recompile traced again: %+v -> %+v", prim, before, after)
-		}
-		wantHits, wantMisses := before.PlanHits+1, before.PlanMisses
-		if hostInput {
-			wantHits, wantMisses = before.PlanHits, before.PlanMisses+1
-		}
-		if after.PlanHits != wantHits || after.PlanMisses != wantMisses {
-			t.Errorf("%v: recompile: plan hits/misses %d/%d, want %d/%d",
-				prim, after.PlanHits, after.PlanMisses, wantHits, wantMisses)
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := cp.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: cached cost-only Run allocates %.0f objects, want 0", prim, allocs)
-		}
+	hyper, ring, tree := float64(rows[0].Cost.Total()), float64(rows[1].Cost.Total()), float64(rows[2].Cost.Total())
+	if !(hyper < ring && ring < tree) {
+		t.Fatalf("ordering wrong: hypercube=%v ring=%v tree=%v", hyper, ring, tree)
+	}
+	if ring/hyper < 1.2 || ring/hyper > 5 {
+		t.Errorf("ring slowdown %.2fx out of plausible band (paper ~2x)", ring/hyper)
+	}
+	if tree/hyper < 3 || tree/hyper > 20 {
+		t.Errorf("tree slowdown %.2fx out of plausible band (paper ~7.9x)", tree/hyper)
 	}
 }

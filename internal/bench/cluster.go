@@ -29,7 +29,7 @@ func clusterHostGeo(perPE int) dram.Geometry {
 func clusterOf(hosts int, geo dram.Geometry, params cost.Params) (*core.Cluster, error) {
 	comms := make([]*core.Comm, hosts)
 	for h := range comms {
-		c, err := newCommOn(geo, []int{geo.NumPEs()}, params, true)
+		c, err := newCommOn(geo, []int{geo.NumPEs()}, true, core.Config{Params: params})
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,10 @@
 // Package bench is the evaluation harness: one registered experiment per
 // table and figure of the paper's evaluation (§ VIII), each regenerating
 // the corresponding rows/series on the simulated system, plus the
-// harness-native experiments (plan-cache replay throughput, async
-// overlap). Use cmd/pidbench to run them from the command line.
+// harness-native experiments (async overlap, reordering, fusion,
+// tenancy, serving). Everything here reads the simulated clock;
+// wall-clock measurement of the simulator itself is benchmark/'s job.
+// Use cmd/pidbench to run them from the command line.
 //
 // # Structure
 //
@@ -14,16 +16,14 @@
 //     payloads (the timing model is linear in payload, so the default
 //     small scale preserves every shape), CostOnly runs the primitive
 //     experiments on the cost-only backend over phantom (no-MRAM)
-//     systems — identical tables, orders of magnitude faster — and Async
-//     routes primitive measurements through the Submit/Future API.
+//     systems — identical tables, orders of magnitude faster — and Sched
+//     names the policy of the async experiment's scheduled comm.
 //   - PrimSpec / RunPrimitive (prims.go) is the single primitive-
 //     measurement path all figure experiments share; apps.go wires the
 //     five application benchmarks (Table III) through internal/apps.
 //
 // # Harness-native experiments
 //
-//   - "replay" (replay.go): cold compile-each-call vs cached
-//     CompiledPlan replay throughput at the 1024-PE paper scale.
 //   - "async" (async.go): serial replay vs asynchronous submission of a
 //     DLRM-style pipeline of independent collectives, reporting the
 //     overlap speedup of the elapsed-time timeline.

@@ -18,15 +18,11 @@ func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, 
 	for _, l := range shape {
 		n *= l
 	}
-	mram := 1
-	for mram < 4*size+64 {
-		mram *= 2
-	}
-	geo, err := geoForPEsFlexible(n, mram)
+	geo, err := primGeo(n, size)
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}
-	comm, err := newCommOn(geo, shape, params, costOnly)
+	comm, err := newCommOn(geo, shape, costOnly, core.Config{Params: params})
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}

@@ -43,16 +43,7 @@ type FusionResult struct {
 // level.
 func fusionComm(m, batches int, fuse core.FuseLevel) (*core.Comm, error) {
 	need := (2*batches+1)*m + batches*m // A/C regions plus aligned B slack
-	mram := 1
-	for mram < need+64 {
-		mram *= 2
-	}
-	c, err := newCommOn(dram.PaperGeometry(mram), []int{32, 32}, cost.DefaultParams(), true)
-	if err != nil {
-		return nil, err
-	}
-	c.SetFuse(fuse)
-	return c, nil
+	return newCommOn(dram.PaperGeometry(mramFor(need+64)), []int{32, 32}, true, core.Config{Fuse: fuse})
 }
 
 // fusionPipeline returns the pipeline's descriptors: per batch a

@@ -34,28 +34,32 @@ type MetricsFile struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// metricExperiments maps each gated experiment ID to its collector.
-// Collectors run cost-only at fixed small-scale configurations, so the
-// whole set completes in CI time and the values are deterministic.
-var metricExperiments = map[string]func(add func(name string, seconds float64)) error{
-	"fig14":       collectFig14,
-	"async":       collectAsync,
-	"multitenant": collectMultiTenant,
-	"fusion":      collectFusion,
-	"cluster":     collectCluster,
-	"serving":     collectServing,
-	"algo":        collectAlgo,
-	"reorder":     collectReorder,
+// metricExperiments pairs each gated experiment ID with its collector,
+// in the order bench_baseline.json lists them (so a bare `pidbench
+// -json` reproduces the checked-in file byte for byte). Collectors run
+// cost-only at fixed small-scale configurations, so the whole set
+// completes in CI time and the values are deterministic.
+var metricExperiments = []struct {
+	id      string
+	collect func(add func(name string, seconds float64)) error
+}{
+	{"fig14", collectFig14},
+	{"async", collectAsync},
+	{"multitenant", collectMultiTenant},
+	{"fusion", collectFusion},
+	{"cluster", collectCluster},
+	{"serving", collectServing},
+	{"algo", collectAlgo},
+	{"reorder", collectReorder},
 }
 
 // MetricExperimentIDs returns the experiment IDs with metric collectors,
-// sorted.
+// in baseline order.
 func MetricExperimentIDs() []string {
-	ids := make([]string, 0, len(metricExperiments))
-	for id := range metricExperiments {
-		ids = append(ids, id)
+	ids := make([]string, len(metricExperiments))
+	for i, me := range metricExperiments {
+		ids[i] = me.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -63,8 +67,14 @@ func MetricExperimentIDs() []string {
 func CollectMetrics(ids []string) (MetricsFile, error) {
 	mf := MetricsFile{Schema: MetricsSchema, Metrics: map[string]float64{}}
 	for _, id := range ids {
-		collect, ok := metricExperiments[id]
-		if !ok {
+		var collect func(add func(string, float64)) error
+		for _, me := range metricExperiments {
+			if me.id == id {
+				collect = me.collect
+				break
+			}
+		}
+		if collect == nil {
 			return mf, fmt.Errorf("bench: experiment %q has no regression metrics (have %v)", id, MetricExperimentIDs())
 		}
 		if err := collect(func(name string, v float64) {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,28 @@ func TestCompareMetricsGate(t *testing.T) {
 
 	if _, err := CollectMetrics([]string{"nope"}); err == nil {
 		t.Fatal("unknown experiment id did not fail")
+	}
+}
+
+// The whole gated set is deterministic to the byte: two collections in
+// one process — where meter history, map order and goroutine timing all
+// differ between the passes — serialize identically, and to exactly the
+// checked-in baseline.
+func TestMetricsJSONStableAcrossRuns(t *testing.T) {
+	var runs [2]bytes.Buffer
+	for i := range runs {
+		if err := WriteMetricsJSON(&runs[i], MetricExperimentIDs()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(runs[0].Bytes(), runs[1].Bytes()) {
+		t.Errorf("two collections differ:\n%s\n---\n%s", runs[0].Bytes(), runs[1].Bytes())
+	}
+	baseline, err := os.ReadFile("../../bench_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(runs[0].Bytes(), baseline) {
+		t.Errorf("collection differs from bench_baseline.json:\n%s", runs[0].Bytes())
 	}
 }

@@ -29,9 +29,13 @@ type tenantSpec struct {
 }
 
 // multiTenantMachine builds a cost-only paper-scale machine with one
-// session per spec, each bound to a fresh arena of arenaBytes.
+// session per spec, each bound to a fresh arena of arenaBytes. Stepped,
+// so the weighted-fair order is decided by the whole submitted backlog
+// and not by how far a background worker got while the submit loop ran
+// (the gated makespan would flip from run to run otherwise).
 func multiTenantMachine(specs []tenantSpec, arenaBytes int) (*pidcomm.Machine, []*pidcomm.Comm, error) {
-	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(len(specs)*arenaBytes), []int{32, 32}, pidcomm.CostOnly())
+	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(len(specs)*arenaBytes), []int{32, 32},
+		pidcomm.CostOnly(), pidcomm.WithStepped(true))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,13 +109,13 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidco
 			}
 		}
 	}
+	fmach.Flush()
 	for _, f := range futures {
 		if werr := f.Err(); werr != nil {
 			err = werr
 			return
 		}
 	}
-	fmach.Flush()
 	fairBD, fair = fmach.Breakdown(), fmach.Elapsed()
 	infos = fmach.Tenants()
 	return

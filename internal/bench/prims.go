@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/apps/appcore"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -33,10 +34,6 @@ type PrimSpec struct {
 	// throughput and breakdown are identical (the cost model is shared
 	// bit-for-bit), but no MRAM is allocated and no data moves.
 	CostOnly bool
-	// Async executes the primitive through Submit + Future.Wait instead
-	// of the blocking call; the measurement is identical (one plan alone
-	// on the queue charges what a serial run charges).
-	Async bool
 }
 
 // RunPrimitive executes one primitive on a fresh system and returns the
@@ -112,15 +109,7 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 	default:
 		fill(m)
 	}
-	var bd cost.Breakdown
-	if spec.Async {
-		var fut *core.Future
-		if fut, err = comm.Submit(d); err == nil {
-			bd, err = fut.Wait()
-		}
-	} else {
-		bd, err = comm.Run(d)
-	}
+	bd, err := comm.Run(d)
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
 	}
@@ -183,76 +172,27 @@ func primCollective(spec PrimSpec, gsize int) (core.Collective, error) {
 	return d, nil
 }
 
+// primGeo is the canonical geometry of n PEs with MRAM for the regions
+// of a primitive measurement at recvPerPE bytes per PE.
+func primGeo(n, recvPerPE int) (dram.Geometry, error) {
+	return appcore.GeoForPEs(n, mramFor(4*recvPerPE+64))
+}
+
 func newPrimComm(shape []int, n, recvPerPE int, costOnly bool) (*core.Comm, error) {
-	mram := 1
-	for mram < 4*recvPerPE+64 {
-		mram *= 2
-	}
-	geo, err := geoForPEsFlexible(n, mram)
+	geo, err := primGeo(n, recvPerPE)
 	if err != nil {
 		return nil, err
 	}
-	return newCommOn(geo, shape, cost.DefaultParams(), costOnly)
+	return newCommOn(geo, shape, costOnly, core.Config{})
 }
 
-// execWorkers is the ExecWorkers setting applied to every comm the
-// harness builds (0 = the library's GOMAXPROCS default). Set once at
-// startup by `pidbench -workers`; experiments that sweep the knob
-// themselves (funcspeed) override it per measurement.
-var execWorkers int
-
-// SetExecWorkers sets the functional-backend worker-pool size every
-// subsequently built comm runs at (0 restores the default).
-func SetExecWorkers(n int) { execWorkers = n }
-
-// newCommOn builds a comm for the geometry/shape on the requested
-// backend: functional over a real system, or cost-only over a phantom
-// (no-MRAM) system. The single construction path for all bench runners.
-func newCommOn(geo dram.Geometry, shape []int, params cost.Params, costOnly bool) (*core.Comm, error) {
-	var sys *dram.System
-	var err error
-	backend := core.FunctionalBackend()
+// newCommOn builds a comm for the geometry/shape at cfg, on the cost-only
+// backend (over a phantom, no-MRAM system) when costOnly is set.
+func newCommOn(geo dram.Geometry, shape []int, costOnly bool, cfg core.Config) (*core.Comm, error) {
 	if costOnly {
-		sys, err = dram.NewPhantomSystem(geo)
-		backend = core.CostBackend()
-	} else {
-		sys, err = dram.NewSystem(geo)
+		cfg.Backend = core.CostBackend()
 	}
-	if err != nil {
-		return nil, err
-	}
-	hc, err := core.NewHypercube(sys, shape)
-	if err != nil {
-		return nil, err
-	}
-	c := core.NewCommWithBackend(hc, params, backend)
-	if execWorkers > 0 {
-		c.SetExecWorkers(execWorkers)
-	}
-	return c, nil
-}
-
-// geoForPEsFlexible mirrors appcore.GeoForPEs (kept local to avoid an
-// import cycle when apps use bench helpers in the future).
-func geoForPEsFlexible(n, mram int) (dram.Geometry, error) {
-	if n <= 0 || n%8 != 0 {
-		return dram.Geometry{}, fmt.Errorf("bench: PE count %d must be a multiple of 8", n)
-	}
-	g := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 1, MramPerBank: mram}
-	rem := n / 8
-	for g.BanksPerChip < 8 && rem%2 == 0 {
-		g.BanksPerChip *= 2
-		rem /= 2
-	}
-	for g.RanksPerChannel < 4 && rem%2 == 0 {
-		g.RanksPerChannel *= 2
-		rem /= 2
-	}
-	g.Channels = rem
-	if g.NumPEs() != n {
-		return dram.Geometry{}, fmt.Errorf("bench: cannot realize %d PEs", n)
-	}
-	return g, nil
+	return core.New(geo, shape, cfg)
 }
 
 // fig14 recvPerPE: small 64 KiB, full 1 MiB.
@@ -269,7 +209,7 @@ func init() {
 		t := newTable("Primitive", "Base GB/s", "PID-Comm GB/s", "Speedup")
 		var ratios []float64
 		for _, prim := range core.Primitives() {
-			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, CostOnly: o.CostOnly, Async: o.Async}
+			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, CostOnly: o.CostOnly}
 			spec.Level = core.Baseline
 			base, _, err := RunPrimitive(spec)
 			if err != nil {
@@ -300,7 +240,7 @@ func init() {
 						continue
 					}
 				}
-				thr, _, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly, Async: o.Async})
+				thr, _, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}
@@ -317,7 +257,7 @@ func init() {
 		t := newTable("Primitive", "Design", "Total(ms)", "DT", "HostMod", "HostMem", "PEMem", "PEMod", "Other")
 		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
 			for _, lvl := range []core.Level{core.Baseline, core.CM} {
-				_, bd, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly, Async: o.Async})
+				_, bd, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}
@@ -351,11 +291,11 @@ func init() {
 		} {
 			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
 				for _, size := range sizes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly, Async: o.Async})
+					base, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly, Async: o.Async})
+					ours, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
@@ -382,11 +322,11 @@ func init() {
 					dims = dims[:1]
 				}
 				for i, shape := range shapes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly, Async: o.Async})
+					base, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly, Async: o.Async})
+					ours, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
@@ -410,7 +350,7 @@ func init() {
 		for _, shape := range shapes {
 			row := []string{fmt.Sprintf("%v", shape)}
 			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-				thr, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: "100", RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly, Async: o.Async})
+				thr, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: "100", RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}
@@ -424,32 +364,14 @@ func init() {
 
 	register("fig23a", "AllReduce on hierarchy-aware topologies: hypercube vs ring vs tree", func(o Options) error {
 		size := sizeFor(o, 64<<10, 2<<20)
-		commFor := func() (*core.Comm, error) { return newPrimComm([]int{32, 32}, 1024, size, o.CostOnly) }
+		rows, err := MeasureTopologies([]int{32, 32}, "10", size, o.CostOnly)
+		if err != nil {
+			return err
+		}
 		t := newTable("Topology", "Throughput GB/s", "Slowdown vs hypercube")
-		var hyper float64
-		for _, topo := range []core.Topology{core.TopoHypercube, core.TopoRing, core.TopoTree} {
-			comm, err := commFor()
-			if err != nil {
-				return err
-			}
-			if !o.CostOnly {
-				rng := rand.New(rand.NewSource(3))
-				buf := make([]byte, size)
-				for pe := 0; pe < 1024; pe++ {
-					rng.Read(buf)
-					comm.SetPEBuffer(pe, 0, buf)
-				}
-			}
-			bd, err := comm.AllReduceTopo(topo, core.Collective{Dims: "10",
-				Src: core.Span(0, size), Dst: core.At(2 * size), Elem: elem.I32, Op: elem.Sum})
-			if err != nil {
-				return err
-			}
-			thr := gbps(int64(size)*1024, float64(bd.Total()))
-			if topo == core.TopoHypercube {
-				hyper = thr
-			}
-			t.add(topo.String(), fmt.Sprintf("%.2f", thr), fmt.Sprintf("%.2fx", hyper/thr))
+		thr := func(r TopoResult) float64 { return gbps(int64(size)*1024, float64(r.Cost.Total())) }
+		for _, r := range rows {
+			t.add(r.Name, fmt.Sprintf("%.2f", thr(r)), fmt.Sprintf("%.2fx", thr(rows[0])/thr(r)))
 		}
 		t.write(o.W)
 		return nil

@@ -71,7 +71,7 @@ func reorderPlans(c *core.Comm, m, batches int) ([]*core.CompiledPlan, error) {
 func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]ReorderResult, error) {
 	var out []ReorderResult
 	for _, batches := range depths {
-		serial, err := asyncComm(m, batches)
+		serial, err := asyncComm(m, batches, core.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -85,12 +85,10 @@ func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]Reorder
 			}
 		}
 		for _, pol := range policies {
-			async, err := asyncComm(m, batches)
+			async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: true})
 			if err != nil {
 				return nil, err
 			}
-			async.SetStepped(true)
-			async.SetSched(pol)
 			ap, err := reorderPlans(async, m, batches)
 			if err != nil {
 				return nil, err
@@ -128,7 +126,7 @@ func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]Reorder
 // bit-identical contract: each future's charged breakdown, and the
 // machine meter as a whole, must equal the serial twin's bit for bit.
 func verifyReorderReplay(m, batches int, pol core.SchedPolicy, planIdx map[*core.Future]int, picked []*core.Future, async *core.Comm) error {
-	twin, err := asyncComm(m, batches)
+	twin, err := asyncComm(m, batches, core.Config{})
 	if err != nil {
 		return err
 	}

@@ -44,8 +44,7 @@ const (
 	// SchedEDF is earliest-deadline-first layered on the WFQ buckets:
 	// among the hazard-free candidates near every bucket's head, pick
 	// the one with the earliest deadline (no deadline sorts last; ties
-	// fall back to submission order). Bucket virtual times still advance
-	// so a later switch back to SchedWFQ resumes fair.
+	// fall back to submission order).
 	SchedEDF
 	// SchedFIFO serves the globally oldest queued plan regardless of
 	// bucket — plain submission order, the pre-tenancy behavior.
@@ -62,60 +61,6 @@ const (
 	SchedLookahead
 )
 
-// SetSched selects the submission scheduling policy. Safe to call at any
-// time; plans already popped by the worker are unaffected, and bucket
-// virtual times advance identically under every policy, so switching
-// back to SchedWFQ resumes fair. A value outside the schedulers table
-// falls back to SchedWFQ at pick time.
-func (c *Comm) SetSched(p SchedPolicy) {
-	c.asyncMu.Lock()
-	c.sched = p
-	c.asyncMu.Unlock()
-}
-
-// SetLookahead configures the candidate window: how deep into each
-// bucket the window-scanning policies (SchedEDF, SchedLookahead)
-// consider hazard-free plans at each pick. The default is
-// DefaultLookahead. k must be in [1, MaxPendingPlans].
-func (c *Comm) SetLookahead(k int) error {
-	if k < 1 || k > MaxPendingPlans {
-		return fmt.Errorf("core: lookahead window %d out of range [1, %d]", k, MaxPendingPlans)
-	}
-	c.asyncMu.Lock()
-	c.lookahead = k
-	c.asyncMu.Unlock()
-	return nil
-}
-
-// Lookahead returns the effective candidate window depth.
-func (c *Comm) Lookahead() int {
-	c.asyncMu.Lock()
-	defer c.asyncMu.Unlock()
-	return c.lookaheadLocked()
-}
-
-// lookaheadLocked resolves the effective candidate window depth.
-// Callers hold asyncMu.
-func (c *Comm) lookaheadLocked() int {
-	if c.lookahead > 0 {
-		return c.lookahead
-	}
-	return DefaultLookahead
-}
-
-// SetStepped switches the Comm into stepped serving mode: submissions
-// only enqueue, and the caller drives execution one plan at a time with
-// Step. Stepped mode makes open-loop serving simulations deterministic —
-// a single-threaded driver fully controls the interleaving of arrivals
-// and picks, with no background worker racing it. Flip it only while no
-// submissions are in flight (a worker already running keeps draining);
-// Flush drains a stepped queue synchronously.
-func (c *Comm) SetStepped(on bool) {
-	c.asyncMu.Lock()
-	c.stepped = on
-	c.asyncMu.Unlock()
-}
-
 // Pending returns the number of submitted plans not yet completed
 // (queued or executing).
 func (c *Comm) Pending() int {
@@ -124,7 +69,7 @@ func (c *Comm) Pending() int {
 	return c.asyncPending
 }
 
-// Step pops the next plan under the current scheduling policy and
+// Step pops the next plan under the comm's scheduling policy and
 // executes it synchronously, returning its (completed) future. Returns
 // nil when the queue is empty — or when a background worker owns the
 // queue (non-stepped mode with submissions in flight), since stepping
@@ -195,8 +140,9 @@ type placedPlan struct {
 }
 
 // Future is the handle of one submitted plan execution. All accessors
-// except Done block until the execution completes. A Future is safe for
-// concurrent use; its results never change once set.
+// except Done block until the execution completes — on a stepped comm,
+// where no worker drains the queue, by stepping it themselves. A Future
+// is safe for concurrent use; its results never change once set.
 type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number, used by the
@@ -229,11 +175,22 @@ func (f *Future) Done() bool {
 	}
 }
 
+// wait blocks until the execution completes. On a stepped comm nothing
+// else drains the queue, so the waiter steps it until its future is done
+// (or the queue is empty: another goroutine's Step is executing it).
+func (f *Future) wait() {
+	if c := f.cp.c; c.stepped {
+		for !f.Done() && c.Step() != nil {
+		}
+	}
+	<-f.done
+}
+
 // Wait blocks until the execution completes and returns its cost
 // breakdown (what this run charged the meter) and error. Wait may be
 // called any number of times and from multiple goroutines.
 func (f *Future) Wait() (cost.Breakdown, error) {
-	<-f.done
+	f.wait()
 	return f.bd, f.err
 }
 
@@ -242,7 +199,7 @@ func (f *Future) Wait() (cost.Breakdown, error) {
 // exactly once per Future; later submissions on the same Comm are
 // unaffected.
 func (f *Future) Err() error {
-	<-f.done
+	f.wait()
 	return f.err
 }
 
@@ -250,7 +207,7 @@ func (f *Future) Err() error {
 // charged. Unlike CompiledPlan.Cost (the predicted per-run cost), this is
 // the measured charge of this particular run.
 func (f *Future) Cost() cost.Breakdown {
-	<-f.done
+	f.wait()
 	return f.bd
 }
 
@@ -259,7 +216,7 @@ func (f *Future) Cost() cost.Breakdown {
 // otherwise). Unlike CompiledPlan.Results, the returned buffers belong to
 // this run and stay valid even after the plan runs again.
 func (f *Future) Results() [][]byte {
-	<-f.done
+	f.wait()
 	return f.out
 }
 
@@ -268,7 +225,7 @@ func (f *Future) Results() [][]byte {
 // plans have non-overlapping windows in hazard order; independent plans'
 // windows may overlap.
 func (f *Future) Window() (start, end cost.Seconds) {
-	<-f.done
+	f.wait()
 	return f.start, f.end
 }
 
@@ -279,13 +236,13 @@ func (f *Future) Plan() *CompiledPlan { return f.cp }
 // a Comm (weight 1) or one tenant's queue. Within a bucket plans execute
 // in FIFO submission order — which is what preserves the hazard ordering
 // guarantees, since data hazards can only exist within a bucket (tenant
-// arenas are disjoint). Across buckets the active scheduling policy
+// arenas are disjoint). Across buckets the comm's scheduling policy
 // picks (sched.go); every service advances the bucket's vtime by the
 // plan's predicted cost over the bucket's weight, so under the default
 // WFQ policy each backlogged bucket b receives a weight_b / Σ weights
-// share of the simulated machine (start-time weighted fair queuing),
-// and the other policies stay fairness-accounted for a later switch
-// back. All fields are guarded by the Comm's asyncMu.
+// share of the simulated machine (start-time weighted fair queuing);
+// the lookahead policy's starvation bound reads the same clock. All
+// fields are guarded by the Comm's asyncMu.
 type subQueue struct {
 	q      []*Future
 	weight float64
@@ -418,31 +375,13 @@ func (c *Comm) completeDroppedLocked(f *Future, err error) {
 	<-c.asyncSlots // release the victim's queue slot
 }
 
-// schedulerLocked resolves the Comm's active Scheduler, (re)instantiating
-// it lazily on the first pick and after every policy change — which also
-// keeps bare Comm literals in tests working with just the policy value
-// set. A policy value outside the schedulers table falls back to
-// weighted-fair queuing. Callers hold asyncMu.
-func (c *Comm) schedulerLocked() Scheduler {
-	if c.schedImpl == nil || c.schedImplOf != c.sched {
-		sp := schedulers[SchedWFQ]
-		if c.sched >= 0 && int(c.sched) < len(schedulers) {
-			sp = schedulers[c.sched]
-		}
-		c.schedImpl = sp.New()
-		c.schedImplOf = c.sched
-	}
-	return c.schedImpl
-}
-
 // pickLocked pops the next future through the policy funnel: it
-// enumerates the hazard-free plans within the active policy's window of
-// every bucket's head, hands them to the policy's Pick, and performs the
+// enumerates the hazard-free plans within the policy's window of every
+// bucket's head, hands them to the policy's Pick, and performs the
 // bookkeeping every policy shares — removing the pick from its bucket
 // and advancing the weighted-fair virtual clock by the plan's predicted
-// cost over the bucket's weight (service is priced identically under
-// every policy, so a later SetSched switch resumes fair). Returns nil
-// when every bucket is empty. Callers hold asyncMu.
+// cost over the bucket's weight. Returns nil when every bucket is
+// empty. Callers hold asyncMu.
 //
 // Hazard safety is a funnel invariant no policy can break: a plan is a
 // candidate only if no earlier-submitted plan still queued anywhere
@@ -453,8 +392,8 @@ func (c *Comm) schedulerLocked() Scheduler {
 // is left to conflict with, and buckets are FIFO so it sits at index 0),
 // hence the pick cannot return nil while work is queued.
 func (c *Comm) pickLocked() *Future {
-	s := c.schedulerLocked()
-	win := s.Window(c.lookaheadLocked())
+	s := c.sched
+	win := s.Window(c.lookahead)
 	if win < 1 {
 		win = 1
 	}
@@ -482,7 +421,7 @@ func (c *Comm) pickLocked() *Future {
 	}
 	k := s.Pick(cands)
 	if k < 0 || k >= len(cands) {
-		panic(fmt.Sprintf("core: scheduler %q picked candidate %d of %d", c.sched, k, len(cands)))
+		panic(fmt.Sprintf("core: scheduler %T picked candidate %d of %d", s, k, len(cands)))
 	}
 	pick := cands[k]
 	q := pick.q
@@ -641,8 +580,8 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 
 // placeSerialLocked appends segs to the timeline as a barrier placement
 // and advances the submission barrier and the timeline's pruning floor —
-// the one way every serial path (Run, AllReduceTopo, ExtendElapsed,
-// Flush) closes the overlap window. Callers hold execMu.
+// the one way every serial path (Run, ExtendElapsed, Flush) closes the
+// overlap window. Callers hold execMu.
 func (c *Comm) placeSerialLocked(segs []cost.Segment) {
 	c.tl.PlaceSerial(segs)
 	c.asyncBase = c.tl.Elapsed()
@@ -657,13 +596,7 @@ func (c *Comm) placeSerialLocked(segs []cost.Segment) {
 func (c *Comm) Flush() {
 	// In stepped mode no worker drains the queue, so Flush steps it dry
 	// itself before waiting out anything still executing elsewhere.
-	for {
-		c.asyncMu.Lock()
-		drain := c.stepped && !c.asyncRunning && c.asyncPending > 0
-		c.asyncMu.Unlock()
-		if !drain || c.Step() == nil {
-			break
-		}
+	for c.stepped && c.Step() != nil {
 	}
 	c.asyncMu.Lock()
 	for c.asyncPending > 0 {

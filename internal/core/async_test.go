@@ -17,24 +17,10 @@ import (
 func asyncTestComm(t *testing.T, costOnly bool) *Comm {
 	t.Helper()
 	geo := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 4, MramPerBank: 1 << 16}
-	var sys *dram.System
-	var err error
 	if costOnly {
-		sys, err = dram.NewPhantomSystem(geo)
-	} else {
-		sys, err = dram.NewSystem(geo)
+		return costSystem(t, geo, []int{32})
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHypercube(sys, []int{32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if costOnly {
-		return NewCostComm(hc, cost.DefaultParams())
-	}
-	return NewComm(hc, cost.DefaultParams())
+	return testSystem(t, geo, []int{32})
 }
 
 func fillPEs(c *Comm, off, n int, seed int64) {

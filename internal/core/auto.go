@@ -87,16 +87,15 @@ type autoDecision struct {
 	makespan cost.Seconds
 }
 
-// shadowComm returns the comm's cost-only twin (sharing the hypercube
-// and cost parameters but with its own meter), creating it on first use.
-// Callers must hold autoMu.
+// shadowComm returns the comm's cost-only twin (sharing the hypercube,
+// the cost parameters and the fusion level — so Auto compares candidates
+// on the schedules the real compile will produce — but with its own
+// meter), creating it on first use. Callers must hold autoMu.
 func (c *Comm) shadowComm() *Comm {
 	if c.shadow == nil {
-		c.shadow = NewCostComm(c.hc, c.h.Params())
+		c.shadow = newComm(c.hc, Config{Params: c.h.Params(), Backend: CostBackend(),
+			Fuse: c.fuse, Lookahead: DefaultLookahead})
 	}
-	// Dry-run with the parent's fusion level so Auto compares candidates
-	// on the schedules the real compile will produce.
-	c.shadow.SetFuse(c.Fuse())
 	return c.shadow
 }
 

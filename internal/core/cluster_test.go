@@ -25,24 +25,10 @@ func testCluster(t *testing.T, hosts int, geo dram.Geometry, shape []int, costOn
 	t.Helper()
 	comms := make([]*Comm, hosts)
 	for h := range comms {
-		var sys *dram.System
-		var err error
 		if costOnly {
-			sys, err = dram.NewPhantomSystem(geo)
+			comms[h] = costSystem(t, geo, shape)
 		} else {
-			sys, err = dram.NewSystem(geo)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		hc, err := NewHypercube(sys, shape)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costOnly {
-			comms[h] = NewCostComm(hc, cost.DefaultParams())
-		} else {
-			comms[h] = NewComm(hc, cost.DefaultParams())
+			comms[h] = testSystem(t, geo, shape)
 		}
 	}
 	cl, err := NewCluster(comms)
@@ -546,15 +532,7 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster([]*Comm{c, c2}); err == nil {
 		t.Error("mismatched host PE counts accepted")
 	}
-	phantom, err := dram.NewPhantomSystem(geoHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHypercube(phantom, []int{16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCluster([]*Comm{c, NewCostComm(hc, cost.DefaultParams())}); err == nil {
+	if _, err := NewCluster([]*Comm{c, costSystem(t, geoHost, []int{16})}); err == nil {
 		t.Error("mixed functional/cost-only backends accepted")
 	}
 

@@ -40,6 +40,17 @@ type Comm struct {
 	eng     *dpu.Engine
 	backend Backend
 
+	// The rest of the Config, resolved by New and immutable afterwards,
+	// so every path reads it without a lock: the fusion level (never
+	// FuseDefault), the worker-shard count (never 0), the candidate
+	// window depth of the window-scanning policies, and stepped mode,
+	// where the caller drives execution via Step instead of a background
+	// worker.
+	fuse      FuseLevel
+	workers   int
+	lookahead int
+	stepped   bool
+
 	// execMu serializes schedule execution and all direct access to the
 	// host model (its meter epoch state and transfer statistics).
 	execMu sync.Mutex
@@ -59,14 +70,13 @@ type Comm struct {
 	shadow    *Comm
 
 	// compMu guards the compiled-plan, sequence and charge-trace caches
-	// (plan.go), their hit/miss counters, the fusion level and the
-	// aggregate fusion statistics.
+	// (plan.go), their hit/miss counters and the aggregate fusion
+	// statistics.
 	compMu   sync.Mutex
 	compiled map[planKey]*CompiledPlan
 	traces   map[planKey]*chargeTrace
 	seqPlans map[string]*CompiledPlan
 	cacheSt  PlanCacheStats
-	fuse     FuseLevel
 	fuseSt   FusionStats
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
@@ -82,15 +92,9 @@ type Comm struct {
 	// Flush. asyncSlots is the queue-slot semaphore bounding in-flight
 	// submissions at MaxPendingPlans. queues[0] is the default queue of
 	// plans submitted outside any tenant; every tenant appends its own
-	// (async.go, tenant.go).
-	// sched, lookahead and stepped are the serving knobs: the pick
-	// policy (resolved through the schedulers table into schedImpl,
-	// lazily and again after every policy change — schedImplOf records
-	// which policy the instance serves), the candidate window depth of
-	// the window-scanning policies (0 = DefaultLookahead), and stepped
-	// mode, where the caller drives execution via Step instead of a
-	// background worker. cands is pickLocked's reusable candidate
-	// scratch (async.go, sched.go).
+	// (async.go, tenant.go). sched is the policy's Scheduler instance,
+	// whose Pick calls asyncMu serializes; cands is pickLocked's
+	// reusable candidate scratch (async.go, sched.go).
 	asyncMu      sync.Mutex
 	asyncCond    *sync.Cond
 	queues       []*subQueue
@@ -99,12 +103,8 @@ type Comm struct {
 	asyncRunning bool
 	asyncPending int
 	asyncSlots   chan struct{}
-	sched        SchedPolicy
-	schedImpl    Scheduler
-	schedImplOf  SchedPolicy
-	lookahead    int
+	sched        Scheduler
 	cands        []Candidate
-	stepped      bool
 
 	// tenantMu guards the registry of live tenants, tenantSeq, the count
 	// of tenants ever registered that default names are drawn from, the
@@ -117,42 +117,110 @@ type Comm struct {
 	retired   []*Tenant
 	clusters  []*Cluster
 
-	// Parallel-execution state, all guarded by execMu (the knob and the
-	// per-shard contexts are only touched while an execution holds the
-	// lock). egs is precomputed at construction and immutable, so the
-	// tracing path (under compMu) may read it too.
-	execWorkers int          // 0 = default (GOMAXPROCS at call time)
-	egs         []int        // [0..numGroups): every entangled group
-	streams     []*streamCtx // per-shard streaming contexts (engine.go)
-	modBuf      []byte       // reusable Modulate output arena (bulkOut)
-	slabs       [][]byte     // per-shard scratch slabs (groupsDoScratch)
-	grun        groupRunner
-	gsrun       groupScratchRunner
+	// Parallel-execution state, all guarded by execMu (the per-shard
+	// contexts are only touched while an execution holds the lock). egs
+	// is precomputed at construction and immutable, so the tracing path
+	// (under compMu) may read it too.
+	egs     []int        // [0..numGroups): every entangled group
+	streams []*streamCtx // per-shard streaming contexts (engine.go)
+	modBuf  []byte       // reusable Modulate output arena (bulkOut)
+	slabs   [][]byte     // per-shard scratch slabs (groupsDoScratch)
+	grun    groupRunner
+	gsrun   groupScratchRunner
 }
 
-// NewComm creates a communication context for the hypercube with the
-// given cost parameters and the byte-accurate functional backend.
-func NewComm(hc *Hypercube, params cost.Params) *Comm {
-	return NewCommWithBackend(hc, params, FunctionalBackend())
+// Config is everything about a Comm a caller can choose. New applies it
+// once; nothing in it can change afterwards (the Auto objective,
+// SetAutoObjective, is the one runtime setting).
+type Config struct {
+	// Params is the timing model; the zero value means
+	// cost.DefaultParams().
+	Params cost.Params
+	// Backend executes the schedules; nil means FunctionalBackend(). A
+	// non-functional backend gets a phantom (no-MRAM) system: collectives
+	// charge the meter exactly as the functional backend would but move
+	// no bytes, rooted primitives return nil result buffers, and Scatter
+	// accepts nil host buffers (sizes are implied by the call).
+	Backend Backend
+	// Fuse is the schedule-fusion level every plan of the comm is
+	// compiled at (fuse.go); FuseDefault means FuseFull.
+	Fuse FuseLevel
+	// ExecWorkers is the number of worker shards the functional backend
+	// splits schedule-step work across (bulk transfers, streaming epochs,
+	// kernel launches); <= 0 means GOMAXPROCS. Purely a simulator-
+	// throughput setting: results, meter charges, bus statistics and MRAM
+	// contents are byte-identical at any worker count.
+	ExecWorkers int
+	// Sched is the submission scheduling policy, a row of the schedulers
+	// table (sched.go). The zero value is SchedWFQ.
+	Sched SchedPolicy
+	// Stepped selects stepped serving mode: submissions only enqueue, and
+	// the caller drives execution one plan at a time with Step (Flush and
+	// the blocking Future accessors step the queue themselves). It makes
+	// open-loop serving simulations deterministic — a single-threaded
+	// driver fully controls the interleaving of arrivals and picks, with
+	// no background worker racing it.
+	Stepped bool
+	// Lookahead is the candidate window: how deep into each bucket the
+	// window-scanning policies (SchedEDF, SchedLookahead) consider
+	// hazard-free plans at each pick. 0 means DefaultLookahead; otherwise
+	// it must be in [1, MaxPendingPlans].
+	Lookahead int
 }
 
-// NewCostComm creates a cost-only communication context: collectives
-// charge the meter exactly as NewComm's would, but move no bytes — the
-// hypercube's system may be a dram phantom with no MRAM at all. Rooted
-// primitives return nil result buffers, and Scatter accepts nil host
-// buffers (sizes are implied by the call).
-func NewCostComm(hc *Hypercube, params cost.Params) *Comm {
-	return NewCommWithBackend(hc, params, CostBackend())
+// New builds the simulated system for geo — phantom when cfg.Backend is
+// not functional — the virtual hypercube of the given shape over its PEs,
+// and the communication context configured by cfg. It is the only
+// constructor: cfg is validated here, once, and the scheduler instance is
+// resolved here, once.
+func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
+	if cfg.Params == (cost.Params{}) {
+		cfg.Params = cost.DefaultParams()
+	}
+	if err := cfg.Params.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Backend == nil {
+		cfg.Backend = FunctionalBackend()
+	}
+	if cfg.Lookahead == 0 {
+		cfg.Lookahead = DefaultLookahead
+	}
+	if cfg.Lookahead < 1 || cfg.Lookahead > MaxPendingPlans {
+		return nil, fmt.Errorf("core: lookahead window %d out of range [1, %d]", cfg.Lookahead, MaxPendingPlans)
+	}
+	if cfg.Sched < 0 || int(cfg.Sched) >= len(schedulers) {
+		return nil, fmt.Errorf("core: unknown scheduling policy %v", cfg.Sched)
+	}
+	newSystem := dram.NewSystem
+	if !cfg.Backend.Functional() {
+		newSystem = dram.NewPhantomSystem
+	}
+	sys, err := newSystem(geo)
+	if err != nil {
+		return nil, err
+	}
+	hc, err := NewHypercube(sys, shape)
+	if err != nil {
+		return nil, err
+	}
+	return newComm(hc, cfg), nil
 }
 
-// NewCommWithBackend creates a communication context on an explicit
-// backend.
-func NewCommWithBackend(hc *Hypercube, params cost.Params, b Backend) *Comm {
+// newComm builds a comm over an existing hypercube from a config New has
+// already validated and defaulted (the Auto shadow shares its parent's
+// hypercube this way, auto.go).
+func newComm(hc *Hypercube, cfg Config) *Comm {
 	c := &Comm{
 		hc:         hc,
-		h:          host.New(hc.sys, params),
-		eng:        dpu.NewEngine(hc.sys, params),
-		backend:    b,
+		h:          host.New(hc.sys, cfg.Params),
+		eng:        dpu.NewEngine(hc.sys, cfg.Params),
+		backend:    cfg.Backend,
+		fuse:       cfg.Fuse.resolved(),
+		workers:    cfg.ExecWorkers,
+		sched:      schedulers[cfg.Sched].New(),
+		lookahead:  cfg.Lookahead,
+		stepped:    cfg.Stepped,
 		plans:      make(map[string]*plan),
 		autoCache:  make(map[autoKey]autoDecision),
 		compiled:   make(map[planKey]*CompiledPlan),
@@ -162,6 +230,10 @@ func NewCommWithBackend(hc *Hypercube, params cost.Params, b Backend) *Comm {
 		queues:     []*subQueue{{weight: 1}},
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}
+	if c.workers <= 0 {
+		c.workers = runtime.GOMAXPROCS(0)
+	}
+	c.h.SetWorkers(c.workers)
 	for i := range c.egs {
 		c.egs[i] = i
 	}
@@ -173,37 +245,8 @@ func NewCommWithBackend(hc *Hypercube, params cost.Params, b Backend) *Comm {
 // The slice is precomputed and immutable — callers must not modify it.
 func (c *Comm) allEGs() []int { return c.egs }
 
-// SetExecWorkers sets the number of worker shards the functional backend
-// splits schedule-step work across (bulk transfers, streaming epochs,
-// kernel launches). n <= 0 restores the default, GOMAXPROCS. The knob is
-// purely a simulator-throughput control: results, meter charges, bus
-// statistics and MRAM contents are byte-identical at any worker count, so
-// it is NOT part of the plan-cache key — changing it never invalidates
-// compiled plans.
-func (c *Comm) SetExecWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.execMu.Lock()
-	c.execWorkers = n
-	c.h.SetWorkers(c.workers())
-	c.execMu.Unlock()
-}
-
-// ExecWorkers returns the effective worker-shard count.
-func (c *Comm) ExecWorkers() int {
-	c.execMu.Lock()
-	defer c.execMu.Unlock()
-	return c.workers()
-}
-
-// workers resolves the effective worker count. Callers hold execMu.
-func (c *Comm) workers() int {
-	if c.execWorkers > 0 {
-		return c.execWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// ExecWorkers returns the worker-shard count (Config.ExecWorkers).
+func (c *Comm) ExecWorkers() int { return c.workers }
 
 // groupRunner adapts a per-group closure to par.Runner; the Comm keeps
 // one so staged-path modulation can fan out without allocating a runner
@@ -220,7 +263,7 @@ func (gr *groupRunner) RunShard(_, lo, hi int) {
 // workers. fn must only write state owned by group g. Callers hold execMu.
 func (c *Comm) groupsDo(n int, fn func(g int)) {
 	c.grun.fn = fn
-	par.Do(c.workers(), n, &c.grun)
+	par.Do(c.workers, n, &c.grun)
 	c.grun.fn = nil
 }
 
@@ -241,7 +284,7 @@ func (gr *groupScratchRunner) RunShard(shard, lo, hi int) {
 // groupsDoScratch is groupsDo with a bytes-sized scratch slab per shard
 // (reused across runs — the parallel replacement for a per-group make).
 func (c *Comm) groupsDoScratch(n, bytes int, fn func(g int, scratch []byte)) {
-	k := c.workers()
+	k := c.workers
 	if k > n {
 		k = n
 	}
@@ -254,7 +297,7 @@ func (c *Comm) groupsDoScratch(n, bytes int, fn func(g int, scratch []byte)) {
 		}
 	}
 	c.gsrun.c, c.gsrun.bytes, c.gsrun.fn = c, bytes, fn
-	par.Do(c.workers(), n, &c.gsrun)
+	par.Do(c.workers, n, &c.gsrun)
 	c.gsrun.fn = nil
 }
 
@@ -273,31 +316,8 @@ func (c *Comm) bulkOut(n int) []byte {
 // Backend returns the comm's execution backend.
 func (c *Comm) Backend() Backend { return c.backend }
 
-// SetFuse configures the schedule-fusion level for subsequently compiled
-// plans (fuse.go). The default is FuseFull. The level is part of the
-// plan-cache key, so toggling it never serves a plan fused at another
-// level; plans already handed out keep the level they were compiled at.
-// Cached Auto decisions are dropped on a change — they were made
-// against schedules fused at the old level and the cheapest level may
-// differ at the new one.
-func (c *Comm) SetFuse(f FuseLevel) {
-	c.compMu.Lock()
-	changed := c.fuse.resolved() != f.resolved()
-	c.fuse = f.resolved()
-	c.compMu.Unlock()
-	if changed {
-		c.autoMu.Lock()
-		c.autoCache = make(map[autoKey]autoDecision)
-		c.autoMu.Unlock()
-	}
-}
-
-// Fuse returns the comm's current schedule-fusion level.
-func (c *Comm) Fuse() FuseLevel {
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	return c.fuse.resolved()
-}
+// Fuse returns the comm's schedule-fusion level (Config.Fuse, resolved).
+func (c *Comm) Fuse() FuseLevel { return c.fuse }
 
 // FusionStats returns the aggregate fusion activity of every plan
 // compiled on this comm (cumulative; survives ClearPlanCache).

@@ -11,18 +11,20 @@ import (
 	"repro/internal/elem"
 )
 
-// testSystem builds a small system and hypercube.
+// newTestComm is New failing the test on an error.
+func newTestComm(t testing.TB, geo dram.Geometry, shape []int, cfg Config) *Comm {
+	t.Helper()
+	c, err := New(geo, shape, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// testSystem builds a small functional comm at the default configuration.
 func testSystem(t *testing.T, geo dram.Geometry, shape []int) *Comm {
 	t.Helper()
-	sys, err := dram.NewSystem(geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHypercube(sys, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewComm(hc, cost.DefaultParams())
+	return newTestComm(t, geo, shape, Config{})
 }
 
 // runRooted runs a rooted collective (Gather, Reduce) once and returns

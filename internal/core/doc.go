@@ -14,6 +14,15 @@
 // and must produce bit-identical results; tests verify all levels against
 // an independent reference model (reference.go).
 //
+// # Configured at construction
+//
+// New(geo, shape, Config) is the only constructor: it builds the
+// (phantom or real) system, the hypercube and the Comm, validates the
+// Config once and resolves the scheduler once. Backend, cost
+// parameters, fusion level, worker count, scheduling policy, lookahead
+// window and stepped mode are fixed for the Comm's life; the Auto
+// objective (SetAutoObjective) is the one runtime setting.
+//
 // # The Collective descriptor
 //
 // Every collective call is described by one Collective value
@@ -52,8 +61,8 @@
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
-//     interior syncs drop. On by default (FuseLevel knob, part of the
-//     plan-cache key); CompileSequence compiles whole multi-collective
+//     interior syncs drop. On by default (Config.Fuse, one level per
+//     Comm); CompileSequence compiles whole multi-collective
 //     pipelines through the fuser, where the cross-collective rewrites
 //     pay off. Fused execution is byte-identical to unfused (pinned by
 //     fuse_test.go and the fuzz harness) — only the charge trace, which
@@ -68,9 +77,9 @@
 // pool (internal/par): RotateBlocks launches split the PE list,
 // column-stream epochs split their column range onto per-shard
 // streaming contexts (engine.go), and staged bulk passes split their
-// entangled-group list. SetExecWorkers sizes the pool (default
-// GOMAXPROCS; purely a simulator-throughput knob, deliberately NOT part
-// of the plan-cache key). The determinism contract is structural:
+// entangled-group list. Config.ExecWorkers sizes the pool (default
+// GOMAXPROCS; purely a simulator-throughput knob). The determinism
+// contract is structural:
 // shards only write disjoint regions, shard-local tallies merge in
 // shard order with order-insensitive folds (integer sums, exact float
 // max), and every meter addition happens on the executing goroutine
@@ -122,7 +131,7 @@
 // that dry-places candidate charge traces on a projection cost.Timeline
 // and serves the one minimizing the projected joint makespan, under a
 // WFQ virtual-time starvation bound. ParseSchedPolicy and
-// SchedPolicy.String round-trip every name. SetLookahead bounds the
+// SchedPolicy.String round-trip every name. Config.Lookahead bounds the
 // candidate window of the window-scanning policies. The bench "reorder"
 // experiment measures the lookahead payoff on an adversarial submission
 // order.
@@ -136,5 +145,4 @@
 //	Figure 9      shiftColumn (engine.go)
 //	Table I, II   support.go (TableI, TableII, TechniqueApplies)
 //	§ V-A1        rotateBlocksKernel (engine.go)
-//	§ VIII-H      AllReduceTopo (topo.go)
 package core

@@ -97,7 +97,7 @@ func (functionalBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlock
 		PEs:        pes,
 		GroupRanks: ranks,
 		Category:   cost.PEMod,
-		Workers:    c.workers(),
+		Workers:    c.workers,
 	}, h.Meter(), st.kern)
 }
 
@@ -125,7 +125,7 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 // everything still happens inside ONE bus epoch, so the charged bus time
 // is identical to the serial engine's.
 func (functionalBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStream) {
-	workers := c.workers()
+	workers := c.workers
 	h.BeginXfer()
 	for _, sg := range st.segs {
 		if sg.setup != nil {

@@ -15,15 +15,7 @@ import (
 // touches data).
 func costSystem(t *testing.T, geo dram.Geometry, shape []int) *Comm {
 	t.Helper()
-	sys, err := dram.NewPhantomSystem(geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHypercube(sys, shape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewCostComm(hc, cost.DefaultParams())
+	return newTestComm(t, geo, shape, Config{Backend: CostBackend()})
 }
 
 // diffBreakdowns returns a description of the first differing category,
@@ -172,26 +164,5 @@ func TestCostBackendScatterNilBufs(t *testing.T) {
 	if _, err := fc.Run(Collective{Prim: Scatter, Dims: "10",
 		Hosts: nil, Dst: Span(0, s), Level: IM}); err == nil {
 		t.Error("functional Scatter accepted nil buffers")
-	}
-}
-
-// AllReduceTopo's structural comparators must also run cost-only.
-func TestCostBackendTopoComparators(t *testing.T) {
-	for _, topo := range []Topology{TopoHypercube, TopoRing, TopoTree} {
-		fc := testSystem(t, geo64, []int{8, 8})
-		cc := costSystem(t, geo64, []int{8, 8})
-		m := 8 * 16
-		fillSrcComm(fc, 0, m, 21)
-		want, err := fc.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cc.AllReduceTopo(topo, Collective{Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diffBreakdowns(want, got); d != "" {
-			t.Errorf("%v: %s", topo, d)
-		}
 	}
 }

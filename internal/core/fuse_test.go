@@ -12,9 +12,7 @@ import (
 // fuseComm builds a functional comm at the given fusion level.
 func fuseComm(t *testing.T, sc caseSpec, fuse FuseLevel) *Comm {
 	t.Helper()
-	c := testSystem(t, sc.geo, sc.shape)
-	c.SetFuse(fuse)
-	return c
+	return newTestComm(t, sc.geo, sc.shape, Config{Fuse: fuse})
 }
 
 // fillBoth writes identical deterministic random bytes into every PE's
@@ -394,14 +392,14 @@ func TestSequenceCacheAndStats(t *testing.T) {
 	if diff := float64(sum - before); diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("member costs sum %v != CostBefore %v", sum, before)
 	}
-	// Toggling fusion must not serve the fused plan.
-	c.SetFuse(FuseOff)
-	cp3, err := c.CompileSequence(ds...)
+	// A FuseOff comm compiles the same sequence exactly as lowered.
+	off := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend(), Fuse: FuseOff})
+	cp3, err := off.CompileSequence(ds...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp3 == cp1 {
-		t.Fatal("FuseOff served a FuseFull-cached sequence")
+	if cp3.FusionReport().Changed() || off.FusionStats().PlansCompiled != 0 {
+		t.Fatalf("FuseOff comm ran the fuser: %v", cp3.FusionReport())
 	}
 	if cp3.Cost().Total() <= cp1.Cost().Total() {
 		t.Fatalf("unfused sequence cost %v not above fused %v", cp3.Cost().Total(), cp1.Cost().Total())

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"repro/internal/cost"
-	"repro/internal/dram"
 	"repro/internal/elem"
 )
 
@@ -75,15 +73,7 @@ func FuzzCollectiveCompile(f *testing.F) {
 		}
 		return out
 	}
-	sys, err := dram.NewPhantomSystem(geo64)
-	if err != nil {
-		f.Fatal(err)
-	}
-	hc, err := NewHypercube(sys, []int{8, 8})
-	if err != nil {
-		f.Fatal(err)
-	}
-	c := NewCostComm(hc, cost.DefaultParams())
+	c := newTestComm(f, geo64, []int{8, 8}, Config{Backend: CostBackend()})
 	for _, d := range []Collective{
 		{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(2 * m), Level: CM},
 		{Prim: ReduceScatter, Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum},

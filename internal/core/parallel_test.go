@@ -175,10 +175,9 @@ func TestParallelDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref execSig
 			for i, w := range workerCounts {
-				c := testSystem(t, tc.geo, tc.shape)
-				c.SetExecWorkers(w)
+				c := newTestComm(t, tc.geo, tc.shape, Config{ExecWorkers: w})
 				if got := c.ExecWorkers(); got != w {
-					t.Fatalf("ExecWorkers() = %d after SetExecWorkers(%d)", got, w)
+					t.Fatalf("ExecWorkers() = %d at Config.ExecWorkers %d", got, w)
 				}
 				rooted := runParallelWorkload(t, c, tc.dims)
 				sig := captureSig(c, 4096, rooted)
@@ -192,22 +191,20 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-func TestSetExecWorkersDefault(t *testing.T) {
-	c := testSystem(t, geo64, []int{8, 8})
+func TestExecWorkersDefaultAndMirror(t *testing.T) {
 	def := runtime.GOMAXPROCS(0)
-	if got := c.ExecWorkers(); got != def {
-		t.Errorf("default ExecWorkers() = %d, want GOMAXPROCS = %d", got, def)
+	for _, n := range []int{0, -2} {
+		c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: n})
+		if got := c.ExecWorkers(); got != def {
+			t.Errorf("ExecWorkers() = %d at Config.ExecWorkers %d, want GOMAXPROCS = %d", got, n, def)
+		}
 	}
-	c.SetExecWorkers(3)
+	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 3})
 	if got := c.ExecWorkers(); got != 3 {
-		t.Errorf("ExecWorkers() = %d after SetExecWorkers(3)", got)
+		t.Errorf("ExecWorkers() = %d at Config.ExecWorkers 3", got)
 	}
 	if got := c.Host().Workers(); got != 3 {
-		t.Errorf("host Workers() = %d, want 3 (SetExecWorkers must mirror)", got)
-	}
-	c.SetExecWorkers(0)
-	if got := c.ExecWorkers(); got != def {
-		t.Errorf("ExecWorkers() = %d after reset, want %d", got, def)
+		t.Errorf("host Workers() = %d, want 3 (the host mirrors the comm)", got)
 	}
 }
 
@@ -236,8 +233,7 @@ func replayAllocs(t *testing.T, c *Comm, compile func() (*CompiledPlan, error)) 
 // warmed streaming-path plan (IM/CM lower to rotate + column-stream
 // steps only) allocates nothing per functional Run.
 func TestReplayAllocsStreaming(t *testing.T) {
-	c := testSystem(t, geo64, []int{8, 8})
-	c.SetExecWorkers(1)
+	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 1})
 	s := 16
 	m := 8 * s
 	fillSrc(c, 0, m, 9)
@@ -258,8 +254,7 @@ func TestReplayAllocsStreaming(t *testing.T) {
 // TestReplayAllocsRooted: rooted streaming plans reuse their plan-owned
 // result buffers (rootedBufs), so they hit zero too.
 func TestReplayAllocsRooted(t *testing.T) {
-	c := testSystem(t, geo64, []int{8, 8})
-	c.SetExecWorkers(1)
+	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 1})
 	s := 16
 	m := 8 * s
 	fillSrc(c, 0, m, 11)
@@ -276,8 +271,7 @@ func TestReplayAllocsRooted(t *testing.T) {
 // they must stay bounded and small, not creep back toward per-byte
 // allocation.
 func TestReplayAllocsStaged(t *testing.T) {
-	c := testSystem(t, geo64, []int{8, 8})
-	c.SetExecWorkers(1)
+	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 1})
 	s := 16
 	m := 8 * s
 	fillSrc(c, 0, m, 13)
@@ -293,7 +287,7 @@ func TestReplayAllocsStaged(t *testing.T) {
 // machine with >= 8 cores, a full-scale functional fig14-shape AlltoAll
 // (1024 PEs, 64 KiB/PE, CM) must replay >= 5x faster at 8 workers than
 // at 1. Skipped on smaller machines, where the pool cannot express the
-// parallelism; `pidbench -exp funcspeed` tracks the ratio there.
+// parallelism; benchmark/'s func_replay workload tracks wall-clock there.
 func TestFuncSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale speedup measurement skipped in -short")
@@ -302,17 +296,16 @@ func TestFuncSpeedup(t *testing.T) {
 		t.Skipf("speedup gate needs >= 8 CPUs to run 8 workers in parallel, have %d", n)
 	}
 	geo := dram.Geometry{Channels: 4, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 18} // 1024 PEs
-	c := testSystem(t, geo, []int{32, 32})
 	m := 64 << 10
-	fillSrc(c, 0, m, 1)
-	cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
-		Src: Span(0, m), Dst: At(2 * m), Level: CM})
-	if err != nil {
-		t.Fatal(err)
-	}
 	measure := func(workers int) time.Duration {
-		c.SetExecWorkers(workers)
-		if _, err := cp.Run(); err != nil { // warm at this worker count
+		c := newTestComm(t, geo, []int{32, 32}, Config{ExecWorkers: workers})
+		fillSrc(c, 0, m, 1)
+		cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
+			Src: Span(0, m), Dst: At(2 * m), Level: CM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cp.Run(); err != nil { // warm
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<63 - 1)

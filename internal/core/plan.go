@@ -30,9 +30,8 @@ import (
 // the bench "replay" experiment).
 
 // planKey identifies one compiled collective on a Comm: the full call
-// signature with Auto already resolved to the effective level, plus the
-// fusion level the plan was compiled at (a plan fused at one level is
-// never served to a comm configured at another).
+// signature with Auto already resolved to the effective level. (The
+// fusion level is not part of it: a comm has one for life.)
 type planKey struct {
 	prim           Primitive
 	dims           string
@@ -44,8 +43,7 @@ type planKey struct {
 	// algo is the resolved lowering algorithm (never AlgoAuto): two
 	// compilations of one signature through different algorithms are
 	// distinct plans with distinct charge traces.
-	algo  Algorithm
-	fused bool
+	algo Algorithm
 	// tag disambiguates synthetic plans that share a call signature
 	// with an ordinary collective but lower differently — the cluster
 	// layer (cluster.go) tags its network-leg and staging members so they
@@ -247,9 +245,12 @@ func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
 // runScheduleLocked executes one replay of cp on the comm's backend —
 // the full schedule on the functional backend, the precomputed charge
 // trace on the cost-only backend — publishes the rooted results, and
-// returns them with the run's breakdown. The single execution block
-// shared by the serial (run) and asynchronous (execSubmitted) paths, so
-// the two cannot drift apart in accounting. Callers hold execMu.
+// returns them with the run's breakdown: the trace total, which is what
+// either backend just added to the meter, free of the low-bit noise a
+// difference of cumulative meter snapshots would carry. The single
+// execution block shared by the serial (run) and asynchronous
+// (execSubmitted) paths, so the two cannot drift apart in accounting.
+// Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 	if t := cp.owner; t != nil {
 		// Attribute every charge of this run to the owning tenant: the
@@ -260,7 +261,6 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 		m.SetRecorder(func(cat cost.Category, t2 cost.Seconds) { t.meter.Add(cat, t2) })
 		defer m.SetRecorder(nil)
 	}
-	before := c.h.Meter().Snapshot()
 	if c.backend.Functional() {
 		cp.out = nil
 		c.execute(cp.sched)
@@ -271,9 +271,8 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 		}
 		c.h.ApplyStats(cp.tr.stats)
 	}
-	bd := c.h.Meter().Snapshot().Sub(before)
 	cp.lastOut = cp.out
-	return cp.out, bd
+	return cp.out, cp.tr.total
 }
 
 // traceSchedule captures sched's charge trace: a cost-only execution on
@@ -325,7 +324,6 @@ func (c *Comm) compiledPlan(spec planSpec, owner *Tenant) (*CompiledPlan, error)
 		return nil, err
 	}
 	key := spec.key
-	key.fused = c.fuse.enabled()
 	if !spec.hostBufs {
 		if cp, ok := c.compiled[key]; ok {
 			c.cacheSt.PlanHits++
@@ -403,7 +401,6 @@ func (c *Comm) compiledSequence(specs []planSpec, owner *Tenant) (*CompiledPlan,
 		}
 		fmt.Fprintf(&sb, "%+v;", sp.key)
 	}
-	fmt.Fprintf(&sb, "fuse=%v", c.fuse.enabled())
 	seqKey := sb.String()
 	if cacheable {
 		if cp, ok := c.seqPlans[seqKey]; ok {
@@ -416,7 +413,6 @@ func (c *Comm) compiledSequence(specs []planSpec, owner *Tenant) (*CompiledPlan,
 	c.cacheSt.TraceMisses++
 
 	cp := &CompiledPlan{c: c, key: specs[0].key, owner: owner}
-	cp.key.fused = c.fuse.enabled()
 	cp.members = make([]Primitive, len(specs))
 	cp.memberCosts = make([]cost.Breakdown, len(specs))
 	sched := &Schedule{}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/dram"
 	"repro/internal/elem"
 )
 
@@ -433,6 +434,69 @@ func TestRotateBlocksWorkRounding(t *testing.T) {
 		instr, mram := rotateBlocksWork(tc.m)
 		if instr != tc.instr || mram != int64(2*tc.m) {
 			t.Errorf("rotateBlocksWork(%d) = (%d, %d), want (%d, %d)", tc.m, instr, mram, tc.instr, 2*tc.m)
+		}
+	}
+}
+
+// Why cached replay is fast, as deterministic facts instead of a
+// wall-clock ratio (which benchmark/ measures: cost_sweep, func_replay):
+// on the paper-scale 1024-PE cost-only config, recompiling a descriptor
+// is a plan-cache hit that lowers and traces nothing — the host-input
+// primitives, whose schedules bind caller buffers, rebuild the plan but
+// still share the cached charge trace — and replaying the cached plan
+// allocates nothing, whatever the payload and PE count.
+func TestCachedReplayIsAHitAndAllocatesNothing(t *testing.T) {
+	const m = 1 << 20
+	c := costSystem(t, dram.PaperGeometry(4*m), []int{32, 32})
+	for _, prim := range Primitives() {
+		sh := &shapes[prim]
+		d := Collective{Prim: prim, Dims: "10", Level: IM}
+		switch {
+		case sh.hostInput():
+			d.Dst = Span(0, m)
+		case sh.rooted():
+			d.Src = Span(0, m)
+		case prim == AllGather:
+			d.Src, d.Dst = Span(0, m/32), At(2*m/32)
+		default:
+			d.Src, d.Dst = Span(0, m), At(2*m)
+		}
+		if sh.reducing {
+			d.Elem, d.Op = elem.I32, elem.Sum
+		}
+		if prim == Broadcast {
+			d.Hosts = make([][]byte, 32)
+			for g := range d.Hosts {
+				d.Hosts[g] = make([]byte, m)
+			}
+		}
+		if _, err := c.Compile(d); err != nil {
+			t.Fatalf("%v: cold compile: %v", prim, err)
+		}
+		before := c.PlanCacheStats()
+		cp, err := c.Compile(d)
+		if err != nil {
+			t.Fatalf("%v: cached compile: %v", prim, err)
+		}
+		after := c.PlanCacheStats()
+		if after.TraceMisses != before.TraceMisses || after.TraceHits != before.TraceHits+1 {
+			t.Errorf("%v: recompile traced again: %+v -> %+v", prim, before, after)
+		}
+		wantHits, wantMisses := before.PlanHits+1, before.PlanMisses
+		if sh.hostInput() {
+			wantHits, wantMisses = before.PlanHits, before.PlanMisses+1
+		}
+		if after.PlanHits != wantHits || after.PlanMisses != wantMisses {
+			t.Errorf("%v: recompile: plan hits/misses %d/%d, want %d/%d",
+				prim, after.PlanHits, after.PlanMisses, wantHits, wantMisses)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := cp.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: cached cost-only Run allocates %.0f objects, want 0", prim, allocs)
 		}
 	}
 }

@@ -244,17 +244,10 @@ func TestAlternatingDimsComposition(t *testing.T) {
 // leave results untouched.
 func TestDSAOffloadSpeedsUpWithoutChangingResults(t *testing.T) {
 	run := func(dsa bool) ([]byte, float64) {
-		sys, err := dram.NewSystem(dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hc, err := NewHypercube(sys, []int{16, 16})
-		if err != nil {
-			t.Fatal(err)
-		}
 		params := cost.DefaultParams()
 		params.DSAOffload = dsa
-		c := NewComm(hc, params)
+		c := newTestComm(t, dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 16},
+			[]int{16, 16}, Config{Params: params})
 		m := 16 * 1024
 		fillSrcComm(c, 0, m, 3)
 		bd, err := c.Run(Collective{Prim: ReduceScatter, Dims: "10",
@@ -327,7 +320,7 @@ func TestAutoNeverCostlier(t *testing.T) {
 				// Measure every fixed level on a fresh cost-only comm and
 				// check the auto pick against the minimum.
 				fixed := func(lvl Level) cost.Seconds {
-					cc := NewCostComm(c.Hypercube(), cost.DefaultParams())
+					cc := costSystem(t, geo64, cb.shape)
 					d.Algorithm, d.Level = AlgoReference, lvl
 					cp, err := autoDryCompile(cc, d)
 					if err != nil {

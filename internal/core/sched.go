@@ -29,8 +29,8 @@ import (
 // Deep scanning is pointless — a plan can only jump ahead of queue-mates
 // it does not conflict with, and consecutive plans of one tenant usually
 // reuse the same arena regions — so a small window keeps the pick
-// O(buckets x window) under deep backlogs. Configurable per Comm with
-// SetLookahead.
+// O(buckets x window) under deep backlogs. Config.Lookahead overrides it
+// per Comm.
 const DefaultLookahead = 32
 
 // Candidate is one hazard-free queued plan offered to a Scheduler's Pick:
@@ -59,8 +59,8 @@ type Candidate struct {
 // submission lock; implementations need no locking of their own.
 type Scheduler interface {
 	// Window bounds how deep into each bucket the funnel enumerates
-	// candidates, given the Comm's configured lookahead (Comm.Lookahead).
-	// Head-only policies return 1.
+	// candidates, given the Comm's configured lookahead
+	// (Config.Lookahead). Head-only policies return 1.
 	Window(lookahead int) int
 	// Pick returns the index into cands of the plan to serve next.
 	// cands is never empty, is ordered by bucket then queue position,
@@ -77,8 +77,7 @@ type SchedSpec struct {
 	Name string
 	// Desc is a one-line description for policy tables (pidinfo -sched).
 	Desc string
-	// New creates a fresh instance; called lazily per Comm on first pick
-	// under the policy (and again after a policy switch).
+	// New creates a fresh instance; called once per Comm, by New.
 	New func() Scheduler
 }
 
@@ -169,8 +168,7 @@ func (wfqSched) Pick(cands []Candidate) int {
 // edfSched is earliest-deadline-first over the full candidate window:
 // among every bucket's hazard-free candidates, serve the earliest
 // deadline (a deadline beats none; ties fall back to submission order —
-// see edfLess). Bucket virtual times still advance in the funnel, so a
-// later switch back to SchedWFQ resumes fair.
+// see edfLess).
 type edfSched struct{}
 
 func (edfSched) Window(k int) int { return k }

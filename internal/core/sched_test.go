@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/dram"
 )
 
 // Tests for the schedulers table and the policies behind the
@@ -47,23 +48,24 @@ func TestParseSchedPolicyRoundTrip(t *testing.T) {
 	}
 }
 
-// SetLookahead validates its bounds and Lookahead reports the effective
-// window (the default until explicitly configured).
-func TestSetLookaheadBounds(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	if got := c.Lookahead(); got != DefaultLookahead {
+// New validates the serving half of its Config once: a lookahead window
+// out of range or a policy outside the schedulers table is an error
+// there, not a fallback at pick time; 0 means the default window.
+func TestNewValidatesLookaheadAndPolicy(t *testing.T) {
+	if got := tenantTestComm(t, 1<<13).lookahead; got != DefaultLookahead {
 		t.Errorf("default lookahead %d, want %d", got, DefaultLookahead)
 	}
-	for _, bad := range []int{0, -1, MaxPendingPlans + 1} {
-		if err := c.SetLookahead(bad); err == nil {
-			t.Errorf("SetLookahead(%d) accepted", bad)
+	if got := tenantTestCommWith(t, 1<<13, Config{Lookahead: 4}).lookahead; got != 4 {
+		t.Errorf("lookahead %d at Config.Lookahead 4", got)
+	}
+	geo := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 13}
+	for _, bad := range []Config{
+		{Lookahead: -1}, {Lookahead: MaxPendingPlans + 1},
+		{Sched: SchedPolicy(-1)}, {Sched: SchedPolicy(len(schedulers))},
+	} {
+		if _, err := New(geo, []int{16}, bad); err == nil {
+			t.Errorf("New accepted %+v", bad)
 		}
-	}
-	if err := c.SetLookahead(4); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Lookahead(); got != 4 {
-		t.Errorf("lookahead %d after SetLookahead(4)", got)
 	}
 }
 
@@ -90,7 +92,7 @@ func TestLookaheadPicksMakespanMinimizer(t *testing.T) {
 		{Lane: cost.LaneCPU, Dur: 1}, {Lane: cost.LaneBus, Dur: 1}})
 	busOnly := fakeSegFuture(2, []cost.Segment{{Lane: cost.LaneBus, Dur: 2}})
 	q := &subQueue{weight: 1, q: []*Future{cpuThenBus, busOnly}}
-	c := &Comm{queues: []*subQueue{q}, sched: SchedLookahead}
+	c := &Comm{queues: []*subQueue{q}, sched: &lookaheadSched{}, lookahead: DefaultLookahead}
 
 	c.asyncMu.Lock()
 	first := c.pickLocked()
@@ -109,7 +111,7 @@ func TestLookaheadPicksMakespanMinimizer(t *testing.T) {
 func TestLookaheadStarvationBound(t *testing.T) {
 	a := &subQueue{weight: 1}
 	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}, sched: SchedLookahead}
+	c := &Comm{queues: []*subQueue{a, b}, sched: &lookaheadSched{}, lookahead: DefaultLookahead}
 	for i := 0; i < 32; i++ {
 		f := fakeFuture(1)
 		f.seq = uint64(i + 1)
@@ -184,12 +186,7 @@ func schedPropertyPlans(t *testing.T, c *Comm) []*CompiledPlan {
 func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
-			c := tenantTestComm(t, 1<<13)
-			c.SetStepped(true)
-			c.SetSched(pol)
-			if err := c.SetLookahead(4); err != nil {
-				t.Fatal(err)
-			}
+			c := tenantTestCommWith(t, 1<<13, Config{Stepped: true, Sched: pol, Lookahead: 4})
 			plans := schedPropertyPlans(t, c)
 			idx := map[*Future]int{}
 			for i, cp := range plans {
@@ -243,8 +240,7 @@ func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 func TestSchedulersConcurrentDrain(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
-			c := tenantTestComm(t, 1<<13)
-			c.SetSched(pol)
+			c := tenantTestCommWith(t, 1<<13, Config{Sched: pol})
 			plans := schedPropertyPlans(t, c)
 			var fs []*Future
 			for _, cp := range plans {

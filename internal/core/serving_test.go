@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 )
@@ -28,7 +29,7 @@ var servingCollective = Collective{Prim: AlltoAll, Dims: "1",
 func TestEDFPickOrder(t *testing.T) {
 	a := &subQueue{weight: 1}
 	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}, sched: SchedEDF}
+	c := &Comm{queues: []*subQueue{a, b}, sched: edfSched{}, lookahead: DefaultLookahead}
 	mk := func(seq uint64, deadline float64) *Future {
 		f := fakeFuture(1)
 		f.seq = seq
@@ -55,7 +56,7 @@ func TestEDFPickOrder(t *testing.T) {
 // earlier plan has no deadline at all.
 func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
 	a := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a}, sched: SchedEDF}
+	c := &Comm{queues: []*subQueue{a}, sched: edfSched{}, lookahead: DefaultLookahead}
 	mk := func(seq uint64, deadline float64, off int) *Future {
 		f := fakeFuture(1)
 		f.seq = seq
@@ -82,8 +83,7 @@ func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
 // backlog, Step retires exactly one plan per call in scheduling order,
 // and Flush drains the remainder. Step on an idle comm is a no-op.
 func TestSteppedStepAndFlush(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	c.SetStepped(true)
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
 	if f := c.Step(); f != nil {
 		t.Fatalf("Step on an idle comm returned %v", f)
 	}
@@ -126,12 +126,47 @@ func TestSteppedStepAndFlush(t *testing.T) {
 	}
 }
 
+// On a stepped comm nothing drains the queue behind the caller's back,
+// so a blocking Future accessor steps it itself: Err on the last of
+// three submissions, with no Step or Flush, retires all three in order
+// instead of blocking forever.
+func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs []*Future
+	for i := 0; i < 3; i++ {
+		f, err := ta.Submit(servingCollective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, f)
+	}
+	done := make(chan error, 1)
+	go func() { done <- fs[2].Err() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Future.Err blocked on a stepped comm nobody else steps")
+	}
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after waiting on the last submission, want 0", got)
+	}
+	if _, e0 := fs[0].Window(); e0 <= 0 || fs[1].Cost().Total() <= 0 {
+		t.Fatal("earlier submissions did not run")
+	}
+}
+
 // A submission rejected by overload admission returns an already
 // completed Future carrying ErrOverloaded and a zero Window — callers
 // never block on a shed request.
 func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	c.SetStepped(true)
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
 	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedReject))
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +200,7 @@ func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 
 // ShedOldest sacrifices the oldest queued plan for the incoming one.
 func TestShedOldestDropsQueuedVictim(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	c.SetStepped(true)
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
 	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedOldest))
 	if err != nil {
 		t.Fatal(err)

@@ -11,17 +11,17 @@ import (
 
 func tenantTestComm(t *testing.T, mram int) *Comm {
 	t.Helper()
-	sys, err := dram.NewPhantomSystem(dram.Geometry{
+	return tenantTestCommWith(t, mram, Config{})
+}
+
+// tenantTestCommWith is tenantTestComm at a non-default configuration
+// (the cost-only backend is implied).
+func tenantTestCommWith(t *testing.T, mram int, cfg Config) *Comm {
+	t.Helper()
+	cfg.Backend = CostBackend()
+	return newTestComm(t, dram.Geometry{
 		Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: mram,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hc, err := NewHypercube(sys, []int{16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewCostComm(hc, cost.DefaultParams())
+	}, []int{16}, cfg)
 }
 
 // fakeFuture builds a queue entry whose plan predicts the given cost —
@@ -38,7 +38,7 @@ func fakeFuture(totalSeconds float64) *Future {
 func TestWeightedFairPickOrder(t *testing.T) {
 	a := &subQueue{weight: 2}
 	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}}
+	c := &Comm{queues: []*subQueue{a, b}, sched: wfqSched{}}
 	tag := map[*Future]string{}
 	for i := 0; i < 6; i++ {
 		f := fakeFuture(1)
@@ -73,7 +73,7 @@ func TestWeightedFairPickOrder(t *testing.T) {
 func TestWeightedFairKeepsCrossBucketHazardOrder(t *testing.T) {
 	def := &subQueue{weight: 1}
 	ten := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{def, ten}}
+	c := &Comm{queues: []*subQueue{def, ten}, sched: wfqSched{}}
 
 	mkFut := func(seq uint64, write bool, off, n int) *Future {
 		f := fakeFuture(1)

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
@@ -57,25 +56,14 @@ func RandomCluster(rng *rand.Rand) ClusterScenario {
 // mkCluster builds a functional or cost-only cluster of the scenario.
 func (sc ClusterScenario) mkCluster(costOnly bool) (*core.Cluster, error) {
 	comms := make([]*core.Comm, sc.Hosts)
+	var cfg core.Config
+	if costOnly {
+		cfg.Backend = core.CostBackend()
+	}
 	for h := range comms {
-		var sys *dram.System
 		var err error
-		if costOnly {
-			sys, err = dram.NewPhantomSystem(sc.Geo)
-		} else {
-			sys, err = dram.NewSystem(sc.Geo)
-		}
-		if err != nil {
+		if comms[h], err = core.New(sc.Geo, sc.Shape, cfg); err != nil {
 			return nil, err
-		}
-		hc, err := core.NewHypercube(sys, sc.Shape)
-		if err != nil {
-			return nil, err
-		}
-		if costOnly {
-			comms[h] = core.NewCostComm(hc, cost.DefaultParams())
-		} else {
-			comms[h] = core.NewComm(hc, cost.DefaultParams())
 		}
 	}
 	return core.NewCluster(comms)

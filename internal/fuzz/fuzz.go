@@ -18,7 +18,6 @@ import (
 
 	_ "repro/internal/algo" // register the alternative collective lowerings
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
@@ -133,18 +132,17 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 // Check runs every primitive under the scenario and returns an error
 // naming the first divergence from the reference model.
 func (sc Scenario) Check(rng *rand.Rand) error {
-	sys, err := dram.NewSystem(sc.Geo)
-	if err != nil {
-		return err
-	}
-	hc, err := core.NewHypercube(sys, sc.Shape)
-	if err != nil {
+	// Every primitive runs on a fresh comm; a scenario New rejects is
+	// reported once, here, so mk cannot fail on it.
+	if _, err := sc.comm(core.FuseDefault); err != nil {
 		return err
 	}
 	mk := func() (*core.Comm, [][]byte, [][]int, int) {
-		c := core.NewComm(hc, cost.DefaultParams())
-		c.SetExecWorkers(sc.Workers)
-		groups, err := hc.Groups(sc.Dims)
+		c, err := sc.comm(core.FuseDefault)
+		if err != nil {
+			panic(err)
+		}
+		groups, err := c.Hypercube().Groups(sc.Dims)
 		if err != nil {
 			panic(err)
 		}
@@ -283,43 +281,32 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	// fusion off — randomized coverage of the peephole passes, including
 	// the cross-collective rotate/unrotate cancellation the pair
 	// triggers at the rotating levels.
-	if err := sc.checkFusedSequence(hc, rng); err != nil {
-		return err
-	}
-	return nil
+	return sc.checkFusedSequence(rng)
+}
+
+// comm builds a fresh functional comm of the scenario at the given
+// fusion level.
+func (sc Scenario) comm(fuse core.FuseLevel) (*core.Comm, error) {
+	return core.New(sc.Geo, sc.Shape, core.Config{ExecWorkers: sc.Workers, Fuse: fuse})
 }
 
 // checkFusedSequence runs the fused-vs-unfused differential of Check on
 // two fresh systems of the scenario's geometry with identical contents.
-func (sc Scenario) checkFusedSequence(hc *core.Hypercube, rng *rand.Rand) error {
-	groups, err := hc.Groups(sc.Dims)
+func (sc Scenario) checkFusedSequence(rng *rand.Rand) error {
+	fused, err := sc.comm(core.FuseFull)
+	if err != nil {
+		return err
+	}
+	plain, err := sc.comm(core.FuseOff)
+	if err != nil {
+		return err
+	}
+	groups, err := fused.Hypercube().Groups(sc.Dims)
 	if err != nil {
 		return err
 	}
 	n := len(groups[0])
 	m := n * sc.S
-	mkAt := func(fuse core.FuseLevel) (*core.Comm, error) {
-		sys, err := dram.NewSystem(sc.Geo)
-		if err != nil {
-			return nil, err
-		}
-		h, err := core.NewHypercube(sys, sc.Shape)
-		if err != nil {
-			return nil, err
-		}
-		c := core.NewComm(h, cost.DefaultParams())
-		c.SetExecWorkers(sc.Workers)
-		c.SetFuse(fuse)
-		return c, nil
-	}
-	fused, err := mkAt(core.FuseFull)
-	if err != nil {
-		return err
-	}
-	plain, err := mkAt(core.FuseOff)
-	if err != nil {
-		return err
-	}
 	span := 4*m + sc.S // A=[0,m) B=[2m,3m) C=[4m,4m+s)
 	buf := make([]byte, span)
 	for pe := 0; pe < sc.Geo.NumPEs(); pe++ {

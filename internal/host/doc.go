@@ -24,7 +24,7 @@
 //     concurrency contract is exactly that — shards touch disjoint
 //     MRAM, all shared counters merge single-threaded — so worker count
 //     never changes any statistic. SetWorkers sizes the sharded bulk
-//     paths (mirrored from core.Comm.SetExecWorkers).
+//     paths (core.New mirrors Config.ExecWorkers here).
 //   - Transfer epochs (BeginXfer/EndXfer): burst traffic is tallied per
 //     channel and charged at epoch end as the *maximum* per-channel time
 //     — channels transfer in parallel, as on real hardware; without

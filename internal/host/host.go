@@ -60,8 +60,8 @@ func New(sys *dram.System, params cost.Params) *Host {
 
 // SetWorkers sets the shard count for internally parallelized bulk
 // transfers (BulkRead/BulkWrite); n <= 1 runs them serially. Results and
-// accounting are byte-identical at any count. core.Comm mirrors its
-// ExecWorkers knob here.
+// accounting are byte-identical at any count. core.New mirrors
+// Config.ExecWorkers here.
 func (h *Host) SetWorkers(n int) {
 	if n < 1 {
 		n = 1

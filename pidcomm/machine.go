@@ -17,29 +17,19 @@ import (
 // timeline, so a Machine is the unit of capacity while a Comm is the
 // unit of isolation.
 type Machine struct {
-	sys      *dram.System
-	hc       *core.Hypercube
-	cc       *core.Comm
-	costOnly bool
+	sys *dram.System
+	hc  *core.Hypercube
+	cc  *core.Comm
 }
 
-// machineConfig collects NewMachine options.
-type machineConfig struct {
-	params    cost.Params
-	costOnly  bool
-	fuse      core.FuseLevel
-	workers   int
-	sched     SchedPolicy
-	stepped   bool
-	lookahead int
-}
-
-// MachineOption configures NewMachine.
-type MachineOption func(*machineConfig)
+// MachineOption sets one field of the machine's configuration.
+// NewMachine applies the options once; nothing they set can change
+// afterwards — a machine is configured at construction.
+type MachineOption func(*core.Config)
 
 // WithParams overrides the calibrated timing model.
 func WithParams(p Params) MachineOption {
-	return func(mc *machineConfig) { mc.params = p }
+	return func(c *core.Config) { c.Params = p }
 }
 
 // CostOnly builds the machine on the cost-only backend over a phantom
@@ -49,7 +39,7 @@ func WithParams(p Params) MachineOption {
 // magnitude cheaper. Rooted primitives return nil result buffers and
 // SetPEBuffer/GetPEBuffer panic.
 func CostOnly() MachineOption {
-	return func(mc *machineConfig) { mc.costOnly = true }
+	return func(c *core.Config) { c.Backend = core.CostBackend() }
 }
 
 // WithFuse sets the machine's schedule-fusion level (default FuseFull).
@@ -59,97 +49,60 @@ func CostOnly() MachineOption {
 // cancel inverse rotate/unrotate pairs across member boundaries, and
 // stream back-to-back epochs as one.
 func WithFuse(f FuseLevel) MachineOption {
-	return func(mc *machineConfig) { mc.fuse = f }
+	return func(c *core.Config) { c.Fuse = f }
 }
 
 // WithExecWorkers sets the functional backend's worker-pool size: how
 // many OS threads each collective's data movement is sharded across
 // (default GOMAXPROCS; n <= 0 keeps the default). Purely a
 // simulator-throughput knob — results, breakdowns, and bus statistics
-// are bit-identical at every setting — and not part of the plan-cache
-// key, so it can also be changed later with Machine.SetExecWorkers.
+// are bit-identical at every setting.
 func WithExecWorkers(n int) MachineOption {
-	return func(mc *machineConfig) { mc.workers = n }
+	return func(c *core.Config) { c.ExecWorkers = n }
 }
 
-// WithSched selects the machine's submission scheduling policy at
-// construction: SchedWFQ (weighted-fair, the default), SchedEDF
+// WithSched selects the machine's submission scheduling policy:
+// SchedWFQ (weighted-fair, the default), SchedEDF
 // (earliest-deadline-first), SchedFIFO (global submission order) or
 // SchedLookahead (makespan-aware reordering). Use ParseSchedPolicy to
-// map names to values.
+// map names to values; a value outside the table fails NewMachine.
 func WithSched(p SchedPolicy) MachineOption {
-	return func(mc *machineConfig) { mc.sched = p }
+	return func(c *core.Config) { c.Sched = p }
 }
 
 // WithStepped builds the machine in stepped serving mode: Submit only
 // enqueues and the caller drives execution one plan at a time with
 // Machine.Step — the deterministic substrate of the open-loop serving
-// driver (internal/serve).
+// driver (internal/serve). Flush and a Future's blocking accessors
+// step the queue themselves.
 func WithStepped(on bool) MachineOption {
-	return func(mc *machineConfig) { mc.stepped = on }
+	return func(c *core.Config) { c.Stepped = on }
 }
 
 // WithLookahead sets the candidate window of the window-scanning
 // scheduling policies (SchedEDF, SchedLookahead): how deep into each
 // bucket hazard-free plans are considered at each pick. Default
-// DefaultLookahead; must be in [1, MaxPendingPlans].
+// DefaultLookahead (also what 0 selects); otherwise it must be in
+// [1, MaxPendingPlans] or NewMachine fails.
 func WithLookahead(k int) MachineOption {
-	return func(mc *machineConfig) { mc.lookahead = k }
+	return func(c *core.Config) { c.Lookahead = k }
 }
 
 // NewMachine builds a simulated machine with the given DIMM geometry
 // and virtual-hypercube shape (every dimension a power of two except
 // the last; product equal to the PE count).
 func NewMachine(geo Geometry, shape []int, opts ...MachineOption) (*Machine, error) {
-	mc := machineConfig{params: cost.DefaultParams()}
+	var cfg core.Config
 	for _, o := range opts {
-		o(&mc)
+		o(&cfg)
 	}
-	if err := mc.params.Validate(); err != nil {
-		return nil, err
-	}
-	var (
-		sys *dram.System
-		err error
-	)
-	if mc.costOnly {
-		sys, err = dram.NewPhantomSystem(geo)
-	} else {
-		sys, err = dram.NewSystem(geo)
-	}
+	cc, err := core.New(geo, shape, cfg)
 	if err != nil {
 		return nil, err
 	}
-	hc, err := core.NewHypercube(sys, shape)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{sys: sys, hc: hc, costOnly: mc.costOnly}
-	if mc.costOnly {
-		m.cc = core.NewCostComm(hc, mc.params)
-	} else {
-		m.cc = core.NewComm(hc, mc.params)
-	}
-	m.cc.SetFuse(mc.fuse)
-	if mc.workers > 0 {
-		m.cc.SetExecWorkers(mc.workers)
-	}
-	m.cc.SetSched(mc.sched)
-	if mc.stepped {
-		m.cc.SetStepped(true)
-	}
-	if mc.lookahead != 0 {
-		if err := m.cc.SetLookahead(mc.lookahead); err != nil {
-			return nil, fmt.Errorf("pidcomm: %w", err)
-		}
-	}
-	return m, nil
+	hc := cc.Hypercube()
+	return &Machine{sys: hc.System(), hc: hc, cc: cc}, nil
 }
-
-// SetExecWorkers resizes the functional backend's worker pool for every
-// session on the machine (0 restores the GOMAXPROCS default). Safe to
-// call between collectives; never changes results.
-func (m *Machine) SetExecWorkers(n int) { m.cc.SetExecWorkers(n) }
 
 // ExecWorkers returns the worker-pool size collectives execute with.
 func (m *Machine) ExecWorkers() int { return m.cc.ExecWorkers() }
@@ -204,7 +157,7 @@ func (m *Machine) Comm() (*Comm, error) {
 }
 
 // CostOnly reports whether the machine runs the cost-only backend.
-func (m *Machine) CostOnly() bool { return m.costOnly }
+func (m *Machine) CostOnly() bool { return !m.cc.Backend().Functional() }
 
 // Shape returns the hypercube shape.
 func (m *Machine) Shape() []int { return m.hc.Shape() }

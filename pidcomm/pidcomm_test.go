@@ -186,51 +186,165 @@ func TestExplicitRegionSizeChecked(t *testing.T) {
 	}
 }
 
-// The worker-pool knob is a pure throughput setting: it must be
-// reflected by the accessors and leave collective results untouched.
-func TestExecWorkersKnob(t *testing.T) {
+// Every machine option reaches the behaviour it names: the machine is
+// configured once, at NewMachine, and each row observes its option
+// through what the machine then does rather than through a getter.
+func TestMachineOptionsReachBehaviour(t *testing.T) {
 	geo := pidcomm.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 14}
-	mach, err := pidcomm.NewMachine(geo, []int{8, 8}, pidcomm.WithExecWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mach.ExecWorkers(); got != 3 {
-		t.Fatalf("ExecWorkers() = %d after WithExecWorkers(3)", got)
-	}
-	comm, err := mach.Comm()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const m = 8 * 16
-	buf := make([]byte, m)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	run := func() []byte {
-		// Refill src every run: the optimized levels consume it.
-		for pe := 0; pe < 64; pe++ {
-			comm.SetPEBuffer(pe, 0, buf)
-		}
-		if _, err := comm.Run(pidcomm.Collective{
-			Prim: pidcomm.AlltoAll, Dims: "10",
-			Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m), Level: pidcomm.CM,
-		}); err != nil {
+	session := func(t *testing.T, opts ...pidcomm.MachineOption) (*pidcomm.Machine, *pidcomm.Comm) {
+		t.Helper()
+		mach, err := pidcomm.NewMachine(geo, []int{8, 8}, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var all []byte
-		for pe := 0; pe < 64; pe++ {
-			all = append(all, comm.GetPEBuffer(pe, 2*m, m)...)
+		comm, err := mach.Comm()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return all
+		return mach, comm
 	}
-	at3 := run()
-	mach.SetExecWorkers(1)
-	at1 := run()
-	if !bytes.Equal(at3, at1) {
-		t.Fatal("results differ between worker counts")
+	aa := func(base int) pidcomm.Collective {
+		return pidcomm.Collective{Prim: pidcomm.AlltoAll, Dims: "10",
+			Src: pidcomm.Span(base, m), Dst: pidcomm.At(base + 2*m), Level: pidcomm.CM}
 	}
-	mach.SetExecWorkers(0)
-	if got, def := mach.ExecWorkers(), runtime.GOMAXPROCS(0); got != def {
-		t.Fatalf("ExecWorkers() = %d after reset, want GOMAXPROCS = %d", got, def)
+	// firstStepped submits two independent plans, the second with the
+	// earlier deadline, and reports which one the machine steps first.
+	firstStepped := func(t *testing.T, opts ...pidcomm.MachineOption) int {
+		t.Helper()
+		mach, comm := session(t, append(opts, pidcomm.CostOnly(), pidcomm.WithStepped(true))...)
+		var fs [2]*pidcomm.Future
+		for i := range fs {
+			cp, err := comm.Compile(aa(i * 4 * m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs[i] = cp.SubmitOpts(pidcomm.SubmitOptions{Deadline: pidcomm.Seconds(2 - i)})
+		}
+		first := mach.Step()
+		mach.Flush()
+		for i, f := range fs {
+			if f == first {
+				return i
+			}
+		}
+		t.Fatal("Step returned a future nobody submitted")
+		return -1
 	}
+
+	t.Run("ExecWorkers", func(t *testing.T) {
+		buf := make([]byte, m)
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		run := func(workers, want int) []byte {
+			mach, comm := session(t, pidcomm.WithExecWorkers(workers))
+			if got := mach.ExecWorkers(); got != want {
+				t.Fatalf("ExecWorkers() = %d at WithExecWorkers(%d), want %d", got, workers, want)
+			}
+			for pe := 0; pe < 64; pe++ {
+				comm.SetPEBuffer(pe, 0, buf)
+			}
+			if _, err := comm.Run(aa(0)); err != nil {
+				t.Fatal(err)
+			}
+			var all []byte
+			for pe := 0; pe < 64; pe++ {
+				all = append(all, comm.GetPEBuffer(pe, 2*m, m)...)
+			}
+			return all
+		}
+		at3, at1, atDefault := run(3, 3), run(1, 1), run(0, runtime.GOMAXPROCS(0))
+		if !bytes.Equal(at3, at1) || !bytes.Equal(at3, atDefault) {
+			t.Fatal("results differ between worker counts")
+		}
+	})
+	t.Run("Fuse", func(t *testing.T) {
+		seq := []pidcomm.Collective{aa(0), {Prim: pidcomm.ReduceScatter, Dims: "10",
+			Src: pidcomm.Span(2*m, m), Dst: pidcomm.At(4 * m), Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.IM}}
+		for _, tc := range []struct {
+			opt   pidcomm.MachineOption
+			fused bool
+		}{{pidcomm.WithFuse(pidcomm.FuseOff), false}, {pidcomm.WithFuse(pidcomm.FuseFull), true}, {pidcomm.CostOnly(), true}} {
+			_, comm := session(t, pidcomm.CostOnly(), tc.opt)
+			cp, err := comm.CompileSequence(seq...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cp.FusionReport().Changed(); got != tc.fused {
+				t.Errorf("sequence fused = %v, want %v", got, tc.fused)
+			}
+		}
+	})
+	t.Run("ParamsAndCostOnly", func(t *testing.T) {
+		dsa := pidcomm.DefaultParams()
+		dsa.DSAOffload = true
+		cost := func(opts ...pidcomm.MachineOption) pidcomm.Seconds {
+			mach, comm := session(t, append(opts, pidcomm.CostOnly())...)
+			if !mach.CostOnly() {
+				t.Fatal("CostOnly() machine reports a functional backend")
+			}
+			bd, err := comm.Run(aa(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bd.Total()
+		}
+		if base, with := cost(), cost(pidcomm.WithParams(dsa)); with >= base {
+			t.Errorf("DSA-offload params cost %v, default %v: WithParams did not reach the cost model", with, base)
+		}
+		if mach, _ := session(t); mach.CostOnly() {
+			t.Error("default machine reports the cost-only backend")
+		}
+	})
+	t.Run("Stepped", func(t *testing.T) {
+		mach, comm := session(t, pidcomm.CostOnly(), pidcomm.WithStepped(true))
+		f, err := comm.Submit(aa(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Done() || mach.Pending() != 1 {
+			t.Fatalf("stepped machine ran a submission on its own (done=%v pending=%d)", f.Done(), mach.Pending())
+		}
+		if mach.Step() != f || !f.Done() {
+			t.Fatal("Step did not retire the submission")
+		}
+		mach, comm = session(t, pidcomm.CostOnly())
+		if f, err = comm.Submit(aa(0)); err != nil {
+			t.Fatal(err)
+		}
+		mach.Flush()
+		if !f.Done() || mach.Step() != nil {
+			t.Fatal("default machine left a submission for Step")
+		}
+	})
+	t.Run("SchedAndLookahead", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			opts []pidcomm.MachineOption
+			want int
+		}{
+			{"default", nil, 0},
+			{"fifo", []pidcomm.MachineOption{pidcomm.WithSched(pidcomm.SchedFIFO)}, 0},
+			{"edf", []pidcomm.MachineOption{pidcomm.WithSched(pidcomm.SchedEDF)}, 1},
+			{"edf window 0 = default", []pidcomm.MachineOption{pidcomm.WithSched(pidcomm.SchedEDF), pidcomm.WithLookahead(0)}, 1},
+			{"edf window 1", []pidcomm.MachineOption{pidcomm.WithSched(pidcomm.SchedEDF), pidcomm.WithLookahead(1)}, 0},
+		} {
+			if got := firstStepped(t, tc.opts...); got != tc.want {
+				t.Errorf("%s: submission %d stepped first, want %d", tc.name, got, tc.want)
+			}
+		}
+	})
+	t.Run("Invalid", func(t *testing.T) {
+		for name, opt := range map[string]pidcomm.MachineOption{
+			"lookahead -1":   pidcomm.WithLookahead(-1),
+			"lookahead huge": pidcomm.WithLookahead(pidcomm.MaxPendingPlans + 1),
+			"policy 99":      pidcomm.WithSched(pidcomm.SchedPolicy(99)),
+			"policy -1":      pidcomm.WithSched(pidcomm.SchedPolicy(-1)),
+		} {
+			if _, err := pidcomm.NewMachine(geo, []int{8, 8}, opt); err == nil {
+				t.Errorf("NewMachine accepted %s", name)
+			}
+		}
+	})
 }
