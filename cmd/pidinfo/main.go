@@ -9,7 +9,7 @@
 // tenant's arena, scheduler weight, quota state and attributed meter.
 // With -cluster it builds a representative cost-only cluster, compiles
 // and replays global collectives through the cluster layer, and prints
-// the per-host plan-cache, fusion and network-lane statistics.
+// the per-host compile, fusion and network-lane statistics.
 // With -serving it drives the canonical online-serving scenario
 // (internal/serve) under both scheduling policies and prints the
 // per-tenant sojourn percentiles, deadline misses and churn outcome.
@@ -35,7 +35,7 @@ func main() {
 	mram := flag.Int("mram", 1<<20, "per-bank MRAM bytes")
 	plancache := flag.Bool("plancache", false, "run a representative compile/replay workload and print plan-cache statistics")
 	tenants := flag.Bool("tenants", false, "provision a representative multi-tenant machine and list arenas, weights, quotas and per-tenant meters")
-	cluster := flag.Bool("cluster", false, "build a representative cost-only cluster, replay global collectives through the cluster layer and print per-host plan-cache, fusion and network-lane statistics")
+	cluster := flag.Bool("cluster", false, "build a representative cost-only cluster, replay global collectives through the cluster layer and print per-host compile, fusion and network-lane statistics")
 	serving := flag.Bool("serving", false, "drive the canonical online-serving scenario under WFQ and EDF and print per-tenant sojourn percentiles, deadline misses and churn outcome")
 	auto := flag.Bool("auto", false, "resolve a representative set of Auto signatures on a cost-only comm and dump the auto-decision cache under both objectives")
 	schedList := flag.Bool("sched", false, "list the registered submission scheduling policies (the names WithSched and `pidbench -sched` accept)")
@@ -278,7 +278,7 @@ func printPlanCache(mram int) error {
 // AlltoAll through the cluster layer's whole-cluster session, replays
 // both from their cached ClusterPlans, and prints the per-call costs,
 // the fusion rewrites of the per-host schedules, and the per-host
-// plan-cache and network-lane statistics — the cluster-scale
+// compile counts and network-lane statistics — the cluster-scale
 // counterpart of -plancache.
 func printCluster(mram int) error {
 	const hosts = 4
@@ -344,12 +344,11 @@ func printCluster(mram int) error {
 		_ = epochs
 	}
 
-	fmt.Printf("\n%-6s %18s %14s %14s %14s\n", "host", "seq compiles", "cached seqs", "net busy(ms)", "meter(ms)")
+	fmt.Printf("\n%-6s %18s %14s %14s\n", "host", "seq compiles", "net busy(ms)", "meter(ms)")
 	for h := 0; h < hosts; h++ {
 		mach := cl.Machine(h)
-		st := mach.PlanCacheStats()
-		fmt.Printf("%-6d %18d %14d %14.3f %14.3f\n",
-			h, st.PlanMisses, st.CachedSeqs,
+		fmt.Printf("%-6d %18d %14.3f %14.3f\n",
+			h, mach.PlanCacheStats().PlanMisses,
 			float64(mach.NetBusy())*1e3, float64(mach.Breakdown().Total())*1e3)
 	}
 	fmt.Printf("\ncluster breakdown (slowest host per category): %v\n", cl.Breakdown())

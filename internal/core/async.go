@@ -251,9 +251,9 @@ type subQueue struct {
 
 // Submit enqueues one replay of the plan on its Comm's submission queue
 // and returns immediately with a Future (blocking only if MaxPendingPlans
-// are already in flight). Plans of one bucket (a tenant, or the plain
-// Comm) execute in submission order; across tenants the weighted-fair
-// scheduler interleaves. The elapsed-time timeline overlaps plans with
+// are already in flight; a stepped comm steps the queue instead). Plans
+// of one bucket (a tenant, or the plain Comm) execute in submission
+// order; across tenants the weighted-fair scheduler interleaves. The elapsed-time timeline overlaps plans with
 // disjoint MRAM footprints and orders plans with data hazards (see
 // Comm.Elapsed).
 //
@@ -296,7 +296,12 @@ func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
 			return f
 		}
 	}
-	c.asyncSlots <- struct{}{} // acquire a queue slot (backpressure)
+	// Acquire a queue slot (backpressure). Nothing drains a stepped comm
+	// while its submitter waits, so there a full queue is stepped from
+	// here — the rule Future.wait and Flush follow.
+	for c.stepped && len(c.asyncSlots) == cap(c.asyncSlots) && c.Step() != nil {
+	}
+	c.asyncSlots <- struct{}{}
 	c.asyncMu.Lock()
 	if t := cp.owner; t != nil {
 		// Re-check closure under asyncMu: a Close racing this submission

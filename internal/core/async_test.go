@@ -415,7 +415,7 @@ func TestSerialRunIsBarrier(t *testing.T) {
 }
 
 // TestPlanCacheStats pins the instrumentation: hits/misses and memory
-// accounting across compiles, one-shot replays and ClearPlanCache.
+// accounting across compiles and one-shot replays.
 func TestPlanCacheStats(t *testing.T) {
 	const m = 32 * 8
 	c := asyncTestComm(t, true)
@@ -460,14 +460,6 @@ func TestPlanCacheStats(t *testing.T) {
 	st = c.PlanCacheStats()
 	if st.TraceHits != 3+1 || st.TraceMisses != 2 {
 		t.Fatalf("host-input trace sharing: %+v", st)
-	}
-	c.ClearPlanCache()
-	st = c.PlanCacheStats()
-	if st.CachedPlans != 0 || st.CachedTraces != 0 || st.TraceBytes != 0 {
-		t.Fatalf("clear did not drop entries: %+v", st)
-	}
-	if st.PlanHits != 3 {
-		t.Fatalf("clear dropped cumulative counters: %+v", st)
 	}
 }
 

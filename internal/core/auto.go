@@ -10,13 +10,15 @@ import (
 )
 
 // The autotuner: a collective called with the Auto pseudo-level (and/or
-// AlgoAuto) is dry-compiled on the cost-only backend at every applicable
-// (algorithm, level) candidate, the best candidate wins, and the
-// decision is cached per call signature (primitive, dims, payload bytes,
-// element type, operator, algorithm constraint). Because the cost-only
-// backend reproduces the functional breakdowns exactly, the picked
-// candidate is the one the functional run would have measured as best —
-// at microseconds of dry-run cost instead of a full byte-accurate
+// AlgoAuto) is dry-built at every applicable (algorithm, level)
+// candidate — lowered, fused and traced by the plan builder (plan.go),
+// past the plan cache and its counters — the best candidate wins, and
+// the decision is cached per call signature (primitive, dims, payload
+// bytes, element type, operator, algorithm constraint). Tracing runs on
+// a scratch cost-only host whatever the comm's backend, and the
+// cost-only backend reproduces the functional breakdowns exactly, so the
+// picked candidate is the one the functional run would have measured as
+// best — at microseconds of dry-run cost instead of a full byte-accurate
 // execution per candidate.
 //
 // Two objectives are available (SetAutoObjective):
@@ -87,18 +89,6 @@ type autoDecision struct {
 	makespan cost.Seconds
 }
 
-// shadowComm returns the comm's cost-only twin (sharing the hypercube,
-// the cost parameters and the fusion level — so Auto compares candidates
-// on the schedules the real compile will produce — but with its own
-// meter), creating it on first use. Callers must hold autoMu.
-func (c *Comm) shadowComm() *Comm {
-	if c.shadow == nil {
-		c.shadow = newComm(c.hc, Config{Params: c.h.Params(), Backend: CostBackend(),
-			Fuse: c.fuse, Lookahead: DefaultLookahead})
-	}
-	return c.shadow
-}
-
 // SetAutoObjective configures what Auto resolution minimizes. Cached
 // decisions are dropped on a change — they were scored under the old
 // objective. Plans already compiled keep the candidate they resolved to.
@@ -111,21 +101,20 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 	}
 }
 
-// autoPick evaluates every candidate (algorithm, level) pair for the key
-// on the cost-only shadow and returns the best under the comm's
-// objective. The algorithm axis is the key's constraint (AlgoAuto means
-// reference plus every registered algorithm); the level axis is every
-// distinct effective level. A candidate whose dry compile fails is
-// inapplicable to this signature (e.g. the streaming levels cannot run
-// an in-place AlltoAll; a registered predicate rejects the level) and is
-// skipped; autoPick errors only when no candidate applies at all.
-func (c *Comm) autoPick(key autoKey, run func(sh *Comm, alg Algorithm, lvl Level) (*CompiledPlan, error)) (autoDecision, error) {
+// autoPick dry-builds every candidate (algorithm, level) pair for the key
+// and returns the best under the comm's objective. The algorithm axis is
+// the key's constraint (AlgoAuto means reference plus every registered
+// algorithm); the level axis is every distinct effective level. A
+// candidate whose dry build fails is inapplicable to this signature
+// (e.g. the streaming levels cannot run an in-place AlltoAll; a
+// registered predicate rejects the level) and is skipped; autoPick
+// errors only when no candidate applies at all.
+func (c *Comm) autoPick(key autoKey, run func(alg Algorithm, lvl Level) (*CompiledPlan, error)) (autoDecision, error) {
 	c.autoMu.Lock()
 	defer c.autoMu.Unlock()
 	if dec, ok := c.autoCache[key]; ok {
 		return dec, nil
 	}
-	sh := c.shadowComm()
 	algs := []Algorithm{key.algo}
 	if key.algo == AlgoAuto {
 		algs = RegisteredAlgorithms(key.prim)
@@ -141,7 +130,7 @@ func (c *Comm) autoPick(key autoKey, run func(sh *Comm, alg Algorithm, lvl Level
 				continue
 			}
 			seen[eff] = true
-			cp, err := run(sh, alg, eff)
+			cp, err := run(alg, eff)
 			if err != nil {
 				fails = append(fails, err)
 				continue
@@ -205,9 +194,9 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	if sh.reducing {
 		key.elemType, key.op = d.Elem, d.Op
 	}
-	dec, err := c.autoPick(key, func(shadow *Comm, alg Algorithm, lvl Level) (*CompiledPlan, error) {
+	dec, err := c.autoPick(key, func(alg Algorithm, lvl Level) (*CompiledPlan, error) {
 		d.Algorithm, d.Level = alg, lvl
-		return autoDryCompile(shadow, d)
+		return c.autoDryBuild(d)
 	})
 	if err != nil {
 		return autoDecision{}, fmt.Errorf("Auto(%v): %w", d.Prim, err)
@@ -215,20 +204,16 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	return dec, nil
 }
 
-// autoDryCompile compiles candidate d — a caller's descriptor with the
-// candidate (algorithm, level) filled in — on the cost-only shadow with
-// canonical offsets: source at 0, destination immediately after the
-// source region, or coinciding with it for an in-place call; a
-// host-input destination at 0 with nil Hosts, whose sizes the cost-only
-// backend implies. The shadow shares the caller's system geometry, so a
-// signature that fits the caller's MRAM fits here too. Compilation alone
-// yields the candidate's precomputed per-run cost and lane segments;
-// nothing executes.
-func autoDryCompile(shadow *Comm, d Collective) (*CompiledPlan, error) {
-	sh, err := shapeOf(d.Prim)
-	if err != nil {
-		return nil, err
-	}
+// autoDryBuild builds candidate d — a caller's descriptor with the
+// candidate (algorithm, level) filled in — at canonical offsets of the
+// whole MRAM: source at 0, destination immediately after the source
+// region, or coinciding with it for an in-place call; a host-input
+// destination at 0 with nil Hosts, whose sizes a dry spec implies. The
+// build alone yields the candidate's precomputed per-run cost and lane
+// segments; nothing executes, and nothing is cached or counted — the
+// scores live in the decision cache.
+func (c *Comm) autoDryBuild(d Collective) (*CompiledPlan, error) {
+	sh := &shapes[d.Prim] // autoResolve has checked the primitive
 	m := sh.payload(d)
 	dry := Collective{Prim: d.Prim, Dims: d.Dims, Level: d.Level, Algorithm: d.Algorithm}
 	if sh.reducing {
@@ -244,7 +229,13 @@ func autoDryCompile(shadow *Comm, d Collective) (*CompiledPlan, error) {
 	default:
 		dry.Src, dry.Dst = Span(0, m), At(m)
 	}
-	return shadow.Compile(dry)
+	spec, err := c.specIn(c.fullArena(), dry, true)
+	if err != nil {
+		return nil, err
+	}
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	return c.buildLocked([]planSpec{spec}, nil, nil), nil
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by

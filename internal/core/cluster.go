@@ -8,10 +8,11 @@ package core
 // StepNetTransfer priced by cost.NetParams and, on the functional
 // backend, a rendezvous with the peer hosts' executors around the
 // shared staging), and the redistribution leg. Because the whole
-// hierarchy is one compiled sequence, it caches (repeat descriptors are
-// plan-cache hits), fuses (the interior per-leg syncs collapse — a
-// cross-leg rewrite on every hierarchical plan) and replays through the
-// same engine as a single-host collective.
+// hierarchy is one sequence through the plan builder (plan.go), it fuses
+// (the interior per-leg syncs collapse — a cross-leg rewrite on every
+// hierarchical plan) and replays through the same engine as a
+// single-host collective; it is cached once, here, under its clusterKey
+// (the per-host plans are built past the hosts' own plan caches).
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -146,7 +147,6 @@ func (b *barrier) await(action func()) {
 // only on the functional backend — cost-only sweeps to thousands of
 // hosts allocate no O(data) staging.
 type clusterState struct {
-	id int
 	// owners is the tenant set the entry was compiled on (nil for the
 	// machine); the entry is evicted when any of them closes.
 	owners []*Tenant
@@ -173,19 +173,19 @@ type Cluster struct {
 	p          int // PEs per host
 	functional bool
 
-	// mu guards the cache and the id counter; execMu serializes serial
-	// cluster runs and makes Submit's multi-host enqueue atomic (a single
-	// global order of cluster plans).
+	// mu guards the cache; execMu serializes serial cluster runs and makes
+	// Submit's multi-host enqueue atomic (a single global order of cluster
+	// plans).
 	mu     sync.Mutex
 	cache  map[clusterKey]*clusterState
-	nextID int
 	execMu sync.Mutex
 }
 
 // NewCluster builds a cluster over the given per-host comms. The hosts
 // must be distinct, non-empty, and homogeneous: same PE count, same
-// hypercube shape, same backend kind. (Use pidcomm.NewCluster to
-// provision hosts and cluster in one call.)
+// hypercube shape, same backend kind — and, on the functional backend,
+// not in stepped mode. (Use pidcomm.NewCluster to provision hosts and
+// cluster in one call.)
 func NewCluster(comms []*Comm) (*Cluster, error) {
 	if len(comms) == 0 {
 		return nil, fmt.Errorf("core: cluster needs at least one host")
@@ -207,6 +207,11 @@ func NewCluster(comms []*Comm) (*Cluster, error) {
 		}
 		if c.backend.Functional() != functional {
 			return nil, fmt.Errorf("core: host %d backend %q differs from host 0 (mixed functional/cost clusters are not supported)", h, c.backend.Name())
+		}
+		if functional && c.stepped {
+			// Stepping one host's plan parks at its network-leg barrier
+			// with no one left to step the peers.
+			return nil, fmt.Errorf("core: host %d is in stepped mode: functional cluster hosts rendezvous inside network legs and need one executor each (use a cost-only cluster, which has no barriers)", h)
 		}
 	}
 	cl := &Cluster{comms: comms, p: p, functional: functional, cache: make(map[clusterKey]*clusterState)}
@@ -265,8 +270,8 @@ func (cl *Cluster) Flush() {
 }
 
 // Compile lowers d into one compiled plan per host (see ClusterPlan)
-// and caches the result: recompiling an equal descriptor is a per-host
-// plan-cache hit. Plans that capture a caller payload (functional
+// and caches the result: recompiling an equal descriptor returns the
+// same plan. Plans that capture a caller payload (functional
 // Broadcast/Scatter) recompile fresh, like their single-host
 // counterparts.
 func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
@@ -329,14 +334,13 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 	st, ok := cl.cache[key]
 	switch {
 	case !ok:
-		st = &clusterState{id: cl.nextID, owners: slices.Clone(owners)}
-		cl.nextID++
+		st = &clusterState{owners: slices.Clone(owners)}
 		if cl.functional {
 			st.bar = newBarrier(len(cl.comms))
 		}
 		cl.cache[key] = st
 	case !slices.Equal(st.owners, owners):
-		// The entry's staging and member tags are bound to its owner set.
+		// The entry's staging is bound to its owner set.
 		return nil, fmt.Errorf("core: tenant %q already shards a different cluster owner set", owners[0].name)
 	case st.plan != nil:
 		return st.plan, nil
@@ -353,9 +357,13 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
-		if cp.plans[h], err = cl.comms[h].compiledSequence(specs, owner); err != nil {
-			return nil, fmt.Errorf("cluster host %d: %w", h, err)
-		}
+		// Built past the host's plan cache — this entry is the cache — but
+		// booked on the host like any other miss.
+		c := cl.comms[h]
+		c.compMu.Lock()
+		cp.plans[h] = c.buildLocked(specs, owner, nil)
+		c.countBuildLocked(cp.plans[h], false)
+		c.compMu.Unlock()
 	}
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
@@ -376,7 +384,7 @@ func (cl *Cluster) evictOwned(t *Tenant) {
 }
 
 // ---------------------------------------------------------------------
-// Per-host lowering: one []planSpec per host, fed to compiledSequence.
+// Per-host lowering: one []planSpec per host, fed to buildLocked.
 // ---------------------------------------------------------------------
 
 // ceilLog2 returns ceil(log2(h)) for h >= 1 — the rounds of a binomial
@@ -414,7 +422,7 @@ type clusterShape struct {
 	// caller payload enters the wire.
 	local Primitive
 	wire  wireLeg
-	name  string // the wire leg's schedule name and cache tag
+	name  string // the wire leg's schedule name
 	// redist hands the global buffer to the PEs: a Broadcast of all of it
 	// or a Scatter of the host's 1/H portion. noLeg: a rooted result,
 	// read from the staging by Results.
@@ -511,13 +519,13 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	// (functional) is to keep any host from starting the plan's next run —
 	// overwriting the shared staging — while another host still streams
 	// this run's data. It charges nothing on either backend.
-	b.net("fence", 0, 0, b.await, false)
+	b.net("fence", 0, 0, b.await)
 	return b.specs, nil
 }
 
 // local appends an ordinary single-host collective as a member.
 func (b *clusterBuild) local(d Collective) error {
-	sp, err := b.c.specIn(b.ar, d)
+	sp, err := b.c.specIn(b.ar, d, false)
 	if err != nil {
 		return err
 	}
@@ -525,19 +533,12 @@ func (b *clusterBuild) local(d Collective) error {
 	return nil
 }
 
-// tag returns a member cache tag unique to this cluster state and host.
-func (b *clusterBuild) tag(name string) string {
-	return fmt.Sprintf("clu%d:h%d:%s", b.st.id, b.h, name)
-}
-
 // net appends an inter-host network leg: rounds exchange rounds of
 // bytesPerRound each, charged through cost.NetParams onto the host's
-// network lane, plus (functional) the rendezvous closure run. hostBufs
-// marks a run closure that captures a caller payload.
-func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(cp *CompiledPlan) func(), hostBufs bool) {
-	key := planKey{prim: b.d.Prim, dims: b.d.Dims, bytes: int(bytesPerRound),
-		tag: b.tag(fmt.Sprintf("%s:r%d", name, rounds))}
-	b.specs = append(b.specs, planSpec{key: key, hostBufs: hostBufs,
+// network lane, plus (functional) the rendezvous closure run.
+func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(cp *CompiledPlan) func()) {
+	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
+	b.specs = append(b.specs, planSpec{key: key,
 		lower: func(cp *CompiledPlan) *Schedule {
 			st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
 			// The cost-only twin gets an empty closure where the
@@ -567,8 +568,8 @@ func (b *clusterBuild) await(*CompiledPlan) func() {
 }
 
 // member appends a hand-built redistribution member.
-func (b *clusterBuild) member(name string, regs planRegions, lower func(cp *CompiledPlan) *Schedule) {
-	key := planKey{prim: b.d.Prim, dims: b.d.Dims, tag: b.tag(name)}
+func (b *clusterBuild) member(regs planRegions, lower func(cp *CompiledPlan) *Schedule) {
+	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
 	b.specs = append(b.specs, planSpec{key: key, regs: regs, lower: lower})
 }
 
@@ -672,12 +673,12 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 			return fmt.Errorf("core: cluster AllReduce: unsupported host algorithm %v (want Auto, ref, ring, or tree)", alg)
 		}
 	}
-	b.net(name, rounds, int64(bytes), run, root && d.Hosts != nil)
+	b.net(name, rounds, int64(bytes), run)
 
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.member("flat:reduce", planRegions{}, func(*CompiledPlan) *Schedule {
+			b.member(planRegions{}, func(*CompiledPlan) *Schedule {
 				sched := &Schedule{Name: "FlatReduce"}
 				sched.add(&StepHostCompute{Charges: []Charge{
 					{ChargeScalarReduce, int64(H) * int64(P) * int64(m)},
@@ -686,7 +687,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 				return sched
 			})
 		}
-		b.net("flat:bcast", ceilLog2(H), int64(global), nil, false)
+		b.net("flat:bcast", ceilLog2(H), int64(global), nil)
 	}
 
 	// The redistribution leg: the single-host lowering of row.redist, fed
@@ -706,7 +707,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	absDst := b.ar.base + d.Dst.Off
 	var regs planRegions
 	regs.write(absDst, n)
-	b.member("redist", regs, func(*CompiledPlan) *Schedule {
+	b.member(regs, func(*CompiledPlan) *Schedule {
 		bufs := [][]byte{nil} // cost-only: never dereferenced
 		if st.global != nil {
 			bufs = [][]byte{st.global[lo:hi]}
@@ -744,18 +745,18 @@ func (b *clusterBuild) alltoAll() error {
 	// above) into the per-pair exchange slabs, then rendezvous — the
 	// (H-1)/H traffic of § IX-A, one P*PS portion per host per round —
 	// and unpack the incoming slabs transposed into destination order.
-	b.pack("pack:lo", absSrc, 0, h, PS, s)
-	b.pack("pack:hi", absSrc+(h+1)*PS, h+1, H, PS, s)
-	b.net("exchange", H-1, int64(P*PS), b.await, false)
-	b.unpack("unpack:lo", absDst, 0, h, PS, s)
-	b.unpack("unpack:hi", absDst+(h+1)*PS, h+1, H, PS, s)
+	b.pack(absSrc, 0, h, PS, s)
+	b.pack(absSrc+(h+1)*PS, h+1, H, PS, s)
+	b.net("exchange", H-1, int64(P*PS), b.await)
+	b.unpack(absDst, 0, h, PS, s)
+	b.unpack(absDst+(h+1)*PS, h+1, H, PS, s)
 	return nil
 }
 
 // pack reads the per-PE region [readOff, readOff+(dstHi-dstLo)*PS) —
 // the blocks destined to hosts [dstLo, dstHi) — and stores them into
 // this host's outgoing exchange slabs in (source rank, dest rank) order.
-func (b *clusterBuild) pack(name string, readOff, dstLo, dstHi, PS, s int) {
+func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	if dstHi <= dstLo {
 		return
 	}
@@ -763,7 +764,7 @@ func (b *clusterBuild) pack(name string, readOff, dstLo, dstHi, PS, s int) {
 	var regs planRegions
 	regs.read(readOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(name, regs, func(*CompiledPlan) *Schedule {
+	b.member(regs, func(*CompiledPlan) *Schedule {
 		sched := &Schedule{Name: "ClusterPack"}
 		sched.add(&StepBulk{
 			Read: true, ReadOff: readOff, ReadPerPE: per,
@@ -790,7 +791,7 @@ func (b *clusterBuild) pack(name string, readOff, dstLo, dstHi, PS, s int) {
 // unpack assembles the incoming slabs of hosts [srcLo, srcHi) —
 // transposing (source rank, dest rank) into destination block order —
 // and bulk-writes them to the per-PE region at writeOff.
-func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
+func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	if srcHi <= srcLo {
 		return
 	}
@@ -798,7 +799,7 @@ func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
 	var regs planRegions
 	regs.write(writeOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(name, regs, func(*CompiledPlan) *Schedule {
+	b.member(regs, func(*CompiledPlan) *Schedule {
 		sched := &Schedule{Name: "ClusterUnpack"}
 		sched.add(&StepBulk{
 			Write: true, WriteOff: writeOff, WritePerPE: per,
@@ -833,7 +834,7 @@ func (b *clusterBuild) unpack(name string, writeOff, srcLo, srcHi, PS, s int) {
 // ClusterPlan is one cluster collective compiled into one schedule-IR
 // plan per host, ready for repeated Run/Submit. Like a CompiledPlan it
 // stays valid for the cluster's lifetime; equal descriptors share the
-// cached plan (per-host plan-cache hits).
+// cached plan.
 type ClusterPlan struct {
 	cl    *Cluster
 	d     ClusterCollective

@@ -357,7 +357,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		}
 	}
 	if before := cl.Host(0).PlanCacheStats(); before.PlanMisses == 0 {
-		t.Error("per-host plan caches never engaged for cluster members")
+		t.Error("cluster host builds were never booked on the host")
 	}
 
 	// Functional plans that capture a caller payload are not cached.
@@ -414,6 +414,17 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		if err := o.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The cluster cache is the only cache of a host plan: the hosts' own
+	// plan caches hold nothing — so the churn above had nothing to leak
+	// there — and the machine-owned plan is still one cluster lookup away.
+	for h := 0; h < H; h++ {
+		if st := cl.Host(h).PlanCacheStats(); st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
+			t.Errorf("host %d caches cluster members itself: %+v", h, st)
+		}
+	}
+	if cp3, err := cl.Compile(d); err != nil || cp3 != cp1 {
+		t.Errorf("after the churn cycle the cluster recompile missed its cache (%v)", err)
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()

@@ -167,17 +167,6 @@ func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
 	return dec.algo, dec.lvl, nil
 }
 
-// compileIn resolves d against the arena and compiles it; owner is the
-// tenant the resulting plan is charged to (nil for a plain Comm). The
-// single funnel behind Compile/Run/Submit.
-func (c *Comm) compileIn(ar arena, owner *Tenant, d Collective) (*CompiledPlan, error) {
-	spec, err := c.specIn(ar, d)
-	if err != nil {
-		return nil, err
-	}
-	return c.compiledPlan(spec, owner)
-}
-
 // CompileSequence compiles ds as one fused multi-collective plan: the
 // members are validated and lowered in order, their schedules
 // concatenate, and the fusion pipeline (fuse.go) rewrites across the
@@ -187,33 +176,37 @@ func (c *Comm) compileIn(ar arena, owner *Tenant, d Collective) (*CompiledPlan, 
 // unit whose functional result is byte-identical to running the members
 // serially; with fusion off the sequence executes the members' schedules
 // verbatim. Rooted primitives (Gather, Reduce) cannot join a sequence —
-// their results live on the host; compile them separately.
+// their results live on the host; compile them separately. A sequence of
+// one is Compile.
 func (c *Comm) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
-	return c.compileSequenceIn(c.fullArena(), nil, ds)
+	return c.compileIn(c.fullArena(), nil, ds...)
 }
 
-// compileSequenceIn is CompileSequence resolved against an arena and an
-// owning tenant — the sequence analogue of compileIn.
-func (c *Comm) compileSequenceIn(ar arena, owner *Tenant, ds []Collective) (*CompiledPlan, error) {
+// compileIn resolves ds against the arena and compiles them as one plan;
+// owner is the tenant the resulting plan is charged to (nil for a plain
+// Comm). The single funnel behind Compile/CompileSequence/Run/Submit, on
+// a Comm and on a Tenant: a collective is a sequence of one.
+func (c *Comm) compileIn(ar arena, owner *Tenant, ds ...Collective) (*CompiledPlan, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("core: empty collective sequence")
 	}
-	if len(ds) == 1 {
-		return c.compileIn(ar, owner, ds[0])
-	}
-	specs := make([]planSpec, len(ds))
+	var one [1]planSpec
+	specs := one[:0]
 	for i, d := range ds {
-		sp, err := c.specIn(ar, d)
+		sp, err := c.specIn(ar, d, false)
+		if err == nil && len(ds) > 1 && shapes[d.Prim].rooted() {
+			err = fmt.Errorf("%s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
+				d.Prim.LongName())
+		}
 		if err != nil {
-			return nil, fmt.Errorf("sequence[%d]: %w", i, err)
+			if len(ds) > 1 {
+				err = fmt.Errorf("sequence[%d]: %w", i, err)
+			}
+			return nil, err
 		}
-		if shapes[d.Prim].rooted() {
-			return nil, fmt.Errorf("sequence[%d]: %s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
-				i, d.Prim.LongName())
-		}
-		specs[i] = sp
+		specs = append(specs, sp)
 	}
-	return c.compiledSequence(specs, owner)
+	return c.compiled(specs, owner)
 }
 
 // sizeRule derives the byte size of one role of a collective (the Dst
@@ -372,9 +365,11 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 
 // specIn validates d against the arena, resolves Auto, and returns the
 // plan spec (cache key, MRAM footprint, lowering closure) without
-// compiling anything — the shared front half of compileIn,
-// compileSequenceIn and the cluster layer's local legs.
-func (c *Comm) specIn(ar arena, d Collective) (spec planSpec, err error) {
+// compiling anything — the front half of compileIn, of the cluster
+// layer's local legs and of Auto's dry builds. dry marks the last: a
+// candidate is only traced, never run, so its host payload may be left
+// out wherever the descriptor states its size, as on a cost-only comm.
+func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err error) {
 	defer func() {
 		if err != nil {
 			err = fmt.Errorf("%s: %w", d.Prim.LongName(), err)
@@ -390,7 +385,7 @@ func (c *Comm) specIn(ar arena, d Collective) (spec planSpec, err error) {
 	}
 	// Only a payload whose size the descriptor states can be left out on
 	// the cost-only backend.
-	m, s, err := sh.check(ar, d, p.n, len(p.groups), !c.backend.Functional() && !sh.sizedByHosts)
+	m, s, err := sh.check(ar, d, p.n, len(p.groups), (dry || !c.backend.Functional()) && !sh.sizedByHosts)
 	if err != nil {
 		return planSpec{}, err
 	}

@@ -61,23 +61,18 @@ type Comm struct {
 	planMu sync.Mutex
 	plans  map[string]*plan
 
-	// autoMu guards the Auto decision cache, the objective knob and the
-	// lazily-created cost-only shadow comm the dry runs compile on
+	// autoMu guards the Auto decision cache and the objective knob
 	// (auto.go).
 	autoMu    sync.Mutex
 	autoCache map[autoKey]autoDecision
 	autoObj   AutoObjective
-	shadow    *Comm
 
-	// compMu guards the compiled-plan, sequence and charge-trace caches
-	// (plan.go), their hit/miss counters and the aggregate fusion
-	// statistics.
-	compMu   sync.Mutex
-	compiled map[planKey]*CompiledPlan
-	traces   map[planKey]*chargeTrace
-	seqPlans map[string]*CompiledPlan
-	cacheSt  PlanCacheStats
-	fuseSt   FusionStats
+	// compMu guards the plan cache (plan.go), its hit/miss counters and
+	// the aggregate fusion statistics.
+	compMu  sync.Mutex
+	cache   map[seqKey]*planEntry
+	cacheSt PlanCacheStats
+	fuseSt  FusionStats
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
 	// barrier behind which new submissions may not start, and frontier
@@ -204,13 +199,6 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newComm(hc, cfg), nil
-}
-
-// newComm builds a comm over an existing hypercube from a config New has
-// already validated and defaulted (the Auto shadow shares its parent's
-// hypercube this way, auto.go).
-func newComm(hc *Hypercube, cfg Config) *Comm {
 	c := &Comm{
 		hc:         hc,
 		h:          host.New(hc.sys, cfg.Params),
@@ -223,9 +211,7 @@ func newComm(hc *Hypercube, cfg Config) *Comm {
 		stepped:    cfg.Stepped,
 		plans:      make(map[string]*plan),
 		autoCache:  make(map[autoKey]autoDecision),
-		compiled:   make(map[planKey]*CompiledPlan),
-		traces:     make(map[planKey]*chargeTrace),
-		seqPlans:   make(map[string]*CompiledPlan),
+		cache:      make(map[seqKey]*planEntry),
 		asyncSlots: make(chan struct{}, MaxPendingPlans),
 		queues:     []*subQueue{{weight: 1}},
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
@@ -238,7 +224,7 @@ func newComm(hc *Hypercube, cfg Config) *Comm {
 		c.egs[i] = i
 	}
 	c.asyncCond = sync.NewCond(&c.asyncMu)
-	return c
+	return c, nil
 }
 
 // allEGs returns [0..numGroups) for bulk transfers covering the machine.
@@ -320,7 +306,7 @@ func (c *Comm) Backend() Backend { return c.backend }
 func (c *Comm) Fuse() FuseLevel { return c.fuse }
 
 // FusionStats returns the aggregate fusion activity of every plan
-// compiled on this comm (cumulative; survives ClearPlanCache).
+// compiled on this comm (cumulative).
 func (c *Comm) FusionStats() FusionStats {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()

@@ -39,7 +39,13 @@
 // # Pipeline
 //
 // A collective call flows through four stages: validate, lower to the
-// schedule IR, compile to a plan, execute.
+// schedule IR, compile to a plan, execute. Compilation is one path:
+// descriptor → specIn (validation, Auto resolution, the lowering
+// closure) → compiled (the one plan cache, keyed by the members'
+// signatures; a collective is a sequence of one) → buildLocked (lower →
+// concatenate → fuse → trace). Two producers call buildLocked past the
+// cache: Auto, whose dry builds are scored and dropped, and the cluster
+// layer, which caches a host plan once, with the staging it binds.
 //
 //   - Hypercube (hypercube.go) holds the virtual shape of § IV-B and
 //     produces communication groups (the cube slices of Figure 5) from a
@@ -56,8 +62,12 @@
 //     paper-scale sweeps and Auto dry runs.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
 //     compiled once (validation, Auto resolution, lowering, charge
-//     precomputation) and replayed many times, with a per-Comm cache
-//     (PlanCacheStats instruments it).
+//     precomputation) and replayed many times. The per-Comm cache is one
+//     map of shape rows — charge trace, fusion report, member costs, and
+//     the plan unless a member binds caller buffers — so host-input plans
+//     rebuild their schedule but share the trace, and a closed tenant's
+//     plans leave while the rows stay for its successor (PlanCacheStats
+//     instruments it).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
@@ -67,9 +77,15 @@
 //     pay off. Fused execution is byte-identical to unfused (pinned by
 //     fuse_test.go and the fuzz harness) — only the charge trace, which
 //     is regenerated from the fused schedule, shrinks.
-//   - Level autotuning (auto.go): passing Auto dry-runs every applicable
-//     level on a cached cost-only shadow comm and picks the cheapest for
-//     the call signature.
+//   - Autotuning (auto.go): a descriptor left at Level Auto and/or
+//     AlgoAuto dry-builds every applicable (algorithm, level) candidate
+//     of the registry (algorithm.go; internal/algo registers ring, tree
+//     and rsag AllReduce) on the comm itself — tracing runs on a scratch
+//     cost-only host whatever the backend — and caches the winner per
+//     call signature. SetAutoObjective selects what wins: the meter
+//     total (serial cost, default) or the pipelined dry-placed makespan
+//     (overlapped elapsed time). Ties keep the reference lowering at the
+//     lowest level.
 //
 // # Parallel functional execution
 //

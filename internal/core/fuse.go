@@ -136,7 +136,7 @@ func (r FusionReport) String() string {
 
 // FusionStats aggregates fusion activity over a Comm's lifetime
 // (Comm.FusionStats; surfaced by `pidinfo -plancache`). Counters are
-// cumulative and survive ClearPlanCache, like the plan-cache counters.
+// cumulative, like the plan-cache counters.
 type FusionStats struct {
 	// PlansCompiled counts plans that went through the fusion pipeline;
 	// PlansFused counts those whose schedule actually changed.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cost"
@@ -17,6 +18,12 @@ import (
 // GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench harness)
 // amortize all per-call setup.
 //
+// One pipeline: descriptor → specIn (collective.go) → compiled, the one
+// cache, where a collective is a sequence of one → buildLocked on a miss.
+// Auto (auto.go) and the cluster layer (cluster.go) call buildLocked
+// past the cache: dry builds are only scored, and a host plan is cached
+// once, with the cluster staging it binds.
+//
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
 // on a scratch host. Each addition's value depends only on the call shape
@@ -26,8 +33,7 @@ import (
 // accounting and per-burst bus tallying loops entirely. On the functional
 // backend a Run still executes the schedule (bytes must move); on the
 // cost-only backend a Run is just the trace replay, which is what makes
-// cached replay orders of magnitude faster than compile-each-call (see
-// the bench "replay" experiment).
+// cached replay orders of magnitude faster than compile-each-call.
 
 // planKey identifies one compiled collective on a Comm: the full call
 // signature with Auto already resolved to the effective level. (The
@@ -44,17 +50,32 @@ type planKey struct {
 	// compilations of one signature through different algorithms are
 	// distinct plans with distinct charge traces.
 	algo Algorithm
-	// tag disambiguates synthetic plans that share a call signature
-	// with an ordinary collective but lower differently — the cluster
-	// layer (cluster.go) tags its network-leg and staging members so they
-	// can never be served from (or pollute) the single-host cache.
-	tag string
+}
+
+// seqKey is the plan cache's key: the first member's signature plus the
+// remaining members' rendered in order — empty for a single collective,
+// whose lookup therefore builds no string.
+type seqKey struct {
+	head planKey
+	tail string
+}
+
+// planEntry is one row of the plan cache: what depends only on the call
+// shape — never on data, meter state or caller buffers — and so is shared
+// by every plan built for the key, plus the cached plan itself. plan is
+// nil for a shape with a host-input member (never cached) and after the
+// owning tenant closed (evictOwnedPlans).
+type planEntry struct {
+	tr          *chargeTrace
+	fusion      FusionReport
+	memberCosts []cost.Breakdown
+	plan        *CompiledPlan
 }
 
 // planSpec is a validated, Auto-resolved collective ready to lower: the
 // cache key, the MRAM footprint for hazard detection, and the lowering
-// closure. Produced by specIn (collective.go); consumed one-at-a-time by
-// compiledPlan or concatenated by compiledSequence.
+// closure. Produced by specIn (collective.go) and, for its network and
+// staging legs, by the cluster layer; consumed by buildLocked.
 type planSpec struct {
 	key   planKey
 	regs  planRegions
@@ -62,16 +83,15 @@ type planSpec struct {
 	// hostBufs marks a lowering that captures caller-owned host buffers
 	// by reference, which makes the compiled schedule single-use: the
 	// plan cache must not serve it for a later call that binds different
-	// buffers. Set by specIn for the host-input primitives;
-	// cluster-internal broadcast legs reading plan-owned staging leave it
-	// false and stay cacheable.
+	// buffers. Set by specIn for the host-input primitives.
 	hostBufs bool
 }
 
 // chargeTrace is the precomputed accounting of one schedule: the ordered
 // meter additions of a cost-only execution plus the cumulative
 // bus-statistics delta. It depends only on the call shape, never on data
-// or meter state, so it is shared by every plan with the same key.
+// or meter state, so it is shared by every plan with the same key
+// (planEntry).
 type chargeTrace struct {
 	adds  []cost.TraceEntry
 	stats host.XferStats
@@ -113,9 +133,10 @@ type CompiledPlan struct {
 	// fusion reports what the fusion pipeline did to the schedule
 	// (zero-valued when the plan was compiled with FuseOff).
 	fusion FusionReport
-	// members and memberCosts describe a CompileSequence plan: the
-	// member primitives in order and each member's unfused per-run cost
-	// (for proportional attribution by profilers). Nil for single plans.
+	// members is the member primitives in order; memberCosts is each
+	// member's unfused per-run cost (for proportional attribution by
+	// profilers), traced for sequences only: nil when the one member's
+	// cost is the plan's.
 	members     []Primitive
 	memberCosts []cost.Breakdown
 
@@ -182,14 +203,7 @@ func (cp *CompiledPlan) FusionReport() FusionReport { return cp.fusion }
 // Members returns the plan's member primitives in execution order: the
 // single primitive for an ordinary plan, the sequence members for a
 // CompileSequence plan.
-func (cp *CompiledPlan) Members() []Primitive {
-	if cp.members == nil {
-		return []Primitive{cp.key.prim}
-	}
-	out := make([]Primitive, len(cp.members))
-	copy(out, cp.members)
-	return out
-}
+func (cp *CompiledPlan) Members() []Primitive { return slices.Clone(cp.members) }
 
 // MemberCosts returns, for a CompileSequence plan, each member's unfused
 // per-run cost breakdown (their sum is the sequence's FusionReport
@@ -199,9 +213,7 @@ func (cp *CompiledPlan) MemberCosts() []cost.Breakdown {
 	if cp.memberCosts == nil {
 		return []cost.Breakdown{cp.tr.total}
 	}
-	out := make([]cost.Breakdown, len(cp.memberCosts))
-	copy(out, cp.memberCosts)
-	return out
+	return slices.Clone(cp.memberCosts)
 }
 
 // Run executes one replay of the compiled plan and returns its cost
@@ -304,155 +316,128 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 	return tr
 }
 
-// compiledPlan returns the plan for spec, lowering and tracing on a
-// cache miss. Host-input primitives are compiled fresh every call —
-// their schedules capture the caller's buffer slices — but share the
-// cached charge trace, which depends only on the call shape; everything
-// else is cached whole, so a repeated signature is a map lookup. With
-// fusion enabled the lowered schedule goes through the peephole passes
-// (fuse.go) before tracing, so the cached charge trace is the fused one.
+// compiled returns the plan for specs — one collective or a sequence of
+// them — and is the only cache in front of buildLocked. A repeated
+// signature is a map lookup; a row without a plan (planEntry) rebuilds
+// the schedule but shares the row's charge trace, fusion report and
+// member costs.
 //
 // owner is the tenant the plan is charged to (nil for a plain Comm): a
 // miss binds it, a hit verifies it, and a closed owner compiles nothing.
 // The closed check runs under compMu, which Tenant.Close's eviction
 // takes after setting the flag, so a Close racing the compile either
 // stops it here or evicts what it cached.
-func (c *Comm) compiledPlan(spec planSpec, owner *Tenant) (*CompiledPlan, error) {
+func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
+	key, cacheable := seqKey{head: specs[0].key}, true
+	for i, sp := range specs {
+		cacheable = cacheable && !sp.hostBufs
+		if i > 0 {
+			key.tail += fmt.Sprintf("%+v;", sp.key)
+		}
+	}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
 	if err := owner.errIfClosed(); err != nil {
 		return nil, err
 	}
-	key := spec.key
-	if !spec.hostBufs {
-		if cp, ok := c.compiled[key]; ok {
-			c.cacheSt.PlanHits++
-			c.cacheSt.TraceHits++
-			return cp, cp.checkOwner(owner)
-		}
-	}
-	c.cacheSt.PlanMisses++
-	cp := &CompiledPlan{c: c, key: key, regs: spec.regs, owner: owner}
-	cp.sched = spec.lower(cp)
-	cp.fusion = c.fuseLocked(cp.sched)
-	if tr, ok := c.traces[key]; ok {
+	e := c.cache[key]
+	if e != nil && e.plan != nil {
+		c.cacheSt.PlanHits++
 		c.cacheSt.TraceHits++
-		cp.tr = tr
-	} else {
-		c.cacheSt.TraceMisses++
-		cp.tr = c.traceSchedule(cp.sched)
-		c.traces[key] = cp.tr
+		return e.plan, e.plan.checkOwner(owner)
 	}
-	c.finishFusionLocked(cp)
-	if !spec.hostBufs {
-		c.compiled[key] = cp
+	cp := c.buildLocked(specs, owner, e)
+	c.countBuildLocked(cp, e != nil)
+	if e == nil {
+		e = &planEntry{tr: cp.tr, fusion: cp.fusion, memberCosts: cp.memberCosts}
+		c.cache[key] = e
+	}
+	if cacheable {
+		e.plan = cp
 	}
 	return cp, nil
 }
 
-// fuseLocked applies the fusion pipeline to sched in place (no-op at
-// FuseOff) and returns the pass report with its CostBefore filled in:
-// when a pass changed the schedule, the unfused form is traced first so
-// the report can quote the per-run saving. Callers hold compMu.
-func (c *Comm) fuseLocked(sched *Schedule) FusionReport {
-	if !c.fuse.enabled() {
-		return FusionReport{StepsBefore: len(sched.Steps), StepsAfter: len(sched.Steps)}
-	}
-	fused, rep := fuseSteps(sched.Steps)
-	if rep.Changed() {
-		rep.CostBefore = c.traceSchedule(sched).total
-		sched.Steps = fused
-	}
-	return rep
-}
-
-// finishFusionLocked completes a plan's fusion report once its (fused)
-// charge trace exists and folds it into the comm's aggregate statistics.
-// Callers hold compMu.
-func (c *Comm) finishFusionLocked(cp *CompiledPlan) {
-	cp.fusion.CostAfter = cp.tr.total
-	if !cp.fusion.Changed() {
-		cp.fusion.CostBefore = cp.tr.total
+// countBuildLocked books one build in the comm's counters: a plan miss,
+// a trace hit or miss, and the plan's fusion report. Callers hold compMu.
+func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
+	c.cacheSt.PlanMisses++
+	if traceHit {
+		c.cacheSt.TraceHits++
+	} else {
+		c.cacheSt.TraceMisses++
 	}
 	if c.fuse.enabled() {
 		c.fuseSt.add(cp.fusion)
 	}
 }
 
-// compiledSequence compiles a multi-collective sequence: the members'
-// schedules are lowered fresh, concatenated into one schedule, run
-// through the fusion pipeline — which is where cross-collective rewrites
-// (interior sync elision, inverse rotate/unrotate cancellation across
-// plan boundaries, epoch coalescing) happen — and traced as a single
-// plan. Sequences with no host-input member are cached by their member
-// signatures; each member's unfused cost is traced for attribution.
-// owner is bound, verified and checked open as in compiledPlan.
-func (c *Comm) compiledSequence(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	if err := owner.errIfClosed(); err != nil {
-		return nil, err
-	}
-	cacheable := true
-	var sb strings.Builder
-	for _, sp := range specs {
-		if sp.hostBufs {
-			cacheable = false
-		}
-		fmt.Fprintf(&sb, "%+v;", sp.key)
-	}
-	seqKey := sb.String()
-	if cacheable {
-		if cp, ok := c.seqPlans[seqKey]; ok {
-			c.cacheSt.PlanHits++
-			c.cacheSt.TraceHits++
-			return cp, cp.checkOwner(owner)
-		}
-	}
-	c.cacheSt.PlanMisses++
-	c.cacheSt.TraceMisses++
-
-	cp := &CompiledPlan{c: c, key: specs[0].key, owner: owner}
-	cp.members = make([]Primitive, len(specs))
-	cp.memberCosts = make([]cost.Breakdown, len(specs))
+// buildLocked is the one plan builder: the members' schedules are
+// lowered fresh, concatenated into one schedule, run through the fusion
+// pipeline (fuse.go) — which is where the cross-collective rewrites of a
+// sequence happen — and traced as a single plan, so the charge trace is
+// the fused one. With a shape row nothing is traced; without one the
+// unfused schedule is traced too when a pass changed it (the report
+// quotes the per-run saving), and so is each member of a sequence. It
+// touches neither the cache nor the counters; callers hold compMu.
+func (c *Comm) buildLocked(specs []planSpec, owner *Tenant, shape *planEntry) *CompiledPlan {
+	cp := &CompiledPlan{c: c, key: specs[0].key, owner: owner, members: make([]Primitive, len(specs))}
 	sched := &Schedule{}
 	names := make([]string, len(specs))
+	var costs []cost.Breakdown
 	for i, sp := range specs {
 		ms := sp.lower(cp)
 		names[i] = ms.Name
-		cp.memberCosts[i] = c.traceSchedule(ms).total
+		if shape == nil && len(specs) > 1 {
+			costs = append(costs, c.traceSchedule(ms).total)
+		}
 		cp.members[i] = sp.key.prim
 		sched.Steps = append(sched.Steps, ms.Steps...)
 		cp.regs.reads = append(cp.regs.reads, sp.regs.reads...)
 		cp.regs.writes = append(cp.regs.writes, sp.regs.writes...)
 	}
-	sched.Name = "Seq(" + strings.Join(names, "+") + ")"
-	cp.sched = sched
-	cp.fusion = c.fuseLocked(sched)
-	cp.tr = c.traceSchedule(sched)
-	c.finishFusionLocked(cp)
-	if cacheable {
-		c.seqPlans[seqKey] = cp
+	if sched.Name = strings.Join(names, "+"); len(specs) > 1 {
+		sched.Name = "Seq(" + sched.Name + ")"
 	}
-	return cp, nil
+	cp.sched = sched
+	rep := FusionReport{StepsBefore: len(sched.Steps), StepsAfter: len(sched.Steps)}
+	fused := sched.Steps
+	if c.fuse.enabled() {
+		fused, rep = fuseSteps(sched.Steps)
+	}
+	if shape == nil && rep.Changed() {
+		rep.CostBefore = c.traceSchedule(sched).total
+	}
+	sched.Steps = fused
+	if shape != nil {
+		cp.tr, cp.fusion, cp.memberCosts = shape.tr, shape.fusion, shape.memberCosts
+		return cp
+	}
+	cp.tr = c.traceSchedule(sched)
+	if rep.CostAfter = cp.tr.total; !rep.Changed() {
+		rep.CostBefore = cp.tr.total
+	}
+	cp.fusion, cp.memberCosts = rep, costs
+	return cp
 }
 
 // PlanCacheStats reports the compiled-plan cache's behavior and memory
 // footprint (cmd/pidinfo surfaces it). Hit/miss counters are cumulative
-// over the Comm's lifetime — ClearPlanCache drops the cached entries but
-// keeps the counters.
+// over the Comm's lifetime.
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count whole-plan cache lookups. A miss
 	// pays validation, lowering, and (unless the trace is shared) charge
-	// tracing. Host-input primitives (Scatter, Broadcast) always miss —
-	// their schedules bind caller buffers — but still share traces.
+	// tracing. Plans with a host-input member (Scatter, Broadcast) always
+	// miss — their schedules bind caller buffers — but still share traces.
+	// Plans the cluster layer builds past the cache count as misses.
 	PlanHits, PlanMisses uint64
 	// TraceHits and TraceMisses count charge-trace lookups; a trace
 	// depends only on the call shape, so host-input plans hit here even
 	// though they miss the plan cache.
 	TraceHits, TraceMisses uint64
-	// CachedPlans and CachedTraces are the live entry counts;
-	// CachedSeqs counts cached CompileSequence plans.
+	// CachedPlans and CachedSeqs are the live cached plans of single
+	// collectives and of sequences; CachedTraces counts the shape rows
+	// (one charge trace each).
 	CachedPlans, CachedTraces, CachedSeqs int
 	// TraceEntries is the total recorded meter additions across cached
 	// traces; TraceBytes approximates their memory footprint.
@@ -466,35 +451,15 @@ func (c *Comm) PlanCacheStats() PlanCacheStats {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
 	st := c.cacheSt
-	st.CachedPlans = len(c.compiled)
-	st.CachedTraces = len(c.traces)
-	st.CachedSeqs = len(c.seqPlans)
-	for _, tr := range c.traces {
-		st.TraceEntries += int64(len(tr.adds))
-		st.TraceBytes += tr.memBytes()
-	}
-	for _, cp := range c.seqPlans {
-		st.TraceEntries += int64(len(cp.tr.adds))
-		st.TraceBytes += cp.tr.memBytes()
+	st.CachedTraces = len(c.cache)
+	for k, e := range c.cache {
+		if e.plan != nil && k.tail == "" {
+			st.CachedPlans++
+		} else if e.plan != nil {
+			st.CachedSeqs++
+		}
+		st.TraceEntries += int64(len(e.tr.adds))
+		st.TraceBytes += e.tr.memBytes()
 	}
 	return st
-}
-
-// ClearPlanCache drops every compiled plan and charge trace. Plans
-// already handed out remain valid; the next Compile of each signature
-// pays the full lowering+tracing cost again (the bench replay experiment
-// uses this to measure the cold path). Cumulative hit/miss counters are
-// preserved.
-//
-// ClearPlanCache is a barrier: it flushes the submission queue before
-// evicting, so an in-flight asynchronous submission can never observe
-// the cache being swapped out from under the plan it is about to replay
-// (nor race a concurrent Compile repopulating the maps mid-eviction).
-func (c *Comm) ClearPlanCache() {
-	c.Flush()
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	c.compiled = make(map[planKey]*CompiledPlan)
-	c.traces = make(map[planKey]*chargeTrace)
-	c.seqPlans = make(map[string]*CompiledPlan)
 }

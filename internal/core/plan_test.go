@@ -164,8 +164,8 @@ func TestCompiledScatterRereadsBuffers(t *testing.T) {
 	}
 }
 
-// Repeated compiles of one signature must hit the cache; ClearPlanCache
-// must drop it. Cost() previews exactly what one Run charges.
+// Repeated compiles of one signature must hit the cache. Cost() previews
+// exactly what one Run charges.
 func TestPlanCacheAndCostPreview(t *testing.T) {
 	c := costSystem(t, geo64, []int{8, 8})
 	m := 8 * 16
@@ -188,24 +188,15 @@ func TestPlanCacheAndCostPreview(t *testing.T) {
 		Src: Span(0, m), Dst: At(2 * m), Level: CM}); cp3 != cp1 {
 		t.Error("effective-level alias missed the cache")
 	}
-	c.ClearPlanCache()
-	cp4, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10",
-		Src: Span(0, m), Dst: At(2 * m), Level: CM})
+	bd, err := cp1.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp4 == cp1 {
-		t.Error("ClearPlanCache did not drop the plan")
-	}
-	bd, err := cp4.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffBreakdowns(cp4.Cost(), bd); d != "" {
+	if d := diffBreakdowns(cp1.Cost(), bd); d != "" {
 		t.Errorf("Cost() preview differs from Run(): %s", d)
 	}
-	if cp4.Primitive() != AlltoAll || cp4.Level() != CM {
-		t.Errorf("plan metadata: got %v/%v", cp4.Primitive(), cp4.Level())
+	if cp1.Primitive() != AlltoAll || cp1.Level() != CM {
+		t.Errorf("plan metadata: got %v/%v", cp1.Primitive(), cp1.Level())
 	}
 }
 
@@ -297,14 +288,14 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 		return &CompiledPlan{tr: &chargeTrace{total: bd}}
 	}
 	// All candidates equally cheap: the lowest level wins the tie.
-	dec, err := c.autoPick(autoKey{prim: AlltoAll, dims: "t1", bytes: 1}, func(_ *Comm, _ Algorithm, l Level) (*CompiledPlan, error) {
+	dec, err := c.autoPick(autoKey{prim: AlltoAll, dims: "t1", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
 		return fake(equal), nil
 	})
 	if err != nil || dec.lvl != Baseline {
 		t.Fatalf("tie: got %v, %v; want Baseline", dec.lvl, err)
 	}
 	// A failing candidate is skipped, even if it would have been first.
-	dec, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t2", bytes: 1}, func(_ *Comm, _ Algorithm, l Level) (*CompiledPlan, error) {
+	dec, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t2", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
 		if l == Baseline || l == PR {
 			return nil, fmt.Errorf("inapplicable at %v", l)
 		}
@@ -314,7 +305,7 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 		t.Fatalf("skip: got %v, %v; want IM", dec.lvl, err)
 	}
 	// Every candidate failing aborts with a joined error.
-	if _, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ *Comm, _ Algorithm, l Level) (*CompiledPlan, error) {
+	if _, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
 		return nil, fmt.Errorf("inapplicable at %v", l)
 	}); err == nil {
 		t.Fatal("all-fail did not abort")
@@ -497,6 +488,90 @@ func TestCachedReplayIsAHitAndAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: cached cost-only Run allocates %.0f objects, want 0", prim, allocs)
+		}
+	}
+}
+
+// A collective is a one-member sequence: Compile and CompileSequence of
+// one descriptor share the cached plan, whose members and member costs
+// are the primitive and the plan's own cost.
+func TestSingleCollectiveIsAOneMemberSequence(t *testing.T) {
+	c := costSystem(t, geo64, []int{8, 8})
+	d := Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, 128), Dst: At(256), Level: CM}
+	cp, err := c.Compile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := c.CompileSequence(d); err != nil || seq != cp {
+		t.Fatalf("CompileSequence(d) = %p, %v; want Compile(d)'s plan %p", seq, err, cp)
+	}
+	if st := c.PlanCacheStats(); st.CachedPlans != 1 || st.CachedSeqs != 0 || st.PlanHits != 1 {
+		t.Errorf("one-member sequence booked as %+v, want one cached plan hit once", st)
+	}
+	if got := cp.Members(); len(got) != 1 || got[0] != AlltoAll {
+		t.Errorf("Members() = %v, want [AlltoAll]", got)
+	}
+	if got := cp.MemberCosts(); len(got) != 1 || got[0] != cp.Cost() {
+		t.Errorf("MemberCosts() = %v, want [Cost()] = %v", got, cp.Cost())
+	}
+}
+
+// A sequence with a host-input member rebuilds its schedule on every
+// compile — it binds the caller's buffers — but everything that depends
+// on the call shape alone is the cache row's: a recompile traces nothing.
+func TestHostInputSequenceSharesItsTrace(t *testing.T) {
+	c := costSystem(t, geo64, []int{8, 8})
+	const s = 32
+	ds := []Collective{
+		{Prim: Scatter, Dims: "10", Dst: Span(0, s), Level: IM},
+		{Prim: AllGather, Dims: "10", Src: Span(0, s), Dst: At(1024), Level: IM},
+	}
+	cp1, err := c.CompileSequence(ds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := c.PlanCacheStats()
+	if first.TraceMisses != 1 || first.CachedSeqs != 0 || first.CachedTraces != 1 {
+		t.Fatalf("first compile: %+v", first)
+	}
+	for i := 0; i < 3; i++ {
+		cp2, err := c.CompileSequence(ds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp2 == cp1 {
+			t.Fatal("a plan binding caller buffers was served from the cache")
+		}
+		if cp2.tr != cp1.tr || &cp2.memberCosts[0] != &cp1.memberCosts[0] || cp2.fusion != cp1.fusion {
+			t.Fatal("recompile re-traced instead of sharing the row's trace, member costs and fusion report")
+		}
+	}
+	if st := c.PlanCacheStats(); st.TraceMisses != first.TraceMisses || st.TraceHits != first.TraceHits+3 || st.PlanMisses != first.PlanMisses+3 {
+		t.Errorf("after 3 recompiles: %+v, want 3 plan misses that hit the trace of %+v", st, first)
+	}
+}
+
+// The cached-compile hot paths allocate no more than before the single
+// and sequence paths merged: the descriptor's spec (lowering closure,
+// environment, footprint spans) and, for a sequence, its key.
+func TestCachedCompileAllocs(t *testing.T) {
+	c := tenantTestComm(t, 1<<13)
+	const m = 16 * 8
+	aa := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
+	ag := Collective{Prim: AllGather, Dims: "1", Src: Span(4*m, 8), Dst: At(5 * m), Level: CM}
+	for _, tc := range []struct {
+		name    string
+		compile func() (*CompiledPlan, error)
+		max     float64
+	}{
+		{"Compile", func() (*CompiledPlan, error) { return c.Compile(aa) }, 4},
+		{"two-member CompileSequence", func() (*CompiledPlan, error) { return c.CompileSequence(aa, ag) }, 14},
+	} {
+		if _, err := tc.compile(); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { tc.compile() }); got > tc.max {
+			t.Errorf("cached %s hit: %v allocs, want <= %v", tc.name, got, tc.max)
 		}
 	}
 }

@@ -313,16 +313,25 @@ func TestAutoNeverCostlier(t *testing.T) {
 				if shapes[cb.prim].reducing {
 					d.Elem, d.Op = cb.et, cb.op
 				}
-				_, auto, err := c.Resolve(d)
+				alg, auto, err := c.Resolve(d)
 				if err != nil {
 					t.Fatal(err)
+				}
+				// The dry builds ran on the functional comm itself, past its
+				// plan cache and counters, and score exactly as on a cost-only
+				// comm of the same geometry.
+				if st, fs := c.PlanCacheStats(), c.FusionStats(); st != (PlanCacheStats{}) || fs != (FusionStats{}) {
+					t.Errorf("Auto dry builds touched the comm's counters: %+v, %+v", st, fs)
+				}
+				if calg, clvl, err := costSystem(t, geo64, cb.shape).Resolve(d); err != nil || calg != alg || clvl != auto {
+					t.Errorf("functional comm resolved to %v/%v, cost-only comm to %v/%v (%v)", alg, auto, calg, clvl, err)
 				}
 				// Measure every fixed level on a fresh cost-only comm and
 				// check the auto pick against the minimum.
 				fixed := func(lvl Level) cost.Seconds {
 					cc := costSystem(t, geo64, cb.shape)
 					d.Algorithm, d.Level = AlgoReference, lvl
-					cp, err := autoDryCompile(cc, d)
+					cp, err := cc.autoDryBuild(d)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -162,6 +162,40 @@ func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
 	}
 }
 
+// The same rule at the queue bound: with MaxPendingPlans in flight on a
+// stepped comm the next Submit steps one plan itself instead of blocking
+// on a slot no one will ever free.
+func TestSteppedSubmitBeyondMaxPending(t *testing.T) {
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	cp, err := c.Compile(servingCollective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *Future)
+	go func() {
+		var last *Future
+		for i := 0; i < MaxPendingPlans+8; i++ {
+			last = cp.Submit()
+		}
+		done <- last
+	}()
+	select {
+	case last := <-done:
+		if got := c.Pending(); got != MaxPendingPlans {
+			t.Errorf("Pending after %d submissions = %d, want the bound %d", MaxPendingPlans+8, got, MaxPendingPlans)
+		}
+		c.Flush()
+		if !last.Done() || last.Err() != nil {
+			t.Errorf("last submission not drained by Flush: %v", last.Err())
+		}
+		if got := c.Pending(); got != 0 {
+			t.Errorf("Pending after Flush = %d, want 0", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Submit deadlocked at the queue bound (Pending = %d)", c.Pending())
+	}
+}
+
 // A submission rejected by overload admission returns an already
 // completed Future carrying ErrOverloaded and a zero Window — callers
 // never block on a shed request.
@@ -392,9 +426,9 @@ func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
 			t.Fatalf("round %d: compile loop ended with %v, want ErrTenantClosed", round, err)
 		}
 		c.compMu.Lock()
-		for _, cp := range c.compiled {
-			if cp.owner == ten {
-				t.Errorf("round %d: plan %s of the closed tenant survived the eviction", round, cp.sched.Name)
+		for _, e := range c.cache {
+			if e.plan != nil && e.plan.owner == ten {
+				t.Errorf("round %d: plan %s of the closed tenant survived the eviction", round, e.plan.sched.Name)
 			}
 		}
 		c.compMu.Unlock()

@@ -257,20 +257,15 @@ func (t *Tenant) Closed() bool {
 	return t.closed
 }
 
-// evictOwnedPlans drops every cached plan owned by t. Charge traces are
-// keyed by call shape only and stay — a successor tenant at the same
-// base offsets re-compiles the plan but reuses the trace.
+// evictOwnedPlans drops every cached plan owned by t. The shape rows
+// stay — a successor tenant at the same base offsets rebuilds the plan
+// but reuses the row's charge trace.
 func (c *Comm) evictOwnedPlans(t *Tenant) {
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	for k, cp := range c.compiled {
-		if cp.owner == t {
-			delete(c.compiled, k)
-		}
-	}
-	for k, cp := range c.seqPlans {
-		if cp.owner == t {
-			delete(c.seqPlans, k)
+	for _, e := range c.cache {
+		if e.plan != nil && e.plan.owner == t {
+			e.plan = nil
 		}
 	}
 }
@@ -306,7 +301,7 @@ func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) {
 // tenant: runs are admitted against its quota as a unit and attributed
 // to its meter.
 func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
-	return t.c.compileSequenceIn(t.ar, t, ds)
+	return t.c.compileIn(t.ar, t, ds...)
 }
 
 // Run compiles (or fetches the cached plan for) d and executes one

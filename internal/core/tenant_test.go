@@ -194,36 +194,6 @@ func TestPlanOwnershipConflict(t *testing.T) {
 	}
 }
 
-// ClearPlanCache is a barrier: it drains the submission queue before
-// evicting, so every future submitted beforehand is complete when it
-// returns.
-func TestClearPlanCacheFlushesSubmissions(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	const m = 16 * 8
-	var fs []*Future
-	for i := 0; i < 32; i++ {
-		f, err := c.Submit(Collective{Prim: AlltoAll, Dims: "1",
-			Src: Span(0, m), Dst: At(2 * m), Level: CM})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs = append(fs, f)
-	}
-	c.ClearPlanCache()
-	for i, f := range fs {
-		if !f.Done() {
-			t.Fatalf("future %d still in flight after ClearPlanCache", i)
-		}
-		if err := f.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.PlanCacheStats()
-	if st.CachedPlans != 0 || st.CachedTraces != 0 {
-		t.Errorf("cache not empty after clear: %+v", st)
-	}
-}
-
 // Quota admission: a tenant whose budget covers exactly two plans gets
 // two runs, then ErrQuotaExceeded — on Run and on Submit (via the
 // future's error).

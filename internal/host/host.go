@@ -153,6 +153,10 @@ type Shard struct {
 	vu        vec.Unit
 	bursts    int64
 	chanBytes []int64
+	// Every burst writes vu, bursts and chanBytes: the pad (here, and the
+	// rounded-up capacity in Shards) gives each worker's tallies cache
+	// lines of their own, wherever the allocator happens to place them.
+	_ [80]byte
 }
 
 // VecUnit returns the shard's private vector unit.
@@ -189,7 +193,7 @@ func (h *Host) Shards(k int) []*Shard {
 	for len(h.shards) < k {
 		h.shards = append(h.shards, &Shard{
 			h:         h,
-			chanBytes: make([]int64, h.sys.Geometry().Channels),
+			chanBytes: make([]int64, h.sys.Geometry().Channels, (h.sys.Geometry().Channels+7)&^7),
 		})
 	}
 	return h.shards[:k]

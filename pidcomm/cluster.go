@@ -75,8 +75,8 @@ func (cl *Cluster) Machine(h int) *Machine { return cl.machines[h] }
 func (cl *Cluster) Run(d ClusterCollective) (Breakdown, error) { return cl.cc.Run(d) }
 
 // Compile lowers d into one compiled plan per host, cached under the
-// descriptor: recompiling an equal descriptor is a per-host plan-cache
-// hit, and the returned ClusterPlan replays with Run/Submit.
+// descriptor: recompiling an equal descriptor returns the same
+// ClusterPlan, which replays with Run/Submit.
 func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) { return cl.cc.Compile(d) }
 
 // Submit compiles d and enqueues one asynchronous execution on every

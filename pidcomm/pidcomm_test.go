@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/pidcomm"
@@ -347,4 +348,34 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Functional cluster hosts rendezvous inside their network legs, so each
+// needs its own executor: on stepped machines a Wait would step host 0
+// into the barrier with no one left to step host 1. NewCluster names the
+// conflict instead; a cost-only cluster has no barriers and steps fine.
+func TestSteppedCluster(t *testing.T) {
+	shape := []int{16}
+	if _, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.WithStepped(true)); err == nil || !strings.Contains(err.Error(), "stepped") {
+		t.Fatalf("functional cluster on stepped machines: got %v, want an error naming stepped mode", err)
+	}
+	cl, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.CostOnly(), pidcomm.WithStepped(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := cl.Comm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := cc.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Machine(1).Pending() != 1 {
+		t.Fatal("stepped cluster ran a submission on its own")
+	}
+	if bd, err := f.Wait(); err != nil || bd.Total() <= 0 {
+		t.Fatalf("stepped cost-only cluster Wait: %v, %v", bd, err)
+	}
+	cl.Flush()
 }
