@@ -11,11 +11,14 @@ import (
 	"repro/internal/elem"
 )
 
-// The differential suite: every registered algorithm must produce
-// byte-identical results to the reference lowering on the functional
-// backend, across hypercube shapes (including non-power-of-two and
-// strided groups), element types, operators and payload sizes. The
-// registration side effect comes from linking the package under test.
+// The differential suite of core's algorithm table: every alternative
+// row must produce byte-identical results to the reference lowering on
+// the functional backend, across hypercube shapes (including
+// non-power-of-two and strided groups), element types, operators and
+// payload sizes. The directory holds only this external test — the
+// lowerings themselves are rows of internal/core (algorithm.go,
+// lowering.go) — and stays a package of its own so the suite keeps the
+// test names it has always run under.
 
 var (
 	geo64 = dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 14} // 64 PEs
@@ -71,8 +74,13 @@ func alternatives(prim core.Primitive) []core.Algorithm {
 	return core.RegisteredAlgorithms(prim)[1:] // drop AlgoReference
 }
 
+// TestRegistrySeeded pins the table's order: the rows of a primitive in
+// Algorithm order, reference first, and every name parsing back.
 func TestRegistrySeeded(t *testing.T) {
 	want := []core.Algorithm{core.AlgoReference, core.AlgoRing, core.AlgoTree, core.AlgoRabenseifner}
+	if fmt.Sprint(core.Algorithms()) != fmt.Sprint(want) {
+		t.Fatalf("Algorithms() = %v, want %v", core.Algorithms(), want)
+	}
 	got := core.RegisteredAlgorithms(core.AllReduce)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AllReduce algorithms = %v, want %v", got, want)
@@ -177,8 +185,8 @@ func TestBroadcastAlgosMatchReference(t *testing.T) {
 }
 
 // TestAlgoRejections pins the explicit-request error paths: an algorithm
-// that does not apply at the resolved level, and an algorithm not
-// registered for the primitive.
+// that does not apply at the resolved level, and an algorithm the table
+// has no row of for the primitive.
 func TestAlgoRejections(t *testing.T) {
 	c := newComm(t, geo64, []int{8, 8})
 	d := core.Collective{Prim: core.AllReduce, Dims: "10",
@@ -195,14 +203,14 @@ func TestAlgoRejections(t *testing.T) {
 	da.Prim = core.AlltoAll
 	da.Elem, da.Op = 0, 0
 	if _, err := c.Run(da); err == nil {
-		t.Fatal("rsag AlltoAll: want unregistered-algorithm error")
+		t.Fatal("rsag AlltoAll: want no-such-row error")
 	}
 }
 
 // TestAutoSearchesAlgorithms checks the (algorithm x level) search: an
 // Auto-level call with an explicit algorithm constraint resolves to that
-// algorithm at its applicable level, and the full search returns a valid
-// registered candidate.
+// algorithm at its applicable level, and the full search returns a row
+// of the table.
 func TestAutoSearchesAlgorithms(t *testing.T) {
 	c := newComm(t, geo64, []int{8, 8})
 	d := core.Collective{Prim: core.AllReduce, Dims: "10",
@@ -228,7 +236,7 @@ func TestAutoSearchesAlgorithms(t *testing.T) {
 		found = found || a == alg
 	}
 	if !found {
-		t.Fatalf("full search picked unregistered algorithm %v at %v", alg, lvl)
+		t.Fatalf("full search picked %v at %v, not a row of the table", alg, lvl)
 	}
 }
 

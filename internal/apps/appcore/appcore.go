@@ -6,6 +6,7 @@
 package appcore
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -225,4 +226,33 @@ func CommForPEs(shape []int, pes, mramPerBank int) (*core.Comm, error) {
 		return nil, err
 	}
 	return core.New(geo, shape, core.Config{})
+}
+
+// NextPow2 returns the smallest power of two >= n (1 for n <= 1): the
+// apps round their per-PE MRAM footprint up to it.
+func NextPow2(n int) int {
+	p := 1
+	for p < n {
+		p *= 2
+	}
+	return p
+}
+
+// Concat returns the buffers joined in order (a Scatter's host payload
+// from its per-rank parts).
+func Concat(bufs [][]byte) []byte {
+	var out []byte
+	for _, b := range bufs {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// I32Bytes encodes v little-endian, four bytes per element.
+func I32Bytes(v []int32) []byte {
+	out := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
+	}
+	return out
 }

@@ -75,7 +75,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	visitedOff := nextOff + fB   // global visited bitmap (locally maintained)
 	distOff := visitedOff + fB   // distances of owned vertices
 	flagOff := distOff + distB   // "frontier non-empty" flag
-	mram := nextPow2(flagOff + 8)
+	mram := appcore.NextPow2(flagOff + 8)
 
 	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
@@ -85,7 +85,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 
 	// Distribute the graph; broadcast the initial frontier/visited state.
 	scat := make([][]byte, 1)
-	scat[0] = concat(adjBufs)
+	scat[0] = appcore.Concat(adjBufs)
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: scat, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
@@ -270,20 +270,4 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	// random access (calibrated at LiveJournal scale).
 	t := cpu.GraphTime(touchedEdges) + cpu.Time(int64(g.V)*8, int64(g.V))
 	return dist, t, nil
-}
-
-func concat(bufs [][]byte) []byte {
-	var out []byte
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }

@@ -74,7 +74,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	candOff := labelOff + lB   // this PE's pushed candidates
 	newOff := candOff + lB     // MIN-AllReduced labels
 	flagOff := newOff + lB     // "any label changed" flag
-	mram := nextPow2(flagOff + 8)
+	mram := appcore.NextPow2(flagOff + 8)
 
 	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
@@ -83,7 +83,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	tr := appcore.NewTracker(comm)
 
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
-		Hosts: [][]byte{concat(adjBufs)}, Dst: core.Span(adjOff, adjSz), Level: lvl})
+		Hosts: [][]byte{appcore.Concat(adjBufs)}, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
 		return nil, nil, err
 	}
@@ -252,20 +252,4 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	cpu := appcore.DefaultCPU()
 	t := cpu.GraphTime(touched)
 	return labels, t, nil
-}
-
-func concat(bufs [][]byte) []byte {
-	var out []byte
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }

@@ -205,7 +205,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	embOff := aaOff + alignUp(aaB)
 	wOff := embOff + embB
 	outOff := wOff + wB
-	mram := nextPow2(outOff + outB)
+	mram := appcore.NextPow2(outOff + outB)
 
 	comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, mram)
 	if err != nil {
@@ -236,7 +236,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		core.Collective{Prim: core.Scatter, Dims: "111",
 			Hosts: [][]byte{embBuf}, Dst: core.Span(embOff, embB), Level: lvl},
 		core.Collective{Prim: core.Broadcast, Dims: "111",
-			Hosts: [][]byte{i32bytes(cfg.topWeights())}, Dst: core.At(wOff), Level: lvl})
+			Hosts: [][]byte{appcore.I32Bytes(cfg.topWeights())}, Dst: core.At(wOff), Level: lvl})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -468,20 +468,4 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	return out, cpuTotal, nil
 }
 
-func i32bytes(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
-
 func alignUp(n int) int { return (n + 7) &^ 7 }
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}

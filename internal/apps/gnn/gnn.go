@@ -242,7 +242,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	iOff := p1Off + p1B // RS dst (subB) or AR dst (p1B)
 	candOff := iOff + p1B
 	xsubOff := candOff + stripB
-	mram := nextPow2(xsubOff + subB)
+	mram := appcore.NextPow2(xsubOff + subB)
 
 	comm, err := appcore.CommForPEs([]int{C, R}, N, mram)
 	if err != nil {
@@ -267,7 +267,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	}
 	setup, err := comm.CompileSequence(
 		core.Collective{Prim: core.Scatter, Dims: "11",
-			Hosts: [][]byte{concat(tiles)}, Dst: core.Span(adjOff, maxTile), Level: lvl},
+			Hosts: [][]byte{appcore.Concat(tiles)}, Dst: core.Span(adjOff, maxTile), Level: lvl},
 		core.Collective{Prim: core.Scatter, Dims: "11",
 			Hosts: [][]byte{xbufs}, Dst: core.Span(xOff, stripB), Level: lvl})
 	if err != nil {
@@ -514,20 +514,4 @@ func RunCPU(cfg Config, variant Variant) ([]int64, cost.Seconds, error) {
 	}
 	_ = variant // both variants compute identical results
 	return x, total, nil
-}
-
-func concat(bufs [][]byte) []byte {
-	var out []byte
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }

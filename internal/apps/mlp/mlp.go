@@ -94,14 +94,6 @@ func (c Config) batches() int {
 	return c.Batches
 }
 
-func i32bytes(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
-}
-
 func bytesI32(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
 	for i := range out {
@@ -126,7 +118,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	xOff := wOff + L*wPerLayerB
 	partOff := xOff + sliceB
 	outOff := partOff + F*4
-	mram := nextPow2(outOff + sliceB)
+	mram := appcore.NextPow2(outOff + sliceB)
 
 	comm, err := appcore.CommForPEs([]int{N}, N, mram)
 	if err != nil {
@@ -189,7 +181,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		// Refilling xBuf is safe: the previous input Scatter executed
 		// before the previous batch's first layer kernel, and the
 		// in-flight Gather reads MRAM, not this host buffer.
-		copy(xBuf, i32bytes(genInput(cfg, batch)))
+		copy(xBuf, appcore.I32Bytes(genInput(cfg, batch)))
 		// The input Scatter writes xOff, which the in-flight Gather reads:
 		// a WAR hazard the submission queue orders — the Scatter executes
 		// only after the Gather completes, without an explicit wait.
@@ -304,12 +296,4 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 		}
 	}
 	return x, total, nil
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }

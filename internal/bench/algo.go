@@ -3,16 +3,15 @@ package bench
 import (
 	"fmt"
 
-	_ "repro/internal/algo" // register the alternative collective lowerings
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
 
-// This file holds the algorithm-registry experiment (`pidbench -exp
+// This file holds the algorithm-table experiment (`pidbench -exp
 // algo`): the machine-level AllReduce lowerings (reference staged
-// schedule vs the registered ring / tree / Rabenseifner alternatives)
+// schedule vs the ring / tree / Rabenseifner alternatives)
 // priced per payload size under both Auto objectives, the cluster-scale
 // host-level ring-vs-tree wire algorithms with their latency/bandwidth
 // crossover, and the pinned async point where the makespan objective
@@ -153,8 +152,8 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 
 func init() {
 	register("algo", "Algorithm registry: machine-level AllReduce lowerings, cluster ring vs tree, makespan-aware Auto (cost-only)", func(o Options) error {
-		// Per-algorithm machine-level sweep: every registered AllReduce
-		// lowering is byte-identical to the reference, so the only thing
+		// Per-algorithm machine-level sweep: every AllReduce row of the
+		// lowering table is byte-identical to the reference, so the only thing
 		// that varies is where the time goes — the meter total (serial)
 		// and the pipelined makespan (overlapped) per payload size.
 		sizes := []int{16 << 10, 64 << 10, 256 << 10}

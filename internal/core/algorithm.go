@@ -2,27 +2,28 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/elem"
 )
 
-// This file implements the algorithm axis of a collective: a Collective
-// carries an Algorithm alongside its Level, and a process-wide registry
-// maps (primitive, algorithm) to alternative schedule-IR producers.
-// Every primitive has a built-in reference lowering (schedule.go);
-// packages register alternatives — classic MPI shapes like ring, tree
-// and Rabenseifner RS+AG live in internal/algo — and the autotuner
-// (auto.go) searches over (algorithm x level). Registered lowerings MUST
-// be byte-identical to the reference on the functional backend: an
-// algorithm only changes where time is charged (which lanes, in what
-// order), never what the collective computes.
+// This file is the algorithm axis of a collective: a Collective carries
+// an Algorithm alongside its Level, and two static tables say everything
+// the rest of the package knows about one. algorithms has a row per
+// Algorithm — its name and, for ring and tree, its shape as the
+// host-level wire leg of a cluster AllReduce (cluster.go); lowerings has
+// a row per (primitive, algorithm) — when it applies and how it lowers to
+// schedule IR. The AlgoReference rows are the paper's lowerings
+// (schedule.go), the alternatives are classic MPI shapes (lowering.go),
+// and the autotuner (auto.go) searches (algorithm x level) over the rows
+// of one primitive. Every lowering MUST be byte-identical to the
+// reference on the functional backend: an algorithm only changes where
+// time is charged (which lanes, in what order), never what the
+// collective computes.
 
 // Algorithm names one lowering strategy for a collective. The zero value
 // is AlgoAuto: the autotuner picks among the reference lowering and the
-// registered alternatives. Like Level, the concrete values form a small
-// closed set so Algorithm can sit in plan-cache keys by value.
+// alternatives. Like Level, the concrete values form a small closed set
+// so Algorithm can sit in plan-cache keys by value.
 type Algorithm int
 
 const (
@@ -46,48 +47,59 @@ const (
 	AlgoRabenseifner
 )
 
+// algorithms is the algorithm table, indexed by Algorithm.
+var algorithms = [...]struct {
+	name string
+	// wire is the algorithm's shape as the host-level leg of a cluster
+	// AllReduce over H hosts whose merged buffer has global bytes: rounds ×
+	// bytes per round. nil: the algorithm has no host-level form.
+	wire func(H, global int) (rounds, bytes int)
+}{
+	AlgoAuto:      {name: "Auto"},
+	AlgoReference: {name: "ref"},
+	// One reduced 1/H portion per round, there and back.
+	AlgoRing: {"ring", func(H, global int) (int, int) { return 2 * (H - 1), global / H }},
+	// Up and down a binary host tree with the whole buffer: fewer, fatter
+	// rounds, so it wins where the per-round latency dominates.
+	AlgoTree:         {"tree", func(H, global int) (int, int) { return 2 * ceilLog2(H), global }},
+	AlgoRabenseifner: {name: "rsag"},
+}
+
 // Algorithms returns the concrete algorithm identifiers (excluding
 // AlgoAuto), in declaration order.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgoReference, AlgoRing, AlgoTree, AlgoRabenseifner}
+	out := make([]Algorithm, 0, len(algorithms)-1)
+	for a := AlgoAuto + 1; int(a) < len(algorithms); a++ {
+		out = append(out, a)
+	}
+	return out
 }
 
 func (a Algorithm) String() string {
-	switch a {
-	case AlgoAuto:
-		return "Auto"
-	case AlgoReference:
-		return "ref"
-	case AlgoRing:
-		return "ring"
-	case AlgoTree:
-		return "tree"
-	case AlgoRabenseifner:
-		return "rsag"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if a >= 0 && int(a) < len(algorithms) {
+		return algorithms[a].name
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // ParseAlgorithm parses an Algorithm name as printed by String
 // ("Auto", "ref", "ring", "tree", "rsag").
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range append([]Algorithm{AlgoAuto}, Algorithms()...) {
-		if s == a.String() {
-			return a, nil
+	names := make([]string, len(algorithms))
+	for a, row := range algorithms {
+		if row.name == s {
+			return Algorithm(a), nil
 		}
+		names[a] = row.name
 	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (want Auto, ref, ring, tree or rsag)", s)
+	return 0, fmt.Errorf("core: unknown algorithm %q (want one of %v)", s, names)
 }
 
-// AlgoEnv is the lowering context handed to a registered algorithm: the
-// resolved call (primitive, effective level, absolute offsets, sizes,
-// element/op) plus accessors into the comm's sharded execution helpers.
-// Lowerings build their Schedule from the exported step types
-// (schedule.go); closures captured in steps run under the comm's
-// execution lock, so the EachGroup* helpers are safe to call from a
-// Modulate or HostCompute body.
-type AlgoEnv struct {
+// algoEnv is the resolved call a lowering reads: primitive, effective
+// level, absolute offsets, sizes, element/op, and the comm and group plan
+// whose sharded execution helpers (groupsDo, bulkOut) its closures use.
+// Closures captured in steps run under the comm's execution lock.
+type algoEnv struct {
 	c      *Comm
 	p      *plan
 	prim   Primitive
@@ -98,193 +110,69 @@ type AlgoEnv struct {
 	s      int // block size m/n (== m where the primitive has no blocks)
 	t      elem.Type
 	op     elem.Op
-	hosts  [][]byte
+	hosts  [][]byte // per-group host payloads (nil entries on dry runs)
 }
 
-// Primitive returns the collective primitive being lowered.
-func (e *AlgoEnv) Primitive() Primitive { return e.prim }
+// lowering is one row of the lowering table.
+type lowering struct {
+	// applies reports whether the row can implement the resolved call (nil
+	// means always). Auto skips an inapplicable candidate; an explicit
+	// request for one is an error.
+	applies func(e *algoEnv) bool
+	// lower produces the schedule; cp is the plan being compiled (the
+	// rooted reference lowerings bind its result buffers).
+	lower func(e *algoEnv, cp *CompiledPlan) *Schedule
+}
 
-// Level returns the resolved effective optimization level.
-func (e *AlgoEnv) Level() Level { return e.eff }
+// lowerings is the lowering table, indexed by Primitive, then Algorithm.
+var lowerings = [len(shapes)][len(algorithms)]lowering{
+	AlltoAll:      {AlgoReference: {lower: lowerAlltoAll}},
+	ReduceScatter: {AlgoReference: {lower: lowerReduceScatter}},
+	AllReduce: {
+		AlgoReference:    {lower: lowerAllReduce},
+		AlgoRing:         {baselineMulti, lowerRingAllReduce},
+		AlgoTree:         {baselineMulti, lowerTreeAllReduce},
+		AlgoRabenseifner: {baselineMulti, lowerRsagAllReduce},
+	},
+	AllGather: {AlgoReference: {lower: lowerAllGather}},
+	Scatter:   {AlgoReference: {lower: lowerScatter}},
+	Gather:    {AlgoReference: {lower: lowerGather}},
+	Reduce:    {AlgoReference: {lower: lowerReduce}},
+	Broadcast: {
+		AlgoReference: {lower: lowerBroadcast},
+		AlgoRing:      {baselineMulti, lowerRingBroadcast},
+		AlgoTree:      {baselineMulti, lowerTreeBroadcast},
+	},
+}
 
-// SrcOff and DstOff are the absolute per-PE MRAM offsets of the call's
-// source and destination regions (already arena-translated).
-func (e *AlgoEnv) SrcOff() int { return e.srcOff }
-
-// DstOff is documented with SrcOff.
-func (e *AlgoEnv) DstOff() int { return e.dstOff }
-
-// BytesPerPE returns the per-PE payload size m (the host payload size
-// for Broadcast/Scatter).
-func (e *AlgoEnv) BytesPerPE() int { return e.m }
-
-// BlockSize returns the block size s = m / GroupSize for
-// block-structured primitives (== BytesPerPE where blocks don't apply).
-func (e *AlgoEnv) BlockSize() int { return e.s }
-
-// Elem and Op return the element type and operator of a reducing call.
-func (e *AlgoEnv) Elem() elem.Type { return e.t }
-
-// Op is documented with Elem.
-func (e *AlgoEnv) Op() elem.Op { return e.op }
-
-// GroupSize returns n, the number of PEs per communication group.
-func (e *AlgoEnv) GroupSize() int { return e.p.n }
-
-// NumGroups returns the number of communication groups.
-func (e *AlgoEnv) NumGroups() int { return len(e.p.groups) }
-
-// Group returns the PE ids of group g in rank order. The slice is shared
-// and must not be modified.
-func (e *AlgoEnv) Group(g int) []int { return e.p.groups[g] }
-
-// TotalPEs returns the machine's PE count.
-func (e *AlgoEnv) TotalPEs() int { return len(e.p.groupOf) }
-
-// HostPayload returns group g's host-side payload buffer (Broadcast/
-// Scatter; nil entries occur on cost-only dry runs).
-func (e *AlgoEnv) HostPayload(g int) []byte {
-	if g >= len(e.hosts) {
+// RegisteredAlgorithms returns the algorithms the table has a lowering
+// of prim for, in Algorithm order (AlgoReference first): the candidates
+// Auto scans.
+func RegisteredAlgorithms(prim Primitive) []Algorithm {
+	if _, err := shapeOf(prim); err != nil {
 		return nil
 	}
-	return e.hosts[g]
-}
-
-// MachineBytes returns the machine-wide byte count of a perPE-sized
-// region (the size of a full staging buffer; the usual Charge volume).
-func (e *AlgoEnv) MachineBytes(perPE int) int64 { return e.c.numPEBytes(perPE) }
-
-// BulkOut returns the comm's reusable n-byte modulation output arena for
-// StepBulk Modulate closures that fully overwrite their output.
-func (e *AlgoEnv) BulkOut(n int) []byte { return e.c.bulkOut(n) }
-
-// EachGroup runs fn(g, pes) for every communication group, sharded
-// across the comm's worker pool. fn must only write state owned by its
-// group. Call only from schedule closures (the executor holds the lock).
-func (e *AlgoEnv) EachGroup(fn func(g int, pes []int)) {
-	p := e.p
-	e.c.groupsDo(len(p.groups), func(g int) { fn(g, p.groups[g]) })
-}
-
-// EachGroupScratch is EachGroup with a bytes-sized scratch slab per
-// worker shard (reused across runs).
-func (e *AlgoEnv) EachGroupScratch(bytes int, fn func(g int, pes []int, scratch []byte)) {
-	p := e.p
-	e.c.groupsDoScratch(len(p.groups), bytes, func(g int, scratch []byte) { fn(g, p.groups[g], scratch) })
-}
-
-// AlgoSpec registers one algorithm for one primitive.
-type AlgoSpec struct {
-	// Algo identifies the algorithm (must not be AlgoAuto or
-	// AlgoReference — the reference lowering is built in).
-	Algo Algorithm
-	// Prim is the primitive the lowering implements.
-	Prim Primitive
-	// Applies reports whether the lowering can implement the resolved
-	// call (nil means always applicable). Inapplicable candidates are
-	// skipped by the autotuner and rejected with an error when requested
-	// explicitly.
-	Applies func(e *AlgoEnv) bool
-	// Lower produces the schedule. It must be byte-identical to the
-	// reference lowering on the functional backend.
-	Lower func(e *AlgoEnv) *Schedule
-}
-
-// The process-wide algorithm registry. Registration happens in package
-// init functions (internal/algo), so the guard is for safety, not
-// contention.
-var (
-	algoMu    sync.RWMutex
-	algoReg   = map[Primitive]map[Algorithm]AlgoSpec{}
-	algoOrder = map[Primitive][]Algorithm{}
-)
-
-// RegisterAlgorithm adds an algorithm lowering to the registry. It
-// panics on an invalid spec or a duplicate (primitive, algorithm)
-// registration — registration is an init-time programming act, not a
-// runtime input.
-func RegisterAlgorithm(sp AlgoSpec) {
-	if sp.Algo == AlgoAuto || sp.Algo == AlgoReference {
-		panic(fmt.Sprintf("core: cannot register %v (reserved)", sp.Algo))
+	out := make([]Algorithm, 0, len(algorithms))
+	for alg, row := range lowerings[prim] {
+		if row.lower != nil {
+			out = append(out, Algorithm(alg))
+		}
 	}
-	if sp.Lower == nil {
-		panic("core: RegisterAlgorithm with nil Lower")
-	}
-	algoMu.Lock()
-	defer algoMu.Unlock()
-	if algoReg[sp.Prim] == nil {
-		algoReg[sp.Prim] = map[Algorithm]AlgoSpec{}
-	}
-	if _, dup := algoReg[sp.Prim][sp.Algo]; dup {
-		panic(fmt.Sprintf("core: duplicate algorithm %v for %v", sp.Algo, sp.Prim))
-	}
-	algoReg[sp.Prim][sp.Algo] = sp
-	algoOrder[sp.Prim] = append(algoOrder[sp.Prim], sp.Algo)
-	sort.Slice(algoOrder[sp.Prim], func(i, j int) bool {
-		return algoOrder[sp.Prim][i] < algoOrder[sp.Prim][j]
-	})
-}
-
-// RegisteredAlgorithms returns the algorithms available for a primitive:
-// AlgoReference first, then the registered alternatives in Algorithm
-// order (deterministic regardless of registration order).
-func RegisteredAlgorithms(prim Primitive) []Algorithm {
-	algoMu.RLock()
-	defer algoMu.RUnlock()
-	out := []Algorithm{AlgoReference}
-	out = append(out, algoOrder[prim]...)
 	return out
 }
 
-// algoSpecOf looks up a registered algorithm for a primitive.
-func algoSpecOf(prim Primitive, alg Algorithm) (AlgoSpec, error) {
-	algoMu.RLock()
-	defer algoMu.RUnlock()
-	sp, ok := algoReg[prim][alg]
-	if !ok {
-		return AlgoSpec{}, fmt.Errorf("core: no %v algorithm registered for %v (have %v)",
-			alg, prim.LongName(), registeredLocked(prim))
+// loweringOf returns the table row of an explicitly requested algorithm
+// for the resolved call env (whose primitive specIn has checked), or why
+// the call cannot have it: no such row, or a row that does not apply.
+func loweringOf(alg Algorithm, env *algoEnv) (*lowering, error) {
+	if alg < 0 || int(alg) >= len(algorithms) || lowerings[env.prim][alg].lower == nil {
+		return nil, fmt.Errorf("core: no %v algorithm for %v (have %v)",
+			alg, env.prim.LongName(), RegisteredAlgorithms(env.prim))
 	}
-	return sp, nil
-}
-
-// registeredLocked is RegisteredAlgorithms for callers already holding
-// algoMu (error formatting inside algoSpecOf).
-func registeredLocked(prim Primitive) []Algorithm {
-	out := []Algorithm{AlgoReference}
-	return append(out, algoOrder[prim]...)
-}
-
-// checkAlgo validates an explicitly requested algorithm against the
-// registry and its applicability predicate for the resolved call.
-// AlgoReference always passes.
-func checkAlgo(alg Algorithm, env *AlgoEnv) error {
-	if alg == AlgoReference {
-		return nil
-	}
-	sp, err := algoSpecOf(env.prim, alg)
-	if err != nil {
-		return err
-	}
-	if sp.Applies != nil && !sp.Applies(env) {
-		return fmt.Errorf("core: algorithm %v does not apply to %v at level %v (use AlgoAuto or another level)",
+	row := &lowerings[env.prim][alg]
+	if row.applies != nil && !row.applies(env) {
+		return nil, fmt.Errorf("core: algorithm %v does not apply to %v at level %v (use AlgoAuto or another level)",
 			alg, env.prim.LongName(), env.eff)
 	}
-	return nil
-}
-
-// algoLower lowers the resolved call: through the shape table's
-// reference lowering for AlgoReference, the registered lowering
-// otherwise. The spec was validated by checkAlgo at spec time, so the
-// lookup here cannot fail. cp is the plan being compiled (the rooted
-// reference lowerings bind its result buffers).
-func algoLower(alg Algorithm, env *AlgoEnv, cp *CompiledPlan) *Schedule {
-	if alg == AlgoReference {
-		return shapes[env.prim].lower(env, cp)
-	}
-	sp, err := algoSpecOf(env.prim, alg)
-	if err != nil {
-		panic(err) // unreachable: validated at spec time
-	}
-	return sp.Lower(env)
+	return row, nil
 }

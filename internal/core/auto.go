@@ -103,12 +103,12 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 
 // autoPick dry-builds every candidate (algorithm, level) pair for the key
 // and returns the best under the comm's objective. The algorithm axis is
-// the key's constraint (AlgoAuto means reference plus every registered
-// algorithm); the level axis is every distinct effective level. A
-// candidate whose dry build fails is inapplicable to this signature
-// (e.g. the streaming levels cannot run an in-place AlltoAll; a
-// registered predicate rejects the level) and is skipped; autoPick
-// errors only when no candidate applies at all.
+// the key's constraint (AlgoAuto means every row the lowering table has
+// for the primitive, reference first); the level axis is every distinct
+// effective level. A candidate whose dry build fails is inapplicable to
+// this signature (e.g. the streaming levels cannot run an in-place
+// AlltoAll; a row's applies predicate rejects the level) and is skipped;
+// autoPick errors only when no candidate applies at all.
 func (c *Comm) autoPick(key autoKey, run func(alg Algorithm, lvl Level) (*CompiledPlan, error)) (autoDecision, error) {
 	c.autoMu.Lock()
 	defer c.autoMu.Unlock()

@@ -338,7 +338,6 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		if cl.functional {
 			st.bar = newBarrier(len(cl.comms))
 		}
-		cl.cache[key] = st
 	case !slices.Equal(st.owners, owners):
 		// The entry's staging is bound to its owner set.
 		return nil, fmt.Errorf("core: tenant %q already shards a different cluster owner set", owners[0].name)
@@ -365,6 +364,8 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		c.countBuildLocked(cp.plans[h], false)
 		c.compMu.Unlock()
 	}
+	// Cached only now: a rejected descriptor leaves no entry behind.
+	cl.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
 	}
@@ -399,14 +400,28 @@ const (
 	wireAllPairs wireLeg = iota // every host's 1/H portion of the global buffer to every other host
 	wireRooted                  // one host's part per round: the root serves every other host
 	wireFanOut                  // a binomial fan-out of the whole buffer from the root
-	// wireAllReduce is the host-level algorithm d.Algorithm selects. The
-	// ring moves one reduced 1/H portion per round; the tree climbs and
-	// re-descends a binary host tree with the whole buffer — fewer, fatter
-	// rounds, so it wins when the per-round latency dominates (small
-	// payloads, many hosts). AlgoAuto prices both on the wire model and
-	// keeps the cheaper; an explicit choice pins the leg.
+	// wireAllReduce is the host-level algorithm d.Algorithm selects: a row
+	// of the algorithm table that has a wire shape (algorithm.go; ring or
+	// tree). AlgoAuto prices every such row on the wire model and keeps the
+	// cheapest; an explicit choice pins the leg.
 	wireAllReduce
 )
+
+// hostAlgorithms returns the algorithm-table rows a cluster descriptor's
+// algorithm selects for the wire: every row with a wire shape for
+// AlgoAuto, the ring for the reference, else the row itself if it has one.
+func hostAlgorithms(alg Algorithm) []Algorithm {
+	if alg == AlgoReference {
+		alg = AlgoRing
+	}
+	var out []Algorithm
+	for a, row := range algorithms {
+		if row.wire != nil && (alg == AlgoAuto || alg == Algorithm(a)) {
+			out = append(out, Algorithm(a))
+		}
+	}
+	return out
+}
 
 // noLeg marks a leg a lowering does not have.
 const noLeg Primitive = -1
@@ -484,13 +499,18 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	if d.Flat && d.Prim != AllReduce {
 		return nil, fmt.Errorf("the flat (non-hierarchical) lowering is only implemented for AllReduce")
 	}
-	if d.Algorithm != AlgoAuto && !(d.Prim == AllReduce && !d.Flat) {
+	if d.Algorithm != AlgoAuto {
 		// The algorithm axis at cluster level selects the host-level wire
 		// algorithm, which only the hierarchical AllReduce diversifies so
 		// far. Local legs always resolve their own machine-level
 		// algorithm; an explicit constraint elsewhere would be silently
 		// dropped, so reject it instead.
-		return nil, fmt.Errorf("cluster algorithm %v not supported (only hierarchical AllReduce selects a host algorithm)", d.Algorithm)
+		if d.Prim != AllReduce || d.Flat {
+			return nil, fmt.Errorf("cluster algorithm %v not supported (only hierarchical AllReduce selects a host algorithm)", d.Algorithm)
+		}
+		if len(hostAlgorithms(d.Algorithm)) == 0 {
+			return nil, fmt.Errorf("unsupported host algorithm %v (want Auto, ref or one of %v)", d.Algorithm, hostAlgorithms(AlgoAuto))
+		}
 	}
 	// The global descriptor is one row of the shape table on a single
 	// group of H×P ranks: block g of a ReduceScatter, AlltoAll or Scatter
@@ -655,22 +675,14 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	case wireFanOut:
 		rounds, bytes = ceilLog2(H), global
 	case wireAllReduce:
-		ring, tree := 2*(H-1), 2*ceilLog2(H)
-		alg := d.Algorithm
-		if alg == AlgoAuto {
-			net := b.c.h.Params().Net
-			alg = AlgoRing
-			if cost.Seconds(tree)*net.RoundTime(int64(global)) < cost.Seconds(ring)*net.RoundTime(int64(bytes)) {
-				alg = AlgoTree
+		// AlgoAuto keeps the row cheapest on the wire model, the earlier on
+		// a tie; an explicit choice (hostSpecs has checked it) pins the leg.
+		net := b.c.h.Params().Net
+		for _, a := range hostAlgorithms(d.Algorithm) {
+			rr, rb := algorithms[a].wire(H, global)
+			if name == "" || cost.Seconds(rr)*net.RoundTime(int64(rb)) < cost.Seconds(rounds)*net.RoundTime(int64(bytes)) {
+				name, rounds, bytes = a.String(), rr, rb
 			}
-		}
-		switch alg {
-		case AlgoReference, AlgoRing:
-			name, rounds = "ring", ring
-		case AlgoTree:
-			name, rounds, bytes = "tree", tree, global
-		default:
-			return fmt.Errorf("core: cluster AllReduce: unsupported host algorithm %v (want Auto, ref, ring, or tree)", alg)
 		}
 	}
 	b.net(name, rounds, int64(bytes), run)
@@ -712,7 +724,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		if st.global != nil {
 			bufs = [][]byte{st.global[lo:hi]}
 		}
-		return shapes[row.redist].lower(&AlgoEnv{c: b.c, p: b.p, prim: row.redist, eff: eff, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
+		return lowerings[row.redist][AlgoReference].lower(&algoEnv{c: b.c, p: b.p, prim: row.redist, eff: eff, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
 	})
 	return nil
 }

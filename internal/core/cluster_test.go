@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -583,6 +584,26 @@ func TestClusterValidation(t *testing.T) {
 	}}
 	if _, err := cl.Run(shortScatter); err == nil {
 		t.Error("undersized Scatter payload accepted")
+	}
+}
+
+// TestFailedClusterCompileCachesNothing: a descriptor the cluster rejects
+// leaves no cache entry — and with it no staging or barrier — behind, and
+// the error names the primitive once.
+func TestFailedClusterCompileCachesNothing(t *testing.T) {
+	cl := testCluster(t, 3, geoHost, []int{16}, false)
+	for i := 0; i < 4; i++ {
+		_, err := cl.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+			Src: Span(i*1024, 1024), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM, Algorithm: AlgoRabenseifner}})
+		if err == nil {
+			t.Fatal("cluster rsag AllReduce accepted")
+		}
+		if n := strings.Count(err.Error(), "AllReduce"); n != 1 {
+			t.Errorf("error names the primitive %d times: %v", n, err)
+		}
+	}
+	if len(cl.cache) != 0 {
+		t.Errorf("len(cl.cache) == %d after four rejected compiles, want 0", len(cl.cache))
 	}
 }
 

@@ -257,8 +257,6 @@ type shape struct {
 	// inPlaceOK: Src.Off == Dst.Off is legal (on the staged levels only,
 	// see specIn); everywhere else any src/dst overlap is an error.
 	inPlaceOK bool
-	// lower is the reference lowering (schedule.go).
-	lower func(e *AlgoEnv, cp *CompiledPlan) *Schedule
 }
 
 func (sh *shape) hostInput() bool { return sh.host != sizeNone }
@@ -266,14 +264,14 @@ func (sh *shape) rooted() bool    { return sh.dst == sizeNone }
 
 // shapes is the shape table, indexed by Primitive.
 var shapes = [...]shape{
-	AlltoAll:      {blocked: true, dst: sizeSame, consumesSrc: true, inPlaceOK: true, lower: lowerAlltoAll},
-	ReduceScatter: {reducing: true, blocked: true, dst: sizePerRank, consumesSrc: true, lower: lowerReduceScatter},
-	AllReduce:     {reducing: true, blocked: true, dst: sizeSame, consumesSrc: true, lower: lowerAllReduce},
-	AllGather:     {dst: sizeAllRanks, lower: lowerAllGather},
-	Scatter:       {dst: sizeSame, host: sizeAllRanks, lower: lowerScatter},
-	Gather:        {lower: lowerGather},
-	Reduce:        {reducing: true, blocked: true, consumesSrc: true, lower: lowerReduce},
-	Broadcast:     {dst: sizeSame, host: sizeSame, sizedByHosts: true, lower: lowerBroadcast},
+	AlltoAll:      {blocked: true, dst: sizeSame, consumesSrc: true, inPlaceOK: true},
+	ReduceScatter: {reducing: true, blocked: true, dst: sizePerRank, consumesSrc: true},
+	AllReduce:     {reducing: true, blocked: true, dst: sizeSame, consumesSrc: true},
+	AllGather:     {dst: sizeAllRanks},
+	Scatter:       {dst: sizeSame, host: sizeAllRanks},
+	Gather:        {},
+	Reduce:        {reducing: true, blocked: true, consumesSrc: true},
+	Broadcast:     {dst: sizeSame, host: sizeSame, sizedByHosts: true},
 }
 
 // shapeOf returns p's row of the shape table.
@@ -399,7 +397,7 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		// blocks before later source blocks are read. Auto skips IM/CM.
 		return planSpec{}, fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", d.Prim.LongName(), eff)
 	}
-	env := &AlgoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s}
+	env := &algoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s}
 	key := planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}
 	var regs planRegions
 	if sh.reducing {
@@ -418,10 +416,11 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		key.dstOff = env.dstOff
 		regs.write(env.dstOff, sh.dst.of(m, p.n))
 	}
-	if err := checkAlgo(alg, env); err != nil {
+	row, err := loweringOf(alg, env)
+	if err != nil {
 		return planSpec{}, err
 	}
 	return planSpec{key: key, regs: regs, hostBufs: sh.hostInput(), lower: func(cp *CompiledPlan) *Schedule {
-		return algoLower(alg, env, cp)
+		return row.lower(env, cp)
 	}}, nil
 }

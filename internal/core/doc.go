@@ -77,15 +77,30 @@
 //     pay off. Fused execution is byte-identical to unfused (pinned by
 //     fuse_test.go and the fuzz harness) — only the charge trace, which
 //     is regenerated from the fused schedule, shrinks.
+//   - Algorithms (algorithm.go): one static table row per (primitive,
+//     algorithm) says when a lowering applies and how it lowers. The
+//     reference rows are the paper's lowerings (schedule.go); five
+//     alternatives (lowering.go) are classic MPI shapes emulated on the
+//     host path at the Baseline level, byte-identical to the reference.
+//     Ring AllReduce: 2(n-1) staged rounds of one 1/n block per PE (n-1
+//     reduce-scatter hops, n-1 allgather hops) — bandwidth-optimal hops.
+//     Tree AllReduce: a binomial tree, ceil(log2 n) reduce-up plus as
+//     many broadcast-down rounds of the full payload — fewest rounds.
+//     Rsag AllReduce: the Rabenseifner composition, a machine-wide
+//     ReduceScatter bulk phase then an AllGather one — block-parallel
+//     host reduction for one extra bus round trip of a block. Ring and
+//     tree Broadcast: the same staged shapes delivering the host payload
+//     through the bulk path instead of the driver's single-DT broadcast.
+//     The ring and tree rows also carry the rounds × bytes of a cluster
+//     AllReduce's host-level wire leg (cluster.go).
 //   - Autotuning (auto.go): a descriptor left at Level Auto and/or
-//     AlgoAuto dry-builds every applicable (algorithm, level) candidate
-//     of the registry (algorithm.go; internal/algo registers ring, tree
-//     and rsag AllReduce) on the comm itself — tracing runs on a scratch
-//     cost-only host whatever the backend — and caches the winner per
-//     call signature. SetAutoObjective selects what wins: the meter
-//     total (serial cost, default) or the pipelined dry-placed makespan
-//     (overlapped elapsed time). Ties keep the reference lowering at the
-//     lowest level.
+//     AlgoAuto dry-builds every applicable (algorithm, level) row of that
+//     table on the comm itself — tracing runs on a scratch cost-only host
+//     whatever the backend — and caches the winner per call signature.
+//     SetAutoObjective selects what wins: the meter total (serial cost,
+//     default) or the pipelined dry-placed makespan (overlapped elapsed
+//     time). Ties keep the reference lowering at the lowest level, so an
+//     alternative is picked only when strictly better.
 //
 // # Parallel functional execution
 //

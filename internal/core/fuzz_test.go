@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/elem"
@@ -94,6 +95,127 @@ func FuzzCollectiveCompile(f *testing.F) {
 		cp, err := c.Compile(decodeDesc(data))
 		if (cp == nil) == (err == nil) {
 			t.Fatalf("Compile returned plan %v and error %v", cp, err)
+		}
+	})
+}
+
+// FuzzParse feeds arbitrary strings to the three parsers: a name either
+// parses to a value that prints back as the input or errors — the two
+// name parsers listing every name of their table — and nothing panics.
+// The seed corpus is every table name plus TestParseDims' inputs.
+func FuzzParse(f *testing.F) {
+	hc := newTestComm(f, geo64, []int{4, 2, 8}, Config{Backend: CostBackend()}).Hypercube()
+	var algNames, polNames []string
+	for _, a := range append([]Algorithm{AlgoAuto}, Algorithms()...) {
+		algNames = append(algNames, a.String())
+	}
+	for _, p := range SchedPolicies() {
+		polNames = append(polNames, p.String())
+	}
+	for _, s := range append(append([]string{"101", "", "1", "1010", "abc", "000", "nope"}, algNames...), polNames...) {
+		f.Add(s)
+	}
+	listsAll := func(t *testing.T, err error, names []string) {
+		for _, n := range names {
+			if !strings.Contains(err.Error(), n) {
+				t.Fatalf("parse error %q does not list %q", err, n)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if a, err := ParseAlgorithm(s); err != nil {
+			listsAll(t, err, algNames)
+		} else if a.String() != s {
+			t.Fatalf("ParseAlgorithm(%q) = %v", s, a)
+		}
+		if p, err := ParseSchedPolicy(s); err != nil {
+			listsAll(t, err, polNames)
+		} else if p.String() != s {
+			t.Fatalf("ParseSchedPolicy(%q) = %v", s, p)
+		}
+		if sel, err := hc.ParseDims(s); err == nil {
+			var on []int
+			for i, b := range sel {
+				if b {
+					on = append(on, i)
+				}
+			}
+			if back := DimsString(len(sel), on...); back != s || len(on) == 0 {
+				t.Fatalf("ParseDims(%q) = %v, which prints as %q", s, sel, back)
+			}
+		}
+	})
+}
+
+// FuzzClusterCompile feeds arbitrary cluster descriptors — a fuzzed
+// Collective plus a root byte and a flat byte — to a cost-only 3-host
+// cluster. A rejected descriptor leaves the cluster cache and every
+// host's plan-cache counters as they were; an accepted one replays with
+// a run total equal to its precomputed cost. The seed corpus is the leg
+// table: every primitive, the flat AllReduce and the pinned wire legs.
+func FuzzClusterCompile(f *testing.F) {
+	const H, P, s = 3, 16, 8
+	const m = H * P * s
+	comms := make([]*Comm, H)
+	for h := range comms {
+		comms[h] = newTestComm(f, geoHost, []int{P}, Config{Backend: CostBackend()})
+	}
+	cl, err := NewCluster(comms)
+	if err != nil {
+		f.Fatal(err)
+	}
+	decode := func(data []byte) ClusterCollective {
+		var tail [2]byte
+		if len(data) > fuzzDescBytes {
+			copy(tail[:], data[fuzzDescBytes:])
+		}
+		return ClusterCollective{Collective: decodeDesc(data), Root: int(int8(tail[0])), Flat: tail[1]&1 == 1}
+	}
+	reduce := func(p Primitive, alg Algorithm) Collective {
+		return Collective{Prim: p, Dims: "1", Src: Span(0, m), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM, Algorithm: alg}
+	}
+	rooted := reduce(Reduce, AlgoAuto)
+	rooted.Dst = Region{}
+	for _, d := range []ClusterCollective{
+		{Collective: Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(8192), Level: IM}},
+		{Collective: reduce(ReduceScatter, AlgoAuto)},
+		{Collective: reduce(AllReduce, AlgoAuto)},
+		{Collective: reduce(AllReduce, AlgoRing)},
+		{Collective: reduce(AllReduce, AlgoTree), Root: 2},
+		{Collective: reduce(AllReduce, AlgoAuto), Flat: true},
+		{Collective: Collective{Prim: AllGather, Dims: "1", Src: Span(0, s), Dst: At(8192), Level: IM}},
+		{Collective: Collective{Prim: Scatter, Dims: "1", Dst: Span(0, s), Level: IM}, Root: 1},
+		{Collective: Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}},
+		{Collective: rooted},
+		{Collective: Collective{Prim: Broadcast, Dims: "1", Dst: Span(0, 256), Level: IM}},
+	} {
+		seed := append(encodeDesc(d.Collective), byte(d.Root), 0)
+		if d.Flat {
+			seed[len(seed)-1] = 1
+		}
+		if _, err := cl.Compile(decode(seed)); err != nil {
+			f.Fatalf("seed %v does not compile: %v", d.Prim, err)
+		}
+		f.Add(seed)
+	}
+	stats := func() (out [H]PlanCacheStats) {
+		for h, c := range comms {
+			out[h] = c.PlanCacheStats()
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, before := len(cl.cache), stats()
+		cp, err := cl.Compile(decode(data))
+		if err != nil {
+			if cp != nil || len(cl.cache) != entries || stats() != before {
+				t.Fatalf("rejected descriptor (%v) left plan %v, %d -> %d cache entries, host stats %v -> %v",
+					err, cp, entries, len(cl.cache), before, stats())
+			}
+			return
+		}
+		if bd, err := cp.Run(); err != nil || bd.Total() != cp.Cost().Total() {
+			t.Fatalf("Run = %v, %v; Cost = %v", bd.Total(), err, cp.Cost().Total())
 		}
 	})
 }

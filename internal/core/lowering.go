@@ -1,0 +1,222 @@
+package core
+
+import "repro/internal/elem"
+
+// This file holds the alternative rows of the lowering table
+// (algorithm.go): classic MPI algorithm shapes expressed in the schedule
+// IR, emulated on the host path; what each trades against the reference
+// is in doc.go's "Pipeline" section. The element types are integers and
+// the operators associative and commutative, so reduction order cannot
+// change results; the differential suite (internal/algo) pins every row
+// byte-identical to the reference.
+
+// baselineMulti gates the host-path shapes: they model conventional (bulk)
+// execution, so Baseline only, and a single-member group has no wire.
+func baselineMulti(e *algoEnv) bool { return e.eff == Baseline && e.p.n >= 2 }
+
+// hop is one priced wire round of a staged shape: vol bytes cross the
+// host — a send plus a receive of host-memory traffic — and, unless the
+// round purely forwards (work == ChargeHostMem), the receivers spend vol
+// bytes of work folding or copying them in.
+type hop struct {
+	work ChargeKind
+	vol  int64
+}
+
+// stagedRounds is the skeleton the ring and tree shapes share: an opening
+// step (nil for none), one host-compute step per hop, the closing bulk
+// write, the sync.
+func stagedRounds(name string, open Step, hops []hop, closing Step) *Schedule {
+	sched := &Schedule{Name: name, Steps: make([]Step, 0, len(hops)+3)}
+	if open != nil {
+		sched.add(open)
+	}
+	for _, h := range hops {
+		mem := Charge{ChargeHostMem, 2 * h.vol}
+		if h.work == ChargeHostMem {
+			sched.add(&StepHostCompute{Charges: []Charge{mem}})
+		} else {
+			sched.add(&StepHostCompute{Charges: []Charge{{h.work, h.vol}, mem}})
+		}
+	}
+	sched.add(closing)
+	sched.add(&StepSync{})
+	return sched
+}
+
+// treeSenders returns the per-round sender counts of a binomial tree
+// over n ranks: in reduce round j (pair distance d = 1<<j), every rank r
+// with r mod 2d == d sends its full payload to r-d. The counts sum to
+// n-1; the broadcast-down pass replays them in reverse.
+func treeSenders(n int) []int {
+	var out []int
+	for d := 1; d < n; d <<= 1 {
+		senders := 0
+		for r := 0; r < n; r++ {
+			if r%(2*d) == d {
+				senders++
+			}
+		}
+		out = append(out, senders)
+	}
+	return out
+}
+
+// stagedAllReduce wraps an AllReduce shape's hops between the snapshot
+// and the write-back. The opening bulk read copies every PE's payload
+// into a plan-owned buffer the wire rounds conceptually pass around (the
+// staging slab is reused by later steps, so the copy is mandatory — and
+// charged as host-memory traffic). The closing bulk write lands each
+// group's canonical-rank-order reduction, replicated to every member —
+// the reference Baseline modulation's arithmetic; the hops already
+// charged the reduction and replication work, so it carries only the
+// write traffic itself.
+func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
+	c, p, m, t, op := e.c, e.p, e.m, e.t, e.op
+	var data []byte
+	return stagedRounds(name, &StepBulk{
+		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
+		Charges: []Charge{{ChargeHostMem, c.numPEBytes(m)}},
+		Modulate: func(stag []byte) []byte {
+			if data == nil {
+				data = make([]byte, len(stag))
+			}
+			copy(data, stag)
+			return nil
+		},
+	}, hops, &StepBulk{
+		Write: true, WriteOff: e.dstOff, WritePerPE: m,
+		Modulate: func([]byte) []byte {
+			out := c.bulkOut(len(data))
+			c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
+				elem.Fill(t, red, op.Identity(t))
+				for _, pe := range p.groups[g] {
+					elem.ReduceInto(t, op, red, data[pe*m:(pe+1)*m])
+				}
+				for _, pe := range p.groups[g] {
+					copy(out[pe*m:(pe+1)*m], red)
+				}
+			})
+			return out
+		},
+	})
+}
+
+// lowerRingAllReduce moves one s-byte block per PE around the group
+// ring: n-1 reduce-scatter hops (each PE folds the arriving block into
+// its own), then n-1 allgather hops (pure copies).
+func lowerRingAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
+	hops := make([]hop, 0, 2*(e.p.n-1))
+	for _, work := range []ChargeKind{ChargeScalarReduce, ChargeSIMD} {
+		for r := 1; r < e.p.n; r++ {
+			hops = append(hops, hop{work, e.c.numPEBytes(e.s)})
+		}
+	}
+	return stagedAllReduce(e, "AllReduce/ring", hops)
+}
+
+// lowerTreeAllReduce climbs and re-descends the binomial tree, each
+// round moving the full m-byte payload per participating pair.
+func lowerTreeAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
+	up := treeSenders(e.p.n)
+	pair := int64(len(e.p.groups)) * int64(e.m) // one sender per group
+	hops := make([]hop, 2*len(up))
+	for i, senders := range up {
+		hops[i] = hop{ChargeScalarReduce, int64(senders) * pair}
+		hops[len(hops)-1-i] = hop{ChargeSIMD, int64(senders) * pair}
+	}
+	return stagedAllReduce(e, "AllReduce/tree", hops)
+}
+
+// lowerRsagAllReduce is two machine-wide bulk phases: a ReduceScatter
+// pass that leaves each PE holding its rank's reduced block at dst, a
+// sync barrier, then an AllGather pass that reads the blocks back and
+// assembles the full replicated result.
+func lowerRsagAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
+	c, p, m, s, t, op := e.c, e.p, e.m, e.s, e.t, e.op
+	reduceScatter := &StepBulk{
+		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
+		Write: true, WriteOff: e.dstOff, WritePerPE: s,
+		// The whole input is reduced once, same volume as the reference —
+		// just block-sharded across ranks.
+		Charges: []Charge{{ChargeScalarReduce, c.numPEBytes(m)}},
+		Modulate: func(stag []byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * s)
+			c.groupsDoScratch(len(p.groups), s, func(g int, red []byte) {
+				pes := p.groups[g]
+				for i, pe := range pes {
+					elem.Fill(t, red, op.Identity(t))
+					for _, src := range pes {
+						elem.ReduceInto(t, op, red, stag[src*m+i*s:src*m+(i+1)*s])
+					}
+					copy(out[pe*s:(pe+1)*s], red)
+				}
+			})
+			return out
+		},
+	}
+	allGather := &StepBulk{
+		Read: true, ReadOff: e.dstOff, ReadPerPE: s,
+		Write: true, WriteOff: e.dstOff, WritePerPE: m,
+		// Replication pass over all output, memcpy class — the reference's
+		// second charge.
+		Charges: []Charge{{ChargeSIMD, c.numPEBytes(m)}},
+		Modulate: func(stag []byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * m)
+			c.groupsDo(len(p.groups), func(g int) {
+				pes := p.groups[g]
+				for _, pe := range pes {
+					for k, src := range pes {
+						copy(out[pe*m+k*s:pe*m+(k+1)*s], stag[src*s:(src+1)*s])
+					}
+				}
+			})
+			return out
+		},
+	}
+	// The first sync is the RS/AG phase barrier.
+	return &Schedule{Name: "AllReduce/rsag", Steps: []Step{reduceScatter, &StepSync{}, allGather, &StepSync{}}}
+}
+
+// stagedBroadcast closes a Broadcast shape's forwarding hops with the
+// conventional delivery: every PE's destination gets its group's host
+// payload through the bulk write path (the hops already charged the wire;
+// the payload fan-out into the PE-major buffer is memcpy class).
+func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
+	c, p, s, bufs := e.c, e.p, e.m, e.hosts
+	return stagedRounds(name, nil, hops, &StepBulk{
+		Write: true, WriteOff: e.dstOff, WritePerPE: s,
+		Charges: []Charge{{ChargeSIMD, c.numPEBytes(s)}},
+		Modulate: func([]byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * s)
+			c.groupsDo(len(p.groups), func(g int) {
+				for _, pe := range p.groups[g] {
+					copy(out[pe*s:(pe+1)*s], bufs[g][:s])
+				}
+			})
+			return out
+		},
+	})
+}
+
+// lowerRingBroadcast stages the payload around each group's ring: n-1
+// full-payload hops, one link each.
+func lowerRingBroadcast(e *algoEnv, _ *CompiledPlan) *Schedule {
+	hops := make([]hop, e.p.n-1)
+	for r := range hops {
+		hops[r] = hop{ChargeHostMem, int64(len(e.p.groups)) * int64(e.m)}
+	}
+	return stagedBroadcast(e, "Broadcast/ring", hops)
+}
+
+// lowerTreeBroadcast stages the payload down a binomial tree:
+// ceil(log2 n) doubling rounds — round j has min(2^j, n-2^j) senders,
+// each forwarding the full payload.
+func lowerTreeBroadcast(e *algoEnv, _ *CompiledPlan) *Schedule {
+	var hops []hop
+	for have := 1; have < e.p.n; have *= 2 {
+		senders := min(have, e.p.n-have)
+		hops = append(hops, hop{ChargeHostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.m)})
+	}
+	return stagedBroadcast(e, "Broadcast/tree", hops)
+}

@@ -238,13 +238,13 @@ func (c *Comm) numPEBytes(perPE int) int64 {
 // AlltoAll (Figure 7)
 // ---------------------------------------------------------------------
 
-// The lowerX producers are the reference lowerings the shape table
-// (collective.go) points at. Each reads the resolved call — comm, group
-// plan, absolute offsets, block size, element/op, concrete effective
-// level — from its AlgoEnv; the rooted ones also take the plan whose
-// result buffers they fill.
+// The lowerX producers are the AlgoReference rows of the lowering table
+// (algorithm.go). Each reads the resolved call — comm, group plan,
+// absolute offsets, block size, element/op, concrete effective level —
+// from its algoEnv; the rooted ones also take the plan whose result
+// buffers they fill.
 
-func lowerAlltoAll(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerAlltoAll(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
 	n := p.n
 	m := n * s
@@ -334,7 +334,7 @@ func lowerAlltoAll(env *AlgoEnv, _ *CompiledPlan) *Schedule {
 // ReduceScatter and Reduce (Figure 8(b), § V-B2/B4)
 // ---------------------------------------------------------------------
 
-func lowerReduceScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerReduceScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
@@ -417,7 +417,7 @@ func lowerReduceScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
 // in cp's rooted result buffers (cp.rootedBufs; published via Results);
 // the functional backend fills them, the cost-only backend leaves the
 // results nil.
-func lowerReduce(env *AlgoEnv, cp *CompiledPlan) *Schedule {
+func lowerReduce(env *algoEnv, cp *CompiledPlan) *Schedule {
 	c, p, srcOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
@@ -511,7 +511,7 @@ func lowerReduce(env *AlgoEnv, cp *CompiledPlan) *Schedule {
 // AllReduce (Figure 8(c), § V-B3)
 // ---------------------------------------------------------------------
 
-func lowerAllReduce(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerAllReduce(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
 	n := p.n
 	m := n * s
@@ -608,7 +608,7 @@ func lowerAllReduce(env *AlgoEnv, _ *CompiledPlan) *Schedule {
 // AllGather and Gather (Figure 8(a), § V-B1/B4)
 // ---------------------------------------------------------------------
 
-func lowerAllGather(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerAllGather(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "AllGather/" + lvl.String()}
@@ -702,7 +702,7 @@ func lowerAllGather(env *AlgoEnv, _ *CompiledPlan) *Schedule {
 	return sched
 }
 
-func lowerGather(env *AlgoEnv, cp *CompiledPlan) *Schedule {
+func lowerGather(env *algoEnv, cp *CompiledPlan) *Schedule {
 	c, p, srcOff, s, lvl := env.c, env.p, env.srcOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "Gather/" + lvl.String()}
@@ -757,7 +757,7 @@ func lowerGather(env *AlgoEnv, cp *CompiledPlan) *Schedule {
 // Scatter and Broadcast (§ V-B4, § VIII-B)
 // ---------------------------------------------------------------------
 
-func lowerScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, bufs, dstOff, s, lvl := env.c, env.p, env.hosts, env.dstOff, env.s, env.eff
 	n := p.n
 	sched := &Schedule{Name: "Scatter/" + lvl.String()}
@@ -797,7 +797,7 @@ func lowerScatter(env *AlgoEnv, _ *CompiledPlan) *Schedule {
 	return sched
 }
 
-func lowerBroadcast(env *AlgoEnv, _ *CompiledPlan) *Schedule {
+func lowerBroadcast(env *algoEnv, _ *CompiledPlan) *Schedule {
 	c, p, bufs, dstOff, s := env.c, env.p, env.hosts, env.dstOff, env.s
 	// The native driver path is already near-optimal (§ VIII-B): one
 	// domain transfer per payload serves all PEs, so all optimization

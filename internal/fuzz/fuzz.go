@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	_ "repro/internal/algo" // register the alternative collective lowerings
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/elem"
@@ -37,7 +36,7 @@ type Scenario struct {
 	// never change results).
 	Workers int
 	// Algo is the algorithm constraint of the scenario's AllReduce leg:
-	// AlgoAuto, the reference, or one of the registered alternatives
+	// AlgoAuto, the reference, or one of the alternative rows
 	// (only drawn when the level and group size permit it), so the
 	// alternative lowerings get randomized differential coverage too.
 	Algo core.Algorithm
@@ -101,7 +100,7 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 	}
 	lvl := levels[rng.Intn(len(levels))]
 
-	// Algorithm constraint for the AllReduce leg: the registered
+	// Algorithm constraint for the AllReduce leg: the table's
 	// alternatives implement the Baseline host path over multi-member
 	// groups, so only draw them when the scenario can satisfy that
 	// (explicit Baseline, or Auto where the search lands on it).

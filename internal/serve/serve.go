@@ -571,18 +571,15 @@ func Run(cfg Config) (Result, error) {
 				deadline = a.t + sp.Deadline
 			}
 			fs := make([]*pidcomm.Future, 0, len(tenants[a.tenant].plans))
-			rejected := false
 			for _, cp := range tenants[a.tenant].plans {
 				f := cp.SubmitOpts(pidcomm.SubmitOptions{NotBefore: a.t, Deadline: deadline})
 				fs = append(fs, f)
 				if f.Done() && f.Err() != nil {
-					rejected = true
-					break // drop the request's remaining segments
+					break // rejected: drop the request's remaining segments
 				}
 			}
 			res.Requests = append(res.Requests, RequestStat{Tenant: a.tenant, Arrival: a.t, Deadline: deadline})
 			futures = append(futures, fs)
-			_ = rejected
 			next++
 		}
 		f := mach.Step()

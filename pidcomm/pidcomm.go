@@ -64,7 +64,6 @@
 package pidcomm
 
 import (
-	_ "repro/internal/algo" // register the alternative collective lowerings
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -102,12 +101,13 @@ const (
 	CM       = core.CM
 )
 
-// Algorithm names one schedule-IR producer in the algorithm registry
-// (internal/algo). The zero value AlgoAuto lets the autotuner search the
-// registered algorithms alongside the levels; AlgoReference pins the
-// built-in staged lowering; the named alternatives (ring, tree,
-// Rabenseifner-style reduce-scatter+all-gather) are byte-identical to
-// the reference and differ only in where their simulated time goes.
+// Algorithm names one schedule-IR producer of core's static algorithm
+// table (go doc ./internal/core, "Pipeline"). The zero value AlgoAuto
+// lets the autotuner search a primitive's rows alongside the levels;
+// AlgoReference pins the built-in staged lowering; the named alternatives
+// (ring, tree, Rabenseifner-style reduce-scatter+all-gather) are
+// byte-identical to the reference and differ only in where their
+// simulated time goes.
 type Algorithm = core.Algorithm
 
 // Re-exported algorithm identifiers.
