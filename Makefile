@@ -40,12 +40,13 @@ bench-compare:
 
 # A short randomized differential-testing run (fusion enabled — the
 # default), the same budget CI uses. Scenarios also randomize the
-# parallel executor's worker count. Then five seconds each of the parser
-# and cluster-descriptor fuzz targets.
+# parallel executor's worker count. Then five seconds each of the parser,
+# cluster-descriptor and timeline-rollback fuzz targets.
 fuzz-smoke:
 	$(GO) run ./cmd/pidfuzz -n 200 -seed 7
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClusterCompile -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTimelineRollback -fuzztime 5s ./internal/cost
 
 # One quick pass over the wall-clock benchmark (benchmark/, the harness
 # BENCHMARK.json declares): every workload runs once with its checks on.
@@ -97,7 +98,7 @@ loc:
 # non-test line count of the last PR that shrank them. A shrinking PR
 # lowers the constant to its own number; raising it needs a reason in
 # CHANGES.md.
-LOC_CEILING = 7535
+LOC_CEILING = 7531
 
 loc-check:
 	@n=$$(ls internal/core/*.go pidcomm/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

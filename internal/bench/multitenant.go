@@ -14,7 +14,7 @@ import (
 // the experiment compares the makespan of serving the tenants serially
 // (blocking Run, one machine-wide barrier per plan) against submitting
 // every stream asynchronously, where the weighted-fair scheduler
-// interleaves the tenants and the shared three-lane timeline overlaps
+// interleaves the tenants and the shared four-lane timeline overlaps
 // their disjoint footprints.
 //
 // The per-tenant work is identical in both modes, and each tenant's

@@ -11,7 +11,7 @@ import (
 // per-Comm worker drains the queue in submission order. Execution of the
 // schedule itself still serializes on the Comm (one simulated machine),
 // but the *accounted elapsed time* no longer does: each plan is placed on
-// the Comm's three-lane cost.Timeline, where plans with disjoint MRAM
+// the Comm's four-lane cost.Timeline, where plans with disjoint MRAM
 // footprints overlap — one plan's PE-side reorder kernels and another's
 // bus epochs occupy different lanes and run concurrently in simulated
 // time, which is the overlap PID-Comm's speedup comes from. Plans whose
@@ -126,7 +126,7 @@ func (r *planRegions) srcRegion(off, n int, consumed bool) {
 
 // conflicts reports whether two footprints carry a data hazard: a RAW,
 // WAR or WAW dependence on any region.
-func (r planRegions) conflicts(o planRegions) bool {
+func (r *planRegions) conflicts(o *planRegions) bool {
 	return anyOverlap(r.writes, o.writes) ||
 		anyOverlap(r.writes, o.reads) ||
 		anyOverlap(r.reads, o.writes)
@@ -135,7 +135,7 @@ func (r planRegions) conflicts(o planRegions) bool {
 // placedPlan is one timeline placement still visible for hazard checks:
 // later submissions conflicting with its footprint start after end.
 type placedPlan struct {
-	regs planRegions
+	regs *planRegions // the plan's own footprint, immutable once compiled
 	end  cost.Seconds
 }
 
@@ -467,7 +467,7 @@ func (c *Comm) conflictsQueuedEarlierLocked(f *Future) bool {
 			if o.seq >= f.seq {
 				break // buckets are FIFO in seq order: the rest is later
 			}
-			if f.cp.regs.conflicts(o.cp.regs) {
+			if f.cp.regs.conflicts(&o.cp.regs) {
 				return true
 			}
 		}
@@ -536,38 +536,41 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 		// arrival time (SubmitOptions.NotBefore).
 		earliest = notBefore
 	}
-	live := c.frontier[:0]
-	for _, pl := range c.frontier {
+	live := 0
+	for i, pl := range c.frontier {
 		if pl.end <= c.asyncBase {
 			continue
 		}
-		live = append(live, pl)
+		if live != i { // compact only past a dropped entry
+			c.frontier[live] = pl
+		}
+		live++
 		if pl.end > earliest && cp.regs.conflicts(pl.regs) {
 			earliest = pl.end
 		}
 	}
+	c.frontier = c.frontier[:live]
 	// Flows that never flush would still accumulate entries (asyncBase
 	// never advances): past maxFrontier, retire the oldest entries by
 	// conservatively raising the barrier to their latest finish. That
 	// only restricts where later plans may start — ordering is preserved
 	// and placement stays within the serial bound.
 	const maxFrontier = 256
-	if len(live) > maxFrontier {
-		drop := len(live) - maxFrontier
-		for _, pl := range live[:drop] {
+	if live > maxFrontier {
+		drop := live - maxFrontier
+		for _, pl := range c.frontier[:drop] {
 			if pl.end > c.asyncBase {
 				c.asyncBase = pl.end
 			}
 		}
 		c.tl.SetFloor(c.asyncBase)
-		live = append(live[:0], live[drop:]...)
+		c.frontier = append(c.frontier[:0], c.frontier[drop:]...)
 		if earliest < c.asyncBase {
 			earliest = c.asyncBase
 		}
 	}
-	c.frontier = live
 	start, end = c.tl.Place(earliest, cp.tr.segs)
-	c.frontier = append(c.frontier, placedPlan{regs: cp.regs, end: end})
+	c.frontier = append(c.frontier, placedPlan{regs: &cp.regs, end: end})
 
 	out, bd = c.runScheduleLocked(cp)
 	if out != nil {

@@ -126,8 +126,8 @@
 // Submit (async.go) enqueues a plan on the Comm's submission queue and
 // returns a Future. Plans execute in submission order — results are
 // bit-identical to serial replay — but elapsed-time accounting is
-// overlap-aware: each plan is placed on a three-lane cost.Timeline (host
-// CPU, external bus, PE array), plans with disjoint MRAM footprints
+// overlap-aware: each plan is placed on a four-lane cost.Timeline (host
+// CPU, external bus, PE array, NIC), plans with disjoint MRAM footprints
 // overlap, and plans with data hazards (RAW/WAR/WAW on a per-PE region)
 // are ordered. Comm.Elapsed reports the makespan; Comm.Flush is the
 // barrier. The bench "async" experiment measures the overlap speedup on

@@ -28,9 +28,10 @@ import (
 // bucket the window-scanning policies (EDF, Lookahead) consider plans.
 // Deep scanning is pointless — a plan can only jump ahead of queue-mates
 // it does not conflict with, and consecutive plans of one tenant usually
-// reuse the same arena regions — so a small window keeps the pick
-// O(buckets x window) under deep backlogs. Config.Lookahead overrides it
-// per Comm.
+// reuse the same arena regions — and the window bounds the candidates,
+// at most buckets x window: an EDF pick compares each once, a lookahead
+// pick dry-places eligible x candidates plans. Config.Lookahead
+// overrides it per Comm.
 const DefaultLookahead = 32
 
 // Candidate is one hazard-free queued plan offered to a Scheduler's Pick:
@@ -131,6 +132,19 @@ func (p SchedPolicy) String() string {
 	return fmt.Sprintf("SchedPolicy(%d)", int(p))
 }
 
+// argmin returns the index of the first candidate that no other is less
+// than: the strict less with candidates in bucket order breaks ties
+// toward the earliest-offered one.
+func argmin(cands []Candidate, less func(a, b *Candidate) bool) int {
+	best := 0
+	for i := 1; i < len(cands); i++ {
+		if less(&cands[i], &cands[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
 // fifoSched serves the globally oldest queued plan: plain submission
 // order across all buckets, the pre-tenancy behavior. Head-only — a
 // FIFO pick never jumps a queue-mate.
@@ -138,31 +152,18 @@ type fifoSched struct{}
 
 func (fifoSched) Window(int) int { return 1 }
 func (fifoSched) Pick(cands []Candidate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].F.seq < cands[best].F.seq {
-			best = i
-		}
-	}
-	return best
+	return argmin(cands, func(a, b *Candidate) bool { return a.F.seq < b.F.seq })
 }
 
 // wfqSched is start-time weighted fair queuing: serve the backlogged
 // bucket with the smallest virtual time. Head-only (FIFO within a
-// bucket); the strict < with candidates in bucket order breaks ties
-// toward the earliest-created bucket, so a fresh Comm degenerates to
-// plain FIFO.
+// bucket); ties go to the earliest-created bucket, so a fresh Comm
+// degenerates to plain FIFO.
 type wfqSched struct{}
 
 func (wfqSched) Window(int) int { return 1 }
 func (wfqSched) Pick(cands []Candidate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].VTime < cands[best].VTime {
-			best = i
-		}
-	}
-	return best
+	return argmin(cands, func(a, b *Candidate) bool { return a.VTime < b.VTime })
 }
 
 // edfSched is earliest-deadline-first over the full candidate window:
@@ -173,13 +174,7 @@ type edfSched struct{}
 
 func (edfSched) Window(k int) int { return k }
 func (edfSched) Pick(cands []Candidate) int {
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if edfLess(cands[i].F, cands[best].F) {
-			best = i
-		}
-	}
-	return best
+	return argmin(cands, func(a, b *Candidate) bool { return edfLess(a.F, b.F) })
 }
 
 // lookaheadSlack bounds starvation under the lookahead policy, in units
@@ -200,8 +195,8 @@ const lookaheadCheckpoint = 128
 // lookaheadSched is the makespan-aware list scheduler. It keeps a
 // private projection cost.Timeline of the plans it has served so far
 // and, at each pick, scores every eligible candidate by dry-placing its
-// cached charge trace first — followed by all other candidates — on a
-// clone of the projection; the candidate minimizing the projected
+// cached charge trace first — followed by all other candidates — on the
+// projection and rolling it back; the candidate minimizing the projected
 // makespan wins (ties fall to edfLess, so deadlines still order equal-
 // makespan picks — the EDF x lookahead composition internal/serve runs).
 // Scoring is joint, not greedy-single: placing the remaining candidates
@@ -216,7 +211,6 @@ const lookaheadCheckpoint = 128
 type lookaheadSched struct {
 	proj   cost.Timeline
 	booked int
-	elig   []int // scratch: indices of starvation-eligible candidates
 }
 
 func (s *lookaheadSched) Window(k int) int { return k }
@@ -245,15 +239,12 @@ func (s *lookaheadSched) pickBest(cands []Candidate) int {
 			maxShare = sh
 		}
 	}
-	s.elig = s.elig[:0]
-	for i, cd := range cands {
-		if cd.VTime <= vmin+lookaheadSlack*maxShare {
-			s.elig = append(s.elig, i)
-		}
-	}
 	best := -1
 	var bestFinish cost.Seconds
-	for _, i := range s.elig {
+	for i, cd := range cands {
+		if cd.VTime > vmin+lookaheadSlack*maxShare {
+			continue
+		}
 		fin := s.score(cands, i)
 		if best < 0 || fin < bestFinish ||
 			(fin == bestFinish && edfLess(cands[i].F, cands[best].F)) {
@@ -264,19 +255,21 @@ func (s *lookaheadSched) pickBest(cands []Candidate) int {
 }
 
 // score dry-places candidate i first, then every other candidate in
-// offer order, on a clone of the projection and returns the resulting
-// makespan. The hypothetical order is hazard-valid: candidates are
-// pairwise independent (each conflicts with no earlier queued plan, and
-// they are all queued).
+// offer order, on the projection, and rolls it back; it returns the
+// makespan the placements reached. The hypothetical order is
+// hazard-valid: candidates are pairwise independent (each conflicts with
+// no earlier queued plan, and they are all queued).
 func (s *lookaheadSched) score(cands []Candidate, i int) cost.Seconds {
-	tl := s.proj.Clone()
-	tl.Place(cands[i].F.notBefore, cands[i].F.cp.tr.segs)
+	s.proj.Mark()
+	s.proj.Place(cands[i].F.notBefore, cands[i].F.cp.tr.segs)
 	for j, cd := range cands {
 		if j != i {
-			tl.Place(cd.F.notBefore, cd.F.cp.tr.segs)
+			s.proj.Place(cd.F.notBefore, cd.F.cp.tr.segs)
 		}
 	}
-	return tl.Elapsed()
+	fin := s.proj.Elapsed()
+	s.proj.Rollback()
+	return fin
 }
 
 // book commits the served plan to the projection.

@@ -33,7 +33,10 @@
 //     machine), lanes run in parallel, and Elapsed is the makespan. The
 //     meter sums work; the timeline answers "when would this finish":
 //     serial execution makes them equal, asynchronous submission of
-//     independent plans makes Elapsed smaller.
+//     independent plans makes Elapsed smaller. Mark and Rollback bracket
+//     a what-if: placements between them are journaled and undone
+//     exactly, which is how the lookahead scheduler scores candidates on
+//     its projection without copying it.
 //   - NetParams (net.go) parameterizes the inter-host network of the
 //     cluster layer: link bandwidth/latency, efficiency, NIC striping,
 //     switch tiers and deterministic skew, combined by RoundTime into

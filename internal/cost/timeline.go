@@ -131,6 +131,20 @@ type Timeline struct {
 	total [NumLanes]Seconds
 	end   Seconds
 	floor Seconds
+
+	// The rollback journal (Mark/Rollback): every booking since the mark,
+	// and the totals and makespan the mark saw — saved rather than
+	// subtracted back, since float addition does not undo exactly.
+	marking   bool
+	journal   []booking
+	markTotal [NumLanes]Seconds
+	markEnd   Seconds
+}
+
+// booking is one journaled place: the interval inserted at busy[lane][idx].
+type booking struct {
+	lane Lane
+	idx  int
 }
 
 // Elapsed returns the makespan: the finish time of the latest placed
@@ -142,25 +156,61 @@ func (tl *Timeline) Elapsed() Seconds { return tl.end }
 // LaneBusy(l)/Elapsed() is the lane's utilization.
 func (tl *Timeline) LaneBusy(l Lane) Seconds { return tl.total[l] }
 
-// Reset empties the timeline.
-func (tl *Timeline) Reset() { *tl = Timeline{} }
+// Reset empties the timeline. It panics between Mark and Rollback.
+func (tl *Timeline) Reset() {
+	tl.mustNotMark("Reset")
+	*tl = Timeline{}
+}
 
-// Clone returns an independent deep copy of the timeline: placements on
-// the clone never disturb the original and vice versa. Used for what-if
-// scoring — the lookahead submission scheduler dry-places each candidate
-// plan on a clone of its projection to compare projected makespans. The
-// copy is deep because place() books intervals with an in-place
-// insert-shift that would corrupt a shared backing array.
+// Clone returns an independent deep copy of the timeline, outside any
+// mark: placements on the clone never disturb the original and vice
+// versa. The copy is deep because place() books intervals with an
+// in-place insert-shift that would corrupt a shared backing array. No
+// product code calls it — what-if scoring places on the timeline itself
+// between Mark and Rollback; Clone is the oracle the rollback tests
+// compare against and a layer the benchmark times.
 func (tl *Timeline) Clone() Timeline {
-	out := *tl
+	out := Timeline{total: tl.total, end: tl.end, floor: tl.floor}
 	for l := range tl.busy {
 		if len(tl.busy[l]) > 0 {
 			out.busy[l] = append([]interval(nil), tl.busy[l]...)
-		} else {
-			out.busy[l] = nil
 		}
 	}
 	return out
+}
+
+// Mark opens a what-if window: every Place until the matching Rollback
+// is journaled and then undone. One mark may be outstanding; SetFloor,
+// Reset and a second Mark panic until it is rolled back.
+func (tl *Timeline) Mark() {
+	tl.mustNotMark("Mark")
+	tl.marking = true
+	tl.markTotal, tl.markEnd = tl.total, tl.end
+}
+
+// Rollback undoes every placement since Mark, newest first, restoring the
+// busy lists, the per-lane totals and the makespan bit for bit. The
+// journal keeps its backing array, so once it has reached its working
+// size a Mark/Place.../Rollback round allocates nothing. It panics
+// without a mark.
+func (tl *Timeline) Rollback() {
+	if !tl.marking {
+		panic("cost: Timeline.Rollback without Mark")
+	}
+	for k := len(tl.journal) - 1; k >= 0; k-- {
+		b := tl.journal[k]
+		ivs := tl.busy[b.lane]
+		tl.busy[b.lane] = append(ivs[:b.idx], ivs[b.idx+1:]...)
+	}
+	tl.journal = tl.journal[:0]
+	tl.total, tl.end = tl.markTotal, tl.markEnd
+	tl.marking = false
+}
+
+func (tl *Timeline) mustNotMark(op string) {
+	if tl.marking {
+		panic("cost: Timeline." + op + " between Mark and Rollback")
+	}
 }
 
 // SetFloor declares that no future placement will start before f (a
@@ -168,8 +218,9 @@ func (tl *Timeline) Clone() Timeline {
 // entirely before the floor can never border a usable gap again and are
 // pruned, keeping the lists — and the first-fit search — bounded by the
 // work in flight since the last barrier rather than the timeline's whole
-// history.
+// history. It panics between Mark and Rollback.
 func (tl *Timeline) SetFloor(f Seconds) {
+	tl.mustNotMark("SetFloor")
 	if f <= tl.floor {
 		return
 	}
@@ -231,11 +282,18 @@ func (tl *Timeline) PlaceSerial(segs []Segment) (start, finish Seconds) {
 func (tl *Timeline) place(lane Lane, from, dur Seconds) Seconds {
 	ivs := tl.busy[lane]
 	pos := from
-	i := 0
-	for ; i < len(ivs); i++ {
-		if ivs[i].end <= pos {
-			continue // entirely before the candidate position
+	// Skip the intervals ending at or before pos by bisection: the list is
+	// sorted and disjoint, so its ends are sorted too. From the first
+	// interval with end > pos on, every end exceeds the cursor.
+	i, hi := 0, len(ivs)
+	for i < hi {
+		if mid := int(uint(i+hi) >> 1); ivs[mid].end <= pos {
+			i = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	for ; i < len(ivs); i++ {
 		if pos+dur <= ivs[i].start {
 			break // fits in the gap before interval i
 		}
@@ -250,5 +308,8 @@ func (tl *Timeline) place(lane Lane, from, dur Seconds) Seconds {
 	ivs[i] = interval{pos, pos + dur}
 	tl.busy[lane] = ivs
 	tl.total[lane] += dur
+	if tl.marking {
+		tl.journal = append(tl.journal, booking{lane, i})
+	}
 	return pos
 }
