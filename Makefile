@@ -98,7 +98,7 @@ loc:
 # non-test line count of the last PR that shrank them. A shrinking PR
 # lowers the constant to its own number; raising it needs a reason in
 # CHANGES.md.
-LOC_CEILING = 7531
+LOC_CEILING = 7571
 
 loc-check:
 	@n=$$(ls internal/core/*.go pidcomm/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \

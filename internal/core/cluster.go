@@ -14,6 +14,17 @@ package core
 // single-host collective; it is cached once, here, under its clusterKey
 // (the per-host plans are built past the hosts' own plan caches).
 //
+// One plan per role, bound per host: the hosts of § IX-A all do the same
+// thing, so compile builds once per role — hosts whose specs are validated
+// against and priced from the same things (hostRole: one arena and comm
+// configuration; the root apart where a rooted wire or Flat singles it
+// out; each host of an AlltoAll apart, whose pack/unpack volumes follow
+// h). A cost-only run replays the charge trace and never executes a
+// schedule, so there a later host gets the role's plan rebound to its own
+// comm and tenant; a functional host's closures bind its own comm, h and
+// staging, so it lowers and fuses again, but on the role's shape row
+// (trace, fusion report, member costs): nothing is traced twice.
+//
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
 //
@@ -56,6 +67,7 @@ import (
 	"sync"
 
 	"repro/internal/cost"
+	"repro/internal/dram"
 	"repro/internal/elem"
 )
 
@@ -269,11 +281,11 @@ func (cl *Cluster) Flush() {
 	}
 }
 
-// Compile lowers d into one compiled plan per host (see ClusterPlan)
-// and caches the result: recompiling an equal descriptor returns the
-// same plan. Plans that capture a caller payload (functional
-// Broadcast/Scatter) recompile fresh, like their single-host
-// counterparts.
+// Compile lowers d into one compiled plan per role, bound per host (the
+// header has the rule; see ClusterPlan), and caches the result:
+// recompiling an equal descriptor returns the same plan. Plans that
+// capture a caller payload (functional Broadcast/Scatter) recompile
+// fresh, like their single-host counterparts.
 func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	return cl.compile(nil, d)
 }
@@ -345,31 +357,68 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		return st.plan, nil
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	for h := range cl.comms {
-		ar := cl.comms[h].fullArena()
-		var owner *Tenant
+	roles := make(map[hostRole]*CompiledPlan)
+	shared := make([]bool, len(cl.comms)) // host h took its role's row
+	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
+	_, unknown := shapeOf(d.Prim)
+	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
+	for h, c := range cl.comms {
+		ar, owner := c.fullArena(), (*Tenant)(nil)
 		if owners != nil {
 			owner = owners[h]
 			ar = owner.ar
+		}
+		c.autoMu.Lock()
+		role := hostRole{ar: ar, geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
+		c.autoMu.Unlock()
+		if d.Prim == AlltoAll || rooted && h == d.Root {
+			role.h = h
+		}
+		first := roles[role]
+		if shared[h] = first != nil; shared[h] && !cl.functional {
+			hp := *first // no validation, group plan, lowering, fusion or trace
+			hp.c, hp.owner = c, owner
+			cp.plans[h] = &hp
+			continue
 		}
 		specs, err := cl.hostSpecs(h, ar, st, d)
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
-		// Built past the host's plan cache — this entry is the cache — but
-		// booked on the host like any other miss.
-		c := cl.comms[h]
+		// Built past the host's plan cache — this entry is the cache.
 		c.compMu.Lock()
-		cp.plans[h] = c.buildLocked(specs, owner, nil)
-		c.countBuildLocked(cp.plans[h], false)
+		if first == nil {
+			cp.plans[h] = c.buildLocked(specs, owner, nil)
+			roles[role] = cp.plans[h]
+		} else {
+			cp.plans[h] = c.buildLocked(specs, owner, &planEntry{tr: first.tr, fusion: first.fusion, memberCosts: first.memberCosts})
+		}
 		c.compMu.Unlock()
 	}
-	// Cached only now: a rejected descriptor leaves no entry behind.
+	// Booked on every host like any other miss, and cached, only now: a
+	// descriptor rejected at any host leaves no counter and no entry behind.
+	for h, hp := range cp.plans {
+		hp.c.compMu.Lock()
+		hp.c.countBuildLocked(hp, shared[h])
+		hp.c.compMu.Unlock()
+	}
 	cl.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
 	}
 	return cp, nil
+}
+
+// hostRole is everything besides the descriptor that a host's specs are
+// validated against and priced from (the header states the rule); h is the
+// host itself where the lowering reads it and -1 everywhere else.
+type hostRole struct {
+	ar     arena
+	geo    dram.Geometry
+	params cost.Params
+	fuse   FuseLevel
+	obj    AutoObjective
+	h      int
 }
 
 // evictOwned drops every cache entry compiled on t, the cluster half of
@@ -557,28 +606,22 @@ func (b *clusterBuild) local(d Collective) error {
 // bytesPerRound each, charged through cost.NetParams onto the host's
 // network lane, plus (functional) the rendezvous closure run.
 func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(cp *CompiledPlan) func()) {
-	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
-	b.specs = append(b.specs, planSpec{key: key,
-		lower: func(cp *CompiledPlan) *Schedule {
-			st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
-			// The cost-only twin gets an empty closure where the
-			// functional cluster has a rendezvous: the step must survive
-			// (or be elided by) fusion identically on both backends, or
-			// epoch coalescing around a dropped step would regroup the
-			// bus-time float additions and break the bit-exact
-			// functional/cost breakdown equality.
-			if run != nil {
-				if b.cl.functional {
-					st.Run = run(cp)
-				} else {
-					st.Run = func() {}
-				}
+	b.step("NetTransfer/"+name, planRegions{}, func(cp *CompiledPlan) Step {
+		st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
+		// The cost-only twin gets an empty closure where the functional
+		// cluster has a rendezvous: the step must survive (or be elided by)
+		// fusion identically on both backends, or epoch coalescing around a
+		// dropped step would regroup the bus-time float additions and break
+		// the bit-exact functional/cost breakdown equality.
+		if run != nil {
+			if b.cl.functional {
+				st.Run = run(cp)
+			} else {
+				st.Run = func() {}
 			}
-			sched := &Schedule{Name: "NetTransfer/" + name}
-			sched.add(st)
-			sched.add(&StepSync{})
-			return sched
-		}})
+		}
+		return st
+	})
 }
 
 // await is the net-leg run closure of a pure rendezvous.
@@ -587,10 +630,18 @@ func (b *clusterBuild) await(*CompiledPlan) func() {
 	return func() { bar.await(nil) }
 }
 
-// member appends a hand-built redistribution member.
+// member appends a hand-built member.
 func (b *clusterBuild) member(regs planRegions, lower func(cp *CompiledPlan) *Schedule) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
 	b.specs = append(b.specs, planSpec{key: key, regs: regs, lower: lower})
+}
+
+// step appends what every member but the redistribution is: one step and
+// its sync.
+func (b *clusterBuild) step(name string, regs planRegions, st func(cp *CompiledPlan) Step) {
+	b.member(regs, func(cp *CompiledPlan) *Schedule {
+		return &Schedule{Name: name, Steps: []Step{st(cp), &StepSync{}}}
+	})
 }
 
 // legs lowers one row of the leg table: local leg → wire → (Flat: root
@@ -690,13 +741,8 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.member(planRegions{}, func(*CompiledPlan) *Schedule {
-				sched := &Schedule{Name: "FlatReduce"}
-				sched.add(&StepHostCompute{Charges: []Charge{
-					{ChargeScalarReduce, int64(H) * int64(P) * int64(m)},
-				}})
-				sched.add(&StepSync{})
-				return sched
+			b.step("FlatReduce", planRegions{}, func(*CompiledPlan) Step {
+				return &StepHostCompute{Charges: []Charge{{ChargeScalarReduce, int64(H) * int64(P) * int64(m)}}}
 			})
 		}
 		b.net("flat:bcast", ceilLog2(H), int64(global), nil)
@@ -776,9 +822,8 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	var regs planRegions
 	regs.read(readOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(regs, func(*CompiledPlan) *Schedule {
-		sched := &Schedule{Name: "ClusterPack"}
-		sched.add(&StepBulk{
+	b.step("ClusterPack", regs, func(*CompiledPlan) Step {
+		return &StepBulk{
 			Read: true, ReadOff: readOff, ReadPerPE: per,
 			Charges: []Charge{{ChargeHostMem, c.numPEBytes(per)}}, // slab store
 			Modulate: func(stag []byte) []byte {
@@ -794,9 +839,7 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 				}
 				return nil
 			},
-		})
-		sched.add(&StepSync{})
-		return sched
+		}
 	})
 }
 
@@ -811,9 +854,8 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	var regs planRegions
 	regs.write(writeOff, per)
 	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.member(regs, func(*CompiledPlan) *Schedule {
-		sched := &Schedule{Name: "ClusterUnpack"}
-		sched.add(&StepBulk{
+	b.step("ClusterUnpack", regs, func(*CompiledPlan) Step {
+		return &StepBulk{
 			Write: true, WriteOff: writeOff, WritePerPE: per,
 			Charges: []Charge{
 				{ChargeLocalMod, c.numPEBytes(per)}, // receive-side transpose
@@ -833,9 +875,7 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 				}
 				return out
 			},
-		})
-		sched.add(&StepSync{})
-		return sched
+		}
 	})
 }
 
@@ -907,28 +947,21 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	}
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
-	var bd cost.Breakdown
-	if !cp.cl.functional {
-		for _, hp := range cp.plans {
-			_, b := hp.run()
-			bd = bd.Max(b)
-		}
-		return bd, nil
-	}
-	bds := make([]cost.Breakdown, len(cp.plans))
 	var wg sync.WaitGroup
-	for h, hp := range cp.plans {
+	for _, hp := range cp.plans {
+		if !cp.cl.functional {
+			hp.run()
+			continue
+		}
 		wg.Add(1)
-		go func(h int, hp *CompiledPlan) {
+		go func(hp *CompiledPlan) {
 			defer wg.Done()
-			_, bds[h] = hp.run()
-		}(h, hp)
+			hp.run()
+		}(hp)
 	}
 	wg.Wait()
-	for _, b := range bds {
-		bd = bd.Max(b)
-	}
-	return bd, nil
+	// A run charges its plan's trace total on either backend.
+	return cp.Cost(), nil
 }
 
 // Results returns a copy of the rooted result of the plan's most recent

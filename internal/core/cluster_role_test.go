@@ -1,0 +1,282 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/elem"
+)
+
+// perHostBuild is the oracle of the role rule: host h's plan the way
+// compile built every host before it knew roles — the host's own specs,
+// on a staging of their own, lowered, fused and traced from nothing.
+func perHostBuild(cl *Cluster, owners []*Tenant, d ClusterCollective, h int) (*CompiledPlan, error) {
+	c := cl.comms[h]
+	ar, owner := c.fullArena(), (*Tenant)(nil)
+	if owners != nil {
+		owner = owners[h]
+		ar = owner.ar
+	}
+	st := &clusterState{}
+	if cl.functional {
+		st.bar = newBarrier(len(cl.comms))
+	}
+	specs, err := cl.hostSpecs(h, ar, st, d)
+	if err != nil {
+		return nil, err
+	}
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	return c.buildLocked(specs, owner, nil), nil
+}
+
+// stepNames renders a schedule's name and its steps' kinds in order.
+func stepNames(s *Schedule) string {
+	names := make([]string, len(s.Steps))
+	for i, st := range s.Steps {
+		names[i] = st.stepName()
+	}
+	return s.Name + ": " + strings.Join(names, ",")
+}
+
+// diffPlans names the first field in which got — a host plan out of
+// compile — is not what the per-host build of the same host produces, or
+// returns "".
+func diffPlans(got, want *CompiledPlan) string {
+	switch {
+	case got.c != want.c || got.owner != want.owner:
+		return "bound to another host's comm or tenant"
+	case got.key != want.key:
+		return fmt.Sprintf("key %+v, want %+v", got.key, want.key)
+	case !slices.Equal(got.tr.adds, want.tr.adds):
+		return "tr.adds"
+	case got.tr.stats.Bursts != want.tr.stats.Bursts || !slices.Equal(got.tr.stats.BytesPerChannel, want.tr.stats.BytesPerChannel):
+		return "tr.stats"
+	case got.tr.total != want.tr.total:
+		return "tr.total"
+	case !slices.Equal(got.tr.segs, want.tr.segs):
+		return "tr.segs"
+	case got.fusion != want.fusion:
+		return fmt.Sprintf("fusion %+v, want %+v", got.fusion, want.fusion)
+	case !slices.Equal(got.memberCosts, want.memberCosts):
+		return "memberCosts"
+	case !slices.Equal(got.members, want.members):
+		return "members"
+	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
+		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
+	case stepNames(got.sched) != stepNames(want.sched):
+		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
+	}
+	return ""
+}
+
+// roleArena is the tenant arena of the role tests: it holds every
+// descriptor of roleDescs at H = 8.
+const roleArena = 4096
+
+// roleDescs is the leg table as descriptors on H hosts of 16 PEs: every
+// primitive, the pinned wire legs, Flat, and one Auto level (its local
+// and redistribution legs resolve on the building host). payloads gives
+// the host-input primitives the buffers a functional cluster requires.
+func roleDescs(H int, payloads bool) []ClusterCollective {
+	const P, s = 16, 8
+	m := H * P * s
+	reduce := func(p Primitive, alg Algorithm, flat bool) ClusterCollective {
+		d := Collective{Prim: p, Dims: "1", Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM, Algorithm: alg}
+		if p != Reduce {
+			d.Dst = At(2048)
+		}
+		return ClusterCollective{Collective: d, Flat: flat}
+	}
+	hostInput := func(p Primitive, dst, payload int) ClusterCollective {
+		d := Collective{Prim: p, Dims: "1", Dst: Span(0, dst), Level: IM}
+		if payloads {
+			d.Hosts = [][]byte{make([]byte, payload)}
+		}
+		return ClusterCollective{Collective: d}
+	}
+	return []ClusterCollective{
+		{Collective: Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2048), Level: IM}},
+		reduce(ReduceScatter, AlgoAuto, false),
+		reduce(AllReduce, AlgoAuto, false),
+		reduce(AllReduce, AlgoRing, false),
+		reduce(AllReduce, AlgoTree, false),
+		reduce(AllReduce, AlgoAuto, true),
+		{Collective: Collective{Prim: AllGather, Dims: "1", Src: Span(0, s), Dst: At(2048), Level: IM}},
+		{Collective: Collective{Prim: AllGather, Dims: "1", Src: Span(0, s), Dst: At(2048)}},
+		hostInput(Scatter, s, m),
+		{Collective: Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}},
+		reduce(Reduce, AlgoAuto, false),
+		hostInput(Broadcast, 256, 256),
+	}
+}
+
+// roleOwnerSets returns the three arena layouts of the oracle test on cl:
+// the machine, tenant shards at one base, and tenant shards whose base
+// differs between even and odd hosts (a pad tenant goes first on the odd
+// ones), so the last set has two arenas and therefore two roles where the
+// others have one.
+func roleOwnerSets(t *testing.T, cl *Cluster) map[string][]*Tenant {
+	shards := func(padOdd bool) []*Tenant {
+		ts := make([]*Tenant, cl.NumHosts())
+		for h, c := range cl.comms {
+			var err error
+			if padOdd && h%2 == 1 {
+				if _, err = c.NewTenant(TenantConfig{ArenaBytes: roleArena}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ts[h], err = c.NewTenant(TenantConfig{ArenaBytes: roleArena}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ts
+	}
+	sets := map[string][]*Tenant{"machine": nil, "equal-bases": shards(false), "unequal-bases": shards(true)}
+	if u := sets["unequal-bases"]; u[0].ar == u[1].ar {
+		t.Fatalf("hosts 0 and 1 share arena %+v: the unequal set is not unequal", u[0].ar)
+	}
+	return sets
+}
+
+// TestClusterRolePlansMatchPerHostBuild proves the role rule is not too
+// coarse: whatever compile shares between the hosts of a role, every
+// host's plan is field for field the plan a build of that host alone
+// produces — for every row of the leg table, every root, tenant arenas
+// at equal and at unequal bases, on both backends.
+func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
+	for _, costOnly := range []bool{true, false} {
+		for _, H := range []int{2, 3, 8} {
+			cl := testCluster(t, H, geoHost, []int{16}, costOnly)
+			for name, owners := range roleOwnerSets(t, cl) {
+				for _, d := range roleDescs(H, !costOnly) {
+					for d.Root = 0; d.Root < H; d.Root++ {
+						cp, err := cl.compile(owners, d)
+						if err != nil {
+							t.Fatalf("cost-only=%v H=%d %s %v root %d: %v", costOnly, H, name, d.Prim, d.Root, err)
+						}
+						for h := 0; h < H; h++ {
+							want, err := perHostBuild(cl, owners, d, h)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if diff := diffPlans(cp.HostPlan(h), want); diff != "" {
+								t.Errorf("cost-only=%v H=%d %s %v/%v flat=%v root %d host %d: %s",
+									costOnly, H, name, d.Prim, d.Algorithm, d.Flat, d.Root, h, diff)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A compile rejected at host k > 0 books nothing on the hosts before it:
+// the third shard's arena ends below the AllReduce's destination, and the
+// two hosts whose plans were built and thrown away count no plan miss, no
+// trace miss and no fused plan. (The parent booked each host as it built.)
+func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
+	for _, costOnly := range []bool{true, false} {
+		cl := testCluster(t, 3, geoHost, []int{16}, costOnly)
+		owners := make([]*Tenant, 3)
+		for h, bytes := range []int{16 << 10, 16 << 10, 4 << 10} {
+			var err error
+			if owners[h], err = cl.Host(h).NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := cl.CompileOn(owners, ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+			Src: Span(0, 3*16*8), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM}})
+		if err == nil || !strings.Contains(err.Error(), "cluster host 2") {
+			t.Fatalf("cost-only=%v: CompileOn = %v, want a rejection at host 2", costOnly, err)
+		}
+		for h := 0; h < 3; h++ {
+			if st, fs := cl.Host(h).PlanCacheStats(), cl.Host(h).FusionStats(); st != (PlanCacheStats{}) || fs != (FusionStats{}) {
+				t.Errorf("cost-only=%v: rejected compile booked host %d: %+v, %+v", costOnly, h, st, fs)
+			}
+		}
+		if len(cl.cache) != 0 {
+			t.Errorf("cost-only=%v: rejected compile left %d cache entries", costOnly, len(cl.cache))
+		}
+	}
+}
+
+// The role's first host pays for a plan; every other symmetric host of a
+// cold cost-only AllReduce costs a bounded handful of objects — its bound
+// copy of the role's plan — where a build of its own cost thousands.
+func TestClusterCompileAllocsPerHost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m = 64 * 16 * 8
+	d := ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+		Src: Span(0, m), Dst: At(m), Elem: elem.I32, Op: elem.Sum, Level: IM}}
+	cold := func(H int) float64 {
+		// AllocsPerRun calls once to warm up and once to count: a cluster each.
+		cls := []*Cluster{testCluster(t, H, geoHost, []int{16}, true), testCluster(t, H, geoHost, []int{16}, true)}
+		return testing.AllocsPerRun(1, func() {
+			if _, err := cls[0].Compile(d); err != nil {
+				t.Fatal(err)
+			}
+			cls = cls[1:]
+		})
+	}
+	a8, a64 := cold(8), cold(64)
+	if perHost := (a64 - a8) / 56; perHost > 8 {
+		t.Errorf("cold compile: %v allocs on 8 hosts, %v on 64: %v per extra symmetric host, want <= 8", a8, a64, perHost)
+	}
+}
+
+// geo1024 is the paper's 1024-PE machine with a token MRAM.
+var geo1024 = dram.Geometry{Channels: 4, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 14}
+
+// A staged shape's hops are two slabs: lowering the ring AllReduce of a
+// 1024-rank group (2046 hops) allocates what a 16-rank group's does, not
+// two objects per hop.
+func TestStagedRoundsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	lower := func(geo dram.Geometry) (float64, int) {
+		c := newTestComm(t, geo, []int{geo.NumPEs()}, Config{Backend: CostBackend()})
+		p, err := c.plan("1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &algoEnv{c: c, p: p, prim: AllReduce, eff: Baseline, dstOff: 8 * p.n, m: 8 * p.n, s: 8, t: elem.I32, op: elem.Sum}
+		var steps int
+		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e, nil).Steps) })
+		return allocs, steps
+	}
+	small, _ := lower(geoHost)
+	big, steps := lower(geo1024)
+	if steps != 2*1023+3 {
+		t.Fatalf("ring over 1024 ranks has %d steps, want %d", steps, 2*1023+3)
+	}
+	if big != small || big > 16 {
+		t.Errorf("AllReduce/ring allocates %v objects on 1024 ranks, %v on 16: want equal and <= 16", big, small)
+	}
+}
+
+// A cold group plan allocates a constant number of objects — the plan,
+// its index arrays, one backing array for all groups — at any PE count.
+func TestBuildPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	hc := newTestComm(t, geo1024, []int{32, 32}, Config{Backend: CostBackend()}).Hypercube()
+	for _, dims := range []string{"10", "01", "11"} {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := hc.buildPlan(dims); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("buildPlan(%q) on 1024 PEs allocates %v objects, want <= 8", dims, allocs)
+		}
+	}
+}

@@ -149,10 +149,14 @@ func FuzzParse(f *testing.F) {
 
 // FuzzClusterCompile feeds arbitrary cluster descriptors — a fuzzed
 // Collective plus a root byte and a flat byte — to a cost-only 3-host
-// cluster. A rejected descriptor leaves the cluster cache and every
-// host's plan-cache counters as they were; an accepted one replays with
-// a run total equal to its precomputed cost. The seed corpus is the leg
-// table: every primitive, the flat AllReduce and the pinned wire legs.
+// cluster, once on the machine and once on tenant shards of unequal
+// arenas (16/16/4 KiB: a descriptor can pass two hosts and fail the
+// third). A rejected descriptor leaves the cluster cache and every
+// host's plan-cache counters as they were; an accepted one gives every
+// host the plan a per-host build of that host produces (perHostBuild, the
+// role oracle) and replays with a run total equal to its precomputed
+// cost. The seed corpus is the leg table: every primitive, the flat
+// AllReduce and the pinned wire legs.
 func FuzzClusterCompile(f *testing.F) {
 	const H, P, s = 3, 16, 8
 	const m = H * P * s
@@ -204,18 +208,36 @@ func FuzzClusterCompile(f *testing.F) {
 		}
 		return out
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, before := len(cl.cache), stats()
-		cp, err := cl.Compile(decode(data))
-		if err != nil {
-			if cp != nil || len(cl.cache) != entries || stats() != before {
-				t.Fatalf("rejected descriptor (%v) left plan %v, %d -> %d cache entries, host stats %v -> %v",
-					err, cp, entries, len(cl.cache), before, stats())
-			}
-			return
+	shards := make([]*Tenant, H)
+	for h, bytes := range [H]int{16 << 10, 16 << 10, 4 << 10} {
+		if shards[h], err = comms[h].NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
+			f.Fatal(err)
 		}
-		if bd, err := cp.Run(); err != nil || bd.Total() != cp.Cost().Total() {
-			t.Fatalf("Run = %v, %v; Cost = %v", bd.Total(), err, cp.Cost().Total())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := decode(data)
+		for _, owners := range [][]*Tenant{nil, shards} {
+			entries, before := len(cl.cache), stats()
+			cp, err := cl.compile(owners, d)
+			if err != nil {
+				if cp != nil || len(cl.cache) != entries || stats() != before {
+					t.Fatalf("rejected descriptor (%v) left plan %v, %d -> %d cache entries, host stats %v -> %v",
+						err, cp, entries, len(cl.cache), before, stats())
+				}
+				continue
+			}
+			for h := range comms {
+				want, err := perHostBuild(cl, owners, d, h)
+				if err != nil {
+					t.Fatalf("host %d: compile accepted what the per-host build rejects: %v", h, err)
+				}
+				if diff := diffPlans(cp.HostPlan(h), want); diff != "" {
+					t.Fatalf("host %d of %+v: %s", h, d, diff)
+				}
+			}
+			if bd, err := cp.Run(); err != nil || bd.Total() != cp.Cost().Total() {
+				t.Fatalf("Run = %v, %v; Cost = %v", bd.Total(), err, cp.Cost().Total())
+			}
 		}
 	})
 }

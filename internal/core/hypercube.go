@@ -144,38 +144,39 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 			numGroups *= l
 		}
 	}
+	numPEs := hc.sys.Geometry().NumPEs()
 	p := &plan{
 		dims:    sel,
 		n:       n,
 		groups:  make([][]int, numGroups),
-		groupOf: make([]int32, hc.sys.Geometry().NumPEs()),
-		rankOf:  make([]int32, hc.sys.Geometry().NumPEs()),
+		groupOf: make([]int32, numPEs),
+		rankOf:  make([]int32, numPEs),
+		pes:     make([]int, numPEs),
+		ranks:   make([]int, numPEs),
 	}
+	// One backing array for all groups and PECoord's arithmetic in place: a
+	// cold plan allocates a constant number of objects, not one per PE.
+	members := make([]int, numPEs)
 	for g := range p.groups {
-		p.groups[g] = make([]int, n)
+		p.groups[g] = members[g*n : (g+1)*n : (g+1)*n]
 	}
-	for pe := 0; pe < hc.sys.Geometry().NumPEs(); pe++ {
-		coord := hc.PECoord(pe)
+	for pe := 0; pe < numPEs; pe++ {
 		rank, rankStride := 0, 1
 		group, groupStride := 0, 1
+		rest := pe
 		for d, l := range hc.shape {
 			if sel[d] {
-				rank += coord[d] * rankStride
+				rank += rest % l * rankStride
 				rankStride *= l
 			} else {
-				group += coord[d] * groupStride
+				group += rest % l * groupStride
 				groupStride *= l
 			}
+			rest /= l
 		}
 		p.groups[group][rank] = pe
-		p.groupOf[pe] = int32(group)
-		p.rankOf[pe] = int32(rank)
-	}
-	p.pes = make([]int, len(p.rankOf))
-	p.ranks = make([]int, len(p.rankOf))
-	for pe := range p.pes {
-		p.pes[pe] = pe
-		p.ranks[pe] = int(p.rankOf[pe])
+		p.groupOf[pe], p.rankOf[pe] = int32(group), int32(rank)
+		p.pes[pe], p.ranks[pe] = pe, rank
 	}
 	return p, nil
 }
@@ -192,15 +193,11 @@ func (p *plan) launchLists() (pes, ranks []int) { return p.pes, p.ranks }
 // flattened order of the unselected dimensions (lowest fastest); this is
 // also the order of per-group host buffers in rooted primitives.
 func (hc *Hypercube) Groups(dims string) ([][]int, error) {
-	p, err := hc.buildPlan(dims)
+	p, err := hc.buildPlan(dims) // a fresh plan: the caller owns its groups
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]int, len(p.groups))
-	for i, g := range p.groups {
-		out[i] = append([]int(nil), g...)
-	}
-	return out, nil
+	return p.groups, nil
 }
 
 // DimsString builds a dims bitmap selecting the given dimension indices,

@@ -25,19 +25,23 @@ type hop struct {
 
 // stagedRounds is the skeleton the ring and tree shapes share: an opening
 // step (nil for none), one host-compute step per hop, the closing bulk
-// write, the sync.
+// write, the sync. The hop steps and their charges are two slabs, not two
+// heap objects per hop (a 1024-rank ring has 2046), each step's charges
+// capped at their own length so no append can reach the next step's.
 func stagedRounds(name string, open Step, hops []hop, closing Step) *Schedule {
 	sched := &Schedule{Name: name, Steps: make([]Step, 0, len(hops)+3)}
 	if open != nil {
 		sched.add(open)
 	}
-	for _, h := range hops {
-		mem := Charge{ChargeHostMem, 2 * h.vol}
-		if h.work == ChargeHostMem {
-			sched.add(&StepHostCompute{Charges: []Charge{mem}})
-		} else {
-			sched.add(&StepHostCompute{Charges: []Charge{{h.work, h.vol}, mem}})
+	steps, charges := make([]StepHostCompute, len(hops)), make([]Charge, 0, 2*len(hops))
+	for i, h := range hops {
+		lo := len(charges)
+		if h.work != ChargeHostMem {
+			charges = append(charges, Charge{h.work, h.vol})
 		}
+		charges = append(charges, Charge{ChargeHostMem, 2 * h.vol})
+		steps[i].Charges = charges[lo:len(charges):len(charges)]
+		sched.add(&steps[i])
 	}
 	sched.add(closing)
 	sched.add(&StepSync{})

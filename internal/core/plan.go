@@ -433,7 +433,8 @@ type PlanCacheStats struct {
 	PlanHits, PlanMisses uint64
 	// TraceHits and TraceMisses count charge-trace lookups; a trace
 	// depends only on the call shape, so host-input plans hit here even
-	// though they miss the plan cache.
+	// though they miss the plan cache — and so does a cluster host that
+	// shares its role's row: a plan miss and a trace hit (cluster.go).
 	TraceHits, TraceMisses uint64
 	// CachedPlans and CachedSeqs are the live cached plans of single
 	// collectives and of sequences; CachedTraces counts the shape rows
