@@ -1,20 +1,11 @@
 // Command pidinfo prints the simulated system's configuration: the DIMM
 // topology and hypercube mapping, the framework support matrix (Table I),
 // the technique applicability matrix (Table II), and the calibrated cost
-// model parameters. With -plancache it additionally runs a representative
-// compile/replay workload on a cost-only comm and prints the
-// compiled-plan cache statistics (hit/miss counters, cached entries,
-// charge-trace memory). With -tenants it provisions a representative
-// multi-tenant machine, serves a few requests per tenant and lists every
-// tenant's arena, scheduler weight, quota state and attributed meter.
-// With -cluster it builds a representative cost-only cluster, compiles
-// and replays global collectives through the cluster layer, and prints
-// the per-host compile, fusion and network-lane statistics.
-// With -serving it drives the canonical online-serving scenario
-// (internal/serve) under both scheduling policies and prints the
-// per-tenant sojourn percentiles, deadline misses and churn outcome.
-// With -sched it lists the registered submission scheduling policies
-// (the values WithSched and `pidbench -sched` accept).
+// model parameters. Each mode flag (see -h) instead builds a small
+// representative workload and prints what it left behind: -plancache,
+// -tenants, -cluster and -auto print the machine's (or cluster's)
+// Snapshot — the one read surface of run-time state — -serving prints a
+// serve.Result, -sched the schedulers table.
 package main
 
 import (
@@ -45,42 +36,17 @@ func main() {
 		printScheds()
 		return
 	}
-
-	if *auto {
-		if err := printAuto(*mram); err != nil {
-			fmt.Fprintln(os.Stderr, "pidinfo:", err)
-			os.Exit(1)
+	for _, md := range []struct {
+		on  *bool
+		run func(mram int) error
+	}{{auto, printAuto}, {plancache, printPlanCache}, {tenants, printTenants}, {cluster, printCluster}, {serving, printServing}} {
+		if *md.on {
+			if err := md.run(*mram); err != nil {
+				fmt.Fprintln(os.Stderr, "pidinfo:", err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-
-	if *plancache {
-		if err := printPlanCache(*mram); err != nil {
-			fmt.Fprintln(os.Stderr, "pidinfo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tenants {
-		if err := printTenants(*mram); err != nil {
-			fmt.Fprintln(os.Stderr, "pidinfo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cluster {
-		if err := printCluster(*mram); err != nil {
-			fmt.Fprintln(os.Stderr, "pidinfo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serving {
-		if err := printServing(); err != nil {
-			fmt.Fprintln(os.Stderr, "pidinfo:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	geo := dram.PaperGeometry(*mram)
@@ -129,27 +95,30 @@ func printScheds() {
 	}
 }
 
+// demoComm builds the cost-only 32x32 paper-geometry comm -auto and
+// -plancache run on, and their per-PE payload m: sized so that [0,5m) fits
+// -mram, a multiple of 256 (32 blocks per group at 8-byte bursts).
+func demoComm(mram int) (*core.Comm, int, error) {
+	m := min(64<<10, mram/5)
+	m -= m % 256
+	if m < 256 {
+		return nil, 0, fmt.Errorf("-mram %d too small for the demo (need at least %d B/bank)", mram, 5*256)
+	}
+	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
+	return comm, m, err
+}
+
 // printAuto resolves a representative spread of Auto-level signatures —
 // the four x-axis primitives at a small and a large payload, plus an
-// algorithm-constrained AllReduce — on a cost-only comm over the paper
-// geometry, then dumps the comm's auto-decision cache: one row per
-// signature with the winning (algorithm, level) candidate and its
-// scores under both objectives. The whole table is printed twice, once
-// per objective, because the cache is scored (and cleared) per
-// objective; rows where the two picks differ are where the makespan
-// objective earns its keep.
+// algorithm-constrained AllReduce — and prints the comm's snapshot, whose
+// Auto table has one row per signature: the winning (algorithm, level)
+// and its scores under both objectives. Once per objective, because the
+// cache is scored (and cleared) per objective; rows where the two picks
+// differ are where the makespan objective earns its keep.
 func printAuto(mram int) error {
-	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
+	comm, m, err := demoComm(mram)
 	if err != nil {
 		return err
-	}
-	m := 64 << 10
-	if 5*m > mram {
-		m = mram / 5
-		m -= m % 256
-	}
-	if m < 256 {
-		return fmt.Errorf("-mram %d too small for the auto demo", mram)
 	}
 	var sigs []core.Collective
 	for _, sz := range []int{m / 16, m} {
@@ -178,98 +147,50 @@ func printAuto(mram int) error {
 				return err
 			}
 		}
-		fmt.Printf("\nobjective %s:\n", obj)
-		fmt.Printf("  %-4s %-6s %10s %-10s %-12s %12s %14s\n",
-			"prim", "dims", "B/PE", "constraint", "pick", "meter(ms)", "makespan(ms)")
-		for _, dec := range comm.AutoDecisions() {
-			fmt.Printf("  %-4v %-6s %10d %-10v %-12s %12.4f %14.4f\n",
-				dec.Prim, dec.Dims, dec.Bytes, dec.Constraint,
-				fmt.Sprintf("(%v, %v)", dec.Algo, dec.Level),
-				float64(dec.Meter)*1e3, float64(dec.Makespan)*1e3)
-		}
+		fmt.Printf("\nobjective %s:\n%v", obj, comm.Snapshot())
 	}
 	return nil
 }
 
-// printPlanCache compiles and replays a few representative collectives —
-// including a fused ReduceScatter→AlltoAll sequence — on a cost-only
-// comm over the paper geometry (phantom MRAM), then prints the
-// plan-cache statistics (compulsory misses on first compile, hits on
-// every replay, the cached charge traces' memory footprint) and the
-// fusion statistics alongside them.
-//
-// The representative payload is derived from -mram and normalized to the
-// collectives' 32-block, burst-aligned structure up front, so the
-// listing always reflects a populated cache: earlier versions computed a
-// misaligned payload for odd -mram values, every compile failed, and the
-// command reported statistics with no plan ever compiled.
+// printPlanCache compiles and replays three representative collectives and
+// a fused sequence, then prints the comm's snapshot: compulsory plan-cache
+// misses on first compile, hits on every replay, the cached charge traces'
+// memory footprint, and what the fuser did.
 func printPlanCache(mram int) error {
-	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
+	comm, m, err := demoComm(mram)
 	if err != nil {
 		return err
 	}
-	m := 64 << 10
-	if 5*m > mram {
-		m = mram / 5
+	ds := []core.Collective{
+		{Prim: core.AlltoAll, Dims: "10", Src: core.Span(0, m), Dst: core.At(2 * m), Level: core.CM},
+		{Prim: core.ReduceScatter, Dims: "10", Src: core.Span(0, m), Dst: core.At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: core.IM},
+		{Prim: core.AllReduce, Dims: "10", Src: core.Span(0, m), Dst: core.At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: core.IM},
 	}
-	// 32 blocks per group at 8-byte burst granularity: m must be a
-	// multiple of 256 (and the regions below stay within MRAM).
-	m -= m % 256
-	if m < 256 {
-		return fmt.Errorf("-mram %d too small for the plan-cache demo (need at least %d B/bank)", mram, 5*256)
-	}
-	run := func() error {
-		if _, err := comm.Run(core.Collective{Prim: core.AlltoAll, Dims: "10",
-			Src: core.Span(0, m), Dst: core.At(2 * m), Level: core.CM}); err != nil {
-			return err
-		}
-		if _, err := comm.Run(core.Collective{Prim: core.ReduceScatter, Dims: "10",
-			Src: core.Span(0, m), Dst: core.At(2 * m),
-			Elem: elem.I32, Op: elem.Sum, Level: core.IM}); err != nil {
-			return err
-		}
-		if _, err := comm.Run(core.Collective{Prim: core.AllReduce, Dims: "10",
-			Src: core.Span(0, m), Dst: core.At(2 * m),
-			Elem: elem.I32, Op: elem.Sum, Level: core.IM}); err != nil {
-			return err
-		}
-		return nil
-	}
-	// A fused sequence: the AlltoAll relocates [0,m) into [2m,3m) and the
-	// ReduceScatter consumes it — the pair whose rotate/unrotate steps
-	// the fusion optimizer cancels.
-	seq, err := comm.CompileSequence(
-		core.Collective{Prim: core.AlltoAll, Dims: "10",
-			Src: core.Span(0, m), Dst: core.At(2 * m), Level: core.CM},
-		core.Collective{Prim: core.ReduceScatter, Dims: "10",
-			Src: core.Span(2*m, m), Dst: core.At(4 * m),
-			Elem: elem.I32, Op: elem.Sum, Level: core.IM})
+	// The fused sequence: the AlltoAll relocates [0,m) into [2m,3m) and a
+	// ReduceScatter consumes it — the pair whose rotate/unrotate steps the
+	// fusion optimizer cancels.
+	seq, err := comm.CompileSequence(ds[0], core.Collective{Prim: core.ReduceScatter, Dims: "10",
+		Src: core.Span(2*m, m), Dst: core.At(4 * m), Elem: elem.I32, Op: elem.Sum, Level: core.IM})
 	if err != nil {
 		return err
 	}
 	const replays = 16
 	for i := 0; i < replays; i++ {
-		if err := run(); err != nil {
-			return err
+		for _, d := range ds {
+			if _, err := comm.Run(d); err != nil {
+				return err
+			}
 		}
 		if _, err := seq.Run(); err != nil {
 			return err
 		}
 	}
-	st := comm.PlanCacheStats()
-	fmt.Println("Compiled-plan cache (3 signatures + 1 fused sequence, 1 compile +", replays-1, "replays each):")
-	fmt.Printf("  plan lookups          %d hits / %d misses\n", st.PlanHits, st.PlanMisses)
-	fmt.Printf("  charge-trace lookups  %d hits / %d misses\n", st.TraceHits, st.TraceMisses)
-	fmt.Printf("  cached entries        %d plans, %d traces, %d sequences\n", st.CachedPlans, st.CachedTraces, st.CachedSeqs)
-	fmt.Printf("  trace memory          %d entries, ~%d B\n", st.TraceEntries, st.TraceBytes)
-	fs := comm.FusionStats()
-	fmt.Printf("\nSchedule fusion (level %v):\n", comm.Fuse())
-	fmt.Printf("  plans through fuser   %d compiled, %d changed\n", fs.PlansCompiled, fs.PlansFused)
-	fmt.Printf("  rewrites              %d rotates merged, %d elided; %d syncs elided; %d epochs coalesced\n",
-		fs.RotatesMerged, fs.RotatesElided, fs.SyncsElided, fs.EpochsCoalesced)
-	fmt.Printf("  saved per replay set  %d PE-bytes, %d PE-instr, %.3f ms simulated\n",
-		fs.PEBytesSaved, fs.PEInstrSaved, float64(fs.CostSaved)*1e3)
-	fmt.Printf("  RS->AA sequence       %v\n", seq.FusionReport())
+	fmt.Printf("Compiled-plan cache: 3 signatures + 1 fused sequence on a 32x32 cost-only comm (fusion level %v, the default), 1 compile + %d replays each\n",
+		core.FuseFull, replays-1)
+	fmt.Print(comm.Snapshot())
+	fmt.Printf("the RS->AA sequence: %v\n", seq.FusionReport())
 	return nil
 }
 
@@ -277,9 +198,8 @@ func printPlanCache(mram int) error {
 // the paper geometry), compiles a global AllReduce and a global
 // AlltoAll through the cluster layer's whole-cluster session, replays
 // both from their cached ClusterPlans, and prints the per-call costs,
-// the fusion rewrites of the per-host schedules, and the per-host
-// compile counts and network-lane statistics — the cluster-scale
-// counterpart of -plancache.
+// the fusion rewrites of the per-host schedules, and the cluster's
+// snapshot — the cluster-scale counterpart of -plancache.
 func printCluster(mram int) error {
 	const hosts = 4
 	cl, err := pidcomm.NewCluster(hosts, pidcomm.PaperSystem(mram), []int{32, 32}, pidcomm.CostOnly())
@@ -333,41 +253,34 @@ func printCluster(mram int) error {
 				return err
 			}
 		}
-		var syncs, epochs int
+		syncs := 0
 		for _, r := range cp.FusionReports() {
 			syncs += r.SyncsElided
-			epochs += r.EpochsCoalesced
 		}
 		bd := cp.Cost()
 		fmt.Printf("global %-10s per run %8.3f ms (network %7.3f ms), 1 compile (recompile hits the cluster cache) + %d replays, fusion: %d syncs elided\n",
 			e.name, float64(bd.Total())*1e3, float64(bd.Get(cost.Network))*1e3, replays, syncs)
-		_ = epochs
 	}
 
 	// One plan per role, bound per host: the AllReduce is one role, so host
 	// 0 traced it and every other host shares that row — a plan miss and a
 	// trace hit; the AlltoAll lowers differently on every host (its
 	// pack/unpack volumes follow the host index), a trace miss each.
-	fmt.Printf("\n%-6s %14s %12s %12s %14s %14s\n", "host", "seq compiles", "traced", "role-shared", "net busy(ms)", "meter(ms)")
-	for h := 0; h < hosts; h++ {
-		mach := cl.Machine(h)
-		st := mach.PlanCacheStats()
-		fmt.Printf("%-6d %14d %12d %12d %14.3f %14.3f\n",
-			h, st.PlanMisses, st.TraceMisses, st.TraceHits,
-			float64(mach.NetBusy())*1e3, float64(mach.Breakdown().Total())*1e3)
+	s := cl.Snapshot()
+	for h, hs := range s.Hosts {
+		fmt.Printf("\nhost %d: %v", h, hs)
 	}
-	fmt.Println("(seq compiles = plan misses; traced = trace misses, the host was its role's first; role-shared = trace hits, the host took its role's row)")
-	fmt.Printf("\ncluster breakdown (slowest host per category): %v\n", cl.Breakdown())
-	fmt.Printf("elapsed (overlap-aware makespan, slowest host): %.3f ms\n", float64(cl.Elapsed())*1e3)
+	fmt.Printf("\ncluster meter (slowest host per category): %v\nelapsed (overlap-aware makespan, slowest host): %.3f ms\n",
+		s.Meter, float64(s.Elapsed)*1e3)
 	return nil
 }
 
 // printTenants provisions a representative multi-tenant machine over the
 // paper geometry (cost-only, phantom MRAM), serves a few asynchronous
-// requests per tenant and prints the machine's tenant table: arena
-// windows, weighted-fair shares, quota state and per-tenant meters. The
-// quota'd tenant is sized to run out mid-stream, so the listing shows
-// admission control in action.
+// requests per tenant and prints the machine's snapshot, whose tenant
+// table lists arena windows, weighted-fair shares, quota state and
+// per-tenant meters. The quota'd tenant is sized to run out mid-stream,
+// so the listing shows admission control in action.
 func printTenants(mram int) error {
 	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(mram), []int{32, 32}, pidcomm.CostOnly())
 	if err != nil {
@@ -425,24 +338,9 @@ func printTenants(mram int) error {
 	}
 	mach.Flush()
 
-	fmt.Printf("Multi-tenant machine: %d PEs (32x32), %d B MRAM/bank, %d B free, cost-only\n",
-		mach.NumPEs(), mach.MramPerBank(), mach.FreeArenaBytes())
-	fmt.Printf("%d requests submitted per tenant (%d KiB/PE AlltoAll each)\n\n", requests, m>>10)
-	fmt.Printf("%-8s %-18s %6s %12s %12s %10s %8s\n",
-		"tenant", "arena [base,end)", "weight", "quota (ms)", "admitted(ms)", "meter(ms)", "rejected")
-	for _, ti := range mach.Tenants() {
-		quota := "unlimited"
-		if ti.Quota() > 0 {
-			quota = fmt.Sprintf("%.3f", float64(ti.Quota())*1e3)
-		}
-		base, bytes := ti.Arena()
-		fmt.Printf("%-8s [%8d,%8d) %6.0f %12s %12.3f %10.3f %8d\n",
-			ti.Name(), base, base+bytes, ti.Weight(),
-			quota, float64(ti.Admitted())*1e3, float64(ti.Meter().Total())*1e3,
-			rejected[ti.Name()])
-	}
-	fmt.Printf("\nmachine breakdown (sum of tenant meters): %v\n", mach.Breakdown())
-	fmt.Printf("elapsed (overlap-aware makespan):         %.3f ms\n", float64(mach.Elapsed())*1e3)
+	fmt.Printf("Multi-tenant machine: %d PEs (32x32), %d B MRAM/bank, cost-only\n", mach.NumPEs(), mach.MramPerBank())
+	fmt.Printf("%d requests submitted per tenant (%d KiB/PE AlltoAll each); rejected under quota: %v\n\n", requests, m>>10, rejected)
+	fmt.Print(mach.Snapshot())
 	return nil
 }
 
@@ -451,7 +349,7 @@ func printTenants(mram int) error {
 // policies, then once more under EDF with tenant churn, and prints the
 // per-tenant sojourn percentiles — the interactive counterpart of
 // `pidbench -exp serving`.
-func printServing() error {
+func printServing(int) error {
 	const rho, requests = 0.9, 800
 	fmt.Printf("Online serving: chat/feed/batch mix at rho=%.1f offered load, %d requests, cost-only\n\n", rho, requests)
 	for _, pol := range []pidcomm.SchedPolicy{pidcomm.SchedWFQ, pidcomm.SchedEDF} {

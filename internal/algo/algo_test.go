@@ -252,7 +252,7 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 	}
 	find := func(prim core.Primitive, bytes int) core.AutoDecision {
 		t.Helper()
-		for _, dec := range c.AutoDecisions() {
+		for _, dec := range c.Snapshot().Auto {
 			if dec.Prim == prim && dec.Bytes == bytes && dec.Constraint == core.AlgoAuto {
 				return dec
 			}

@@ -117,12 +117,12 @@ func collectAsync(add func(string, float64)) error {
 
 func collectMultiTenant(add func(string, float64)) error {
 	specs := []tenantSpec{{"dlrm-a", 4}, {"dlrm-b", 2}, {"gnn", 1}, {"mlp", 1}}
-	_, _, serial, fair, _, err := runMultiTenant(specs, 16<<10, 8)
+	serial, fair, err := runMultiTenant(specs, 16<<10, 8)
 	if err != nil {
 		return err
 	}
-	add("serial", float64(serial))
-	add("fair", float64(fair))
+	add("serial", float64(serial.Elapsed))
+	add("fair", float64(fair.Elapsed))
 	return nil
 }
 

@@ -68,9 +68,9 @@ func tenantRequest(m int) [2]pidcomm.Collective {
 
 // runMultiTenant measures serial vs weighted-fair makespan for the
 // given tenants, each serving requests request-pairs of m bytes/PE.
-// It returns the two machine breakdowns (for the equality pin) and the
-// two makespans.
-func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidcomm.Breakdown, serial, fair pidcomm.Seconds, infos []*pidcomm.Comm, err error) {
+// It returns the two machines' final snapshots: their meters (for the
+// equality pin), makespans and, in fair, the tenant table.
+func runMultiTenant(specs []tenantSpec, m, requests int) (serial, fair pidcomm.Snapshot, err error) {
 	arena := 4 * m
 
 	// Serial: every plan runs blocking, a machine-wide barrier each.
@@ -87,7 +87,7 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidco
 			}
 		}
 	}
-	serialBD, serial = smach.Breakdown(), smach.Elapsed()
+	serial = smach.Snapshot()
 
 	// Weighted-fair: every stream submits asynchronously; the scheduler
 	// interleaves tenants by weight and the timeline overlaps their
@@ -116,30 +116,28 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serialBD, fairBD pidco
 			return
 		}
 	}
-	fairBD, fair = fmach.Breakdown(), fmach.Elapsed()
-	infos = fmach.Tenants()
+	fair = fmach.Snapshot()
 	return
 }
 
 // writeMultiTenant renders the experiment table.
 func writeMultiTenant(w io.Writer, specs []tenantSpec, m, requests int) error {
-	serialBD, fairBD, serial, fair, infos, err := runMultiTenant(specs, m, requests)
+	serial, fair, err := runMultiTenant(specs, m, requests)
 	if err != nil {
 		return err
 	}
 	t := newTable("Tenant", "Weight", "Arena KiB/PE", "Plans", "Attributed ms")
-	for _, ti := range infos {
-		_, arenaBytes := ti.Arena()
-		t.add(ti.Name(), fmt.Sprintf("%.0f", ti.Weight()),
-			fmt.Sprintf("%d", arenaBytes>>10),
+	for _, ti := range fair.Tenants {
+		t.add(ti.Name, fmt.Sprintf("%.0f", ti.Weight),
+			fmt.Sprintf("%d", ti.Bytes>>10),
 			fmt.Sprintf("%d", 2*requests),
-			fmt.Sprintf("%.3f", float64(ti.Meter().Total())*1e3))
+			fmt.Sprintf("%.3f", float64(ti.Meter.Total())*1e3))
 	}
 	t.write(w)
-	fmt.Fprintf(w, "\nwork identical across modes: %v\n", serialBD == fairBD)
-	fmt.Fprintf(w, "serial makespan        %8.3f ms\n", float64(serial)*1e3)
-	fmt.Fprintf(w, "weighted-fair makespan %8.3f ms\n", float64(fair)*1e3)
-	fmt.Fprintf(w, "overlap speedup        %8.2fx\n", float64(serial)/float64(fair))
+	fmt.Fprintf(w, "\nwork identical across modes: %v\n", serial.Meter == fair.Meter)
+	fmt.Fprintf(w, "serial makespan        %8.3f ms\n", float64(serial.Elapsed)*1e3)
+	fmt.Fprintf(w, "weighted-fair makespan %8.3f ms\n", float64(fair.Elapsed)*1e3)
+	fmt.Fprintf(w, "overlap speedup        %8.2fx\n", float64(serial.Elapsed)/float64(fair.Elapsed))
 	return nil
 }
 

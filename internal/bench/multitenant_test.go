@@ -10,18 +10,18 @@ import (
 // weighted-fair makespan beats serial serving by a real margin.
 func TestMultiTenantFairBeatsSerial(t *testing.T) {
 	specs := []tenantSpec{{"a", 2}, {"b", 1}, {"c", 1}}
-	serialBD, fairBD, serial, fair, infos, err := runMultiTenant(specs, 4<<10, 4)
+	serial, fair, err := runMultiTenant(specs, 4<<10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialBD != fairBD {
-		t.Errorf("work differs between modes: serial %v, fair %v", serialBD, fairBD)
+	if serial.Meter != fair.Meter {
+		t.Errorf("work differs between modes: serial %v, fair %v", serial.Meter, fair.Meter)
 	}
-	if len(infos) != len(specs) {
-		t.Fatalf("tenant listing has %d rows, want %d", len(infos), len(specs))
+	if len(fair.Tenants) != len(specs) {
+		t.Fatalf("tenant listing has %d rows, want %d", len(fair.Tenants), len(specs))
 	}
-	if speedup := float64(serial) / float64(fair); speedup < 1.3 {
-		t.Errorf("weighted-fair speedup %.2fx below 1.3x (serial %v, fair %v)", speedup, serial, fair)
+	if speedup := float64(serial.Elapsed) / float64(fair.Elapsed); speedup < 1.3 {
+		t.Errorf("weighted-fair speedup %.2fx below 1.3x (serial %v, fair %v)", speedup, serial.Elapsed, fair.Elapsed)
 	}
 }
 

@@ -628,17 +628,6 @@ func (c *Comm) Elapsed() cost.Seconds {
 	return c.tl.Elapsed()
 }
 
-// LaneBusy returns the cumulative busy time placed on one lane of the
-// comm's elapsed-time timeline — e.g. cost.LaneNet for the network legs
-// of cluster collectives. Unlike Elapsed (the makespan across lanes) it
-// sums that lane's work alone, so pidinfo -cluster can report how much
-// of a host's wall clock the wire accounts for.
-func (c *Comm) LaneBusy(l cost.Lane) cost.Seconds {
-	c.execMu.Lock()
-	defer c.execMu.Unlock()
-	return c.tl.LaneBusy(l)
-}
-
 // ExtendElapsed places b's per-lane time after everything currently on
 // the timeline — a barrier. It accounts work charged outside the
 // collective engine (application kernel launches, host pre/post-

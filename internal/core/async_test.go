@@ -419,14 +419,14 @@ func TestSerialRunIsBarrier(t *testing.T) {
 func TestPlanCacheStats(t *testing.T) {
 	const m = 32 * 8
 	c := asyncTestComm(t, true)
-	if st := c.PlanCacheStats(); st != (PlanCacheStats{}) {
+	if st := c.Snapshot().PlanCache; st != (PlanCacheStats{}) {
 		t.Fatalf("fresh comm has non-zero cache stats: %+v", st)
 	}
 	if _, err := c.Run(Collective{Prim: AlltoAll, Dims: "1",
 		Src: Span(0, m), Dst: At(m), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
-	st := c.PlanCacheStats()
+	st := c.Snapshot().PlanCache
 	if st.PlanMisses != 1 || st.PlanHits != 0 || st.TraceMisses != 1 {
 		t.Fatalf("after first call: %+v", st)
 	}
@@ -436,7 +436,7 @@ func TestPlanCacheStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = c.PlanCacheStats()
+	st = c.Snapshot().PlanCache
 	if st.PlanHits != 3 || st.PlanMisses != 1 {
 		t.Fatalf("after replays: %+v", st)
 	}
@@ -457,7 +457,7 @@ func TestPlanCacheStats(t *testing.T) {
 		Hosts: nil, Dst: Span(4*m, m/32), Level: IM}); err != nil {
 		t.Fatal(err)
 	}
-	st = c.PlanCacheStats()
+	st = c.Snapshot().PlanCache
 	if st.TraceHits != 3+1 || st.TraceMisses != 2 {
 		t.Fatalf("host-input trace sharing: %+v", st)
 	}

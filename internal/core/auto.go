@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/elem"
@@ -239,7 +238,7 @@ func (c *Comm) autoDryBuild(d Collective) (*CompiledPlan, error) {
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by
-// AutoDecisions (cmd/pidinfo -auto renders the table).
+// Snapshot.Auto (`pidinfo -auto` renders the table).
 type AutoDecision struct {
 	// The call signature: primitive, dims selection, per-PE payload
 	// bytes, element/op (zero-valued for non-reducing primitives), the
@@ -257,33 +256,4 @@ type AutoDecision struct {
 	Level    Level
 	Meter    cost.Seconds
 	Makespan cost.Seconds
-}
-
-// AutoDecisions returns a snapshot of the comm's cached Auto decisions,
-// sorted by (primitive, dims, bytes, constraint) for stable display.
-func (c *Comm) AutoDecisions() []AutoDecision {
-	c.autoMu.Lock()
-	defer c.autoMu.Unlock()
-	out := make([]AutoDecision, 0, len(c.autoCache))
-	for k, dec := range c.autoCache {
-		out = append(out, AutoDecision{
-			Prim: k.prim, Dims: k.dims, Bytes: k.bytes,
-			Elem: k.elemType, Op: k.op, InPlace: k.inPlace, Constraint: k.algo,
-			Algo: dec.algo, Level: dec.lvl, Meter: dec.meter, Makespan: dec.makespan,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Prim != b.Prim {
-			return a.Prim < b.Prim
-		}
-		if a.Dims != b.Dims {
-			return a.Dims < b.Dims
-		}
-		if a.Bytes != b.Bytes {
-			return a.Bytes < b.Bytes
-		}
-		return a.Constraint < b.Constraint
-	})
-	return out
 }

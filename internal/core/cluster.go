@@ -250,29 +250,6 @@ func (cl *Cluster) Host(h int) *Comm { return cl.comms[h] }
 // Functional reports whether the cluster moves real bytes.
 func (cl *Cluster) Functional() bool { return cl.functional }
 
-// Breakdown returns the cluster's cumulative cost snapshot: the
-// per-category maximum across the host meters (hosts run concurrently;
-// each host's meter includes its own network-leg time).
-func (cl *Cluster) Breakdown() cost.Breakdown {
-	var bd cost.Breakdown
-	for _, c := range cl.comms {
-		bd = bd.Max(c.Meter().Snapshot())
-	}
-	return bd
-}
-
-// Elapsed returns the cluster's overlap-aware simulated makespan: the
-// slowest host's elapsed-time timeline.
-func (cl *Cluster) Elapsed() cost.Seconds {
-	var e cost.Seconds
-	for _, c := range cl.comms {
-		if he := c.Elapsed(); he > e {
-			e = he
-		}
-	}
-	return e
-}
-
 // Flush blocks until every submitted cluster plan has completed on
 // every host.
 func (cl *Cluster) Flush() {

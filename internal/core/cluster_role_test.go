@@ -195,8 +195,8 @@ func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 			t.Fatalf("cost-only=%v: CompileOn = %v, want a rejection at host 2", costOnly, err)
 		}
 		for h := 0; h < 3; h++ {
-			if st, fs := cl.Host(h).PlanCacheStats(), cl.Host(h).FusionStats(); st != (PlanCacheStats{}) || fs != (FusionStats{}) {
-				t.Errorf("cost-only=%v: rejected compile booked host %d: %+v, %+v", costOnly, h, st, fs)
+			if s := cl.Host(h).Snapshot(); s.PlanCache != (PlanCacheStats{}) || s.Fusion != (FusionStats{}) {
+				t.Errorf("cost-only=%v: rejected compile booked host %d: %+v, %+v", costOnly, h, s.PlanCache, s.Fusion)
 			}
 		}
 		if len(cl.cache) != 0 {

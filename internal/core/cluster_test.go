@@ -357,7 +357,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if before := cl.Host(0).PlanCacheStats(); before.PlanMisses == 0 {
+	if before := cl.Host(0).Snapshot().PlanCache; before.PlanMisses == 0 {
 		t.Error("cluster host builds were never booked on the host")
 	}
 
@@ -420,7 +420,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	// plan caches hold nothing — so the churn above had nothing to leak
 	// there — and the machine-owned plan is still one cluster lookup away.
 	for h := 0; h < H; h++ {
-		if st := cl.Host(h).PlanCacheStats(); st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
+		if st := cl.Host(h).Snapshot().PlanCache; st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
 			t.Errorf("host %d caches cluster members itself: %+v", h, st)
 		}
 	}
@@ -689,13 +689,20 @@ func TestClusterBreakdownTakesSlowestHost(t *testing.T) {
 	const P = 16
 	cl := testCluster(t, 2, geoHost, []int{P}, false)
 	m := P * 8
-	fillSrc(cl.Host(0), 0, m, 1)
-	if _, err := cl.Host(0).Run(Collective{Prim: AlltoAll, Dims: "1",
+	ten, err := cl.Host(0).NewTenant(TenantConfig{Name: "busy", ArenaBytes: 3 * m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ten.Run(Collective{Prim: AlltoAll, Dims: "1",
 		Src: Span(0, m), Dst: At(2 * m), Level: CM}); err != nil {
 		t.Fatal(err)
 	}
-	if cl.Breakdown().Total() != cl.Host(0).Meter().Snapshot().Total() {
-		t.Error("cluster breakdown should equal the busiest host's meter")
+	s := cl.Snapshot()
+	if s.Meter != ten.Meter() || s.Meter.Total() == 0 || s.Meter != s.Hosts[0].Meter {
+		t.Errorf("cluster meter %v should equal the busiest host's %v", s.Meter, ten.Meter())
+	}
+	if s.Elapsed != cl.Host(0).Elapsed() || s.Hosts[1].Elapsed != 0 {
+		t.Errorf("cluster elapsed %v should be the busiest host's %v", s.Elapsed, cl.Host(0).Elapsed())
 	}
 }
 

@@ -302,17 +302,6 @@ func (c *Comm) bulkOut(n int) []byte {
 // Backend returns the comm's execution backend.
 func (c *Comm) Backend() Backend { return c.backend }
 
-// Fuse returns the comm's schedule-fusion level (Config.Fuse, resolved).
-func (c *Comm) Fuse() FuseLevel { return c.fuse }
-
-// FusionStats returns the aggregate fusion activity of every plan
-// compiled on this comm (cumulative).
-func (c *Comm) FusionStats() FusionStats {
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	return c.fuseSt
-}
-
 // Hypercube returns the comm's hypercube manager.
 func (c *Comm) Hypercube() *Hypercube { return c.hc }
 

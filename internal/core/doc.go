@@ -71,8 +71,8 @@
 //     map of shape rows — charge trace, fusion report, member costs, and
 //     the plan unless a member binds caller buffers — so host-input plans
 //     rebuild their schedule but share the trace, and a closed tenant's
-//     plans leave while the rows stay for its successor (PlanCacheStats
-//     instruments it).
+//     plans leave while the rows stay for its successor
+//     (Snapshot.PlanCache instruments it).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
@@ -171,6 +171,14 @@
 // candidate window of the window-scanning policies. The bench "reorder"
 // experiment measures the lookahead payoff on an adversarial submission
 // order.
+//
+// # Inspecting a run
+//
+// Run-time state has one read path (snapshot.go): Comm.Snapshot returns a
+// value — clock and lanes, tenant-attributed meter, plan-cache, fusion and
+// Auto caches, tenant rows, free list — that Snapshot.String renders, and
+// Cluster.Snapshot rolls the hosts up. Beside it only Pending and Elapsed,
+// polled per request by serving loops, have getters.
 //
 // # Paper map
 //

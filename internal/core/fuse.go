@@ -135,7 +135,7 @@ func (r FusionReport) String() string {
 }
 
 // FusionStats aggregates fusion activity over a Comm's lifetime
-// (Comm.FusionStats; surfaced by `pidinfo -plancache`). Counters are
+// (Snapshot.Fusion; surfaced by `pidinfo -plancache`). Counters are
 // cumulative, like the plan-cache counters.
 type FusionStats struct {
 	// PlansCompiled counts plans that went through the fusion pipeline;

@@ -370,11 +370,11 @@ func TestSequenceCacheAndStats(t *testing.T) {
 	if cp1 != cp2 {
 		t.Fatal("identical sequence did not hit the cache")
 	}
-	st := c.PlanCacheStats()
-	if st.CachedSeqs != 1 {
-		t.Fatalf("CachedSeqs = %d, want 1", st.CachedSeqs)
+	snap := c.Snapshot()
+	if snap.PlanCache.CachedSeqs != 1 {
+		t.Fatalf("CachedSeqs = %d, want 1", snap.PlanCache.CachedSeqs)
 	}
-	fs := c.FusionStats()
+	fs := snap.Fusion
 	if fs.PlansFused == 0 || fs.RotatesElided == 0 || fs.CostSaved <= 0 {
 		t.Fatalf("fusion stats did not accumulate: %+v", fs)
 	}
@@ -398,7 +398,7 @@ func TestSequenceCacheAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp3.FusionReport().Changed() || off.FusionStats().PlansCompiled != 0 {
+	if cp3.FusionReport().Changed() || off.Snapshot().Fusion.PlansCompiled != 0 {
 		t.Fatalf("FuseOff comm ran the fuser: %v", cp3.FusionReport())
 	}
 	if cp3.Cost().Total() <= cp1.Cost().Total() {

@@ -204,7 +204,7 @@ func FuzzClusterCompile(f *testing.F) {
 	}
 	stats := func() (out [H]PlanCacheStats) {
 		for h, c := range comms {
-			out[h] = c.PlanCacheStats()
+			out[h] = c.Snapshot().PlanCache
 		}
 		return out
 	}

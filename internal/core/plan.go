@@ -422,7 +422,7 @@ func (c *Comm) buildLocked(specs []planSpec, owner *Tenant, shape *planEntry) *C
 }
 
 // PlanCacheStats reports the compiled-plan cache's behavior and memory
-// footprint (cmd/pidinfo surfaces it). Hit/miss counters are cumulative
+// footprint (Snapshot.PlanCache). Hit/miss counters are cumulative
 // over the Comm's lifetime.
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count whole-plan cache lookups. A miss
@@ -444,23 +444,4 @@ type PlanCacheStats struct {
 	// traces; TraceBytes approximates their memory footprint.
 	TraceEntries int64
 	TraceBytes   int64
-}
-
-// PlanCacheStats returns a snapshot of the compiled-plan cache counters
-// and memory accounting.
-func (c *Comm) PlanCacheStats() PlanCacheStats {
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	st := c.cacheSt
-	st.CachedTraces = len(c.cache)
-	for k, e := range c.cache {
-		if e.plan != nil && k.tail == "" {
-			st.CachedPlans++
-		} else if e.plan != nil {
-			st.CachedSeqs++
-		}
-		st.TraceEntries += int64(len(e.tr.adds))
-		st.TraceBytes += e.tr.memBytes()
-	}
-	return st
 }

@@ -464,12 +464,12 @@ func TestCachedReplayIsAHitAndAllocatesNothing(t *testing.T) {
 		if _, err := c.Compile(d); err != nil {
 			t.Fatalf("%v: cold compile: %v", prim, err)
 		}
-		before := c.PlanCacheStats()
+		before := c.Snapshot().PlanCache
 		cp, err := c.Compile(d)
 		if err != nil {
 			t.Fatalf("%v: cached compile: %v", prim, err)
 		}
-		after := c.PlanCacheStats()
+		after := c.Snapshot().PlanCache
 		if after.TraceMisses != before.TraceMisses || after.TraceHits != before.TraceHits+1 {
 			t.Errorf("%v: recompile traced again: %+v -> %+v", prim, before, after)
 		}
@@ -505,7 +505,7 @@ func TestSingleCollectiveIsAOneMemberSequence(t *testing.T) {
 	if seq, err := c.CompileSequence(d); err != nil || seq != cp {
 		t.Fatalf("CompileSequence(d) = %p, %v; want Compile(d)'s plan %p", seq, err, cp)
 	}
-	if st := c.PlanCacheStats(); st.CachedPlans != 1 || st.CachedSeqs != 0 || st.PlanHits != 1 {
+	if st := c.Snapshot().PlanCache; st.CachedPlans != 1 || st.CachedSeqs != 0 || st.PlanHits != 1 {
 		t.Errorf("one-member sequence booked as %+v, want one cached plan hit once", st)
 	}
 	if got := cp.Members(); len(got) != 1 || got[0] != AlltoAll {
@@ -530,7 +530,7 @@ func TestHostInputSequenceSharesItsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := c.PlanCacheStats()
+	first := c.Snapshot().PlanCache
 	if first.TraceMisses != 1 || first.CachedSeqs != 0 || first.CachedTraces != 1 {
 		t.Fatalf("first compile: %+v", first)
 	}
@@ -546,7 +546,7 @@ func TestHostInputSequenceSharesItsTrace(t *testing.T) {
 			t.Fatal("recompile re-traced instead of sharing the row's trace, member costs and fusion report")
 		}
 	}
-	if st := c.PlanCacheStats(); st.TraceMisses != first.TraceMisses || st.TraceHits != first.TraceHits+3 || st.PlanMisses != first.PlanMisses+3 {
+	if st := c.Snapshot().PlanCache; st.TraceMisses != first.TraceMisses || st.TraceHits != first.TraceHits+3 || st.PlanMisses != first.PlanMisses+3 {
 		t.Errorf("after 3 recompiles: %+v, want 3 plan misses that hit the trace of %+v", st, first)
 	}
 }

@@ -320,8 +320,8 @@ func TestAutoNeverCostlier(t *testing.T) {
 				// The dry builds ran on the functional comm itself, past its
 				// plan cache and counters, and score exactly as on a cost-only
 				// comm of the same geometry.
-				if st, fs := c.PlanCacheStats(), c.FusionStats(); st != (PlanCacheStats{}) || fs != (FusionStats{}) {
-					t.Errorf("Auto dry builds touched the comm's counters: %+v, %+v", st, fs)
+				if s := c.Snapshot(); s.PlanCache != (PlanCacheStats{}) || s.Fusion != (FusionStats{}) {
+					t.Errorf("Auto dry builds touched the comm's counters: %+v, %+v", s.PlanCache, s.Fusion)
 				}
 				if calg, clvl, err := costSystem(t, geo64, cb.shape).Resolve(d); err != nil || calg != alg || clvl != auto {
 					t.Errorf("functional comm resolved to %v/%v, cost-only comm to %v/%v (%v)", alg, auto, calg, clvl, err)

@@ -226,7 +226,7 @@ func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 	if accepted.Err() != nil {
 		t.Fatalf("accepted plan failed: %v", accepted.Err())
 	}
-	if got := ta.Admitted(); got != accepted.Cost().Total() {
+	if got := tenantRow(t, ta).Admitted; got != accepted.Cost().Total() {
 		t.Fatalf("quota ledger %v, want the accepted plan's %v (shed charge not refunded)",
 			got, accepted.Cost().Total())
 	}
@@ -293,16 +293,11 @@ func TestTenantCloseRetires(t *testing.T) {
 	if fc := cp.Submit(); !errors.Is(fc.Err(), ErrTenantClosed) {
 		t.Fatalf("future of a pre-close plan submitted after close: error = %v, want ErrTenantClosed", fc.Err())
 	}
-	for _, live := range c.Tenants() {
-		if live == ta {
-			t.Fatal("closed tenant still listed live")
-		}
+	rows := c.Snapshot().Tenants
+	if len(rows) != 1 || rows[0].Name != "a" || !rows[0].Retired {
+		t.Fatalf("tenant rows %+v, want one retired row for a", rows)
 	}
-	retired := c.RetiredTenants()
-	if len(retired) != 1 || retired[0] != ta {
-		t.Fatalf("retired list %v, want [a]", retired)
-	}
-	if retired[0].Meter().Total() == 0 {
+	if rows[0].Meter != ta.Meter() || rows[0].Meter.Total() == 0 {
 		t.Fatal("retired tenant lost its meter")
 	}
 }
@@ -323,7 +318,7 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	if _, err := ta.Compile(servingCollective); err != nil {
 		t.Fatal(err)
 	}
-	st := c.PlanCacheStats()
+	st := c.Snapshot().PlanCache
 	if st.PlanHits != 1 || st.PlanMisses != 1 {
 		t.Fatalf("before close: %d hits / %d misses, want 1/1", st.PlanHits, st.PlanMisses)
 	}
@@ -338,7 +333,7 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = c.PlanCacheStats()
+	st = c.Snapshot().PlanCache
 	if st.PlanMisses != 2 {
 		t.Fatalf("successor adopted the retired tenant's plan (%d misses, want 2)", st.PlanMisses)
 	}

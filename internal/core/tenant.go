@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/cost"
@@ -177,22 +176,6 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	return t, nil
 }
 
-// Tenants returns the live (unclosed) tenants in creation order.
-func (c *Comm) Tenants() []*Tenant {
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
-	return slices.Clone(c.tenants)
-}
-
-// RetiredTenants returns the closed tenants in closing order. Their
-// meters are retained so machine-total accounting (summing live +
-// retired tenant meters) stays bit-identical across churn.
-func (c *Comm) RetiredTenants() []*Tenant {
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
-	return slices.Clone(c.retired)
-}
-
 // Close retires the tenant — the teardown half of tenant churn. It
 // drains the machine, rejects every later compile and admission with
 // ErrTenantClosed, removes the tenant's scheduler bucket, evicts its
@@ -201,7 +184,7 @@ func (c *Comm) RetiredTenants() []*Tenant {
 // tenant reusing the arena would otherwise collide with the retiree's
 // cached plans — and then returns the arena to the system's coalescing
 // free-list allocator for future NewTenant calls. The tenant's meter
-// survives on the Comm's retired list (RetiredTenants), so machine-total
+// survives on the Comm's retired list (Snapshot.Tenants), so machine-total
 // accounting stays bit-identical across create/teardown cycles. Returns
 // ErrTenantClosed on a double close.
 func (t *Tenant) Close() error {
@@ -248,6 +231,16 @@ func (t *Tenant) Close() error {
 		return fmt.Errorf("core: closing tenant %q: %w", t.name, err)
 	}
 	return nil
+}
+
+// CloseTenant is t.Close(), refusing nil and the tenants of another Comm.
+func (c *Comm) CloseTenant(t *Tenant) error {
+	if t == nil {
+		return errors.New("core: CloseTenant of a nil tenant")
+	} else if t.c != c {
+		return fmt.Errorf("core: tenant %q is not a session of this machine", t.name)
+	}
+	return t.Close()
 }
 
 // Closed reports whether the tenant has been closed.
@@ -374,20 +367,6 @@ func (t *Tenant) Meter() cost.Breakdown { return t.meter.Snapshot() }
 
 // Name returns the tenant's name.
 func (t *Tenant) Name() string { return t.name }
-
-// Weight returns the tenant's weighted-fair scheduler share.
-func (t *Tenant) Weight() float64 { return t.weight }
-
-// Quota returns the tenant's simulated-time budget (0 = unlimited).
-func (t *Tenant) Quota() cost.Seconds { return t.quota }
-
-// Admitted returns the predicted simulated time admitted so far — the
-// quantity the quota is enforced against.
-func (t *Tenant) Admitted() cost.Seconds {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.admitted
-}
 
 // Arena returns the tenant's per-PE MRAM window as (base, bytes).
 func (t *Tenant) Arena() (base, bytes int) { return t.ar.base, t.ar.size }

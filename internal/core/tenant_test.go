@@ -24,6 +24,20 @@ func tenantTestCommWith(t *testing.T, mram int, cfg Config) *Comm {
 	}, []int{16}, cfg)
 }
 
+// tenantRow returns ten's row of its Comm's snapshot: the last row of
+// that name, which is the live one when a retired namesake precedes it.
+func tenantRow(t *testing.T, ten *Tenant) TenantSnapshot {
+	t.Helper()
+	rows := ten.c.Snapshot().Tenants
+	for i := len(rows) - 1; i >= 0; i-- {
+		if rows[i].Name == ten.name {
+			return rows[i]
+		}
+	}
+	t.Fatalf("tenant %q has no snapshot row", ten.name)
+	return TenantSnapshot{}
+}
+
 // fakeFuture builds a queue entry whose plan predicts the given cost —
 // all pickLocked consults.
 func fakeFuture(totalSeconds float64) *Future {
@@ -230,7 +244,7 @@ func TestTenantQuota(t *testing.T) {
 	if !errors.Is(f.Err(), ErrQuotaExceeded) {
 		t.Fatalf("over-quota Submit future: got %v, want ErrQuotaExceeded", f.Err())
 	}
-	if got := ten.Admitted(); got != per*2 {
+	if got := tenantRow(t, ten).Admitted; got != per*2 {
 		t.Errorf("admitted ledger %v, want %v", got, per*2)
 	}
 }

@@ -180,6 +180,9 @@ type Result struct {
 	// Requests are the per-request outcomes in arrival order — the
 	// deterministic replay surface the property tests compare.
 	Requests []RequestStat
+	// Snapshot is the machine's state after the final teardown; Breakdown
+	// and FreeSpans below are its Meter and FreeSpans, kept for their readers.
+	Snapshot pidcomm.Snapshot
 	// Breakdown is the machine-total attributed cost (live + retired
 	// tenant meters).
 	Breakdown pidcomm.Breakdown
@@ -636,8 +639,8 @@ func Run(cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-	res.Breakdown = mach.Breakdown()
-	res.FreeSpans = mach.FreeArenaSpans()
+	res.Snapshot = mach.Snapshot()
+	res.Breakdown, res.FreeSpans = res.Snapshot.Meter, res.Snapshot.FreeSpans
 	return res, nil
 }
 

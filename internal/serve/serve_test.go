@@ -188,12 +188,23 @@ func TestPreemptionPoints(t *testing.T) {
 // TestChurnRun pins the tenant-churn invariants at the driver level:
 // churn changes neither the work done nor (beyond float fold order) the
 // attributed cost, every tenant actually cycles, and the allocator ends
-// re-coalesced to the same free state as a churn-free run.
+// re-coalesced to the same free state as a churn-free run — with one
+// retired row per tenant generation in the final snapshot (pidcomm's
+// TestServeChurnSnapshot holds the same run to every snapshot invariant).
 func TestChurnRun(t *testing.T) {
 	cfg := mustScenario(t, pidcomm.SchedEDF, 0.9, 600)
 	plain := mustRun(t, cfg)
 	cfg.ChurnEvery = 50
 	churned := mustRun(t, cfg)
+	generations := len(cfg.Tenants)
+	for _, ts := range churned.Tenants {
+		generations += ts.Churns
+	}
+	if rows := churned.Snapshot.Tenants; len(rows) != generations || !rows[generations-1].Retired ||
+		len(plain.Snapshot.Tenants) != len(cfg.Tenants) || churned.Snapshot.Meter != churned.Breakdown {
+		t.Fatalf("%d tenant rows after churn and %d without, want %d and %d, all retired and summing to the breakdown",
+			len(rows), len(plain.Snapshot.Tenants), generations, len(cfg.Tenants))
+	}
 	if churned.Completed != plain.Completed || churned.Shed != 0 {
 		t.Fatalf("churn changed work done: %d/%d vs %d", churned.Completed, churned.Shed, plain.Completed)
 	}

@@ -13,10 +13,11 @@ import (
 // 1000 create/serve/teardown cycles — with a long-lived tenant
 // submitting concurrently the whole time — every churned tenant's meter
 // is bit-identical to a solo run of the same requests on a fresh
-// machine (attributed cost is placement-independent), the machine
-// Breakdown stays bit-identical to the fold of retired-then-live tenant
-// meters, and the allocator returns to its initial fully-coalesced free
-// state. The concurrent background load makes this a race-detector
+// machine (attributed cost is placement-independent), every snapshot on
+// the way holds the checkSnapshot invariants — the machine meter bit-identical
+// to the fold of retired-then-live tenant meters, arenas and free list
+// tiling MRAM — and the allocator returns to its initial fully-coalesced
+// free state. The concurrent background load makes this a race-detector
 // test: churn must not race the submission worker.
 func TestChurnMeterProperty(t *testing.T) {
 	cycles := 1000
@@ -76,7 +77,17 @@ func TestChurnMeterProperty(t *testing.T) {
 		}
 	}()
 
+	var prev *pidcomm.Snapshot
 	for i := 0; i < cycles; i++ {
+		// This goroutine alone creates and closes tenants, so every
+		// snapshot it takes is quiescent in checkSnapshot's sense.
+		if i%50 == 0 {
+			s := mach.Snapshot()
+			if err := checkSnapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
+				t.Fatalf("cycle %d: %v", i, err)
+			}
+			prev = &s
+		}
 		c, err := mach.NewTenant(pidcomm.TenantConfig{Name: "churn", ArenaBytes: arena})
 		if err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
@@ -100,30 +111,21 @@ func TestChurnMeterProperty(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The machine total must be the exact fold of retired-then-live
-	// meters — bit-identical, not approximately equal.
-	var fold pidcomm.Breakdown
-	for _, ti := range mach.RetiredTenants() {
-		fold = fold.Add(ti.Meter())
-	}
-	for _, ti := range mach.Tenants() {
-		fold = fold.Add(ti.Meter())
-	}
-	if bd := mach.Breakdown(); bd != fold {
-		t.Fatalf("Breakdown diverged from tenant-meter fold:\n got %v\nfold %v", bd, fold)
-	}
-	if got, n := len(mach.RetiredTenants()), cycles; got != n {
-		t.Fatalf("retired %d tenants, want %d", got, n)
-	}
-
-	// Teardown: with every tenant closed the allocator must re-coalesce
-	// to its initial single free span.
+	// Teardown: every churned tenant and bg are retired rows with their
+	// meters, and the allocator has re-coalesced to its initial single
+	// free span.
 	if err := mach.CloseTenant(bg); err != nil {
 		t.Fatal(err)
 	}
-	spans := mach.FreeArenaSpans()
-	if len(spans) != 1 || spans[0].Base != 0 || spans[0].Bytes != tenantGeo.MramPerBank {
-		t.Fatalf("allocator did not return to its initial free state: %v", spans)
+	s := mach.Snapshot()
+	if err := checkSnapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.Tenants); got != cycles+1 || s.Tenants[0].Meter != want || s.Tenants[cycles].Meter != bg.Meter() {
+		t.Fatalf("%d tenant rows, want the %d churned and bg, each with its meter", got, cycles)
+	}
+	if len(s.FreeSpans) != 1 || s.FreeSpans[0].Base != 0 || s.FreeSpans[0].Bytes != tenantGeo.MramPerBank {
+		t.Fatalf("allocator did not return to its initial free state: %v", s.FreeSpans)
 	}
 }
 
@@ -231,7 +233,7 @@ func TestClusterRejectedRunRefundsQuota(t *testing.T) {
 	checkRefunded := func(what string) {
 		t.Helper()
 		for h := 0; h < hosts; h++ {
-			if got := cc.Host(h).Admitted(); got != 0 {
+			if got := tenantRow(t, cl.Machine(h), "capped").Admitted; got != 0 {
 				t.Errorf("after a rejected %s, host %d keeps %v admitted", what, h, got)
 			}
 		}
@@ -257,10 +259,30 @@ func TestClusterRejectedRunRefundsQuota(t *testing.T) {
 // every host: the free MRAM and the live sessions.
 func hostState(cl *pidcomm.Cluster) (free, live []int) {
 	for h := 0; h < cl.NumHosts(); h++ {
-		free = append(free, cl.Machine(h).FreeArenaBytes())
-		live = append(live, len(cl.Machine(h).Tenants()))
+		s := cl.Machine(h).Snapshot()
+		n := 0
+		for _, row := range s.Tenants {
+			if !row.Retired {
+				n++
+			}
+		}
+		free, live = append(free, s.FreeBytes), append(live, n)
 	}
 	return free, live
+}
+
+// tenantRow returns the named session's row of mach's snapshot: the last
+// of that name, which is the live one when retired namesakes precede it.
+func tenantRow(t *testing.T, mach *pidcomm.Machine, name string) pidcomm.TenantSnapshot {
+	t.Helper()
+	rows := mach.Snapshot().Tenants
+	for i := len(rows) - 1; i >= 0; i-- {
+		if rows[i].Name == name {
+			return rows[i]
+		}
+	}
+	t.Fatalf("no snapshot row for session %q", name)
+	return pidcomm.TenantSnapshot{}
 }
 
 // A Cluster.NewTenant that fails on a later host — no room there, or
@@ -326,14 +348,14 @@ func TestCompileOnClosedSessionPoisonsNothing(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := mach.PlanCacheStats()
+	before := mach.Snapshot().PlanCache
 	if _, err := a.Compile(ag); !errors.Is(err, pidcomm.ErrTenantClosed) {
 		t.Errorf("Compile on a closed session: got %v, want ErrTenantClosed", err)
 	}
 	if _, err := a.CompileSequence(ag, aa); !errors.Is(err, pidcomm.ErrTenantClosed) {
 		t.Errorf("CompileSequence on a closed session: got %v, want ErrTenantClosed", err)
 	}
-	if after := mach.PlanCacheStats(); after != before {
+	if after := mach.Snapshot().PlanCache; after != before {
 		t.Errorf("compiling on a closed session touched the plan caches:\n before %+v\n after  %+v", before, after)
 	}
 	b, err := mach.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: arena})
@@ -358,19 +380,19 @@ func TestCompileOnClosedSessionPoisonsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats [hosts]pidcomm.PlanCacheStats
+	var stats [hosts]pidcomm.Snapshot
 	for h := 0; h < hosts; h++ {
 		if err := ca.Host(h).Close(); err != nil {
 			t.Fatal(err)
 		}
-		stats[h] = cl.Machine(h).PlanCacheStats()
+		stats[h] = cl.Machine(h).Snapshot()
 	}
 	if _, err := ca.Compile(cag); !errors.Is(err, pidcomm.ErrTenantClosed) {
 		t.Errorf("cluster Compile on a closed session: got %v, want ErrTenantClosed", err)
 	}
 	for h := 0; h < hosts; h++ {
-		if after := cl.Machine(h).PlanCacheStats(); after != stats[h] {
-			t.Errorf("cluster compile on a closed session touched host %d's plan caches:\n before %+v\n after  %+v", h, stats[h], after)
+		if after := cl.Machine(h).Snapshot().PlanCache; after != stats[h].PlanCache {
+			t.Errorf("cluster compile on a closed session touched host %d's plan caches:\n before %+v\n after  %+v", h, stats[h].PlanCache, after)
 		}
 	}
 	cb, err := cl.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: arena})
@@ -379,6 +401,46 @@ func TestCompileOnClosedSessionPoisonsNothing(t *testing.T) {
 	}
 	if _, err := cb.Run(cag); err != nil {
 		t.Errorf("successor cluster session at the same base: %v", err)
+	}
+}
+
+// The whole-cluster session binds the largest contiguous free window, as
+// Machine.Comm does — not the sum of the free bytes, which after churn no
+// single window holds: closing the first of two tenants used to make
+// Cluster.Comm ask for 61440 B where the largest span has 57344.
+func TestClusterCommAfterFragmentation(t *testing.T) {
+	geo := tenantGeo
+	geo.MramPerBank = 1 << 16
+	cl, err := pidcomm.NewCluster(2, geo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := cl.NewTenant(pidcomm.TenantConfig{Name: "a", ArenaBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < cl.NumHosts(); h++ {
+		if err := a.Host(h).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess, err := cl.Comm()
+	if err != nil {
+		t.Fatalf("whole-cluster session on a fragmented cluster: %v", err)
+	}
+	if base, bytes := sess.Arena(); base != 8192 || bytes != 57344 {
+		t.Errorf("session bound [%d,+%d), want the largest free window [8192,+57344)", base, bytes)
+	}
+	for h, hs := range cl.Snapshot().Hosts {
+		if err := checkSnapshot(nil, hs, geo.MramPerBank, true); err != nil {
+			t.Errorf("host %d: %v", h, err)
+		}
+		if len(hs.FreeSpans) != 1 || hs.FreeBytes != 4096 {
+			t.Errorf("host %d: free list %v, want a's 4096 B window alone", h, hs.FreeSpans)
+		}
 	}
 }
 
@@ -412,7 +474,8 @@ func TestDefaultTenantNamesSurviveChurn(t *testing.T) {
 // CloseTenant of another machine's session is an error that closes and
 // frees nothing (it used to close the session, leak its window on its
 // own machine and free the same range underneath this machine's live
-// tenant); the session's own Close is all a teardown needs.
+// tenant), and so is CloseTenant(nil), which used to panic; the
+// session's own Close is all a teardown needs.
 func TestCloseTenantOfForeignSession(t *testing.T) {
 	var machs [2]*pidcomm.Machine
 	var comms [2]*pidcomm.Comm
@@ -425,22 +488,25 @@ func TestCloseTenantOfForeignSession(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	free := [2]int{machs[0].FreeArenaBytes(), machs[1].FreeArenaBytes()}
+	free := [2]int{machs[0].Snapshot().FreeBytes, machs[1].Snapshot().FreeBytes}
 	if err := machs[1].CloseTenant(comms[0]); err == nil {
 		t.Error("CloseTenant accepted another machine's session")
+	}
+	if err := machs[1].CloseTenant(nil); err == nil {
+		t.Error("CloseTenant accepted a nil session")
 	}
 	if comms[0].Closed() {
 		t.Error("the foreign CloseTenant closed the session")
 	}
 	for i, m := range machs {
-		if got := m.FreeArenaBytes(); got != free[i] {
+		if got := m.Snapshot().FreeBytes; got != free[i] {
 			t.Errorf("machine %d has %d B free after the foreign CloseTenant, want %d", i, got, free[i])
 		}
 	}
 	if err := comms[0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := machs[0].FreeArenaBytes(); got != tenantGeo.MramPerBank {
+	if got := machs[0].Snapshot().FreeBytes; got != tenantGeo.MramPerBank {
 		t.Errorf("Close alone left %d B free, want the whole %d", got, tenantGeo.MramPerBank)
 	}
 }

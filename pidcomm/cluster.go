@@ -20,7 +20,8 @@ import (
 // Capacity studies run the whole thing on the cost-only backend
 // (CostOnly option): breakdowns stay bit-identical to the functional
 // cluster while no bytes exist or move, which is what makes sweeps to
-// thousands of hosts cheap (`pidbench -exp cluster`).
+// thousands of hosts cheap (`pidbench -exp cluster`). Like a Machine, a
+// cluster's run-time state is read through one method, Snapshot.
 type Cluster struct {
 	machines []*Machine
 	cc       *core.Cluster
@@ -63,8 +64,7 @@ func (cl *Cluster) NumPEs() int { return cl.cc.NumPEs() }
 // CostOnly reports whether the cluster runs the cost-only backend.
 func (cl *Cluster) CostOnly() bool { return !cl.cc.Functional() }
 
-// Machine returns host h's machine — per-host sessions, plan-cache and
-// fusion statistics, and the per-host timeline all live there.
+// Machine returns host h's machine, where its sessions and timeline live.
 func (cl *Cluster) Machine(h int) *Machine { return cl.machines[h] }
 
 // Run compiles (or fetches the cached plans for) d and executes it once
@@ -83,13 +83,10 @@ func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) { return c
 // host's scheduler, returning a ClusterFuture.
 func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) { return cl.cc.Submit(d) }
 
-// Breakdown returns the cluster's cumulative cost snapshot: the
-// per-category maximum across the host meters (hosts run concurrently;
-// each host's meter includes its own network-leg time).
-func (cl *Cluster) Breakdown() Breakdown { return cl.cc.Breakdown() }
-
-// Elapsed returns the slowest host's overlap-aware simulated makespan.
-func (cl *Cluster) Elapsed() Seconds { return cl.cc.Elapsed() }
+// Snapshot returns every host's Machine.Snapshot and their roll-up: the
+// per-category maximum meter and the slowest elapsed time. Meters are
+// tenant-attributed, so a Cluster.Run outside any session shows in Elapsed.
+func (cl *Cluster) Snapshot() ClusterSnapshot { return cl.cc.Snapshot() }
 
 // Flush blocks until every submitted plan has completed on every host.
 func (cl *Cluster) Flush() { cl.cc.Flush() }
@@ -126,11 +123,11 @@ func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) {
 }
 
 // Comm returns the whole-cluster convenience session: one tenant named
-// "machine" per host covering all MRAM not yet carved, joined into a
-// ClusterComm. The single-workload path — call it once and never think
-// about tenancy.
+// "machine" per host covering the largest contiguous free MRAM window,
+// joined into a ClusterComm. The single-workload path — call it once and
+// never think about tenancy.
 func (cl *Cluster) Comm() (*ClusterComm, error) {
-	free := cl.machines[0].FreeArenaBytes()
+	free := cl.machines[0].sys.LargestFree()
 	if free <= 0 {
 		return nil, fmt.Errorf("pidcomm: no MRAM left to bind a whole-cluster session")
 	}
@@ -181,16 +178,6 @@ func (c *ClusterComm) Submit(d ClusterCollective) (*ClusterFuture, error) {
 		return nil, err
 	}
 	return cp.Submit(), nil
-}
-
-// Breakdown returns the session's attributed cost: the per-category
-// maximum across its host shards' meters.
-func (c *ClusterComm) Breakdown() Breakdown {
-	var bd Breakdown
-	for _, s := range c.shards {
-		bd = bd.Max(s.Meter())
-	}
-	return bd
 }
 
 // Flush blocks until every plan submitted on any host has completed.

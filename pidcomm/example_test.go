@@ -183,7 +183,7 @@ func ExampleCompiledPlan() {
 // Multi-tenant serving: two models share one machine. Each tenant's
 // regions are arena-relative — both place data "at offset 0" yet touch
 // disjoint MRAM — and each tenant's meter accounts exactly its own
-// plans, summing bit-identically to the machine breakdown.
+// plans, summing bit-identically to the machine snapshot's meter.
 func ExampleMachine_NewTenant() {
 	mach, _ := pidcomm.NewMachine(pidcomm.Geometry{
 		Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 13,
@@ -204,11 +204,10 @@ func ExampleMachine_NewTenant() {
 	fb.Wait()
 	mach.Flush()
 
-	sum := a.Meter().Add(b.Meter())
-	fmt.Println("tenant meters sum to the machine breakdown:", sum == mach.Breakdown())
-	fmt.Println("tenants overlap on the shared timeline:",
-		mach.Elapsed() < mach.Breakdown().Total())
+	snap := mach.Snapshot()
+	fmt.Println("tenant meters sum to the machine meter:", a.Meter().Add(b.Meter()) == snap.Meter)
+	fmt.Println("tenants overlap on the shared timeline:", snap.Elapsed < snap.Meter.Total())
 	// Output:
-	// tenant meters sum to the machine breakdown: true
+	// tenant meters sum to the machine meter: true
 	// tenants overlap on the shared timeline: true
 }

@@ -2,10 +2,8 @@ package pidcomm
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dram"
 )
 
@@ -15,7 +13,8 @@ import (
 // Sessions (Comm) are created with NewTenant or the whole-machine
 // convenience Comm; all sessions share the machine's scheduler and
 // timeline, so a Machine is the unit of capacity while a Comm is the
-// unit of isolation.
+// unit of isolation. What the machine did is read through one method,
+// Snapshot; Pending and Elapsed alone, polled per request, have getters.
 type Machine struct {
 	sys *dram.System
 	hc  *core.Hypercube
@@ -131,17 +130,11 @@ type Comm = core.Tenant
 func (m *Machine) NewTenant(cfg TenantConfig) (*Comm, error) { return m.cc.NewTenant(cfg) }
 
 // CloseTenant is c.Close() for a session of this machine — the teardown
-// half of tenant churn — and an error that closes nothing for a session
-// of another machine. The tenant's meter survives (RetiredTenants,
-// Breakdown), so machine-total accounting stays bit-identical across
-// create/teardown cycles. Closing a session twice returns
-// ErrTenantClosed.
-func (m *Machine) CloseTenant(c *Comm) error {
-	if !c.Closed() && !slices.Contains(m.cc.Tenants(), c) {
-		return fmt.Errorf("pidcomm: tenant %q is not a session of this machine", c.Name())
-	}
-	return c.Close()
-}
+// half of tenant churn — and an error that closes nothing for nil or a
+// session of another machine. The tenant's meter survives as a retired row
+// of Snapshot.Tenants, so machine-total accounting stays bit-identical
+// across create/teardown cycles. A second close returns ErrTenantClosed.
+func (m *Machine) CloseTenant(c *Comm) error { return m.cc.CloseTenant(c) }
 
 // Comm returns a whole-machine session: a tenant named "machine"
 // covering the largest contiguous free MRAM window. It is the
@@ -168,35 +161,14 @@ func (m *Machine) NumPEs() int { return m.sys.Geometry().NumPEs() }
 // MramPerBank returns the per-PE MRAM capacity in bytes.
 func (m *Machine) MramPerBank() int { return m.sys.MramSize() }
 
-// FreeArenaBytes returns the total per-PE MRAM not currently carved
-// into arenas. After churn the free bytes may be split across windows
-// (FreeArenaSpans).
-func (m *Machine) FreeArenaBytes() int { return m.sys.MramSize() - m.sys.CarvedBytes() }
-
-// FreeArenaSpans returns the allocator's free windows as (base, bytes)
-// pairs, sorted by base and maximally coalesced.
-func (m *Machine) FreeArenaSpans() []dram.Arena { return m.sys.FreeSpans() }
-
 // Groups returns the communication groups (PE lists in rank order) the
 // dims selection produces — the cube slices of § IV-B2.
 func (m *Machine) Groups(dims string) ([][]int, error) { return m.hc.Groups(dims) }
 
-// Breakdown returns the machine-wide attributed cost: the per-category
-// sum of every tenant's meter — live and retired, so closing a tenant
-// never loses its history — folded in retirement-then-creation order.
-// By construction it equals the sum of the per-tenant meters bit for
-// bit; the tenant-isolation tests additionally pin each tenant's meter
-// to a solo run of the same workload, across churn.
-func (m *Machine) Breakdown() Breakdown {
-	var b Breakdown
-	for _, t := range m.cc.RetiredTenants() {
-		b = b.Add(t.Meter())
-	}
-	for _, t := range m.cc.Tenants() {
-		b = b.Add(t.Meter())
-	}
-	return b
-}
+// Snapshot returns the machine's run-time state as one value to print
+// (`pidinfo -tenants`) or read field by field. Its Meter sums every
+// tenant's meter, live and retired: closing a tenant loses no history.
+func (m *Machine) Snapshot() Snapshot { return m.cc.Snapshot() }
 
 // SetAutoObjective configures what Auto resolution on this machine
 // minimizes: the meter total (AutoMeter, the default — serial cost) or
@@ -204,11 +176,6 @@ func (m *Machine) Breakdown() Breakdown {
 // time, the right objective for async submission bursts). Cached Auto
 // decisions are dropped on a change.
 func (m *Machine) SetAutoObjective(o AutoObjective) { m.cc.SetAutoObjective(o) }
-
-// AutoDecisions returns a snapshot of the machine's cached Auto
-// decisions, sorted for stable display (`pidinfo -auto` renders the
-// same table on a representative comm).
-func (m *Machine) AutoDecisions() []AutoDecision { return m.cc.AutoDecisions() }
 
 // Step pops the next queued plan under the scheduling policy and
 // executes it synchronously, returning its completed future (nil when
@@ -228,23 +195,3 @@ func (m *Machine) Elapsed() Seconds { return m.cc.Elapsed() }
 // Flush blocks until every plan submitted by any tenant has completed,
 // then closes the overlap window (the machine-wide barrier).
 func (m *Machine) Flush() { m.cc.Flush() }
-
-// NetBusy returns the cumulative simulated time this machine's network
-// lane has been busy: the inter-host legs of cluster collectives
-// charged to this host. Zero on a machine that never joined a cluster.
-func (m *Machine) NetBusy() Seconds { return m.cc.LaneBusy(cost.LaneNet) }
-
-// PlanCacheStats returns the machine-wide compiled-plan cache counters
-// and memory accounting.
-func (m *Machine) PlanCacheStats() PlanCacheStats { return m.cc.PlanCacheStats() }
-
-// FusionStats returns the aggregate fusion activity of every plan
-// compiled on the machine (cumulative over its lifetime).
-func (m *Machine) FusionStats() FusionStats { return m.cc.FusionStats() }
-
-// Tenants lists every live session on the machine in creation order.
-func (m *Machine) Tenants() []*Comm { return m.cc.Tenants() }
-
-// RetiredTenants lists the closed sessions in closing order; their
-// arenas are back in the free pool but their meters persist.
-func (m *Machine) RetiredTenants() []*Comm { return m.cc.RetiredTenants() }

@@ -46,7 +46,8 @@
 // region handles are arena-relative — a tenant cannot even name MRAM
 // outside its window. Submitted plans from all tenants are placed on
 // the shared timeline by a weighted-fair scheduler, and per-tenant
-// meters sum bit-identically to the machine total:
+// meters sum bit-identically to the Meter of Machine.Snapshot — the one
+// read path for what a machine did (Cluster.Snapshot for a cluster):
 //
 //	mach, _ := pidcomm.NewMachine(pidcomm.PaperSystem(64<<20), []int{32, 32})
 //	a, _ := mach.NewTenant(pidcomm.TenantConfig{Name: "dlrm", ArenaBytes: 32 << 20, Weight: 2})
@@ -135,10 +136,6 @@ const (
 	AutoMakespan = core.AutoMakespan
 )
 
-// AutoDecision is one row of a comm's cached Auto decisions
-// (Comm.AutoDecisions; `pidinfo -auto`).
-type AutoDecision = core.AutoDecision
-
 // Primitive identifies one of the eight collectives.
 type Primitive = core.Primitive
 
@@ -181,10 +178,6 @@ const (
 // counters, the per-PE rotation work removed, and the plan's cost before
 // and after fusion.
 type FusionReport = core.FusionReport
-
-// FusionStats aggregates fusion activity over a machine's lifetime
-// (Machine.FusionStats; `pidinfo -plancache`).
-type FusionStats = core.FusionStats
 
 // Region is an arena-relative per-PE MRAM byte range [Off, Off+Bytes).
 // Leave Bytes zero where the primitive implies the size.
@@ -229,10 +222,16 @@ type CompiledPlan = core.CompiledPlan
 // block until the execution completes; Done polls.
 type Future = core.Future
 
-// PlanCacheStats reports the machine-wide compiled-plan cache's hit/miss
-// counters and memory accounting (Machine.PlanCacheStats;
-// `pidinfo -plancache`).
-type PlanCacheStats = core.PlanCacheStats
+// Snapshot is a machine's run-time state as plain fields (Machine.Snapshot;
+// String renders them): clock, per-lane work (cpu, bus, pe, net), meter,
+// plan-cache, fusion and Auto caches, session rows, free MRAM windows.
+type Snapshot = core.Snapshot
+
+// TenantSnapshot is one session's row of a Snapshot.
+type TenantSnapshot = core.TenantSnapshot
+
+// ClusterSnapshot is every host's Snapshot and the slowest-host roll-up.
+type ClusterSnapshot = core.ClusterSnapshot
 
 // ErrQuotaExceeded is wrapped by Run/Submit errors of a tenant whose
 // simulated-time quota cannot cover the next plan.

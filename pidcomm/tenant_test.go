@@ -137,9 +137,10 @@ func TestTenantMetersBitIdenticalUnderConcurrency(t *testing.T) {
 	wg.Wait()
 	mach.Flush()
 
-	if sum := a.Meter().Add(b.Meter()); sum != mach.Breakdown() {
-		t.Errorf("tenant meters %v + %v do not sum to machine breakdown %v",
-			a.Meter(), b.Meter(), mach.Breakdown())
+	snap := mach.Snapshot()
+	if sum := a.Meter().Add(b.Meter()); sum != snap.Meter {
+		t.Errorf("tenant meters %v + %v do not sum to machine meter %v",
+			a.Meter(), b.Meter(), snap.Meter)
 	}
 	solo := soloMeter(t, m, requests)
 	if a.Meter() != solo {
@@ -148,8 +149,8 @@ func TestTenantMetersBitIdenticalUnderConcurrency(t *testing.T) {
 	if b.Meter() != solo {
 		t.Errorf("tenant b meter %v != solo meter %v", b.Meter(), solo)
 	}
-	if got := mach.Elapsed(); got >= mach.Breakdown().Total() {
-		t.Errorf("no overlap: elapsed %v >= total work %v", got, mach.Breakdown().Total())
+	if snap.Elapsed >= snap.Meter.Total() {
+		t.Errorf("no overlap: elapsed %v >= total work %v", snap.Elapsed, snap.Meter.Total())
 	}
 }
 
@@ -216,8 +217,8 @@ func TestTenantFairShareBeatsSerial(t *testing.T) {
 	fmach.Flush()
 	fair := fmach.Elapsed()
 
-	if smach.Breakdown() != fmach.Breakdown() {
-		t.Errorf("work differs: serial %v, fair %v", smach.Breakdown(), fmach.Breakdown())
+	if s, f := smach.Snapshot().Meter, fmach.Snapshot().Meter; s != f {
+		t.Errorf("work differs: serial %v, fair %v", s, f)
 	}
 	if fair >= serial {
 		t.Errorf("weighted-fair makespan %v not better than serial %v", fair, serial)
@@ -254,7 +255,7 @@ func TestTenantQuotaAndCapacityThroughFacade(t *testing.T) {
 	if _, err := capped.Run(d); !errors.Is(err, pidcomm.ErrQuotaExceeded) {
 		t.Fatalf("over-quota run: got %v, want ErrQuotaExceeded", err)
 	}
-	if got := capped.Admitted(); got != per {
+	if got := tenantRow(t, mach, "capped").Admitted; got != per {
 		t.Errorf("admitted %v, want %v", got, per)
 	}
 
@@ -264,7 +265,7 @@ func TestTenantQuotaAndCapacityThroughFacade(t *testing.T) {
 	}); err == nil {
 		t.Fatal("oversized arena accepted")
 	}
-	free := mach.FreeArenaBytes()
+	free := mach.Snapshot().FreeBytes
 	if free <= 0 {
 		t.Fatalf("expected free arena bytes, got %d", free)
 	}
