@@ -14,8 +14,12 @@ vet:
 build:
 	$(GO) build ./...
 
+# The whole suite, then the kernel path again at one and four CPUs: the
+# inline and the pooled shard path both see reused arena slabs and the
+# panic hand-off.
 test:
 	$(GO) test ./...
+	$(GO) test -cpu 1,4 ./internal/dpu ./internal/par ./internal/apps/...
 
 # Full suite under the race detector: exercises the concurrent-Comm
 # stress test, the shared-engine launch test, and the parallel-executor
@@ -53,12 +57,15 @@ fuzz-smoke:
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
 
-# Profile the simulator itself: the root fig14 benchmarks (functional
-# backend) under the standard tool, CPU and heap profiles written next to
-# the repo root. Inspect with `go tool pprof cpu.pprof` /
+# Profile the simulator itself: a root benchmark (functional backend)
+# under the standard tool, CPU and heap profiles written next to the repo
+# root. BENCH picks it: Fig14 (default) is the primitives, Fig15 the five
+# applications. Inspect with `go tool pprof cpu.pprof` /
 # `go tool pprof -sample_index=alloc_space mem.pprof`.
+BENCH ?= Fig14
+
 profile:
-	$(GO) test -run '^$$' -bench Fig14 -cpuprofile cpu.pprof -memprofile mem.pprof .
+	$(GO) test -run '^$$' -bench $(BENCH) -cpuprofile cpu.pprof -memprofile mem.pprof .
 
 # Lint with staticcheck if installed (CI installs it pinned).
 staticcheck:

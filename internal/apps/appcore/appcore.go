@@ -3,6 +3,11 @@
 // bars of Figures 4 and 13), PE-count-to-geometry mapping following the
 // paper's channel scaling rule, and the CPU-only roofline model used by
 // the Figure 21 comparison.
+//
+// Host placement payloads are built in place: a Scatter's buffer is
+// allocated once at its final size and every rank's part is written
+// straight into its slot (PartitionCSR, the apps' weight and tile
+// packers) — there is no per-rank intermediate to join afterwards.
 package appcore
 
 import (
@@ -11,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/dpu"
 	"repro/internal/dram"
 )
 
@@ -60,22 +66,27 @@ func (p *Profile) String() string {
 type Tracker struct {
 	C    *core.Comm
 	Prof Profile
+	pes  []int // every PE of C, the launch list of Kernel
 }
 
 // NewTracker creates a tracker for the comm context.
 func NewTracker(c *core.Comm) *Tracker {
-	return &Tracker{C: c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}}
+	pes := make([]int, c.Engine().System().Geometry().NumPEs())
+	for i := range pes {
+		pes[i] = i
+	}
+	return &Tracker{C: c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}, pes: pes}
 }
 
-// Kernel runs f (which launches app kernels on t.C's engine) and
+// Kernel launches the application kernel k on every PE of t.C and
 // attributes the elapsed simulated time to KernelTime. Kernel is a
 // barrier: it flushes the comm's submission queue first (kernels touch
 // MRAM the in-flight collectives may be producing) and extends the
 // elapsed-time timeline with the kernel's cost.
-func (t *Tracker) Kernel(f func()) {
+func (t *Tracker) Kernel(k dpu.Kernel) {
 	t.C.Flush()
 	before := t.C.Meter().Snapshot()
-	f()
+	t.C.Engine().Launch(dpu.LaunchSpec{PEs: t.pes, Category: cost.Kernel}, t.C.Meter(), k)
 	bd := t.C.Meter().Snapshot().Sub(before)
 	t.Prof.KernelTime += bd.Total()
 	t.C.ExtendElapsed(bd)
@@ -219,33 +230,15 @@ func (m CPUModel) LookupTime(rows int64) cost.Seconds {
 }
 
 // CommForPEs builds the functional comm of an app config: the default
-// configuration on the canonical geometry of pes PEs.
-func CommForPEs(shape []int, pes, mramPerBank int) (*core.Comm, error) {
-	geo, err := GeoForPEs(pes, mramPerBank)
+// configuration on the canonical geometry of pes PEs, each bank holding
+// the app's MRAM layout of footprint bytes rounded up to a whole burst.
+func CommForPEs(shape []int, pes, footprint int) (*core.Comm, error) {
+	mram := (footprint + dram.BurstBytes - 1) / dram.BurstBytes * dram.BurstBytes
+	geo, err := GeoForPEs(pes, mram)
 	if err != nil {
 		return nil, err
 	}
 	return core.New(geo, shape, core.Config{})
-}
-
-// NextPow2 returns the smallest power of two >= n (1 for n <= 1): the
-// apps round their per-PE MRAM footprint up to it.
-func NextPow2(n int) int {
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
-}
-
-// Concat returns the buffers joined in order (a Scatter's host payload
-// from its per-rank parts).
-func Concat(bufs [][]byte) []byte {
-	var out []byte
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
 }
 
 // I32Bytes encodes v little-endian, four bytes per element.

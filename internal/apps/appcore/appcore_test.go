@@ -2,6 +2,7 @@ package appcore
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -62,19 +63,16 @@ func TestGeoForPEsScalesBanksBeforeRanks(t *testing.T) {
 func TestPartitionCSRRoundTrip(t *testing.T) {
 	g := data.RMAT(256, 1024, 3)
 	for _, n := range []int{4, 16, 64} {
-		bufs, size, err := PartitionCSR(g, n)
+		slab, size, err := PartitionCSR(g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(bufs) != n {
-			t.Fatalf("got %d buffers", len(bufs))
+		if len(slab) != n*size || size%8 != 0 {
+			t.Fatalf("slab of %d bytes for %d parts of %d", len(slab), n, size)
 		}
 		owned := g.V / n
-		for p, buf := range bufs {
-			if len(buf) != size || size%8 != 0 {
-				t.Fatalf("buffer %d has size %d (common %d)", p, len(buf), size)
-			}
-			sg := NewSubgraphReader(buf, owned)
+		for p := 0; p < n; p++ {
+			sg := NewSubgraphReader(slab[p*size:(p+1)*size], owned)
 			for i := 0; i < owned; i++ {
 				v := p*owned + i
 				if got, want := sg.Degree(i), g.OutDegree(v); got != want {
@@ -130,13 +128,17 @@ func TestTrackerAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTracker(comm)
-	tr.Kernel(func() {
-		comm.Engine().Launch(dpu.LaunchSpec{PEs: []int{0, 1}, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-			ctx.Exec(1000)
-		})
+	var ran atomic.Int32
+	tr.Kernel(func(ctx *dpu.Ctx) {
+		ran.Add(1)
+		ctx.Exec(1000)
 	})
-	if tr.Prof.KernelTime <= 0 {
-		t.Error("kernel time not tracked")
+	if ran.Load() != 16 {
+		t.Errorf("kernel ran on %d PEs, want all 16", ran.Load())
+	}
+	want := cost.DefaultParams().DPUInstrTime(1000) + cost.DefaultParams().KernelLaunch
+	if tr.Prof.KernelTime != want || comm.Meter().Get(cost.Kernel) <= 0 {
+		t.Errorf("kernel time %v, want %v charged as Kernel", tr.Prof.KernelTime, want)
 	}
 	bufs := [][]byte{make([]byte, 16*8)}
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
@@ -181,14 +183,14 @@ func TestCommForPEsValidation(t *testing.T) {
 func TestPartitionCSRConservesEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		g := data.Uniform(128, 512, seed)
-		bufs, _, err := PartitionCSR(g, 8)
+		slab, size, err := PartitionCSR(g, 8)
 		if err != nil {
 			return false
 		}
 		total := 0
 		owned := g.V / 8
-		for _, buf := range bufs {
-			sg := NewSubgraphReader(buf, owned)
+		for p := 0; p < 8; p++ {
+			sg := NewSubgraphReader(slab[p*size:(p+1)*size], owned)
 			for i := 0; i < owned; i++ {
 				total += sg.Degree(i)
 			}

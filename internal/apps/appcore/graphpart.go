@@ -12,26 +12,25 @@ import (
 //
 //	[rowptr: (ownedV+1) x u32, local offsets][cols: edges x u32]
 //
-// padded with zeros to a common 8-byte-aligned size, ready for Scatter.
-// It returns the per-PE buffers and the common buffer size.
-func PartitionCSR(g *data.Graph, n int) ([][]byte, int, error) {
+// padded with zeros to a common 8-byte-aligned size. It returns the n
+// subgraphs back to back in one buffer — a Scatter's host payload as it
+// is, PE p's part at [p*size, (p+1)*size) — and the common size.
+func PartitionCSR(g *data.Graph, n int) ([]byte, int, error) {
 	if g.V%n != 0 {
 		return nil, 0, fmt.Errorf("appcore: %d vertices not divisible by %d PEs", g.V, n)
 	}
 	owned := g.V / n
 	maxSz := 0
-	sizes := make([]int, n)
 	for p := 0; p < n; p++ {
 		edges := int(g.RowPtr[(p+1)*owned] - g.RowPtr[p*owned])
-		sizes[p] = 4*(owned+1) + 4*edges
-		if sizes[p] > maxSz {
-			maxSz = sizes[p]
+		if sz := 4*(owned+1) + 4*edges; sz > maxSz {
+			maxSz = sz
 		}
 	}
 	maxSz = (maxSz + 7) &^ 7
-	bufs := make([][]byte, n)
+	out := make([]byte, n*maxSz)
 	for p := 0; p < n; p++ {
-		buf := make([]byte, maxSz)
+		buf := out[p*maxSz : (p+1)*maxSz]
 		base := g.RowPtr[p*owned]
 		for i := 0; i <= owned; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], uint32(g.RowPtr[p*owned+i]-base))
@@ -39,9 +38,8 @@ func PartitionCSR(g *data.Graph, n int) ([][]byte, int, error) {
 		for i, c := range g.Col[base:g.RowPtr[(p+1)*owned]] {
 			binary.LittleEndian.PutUint32(buf[4*(owned+1)+4*i:], uint32(c))
 		}
-		bufs[p] = buf
 	}
-	return bufs, maxSz, nil
+	return out, maxSz, nil
 }
 
 // SubgraphReader decodes a PartitionCSR buffer inside a DPU kernel.

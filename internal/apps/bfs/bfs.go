@@ -63,7 +63,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	fB = (fB + 8*N - 1) / (8 * N) * (8 * N)
 	distB := (owned*4 + 7) &^ 7
 
-	adjBufs, adjSz, err := appcore.PartitionCSR(g, N)
+	adjBuf, adjSz, err := appcore.PartitionCSR(g, N)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -75,19 +75,16 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	visitedOff := nextOff + fB   // global visited bitmap (locally maintained)
 	distOff := visitedOff + fB   // distances of owned vertices
 	flagOff := distOff + distB   // "frontier non-empty" flag
-	mram := appcore.NextPow2(flagOff + 8)
 
-	comm, err := appcore.CommForPEs([]int{N}, N, mram)
+	comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
 	tr := appcore.NewTracker(comm)
 
 	// Distribute the graph; broadcast the initial frontier/visited state.
-	scat := make([][]byte, 1)
-	scat[0] = appcore.Concat(adjBufs)
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
-		Hosts: scat, Dst: core.Span(adjOff, adjSz), Level: lvl})
+		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
 		return nil, nil, err
 	}
@@ -104,24 +101,19 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		return nil, nil, err
 	}
 
-	pes := make([]int, N)
-	for i := range pes {
-		pes[i] = i
-	}
 	// Initialize distances: 0 for the source's owner, -1 elsewhere.
-	tr.Kernel(func() {
-		comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-			dist := make([]byte, distB)
-			unreached := int32(-1)
-			for i := 0; i < owned; i++ {
-				binary.LittleEndian.PutUint32(dist[4*i:], uint32(unreached))
-			}
-			if cfg.Source/owned == ctx.PE {
-				binary.LittleEndian.PutUint32(dist[4*(cfg.Source%owned):], 0)
-			}
-			ctx.WriteMram(distOff, dist)
-			ctx.Exec(int64(owned))
-		})
+	tr.Kernel(func(ctx *dpu.Ctx) {
+		dist := ctx.Buf(distB)
+		unreached := int32(-1)
+		for i := 0; i < owned; i++ {
+			binary.LittleEndian.PutUint32(dist[4*i:], uint32(unreached))
+		}
+		clear(dist[4*owned:])
+		if cfg.Source/owned == ctx.PE {
+			binary.LittleEndian.PutUint32(dist[4*(cfg.Source%owned):], 0)
+		}
+		ctx.WriteMram(distOff, dist)
+		ctx.Exec(int64(owned))
 	})
 
 	// Every traversal level replays the same frontier AllReduce and
@@ -140,35 +132,34 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	for level := int32(1); level <= int32(g.V); level++ {
 		// Expansion kernel: scan owned vertices in the frontier, mark
 		// unvisited neighbors in the partial next bitmap.
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				front := make([]byte, fB)
-				ctx.ReadMram(frontOff, front)
-				visited := make([]byte, fB)
-				ctx.ReadMram(visitedOff, visited)
-				adj := make([]byte, adjSz)
-				ctx.ReadMram(adjOff, adj)
-				sg := appcore.NewSubgraphReader(adj, owned)
-				next := make([]byte, fB)
-				var instr int64
-				base := ctx.PE * owned
-				for i := 0; i < owned; i++ {
-					v := base + i
-					if front[v/8]&(1<<(v%8)) == 0 {
-						continue
-					}
-					deg := sg.Degree(i)
-					for j := 0; j < deg; j++ {
-						w := sg.Neighbor(i, j)
-						if visited[w/8]&(1<<(w%8)) == 0 {
-							next[w/8] |= 1 << (w % 8)
-						}
-					}
-					instr += int64(deg) * 3
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			front := ctx.Buf(fB)
+			ctx.ReadMram(frontOff, front)
+			visited := ctx.Buf(fB)
+			ctx.ReadMram(visitedOff, visited)
+			adj := ctx.Buf(adjSz)
+			ctx.ReadMram(adjOff, adj)
+			sg := appcore.NewSubgraphReader(adj, owned)
+			next := ctx.Buf(fB)
+			clear(next)
+			var instr int64
+			base := ctx.PE * owned
+			for i := 0; i < owned; i++ {
+				v := base + i
+				if front[v/8]&(1<<(v%8)) == 0 {
+					continue
 				}
-				ctx.WriteMram(nextPartOff, next)
-				ctx.Exec(instr + int64(owned)/8 + 1)
-			})
+				deg := sg.Degree(i)
+				for j := 0; j < deg; j++ {
+					w := sg.Neighbor(i, j)
+					if visited[w/8]&(1<<(w%8)) == 0 {
+						next[w/8] |= 1 << (w % 8)
+					}
+				}
+				instr += int64(deg) * 3
+			}
+			ctx.WriteMram(nextPartOff, next)
+			ctx.Exec(instr + int64(owned)/8 + 1)
 		})
 		// Combine the partial frontiers: OR AllReduce (§ VII-C).
 		bd, err := frontierAR.Run()
@@ -178,36 +169,35 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		// Update kernel: fold the new frontier into visited and distances,
 		// promote it to the current frontier, report emptiness.
 		lv := level
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				next := make([]byte, fB)
-				ctx.ReadMram(nextOff, next)
-				visited := make([]byte, fB)
-				ctx.ReadMram(visitedOff, visited)
-				dist := make([]byte, distB)
-				ctx.ReadMram(distOff, dist)
-				var any byte
-				base := ctx.PE * owned
-				for b := 0; b < fB; b++ {
-					if next[b] != 0 {
-						any = 1
-					}
-					visited[b] |= next[b]
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			next := ctx.Buf(fB)
+			ctx.ReadMram(nextOff, next)
+			visited := ctx.Buf(fB)
+			ctx.ReadMram(visitedOff, visited)
+			dist := ctx.Buf(distB)
+			ctx.ReadMram(distOff, dist)
+			var any byte
+			base := ctx.PE * owned
+			for b := 0; b < fB; b++ {
+				if next[b] != 0 {
+					any = 1
 				}
-				for i := 0; i < owned; i++ {
-					v := base + i
-					if next[v/8]&(1<<(v%8)) != 0 {
-						binary.LittleEndian.PutUint32(dist[4*i:], uint32(lv))
-					}
+				visited[b] |= next[b]
+			}
+			for i := 0; i < owned; i++ {
+				v := base + i
+				if next[v/8]&(1<<(v%8)) != 0 {
+					binary.LittleEndian.PutUint32(dist[4*i:], uint32(lv))
 				}
-				ctx.WriteMram(visitedOff, visited)
-				ctx.WriteMram(distOff, dist)
-				ctx.WriteMram(frontOff, next)
-				flag := make([]byte, 8)
-				flag[0] = any
-				ctx.WriteMram(flagOff, flag)
-				ctx.Exec(int64(fB/8 + owned))
-			})
+			}
+			ctx.WriteMram(visitedOff, visited)
+			ctx.WriteMram(distOff, dist)
+			ctx.WriteMram(frontOff, next)
+			flag := ctx.Buf(8)
+			clear(flag)
+			flag[0] = any
+			ctx.WriteMram(flagOff, flag)
+			ctx.Exec(int64(fB/8 + owned))
 		})
 		// Host checks termination via a small Gather of the flags.
 		fbd, err := flagGather.Run()

@@ -65,7 +65,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 	lB = (lB + 8*N - 1) / (8 * N) * (8 * N)
 
-	adjBufs, adjSz, err := appcore.PartitionCSR(g, N)
+	adjBuf, adjSz, err := appcore.PartitionCSR(g, N)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,16 +74,15 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	candOff := labelOff + lB   // this PE's pushed candidates
 	newOff := candOff + lB     // MIN-AllReduced labels
 	flagOff := newOff + lB     // "any label changed" flag
-	mram := appcore.NextPow2(flagOff + 8)
 
-	comm, err := appcore.CommForPEs([]int{N}, N, mram)
+	comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
 	tr := appcore.NewTracker(comm)
 
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
-		Hosts: [][]byte{appcore.Concat(adjBufs)}, Dst: core.Span(adjOff, adjSz), Level: lvl})
+		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
 		return nil, nil, err
 	}
@@ -102,10 +101,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		return nil, nil, err
 	}
 
-	pes := make([]int, N)
-	for i := range pes {
-		pes[i] = i
-	}
 	// Every label-propagation round replays the same candidate AllReduce
 	// and termination-flag Gather; compile them once and replay.
 	candAR, err := comm.Compile(core.Collective{Prim: core.AllReduce, Dims: "1",
@@ -122,41 +117,39 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	for iter := 0; iter < g.V; iter++ {
 		// Push kernel: candidates start as the current labels; each owned
 		// vertex pushes its label to its neighbors (min).
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				labels := make([]byte, lB)
-				ctx.ReadMram(labelOff, labels)
-				adj := make([]byte, adjSz)
-				ctx.ReadMram(adjOff, adj)
-				sg := appcore.NewSubgraphReader(adj, owned)
-				// Candidates: identity except where our pushes win. Start
-				// from MaxInt32 so the AllReduce MIN of all PEs'
-				// candidates composes with the current labels cheaply:
-				// cand = min(pushes); result label = min(label, allmin).
-				cand := make([]byte, lB)
-				for i := range cand {
-					cand[i] = 0xFF
-				}
-				for i := 0; i < lB/4; i++ {
-					cand[4*i+3] = 0x7F // MaxInt32 little-endian
-				}
-				var instr int64
-				base := ctx.PE * owned
-				for i := 0; i < owned; i++ {
-					lv := int32(binary.LittleEndian.Uint32(labels[4*(base+i):]))
-					deg := sg.Degree(i)
-					for j := 0; j < deg; j++ {
-						w := sg.Neighbor(i, j)
-						cur := int32(binary.LittleEndian.Uint32(cand[4*w:]))
-						if lv < cur {
-							binary.LittleEndian.PutUint32(cand[4*w:], uint32(lv))
-						}
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			labels := ctx.Buf(lB)
+			ctx.ReadMram(labelOff, labels)
+			adj := ctx.Buf(adjSz)
+			ctx.ReadMram(adjOff, adj)
+			sg := appcore.NewSubgraphReader(adj, owned)
+			// Candidates: identity except where our pushes win. Start
+			// from MaxInt32 so the AllReduce MIN of all PEs'
+			// candidates composes with the current labels cheaply:
+			// cand = min(pushes); result label = min(label, allmin).
+			cand := ctx.Buf(lB)
+			for i := range cand {
+				cand[i] = 0xFF
+			}
+			for i := 0; i < lB/4; i++ {
+				cand[4*i+3] = 0x7F // MaxInt32 little-endian
+			}
+			var instr int64
+			base := ctx.PE * owned
+			for i := 0; i < owned; i++ {
+				lv := int32(binary.LittleEndian.Uint32(labels[4*(base+i):]))
+				deg := sg.Degree(i)
+				for j := 0; j < deg; j++ {
+					w := sg.Neighbor(i, j)
+					cur := int32(binary.LittleEndian.Uint32(cand[4*w:]))
+					if lv < cur {
+						binary.LittleEndian.PutUint32(cand[4*w:], uint32(lv))
 					}
-					instr += int64(deg) * 4
 				}
-				ctx.WriteMram(candOff, cand)
-				ctx.Exec(instr + int64(owned))
-			})
+				instr += int64(deg) * 4
+			}
+			ctx.WriteMram(candOff, cand)
+			ctx.Exec(instr + int64(owned))
 		})
 		// Combine candidate labels across PEs: MIN AllReduce (§ VII-D).
 		bd, err := candAR.Run()
@@ -164,27 +157,26 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			return nil, nil, err
 		}
 		// Update kernel: labels = min(labels, candidates); flag changes.
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				labels := make([]byte, lB)
-				ctx.ReadMram(labelOff, labels)
-				cand := make([]byte, lB)
-				ctx.ReadMram(newOff, cand)
-				var changed byte
-				for v := 0; v < g.V; v++ {
-					old := int32(binary.LittleEndian.Uint32(labels[4*v:]))
-					nw := int32(binary.LittleEndian.Uint32(cand[4*v:]))
-					if nw < old {
-						binary.LittleEndian.PutUint32(labels[4*v:], uint32(nw))
-						changed = 1
-					}
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			labels := ctx.Buf(lB)
+			ctx.ReadMram(labelOff, labels)
+			cand := ctx.Buf(lB)
+			ctx.ReadMram(newOff, cand)
+			var changed byte
+			for v := 0; v < g.V; v++ {
+				old := int32(binary.LittleEndian.Uint32(labels[4*v:]))
+				nw := int32(binary.LittleEndian.Uint32(cand[4*v:]))
+				if nw < old {
+					binary.LittleEndian.PutUint32(labels[4*v:], uint32(nw))
+					changed = 1
 				}
-				ctx.WriteMram(labelOff, labels)
-				flag := make([]byte, 8)
-				flag[0] = changed
-				ctx.WriteMram(flagOff, flag)
-				ctx.Exec(int64(g.V))
-			})
+			}
+			ctx.WriteMram(labelOff, labels)
+			flag := ctx.Buf(8)
+			clear(flag)
+			flag[0] = changed
+			ctx.WriteMram(flagOff, flag)
+			ctx.Exec(int64(g.V))
 		})
 		fbd, err := flagGather.Run()
 		if err := tr.Comm(core.Gather, fbd, err); err != nil {
@@ -198,13 +190,12 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	// a common offset (reusing the candidate region) so the closing Gather
 	// moves only V labels total.
 	sliceB := (owned*4 + 7) &^ 7
-	tr.Kernel(func() {
-		comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-			slice := make([]byte, sliceB)
-			ctx.ReadMram(labelOff+ctx.PE*owned*4, slice[:owned*4])
-			ctx.WriteMram(candOff, slice)
-			ctx.Exec(int64(owned))
-		})
+	tr.Kernel(func(ctx *dpu.Ctx) {
+		slice := ctx.Buf(sliceB)
+		ctx.ReadMram(labelOff+ctx.PE*owned*4, slice[:owned*4])
+		clear(slice[owned*4:])
+		ctx.WriteMram(candOff, slice)
+		ctx.Exec(int64(owned))
 	})
 	labelGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "1",
 		Src: core.Span(candOff, sliceB), Level: lvl})

@@ -117,12 +117,12 @@ func (c Config) topWeights() []int32 {
 	return w
 }
 
-// topMLP runs the shared top-MLP pipeline on one assembled sample vector;
-// identical code serves the DPU kernel and the CPU reference, keeping the
-// integer results bit-exact.
-func (c Config) topMLP(w []int32, vec []int64) []int32 {
+// topMLP runs the shared top-MLP pipeline on one assembled sample vector
+// and writes the sample's TopOut outputs to out; cur and next are
+// TopOut-long staging for the layer activations. Identical code serves the
+// DPU kernel and the CPU reference, keeping the integer results bit-exact.
+func (c Config) topMLP(w []int32, vec, cur, next []int64, out []int32) {
 	vecLen := c.Tables * c.EmbDim
-	cur := make([]int64, c.TopOut)
 	for o := 0; o < c.TopOut; o++ {
 		var acc int64
 		for j := 0; j < vecLen; j++ {
@@ -132,7 +132,6 @@ func (c Config) topMLP(w []int32, vec []int64) []int32 {
 	}
 	base := c.TopOut * vecLen
 	for l := 1; l < c.TopLayers; l++ {
-		next := make([]int64, c.TopOut)
 		for o := 0; o < c.TopOut; o++ {
 			var acc int64
 			for j := 0; j < c.TopOut; j++ {
@@ -140,13 +139,11 @@ func (c Config) topMLP(w []int32, vec []int64) []int32 {
 			}
 			next[o] = int64(activation(acc))
 		}
-		cur = next
+		cur, next = next, cur
 	}
-	out := make([]int32, c.TopOut)
-	for o, v := range cur {
-		out[o] = int32(v)
+	for o := 0; o < c.TopOut; o++ {
+		out[o] = int32(cur[o])
 	}
-	return out
 }
 
 func activation(v int64) int32 {
@@ -205,9 +202,8 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	embOff := aaOff + alignUp(aaB)
 	wOff := embOff + embB
 	outOff := wOff + wB
-	mram := appcore.NextPow2(outOff + outB)
 
-	comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, mram)
+	comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, outOff+outB)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,10 +240,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		return nil, nil, err
 	}
 
-	pes := make([]int, N)
-	for i := range pes {
-		pes[i] = i
-	}
 	// Serving replays the same five collective signatures every batch
 	// (Figure 11's pipeline), so compile them once and replay. The index
 	// Scatter binds idxBuf, which is refilled in place per batch.
@@ -312,55 +304,52 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		// block holds this PE's requests whose table belongs to shard qz —
 		// identical for all (qx,qy), which is what aligns the response slots
 		// across the y axis.
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				idx := make([]byte, idxB)
-				ctx.ReadMram(idxOff, idx)
-				req := make([]byte, reqB)
-				for q := 0; q < N; q++ {
-					qz := q / (X * Y)
-					for ls := 0; ls < perPE; ls++ {
-						for tl := 0; tl < Tz; tl++ {
-							t := qz*Tz + tl
-							row := binary.LittleEndian.Uint32(idx[(ls*T+t)*4:])
-							off := q*Q*reqEntry + (ls*Tz+tl)*reqEntry
-							binary.LittleEndian.PutUint32(req[off:], row)
-							binary.LittleEndian.PutUint32(req[off+4:], uint32(tl))
-						}
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			idx := ctx.Buf(idxB)
+			ctx.ReadMram(idxOff, idx)
+			req := ctx.Buf(reqB)
+			for q := 0; q < N; q++ {
+				qz := q / (X * Y)
+				for ls := 0; ls < perPE; ls++ {
+					for tl := 0; tl < Tz; tl++ {
+						t := qz*Tz + tl
+						row := binary.LittleEndian.Uint32(idx[(ls*T+t)*4:])
+						off := q*Q*reqEntry + (ls*Tz+tl)*reqEntry
+						binary.LittleEndian.PutUint32(req[off:], row)
+						binary.LittleEndian.PutUint32(req[off+4:], uint32(tl))
 					}
 				}
-				ctx.WriteMram(reqOff, req)
-				ctx.Exec(int64(N * Q * 4))
-			})
+			}
+			ctx.WriteMram(reqOff, req)
+			ctx.Exec(int64(N * Q * 4))
 		})
 		// AlltoAll over all three dimensions distributes the requests.
 		if err := tr.CommFuture(core.AlltoAll, reqAA.Submit(), nil); err != nil {
 			return nil, nil, err
 		}
 		// Lookup kernel: owning y shards emit embedding column slices.
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				y := ctx.PE / X % Y
-				req := make([]byte, reqB)
-				ctx.ReadMram(req2Off, req)
-				embS := make([]byte, embB)
-				ctx.ReadMram(embOff, embS)
-				resp := make([]byte, respB)
-				var hits int64
-				for slot := 0; slot < N*Q; slot++ {
-					row := int(binary.LittleEndian.Uint32(req[slot*reqEntry:]))
-					tl := int(binary.LittleEndian.Uint32(req[slot*reqEntry+4:]))
-					if row/Ry != y {
-						continue // zeros already in place
-					}
-					hits++
-					rl := row % Ry
-					src := (tl*Ry + rl) * Dx * 4
-					copy(resp[slot*Dx*4:(slot+1)*Dx*4], embS[src:src+Dx*4])
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			y := ctx.PE / X % Y
+			req := ctx.Buf(reqB)
+			ctx.ReadMram(req2Off, req)
+			embS := ctx.Buf(embB)
+			ctx.ReadMram(embOff, embS)
+			resp := ctx.Buf(respB)
+			clear(resp) // slots other y shards serve stay zero
+			var hits int64
+			for slot := 0; slot < N*Q; slot++ {
+				row := int(binary.LittleEndian.Uint32(req[slot*reqEntry:]))
+				tl := int(binary.LittleEndian.Uint32(req[slot*reqEntry+4:]))
+				if row/Ry != y {
+					continue
 				}
-				ctx.WriteMram(respOff, resp)
-				ctx.Exec(int64(N*Q)*2 + hits*int64(Dx))
-			})
+				hits++
+				rl := row % Ry
+				src := (tl*Ry + rl) * Dx * 4
+				copy(resp[slot*Dx*4:(slot+1)*Dx*4], embS[src:src+Dx*4])
+			}
+			ctx.WriteMram(respOff, resp)
+			ctx.Exec(int64(N*Q)*2 + hits*int64(Dx))
 		})
 		// ReduceScatter along y completes the embedding slices (§ VII-A),
 		// then AlltoAll over the xz-plane relocates every sample's column
@@ -374,35 +363,36 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		// Top-MLP kernel over each final PE's Bd samples.
 		blockB := aaB / (X * Z) // one (x,z) source block
 		perSampleB := Tz * Dx * 4
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				aa := make([]byte, aaB)
-				ctx.ReadMram(aaOff, aa)
-				w := make([]byte, wB)
-				ctx.ReadMram(wOff, w)
-				out := make([]byte, outB)
-				vecLen := T * D
-				ws := make([]int32, wB/4)
-				for i := range ws {
-					ws[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
-				}
-				for b := 0; b < Bd; b++ {
-					// Assemble the input vector from the arrival blocks.
-					vec := make([]int64, vecLen)
-					for rnk := 0; rnk < X*Z; rnk++ {
-						base := rnk*blockB + b*perSampleB
-						for i := 0; i < Tz*Dx; i++ {
-							vec[rnk*Tz*Dx+i] = int64(int32(binary.LittleEndian.Uint32(aa[base+4*i:])))
-						}
-					}
-					res := cfg.topMLP(ws, vec)
-					for o, v := range res {
-						binary.LittleEndian.PutUint32(out[(b*cfg.TopOut+o)*4:], uint32(v))
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			aa := ctx.Buf(aaB)
+			ctx.ReadMram(aaOff, aa)
+			w := ctx.Buf(wB)
+			ctx.ReadMram(wOff, w)
+			out := ctx.Buf(outB)
+			clear(out[Bd*cfg.TopOut*4:])
+			vecLen := T * D
+			ws := ctx.I32(wB / 4)
+			for i := range ws {
+				ws[i] = int32(binary.LittleEndian.Uint32(w[4*i:]))
+			}
+			vec := ctx.I64(vecLen)
+			cur, next := ctx.I64(cfg.TopOut), ctx.I64(cfg.TopOut)
+			res := ctx.I32(cfg.TopOut)
+			for b := 0; b < Bd; b++ {
+				// Assemble the input vector from the arrival blocks.
+				for rnk := 0; rnk < X*Z; rnk++ {
+					base := rnk*blockB + b*perSampleB
+					for i := 0; i < Tz*Dx; i++ {
+						vec[rnk*Tz*Dx+i] = int64(int32(binary.LittleEndian.Uint32(aa[base+4*i:])))
 					}
 				}
-				ctx.WriteMram(outOff, out)
-				ctx.Exec(int64(Bd*cfg.TopOut*(vecLen+(cfg.TopLayers-1)*cfg.TopOut)) * 3)
-			})
+				cfg.topMLP(ws, vec, cur, next, res)
+				for o, v := range res {
+					binary.LittleEndian.PutUint32(out[(b*cfg.TopOut+o)*4:], uint32(v))
+				}
+			}
+			ctx.WriteMram(outOff, out)
+			ctx.Exec(int64(Bd*cfg.TopOut*(vecLen+(cfg.TopLayers-1)*cfg.TopOut)) * 3)
 		})
 		// Submit the per-sample output Gather; the next batch's index
 		// Scatter overlaps it (disjoint regions), and the future owns its
@@ -443,11 +433,12 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	Dx := D / cfg.X
 	vecLen := T * D
 	out := make([]int32, cfg.Batch*cfg.TopOut)
+	vec := make([]int64, vecLen)
+	cur, next := make([]int64, cfg.TopOut), make([]int64, cfg.TopOut)
 	var cpuTotal cost.Seconds
 	for batch := 0; batch < cfg.batches(); batch++ {
 		clicks := cfg.clicks(batch)
 		for s := 0; s < cfg.Batch; s++ {
-			vec := make([]int64, vecLen)
 			for t := 0; t < T; t++ {
 				row := int(clicks.Index(s, t))
 				z, tl := t/Tz, t%Tz
@@ -456,7 +447,7 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 					vec[cfg.assembledIndex(x, z, tl, cl)] = int64(emb[(t*Rr+row)*D+c])
 				}
 			}
-			copy(out[s*cfg.TopOut:], cfg.topMLP(w, vec))
+			cfg.topMLP(w, vec, cur, next, out[s*cfg.TopOut:])
 		}
 		cpu := appcore.DefaultCPU()
 		// Embedding fetches are latency-bound at Criteo scale; the top MLP is

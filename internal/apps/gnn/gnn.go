@@ -142,47 +142,59 @@ func genFeatures(cfg Config, v, f int) []int64 {
 	return x
 }
 
-// packT stores int64 values as elements of type t (wrapping).
-func packT(t elem.Type, vals []int64) []byte {
-	out := make([]byte, len(vals)*t.Size())
+// packInto stores vals into dst as elements of type t (wrapping).
+func packInto(t elem.Type, dst []byte, vals []int64) {
+	sz := t.Size()
 	for i, v := range vals {
-		elem.Store(t, out, i*t.Size(), v)
+		elem.Store(t, dst, i*sz, v)
 	}
-	return out
 }
 
-func unpackT(t elem.Type, b []byte) []int64 {
-	out := make([]int64, len(b)/t.Size())
-	for i := range out {
-		out[i] = elem.Load(t, b, i*t.Size())
+// unpackInto loads len(dst) elements of type t from b.
+func unpackInto(t elem.Type, dst []int64, b []byte) {
+	sz := t.Size()
+	for i := range dst {
+		dst[i] = elem.Load(t, b, i*sz)
 	}
-	return out
 }
 
-// tileCSR serializes A tile (i,j): rows are the row block's vertices,
-// columns are strip-j locals.
-func tileCSR(g *data.Graph, rows, cols, i, j int) []byte {
+// packTiles serializes the rows x cols adjacency tiles into one Scatter
+// payload. PE (x=j, y=i)'s tile, at slot j+i*cols, is a CSR whose rows
+// are row block i's vertices and whose columns are strip-j locals,
+//
+//	[rowptr: (V/rows+1) x u32][cols: nnz x u32]
+//
+// zero-padded to the common 8-byte-aligned tile size it also returns.
+func packTiles(g *data.Graph, rows, cols int) ([]byte, int) {
 	rowsPer := g.V / rows
-	var rp []int32
-	var cs []int32
-	rp = append(rp, 0)
-	for r := 0; r < rowsPer; r++ {
-		gl := i*rowsPer + r
-		for _, w := range g.Neighbors(gl) {
-			if lc := localCol(g.V, rows, cols, j, int(w)); lc >= 0 {
-				cs = append(cs, int32(lc))
+	strip := func(w int32) int { return int(w) % rowsPer / (rowsPer / cols) } // the j with localCol >= 0
+	nnz := make([]int, rows*cols)
+	maxNnz := 0
+	for v := 0; v < g.V; v++ {
+		for _, w := range g.Neighbors(v) {
+			k := strip(w) + v/rowsPer*cols
+			nnz[k]++
+			maxNnz = max(maxNnz, nnz[k])
+		}
+	}
+	maxTile := (4*(rowsPer+1) + 4*maxNnz + 7) &^ 7
+	out := make([]byte, rows*cols*maxTile)
+	fill := make([]int, cols) // entries written so far to each tile of the row block
+	for i := 0; i < rows; i++ {
+		clear(fill)
+		tiles := out[i*cols*maxTile:]
+		for r := 0; r < rowsPer; r++ {
+			for _, w := range g.Neighbors(i*rowsPer + r) {
+				j := strip(w)
+				putU32(tiles[j*maxTile+4*(rowsPer+1)+4*fill[j]:], uint32(localCol(g.V, rows, cols, j, int(w))))
+				fill[j]++
+			}
+			for j, n := range fill {
+				putU32(tiles[j*maxTile+4*(r+1):], uint32(n))
 			}
 		}
-		rp = append(rp, int32(len(cs)))
 	}
-	buf := make([]byte, 4*len(rp)+4*len(cs))
-	for k, v := range rp {
-		putU32(buf[4*k:], uint32(v))
-	}
-	for k, v := range cs {
-		putU32(buf[4*len(rp)+4*k:], uint32(v))
-	}
-	return buf
+	return out, maxTile
 }
 
 func putU32(b []byte, v uint32) {
@@ -212,24 +224,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	stripLen := V / C // strip rows per column
 	sub := V / N      // sub-strip rows per PE
 
-	// Serialized A tiles, padded to a common size.
-	tiles := make([][]byte, N)
-	maxTile := 0
-	for i := 0; i < R; i++ {
-		for j := 0; j < C; j++ {
-			b := tileCSR(g, R, C, i, j)
-			tiles[j+i*C] = b // PE linear = x + C*y
-			if len(b) > maxTile {
-				maxTile = len(b)
-			}
-		}
-	}
-	maxTile = (maxTile + 7) &^ 7
-	for k := range tiles {
-		p := make([]byte, maxTile)
-		copy(p, tiles[k])
-		tiles[k] = p
-	}
+	tiles, maxTile := packTiles(g, R, C)
 
 	stripB := stripLen * F * sz
 	wB := F * F * sz
@@ -242,9 +237,8 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	iOff := p1Off + p1B // RS dst (subB) or AR dst (p1B)
 	candOff := iOff + p1B
 	xsubOff := candOff + stripB
-	mram := appcore.NextPow2(xsubOff + subB)
 
-	comm, err := appcore.CommForPEs([]int{C, R}, N, mram)
+	comm, err := appcore.CommForPEs([]int{C, R}, N, xsubOff+subB)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,20 +248,19 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	// two Scatters go through the fuser as one sequence: a single
 	// distribution plan whose interior synchronization is elided.
 	x0 := genFeatures(cfg, V, F)
-	xbufs := make([]byte, 0, N*stripB)
+	xbufs := make([]byte, N*stripB)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
-			strip := make([]int64, stripLen*F)
+			strip := xbufs[(j+i*C)*stripB:]
 			for c := 0; c < stripLen; c++ {
 				gr := stripRow(V, R, C, j, c)
-				copy(strip[c*F:(c+1)*F], x0[gr*F:(gr+1)*F])
+				packInto(T, strip[c*F*sz:], x0[gr*F:(gr+1)*F])
 			}
-			xbufs = append(xbufs, packT(T, strip)...)
 		}
 	}
 	setup, err := comm.CompileSequence(
 		core.Collective{Prim: core.Scatter, Dims: "11",
-			Hosts: [][]byte{appcore.Concat(tiles)}, Dst: core.Span(adjOff, maxTile), Level: lvl},
+			Hosts: [][]byte{tiles}, Dst: core.Span(adjOff, maxTile), Level: lvl},
 		core.Collective{Prim: core.Scatter, Dims: "11",
 			Hosts: [][]byte{xbufs}, Dst: core.Span(xOff, stripB), Level: lvl})
 	if err != nil {
@@ -277,21 +270,19 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		return nil, nil, err
 	}
 
-	pes := make([]int, N)
-	for i := range pes {
-		pes[i] = i
-	}
 	// Combination kernel: X'_sub = act(I_sub x W) for this PE's sub-block;
 	// either zero-padded into a strip candidate at the PE's y-slot (RS&AR)
 	// or staged densely for the AllGather (AR&AG).
 	gemm := func(ctx *dpu.Ctx, srcOff, dstOff int, padStrip bool) {
-		wb := make([]byte, wB)
+		wb := ctx.Buf(wB)
 		ctx.ReadMram(wOff, wb)
-		ws := unpackT(T, wb)
-		ib := make([]byte, subB)
+		ws := ctx.I64(F * F)
+		unpackInto(T, ws, wb)
+		ib := ctx.Buf(subB)
 		ctx.ReadMram(srcOff, ib)
-		is := unpackT(T, ib)
-		res := make([]int64, sub*F)
+		is := ctx.I64(sub * F)
+		unpackInto(T, is, ib)
+		res := ctx.I64(sub * F)
 		for r := 0; r < sub; r++ {
 			for fo := 0; fo < F; fo++ {
 				var acc int64
@@ -302,11 +293,13 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			}
 		}
 		if padStrip {
-			strip := make([]int64, stripLen*F)
-			copy(strip[(ctx.PE/C)*sub*F:], res)
-			ctx.WriteMram(dstOff, packT(T, strip))
+			strip := ctx.Buf(stripB)
+			clear(strip)
+			packInto(T, strip[(ctx.PE/C)*subB:], res)
+			ctx.WriteMram(dstOff, strip)
 		} else {
-			ctx.WriteMram(dstOff, packT(T, res))
+			packInto(T, ib, res) // ib is done with once unpacked into is
+			ctx.WriteMram(dstOff, ib)
 		}
 		ctx.Exec(int64(sub*F*F) * 3)
 	}
@@ -314,7 +307,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	// The layer loop replays the same collective signatures every layer,
 	// so compile them once. The weight Broadcast binds wBuf, refilled in
 	// place with each layer's packed weights.
-	wBuf := packT(T, make([]int64, F*F))
+	wBuf := make([]byte, wB)
 	wBcast, err := comm.Compile(core.Collective{Prim: core.Broadcast, Dims: "11",
 		Hosts: [][]byte{wBuf}, Dst: core.At(wOff), Level: lvl})
 	if err != nil {
@@ -349,7 +342,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		w := genWeights(cfg, l, F)
 		// Refilling wBuf is safe: the previous Broadcast was waited before
 		// the previous layer's aggregation kernel ran.
-		copy(wBuf, packT(T, w))
+		packInto(T, wBuf, w)
 		// The weight Broadcast (writes wOff) is independent of the previous
 		// layer's y-axis collective (writes xOff), so the two overlap on
 		// the elapsed-time timeline.
@@ -364,29 +357,31 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			return nil, nil, err
 		}
 		// Aggregation kernel: P1 = A_tile x X_strip (SpGEMM).
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				adj := make([]byte, maxTile)
-				ctx.ReadMram(adjOff, adj)
-				xb := make([]byte, stripB)
-				ctx.ReadMram(xOff, xb)
-				xs := unpackT(T, xb)
-				acc := make([]int64, rowsPer*F)
-				var nnz int64
-				for r := 0; r < rowsPer; r++ {
-					lo := getU32(adj[4*r:])
-					hi := getU32(adj[4*(r+1):])
-					for e := lo; e < hi; e++ {
-						c := int(getU32(adj[4*(rowsPer+1)+4*int(e):]))
-						for f := 0; f < F; f++ {
-							acc[r*F+f] += xs[c*F+f]
-						}
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			adj := ctx.Buf(maxTile)
+			ctx.ReadMram(adjOff, adj)
+			xb := ctx.Buf(stripB)
+			ctx.ReadMram(xOff, xb)
+			xs := ctx.I64(stripLen * F)
+			unpackInto(T, xs, xb)
+			acc := ctx.I64(rowsPer * F)
+			clear(acc)
+			var nnz int64
+			for r := 0; r < rowsPer; r++ {
+				lo := getU32(adj[4*r:])
+				hi := getU32(adj[4*(r+1):])
+				for e := lo; e < hi; e++ {
+					c := int(getU32(adj[4*(rowsPer+1)+4*int(e):]))
+					for f := 0; f < F; f++ {
+						acc[r*F+f] += xs[c*F+f]
 					}
-					nnz += int64(hi - lo)
 				}
-				ctx.WriteMram(p1Off, packT(T, acc)) // store wraps to T
-				ctx.Exec(nnz*int64(F) + int64(rowsPer))
-			})
+				nnz += int64(hi - lo)
+			}
+			p1 := ctx.Buf(p1B)
+			packInto(T, p1, acc) // store wraps to T
+			ctx.WriteMram(p1Off, p1)
+			ctx.Exec(nnz*int64(F) + int64(rowsPer))
 		})
 		if variant == RSAR {
 			// ReduceScatter the partial aggregations along x.
@@ -395,11 +390,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			}
 			// Combination kernel on the received sub-block, placed into a
 			// zero-padded strip candidate at this PE's y-rank slot.
-			tr.Kernel(func() {
-				comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-					gemm(ctx, iOff, candOff, true)
-				})
-			})
+			tr.Kernel(func(ctx *dpu.Ctx) { gemm(ctx, iOff, candOff, true) })
 			// AllReduce the padded strips along y: summing the disjoint
 			// slots concatenates them — every PE gets the full new strip.
 			// Left in flight so the next layer's weight Broadcast overlaps.
@@ -412,11 +403,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			// Combination on this PE's designated sub-block only (the j-th
 			// sub-block of its row strip — 2-D tiled results), staged for
 			// the AllGather.
-			tr.Kernel(func() {
-				comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-					gemm(ctx, iOff+(ctx.PE%C)*subB, xsubOff, false)
-				})
-			})
+			tr.Kernel(func(ctx *dpu.Ctx) { gemm(ctx, iOff+(ctx.PE%C)*subB, xsubOff, false) })
 			// AllGather the sub-blocks along y into the new strips; left in
 			// flight like the RS&AR AllReduce above.
 			pendF, pendPrim = agPlan.Submit(), core.AllGather
@@ -428,14 +415,12 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		}
 	}
 	// Retrieve: each PE stages its unique sub-strip; host reassembles.
-	tr.Kernel(func() {
-		comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-			i := ctx.PE / C
-			b := make([]byte, subB)
-			ctx.ReadMram(xOff+i*subB, b)
-			ctx.WriteMram(xsubOff, b)
-			ctx.Exec(int64(sub))
-		})
+	tr.Kernel(func(ctx *dpu.Ctx) {
+		i := ctx.PE / C
+		b := ctx.Buf(subB)
+		ctx.ReadMram(xOff+i*subB, b)
+		ctx.WriteMram(xsubOff, b)
+		ctx.Exec(int64(sub))
 	})
 	gaF, err := comm.Submit(core.Collective{Prim: core.Gather, Dims: "11",
 		Src: core.Span(xsubOff, subB), Level: lvl})
@@ -447,11 +432,10 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	out := make([]int64, V*F)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
-			pe := j + i*C
-			vals := unpackT(T, bufs[0][pe*subB:(pe+1)*subB])
+			vals := bufs[0][(j+i*C)*subB:]
 			for t := 0; t < sub; t++ {
 				gr := stripRow(V, R, C, j, i*sub+t)
-				copy(out[gr*F:(gr+1)*F], vals[t*F:(t+1)*F])
+				unpackInto(T, out[gr*F:(gr+1)*F], vals[t*F*sz:])
 			}
 		}
 	}

@@ -68,12 +68,21 @@ func activation(v int64) int32 {
 	return int32(v)
 }
 
-// genWeights produces layer l's FxF weight matrix entries in [-3,3].
+// weightRNG and nextWeight draw layer l's FxF weight matrix, row-major,
+// entries in [-3,3]. RunPIM and RunCPU consume the same stream in the
+// same order.
+func weightRNG(cfg Config, l int) *rand.Rand {
+	return rand.New(rand.NewSource(cfg.Seed*1000 + int64(l)))
+}
+
+func nextWeight(rng *rand.Rand) int32 { return int32(rng.Intn(7)) - 3 }
+
+// genWeights produces layer l's weight matrix for the CPU reference.
 func genWeights(cfg Config, l int) []int32 {
-	rng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(l)))
+	rng := weightRNG(cfg, l)
 	w := make([]int32, cfg.Features*cfg.Features)
 	for i := range w {
-		w[i] = int32(rng.Intn(7)) - 3
+		w[i] = nextWeight(rng)
 	}
 	return w
 }
@@ -118,9 +127,8 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	xOff := wOff + L*wPerLayerB
 	partOff := xOff + sliceB
 	outOff := partOff + F*4
-	mram := appcore.NextPow2(outOff + sliceB)
 
-	comm, err := appcore.CommForPEs([]int{N}, N, mram)
+	comm, err := appcore.CommForPEs([]int{N}, N, outOff+sliceB)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -128,16 +136,17 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 
 	// Distribute weights: one Scatter per layer, compiled through the
 	// fuser as a single sequence — the L distributions execute as one
-	// plan with one synchronization instead of L.
+	// plan with one synchronization instead of L. Each weight is drawn
+	// straight into its owner's slot of the layer's Scatter payload.
 	wdist := make([]core.Collective, L)
 	for l := 0; l < L; l++ {
-		w := genWeights(cfg, l)
+		rng := weightRNG(cfg, l)
 		buf := make([]byte, N*wPerLayerB)
-		for p := 0; p < N; p++ {
+		for r := 0; r < F; r++ {
 			// PE p holds columns [p*cols, (p+1)*cols), row-major F x cols.
-			for r := 0; r < F; r++ {
+			for p := 0; p < N; p++ {
 				for j := 0; j < cols; j++ {
-					binary.LittleEndian.PutUint32(buf[p*wPerLayerB+(r*cols+j)*4:], uint32(w[r*F+p*cols+j]))
+					binary.LittleEndian.PutUint32(buf[p*wPerLayerB+(r*cols+j)*4:], uint32(nextWeight(rng)))
 				}
 			}
 		}
@@ -150,10 +159,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 	if err := tr.CommSequence(wPlan.Submit(), nil); err != nil {
 		return nil, nil, err
-	}
-	pes := make([]int, N)
-	for i := range pes {
-		pes[i] = i
 	}
 	// Inference serving replays the same collective signatures every
 	// batch and layer, so compile them once and replay: the input
@@ -195,7 +200,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			return nil, nil, err
 		}
 		var err error
-		gaF, err = mlpForward(cfg, comm, tr, pes, rsPlan, gaPlan, wOff, xOff, partOff, outOff, sliceB)
+		gaF, err = mlpForward(cfg, tr, rsPlan, gaPlan, wOff, xOff, partOff, outOff, sliceB)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -212,33 +217,34 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 // collectives asynchronously, and returns the future of the final output
 // Gather (not yet waited, so the next batch's input Scatter can overlap
 // it on the submission queue).
-func mlpForward(cfg Config, comm *core.Comm, tr *appcore.Tracker, pes []int,
+func mlpForward(cfg Config, tr *appcore.Tracker,
 	rsPlan, gaPlan *core.CompiledPlan, wOff, xOff, partOff, outOff, sliceB int) (*core.Future, error) {
 	F, N, L := cfg.Features, cfg.PEs, cfg.Layers
 	cols := F / N
 	wPerLayerB := F * cols * 4
 	for l := 0; l < L; l++ {
 		layerW := wOff + l*wPerLayerB
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				// Partial GeMV: part[r] = sum_j W[r][j] * x[j] over this
-				// PE's columns, computed fully in the simulator.
-				xb := make([]byte, sliceB)
-				ctx.ReadMram(xOff, xb)
-				xs := bytesI32(xb)
-				part := make([]byte, F*4)
-				row := make([]byte, cols*4)
-				for r := 0; r < F; r++ {
-					ctx.ReadMram(layerW+r*cols*4, row)
-					var acc int32
-					for j := 0; j < cols; j++ {
-						acc += int32(binary.LittleEndian.Uint32(row[4*j:])) * xs[j]
-					}
-					binary.LittleEndian.PutUint32(part[4*r:], uint32(acc))
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			// Partial GeMV: part[r] = sum_j W[r][j] * x[j] over this
+			// PE's columns, computed fully in the simulator.
+			xb := ctx.Buf(sliceB)
+			ctx.ReadMram(xOff, xb)
+			xs := ctx.I32(cols)
+			for j := range xs {
+				xs[j] = int32(binary.LittleEndian.Uint32(xb[4*j:]))
+			}
+			part := ctx.Buf(F * 4)
+			row := ctx.Buf(cols * 4)
+			for r := 0; r < F; r++ {
+				ctx.ReadMram(layerW+r*cols*4, row)
+				var acc int32
+				for j := 0; j < cols; j++ {
+					acc += int32(binary.LittleEndian.Uint32(row[4*j:])) * xs[j]
 				}
-				ctx.WriteMram(partOff, part)
-				ctx.Exec(int64(F * cols * 3)) // ~3 instructions per MAC
-			})
+				binary.LittleEndian.PutUint32(part[4*r:], uint32(acc))
+			}
+			ctx.WriteMram(partOff, part)
+			ctx.Exec(int64(F * cols * 3)) // ~3 instructions per MAC
 		})
 		// ReduceScatter the partials; each PE receives its slice of the
 		// layer output (§ VII-E). Submitted asynchronously; the activation
@@ -247,17 +253,15 @@ func mlpForward(cfg Config, comm *core.Comm, tr *appcore.Tracker, pes []int,
 			return nil, err
 		}
 		// Activation kernel: quantize the slice in place into xOff.
-		tr.Kernel(func() {
-			comm.Engine().Launch(dpu.LaunchSpec{PEs: pes, Category: cost.Kernel}, comm.Meter(), func(ctx *dpu.Ctx) {
-				b := make([]byte, sliceB)
-				ctx.ReadMram(outOff, b)
-				vs := bytesI32(b)
-				for i, v := range vs {
-					binary.LittleEndian.PutUint32(b[4*i:], uint32(activation(int64(v))))
-				}
-				ctx.WriteMram(xOff, b)
-				ctx.Exec(int64(cols * 4))
-			})
+		tr.Kernel(func(ctx *dpu.Ctx) {
+			b := ctx.Buf(sliceB)
+			ctx.ReadMram(outOff, b)
+			for i := 0; i < cols; i++ {
+				v := int32(binary.LittleEndian.Uint32(b[4*i:]))
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(activation(int64(v))))
+			}
+			ctx.WriteMram(xOff, b)
+			ctx.Exec(int64(cols * 4))
 		})
 	}
 	// Submit the final-slice Gather; the caller waits on (or pipelines

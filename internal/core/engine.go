@@ -156,9 +156,9 @@ func rotateBlocksKernel(st *StepRotateBlocks) dpu.Kernel {
 		m := st.N * st.S
 		// Read the full region through WRAM-sized chunks into a rotation
 		// pipeline, then write each block to its rotated position. The
-		// scratch slab models the double-buffered WRAM streaming of the
+		// arena buffer models the double-buffered WRAM streaming of the
 		// real kernel; MRAM traffic (the dominant cost) is fully accounted.
-		tmp := ctx.Scratch(m)
+		tmp := ctx.Buf(m)
 		chunk := len(ctx.Wram()) / 2
 		for o := 0; o < m; o += chunk {
 			end := o + chunk

@@ -8,7 +8,8 @@
 //
 //   - Ctx is a kernel's view of one PE: ReadMram/WriteMram model the DMA
 //     engine (and account its traffic), Exec accounts retired
-//     instructions, Wram is the 64 KiB scratchpad.
+//     instructions, Wram is the 64 KiB scratchpad, and Buf/I32/I64 are
+//     the kernel's staging (see "Kernel scratch" below).
 //   - Kernel is a Go function run against the real simulated MRAM bytes
 //     of one PE; correctness is checked end-to-end by the application
 //     tests (bit-exact against CPU references).
@@ -24,7 +25,26 @@
 //
 // Engine.Launch is safe for concurrent use; the Comm's collectives and
 // application kernels share one engine. Callers keep concurrent kernels'
-// MRAM regions disjoint, as on real hardware.
+// MRAM regions disjoint, as on real hardware. A kernel panic on any
+// worker reaches Launch's caller.
+//
+// # Kernel scratch
+//
+// A DPU streams its bank through one fixed scratchpad; it does not obtain
+// fresh memory per launch. Kernels therefore take every staging buffer
+// from their Ctx — Buf, I32, I64 — and never from make. The contract:
+//
+//   - Lifetime is one PE's kernel: the launch loop resets the arena before
+//     each PE, so a buffer must not outlive the kernel call it was taken in.
+//   - Contents are undefined: every PE after a worker's first sees what the
+//     previous PE left. Clear what the kernel needs zeroed.
+//   - No traffic is charged: the arena models WRAM streaming state, not
+//     MRAM. Only ReadMram/WriteMram and Exec reach the cost model.
+//   - Slabs are retained with the pooled per-worker context. A take that
+//     does not fit grows the slab to everything the PE has taken so far
+//     (earlier buffers stay valid), so from a worker's second PE on, and
+//     on every later launch, nothing is allocated. An engine holds at most
+//     the largest single-PE footprint per launch worker.
 //
 // # Paper map
 //

@@ -20,6 +20,16 @@ const SaturatingTasklets = 11
 // Ctx is a kernel's view of one PE. Kernels access MRAM only through
 // ReadMram/WriteMram (modeling the DMA engine) and account compute with
 // Exec. Ctx is not safe for concurrent use; each PE gets its own.
+//
+// Kernel staging comes from the context, not from make: Wram is the fixed
+// 64 KiB scratchpad, and Buf/I32/I64 hand out pieces of a per-worker
+// scratch arena. An arena buffer is valid until the kernel returns for
+// the current PE (the launch loop resets the arena before each PE), its
+// contents are undefined — clear it where the kernel relies on zeroes —
+// and it models the WRAM streaming state of the real kernel, so no MRAM
+// traffic is accounted. The arena's slabs stay with the pooled context:
+// once a worker has run the largest kernel, a launch allocates nothing,
+// and an engine retains at most that single-PE footprint per worker.
 type Ctx struct {
 	// PE is the linear PE index.
 	PE int
@@ -29,25 +39,43 @@ type Ctx struct {
 
 	mram      []byte
 	wram      []byte
-	scratch   []byte
+	bytes     bump[byte]
+	i32s      bump[int32]
+	i64s      bump[int64]
 	instr     int64
 	mramBytes int64
+}
+
+// bump is a bump allocator over one slab of T. A take that does not fit
+// replaces the slab with one long enough for everything taken since the
+// last reset, so the next PE fits without growing; buffers handed out
+// earlier keep the old slab, contents intact.
+type bump[T any] struct {
+	slab []T
+	off  int
+}
+
+func (b *bump[T]) take(n int) []T {
+	end := b.off + n
+	if end > len(b.slab) {
+		b.slab = make([]T, end)
+	}
+	s := b.slab[b.off:end:end]
+	b.off = end
+	return s
 }
 
 // Wram returns the PE's scratchpad. Contents are undefined at kernel entry.
 func (c *Ctx) Wram() []byte { return c.wram }
 
-// Scratch returns an n-byte host-side staging slab for kernel-internal
-// pipelines (e.g. the rotate-blocks double buffer). Contents are
-// undefined at kernel entry; the slab is retained with the pooled
-// context, so steady-state kernels allocate nothing. It models WRAM
-// streaming state, not extra MRAM — no traffic is accounted.
-func (c *Ctx) Scratch(n int) []byte {
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, n)
-	}
-	return c.scratch[:n]
-}
+// Buf returns an n-byte buffer from the scratch arena (see Ctx).
+func (c *Ctx) Buf(n int) []byte { return c.bytes.take(n) }
+
+// I32 returns an n-element int32 buffer from the scratch arena (see Ctx).
+func (c *Ctx) I32(n int) []int32 { return c.i32s.take(n) }
+
+// I64 returns an n-element int64 buffer from the scratch arena (see Ctx).
+func (c *Ctx) I64(n int) []int64 { return c.i64s.take(n) }
 
 // ReadMram copies len(dst) bytes from MRAM offset off into dst (a WRAM
 // buffer in the hardware model) and accounts the DMA traffic.
@@ -91,7 +119,7 @@ type Engine struct {
 	params cost.Params
 
 	mu       sync.Mutex
-	ctxs     []*Ctx         // reusable per-worker contexts (WRAM + scratch)
+	ctxs     []*Ctx         // reusable per-worker contexts (WRAM + scratch arena)
 	launches []*launchState // reusable launch descriptors
 }
 
@@ -107,7 +135,7 @@ func (e *Engine) System() *dram.System { return e.sys }
 func (e *Engine) Params() cost.Params { return e.params }
 
 // getCtx returns a pooled kernel context with its WRAM (and any grown
-// scratch slab) attached; per-PE fields are reset by the launch loop.
+// arena slabs) attached; per-PE fields are reset by the launch loop.
 func (e *Engine) getCtx() *Ctx {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -160,9 +188,11 @@ type launchState struct {
 	maxs  []cost.Seconds // per-shard maximum per-PE time
 }
 
-// RunShard executes PEs [lo, hi) of the launch on one pooled context.
+// RunShard executes PEs [lo, hi) of the launch on one pooled context,
+// which goes back to the pool even when the kernel panics.
 func (ls *launchState) RunShard(shard, lo, hi int) {
 	ctx := ls.e.getCtx()
+	defer ls.e.putCtx(ctx)
 	var localMax cost.Seconds
 	for i := lo; i < hi; i++ {
 		pe := ls.pes[i]
@@ -173,13 +203,13 @@ func (ls *launchState) RunShard(shard, lo, hi int) {
 		}
 		ctx.mram = ls.e.sys.BankBytes(pe)
 		ctx.instr, ctx.mramBytes = 0, 0
+		ctx.bytes.off, ctx.i32s.off, ctx.i64s.off = 0, 0, 0
 		ls.k(ctx)
 		if t := ls.e.peTime(ctx.instr, ctx.mramBytes, ls.ipc); t > localMax {
 			localMax = t
 		}
 	}
 	ls.maxs[shard] = localMax
-	ls.e.putCtx(ctx)
 }
 
 func (e *Engine) getLaunch(workers int) *launchState {
@@ -230,6 +260,9 @@ func (e *Engine) putLaunch(ls *launchState) {
 // context and launch-descriptor pools are lock-protected and cost.Meter
 // is internally synchronized. Callers remain responsible for keeping
 // concurrent kernels' MRAM accesses disjoint, as on real hardware.
+//
+// A kernel panic on any shard reaches Launch's caller (par.Do re-raises
+// it there); the meter is not charged for that launch.
 func (e *Engine) Launch(spec LaunchSpec, meter *cost.Meter, k Kernel) {
 	if len(spec.PEs) == 0 {
 		return

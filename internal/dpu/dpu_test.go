@@ -1,7 +1,9 @@
 package dpu
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +148,17 @@ func TestGroupRankDefaultsToMinusOne(t *testing.T) {
 	}
 }
 
+// allPEs lists the test engine's 64 PEs.
+func allPEs(e *Engine) []int {
+	pes := make([]int, e.System().Geometry().NumPEs())
+	for i := range pes {
+		pes[i] = i
+	}
+	return pes
+}
+
+// An out-of-range DMA panics inside the kernel; through Launch, on pool
+// workers, that panic must arrive at Launch's caller.
 func TestMramOutOfRangePanics(t *testing.T) {
 	e := testEngine(t)
 	defer func() {
@@ -153,10 +166,117 @@ func TestMramOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	// Launch catches nothing; the panic propagates through the goroutine...
-	// run the kernel body inline to keep the panic on this goroutine.
-	ctx := &Ctx{PE: 0, mram: e.System().BankBytes(0), wram: make([]byte, WramBytes)}
-	ctx.ReadMram(4090, make([]byte, 100))
+	e.Launch(LaunchSpec{PEs: allPEs(e), Category: cost.Kernel, Workers: 4}, cost.NewMeter(), func(c *Ctx) {
+		c.ReadMram(4090, c.Buf(100))
+	})
+}
+
+// A kernel that panics on the PEs of the later shards only — the ones
+// pool helpers run — used to kill the process from the helper goroutine.
+// The caller must see the kernel's own panic value, the meter must stay
+// uncharged, and the engine (its contexts, the pool's helpers) must keep
+// working afterwards.
+func TestLaunchPanicReachesCaller(t *testing.T) {
+	sys, err := dram.NewSystem(dram.Geometry{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(sys, cost.DefaultParams())
+	meter := cost.NewMeter()
+	spec := LaunchSpec{PEs: allPEs(e), Category: cost.Kernel, Workers: 4}
+	for round := 0; round < 20; round++ {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			e.Launch(spec, meter, func(c *Ctx) {
+				if c.PE >= 32 {
+					c.ReadMram(60, c.Buf(16))
+				}
+			})
+			return nil
+		}()
+		msg, _ := got.(string)
+		if !strings.Contains(msg, "MRAM read [60,76) out of range 64") {
+			t.Fatalf("round %d: recovered %v, want the kernel's out-of-range panic", round, got)
+		}
+	}
+	if meter.Total() != 0 {
+		t.Errorf("panicked launches charged %v", meter.Total())
+	}
+	var ran atomic.Int32
+	e.Launch(spec, meter, func(c *Ctx) { ran.Add(1) })
+	if ran.Load() != 64 {
+		t.Errorf("launch after the panics ran %d PEs, want 64", ran.Load())
+	}
+}
+
+// Two arena buffers of one kind taken on one PE never overlap, and a
+// buffer taken before the slab grows keeps what was written to it.
+func TestArenaBuffersDoNotAlias(t *testing.T) {
+	e := testEngine(t)
+	e.Launch(LaunchSpec{PEs: []int{0, 1, 2}, Category: cost.Kernel, Workers: 1}, cost.NewMeter(), func(c *Ctx) {
+		// Sizes grow with the PE, so PEs 1 and 2 outgrow mid-kernel the
+		// slab the PE before them left behind.
+		n := 64 << c.PE
+		a, b, big := c.Buf(n), c.Buf(n), c.Buf(8*n)
+		for i := range a {
+			a[i], b[i] = 0xAA, 0xBB
+		}
+		for i := range big {
+			big[i] = 0xCC
+		}
+		w, x := c.I32(n), c.I32(n)
+		for i := range w {
+			w[i], x[i] = 1, 2
+		}
+		p, q := c.I64(n), c.I64(n)
+		for i := range p {
+			p[i], q[i] = 3, 4
+		}
+		for i := 0; i < n; i++ {
+			if a[i] != 0xAA || b[i] != 0xBB || w[i] != 1 || x[i] != 2 || p[i] != 3 || q[i] != 4 {
+				t.Fatalf("PE %d: arena buffers alias at %d", c.PE, i)
+			}
+		}
+		if len(a) != n || cap(a) != n || len(big) != 8*n {
+			t.Errorf("PE %d: Buf(%d) has len %d cap %d", c.PE, n, len(a), cap(a))
+		}
+	})
+}
+
+// Every PE after a worker's first, and every launch after an engine's
+// first, takes its staging from the slabs the context already holds.
+func TestSteadyStateLaunchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, workers := range []int{1, 2} {
+		e := testEngine(t)
+		meter := cost.NewMeter()
+		spec := LaunchSpec{PEs: allPEs(e), Category: cost.Kernel, Workers: workers}
+		kernel := func(c *Ctx) {
+			buf := c.Buf(512)
+			c.ReadMram(0, buf)
+			vals := c.I32(128)
+			acc := c.I64(8)
+			clear(acc)
+			for i := range vals {
+				vals[i] = int32(buf[4*i])
+				acc[i%8] += int64(vals[i])
+			}
+			c.WriteMram(512, c.Buf(64))
+			c.Exec(128)
+		}
+		// Warm two contexts whether or not a pool helper is free to take
+		// a shard: the second is created while the first is held out.
+		held := e.getCtx()
+		e.Launch(spec, meter, kernel)
+		e.putCtx(held)
+		e.Launch(spec, meter, kernel)
+		e.Launch(spec, meter, kernel)
+		if avg := testing.AllocsPerRun(20, func() { e.Launch(spec, meter, kernel) }); avg != 0 {
+			t.Errorf("Workers=%d: a warm 64-PE launch allocates %.2f times", workers, avg)
+		}
+	}
 }
 
 func TestLaunchEmptyPEsIsNoOp(t *testing.T) {
@@ -203,12 +323,15 @@ func TestConcurrentLaunchesShareEngineAndMeter(t *testing.T) {
 			}
 			for iter := 0; iter < 5; iter++ {
 				e.Launch(LaunchSpec{PEs: pes, Category: cost.Kernel}, meter, func(c *Ctx) {
-					buf := c.Wram()[:64]
+					buf, back := c.Wram()[:64], c.Buf(64)
 					for i := range buf {
 						buf[i] = byte(c.PE)
 					}
 					c.WriteMram(0, buf)
-					c.ReadMram(0, buf)
+					c.ReadMram(0, back)
+					if !bytes.Equal(buf, back) {
+						t.Errorf("PE %d read back another PE's bytes", c.PE)
+					}
 					c.Exec(64)
 				})
 				e.LaunchCharges(LaunchSpec{PEs: pes, Category: cost.PEMod}, meter,

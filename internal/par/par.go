@@ -17,6 +17,10 @@
 // themselves, in shard order, after Do returns. Do establishes the
 // happens-before edges: everything before Do is visible to every shard,
 // and every shard's writes are visible after Do returns.
+//
+// A shard that panics does not take the process down with a pool helper:
+// Do recovers it wherever it ran, lets the shards already running finish,
+// and re-panics the first recovered value on the calling goroutine.
 package par
 
 import (
@@ -41,6 +45,9 @@ type job struct {
 	shards int32
 	next   atomic.Int32
 	wg     sync.WaitGroup
+
+	mu       sync.Mutex
+	panicVal any // first value recovered from a shard (never nil), re-raised by Do
 }
 
 var (
@@ -67,9 +74,21 @@ func startPool() {
 	}
 }
 
-// run claims and executes shards until none remain.
+// run claims and executes shards until none remain. A panicking shard
+// ends the job early: its value is kept for Do and no further shard is
+// claimed by anyone.
 func (j *job) run() {
 	n, shards, r := int(j.n), int(j.shards), j.r
+	defer func() {
+		if v := recover(); v != nil {
+			j.next.Store(j.shards)
+			j.mu.Lock()
+			if j.panicVal == nil {
+				j.panicVal = v
+			}
+			j.mu.Unlock()
+		}
+	}()
 	for {
 		k := int(j.next.Add(1)) - 1
 		if k >= shards {
@@ -94,6 +113,10 @@ func PoolSize() int { return poolSize }
 // Helpers are recruited with non-blocking sends: if the pool is busy
 // (including nested Do calls issued from inside a shard), the caller
 // simply runs more shards itself, so Do never deadlocks.
+//
+// If a shard panics, Do panics with that value on the calling goroutine
+// once every recruited helper is done with the job; shards not yet
+// claimed are skipped.
 func Do(workers, n int, r Runner) {
 	if n <= 0 {
 		return
@@ -128,6 +151,10 @@ func Do(workers, n int, r Runner) {
 	}
 	j.run()
 	j.wg.Wait()
-	j.r = nil
+	v := j.panicVal
+	j.r, j.panicVal = nil, nil
 	jobPool.Put(j)
+	if v != nil {
+		panic(v)
+	}
 }

@@ -109,3 +109,30 @@ func TestSerialDoDoesNotAllocate(t *testing.T) {
 		t.Fatalf("serial Do allocates %.1f times per call", avg)
 	}
 }
+
+// A shard that panics on whichever goroutine ran it — a pool helper
+// included — must surface as a panic of Do's caller with the shard's
+// value, after the join; the helpers survive and later calls see a clean
+// job.
+func TestDoRepanicsShardPanicOnCaller(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		var ran atomic.Int32
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Do(4, 64, runnerFunc(func(shard, _, _ int) {
+				ran.Add(1)
+				if shard >= 2 {
+					panic("shard down")
+				}
+			}))
+			return nil
+		}()
+		if got != "shard down" {
+			t.Fatalf("round %d: recovered %v, want the shard's panic value", round, got)
+		}
+		if n := ran.Load(); n < 1 || n > 4 {
+			t.Fatalf("round %d: %d shards ran", round, n)
+		}
+		checkCoverage(t, 4, 64)
+	}
+}
