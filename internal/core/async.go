@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/cost"
 )
@@ -142,14 +144,23 @@ type placedPlan struct {
 // Future is the handle of one submitted plan execution. All accessors
 // except Done block until the execution completes — on a stepped comm,
 // where no worker drains the queue, by stepping it themselves. A Future
-// is safe for concurrent use; its results never change once set.
+// is safe for concurrent use; its results never change once set. Futures
+// are carved from per-Comm chunks and never reused: a handle stays valid
+// for as long as it is held, and pins at most its chunk (futureChunk-1
+// neighbours and their detached rooted results) until dropped.
 type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number, used by the
 	// weighted-fair scheduler to keep hazard-conflicting plans from
 	// different buckets in submission order. Guarded by asyncMu.
-	seq  uint64
-	done chan struct{}
+	seq uint64
+
+	// done is stored once, after the results below (finishLocked, or
+	// rejectLocked before anyone else has the handle). wake is made by
+	// the first waiter that really blocks and closed by finishLocked, both
+	// under asyncMu: the stepped serving path never blocks and has none.
+	done atomic.Bool
+	wake chan struct{}
 
 	// notBefore and deadline are the serving attributes carried from
 	// SubmitOptions: the plan's simulated arrival time (its placement
@@ -158,40 +169,64 @@ type Future struct {
 	notBefore cost.Seconds
 	deadline  cost.Seconds
 
-	// Set exactly once before done is closed.
-	bd         cost.Breakdown
+	// Set exactly once before done is stored.
 	out        [][]byte
 	err        error
 	start, end cost.Seconds
 }
 
-// Done reports without blocking whether the execution has completed.
-func (f *Future) Done() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
+// futureChunk is the number of Futures per chunk: a submission costs
+// 1/futureChunk of an object, a comm that submits once under 7 KB.
+const futureChunk = 64
+
+// carveLocked returns the next Future of the comm's chunk, starting a
+// fresh chunk when one is used up. Callers hold asyncMu.
+func (c *Comm) carveLocked(cp *CompiledPlan, o SubmitOptions) *Future {
+	if len(c.futs) == 0 {
+		c.futs = make([]Future, futureChunk)
 	}
+	f := &c.futs[0]
+	c.futs = c.futs[1:]
+	f.cp, f.notBefore, f.deadline = cp, o.NotBefore, o.Deadline
+	return f
 }
+
+// Done reports without blocking whether the execution has completed.
+func (f *Future) Done() bool { return f.done.Load() }
 
 // wait blocks until the execution completes. On a stepped comm nothing
 // else drains the queue, so the waiter steps it until its future is done
-// (or the queue is empty: another goroutine's Step is executing it).
+// (or the queue is empty: another goroutine's Step is executing it). A
+// waiter that must block parks on wake; done is stored under asyncMu, so
+// the flag cannot flip between the check and the park.
 func (f *Future) wait() {
-	if c := f.cp.c; c.stepped {
-		for !f.Done() && c.Step() != nil {
-		}
+	c := f.cp.c
+	for c.stepped && !f.Done() && c.Step() != nil {
 	}
-	<-f.done
+	if f.Done() {
+		return
+	}
+	c.asyncMu.Lock()
+	if f.wake == nil && !f.Done() {
+		f.wake = make(chan struct{})
+	}
+	wake := f.wake
+	c.asyncMu.Unlock()
+	if wake != nil {
+		<-wake
+	}
 }
 
 // Wait blocks until the execution completes and returns its cost
-// breakdown (what this run charged the meter) and error. Wait may be
-// called any number of times and from multiple goroutines.
+// breakdown (what this run charged the meter: the plan's trace total, or
+// nothing if it failed or was dropped) and error. Wait may be called any
+// number of times and from multiple goroutines.
 func (f *Future) Wait() (cost.Breakdown, error) {
 	f.wait()
-	return f.bd, f.err
+	if f.err != nil {
+		return cost.Breakdown{}, f.err
+	}
+	return f.cp.tr.total, nil
 }
 
 // Err blocks until the execution completes and returns its error, if any.
@@ -207,8 +242,8 @@ func (f *Future) Err() error {
 // charged. Unlike CompiledPlan.Cost (the predicted per-run cost), this is
 // the measured charge of this particular run.
 func (f *Future) Cost() cost.Breakdown {
-	f.wait()
-	return f.bd
+	bd, _ := f.Wait()
+	return bd
 }
 
 // Results blocks until the execution completes and returns the rooted
@@ -287,13 +322,12 @@ func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.c.submit
 // selects quota admission here; the cluster layer admits every host's
 // plan up front instead (cluster.go) and passes false, so a quota
 // rejection can never strand the other hosts at a rendezvous barrier.
+// A submission allocates nothing of its own: its Future is carved.
 func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
-	f := &Future{cp: cp, done: make(chan struct{}), notBefore: o.NotBefore, deadline: o.Deadline}
 	if admit {
 		if err := cp.owner.admit(cp.tr.total.Total()); err != nil {
-			f.err = err
-			close(f.done)
-			return f
+			c.asyncMu.Lock()
+			return c.rejectLocked(c.carveLocked(cp, o), false, err)
 		}
 	}
 	// Acquire a queue slot (backpressure). Nothing drains a stepped comm
@@ -303,50 +337,31 @@ func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
 	}
 	c.asyncSlots <- struct{}{}
 	c.asyncMu.Lock()
+	f := c.carveLocked(cp, o)
+	q := c.queues[0]
 	if t := cp.owner; t != nil {
 		// Re-check closure under asyncMu: a Close racing this submission
 		// has either already swept the bucket (we must not re-populate
 		// it) or will sweep the entry we are about to append.
 		if t.Closed() {
-			c.asyncMu.Unlock()
-			<-c.asyncSlots
-			t.refund(cp.tr.total.Total())
-			f.err = fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)
-			close(f.done)
-			return f
+			return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
 		}
 		// Per-tenant overload admission: beyond MaxPending in-flight
-		// plans, either reject this submission or shed the oldest queued
-		// one, per the tenant's ShedPolicy.
+		// plans, shed the oldest queued one if the tenant's ShedPolicy
+		// says so and one is queued, else reject this submission.
 		if t.maxPending > 0 && t.inflight >= t.maxPending {
-			shed := false
-			if t.shed == ShedOldest && len(t.sq.q) > 0 {
-				victim := t.sq.q[0]
-				t.sq.q[0] = nil
-				t.sq.q = t.sq.q[1:]
-				c.completeDroppedLocked(victim, fmt.Errorf("%w: tenant %q plan shed by newer submission (max %d pending)",
-					ErrOverloaded, t.name, t.maxPending))
-				shed = true
+			if t.shed != ShedOldest || len(t.sq.q) == 0 {
+				return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)",
+					ErrOverloaded, t.name, t.inflight, t.maxPending))
 			}
-			if !shed {
-				inflight := t.inflight
-				c.asyncMu.Unlock()
-				<-c.asyncSlots
-				t.refund(cp.tr.total.Total())
-				f.err = fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)",
-					ErrOverloaded, t.name, inflight, t.maxPending)
-				close(f.done)
-				return f
-			}
+			c.completeDroppedLocked(t.sq.remove(0), fmt.Errorf("%w: tenant %q plan shed by newer submission (max %d pending)",
+				ErrOverloaded, t.name, t.maxPending))
 		}
 		t.inflight++
+		q = t.sq
 	}
 	c.seqCounter++
 	f.seq = c.seqCounter
-	q := c.queues[0]
-	if cp.owner != nil {
-		q = cp.owner.sq
-	}
 	if len(q.q) == 0 && q.vtime < c.vclock {
 		// A bucket waking from idle joins at the current virtual clock:
 		// it competes fairly from now on instead of burning accumulated
@@ -363,21 +378,55 @@ func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
 	return f
 }
 
-// completeDroppedLocked finishes a queued future without executing it
-// (overload shedding, tenant close): it refunds the quota admission,
-// publishes err, and releases the queue bookkeeping. The future's
-// Window stays zero — it never reached the timeline. Callers hold
-// asyncMu and have already removed the future from its bucket.
-func (c *Comm) completeDroppedLocked(f *Future, err error) {
-	if t := f.cp.owner; t != nil {
-		t.refund(f.cp.tr.total.Total())
-		t.inflight--
+// rejectLocked is the one epilogue of a submission refused before it was
+// enqueued, when nobody can be waiting on f yet: it releases asyncMu —
+// and an admitted plan's queue slot and quota — and completes f with err.
+func (c *Comm) rejectLocked(f *Future, admitted bool, err error) *Future {
+	c.asyncMu.Unlock()
+	if admitted {
+		<-c.asyncSlots
+		f.cp.owner.refund(f.cp.tr.total.Total())
 	}
 	f.err = err
-	close(f.done)
+	f.done.Store(true)
+	return f
+}
+
+// remove pops the future at index i, copying the tail down so the
+// bucket's backing array is reused rather than stranded.
+func (q *subQueue) remove(i int) *Future {
+	f := q.q[i]
+	q.q = slices.Delete(q.q, i, i+1)
+	return f
+}
+
+// completeDroppedLocked finishes a queued future without executing it
+// (overload shedding, tenant close): it refunds the quota admission and
+// completes the future with err. Its Window stays zero — it never reached
+// the timeline. Callers hold asyncMu and have already removed the future
+// from its bucket.
+func (c *Comm) completeDroppedLocked(f *Future, err error) {
+	f.cp.owner.refund(f.cp.tr.total.Total())
+	f.err = err
+	c.finishLocked(f)
+}
+
+// finishLocked is the single completion path of an enqueued future,
+// executed or dropped, and runs exactly once for it: it publishes the
+// results set before the call (the flag, then any blocked waiters) and
+// releases the in-flight and pending counts and the queue slot. Callers
+// hold asyncMu.
+func (c *Comm) finishLocked(f *Future) {
+	f.done.Store(true)
+	if f.wake != nil {
+		close(f.wake)
+	}
+	if t := f.cp.owner; t != nil {
+		t.inflight--
+	}
 	c.asyncPending--
+	<-c.asyncSlots // release the queue slot before a Flush can see the drain
 	c.asyncCond.Broadcast()
-	<-c.asyncSlots // release the victim's queue slot
 }
 
 // pickLocked pops the next future through the policy funnel: it
@@ -430,9 +479,7 @@ func (c *Comm) pickLocked() *Future {
 	}
 	pick := cands[k]
 	q := pick.q
-	copy(q.q[pick.idx:], q.q[pick.idx+1:])
-	q.q[len(q.q)-1] = nil
-	q.q = q.q[:len(q.q)-1]
+	q.remove(pick.idx)
 	c.vclock = q.vtime
 	q.vtime += float64(pick.F.cp.tr.total.Total()) / q.weight
 	for i := range cands {
@@ -492,23 +539,14 @@ func (c *Comm) asyncLoop() {
 	}
 }
 
-// runSubmitted executes one queued future and completes it. Completion —
-// publishing the results, closing done, decrementing the pending count
-// and releasing the queue slot — happens exactly once per future on every
-// path, success or failure: a mid-schedule backend error is captured into
-// f.err by execSubmitted's recover and takes the same single completion
-// path, so a failing plan can neither complete twice (close of a closed
-// channel panics) nor leak or double-release its queue slot.
+// runSubmitted executes one queued future and completes it. A
+// mid-schedule backend error is captured into f.err by execSubmitted's
+// recover and takes the same completion path (finishLocked), so a failing
+// plan can neither complete twice nor leak or double-release its slot.
 func (c *Comm) runSubmitted(f *Future) {
-	f.bd, f.out, f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
-	close(f.done)
+	f.out, f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
 	c.asyncMu.Lock()
-	if t := f.cp.owner; t != nil {
-		t.inflight--
-	}
-	c.asyncPending--
-	<-c.asyncSlots // release the queue slot before a Flush can see the drain
-	c.asyncCond.Broadcast()
+	c.finishLocked(f)
 	c.asyncMu.Unlock()
 }
 
@@ -517,7 +555,7 @@ func (c *Comm) runSubmitted(f *Future) {
 // backend mid-schedule is converted into the returned error; the plan's
 // timeline window remains booked (its partial charges remain on the
 // meter) and dependents stay ordered after it.
-func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.Breakdown, out [][]byte, start, end cost.Seconds, err error) {
+func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]byte, start, end cost.Seconds, err error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	defer func() {
@@ -572,8 +610,7 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 	start, end = c.tl.Place(earliest, cp.tr.segs)
 	c.frontier = append(c.frontier, placedPlan{regs: &cp.regs, end: end})
 
-	out, bd = c.runScheduleLocked(cp)
-	if out != nil {
+	if out, _ = c.runScheduleLocked(cp); out != nil {
 		// Detach the rooted results: the schedule writes into the plan's
 		// reused buffers (rootedBufs), but a Future's Results belong to
 		// the future and must survive later runs of the same plan.
@@ -583,7 +620,7 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (bd cost.
 		}
 		out = own
 	}
-	return bd, out, start, end, nil
+	return out, start, end, nil
 }
 
 // placeSerialLocked appends segs to the timeline as a barrier placement

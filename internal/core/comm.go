@@ -89,7 +89,8 @@ type Comm struct {
 	// plans submitted outside any tenant; every tenant appends its own
 	// (async.go, tenant.go). sched is the policy's Scheduler instance,
 	// whose Pick calls asyncMu serializes; cands is pickLocked's
-	// reusable candidate scratch (async.go, sched.go).
+	// reusable candidate scratch (async.go, sched.go); futs is what is
+	// left of the chunk submissions carve their Futures from.
 	asyncMu      sync.Mutex
 	asyncCond    *sync.Cond
 	queues       []*subQueue
@@ -100,6 +101,7 @@ type Comm struct {
 	asyncSlots   chan struct{}
 	sched        Scheduler
 	cands        []Candidate
+	futs         []Future
 
 	// tenantMu guards the registry of live tenants, tenantSeq, the count
 	// of tenants ever registered that default names are drawn from, the

@@ -135,8 +135,13 @@
 // CPU, external bus, PE array, NIC), plans with disjoint MRAM footprints
 // overlap, and plans with data hazards (RAW/WAR/WAW on a per-PE region)
 // are ordered. Comm.Elapsed reports the makespan; Comm.Flush is the
-// barrier. The bench "async" experiment measures the overlap speedup on
-// a DLRM-style pipeline.
+// barrier. A submission allocates nothing of its own: its Future is
+// carved from a per-Comm chunk (never reused, so a held handle stays
+// valid), completion is an atomic flag stored on the one completion path
+// — only a waiter that really blocks makes a channel for it to close —
+// and a tenant's meter-mirroring recorder is bound once, in NewTenant.
+// The bench "async" experiment measures the overlap speedup on a
+// DLRM-style pipeline.
 //
 // # Tenants and weighted-fair scheduling
 //

@@ -265,12 +265,12 @@ func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
 // Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 	if t := cp.owner; t != nil {
-		// Attribute every charge of this run to the owning tenant: the
-		// recorder mirrors each meter addition — same operands, same
-		// order — into the tenant's meter, so a tenant's meter evolves
-		// bit-identically to running its workload alone (tenant.go).
+		// Attribute every charge of this run to the owning tenant: its
+		// recorder, bound once in NewTenant, mirrors each meter addition —
+		// same operands, same order — into the tenant's meter, so that meter
+		// evolves bit-identically to running its workload alone (tenant.go).
 		m := c.h.Meter()
-		m.SetRecorder(func(cat cost.Category, t2 cost.Seconds) { t.meter.Add(cat, t2) })
+		m.SetRecorder(t.rec)
 		defer m.SetRecorder(nil)
 	}
 	if c.backend.Functional() {

@@ -79,6 +79,7 @@ type Tenant struct {
 	name   string
 	ar     arena
 	meter  *cost.Meter
+	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run
 	weight float64
 	quota  cost.Seconds
 	sq     *subQueue
@@ -168,6 +169,7 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 		shed:       cfg.Shed,
 		sq:         &subQueue{weight: weight},
 	}
+	t.rec = t.meter.Add
 	c.tenantSeq++
 	c.tenants = append(c.tenants, t)
 	c.asyncMu.Lock()

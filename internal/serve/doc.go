@@ -14,7 +14,10 @@
 // and scheduled by stepping the machine one pick at a time. The
 // simulated clock chases placements and idles forward to the next
 // arrival, so the whole run — admission order, placements, shedding —
-// is a pure function of the Config and replays bit-identically.
+// is a pure function of the Config and replays bit-identically. The
+// driver's own bookkeeping is a fixed number of objects, whatever the
+// request count: one flat future table with a bounds index, one request
+// table, one percentile scratch buffer.
 //
 // Requests are short collective pipelines modeled on the paper's
 // workloads (DLRM embedding exchange, GNN aggregation, MLP gradient

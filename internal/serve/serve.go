@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/cost"
@@ -209,10 +210,12 @@ func Percentile(xs []cost.Seconds, p float64) cost.Seconds {
 	return xs[r-1]
 }
 
-// summarize folds a request subset into a Percentiles summary.
-func summarize(reqs []RequestStat, keep func(RequestStat) bool) Percentiles {
+// summarize folds a request subset into a Percentiles summary. scratch
+// is the sojourn buffer the calls of one run share, overwritten by each;
+// with room for every completed request it never grows.
+func summarize(reqs []RequestStat, scratch []cost.Seconds, keep func(RequestStat) bool) Percentiles {
 	var s Percentiles
-	var sojourns []cost.Seconds
+	sojourns := scratch[:0]
 	var sum cost.Seconds
 	for _, r := range reqs {
 		if !keep(r) {
@@ -233,7 +236,7 @@ func summarize(reqs []RequestStat, keep func(RequestStat) bool) Percentiles {
 		sojourns = append(sojourns, r.Sojourn)
 		sum += r.Sojourn
 	}
-	sort.Slice(sojourns, func(i, j int) bool { return sojourns[i] < sojourns[j] })
+	slices.Sort(sojourns)
 	s.P50 = Percentile(sojourns, 0.50)
 	s.P99 = Percentile(sojourns, 0.99)
 	s.P999 = Percentile(sojourns, 0.999)
@@ -491,15 +494,21 @@ func Run(cfg Config) (Result, error) {
 	}
 	tenants := make([]*tenantState, len(cfg.Tenants))
 	gens := make([]int, len(cfg.Tenants))
+	width := 0 // the longest request pipeline, in plans
 	for i := range cfg.Tenants {
 		if tenants[i], err = openTenant(mach, &cfg, i, base, arenaBytes, n, 0); err != nil {
 			return Result{}, err
 		}
+		width = max(width, len(tenants[i].plans))
 	}
 
 	res := Result{Submitted: len(arrivals)}
 	res.Requests = make([]RequestStat, 0, len(arrivals))
-	futures := make([][]*pidcomm.Future, 0, len(arrivals))
+	// One flat future table for the whole run: request i's futures are
+	// futures[bounds[i]:bounds[i+1]], so the bookkeeping is a fixed number
+	// of objects however many requests arrive.
+	futures := make([]*pidcomm.Future, 0, len(arrivals)*width)
+	bounds := make([]int, 1, len(arrivals)+1)
 	completedAt := make([]int, len(cfg.Tenants)) // completions seen per tenant
 	churns := make([]int, len(cfg.Tenants))      // churn cycles per tenant
 	processed := 0                               // requests fully accounted in res.Requests[..processed)
@@ -511,8 +520,9 @@ func Run(cfg Config) (Result, error) {
 		churn := -1
 		for processed < len(res.Requests) {
 			r := &res.Requests[processed]
+			fs := futures[bounds[processed]:bounds[processed+1]]
 			done := true
-			for _, f := range futures[processed] {
+			for _, f := range fs {
 				if !f.Done() {
 					done = false
 					break
@@ -523,7 +533,7 @@ func Run(cfg Config) (Result, error) {
 			}
 			shed := false
 			var start, end cost.Seconds
-			for fi, f := range futures[processed] {
+			for fi, f := range fs {
 				if f.Err() != nil {
 					shed = true
 					continue
@@ -553,7 +563,7 @@ func Run(cfg Config) (Result, error) {
 					churn = r.Tenant
 				}
 			}
-			futures[processed] = nil
+			clear(fs) // drop the handles: each pins its chunk of futures
 			processed++
 		}
 		return churn
@@ -573,16 +583,15 @@ func Run(cfg Config) (Result, error) {
 			if sp.Deadline > 0 {
 				deadline = a.t + sp.Deadline
 			}
-			fs := make([]*pidcomm.Future, 0, len(tenants[a.tenant].plans))
 			for _, cp := range tenants[a.tenant].plans {
 				f := cp.SubmitOpts(pidcomm.SubmitOptions{NotBefore: a.t, Deadline: deadline})
-				fs = append(fs, f)
+				futures = append(futures, f)
 				if f.Done() && f.Err() != nil {
 					break // rejected: drop the request's remaining segments
 				}
 			}
 			res.Requests = append(res.Requests, RequestStat{Tenant: a.tenant, Arrival: a.t, Deadline: deadline})
-			futures = append(futures, fs)
+			bounds = append(bounds, len(futures))
 			next++
 		}
 		f := mach.Step()
@@ -622,13 +631,14 @@ func Run(cfg Config) (Result, error) {
 	if res.Makespan > 0 {
 		res.Throughput = float64(res.Completed) / float64(res.Makespan)
 	}
-	res.All = summarize(res.Requests, func(RequestStat) bool { return true })
-	res.SLO = summarize(res.Requests, func(r RequestStat) bool { return r.Deadline > 0 })
+	scratch := make([]cost.Seconds, 0, res.Completed)
+	res.All = summarize(res.Requests, scratch, func(RequestStat) bool { return true })
+	res.SLO = summarize(res.Requests, scratch, func(r RequestStat) bool { return r.Deadline > 0 })
 	res.Tenants = make([]TenantStats, len(cfg.Tenants))
 	for i, sp := range cfg.Tenants {
 		res.Tenants[i] = TenantStats{
 			Name:   sp.Name,
-			Stats:  summarize(res.Requests, func(r RequestStat) bool { return r.Tenant == i }),
+			Stats:  summarize(res.Requests, scratch, func(r RequestStat) bool { return r.Tenant == i }),
 			Churns: churns[i],
 		}
 	}
