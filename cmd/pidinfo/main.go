@@ -95,17 +95,22 @@ func printScheds() {
 	}
 }
 
-// demoComm builds the cost-only 32x32 paper-geometry comm -auto and
-// -plancache run on, and their per-PE payload m: sized so that [0,5m) fits
-// -mram, a multiple of 256 (32 blocks per group at 8-byte bursts).
-func demoComm(mram int) (*core.Comm, int, error) {
+// demoComm builds the cost-only 32x32 paper-geometry machine -auto and
+// -plancache run on, its whole-MRAM session, and their per-PE payload m:
+// sized so that [0,5m) fits -mram, a multiple of 256 (32 blocks per group
+// at 8-byte bursts).
+func demoComm(mram int) (*core.Comm, *core.Tenant, int, error) {
 	m := min(64<<10, mram/5)
 	m -= m % 256
 	if m < 256 {
-		return nil, 0, fmt.Errorf("-mram %d too small for the demo (need at least %d B/bank)", mram, 5*256)
+		return nil, nil, 0, fmt.Errorf("-mram %d too small for the demo (need at least %d B/bank)", mram, 5*256)
 	}
 	comm, err := core.New(dram.PaperGeometry(mram), []int{32, 32}, core.Config{Backend: core.CostBackend()})
-	return comm, m, err
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	session, err := comm.Session()
+	return comm, session, m, err
 }
 
 // printAuto resolves a representative spread of Auto-level signatures —
@@ -116,7 +121,7 @@ func demoComm(mram int) (*core.Comm, int, error) {
 // cache is scored (and cleared) per objective; rows where the two picks
 // differ are where the makespan objective earns its keep.
 func printAuto(mram int) error {
-	comm, m, err := demoComm(mram)
+	comm, _, m, err := demoComm(mram)
 	if err != nil {
 		return err
 	}
@@ -157,7 +162,7 @@ func printAuto(mram int) error {
 // misses on first compile, hits on every replay, the cached charge traces'
 // memory footprint, and what the fuser did.
 func printPlanCache(mram int) error {
-	comm, m, err := demoComm(mram)
+	comm, session, m, err := demoComm(mram)
 	if err != nil {
 		return err
 	}
@@ -171,7 +176,7 @@ func printPlanCache(mram int) error {
 	// The fused sequence: the AlltoAll relocates [0,m) into [2m,3m) and a
 	// ReduceScatter consumes it — the pair whose rotate/unrotate steps the
 	// fusion optimizer cancels.
-	seq, err := comm.CompileSequence(ds[0], core.Collective{Prim: core.ReduceScatter, Dims: "10",
+	seq, err := session.CompileSequence(ds[0], core.Collective{Prim: core.ReduceScatter, Dims: "10",
 		Src: core.Span(2*m, m), Dst: core.At(4 * m), Elem: elem.I32, Op: elem.Sum, Level: core.IM})
 	if err != nil {
 		return err
@@ -179,7 +184,7 @@ func printPlanCache(mram int) error {
 	const replays = 16
 	for i := 0; i < replays; i++ {
 		for _, d := range ds {
-			if _, err := comm.Run(d); err != nil {
+			if _, err := session.Run(d); err != nil {
 				return err
 			}
 		}

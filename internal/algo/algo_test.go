@@ -42,13 +42,19 @@ var cases = []caseSpec{
 	{"nonpow2-strided", geo24, []int{4, 6}, "01"},
 }
 
-func newComm(t *testing.T, geo dram.Geometry, shape []int) *core.Comm {
+// newComm builds a functional machine and its whole-MRAM session, whose
+// regions are the machine's absolute offsets.
+func newComm(t *testing.T, geo dram.Geometry, shape []int) (*core.Comm, *core.Tenant) {
 	t.Helper()
 	c, err := core.New(geo, shape, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	s, err := c.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, s
 }
 
 func fillSrc(c *core.Comm, off, n int, seed int64) {
@@ -106,7 +112,7 @@ func TestAllReduceAlgosMatchReference(t *testing.T) {
 		for _, cb := range combos {
 			for _, s := range []int{8, 24} {
 				t.Run(fmt.Sprintf("%s/%v-%v/s%d", cs.name, cb.et, cb.op, s), func(t *testing.T) {
-					c := newComm(t, cs.geo, cs.shape)
+					c, sess := newComm(t, cs.geo, cs.shape)
 					groups, err := c.Hypercube().Groups(cs.dims)
 					if err != nil {
 						t.Fatal(err)
@@ -120,14 +126,14 @@ func TestAllReduceAlgosMatchReference(t *testing.T) {
 					d := core.Collective{Prim: core.AllReduce, Dims: cs.dims,
 						Src: core.Span(0, m), Dst: core.At(m), Elem: cb.et, Op: cb.op,
 						Level: core.Baseline}
-					if _, err := c.Run(d); err != nil {
+					if _, err := sess.Run(d); err != nil {
 						t.Fatal(err)
 					}
 					want := snapshot(c, m, m)
 					for _, alg := range alternatives(core.AllReduce) {
 						da := d
 						da.Algorithm = alg
-						if _, err := c.Run(da); err != nil {
+						if _, err := sess.Run(da); err != nil {
 							t.Fatalf("%v: %v", alg, err)
 						}
 						got := snapshot(c, m, m)
@@ -146,7 +152,7 @@ func TestAllReduceAlgosMatchReference(t *testing.T) {
 func TestBroadcastAlgosMatchReference(t *testing.T) {
 	for _, cs := range cases {
 		t.Run(cs.name, func(t *testing.T) {
-			c := newComm(t, cs.geo, cs.shape)
+			c, sess := newComm(t, cs.geo, cs.shape)
 			groups, err := c.Hypercube().Groups(cs.dims)
 			if err != nil {
 				t.Fatal(err)
@@ -163,14 +169,14 @@ func TestBroadcastAlgosMatchReference(t *testing.T) {
 			}
 			d := core.Collective{Prim: core.Broadcast, Dims: cs.dims,
 				Dst: core.Span(0, s), Hosts: bufs, Level: core.Baseline}
-			if _, err := c.Run(d); err != nil {
+			if _, err := sess.Run(d); err != nil {
 				t.Fatal(err)
 			}
 			want := snapshot(c, 0, s)
 			for _, alg := range alternatives(core.Broadcast) {
 				da := d
 				da.Algorithm = alg
-				if _, err := c.Run(da); err != nil {
+				if _, err := sess.Run(da); err != nil {
 					t.Fatalf("%v: %v", alg, err)
 				}
 				got := snapshot(c, 0, s)
@@ -188,7 +194,7 @@ func TestBroadcastAlgosMatchReference(t *testing.T) {
 // that does not apply at the resolved level, and an algorithm the table
 // has no row of for the primitive.
 func TestAlgoRejections(t *testing.T) {
-	c := newComm(t, geo64, []int{8, 8})
+	_, c := newComm(t, geo64, []int{8, 8})
 	d := core.Collective{Prim: core.AllReduce, Dims: "10",
 		Src: core.Span(0, 64), Dst: core.At(64), Elem: elem.I32, Op: elem.Sum}
 	for _, lvl := range []core.Level{core.PR, core.IM} {
@@ -212,7 +218,7 @@ func TestAlgoRejections(t *testing.T) {
 // algorithm at its applicable level, and the full search returns a row
 // of the table.
 func TestAutoSearchesAlgorithms(t *testing.T) {
-	c := newComm(t, geo64, []int{8, 8})
+	_, c := newComm(t, geo64, []int{8, 8})
 	d := core.Collective{Prim: core.AllReduce, Dims: "10",
 		Src: core.Span(0, 64), Dst: core.At(64), Elem: elem.I32, Op: elem.Sum,
 		Level: core.Auto, Algorithm: core.AlgoRing}
@@ -305,16 +311,26 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 func TestClusterTreeMatchesRing(t *testing.T) {
 	const H = 4
 	geo := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14}
-	build := func() *core.Cluster {
+	// build returns a cluster and the whole-MRAM session of every host,
+	// which its collectives compile on.
+	build := func() (*core.Cluster, []*core.Tenant) {
 		comms := make([]*core.Comm, H)
+		sessions := make([]*core.Tenant, H)
 		for h := range comms {
-			comms[h] = newComm(t, geo, []int{16})
+			comms[h], sessions[h] = newComm(t, geo, []int{16})
 		}
 		cl, err := core.NewCluster(comms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl
+		return cl, sessions
+	}
+	run := func(cl *core.Cluster, sessions []*core.Tenant, d core.ClusterCollective) error {
+		cp, err := cl.Compile(sessions, d)
+		if err == nil {
+			_, err = cp.Run()
+		}
+		return err
 	}
 	const m = 16 * 8 // H*P blocks of 8 bytes
 	seed := func(cl *core.Cluster) {
@@ -327,13 +343,13 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 			}
 		}
 	}
-	run := func(alg core.Algorithm) [][]byte {
-		cl := build()
+	runAlg := func(alg core.Algorithm) [][]byte {
+		cl, sessions := build()
 		seed(cl)
 		d := core.ClusterCollective{Collective: core.Collective{
 			Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(m),
 			Elem: elem.I32, Op: elem.Sum, Level: core.Baseline, Algorithm: alg}}
-		if _, err := cl.Run(d); err != nil {
+		if err := run(cl, sessions, d); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		var out [][]byte
@@ -344,9 +360,9 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 		}
 		return out
 	}
-	want := run(core.AlgoRing)
+	want := runAlg(core.AlgoRing)
 	for _, alg := range []core.Algorithm{core.AlgoTree, core.AlgoAuto} {
-		got := run(alg)
+		got := runAlg(alg)
 		for i := range got {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("%v: global rank %d differs from ring", alg, i)
@@ -354,12 +370,12 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 		}
 	}
 	// Unsupported cluster algorithm errors instead of being ignored.
-	cl := build()
+	cl, sessions := build()
 	seed(cl)
 	d := core.ClusterCollective{Collective: core.Collective{
 		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(m),
 		Elem: elem.I32, Op: elem.Sum, Level: core.Baseline, Algorithm: core.AlgoRabenseifner}}
-	if _, err := cl.Run(d); err == nil {
+	if err := run(cl, sessions, d); err == nil {
 		t.Fatal("cluster rsag: want unsupported-algorithm error")
 	}
 }

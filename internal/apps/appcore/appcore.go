@@ -229,16 +229,22 @@ func (m CPUModel) LookupTime(rows int64) cost.Seconds {
 	return cost.Seconds(float64(rows) / m.LookupsPerSec)
 }
 
-// CommForPEs builds the functional comm of an app config: the default
-// configuration on the canonical geometry of pes PEs, each bank holding
-// the app's MRAM layout of footprint bytes rounded up to a whole burst.
-func CommForPEs(shape []int, pes, footprint int) (*core.Comm, error) {
+// CommForPEs builds the functional machine of an app config — the
+// default configuration on the canonical geometry of pes PEs, each bank
+// holding the app's MRAM layout of footprint bytes rounded up to a whole
+// burst — and its whole-MRAM session (at offset 0) for the collectives.
+func CommForPEs(shape []int, pes, footprint int) (*core.Comm, *core.Tenant, error) {
 	mram := (footprint + dram.BurstBytes - 1) / dram.BurstBytes * dram.BurstBytes
 	geo, err := GeoForPEs(pes, mram)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return core.New(geo, shape, core.Config{})
+	c, err := core.New(geo, shape, core.Config{})
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := c.Session()
+	return c, s, err
 }
 
 // I32Bytes encodes v little-endian, four bytes per element.

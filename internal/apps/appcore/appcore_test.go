@@ -123,11 +123,11 @@ func TestDefaultCPUIsSane(t *testing.T) {
 }
 
 func TestTrackerAttribution(t *testing.T) {
-	comm, err := CommForPEs([]int{16}, 16, 4096)
+	mach, comm, err := CommForPEs([]int{16}, 16, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(comm)
+	tr := NewTracker(mach)
 	var ran atomic.Int32
 	tr.Kernel(func(ctx *dpu.Ctx) {
 		ran.Add(1)
@@ -137,7 +137,7 @@ func TestTrackerAttribution(t *testing.T) {
 		t.Errorf("kernel ran on %d PEs, want all 16", ran.Load())
 	}
 	want := cost.DefaultParams().DPUInstrTime(1000) + cost.DefaultParams().KernelLaunch
-	if tr.Prof.KernelTime != want || comm.Meter().Get(cost.Kernel) <= 0 {
+	if tr.Prof.KernelTime != want || mach.Meter().Get(cost.Kernel) <= 0 {
 		t.Errorf("kernel time %v, want %v charged as Kernel", tr.Prof.KernelTime, want)
 	}
 	bufs := [][]byte{make([]byte, 16*8)}
@@ -158,8 +158,8 @@ func TestTrackerAttribution(t *testing.T) {
 }
 
 func TestTrackerPropagatesErrors(t *testing.T) {
-	comm, _ := CommForPEs([]int{16}, 16, 4096)
-	tr := NewTracker(comm)
+	mach, comm, _ := CommForPEs([]int{16}, 16, 4096)
+	tr := NewTracker(mach)
 	bd, err := comm.Run(core.Collective{Prim: core.Gather, Dims: "bad-dims",
 		Src: core.Span(0, 8), Level: core.IM})
 	if err == nil {
@@ -171,10 +171,10 @@ func TestTrackerPropagatesErrors(t *testing.T) {
 }
 
 func TestCommForPEsValidation(t *testing.T) {
-	if _, err := CommForPEs([]int{10}, 10, 4096); err == nil {
+	if _, _, err := CommForPEs([]int{10}, 10, 4096); err == nil {
 		t.Error("bad PE count accepted")
 	}
-	if _, err := CommForPEs([]int{32}, 64, 4096); err == nil {
+	if _, _, err := CommForPEs([]int{32}, 64, 4096); err == nil {
 		t.Error("shape/PE mismatch accepted")
 	}
 }

@@ -76,11 +76,11 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	distOff := visitedOff + fB   // distances of owned vertices
 	flagOff := distOff + distB   // "frontier non-empty" flag
 
-	comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
+	mach, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(comm)
+	tr := appcore.NewTracker(mach)
 
 	// Distribute the graph; broadcast the initial frontier/visited state.
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",

@@ -75,11 +75,11 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	newOff := candOff + lB     // MIN-AllReduced labels
 	flagOff := newOff + lB     // "any label changed" flag
 
-	comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
+	mach, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(comm)
+	tr := appcore.NewTracker(mach)
 
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})

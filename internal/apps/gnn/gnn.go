@@ -238,11 +238,11 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	candOff := iOff + p1B
 	xsubOff := candOff + stripB
 
-	comm, err := appcore.CommForPEs([]int{C, R}, N, xsubOff+subB)
+	mach, comm, err := appcore.CommForPEs([]int{C, R}, N, xsubOff+subB)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(comm)
+	tr := appcore.NewTracker(mach)
 
 	// Distribute: A tiles and X strips by Scatter, W by Broadcast. The
 	// two Scatters go through the fuser as one sequence: a single

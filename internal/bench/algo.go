@@ -40,7 +40,7 @@ func MeasureAlgoAllReduce(bytesPerPE int, alg core.Algorithm) (meter, makespan c
 	for _, l := range algoPinShape {
 		n *= l
 	}
-	comm, err := newPrimComm(algoPinShape, n, bytesPerPE, true)
+	_, comm, err := newPrimComm(algoPinShape, n, bytesPerPE, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -51,27 +51,6 @@ func MeasureAlgoAllReduce(bytesPerPE int, alg core.Algorithm) (meter, makespan c
 		return 0, 0, err
 	}
 	return cp.Cost().Total(), cp.Makespan(), nil
-}
-
-// MeasureClusterAllReduceAlgo prices one hierarchical global AllReduce
-// of perPE bytes per PE across hosts cost-only hosts with the given
-// host-level wire algorithm (AlgoAuto lets the cluster pick
-// analytically from cost.NetParams).
-func MeasureClusterAllReduceAlgo(hosts, perPE int, params cost.Params, alg core.Algorithm) (cost.Breakdown, error) {
-	geo := clusterHostGeo(perPE)
-	P := geo.NumPEs()
-	m := perPE / (8 * P) * (8 * P)
-	if m == 0 {
-		m = 8 * P
-	}
-	cl, err := clusterOf(hosts, geo, params)
-	if err != nil {
-		return cost.Breakdown{}, err
-	}
-	return cl.Run(core.ClusterCollective{Collective: core.Collective{
-		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(2 * m),
-		Elem: elem.I32, Op: elem.Sum, Level: core.CM, Algorithm: alg,
-	}})
 }
 
 // The pinned cluster crossover points: at 64 hosts the tree wire
@@ -115,11 +94,11 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 	var r AutoGainResult
 	for _, obj := range []core.AutoObjective{core.AutoMeter, core.AutoMakespan} {
 		geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 20}
-		c, err := newCommOn(geo, algoPinShape, true, core.Config{})
+		mach, c, err := newCommOn(geo, algoPinShape, true, core.Config{})
 		if err != nil {
 			return r, err
 		}
-		c.SetAutoObjective(obj)
+		mach.SetAutoObjective(obj)
 		alg, lvl, err := c.Resolve(core.Collective{Prim: core.AllGather, Dims: algoPinDims,
 			Src: core.Span(0, s), Dst: core.At(2 * s), Level: core.Auto})
 		if err != nil {
@@ -186,15 +165,15 @@ func init() {
 		fmt.Fprintln(o.W)
 		t = newTable("Bytes/PE", "Ring(ms)", "Tree(ms)", "Auto(ms)", "Auto pick")
 		for _, perPE := range perPEs {
-			ring, err := MeasureClusterAllReduceAlgo(clusterPinHosts, perPE, params, core.AlgoRing)
+			ring, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoRing, false)
 			if err != nil {
 				return err
 			}
-			tree, err := MeasureClusterAllReduceAlgo(clusterPinHosts, perPE, params, core.AlgoTree)
+			tree, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoTree, false)
 			if err != nil {
 				return err
 			}
-			auto, err := MeasureClusterAllReduceAlgo(clusterPinHosts, perPE, params, core.AlgoAuto)
+			auto, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoAuto, false)
 			if err != nil {
 				return err
 			}
@@ -243,7 +222,7 @@ func collectAlgo(add func(string, float64)) error {
 		perPE int
 	}{{"small", algoClusterSmall}, {"large", algoClusterLarge}} {
 		for _, alg := range []core.Algorithm{core.AlgoRing, core.AlgoTree} {
-			bd, err := MeasureClusterAllReduceAlgo(clusterPinHosts, pin.perPE, cost.DefaultParams(), alg)
+			bd, err := MeasureClusterAllReduce(clusterPinHosts, pin.perPE, cost.DefaultParams(), alg, false)
 			if err != nil {
 				return err
 			}

@@ -37,15 +37,15 @@ func TestClusterAlgoCrossoverPinned(t *testing.T) {
 		{"small", algoClusterSmall, true},
 		{"large", algoClusterLarge, false},
 	} {
-		ring, err := MeasureClusterAllReduceAlgo(clusterPinHosts, c.perPE, params, core.AlgoRing)
+		ring, err := MeasureClusterAllReduce(clusterPinHosts, c.perPE, params, core.AlgoRing, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := MeasureClusterAllReduceAlgo(clusterPinHosts, c.perPE, params, core.AlgoTree)
+		tree, err := MeasureClusterAllReduce(clusterPinHosts, c.perPE, params, core.AlgoTree, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto, err := MeasureClusterAllReduceAlgo(clusterPinHosts, c.perPE, params, core.AlgoAuto)
+		auto, err := MeasureClusterAllReduce(clusterPinHosts, c.perPE, params, core.AlgoAuto, false)
 		if err != nil {
 			t.Fatal(err)
 		}

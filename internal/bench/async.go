@@ -16,7 +16,7 @@ import (
 // CPU, bus and PE phases stack end to end; submitted asynchronously the
 // independent plans overlap — one plan's PE-side reordering and host
 // modulation hide under another's bus epochs — and the overlap-aware
-// elapsed time (core.Comm.Elapsed) drops accordingly.
+// elapsed time (core.Tenant.Elapsed, the machine's) drops accordingly.
 
 // AsyncResult is one row of the async-overlap experiment.
 type AsyncResult struct {
@@ -30,36 +30,48 @@ type AsyncResult struct {
 	Speedup float64
 }
 
-// asyncComm builds a cost-only comm at cfg on the paper's 1024-PE machine
+// asyncComm builds a cost-only machine at cfg of the paper's 1024 PEs
 // with enough phantom MRAM for `batches` disjoint region sets of payload
-// m.
-func asyncComm(m, batches int, cfg core.Config) (*core.Comm, error) {
+// m, and its whole-MRAM session.
+func asyncComm(m, batches int, cfg core.Config) (*core.Comm, *core.Tenant, error) {
 	return newCommOn(dram.PaperGeometry(mramFor(4*m*batches+64)), []int{32, 32}, true, cfg)
 }
 
-// asyncPlans compiles the pipeline's plans on c: per batch a
-// ReduceScatter (IM) and an AlltoAll (CM) over the batch's own region
-// set, all mutually disjoint. The host-compute-heavy ReduceScatter is
-// submitted first so its modulation/reduction pass runs on the CPU lane
-// while the bus-heavy AlltoAll streams — the same ordering a DLRM server
-// sees (batch k's response ReduceScatter alongside batch k+1's request
-// AlltoAll).
-func asyncPlans(c *core.Comm, m, batches int) ([]*core.CompiledPlan, error) {
+// dlrmRequest returns the two descriptors of one DLRM-style serving
+// request laid out at base: an AlltoAll (CM) over [base, base+2m) and a
+// ReduceScatter (IM) over [base+2m, base+3m+s). The pair is internally
+// independent (footprints disjoint, so the two overlap), while
+// consecutive requests at one base chain on their WAW hazards. rsFirst
+// puts the host-compute-heavy ReduceScatter first, so its
+// modulation/reduction pass runs on the CPU lane while the bus-heavy
+// AlltoAll streams — the order a DLRM server sees (batch k's response
+// ReduceScatter alongside batch k+1's request AlltoAll); AlltoAll first
+// is the order that defeats overlap (reorder.go).
+func dlrmRequest(base, m int, rsFirst bool) [2]core.Collective {
+	aa := core.Collective{Prim: core.AlltoAll, Dims: "10",
+		Src: core.Span(base, m), Dst: core.At(base + m), Level: core.CM}
+	rs := core.Collective{Prim: core.ReduceScatter, Dims: "10",
+		Src: core.Span(base+2*m, m), Dst: core.At(base + 3*m),
+		Elem: elem.I32, Op: elem.Sum, Level: core.IM}
+	if rsFirst {
+		return [2]core.Collective{rs, aa}
+	}
+	return [2]core.Collective{aa, rs}
+}
+
+// pipelinePlans compiles the pipeline's plans on s in submission order:
+// per batch one dlrmRequest over the batch's own region set, all
+// mutually disjoint.
+func pipelinePlans(s *core.Tenant, m, batches int, rsFirst bool) ([]*core.CompiledPlan, error) {
 	var plans []*core.CompiledPlan
 	for b := 0; b < batches; b++ {
-		base := b * 4 * m
-		rs, err := c.Compile(core.Collective{Prim: core.ReduceScatter, Dims: "10",
-			Src: core.Span(base+2*m, m), Dst: core.At(base + 3*m),
-			Elem: elem.I32, Op: elem.Sum, Level: core.IM})
-		if err != nil {
-			return nil, err
+		for _, d := range dlrmRequest(b*4*m, m, rsFirst) {
+			cp, err := s.Compile(d)
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, cp)
 		}
-		aa, err := c.Compile(core.Collective{Prim: core.AlltoAll, Dims: "10",
-			Src: core.Span(base, m), Dst: core.At(base + m), Level: core.CM})
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, rs, aa)
 	}
 	return plans, nil
 }
@@ -83,19 +95,19 @@ func MeasureAsyncOverlap(m int, depths []int) ([]AsyncResult, error) {
 func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]AsyncResult, error) {
 	var out []AsyncResult
 	for _, batches := range depths {
-		serial, err := asyncComm(m, batches, core.Config{})
+		_, serial, err := asyncComm(m, batches, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: stepped})
+		_, async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: stepped})
 		if err != nil {
 			return nil, err
 		}
-		sp, err := asyncPlans(serial, m, batches)
+		sp, err := pipelinePlans(serial, m, batches, true)
 		if err != nil {
 			return nil, err
 		}
-		ap, err := asyncPlans(async, m, batches)
+		ap, err := pipelinePlans(async, m, batches, true)
 		if err != nil {
 			return nil, err
 		}

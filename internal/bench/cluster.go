@@ -25,36 +25,38 @@ func clusterHostGeo(perPE int) dram.Geometry {
 		MramPerBank: mramFor(3 * perPE)}
 }
 
-// clusterOf builds a cost-only cluster of identical 1-D hosts.
-func clusterOf(hosts int, geo dram.Geometry, params cost.Params) (*core.Cluster, error) {
-	comms := make([]*core.Comm, hosts)
-	for h := range comms {
-		c, err := newCommOn(geo, []int{geo.NumPEs()}, true, core.Config{Params: params})
-		if err != nil {
-			return nil, err
-		}
-		comms[h] = c
-	}
-	return core.NewCluster(comms)
-}
-
-// MeasureClusterAllReduce prices one global AllReduce of perPE bytes per
-// PE across hosts cost-only hosts, hierarchically or flat.
-func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, flat bool) (cost.Breakdown, error) {
+// MeasureClusterAllReduce prices one global AllReduce (CM) of perPE bytes
+// per PE on a fresh cost-only cluster of identical 1-D hosts, compiled on
+// the whole-MRAM session of every host: alg selects the host-level wire
+// algorithm (AlgoAuto lets the cluster pick analytically from
+// cost.NetParams), flat the naive lowering.
+func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algorithm, flat bool) (cost.Breakdown, error) {
 	geo := clusterHostGeo(perPE)
 	P := geo.NumPEs()
 	m := perPE / (8 * P) * (8 * P)
 	if m == 0 {
 		m = 8 * P
 	}
-	cl, err := clusterOf(hosts, geo, params)
+	comms := make([]*core.Comm, hosts)
+	sessions := make([]*core.Tenant, hosts)
+	for h := range comms {
+		var err error
+		if comms[h], sessions[h], err = newCommOn(geo, []int{P}, true, core.Config{Params: params}); err != nil {
+			return cost.Breakdown{}, err
+		}
+	}
+	cl, err := core.NewCluster(comms)
 	if err != nil {
 		return cost.Breakdown{}, err
 	}
-	return cl.Run(core.ClusterCollective{Collective: core.Collective{
+	cp, err := cl.Compile(sessions, core.ClusterCollective{Collective: core.Collective{
 		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(2 * m),
-		Elem: elem.I32, Op: elem.Sum, Level: core.CM,
+		Elem: elem.I32, Op: elem.Sum, Level: core.CM, Algorithm: alg,
 	}, Flat: flat})
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	return cp.Run()
 }
 
 // The pinned configuration the regression metrics and the speedup gate
@@ -70,10 +72,10 @@ const (
 // bench test and CI gate pin that speedup).
 func clusterPinned() (hier, flat cost.Breakdown, err error) {
 	p := cost.DefaultParams()
-	if hier, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, false); err != nil {
+	if hier, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, false); err != nil {
 		return
 	}
-	flat, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, true)
+	flat, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, true)
 	return
 }
 
@@ -85,11 +87,11 @@ func init() {
 		// Head-to-head: hierarchical vs flat at small host counts.
 		t := newTable("Hosts", "Hier(ms)", "Flat(ms)", "Speedup", "Net share (hier)")
 		for _, hosts := range []int{2, 4, 8, 16, 64} {
-			hier, err := MeasureClusterAllReduce(hosts, perPE, params, false)
+			hier, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, false)
 			if err != nil {
 				return err
 			}
-			flat, err := MeasureClusterAllReduce(hosts, perPE, params, true)
+			flat, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, true)
 			if err != nil {
 				return err
 			}
@@ -110,7 +112,7 @@ func init() {
 		fmt.Fprintln(o.W)
 		t = newTable("Hosts", "Total(ms)", "Net(ms)", "Net share")
 		for _, hosts := range hostsSweep {
-			hier, err := MeasureClusterAllReduce(hosts, perPE, params, false)
+			hier, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, false)
 			if err != nil {
 				return err
 			}
@@ -150,7 +152,7 @@ func init() {
 		for _, nc := range nets {
 			p := params
 			p.Net = nc.net
-			hier, err := MeasureClusterAllReduce(clusterPinHosts, netPerPE, p, false)
+			hier, err := MeasureClusterAllReduce(clusterPinHosts, netPerPE, p, core.AlgoAuto, false)
 			if err != nil {
 				return err
 			}
@@ -171,7 +173,7 @@ func collectCluster(add func(string, float64)) error {
 	}
 	add(fmt.Sprintf("hier_h%d", clusterPinHosts), float64(hier.Total()))
 	add(fmt.Sprintf("flat_h%d", clusterPinHosts), float64(flat.Total()))
-	big, err := MeasureClusterAllReduce(1024, clusterPinPerPE, cost.DefaultParams(), false)
+	big, err := MeasureClusterAllReduce(1024, clusterPinPerPE, cost.DefaultParams(), core.AlgoAuto, false)
 	if err != nil {
 		return err
 	}

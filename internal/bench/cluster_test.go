@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 )
 
@@ -29,14 +30,14 @@ func TestClusterSpeedupGate(t *testing.T) {
 // The cost-only sweep must reach cluster scale (>= 1024 hosts) quickly —
 // this is what CI runs, so it doubles as the wall-clock guard.
 func TestClusterSweepScales(t *testing.T) {
-	bd, err := MeasureClusterAllReduce(1024, 16<<10, cost.DefaultParams(), false)
+	bd, err := MeasureClusterAllReduce(1024, 16<<10, cost.DefaultParams(), core.AlgoAuto, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.Total() <= 0 || bd.Get(cost.Network) <= 0 {
 		t.Fatalf("1024-host sweep produced an empty breakdown: %+v", bd)
 	}
-	small, err := MeasureClusterAllReduce(16, 16<<10, cost.DefaultParams(), false)
+	small, err := MeasureClusterAllReduce(16, 16<<10, cost.DefaultParams(), core.AlgoAuto, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, 
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}
-	comm, err := newCommOn(geo, shape, costOnly, core.Config{Params: params})
+	mach, comm, err := newCommOn(geo, shape, costOnly, core.Config{Params: params})
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}
@@ -40,7 +40,7 @@ func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, 
 		return 0, cost.Breakdown{}, fmt.Errorf("bench: extension runner supports AA/RS/AR/AG, got %v", prim)
 	}
 	d, err := primCollective(PrimSpec{Prim: prim, Dims: dims, RecvPerPE: size, Level: lvl,
-		Elem: elem.I32, Op: elem.Sum}, nGroupSize(comm, dims))
+		Elem: elem.I32, Op: elem.Sum}, nGroupSize(mach, dims))
 	if err != nil {
 		return 0, cost.Breakdown{}, err
 	}

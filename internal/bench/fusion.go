@@ -38,12 +38,13 @@ type FusionResult struct {
 	Report core.FusionReport
 }
 
-// fusionComm builds a cost-only comm on the paper's 1024-PE machine with
+// fusionComm builds a cost-only machine of the paper's 1024 PEs with
 // enough phantom MRAM for the pipeline's regions at the given fusion
-// level.
-func fusionComm(m, batches int, fuse core.FuseLevel) (*core.Comm, error) {
+// level and returns its whole-MRAM session.
+func fusionComm(m, batches int, fuse core.FuseLevel) (*core.Tenant, error) {
 	need := (2*batches+1)*m + batches*m // A/C regions plus aligned B slack
-	return newCommOn(dram.PaperGeometry(mramFor(need+64)), []int{32, 32}, true, core.Config{Fuse: fuse})
+	_, s, err := newCommOn(dram.PaperGeometry(mramFor(need+64)), []int{32, 32}, true, core.Config{Fuse: fuse})
+	return s, err
 }
 
 // fusionPipeline returns the pipeline's descriptors: per batch a

@@ -10,7 +10,8 @@ import (
 // The multi-tenant serving experiment: N tenants share one simulated
 // 1024-PE machine through the Machine/Tenant session API. Each tenant
 // is bound to a disjoint MRAM arena and serves a stream of requests —
-// a DLRM-style AlltoAll/CM + ReduceScatter/IM pair per request — and
+// a DLRM-style AlltoAll/CM + ReduceScatter/IM pair per request
+// (dlrmRequest, at the arena's start) — and
 // the experiment compares the makespan of serving the tenants serially
 // (blocking Run, one machine-wide barrier per plan) against submitting
 // every stream asynchronously, where the weighted-fair scheduler
@@ -51,21 +52,6 @@ func multiTenantMachine(specs []tenantSpec, arenaBytes int) (*pidcomm.Machine, [
 	return mach, comms, nil
 }
 
-// tenantRequest returns the two descriptors of one serving request,
-// laid out in the tenant's arena: an AlltoAll over [0, 2m) and a
-// ReduceScatter over [2m, 3m+s). The pair is internally independent
-// (footprints disjoint, so the two overlap), while consecutive requests
-// of one tenant chain on their WAW hazards.
-func tenantRequest(m int) [2]pidcomm.Collective {
-	return [2]pidcomm.Collective{
-		{Prim: pidcomm.AlltoAll, Dims: "10",
-			Src: pidcomm.Span(0, m), Dst: pidcomm.At(m), Level: pidcomm.CM},
-		{Prim: pidcomm.ReduceScatter, Dims: "10",
-			Src: pidcomm.Span(2*m, m), Dst: pidcomm.At(3 * m),
-			Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.IM},
-	}
-}
-
 // runMultiTenant measures serial vs weighted-fair makespan for the
 // given tenants, each serving requests request-pairs of m bytes/PE.
 // It returns the two machines' final snapshots: their meters (for the
@@ -80,7 +66,7 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serial, fair pidcomm.S
 	}
 	for r := 0; r < requests; r++ {
 		for _, c := range scomms {
-			for _, d := range tenantRequest(m) {
+			for _, d := range dlrmRequest(0, m, false) {
 				if _, err = c.Run(d); err != nil {
 					return
 				}
@@ -99,7 +85,7 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serial, fair pidcomm.S
 	var futures []*pidcomm.Future
 	for r := 0; r < requests; r++ {
 		for _, c := range fcomms {
-			for _, d := range tenantRequest(m) {
+			for _, d := range dlrmRequest(0, m, false) {
 				f, ferr := c.Submit(d)
 				if ferr != nil {
 					err = ferr

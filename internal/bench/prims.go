@@ -54,11 +54,11 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 	if spec.Elem == 0 && spec.Op == 0 {
 		spec.Elem, spec.Op = elem.I32, elem.Sum
 	}
-	comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, spec.CostOnly)
+	mach, comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, spec.CostOnly)
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
 	}
-	p := comm.Hypercube()
+	p := mach.Hypercube()
 	groups, err := p.Groups(spec.Dims)
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
@@ -113,7 +113,7 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
 	}
-	return gbps(bytes, float64(bd.Total())), bd, comm.Host().Stats(), nil
+	return gbps(bytes, float64(bd.Total())), bd, mach.Host().Stats(), nil
 }
 
 // ResolvePrimitive reports the (algorithm, level) pair the spec's
@@ -129,11 +129,11 @@ func ResolvePrimitive(spec PrimSpec) (core.Algorithm, core.Level, error) {
 	if spec.Elem == 0 && spec.Op == 0 {
 		spec.Elem, spec.Op = elem.I32, elem.Sum
 	}
-	comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, true)
+	mach, comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, true)
 	if err != nil {
 		return 0, 0, err
 	}
-	groups, err := comm.Hypercube().Groups(spec.Dims)
+	groups, err := mach.Hypercube().Groups(spec.Dims)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -178,21 +178,27 @@ func primGeo(n, recvPerPE int) (dram.Geometry, error) {
 	return appcore.GeoForPEs(n, mramFor(4*recvPerPE+64))
 }
 
-func newPrimComm(shape []int, n, recvPerPE int, costOnly bool) (*core.Comm, error) {
+func newPrimComm(shape []int, n, recvPerPE int, costOnly bool) (*core.Comm, *core.Tenant, error) {
 	geo, err := primGeo(n, recvPerPE)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return newCommOn(geo, shape, costOnly, core.Config{})
 }
 
-// newCommOn builds a comm for the geometry/shape at cfg, on the cost-only
-// backend (over a phantom, no-MRAM system) when costOnly is set.
-func newCommOn(geo dram.Geometry, shape []int, costOnly bool, cfg core.Config) (*core.Comm, error) {
+// newCommOn builds a machine for the geometry/shape at cfg, on the
+// cost-only backend (over a phantom, no-MRAM system) when costOnly is
+// set, and its whole-MRAM session (at offset 0).
+func newCommOn(geo dram.Geometry, shape []int, costOnly bool, cfg core.Config) (*core.Comm, *core.Tenant, error) {
 	if costOnly {
 		cfg.Backend = core.CostBackend()
 	}
-	return core.New(geo, shape, cfg)
+	c, err := core.New(geo, shape, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := c.Session()
+	return c, s, err
 }
 
 // fig14 recvPerPE: small 64 KiB, full 1 MiB.

@@ -5,12 +5,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/elem"
 )
 
 // This file holds the reorder experiment: the async pipeline of
 // async.go submitted in *adversarial* order — per batch the bus-heavy
-// AlltoAll before the host-compute-heavy ReduceScatter — which is the
+// AlltoAll before the host-compute-heavy ReduceScatter (dlrmRequest with
+// rsFirst unset) — which is the
 // order that defeats overlap (the ReduceScatter's CPU pass can no
 // longer hide under the AlltoAll's bus streaming; at depth 1 FIFO drops
 // from 1.58x to ~1.14x). The submission queue runs in stepped mode so
@@ -36,29 +36,6 @@ type ReorderResult struct {
 	Speedup float64
 }
 
-// reorderPlans compiles the async pipeline's plans in adversarial
-// submission order: per batch the AlltoAll first, then the
-// ReduceScatter (asyncPlans submits the reverse — the good order).
-func reorderPlans(c *core.Comm, m, batches int) ([]*core.CompiledPlan, error) {
-	var plans []*core.CompiledPlan
-	for b := 0; b < batches; b++ {
-		base := b * 4 * m
-		aa, err := c.Compile(core.Collective{Prim: core.AlltoAll, Dims: "10",
-			Src: core.Span(base, m), Dst: core.At(base + m), Level: core.CM})
-		if err != nil {
-			return nil, err
-		}
-		rs, err := c.Compile(core.Collective{Prim: core.ReduceScatter, Dims: "10",
-			Src: core.Span(base+2*m, m), Dst: core.At(base + 3*m),
-			Elem: elem.I32, Op: elem.Sum, Level: core.IM})
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, aa, rs)
-	}
-	return plans, nil
-}
-
 // MeasureReorder measures, at per-PE payload m, the overlap each
 // scheduling policy recovers from an adversarial submission order, per
 // pipeline depth. Stepped submission: all plans are enqueued first,
@@ -71,11 +48,11 @@ func reorderPlans(c *core.Comm, m, batches int) ([]*core.CompiledPlan, error) {
 func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]ReorderResult, error) {
 	var out []ReorderResult
 	for _, batches := range depths {
-		serial, err := asyncComm(m, batches, core.Config{})
+		_, serial, err := asyncComm(m, batches, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		sp, err := reorderPlans(serial, m, batches)
+		sp, err := pipelinePlans(serial, m, batches, false)
 		if err != nil {
 			return nil, err
 		}
@@ -85,11 +62,11 @@ func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]Reorder
 			}
 		}
 		for _, pol := range policies {
-			async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: true})
+			async, as, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: true})
 			if err != nil {
 				return nil, err
 			}
-			ap, err := reorderPlans(async, m, batches)
+			ap, err := pipelinePlans(as, m, batches, false)
 			if err != nil {
 				return nil, err
 			}
@@ -126,11 +103,11 @@ func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]Reorder
 // bit-identical contract: each future's charged breakdown, and the
 // machine meter as a whole, must equal the serial twin's bit for bit.
 func verifyReorderReplay(m, batches int, pol core.SchedPolicy, planIdx map[*core.Future]int, picked []*core.Future, async *core.Comm) error {
-	twin, err := asyncComm(m, batches, core.Config{})
+	twin, ts, err := asyncComm(m, batches, core.Config{})
 	if err != nil {
 		return err
 	}
-	tp, err := reorderPlans(twin, m, batches)
+	tp, err := pipelinePlans(ts, m, batches, false)
 	if err != nil {
 		return err
 	}

@@ -152,8 +152,11 @@ type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number, used by the
 	// weighted-fair scheduler to keep hazard-conflicting plans from
-	// different buckets in submission order. Guarded by asyncMu.
-	seq uint64
+	// different buckets in submission order. Guarded by asyncMu. cluster
+	// marks a cluster host plan (submit); it shares done's word, so a
+	// chunk of Futures stays in its size class.
+	seq     uint64
+	cluster bool
 
 	// done is stored once, after the results below (finishLocked, or
 	// rejectLocked before anyone else has the handle). wake is made by
@@ -267,39 +270,38 @@ func (f *Future) Window() (start, end cost.Seconds) {
 // Plan returns the compiled plan this future executes.
 func (f *Future) Plan() *CompiledPlan { return f.cp }
 
-// subQueue is one weighted-fair submission bucket: the default queue of
-// a Comm (weight 1) or one tenant's queue. Within a bucket plans execute
-// in FIFO submission order — which is what preserves the hazard ordering
-// guarantees, since data hazards can only exist within a bucket (tenant
-// arenas are disjoint). Across buckets the comm's scheduling policy
-// picks (sched.go); every service advances the bucket's vtime by the
-// plan's predicted cost over the bucket's weight, so under the default
-// WFQ policy each backlogged bucket b receives a weight_b / Σ weights
-// share of the simulated machine (start-time weighted fair queuing);
-// the lookahead policy's starvation bound reads the same clock. All
-// fields are guarded by the Comm's asyncMu.
+// subQueue is one weighted-fair submission bucket: one tenant's queue.
+// Within a bucket plans execute in FIFO submission order — which is what
+// preserves the hazard ordering guarantees, since data hazards can only
+// exist within a bucket (tenant arenas are disjoint). Across buckets the
+// comm's scheduling policy picks (sched.go); every service advances the
+// bucket's vtime by the plan's predicted cost over the bucket's weight,
+// so under the default WFQ policy each backlogged bucket b receives a
+// weight_b / Σ weights share of the simulated machine (start-time
+// weighted fair queuing); the lookahead policy's starvation bound reads
+// the same clock. All fields are guarded by the Comm's asyncMu.
 type subQueue struct {
 	q      []*Future
 	weight float64
 	vtime  float64
 }
 
-// Submit enqueues one replay of the plan on its Comm's submission queue
-// and returns immediately with a Future (blocking only if MaxPendingPlans
-// are already in flight; a stepped comm steps the queue instead). Plans
-// of one bucket (a tenant, or the plain Comm) execute in submission
-// order; across tenants the weighted-fair scheduler interleaves. The elapsed-time timeline overlaps plans with
-// disjoint MRAM footprints and orders plans with data hazards (see
-// Comm.Elapsed).
+// Submit enqueues one replay of the plan on its owning tenant's bucket of
+// the machine's submission queue and returns immediately with a Future
+// (blocking only if MaxPendingPlans are already in flight; a stepped comm
+// steps the queue instead). Plans of one tenant execute in submission
+// order; across tenants the weighted-fair scheduler interleaves. The
+// elapsed-time timeline overlaps plans with disjoint MRAM footprints and
+// orders plans with data hazards (see Comm.Elapsed).
 //
-// A plan owned by a tenant is admitted against the tenant's quota at
+// The plan is admitted against its tenant's quota and overload bound at
 // submission: a rejected plan returns an already-completed Future whose
-// Err carries the quota error, and nothing is enqueued.
+// Err carries the admission error, and nothing is enqueued.
 //
 // Host-input plans (Scatter, Broadcast) read their bound buffers when the
 // plan *executes*, not when it is submitted: do not refill the buffers
 // until the future completes.
-func (cp *CompiledPlan) Submit() *Future { return cp.c.submit(cp, true, SubmitOptions{}) }
+func (cp *CompiledPlan) Submit() *Future { return cp.c.submit(cp, false, SubmitOptions{}) }
 
 // SubmitOptions carries the serving attributes of one submission.
 type SubmitOptions struct {
@@ -316,16 +318,17 @@ type SubmitOptions struct {
 
 // SubmitOpts is Submit with explicit serving attributes (arrival time,
 // deadline). See CompiledPlan.Submit for queue semantics.
-func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.c.submit(cp, true, o) }
+func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.c.submit(cp, false, o) }
 
-// submit enqueues a plan execution, starting the worker if idle. admit
-// selects quota admission here; the cluster layer admits every host's
-// plan up front instead (cluster.go) and passes false, so a quota
-// rejection can never strand the other hosts at a rendezvous barrier.
-// A submission allocates nothing of its own: its Future is carved.
-func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
-	if admit {
-		if err := cp.owner.admit(cp.tr.total.Total()); err != nil {
+// submit enqueues a plan execution, starting the worker if idle. cluster
+// marks a host plan the cluster layer has admitted on every host up front
+// (ClusterPlan.Submit): it skips quota and overload admission here and is
+// never shed. A submission allocates nothing of its own: its Future is
+// carved.
+func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
+	t := cp.owner
+	if !cluster {
+		if err := t.admit(cp.tr.total.Total()); err != nil {
 			c.asyncMu.Lock()
 			return c.rejectLocked(c.carveLocked(cp, o), false, err)
 		}
@@ -338,28 +341,25 @@ func (c *Comm) submit(cp *CompiledPlan, admit bool, o SubmitOptions) *Future {
 	c.asyncSlots <- struct{}{}
 	c.asyncMu.Lock()
 	f := c.carveLocked(cp, o)
-	q := c.queues[0]
-	if t := cp.owner; t != nil {
-		// Re-check closure under asyncMu: a Close racing this submission
-		// has either already swept the bucket (we must not re-populate
-		// it) or will sweep the entry we are about to append.
-		if t.Closed() {
-			return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
-		}
-		// Per-tenant overload admission: beyond MaxPending in-flight
-		// plans, shed the oldest queued one if the tenant's ShedPolicy
-		// says so and one is queued, else reject this submission.
-		if t.maxPending > 0 && t.inflight >= t.maxPending {
-			if t.shed != ShedOldest || len(t.sq.q) == 0 {
-				return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)",
-					ErrOverloaded, t.name, t.inflight, t.maxPending))
-			}
-			c.completeDroppedLocked(t.sq.remove(0), fmt.Errorf("%w: tenant %q plan shed by newer submission (max %d pending)",
-				ErrOverloaded, t.name, t.maxPending))
-		}
-		t.inflight++
-		q = t.sq
+	// Re-check closure under asyncMu: a Close racing this submission has
+	// either already swept the bucket (we must not re-populate it) or will
+	// sweep the entry we are about to append.
+	if t.Closed() {
+		return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
 	}
+	// Per-tenant overload admission: beyond MaxPending in-flight plans,
+	// shed the oldest queued one if the tenant's ShedPolicy says so and it
+	// is not a cluster host plan, else reject this submission.
+	if err := t.overloadedLocked(); err != nil && !cluster {
+		if q := t.sq.q; t.shed != ShedOldest || len(q) == 0 || q[0].cluster {
+			return c.rejectLocked(f, true, err)
+		}
+		c.completeDroppedLocked(t.sq.remove(0), fmt.Errorf("%w: tenant %q plan shed by newer submission (max %d pending)",
+			ErrOverloaded, t.name, t.maxPending))
+	}
+	f.cluster = cluster
+	t.inflight++
+	q := &t.sq
 	c.seqCounter++
 	f.seq = c.seqCounter
 	if len(q.q) == 0 && q.vtime < c.vclock {
@@ -421,9 +421,7 @@ func (c *Comm) finishLocked(f *Future) {
 	if f.wake != nil {
 		close(f.wake)
 	}
-	if t := f.cp.owner; t != nil {
-		t.inflight--
-	}
+	f.cp.owner.inflight--
 	c.asyncPending--
 	<-c.asyncSlots // release the queue slot before a Flush can see the drain
 	c.asyncCond.Broadcast()

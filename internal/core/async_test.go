@@ -14,7 +14,7 @@ import (
 
 // asyncTestComm builds a small functional comm: 32 PEs (1 ch x 1 rank x
 // 4 banks), 1-D hypercube, plenty of MRAM.
-func asyncTestComm(t *testing.T, costOnly bool) *Comm {
+func asyncTestComm(t *testing.T, costOnly bool) *testComm {
 	t.Helper()
 	geo := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 4, MramPerBank: 1 << 16}
 	if costOnly {
@@ -23,7 +23,7 @@ func asyncTestComm(t *testing.T, costOnly bool) *Comm {
 	return testSystem(t, geo, []int{32})
 }
 
-func fillPEs(c *Comm, off, n int, seed int64) {
+func fillPEs(c *testComm, off, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, n)
 	for pe := 0; pe < len(c.hc.rankedPEs("1")); pe++ {
@@ -50,7 +50,7 @@ func TestAsyncMatchesSerialBitIdentical(t *testing.T) {
 	const m = 32 * 8 // bytesPerPE (n=32 groups of 32)
 	serial := asyncTestComm(t, false)
 	async := asyncTestComm(t, false)
-	for _, c := range []*Comm{serial, async} {
+	for _, c := range []*testComm{serial, async} {
 		fillPEs(c, 0, 8*m, 42)
 	}
 
@@ -69,7 +69,7 @@ func TestAsyncMatchesSerialBitIdentical(t *testing.T) {
 		{AllGather, 6*m + m/32, 7 * m, m / 32, IM}, // WAR-free read near 6m... independent region
 	}
 
-	run := func(c *Comm, asyncMode bool) []*Future {
+	run := func(c *testComm, asyncMode bool) []*Future {
 		var fs []*Future
 		for _, cl := range seq {
 			var f *Future
@@ -304,14 +304,14 @@ func TestAsyncCostNeverAboveSerial(t *testing.T) {
 // failingPlan hand-builds a plan whose functional execution panics
 // mid-schedule (after the charge trace was captured cleanly), modeling a
 // backend error inside a schedule step.
-func failingPlan(c *Comm) *CompiledPlan {
+func failingPlan(c *testComm) *CompiledPlan {
 	sched := &Schedule{Name: "test/failing"}
 	sched.add(&StepHostCompute{
 		Charges: []Charge{{ChargeHostMem, 64}},
 		Run:     func() { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
-	cp := &CompiledPlan{c: c, key: planKey{prim: Broadcast, dims: "1"}, sched: sched}
+	cp := &CompiledPlan{c: c.Comm, owner: c.s, key: planKey{prim: Broadcast, dims: "1"}, sched: sched}
 	cp.tr = c.traceSchedule(sched)
 	return cp
 }

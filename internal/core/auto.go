@@ -210,7 +210,8 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 // destination at 0 with nil Hosts, whose sizes a dry spec implies. The
 // build alone yields the candidate's precomputed per-run cost and lane
 // segments; nothing executes, and nothing is cached or counted — the
-// scores live in the decision cache.
+// scores live in the decision cache. The plan is the one ownerless
+// CompiledPlan: it is scored, dropped and never run.
 func (c *Comm) autoDryBuild(d Collective) (*CompiledPlan, error) {
 	sh := &shapes[d.Prim] // autoResolve has checked the primitive
 	m := sh.payload(d)
@@ -228,7 +229,7 @@ func (c *Comm) autoDryBuild(d Collective) (*CompiledPlan, error) {
 	default:
 		dry.Src, dry.Dst = Span(0, m), At(m)
 	}
-	spec, err := c.specIn(c.fullArena(), dry, true)
+	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, dry, true)
 	if err != nil {
 		return nil, err
 	}

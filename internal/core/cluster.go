@@ -51,14 +51,18 @@ package core
 // same descriptor on one flat comm of H*P PEs (cluster_test.go pins
 // this per primitive, including non-power-of-two H).
 //
+// A cluster collective compiles on one session (Tenant) per host, which
+// its regions are relative to and its runs are admitted against and
+// metered on.
+//
 // Concurrency: the functional backend executes a cluster plan with one
 // goroutine per host; the hosts meet at generation-counting barriers
 // inside the network legs. Serial Runs are serialized on the cluster;
-// Submit enqueues on every host atomically, so the per-host queues see
-// cluster plans in one global order and the rendezvous always pair up.
-// Cluster plans should be submitted from one goroutine at a time per
-// tenant set; the cost-only backend has no barriers and no such
-// constraint.
+// Submit admits on every host, then enqueues on every host atomically,
+// so the per-host queues see cluster plans in one global order and the
+// rendezvous always pair up. Cluster plans should be submitted from one
+// goroutine at a time per tenant set; the cost-only backend has no
+// barriers and no such constraint.
 
 import (
 	"fmt"
@@ -93,9 +97,9 @@ type ClusterCollective struct {
 // clusterKey identifies a descriptor in the cluster cache. Hosts buffers
 // are identified by presence only — plans that capture caller payloads
 // are not cached (mirroring the single-host host-input rule). owner is
-// host 0's tenant of a CompileOn owner set (nil for Compile): its
-// identity, not its name, so a session that reuses a closed session's
-// name never meets the closed session's plans.
+// host 0's session of the owner set: its identity, not its name, so a
+// session that reuses a closed session's name never meets the closed
+// session's plans.
 type clusterKey struct {
 	prim     Primitive
 	dims     string
@@ -159,8 +163,8 @@ func (b *barrier) await(action func()) {
 // only on the functional backend — cost-only sweeps to thousands of
 // hosts allocate no O(data) staging.
 type clusterState struct {
-	// owners is the tenant set the entry was compiled on (nil for the
-	// machine); the entry is evicted when any of them closes.
+	// owners is the tenant set the entry was compiled on; the entry is
+	// evicted when any of them closes.
 	owners []*Tenant
 	// plan is the compiled plan, nil while uncompiled and for plans that
 	// capture a caller payload.
@@ -247,9 +251,6 @@ func (cl *Cluster) NumPEs() int { return len(cl.comms) * cl.p }
 // Host returns host h's communication context.
 func (cl *Cluster) Host(h int) *Comm { return cl.comms[h] }
 
-// Functional reports whether the cluster moves real bytes.
-func (cl *Cluster) Functional() bool { return cl.functional }
-
 // Flush blocks until every submitted cluster plan has completed on
 // every host.
 func (cl *Cluster) Flush() {
@@ -258,21 +259,17 @@ func (cl *Cluster) Flush() {
 	}
 }
 
-// Compile lowers d into one compiled plan per role, bound per host (the
+// Compile lowers d against one session per host (owners[h] a tenant of
+// host h's comm) into one compiled plan per role, bound per host (the
 // header has the rule; see ClusterPlan), and caches the result:
-// recompiling an equal descriptor returns the same plan. Plans that
-// capture a caller payload (functional Broadcast/Scatter) recompile
-// fresh, like their single-host counterparts.
-func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
-	return cl.compile(nil, d)
-}
-
-// CompileOn is Compile resolved against one tenant per host: regions
-// are arena-relative, runs are admitted against every host's tenant
-// quota up front, and charges are attributed per host tenant. The
-// pidcomm layer uses it to shard a serving tenant across a cluster. A
-// closed owner fails with ErrTenantClosed and caches nothing.
-func (cl *Cluster) CompileOn(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
+// recompiling an equal descriptor on the same sessions returns the same
+// plan. Regions are relative to the sessions' arena, runs are admitted
+// against every host's session up front, and charges are attributed per
+// host session. Plans that capture a caller payload (functional
+// Broadcast/Scatter) recompile fresh, like their single-host
+// counterparts. A closed owner fails with ErrTenantClosed and caches
+// nothing.
+func (cl *Cluster) Compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
 	if len(owners) != len(cl.comms) {
 		return nil, fmt.Errorf("core: %d tenants for %d hosts", len(owners), len(cl.comms))
 	}
@@ -281,36 +278,8 @@ func (cl *Cluster) CompileOn(owners []*Tenant, d ClusterCollective) (*ClusterPla
 			return nil, fmt.Errorf("core: tenant %d does not belong to host %d's comm", h, h)
 		}
 	}
-	return cl.compile(owners, d)
-}
-
-// Run compiles (or fetches the cached plan for) d and executes it once
-// on every host, returning the per-category maximum of the hosts' cost
-// breakdowns — the cluster-critical-path charge of this call.
-func (cl *Cluster) Run(d ClusterCollective) (cost.Breakdown, error) {
-	cp, err := cl.Compile(d)
-	if err != nil {
-		return cost.Breakdown{}, err
-	}
-	return cp.Run()
-}
-
-// Submit compiles d and enqueues one asynchronous execution on every
-// host, returning a ClusterFuture.
-func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
-	cp, err := cl.Compile(d)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
 	key := clusterKey{prim: d.Prim, dims: d.Dims, src: d.Src, dst: d.Dst, elem: d.Elem, op: d.Op,
-		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil}
-	if owners != nil {
-		key.owner = owners[0]
-	}
+		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil, owner: owners[0]}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	// Under cl.mu, which Tenant.Close's evictOwned takes after setting the
@@ -340,13 +309,9 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 	_, unknown := shapeOf(d.Prim)
 	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
 	for h, c := range cl.comms {
-		ar, owner := c.fullArena(), (*Tenant)(nil)
-		if owners != nil {
-			owner = owners[h]
-			ar = owner.ar
-		}
+		owner := owners[h]
 		c.autoMu.Lock()
-		role := hostRole{ar: ar, geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
+		role := hostRole{ar: owner.ar, geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
 		c.autoMu.Unlock()
 		if d.Prim == AlltoAll || rooted && h == d.Root {
 			role.h = h
@@ -358,7 +323,7 @@ func (cl *Cluster) compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 			cp.plans[h] = &hp
 			continue
 		}
-		specs, err := cl.hostSpecs(h, ar, st, d)
+		specs, err := cl.hostSpecs(h, owner.ar, st, d)
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
@@ -954,20 +919,31 @@ func (cp *ClusterPlan) Results() []byte {
 }
 
 // Submit enqueues one asynchronous execution on every host and returns
-// a ClusterFuture. The multi-host enqueue is atomic (serialized against
-// other cluster Submits and Runs), so every host's queue sees cluster
-// plans in the same global order and the rendezvous barriers pair up.
+// a ClusterFuture. Admission is all or nothing: every host's session is
+// checked against its overload bound (a cluster submission sheds
+// nothing) and its quota before any host enqueues, and a queued host plan
+// is never shed by a later local submission. The multi-host enqueue is
+// atomic (serialized against other cluster Submits and Runs), so every
+// host's queue sees cluster plans in one global order.
 func (cp *ClusterPlan) Submit() *ClusterFuture {
 	cf := &ClusterFuture{cp: cp}
-	if err := cp.admitAll(); err != nil {
-		cf.err = err
-		return cf
-	}
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
+	for h, hp := range cp.plans {
+		hp.c.asyncMu.Lock()
+		err := hp.owner.overloadedLocked()
+		hp.c.asyncMu.Unlock()
+		if err != nil {
+			cf.err = fmt.Errorf("cluster host %d: %w", h, err)
+			return cf
+		}
+	}
+	if cf.err = cp.admitAll(); cf.err != nil {
+		return cf
+	}
 	cf.fs = make([]*Future, len(cp.plans))
 	for h, hp := range cp.plans {
-		cf.fs[h] = hp.c.submit(hp, false, SubmitOptions{})
+		cf.fs[h] = hp.c.submit(hp, true, SubmitOptions{})
 	}
 	return cf
 }

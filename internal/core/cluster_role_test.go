@@ -14,17 +14,12 @@ import (
 // compile built every host before it knew roles — the host's own specs,
 // on a staging of their own, lowered, fused and traced from nothing.
 func perHostBuild(cl *Cluster, owners []*Tenant, d ClusterCollective, h int) (*CompiledPlan, error) {
-	c := cl.comms[h]
-	ar, owner := c.fullArena(), (*Tenant)(nil)
-	if owners != nil {
-		owner = owners[h]
-		ar = owner.ar
-	}
+	c, owner := cl.comms[h], owners[h]
 	st := &clusterState{}
 	if cl.functional {
 		st.bar = newBarrier(len(cl.comms))
 	}
-	specs, err := cl.hostSpecs(h, ar, st, d)
+	specs, err := cl.hostSpecs(h, owner.ar, st, d)
 	if err != nil {
 		return nil, err
 	}
@@ -115,10 +110,10 @@ func roleDescs(H int, payloads bool) []ClusterCollective {
 }
 
 // roleOwnerSets returns the three arena layouts of the oracle test on cl:
-// the machine, tenant shards at one base, and tenant shards whose base
-// differs between even and odd hosts (a pad tenant goes first on the odd
-// ones), so the last set has two arenas and therefore two roles where the
-// others have one.
+// tenant shards at one base, tenant shards whose base differs between
+// even and odd hosts (a pad tenant goes first on the odd ones), and the
+// whole-MRAM sessions over what is left — the last two sets have two
+// arenas and therefore two roles where the first has one.
 func roleOwnerSets(t *testing.T, cl *Cluster) map[string][]*Tenant {
 	shards := func(padOdd bool) []*Tenant {
 		ts := make([]*Tenant, cl.NumHosts())
@@ -135,10 +130,11 @@ func roleOwnerSets(t *testing.T, cl *Cluster) map[string][]*Tenant {
 		}
 		return ts
 	}
-	sets := map[string][]*Tenant{"machine": nil, "equal-bases": shards(false), "unequal-bases": shards(true)}
+	sets := map[string][]*Tenant{"equal-bases": shards(false), "unequal-bases": shards(true)}
 	if u := sets["unequal-bases"]; u[0].ar == u[1].ar {
 		t.Fatalf("hosts 0 and 1 share arena %+v: the unequal set is not unequal", u[0].ar)
 	}
+	sets["sessions"] = withSessions(t, cl).sessions
 	return sets
 }
 
@@ -154,7 +150,7 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 			for name, owners := range roleOwnerSets(t, cl) {
 				for _, d := range roleDescs(H, !costOnly) {
 					for d.Root = 0; d.Root < H; d.Root++ {
-						cp, err := cl.compile(owners, d)
+						cp, err := cl.Compile(owners, d)
 						if err != nil {
 							t.Fatalf("cost-only=%v H=%d %s %v root %d: %v", costOnly, H, name, d.Prim, d.Root, err)
 						}
@@ -189,10 +185,10 @@ func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := cl.CompileOn(owners, ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+		_, err := cl.Compile(owners, ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 			Src: Span(0, 3*16*8), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM}})
 		if err == nil || !strings.Contains(err.Error(), "cluster host 2") {
-			t.Fatalf("cost-only=%v: CompileOn = %v, want a rejection at host 2", costOnly, err)
+			t.Fatalf("cost-only=%v: Compile = %v, want a rejection at host 2", costOnly, err)
 		}
 		for h := 0; h < 3; h++ {
 			if s := cl.Host(h).Snapshot(); s.PlanCache != (PlanCacheStats{}) || s.Fusion != (FusionStats{}) {
@@ -217,7 +213,7 @@ func TestClusterCompileAllocsPerHost(t *testing.T) {
 		Src: Span(0, m), Dst: At(m), Elem: elem.I32, Op: elem.Sum, Level: IM}}
 	cold := func(H int) float64 {
 		// AllocsPerRun calls once to warm up and once to count: a cluster each.
-		cls := []*Cluster{testCluster(t, H, geoHost, []int{16}, true), testCluster(t, H, geoHost, []int{16}, true)}
+		cls := []*sessionCluster{sessionTestCluster(t, H, geoHost, []int{16}, true), sessionTestCluster(t, H, geoHost, []int{16}, true)}
 		return testing.AllocsPerRun(1, func() {
 			if _, err := cls[0].Compile(d); err != nil {
 				t.Fatal(err)
@@ -247,7 +243,7 @@ func TestStagedRoundsAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &algoEnv{c: c, p: p, prim: AllReduce, eff: Baseline, dstOff: 8 * p.n, m: 8 * p.n, s: 8, t: elem.I32, op: elem.Sum}
+		e := &algoEnv{c: c.Comm, p: p, prim: AllReduce, eff: Baseline, dstOff: 8 * p.n, m: 8 * p.n, s: 8, t: elem.I32, op: elem.Sum}
 		var steps int
 		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e, nil).Steps) })
 		return allocs, steps

@@ -21,16 +21,17 @@ func flatGeo(hosts int) dram.Geometry {
 	return dram.Geometry{Channels: hosts, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14}
 }
 
-// testCluster builds a cluster of identical hosts over the given shape.
-func testCluster(t *testing.T, hosts int, geo dram.Geometry, shape []int, costOnly bool) *Cluster {
+// testCluster builds a cluster of identical hosts over the given shape,
+// with no session on any host yet.
+func testCluster(t testing.TB, hosts int, geo dram.Geometry, shape []int, costOnly bool) *Cluster {
 	t.Helper()
+	var cfg Config
+	if costOnly {
+		cfg.Backend = CostBackend()
+	}
 	comms := make([]*Comm, hosts)
 	for h := range comms {
-		if costOnly {
-			comms[h] = costSystem(t, geo, shape)
-		} else {
-			comms[h] = testSystem(t, geo, shape)
-		}
+		comms[h] = newMachine(t, geo, shape, cfg)
 	}
 	cl, err := NewCluster(comms)
 	if err != nil {
@@ -39,10 +40,54 @@ func testCluster(t *testing.T, hosts int, geo dram.Geometry, shape []int, costOn
 	return cl
 }
 
+// sessionCluster is a test cluster paired with the whole-MRAM session of
+// every host: Compile, Run and Submit compile on the sessions, whose
+// arenas start at offset 0 on fresh hosts — the regions are absolute.
+type sessionCluster struct {
+	*Cluster
+	sessions []*Tenant
+}
+
+func (cl *sessionCluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
+	return cl.Cluster.Compile(cl.sessions, d)
+}
+
+func (cl *sessionCluster) Run(d ClusterCollective) (cost.Breakdown, error) {
+	cp, err := cl.Compile(d)
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	return cp.Run()
+}
+
+func (cl *sessionCluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
+	cp, err := cl.Compile(d)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Submit(), nil
+}
+
+// withSessions binds the whole-MRAM session of every host of cl.
+func withSessions(t testing.TB, cl *Cluster) *sessionCluster {
+	t.Helper()
+	sc := &sessionCluster{Cluster: cl, sessions: make([]*Tenant, cl.NumHosts())}
+	for h := range sc.sessions {
+		sc.sessions[h] = withSession(t, cl.Host(h)).s
+	}
+	return sc
+}
+
+// sessionTestCluster is testCluster with every host's session bound.
+func sessionTestCluster(t *testing.T, hosts int, geo dram.Geometry, shape []int, costOnly bool) *sessionCluster {
+	t.Helper()
+	return withSessions(t, testCluster(t, hosts, geo, shape, costOnly))
+}
+
 // clusterRanks returns, per host, the host's PEs in rank order for the
 // whole-host communicator, so global rank g = h*P + j maps to PE
 // ranks[h][j].
-func clusterRanks(t *testing.T, cl *Cluster, dims string) [][]int {
+func clusterRanks(t *testing.T, cl *sessionCluster, dims string) [][]int {
 	t.Helper()
 	ranks := make([][]int, cl.NumHosts())
 	for h := range ranks {
@@ -57,7 +102,7 @@ func clusterRanks(t *testing.T, cl *Cluster, dims string) [][]int {
 
 // seedGlobal writes in[g] to global rank g's src region on the cluster
 // and on the equivalent flat communicator.
-func seedGlobal(cl *Cluster, ranks [][]int, flat *Comm, flatRank []int, off int, in [][]byte) {
+func seedGlobal(cl *sessionCluster, ranks [][]int, flat *testComm, flatRank []int, off int, in [][]byte) {
 	P := cl.PEsPerHost()
 	for g, data := range in {
 		cl.Host(g/P).SetPEBuffer(ranks[g/P][g%P], off, data)
@@ -85,8 +130,8 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 	const P = 16
 	const s = 8 // block bytes
 	for _, H := range []int{1, 2, 3, 4} {
-		newPair := func(t *testing.T) (*Cluster, [][]int, *Comm, []int) {
-			cl := testCluster(t, H, geoHost, []int{P}, false)
+		newPair := func(t *testing.T) (*sessionCluster, [][]int, *testComm, []int) {
+			cl := sessionTestCluster(t, H, geoHost, []int{P}, false)
 			flat := testSystem(t, flatGeo(H), []int{H * P})
 			fp, err := flat.plan("1")
 			if err != nil {
@@ -95,7 +140,7 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			return cl, clusterRanks(t, cl, "1"), flat, fp.groups[0]
 		}
 		// comparePEs checks n bytes at off on every global rank.
-		comparePEs := func(t *testing.T, cl *Cluster, ranks [][]int, flat *Comm, flatRank []int, off, n int) {
+		comparePEs := func(t *testing.T, cl *sessionCluster, ranks [][]int, flat *testComm, flatRank []int, off, n int) {
 			t.Helper()
 			for g := 0; g < H*P; g++ {
 				got := cl.Host(g/P).GetPEBuffer(ranks[g/P][g%P], off, n)
@@ -259,7 +304,7 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 // the whole host.
 func TestCluster2DHosts(t *testing.T) {
 	const H, P = 3, 16
-	cl := testCluster(t, H, geoHost, []int{4, 4}, false)
+	cl := sessionTestCluster(t, H, geoHost, []int{4, 4}, false)
 	ranks := clusterRanks(t, cl, "11")
 	m := 8 * P
 	in := randGlobal(H*P, m, 9)
@@ -290,7 +335,7 @@ func TestClusterFlatBaselineAllReduce(t *testing.T) {
 	// 2(H-1)/H * m.
 	m := 4096
 	run := func(flat bool) (cost.Breakdown, []byte) {
-		cl := testCluster(t, H, geoHost, []int{P}, false)
+		cl := sessionTestCluster(t, H, geoHost, []int{P}, false)
 		ranks := clusterRanks(t, cl, "1")
 		in := randGlobal(H*P, m, 17)
 		for g, data := range in {
@@ -326,8 +371,22 @@ func TestClusterFlatBaselineAllReduce(t *testing.T) {
 // legs of one cluster collective are elided.
 func TestClusterPlanCacheAndFusion(t *testing.T) {
 	const H, P = 2, 16
-	cl := testCluster(t, H, geoHost, []int{P}, false)
 	m := 8 * P
+	// Two tenant sets of the same name, carved before the whole-MRAM
+	// sessions take the rest; their plans are checked below.
+	raw := testCluster(t, H, geoHost, []int{P}, false)
+	shards := func() []*Tenant {
+		ts := make([]*Tenant, H)
+		for h := range ts {
+			var err error
+			if ts[h], err = raw.Host(h).NewTenant(TenantConfig{Name: "shard", ArenaBytes: 4 * m}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ts
+	}
+	a, b := shards(), shards()
+	cl := withSessions(t, raw)
 	d := ClusterCollective{Collective: Collective{
 		Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
 		Elem: elem.I32, Op: elem.Sum, Level: IM,
@@ -379,29 +438,17 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		t.Error("payload-capturing cluster plan was cached")
 	}
 
-	// Tenant-owned plans are cached per owner set — by identity, not by
-	// name — and leave the cache when their tenants close.
-	shards := func() []*Tenant {
-		ts := make([]*Tenant, H)
-		for h := range ts {
-			if ts[h], err = cl.Host(h).NewTenant(TenantConfig{Name: "shard", ArenaBytes: 4 * m}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ts
-	}
-	// The first set only pads [0, 4m), where the machine-owned plans above
-	// live: a's and b's keys carry their own bases.
-	_, a, b := shards(), shards(), shards()
-	ap1, err := cl.CompileOn(a, d)
+	// Plans are cached per owner set — by identity, not by name — and
+	// leave the cache when their tenants close.
+	ap1, err := cl.Cluster.Compile(a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap2, err := cl.CompileOn(a, d)
+	ap2, err := cl.Cluster.Compile(a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := cl.CompileOn(b, d)
+	bp, err := cl.Cluster.Compile(b, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +465,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	}
 	// The cluster cache is the only cache of a host plan: the hosts' own
 	// plan caches hold nothing — so the churn above had nothing to leak
-	// there — and the machine-owned plan is still one cluster lookup away.
+	// there — and the sessions' plan is still one cluster lookup away.
 	for h := 0; h < H; h++ {
 		if st := cl.Host(h).Snapshot().PlanCache; st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
 			t.Errorf("host %d caches cluster members itself: %+v", h, st)
@@ -452,8 +499,8 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 // sizes must each price exactly like their functional twins.
 func TestClusterCostOnlyNilHostPayloads(t *testing.T) {
 	const H, P = 3, 16
-	costCl := testCluster(t, H, geoHost, []int{P}, true)
-	funcCl := testCluster(t, H, geoHost, []int{P}, false)
+	costCl := sessionTestCluster(t, H, geoHost, []int{P}, true)
+	funcCl := sessionTestCluster(t, H, geoHost, []int{P}, false)
 
 	type call struct {
 		name string
@@ -483,14 +530,14 @@ func TestClusterCostOnlyNilHostPayloads(t *testing.T) {
 			t.Errorf("%s: cost-only breakdown %+v != functional %+v", c.name, got, want)
 		}
 	}
-	if costCl.Functional() {
+	if costCl.functional {
 		t.Error("cost-only cluster claims to be functional")
 	}
 }
 
 func TestClusterSubmit(t *testing.T) {
 	const H, P = 2, 16
-	cl := testCluster(t, H, geoHost, []int{P}, false)
+	cl := sessionTestCluster(t, H, geoHost, []int{P}, false)
 	ranks := clusterRanks(t, cl, "1")
 	s := 8
 	in := randGlobal(H*P, s, 21)
@@ -536,19 +583,19 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(nil); err == nil {
 		t.Error("empty cluster accepted")
 	}
-	c := testSystem(t, geoHost, []int{16})
+	c := newMachine(t, geoHost, []int{16}, Config{})
 	if _, err := NewCluster([]*Comm{c, c}); err == nil {
 		t.Error("duplicate host comm accepted")
 	}
-	c2 := testSystem(t, geo64, []int{64})
+	c2 := newMachine(t, geo64, []int{64}, Config{})
 	if _, err := NewCluster([]*Comm{c, c2}); err == nil {
 		t.Error("mismatched host PE counts accepted")
 	}
-	if _, err := NewCluster([]*Comm{c, costSystem(t, geoHost, []int{16})}); err == nil {
+	if _, err := NewCluster([]*Comm{c, newMachine(t, geoHost, []int{16}, Config{Backend: CostBackend()})}); err == nil {
 		t.Error("mixed functional/cost-only backends accepted")
 	}
 
-	cl := testCluster(t, 2, geoHost, []int{4, 4}, false)
+	cl := sessionTestCluster(t, 2, geoHost, []int{4, 4}, false)
 	ar := ClusterCollective{Collective: Collective{
 		Prim: AllReduce, Dims: "10", Src: Span(0, 16), Dst: At(64),
 		Elem: elem.I32, Op: elem.Sum, Level: IM,
@@ -591,7 +638,7 @@ func TestClusterValidation(t *testing.T) {
 // leaves no cache entry — and with it no staging or barrier — behind, and
 // the error names the primitive once.
 func TestFailedClusterCompileCachesNothing(t *testing.T) {
-	cl := testCluster(t, 3, geoHost, []int{16}, false)
+	cl := sessionTestCluster(t, 3, geoHost, []int{16}, false)
 	for i := 0; i < 4; i++ {
 		_, err := cl.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 			Src: Span(i*1024, 1024), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM, Algorithm: AlgoRabenseifner}})
@@ -611,7 +658,7 @@ func TestFailedClusterCompileCachesNothing(t *testing.T) {
 // every PE's source region with seeded random bytes and runs d once.
 func runGlobal(t *testing.T, hosts int, geo dram.Geometry, d ClusterCollective) cost.Breakdown {
 	t.Helper()
-	cl := testCluster(t, hosts, geo, []int{geo.NumPEs()}, false)
+	cl := sessionTestCluster(t, hosts, geo, []int{geo.NumPEs()}, false)
 	rng := rand.New(rand.NewSource(3))
 	buf := make([]byte, d.Src.Bytes)
 	for h := 0; h < hosts; h++ {
@@ -825,7 +872,7 @@ func TestClusterWireLegs(t *testing.T) {
 			}},
 	}
 	for _, H := range []int{1, 2, 3, 5} {
-		cl := testCluster(t, H, geoHost, []int{P}, true)
+		cl := sessionTestCluster(t, H, geoHost, []int{P}, true)
 		for _, c := range cases {
 			for _, root := range []int{0, H - 1} {
 				d := c.d(H)

@@ -3,26 +3,24 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
 
 // This file implements the descriptor-based collective API: one
 // Collective struct describes any of the eight primitives, and exactly
-// three entry points consume it — Compile (plan once), Run (one-shot)
-// and Submit (asynchronous) — and nothing else. What distinguishes the
-// primitives — which regions they use, what sizes those imply, whether
-// they reduce — is one static table (shapes), read by the single spec
-// function (specIn), the cluster layer (cluster.go, with n = H×P) and
-// the autotuner (auto.go).
+// three entry points of a session (Tenant) consume it — Compile (plan
+// once), Run (one-shot) and Submit (asynchronous) — and nothing else.
+// What distinguishes the primitives — which regions they use, what sizes
+// those imply, whether they reduce — is one static table (shapes), read
+// by the single spec function (specIn), the cluster layer (cluster.go,
+// with n = H×P) and the autotuner (auto.go).
 //
-// All offsets in a Collective are relative to the arena the call is
-// resolved against: the whole per-PE MRAM for a plain Comm, or the
-// tenant's carved window for a Tenant session (tenant.go). Resolution
-// validates every region against the arena bounds and only then
-// translates to absolute MRAM offsets, which is what guarantees tenants
-// cannot name — let alone alias — MRAM outside their arena.
+// All offsets in a Collective are relative to the arena of the session
+// that compiles it (tenant.go). Resolution validates every region against
+// the arena bounds and only then translates to absolute MRAM offsets,
+// which is what guarantees tenants cannot name — let alone alias — MRAM
+// outside their arena.
 
 // Region is a per-PE MRAM byte range handle [Off, Off+Bytes). Offsets
 // are arena-relative (see Collective). For region roles whose size the
@@ -97,9 +95,6 @@ type Collective struct {
 // equals absolute alignment.
 type arena struct{ base, size int }
 
-// fullArena is the whole per-PE MRAM: the window of a plain Comm.
-func (c *Comm) fullArena() arena { return arena{0, c.hc.sys.MramSize()} }
-
 // checkArenaRegion validates an arena-relative region common to all PEs.
 func checkArenaRegion(ar arena, off, n int) error {
 	if off < 0 || n < 0 || off > ar.size || n > ar.size-off {
@@ -114,38 +109,7 @@ func checkArenaRegion(ar arena, off, n int) error {
 	return nil
 }
 
-// Compile compiles the collective described by d — validation, Auto
-// resolution, lowering to schedule IR, charge precomputation — into a
-// CompiledPlan ready for repeated Run/Submit. Repeated Compile calls
-// with an equal descriptor return the cached plan.
-func (c *Comm) Compile(d Collective) (*CompiledPlan, error) {
-	return c.compileIn(c.fullArena(), nil, d)
-}
-
-// Run compiles (or fetches the cached plan for) d and executes one
-// replay, returning the run's cost breakdown. Rooted primitives
-// (Gather, Reduce) leave their results on the plan: use Compile and
-// CompiledPlan.Results to read them.
-func (c *Comm) Run(d Collective) (cost.Breakdown, error) {
-	cp, err := c.Compile(d)
-	if err != nil {
-		return cost.Breakdown{}, err
-	}
-	return cp.Run()
-}
-
-// Submit compiles (or fetches the cached plan for) d and enqueues one
-// asynchronous execution, returning its Future. See CompiledPlan.Submit
-// for queue and hazard-ordering semantics.
-func (c *Comm) Submit(d Collective) (*Future, error) {
-	cp, err := c.Compile(d)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// Resolve returns the (algorithm, level) pair Compile(d) would pick,
+// Resolve returns the (algorithm, level) pair a session's Compile(d) picks,
 // without validating regions or compiling anything: an explicit level
 // keeps its effective value and AlgoAuto maps to AlgoReference (no
 // search, identical plans and costs); Level Auto hands the pair to the
@@ -165,48 +129,6 @@ func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
 		return 0, 0, err
 	}
 	return dec.algo, dec.lvl, nil
-}
-
-// CompileSequence compiles ds as one fused multi-collective plan: the
-// members are validated and lowered in order, their schedules
-// concatenate, and the fusion pipeline (fuse.go) rewrites across the
-// member boundaries — interior synchronizations collapse, an inverse
-// rotate/unrotate pair spanning two members cancels, back-to-back
-// transfer epochs coalesce. The resulting plan Runs/Submits as a single
-// unit whose functional result is byte-identical to running the members
-// serially; with fusion off the sequence executes the members' schedules
-// verbatim. Rooted primitives (Gather, Reduce) cannot join a sequence —
-// their results live on the host; compile them separately. A sequence of
-// one is Compile.
-func (c *Comm) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
-	return c.compileIn(c.fullArena(), nil, ds...)
-}
-
-// compileIn resolves ds against the arena and compiles them as one plan;
-// owner is the tenant the resulting plan is charged to (nil for a plain
-// Comm). The single funnel behind Compile/CompileSequence/Run/Submit, on
-// a Comm and on a Tenant: a collective is a sequence of one.
-func (c *Comm) compileIn(ar arena, owner *Tenant, ds ...Collective) (*CompiledPlan, error) {
-	if len(ds) == 0 {
-		return nil, fmt.Errorf("core: empty collective sequence")
-	}
-	var one [1]planSpec
-	specs := one[:0]
-	for i, d := range ds {
-		sp, err := c.specIn(ar, d, false)
-		if err == nil && len(ds) > 1 && shapes[d.Prim].rooted() {
-			err = fmt.Errorf("%s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
-				d.Prim.LongName())
-		}
-		if err != nil {
-			if len(ds) > 1 {
-				err = fmt.Errorf("sequence[%d]: %w", i, err)
-			}
-			return nil, err
-		}
-		specs = append(specs, sp)
-	}
-	return c.compiled(specs, owner)
 }
 
 // sizeRule derives the byte size of one role of a collective (the Dst
@@ -323,6 +245,11 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 	// (n×m) is derived from it, so the derivations cannot overflow: Src
 	// here, a host-input Dst — which is the payload — below.
 	m = sh.payload(d)
+	if m <= 0 {
+		// An empty call moves nothing, and its regions may sit at the end of
+		// the arena — where its plan key would alias the next arena's start.
+		return 0, 0, fmt.Errorf("core: empty payload")
+	}
 	if !sh.hostInput() {
 		if err := checkArenaRegion(ar, d.Src.Off, m); err != nil {
 			return 0, 0, err
@@ -363,8 +290,8 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 
 // specIn validates d against the arena, resolves Auto, and returns the
 // plan spec (cache key, MRAM footprint, lowering closure) without
-// compiling anything — the front half of compileIn, of the cluster
-// layer's local legs and of Auto's dry builds. dry marks the last: a
+// compiling anything — the front half of CompileSequence, the cluster
+// layer's local legs and Auto's dry builds. dry marks the last: a
 // candidate is only traced, never run, so its host payload may be left
 // out wherever the descriptor states its size, as on a cost-only comm.
 func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err error) {

@@ -13,27 +13,29 @@ import (
 	"repro/internal/par"
 )
 
-// Comm executes PID-Comm collectives on a hypercube. It owns a host model
-// (whose meter accumulates all communication costs) and a DPU engine for
-// the PE-side reorder kernels. Every collective lowers to a Schedule
-// (schedule.go) compiled into a CompiledPlan (plan.go) and run by the
-// single executor (exec.go) against the comm's Backend.
+// Comm is one simulated machine on a hypercube: a host model (whose meter
+// accumulates all costs), a DPU engine, the plan caches, the submission
+// queue and the elapsed-time timeline. It runs no collective itself: a
+// session (Tenant, from NewTenant or Session) compiles each into a
+// Schedule (schedule.go) and a CompiledPlan (plan.go), run by the single
+// executor (exec.go) against the comm's Backend.
 //
 // Comm is safe for concurrent use: independent collectives may be issued
 // from multiple goroutines. Executions serialize on one mutex — the
 // simulated substrate models a single machine whose bus and driver the
 // host drives, so collectives interleave at call granularity, exactly as
 // a driver-level lock would enforce on real hardware. Callers remain
-// responsible for data disjointness: two concurrent collectives (or app
-// kernels) touching overlapping MRAM regions race semantically even
-// though each executes atomically.
+// responsible for data disjointness within a session: two concurrent
+// collectives (or app kernels) touching overlapping MRAM regions race
+// semantically even though each executes atomically.
 //
-// Asynchronous execution (async.go): Submit enqueues compiled
-// plans on a per-Comm submission queue and return Futures; independent
-// plans overlap on the elapsed-time timeline (Elapsed), hazardous plans
-// are ordered by their MRAM footprints, and Flush is the barrier. Serial
-// runs and direct MRAM access (SetPEBuffer/GetPEBuffer) should only
-// happen with no submissions in flight — serial Run flushes implicitly.
+// Asynchronous execution (async.go): a submission enqueues a compiled
+// plan on its session's bucket of the machine's submission queue and
+// returns a Future; independent plans overlap on the elapsed-time
+// timeline (Elapsed), hazardous plans are ordered by their MRAM
+// footprints, and Flush is the barrier. Serial runs and direct MRAM
+// access (SetPEBuffer/GetPEBuffer) should only happen with no submissions
+// in flight — serial Run flushes implicitly.
 type Comm struct {
 	hc      *Hypercube
 	h       *host.Host
@@ -85,12 +87,12 @@ type Comm struct {
 	// asyncMu guards the submission queues, the weighted-fair virtual
 	// clock and the worker state; asyncCond signals queue drain to
 	// Flush. asyncSlots is the queue-slot semaphore bounding in-flight
-	// submissions at MaxPendingPlans. queues[0] is the default queue of
-	// plans submitted outside any tenant; every tenant appends its own
-	// (async.go, tenant.go). sched is the policy's Scheduler instance,
-	// whose Pick calls asyncMu serializes; cands is pickLocked's
-	// reusable candidate scratch (async.go, sched.go); futs is what is
-	// left of the chunk submissions carve their Futures from.
+	// submissions at MaxPendingPlans. queues holds one bucket per live
+	// tenant, in creation order (async.go, tenant.go). sched is the
+	// policy's Scheduler instance, whose Pick calls asyncMu serializes;
+	// cands is pickLocked's reusable candidate scratch (async.go,
+	// sched.go); futs is what is left of the chunk submissions carve their
+	// Futures from.
 	asyncMu      sync.Mutex
 	asyncCond    *sync.Cond
 	queues       []*subQueue
@@ -133,11 +135,12 @@ type Config struct {
 	// Params is the timing model; the zero value means
 	// cost.DefaultParams().
 	Params cost.Params
-	// Backend executes the schedules; nil means FunctionalBackend(). A
-	// non-functional backend gets a phantom (no-MRAM) system: collectives
-	// charge the meter exactly as the functional backend would but move
-	// no bytes, rooted primitives return nil result buffers, and Scatter
-	// accepts nil host buffers (sizes are implied by the call).
+	// Backend executes the schedules; nil means the byte-accurate
+	// functional backend. A non-functional backend gets a phantom
+	// (no-MRAM) system: collectives charge the meter exactly as the
+	// functional backend would but move no bytes, rooted primitives return
+	// nil result buffers, and Scatter accepts nil host buffers (sizes are
+	// implied by the call).
 	Backend Backend
 	// Fuse is the schedule-fusion level every plan of the comm is
 	// compiled at (fuse.go); FuseDefault means FuseFull.
@@ -178,7 +181,7 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 		return nil, err
 	}
 	if cfg.Backend == nil {
-		cfg.Backend = FunctionalBackend()
+		cfg.Backend = functionalBackend{}
 	}
 	if cfg.Lookahead == 0 {
 		cfg.Lookahead = DefaultLookahead
@@ -215,7 +218,6 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 		autoCache:  make(map[autoKey]autoDecision),
 		cache:      make(map[seqKey]*planEntry),
 		asyncSlots: make(chan struct{}, MaxPendingPlans),
-		queues:     []*subQueue{{weight: 1}},
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}
 	if c.workers <= 0 {

@@ -11,8 +11,25 @@ import (
 	"repro/internal/elem"
 )
 
-// newTestComm is New failing the test on an error.
-func newTestComm(t testing.TB, geo dram.Geometry, shape []int, cfg Config) *Comm {
+// testComm is a test machine paired with its whole-MRAM session: the
+// machine's methods promote from the embedded Comm, while the collective
+// entry points run in the session — a tenant over [0, MramPerBank), so
+// its regions are the absolute offsets the test places data at.
+type testComm struct {
+	*Comm
+	s *Tenant
+}
+
+func (c *testComm) Run(d Collective) (cost.Breakdown, error)    { return c.s.Run(d) }
+func (c *testComm) Compile(d Collective) (*CompiledPlan, error) { return c.s.Compile(d) }
+func (c *testComm) Submit(d Collective) (*Future, error)        { return c.s.Submit(d) }
+func (c *testComm) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
+	return c.s.CompileSequence(ds...)
+}
+
+// newMachine is New failing the test on an error: a machine with no
+// session yet, for tests that carve their own tenants.
+func newMachine(t testing.TB, geo dram.Geometry, shape []int, cfg Config) *Comm {
 	t.Helper()
 	c, err := New(geo, shape, cfg)
 	if err != nil {
@@ -21,15 +38,31 @@ func newTestComm(t testing.TB, geo dram.Geometry, shape []int, cfg Config) *Comm
 	return c
 }
 
+// newTestComm is newMachine paired with its whole-MRAM session.
+func newTestComm(t testing.TB, geo dram.Geometry, shape []int, cfg Config) *testComm {
+	t.Helper()
+	return withSession(t, newMachine(t, geo, shape, cfg))
+}
+
+// withSession pairs c with its whole-MRAM session.
+func withSession(t testing.TB, c *Comm) *testComm {
+	t.Helper()
+	s, err := c.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testComm{c, s}
+}
+
 // testSystem builds a small functional comm at the default configuration.
-func testSystem(t *testing.T, geo dram.Geometry, shape []int) *Comm {
+func testSystem(t *testing.T, geo dram.Geometry, shape []int) *testComm {
 	t.Helper()
 	return newTestComm(t, geo, shape, Config{})
 }
 
 // runRooted runs a rooted collective (Gather, Reduce) once and returns
 // its per-group host results with the run's breakdown.
-func runRooted(c *Comm, d Collective) ([][]byte, cost.Breakdown, error) {
+func runRooted(c *testComm, d Collective) ([][]byte, cost.Breakdown, error) {
 	cp, err := c.Compile(d)
 	if err != nil {
 		return nil, cost.Breakdown{}, err
@@ -43,7 +76,7 @@ var geo24 = dram.Geometry{Channels: 3, RanksPerChannel: 1, BanksPerChip: 1, Mram
 
 // fillSrc writes deterministic random data to every PE's src region and
 // returns the per-PE copies.
-func fillSrc(c *Comm, off, n int, seed int64) [][]byte {
+func fillSrc(c *testComm, off, n int, seed int64) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	numPE := c.Hypercube().System().Geometry().NumPEs()
 	in := make([][]byte, numPE)

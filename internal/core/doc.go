@@ -23,14 +23,18 @@
 // window and stepped mode are fixed for the Comm's life; the Auto
 // objective (SetAutoObjective) is the one runtime setting.
 //
+// A Comm is the machine: it hosts sessions and runs nothing itself.
+// Every collective compiles and runs in a session (Tenant: NewTenant's
+// carved arena, or Session's whole free window), its plan's owner.
+//
 // # The Collective descriptor
 //
 // Every collective call is described by one Collective value
 // (collective.go): primitive, dims bitmap, arena-relative Region
 // handles, element type/operator, level (zero value = Auto) and host
-// payloads. Exactly three entry points consume it — Compile, Run,
-// Submit — and nothing else does. What distinguishes the eight
-// primitives' descriptors (which regions they use, the sizes those
+// payloads. Exactly three entry points of a session consume it —
+// Compile, Run, Submit — and nothing else does. What distinguishes the
+// eight primitives' descriptors (which regions they use, the sizes those
 // imply, whether they reduce, whether they may run in place) is one
 // static table, shapes, read by the one validation path (specIn), the
 // cluster layer (a global call is the same row on H×P ranks) and the
@@ -128,20 +132,20 @@
 //
 // # Asynchronous execution
 //
-// Submit (async.go) enqueues a plan on the Comm's submission queue and
-// returns a Future. Plans execute in submission order — results are
-// bit-identical to serial replay — but elapsed-time accounting is
-// overlap-aware: each plan is placed on a four-lane cost.Timeline (host
-// CPU, external bus, PE array, NIC), plans with disjoint MRAM footprints
-// overlap, and plans with data hazards (RAW/WAR/WAW on a per-PE region)
-// are ordered. Comm.Elapsed reports the makespan; Comm.Flush is the
-// barrier. A submission allocates nothing of its own: its Future is
-// carved from a per-Comm chunk (never reused, so a held handle stays
-// valid), completion is an atomic flag stored on the one completion path
-// — only a waiter that really blocks makes a channel for it to close —
-// and a tenant's meter-mirroring recorder is bound once, in NewTenant.
-// The bench "async" experiment measures the overlap speedup on a
-// DLRM-style pipeline.
+// Submit (async.go) enqueues a plan on its session's bucket of the
+// Comm's submission queue and returns a Future. Plans execute in
+// submission order — results are bit-identical to serial replay — but
+// elapsed-time accounting is overlap-aware: each plan is placed on a
+// four-lane cost.Timeline (host CPU, external bus, PE array, NIC), plans
+// with disjoint MRAM footprints overlap, and plans with data hazards
+// (RAW/WAR/WAW on a per-PE region) are ordered. Comm.Elapsed reports the
+// makespan; Comm.Flush is the barrier. A submission allocates nothing of
+// its own: its Future is carved from a per-Comm chunk (never reused, so
+// a held handle stays valid), completion is an atomic flag stored on the
+// one completion path — only a waiter that really blocks makes a channel
+// for it to close — and a tenant's meter-mirroring recorder is bound
+// once, in NewTenant. The bench "async" experiment measures the overlap
+// speedup on a DLRM-style pipeline.
 //
 // # Tenants and weighted-fair scheduling
 //
@@ -152,7 +156,7 @@
 // enforced at admission. The whole lifecycle lives there: NewTenant
 // carves the arena from the system's free-list allocator and registers
 // the session, Close retires it, evicts its plans and frees the arena —
-// pidcomm re-exports the type as its Comm. The submission queue becomes
+// pidcomm re-exports the type as its Comm. The submission queue is
 // per-tenant buckets served by start-time weighted fair queuing
 // (async.go); within a bucket FIFO order — and with it hazard order — is
 // preserved, while across tenants the disjoint arenas guarantee
@@ -182,8 +186,9 @@
 // Run-time state has one read path (snapshot.go): Comm.Snapshot returns a
 // value — clock and lanes, tenant-attributed meter, plan-cache, fusion and
 // Auto caches, tenant rows, free list — that Snapshot.String renders, and
-// Cluster.Snapshot rolls the hosts up. Beside it only Pending and Elapsed,
-// polled per request by serving loops, have getters.
+// Cluster.Snapshot rolls the hosts up; after collective-only work its
+// Meter equals Comm.Meter bit for bit. Beside it only Pending and
+// Elapsed, polled per request by serving loops, have getters.
 //
 // # Paper map
 //

@@ -39,9 +39,6 @@ type Backend interface {
 	columnStream(c *Comm, h *host.Host, st *StepColumnStream)
 }
 
-// FunctionalBackend returns the byte-accurate backend (the default).
-func FunctionalBackend() Backend { return functionalBackend{} }
-
 // CostBackend returns the cost-only backend.
 func CostBackend() Backend { return costBackend{} }
 

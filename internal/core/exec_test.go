@@ -13,7 +13,7 @@ import (
 // costSystem builds a cost-only comm on a phantom system (no MRAM is
 // allocated, and any byte access panics — proving the cost backend never
 // touches data).
-func costSystem(t *testing.T, geo dram.Geometry, shape []int) *Comm {
+func costSystem(t *testing.T, geo dram.Geometry, shape []int) *testComm {
 	t.Helper()
 	return newTestComm(t, geo, shape, Config{Backend: CostBackend()})
 }
@@ -33,7 +33,7 @@ func diffBreakdowns(a, b cost.Breakdown) string {
 // its breakdown. For the functional comm, PE source regions are filled
 // with deterministic data first; the cost comm runs the identical call
 // signature with no data.
-func runOnBackend(t *testing.T, c *Comm, prim Primitive, dims string, lvl Level, s int) cost.Breakdown {
+func runOnBackend(t *testing.T, c *testComm, prim Primitive, dims string, lvl Level, s int) cost.Breakdown {
 	t.Helper()
 	p, err := c.plan(dims)
 	if err != nil {

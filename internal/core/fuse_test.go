@@ -10,14 +10,14 @@ import (
 )
 
 // fuseComm builds a functional comm at the given fusion level.
-func fuseComm(t *testing.T, sc caseSpec, fuse FuseLevel) *Comm {
+func fuseComm(t *testing.T, sc caseSpec, fuse FuseLevel) *testComm {
 	t.Helper()
 	return newTestComm(t, sc.geo, sc.shape, Config{Fuse: fuse})
 }
 
 // fillBoth writes identical deterministic random bytes into every PE's
 // whole MRAM on both comms (they share a geometry).
-func fillBoth(t *testing.T, a, b *Comm, seed int64) {
+func fillBoth(t *testing.T, a, b *testComm, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	geo := a.Hypercube().System().Geometry()
@@ -31,7 +31,7 @@ func fillBoth(t *testing.T, a, b *Comm, seed int64) {
 
 // compareMram fails the test unless every PE's full MRAM is byte-equal
 // between the two comms.
-func compareMram(t *testing.T, ctx string, a, b *Comm) {
+func compareMram(t *testing.T, ctx string, a, b *testComm) {
 	t.Helper()
 	geo := a.Hypercube().System().Geometry()
 	for pe := 0; pe < geo.NumPEs(); pe++ {
@@ -191,7 +191,7 @@ func hostDst(prim Primitive, m int) Region {
 }
 
 // runSeqPair compiles ds on both comms and checks equivalence.
-func runSeqPair(t *testing.T, ctx string, off, on *Comm, ds []Collective) {
+func runSeqPair(t *testing.T, ctx string, off, on *testComm, ds []Collective) {
 	t.Helper()
 	cpOff, err := off.CompileSequence(ds...)
 	if err != nil {
@@ -206,7 +206,7 @@ func runSeqPair(t *testing.T, ctx string, off, on *Comm, ds []Collective) {
 
 // checkSeqPair runs both plans and asserts byte-identical MRAM and a
 // fused cost no higher than the unfused one.
-func checkSeqPair(t *testing.T, ctx string, off, on *Comm, cpOff, cpOn *CompiledPlan) {
+func checkSeqPair(t *testing.T, ctx string, off, on *testComm, cpOff, cpOn *CompiledPlan) {
 	t.Helper()
 	if _, err := cpOff.Run(); err != nil {
 		t.Fatalf("%s: unfused run: %v", ctx, err)

@@ -253,7 +253,7 @@ func TestRejectedFutureIsDone(t *testing.T) {
 // Done polled from a second goroutine while the first steps flips from
 // false to true once, and the poller then reads the final window.
 func TestDonePolledWhileStepping(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{Stepped: true}))
 	cp, err := c.Compile(servingCollective)
 	if err != nil {
 		t.Fatal(err)

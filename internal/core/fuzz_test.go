@@ -148,25 +148,26 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzClusterCompile feeds arbitrary cluster descriptors — a fuzzed
-// Collective plus a root byte and a flat byte — to a cost-only 3-host
-// cluster, once on the machine and once on tenant shards of unequal
-// arenas (16/16/4 KiB: a descriptor can pass two hosts and fail the
-// third). A rejected descriptor leaves the cluster cache and every
-// host's plan-cache counters as they were; an accepted one gives every
-// host the plan a per-host build of that host produces (perHostBuild, the
-// role oracle) and replays with a run total equal to its precomputed
-// cost. The seed corpus is the leg table: every primitive, the flat
-// AllReduce and the pinned wire legs.
+// Collective plus a root byte and a flat byte — to two cost-only 3-host
+// clusters, one on the whole-MRAM session of every host and one on tenant
+// shards of unequal arenas (16/16/4 KiB: a descriptor can pass two hosts
+// and fail the third). A rejected descriptor leaves the cluster cache and
+// every host's plan-cache counters as they were; an accepted one gives
+// every host the plan a per-host build of that host produces
+// (perHostBuild, the role oracle) and replays with a run total equal to
+// its precomputed cost. The seed corpus is the leg table: every
+// primitive, the flat AllReduce and the pinned wire legs.
 func FuzzClusterCompile(f *testing.F) {
 	const H, P, s = 3, 16, 8
 	const m = H * P * s
-	comms := make([]*Comm, H)
-	for h := range comms {
-		comms[h] = newTestComm(f, geoHost, []int{P}, Config{Backend: CostBackend()})
-	}
-	cl, err := NewCluster(comms)
-	if err != nil {
-		f.Fatal(err)
+	whole := withSessions(f, testCluster(f, H, geoHost, []int{P}, true))
+	sharded := testCluster(f, H, geoHost, []int{P}, true)
+	shards := make([]*Tenant, H)
+	for h, bytes := range [H]int{16 << 10, 16 << 10, 4 << 10} {
+		var err error
+		if shards[h], err = sharded.Host(h).NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
+			f.Fatal(err)
+		}
 	}
 	decode := func(data []byte) ClusterCollective {
 		var tail [2]byte
@@ -197,28 +198,26 @@ func FuzzClusterCompile(f *testing.F) {
 		if d.Flat {
 			seed[len(seed)-1] = 1
 		}
-		if _, err := cl.Compile(decode(seed)); err != nil {
+		if _, err := whole.Compile(decode(seed)); err != nil {
 			f.Fatalf("seed %v does not compile: %v", d.Prim, err)
 		}
 		f.Add(seed)
 	}
-	stats := func() (out [H]PlanCacheStats) {
-		for h, c := range comms {
-			out[h] = c.Snapshot().PlanCache
-		}
-		return out
-	}
-	shards := make([]*Tenant, H)
-	for h, bytes := range [H]int{16 << 10, 16 << 10, 4 << 10} {
-		if shards[h], err = comms[h].NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
-			f.Fatal(err)
-		}
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := decode(data)
-		for _, owners := range [][]*Tenant{nil, shards} {
+		for _, set := range []struct {
+			cl     *Cluster
+			owners []*Tenant
+		}{{whole.Cluster, whole.sessions}, {sharded, shards}} {
+			cl, owners := set.cl, set.owners
+			stats := func() (out [H]PlanCacheStats) {
+				for h, c := range cl.comms {
+					out[h] = c.Snapshot().PlanCache
+				}
+				return out
+			}
 			entries, before := len(cl.cache), stats()
-			cp, err := cl.compile(owners, d)
+			cp, err := cl.Compile(owners, d)
 			if err != nil {
 				if cp != nil || len(cl.cache) != entries || stats() != before {
 					t.Fatalf("rejected descriptor (%v) left plan %v, %d -> %d cache entries, host stats %v -> %v",
@@ -226,7 +225,7 @@ func FuzzClusterCompile(f *testing.F) {
 				}
 				continue
 			}
-			for h := range comms {
+			for h := range cl.comms {
 				want, err := perHostBuild(cl, owners, d, h)
 				if err != nil {
 					t.Fatalf("host %d: compile accepted what the per-host build rejects: %v", h, err)

@@ -49,9 +49,6 @@ func NewHypercube(sys *dram.System, shape []int) (*Hypercube, error) {
 // Shape returns a copy of the hypercube shape.
 func (hc *Hypercube) Shape() []int { return append([]int(nil), hc.shape...) }
 
-// NumDims returns the number of dimensions.
-func (hc *Hypercube) NumDims() int { return len(hc.shape) }
-
 // System returns the underlying memory system.
 func (hc *Hypercube) System() *dram.System { return hc.sys }
 

@@ -126,7 +126,7 @@ func TestLookaheadStepAllocs(t *testing.T) {
 	}
 	const nPlans, m = 11, 16 * 8
 	allocs := func(pol SchedPolicy) float64 {
-		c := tenantTestCommWith(t, 1<<14, Config{Stepped: true, Sched: pol})
+		c := withSession(t, tenantTestCommWith(t, 1<<14, Config{Stepped: true, Sched: pol}))
 		var spare *CompiledPlan
 		for i := 0; i < nPlans; i++ {
 			cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "1",

@@ -41,7 +41,7 @@ type execSig struct {
 	rooted []byte
 }
 
-func captureSig(c *Comm, mramBytes int, rooted []byte) execSig {
+func captureSig(c *testComm, mramBytes int, rooted []byte) execSig {
 	numPE := c.Hypercube().System().Geometry().NumPEs()
 	sig := execSig{meter: c.Meter().Snapshot(), rooted: rooted}
 	for pe := 0; pe < numPE; pe++ {
@@ -81,7 +81,7 @@ func diffSigs(t *testing.T, want, got execSig, label string) {
 // the core tests exercise, with deterministic data, and returns the
 // concatenated rooted results. Block sizes are deliberately not multiples
 // of the worker counts under test so shard boundaries fall mid-group.
-func runParallelWorkload(t *testing.T, c *Comm, dims string) []byte {
+func runParallelWorkload(t *testing.T, c *testComm, dims string) []byte {
 	t.Helper()
 	p, err := c.plan(dims)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestExecWorkersDefaultAndMirror(t *testing.T) {
 // replayAllocs compiles the plan, warms it (arenas, kernels, streaming
 // contexts, timeline capacity), and measures steady-state heap
 // allocations per Run.
-func replayAllocs(t *testing.T, c *Comm, compile func() (*CompiledPlan, error)) float64 {
+func replayAllocs(t *testing.T, c *testComm, compile func() (*CompiledPlan, error)) float64 {
 	t.Helper()
 	cp, err := compile()
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // This file implements the plan/execute split: a collective is compiled
 // once — validated, Auto-resolved, lowered to its IR Schedule, and its
 // charges precomputed — into a CompiledPlan that can be replayed many
-// times. Comm.Run is Compile+Run over the plan cache, so iterative
+// times. Tenant.Run is Compile+Run over the plan cache, so iterative
 // workloads that repeat a call signature every layer/iteration (DLRM,
 // GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench harness)
 // amortize all per-call setup.
@@ -127,7 +127,8 @@ type CompiledPlan struct {
 	// detection between asynchronously submitted plans (async.go).
 	regs planRegions
 	// owner is the tenant that compiled the plan: every run is attributed
-	// to it and admitted against it (nil for a plain Comm). Immutable.
+	// to it and admitted against it. Immutable; nil only on Auto's dry
+	// builds, which never run.
 	owner *Tenant
 
 	// fusion reports what the fusion pipeline did to the schedule
@@ -219,9 +220,9 @@ func (cp *CompiledPlan) MemberCosts() []cost.Breakdown {
 // Run executes one replay of the compiled plan and returns its cost
 // breakdown. On the functional backend the schedule executes in full
 // (real bytes move); on the cost-only backend the precomputed charge
-// trace is applied, which is bit-identical to a live execution. A plan
-// owned by a tenant is admitted against the tenant's quota first and
-// its charges accrue on the tenant's meter.
+// trace is applied, which is bit-identical to a live execution. The run
+// is admitted against the owning tenant's quota first and its charges
+// accrue on the tenant's meter as well as the machine's.
 func (cp *CompiledPlan) Run() (cost.Breakdown, error) {
 	if err := cp.owner.admit(cp.tr.total.Total()); err != nil {
 		return cost.Breakdown{}, err
@@ -264,20 +265,17 @@ func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
 // (execSubmitted) paths, so the two cannot drift apart in accounting.
 // Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
-	if t := cp.owner; t != nil {
-		// Attribute every charge of this run to the owning tenant: its
-		// recorder, bound once in NewTenant, mirrors each meter addition —
-		// same operands, same order — into the tenant's meter, so that meter
-		// evolves bit-identically to running its workload alone (tenant.go).
-		m := c.h.Meter()
-		m.SetRecorder(t.rec)
-		defer m.SetRecorder(nil)
-	}
+	// Attribute every charge of this run to the owning tenant: its
+	// recorder, bound once in NewTenant, mirrors each meter addition —
+	// same operands, same order — into the tenant's meter, so that meter
+	// evolves bit-identically to running its workload alone (tenant.go).
+	m := c.h.Meter()
+	m.SetRecorder(cp.owner.rec)
+	defer m.SetRecorder(nil)
 	if c.backend.Functional() {
 		cp.out = nil
 		c.execute(cp.sched)
 	} else {
-		m := c.h.Meter()
 		for _, e := range cp.tr.adds {
 			m.Add(e.Cat, e.T)
 		}
@@ -322,11 +320,11 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 // the schedule but shares the row's charge trace, fusion report and
 // member costs.
 //
-// owner is the tenant the plan is charged to (nil for a plain Comm): a
-// miss binds it, a hit verifies it, and a closed owner compiles nothing.
-// The closed check runs under compMu, which Tenant.Close's eviction
-// takes after setting the flag, so a Close racing the compile either
-// stops it here or evicts what it cached.
+// owner is the tenant the plan is charged to. A hit is always its own
+// plan: keys carry absolute offsets, live arenas are disjoint, and a
+// closed owner compiles nothing and its plans are evicted — the closed
+// check runs under compMu, which Tenant.Close's eviction takes after
+// setting the flag, so a racing Close stops a compile or evicts it.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
 	key, cacheable := seqKey{head: specs[0].key}, true
 	for i, sp := range specs {
@@ -344,7 +342,7 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) 
 	if e != nil && e.plan != nil {
 		c.cacheSt.PlanHits++
 		c.cacheSt.TraceHits++
-		return e.plan, e.plan.checkOwner(owner)
+		return e.plan, nil
 	}
 	cp := c.buildLocked(specs, owner, e)
 	c.countBuildLocked(cp, e != nil)

@@ -23,7 +23,7 @@ func TestCompiledReplayMatchesOneShot(t *testing.T) {
 			name = "cost"
 		}
 		t.Run(name, func(t *testing.T) {
-			mk := func() *Comm {
+			mk := func() *testComm {
 				if costOnly {
 					return costSystem(t, geo64, []int{8, 8})
 				}
@@ -555,7 +555,7 @@ func TestHostInputSequenceSharesItsTrace(t *testing.T) {
 // and sequence paths merged: the descriptor's spec (lowering closure,
 // environment, footprint spans) and, for a sequence, its key.
 func TestCachedCompileAllocs(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
+	c := withSession(t, tenantTestComm(t, 1<<13))
 	const m = 16 * 8
 	aa := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
 	ag := Collective{Prim: AllGather, Dims: "1", Src: Span(4*m, 8), Dst: At(5 * m), Level: CM}

@@ -96,7 +96,7 @@ func TestReduceEqualsFoldedGather(t *testing.T) {
 // AllReduce equals ReduceScatter followed by AllGather (the composition
 // PID-Comm fuses, § V-B3).
 func TestAllReduceEqualsRSThenAG(t *testing.T) {
-	mk := func() (*Comm, int) {
+	mk := func() (*testComm, int) {
 		c := testSystem(t, geo64, []int{8, 8})
 		p, _ := c.plan("01")
 		return c, p.n
@@ -382,7 +382,7 @@ func TestAutoSentinelMatchesFixedLevel(t *testing.T) {
 	}
 }
 
-func fillSrcComm(c *Comm, off, n int, seed int64) {
+func fillSrcComm(c *testComm, off, n int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	buf := make([]byte, n)
 	for pe := 0; pe < c.Hypercube().System().Geometry().NumPEs(); pe++ {

@@ -166,7 +166,7 @@ func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
 // stepped comm the next Submit steps one plan itself instead of blocking
 // on a slot no one will ever free.
 func TestSteppedSubmitBeyondMaxPending(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{Stepped: true}))
 	cp, err := c.Compile(servingCollective)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,8 @@ type Snapshot struct {
 	LaneBusy [cost.NumLanes]cost.Seconds
 	Pending  int
 	// Meter is the attributed cost: the in-order sum of Tenants[i].Meter,
-	// bit for bit. Work run outside any tenant is on Comm.Meter only.
+	// bit for bit. Every collective runs in a session: only application
+	// kernels launched against Comm.Meter land on Comm.Meter alone.
 	Meter cost.Breakdown
 	// Cumulative; Auto is sorted by (primitive, dims, bytes, constraint).
 	PlanCache PlanCacheStats

@@ -72,17 +72,17 @@ func (p ShedPolicy) String() string {
 // Run executes a Collective one-shot, Compile returns a replayable
 // CompiledPlan, Submit enqueues asynchronously, and every Region is
 // arena-relative, so a session cannot name MRAM outside its window.
-// Create tenants with Comm.NewTenant; Close returns the arena. A Tenant
-// is safe for concurrent use.
+// Create tenants with Comm.NewTenant (or Comm.Session); Close returns the
+// arena. A Tenant is safe for concurrent use.
 type Tenant struct {
 	c      *Comm
 	name   string
 	ar     arena
-	meter  *cost.Meter
+	meter  cost.Meter
 	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run
 	weight float64
 	quota  cost.Seconds
-	sq     *subQueue
+	sq     subQueue // the tenant's scheduler bucket; c.queues holds its address
 
 	// maxPending and shed are the overload-admission knobs (immutable
 	// after creation): beyond maxPending in-flight plans, submissions
@@ -162,20 +162,30 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 		c:          c,
 		name:       name,
 		ar:         arena{ar.Base, ar.Bytes},
-		meter:      cost.NewMeter(),
 		weight:     weight,
 		quota:      cfg.Quota,
 		maxPending: cfg.MaxPending,
 		shed:       cfg.Shed,
-		sq:         &subQueue{weight: weight},
+		sq:         subQueue{weight: weight},
 	}
 	t.rec = t.meter.Add
 	c.tenantSeq++
 	c.tenants = append(c.tenants, t)
 	c.asyncMu.Lock()
-	c.queues = append(c.queues, t.sq)
+	c.queues = append(c.queues, &t.sq)
 	c.asyncMu.Unlock()
 	return t, nil
+}
+
+// Session returns a whole-machine session: a tenant named "machine"
+// over the largest contiguous free MRAM window — offset 0 on a fresh
+// machine, so its regions are absolute. Carve NewTenant sessions first.
+func (c *Comm) Session() (*Tenant, error) {
+	free := c.hc.sys.LargestFree()
+	if free <= 0 {
+		return nil, errors.New("core: no MRAM left to bind a whole-machine session")
+	}
+	return c.NewTenant(TenantConfig{Name: "machine", ArenaBytes: free})
 }
 
 // Close retires the tenant — the teardown half of tenant churn. It
@@ -201,7 +211,7 @@ func (t *Tenant) Close() error {
 	c.Flush()
 	c.asyncMu.Lock()
 	for i, q := range c.queues {
-		if q == t.sq {
+		if q == &t.sq {
 			c.queues = append(c.queues[:i], c.queues[i+1:]...)
 			break
 		}
@@ -279,9 +289,7 @@ func (c *Comm) evictOwnedPlans(t *Tenant) {
 // they amortize too. The returned plan is owned by the tenant — each
 // Run/Submit is admitted against the quota and attributed to the
 // tenant's meter. A closed tenant compiles nothing: ErrTenantClosed.
-func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) {
-	return t.c.compileIn(t.ar, t, d)
-}
+func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) { return t.CompileSequence(d) }
 
 // CompileSequence compiles ds as one fused multi-collective plan
 // against the tenant's arena: the members lower in order into a single
@@ -294,9 +302,29 @@ func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) {
 // CompiledPlan.FusionReport quotes the saving. Rooted primitives
 // (Gather, Reduce) cannot join a sequence. The plan is owned by the
 // tenant: runs are admitted against its quota as a unit and attributed
-// to its meter.
+// to its meter. The single funnel behind Compile, Run and Submit too: a
+// collective is a sequence of one.
 func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
-	return t.c.compileIn(t.ar, t, ds...)
+	if len(ds) == 0 {
+		return nil, fmt.Errorf("core: empty collective sequence")
+	}
+	var one [1]planSpec
+	specs := one[:0]
+	for i, d := range ds {
+		sp, err := t.c.specIn(t.ar, d, false)
+		if err == nil && len(ds) > 1 && shapes[d.Prim].rooted() {
+			err = fmt.Errorf("%s: rooted primitives cannot join a fused sequence (their results live on the host); compile them separately",
+				d.Prim.LongName())
+		}
+		if err != nil {
+			if len(ds) > 1 {
+				err = fmt.Errorf("sequence[%d]: %w", i, err)
+			}
+			return nil, err
+		}
+		specs = append(specs, sp)
+	}
+	return t.c.compiled(specs, t)
 }
 
 // Run compiles (or fetches the cached plan for) d and executes one
@@ -383,11 +411,7 @@ func (t *Tenant) Elapsed() cost.Seconds { return t.c.Elapsed() }
 
 // admit charges the tenant's admission ledger with a plan's predicted
 // cost, rejecting with ErrQuotaExceeded if the quota cannot cover it.
-// A nil tenant (plain Comm plans) admits everything.
 func (t *Tenant) admit(c cost.Seconds) error {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -404,41 +428,26 @@ func (t *Tenant) admit(c cost.Seconds) error {
 // refund reverses an admit for a plan that was admitted but never ran
 // (shed under overload, swept by a racing Close).
 func (t *Tenant) refund(c cost.Seconds) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.admitted -= c
 	t.mu.Unlock()
 }
 
+// overloadedLocked is the rejection of a submission beyond MaxPending
+// plans in flight, nil below the bound. Callers hold the comm's asyncMu.
+func (t *Tenant) overloadedLocked() error {
+	if t.maxPending == 0 || t.inflight < t.maxPending {
+		return nil
+	}
+	return fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)", ErrOverloaded, t.name, t.inflight, t.maxPending)
+}
+
 // errIfClosed is the compile-time closed check: plans compiled on a
 // closed tenant would outlive its eviction and collide with a successor
-// at the same base. A nil tenant (the machine) never closes.
+// at the same base.
 func (t *Tenant) errIfClosed() error {
-	if t != nil && t.Closed() {
+	if t.Closed() {
 		return fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)
-	}
-	return nil
-}
-
-// ownerName labels a plan owner in diagnostics.
-func ownerName(t *Tenant) string {
-	if t == nil {
-		return "the machine"
-	}
-	return fmt.Sprintf("tenant %q", t.name)
-}
-
-// checkOwner is the ownership half of a plan-cache hit: a plan belongs
-// to whoever compiled it first. Tenants can never collide on a plan key
-// (their arenas are disjoint, and keys carry absolute offsets), so a
-// conflict means a plain-Comm caller and a tenant named the same MRAM —
-// which the tenancy contract forbids.
-func (cp *CompiledPlan) checkOwner(t *Tenant) error {
-	if cp.owner != t {
-		return fmt.Errorf("core: plan %s is owned by %s, not %s",
-			cp.sched.Name, ownerName(cp.owner), ownerName(t))
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func tenantTestComm(t *testing.T, mram int) *Comm {
 func tenantTestCommWith(t *testing.T, mram int, cfg Config) *Comm {
 	t.Helper()
 	cfg.Backend = CostBackend()
-	return newTestComm(t, dram.Geometry{
+	return newMachine(t, dram.Geometry{
 		Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: mram,
 	}, []int{16}, cfg)
 }
@@ -183,28 +183,6 @@ func TestTenantArenasDisjoint(t *testing.T) {
 	_, aBytes := a.Arena()
 	if base, _ := d.Arena(); base != aBytes {
 		t.Fatalf("second arena starts at %d, want %d where the first ends", base, aBytes)
-	}
-}
-
-// A plan key is owned by whoever compiled it first: a tenant cannot
-// adopt a plain-Comm plan (and vice versa), which closes the aliasing
-// hole of mixing session kinds over the same offsets.
-func TestPlanOwnershipConflict(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	ten, err := c.NewTenant(TenantConfig{Name: "a", ArenaBytes: 1 << 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const m = 16 * 8
-	d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
-	if _, err := ten.Compile(d); err != nil {
-		t.Fatal(err)
-	}
-	// The same absolute signature through the plain Comm conflicts.
-	if _, err := c.Compile(d); err == nil {
-		t.Fatal("plain Comm adopted a tenant-owned plan")
-	} else if !strings.Contains(err.Error(), "owned by") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

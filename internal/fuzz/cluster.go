@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
@@ -17,6 +18,7 @@ import (
 // compared against the reference model on global-rank-concatenated
 // inputs, and — after each functional call — the same descriptor run on
 // a cost-only twin cluster, whose breakdown must match bit-for-bit.
+// Every collective runs in each host's whole-MRAM session.
 type ClusterScenario struct {
 	Geo   dram.Geometry
 	Shape []int
@@ -53,9 +55,26 @@ func RandomCluster(rng *rand.Rand) ClusterScenario {
 	}
 }
 
+// cluster is a cluster of the scenario with the whole-MRAM session of
+// each host, which its collectives compile on.
+type cluster struct {
+	*core.Cluster
+	sessions []*core.Tenant
+}
+
+// run compiles d on the sessions and runs it once.
+func (cl cluster) run(d core.ClusterCollective) (cost.Breakdown, error) {
+	cp, err := cl.Compile(cl.sessions, d)
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	return cp.Run()
+}
+
 // mkCluster builds a functional or cost-only cluster of the scenario.
-func (sc ClusterScenario) mkCluster(costOnly bool) (*core.Cluster, error) {
+func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 	comms := make([]*core.Comm, sc.Hosts)
+	sessions := make([]*core.Tenant, sc.Hosts)
 	var cfg core.Config
 	if costOnly {
 		cfg.Backend = core.CostBackend()
@@ -63,10 +82,14 @@ func (sc ClusterScenario) mkCluster(costOnly bool) (*core.Cluster, error) {
 	for h := range comms {
 		var err error
 		if comms[h], err = core.New(sc.Geo, sc.Shape, cfg); err != nil {
-			return nil, err
+			return cluster{}, err
+		}
+		if sessions[h], err = comms[h].Session(); err != nil {
+			return cluster{}, err
 		}
 	}
-	return core.NewCluster(comms)
+	cl, err := core.NewCluster(comms)
+	return cluster{cl, sessions}, err
 }
 
 // Check runs every cluster primitive under the scenario, byte-compares
@@ -107,13 +130,13 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	// both runs d on the functional cluster and its payload-free twin on
 	// the cost-only cluster and diffs the breakdowns.
 	both := func(name string, d core.ClusterCollective) error {
-		want, err := fn.Run(d)
+		want, err := fn.run(d)
 		if err != nil {
 			return fmt.Errorf("cluster %s: %w", name, err)
 		}
 		cd := d
 		cd.Hosts = nil
-		got, err := co.Run(cd)
+		got, err := co.run(cd)
 		if err != nil {
 			return fmt.Errorf("cost-only cluster %s: %w", name, err)
 		}
@@ -220,7 +243,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	// Gather and Reduce: rooted results come off the compiled plan.
 	in = seed(0, m)
 	rooted := func(name string, d core.ClusterCollective, want []byte) error {
-		cp, err := fn.Compile(d)
+		cp, err := fn.Compile(fn.sessions, d)
 		if err != nil {
 			return fmt.Errorf("cluster %s: %w", name, err)
 		}
@@ -231,7 +254,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		if got := cp.Results(); !bytes.Equal(got, want) {
 			return fmt.Errorf("cluster %s diverges from reference (%+v)", name, sc)
 		}
-		gotBD, err := co.Run(d)
+		gotBD, err := co.run(d)
 		if err != nil {
 			return fmt.Errorf("cost-only cluster %s: %w", name, err)
 		}
@@ -254,6 +277,11 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl,
 	}, Root: rng.Intn(H)}, core.RefReduce(sc.Typ, sc.Op, in)); err != nil {
 		return err
+	}
+	for h := 0; h < H; h++ {
+		if err := inSession(fn.Host(h), co.Host(h)); err != nil {
+			return fmt.Errorf("cluster host %d: %w (%+v)", h, err, sc)
+		}
 	}
 	return nil
 }

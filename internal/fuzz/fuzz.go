@@ -8,7 +8,8 @@
 // AlltoAll→ReduceScatter chain through the schedule-fusion optimizer
 // (the default) and diffs the resulting MRAM against an unfused
 // execution, giving the peephole passes randomized coverage on every
-// run.
+// run, and checks that nothing ran outside the one session of every
+// scenario machine: its meter equals its snapshot's, bit for bit.
 package fuzz
 
 import (
@@ -131,17 +132,19 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 // Check runs every primitive under the scenario and returns an error
 // naming the first divergence from the reference model.
 func (sc Scenario) Check(rng *rand.Rand) error {
-	// Every primitive runs on a fresh comm; a scenario New rejects is
-	// reported once, here, so mk cannot fail on it.
-	if _, err := sc.comm(core.FuseDefault); err != nil {
+	// Every primitive runs in the whole-MRAM session of a fresh machine; a
+	// scenario New rejects is reported once, here, so mk cannot fail on it.
+	if _, _, err := sc.session(core.FuseDefault); err != nil {
 		return err
 	}
-	mk := func() (*core.Comm, [][]byte, [][]int, int) {
-		c, err := sc.comm(core.FuseDefault)
+	var machines []*core.Comm
+	mk := func() (*core.Tenant, [][]byte, [][]int, int) {
+		mach, c, err := sc.session(core.FuseDefault)
 		if err != nil {
 			panic(err)
 		}
-		groups, err := c.Hypercube().Groups(sc.Dims)
+		machines = append(machines, mach)
+		groups, err := mach.Hypercube().Groups(sc.Dims)
 		if err != nil {
 			panic(err)
 		}
@@ -280,27 +283,47 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	// fusion off — randomized coverage of the peephole passes, including
 	// the cross-collective rotate/unrotate cancellation the pair
 	// triggers at the rotating levels.
+	if err := inSession(machines...); err != nil {
+		return fmt.Errorf("%w (%+v)", err, sc)
+	}
 	return sc.checkFusedSequence(rng)
 }
 
-// comm builds a fresh functional comm of the scenario at the given
-// fusion level.
-func (sc Scenario) comm(fuse core.FuseLevel) (*core.Comm, error) {
-	return core.New(sc.Geo, sc.Shape, core.Config{ExecWorkers: sc.Workers, Fuse: fuse})
+// session builds a fresh functional machine of the scenario at the given
+// fusion level and its whole-MRAM session (at offset 0).
+func (sc Scenario) session(fuse core.FuseLevel) (*core.Comm, *core.Tenant, error) {
+	c, err := core.New(sc.Geo, sc.Shape, core.Config{ExecWorkers: sc.Workers, Fuse: fuse})
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := c.Session()
+	return c, s, err
+}
+
+// inSession reports work that ran outside every session of a machine:
+// after a collective-only workload its meter must equal its snapshot's
+// meter — the fold of the session meters — bit for bit.
+func inSession(machines ...*core.Comm) error {
+	for _, c := range machines {
+		if got, want := c.Meter().Snapshot(), c.Snapshot().Meter; got != want {
+			return fmt.Errorf("machine meter %v != session meters %v: a collective ran outside every session", got, want)
+		}
+	}
+	return nil
 }
 
 // checkFusedSequence runs the fused-vs-unfused differential of Check on
 // two fresh systems of the scenario's geometry with identical contents.
 func (sc Scenario) checkFusedSequence(rng *rand.Rand) error {
-	fused, err := sc.comm(core.FuseFull)
+	fmach, fused, err := sc.session(core.FuseFull)
 	if err != nil {
 		return err
 	}
-	plain, err := sc.comm(core.FuseOff)
+	pmach, plain, err := sc.session(core.FuseOff)
 	if err != nil {
 		return err
 	}
-	groups, err := fused.Hypercube().Groups(sc.Dims)
+	groups, err := fmach.Hypercube().Groups(sc.Dims)
 	if err != nil {
 		return err
 	}
@@ -319,7 +342,7 @@ func (sc Scenario) checkFusedSequence(rng *rand.Rand) error {
 			Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl},
 	}
 	for _, pair := range []struct {
-		c    *core.Comm
+		c    *core.Tenant
 		name string
 	}{{fused, "fused"}, {plain, "unfused"}} {
 		cp, err := pair.c.CompileSequence(ds...)
@@ -335,12 +358,12 @@ func (sc Scenario) checkFusedSequence(rng *rand.Rand) error {
 			return fmt.Errorf("fused sequence diverges from unfused at PE %d (%+v)", pe, sc)
 		}
 	}
-	return nil
+	return inSession(fmach, pmach)
 }
 
 // runRooted runs a rooted collective (Gather, Reduce) once and returns
 // its per-group host results.
-func runRooted(c *core.Comm, d core.Collective) ([][]byte, error) {
+func runRooted(c *core.Tenant, d core.Collective) ([][]byte, error) {
 	cp, err := c.Compile(d)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package pidcomm
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -25,6 +26,10 @@ import (
 type Cluster struct {
 	machines []*Machine
 	cc       *core.Cluster
+
+	// mu guards whole, the session of Run, Compile and Submit.
+	mu    sync.Mutex
+	whole *ClusterComm
 }
 
 // NewCluster builds hosts identically-configured Machines of the given
@@ -62,30 +67,41 @@ func (cl *Cluster) PEsPerHost() int { return cl.cc.PEsPerHost() }
 func (cl *Cluster) NumPEs() int { return cl.cc.NumPEs() }
 
 // CostOnly reports whether the cluster runs the cost-only backend.
-func (cl *Cluster) CostOnly() bool { return !cl.cc.Functional() }
+func (cl *Cluster) CostOnly() bool { return cl.machines[0].CostOnly() }
 
 // Machine returns host h's machine, where its sessions and timeline live.
 func (cl *Cluster) Machine(h int) *Machine { return cl.machines[h] }
 
-// Run compiles (or fetches the cached plans for) d and executes it once
-// across every host, returning the per-category maximum of the hosts'
-// charges — the cluster critical path of the call. Regions are
-// machine-absolute (the whole-MRAM window); use NewTenant for
-// arena-relative sharded sessions.
-func (cl *Cluster) Run(d ClusterCollective) (Breakdown, error) { return cl.cc.Run(d) }
+// Run executes d once across every host in the cluster's whole-cluster
+// session (Comm), bound by the first Run, Compile or Submit: regions are
+// relative to the largest free MRAM window then — offset 0 on a fresh
+// cluster — so carve NewTenant sessions first. It returns the per-category
+// maximum of the hosts' charges, the cluster critical path of the call.
+func (cl *Cluster) Run(d ClusterCollective) (Breakdown, error) { return runPlan(cl.Compile(d)) }
 
-// Compile lowers d into one compiled plan per host, cached under the
-// descriptor: recompiling an equal descriptor returns the same
-// ClusterPlan, which replays with Run/Submit.
-func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) { return cl.cc.Compile(d) }
+// Compile is ClusterComm.Compile on the whole-cluster session (see Run).
+func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
+	cl.mu.Lock()
+	var err error
+	if cl.whole == nil {
+		cl.whole, err = cl.Comm()
+	}
+	s := cl.whole
+	cl.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.Compile(d)
+}
 
-// Submit compiles d and enqueues one asynchronous execution on every
-// host's scheduler, returning a ClusterFuture.
-func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) { return cl.cc.Submit(d) }
+// Submit is ClusterComm.Submit on the whole-cluster session (see Run).
+func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
+	return submitPlan(cl.Compile(d))
+}
 
 // Snapshot returns every host's Machine.Snapshot and their roll-up: the
-// per-category maximum meter and the slowest elapsed time. Meters are
-// tenant-attributed, so a Cluster.Run outside any session shows in Elapsed.
+// per-category maximum meter and the slowest elapsed time. Every
+// collective runs in a session (Run's is the row named "machine").
 func (cl *Cluster) Snapshot() ClusterSnapshot { return cl.cc.Snapshot() }
 
 // Flush blocks until every submitted plan has completed on every host.
@@ -101,9 +117,18 @@ func (cl *Cluster) Flush() { cl.cc.Flush() }
 // arena, or fits it at a different base, the shards already made are
 // closed again: a failed call leaves every host as it found it.
 func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) {
+	return cl.join(func(m *Machine) (*Comm, error) { return m.NewTenant(cfg) })
+}
+
+// Comm returns a whole-cluster session: each host's Machine.Comm, joined
+// into a ClusterComm. Run, Compile and Submit bind one for you.
+func (cl *Cluster) Comm() (*ClusterComm, error) { return cl.join((*Machine).Comm) }
+
+// join carves one shard per host and joins them into a session.
+func (cl *Cluster) join(carve func(*Machine) (*Comm, error)) (*ClusterComm, error) {
 	shards := make([]*Comm, 0, len(cl.machines))
 	for h, m := range cl.machines {
-		c, err := m.NewTenant(cfg)
+		c, err := carve(m)
 		if err == nil {
 			shards = append(shards, c)
 			base0, bytes0 := shards[0].Arena()
@@ -120,18 +145,6 @@ func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) {
 		}
 	}
 	return &ClusterComm{cl: cl, shards: shards}, nil
-}
-
-// Comm returns the whole-cluster convenience session: one tenant named
-// "machine" per host covering the largest contiguous free MRAM window,
-// joined into a ClusterComm. The single-workload path — call it once and
-// never think about tenancy.
-func (cl *Cluster) Comm() (*ClusterComm, error) {
-	free := cl.machines[0].sys.LargestFree()
-	if free <= 0 {
-		return nil, fmt.Errorf("pidcomm: no MRAM left to bind a whole-cluster session")
-	}
-	return cl.NewTenant(TenantConfig{Name: "machine", ArenaBytes: free})
 }
 
 // ClusterComm is one sharded session on a Cluster: the same tenant
@@ -155,25 +168,31 @@ func (c *ClusterComm) Name() string { return c.shards[0].Name() }
 func (c *ClusterComm) Arena() (base, bytes int) { return c.shards[0].Arena() }
 
 // Compile lowers d into one compiled plan per host against the
-// session's arena; see Cluster.Compile.
+// session's arena, cached under the descriptor: recompiling an equal
+// descriptor returns the same ClusterPlan, which replays with Run/Submit.
 func (c *ClusterComm) Compile(d ClusterCollective) (*ClusterPlan, error) {
-	return c.cl.cc.CompileOn(c.shards, d)
+	return c.cl.cc.Compile(c.shards, d)
 }
 
 // Run compiles (or fetches the cached plans for) d and executes it once
 // across every host, returning the cluster-critical-path breakdown.
-func (c *ClusterComm) Run(d ClusterCollective) (Breakdown, error) {
-	cp, err := c.Compile(d)
+func (c *ClusterComm) Run(d ClusterCollective) (Breakdown, error) { return runPlan(c.Compile(d)) }
+
+// Submit compiles d and enqueues one asynchronous execution on every
+// host's weighted-fair scheduler, returning a ClusterFuture.
+func (c *ClusterComm) Submit(d ClusterCollective) (*ClusterFuture, error) {
+	return submitPlan(c.Compile(d))
+}
+
+// runPlan and submitPlan pass a compile error through.
+func runPlan(cp *ClusterPlan, err error) (Breakdown, error) {
 	if err != nil {
 		return Breakdown{}, err
 	}
 	return cp.Run()
 }
 
-// Submit compiles d and enqueues one asynchronous execution on every
-// host's weighted-fair scheduler, returning a ClusterFuture.
-func (c *ClusterComm) Submit(d ClusterCollective) (*ClusterFuture, error) {
-	cp, err := c.Compile(d)
+func submitPlan(cp *ClusterPlan, err error) (*ClusterFuture, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package pidcomm
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/dram"
 )
@@ -141,13 +139,7 @@ func (m *Machine) CloseTenant(c *Comm) error { return m.cc.CloseTenant(c) }
 // single-workload convenience — quickstart-style programs call it once
 // and never think about tenancy — and composes with NewTenant only in
 // the natural order (carve the tenants first; Comm takes the rest).
-func (m *Machine) Comm() (*Comm, error) {
-	free := m.sys.LargestFree()
-	if free <= 0 {
-		return nil, fmt.Errorf("pidcomm: no MRAM left to bind a whole-machine session")
-	}
-	return m.NewTenant(TenantConfig{Name: "machine", ArenaBytes: free})
-}
+func (m *Machine) Comm() (*Comm, error) { return m.cc.Session() }
 
 // CostOnly reports whether the machine runs the cost-only backend.
 func (m *Machine) CostOnly() bool { return !m.cc.Backend().Functional() }

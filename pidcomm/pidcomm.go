@@ -60,8 +60,10 @@
 // (the calibrated timing model); this package re-exports the stable
 // surface — descriptors, plans, futures and the session type itself
 // (Comm is core.Tenant, whose methods are all arena-relative) — and
-// wraps only Machine and Cluster, which hide the machine-absolute entry
-// points of their core counterparts.
+// wraps only Machine and Cluster, which add the whole-machine session
+// (Comm; Cluster's Run, Compile and Submit bind one) to their core
+// counterparts. Neither layer has a machine-absolute entry point: every
+// collective compiles and runs in a session.
 package pidcomm
 
 import (

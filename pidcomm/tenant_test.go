@@ -280,3 +280,69 @@ func TestTenantQuotaAndCapacityThroughFacade(t *testing.T) {
 		t.Error("second whole-machine session accepted with no MRAM left")
 	}
 }
+
+// The cluster facade's Run, Compile and Submit compile on the
+// whole-cluster session, which is carved behind every tenant that exists
+// when it binds: a descriptor naming offset 0 lands in that session, not
+// in the victim carved there first. (They used to resolve against the
+// whole MRAM and overwrite the victim.)
+func TestClusterFacadeCannotWriteTenantArena(t *testing.T) {
+	const hosts, P, arena = 2, 32, 4096
+	cl, err := pidcomm.NewCluster(hosts, tenantGeo, []int{P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := cl.NewTenant(pidcomm.TenantConfig{Name: "victim", ArenaBytes: arena})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]byte, arena)
+	for i := range fill {
+		fill[i] = 0xAB
+	}
+	for h := 0; h < hosts; h++ {
+		for pe := 0; pe < P; pe++ {
+			victim.Host(h).SetPEBuffer(pe, 0, fill)
+		}
+	}
+	const m = 8 * P
+	d := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
+		Prim: pidcomm.AllReduce, Dims: "1", Src: pidcomm.Span(2*arena, m), Dst: pidcomm.At(0),
+		Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.IM,
+	}}
+	for _, call := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := cl.Run(d); return err }},
+		{"Compile", func() error {
+			cp, err := cl.Compile(d)
+			if err == nil {
+				_, err = cp.Run()
+			}
+			return err
+		}},
+		{"Submit", func() error {
+			f, err := cl.Submit(d)
+			if err == nil {
+				err = f.Err()
+			}
+			return err
+		}},
+	} {
+		err := call.run()
+		for h := 0; h < hosts; h++ {
+			for pe := 0; pe < P; pe++ {
+				if got := victim.Host(h).GetPEBuffer(pe, 0, arena); string(got) != string(fill) {
+					t.Fatalf("cl.%s (err %v) overwrote the victim's arena on host %d PE %d", call.name, err, h, pe)
+				}
+			}
+		}
+		if err != nil {
+			t.Logf("cl.%s refused the descriptor: %v", call.name, err)
+		}
+	}
+	if row := tenantRow(t, cl.Machine(0), "machine"); row.Base != arena {
+		t.Errorf("whole-cluster session bound at base %d, want %d behind the victim", row.Base, arena)
+	}
+}

@@ -67,6 +67,15 @@ func malformed(d pidcomm.Collective) map[string]pidcomm.Collective {
 	mut("out of arena", func(d *pidcomm.Collective) { last(d).Off = 1 << 14 })
 	mut("negative offset", func(d *pidcomm.Collective) { last(d).Off = -8 })
 	mut("offset overflow", func(d *pidcomm.Collective) { last(d).Off = 1<<63 - 8 })
+	// An empty region may sit at its arena's end, where it would name the
+	// next arena's first byte.
+	mut("empty payload", func(d *pidcomm.Collective) {
+		if hostInput {
+			d.Dst.Bytes, d.Hosts = 0, [][]byte{{}}
+		} else {
+			d.Src.Bytes = 0
+		}
+	})
 	if hostInput {
 		mut("superfluous Src", func(d *pidcomm.Collective) { d.Src = pidcomm.Span(0, 8) })
 		mut("missing Hosts", func(d *pidcomm.Collective) { d.Hosts = nil })
