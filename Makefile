@@ -90,8 +90,10 @@ docs:
 # The tracked size of the product: non-test Go lines per package
 # (benchmark/ excluded) and in total, plus the exported-method counts of
 # the widest types — the machine (core.Comm, pidcomm.Machine), the
-# session (core.Tenant, which pidcomm re-exports as Comm) and the cluster
-# (core.Cluster). ROADMAP wants these numbers to go down.
+# session (core.Tenant, which pidcomm re-exports as Comm), the cluster
+# (core.Cluster) and the cluster session (core.ClusterTenant, which
+# pidcomm re-exports as ClusterComm). ROADMAP wants these numbers to go
+# down.
 methods = $(GO) doc $(1) $(2) | grep -c '^func ([a-z]* \*$(2))'
 
 loc:
@@ -104,17 +106,19 @@ loc:
 	@printf '%7d  exported methods on pidcomm.Machine\n' $$($(call methods,./pidcomm,Machine))
 	@printf '%7d  exported methods on core.Tenant (= pidcomm.Comm)\n' $$($(call methods,./internal/core,Tenant))
 	@printf '%7d  exported methods on core.Cluster\n' $$($(call methods,./internal/core,Cluster))
+	@printf '%7d  exported methods on core.ClusterTenant (= pidcomm.ClusterComm)\n' $$($(call methods,./internal/core,ClusterTenant))
 
 # The size ratchet: internal/core + pidcomm may not grow past the
-# non-test line count of the last PR that shrank them, and the four
+# non-test line count of the last PR that shrank them, and the five
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7539
+LOC_CEILING = 7529
 COMM_METHODS_CEILING = 19
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15
 CLUSTER_METHODS_CEILING = 7
+CLUSTER_TENANT_METHODS_CEILING = 8
 
 loc-check:
 	@n=$$(ls internal/core/*.go pidcomm/*.go | grep -v '_test\.go$$' | xargs cat | wc -l); \
@@ -126,4 +130,5 @@ loc-check:
 	check core.Comm $$($(call methods,./internal/core,Comm)) $(COMM_METHODS_CEILING) && \
 	check pidcomm.Machine $$($(call methods,./pidcomm,Machine)) $(MACHINE_METHODS_CEILING) && \
 	check core.Tenant $$($(call methods,./internal/core,Tenant)) $(TENANT_METHODS_CEILING) && \
-	check core.Cluster $$($(call methods,./internal/core,Cluster)) $(CLUSTER_METHODS_CEILING)
+	check core.Cluster $$($(call methods,./internal/core,Cluster)) $(CLUSTER_METHODS_CEILING) && \
+	check core.ClusterTenant $$($(call methods,./internal/core,ClusterTenant)) $(CLUSTER_TENANT_METHODS_CEILING)

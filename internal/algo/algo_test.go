@@ -311,51 +311,47 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 func TestClusterTreeMatchesRing(t *testing.T) {
 	const H = 4
 	geo := dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14}
-	// build returns a cluster and the whole-MRAM session of every host,
-	// which its collectives compile on.
-	build := func() (*core.Cluster, []*core.Tenant) {
+	const m = 16 * 8 // H*P blocks of 8 bytes
+	// build returns the whole-cluster session of a fresh cluster, which its
+	// collectives compile on, with seeded source regions.
+	build := func() *core.ClusterTenant {
 		comms := make([]*core.Comm, H)
-		sessions := make([]*core.Tenant, H)
 		for h := range comms {
-			comms[h], sessions[h] = newComm(t, geo, []int{16})
+			var err error
+			if comms[h], err = core.New(geo, []int{16}, core.Config{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		cl, err := core.NewCluster(comms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cl, sessions
-	}
-	run := func(cl *core.Cluster, sessions []*core.Tenant, d core.ClusterCollective) error {
-		cp, err := cl.Compile(sessions, d)
-		if err == nil {
-			_, err = cp.Run()
+		s, err := cl.Session()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return err
-	}
-	const m = 16 * 8 // H*P blocks of 8 bytes
-	seed := func(cl *core.Cluster) {
 		rng := rand.New(rand.NewSource(3))
 		buf := make([]byte, m)
 		for h := 0; h < H; h++ {
 			for pe := 0; pe < 16; pe++ {
 				rng.Read(buf)
-				cl.Host(h).SetPEBuffer(pe, 0, buf)
+				s.Host(h).SetPEBuffer(pe, 0, buf)
 			}
 		}
+		return s
 	}
 	runAlg := func(alg core.Algorithm) [][]byte {
-		cl, sessions := build()
-		seed(cl)
+		s := build()
 		d := core.ClusterCollective{Collective: core.Collective{
 			Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(m),
 			Elem: elem.I32, Op: elem.Sum, Level: core.Baseline, Algorithm: alg}}
-		if err := run(cl, sessions, d); err != nil {
+		if _, err := s.Run(d); err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		var out [][]byte
 		for h := 0; h < H; h++ {
 			for pe := 0; pe < 16; pe++ {
-				out = append(out, append([]byte(nil), cl.Host(h).GetPEBuffer(pe, m, m)...))
+				out = append(out, append([]byte(nil), s.Host(h).GetPEBuffer(pe, m, m)...))
 			}
 		}
 		return out
@@ -370,12 +366,10 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 		}
 	}
 	// Unsupported cluster algorithm errors instead of being ignored.
-	cl, sessions := build()
-	seed(cl)
 	d := core.ClusterCollective{Collective: core.Collective{
 		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(m),
 		Elem: elem.I32, Op: elem.Sum, Level: core.Baseline, Algorithm: core.AlgoRabenseifner}}
-	if err := run(cl, sessions, d); err == nil {
+	if _, err := build().Run(d); err == nil {
 		t.Fatal("cluster rsag: want unsupported-algorithm error")
 	}
 }

@@ -27,7 +27,7 @@ func clusterHostGeo(perPE int) dram.Geometry {
 
 // MeasureClusterAllReduce prices one global AllReduce (CM) of perPE bytes
 // per PE on a fresh cost-only cluster of identical 1-D hosts, compiled on
-// the whole-MRAM session of every host: alg selects the host-level wire
+// the whole-cluster session (Cluster.Session): alg selects the host-level wire
 // algorithm (AlgoAuto lets the cluster pick analytically from
 // cost.NetParams), flat the naive lowering.
 func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algorithm, flat bool) (cost.Breakdown, error) {
@@ -38,10 +38,9 @@ func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algo
 		m = 8 * P
 	}
 	comms := make([]*core.Comm, hosts)
-	sessions := make([]*core.Tenant, hosts)
 	for h := range comms {
 		var err error
-		if comms[h], sessions[h], err = newCommOn(geo, []int{P}, true, core.Config{Params: params}); err != nil {
+		if comms[h], err = core.New(geo, []int{P}, core.Config{Params: params, Backend: core.CostBackend()}); err != nil {
 			return cost.Breakdown{}, err
 		}
 	}
@@ -49,14 +48,14 @@ func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algo
 	if err != nil {
 		return cost.Breakdown{}, err
 	}
-	cp, err := cl.Compile(sessions, core.ClusterCollective{Collective: core.Collective{
-		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(2 * m),
-		Elem: elem.I32, Op: elem.Sum, Level: core.CM, Algorithm: alg,
-	}, Flat: flat})
+	s, err := cl.Session()
 	if err != nil {
 		return cost.Breakdown{}, err
 	}
-	return cp.Run()
+	return s.Run(core.ClusterCollective{Collective: core.Collective{
+		Prim: core.AllReduce, Dims: "1", Src: core.Span(0, m), Dst: core.At(2 * m),
+		Elem: elem.I32, Op: elem.Sum, Level: core.CM, Algorithm: alg,
+	}, Flat: flat})
 }
 
 // The pinned configuration the regression metrics and the speedup gate

@@ -11,13 +11,14 @@ package core
 // hierarchy is one sequence through the plan builder (plan.go), it fuses
 // (the interior per-leg syncs collapse — a cross-leg rewrite on every
 // hierarchical plan) and replays through the same engine as a
-// single-host collective; it is cached once, here, under its clusterKey
-// (the per-host plans are built past the hosts' own plan caches).
+// single-host collective; it is cached once, in its session's cache under
+// its clusterKey (the per-host plans are built past the hosts' own plan
+// caches).
 //
 // One plan per role, bound per host: the hosts of § IX-A all do the same
 // thing, so compile builds once per role — hosts whose specs are validated
-// against and priced from the same things (hostRole: one arena and comm
-// configuration; the root apart where a rooted wire or Flat singles it
+// against and priced from the same things (hostRole: one comm
+// configuration, the session's arena being every host's; the root apart where a rooted wire or Flat singles it
 // out; each host of an AlltoAll apart, whose pack/unpack volumes follow
 // h). A cost-only run replays the charge trace and never executes a
 // schedule, so there a later host gets the role's plan rebound to its own
@@ -51,9 +52,13 @@ package core
 // same descriptor on one flat comm of H*P PEs (cluster_test.go pins
 // this per primitive, including non-power-of-two H).
 //
-// A cluster collective compiles on one session (Tenant) per host, which
-// its regions are relative to and its runs are admitted against and
-// metered on.
+// A cluster collective compiles on a ClusterTenant: the same arena
+// carved on every host (Cluster.NewTenant, Cluster.Session), whose
+// regions are relative to it, whose runs are admitted against every
+// shard and metered on each, and whose plan cache holds them. That cache
+// needs no eviction: it serves only its own session, and Run and Submit
+// admit on every shard first, which a closed shard refuses, so a plan
+// outliving a shard never runs.
 //
 // Concurrency: the functional backend executes a cluster plan with one
 // goroutine per host; the hosts meet at generation-counting barriers
@@ -61,10 +66,11 @@ package core
 // Submit admits on every host, then enqueues on every host atomically,
 // so the per-host queues see cluster plans in one global order and the
 // rendezvous always pair up. Cluster plans should be submitted from one
-// goroutine at a time per tenant set; the cost-only backend has no
-// barriers and no such constraint.
+// goroutine at a time per session; the cost-only backend has no barriers
+// and no such constraint.
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -96,10 +102,7 @@ type ClusterCollective struct {
 
 // clusterKey identifies a descriptor in the cluster cache. Hosts buffers
 // are identified by presence only — plans that capture caller payloads
-// are not cached (mirroring the single-host host-input rule). owner is
-// host 0's session of the owner set: its identity, not its name, so a
-// session that reuses a closed session's name never meets the closed
-// session's plans.
+// are not cached (mirroring the single-host host-input rule).
 type clusterKey struct {
 	prim     Primitive
 	dims     string
@@ -111,7 +114,6 @@ type clusterKey struct {
 	root     int
 	flat     bool
 	hosts    bool
-	owner    *Tenant
 }
 
 // barrier is a reusable generation-counting rendezvous for the H host
@@ -163,9 +165,6 @@ func (b *barrier) await(action func()) {
 // only on the functional backend — cost-only sweeps to thousands of
 // hosts allocate no O(data) staging.
 type clusterState struct {
-	// owners is the tenant set the entry was compiled on; the entry is
-	// evicted when any of them closes.
-	owners []*Tenant
 	// plan is the compiled plan, nil while uncompiled and for plans that
 	// capture a caller payload.
 	plan *ClusterPlan
@@ -189,11 +188,8 @@ type Cluster struct {
 	p          int // PEs per host
 	functional bool
 
-	// mu guards the cache; execMu serializes serial cluster runs and makes
-	// Submit's multi-host enqueue atomic (a single global order of cluster
-	// plans).
-	mu     sync.Mutex
-	cache  map[clusterKey]*clusterState
+	// execMu serializes serial cluster runs and makes Submit's multi-host
+	// enqueue atomic (a single global order of cluster plans).
 	execMu sync.Mutex
 }
 
@@ -230,13 +226,7 @@ func NewCluster(comms []*Comm) (*Cluster, error) {
 			return nil, fmt.Errorf("core: host %d is in stepped mode: functional cluster hosts rendezvous inside network legs and need one executor each (use a cost-only cluster, which has no barriers)", h)
 		}
 	}
-	cl := &Cluster{comms: comms, p: p, functional: functional, cache: make(map[clusterKey]*clusterState)}
-	for _, c := range comms {
-		c.tenantMu.Lock()
-		c.clusters = append(c.clusters, cl)
-		c.tenantMu.Unlock()
-	}
-	return cl, nil
+	return &Cluster{comms: comms, p: p, functional: functional}, nil
 }
 
 // NumHosts returns the number of hosts.
@@ -244,9 +234,6 @@ func (cl *Cluster) NumHosts() int { return len(cl.comms) }
 
 // PEsPerHost returns the PE count of each host.
 func (cl *Cluster) PEsPerHost() int { return cl.p }
-
-// NumPEs returns the cluster-wide PE count (hosts × PEs/host).
-func (cl *Cluster) NumPEs() int { return len(cl.comms) * cl.p }
 
 // Host returns host h's communication context.
 func (cl *Cluster) Host(h int) *Comm { return cl.comms[h] }
@@ -259,48 +246,100 @@ func (cl *Cluster) Flush() {
 	}
 }
 
-// Compile lowers d against one session per host (owners[h] a tenant of
-// host h's comm) into one compiled plan per role, bound per host (the
-// header has the rule; see ClusterPlan), and caches the result:
-// recompiling an equal descriptor on the same sessions returns the same
-// plan. Regions are relative to the sessions' arena, runs are admitted
-// against every host's session up front, and charges are attributed per
-// host session. Plans that capture a caller payload (functional
-// Broadcast/Scatter) recompile fresh, like their single-host
-// counterparts. A closed owner fails with ErrTenantClosed and caches
+// NewTenant carves the same per-PE MRAM arena on every host and returns
+// the session bound to the shards: one Tenant per host, each with cfg's
+// weight and quota, all under one name (cfg.Name, else the default name
+// host 0 picks). When a host cannot fit the arena, or fits it at another
+// base, the shards already made are closed again: a failed call leaves
+// every host as it found it.
+func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterTenant, error) {
+	return cl.join(func(c *Comm) (*Tenant, error) {
+		t, err := c.NewTenant(cfg)
+		if err == nil {
+			cfg.Name = t.name // host 0 resolves a default name for every host
+		}
+		return t, err
+	})
+}
+
+// Session returns a whole-cluster session: every host's Comm.Session —
+// the largest free window, offset 0 on fresh hosts — joined like
+// NewTenant's shards.
+func (cl *Cluster) Session() (*ClusterTenant, error) { return cl.join((*Comm).Session) }
+
+// join carves one shard per host and joins them into a session.
+func (cl *Cluster) join(carve func(*Comm) (*Tenant, error)) (*ClusterTenant, error) {
+	shards := make([]*Tenant, 0, len(cl.comms))
+	for h, c := range cl.comms {
+		t, err := carve(c)
+		if err == nil {
+			shards = append(shards, t)
+			if a0 := shards[0].ar; t.ar != a0 {
+				err = fmt.Errorf("tenant %q arena diverges across hosts ([%d,+%d) on host 0, [%d,+%d) here)",
+					t.name, a0.base, a0.size, t.ar.base, t.ar.size)
+			}
+		}
+		if err != nil {
+			for _, s := range shards {
+				err = errors.Join(err, s.Close())
+			}
+			return nil, fmt.Errorf("core: cluster host %d: %w", h, err)
+		}
+	}
+	return &ClusterTenant{cl: cl, shards: shards, cache: make(map[clusterKey]*clusterState)}, nil
+}
+
+// ClusterTenant is one sharded session on a Cluster: the same arena on
+// every host. Cluster collectives go through Compile/Run/Submit with
+// arena-relative regions; per-host data placement and local collectives
+// go through the shards (Host), which are full single-machine sessions.
+type ClusterTenant struct {
+	cl     *Cluster
+	shards []*Tenant
+
+	// mu guards the session's plan cache.
+	mu    sync.Mutex
+	cache map[clusterKey]*clusterState
+}
+
+// Host returns the session's shard on host h.
+func (s *ClusterTenant) Host(h int) *Tenant { return s.shards[h] }
+
+// Name returns the session's name, shared by every shard.
+func (s *ClusterTenant) Name() string { return s.shards[0].name }
+
+// Arena returns the session's per-PE MRAM window, identical on every
+// host, as (base, bytes).
+func (s *ClusterTenant) Arena() (base, bytes int) { return s.shards[0].Arena() }
+
+// Compile lowers d against the session's arena into one compiled plan
+// per role, bound per host (the header has the rule; see ClusterPlan),
+// and caches the result: recompiling an equal descriptor returns the
+// same plan. Runs are admitted against every shard up front and charges
+// are attributed per shard. Plans that capture a caller payload
+// (functional Broadcast/Scatter) recompile fresh, like their single-host
+// counterparts. A closed shard fails with ErrTenantClosed and caches
 // nothing.
-func (cl *Cluster) Compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan, error) {
-	if len(owners) != len(cl.comms) {
-		return nil, fmt.Errorf("core: %d tenants for %d hosts", len(owners), len(cl.comms))
-	}
-	for h, t := range owners {
-		if t == nil || t.c != cl.comms[h] {
-			return nil, fmt.Errorf("core: tenant %d does not belong to host %d's comm", h, h)
-		}
-	}
+func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
+	cl := s.cl
 	key := clusterKey{prim: d.Prim, dims: d.Dims, src: d.Src, dst: d.Dst, elem: d.Elem, op: d.Op,
-		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil, owner: owners[0]}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	// Under cl.mu, which Tenant.Close's evictOwned takes after setting the
-	// flag: a closed owner adds no entry, a racing Close evicts it.
-	for _, t := range owners {
-		if err := t.errIfClosed(); err != nil {
-			return nil, err
+		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.cache[key]
+	if ok && st.plan != nil {
+		for _, t := range s.shards {
+			if err := t.errIfClosed(); err != nil {
+				return nil, err
+			}
 		}
+		return st.plan, nil
 	}
-	st, ok := cl.cache[key]
-	switch {
-	case !ok:
-		st = &clusterState{owners: slices.Clone(owners)}
+	if !ok {
+		st = &clusterState{}
 		if cl.functional {
 			st.bar = newBarrier(len(cl.comms))
 		}
-	case !slices.Equal(st.owners, owners):
-		// The entry's staging is bound to its owner set.
-		return nil, fmt.Errorf("core: tenant %q already shards a different cluster owner set", owners[0].name)
-	case st.plan != nil:
-		return st.plan, nil
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
 	roles := make(map[hostRole]*CompiledPlan)
@@ -309,9 +348,12 @@ func (cl *Cluster) Compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 	_, unknown := shapeOf(d.Prim)
 	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
 	for h, c := range cl.comms {
-		owner := owners[h]
+		owner := s.shards[h]
+		if err := owner.errIfClosed(); err != nil {
+			return nil, fmt.Errorf("cluster host %d: %w", h, err)
+		}
 		c.autoMu.Lock()
-		role := hostRole{ar: owner.ar, geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
+		role := hostRole{geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
 		c.autoMu.Unlock()
 		if d.Prim == AlltoAll || rooted && h == d.Root {
 			role.h = h
@@ -344,35 +386,56 @@ func (cl *Cluster) Compile(owners []*Tenant, d ClusterCollective) (*ClusterPlan,
 		hp.c.countBuildLocked(hp, shared[h])
 		hp.c.compMu.Unlock()
 	}
-	cl.cache[key] = st
+	s.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
 	}
 	return cp, nil
 }
 
-// hostRole is everything besides the descriptor that a host's specs are
-// validated against and priced from (the header states the rule); h is the
-// host itself where the lowering reads it and -1 everywhere else.
+// Run compiles (or fetches the cached plan for) d and executes it once
+// across every host, returning the cluster-critical-path breakdown.
+func (s *ClusterTenant) Run(d ClusterCollective) (cost.Breakdown, error) {
+	cp, err := s.Compile(d)
+	if err != nil {
+		return cost.Breakdown{}, err
+	}
+	return cp.Run()
+}
+
+// Submit compiles d and enqueues one asynchronous execution on every
+// host's scheduler, returning a ClusterFuture.
+func (s *ClusterTenant) Submit(d ClusterCollective) (*ClusterFuture, error) {
+	cp, err := s.Compile(d)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Submit(), nil
+}
+
+// Flush blocks until every plan submitted on any host has completed.
+func (s *ClusterTenant) Flush() { s.cl.Flush() }
+
+// Close closes every shard (Tenant.Close), returning their arenas; a
+// double close reports ErrTenantClosed per shard.
+func (s *ClusterTenant) Close() error {
+	var err error
+	for _, t := range s.shards {
+		err = errors.Join(err, t.Close())
+	}
+	return err
+}
+
+// hostRole is everything besides the descriptor and the session's arena
+// that a host's specs are validated against and priced from (the header
+// states the rule); h is the host itself where the lowering reads it and
+// -1 everywhere else.
 type hostRole struct {
-	ar     arena
 	geo    dram.Geometry
 	params cost.Params
 	fuse   FuseLevel
 	obj    AutoObjective
 	h      int
-}
-
-// evictOwned drops every cache entry compiled on t, the cluster half of
-// Tenant.Close's plan eviction: one closed shard makes a plan unrunnable.
-func (cl *Cluster) evictOwned(t *Tenant) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for k, st := range cl.cache {
-		if slices.Contains(st.owners, t) {
-			delete(cl.cache, k)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -507,7 +570,7 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	// group of H×P ranks: block g of a ReduceScatter, AlltoAll or Scatter
 	// belongs to global rank g. AllReduce and Reduce index no rank with
 	// their result, so only their local leg — P ranks — is blocked.
-	n := cl.NumPEs()
+	n := len(cl.comms) * cl.p
 	if d.Prim == AllReduce || d.Prim == Reduce {
 		n = cl.p
 	}
@@ -598,7 +661,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if row.local == noLeg {
 		// The caller's payload is the global buffer, sized by the shape
 		// table's host rule on the H×P ranks.
-		if global = sh.host.of(m, b.cl.NumPEs()); global <= 0 {
+		if global = sh.host.of(m, H*P); global <= 0 {
 			return fmt.Errorf("core: cluster collective needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
 		}
 		part = global / H
@@ -826,9 +889,8 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 // ---------------------------------------------------------------------
 
 // ClusterPlan is one cluster collective compiled into one schedule-IR
-// plan per host, ready for repeated Run/Submit. Like a CompiledPlan it
-// stays valid for the cluster's lifetime; equal descriptors share the
-// cached plan.
+// plan per host, ready for repeated Run/Submit while every shard of its
+// session is open; equal descriptors share the session's cached plan.
 type ClusterPlan struct {
 	cl    *Cluster
 	d     ClusterCollective
@@ -861,7 +923,7 @@ func (cp *ClusterPlan) FusionReports() []FusionReport {
 	return out
 }
 
-// admitAll reserves quota on every owning tenant up front, so a
+// admitAll reserves quota on every shard up front, so a
 // rejection can never strand part of the cluster at a rendezvous
 // barrier. A mid-scan rejection refunds the hosts admitted before it:
 // the call runs nothing, so it charges nothing.

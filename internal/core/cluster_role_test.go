@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,8 +14,9 @@ import (
 // perHostBuild is the oracle of the role rule: host h's plan the way
 // compile built every host before it knew roles — the host's own specs,
 // on a staging of their own, lowered, fused and traced from nothing.
-func perHostBuild(cl *Cluster, owners []*Tenant, d ClusterCollective, h int) (*CompiledPlan, error) {
-	c, owner := cl.comms[h], owners[h]
+func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, error) {
+	cl := s.cl
+	c, owner := cl.comms[h], s.shards[h]
 	st := &clusterState{}
 	if cl.functional {
 		st.bar = newBarrier(len(cl.comms))
@@ -109,53 +111,46 @@ func roleDescs(H int, payloads bool) []ClusterCollective {
 	}
 }
 
-// roleOwnerSets returns the three arena layouts of the oracle test on cl:
-// tenant shards at one base, tenant shards whose base differs between
-// even and odd hosts (a pad tenant goes first on the odd ones), and the
-// whole-MRAM sessions over what is left — the last two sets have two
-// arenas and therefore two roles where the first has one.
-func roleOwnerSets(t *testing.T, cl *Cluster) map[string][]*Tenant {
-	shards := func(padOdd bool) []*Tenant {
-		ts := make([]*Tenant, cl.NumHosts())
-		for h, c := range cl.comms {
-			var err error
-			if padOdd && h%2 == 1 {
-				if _, err = c.NewTenant(TenantConfig{ArenaBytes: roleArena}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ts[h], err = c.NewTenant(TenantConfig{ArenaBytes: roleArena}); err != nil {
-				t.Fatal(err)
-			}
+// rolePad is the pad session between the two role sessions.
+const rolePad = 1 << 10
+
+// roleSessions returns the two sessions of the oracle test on a fresh cl:
+// one at base 0 and one carved behind it and a pad.
+func roleSessions(t *testing.T, cl *Cluster) map[string]*ClusterTenant {
+	carve := func(bytes int) *ClusterTenant {
+		s, err := cl.NewTenant(TenantConfig{ArenaBytes: bytes})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ts
+		return s
 	}
-	sets := map[string][]*Tenant{"equal-bases": shards(false), "unequal-bases": shards(true)}
-	if u := sets["unequal-bases"]; u[0].ar == u[1].ar {
-		t.Fatalf("hosts 0 and 1 share arena %+v: the unequal set is not unequal", u[0].ar)
+	sets := map[string]*ClusterTenant{"base-0": carve(roleArena)}
+	carve(rolePad)
+	sets["behind-pad"] = carve(roleArena)
+	if base, _ := sets["behind-pad"].Arena(); base != roleArena+rolePad {
+		t.Fatalf("padded session at base %d, want %d", base, roleArena+rolePad)
 	}
-	sets["sessions"] = withSessions(t, cl).sessions
 	return sets
 }
 
 // TestClusterRolePlansMatchPerHostBuild proves the role rule is not too
 // coarse: whatever compile shares between the hosts of a role, every
 // host's plan is field for field the plan a build of that host alone
-// produces — for every row of the leg table, every root, tenant arenas
-// at equal and at unequal bases, on both backends.
+// produces — for every row of the leg table, every root, sessions at
+// base 0 and behind a pad, on both backends.
 func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 	for _, costOnly := range []bool{true, false} {
 		for _, H := range []int{2, 3, 8} {
 			cl := testCluster(t, H, geoHost, []int{16}, costOnly)
-			for name, owners := range roleOwnerSets(t, cl) {
+			for name, s := range roleSessions(t, cl) {
 				for _, d := range roleDescs(H, !costOnly) {
 					for d.Root = 0; d.Root < H; d.Root++ {
-						cp, err := cl.Compile(owners, d)
+						cp, err := s.Compile(d)
 						if err != nil {
 							t.Fatalf("cost-only=%v H=%d %s %v root %d: %v", costOnly, H, name, d.Prim, d.Root, err)
 						}
 						for h := 0; h < H; h++ {
-							want, err := perHostBuild(cl, owners, d, h)
+							want, err := perHostBuild(s, d, h)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -172,31 +167,31 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 }
 
 // A compile rejected at host k > 0 books nothing on the hosts before it:
-// the third shard's arena ends below the AllReduce's destination, and the
-// two hosts whose plans were built and thrown away count no plan miss, no
-// trace miss and no fused plan. (The parent booked each host as it built.)
+// the session's third shard is closed, and the two hosts whose plans were
+// built and thrown away count no plan miss, no trace miss and no fused
+// plan.
 func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 	for _, costOnly := range []bool{true, false} {
 		cl := testCluster(t, 3, geoHost, []int{16}, costOnly)
-		owners := make([]*Tenant, 3)
-		for h, bytes := range []int{16 << 10, 16 << 10, 4 << 10} {
-			var err error
-			if owners[h], err = cl.Host(h).NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
-				t.Fatal(err)
-			}
+		s, err := cl.NewTenant(TenantConfig{ArenaBytes: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
 		}
-		_, err := cl.Compile(owners, ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+		if err := s.Host(2).Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 			Src: Span(0, 3*16*8), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM}})
-		if err == nil || !strings.Contains(err.Error(), "cluster host 2") {
-			t.Fatalf("cost-only=%v: Compile = %v, want a rejection at host 2", costOnly, err)
+		if !errors.Is(err, ErrTenantClosed) || !strings.Contains(err.Error(), "cluster host 2") {
+			t.Fatalf("cost-only=%v: Compile = %v, want a closed-tenant rejection at host 2", costOnly, err)
 		}
 		for h := 0; h < 3; h++ {
 			if s := cl.Host(h).Snapshot(); s.PlanCache != (PlanCacheStats{}) || s.Fusion != (FusionStats{}) {
 				t.Errorf("cost-only=%v: rejected compile booked host %d: %+v, %+v", costOnly, h, s.PlanCache, s.Fusion)
 			}
 		}
-		if len(cl.cache) != 0 {
-			t.Errorf("cost-only=%v: rejected compile left %d cache entries", costOnly, len(cl.cache))
+		if len(s.cache) != 0 {
+			t.Errorf("cost-only=%v: rejected compile left %d cache entries", costOnly, len(s.cache))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -40,42 +41,29 @@ func testCluster(t testing.TB, hosts int, geo dram.Geometry, shape []int, costOn
 	return cl
 }
 
-// sessionCluster is a test cluster paired with the whole-MRAM session of
-// every host: Compile, Run and Submit compile on the sessions, whose
-// arenas start at offset 0 on fresh hosts — the regions are absolute.
+// sessionCluster is a test cluster paired with its whole-cluster session
+// (Cluster.Session): Compile, Run and Submit compile on the session,
+// whose arena starts at offset 0 on fresh hosts — the regions are
+// absolute.
 type sessionCluster struct {
 	*Cluster
-	sessions []*Tenant
+	s *ClusterTenant
 }
 
-func (cl *sessionCluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
-	return cl.Cluster.Compile(cl.sessions, d)
-}
+func (cl *sessionCluster) Compile(d ClusterCollective) (*ClusterPlan, error) { return cl.s.Compile(d) }
 
-func (cl *sessionCluster) Run(d ClusterCollective) (cost.Breakdown, error) {
-	cp, err := cl.Compile(d)
-	if err != nil {
-		return cost.Breakdown{}, err
-	}
-	return cp.Run()
-}
+func (cl *sessionCluster) Run(d ClusterCollective) (cost.Breakdown, error) { return cl.s.Run(d) }
 
-func (cl *sessionCluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
-	cp, err := cl.Compile(d)
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
+func (cl *sessionCluster) Submit(d ClusterCollective) (*ClusterFuture, error) { return cl.s.Submit(d) }
 
-// withSessions binds the whole-MRAM session of every host of cl.
+// withSessions binds the whole-cluster session of cl.
 func withSessions(t testing.TB, cl *Cluster) *sessionCluster {
 	t.Helper()
-	sc := &sessionCluster{Cluster: cl, sessions: make([]*Tenant, cl.NumHosts())}
-	for h := range sc.sessions {
-		sc.sessions[h] = withSession(t, cl.Host(h)).s
+	s, err := cl.Session()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sc
+	return &sessionCluster{Cluster: cl, s: s}
 }
 
 // sessionTestCluster is testCluster with every host's session bound.
@@ -372,21 +360,7 @@ func TestClusterFlatBaselineAllReduce(t *testing.T) {
 func TestClusterPlanCacheAndFusion(t *testing.T) {
 	const H, P = 2, 16
 	m := 8 * P
-	// Two tenant sets of the same name, carved before the whole-MRAM
-	// sessions take the rest; their plans are checked below.
-	raw := testCluster(t, H, geoHost, []int{P}, false)
-	shards := func() []*Tenant {
-		ts := make([]*Tenant, H)
-		for h := range ts {
-			var err error
-			if ts[h], err = raw.Host(h).NewTenant(TenantConfig{Name: "shard", ArenaBytes: 4 * m}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return ts
-	}
-	a, b := shards(), shards()
-	cl := withSessions(t, raw)
+	cl := sessionTestCluster(t, H, geoHost, []int{P}, false)
 	d := ClusterCollective{Collective: Collective{
 		Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
 		Elem: elem.I32, Op: elem.Sum, Level: IM,
@@ -438,57 +412,70 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		t.Error("payload-capturing cluster plan was cached")
 	}
 
-	// Plans are cached per owner set — by identity, not by name — and
-	// leave the cache when their tenants close.
-	ap1, err := cl.Cluster.Compile(a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap2, err := cl.Cluster.Compile(a, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := cl.Cluster.Compile(b, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap1 != ap2 {
-		t.Error("recompiling on the same owners missed the cluster plan cache")
-	}
-	if ap1 == bp {
-		t.Error("different owners of the same name share a cluster plan")
-	}
-	for _, o := range a {
-		if err := o.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// The cluster cache is the only cache of a host plan: the hosts' own
-	// plan caches hold nothing — so the churn above had nothing to leak
-	// there — and the sessions' plan is still one cluster lookup away.
+	// plan caches hold nothing.
 	for h := 0; h < H; h++ {
 		if st := cl.Host(h).Snapshot().PlanCache; st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
 			t.Errorf("host %d caches cluster members itself: %+v", h, st)
 		}
 	}
-	if cp3, err := cl.Compile(d); err != nil || cp3 != cp1 {
-		t.Errorf("after the churn cycle the cluster recompile missed its cache (%v)", err)
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	live := 0
-	for _, st := range cl.cache {
-		for _, o := range st.owners {
-			if o.Closed() {
-				t.Errorf("cluster cache keeps an entry owned by closed tenant %q", o.name)
-			}
+}
+
+// Sessions are isolated: two sessions of one name compile equal
+// descriptors into distinct plans, each recompile served from its own
+// cache. Closing one shard stops its whole session — Compile, the cached
+// plan's Run and Submit fail with ErrTenantClosed and charge no host —
+// while the other session's plan still hits.
+func TestClusterSessionsIsolated(t *testing.T) {
+	const H, P = 2, 16
+	m := 8 * P
+	cl := testCluster(t, H, geoHost, []int{P}, false)
+	d := ClusterCollective{Collective: Collective{
+		Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+		Elem: elem.I32, Op: elem.Sum, Level: IM,
+	}}
+	session := func() (*ClusterTenant, *ClusterPlan) {
+		s, err := cl.NewTenant(TenantConfig{Name: "shard", ArenaBytes: 4 * m})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if st.plan == bp {
-			live++
+		cp, err := s.Compile(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := s.Compile(d); err != nil || again != cp {
+			t.Errorf("recompiling on the session at %+v missed its cache (%v)", s.shards[0].ar, err)
+		}
+		return s, cp
+	}
+	a, ap := session()
+	b, bp := session()
+	if ap == bp {
+		t.Error("two sessions of the same name share a cluster plan")
+	}
+	if err := a.Host(0).Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := cl.Snapshot()
+	if _, err := a.Compile(d); !errors.Is(err, ErrTenantClosed) {
+		t.Errorf("Compile on a session with a closed shard: %v, want ErrTenantClosed", err)
+	}
+	if _, err := ap.Run(); !errors.Is(err, ErrTenantClosed) {
+		t.Errorf("Run of the cached plan: %v, want ErrTenantClosed", err)
+	}
+	if _, err := a.Submit(d); !errors.Is(err, ErrTenantClosed) {
+		t.Errorf("Submit: %v, want ErrTenantClosed", err)
+	}
+	if err := ap.Submit().Err(); !errors.Is(err, ErrTenantClosed) {
+		t.Errorf("Submit of the cached plan: %v, want ErrTenantClosed", err)
+	}
+	for h, hs := range cl.Snapshot().Hosts {
+		if hs.Meter != before.Hosts[h].Meter {
+			t.Errorf("host %d charged by the closed session: %v -> %v", h, before.Hosts[h].Meter, hs.Meter)
 		}
 	}
-	if live != 1 {
-		t.Errorf("closing one owner set evicted the other's plan (%d entries hold it, want 1)", live)
+	if cp, err := b.Compile(d); err != nil || cp != bp {
+		t.Errorf("the other session's recompile missed its cache after the close (%v)", err)
 	}
 }
 
@@ -649,8 +636,8 @@ func TestFailedClusterCompileCachesNothing(t *testing.T) {
 			t.Errorf("error names the primitive %d times: %v", n, err)
 		}
 	}
-	if len(cl.cache) != 0 {
-		t.Errorf("len(cl.cache) == %d after four rejected compiles, want 0", len(cl.cache))
+	if len(cl.s.cache) != 0 {
+		t.Errorf("len(cache) == %d after four rejected compiles, want 0", len(cl.s.cache))
 	}
 }
 

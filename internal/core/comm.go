@@ -108,13 +108,11 @@ type Comm struct {
 	// tenantMu guards the registry of live tenants, tenantSeq, the count
 	// of tenants ever registered that default names are drawn from, the
 	// retired list of closed tenants, kept so machine-total accounting
-	// still sees their meters (tenant.go), and the clusters this Comm is a
-	// host of, whose caches a closing tenant is evicted from too.
+	// still sees their meters (tenant.go).
 	tenantMu  sync.Mutex
 	tenants   []*Tenant
 	tenantSeq int
 	retired   []*Tenant
-	clusters  []*Cluster
 
 	// Parallel-execution state, all guarded by execMu (the per-shard
 	// contexts are only touched while an execution holds the lock). egs

@@ -49,9 +49,9 @@
 // signatures; a collective is a sequence of one) → buildLocked (lower →
 // concatenate → fuse → trace). Two producers call buildLocked past the
 // cache: Auto, whose dry builds are scored and dropped, and the cluster
-// layer, which caches a host plan once, with the staging it binds — one
-// plan per role, bound per host: hosts of one arena, configuration and
-// part in the lowering (root or not where it matters; each host of an
+// layer, whose session (ClusterTenant, one arena on every host) caches a
+// host plan once, with the staging it binds — one plan per role, bound
+// per host: hosts of one configuration and part in the lowering (root or not where it matters; each host of an
 // AlltoAll) share a build. A cost-only host takes the role's plan whole;
 // a functional one re-lowers, to bind its own closures, on the role's
 // shape row, so nothing is traced twice (cluster.go).

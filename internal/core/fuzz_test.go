@@ -149,10 +149,9 @@ func FuzzParse(f *testing.F) {
 
 // FuzzClusterCompile feeds arbitrary cluster descriptors — a fuzzed
 // Collective plus a root byte and a flat byte — to two cost-only 3-host
-// clusters, one on the whole-MRAM session of every host and one on tenant
-// shards of unequal arenas (16/16/4 KiB: a descriptor can pass two hosts
-// and fail the third). A rejected descriptor leaves the cluster cache and
-// every host's plan-cache counters as they were; an accepted one gives
+// clusters, one on the whole-cluster session and one on a 4 KiB session
+// carved behind a pad. A rejected descriptor leaves the session's cache
+// and every host's plan-cache counters as they were; an accepted one gives
 // every host the plan a per-host build of that host produces
 // (perHostBuild, the role oracle) and replays with a run total equal to
 // its precomputed cost. The seed corpus is the leg table: every
@@ -161,11 +160,11 @@ func FuzzClusterCompile(f *testing.F) {
 	const H, P, s = 3, 16, 8
 	const m = H * P * s
 	whole := withSessions(f, testCluster(f, H, geoHost, []int{P}, true))
-	sharded := testCluster(f, H, geoHost, []int{P}, true)
-	shards := make([]*Tenant, H)
-	for h, bytes := range [H]int{16 << 10, 16 << 10, 4 << 10} {
+	padded := testCluster(f, H, geoHost, []int{P}, true)
+	var sharded *ClusterTenant
+	for _, bytes := range []int{rolePad, 4 << 10} {
 		var err error
-		if shards[h], err = sharded.Host(h).NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
+		if sharded, err = padded.NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -205,28 +204,25 @@ func FuzzClusterCompile(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := decode(data)
-		for _, set := range []struct {
-			cl     *Cluster
-			owners []*Tenant
-		}{{whole.Cluster, whole.sessions}, {sharded, shards}} {
-			cl, owners := set.cl, set.owners
+		for _, s := range []*ClusterTenant{whole.s, sharded} {
+			cl := s.cl
 			stats := func() (out [H]PlanCacheStats) {
 				for h, c := range cl.comms {
 					out[h] = c.Snapshot().PlanCache
 				}
 				return out
 			}
-			entries, before := len(cl.cache), stats()
-			cp, err := cl.Compile(owners, d)
+			entries, before := len(s.cache), stats()
+			cp, err := s.Compile(d)
 			if err != nil {
-				if cp != nil || len(cl.cache) != entries || stats() != before {
+				if cp != nil || len(s.cache) != entries || stats() != before {
 					t.Fatalf("rejected descriptor (%v) left plan %v, %d -> %d cache entries, host stats %v -> %v",
-						err, cp, entries, len(cl.cache), before, stats())
+						err, cp, entries, len(s.cache), before, stats())
 				}
 				continue
 			}
 			for h := range cl.comms {
-				want, err := perHostBuild(cl, owners, d, h)
+				want, err := perHostBuild(s, d, h)
 				if err != nil {
 					t.Fatalf("host %d: compile accepted what the per-host build rejects: %v", h, err)
 				}

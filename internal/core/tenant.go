@@ -191,10 +191,9 @@ func (c *Comm) Session() (*Tenant, error) {
 // Close retires the tenant — the teardown half of tenant churn. It
 // drains the machine, rejects every later compile and admission with
 // ErrTenantClosed, removes the tenant's scheduler bucket, evicts its
-// owned plans from the plan caches, the Comm's and those of the clusters
-// it is a host of — plan keys carry absolute offsets, so a successor
-// tenant reusing the arena would otherwise collide with the retiree's
-// cached plans — and then returns the arena to the system's coalescing
+// owned plans from the Comm's plan cache — plan keys carry absolute
+// offsets, so a successor tenant reusing the arena would otherwise
+// collide with the retiree's cached plans — and then returns the arena to the system's coalescing
 // free-list allocator for future NewTenant calls. The tenant's meter
 // survives on the Comm's retired list (Snapshot.Tenants), so machine-total
 // accounting stays bit-identical across create/teardown cycles. Returns
@@ -233,12 +232,8 @@ func (t *Tenant) Close() error {
 		}
 	}
 	c.retired = append(c.retired, t)
-	clusters := c.clusters
 	c.tenantMu.Unlock()
 	c.evictOwnedPlans(t)
-	for _, cl := range clusters {
-		cl.evictOwned(t)
-	}
 	if err := c.hc.sys.FreeArena(dram.Arena{Base: t.ar.base, Bytes: t.ar.size}); err != nil {
 		return fmt.Errorf("core: closing tenant %q: %w", t.name, err)
 	}

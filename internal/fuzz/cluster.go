@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 )
@@ -18,7 +17,10 @@ import (
 // compared against the reference model on global-rank-concatenated
 // inputs, and — after each functional call — the same descriptor run on
 // a cost-only twin cluster, whose breakdown must match bit-for-bit.
-// Every collective runs in each host's whole-MRAM session.
+// The functional cluster runs every collective in its whole-cluster
+// session (base 0); the twin runs it in a session carved behind a pad
+// session, so the equal breakdowns also show that a cluster plan's
+// charges do not depend on its session's base.
 type ClusterScenario struct {
 	Geo   dram.Geometry
 	Shape []int
@@ -55,26 +57,21 @@ func RandomCluster(rng *rand.Rand) ClusterScenario {
 	}
 }
 
-// cluster is a cluster of the scenario with the whole-MRAM session of
-// each host, which its collectives compile on.
+// twinPad is the arena of the pad session the cost-only twin's session is
+// carved behind.
+const twinPad = 1 << 10
+
+// cluster is a cluster of the scenario and the session its collectives
+// compile on.
 type cluster struct {
 	*core.Cluster
-	sessions []*core.Tenant
+	s *core.ClusterTenant
 }
 
-// run compiles d on the sessions and runs it once.
-func (cl cluster) run(d core.ClusterCollective) (cost.Breakdown, error) {
-	cp, err := cl.Compile(cl.sessions, d)
-	if err != nil {
-		return cost.Breakdown{}, err
-	}
-	return cp.Run()
-}
-
-// mkCluster builds a functional or cost-only cluster of the scenario.
+// mkCluster builds a functional cluster on its whole-cluster session, or
+// a cost-only one on a session behind a twinPad pad.
 func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 	comms := make([]*core.Comm, sc.Hosts)
-	sessions := make([]*core.Tenant, sc.Hosts)
 	var cfg core.Config
 	if costOnly {
 		cfg.Backend = core.CostBackend()
@@ -84,12 +81,20 @@ func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 		if comms[h], err = core.New(sc.Geo, sc.Shape, cfg); err != nil {
 			return cluster{}, err
 		}
-		if sessions[h], err = comms[h].Session(); err != nil {
-			return cluster{}, err
-		}
 	}
 	cl, err := core.NewCluster(comms)
-	return cluster{cl, sessions}, err
+	if err != nil {
+		return cluster{}, err
+	}
+	if !costOnly {
+		s, err := cl.Session()
+		return cluster{cl, s}, err
+	}
+	if _, err := cl.NewTenant(core.TenantConfig{Name: "pad", ArenaBytes: twinPad}); err != nil {
+		return cluster{}, err
+	}
+	s, err := cl.NewTenant(core.TenantConfig{ArenaBytes: sc.Geo.MramPerBank - twinPad})
+	return cluster{cl, s}, err
 }
 
 // Check runs every cluster primitive under the scenario, byte-compares
@@ -130,13 +135,13 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	// both runs d on the functional cluster and its payload-free twin on
 	// the cost-only cluster and diffs the breakdowns.
 	both := func(name string, d core.ClusterCollective) error {
-		want, err := fn.run(d)
+		want, err := fn.s.Run(d)
 		if err != nil {
 			return fmt.Errorf("cluster %s: %w", name, err)
 		}
 		cd := d
 		cd.Hosts = nil
-		got, err := co.run(cd)
+		got, err := co.s.Run(cd)
 		if err != nil {
 			return fmt.Errorf("cost-only cluster %s: %w", name, err)
 		}
@@ -243,7 +248,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	// Gather and Reduce: rooted results come off the compiled plan.
 	in = seed(0, m)
 	rooted := func(name string, d core.ClusterCollective, want []byte) error {
-		cp, err := fn.Compile(fn.sessions, d)
+		cp, err := fn.s.Compile(d)
 		if err != nil {
 			return fmt.Errorf("cluster %s: %w", name, err)
 		}
@@ -254,7 +259,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		if got := cp.Results(); !bytes.Equal(got, want) {
 			return fmt.Errorf("cluster %s diverges from reference (%+v)", name, sc)
 		}
-		gotBD, err := co.run(d)
+		gotBD, err := co.s.Run(d)
 		if err != nil {
 			return fmt.Errorf("cost-only cluster %s: %w", name, err)
 		}

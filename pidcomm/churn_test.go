@@ -175,10 +175,8 @@ func TestClusterSessionAfterChurn(t *testing.T) {
 				}
 			}
 		}
-		for h := 0; h < hosts; h++ {
-			if err := cc.Host(h).Close(); err != nil {
-				t.Fatalf("%s: closing shard %d: %v", name, h, err)
-			}
+		if err := cc.Close(); err != nil {
+			t.Fatalf("%s: closing the session: %v", name, err)
 		}
 	}
 	cc, err := cl.Comm()
@@ -380,11 +378,11 @@ func TestCompileOnClosedSessionPoisonsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ca.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var stats [hosts]pidcomm.Snapshot
 	for h := 0; h < hosts; h++ {
-		if err := ca.Host(h).Close(); err != nil {
-			t.Fatal(err)
-		}
 		stats[h] = cl.Machine(h).Snapshot()
 	}
 	if _, err := ca.Compile(cag); !errors.Is(err, pidcomm.ErrTenantClosed) {
@@ -422,10 +420,8 @@ func TestClusterCommAfterFragmentation(t *testing.T) {
 	if _, err := cl.NewTenant(pidcomm.TenantConfig{Name: "b", ArenaBytes: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	for h := 0; h < cl.NumHosts(); h++ {
-		if err := a.Host(h).Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
 	}
 	sess, err := cl.Comm()
 	if err != nil {
@@ -468,6 +464,38 @@ func TestDefaultTenantNamesSurviveChurn(t *testing.T) {
 	}
 	if third := unnamed(); third.Name() == second.Name() {
 		t.Errorf("two live sessions are both named %q", third.Name())
+	}
+}
+
+// The shards of one cluster session share its name: an unnamed session
+// used to draw a default name per host, so a host whose counter had
+// moved on (a tenant carved and closed there alone) named its shard
+// differently from host 0 — the session said "tenant-1" while host 1's
+// snapshot row said "tenant-0".
+func TestClusterTenantShardsShareName(t *testing.T) {
+	cl, err := pidcomm.NewCluster(2, tenantGeo, []int{32}, pidcomm.CostOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := cl.Machine(0).NewTenant(pidcomm.TenantConfig{ArenaBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := solo.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := cl.NewTenant(pidcomm.TenantConfig{ArenaBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < cl.NumHosts(); h++ {
+		if got := cc.Host(h).Name(); got != cc.Name() {
+			t.Errorf("host %d shard named %q, session %q", h, got, cc.Name())
+		}
+		live := cl.Machine(h).Snapshot().Tenants
+		if row := live[len(live)-1]; row.Name != cc.Name() || row.Retired {
+			t.Errorf("host %d snapshot row %+v, want the live session %q", h, row, cc.Name())
+		}
 	}
 }
 

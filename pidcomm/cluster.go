@@ -1,7 +1,6 @@
 package pidcomm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -64,7 +63,7 @@ func (cl *Cluster) NumHosts() int { return cl.cc.NumHosts() }
 func (cl *Cluster) PEsPerHost() int { return cl.cc.PEsPerHost() }
 
 // NumPEs returns the cluster-wide PE count (hosts × PEs/host).
-func (cl *Cluster) NumPEs() int { return cl.cc.NumPEs() }
+func (cl *Cluster) NumPEs() int { return cl.NumHosts() * cl.PEsPerHost() }
 
 // CostOnly reports whether the cluster runs the cost-only backend.
 func (cl *Cluster) CostOnly() bool { return cl.machines[0].CostOnly() }
@@ -77,7 +76,13 @@ func (cl *Cluster) Machine(h int) *Machine { return cl.machines[h] }
 // relative to the largest free MRAM window then — offset 0 on a fresh
 // cluster — so carve NewTenant sessions first. It returns the per-category
 // maximum of the hosts' charges, the cluster critical path of the call.
-func (cl *Cluster) Run(d ClusterCollective) (Breakdown, error) { return runPlan(cl.Compile(d)) }
+func (cl *Cluster) Run(d ClusterCollective) (Breakdown, error) {
+	cp, err := cl.Compile(d)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	return cp.Run()
+}
 
 // Compile is ClusterComm.Compile on the whole-cluster session (see Run).
 func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
@@ -96,7 +101,11 @@ func (cl *Cluster) Compile(d ClusterCollective) (*ClusterPlan, error) {
 
 // Submit is ClusterComm.Submit on the whole-cluster session (see Run).
 func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
-	return submitPlan(cl.Compile(d))
+	cp, err := cl.Compile(d)
+	if err != nil {
+		return nil, err
+	}
+	return cp.Submit(), nil
 }
 
 // Snapshot returns every host's Machine.Snapshot and their roll-up: the
@@ -108,99 +117,23 @@ func (cl *Cluster) Snapshot() ClusterSnapshot { return cl.cc.Snapshot() }
 func (cl *Cluster) Flush() { cl.cc.Flush() }
 
 // NewTenant carves the same per-PE MRAM arena on every host and returns
-// the cluster-wide session bound to the shards: one tenant per host,
-// each with cfg's weight and quota. Cluster collectives compiled on the
-// session resolve regions against the arena, admit against every
-// shard's quota up front, and meter each host's charges to that host's
-// shard. The per-host shards (Host) remain full single-machine sessions
-// for local collectives and data placement. When a host cannot fit the
-// arena, or fits it at a different base, the shards already made are
-// closed again: a failed call leaves every host as it found it.
-func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) {
-	return cl.join(func(m *Machine) (*Comm, error) { return m.NewTenant(cfg) })
-}
+// the session over the shards, one tenant per host with cfg's name,
+// weight and quota. Its cluster collectives admit against every shard
+// and meter each host's charges to that host's shard. A host that cannot
+// fit the arena, or fits it at another base, fails the call and leaves
+// every host as it found it.
+func (cl *Cluster) NewTenant(cfg TenantConfig) (*ClusterComm, error) { return cl.cc.NewTenant(cfg) }
 
 // Comm returns a whole-cluster session: each host's Machine.Comm, joined
 // into a ClusterComm. Run, Compile and Submit bind one for you.
-func (cl *Cluster) Comm() (*ClusterComm, error) { return cl.join((*Machine).Comm) }
+func (cl *Cluster) Comm() (*ClusterComm, error) { return cl.cc.Session() }
 
-// join carves one shard per host and joins them into a session.
-func (cl *Cluster) join(carve func(*Machine) (*Comm, error)) (*ClusterComm, error) {
-	shards := make([]*Comm, 0, len(cl.machines))
-	for h, m := range cl.machines {
-		c, err := carve(m)
-		if err == nil {
-			shards = append(shards, c)
-			base0, bytes0 := shards[0].Arena()
-			if base, bytes := c.Arena(); base != base0 || bytes != bytes0 {
-				err = fmt.Errorf("tenant %q arena diverges across hosts ([%d,+%d) on host 0, [%d,+%d) here); carve cluster tenants only through Cluster.NewTenant",
-					c.Name(), base0, bytes0, base, bytes)
-			}
-		}
-		if err != nil {
-			for _, s := range shards {
-				err = errors.Join(err, s.Close())
-			}
-			return nil, fmt.Errorf("pidcomm: cluster host %d: %w", h, err)
-		}
-	}
-	return &ClusterComm{cl: cl, shards: shards}, nil
-}
-
-// ClusterComm is one sharded session on a Cluster: the same tenant
-// carved on every host. Cluster collectives go through Run/Compile/
-// Submit with arena-relative regions; per-host data placement and local
-// collectives go through the host shards.
-type ClusterComm struct {
-	cl     *Cluster
-	shards []*Comm
-}
-
-// Host returns the session's shard on host h — a full single-machine
-// session (SetPEBuffer/GetPEBuffer, local Run/Compile/Submit, Meter).
-func (c *ClusterComm) Host(h int) *Comm { return c.shards[h] }
-
-// Name returns the session's tenant name.
-func (c *ClusterComm) Name() string { return c.shards[0].Name() }
-
-// Arena returns the session's per-PE MRAM window (identical on every
-// host) as (base, bytes).
-func (c *ClusterComm) Arena() (base, bytes int) { return c.shards[0].Arena() }
-
-// Compile lowers d into one compiled plan per host against the
-// session's arena, cached under the descriptor: recompiling an equal
-// descriptor returns the same ClusterPlan, which replays with Run/Submit.
-func (c *ClusterComm) Compile(d ClusterCollective) (*ClusterPlan, error) {
-	return c.cl.cc.Compile(c.shards, d)
-}
-
-// Run compiles (or fetches the cached plans for) d and executes it once
-// across every host, returning the cluster-critical-path breakdown.
-func (c *ClusterComm) Run(d ClusterCollective) (Breakdown, error) { return runPlan(c.Compile(d)) }
-
-// Submit compiles d and enqueues one asynchronous execution on every
-// host's weighted-fair scheduler, returning a ClusterFuture.
-func (c *ClusterComm) Submit(d ClusterCollective) (*ClusterFuture, error) {
-	return submitPlan(c.Compile(d))
-}
-
-// runPlan and submitPlan pass a compile error through.
-func runPlan(cp *ClusterPlan, err error) (Breakdown, error) {
-	if err != nil {
-		return Breakdown{}, err
-	}
-	return cp.Run()
-}
-
-func submitPlan(cp *ClusterPlan, err error) (*ClusterFuture, error) {
-	if err != nil {
-		return nil, err
-	}
-	return cp.Submit(), nil
-}
-
-// Flush blocks until every plan submitted on any host has completed.
-func (c *ClusterComm) Flush() { c.cl.Flush() }
+// ClusterComm is one sharded session on a Cluster (core.ClusterTenant):
+// the same arena carved on every host. Cluster collectives go through
+// Run/Compile/Submit with arena-relative regions; per-host data placement
+// and local collectives go through the host shards (Host, each a Comm).
+// Close closes every shard.
+type ClusterComm = core.ClusterTenant
 
 // ClusterCollective describes one collective over every PE of a
 // cluster: the embedded Collective on the global communicator (Dims

@@ -58,8 +58,10 @@
 // The heavy lifting lives in internal/core (collectives), internal/dram,
 // internal/dpu, internal/host (the PIM-DIMM substrate) and internal/cost
 // (the calibrated timing model); this package re-exports the stable
-// surface — descriptors, plans, futures and the session type itself
-// (Comm is core.Tenant, whose methods are all arena-relative) — and
+// surface — descriptors, plans, futures and the session types themselves
+// (Comm is core.Tenant, ClusterComm is core.ClusterTenant — the same
+// arena sharded across a cluster's hosts — and their methods are all
+// arena-relative) — and
 // wraps only Machine and Cluster, which add the whole-machine session
 // (Comm; Cluster's Run, Compile and Submit bind one) to their core
 // counterparts. Neither layer has a machine-absolute entry point: every
