@@ -311,9 +311,8 @@ func failingPlan(c *testComm) *CompiledPlan {
 		Run:     func() { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
-	cp := &CompiledPlan{c: c.Comm, owner: c.s, key: planKey{prim: Broadcast, dims: "1"}, sched: sched}
-	cp.tr = c.traceSchedule(sched)
-	return cp
+	return &CompiledPlan{c: c.Comm, owner: c.s, key: planKey{prim: Broadcast, dims: "1"}, sched: sched,
+		planEntry: &planEntry{tr: c.traceSchedule(sched)}}
 }
 
 // TestFutureErrSurfacesBackendErrorExactlyOnce is the regression test for

@@ -10,12 +10,12 @@ import (
 
 // The autotuner: a collective called with the Auto pseudo-level (and/or
 // AlgoAuto) is dry-built at every applicable (algorithm, level)
-// candidate — lowered, fused and traced by the plan builder (plan.go),
-// past the plan cache and its counters — the best candidate wins, and
-// the decision is cached per call signature (primitive, dims, payload
-// bytes, element type, operator, algorithm constraint). Tracing runs on
-// a scratch cost-only host whatever the comm's backend, and the
-// cost-only backend reproduces the functional breakdowns exactly, so the
+// candidate — its shape row read from, or lowered, fused and traced into,
+// the comm's shape table (plan.go) — the best row wins, and the decision
+// is cached per call signature (primitive, dims, payload bytes, element
+// type, operator, algorithm constraint). Tracing runs on a scratch
+// cost-only host whatever the comm's backend, and the cost-only backend
+// reproduces the functional breakdowns exactly, so the
 // picked candidate is the one the functional run would have measured as
 // best — at microseconds of dry-run cost instead of a full byte-accurate
 // execution per candidate.
@@ -100,15 +100,15 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 	}
 }
 
-// autoPick dry-builds every candidate (algorithm, level) pair for the key
-// and returns the best under the comm's objective. The algorithm axis is
-// the key's constraint (AlgoAuto means every row the lowering table has
-// for the primitive, reference first); the level axis is every distinct
-// effective level. A candidate whose dry build fails is inapplicable to
-// this signature (e.g. the streaming levels cannot run an in-place
-// AlltoAll; a row's applies predicate rejects the level) and is skipped;
-// autoPick errors only when no candidate applies at all.
-func (c *Comm) autoPick(key autoKey, run func(alg Algorithm, lvl Level) (*CompiledPlan, error)) (autoDecision, error) {
+// autoPick scores the shape row of every candidate (algorithm, level)
+// pair for the key and returns the best under the comm's objective. The
+// algorithm axis is the key's constraint (AlgoAuto means every row the
+// lowering table has for the primitive, reference first); the level axis
+// is every distinct effective level. A candidate whose row cannot be
+// built is inapplicable to this signature (e.g. the streaming levels
+// cannot run an in-place AlltoAll; a row's applies predicate rejects the
+// level) and is skipped; autoPick errors only when no candidate applies.
+func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEntry, error)) (autoDecision, error) {
 	c.autoMu.Lock()
 	defer c.autoMu.Unlock()
 	if dec, ok := c.autoCache[key]; ok {
@@ -129,7 +129,7 @@ func (c *Comm) autoPick(key autoKey, run func(alg Algorithm, lvl Level) (*Compil
 				continue
 			}
 			seen[eff] = true
-			cp, err := run(alg, eff)
+			e, err := row(alg, eff)
 			if err != nil {
 				fails = append(fails, err)
 				continue
@@ -137,8 +137,8 @@ func (c *Comm) autoPick(key autoKey, run func(alg Algorithm, lvl Level) (*Compil
 			cand := autoDecision{
 				algo:     alg,
 				lvl:      eff,
-				meter:    cp.tr.total.Total(),
-				makespan: cost.PipelinedMakespan(cp.tr.segs, AutoPipelineDepth),
+				meter:    e.tr.total.Total(),
+				makespan: cost.PipelinedMakespan(e.tr.segs, AutoPipelineDepth),
 			}
 			// Strict less on the scan keeps the earliest candidate
 			// (reference algorithm, lowest level) on ties.
@@ -173,7 +173,9 @@ func (c *Comm) autoLess(a, b autoDecision) bool {
 // is read off the shape table: the payload bytes, element/op for the
 // reducing primitives, and the in-place bit (an in-place AlltoAll
 // restricts the applicable levels). The decision is cached on the Comm,
-// so repeated Auto calls with one signature resolve in a map lookup.
+// so repeated Auto calls with one signature resolve in a map lookup. The
+// candidates' rows are keyed by d's own offsets, so a compile of the
+// winner at those offsets, in any session, finds its row traced.
 func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	if d.Prim == Broadcast {
 		// Single level at every optimization setting (§ VIII-B); the
@@ -193,9 +195,9 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	if sh.reducing {
 		key.elemType, key.op = d.Elem, d.Op
 	}
-	dec, err := c.autoPick(key, func(alg Algorithm, lvl Level) (*CompiledPlan, error) {
+	dec, err := c.autoPick(key, func(alg Algorithm, lvl Level) (*planEntry, error) {
 		d.Algorithm, d.Level = alg, lvl
-		return c.autoDryBuild(d)
+		return c.autoRow(d)
 	})
 	if err != nil {
 		return autoDecision{}, fmt.Errorf("Auto(%v): %w", d.Prim, err)
@@ -203,39 +205,29 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	return dec, nil
 }
 
-// autoDryBuild builds candidate d — a caller's descriptor with the
-// candidate (algorithm, level) filled in — at canonical offsets of the
-// whole MRAM: source at 0, destination immediately after the source
-// region, or coinciding with it for an in-place call; a host-input
-// destination at 0 with nil Hosts, whose sizes a dry spec implies. The
-// build alone yields the candidate's precomputed per-run cost and lane
-// segments; nothing executes, and nothing is cached or counted — the
-// scores live in the decision cache. The plan is the one ownerless
-// CompiledPlan: it is scored, dropped and never run.
-func (c *Comm) autoDryBuild(d Collective) (*CompiledPlan, error) {
-	sh := &shapes[d.Prim] // autoResolve has checked the primitive
-	m := sh.payload(d)
-	dry := Collective{Prim: d.Prim, Dims: d.Dims, Level: d.Level, Algorithm: d.Algorithm}
-	if sh.reducing {
-		dry.Elem, dry.Op = d.Elem, d.Op
-	}
-	switch {
-	case sh.hostInput():
-		dry.Dst = Span(0, m)
-	case sh.rooted():
-		dry.Src = Span(0, m)
-	case sh.inPlace(d):
-		dry.Src, dry.Dst = Span(0, m), At(0)
-	default:
-		dry.Src, dry.Dst = Span(0, m), At(m)
-	}
-	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, dry, true)
+// autoRow returns the shape row of candidate d — a caller's descriptor
+// with the candidate (algorithm, level) filled in — at d's own offsets on
+// the whole-MRAM arena, a dry spec whose host payload may be left out. A
+// row the table lacks is built — lowered into a scratch plan that is
+// never returned, fused and traced — and kept: one trace miss per
+// candidate, after which every lookup of its key, the winner's compile
+// included, is a hit.
+func (c *Comm) autoRow(d Collective) (*planEntry, error) {
+	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
 	if err != nil {
 		return nil, err
 	}
+	key := seqKey{head: spec.key}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	return c.buildLocked([]planSpec{spec}, nil, nil), nil
+	if row := c.rows[key]; row != nil {
+		c.cacheSt.TraceHits++
+		return row, nil
+	}
+	c.cacheSt.TraceMisses++
+	row := c.buildLocked([]planSpec{spec}, &CompiledPlan{c: c}, nil)
+	c.rows[key] = row
+	return row, nil
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by

@@ -13,7 +13,7 @@ package core
 // hierarchical plan) and replays through the same engine as a
 // single-host collective; it is cached once, in its session's cache under
 // its clusterKey (the per-host plans are built past the hosts' own plan
-// caches).
+// caches and shape tables).
 //
 // One plan per role, bound per host: the hosts of § IX-A all do the same
 // thing, so compile builds once per role — hosts whose specs are validated
@@ -369,14 +369,13 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
-		// Built past the host's plan cache — this entry is the cache.
-		c.compMu.Lock()
+		// Built past the host's caches — this entry is the cache.
+		cp.plans[h] = &CompiledPlan{c: c, owner: owner}
 		if first == nil {
-			cp.plans[h] = c.buildLocked(specs, owner, nil)
-			roles[role] = cp.plans[h]
-		} else {
-			cp.plans[h] = c.buildLocked(specs, owner, &planEntry{tr: first.tr, fusion: first.fusion, memberCosts: first.memberCosts})
+			roles[role] = cp.plans[h] // no row yet: this build traces one
 		}
+		c.compMu.Lock()
+		c.buildLocked(specs, cp.plans[h], roles[role].planEntry)
 		c.compMu.Unlock()
 	}
 	// Booked on every host like any other miss, and cached, only now: a

@@ -25,9 +25,11 @@ func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, 
 	if err != nil {
 		return nil, err
 	}
+	cp := &CompiledPlan{c: c, owner: owner}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	return c.buildLocked(specs, owner, nil), nil
+	c.buildLocked(specs, cp, nil)
+	return cp, nil
 }
 
 // stepNames renders a schedule's name and its steps' kinds in order.
@@ -48,6 +50,23 @@ func diffPlans(got, want *CompiledPlan) string {
 		return "bound to another host's comm or tenant"
 	case got.key != want.key:
 		return fmt.Sprintf("key %+v, want %+v", got.key, want.key)
+	case diffRows(got, want) != "":
+		return diffRows(got, want)
+	case !slices.Equal(got.members, want.members):
+		return "members"
+	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
+		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
+	case stepNames(got.sched) != stepNames(want.sched):
+		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
+	}
+	return ""
+}
+
+// diffRows names the first part of got's shape row — charge trace,
+// fusion report, member costs — that is not bit for bit want's, or
+// returns "".
+func diffRows(got, want *CompiledPlan) string {
+	switch {
 	case !slices.Equal(got.tr.adds, want.tr.adds):
 		return "tr.adds"
 	case got.tr.stats.Bursts != want.tr.stats.Bursts || !slices.Equal(got.tr.stats.BytesPerChannel, want.tr.stats.BytesPerChannel):
@@ -60,12 +79,6 @@ func diffPlans(got, want *CompiledPlan) string {
 		return fmt.Sprintf("fusion %+v, want %+v", got.fusion, want.fusion)
 	case !slices.Equal(got.memberCosts, want.memberCosts):
 		return "memberCosts"
-	case !slices.Equal(got.members, want.members):
-		return "members"
-	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
-		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
-	case stepNames(got.sched) != stepNames(want.sched):
-		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
 	}
 	return ""
 }

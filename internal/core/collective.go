@@ -20,7 +20,8 @@ import (
 // that compiles it (tenant.go). Resolution validates every region against
 // the arena bounds and only then translates to absolute MRAM offsets,
 // which is what guarantees tenants cannot name — let alone alias — MRAM
-// outside their arena.
+// outside their arena. Plan keys keep the relative offsets: what a
+// collective costs does not depend on where its arena sits (plan.go).
 
 // Region is a per-PE MRAM byte range handle [Off, Off+Bytes). Offsets
 // are arena-relative (see Collective). For region roles whose size the
@@ -110,11 +111,12 @@ func checkArenaRegion(ar arena, off, n int) error {
 }
 
 // Resolve returns the (algorithm, level) pair a session's Compile(d) picks,
-// without validating regions or compiling anything: an explicit level
-// keeps its effective value and AlgoAuto maps to AlgoReference (no
-// search, identical plans and costs); Level Auto hands the pair to the
-// autotuner, constrained to d.Algorithm when that is explicit. Whether
-// an explicitly requested algorithm applies to the resolved call is
+// compiling nothing: an explicit level keeps its effective value and
+// AlgoAuto maps to AlgoReference (no search, identical plans and costs);
+// Level Auto hands the pair to the autotuner, constrained to d.Algorithm
+// when that is explicit, whose dry builds at d's offsets on the whole
+// MRAM report a region that does not fit as Compile would. Whether an
+// explicitly requested algorithm applies to the resolved call is
 // Compile's check, not Resolve's.
 func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
 	if d.Level != Auto {
@@ -246,8 +248,7 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 	// here, a host-input Dst — which is the payload — below.
 	m = sh.payload(d)
 	if m <= 0 {
-		// An empty call moves nothing, and its regions may sit at the end of
-		// the arena — where its plan key would alias the next arena's start.
+		// An empty call moves nothing: a malformed descriptor, not a plan.
 		return 0, 0, fmt.Errorf("core: empty payload")
 	}
 	if !sh.hostInput() {
@@ -334,13 +335,11 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 	if sh.hostInput() {
 		env.hosts = d.Hosts
 	} else {
-		env.srcOff = ar.base + d.Src.Off
-		key.srcOff = env.srcOff
+		env.srcOff, key.srcOff = ar.base+d.Src.Off, d.Src.Off
 		regs.srcRegion(env.srcOff, m, sh.consumesSrc && eff >= PR)
 	}
 	if !sh.rooted() {
-		env.dstOff = ar.base + d.Dst.Off
-		key.dstOff = env.dstOff
+		env.dstOff, key.dstOff = ar.base+d.Dst.Off, d.Dst.Off
 		regs.write(env.dstOff, sh.dst.of(m, p.n))
 	}
 	row, err := loweringOf(alg, env)

@@ -14,7 +14,7 @@ import (
 )
 
 // Comm is one simulated machine on a hypercube: a host model (whose meter
-// accumulates all costs), a DPU engine, the plan caches, the submission
+// accumulates all costs), a DPU engine, the shape table, the submission
 // queue and the elapsed-time timeline. It runs no collective itself: a
 // session (Tenant, from NewTenant or Session) compiles each into a
 // Schedule (schedule.go) and a CompiledPlan (plan.go), run by the single
@@ -69,10 +69,10 @@ type Comm struct {
 	autoCache map[autoKey]autoDecision
 	autoObj   AutoObjective
 
-	// compMu guards the plan cache (plan.go), its hit/miss counters and
-	// the aggregate fusion statistics.
+	// compMu guards the shape rows (plan.go), every session's plans, the
+	// hit/miss counters and the aggregate fusion statistics.
 	compMu  sync.Mutex
-	cache   map[seqKey]*planEntry
+	rows    map[seqKey]*planEntry
 	cacheSt PlanCacheStats
 	fuseSt  FusionStats
 
@@ -214,7 +214,7 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 		stepped:    cfg.Stepped,
 		plans:      make(map[string]*plan),
 		autoCache:  make(map[autoKey]autoDecision),
-		cache:      make(map[seqKey]*planEntry),
+		rows:       make(map[seqKey]*planEntry),
 		asyncSlots: make(chan struct{}, MaxPendingPlans),
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}

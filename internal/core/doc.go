@@ -45,16 +45,13 @@
 // A collective call flows through four stages: validate, lower to the
 // schedule IR, compile to a plan, execute. Compilation is one path:
 // descriptor → specIn (validation, Auto resolution, the lowering
-// closure) → compiled (the one plan cache, keyed by the members'
-// signatures; a collective is a sequence of one) → buildLocked (lower →
-// concatenate → fuse → trace). Two producers call buildLocked past the
-// cache: Auto, whose dry builds are scored and dropped, and the cluster
-// layer, whose session (ClusterTenant, one arena on every host) caches a
-// host plan once, with the staging it binds — one plan per role, bound
-// per host: hosts of one configuration and part in the lowering (root or not where it matters; each host of an
-// AlltoAll) share a build. A cost-only host takes the role's plan whole;
-// a functional one re-lowers, to bind its own closures, on the role's
-// shape row, so nothing is traced twice (cluster.go).
+// closure) → compiled (the session's plans, then the machine's shape
+// rows, both keyed by the members' arena-relative signatures; a
+// collective is a sequence of one) → buildLocked (lower → concatenate →
+// fuse → trace). Auto's dry builds fill the same rows. The cluster layer
+// calls buildLocked past both caches: its session (ClusterTenant, one
+// arena on every host) caches a host plan once, with the staging it
+// binds — one plan per role, bound per host (cluster.go).
 //
 //   - Hypercube (hypercube.go) holds the virtual shape of § IV-B and
 //     produces communication groups (the cube slices of Figure 5) from a
@@ -71,12 +68,11 @@
 //     paper-scale sweeps and Auto dry runs.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
 //     compiled once (validation, Auto resolution, lowering, charge
-//     precomputation) and replayed many times. The per-Comm cache is one
-//     map of shape rows — charge trace, fusion report, member costs, and
-//     the plan unless a member binds caller buffers — so host-input plans
-//     rebuild their schedule but share the trace, and a closed tenant's
-//     plans leave while the rows stay for its successor
-//     (Snapshot.PlanCache instruments it).
+//     precomputation) and replayed many times. A plan is its session's;
+//     its shape row — charge trace, fusion report, member costs — is the
+//     machine's, shared by every session at every base, so a host-input
+//     plan, a successor tenant's and Auto's winner rebuild a schedule but
+//     trace nothing (Snapshot.PlanCache instruments both caches).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
@@ -104,8 +100,9 @@
 //     AllReduce's host-level wire leg (cluster.go).
 //   - Autotuning (auto.go): a descriptor left at Level Auto and/or
 //     AlgoAuto dry-builds every applicable (algorithm, level) row of that
-//     table on the comm itself — tracing runs on a scratch cost-only host
-//     whatever the backend — and caches the winner per call signature.
+//     table into the comm's shape rows, at the caller's offsets — tracing
+//     runs on a scratch cost-only host whatever the backend — and caches
+//     the winner per call signature.
 //     SetAutoObjective selects what wins: the meter total (serial cost,
 //     default) or the pipelined dry-placed makespan (overlapped elapsed
 //     time). Ties keep the reference lowering at the lowest level, so an
@@ -119,13 +116,13 @@
 // streaming contexts (engine.go), and staged bulk passes split their
 // entangled-group list. Config.ExecWorkers sizes the pool (default
 // GOMAXPROCS; purely a simulator-throughput knob). The determinism
-// contract is structural:
-// shards only write disjoint regions, shard-local tallies merge in
-// shard order with order-insensitive folds (integer sums, exact float
-// max), and every meter addition happens on the executing goroutine
-// after the merge — so results, breakdowns, and bus statistics are
-// bit-for-bit identical at any worker count (parallel_test.go pins
-// this, and the fuzz harness randomizes the knob). Replay of a warmed
+// contract is structural: shards only write disjoint regions,
+// shard-local tallies merge in shard order with order-insensitive folds
+// (integer sums, exact float max), and every meter addition happens on
+// the executing goroutine after the merge — so results, breakdowns, and
+// bus statistics are bit-for-bit identical at any worker count
+// (parallel_test.go pins this, and the fuzz harness randomizes the
+// knob). Replay of a warmed
 // CompiledPlan is also allocation-free on the streaming paths: scratch
 // lives in per-shard arenas, rooted results in plan-owned buffers, and
 // kernels are cached on their steps (TestReplayAllocs*).
@@ -155,7 +152,7 @@
 // to running alone), a weight, and an optional simulated-time quota
 // enforced at admission. The whole lifecycle lives there: NewTenant
 // carves the arena from the system's free-list allocator and registers
-// the session, Close retires it, evicts its plans and frees the arena —
+// the session, Close retires it, drops its plans and frees the arena —
 // pidcomm re-exports the type as its Comm. The submission queue is
 // per-tenant buckets served by start-time weighted fair queuing
 // (async.go); within a bucket FIFO order — and with it hazard order — is

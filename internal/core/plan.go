@@ -13,31 +13,38 @@ import (
 // This file implements the plan/execute split: a collective is compiled
 // once — validated, Auto-resolved, lowered to its IR Schedule, and its
 // charges precomputed — into a CompiledPlan that can be replayed many
-// times. Tenant.Run is Compile+Run over the plan cache, so iterative
-// workloads that repeat a call signature every layer/iteration (DLRM,
-// GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench harness)
-// amortize all per-call setup.
+// times. Tenant.Run is Compile+Run over the session's plans, so
+// iterative workloads that repeat a call signature every layer/iteration
+// (DLRM, GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench
+// harness) amortize all per-call setup.
 //
-// One pipeline: descriptor → specIn (collective.go) → compiled, the one
-// cache, where a collective is a sequence of one → buildLocked on a miss.
-// Auto (auto.go) and the cluster layer (cluster.go) call buildLocked
-// past the cache: dry builds are only scored, and a host plan is cached
-// once, with the cluster staging it binds.
+// One pipeline: descriptor → specIn (collective.go) → compiled, where a
+// collective is a sequence of one → buildLocked on a miss. Shapes belong
+// to the machine: the Comm's one table of shape rows (charge trace,
+// fusion report, member costs), keyed by the members' arena-relative
+// signatures, serves every session at every arena base. Plans belong to
+// sessions: each Tenant caches its own per row and drops them when it
+// closes. Auto's candidate dry builds (auto.go) fill and read the same
+// rows, so the winner's compile traces nothing. The cluster layer
+// (cluster.go) calls buildLocked past both caches: a host plan is cached
+// once, in its cluster session, with the staging it binds.
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
 // on a scratch host. Each addition's value depends only on the call shape
-// — never on prior meter state — so replaying the trace applies the same
-// floating-point operands in the same order as a live execution and the
-// meter evolves bit-identically, while skipping the per-PE kernel
+// — never on prior meter state, nor on where the arena sits
+// (TestChargeTraceIsPositionIndependent) — so replaying the trace applies
+// the same floating-point operands in the same order as a live execution
+// and the meter evolves bit-identically, while skipping the per-PE kernel
 // accounting and per-burst bus tallying loops entirely. On the functional
 // backend a Run still executes the schedule (bytes must move); on the
 // cost-only backend a Run is just the trace replay, which is what makes
 // cached replay orders of magnitude faster than compile-each-call.
 
 // planKey identifies one compiled collective on a Comm: the full call
-// signature with Auto already resolved to the effective level. (The
-// fusion level is not part of it: a comm has one for life.)
+// signature with Auto already resolved to the effective level, its
+// offsets relative to the session's arena. (The fusion level is not part
+// of it: a comm has one for life.)
 type planKey struct {
 	prim           Primitive
 	dims           string
@@ -52,7 +59,7 @@ type planKey struct {
 	algo Algorithm
 }
 
-// seqKey is the plan cache's key: the first member's signature plus the
+// seqKey is the shape table's key: the first member's signature plus the
 // remaining members' rendered in order — empty for a single collective,
 // whose lookup therefore builds no string.
 type seqKey struct {
@@ -60,16 +67,17 @@ type seqKey struct {
 	tail string
 }
 
-// planEntry is one row of the plan cache: what depends only on the call
-// shape — never on data, meter state or caller buffers — and so is shared
-// by every plan built for the key, plus the cached plan itself. plan is
-// nil for a shape with a host-input member (never cached) and after the
-// owning tenant closed (evictOwnedPlans).
+// planEntry is one shape row: what depends only on the call shape — never
+// on data, meter state, caller buffers or the arena base — and so is
+// shared by every plan built for the key, in any session. fusion reports
+// what the fusion pipeline did (zero-valued under FuseOff); memberCosts
+// is each member's unfused per-run cost (for proportional attribution by
+// profilers), traced for sequences only: nil when the one member's cost
+// is the plan's.
 type planEntry struct {
 	tr          *chargeTrace
 	fusion      FusionReport
 	memberCosts []cost.Breakdown
-	plan        *CompiledPlan
 }
 
 // planSpec is a validated, Auto-resolved collective ready to lower: the
@@ -122,24 +130,16 @@ type CompiledPlan struct {
 	c     *Comm
 	key   planKey
 	sched *Schedule
-	tr    *chargeTrace
+	// planEntry is the plan's shape row, shared with every plan of its key.
+	*planEntry
 	// regs is the plan's per-PE MRAM footprint, used for hazard
 	// detection between asynchronously submitted plans (async.go).
 	regs planRegions
 	// owner is the tenant that compiled the plan: every run is attributed
-	// to it and admitted against it. Immutable; nil only on Auto's dry
-	// builds, which never run.
+	// to it and admitted against it. Immutable.
 	owner *Tenant
-
-	// fusion reports what the fusion pipeline did to the schedule
-	// (zero-valued when the plan was compiled with FuseOff).
-	fusion FusionReport
-	// members is the member primitives in order; memberCosts is each
-	// member's unfused per-run cost (for proportional attribution by
-	// profilers), traced for sequences only: nil when the one member's
-	// cost is the plan's.
-	members     []Primitive
-	memberCosts []cost.Breakdown
+	// members is the member primitives in order.
+	members []Primitive
 
 	// out is the rooted-result slot the schedule's closures write into
 	// during a functional execution; lastOut is what Results returns.
@@ -314,17 +314,14 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 	return tr
 }
 
-// compiled returns the plan for specs — one collective or a sequence of
-// them — and is the only cache in front of buildLocked. A repeated
-// signature is a map lookup; a row without a plan (planEntry) rebuilds
-// the schedule but shares the row's charge trace, fusion report and
-// member costs.
-//
-// owner is the tenant the plan is charged to. A hit is always its own
-// plan: keys carry absolute offsets, live arenas are disjoint, and a
-// closed owner compiles nothing and its plans are evicted — the closed
-// check runs under compMu, which Tenant.Close's eviction takes after
-// setting the flag, so a racing Close stops a compile or evicts it.
+// compiled returns owner's plan for specs — one collective or a sequence
+// of them. A repeated signature is a lookup in the session's plans; a
+// miss builds the plan on the key's shape row, which lowers the schedule
+// anew but traces nothing, or traces a new row for every session to
+// share. A plan with a host-input member is never cached: it binds the
+// caller's buffers. The closed check runs under compMu, which Close takes,
+// after setting the flag, to drop the session's plans: a racing Close
+// either stops a compile or drops its plan.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
 	key, cacheable := seqKey{head: specs[0].key}, true
 	for i, sp := range specs {
@@ -338,20 +335,22 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) 
 	if err := owner.errIfClosed(); err != nil {
 		return nil, err
 	}
-	e := c.cache[key]
-	if e != nil && e.plan != nil {
+	row := c.rows[key]
+	if cp := owner.plans[row]; cp != nil {
 		c.cacheSt.PlanHits++
 		c.cacheSt.TraceHits++
-		return e.plan, nil
+		return cp, nil
 	}
-	cp := c.buildLocked(specs, owner, e)
-	c.countBuildLocked(cp, e != nil)
-	if e == nil {
-		e = &planEntry{tr: cp.tr, fusion: cp.fusion, memberCosts: cp.memberCosts}
-		c.cache[key] = e
+	cp := &CompiledPlan{c: c, owner: owner}
+	if built := c.buildLocked(specs, cp, row); row == nil {
+		c.rows[key] = built
 	}
+	c.countBuildLocked(cp, row != nil)
 	if cacheable {
-		e.plan = cp
+		if owner.plans == nil {
+			owner.plans = make(map[*planEntry]*CompiledPlan)
+		}
+		owner.plans[cp.planEntry] = cp
 	}
 	return cp, nil
 }
@@ -370,32 +369,36 @@ func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 	}
 }
 
-// buildLocked is the one plan builder: the members' schedules are
-// lowered fresh, concatenated into one schedule, run through the fusion
-// pipeline (fuse.go) — which is where the cross-collective rewrites of a
-// sequence happen — and traced as a single plan, so the charge trace is
-// the fused one. With a shape row nothing is traced; without one the
-// unfused schedule is traced too when a pass changed it (the report
-// quotes the per-run saving), and so is each member of a sequence. It
-// touches neither the cache nor the counters; callers hold compMu.
-func (c *Comm) buildLocked(specs []planSpec, owner *Tenant, shape *planEntry) *CompiledPlan {
-	cp := &CompiledPlan{c: c, key: specs[0].key, owner: owner, members: make([]Primitive, len(specs))}
-	sched := &Schedule{}
-	names := make([]string, len(specs))
+// buildLocked is the one plan builder. It lowers specs into cp: the
+// members' schedules are lowered fresh, a sequence's concatenated into
+// one, and run through the fusion pipeline (fuse.go) — which is where the
+// cross-collective rewrites of a sequence happen — and cp's shape row is
+// row, which is returned. With row nil a new one is traced and
+// returned: the fused schedule as a single plan,
+// the unfused one too when a pass changed it (the report quotes the
+// per-run saving), and each member of a sequence. It touches neither
+// cache nor counter; callers hold compMu.
+func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan, row *planEntry) *planEntry {
+	cp.key, cp.members = specs[0].key, make([]Primitive, len(specs))
+	var sched *Schedule
 	var costs []cost.Breakdown
-	for i, sp := range specs {
-		ms := sp.lower(cp)
-		names[i] = ms.Name
-		if shape == nil && len(specs) > 1 {
-			costs = append(costs, c.traceSchedule(ms).total)
+	if len(specs) == 1 { // a collective is its own schedule
+		sched, cp.regs, cp.members[0] = specs[0].lower(cp), specs[0].regs, specs[0].key.prim
+	} else {
+		sched = &Schedule{}
+		names := make([]string, len(specs))
+		for i, sp := range specs {
+			ms := sp.lower(cp)
+			names[i] = ms.Name
+			if row == nil {
+				costs = append(costs, c.traceSchedule(ms).total)
+			}
+			cp.members[i] = sp.key.prim
+			sched.Steps = append(sched.Steps, ms.Steps...)
+			cp.regs.reads = append(cp.regs.reads, sp.regs.reads...)
+			cp.regs.writes = append(cp.regs.writes, sp.regs.writes...)
 		}
-		cp.members[i] = sp.key.prim
-		sched.Steps = append(sched.Steps, ms.Steps...)
-		cp.regs.reads = append(cp.regs.reads, sp.regs.reads...)
-		cp.regs.writes = append(cp.regs.writes, sp.regs.writes...)
-	}
-	if sched.Name = strings.Join(names, "+"); len(specs) > 1 {
-		sched.Name = "Seq(" + sched.Name + ")"
+		sched.Name = "Seq(" + strings.Join(names, "+") + ")"
 	}
 	cp.sched = sched
 	rep := FusionReport{StepsBefore: len(sched.Steps), StepsAfter: len(sched.Steps)}
@@ -403,40 +406,40 @@ func (c *Comm) buildLocked(specs []planSpec, owner *Tenant, shape *planEntry) *C
 	if c.fuse.enabled() {
 		fused, rep = fuseSteps(sched.Steps)
 	}
-	if shape == nil && rep.Changed() {
+	if row == nil && rep.Changed() {
 		rep.CostBefore = c.traceSchedule(sched).total
 	}
 	sched.Steps = fused
-	if shape != nil {
-		cp.tr, cp.fusion, cp.memberCosts = shape.tr, shape.fusion, shape.memberCosts
-		return cp
+	if row == nil {
+		tr := c.traceSchedule(sched)
+		if rep.CostAfter = tr.total; !rep.Changed() {
+			rep.CostBefore = tr.total
+		}
+		row = &planEntry{tr: tr, fusion: rep, memberCosts: costs}
 	}
-	cp.tr = c.traceSchedule(sched)
-	if rep.CostAfter = cp.tr.total; !rep.Changed() {
-		rep.CostBefore = cp.tr.total
-	}
-	cp.fusion, cp.memberCosts = rep, costs
-	return cp
+	cp.planEntry = row
+	return row
 }
 
-// PlanCacheStats reports the compiled-plan cache's behavior and memory
-// footprint (Snapshot.PlanCache). Hit/miss counters are cumulative
-// over the Comm's lifetime.
+// PlanCacheStats reports the two compile caches' behavior and memory
+// footprint (Snapshot.PlanCache): the sessions' plans and the machine's
+// shape rows. Hit/miss counters are cumulative over the Comm's lifetime.
 type PlanCacheStats struct {
-	// PlanHits and PlanMisses count whole-plan cache lookups. A miss
-	// pays validation, lowering, and (unless the trace is shared) charge
+	// PlanHits and PlanMisses count lookups in a session's plans. A miss
+	// pays validation, lowering, and (unless the row exists) charge
 	// tracing. Plans with a host-input member (Scatter, Broadcast) always
-	// miss — their schedules bind caller buffers — but still share traces.
+	// miss — their schedules bind caller buffers — but still share rows.
 	// Plans the cluster layer builds past the cache count as misses.
 	PlanHits, PlanMisses uint64
-	// TraceHits and TraceMisses count charge-trace lookups; a trace
-	// depends only on the call shape, so host-input plans hit here even
-	// though they miss the plan cache — and so does a cluster host that
-	// shares its role's row: a plan miss and a trace hit (cluster.go).
+	// TraceHits and TraceMisses count shape-row lookups, Auto's candidate
+	// dry builds included; a plan hit counts a trace hit. A row depends
+	// only on the arena-relative call shape, so it serves a session's first
+	// compile of a shape another session or Auto traced, and a cluster host
+	// sharing its role's row: a plan miss and a trace hit (cluster.go).
 	TraceHits, TraceMisses uint64
-	// CachedPlans and CachedSeqs are the live cached plans of single
-	// collectives and of sequences; CachedTraces counts the shape rows
-	// (one charge trace each).
+	// CachedPlans and CachedSeqs are the cached plans of single
+	// collectives and of sequences, summed over the live sessions;
+	// CachedTraces counts the shape rows (one charge trace each).
 	CachedPlans, CachedTraces, CachedSeqs int
 	// TraceEntries is the total recorded meter additions across cached
 	// traces; TraceBytes approximates their memory footprint.

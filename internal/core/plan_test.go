@@ -284,18 +284,18 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 	flat.Add(cost.PEMem, 1)
 	equal := flat.Snapshot()
 
-	fake := func(bd cost.Breakdown) *CompiledPlan {
-		return &CompiledPlan{tr: &chargeTrace{total: bd}}
+	fake := func(bd cost.Breakdown) *planEntry {
+		return &planEntry{tr: &chargeTrace{total: bd}}
 	}
 	// All candidates equally cheap: the lowest level wins the tie.
-	dec, err := c.autoPick(autoKey{prim: AlltoAll, dims: "t1", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
+	dec, err := c.autoPick(autoKey{prim: AlltoAll, dims: "t1", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
 		return fake(equal), nil
 	})
 	if err != nil || dec.lvl != Baseline {
 		t.Fatalf("tie: got %v, %v; want Baseline", dec.lvl, err)
 	}
 	// A failing candidate is skipped, even if it would have been first.
-	dec, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t2", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
+	dec, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t2", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
 		if l == Baseline || l == PR {
 			return nil, fmt.Errorf("inapplicable at %v", l)
 		}
@@ -305,7 +305,7 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 		t.Fatalf("skip: got %v, %v; want IM", dec.lvl, err)
 	}
 	// Every candidate failing aborts with a joined error.
-	if _, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ Algorithm, l Level) (*CompiledPlan, error) {
+	if _, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
 		return nil, fmt.Errorf("inapplicable at %v", l)
 	}); err == nil {
 		t.Fatal("all-fail did not abort")

@@ -302,43 +302,54 @@ func TestTenantCloseRetires(t *testing.T) {
 	}
 }
 
-// A successor tenant re-carving a churned tenant's arena compiles fresh
-// plans: Close must evict the retired owner's cached plans (their keys
-// carry absolute offsets, so the successor's signatures collide), and
-// the cache must miss — not adopt the dead tenant's plan.
+// A successor session compiles its own plans on the machine's shape rows:
+// at the retiree's base and at another one, its first compile misses its
+// plan cache, hits the row the retiree traced, and returns a plan of its
+// own that runs — never the retired tenant's plan.
 func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
-	c := tenantTestComm(t, 1<<13)
-	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ta.Compile(servingCollective); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ta.Compile(servingCollective); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Snapshot().PlanCache
-	if st.PlanHits != 1 || st.PlanMisses != 1 {
-		t.Fatalf("before close: %d hits / %d misses, want 1/1", st.PlanHits, st.PlanMisses)
-	}
-	if err := ta.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tb, err := c.NewTenant(servingTenantCfg("b", 0, ShedReject))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := tb.Compile(servingCollective)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st = c.Snapshot().PlanCache
-	if st.PlanMisses != 2 {
-		t.Fatalf("successor adopted the retired tenant's plan (%d misses, want 2)", st.PlanMisses)
-	}
-	if f := cp.Submit(); f.Err() != nil {
-		t.Fatalf("successor plan failed: %v", f.Err())
+	for _, pad := range []int{0, 1 << 10} {
+		c := tenantTestComm(t, 1<<13)
+		ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := ta.Compile(servingCollective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ta.Compile(servingCollective); err != nil || again != old {
+			t.Fatalf("recompile = %p, %v; want the cached plan %p", again, err, old)
+		}
+		if err := ta.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if pad > 0 { // the successor lands behind the pad
+			if _, err := c.NewTenant(TenantConfig{Name: "pad", ArenaBytes: pad}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tb, err := c.NewTenant(servingTenantCfg("b", 0, ShedReject))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base, _ := tb.Arena(); base != pad {
+			t.Fatalf("pad %d: successor at base %d", pad, base)
+		}
+		before := c.Snapshot().PlanCache
+		cp, err := tb.Compile(servingCollective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Snapshot().PlanCache
+		if st.PlanMisses != before.PlanMisses+1 || st.TraceHits != before.TraceHits+1 || st.TraceMisses != 1 || st.CachedTraces != 1 {
+			t.Errorf("pad %d: successor compile booked %+v after %+v, want a plan miss on the retiree's row", pad, st, before)
+		}
+		if cp == old || cp.owner != tb || cp.tr != old.tr {
+			t.Errorf("pad %d: successor plan %p (owner %q), retiree's %p: want a plan of its own on the shared trace", pad, cp, cp.owner.name, old)
+		}
+		if f := cp.Submit(); f.Err() != nil {
+			t.Fatalf("pad %d: successor plan failed: %v", pad, f.Err())
+		}
 	}
 }
 
@@ -389,9 +400,9 @@ func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	}
 }
 
-// A Close racing Compile must not leave a plan owned by the closed
-// tenant behind: the compile either fails with ErrTenantClosed or caches
-// its plan before the eviction runs. Meaningful under -race.
+// A Close racing Compile must not leave the closed tenant holding a plan:
+// the compile either fails with ErrTenantClosed or caches its plan before
+// Close drops the session's plans. Meaningful under -race.
 func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	for round := 0; round < 50; round++ {
@@ -421,10 +432,8 @@ func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
 			t.Fatalf("round %d: compile loop ended with %v, want ErrTenantClosed", round, err)
 		}
 		c.compMu.Lock()
-		for _, e := range c.cache {
-			if e.plan != nil && e.plan.owner == ten {
-				t.Errorf("round %d: plan %s of the closed tenant survived the eviction", round, e.plan.sched.Name)
-			}
+		if n := len(ten.plans); n != 0 {
+			t.Errorf("round %d: the closed tenant still holds %d plans", round, n)
 		}
 		c.compMu.Unlock()
 	}

@@ -55,7 +55,7 @@ type TenantSnapshot struct {
 }
 
 // Snapshot reads the Comm's run-time state — for inspection between phases
-// of a run, not per request: it takes every lock once and walks the cache.
+// of a run, not per request: it takes every lock once and walks the caches.
 func (c *Comm) Snapshot() Snapshot {
 	var s Snapshot
 	c.execMu.Lock()
@@ -65,17 +65,26 @@ func (c *Comm) Snapshot() Snapshot {
 	}
 	c.execMu.Unlock()
 
+	c.tenantMu.Lock()
+	retired := len(c.retired)
+	ts := slices.Concat(c.retired, c.tenants)
+	c.tenantMu.Unlock()
+
 	c.compMu.Lock()
 	s.PlanCache, s.Fusion = c.cacheSt, c.fuseSt
-	s.PlanCache.CachedTraces = len(c.cache)
-	for k, e := range c.cache {
-		if e.plan != nil && k.tail == "" {
-			s.PlanCache.CachedPlans++
-		} else if e.plan != nil {
-			s.PlanCache.CachedSeqs++
-		}
+	s.PlanCache.CachedTraces = len(c.rows)
+	for _, e := range c.rows {
 		s.PlanCache.TraceEntries += int64(len(e.tr.adds))
 		s.PlanCache.TraceBytes += e.tr.memBytes()
+	}
+	for _, t := range ts { // a retired tenant holds none
+		for _, cp := range t.plans {
+			if len(cp.members) == 1 {
+				s.PlanCache.CachedPlans++
+			} else {
+				s.PlanCache.CachedSeqs++
+			}
+		}
 	}
 	c.compMu.Unlock()
 
@@ -91,10 +100,6 @@ func (c *Comm) Snapshot() Snapshot {
 			cmp.Compare(a.Bytes, b.Bytes), cmp.Compare(a.Constraint, b.Constraint))
 	})
 
-	c.tenantMu.Lock()
-	retired := len(c.retired)
-	ts := slices.Concat(c.retired, c.tenants)
-	c.tenantMu.Unlock()
 	s.Tenants = make([]TenantSnapshot, len(ts))
 	for i, t := range ts {
 		t.mu.Lock()

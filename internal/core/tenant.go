@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
@@ -12,13 +14,13 @@ import (
 // This file implements tenant sessions — arena-scoped views of one Comm
 // that let many independent workloads ("models being served") share one
 // simulated machine — and their whole lifecycle: NewTenant carves and
-// registers, Close retires, evicts and frees. A Tenant owns a disjoint
-// window of every PE's MRAM, handed out by the system's free-list
-// allocator — all of its Collective regions are validated against that
-// window and translated to absolute offsets, so tenants cannot name, let
-// alone alias, each other's footprints — plus its own cost.Meter, a
-// weight in the machine's weighted-fair submission scheduler (async.go),
-// and an optional simulated-time quota.
+// registers, Close retires, drops the plans and frees. A Tenant owns a
+// disjoint window of every PE's MRAM, handed out by the system's
+// free-list allocator — all of its Collective regions are validated
+// against that window and translated to absolute offsets, so tenants
+// cannot name, let alone alias, each other's footprints — plus its own
+// plan cache, cost.Meter, a weight in the machine's weighted-fair
+// submission scheduler (async.go), and an optional simulated-time quota.
 //
 // Accounting invariant: every charge a tenant's plan makes on the
 // machine meter is mirrored — same operands, same order — into the
@@ -94,6 +96,11 @@ type Tenant struct {
 	// (queued or executing). Guarded by the Comm's asyncMu.
 	inflight int
 
+	// plans is the session's plan cache (plan.go), keyed by the plan's
+	// shape row, made on the first cacheable miss and dropped by Close.
+	// Guarded by the Comm's compMu.
+	plans map[*planEntry]*CompiledPlan
+
 	// mu guards the admission ledger and the closed flag.
 	mu       sync.Mutex
 	admitted cost.Seconds
@@ -111,11 +118,11 @@ type TenantConfig struct {
 	// tenant names is validated against [0, ArenaBytes).
 	ArenaBytes int
 	// Weight is the tenant's share in the weighted-fair submission
-	// scheduler; 0 means 1.
+	// scheduler, positive and finite; 0 means 1.
 	Weight float64
 	// Quota, if positive, bounds the total simulated time the tenant
 	// may admit; a Run/Submit whose predicted cost would exceed it
-	// fails with ErrQuotaExceeded.
+	// fails with ErrQuotaExceeded. It must be finite.
 	Quota cost.Seconds
 	// MaxPending, if positive, bounds the tenant's in-flight
 	// submissions: beyond it, submissions shed per the Shed policy with
@@ -145,11 +152,13 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	if weight == 0 {
 		weight = 1
 	}
-	if weight < 0 {
-		return nil, fmt.Errorf("core: tenant %q weight %v must be positive", name, weight)
+	// Negated, so NaN fails: a NaN weight would turn the weighted-fair clock
+	// NaN for the machine's life, a NaN quota admit without bound.
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return nil, fmt.Errorf("core: tenant %q weight %v must be positive and finite", name, weight)
 	}
-	if cfg.Quota < 0 {
-		return nil, fmt.Errorf("core: tenant %q quota %v must be non-negative", name, cfg.Quota)
+	if !(cfg.Quota >= 0) || math.IsInf(float64(cfg.Quota), 1) {
+		return nil, fmt.Errorf("core: tenant %q quota %v must be non-negative and finite", name, cfg.Quota)
 	}
 	if cfg.MaxPending < 0 {
 		return nil, fmt.Errorf("core: tenant %q MaxPending %d must be non-negative", name, cfg.MaxPending)
@@ -190,10 +199,9 @@ func (c *Comm) Session() (*Tenant, error) {
 
 // Close retires the tenant — the teardown half of tenant churn. It
 // drains the machine, rejects every later compile and admission with
-// ErrTenantClosed, removes the tenant's scheduler bucket, evicts its
-// owned plans from the Comm's plan cache — plan keys carry absolute
-// offsets, so a successor tenant reusing the arena would otherwise
-// collide with the retiree's cached plans — and then returns the arena to the system's coalescing
+// ErrTenantClosed, removes the tenant's scheduler bucket, drops its plan
+// cache — the machine's shape rows stay, for any later session to
+// share — and then returns the arena to the system's coalescing
 // free-list allocator for future NewTenant calls. The tenant's meter
 // survives on the Comm's retired list (Snapshot.Tenants), so machine-total
 // accounting stays bit-identical across create/teardown cycles. Returns
@@ -209,12 +217,7 @@ func (t *Tenant) Close() error {
 	c := t.c
 	c.Flush()
 	c.asyncMu.Lock()
-	for i, q := range c.queues {
-		if q == &t.sq {
-			c.queues = append(c.queues[:i], c.queues[i+1:]...)
-			break
-		}
-	}
+	c.queues = slices.DeleteFunc(c.queues, func(q *subQueue) bool { return q == &t.sq })
 	// Sweep stragglers: a Submit that passed admission before the closed
 	// flag was set may have enqueued after the Flush drained. Nothing
 	// will ever pick them from the detached bucket, so complete them
@@ -225,15 +228,12 @@ func (t *Tenant) Close() error {
 	t.sq.q = nil
 	c.asyncMu.Unlock()
 	c.tenantMu.Lock()
-	for i, o := range c.tenants {
-		if o == t {
-			c.tenants = append(c.tenants[:i], c.tenants[i+1:]...)
-			break
-		}
-	}
+	c.tenants = slices.DeleteFunc(c.tenants, func(o *Tenant) bool { return o == t })
 	c.retired = append(c.retired, t)
 	c.tenantMu.Unlock()
-	c.evictOwnedPlans(t)
+	c.compMu.Lock()
+	t.plans = nil
+	c.compMu.Unlock()
 	if err := c.hc.sys.FreeArena(dram.Arena{Base: t.ar.base, Bytes: t.ar.size}); err != nil {
 		return fmt.Errorf("core: closing tenant %q: %w", t.name, err)
 	}
@@ -255,19 +255,6 @@ func (t *Tenant) Closed() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.closed
-}
-
-// evictOwnedPlans drops every cached plan owned by t. The shape rows
-// stay — a successor tenant at the same base offsets rebuilds the plan
-// but reuses the row's charge trace.
-func (c *Comm) evictOwnedPlans(t *Tenant) {
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	for _, e := range c.cache {
-		if e.plan != nil && e.plan.owner == t {
-			e.plan = nil
-		}
-	}
 }
 
 // Compile compiles d — validation against the tenant's arena (every
@@ -437,9 +424,8 @@ func (t *Tenant) overloadedLocked() error {
 	return fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)", ErrOverloaded, t.name, t.inflight, t.maxPending)
 }
 
-// errIfClosed is the compile-time closed check: plans compiled on a
-// closed tenant would outlive its eviction and collide with a successor
-// at the same base.
+// errIfClosed is the compile-time closed check: a closed tenant compiles
+// nothing, so it holds no plans once Close has dropped them.
 func (t *Tenant) errIfClosed() error {
 	if t.Closed() {
 		return fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +45,7 @@ func tenantRow(t *testing.T, ten *Tenant) TenantSnapshot {
 func fakeFuture(totalSeconds float64) *Future {
 	m := cost.NewMeter()
 	m.Add(cost.PEMem, cost.Seconds(totalSeconds))
-	return &Future{cp: &CompiledPlan{tr: &chargeTrace{total: m.Snapshot()}}}
+	return &Future{cp: &CompiledPlan{planEntry: &planEntry{tr: &chargeTrace{total: m.Snapshot()}}}}
 }
 
 // The weighted-fair pick order: two backlogged buckets with weights 2:1
@@ -183,6 +185,35 @@ func TestTenantArenasDisjoint(t *testing.T) {
 	_, aBytes := a.Arena()
 	if base, _ := d.Arena(); base != aBytes {
 		t.Fatalf("second arena starts at %d, want %d where the first ends", base, aBytes)
+	}
+}
+
+// NewTenant refuses a weight that is not positive and finite, a quota
+// that is not non-negative and finite, and a negative MaxPending — NaN
+// included, which a bare `< 0` check lets through — and carves nothing.
+func TestTenantConfigRejected(t *testing.T) {
+	c := tenantTestComm(t, 1<<13)
+	free := c.Snapshot().FreeSpans
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  TenantConfig
+	}{
+		{"weight -1", TenantConfig{Weight: -1}},
+		{"weight NaN", TenantConfig{Weight: nan}},
+		{"weight +Inf", TenantConfig{Weight: inf}},
+		{"quota -1", TenantConfig{Quota: -1}},
+		{"quota NaN", TenantConfig{Quota: cost.Seconds(nan)}},
+		{"quota +Inf", TenantConfig{Quota: cost.Seconds(inf)}},
+		{"MaxPending -1", TenantConfig{MaxPending: -1}},
+	} {
+		tc.cfg.ArenaBytes = 1 << 12
+		if ten, err := c.NewTenant(tc.cfg); err == nil {
+			t.Errorf("%s: accepted as tenant %q", tc.name, ten.Name())
+		}
+		if got := c.Snapshot().FreeSpans; !slices.Equal(got, free) {
+			t.Errorf("%s: free spans %v, want %v", tc.name, got, free)
+		}
 	}
 }
 
