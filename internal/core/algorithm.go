@@ -115,10 +115,10 @@ type algoEnv struct {
 
 // lowering is one row of the lowering table.
 type lowering struct {
-	// applies reports whether the row can implement the resolved call (nil
-	// means always). Auto skips an inapplicable candidate; an explicit
-	// request for one is an error.
-	applies func(e *algoEnv) bool
+	// applies reports whether the row can implement a call at effective
+	// level eff over groups of n ranks (nil means always). Auto skips an
+	// inapplicable candidate; an explicit request for one is an error.
+	applies func(eff Level, n int) bool
 	// lower produces the schedule; cp is the plan being compiled (the
 	// rooted reference lowerings bind its result buffers).
 	lower func(e *algoEnv, cp *CompiledPlan) *Schedule
@@ -162,17 +162,18 @@ func RegisteredAlgorithms(prim Primitive) []Algorithm {
 }
 
 // loweringOf returns the table row of an explicitly requested algorithm
-// for the resolved call env (whose primitive specIn has checked), or why
-// the call cannot have it: no such row, or a row that does not apply.
-func loweringOf(alg Algorithm, env *algoEnv) (*lowering, error) {
-	if alg < 0 || int(alg) >= len(algorithms) || lowerings[env.prim][alg].lower == nil {
+// for a resolved call of prim (which specIn has checked) at effective
+// level eff over groups of n ranks, or why the call cannot have it: no
+// such row, or a row that does not apply.
+func loweringOf(alg Algorithm, prim Primitive, eff Level, n int) (*lowering, error) {
+	if alg < 0 || int(alg) >= len(algorithms) || lowerings[prim][alg].lower == nil {
 		return nil, fmt.Errorf("core: no %v algorithm for %v (have %v)",
-			alg, env.prim.LongName(), RegisteredAlgorithms(env.prim))
+			alg, prim.LongName(), RegisteredAlgorithms(prim))
 	}
-	row := &lowerings[env.prim][alg]
-	if row.applies != nil && !row.applies(env) {
+	row := &lowerings[prim][alg]
+	if row.applies != nil && !row.applies(eff, n) {
 		return nil, fmt.Errorf("core: algorithm %v does not apply to %v at level %v (use AlgoAuto or another level)",
-			alg, env.prim.LongName(), env.eff)
+			alg, prim.LongName(), eff)
 	}
 	return row, nil
 }

@@ -96,10 +96,11 @@ func (c *Comm) Step() *Future {
 // machine's footprint for that range.
 type span struct{ off, n int }
 
-func anyOverlap(as, bs []span) bool {
+// anyOverlap reports whether a span of as overlaps one of bs moved by d.
+func anyOverlap(as, bs []span, d int) bool {
 	for _, a := range as {
 		for _, b := range bs {
-			if overlap(a.off, a.n, b.off, b.n) {
+			if overlap(a.off, a.n, b.off+d, b.n) {
 				return true
 			}
 		}
@@ -107,38 +108,40 @@ func anyOverlap(as, bs []span) bool {
 	return false
 }
 
-// planRegions is a compiled plan's per-PE MRAM footprint, used for hazard
-// detection between submitted plans. A source region the optimized levels
-// consume (PE-assisted reordering rotates it in place) counts as written:
-// a write subsumes a read for hazard purposes.
+// planRegions is a shape row's per-PE MRAM footprint relative to the
+// arena base, used for hazard detection between submitted plans. A source
+// region the optimized levels consume (PE-assisted reordering rotates it
+// in place) counts as written: a write subsumes a read for hazard
+// purposes.
 type planRegions struct{ reads, writes []span }
 
-func (r *planRegions) read(off, n int)  { r.reads = append(r.reads, span{off, n}) }
-func (r *planRegions) write(off, n int) { r.writes = append(r.writes, span{off, n}) }
-
-// srcRegion records the source region: written when the effective level
-// rotates it in place (consuming it), read otherwise.
-func (r *planRegions) srcRegion(off, n int, consumed bool) {
-	if consumed {
-		r.write(off, n)
-	} else {
-		r.read(off, n)
+// add records one member's source — written when the effective level
+// rotates it in place (consuming it), read otherwise — and destination;
+// an empty span is none.
+func (r *planRegions) add(src, dst span, consumed bool) {
+	if src.n > 0 && consumed {
+		r.writes = append(r.writes, src)
+	} else if src.n > 0 {
+		r.reads = append(r.reads, src)
+	}
+	if dst.n > 0 {
+		r.writes = append(r.writes, dst)
 	}
 }
 
-// conflicts reports whether two footprints carry a data hazard: a RAW,
-// WAR or WAW dependence on any region.
-func (r *planRegions) conflicts(o *planRegions) bool {
-	return anyOverlap(r.writes, o.writes) ||
-		anyOverlap(r.writes, o.reads) ||
-		anyOverlap(r.reads, o.writes)
+// conflicts reports whether two plans' footprints — each its row's
+// regions at its own arena base — carry a data hazard: a RAW, WAR or WAW
+// dependence on any region.
+func (cp *CompiledPlan) conflicts(o *CompiledPlan) bool {
+	r, s, d := &cp.regs, &o.regs, o.base-cp.base
+	return anyOverlap(r.writes, s.writes, d) || anyOverlap(r.writes, s.reads, d) || anyOverlap(r.reads, s.writes, d)
 }
 
 // placedPlan is one timeline placement still visible for hazard checks:
-// later submissions conflicting with its footprint start after end.
+// later submissions conflicting with its plan start after end.
 type placedPlan struct {
-	regs *planRegions // the plan's own footprint, immutable once compiled
-	end  cost.Seconds
+	cp  *CompiledPlan
+	end cost.Seconds
 }
 
 // Future is the handle of one submitted plan execution. All accessors
@@ -354,8 +357,7 @@ func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
 		if q := t.sq.q; t.shed != ShedOldest || len(q) == 0 || q[0].cluster {
 			return c.rejectLocked(f, true, err)
 		}
-		c.completeDroppedLocked(t.sq.remove(0), fmt.Errorf("%w: tenant %q plan shed by newer submission (max %d pending)",
-			ErrOverloaded, t.name, t.maxPending))
+		c.completeDroppedLocked(t.sq.remove(0), err)
 	}
 	f.cluster = cluster
 	t.inflight++
@@ -512,7 +514,7 @@ func (c *Comm) conflictsQueuedEarlierLocked(f *Future) bool {
 			if o.seq >= f.seq {
 				break // buckets are FIFO in seq order: the rest is later
 			}
-			if f.cp.regs.conflicts(&o.cp.regs) {
+			if f.cp.conflicts(o.cp) {
 				return true
 			}
 		}
@@ -558,7 +560,8 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]
 	defer c.execMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("core: %s failed mid-schedule: %v", cp.sched.Name, r)
+			k := &cp.key
+			err = fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
 		}
 	}()
 
@@ -581,7 +584,7 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]
 			c.frontier[live] = pl
 		}
 		live++
-		if pl.end > earliest && cp.regs.conflicts(pl.regs) {
+		if pl.end > earliest && cp.conflicts(pl.cp) {
 			earliest = pl.end
 		}
 	}
@@ -606,7 +609,7 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]
 		}
 	}
 	start, end = c.tl.Place(earliest, cp.tr.segs)
-	c.frontier = append(c.frontier, placedPlan{regs: &cp.regs, end: end})
+	c.frontier = append(c.frontier, placedPlan{cp: cp, end: end})
 
 	if out, _ = c.runScheduleLocked(cp); out != nil {
 		// Detach the rooted results: the schedule writes into the plan's

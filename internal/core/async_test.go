@@ -311,8 +311,8 @@ func failingPlan(c *testComm) *CompiledPlan {
 		Run:     func() { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
-	return &CompiledPlan{c: c.Comm, owner: c.s, key: planKey{prim: Broadcast, dims: "1"}, sched: sched,
-		planEntry: &planEntry{tr: c.traceSchedule(sched)}}
+	return &CompiledPlan{c: c.Comm, owner: c.s, sched: sched,
+		planEntry: &planEntry{key: planKey{prim: Broadcast, dims: "1"}, tr: c.traceSchedule(sched)}}
 }
 
 // TestFutureErrSurfacesBackendErrorExactlyOnce is the regression test for

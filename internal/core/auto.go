@@ -225,7 +225,7 @@ func (c *Comm) autoRow(d Collective) (*planEntry, error) {
 		return row, nil
 	}
 	c.cacheSt.TraceMisses++
-	row := c.buildLocked([]planSpec{spec}, &CompiledPlan{c: c}, nil)
+	row := c.buildLocked([]planSpec{spec}, &CompiledPlan{c: c})
 	c.rows[key] = row
 	return row, nil
 }

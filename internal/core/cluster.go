@@ -21,10 +21,10 @@ package core
 // configuration, the session's arena being every host's; the root apart where a rooted wire or Flat singles it
 // out; each host of an AlltoAll apart, whose pack/unpack volumes follow
 // h). A cost-only run replays the charge trace and never executes a
-// schedule, so there a later host gets the role's plan rebound to its own
-// comm and tenant; a functional host's closures bind its own comm, h and
-// staging, so it lowers and fuses again, but on the role's shape row
-// (trace, fusion report, member costs): nothing is traced twice.
+// schedule, so there a later host's plan is the role's row bound to its
+// own shard, like any cost-only row hit; a functional host's closures
+// bind its own comm, h and staging, so it lowers and fuses again, but on
+// the role's shape row: nothing is traced twice.
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -342,7 +342,7 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		}
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	roles := make(map[hostRole]*CompiledPlan)
+	roles := make(map[hostRole]*planEntry)
 	shared := make([]bool, len(cl.comms)) // host h took its role's row
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
 	_, unknown := shapeOf(d.Prim)
@@ -358,24 +358,19 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		if d.Prim == AlltoAll || rooted && h == d.Root {
 			role.h = h
 		}
-		first := roles[role]
-		if shared[h] = first != nil; shared[h] && !cl.functional {
-			hp := *first // no validation, group plan, lowering, fusion or trace
-			hp.c, hp.owner = c, owner
-			cp.plans[h] = &hp
-			continue
+		hp := owner.planOn(roles[role])
+		cp.plans[h] = hp
+		if shared[h] = hp.planEntry != nil; !hp.lowers() {
+			continue // no validation, group plan, lowering, fusion or trace
 		}
 		specs, err := cl.hostSpecs(h, owner.ar, st, d)
 		if err != nil {
 			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 		}
-		// Built past the host's caches — this entry is the cache.
-		cp.plans[h] = &CompiledPlan{c: c, owner: owner}
-		if first == nil {
-			roles[role] = cp.plans[h] // no row yet: this build traces one
-		}
+		// Built past the host's caches — this entry is the cache; the
+		// role's first host traces the row.
 		c.compMu.Lock()
-		c.buildLocked(specs, cp.plans[h], roles[role].planEntry)
+		roles[role] = c.buildLocked(specs, hp)
 		c.compMu.Unlock()
 	}
 	// Booked on every host like any other miss, and cached, only now: a
@@ -610,7 +605,7 @@ func (b *clusterBuild) local(d Collective) error {
 // bytesPerRound each, charged through cost.NetParams onto the host's
 // network lane, plus (functional) the rendezvous closure run.
 func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(cp *CompiledPlan) func()) {
-	b.step("NetTransfer/"+name, planRegions{}, func(cp *CompiledPlan) Step {
+	b.step("NetTransfer/"+name, span{}, span{}, func(cp *CompiledPlan) Step {
 		st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
 		// The cost-only twin gets an empty closure where the functional
 		// cluster has a rendezvous: the step must survive (or be elided by)
@@ -634,16 +629,17 @@ func (b *clusterBuild) await(*CompiledPlan) func() {
 	return func() { bar.await(nil) }
 }
 
-// member appends a hand-built member.
-func (b *clusterBuild) member(regs planRegions, lower func(cp *CompiledPlan) *Schedule) {
+// member appends a hand-built member that reads src and writes dst of the
+// arena (an empty span: neither).
+func (b *clusterBuild) member(src, dst span, lower func(cp *CompiledPlan) *Schedule) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
-	b.specs = append(b.specs, planSpec{key: key, regs: regs, lower: lower})
+	b.specs = append(b.specs, planSpec{key: key, src: src, dst: dst, lower: lower})
 }
 
 // step appends what every member but the redistribution is: one step and
 // its sync.
-func (b *clusterBuild) step(name string, regs planRegions, st func(cp *CompiledPlan) Step) {
-	b.member(regs, func(cp *CompiledPlan) *Schedule {
+func (b *clusterBuild) step(name string, src, dst span, st func(cp *CompiledPlan) Step) {
+	b.member(src, dst, func(cp *CompiledPlan) *Schedule {
 		return &Schedule{Name: name, Steps: []Step{st(cp), &StepSync{}}}
 	})
 }
@@ -745,7 +741,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.step("FlatReduce", planRegions{}, func(*CompiledPlan) Step {
+			b.step("FlatReduce", span{}, span{}, func(*CompiledPlan) Step {
 				return &StepHostCompute{Charges: []Charge{{ChargeScalarReduce, int64(H) * int64(P) * int64(m)}}}
 			})
 		}
@@ -767,9 +763,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		return err
 	}
 	absDst := b.ar.base + d.Dst.Off
-	var regs planRegions
-	regs.write(absDst, n)
-	b.member(regs, func(*CompiledPlan) *Schedule {
+	b.member(span{}, span{d.Dst.Off, n}, func(*CompiledPlan) *Schedule {
 		bufs := [][]byte{nil} // cost-only: never dereferenced
 		if st.global != nil {
 			bufs = [][]byte{st.global[lo:hi]}
@@ -802,33 +796,31 @@ func (b *clusterBuild) alltoAll() error {
 			}
 		}
 	}
-	absSrc, absDst := b.ar.base+d.Src.Off, b.ar.base+d.Dst.Off
 	// Pack the remote portions (a prefix of hosts below h and a suffix
 	// above) into the per-pair exchange slabs, then rendezvous — the
 	// (H-1)/H traffic of § IX-A, one P*PS portion per host per round —
 	// and unpack the incoming slabs transposed into destination order.
-	b.pack(absSrc, 0, h, PS, s)
-	b.pack(absSrc+(h+1)*PS, h+1, H, PS, s)
+	b.pack(d.Src.Off, 0, h, PS, s)
+	b.pack(d.Src.Off+(h+1)*PS, h+1, H, PS, s)
 	b.net("exchange", H-1, int64(P*PS), b.await)
-	b.unpack(absDst, 0, h, PS, s)
-	b.unpack(absDst+(h+1)*PS, h+1, H, PS, s)
+	b.unpack(d.Dst.Off, 0, h, PS, s)
+	b.unpack(d.Dst.Off+(h+1)*PS, h+1, H, PS, s)
 	return nil
 }
 
-// pack reads the per-PE region [readOff, readOff+(dstHi-dstLo)*PS) —
-// the blocks destined to hosts [dstLo, dstHi) — and stores them into
-// this host's outgoing exchange slabs in (source rank, dest rank) order.
+// pack reads the per-PE region [readOff, readOff+(dstHi-dstLo)*PS) of
+// the arena — the blocks destined to hosts [dstLo, dstHi) — and stores
+// them into this host's outgoing exchange slabs in (source rank, dest
+// rank) order.
 func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	if dstHi <= dstLo {
 		return
 	}
 	per := (dstHi - dstLo) * PS
-	var regs planRegions
-	regs.read(readOff, per)
-	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.step("ClusterPack", regs, func(*CompiledPlan) Step {
+	c, p, st, h, P, abs := b.c, b.p, b.st, b.h, b.cl.p, b.ar.base+readOff
+	b.step("ClusterPack", span{readOff, per}, span{}, func(*CompiledPlan) Step {
 		return &StepBulk{
-			Read: true, ReadOff: readOff, ReadPerPE: per,
+			Read: true, ReadOff: abs, ReadPerPE: per,
 			Charges: []Charge{{ChargeHostMem, c.numPEBytes(per)}}, // slab store
 			Modulate: func(stag []byte) []byte {
 				grp := p.groups[0]
@@ -849,18 +841,16 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 
 // unpack assembles the incoming slabs of hosts [srcLo, srcHi) —
 // transposing (source rank, dest rank) into destination block order —
-// and bulk-writes them to the per-PE region at writeOff.
+// and bulk-writes them to the per-PE region at writeOff of the arena.
 func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	if srcHi <= srcLo {
 		return
 	}
 	per := (srcHi - srcLo) * PS
-	var regs planRegions
-	regs.write(writeOff, per)
-	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
-	b.step("ClusterUnpack", regs, func(*CompiledPlan) Step {
+	c, p, st, h, P, abs := b.c, b.p, b.st, b.h, b.cl.p, b.ar.base+writeOff
+	b.step("ClusterUnpack", span{}, span{writeOff, per}, func(*CompiledPlan) Step {
 		return &StepBulk{
-			Write: true, WriteOff: writeOff, WritePerPE: per,
+			Write: true, WriteOff: abs, WritePerPE: per,
 			Charges: []Charge{
 				{ChargeLocalMod, c.numPEBytes(per)}, // receive-side transpose
 				{ChargeHostMem, c.numPEBytes(per)},  // staging assembly

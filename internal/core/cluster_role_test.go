@@ -25,10 +25,10 @@ func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, 
 	if err != nil {
 		return nil, err
 	}
-	cp := &CompiledPlan{c: c, owner: owner}
+	cp := owner.planOn(nil)
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	c.buildLocked(specs, cp, nil)
+	c.buildLocked(specs, cp)
 	return cp, nil
 }
 
@@ -43,11 +43,12 @@ func stepNames(s *Schedule) string {
 
 // diffPlans names the first field in which got — a host plan out of
 // compile — is not what the per-host build of the same host produces, or
-// returns "".
+// returns "". A cost-only plan that took its role's row has no schedule:
+// its row and base are all there is to compare.
 func diffPlans(got, want *CompiledPlan) string {
 	switch {
-	case got.c != want.c || got.owner != want.owner:
-		return "bound to another host's comm or tenant"
+	case got.c != want.c || got.owner != want.owner || got.base != want.base:
+		return "bound to another host's comm, tenant or base"
 	case got.key != want.key:
 		return fmt.Sprintf("key %+v, want %+v", got.key, want.key)
 	case diffRows(got, want) != "":
@@ -56,7 +57,9 @@ func diffPlans(got, want *CompiledPlan) string {
 		return "members"
 	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
 		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
-	case stepNames(got.sched) != stepNames(want.sched):
+	case got.sched == nil && got.lowers():
+		return "no schedule on a plan that runs one"
+	case got.sched != nil && stepNames(got.sched) != stepNames(want.sched):
 		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
 	}
 	return ""

@@ -290,8 +290,8 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 }
 
 // specIn validates d against the arena, resolves Auto, and returns the
-// plan spec (cache key, MRAM footprint, lowering closure) without
-// compiling anything — the front half of CompileSequence, the cluster
+// plan spec (cache key, resolved call, lowering-table row) without
+// lowering anything — the front half of CompileSequence, the cluster
 // layer's local legs and Auto's dry builds. dry marks the last: a
 // candidate is only traced, never run, so its host payload may be left
 // out wherever the descriptor states its size, as on a cost-only comm.
@@ -325,9 +325,9 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		// blocks before later source blocks are read. Auto skips IM/CM.
 		return planSpec{}, fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", d.Prim.LongName(), eff)
 	}
-	env := &algoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s}
-	key := planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}
-	var regs planRegions
+	spec = planSpec{env: algoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s},
+		key: planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}}
+	env, key := &spec.env, &spec.key
 	if sh.reducing {
 		env.t, env.op = d.Elem, d.Op
 		key.elemType, key.op = d.Elem, d.Op
@@ -336,17 +336,14 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		env.hosts = d.Hosts
 	} else {
 		env.srcOff, key.srcOff = ar.base+d.Src.Off, d.Src.Off
-		regs.srcRegion(env.srcOff, m, sh.consumesSrc && eff >= PR)
+		spec.src, spec.consumed = span{d.Src.Off, m}, sh.consumesSrc && eff >= PR
 	}
 	if !sh.rooted() {
 		env.dstOff, key.dstOff = ar.base+d.Dst.Off, d.Dst.Off
-		regs.write(env.dstOff, sh.dst.of(m, p.n))
+		spec.dst = span{d.Dst.Off, sh.dst.of(m, p.n)}
 	}
-	row, err := loweringOf(alg, env)
-	if err != nil {
+	if spec.lo, err = loweringOf(alg, d.Prim, eff, p.n); err != nil {
 		return planSpec{}, err
 	}
-	return planSpec{key: key, regs: regs, hostBufs: sh.hostInput(), lower: func(cp *CompiledPlan) *Schedule {
-		return row.lower(env, cp)
-	}}, nil
+	return spec, nil
 }

@@ -44,14 +44,14 @@
 //
 // A collective call flows through four stages: validate, lower to the
 // schedule IR, compile to a plan, execute. Compilation is one path:
-// descriptor → specIn (validation, Auto resolution, the lowering
-// closure) → compiled (the session's plans, then the machine's shape
-// rows, both keyed by the members' arena-relative signatures; a
-// collective is a sequence of one) → buildLocked (lower → concatenate →
-// fuse → trace). Auto's dry builds fill the same rows. The cluster layer
-// calls buildLocked past both caches: its session (ClusterTenant, one
-// arena on every host) caches a host plan once, with the staging it
-// binds — one plan per role, bound per host (cluster.go).
+// descriptor → specIn (validation, Auto resolution, the resolved call) →
+// compiled (the session's plans, then the machine's shape rows, both
+// keyed by the members' arena-relative signatures; a collective is a
+// sequence of one) → buildLocked (lower → concatenate → fuse → trace,
+// where a plan needs its schedule). Auto's dry builds fill the same rows.
+// The cluster layer calls buildLocked past both caches: its session
+// (ClusterTenant, one arena on every host) caches a host plan once, with
+// the staging it binds — one plan per role, bound per host (cluster.go).
 //
 //   - Hypercube (hypercube.go) holds the virtual shape of § IV-B and
 //     produces communication groups (the cube slices of Figure 5) from a
@@ -67,12 +67,14 @@
 //     bit-for-bit by exec_test.go) while moving nothing — the engine for
 //     paper-scale sweeps and Auto dry runs.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
-//     compiled once (validation, Auto resolution, lowering, charge
-//     precomputation) and replayed many times. A plan is its session's;
-//     its shape row — charge trace, fusion report, member costs — is the
-//     machine's, shared by every session at every base, so a host-input
-//     plan, a successor tenant's and Auto's winner rebuild a schedule but
-//     trace nothing (Snapshot.PlanCache instruments both caches).
+//     compiled once and replayed many times. A plan is its shape row —
+//     signature, members, arena-relative footprint, charge trace, fusion
+//     report, member costs: the machine's, shared by every session at
+//     every base — bound to its session's arena base. Only tracing a row
+//     and functional runs need the lowered schedule: a cost-only plan that
+//     finds its row (a successor tenant's, Auto's winner) lowers nothing,
+//     a functional one re-lowers but traces nothing (Snapshot.PlanCache
+//     instruments both caches).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and

@@ -190,8 +190,8 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 
 	// The parent's execSubmitted, placement half.
 	type placed struct {
-		regs planRegions
-		end  cost.Seconds
+		cp  *CompiledPlan
+		end cost.Seconds
 	}
 	var (
 		tl       cost.Timeline
@@ -214,7 +214,7 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 				continue
 			}
 			live = append(live, pl)
-			if pl.end > earliest && cp.regs.conflicts(&pl.regs) {
+			if pl.end > earliest && cp.conflicts(pl.cp) {
 				earliest = pl.end
 			}
 		}
@@ -235,7 +235,7 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 		}
 		frontier = live
 		start, end = tl.Place(earliest, cp.tr.segs)
-		frontier = append(frontier, placed{regs: cp.regs, end: end})
+		frontier = append(frontier, placed{cp: cp, end: end})
 		return start, end
 	}
 

@@ -12,7 +12,7 @@ import "repro/internal/elem"
 
 // baselineMulti gates the host-path shapes: they model conventional (bulk)
 // execution, so Baseline only, and a single-member group has no wire.
-func baselineMulti(e *algoEnv) bool { return e.eff == Baseline && e.p.n >= 2 }
+func baselineMulti(eff Level, n int) bool { return eff == Baseline && n >= 2 }
 
 // hop is one priced wire round of a staged shape: vol bytes cross the
 // host — a send plus a receive of host-memory traffic — and, unless the

@@ -11,23 +11,24 @@ import (
 )
 
 // This file implements the plan/execute split: a collective is compiled
-// once — validated, Auto-resolved, lowered to its IR Schedule, and its
-// charges precomputed — into a CompiledPlan that can be replayed many
-// times. Tenant.Run is Compile+Run over the session's plans, so
-// iterative workloads that repeat a call signature every layer/iteration
-// (DLRM, GNN, MLP, BFS/CC — and the paper-scale sweeps of the bench
-// harness) amortize all per-call setup.
+// once — validated, Auto-resolved, and its charges precomputed — into a
+// CompiledPlan that can be replayed many times. Tenant.Run is Compile+Run
+// over the session's plans, so iterative workloads that repeat a call
+// signature every layer/iteration (DLRM, GNN, MLP, BFS/CC — and the
+// paper-scale sweeps of the bench harness) amortize all per-call setup.
 //
 // One pipeline: descriptor → specIn (collective.go) → compiled, where a
 // collective is a sequence of one → buildLocked on a miss. Shapes belong
-// to the machine: the Comm's one table of shape rows (charge trace,
-// fusion report, member costs), keyed by the members' arena-relative
-// signatures, serves every session at every arena base. Plans belong to
-// sessions: each Tenant caches its own per row and drops them when it
-// closes. Auto's candidate dry builds (auto.go) fill and read the same
-// rows, so the winner's compile traces nothing. The cluster layer
-// (cluster.go) calls buildLocked past both caches: a host plan is cached
-// once, in its cluster session, with the staging it binds.
+// to the machine: the Comm's one table of shape rows, keyed by the
+// members' arena-relative signatures, serves every session at every
+// arena base. Plans belong to sessions: a plan is its row, its owner and
+// the owner's arena base, and each Tenant caches its own per row and
+// drops them when it closes. Only a plan that traces a row or runs on the
+// functional backend is lowered to its IR Schedule. Auto's candidate dry
+// builds (auto.go) fill and read the same rows, so the winner's compile
+// traces nothing. The cluster layer (cluster.go) calls buildLocked past
+// both caches: a host plan is cached once, in its cluster session, with
+// the staging it binds.
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
@@ -69,30 +70,44 @@ type seqKey struct {
 
 // planEntry is one shape row: what depends only on the call shape — never
 // on data, meter state, caller buffers or the arena base — and so is
-// shared by every plan built for the key, in any session. fusion reports
-// what the fusion pipeline did (zero-valued under FuseOff); memberCosts
-// is each member's unfused per-run cost (for proportional attribution by
+// shared by every plan built for the key, in any session: the first
+// member's signature, the members, the footprint (which the hazard checks
+// shift by each plan's base) and the trace. fusion reports what the
+// fusion pipeline did (zero-valued under FuseOff); memberCosts is each
+// member's unfused per-run cost (for proportional attribution by
 // profilers), traced for sequences only: nil when the one member's cost
 // is the plan's.
 type planEntry struct {
+	key         planKey
+	members     []Primitive
+	regs        planRegions
 	tr          *chargeTrace
 	fusion      FusionReport
 	memberCosts []cost.Breakdown
 }
 
-// planSpec is a validated, Auto-resolved collective ready to lower: the
-// cache key, the MRAM footprint for hazard detection, and the lowering
-// closure. Produced by specIn (collective.go) and, for its network and
-// staging legs, by the cluster layer; consumed by buildLocked.
+// planSpec is one validated, Auto-resolved member: the cache key, its
+// arena-relative footprint (planRegions.add) and what buildLocked lowers
+// when a plan needs its schedule — a collective's resolved call and
+// lowering-table row, held by value so that a plan that needs none costs
+// nothing (specIn), or a hand-built member's closure (cluster.go).
 type planSpec struct {
-	key   planKey
-	regs  planRegions
-	lower func(cp *CompiledPlan) *Schedule
-	// hostBufs marks a lowering that captures caller-owned host buffers
-	// by reference, which makes the compiled schedule single-use: the
-	// plan cache must not serve it for a later call that binds different
-	// buffers. Set by specIn for the host-input primitives.
-	hostBufs bool
+	key      planKey
+	src, dst span
+	consumed bool
+	env      algoEnv
+	lo       *lowering
+	lower    func(cp *CompiledPlan) *Schedule
+}
+
+// schedule lowers the member for cp; a collective's closures get a copy of
+// its resolved call to keep.
+func (sp *planSpec) schedule(cp *CompiledPlan) *Schedule {
+	if sp.lower != nil {
+		return sp.lower(cp)
+	}
+	env := sp.env
+	return sp.lo.lower(&env, cp)
 }
 
 // chargeTrace is the precomputed accounting of one schedule: the ordered
@@ -116,30 +131,26 @@ func (tr *chargeTrace) memBytes() int64 {
 	return int64(len(tr.adds))*traceEntryBytes + int64(len(tr.segs))*segmentBytes
 }
 
-// CompiledPlan is a collective lowered once to its IR Schedule plus
-// precomputed charges, ready to be replayed. Obtain one from Compile or
-// CompileSequence; Run executes a replay. Plans stay valid for the
-// lifetime of their Comm and may be Run from multiple goroutines
-// (executions serialize on the Comm).
+// CompiledPlan is a collective compiled once — a shape row of precomputed
+// charges bound to its session's arena — ready to be replayed. Obtain one
+// from Compile or CompileSequence; Run executes a replay. Plans stay
+// valid for the lifetime of their Comm and may be Run from multiple
+// goroutines (executions serialize on the Comm). A cost-only plan that
+// found its row carries no IR Schedule: nothing would execute it.
 //
 // Host-input plans (Scatter, Broadcast) bind the buffer slices passed at
 // compile time: a replay reads their *current* contents, so callers
 // refill the same slices between runs. Rooted plans (Gather, Reduce)
 // leave their latest results in Results.
 type CompiledPlan struct {
-	c     *Comm
-	key   planKey
-	sched *Schedule
+	c *Comm
 	// planEntry is the plan's shape row, shared with every plan of its key.
 	*planEntry
-	// regs is the plan's per-PE MRAM footprint, used for hazard
-	// detection between asynchronously submitted plans (async.go).
-	regs planRegions
 	// owner is the tenant that compiled the plan: every run is attributed
-	// to it and admitted against it. Immutable.
+	// to it and admitted against it; base is its arena base. Immutable.
 	owner *Tenant
-	// members is the member primitives in order.
-	members []Primitive
+	base  int
+	sched *Schedule // nil unless the plan lowers (buildLocked)
 
 	// out is the rooted-result slot the schedule's closures write into
 	// during a functional execution; lastOut is what Results returns.
@@ -316,16 +327,17 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 
 // compiled returns owner's plan for specs — one collective or a sequence
 // of them. A repeated signature is a lookup in the session's plans; a
-// miss builds the plan on the key's shape row, which lowers the schedule
-// anew but traces nothing, or traces a new row for every session to
-// share. A plan with a host-input member is never cached: it binds the
-// caller's buffers. The closed check runs under compMu, which Close takes,
+// miss builds the plan on the key's shape row, which traces nothing (and
+// on a cost-only comm lowers nothing), or traces a new row for every
+// session to share. A plan with a host-input member is never cached: its
+// schedule binds the caller's buffers by reference, so it serves that
+// call alone. The closed check runs under compMu, which Close takes,
 // after setting the flag, to drop the session's plans: a racing Close
 // either stops a compile or drops its plan.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
 	key, cacheable := seqKey{head: specs[0].key}, true
 	for i, sp := range specs {
-		cacheable = cacheable && !sp.hostBufs
+		cacheable = cacheable && !shapes[sp.key.prim].hostInput()
 		if i > 0 {
 			key.tail += fmt.Sprintf("%+v;", sp.key)
 		}
@@ -341,8 +353,8 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) 
 		c.cacheSt.TraceHits++
 		return cp, nil
 	}
-	cp := &CompiledPlan{c: c, owner: owner}
-	if built := c.buildLocked(specs, cp, row); row == nil {
+	cp := owner.planOn(row)
+	if built := c.buildLocked(specs, cp); row == nil {
 		c.rows[key] = built
 	}
 	c.countBuildLocked(cp, row != nil)
@@ -369,34 +381,50 @@ func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 	}
 }
 
-// buildLocked is the one plan builder. It lowers specs into cp: the
-// members' schedules are lowered fresh, a sequence's concatenated into
+// planOn is the one constructor of a session's plan: t's plan on row (nil
+// until buildLocked traces one), at t's arena base.
+func (t *Tenant) planOn(row *planEntry) *CompiledPlan {
+	return &CompiledPlan{c: t.c, planEntry: row, owner: t, base: t.ar.base}
+}
+
+// lowers reports whether cp needs its schedule: to trace its row, or to
+// execute on the functional backend.
+func (cp *CompiledPlan) lowers() bool { return cp.planEntry == nil || cp.c.backend.Functional() }
+
+// buildLocked is the one plan builder; it returns cp's shape row. A plan
+// that does not lower is complete as made. Otherwise the members'
+// schedules are lowered fresh into cp, a sequence's concatenated into
 // one, and run through the fusion pipeline (fuse.go) — which is where the
-// cross-collective rewrites of a sequence happen — and cp's shape row is
-// row, which is returned. With row nil a new one is traced and
-// returned: the fused schedule as a single plan,
-// the unfused one too when a pass changed it (the report quotes the
-// per-run saving), and each member of a sequence. It touches neither
-// cache nor counter; callers hold compMu.
-func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan, row *planEntry) *planEntry {
-	cp.key, cp.members = specs[0].key, make([]Primitive, len(specs))
+// cross-collective rewrites of a sequence happen. A plan without a row
+// traces one: the fused schedule as a single plan, the unfused one too
+// when a pass changed it (the report quotes the per-run saving), and each
+// member of a sequence. It touches neither cache nor counter; callers
+// hold compMu.
+func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan) *planEntry {
+	if !cp.lowers() {
+		return cp.planEntry
+	}
+	row, traced := cp.planEntry, cp.planEntry != nil
+	if !traced {
+		row = &planEntry{key: specs[0].key, members: make([]Primitive, len(specs))}
+		for i, sp := range specs {
+			row.members[i] = sp.key.prim
+			row.regs.add(sp.src, sp.dst, sp.consumed)
+		}
+	}
 	var sched *Schedule
-	var costs []cost.Breakdown
 	if len(specs) == 1 { // a collective is its own schedule
-		sched, cp.regs, cp.members[0] = specs[0].lower(cp), specs[0].regs, specs[0].key.prim
+		sched = specs[0].schedule(cp)
 	} else {
 		sched = &Schedule{}
 		names := make([]string, len(specs))
-		for i, sp := range specs {
-			ms := sp.lower(cp)
+		for i := range specs {
+			ms := specs[i].schedule(cp)
 			names[i] = ms.Name
-			if row == nil {
-				costs = append(costs, c.traceSchedule(ms).total)
+			if !traced {
+				row.memberCosts = append(row.memberCosts, c.traceSchedule(ms).total)
 			}
-			cp.members[i] = sp.key.prim
 			sched.Steps = append(sched.Steps, ms.Steps...)
-			cp.regs.reads = append(cp.regs.reads, sp.regs.reads...)
-			cp.regs.writes = append(cp.regs.writes, sp.regs.writes...)
 		}
 		sched.Name = "Seq(" + strings.Join(names, "+") + ")"
 	}
@@ -406,16 +434,16 @@ func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan, row *planEntry) *
 	if c.fuse.enabled() {
 		fused, rep = fuseSteps(sched.Steps)
 	}
-	if row == nil && rep.Changed() {
+	if !traced && rep.Changed() {
 		rep.CostBefore = c.traceSchedule(sched).total
 	}
 	sched.Steps = fused
-	if row == nil {
-		tr := c.traceSchedule(sched)
-		if rep.CostAfter = tr.total; !rep.Changed() {
-			rep.CostBefore = tr.total
+	if !traced {
+		row.tr = c.traceSchedule(sched)
+		if rep.CostAfter = row.tr.total; !rep.Changed() {
+			rep.CostBefore = row.tr.total
 		}
-		row = &planEntry{tr: tr, fusion: rep, memberCosts: costs}
+		row.fusion = rep
 	}
 	cp.planEntry = row
 	return row
@@ -426,8 +454,9 @@ func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan, row *planEntry) *
 // shape rows. Hit/miss counters are cumulative over the Comm's lifetime.
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count lookups in a session's plans. A miss
-	// pays validation, lowering, and (unless the row exists) charge
-	// tracing. Plans with a host-input member (Scatter, Broadcast) always
+	// pays validation and, unless the row exists or the comm is
+	// functional, nothing else: lowering and charge tracing are a new
+	// row's. Plans with a host-input member (Scatter, Broadcast) always
 	// miss — their schedules bind caller buffers — but still share rows.
 	// Plans the cluster layer builds past the cache count as misses.
 	PlanHits, PlanMisses uint64

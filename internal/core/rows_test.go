@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/elem"
 )
 
@@ -17,10 +20,10 @@ func freshPlan(s *Tenant, ds ...Collective) (*CompiledPlan, error) {
 			return nil, err
 		}
 	}
-	cp := &CompiledPlan{c: s.c, owner: s}
+	cp := s.planOn(nil)
 	s.c.compMu.Lock()
 	defer s.c.compMu.Unlock()
-	s.c.buildLocked(specs, cp, nil)
+	s.c.buildLocked(specs, cp)
 	return cp, nil
 }
 
@@ -145,6 +148,171 @@ func TestChargeTraceIsPositionIndependent(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// dlrmPair is the serving driver's DLRM request (internal/serve) at
+// payload m: an AlltoAll and a ReduceScatter over the x axis of a 4×4
+// hypercube, chained through [m, 2m) of an arena of 4m.
+func dlrmPair(m int) []Collective {
+	return []Collective{
+		{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(m), Level: CM},
+		{Prim: ReduceScatter, Dims: "10", Src: Span(m, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM},
+	}
+}
+
+// rowSessions returns two sessions of arena bytes on c, the second behind
+// a pad, so they sit at different bases.
+func rowSessions(t *testing.T, c *Comm, bytes int) (a, b *Tenant) {
+	t.Helper()
+	var s [3]*Tenant
+	for i := range s {
+		var err error
+		if s[i], err = c.NewTenant(TenantConfig{ArenaBytes: bytes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s[0], s[2]
+}
+
+// A second session's first compile of a shape the first session traced
+// finds its row. On a cost-only comm that plan is the row plus its
+// session: no schedule, no trace, the row's members and footprint at the
+// session's own base. On a functional comm it still lowers — its runs
+// execute the schedule — and moves the bytes the first session's plan
+// moves, at the same cost.
+func TestCostOnlyRowHitLowersNothing(t *testing.T) {
+	const m = 256
+	for _, costOnly := range []bool{true, false} {
+		cfg := Config{}
+		if costOnly {
+			cfg.Backend = CostBackend()
+		}
+		c := newMachine(t, geoHost, []int{4, 4}, cfg)
+		a, b := rowSessions(t, c, 4*m)
+		if !costOnly {
+			fill := make([]byte, 4*m)
+			for pe := 0; pe < geoHost.NumPEs(); pe++ {
+				rand.New(rand.NewSource(int64(pe))).Read(fill)
+				a.SetPEBuffer(pe, 0, fill)
+				b.SetPEBuffer(pe, 0, fill)
+			}
+		}
+		for _, ds := range [][]Collective{dlrmPair(m)[:1], dlrmPair(m)} {
+			first, err := a.CompileSequence(ds...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := c.Snapshot().PlanCache
+			cp, err := b.CompileSequence(ds...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := c.Snapshot().PlanCache
+			what := fmt.Sprintf("cost-only=%v %d member(s)", costOnly, len(ds))
+			switch {
+			case after.TraceMisses != before.TraceMisses || after.TraceHits != before.TraceHits+1:
+				t.Errorf("%s: the second session's compile booked %+v after %+v, want a trace hit", what, after, before)
+			case cp.planEntry != first.planEntry:
+				t.Errorf("%s: the second session's plan does not share the first's row, members and footprint", what)
+			case cp.base != b.ar.base || first.base != a.ar.base || cp.base == first.base:
+				t.Errorf("%s: plans at bases %d and %d, want %d and %d", what, first.base, cp.base, a.ar.base, b.ar.base)
+			case costOnly && cp.sched != nil:
+				t.Errorf("%s: a cost-only row hit lowered a schedule", what)
+			case !costOnly && cp.sched == nil:
+				t.Errorf("%s: a functional row hit has no schedule to run", what)
+			}
+			want, _ := first.Run()
+			if got, _ := cp.Run(); got != want {
+				t.Errorf("%s: the row hit charges %v, the first session's plan %v", what, got, want)
+			}
+			for pe := 0; !costOnly && pe < geoHost.NumPEs(); pe++ {
+				if !bytes.Equal(b.GetPEBuffer(pe, 0, 4*m), a.GetPEBuffer(pe, 0, 4*m)) {
+					t.Fatalf("%s: PE %d's arena differs between the sessions after a run", what, pe)
+				}
+			}
+		}
+	}
+}
+
+// Plans of two sessions at different bases share one row, and the hazard
+// checks shift its footprint by each plan's base: within a session the
+// pair stays RAW-ordered, across sessions the same shapes overlap.
+func TestHazardsAcrossBases(t *testing.T) {
+	const m = 256
+	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend(), Stepped: true})
+	a, b := rowSessions(t, c, 4*m)
+	var plans [2][2]*CompiledPlan
+	for i, s := range []*Tenant{a, b} {
+		for j, d := range dlrmPair(m) {
+			cp, err := s.Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans[i][j] = cp
+		}
+	}
+	for j := range plans[0] {
+		if plans[0][j].planEntry != plans[1][j].planEntry {
+			t.Fatalf("segment %d: the sessions' plans do not share a row", j)
+		}
+	}
+	// Submission order: a's AlltoAll, b's, a's ReduceScatter, b's.
+	var fs [2][2]*Future
+	for j := range fs {
+		for i := range fs {
+			fs[i][j] = plans[i][j].Submit()
+		}
+	}
+	c.Flush()
+	type window struct{ start, end cost.Seconds }
+	var w [2][2]window
+	for i := range w {
+		for j := range w[i] {
+			w[i][j].start, w[i][j].end = fs[i][j].Window()
+		}
+		if w[i][1].start < w[i][0].end {
+			t.Errorf("session %d: the ReduceScatter %v starts before the AlltoAll %v it reads ends", i, w[i][1], w[i][0])
+		}
+	}
+	if w[1][0].start >= w[0][0].end {
+		t.Errorf("the second session's AlltoAll %v waits for the first's %v", w[1][0], w[0][0])
+	}
+}
+
+// Tenant churn on a stepped cost-only machine that has traced the DLRM
+// pair: closing the session, opening its successor and compiling the
+// pair lowers nothing. It costs the session (its struct and recorder),
+// its two plans and its plan map: 6 objects. Lowering the two schedules
+// would add about 36.
+func TestChurnReopenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m = 256
+	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend(), Stepped: true})
+	ds := dlrmPair(m)
+	var s *Tenant
+	open := func() {
+		var err error
+		if s, err = c.NewTenant(TenantConfig{Name: "batch", ArenaBytes: 4 * m, MaxPending: 64}); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ds {
+			if _, err := s.Compile(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	open()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		open()
+	})
+	if allocs > 8 {
+		t.Errorf("Close, NewTenant and two compiles allocate %v objects, want <= 8", allocs)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
 		f := fakeFuture(1)
 		f.seq = seq
 		f.deadline = cost.Seconds(deadline)
-		f.cp.regs.write(off, 64)
+		f.cp.regs.add(span{}, span{off, 64}, false)
 		return f
 	}
 	slow := mk(1, 0, 0)   // no deadline, owns [0,64)

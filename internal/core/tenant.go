@@ -93,8 +93,10 @@ type Tenant struct {
 	shed       ShedPolicy
 
 	// inflight counts the tenant's submitted-but-uncompleted plans
-	// (queued or executing). Guarded by the Comm's asyncMu.
+	// (queued or executing); overErr is the error of a plan shed beyond
+	// them, made on first use. Guarded by the Comm's asyncMu.
 	inflight int
+	overErr  error
 
 	// plans is the session's plan cache (plan.go), keyed by the plan's
 	// shape row, made on the first cacheable miss and dropped by Close.
@@ -421,7 +423,10 @@ func (t *Tenant) overloadedLocked() error {
 	if t.maxPending == 0 || t.inflight < t.maxPending {
 		return nil
 	}
-	return fmt.Errorf("%w: tenant %q has %d plans in flight (max %d)", ErrOverloaded, t.name, t.inflight, t.maxPending)
+	if t.overErr == nil { // it names the bound, not a live count: one serves every shed
+		t.overErr = fmt.Errorf("%w: tenant %q at its bound of %d plans in flight", ErrOverloaded, t.name, t.maxPending)
+	}
+	return t.overErr
 }
 
 // errIfClosed is the compile-time closed check: a closed tenant compiles

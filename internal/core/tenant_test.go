@@ -94,11 +94,7 @@ func TestWeightedFairKeepsCrossBucketHazardOrder(t *testing.T) {
 	mkFut := func(seq uint64, write bool, off, n int) *Future {
 		f := fakeFuture(1)
 		f.seq = seq
-		if write {
-			f.cp.regs.write(off, n)
-		} else {
-			f.cp.regs.read(off, n)
-		}
+		f.cp.regs.add(span{off, n}, span{}, write)
 		return f
 	}
 	reader := mkFut(1, false, 128, 64) // tenant submits first

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -407,9 +408,19 @@ type tenantState struct {
 	plans []*pidcomm.CompiledPlan
 }
 
-// openTenant creates (or recreates, after churn) one tenant session and
-// precompiles its request plans.
-func openTenant(mach *pidcomm.Machine, cfg *Config, i, base, arenaBytes, n, gen int) (*tenantState, error) {
+// requests returns every tenant's request pipeline (Model.segments), made
+// once per run: churn reopens a tenant on the same descriptors.
+func (cfg *Config) requests(base, n int) [][]pidcomm.Collective {
+	out := make([][]pidcomm.Collective, len(cfg.Tenants))
+	for i, sp := range cfg.Tenants {
+		out[i] = sp.Model.segments(sp.Model.payload(base), n)
+	}
+	return out
+}
+
+// openTenant creates (or recreates, after churn) tenant i's session and
+// precompiles its request plans from ds, its request pipeline.
+func openTenant(mach *pidcomm.Machine, cfg *Config, i, arenaBytes, gen int, ds []pidcomm.Collective) (*tenantState, error) {
 	sp := cfg.Tenants[i]
 	maxPending := sp.MaxPending
 	if maxPending <= 0 {
@@ -417,7 +428,7 @@ func openTenant(mach *pidcomm.Machine, cfg *Config, i, base, arenaBytes, n, gen 
 	}
 	name := sp.Name
 	if gen > 0 {
-		name = fmt.Sprintf("%s#%d", sp.Name, gen)
+		name += "#" + strconv.Itoa(gen)
 	}
 	comm, err := mach.NewTenant(pidcomm.TenantConfig{
 		Name: name, ArenaBytes: arenaBytes, Weight: sp.Weight,
@@ -426,14 +437,13 @@ func openTenant(mach *pidcomm.Machine, cfg *Config, i, base, arenaBytes, n, gen 
 	if err != nil {
 		return nil, err
 	}
-	ds := sp.Model.segments(sp.Model.payload(base), n)
-	st := &tenantState{comm: comm}
+	st := &tenantState{comm: comm, plans: make([]*pidcomm.CompiledPlan, 0, len(ds))}
 	if cfg.Fused && len(ds) > 1 {
 		cp, err := comm.CompileSequence(ds...)
 		if err != nil {
 			return nil, err
 		}
-		st.plans = []*pidcomm.CompiledPlan{cp}
+		st.plans = append(st.plans, cp)
 	} else {
 		for _, d := range ds {
 			cp, err := comm.Compile(d)
@@ -460,8 +470,8 @@ func Calibrate(cfg Config) ([]cost.Seconds, error) {
 		return nil, err
 	}
 	out := make([]cost.Seconds, len(cfg.Tenants))
-	for i := range cfg.Tenants {
-		st, err := openTenant(mach, &cfg, i, base, arenaBytes, n, 0)
+	for i, ds := range cfg.requests(base, n) {
+		st, err := openTenant(mach, &cfg, i, arenaBytes, 0, ds)
 		if err != nil {
 			return nil, err
 		}
@@ -492,11 +502,12 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	reqs := cfg.requests(base, n)
 	tenants := make([]*tenantState, len(cfg.Tenants))
 	gens := make([]int, len(cfg.Tenants))
 	width := 0 // the longest request pipeline, in plans
 	for i := range cfg.Tenants {
-		if tenants[i], err = openTenant(mach, &cfg, i, base, arenaBytes, n, 0); err != nil {
+		if tenants[i], err = openTenant(mach, &cfg, i, arenaBytes, 0, reqs[i]); err != nil {
 			return Result{}, err
 		}
 		width = max(width, len(tenants[i].plans))
@@ -615,7 +626,7 @@ func Run(cfg Config) (Result, error) {
 			}
 			gens[ti]++
 			churns[ti]++
-			if tenants[ti], err = openTenant(mach, &cfg, ti, base, arenaBytes, n, gens[ti]); err != nil {
+			if tenants[ti], err = openTenant(mach, &cfg, ti, arenaBytes, gens[ti], reqs[ti]); err != nil {
 				return Result{}, err
 			}
 			if e := mach.Elapsed(); e > clock {
