@@ -624,14 +624,12 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]
 	return out, start, end, nil
 }
 
-// placeSerialLocked appends segs to the timeline as a barrier placement
-// and advances the submission barrier and the timeline's pruning floor —
-// the one way every serial path (Run, ExtendElapsed, Flush) closes the
-// overlap window. Callers hold execMu.
+// placeSerialLocked runs segs on the timeline as a barrier (Serial, which
+// also raises the timeline's pruning floor) and advances the submission
+// barrier to its finish — the one way every serial path (Run,
+// ExtendElapsed, Flush) closes the overlap window. Callers hold execMu.
 func (c *Comm) placeSerialLocked(segs []cost.Segment) {
-	c.tl.PlaceSerial(segs)
-	c.asyncBase = c.tl.Elapsed()
-	c.tl.SetFloor(c.asyncBase)
+	c.asyncBase = c.tl.Serial(segs)
 }
 
 // Flush blocks until every plan submitted so far has completed, then
@@ -671,8 +669,8 @@ func (c *Comm) Elapsed() cost.Seconds {
 // collective engine (application kernel launches, host pre/post-
 // processing) on the elapsed-time clock; the meter is not touched.
 func (c *Comm) ExtendElapsed(b cost.Breakdown) {
-	segs := b.Segments()
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
-	c.placeSerialLocked(segs)
+	c.extSegs = b.AppendSegments(c.extSegs[:0])
+	c.placeSerialLocked(c.extSegs)
 }

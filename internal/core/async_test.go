@@ -301,6 +301,30 @@ func TestAsyncCostNeverAboveSerial(t *testing.T) {
 	}
 }
 
+// ExtendElapsed on a warm comm allocates nothing: the breakdown's lane
+// segments go into the comm's reusable buffer, and its serial run books
+// no interval on the timeline.
+func TestExtendElapsedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c := asyncTestComm(t, true)
+	m := cost.NewMeter()
+	m.Add(cost.Kernel, 3e-4)
+	m.Add(cost.PEMem, 1e-4)
+	m.Add(cost.HostMod, 2e-5)
+	m.Add(cost.Other, 1e-6)
+	bd := m.Snapshot()
+	c.ExtendElapsed(bd)
+	before := c.Elapsed()
+	if a := testing.AllocsPerRun(100, func() { c.ExtendElapsed(bd) }); a != 0 {
+		t.Errorf("a warm ExtendElapsed allocates %v objects, want 0", a)
+	}
+	if c.Elapsed() <= before {
+		t.Errorf("ExtendElapsed left the elapsed time at %v", c.Elapsed())
+	}
+}
+
 // failingPlan hand-builds a plan whose functional execution panics
 // mid-schedule (after the charge trace was captured cleanly), modeling a
 // backend error inside a schedule step.
@@ -311,6 +335,8 @@ func failingPlan(c *testComm) *CompiledPlan {
 		Run:     func() { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
 	return &CompiledPlan{c: c.Comm, owner: c.s, sched: sched,
 		planEntry: &planEntry{key: planKey{prim: Broadcast, dims: "1"}, tr: c.traceSchedule(sched)}}
 }

@@ -26,11 +26,11 @@ import (
 //     charges, i.e. the serial execution time of one call.
 //   - AutoMakespan minimizes the pipelined dry-placed makespan: each
 //     candidate's charge trace is placed AutoPipelineDepth times on a
-//     scratch cost.Timeline (all four lanes, every copy free to start at
-//     zero — cost.PipelinedMakespan), modeling the async regime where
-//     independent instances overlap. Under overlap the meter-cheapest
-//     plan is not always the elapsed-time winner: a trace that
-//     concentrates its time on one lane serializes there, while a
+//     pooled scratch cost.Timeline (all four lanes, every copy free to
+//     start at zero — cost.PipelinedMakespan), modeling the async regime
+//     where independent instances overlap. Under overlap the
+//     meter-cheapest plan is not always the elapsed-time winner: a trace
+//     that concentrates its time on one lane serializes there, while a
 //     lane-balanced trace with a larger sum can finish earlier.
 //
 // Ties go to the earlier candidate in scan order (reference algorithm

@@ -70,19 +70,21 @@ type Comm struct {
 	autoObj   AutoObjective
 
 	// compMu guards the shape rows (plan.go), every session's plans, the
-	// hit/miss counters and the aggregate fusion statistics.
+	// hit/miss counters, the aggregate fusion statistics and the tracer.
 	compMu  sync.Mutex
 	rows    map[seqKey]*planEntry
 	cacheSt PlanCacheStats
 	fuseSt  FusionStats
+	tracer  *tracer
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
-	// barrier behind which new submissions may not start, and frontier
-	// holds the placements still visible for hazard checks. All three are
-	// guarded by execMu (async.go).
+	// barrier behind which new submissions may not start, frontier holds
+	// the placements still visible for hazard checks, extSegs is
+	// ExtendElapsed's buffer. All four are guarded by execMu (async.go).
 	tl        cost.Timeline
 	asyncBase cost.Seconds
 	frontier  []placedPlan
+	extSegs   []cost.Segment
 
 	// asyncMu guards the submission queues, the weighted-fair virtual
 	// clock and the worker state; asyncCond signals queue drain to

@@ -30,10 +30,10 @@ type Backend interface {
 	Functional() bool
 
 	// Step handlers receive the host the execution accounts against: the
-	// comm's own host normally, or a scratch host while a compilation
-	// traces a schedule's charges (plan.go). Functional execution always
-	// runs on the comm's own host — the step closures move bytes through
-	// it directly.
+	// comm's own host normally, or its one scratch tracer's, reset per
+	// trace, while a compile traces charges (plan.go). Functional execution
+	// always runs on the comm's own host — the step closures move bytes
+	// through it directly.
 	rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks)
 	bulk(c *Comm, h *host.Host, st *StepBulk)
 	columnStream(c *Comm, h *host.Host, st *StepColumnStream)

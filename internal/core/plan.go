@@ -32,7 +32,8 @@ import (
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
-// on a scratch host. Each addition's value depends only on the call shape
+// on the comm's one scratch tracer, reset per trace (the row keeps
+// copies). Each addition's value depends only on the call shape
 // — never on prior meter state, nor on where the arena sits
 // (TestChargeTraceIsPositionIndependent) — so replaying the trace applies
 // the same floating-point operands in the same order as a live execution
@@ -296,33 +297,45 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 	return cp.out, cp.tr.total
 }
 
-// traceSchedule captures sched's charge trace: a cost-only execution on
-// a scratch host with a recording meter. The scratch host shares the
-// comm's system geometry and cost parameters but none of its state, so
-// tracing never perturbs the comm's meter or statistics.
-func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
-	scratch := host.New(c.hc.sys, c.h.Params())
-	tr := &chargeTrace{}
-	scratch.Meter().SetRecorder(func(cat cost.Category, t cost.Seconds) {
-		tr.adds = append(tr.adds, cost.TraceEntry{Cat: cat, T: t})
-	})
-	c.executeOn(CostBackend(), scratch, sched)
-	scratch.Meter().SetRecorder(nil)
-	tr.stats = scratch.Stats()
-	tr.total = scratch.Meter().Snapshot()
+// tracer is the comm's one scratch, reset per trace: a cost-only host
+// (none of the comm's state) recording into adds, and the segs buffer.
+type tracer struct {
+	h    *host.Host
+	adds []cost.TraceEntry
+	segs []cost.Segment
+}
+
+// trace resets the comm's tracer, runs sched cost-only on it and returns
+// it. The tracer is off the comm meanwhile: a schedule that panics
+// mid-epoch leaves the next trace a fresh one. Callers hold compMu.
+func (c *Comm) trace(sched *Schedule) *tracer {
+	tc := c.tracer
+	if c.tracer = nil; tc == nil {
+		tc = &tracer{h: host.New(c.hc.sys, c.h.Params())}
+		tc.h.Meter().SetRecorder(func(cat cost.Category, t cost.Seconds) {
+			tc.adds = append(tc.adds, cost.TraceEntry{Cat: cat, T: t})
+		})
+	}
+	tc.adds = tc.adds[:0]
+	tc.h.Meter().Reset()
+	tc.h.ResetStats()
+	c.executeOn(CostBackend(), tc.h, sched)
 	// Replay fidelity invariant: the recorder only observes Add/AddBytes,
 	// so if any execution path ever drives the meter through Merge/Scale
 	// the trace would silently undercount. Re-summing the trace must
 	// reproduce the meter bit-for-bit (same operands, same order).
-	check := cost.NewMeter()
-	for _, e := range tr.adds {
-		check.Add(e.Cat, e.T)
-	}
-	if check.Snapshot() != tr.total {
+	if cost.SumTrace(tc.adds) != tc.h.Meter().Snapshot() {
 		panic(fmt.Sprintf("core: charge trace of %s does not reproduce its meter (an execution path bypassed Add?)", sched.Name))
 	}
-	tr.segs = cost.SegmentsOf(tr.adds)
-	return tr
+	c.tracer = tc
+	return tc
+}
+
+// traceSchedule keeps a trace as exact-size copies. Callers hold compMu.
+func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
+	tc := c.trace(sched)
+	tc.segs = cost.AppendSegments(tc.segs[:0], tc.adds)
+	return &chargeTrace{adds: slices.Clone(tc.adds), stats: tc.h.Stats(), total: tc.h.Meter().Snapshot(), segs: slices.Clone(tc.segs)}
 }
 
 // compiled returns owner's plan for specs — one collective or a sequence
@@ -422,7 +435,7 @@ func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan) *planEntry {
 			ms := specs[i].schedule(cp)
 			names[i] = ms.Name
 			if !traced {
-				row.memberCosts = append(row.memberCosts, c.traceSchedule(ms).total)
+				row.memberCosts = append(row.memberCosts, c.trace(ms).h.Meter().Snapshot())
 			}
 			sched.Steps = append(sched.Steps, ms.Steps...)
 		}
@@ -435,7 +448,7 @@ func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan) *planEntry {
 		fused, rep = fuseSteps(sched.Steps)
 	}
 	if !traced && rep.Changed() {
-		rep.CostBefore = c.traceSchedule(sched).total
+		rep.CostBefore = c.trace(sched).h.Meter().Snapshot()
 	}
 	sched.Steps = fused
 	if !traced {

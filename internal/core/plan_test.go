@@ -575,3 +575,88 @@ func TestCachedCompileAllocs(t *testing.T) {
 		}
 	}
 }
+
+// traceAllReduce is the lowered collective of the tracer tests: an
+// AllReduce over the x axis of an 8×8 hypercube.
+var traceAllReduce = Collective{Prim: AllReduce, Dims: "10", Src: Span(0, 512), Dst: At(1024), Elem: elem.I32, Op: elem.Sum, Level: CM}
+
+// Tracing on a warm cost-only comm allocates only what the row keeps —
+// the trace, its additions, its segments and its bus statistics — at any
+// trace length: the comm's one scratch tracer holds the host, the meter
+// and both buffers.
+func TestTraceScheduleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c := costSystem(t, geo64, []int{8, 8})
+	lowered, err := freshPlan(c.s, traceAllReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := []*Schedule{lowered.sched}
+	for _, n := range []int{2, 512} {
+		// Alternating host and network steps: n additions, n segments.
+		sched := &Schedule{Name: fmt.Sprintf("test/%d-steps", n)}
+		for i := 0; i < n; i += 2 {
+			sched.add(&StepHostCompute{Charges: []Charge{{ChargeHostMem, int64(64 * (i + 1))}}})
+			sched.add(&StepNetTransfer{Rounds: 1, Bytes: 64})
+		}
+		scheds = append(scheds, sched)
+	}
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	for _, sched := range scheds {
+		want := c.traceSchedule(sched)
+		allocs := testing.AllocsPerRun(20, func() {
+			if got := c.traceSchedule(sched); got.total != want.total || len(got.adds) != len(want.adds) {
+				t.Fatalf("%s: a warm trace gave %v over %d additions, the first %v over %d",
+					sched.Name, got.total, len(got.adds), want.total, len(want.adds))
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("%s (%d additions): a warm trace allocates %v objects, want <= 4", sched.Name, len(want.adds), allocs)
+		}
+	}
+}
+
+// A schedule that panics mid-trace, after it has charged a bus epoch,
+// takes the comm's tracer down with it: the tracer is not put back, and
+// the next compile on the comm traces exactly what it traces on a fresh
+// comm.
+func TestPanickingTraceLeavesNextTraceClean(t *testing.T) {
+	c := costSystem(t, geo64, []int{8, 8})
+	if _, err := freshPlan(c.s, traceAllReduce); err != nil { // a warm tracer
+		t.Fatal(err)
+	}
+	p, err := c.plan("10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &Schedule{Name: "test/panics-mid-trace"}
+	bad.add(&StepBulk{Read: true, ReadPerPE: 64, Charges: []Charge{{ChargeReduce, 4096}}})
+	bad.add(&StepRotateBlocks{p: p, N: 8, S: 8, Rot: func(int) int { panic("injected lowering failure") }})
+	func() {
+		c.compMu.Lock()
+		defer c.compMu.Unlock()
+		defer func() {
+			if r := recover(); r != "injected lowering failure" {
+				t.Fatalf("tracing the panicking schedule recovered %v", r)
+			}
+			if c.tracer != nil {
+				t.Error("the tracer of a panicked trace is back on the comm")
+			}
+		}()
+		c.traceSchedule(bad)
+	}()
+	got, err := freshPlan(c.s, traceAllReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := freshPlan(costSystem(t, geo64, []int{8, 8}).s, traceAllReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := diffRows(got, want); diff != "" {
+		t.Errorf("the compile after a panicked trace differs from a fresh comm's: %s", diff)
+	}
+}

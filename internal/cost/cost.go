@@ -99,11 +99,22 @@ type TraceEntry struct {
 	T   Seconds
 }
 
+// SumTrace re-sums a recorded trace: the breakdown of a fresh meter driven
+// by exactly these additions, same operands in the same order, so bit for
+// bit what that meter would hold.
+func SumTrace(adds []TraceEntry) Breakdown {
+	var b Breakdown
+	for _, e := range adds {
+		b.byCat[e.Cat] += e.T
+	}
+	return b
+}
+
 // SetRecorder registers f to observe every subsequent Add/AddBytes in
 // call order; nil stops recording. Merge, MergeMax and Scale are NOT
 // recorded — a recorded meter must only be driven through additions
-// (core.traceSchedule asserts this invariant after tracing). f runs with
-// the meter's lock held and must not call back into the meter.
+// (core's tracer asserts this invariant with SumTrace after every trace).
+// f runs with the meter's lock held and must not call back into the meter.
 func (m *Meter) SetRecorder(f func(Category, Seconds)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

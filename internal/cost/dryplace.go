@@ -1,5 +1,7 @@
 package cost
 
+import "sync"
+
 // Dry placement: scoring a plan's charge trace by how it would behave
 // under overlapped execution, without touching any live timeline. A
 // plan's own segments always chain serially (Place walks them with a
@@ -13,18 +15,25 @@ package cost
 // (async.go): several independent instances of the same plan in flight,
 // each backfilling the lane gaps the others leave.
 
+// dryTimelines holds PipelinedMakespan's scratch timelines. Reset keeps
+// their lanes' backing arrays, so a warm scoring allocates nothing.
+var dryTimelines = sync.Pool{New: func() any { return new(Timeline) }}
+
 // PipelinedMakespan places depth independent copies of one plan's lane
-// segments on a scratch Timeline — each copy free to start at time zero,
-// so copies backfill each other's idle lanes exactly as hazard-free
-// submissions do on the live timeline — and returns the elapsed time of
-// the whole batch. For a single-lane trace this is depth x the lane
-// total (full serialization); for a lane-balanced trace it approaches
-// max over lanes of depth x the lane's share. Lower is better; the
-// value is comparable only between traces scored at the same depth.
+// segments on a scratch Timeline from a pool — each copy free to start at
+// time zero, so copies backfill each other's idle lanes exactly as
+// hazard-free submissions do on the live timeline — and returns the
+// elapsed time of the whole batch. For a single-lane trace this is depth
+// x the lane total (full serialization); for a lane-balanced trace it
+// approaches max over lanes of depth x the lane's share. Lower is better;
+// the value is comparable only between traces scored at the same depth.
 func PipelinedMakespan(segs []Segment, depth int) Seconds {
-	var tl Timeline
+	tl := dryTimelines.Get().(*Timeline)
 	for i := 0; i < depth; i++ {
 		tl.Place(0, segs)
 	}
-	return tl.Elapsed()
+	elapsed := tl.Elapsed()
+	tl.Reset()
+	dryTimelines.Put(tl)
+	return elapsed
 }

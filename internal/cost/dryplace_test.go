@@ -31,3 +31,21 @@ func TestPipelinedMakespan(t *testing.T) {
 		t.Fatalf("empty trace makespan = %v, want 0", got)
 	}
 }
+
+// A warm PipelinedMakespan scores on a pooled timeline whose lanes kept
+// their backing arrays through Reset: it allocates nothing, and a pooled
+// timeline's leftovers never leak into the next score.
+func TestPipelinedMakespanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	segs := []Segment{{LaneCPU, 1}, {LaneBus, 3}, {LanePE, 2}, {LaneBus, 1}, {LaneNet, 1}, {LaneCPU, 2}}
+	want := PipelinedMakespan(segs, 4)
+	if a := testing.AllocsPerRun(100, func() {
+		if got := PipelinedMakespan(segs, 4); got != want {
+			t.Fatalf("a pooled scoring gave %v, the first %v", got, want)
+		}
+	}); a != 0 {
+		t.Errorf("a warm PipelinedMakespan allocates %v objects, want 0", a)
+	}
+}

@@ -80,52 +80,56 @@ func LaneOf(c Category) Lane {
 }
 
 // Segment is one contiguous occupation of a lane. A plan's charge trace
-// coalesces into an ordered segment list (SegmentsOf); within a plan the
-// segments execute sequentially, across plans each lane serializes.
+// coalesces into an ordered segment list (AppendSegments); within a plan
+// the segments execute sequentially, across plans each lane serializes.
 type Segment struct {
 	Lane Lane
 	Dur  Seconds
 }
 
-// SegmentsOf coalesces an ordered charge trace into lane segments:
-// consecutive charges on the same lane merge into one segment. The sum of
-// segment durations equals the trace's total.
-func SegmentsOf(adds []TraceEntry) []Segment {
-	var segs []Segment
+// AppendSegments appends an ordered charge trace to dst as lane segments:
+// consecutive charges on the same lane merge into one segment, and
+// non-positive charges are dropped. The appended durations sum to the
+// trace's total.
+func AppendSegments(dst []Segment, adds []TraceEntry) []Segment {
 	for _, e := range adds {
-		if e.T <= 0 {
-			continue
-		}
-		l := LaneOf(e.Cat)
-		if n := len(segs); n > 0 && segs[n-1].Lane == l {
-			segs[n-1].Dur += e.T
-		} else {
-			segs = append(segs, Segment{Lane: l, Dur: e.T})
-		}
+		dst = appendSegment(dst, LaneOf(e.Cat), e.T)
 	}
-	return segs
+	return dst
 }
 
-// Segments converts a breakdown into lane segments (category order, same
-// coalescing as SegmentsOf). Used to place work that was accounted only as
-// a breakdown — e.g. an application kernel launch — onto a timeline.
-func (b Breakdown) Segments() []Segment {
-	var adds []TraceEntry
+// AppendSegments appends b to dst as lane segments, in category order and
+// coalesced as the package-level AppendSegments does. It places work that
+// was accounted only as a breakdown — e.g. an application kernel launch —
+// onto a timeline.
+func (b Breakdown) AppendSegments(dst []Segment) []Segment {
 	for i, v := range b.byCat {
-		if v > 0 {
-			adds = append(adds, TraceEntry{Cat: Category(i), T: v})
-		}
+		dst = appendSegment(dst, LaneOf(Category(i)), v)
 	}
-	return SegmentsOf(adds)
+	return dst
+}
+
+// appendSegment appends t on lane l to dst, merging it into dst's last
+// segment when that one is on l.
+func appendSegment(dst []Segment, l Lane, t Seconds) []Segment {
+	if t <= 0 {
+		return dst
+	}
+	if n := len(dst); n > 0 && dst[n-1].Lane == l {
+		dst[n-1].Dur += t
+		return dst
+	}
+	return append(dst, Segment{Lane: l, Dur: t})
 }
 
 // interval is one busy span [start, end) on a lane.
 type interval struct{ start, end Seconds }
 
 // Timeline is the overlap-aware schedule of one simulated machine: per
-// lane a set of busy intervals, placed by first-fit. The zero value is an
-// empty timeline ready to use. Timeline is not safe for concurrent use;
-// core.Comm guards its timeline with the execution lock.
+// lane a set of busy intervals placed by first-fit (Place); a barrier run
+// (Serial) books none. The zero value is an empty timeline ready to use.
+// Timeline is not safe for concurrent use; core.Comm guards its timeline
+// with the execution lock.
 type Timeline struct {
 	busy  [NumLanes][]interval
 	total [NumLanes]Seconds
@@ -156,10 +160,17 @@ func (tl *Timeline) Elapsed() Seconds { return tl.end }
 // LaneBusy(l)/Elapsed() is the lane's utilization.
 func (tl *Timeline) LaneBusy(l Lane) Seconds { return tl.total[l] }
 
-// Reset empties the timeline. It panics between Mark and Rollback.
+// Reset empties the timeline and keeps the lanes' and the journal's
+// backing arrays, so a timeline reused for placements of the same size
+// (PipelinedMakespan's pooled scratch) allocates nothing. It panics
+// between Mark and Rollback.
 func (tl *Timeline) Reset() {
 	tl.mustNotMark("Reset")
-	*tl = Timeline{}
+	busy := tl.busy
+	for l := range busy {
+		busy[l] = busy[l][:0]
+	}
+	*tl = Timeline{busy: busy, journal: tl.journal[:0]}
 }
 
 // Clone returns an independent deep copy of the timeline, outside any
@@ -181,7 +192,7 @@ func (tl *Timeline) Clone() Timeline {
 
 // Mark opens a what-if window: every Place until the matching Rollback
 // is journaled and then undone. One mark may be outstanding; SetFloor,
-// Reset and a second Mark panic until it is rolled back.
+// Serial, Reset and a second Mark panic until it is rolled back.
 func (tl *Timeline) Mark() {
 	tl.mustNotMark("Mark")
 	tl.marking = true
@@ -271,10 +282,28 @@ func (tl *Timeline) Place(earliest Seconds, segs []Segment) (start, finish Secon
 	return start, cursor
 }
 
-// PlaceSerial appends segs after everything already placed — the fully
-// serialized (barrier) execution path.
-func (tl *Timeline) PlaceSerial(segs []Segment) (start, finish Seconds) {
-	return tl.Place(tl.end, segs)
+// Serial runs segs after everything already placed — the fully
+// serialized (barrier) execution path — raises the floor to their finish
+// and returns it. No placed interval ends past the makespan, so each
+// segment starts where its predecessor ends, and the new floor would
+// prune every interval, these included: Serial books none. It adds each
+// segment to its lane's total and to the cursor in the order Place does,
+// so the result is Place(Elapsed(), segs) then SetFloor(Elapsed()), bit
+// for bit. It panics between Mark and Rollback.
+func (tl *Timeline) Serial(segs []Segment) Seconds {
+	tl.mustNotMark("Serial")
+	cursor := max(tl.end, tl.floor)
+	for _, s := range segs {
+		if s.Dur > 0 {
+			tl.total[s.Lane] += s.Dur
+			cursor += s.Dur
+		}
+	}
+	tl.end, tl.floor = cursor, cursor
+	for l := range tl.busy {
+		tl.busy[l] = tl.busy[l][:0]
+	}
+	return cursor
 }
 
 // place books the first gap of length dur on the lane at or after from

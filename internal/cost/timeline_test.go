@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,19 +24,31 @@ func TestLaneOf(t *testing.T) {
 	}
 }
 
-func TestSegmentsOfCoalesces(t *testing.T) {
+// Both AppendSegments forms coalesce consecutive same-lane charges, drop
+// non-positive ones, and keep what dst already holds.
+func TestAppendSegmentsCoalesces(t *testing.T) {
 	adds := []TraceEntry{
 		{PEMod, 1}, {Other, 2}, {HostMod, 3}, {PEMem, 4}, {Network, 5}, {Kernel, 0}, {Kernel, 6},
 	}
-	segs := SegmentsOf(adds)
-	want := []Segment{{LanePE, 1}, {LaneCPU, 5}, {LaneBus, 4}, {LaneNet, 5}, {LanePE, 6}}
-	if len(segs) != len(want) {
-		t.Fatalf("got %v, want %v", segs, want)
+	held := Segment{LaneNet, 9}
+	segs := AppendSegments([]Segment{held}, adds)
+	want := []Segment{held, {LanePE, 1}, {LaneCPU, 5}, {LaneBus, 4}, {LaneNet, 5}, {LanePE, 6}}
+	if !slices.Equal(segs, want) {
+		t.Fatalf("AppendSegments = %v, want %v", segs, want)
 	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Fatalf("segment %d: got %v, want %v", i, segs[i], want[i])
-		}
+
+	var b Breakdown
+	for _, e := range adds {
+		b.byCat[e.Cat] += e.T
+	}
+	// Category order: DomainTransfer..HostMem are one CPU segment, Other
+	// (last) another, after the bus, PE and network lanes.
+	want = []Segment{held, {LaneCPU, 3}, {LaneBus, 4}, {LanePE, 7}, {LaneNet, 5}, {LaneCPU, 2}}
+	if segs := b.AppendSegments([]Segment{held}); !slices.Equal(segs, want) {
+		t.Fatalf("Breakdown.AppendSegments = %v, want %v", segs, want)
+	}
+	if segs := (Breakdown{}).AppendSegments(nil); segs != nil {
+		t.Fatalf("an empty breakdown appended %v", segs)
 	}
 }
 
@@ -65,10 +78,70 @@ func TestTimelineOverlapsIndependentPlans(t *testing.T) {
 func TestTimelineSerialIsSum(t *testing.T) {
 	plan := []Segment{{LanePE, 1}, {LaneBus, 4}, {LaneCPU, 2}}
 	var tl Timeline
-	tl.PlaceSerial(plan)
-	tl.PlaceSerial(plan)
+	if got := tl.Serial(plan); got != 7 {
+		t.Fatalf("first serial run ends at %v, want 7", got)
+	}
+	tl.Serial(plan)
 	if got, want := tl.Elapsed(), Seconds(14); got != want {
 		t.Fatalf("serial elapsed = %v, want %v", got, want)
+	}
+}
+
+// Serial is Place(Elapsed()) then SetFloor(Elapsed()) without the
+// bookings the floor would prune: on random timelines built from async
+// placements (backfilled gaps, zero-length segments, floors below and
+// above the makespan), Serial on the timeline and the two calls on a
+// Clone leave the same makespan, lane totals, floor and (empty) lists, bit
+// for bit, and the next placement lands in the same place on both.
+func TestSerialMatchesPlaceThenFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	randSegs := func() []Segment {
+		segs := make([]Segment, rng.Intn(5))
+		for i := range segs {
+			segs[i] = Segment{Lane(rng.Intn(int(NumLanes))), Seconds(rng.ExpFloat64()) * 1e-3}
+			if rng.Intn(6) == 0 {
+				segs[i].Dur = 0
+			}
+		}
+		return segs
+	}
+	for run := 0; run < 200; run++ {
+		var tl Timeline
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				tl.Place(tl.floor+(tl.end-tl.floor)*Seconds(rng.Float64()), randSegs())
+			case op == 6:
+				tl.SetFloor(tl.end * Seconds(rng.Float64()*1.2))
+			default:
+				segs := randSegs()
+				ref := tl.Clone()
+				ref.Place(ref.Elapsed(), segs)
+				ref.SetFloor(ref.Elapsed())
+				if got := tl.Serial(segs); got != ref.Elapsed() || tl.Elapsed() != ref.Elapsed() {
+					t.Fatalf("run %d step %d: Serial = %v (Elapsed %v), Place then SetFloor end at %v",
+						run, step, got, tl.Elapsed(), ref.Elapsed())
+				}
+				for l := Lane(0); l < NumLanes; l++ {
+					if tl.LaneBusy(l) != ref.LaneBusy(l) {
+						t.Fatalf("run %d step %d: lane %v busy %v, want %v", run, step, l, tl.LaneBusy(l), ref.LaneBusy(l))
+					}
+				}
+				if err := sameTimeline(&tl, &ref); err != nil {
+					t.Fatalf("run %d step %d: %v", run, step, err)
+				}
+				next, earliest := randSegs(), tl.end*Seconds(rng.Float64()*1.1)
+				s, f := tl.Place(earliest, next)
+				if rs, rf := ref.Place(earliest, next); s != rs || f != rf {
+					t.Fatalf("run %d step %d: next placement [%v,%v), reference [%v,%v)", run, step, s, f, rs, rf)
+				}
+			}
+		}
+	}
+	var tl Timeline
+	tl.Mark()
+	if !panics(func() { tl.Serial(nil) }) {
+		t.Error("Serial inside a mark did not panic")
 	}
 }
 

@@ -217,14 +217,23 @@ func (s *System) FreeSpans() []Arena {
 	return out
 }
 
-// NewSystem allocates a system with the given geometry.
+// NewSystem allocates a system with the given geometry. The eight banks
+// of an entangled group — what one burst touches — share one slab, each
+// a window whose capacity ends with the bank, so an append to
+// BankBytes(i) copies rather than grow into bank i+1. Slabs are per group,
+// not per system: system-sized slabs, whose size varies from machine to
+// machine, fragment the heap, where group-sized ones are reused.
 func NewSystem(geo Geometry) (*System, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
 	s := &System{geo: geo, mram: make([][]byte, geo.NumPEs()), free: []Arena{{Base: 0, Bytes: geo.MramPerBank}}}
-	for i := range s.mram {
-		s.mram[i] = make([]byte, geo.MramPerBank)
+	m := geo.MramPerBank
+	for g := 0; g < geo.NumGroups(); g++ {
+		slab := make([]byte, ChipsPerRank*m)
+		for c := 0; c < ChipsPerRank; c++ {
+			s.mram[g*ChipsPerRank+c] = slab[c*m : (c+1)*m : (c+1)*m]
+		}
 	}
 	return s, nil
 }

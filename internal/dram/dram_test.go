@@ -192,6 +192,30 @@ func TestBankBytesIsLive(t *testing.T) {
 	}
 }
 
+// A group's banks share one slab, but each is its own window of it: a
+// bank's capacity ends with the bank, writing its last byte leaves its
+// neighbor untouched, and an append to it copies instead of growing into
+// the next bank.
+func TestBanksAreDisjointWindows(t *testing.T) {
+	geo := testGeo()
+	s, _ := NewSystem(geo)
+	for i := 0; i < geo.NumPEs(); i++ {
+		if m := s.BankBytes(i); len(m) != geo.MramPerBank || cap(m) != geo.MramPerBank {
+			t.Fatalf("bank %d: len %d cap %d, want both %d", i, len(m), cap(m), geo.MramPerBank)
+		}
+	}
+	for i := 0; i+1 < geo.NumPEs(); i++ {
+		s.BankBytes(i)[geo.MramPerBank-1] = 0xAB
+		if next := s.BankBytes(i + 1); next[0] != 0 {
+			t.Fatalf("writing bank %d's last byte changed bank %d's first to %#x", i, i+1, next[0])
+		}
+	}
+	_ = append(s.BankBytes(0), 0xCD)
+	if s.BankBytes(1)[0] != 0 {
+		t.Fatal("an append to bank 0 wrote into bank 1")
+	}
+}
+
 func TestNewSystemRejectsBadGeometry(t *testing.T) {
 	if _, err := NewSystem(Geometry{}); err == nil {
 		t.Error("expected error for zero geometry")

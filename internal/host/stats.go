@@ -33,6 +33,16 @@ func (h *Host) Stats() XferStats {
 	return out
 }
 
+// ResetStats zeroes the cumulative transfer statistics, so a host reused
+// for one measurement after another (core's scratch tracer) starts each
+// from nothing.
+func (h *Host) ResetStats() {
+	h.totalBursts.Store(0)
+	for ch := range h.totalByChan {
+		h.totalByChan[ch].Store(0)
+	}
+}
+
 // ApplyStats merges a precomputed traffic delta into the cumulative
 // statistics without moving bytes or charging time: the replay half of
 // the compiled-plan path, whose bus time was recorded as a meter trace.
