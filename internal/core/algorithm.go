@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/elem"
-)
+import "fmt"
 
 // This file is the algorithm axis of a collective: a Collective carries
 // an Algorithm alongside its Level, and two static tables say everything
@@ -95,22 +91,17 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q (want one of %v)", s, names)
 }
 
-// algoEnv is the resolved call a lowering reads: primitive, effective
-// level, absolute offsets, sizes, element/op, and the comm and group plan
-// whose sharded execution helpers (groupsDo, bulkOut) its closures use.
-// Closures captured in steps run under the comm's execution lock.
+// algoEnv is the resolved call a lowering reads: its key (primitive,
+// effective level, arena-relative offsets, payload bytes, element/op), the
+// block size, its first payload's index in its plan's hosts, and the comm
+// and group plan whose sharded helpers (groupsDo, bulkOut) its closures
+// use. Closures run under the comm's execution lock, for its running plan.
 type algoEnv struct {
-	c      *Comm
-	p      *plan
-	prim   Primitive
-	eff    Level
-	srcOff int
-	dstOff int
-	m      int // bytes per PE (the host payload size for Broadcast/Scatter)
-	s      int // block size m/n (== m where the primitive has no blocks)
-	t      elem.Type
-	op     elem.Op
-	hosts  [][]byte // per-group host payloads (nil entries on dry runs)
+	planKey
+	c     *Comm
+	p     *plan
+	s     int // block size bytes/n (== bytes where the primitive has no blocks)
+	hosts int
 }
 
 // lowering is one row of the lowering table.
@@ -119,9 +110,8 @@ type lowering struct {
 	// level eff over groups of n ranks (nil means always). Auto skips an
 	// inapplicable candidate; an explicit request for one is an error.
 	applies func(eff Level, n int) bool
-	// lower produces the schedule; cp is the plan being compiled (the
-	// rooted reference lowerings bind its result buffers).
-	lower func(e *algoEnv, cp *CompiledPlan) *Schedule
+	// lower produces the schedule.
+	lower func(e *algoEnv) *Schedule
 }
 
 // lowerings is the lowering table, indexed by Primitive, then Algorithm.

@@ -206,7 +206,7 @@ func (f *Future) Done() bool { return f.done.Load() }
 // waiter that must block parks on wake; done is stored under asyncMu, so
 // the flag cannot flip between the check and the park.
 func (f *Future) wait() {
-	c := f.cp.c
+	c := f.cp.owner.c
 	for c.stepped && !f.Done() && c.Step() != nil {
 	}
 	if f.Done() {
@@ -304,7 +304,7 @@ type subQueue struct {
 // Host-input plans (Scatter, Broadcast) read their bound buffers when the
 // plan *executes*, not when it is submitted: do not refill the buffers
 // until the future completes.
-func (cp *CompiledPlan) Submit() *Future { return cp.c.submit(cp, false, SubmitOptions{}) }
+func (cp *CompiledPlan) Submit() *Future { return cp.owner.c.submit(cp, false, SubmitOptions{}) }
 
 // SubmitOptions carries the serving attributes of one submission.
 type SubmitOptions struct {
@@ -321,7 +321,7 @@ type SubmitOptions struct {
 
 // SubmitOpts is Submit with explicit serving attributes (arrival time,
 // deadline). See CompiledPlan.Submit for queue semantics.
-func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.c.submit(cp, false, o) }
+func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.owner.c.submit(cp, false, o) }
 
 // submit enqueues a plan execution, starting the worker if idle. cluster
 // marks a host plan the cluster layer has admitted on every host up front

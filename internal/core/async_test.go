@@ -337,8 +337,7 @@ func failingPlan(c *testComm) *CompiledPlan {
 	sched.add(&StepSync{})
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	return &CompiledPlan{c: c.Comm, owner: c.s, sched: sched,
-		planEntry: &planEntry{key: planKey{prim: Broadcast, dims: "1"}, tr: c.traceSchedule(sched)}}
+	return c.s.planOn(&planEntry{key: planKey{prim: Broadcast, dims: "1"}, sched: sched, tr: c.traceSchedule(sched)}, nil)
 }
 
 // TestFutureErrSurfacesBackendErrorExactlyOnce is the regression test for

@@ -208,16 +208,15 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 // autoRow returns the shape row of candidate d — a caller's descriptor
 // with the candidate (algorithm, level) filled in — at d's own offsets on
 // the whole-MRAM arena, a dry spec whose host payload may be left out. A
-// row the table lacks is built — lowered into a scratch plan that is
-// never returned, fused and traced — and kept: one trace miss per
-// candidate, after which every lookup of its key, the winner's compile
-// included, is a hit.
+// row the table lacks is built — lowered, fused and traced — and kept:
+// one trace miss per candidate, after which every lookup of its key, the
+// winner's compile included, is a hit.
 func (c *Comm) autoRow(d Collective) (*planEntry, error) {
 	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
 	if err != nil {
 		return nil, err
 	}
-	key := seqKey{head: spec.key}
+	key := seqKey{head: spec.env.planKey}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
 	if row := c.rows[key]; row != nil {
@@ -225,7 +224,7 @@ func (c *Comm) autoRow(d Collective) (*planEntry, error) {
 		return row, nil
 	}
 	c.cacheSt.TraceMisses++
-	row := c.buildLocked([]planSpec{spec}, &CompiledPlan{c: c})
+	row := c.buildLocked([]planSpec{spec})
 	c.rows[key] = row
 	return row, nil
 }

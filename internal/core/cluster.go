@@ -20,11 +20,11 @@ package core
 // against and priced from the same things (hostRole: one comm
 // configuration, the session's arena being every host's; the root apart where a rooted wire or Flat singles it
 // out; each host of an AlltoAll apart, whose pack/unpack volumes follow
-// h). A cost-only run replays the charge trace and never executes a
-// schedule, so there a later host's plan is the role's row bound to its
-// own shard, like any cost-only row hit; a functional host's closures
-// bind its own comm, h and staging, so it lowers and fuses again, but on
-// the role's shape row: nothing is traced twice.
+// h). A later host's plan is the role's row bound to its own shard, like
+// any row hit: it lowers and traces nothing. On a functional cluster
+// every host is its own role, because its steps' closures bind its own
+// comm, h and staging; only a cost-only run, which replays the charge
+// trace and never executes a schedule, lets symmetric hosts share.
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -355,30 +355,30 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		c.autoMu.Lock()
 		role := hostRole{geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
 		c.autoMu.Unlock()
-		if d.Prim == AlltoAll || rooted && h == d.Root {
+		if cl.functional || d.Prim == AlltoAll || rooted && h == d.Root {
 			role.h = h
 		}
-		hp := owner.planOn(roles[role])
-		cp.plans[h] = hp
-		if shared[h] = hp.planEntry != nil; !hp.lowers() {
-			continue // no validation, group plan, lowering, fusion or trace
+		row, hosts := roles[role], [][]byte(nil)
+		if shared[h] = row != nil; !shared[h] {
+			// Validated, lowered, fused and traced past the host's caches —
+			// this entry is the cache — by the role's first host only.
+			b, err := cl.hostSpecs(h, owner.ar, st, d)
+			if err != nil {
+				return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
+			}
+			c.compMu.Lock()
+			row, hosts = c.buildLocked(b.specs), b.hosts
+			c.compMu.Unlock()
+			roles[role] = row
 		}
-		specs, err := cl.hostSpecs(h, owner.ar, st, d)
-		if err != nil {
-			return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
-		}
-		// Built past the host's caches — this entry is the cache; the
-		// role's first host traces the row.
-		c.compMu.Lock()
-		roles[role] = c.buildLocked(specs, hp)
-		c.compMu.Unlock()
+		cp.plans[h] = owner.planOn(row, hosts)
 	}
 	// Booked on every host like any other miss, and cached, only now: a
 	// descriptor rejected at any host leaves no counter and no entry behind.
-	for h, hp := range cp.plans {
-		hp.c.compMu.Lock()
-		hp.c.countBuildLocked(hp, shared[h])
-		hp.c.compMu.Unlock()
+	for h, c := range cl.comms {
+		c.compMu.Lock()
+		c.countBuildLocked(cp.plans[h], shared[h])
+		c.compMu.Unlock()
 	}
 	s.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
@@ -422,8 +422,9 @@ func (s *ClusterTenant) Close() error {
 
 // hostRole is everything besides the descriptor and the session's arena
 // that a host's specs are validated against and priced from (the header
-// states the rule); h is the host itself where the lowering reads it and
-// -1 everywhere else.
+// states the rule); h is the host itself where the lowering reads it — on
+// a functional cluster, whose closures bind the host's comm, index and
+// staging, everywhere — and -1 everywhere else.
 type hostRole struct {
 	geo    dram.Geometry
 	params cost.Params
@@ -433,7 +434,7 @@ type hostRole struct {
 }
 
 // ---------------------------------------------------------------------
-// Per-host lowering: one []planSpec per host, fed to buildLocked.
+// Per-host lowering: one []planSpec per row, fed to buildLocked.
 // ---------------------------------------------------------------------
 
 // ceilLog2 returns ceil(log2(h)) for h >= 1 — the rounds of a binomial
@@ -524,11 +525,15 @@ type clusterBuild struct {
 	d  ClusterCollective
 	// m and s are the global call's per-PE payload and block size, as
 	// validated against the shape table.
-	m, s  int
+	m, s int
+	// specs are the members; hosts the host payloads their plan reads.
 	specs []planSpec
+	hosts [][]byte
 }
 
-func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) ([]planSpec, error) {
+// hostSpecs validates d for host h and lowers its members, arena-relative,
+// with the host payloads they read.
+func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) (*clusterBuild, error) {
 	sh, err := shapeOf(d.Prim)
 	if err != nil {
 		return nil, err
@@ -587,8 +592,8 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	// (functional) is to keep any host from starting the plan's next run —
 	// overwriting the shared staging — while another host still streams
 	// this run's data. It charges nothing on either backend.
-	b.net("fence", 0, 0, b.await)
-	return b.specs, nil
+	b.net("fence", 0, 0, st.await)
+	return b, nil
 }
 
 // local appends an ordinary single-host collective as a member.
@@ -603,45 +608,35 @@ func (b *clusterBuild) local(d Collective) error {
 
 // net appends an inter-host network leg: rounds exchange rounds of
 // bytesPerRound each, charged through cost.NetParams onto the host's
-// network lane, plus (functional) the rendezvous closure run.
-func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(cp *CompiledPlan) func()) {
-	b.step("NetTransfer/"+name, span{}, span{}, func(cp *CompiledPlan) Step {
-		st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
-		// The cost-only twin gets an empty closure where the functional
-		// cluster has a rendezvous: the step must survive (or be elided by)
-		// fusion identically on both backends, or epoch coalescing around a
-		// dropped step would regroup the bus-time float additions and break
-		// the bit-exact functional/cost breakdown equality.
-		if run != nil {
-			if b.cl.functional {
-				st.Run = run(cp)
-			} else {
-				st.Run = func() {}
-			}
-		}
-		return st
-	})
+// network lane, plus (functional) the rendezvous run.
+func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func()) {
+	st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
+	// The cost-only twin gets an empty closure where the functional
+	// cluster has a rendezvous: the step must survive (or be elided by)
+	// fusion identically on both backends, or epoch coalescing around a
+	// dropped step would regroup the bus-time float additions and break
+	// the bit-exact functional/cost breakdown equality.
+	if st.Run = run; run != nil && !b.cl.functional {
+		st.Run = func() {}
+	}
+	b.step("NetTransfer/"+name, span{}, span{}, st)
 }
 
-// await is the net-leg run closure of a pure rendezvous.
-func (b *clusterBuild) await(*CompiledPlan) func() {
-	bar := b.st.bar
-	return func() { bar.await(nil) }
-}
+// await is the net-leg run of a pure rendezvous.
+func (st *clusterState) await() { st.bar.await(nil) }
 
 // member appends a hand-built member that reads src and writes dst of the
-// arena (an empty span: neither).
-func (b *clusterBuild) member(src, dst span, lower func(cp *CompiledPlan) *Schedule) {
+// arena (an empty span: neither) and reads the host payloads hosts.
+func (b *clusterBuild) member(src, dst span, sched *Schedule, hosts [][]byte) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
-	b.specs = append(b.specs, planSpec{key: key, src: src, dst: dst, lower: lower})
+	b.specs = append(b.specs, planSpec{env: algoEnv{planKey: key}, src: src, dst: dst, sched: sched})
+	b.hosts = append(b.hosts, hosts...)
 }
 
 // step appends what every member but the redistribution is: one step and
 // its sync.
-func (b *clusterBuild) step(name string, src, dst span, st func(cp *CompiledPlan) Step) {
-	b.member(src, dst, func(cp *CompiledPlan) *Schedule {
-		return &Schedule{Name: name, Steps: []Step{st(cp), &StepSync{}}}
-	})
+func (b *clusterBuild) step(name string, src, dst span, st Step) {
+	b.member(src, dst, &Schedule{Name: name, Steps: []Step{st, &StepSync{}}}, nil)
 }
 
 // legs lowers one row of the leg table: local leg → wire → (Flat: root
@@ -682,12 +677,13 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		}
 	}
 	// The wire's rendezvous: a host publishes what it brings — its local
-	// leg's rooted result, or at the root the caller's payload (the
-	// closure exists on the functional backend only, where check has
-	// required it) — and the last to arrive merges the parts (there are
-	// none without a local leg) into the global buffer. The closures get
-	// copies of the fields they read, not the 128-byte descriptor each.
-	elemT, op, flat, hosts := d.Elem, d.Op, d.Flat, d.Hosts
+	// leg's rooted result, in the running plan's buffers, or at the root the
+	// caller's payload (the closure runs on the functional backend only,
+	// where check has required it) — and the last to arrive merges the
+	// parts (there are none without a local leg) into the global buffer.
+	// The closures get copies of the fields they read, not the 128-byte
+	// descriptor each.
+	c, elemT, op, flat, hosts := b.c, d.Elem, d.Op, d.Flat, d.Hosts
 	merge := func() {
 		if !sh.reducing {
 			for hh, p := range st.parts {
@@ -706,15 +702,13 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		}
 		copy(st.global, RefReduce(elemT, op, bufs))
 	}
-	run := func(cp *CompiledPlan) func() {
-		return func() {
-			if row.local != noLeg {
-				st.parts[h] = cp.rooted[0]
-			} else if root {
-				copy(st.global, hosts[0])
-			}
-			st.bar.await(merge)
+	run := func() {
+		if row.local != noLeg {
+			st.parts[h] = c.cur.rooted[0]
+		} else if root {
+			copy(st.global, hosts[0])
 		}
+		st.bar.await(merge)
 	}
 
 	name, rounds, bytes := row.name, H-1, global/H // wireAllPairs
@@ -728,7 +722,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	case wireAllReduce:
 		// AlgoAuto keeps the row cheapest on the wire model, the earlier on
 		// a tie; an explicit choice (hostSpecs has checked it) pins the leg.
-		net := b.c.h.Params().Net
+		net := c.h.Params().Net
 		for _, a := range hostAlgorithms(d.Algorithm) {
 			rr, rb := algorithms[a].wire(H, global)
 			if name == "" || cost.Seconds(rr)*net.RoundTime(int64(rb)) < cost.Seconds(rounds)*net.RoundTime(int64(bytes)) {
@@ -741,16 +735,15 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.step("FlatReduce", span{}, span{}, func(*CompiledPlan) Step {
-				return &StepHostCompute{Charges: []Charge{{ChargeScalarReduce, int64(H) * int64(P) * int64(m)}}}
-			})
+			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Charges: []Charge{{ChargeScalarReduce, int64(H) * int64(P) * int64(m)}}})
 		}
 		b.net("flat:bcast", ceilLog2(H), int64(global), nil)
 	}
 
-	// The redistribution leg: the single-host lowering of row.redist, fed
-	// from the staging — all of it (Broadcast, n bytes per PE) or this
-	// host's 1/H portion (Scatter, one block per PE).
+	// The redistribution leg: the single-host lowering of row.redist, whose
+	// payload — the plan's one — is a window of the staging: all of it
+	// (Broadcast, n bytes per PE) or this host's 1/H portion (Scatter, one
+	// block per PE).
 	if row.redist == noLeg {
 		return nil
 	}
@@ -758,18 +751,16 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if row.redist == Scatter {
 		n, lo, hi = b.s, h*(global/H), (h+1)*(global/H)
 	}
-	_, eff, err := b.c.Resolve(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
+	_, eff, err := c.Resolve(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
 	if err != nil {
 		return err
 	}
-	absDst := b.ar.base + d.Dst.Off
-	b.member(span{}, span{d.Dst.Off, n}, func(*CompiledPlan) *Schedule {
-		bufs := [][]byte{nil} // cost-only: never dereferenced
-		if st.global != nil {
-			bufs = [][]byte{st.global[lo:hi]}
-		}
-		return lowerings[row.redist][AlgoReference].lower(&algoEnv{c: b.c, p: b.p, prim: row.redist, eff: eff, dstOff: absDst, m: n, s: n, hosts: bufs}, nil)
-	})
+	var window [][]byte // cost-only: no staging, never dereferenced
+	if st.global != nil {
+		window = [][]byte{st.global[lo:hi]}
+	}
+	b.member(span{}, span{d.Dst.Off, n}, lowerings[row.redist][AlgoReference].lower(&algoEnv{
+		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, c: c, p: b.p, s: n}), window)
 	return nil
 }
 
@@ -802,7 +793,7 @@ func (b *clusterBuild) alltoAll() error {
 	// and unpack the incoming slabs transposed into destination order.
 	b.pack(d.Src.Off, 0, h, PS, s)
 	b.pack(d.Src.Off+(h+1)*PS, h+1, H, PS, s)
-	b.net("exchange", H-1, int64(P*PS), b.await)
+	b.net("exchange", H-1, int64(P*PS), st.await)
 	b.unpack(d.Dst.Off, 0, h, PS, s)
 	b.unpack(d.Dst.Off+(h+1)*PS, h+1, H, PS, s)
 	return nil
@@ -817,25 +808,23 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 		return
 	}
 	per := (dstHi - dstLo) * PS
-	c, p, st, h, P, abs := b.c, b.p, b.st, b.h, b.cl.p, b.ar.base+readOff
-	b.step("ClusterPack", span{readOff, per}, span{}, func(*CompiledPlan) Step {
-		return &StepBulk{
-			Read: true, ReadOff: abs, ReadPerPE: per,
-			Charges: []Charge{{ChargeHostMem, c.numPEBytes(per)}}, // slab store
-			Modulate: func(stag []byte) []byte {
-				grp := p.groups[0]
-				for j, pe := range grp {
-					src := stag[pe*per : (pe+1)*per]
-					for dh := dstLo; dh < dstHi; dh++ {
-						slab := st.xfer[h][dh]
-						for k := 0; k < P; k++ {
-							copy(slab[(j*P+k)*s:(j*P+k+1)*s], src[(dh-dstLo)*PS+k*s:(dh-dstLo)*PS+(k+1)*s])
-						}
+	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
+	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{
+		Read: true, ReadOff: readOff, ReadPerPE: per,
+		Charges: []Charge{{ChargeHostMem, c.numPEBytes(per)}}, // slab store
+		Modulate: func(stag []byte) []byte {
+			grp := p.groups[0]
+			for j, pe := range grp {
+				src := stag[pe*per : (pe+1)*per]
+				for dh := dstLo; dh < dstHi; dh++ {
+					slab := st.xfer[h][dh]
+					for k := 0; k < P; k++ {
+						copy(slab[(j*P+k)*s:(j*P+k+1)*s], src[(dh-dstLo)*PS+k*s:(dh-dstLo)*PS+(k+1)*s])
 					}
 				}
-				return nil
-			},
-		}
+			}
+			return nil
+		},
 	})
 }
 
@@ -847,29 +836,27 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 		return
 	}
 	per := (srcHi - srcLo) * PS
-	c, p, st, h, P, abs := b.c, b.p, b.st, b.h, b.cl.p, b.ar.base+writeOff
-	b.step("ClusterUnpack", span{}, span{writeOff, per}, func(*CompiledPlan) Step {
-		return &StepBulk{
-			Write: true, WriteOff: abs, WritePerPE: per,
-			Charges: []Charge{
-				{ChargeLocalMod, c.numPEBytes(per)}, // receive-side transpose
-				{ChargeHostMem, c.numPEBytes(per)},  // staging assembly
-			},
-			Modulate: func([]byte) []byte {
-				out := c.bulkOut(len(p.rankOf) * per)
-				grp := p.groups[0]
-				for k, pe := range grp {
-					dst := out[pe*per : (pe+1)*per]
-					for sh := srcLo; sh < srcHi; sh++ {
-						slab := st.xfer[sh][h]
-						for j := 0; j < P; j++ {
-							copy(dst[(sh-srcLo)*PS+j*s:(sh-srcLo)*PS+(j+1)*s], slab[(j*P+k)*s:(j*P+k+1)*s])
-						}
+	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
+	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{
+		Write: true, WriteOff: writeOff, WritePerPE: per,
+		Charges: []Charge{
+			{ChargeLocalMod, c.numPEBytes(per)}, // receive-side transpose
+			{ChargeHostMem, c.numPEBytes(per)},  // staging assembly
+		},
+		Modulate: func([]byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * per)
+			grp := p.groups[0]
+			for k, pe := range grp {
+				dst := out[pe*per : (pe+1)*per]
+				for sh := srcLo; sh < srcHi; sh++ {
+					slab := st.xfer[sh][h]
+					for j := 0; j < P; j++ {
+						copy(dst[(sh-srcLo)*PS+j*s:(sh-srcLo)*PS+(j+1)*s], slab[(j*P+k)*s:(j*P+k+1)*s])
 					}
 				}
-				return out
-			},
-		}
+			}
+			return out
+		},
 	})
 }
 
@@ -981,9 +968,9 @@ func (cp *ClusterPlan) Submit() *ClusterFuture {
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
 	for h, hp := range cp.plans {
-		hp.c.asyncMu.Lock()
+		hp.owner.c.asyncMu.Lock()
 		err := hp.owner.overloadedLocked()
-		hp.c.asyncMu.Unlock()
+		hp.owner.c.asyncMu.Unlock()
 		if err != nil {
 			cf.err = fmt.Errorf("cluster host %d: %w", h, err)
 			return cf
@@ -994,7 +981,7 @@ func (cp *ClusterPlan) Submit() *ClusterFuture {
 	}
 	cf.fs = make([]*Future, len(cp.plans))
 	for h, hp := range cp.plans {
-		cf.fs[h] = hp.c.submit(hp, true, SubmitOptions{})
+		cf.fs[h] = hp.owner.c.submit(hp, true, SubmitOptions{})
 	}
 	return cf
 }

@@ -21,15 +21,13 @@ func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, 
 	if cl.functional {
 		st.bar = newBarrier(len(cl.comms))
 	}
-	specs, err := cl.hostSpecs(h, owner.ar, st, d)
+	b, err := cl.hostSpecs(h, owner.ar, st, d)
 	if err != nil {
 		return nil, err
 	}
-	cp := owner.planOn(nil)
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	c.buildLocked(specs, cp)
-	return cp, nil
+	return owner.planOn(c.buildLocked(b.specs), b.hosts), nil
 }
 
 // stepNames renders a schedule's name and its steps' kinds in order.
@@ -43,12 +41,11 @@ func stepNames(s *Schedule) string {
 
 // diffPlans names the first field in which got — a host plan out of
 // compile — is not what the per-host build of the same host produces, or
-// returns "". A cost-only plan that took its role's row has no schedule:
-// its row and base are all there is to compare.
+// returns "".
 func diffPlans(got, want *CompiledPlan) string {
 	switch {
-	case got.c != want.c || got.owner != want.owner || got.base != want.base:
-		return "bound to another host's comm, tenant or base"
+	case got.owner != want.owner || got.base != want.base:
+		return "bound to another host's tenant or base"
 	case got.key != want.key:
 		return fmt.Sprintf("key %+v, want %+v", got.key, want.key)
 	case diffRows(got, want) != "":
@@ -57,10 +54,12 @@ func diffPlans(got, want *CompiledPlan) string {
 		return "members"
 	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
 		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
-	case got.sched == nil && got.lowers():
-		return "no schedule on a plan that runs one"
+	case (got.sched == nil) != (want.sched == nil):
+		return fmt.Sprintf("schedule %v, want %v", got.sched, want.sched)
 	case got.sched != nil && stepNames(got.sched) != stepNames(want.sched):
 		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
+	case len(got.hosts) != len(want.hosts):
+		return fmt.Sprintf("%d host payloads, want %d", len(got.hosts), len(want.hosts))
 	}
 	return ""
 }
@@ -254,9 +253,9 @@ func TestStagedRoundsAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &algoEnv{c: c.Comm, p: p, prim: AllReduce, eff: Baseline, dstOff: 8 * p.n, m: 8 * p.n, s: 8, t: elem.I32, op: elem.Sum}
+		e := &algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, c: c.Comm, p: p, s: 8}
 		var steps int
-		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e, nil).Steps) })
+		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e).Steps) })
 		return allocs, steps
 	}
 	small, _ := lower(geoHost)

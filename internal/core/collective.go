@@ -18,10 +18,11 @@ import (
 //
 // All offsets in a Collective are relative to the arena of the session
 // that compiles it (tenant.go). Resolution validates every region against
-// the arena bounds and only then translates to absolute MRAM offsets,
-// which is what guarantees tenants cannot name — let alone alias — MRAM
-// outside their arena. Plan keys keep the relative offsets: what a
-// collective costs does not depend on where its arena sits (plan.go).
+// the arena bounds, which is what guarantees tenants cannot name — let
+// alone alias — MRAM outside their arena. Plan keys and lowerings keep the
+// relative offsets, and a functional run adds its plan's arena base: what
+// a collective costs and how it lowers do not depend on where its arena
+// sits (plan.go).
 
 // Region is a per-PE MRAM byte range handle [Off, Off+Bytes). Offsets
 // are arena-relative (see Collective). For region roles whose size the
@@ -119,6 +120,9 @@ func checkArenaRegion(ar arena, off, n int) error {
 // explicitly requested algorithm applies to the resolved call is
 // Compile's check, not Resolve's.
 func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
+	if d.Level < Auto || d.Level > CM {
+		return 0, 0, fmt.Errorf("core: unknown level %v", d.Level)
+	}
 	if d.Level != Auto {
 		alg := d.Algorithm
 		if alg == AlgoAuto {
@@ -325,21 +329,17 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		// blocks before later source blocks are read. Auto skips IM/CM.
 		return planSpec{}, fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", d.Prim.LongName(), eff)
 	}
-	spec = planSpec{env: algoEnv{c: c, p: p, prim: d.Prim, eff: eff, m: m, s: s},
-		key: planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}}
-	env, key := &spec.env, &spec.key
+	spec = planSpec{env: algoEnv{planKey: planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}, c: c, p: p, s: s}}
+	env := &spec.env
 	if sh.reducing {
-		env.t, env.op = d.Elem, d.Op
-		key.elemType, key.op = d.Elem, d.Op
+		env.elemType, env.op = d.Elem, d.Op
 	}
-	if sh.hostInput() {
-		env.hosts = d.Hosts
-	} else {
-		env.srcOff, key.srcOff = ar.base+d.Src.Off, d.Src.Off
+	if !sh.hostInput() {
+		env.srcOff = d.Src.Off
 		spec.src, spec.consumed = span{d.Src.Off, m}, sh.consumesSrc && eff >= PR
 	}
 	if !sh.rooted() {
-		env.dstOff, key.dstOff = ar.base+d.Dst.Off, d.Dst.Off
+		env.dstOff = d.Dst.Off
 		spec.dst = span{d.Dst.Off, sh.dst.of(m, p.n)}
 	}
 	if spec.lo, err = loweringOf(alg, d.Prim, eff, p.n); err != nil {

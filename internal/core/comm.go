@@ -120,10 +120,11 @@ type Comm struct {
 	// contexts are only touched while an execution holds the lock). egs
 	// is precomputed at construction and immutable, so the tracing path
 	// (under compMu) may read it too.
-	egs     []int        // [0..numGroups): every entangled group
-	streams []*streamCtx // per-shard streaming contexts (engine.go)
-	modBuf  []byte       // reusable Modulate output arena (bulkOut)
-	slabs   [][]byte     // per-shard scratch slabs (groupsDoScratch)
+	cur     *CompiledPlan // the running plan (runScheduleLocked)
+	egs     []int         // [0..numGroups): every entangled group
+	streams []*streamCtx  // per-shard streaming contexts (engine.go)
+	modBuf  []byte        // reusable Modulate output arena (bulkOut)
+	slabs   [][]byte      // per-shard scratch slabs (groupsDoScratch)
 	grun    groupRunner
 	gsrun   groupScratchRunner
 }
@@ -191,6 +192,9 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 	}
 	if cfg.Sched < 0 || int(cfg.Sched) >= len(schedulers) {
 		return nil, fmt.Errorf("core: unknown scheduling policy %v", cfg.Sched)
+	}
+	if cfg.Fuse < FuseDefault || cfg.Fuse > FuseFull {
+		return nil, fmt.Errorf("core: unknown fusion level %v", cfg.Fuse)
 	}
 	newSystem := dram.NewSystem
 	if !cfg.Backend.Functional() {

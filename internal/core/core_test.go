@@ -466,6 +466,45 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// An out-of-range enum is an error, not a silent default: a Level beyond
+// the table (on a single machine and on a cluster, whose legs resolve
+// through the same Comm.Resolve), a Config.Fuse and a TenantConfig.Shed.
+func TestUnknownEnumsAreRejected(t *testing.T) {
+	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend()})
+	for _, lvl := range []Level{-3, -1, CM + 1, 42} {
+		d := Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, 512), Dst: At(1024), Level: lvl}
+		if _, err := c.Compile(d); err == nil {
+			t.Errorf("Level(%d) compiles", lvl)
+		}
+		if _, _, err := c.s.Resolve(d); err == nil {
+			t.Errorf("Level(%d) resolves", lvl)
+		}
+	}
+	cl := sessionTestCluster(t, 2, geoHost, []int{16}, true)
+	for _, d := range []Collective{
+		{Prim: AllReduce, Dims: "1", Src: Span(0, 256), Dst: At(256), Elem: elem.I32, Op: elem.Sum, Level: 77},
+		{Prim: Broadcast, Dims: "1", Dst: Span(0, 64), Level: 77},
+	} {
+		if _, err := cl.Compile(ClusterCollective{Collective: d}); err == nil {
+			t.Errorf("cluster %v at Level(77) compiles", d.Prim)
+		}
+	}
+	for _, f := range []FuseLevel{-1, FuseFull + 1, 9} {
+		if _, err := New(geo64, []int{8, 8}, Config{Backend: CostBackend(), Fuse: f}); err == nil {
+			t.Errorf("Config.Fuse %v accepted", f)
+		}
+	}
+	free := newMachine(t, geo64, []int{8, 8}, Config{Backend: CostBackend()})
+	for _, p := range []ShedPolicy{-1, ShedOldest + 1, 7} {
+		if _, err := free.NewTenant(TenantConfig{ArenaBytes: 64, Shed: p}); err == nil {
+			t.Errorf("TenantConfig.Shed %v accepted", p)
+		}
+	}
+	if _, err := free.NewTenant(TenantConfig{ArenaBytes: 64, Shed: ShedOldest}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMeterAccumulatesAcrossCalls(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	m := 8 * 16

@@ -47,8 +47,8 @@
 // descriptor → specIn (validation, Auto resolution, the resolved call) →
 // compiled (the session's plans, then the machine's shape rows, both
 // keyed by the members' arena-relative signatures; a collective is a
-// sequence of one) → buildLocked (lower → concatenate → fuse → trace,
-// where a plan needs its schedule). Auto's dry builds fill the same rows.
+// sequence of one) → buildLocked (lower → concatenate → fuse → trace, on
+// a row miss). Auto's dry builds fill the same rows.
 // The cluster layer calls buildLocked past both caches: its session
 // (ClusterTenant, one arena on every host) caches a host plan once, with
 // the staging it binds — one plan per role, bound per host (cluster.go).
@@ -68,13 +68,14 @@
 //     paper-scale sweeps and Auto dry runs.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
 //     compiled once and replayed many times. A plan is its shape row —
-//     signature, members, arena-relative footprint, charge trace, fusion
-//     report, member costs: the machine's, shared by every session at
-//     every base — bound to its session's arena base. Only tracing a row
-//     and functional runs need the lowered schedule: a cost-only plan that
-//     finds its row (a successor tenant's, Auto's winner) lowers nothing,
-//     a functional one re-lowers but traces nothing (Snapshot.PlanCache
-//     instruments both caches).
+//     signature, members, arena-relative footprint, fused schedule at
+//     arena-relative offsets, charge trace, fusion report, member costs:
+//     the machine's, shared by every session at every base — bound to its
+//     session's arena base, host payloads and rooted results, which a
+//     functional run reads off the comm's running plan. A plan that finds
+//     its row (a successor tenant's, Auto's winner) lowers and traces
+//     nothing on either backend (Snapshot.PlanCache instruments both
+//     caches).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and

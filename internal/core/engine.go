@@ -18,27 +18,29 @@ type column []vec.Reg
 // plus preallocated column buffers, so the steady-state streaming loops
 // allocate nothing. Contexts are created once per shard slot on the Comm
 // (ensureStreams) and reused across runs; each is owned by exactly one
-// worker for the duration of a par.Do call.
+// worker for the duration of a par.Do call, which sets base to the running
+// plan's arena base: the lowerings stream offsets relative to it.
 type streamCtx struct {
-	sh *host.Shard
-	vu vec.Unit // scratch transposes; cost is charged declaratively
-	a  column   // read target
-	b  column   // shift target
-	ac column   // reduction accumulator
+	sh   *host.Shard
+	vu   vec.Unit // scratch transposes; cost is charged declaratively
+	a    column   // read target
+	b    column   // shift target
+	ac   column   // reduction accumulator
+	base int
 }
 
-// readColumn reads the burst at offset off from every entangled group
-// into dst. Must run inside a transfer epoch.
+// readColumn reads the burst at arena offset off from every entangled
+// group into dst. Must run inside a transfer epoch.
 func (sc *streamCtx) readColumn(off int, dst column) {
 	for g := range dst {
-		dst[g] = sc.sh.ReadBurst(g, off)
+		dst[g] = sc.sh.ReadBurst(g, sc.base+off)
 	}
 }
 
-// writeColumn writes one burst per entangled group at offset off.
+// writeColumn writes one burst per entangled group at arena offset off.
 func (sc *streamCtx) writeColumn(off int, col column) {
 	for g, r := range col {
-		sc.sh.WriteBurst(g, off, r)
+		sc.sh.WriteBurst(g, sc.base+off, r)
 	}
 }
 
@@ -137,14 +139,14 @@ func rotateBlocksWork(m int) (instr, mramBytes int64) {
 }
 
 // rotateBlocksKernel builds the PE-assisted reordering kernel (§ V-A1)
-// for a rotation step: each PE's region [Off, Off+N*S) is treated as N
-// blocks of S bytes and left-rotated by Rot(rank) blocks: new block l =
-// old block (l + rot) mod n. The kernel streams MRAM through WRAM-sized
-// chunks; the paper's incremental shifting touches each byte once in and
-// once out, which is what the accounting reflects. The built kernel is
-// cached on the step (functional replays launch it with no per-run
-// closure allocation).
-func rotateBlocksKernel(st *StepRotateBlocks) dpu.Kernel {
+// for a rotation step of c's: each PE's region [Off, Off+N*S) of the
+// running plan's arena (c.cur) is treated as N blocks of S bytes and
+// left-rotated by Rot(rank) blocks: new block l = old block (l + rot)
+// mod n. The kernel streams MRAM through WRAM-sized chunks; the paper's
+// incremental shifting touches each byte once in and once out, which is
+// what the accounting reflects. The built kernel is cached on the step
+// (functional replays launch it with no per-run closure allocation).
+func rotateBlocksKernel(c *Comm, st *StepRotateBlocks) dpu.Kernel {
 	return func(ctx *dpu.Ctx) {
 		r := st.Rot(ctx.GroupRank) % st.N
 		if r < 0 {
@@ -153,7 +155,7 @@ func rotateBlocksKernel(st *StepRotateBlocks) dpu.Kernel {
 		if r == 0 {
 			return // nothing to move; kernel exits immediately
 		}
-		m := st.N * st.S
+		m, off := st.N*st.S, c.cur.base+st.Off
 		// Read the full region through WRAM-sized chunks into a rotation
 		// pipeline, then write each block to its rotated position. The
 		// arena buffer models the double-buffered WRAM streaming of the
@@ -165,7 +167,7 @@ func rotateBlocksKernel(st *StepRotateBlocks) dpu.Kernel {
 			if end > m {
 				end = m
 			}
-			ctx.ReadMram(st.Off+o, tmp[o:end])
+			ctx.ReadMram(off+o, tmp[o:end])
 		}
 		for l := 0; l < st.N; l++ {
 			srcBlock := (l + r) % st.N
@@ -174,7 +176,7 @@ func rotateBlocksKernel(st *StepRotateBlocks) dpu.Kernel {
 				if end > st.S {
 					end = st.S
 				}
-				ctx.WriteMram(st.Off+l*st.S+o, tmp[srcBlock*st.S+o:srcBlock*st.S+end])
+				ctx.WriteMram(off+l*st.S+o, tmp[srcBlock*st.S+o:srcBlock*st.S+end])
 			}
 		}
 		instr, _ := rotateBlocksWork(m) // address arithmetic; DMA accounted above

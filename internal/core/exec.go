@@ -32,8 +32,8 @@ type Backend interface {
 	// Step handlers receive the host the execution accounts against: the
 	// comm's own host normally, or its one scratch tracer's, reset per
 	// trace, while a compile traces charges (plan.go). Functional execution
-	// always runs on the comm's own host — the step closures move bytes
-	// through it directly.
+	// runs on the comm's own host for its running plan (Comm.cur), adding
+	// the plan's arena base to the steps' arena-relative offsets.
 	rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks)
 	bulk(c *Comm, h *host.Host, st *StepBulk)
 	columnStream(c *Comm, h *host.Host, st *StepColumnStream)
@@ -41,10 +41,6 @@ type Backend interface {
 
 // CostBackend returns the cost-only backend.
 func CostBackend() Backend { return costBackend{} }
-
-// execute runs a lowered schedule on the comm's backend against the
-// comm's own host. Callers must hold execMu.
-func (c *Comm) execute(sched *Schedule) { c.executeOn(c.backend, c.h, sched) }
 
 // executeOn is the single execution loop every collective goes through:
 // it runs sched's steps on backend b, accounting against host h.
@@ -87,7 +83,7 @@ func (functionalBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlock
 		// Built lazily (under execMu) so steps synthesized by the fusion
 		// pipeline (merged rotations) get a kernel too; cached on the
 		// step so replays launch without rebuilding the closure.
-		st.kern = rotateBlocksKernel(st)
+		st.kern = rotateBlocksKernel(c, st)
 	}
 	pes, ranks := st.p.launchLists()
 	c.eng.Launch(dpu.LaunchSpec{
@@ -101,7 +97,7 @@ func (functionalBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlock
 func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	var stag []byte
 	if st.Read {
-		stag = h.BulkRead(c.allEGs(), st.ReadOff, st.ReadPerPE)
+		stag = h.BulkRead(c.allEGs(), c.cur.base+st.ReadOff, st.ReadPerPE)
 	}
 	out := stag
 	if st.Modulate != nil {
@@ -109,7 +105,7 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	}
 	applyCharges(h, st.Charges)
 	if st.Write {
-		h.BulkWrite(c.allEGs(), st.WriteOff, out)
+		h.BulkWrite(c.allEGs(), c.cur.base+st.WriteOff, out)
 	}
 }
 

@@ -39,7 +39,7 @@ func pollLocked(t *testing.T, c *Comm, what string, cond func() bool) {
 // that must block registers by making f.wake under asyncMu.
 func waitForWaiter(t *testing.T, f *Future) {
 	t.Helper()
-	pollLocked(t, f.cp.c, "a waiter blocks on the future", func() bool { return f.wake != nil })
+	pollLocked(t, f.cp.owner.c, "a waiter blocks on the future", func() bool { return f.wake != nil })
 }
 
 // The steady-state serving trip — SubmitOpts, the policy's pick, the

@@ -64,7 +64,8 @@ func decodeDesc(data []byte) Collective {
 
 // FuzzCollectiveCompile feeds arbitrary descriptors to Compile on a
 // cost-only comm: whatever the bytes say, the answer is a plan or an
-// error, never a panic. The seed corpus is the eight valid shapes.
+// error, never a panic, and an out-of-range Level is an error. The seed
+// corpus is the eight valid shapes.
 func FuzzCollectiveCompile(f *testing.F) {
 	const n, m = 8, 8 * 64 // group size of dims "10", payload
 	hosts := func(bytes int) [][]byte {
@@ -92,9 +93,13 @@ func FuzzCollectiveCompile(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := c.Compile(decodeDesc(data))
+		d := decodeDesc(data)
+		cp, err := c.Compile(d)
 		if (cp == nil) == (err == nil) {
 			t.Fatalf("Compile returned plan %v and error %v", cp, err)
+		}
+		if (d.Level < Auto || d.Level > CM) && err == nil {
+			t.Fatalf("Compile accepted %v", d.Level)
 		}
 	})
 }

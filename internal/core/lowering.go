@@ -68,15 +68,15 @@ func treeSenders(n int) []int {
 
 // stagedAllReduce wraps an AllReduce shape's hops between the snapshot
 // and the write-back. The opening bulk read copies every PE's payload
-// into a plan-owned buffer the wire rounds conceptually pass around (the
-// staging slab is reused by later steps, so the copy is mandatory — and
-// charged as host-memory traffic). The closing bulk write lands each
+// into the schedule's buffer the wire rounds conceptually pass around
+// (the staging slab is reused by later steps, so the copy is mandatory —
+// and charged as host-memory traffic). The closing bulk write lands each
 // group's canonical-rank-order reduction, replicated to every member —
 // the reference Baseline modulation's arithmetic; the hops already
 // charged the reduction and replication work, so it carries only the
 // write traffic itself.
 func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
-	c, p, m, t, op := e.c, e.p, e.m, e.t, e.op
+	c, p, m, t, op := e.c, e.p, e.bytes, e.elemType, e.op
 	var data []byte
 	return stagedRounds(name, &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
@@ -109,7 +109,7 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
 // lowerRingAllReduce moves one s-byte block per PE around the group
 // ring: n-1 reduce-scatter hops (each PE folds the arriving block into
 // its own), then n-1 allgather hops (pure copies).
-func lowerRingAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
+func lowerRingAllReduce(e *algoEnv) *Schedule {
 	hops := make([]hop, 0, 2*(e.p.n-1))
 	for _, work := range []ChargeKind{ChargeScalarReduce, ChargeSIMD} {
 		for r := 1; r < e.p.n; r++ {
@@ -121,9 +121,9 @@ func lowerRingAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
 
 // lowerTreeAllReduce climbs and re-descends the binomial tree, each
 // round moving the full m-byte payload per participating pair.
-func lowerTreeAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
+func lowerTreeAllReduce(e *algoEnv) *Schedule {
 	up := treeSenders(e.p.n)
-	pair := int64(len(e.p.groups)) * int64(e.m) // one sender per group
+	pair := int64(len(e.p.groups)) * int64(e.bytes) // one sender per group
 	hops := make([]hop, 2*len(up))
 	for i, senders := range up {
 		hops[i] = hop{ChargeScalarReduce, int64(senders) * pair}
@@ -136,8 +136,8 @@ func lowerTreeAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
 // pass that leaves each PE holding its rank's reduced block at dst, a
 // sync barrier, then an AllGather pass that reads the blocks back and
 // assembles the full replicated result.
-func lowerRsagAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, m, s, t, op := e.c, e.p, e.m, e.s, e.t, e.op
+func lowerRsagAllReduce(e *algoEnv) *Schedule {
+	c, p, m, s, t, op := e.c, e.p, e.bytes, e.s, e.elemType, e.op
 	reduceScatter := &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
@@ -184,15 +184,16 @@ func lowerRsagAllReduce(e *algoEnv, _ *CompiledPlan) *Schedule {
 
 // stagedBroadcast closes a Broadcast shape's forwarding hops with the
 // conventional delivery: every PE's destination gets its group's host
-// payload through the bulk write path (the hops already charged the wire;
-// the payload fan-out into the PE-major buffer is memcpy class).
+// payload, the running plan's, through the bulk write path (the hops
+// already charged the wire; the payload fan-out into the PE-major buffer
+// is memcpy class).
 func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
-	c, p, s, bufs := e.c, e.p, e.m, e.hosts
+	c, p, s, at := e.c, e.p, e.bytes, e.hosts
 	return stagedRounds(name, nil, hops, &StepBulk{
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
 		Charges: []Charge{{ChargeSIMD, c.numPEBytes(s)}},
 		Modulate: func([]byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * s)
+			out, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 			c.groupsDo(len(p.groups), func(g int) {
 				for _, pe := range p.groups[g] {
 					copy(out[pe*s:(pe+1)*s], bufs[g][:s])
@@ -205,10 +206,10 @@ func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
 
 // lowerRingBroadcast stages the payload around each group's ring: n-1
 // full-payload hops, one link each.
-func lowerRingBroadcast(e *algoEnv, _ *CompiledPlan) *Schedule {
+func lowerRingBroadcast(e *algoEnv) *Schedule {
 	hops := make([]hop, e.p.n-1)
 	for r := range hops {
-		hops[r] = hop{ChargeHostMem, int64(len(e.p.groups)) * int64(e.m)}
+		hops[r] = hop{ChargeHostMem, int64(len(e.p.groups)) * int64(e.bytes)}
 	}
 	return stagedBroadcast(e, "Broadcast/ring", hops)
 }
@@ -216,11 +217,11 @@ func lowerRingBroadcast(e *algoEnv, _ *CompiledPlan) *Schedule {
 // lowerTreeBroadcast stages the payload down a binomial tree:
 // ceil(log2 n) doubling rounds — round j has min(2^j, n-2^j) senders,
 // each forwarding the full payload.
-func lowerTreeBroadcast(e *algoEnv, _ *CompiledPlan) *Schedule {
+func lowerTreeBroadcast(e *algoEnv) *Schedule {
 	var hops []hop
 	for have := 1; have < e.p.n; have *= 2 {
 		senders := min(have, e.p.n-have)
-		hops = append(hops, hop{ChargeHostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.m)})
+		hops = append(hops, hop{ChargeHostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes)})
 	}
 	return stagedBroadcast(e, "Broadcast/tree", hops)
 }

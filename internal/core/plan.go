@@ -18,17 +18,18 @@ import (
 // paper-scale sweeps of the bench harness) amortize all per-call setup.
 //
 // One pipeline: descriptor → specIn (collective.go) → compiled, where a
-// collective is a sequence of one → buildLocked on a miss. Shapes belong
-// to the machine: the Comm's one table of shape rows, keyed by the
+// collective is a sequence of one → buildLocked on a row miss. Shapes
+// belong to the machine: the Comm's one table of shape rows, keyed by the
 // members' arena-relative signatures, serves every session at every
-// arena base. Plans belong to sessions: a plan is its row, its owner and
-// the owner's arena base, and each Tenant caches its own per row and
-// drops them when it closes. Only a plan that traces a row or runs on the
-// functional backend is lowered to its IR Schedule. Auto's candidate dry
-// builds (auto.go) fill and read the same rows, so the winner's compile
-// traces nothing. The cluster layer (cluster.go) calls buildLocked past
-// both caches: a host plan is cached once, in its cluster session, with
-// the staging it binds.
+// arena base; a row lowers its fused IR Schedule once, at those offsets.
+// Plans belong to sessions: a plan is its row, its owner, the owner's
+// arena base and its per-run state (host payloads, rooted results), and
+// each Tenant caches its own per row and drops them when it closes; a
+// run binds its plan (Comm.cur), so a compile that finds its row lowers
+// nothing. Auto's candidate dry builds (auto.go) fill and read the
+// same rows, so the winner's compile traces nothing. The cluster layer
+// (cluster.go) calls buildLocked past both caches: a host plan is cached
+// once, in its cluster session, with the staging it binds.
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
@@ -73,42 +74,43 @@ type seqKey struct {
 // on data, meter state, caller buffers or the arena base — and so is
 // shared by every plan built for the key, in any session: the first
 // member's signature, the members, the footprint (which the hazard checks
-// shift by each plan's base) and the trace. fusion reports what the
-// fusion pipeline did (zero-valued under FuseOff); memberCosts is each
-// member's unfused per-run cost (for proportional attribution by
-// profilers), traced for sequences only: nil when the one member's cost
-// is the plan's.
+// shift by each plan's base), the trace and, on the functional backend,
+// the fused schedule, whose offsets a run shifts by its plan's base.
+// fusion reports what the fusion pipeline did (zero-valued under
+// FuseOff); memberCosts is each member's unfused per-run cost (for
+// proportional attribution by profilers), traced for sequences only: nil
+// when the one member's cost is the plan's.
 type planEntry struct {
 	key         planKey
 	members     []Primitive
 	regs        planRegions
+	sched       *Schedule
 	tr          *chargeTrace
 	fusion      FusionReport
 	memberCosts []cost.Breakdown
 }
 
-// planSpec is one validated, Auto-resolved member: the cache key, its
-// arena-relative footprint (planRegions.add) and what buildLocked lowers
-// when a plan needs its schedule — a collective's resolved call and
-// lowering-table row, held by value so that a plan that needs none costs
-// nothing (specIn), or a hand-built member's closure (cluster.go).
+// planSpec is one validated, Auto-resolved member: its arena-relative
+// footprint (planRegions.add) and what buildLocked lowers on a row miss —
+// a collective's resolved call, whose key is the member's signature, and
+// lowering-table row, held by value so that a compile that finds its row
+// costs nothing (specIn), or a hand-built member's schedule (cluster.go).
 type planSpec struct {
-	key      planKey
 	src, dst span
 	consumed bool
 	env      algoEnv
 	lo       *lowering
-	lower    func(cp *CompiledPlan) *Schedule
+	sched    *Schedule
 }
 
-// schedule lowers the member for cp; a collective's closures get a copy of
-// its resolved call to keep.
-func (sp *planSpec) schedule(cp *CompiledPlan) *Schedule {
-	if sp.lower != nil {
-		return sp.lower(cp)
+// schedule lowers the member; a collective's closures get a copy of its
+// resolved call to keep.
+func (sp *planSpec) schedule() *Schedule {
+	if sp.sched != nil {
+		return sp.sched
 	}
 	env := sp.env
-	return sp.lo.lower(&env, cp)
+	return sp.lo.lower(&env)
 }
 
 // chargeTrace is the precomputed accounting of one schedule: the ordered
@@ -133,33 +135,30 @@ func (tr *chargeTrace) memBytes() int64 {
 }
 
 // CompiledPlan is a collective compiled once — a shape row of precomputed
-// charges bound to its session's arena — ready to be replayed. Obtain one
-// from Compile or CompileSequence; Run executes a replay. Plans stay
-// valid for the lifetime of their Comm and may be Run from multiple
-// goroutines (executions serialize on the Comm). A cost-only plan that
-// found its row carries no IR Schedule: nothing would execute it.
+// charges (and schedule, to run functionally) bound to its session's
+// arena — ready to be replayed. Obtain one from Compile or CompileSequence; Run
+// executes a replay. Plans stay valid for the lifetime of their Comm and
+// may be Run from multiple goroutines (executions serialize on the Comm).
 //
 // Host-input plans (Scatter, Broadcast) bind the buffer slices passed at
 // compile time: a replay reads their *current* contents, so callers
 // refill the same slices between runs. Rooted plans (Gather, Reduce)
 // leave their latest results in Results.
 type CompiledPlan struct {
-	c *Comm
 	// planEntry is the plan's shape row, shared with every plan of its key.
 	*planEntry
 	// owner is the tenant that compiled the plan: every run is attributed
-	// to it and admitted against it; base is its arena base. Immutable.
+	// to it and admitted against it; base is its arena base; hosts are the
+	// payloads its runs read (algoEnv.hosts indexes them). Immutable.
 	owner *Tenant
 	base  int
-	sched *Schedule // nil unless the plan lowers (buildLocked)
+	hosts [][]byte
 
-	// out is the rooted-result slot the schedule's closures write into
-	// during a functional execution; lastOut is what Results returns.
-	// rooted is the plan-owned backing store for those results, reused
-	// across runs (rootedBufs). All guarded by c.execMu.
-	out     [][]byte
-	lastOut [][]byte
-	rooted  [][]byte
+	// out is the latest run's rooted results, which the schedule's
+	// closures point at rooted, the plan-owned backing store reused across
+	// runs (rootedBufs). Both guarded by owner.c.execMu.
+	out    [][]byte
+	rooted [][]byte
 }
 
 // rootedBufs returns the plan's cached rooted-result buffers (groups
@@ -167,7 +166,7 @@ type CompiledPlan struct {
 // them as the current run's output. Every run fully overwrites the
 // buffers, so reuse is safe under the Results contract (buffers are
 // valid until the next Run of the same plan). Called from schedule
-// closures during execution — the caller holds c.execMu.
+// closures on the running plan (Comm.cur) — the caller holds execMu.
 func (cp *CompiledPlan) rootedBufs(groups, n int) [][]byte {
 	if len(cp.rooted) != groups || (groups > 0 && len(cp.rooted[0]) != n) {
 		cp.rooted = make([][]byte, groups)
@@ -248,9 +247,9 @@ func (cp *CompiledPlan) Run() (cost.Breakdown, error) {
 // plans on a functional backend. The buffers are valid until the next
 // Run of the same plan.
 func (cp *CompiledPlan) Results() [][]byte {
-	cp.c.execMu.Lock()
-	defer cp.c.execMu.Unlock()
-	return cp.lastOut
+	cp.owner.c.execMu.Lock()
+	defer cp.owner.c.execMu.Unlock()
+	return cp.out
 }
 
 // run executes one replay under the comm's execution lock and returns
@@ -259,7 +258,7 @@ func (cp *CompiledPlan) Results() [][]byte {
 // queue to drain, then appends its lane segments to the elapsed-time
 // timeline (no overlap).
 func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
-	c := cp.c
+	c := cp.owner.c
 	c.Flush()
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
@@ -268,12 +267,12 @@ func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
 }
 
 // runScheduleLocked executes one replay of cp on the comm's backend —
-// the full schedule on the functional backend, the precomputed charge
-// trace on the cost-only backend — publishes the rooted results, and
-// returns them with the run's breakdown: the trace total, which is what
-// either backend just added to the meter, free of the low-bit noise a
-// difference of cumulative meter snapshots would carry. The single
-// execution block shared by the serial (run) and asynchronous
+// the row's schedule, for cp as the running plan, on the functional
+// backend, the precomputed charge trace on the cost-only backend — and
+// returns the rooted results with the run's breakdown: the trace total,
+// which is what either backend just added to the meter, free of the
+// low-bit noise a difference of cumulative meter snapshots would carry.
+// The single execution block shared by the serial (run) and asynchronous
 // (execSubmitted) paths, so the two cannot drift apart in accounting.
 // Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
@@ -283,17 +282,16 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 	// evolves bit-identically to running its workload alone (tenant.go).
 	m := c.h.Meter()
 	m.SetRecorder(cp.owner.rec)
-	defer m.SetRecorder(nil)
+	cp.out, c.cur = nil, cp
+	defer func() { m.SetRecorder(nil); c.cur = nil }()
 	if c.backend.Functional() {
-		cp.out = nil
-		c.execute(cp.sched)
+		c.executeOn(c.backend, c.h, cp.sched)
 	} else {
 		for _, e := range cp.tr.adds {
 			m.Add(e.Cat, e.T)
 		}
 		c.h.ApplyStats(cp.tr.stats)
 	}
-	cp.lastOut = cp.out
 	return cp.out, cp.tr.total
 }
 
@@ -339,20 +337,20 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 }
 
 // compiled returns owner's plan for specs — one collective or a sequence
-// of them. A repeated signature is a lookup in the session's plans; a
-// miss builds the plan on the key's shape row, which traces nothing (and
-// on a cost-only comm lowers nothing), or traces a new row for every
-// session to share. A plan with a host-input member is never cached: its
-// schedule binds the caller's buffers by reference, so it serves that
-// call alone. The closed check runs under compMu, which Close takes,
-// after setting the flag, to drop the session's plans: a racing Close
-// either stops a compile or drops its plan.
-func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) {
-	key, cacheable := seqKey{head: specs[0].key}, true
+// of them — reading hosts. A repeated signature is a lookup in the
+// session's plans; a miss binds a plan to the key's shape row, which
+// lowers and traces nothing, or builds a new row for every session to
+// share. A plan with a host-input member is never cached: it binds the
+// caller's buffers by reference, so it serves that call alone. The closed
+// check runs under compMu, which Close takes, after setting the flag, to
+// drop the session's plans: a racing Close either stops a compile or
+// drops its plan.
+func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*CompiledPlan, error) {
+	key, cacheable := seqKey{head: specs[0].env.planKey}, true
 	for i, sp := range specs {
-		cacheable = cacheable && !shapes[sp.key.prim].hostInput()
+		cacheable = cacheable && !shapes[sp.env.prim].hostInput()
 		if i > 0 {
-			key.tail += fmt.Sprintf("%+v;", sp.key)
+			key.tail += fmt.Sprintf("%+v;", sp.env.planKey)
 		}
 	}
 	c.compMu.Lock()
@@ -366,11 +364,13 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant) (*CompiledPlan, error) 
 		c.cacheSt.TraceHits++
 		return cp, nil
 	}
-	cp := owner.planOn(row)
-	if built := c.buildLocked(specs, cp); row == nil {
-		c.rows[key] = built
+	traced := row != nil
+	if !traced {
+		row = c.buildLocked(specs)
+		c.rows[key] = row
 	}
-	c.countBuildLocked(cp, row != nil)
+	cp := owner.planOn(row, hosts)
+	c.countBuildLocked(cp, traced)
 	if cacheable {
 		if owner.plans == nil {
 			owner.plans = make(map[*planEntry]*CompiledPlan)
@@ -394,71 +394,57 @@ func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 	}
 }
 
-// planOn is the one constructor of a session's plan: t's plan on row (nil
-// until buildLocked traces one), at t's arena base.
-func (t *Tenant) planOn(row *planEntry) *CompiledPlan {
-	return &CompiledPlan{c: t.c, planEntry: row, owner: t, base: t.ar.base}
+// planOn is the one constructor of a session's plan: t's plan on row, at
+// t's arena base, reading hosts.
+func (t *Tenant) planOn(row *planEntry, hosts [][]byte) *CompiledPlan {
+	return &CompiledPlan{planEntry: row, owner: t, base: t.ar.base, hosts: hosts}
 }
 
-// lowers reports whether cp needs its schedule: to trace its row, or to
-// execute on the functional backend.
-func (cp *CompiledPlan) lowers() bool { return cp.planEntry == nil || cp.c.backend.Functional() }
-
-// buildLocked is the one plan builder; it returns cp's shape row. A plan
-// that does not lower is complete as made. Otherwise the members'
-// schedules are lowered fresh into cp, a sequence's concatenated into
-// one, and run through the fusion pipeline (fuse.go) — which is where the
-// cross-collective rewrites of a sequence happen. A plan without a row
-// traces one: the fused schedule as a single plan, the unfused one too
-// when a pass changed it (the report quotes the per-run saving), and each
-// member of a sequence. It touches neither cache nor counter; callers
-// hold compMu.
-func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan) *planEntry {
-	if !cp.lowers() {
-		return cp.planEntry
-	}
-	row, traced := cp.planEntry, cp.planEntry != nil
-	if !traced {
-		row = &planEntry{key: specs[0].key, members: make([]Primitive, len(specs))}
-		for i, sp := range specs {
-			row.members[i] = sp.key.prim
-			row.regs.add(sp.src, sp.dst, sp.consumed)
-		}
+// buildLocked is the one row builder, run on a row miss: the members'
+// schedules are lowered at arena-relative offsets, a sequence's
+// concatenated into one, and run through the fusion pipeline (fuse.go) —
+// which is where the cross-collective rewrites of a sequence happen — and
+// traced: the fused schedule as a single plan, the unfused one too when a
+// pass changed it (the report quotes the per-run saving), and each member
+// of a sequence. It touches neither cache nor counter; callers hold
+// compMu.
+func (c *Comm) buildLocked(specs []planSpec) *planEntry {
+	row := &planEntry{key: specs[0].env.planKey, members: make([]Primitive, len(specs))}
+	for i, sp := range specs {
+		row.members[i] = sp.env.prim
+		row.regs.add(sp.src, sp.dst, sp.consumed)
 	}
 	var sched *Schedule
 	if len(specs) == 1 { // a collective is its own schedule
-		sched = specs[0].schedule(cp)
+		sched = specs[0].schedule()
 	} else {
 		sched = &Schedule{}
 		names := make([]string, len(specs))
 		for i := range specs {
-			ms := specs[i].schedule(cp)
+			ms := specs[i].schedule()
 			names[i] = ms.Name
-			if !traced {
-				row.memberCosts = append(row.memberCosts, c.trace(ms).h.Meter().Snapshot())
-			}
+			row.memberCosts = append(row.memberCosts, c.trace(ms).h.Meter().Snapshot())
 			sched.Steps = append(sched.Steps, ms.Steps...)
 		}
 		sched.Name = "Seq(" + strings.Join(names, "+") + ")"
 	}
-	cp.sched = sched
 	rep := FusionReport{StepsBefore: len(sched.Steps), StepsAfter: len(sched.Steps)}
 	fused := sched.Steps
 	if c.fuse.enabled() {
 		fused, rep = fuseSteps(sched.Steps)
 	}
-	if !traced && rep.Changed() {
+	if rep.Changed() {
 		rep.CostBefore = c.trace(sched).h.Meter().Snapshot()
 	}
 	sched.Steps = fused
-	if !traced {
-		row.tr = c.traceSchedule(sched)
-		if rep.CostAfter = row.tr.total; !rep.Changed() {
-			rep.CostBefore = row.tr.total
-		}
-		row.fusion = rep
+	row.tr = c.traceSchedule(sched)
+	if c.backend.Functional() { // a cost-only run replays the trace
+		row.sched = sched
 	}
-	cp.planEntry = row
+	if rep.CostAfter = row.tr.total; !rep.Changed() {
+		rep.CostBefore = row.tr.total
+	}
+	row.fusion = rep
 	return row
 }
 
@@ -467,11 +453,11 @@ func (c *Comm) buildLocked(specs []planSpec, cp *CompiledPlan) *planEntry {
 // shape rows. Hit/miss counters are cumulative over the Comm's lifetime.
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count lookups in a session's plans. A miss
-	// pays validation and, unless the row exists or the comm is
-	// functional, nothing else: lowering and charge tracing are a new
-	// row's. Plans with a host-input member (Scatter, Broadcast) always
-	// miss — their schedules bind caller buffers — but still share rows.
-	// Plans the cluster layer builds past the cache count as misses.
+	// pays validation and, unless the row is new, nothing else: lowering
+	// and charge tracing are a new row's, on either backend. Plans with a
+	// host-input member (Scatter, Broadcast) always miss — they bind caller
+	// buffers — but still share rows. Plans the cluster layer builds past
+	// the cache count as misses.
 	PlanHits, PlanMisses uint64
 	// TraceHits and TraceMisses count shape-row lookups, Auto's candidate
 	// dry builds included; a plan hit counts a trace hit. A row depends

@@ -589,11 +589,11 @@ func TestTraceScheduleAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	c := costSystem(t, geo64, []int{8, 8})
-	lowered, err := freshPlan(c.s, traceAllReduce)
+	spec, err := c.specIn(c.s.ar, traceAllReduce, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := []*Schedule{lowered.sched}
+	scheds := []*Schedule{spec.schedule()} // a cost-only row keeps none
 	for _, n := range []int{2, 512} {
 		// Alternating host and network steps: n additions, n segments.
 		sched := &Schedule{Name: fmt.Sprintf("test/%d-steps", n)}

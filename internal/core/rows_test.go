@@ -11,7 +11,8 @@ import (
 )
 
 // freshPlan builds ds in session s from nothing, past the shape table:
-// the row it carries is traced for s's own placement.
+// the row it carries is built for s's own placement. The plan binds no
+// host payload: it is for comparing rows, not for running.
 func freshPlan(s *Tenant, ds ...Collective) (*CompiledPlan, error) {
 	specs := make([]planSpec, len(ds))
 	for i, d := range ds {
@@ -20,11 +21,9 @@ func freshPlan(s *Tenant, ds ...Collective) (*CompiledPlan, error) {
 			return nil, err
 		}
 	}
-	cp := s.planOn(nil)
 	s.c.compMu.Lock()
 	defer s.c.compMu.Unlock()
-	s.c.buildLocked(specs, cp)
-	return cp, nil
+	return s.planOn(s.c.buildLocked(specs), nil), nil
 }
 
 // placed returns prim's descriptor of per-PE payload m over groups of n
@@ -176,12 +175,13 @@ func rowSessions(t *testing.T, c *Comm, bytes int) (a, b *Tenant) {
 }
 
 // A second session's first compile of a shape the first session traced
-// finds its row. On a cost-only comm that plan is the row plus its
-// session: no schedule, no trace, the row's members and footprint at the
-// session's own base. On a functional comm it still lowers — its runs
-// execute the schedule — and moves the bytes the first session's plan
-// moves, at the same cost.
-func TestCostOnlyRowHitLowersNothing(t *testing.T) {
+// finds its row, and on either backend that plan is the row plus its
+// session: no lowering, no trace — it runs the row's schedule, which a
+// cost-only row does not keep — the row's members and footprint at the
+// session's own base. On a functional comm
+// its runs move the bytes the first session's plan moves, at the same
+// cost.
+func TestRowHitLowersNothing(t *testing.T) {
 	const m = 256
 	for _, costOnly := range []bool{true, false} {
 		cfg := Config{}
@@ -215,12 +215,12 @@ func TestCostOnlyRowHitLowersNothing(t *testing.T) {
 				t.Errorf("%s: the second session's compile booked %+v after %+v, want a trace hit", what, after, before)
 			case cp.planEntry != first.planEntry:
 				t.Errorf("%s: the second session's plan does not share the first's row, members and footprint", what)
+			case cp.sched != first.sched:
+				t.Errorf("%s: the second session's plan does not run the row's schedule", what)
+			case (cp.sched == nil) != costOnly:
+				t.Errorf("%s: the row keeps a schedule %v, want one only where it runs (functional)", what, cp.sched)
 			case cp.base != b.ar.base || first.base != a.ar.base || cp.base == first.base:
 				t.Errorf("%s: plans at bases %d and %d, want %d and %d", what, first.base, cp.base, a.ar.base, b.ar.base)
-			case costOnly && cp.sched != nil:
-				t.Errorf("%s: a cost-only row hit lowered a schedule", what)
-			case !costOnly && cp.sched == nil:
-				t.Errorf("%s: a functional row hit has no schedule to run", what)
 			}
 			want, _ := first.Run()
 			if got, _ := cp.Run(); got != want {
@@ -231,6 +231,53 @@ func TestCostOnlyRowHitLowersNothing(t *testing.T) {
 					t.Fatalf("%s: PE %d's arena differs between the sessions after a run", what, pe)
 				}
 			}
+		}
+	}
+}
+
+// A session's first compile of a traced shape allocates the same on
+// either backend: its plan, its plan map and, for a sequence, the key of
+// the members after the first. A functional row hit that lowered its own
+// schedule would add its steps and closures (about 14 and 40 objects).
+func TestRowHitCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m, runs = 256, 10
+	compile := func(costOnly bool, ds []Collective) float64 {
+		cfg := Config{}
+		if costOnly {
+			cfg.Backend = CostBackend()
+		}
+		c := newMachine(t, geoHost, []int{4, 4}, cfg)
+		sessions := make([]*Tenant, runs+2) // AllocsPerRun warms up once
+		for i := range sessions {
+			var err error
+			if sessions[i], err = c.NewTenant(TenantConfig{ArenaBytes: 4 * m}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sessions[0].CompileSequence(ds...); err != nil { // traces the row
+			t.Fatal(err)
+		}
+		next := sessions[1:]
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := next[0].CompileSequence(ds...); err != nil {
+				t.Fatal(err)
+			}
+			next = next[1:]
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		ds   []Collective
+		max  float64
+	}{{"AlltoAll", dlrmPair(m)[:1], 3}, {"DLRM pair", dlrmPair(m), 6}} {
+		cost, functional := compile(true, tc.ds), compile(false, tc.ds)
+		t.Logf("%s: %v objects functional, %v cost-only", tc.name, functional, cost)
+		if functional > cost || cost > tc.max {
+			t.Errorf("%s: a row hit allocates %v objects on a functional comm, %v on a cost-only one, want equal and <= %v",
+				tc.name, functional, cost, tc.max)
 		}
 	}
 }

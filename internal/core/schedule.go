@@ -156,8 +156,10 @@ type streamSeg struct {
 	body  func(sc *streamCtx, lo, hi int)
 }
 
-// RunShard implements par.Runner on the comm's per-shard stream contexts.
+// RunShard implements par.Runner on the comm's per-shard stream contexts,
+// at the running plan's arena base.
 func (sg *streamSeg) RunShard(shard, lo, hi int) {
+	sg.c.streams[shard].base = sg.c.cur.base
 	sg.body(sg.c.streams[shard], lo, hi)
 }
 
@@ -240,12 +242,14 @@ func (c *Comm) numPEBytes(perPE int) int64 {
 
 // The lowerX producers are the AlgoReference rows of the lowering table
 // (algorithm.go). Each reads the resolved call — comm, group plan,
-// absolute offsets, block size, element/op, concrete effective level —
-// from its algoEnv; the rooted ones also take the plan whose result
-// buffers they fill.
+// arena-relative offsets, block size, element/op, concrete effective
+// level — from its algoEnv. What differs per plan is read when the
+// schedule runs, off the comm's running plan (Comm.cur): the functional
+// backend adds its arena base, Scatter and Broadcast read its host
+// payloads, and the rooted ones fill its result buffers.
 
-func lowerAlltoAll(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
+func lowerAlltoAll(env *algoEnv) *Schedule {
+	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AlltoAll/" + lvl.String()}
@@ -334,8 +338,8 @@ func lowerAlltoAll(env *algoEnv, _ *CompiledPlan) *Schedule {
 // ReduceScatter and Reduce (Figure 8(b), § V-B2/B4)
 // ---------------------------------------------------------------------
 
-func lowerReduceScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
+func lowerReduceScatter(env *algoEnv) *Schedule {
+	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
@@ -414,11 +418,11 @@ func lowerReduceScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 }
 
 // lowerReduce lowers the rooted Reduce. The per-group host results land
-// in cp's rooted result buffers (cp.rootedBufs; published via Results);
-// the functional backend fills them, the cost-only backend leaves the
-// results nil.
-func lowerReduce(env *algoEnv, cp *CompiledPlan) *Schedule {
-	c, p, srcOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.s, env.t, env.op, env.eff
+// in the running plan's rooted result buffers (rootedBufs; published via
+// Results); the functional backend fills them, the cost-only backend
+// leaves the results nil.
+func lowerReduce(env *algoEnv) *Schedule {
+	c, p, srcOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "Reduce/" + lvl.String()}
@@ -439,7 +443,7 @@ func lowerReduce(env *algoEnv, cp *CompiledPlan) *Schedule {
 				{ChargeHostMem, int64(len(p.groups)) * int64(m)}, // result store
 			},
 			Modulate: func(stag []byte) []byte {
-				res := cp.rootedBufs(len(p.groups), m)
+				res := c.cur.rootedBufs(len(p.groups), m)
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
 					elem.Fill(t, res[g], op.Identity(t))
@@ -478,7 +482,7 @@ func lowerReduce(env *algoEnv, cp *CompiledPlan) *Schedule {
 			Charges: charges,
 			segs: []*streamSeg{{
 				c: c, cols: s / 8,
-				setup: func() { res = cp.rootedBufs(len(p.groups), m) },
+				setup: func() { res = c.cur.rootedBufs(len(p.groups), m) },
 				body: func(sc *streamCtx, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						e := i * 8
@@ -511,8 +515,8 @@ func lowerReduce(env *algoEnv, cp *CompiledPlan) *Schedule {
 // AllReduce (Figure 8(c), § V-B3)
 // ---------------------------------------------------------------------
 
-func lowerAllReduce(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.t, env.op, env.eff
+func lowerAllReduce(env *algoEnv) *Schedule {
+	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AllReduce/" + lvl.String()}
@@ -608,8 +612,8 @@ func lowerAllReduce(env *algoEnv, _ *CompiledPlan) *Schedule {
 // AllGather and Gather (Figure 8(a), § V-B1/B4)
 // ---------------------------------------------------------------------
 
-func lowerAllGather(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.eff
+func lowerAllGather(env *algoEnv) *Schedule {
+	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "AllGather/" + lvl.String()}
 	colB := c.columnBytes()
@@ -632,7 +636,7 @@ func lowerAllGather(env *algoEnv, _ *CompiledPlan) *Schedule {
 			// Single group: the gathered buffer is identical for every
 			// PE, so the driver's fast broadcast applies — one domain
 			// transfer total (§ VIII-E). The gathered image lives in a
-			// plan-owned buffer (allocated on first run) shared by the
+			// buffer of the schedule (allocated on first run) shared by the
 			// assembly and broadcast steps of this lowering.
 			var out []byte
 			perPE := n * s
@@ -702,8 +706,8 @@ func lowerAllGather(env *algoEnv, _ *CompiledPlan) *Schedule {
 	return sched
 }
 
-func lowerGather(env *algoEnv, cp *CompiledPlan) *Schedule {
-	c, p, srcOff, s, lvl := env.c, env.p, env.srcOff, env.s, env.eff
+func lowerGather(env *algoEnv) *Schedule {
+	c, p, srcOff, s, lvl := env.c, env.p, env.srcOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "Gather/" + lvl.String()}
 	if lvl == Baseline {
@@ -711,7 +715,7 @@ func lowerGather(env *algoEnv, cp *CompiledPlan) *Schedule {
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
 			Charges: []Charge{{ChargeHostMem, c.numPEBytes(s)}}, // copy out of staging
 			Modulate: func(stag []byte) []byte {
-				res := cp.rootedBufs(len(p.groups), n*s)
+				res := c.cur.rootedBufs(len(p.groups), n*s)
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
 					for i, pe := range grp {
@@ -733,7 +737,7 @@ func lowerGather(env *algoEnv, cp *CompiledPlan) *Schedule {
 			},
 			segs: []*streamSeg{{
 				c: c, cols: s / 8,
-				setup: func() { res = cp.rootedBufs(len(p.groups), n*s) },
+				setup: func() { res = c.cur.rootedBufs(len(p.groups), n*s) },
 				body: func(sc *streamCtx, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						e := i * 8
@@ -757,8 +761,8 @@ func lowerGather(env *algoEnv, cp *CompiledPlan) *Schedule {
 // Scatter and Broadcast (§ V-B4, § VIII-B)
 // ---------------------------------------------------------------------
 
-func lowerScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, bufs, dstOff, s, lvl := env.c, env.p, env.hosts, env.dstOff, env.s, env.eff
+func lowerScatter(env *algoEnv) *Schedule {
+	c, p, at, dstOff, s, lvl := env.c, env.p, env.hosts, env.dstOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "Scatter/" + lvl.String()}
 	if lvl == Baseline {
@@ -768,7 +772,7 @@ func lowerScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 			Write: true, WriteOff: dstOff, WritePerPE: s,
 			Charges: []Charge{{ChargeHostMem, c.numPEBytes(s)}}, // staging assembly
 			Modulate: func([]byte) []byte {
-				stag := c.bulkOut(len(p.rankOf) * s)
+				stag, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
 					for i, pe := range grp {
@@ -789,7 +793,7 @@ func lowerScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 				{ChargeHostMem, int64(len(p.groups)) * int64(n*s)}, // user-buffer reads
 			},
 			segs: []*streamSeg{c.streamBroadcast(dstOff, s, func(pe, e int) []byte {
-				return bufs[p.groupOf[pe]][int(p.rankOf[pe])*s+e:]
+				return c.cur.hosts[at+int(p.groupOf[pe])][int(p.rankOf[pe])*s+e:]
 			})},
 		})
 	}
@@ -797,8 +801,8 @@ func lowerScatter(env *algoEnv, _ *CompiledPlan) *Schedule {
 	return sched
 }
 
-func lowerBroadcast(env *algoEnv, _ *CompiledPlan) *Schedule {
-	c, p, bufs, dstOff, s := env.c, env.p, env.hosts, env.dstOff, env.s
+func lowerBroadcast(env *algoEnv) *Schedule {
+	c, p, at, dstOff, s := env.c, env.p, env.hosts, env.dstOff, env.s
 	// The native driver path is already near-optimal (§ VIII-B): one
 	// domain transfer per payload serves all PEs, so all optimization
 	// levels share this lowering.
@@ -814,7 +818,7 @@ func lowerBroadcast(env *algoEnv, _ *CompiledPlan) *Schedule {
 		Writes:  iters,
 		Charges: []Charge{{ChargeSIMD, iters * c.columnBytes()}},
 		segs: []*streamSeg{c.streamBroadcast(dstOff, s, func(pe, e int) []byte {
-			return bufs[p.groupOf[pe]][e:]
+			return c.cur.hosts[at+int(p.groupOf[pe])][e:]
 		})},
 	})
 	sched.add(&StepSync{})
@@ -822,7 +826,7 @@ func lowerBroadcast(env *algoEnv, _ *CompiledPlan) *Schedule {
 }
 
 // streamBroadcast builds the seg that streams host-side bytes into every
-// PE's region [dstOff, dstOff+perPE): for each element column it
+// PE's arena region [dstOff, dstOff+perPE): for each element column it
 // assembles one register per entangled group from lane(pe, e) and writes
 // it in PIM byte order. Iterations touch distinct columns, so the seg
 // shards freely. Shared by the Scatter/Broadcast/single-group-AllGather
@@ -837,7 +841,7 @@ func (c *Comm) streamBroadcast(dstOff, perPE int, lane func(pe, e int) []byte) *
 				for chip := 0; chip < dram.ChipsPerRank; chip++ {
 					r.SetLane(chip, lane(g*dram.ChipsPerRank+chip, e))
 				}
-				sc.sh.WriteBurst(g, dstOff+e, sc.vu.Transpose8x8(r))
+				sc.sh.WriteBurst(g, sc.base+dstOff+e, sc.vu.Transpose8x8(r))
 			}
 		}
 	}}

@@ -165,6 +165,9 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	if cfg.MaxPending < 0 {
 		return nil, fmt.Errorf("core: tenant %q MaxPending %d must be non-negative", name, cfg.MaxPending)
 	}
+	if cfg.Shed != ShedReject && cfg.Shed != ShedOldest {
+		return nil, fmt.Errorf("core: tenant %q has unknown shed policy %v", name, cfg.Shed)
+	}
 	ar, err := c.hc.sys.CarveArena(cfg.ArenaBytes)
 	if err != nil {
 		return nil, fmt.Errorf("core: tenant %q: %w", name, err)
@@ -294,6 +297,7 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	}
 	var one [1]planSpec
 	specs := one[:0]
+	var hosts [][]byte // one payload member's as is, several concatenated
 	for i, d := range ds {
 		sp, err := t.c.specIn(t.ar, d, false)
 		if err == nil && len(ds) > 1 && shapes[d.Prim].rooted() {
@@ -306,9 +310,14 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 			}
 			return nil, err
 		}
+		if sp.env.hosts = len(hosts); hosts == nil {
+			hosts = d.Hosts
+		} else if d.Hosts != nil {
+			hosts = append(slices.Clip(hosts), d.Hosts...)
+		}
 		specs = append(specs, sp)
 	}
-	return t.c.compiled(specs, t)
+	return t.c.compiled(specs, t, hosts)
 }
 
 // Run compiles (or fetches the cached plan for) d and executes one

@@ -17,10 +17,10 @@ import (
 // compared against the reference model on global-rank-concatenated
 // inputs, and — after each functional call — the same descriptor run on
 // a cost-only twin cluster, whose breakdown must match bit-for-bit.
-// The functional cluster runs every collective in its whole-cluster
-// session (base 0); the twin runs it in a session carved behind a pad
-// session, so the equal breakdowns also show that a cluster plan's
-// charges do not depend on its session's base.
+// The functional cluster runs every collective in a session carved behind
+// a pad session, so its bytes move at a nonzero arena base; the twin runs
+// it in its whole-cluster session (base 0), so the equal breakdowns also
+// show that a cluster plan's charges do not depend on its session's base.
 type ClusterScenario struct {
 	Geo   dram.Geometry
 	Shape []int
@@ -57,9 +57,9 @@ func RandomCluster(rng *rand.Rand) ClusterScenario {
 	}
 }
 
-// twinPad is the arena of the pad session the cost-only twin's session is
-// carved behind.
-const twinPad = 1 << 10
+// clusterPad is the arena of the pad session the functional cluster's
+// session is carved behind.
+const clusterPad = 1 << 10
 
 // cluster is a cluster of the scenario and the session its collectives
 // compile on.
@@ -68,8 +68,8 @@ type cluster struct {
 	s *core.ClusterTenant
 }
 
-// mkCluster builds a functional cluster on its whole-cluster session, or
-// a cost-only one on a session behind a twinPad pad.
+// mkCluster builds a functional cluster on a session behind a clusterPad
+// pad, or a cost-only one on its whole-cluster session.
 func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 	comms := make([]*core.Comm, sc.Hosts)
 	var cfg core.Config
@@ -86,14 +86,14 @@ func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 	if err != nil {
 		return cluster{}, err
 	}
-	if !costOnly {
+	if costOnly {
 		s, err := cl.Session()
 		return cluster{cl, s}, err
 	}
-	if _, err := cl.NewTenant(core.TenantConfig{Name: "pad", ArenaBytes: twinPad}); err != nil {
+	if _, err := cl.NewTenant(core.TenantConfig{Name: "pad", ArenaBytes: clusterPad}); err != nil {
 		return cluster{}, err
 	}
-	s, err := cl.NewTenant(core.TenantConfig{ArenaBytes: sc.Geo.MramPerBank - twinPad})
+	s, err := cl.NewTenant(core.TenantConfig{ArenaBytes: sc.Geo.MramPerBank - clusterPad})
 	return cluster{cl, s}, err
 }
 
@@ -128,7 +128,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		for g := range in {
 			in[g] = make([]byte, n)
 			rng.Read(in[g])
-			fn.Host(g/P).SetPEBuffer(ranks[g/P][g%P], off, in[g])
+			fn.s.Host(g/P).SetPEBuffer(ranks[g/P][g%P], off, in[g])
 		}
 		return in
 	}
@@ -151,7 +151,7 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		return nil
 	}
 	peAt := func(g, off, n int) []byte {
-		return fn.Host(g/P).GetPEBuffer(ranks[g/P][g%P], off, n)
+		return fn.s.Host(g/P).GetPEBuffer(ranks[g/P][g%P], off, n)
 	}
 
 	// AllReduce: m/P = S*H stays 8-byte aligned for the local leg.

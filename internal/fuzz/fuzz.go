@@ -8,8 +8,10 @@
 // AlltoAll→ReduceScatter chain through the schedule-fusion optimizer
 // (the default) and diffs the resulting MRAM against an unfused
 // execution, giving the peephole passes randomized coverage on every
-// run, and checks that nothing ran outside the one session of every
-// scenario machine: its meter equals its snapshot's, bit for bit.
+// run, and checks that nothing ran outside the sessions of every scenario
+// machine: its meter equals its snapshot's, bit for bit. Every scenario
+// session sits behind a pad session, so collectives run at a nonzero
+// arena base.
 package fuzz
 
 import (
@@ -132,8 +134,8 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 // Check runs every primitive under the scenario and returns an error
 // naming the first divergence from the reference model.
 func (sc Scenario) Check(rng *rand.Rand) error {
-	// Every primitive runs in the whole-MRAM session of a fresh machine; a
-	// scenario New rejects is reported once, here, so mk cannot fail on it.
+	// Every primitive runs in the session of a fresh machine; a scenario New
+	// rejects is reported once, here, so mk cannot fail on it.
 	if _, _, err := sc.session(core.FuseDefault); err != nil {
 		return err
 	}
@@ -289,11 +291,20 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 	return sc.checkFusedSequence(rng)
 }
 
+// scenarioPad is the arena of the pad session every scenario session is
+// carved behind: burst-aligned, and small enough that the rest of every
+// scenario geometry's 16 KiB banks holds the largest scenario footprint
+// (the fused sequence's 4m+s, at most 8224 bytes).
+const scenarioPad = 1032
+
 // session builds a fresh functional machine of the scenario at the given
-// fusion level and its whole-MRAM session (at offset 0).
+// fusion level and its session over the MRAM behind a scenarioPad pad.
 func (sc Scenario) session(fuse core.FuseLevel) (*core.Comm, *core.Tenant, error) {
 	c, err := core.New(sc.Geo, sc.Shape, core.Config{ExecWorkers: sc.Workers, Fuse: fuse})
 	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := c.NewTenant(core.TenantConfig{Name: "pad", ArenaBytes: scenarioPad}); err != nil {
 		return nil, nil, err
 	}
 	s, err := c.Session()
