@@ -93,12 +93,11 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 
 // algoEnv is the resolved call a lowering reads: its key (primitive,
 // effective level, arena-relative offsets, payload bytes, element/op), the
-// block size, its first payload's index in its plan's hosts, and the comm
-// and group plan whose sharded helpers (groupsDo, bulkOut) its closures
-// use. Closures run under the comm's execution lock, for its running plan.
+// group plan, the block size and its first payload's index in its plan's
+// hosts. It names no comm: the schedule's closures take the comm that
+// executes them, under its execution lock, for its running plan.
 type algoEnv struct {
 	planKey
-	c     *Comm
 	p     *plan
 	s     int // block size bytes/n (== bytes where the primitive has no blocks)
 	hosts int

@@ -153,9 +153,8 @@ type placedPlan struct {
 // neighbours and their detached rooted results) until dropped.
 type Future struct {
 	cp *CompiledPlan
-	// seq is the global submission sequence number, used by the
-	// weighted-fair scheduler to keep hazard-conflicting plans from
-	// different buckets in submission order. Guarded by asyncMu. cluster
+	// seq is the global submission sequence number: the FIFO policy's
+	// order and the deadline picks' tie-break. Guarded by asyncMu. cluster
 	// marks a cluster host plan (submit); it shares done's word, so a
 	// chunk of Futures stays in its size class.
 	seq     uint64
@@ -438,13 +437,14 @@ func (c *Comm) finishLocked(f *Future) {
 // empty. Callers hold asyncMu.
 //
 // Hazard safety is a funnel invariant no policy can break: a plan is a
-// candidate only if no earlier-submitted plan still queued anywhere
-// conflicts with it (conflictsQueuedEarlierLocked), so conflicting plans
-// always execute in submission order and byte-level results are
-// independent of the policy — it only chooses among independent plans.
-// The globally oldest queued plan is always a candidate (nothing earlier
-// is left to conflict with, and buckets are FIFO so it sits at index 0),
-// hence the pick cannot return nil while work is queued.
+// candidate only if no plan queued before it in its own bucket conflicts
+// with it, so conflicting plans always execute in submission order and
+// byte-level results are independent of the policy — it only chooses
+// among independent plans. Plans of two buckets never conflict: a bucket
+// is one tenant's, live tenant arenas are disjoint, and Tenant.Close
+// flushes and sweeps its bucket before it frees its arena for reuse.
+// Every bucket's head is a candidate (nothing is queued before it), hence
+// the pick cannot return nil while work is queued.
 func (c *Comm) pickLocked() *Future {
 	s := c.sched
 	win := s.Window(c.lookahead)
@@ -459,7 +459,7 @@ func (c *Comm) pickLocked() *Future {
 		}
 		for i := 0; i < depth; i++ {
 			f := q.q[i]
-			if c.conflictsQueuedEarlierLocked(f) {
+			if slices.ContainsFunc(q.q[:i], func(o *Future) bool { return f.cp.conflicts(o.cp) }) {
 				continue
 			}
 			cands = append(cands, Candidate{
@@ -503,23 +503,6 @@ func edfLess(a, b *Future) bool {
 		return false
 	}
 	return a.seq < b.seq
-}
-
-// conflictsQueuedEarlierLocked reports whether any earlier-submitted
-// plan still queued in any bucket (including f's own) carries a data
-// hazard against f — if so, f may not jump ahead. Callers hold asyncMu.
-func (c *Comm) conflictsQueuedEarlierLocked(f *Future) bool {
-	for _, q := range c.queues {
-		for _, o := range q.q {
-			if o.seq >= f.seq {
-				break // buckets are FIFO in seq order: the rest is later
-			}
-			if f.cp.conflicts(o.cp) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // asyncLoop is the per-Comm queue worker: it drains the buckets in

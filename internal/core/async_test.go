@@ -332,7 +332,7 @@ func failingPlan(c *testComm) *CompiledPlan {
 	sched := &Schedule{Name: "test/failing"}
 	sched.add(&StepHostCompute{
 		Charges: []Charge{{ChargeHostMem, 64}},
-		Run:     func() { panic("injected backend failure") },
+		Run:     func(*Comm) { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
 	c.compMu.Lock()

@@ -18,13 +18,14 @@ package core
 // One plan per role, bound per host: the hosts of § IX-A all do the same
 // thing, so compile builds once per role — hosts whose specs are validated
 // against and priced from the same things (hostRole: one comm
-// configuration, the session's arena being every host's; the root apart where a rooted wire or Flat singles it
-// out; each host of an AlltoAll apart, whose pack/unpack volumes follow
-// h). A later host's plan is the role's row bound to its own shard, like
-// any row hit: it lowers and traces nothing. On a functional cluster
-// every host is its own role, because its steps' closures bind its own
-// comm, h and staging; only a cost-only run, which replays the charge
-// trace and never executes a schedule, lets symmetric hosts share.
+// configuration, the session's arena being every host's; the root apart
+// where a rooted wire or Flat singles it out; each host of an AlltoAll
+// apart, whose pack/unpack volumes follow h). A later host's plan is the
+// role's row bound to its own shard and its own window of the staging
+// (clusterBuild.payloads), like any row hit: it lowers and traces
+// nothing. That holds on both backends: a lowered schedule holds no comm
+// and no host index — its steps run on the comm that executes them — so
+// the H executors of a functional cluster run one role's schedule at once.
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -159,17 +160,15 @@ func (b *barrier) await(action func()) {
 // clusterState is one cluster-cache entry: the per-descriptor shared
 // staging — what the network legs move between the hosts — and, when
 // cacheable, the plan. The staging is allocated once per descriptor and
-// bound into the per-host schedules at compile time, so cached replays
-// reuse it; the trailing fence barrier of every plan keeps run N+1 from
-// overwriting it while run N still streams. Buffers and barrier exist
-// only on the functional backend — cost-only sweeps to thousands of
-// hosts allocate no O(data) staging.
+// bound into the role rows' network legs and the host plans' payloads at
+// compile time, so cached replays reuse it; the trailing fence barrier of
+// every plan keeps run N+1 from overwriting it while run N still streams.
+// Buffers and barrier exist only on the functional backend — cost-only
+// sweeps to thousands of hosts allocate no O(data) staging.
 type clusterState struct {
 	// plan is the compiled plan, nil while uncompiled and for plans that
 	// capture a caller payload.
 	plan *ClusterPlan
-	// parts[h] is host h's published rooted-leg result for this run.
-	parts [][]byte
 	// global is the assembled / merged cluster-wide buffer the
 	// redistribution legs read (and rooted Results return).
 	global []byte
@@ -342,7 +341,7 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		}
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	roles := make(map[hostRole]*planEntry)
+	roles := make(map[hostRole]*clusterBuild)
 	shared := make([]bool, len(cl.comms)) // host h took its role's row
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
 	_, unknown := shapeOf(d.Prim)
@@ -355,23 +354,23 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		c.autoMu.Lock()
 		role := hostRole{geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
 		c.autoMu.Unlock()
-		if cl.functional || d.Prim == AlltoAll || rooted && h == d.Root {
+		if d.Prim == AlltoAll || rooted && h == d.Root {
 			role.h = h
 		}
-		row, hosts := roles[role], [][]byte(nil)
-		if shared[h] = row != nil; !shared[h] {
+		b := roles[role]
+		if shared[h] = b != nil; !shared[h] {
 			// Validated, lowered, fused and traced past the host's caches —
 			// this entry is the cache — by the role's first host only.
-			b, err := cl.hostSpecs(h, owner.ar, st, d)
-			if err != nil {
+			var err error
+			if b, err = cl.hostSpecs(h, owner.ar, st, d); err != nil {
 				return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 			}
 			c.compMu.Lock()
-			row, hosts = c.buildLocked(b.specs), b.hosts
+			b.row = c.buildLocked(b.specs)
 			c.compMu.Unlock()
-			roles[role] = row
+			roles[role] = b
 		}
-		cp.plans[h] = owner.planOn(row, hosts)
+		cp.plans[h] = owner.planOn(b.row, b.payloads(h))
 	}
 	// Booked on every host like any other miss, and cached, only now: a
 	// descriptor rejected at any host leaves no counter and no entry behind.
@@ -422,9 +421,9 @@ func (s *ClusterTenant) Close() error {
 
 // hostRole is everything besides the descriptor and the session's arena
 // that a host's specs are validated against and priced from (the header
-// states the rule); h is the host itself where the lowering reads it — on
-// a functional cluster, whose closures bind the host's comm, index and
-// staging, everywhere — and -1 everywhere else.
+// states the rule); h is the host itself where the lowering reads it — the
+// root of a rooted wire or Flat, every host of an AlltoAll — and -1
+// everywhere else.
 type hostRole struct {
 	geo    dram.Geometry
 	params cost.Params
@@ -514,7 +513,8 @@ var clusterShapes = [...]clusterShape{
 // the hierarchical lowering is gated against (pidbench -exp cluster).
 var clusterFlat = clusterShape{Gather, wireRooted, "flat:gather", Broadcast}
 
-// clusterBuild accumulates one host's member specs.
+// clusterBuild accumulates one host's member specs: a role's, whose row
+// every host of the role binds.
 type clusterBuild struct {
 	cl *Cluster
 	c  *Comm
@@ -526,9 +526,22 @@ type clusterBuild struct {
 	// m and s are the global call's per-PE payload and block size, as
 	// validated against the shape table.
 	m, s int
-	// specs are the members; hosts the host payloads their plan reads.
-	specs []planSpec
-	hosts [][]byte
+	// specs are the members and row their shape row (Compile builds it).
+	// Host h's redistribution leg reads win bytes of the staging at
+	// h*stride (payloads); win is 0 without one.
+	specs       []planSpec
+	row         *planEntry
+	win, stride int
+}
+
+// payloads returns the host payloads host h's plan reads: its window of
+// the staging — all of it (Broadcast) or its 1/H portion (Scatter) — or
+// nil without a redistribution leg or a staging (cost-only).
+func (b *clusterBuild) payloads(h int) [][]byte {
+	if b.win == 0 || b.st.global == nil {
+		return nil
+	}
+	return [][]byte{b.st.global[h*b.stride:][:b.win]}
 }
 
 // hostSpecs validates d for host h and lowers its members, arena-relative,
@@ -609,7 +622,7 @@ func (b *clusterBuild) local(d Collective) error {
 // net appends an inter-host network leg: rounds exchange rounds of
 // bytesPerRound each, charged through cost.NetParams onto the host's
 // network lane, plus (functional) the rendezvous run.
-func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func()) {
+func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(*Comm)) {
 	st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
 	// The cost-only twin gets an empty closure where the functional
 	// cluster has a rendezvous: the step must survive (or be elided by)
@@ -617,26 +630,25 @@ func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run fun
 	// dropped step would regroup the bus-time float additions and break
 	// the bit-exact functional/cost breakdown equality.
 	if st.Run = run; run != nil && !b.cl.functional {
-		st.Run = func() {}
+		st.Run = func(*Comm) {}
 	}
 	b.step("NetTransfer/"+name, span{}, span{}, st)
 }
 
 // await is the net-leg run of a pure rendezvous.
-func (st *clusterState) await() { st.bar.await(nil) }
+func (st *clusterState) await(*Comm) { st.bar.await(nil) }
 
 // member appends a hand-built member that reads src and writes dst of the
-// arena (an empty span: neither) and reads the host payloads hosts.
-func (b *clusterBuild) member(src, dst span, sched *Schedule, hosts [][]byte) {
+// arena (an empty span: neither).
+func (b *clusterBuild) member(src, dst span, sched *Schedule) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
 	b.specs = append(b.specs, planSpec{env: algoEnv{planKey: key}, src: src, dst: dst, sched: sched})
-	b.hosts = append(b.hosts, hosts...)
 }
 
 // step appends what every member but the redistribution is: one step and
 // its sync.
 func (b *clusterBuild) step(name string, src, dst span, st Step) {
-	b.member(src, dst, &Schedule{Name: name, Steps: []Step{st, &StepSync{}}}, nil)
+	b.member(src, dst, &Schedule{Name: name, Steps: []Step{st, &StepSync{}}})
 }
 
 // legs lowers one row of the leg table: local leg → wire → (Flat: root
@@ -668,48 +680,39 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	}
 	// The staging exists on the functional backend only: cost-only
 	// clusters keep everything nil so sweeps allocate no O(data) state.
-	if b.cl.functional {
-		if len(st.global) != global {
-			st.global = make([]byte, global)
-		}
-		if row.local != noLeg && len(st.parts) != H {
-			st.parts = make([][]byte, H)
-		}
+	if b.cl.functional && len(st.global) != global {
+		st.global = make([]byte, global)
 	}
-	// The wire's rendezvous: a host publishes what it brings — its local
-	// leg's rooted result, in the running plan's buffers, or at the root the
-	// caller's payload (the closure runs on the functional backend only,
-	// where check has required it) — and the last to arrive merges the
-	// parts (there are none without a local leg) into the global buffer.
-	// The closures get copies of the fields they read, not the 128-byte
-	// descriptor each.
-	c, elemT, op, flat, hosts := b.c, d.Elem, d.Op, d.Flat, d.Hosts
+	// The wire's rendezvous: the last host to arrive fills the global
+	// buffer, from the caller's payload where there is no local leg (the
+	// closure runs on the functional backend only, where check has required
+	// it), else from every host's local-leg rooted result — in the running
+	// plan (Comm.cur) of each, which the barrier's mutex publishes —
+	// concatenated in host order or reduced (a Flat part is P raw buffers).
+	// No host brings anything of its own, so every host runs the same
+	// step. The closures get copies of the fields they read, not the
+	// 128-byte descriptor each.
+	cl, c, elemT, op, hosts := b.cl, b.c, d.Elem, d.Op, d.Hosts
 	merge := func() {
-		if !sh.reducing {
-			for hh, p := range st.parts {
-				copy(st.global[hh*part:], p)
-			}
+		if row.local == noLeg {
+			copy(st.global, hosts[0])
 			return
 		}
-		bufs := st.parts
-		if flat { // each part is P raw buffers
-			bufs = make([][]byte, 0, H*P)
-			for _, p := range st.parts {
-				for j := 0; j < P; j++ {
-					bufs = append(bufs, p[j*m:(j+1)*m])
-				}
+		if sh.reducing {
+			elem.Fill(elemT, st.global, op.Identity(elemT))
+		}
+		for hh, hc := range cl.comms {
+			p := hc.cur.rooted[0]
+			if !sh.reducing {
+				copy(st.global[hh*part:], p)
+				continue
+			}
+			for o := 0; o < len(p); o += global {
+				elem.ReduceInto(elemT, op, st.global, p[o:o+global])
 			}
 		}
-		copy(st.global, RefReduce(elemT, op, bufs))
 	}
-	run := func() {
-		if row.local != noLeg {
-			st.parts[h] = c.cur.rooted[0]
-		} else if root {
-			copy(st.global, hosts[0])
-		}
-		st.bar.await(merge)
-	}
+	run := func(*Comm) { st.bar.await(merge) }
 
 	name, rounds, bytes := row.name, H-1, global/H // wireAllPairs
 	switch row.wire {
@@ -747,20 +750,16 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if row.redist == noLeg {
 		return nil
 	}
-	n, lo, hi := global, 0, global
-	if row.redist == Scatter {
-		n, lo, hi = b.s, h*(global/H), (h+1)*(global/H)
+	n := global
+	if b.win = global; row.redist == Scatter {
+		n, b.win, b.stride = b.s, global/H, global/H
 	}
 	_, eff, err := c.Resolve(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
 	if err != nil {
 		return err
 	}
-	var window [][]byte // cost-only: no staging, never dereferenced
-	if st.global != nil {
-		window = [][]byte{st.global[lo:hi]}
-	}
 	b.member(span{}, span{d.Dst.Off, n}, lowerings[row.redist][AlgoReference].lower(&algoEnv{
-		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, c: c, p: b.p, s: n}), window)
+		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, p: b.p, s: n}))
 	return nil
 }
 
@@ -808,11 +807,11 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 		return
 	}
 	per := (dstHi - dstLo) * PS
-	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
+	p, st, h, P := b.p, b.st, b.h, b.cl.p
 	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{
 		Read: true, ReadOff: readOff, ReadPerPE: per,
-		Charges: []Charge{{ChargeHostMem, c.numPEBytes(per)}}, // slab store
-		Modulate: func(stag []byte) []byte {
+		Charges: []Charge{{ChargeHostMem, p.numPEBytes(per)}}, // slab store
+		Modulate: func(_ *Comm, stag []byte) []byte {
 			grp := p.groups[0]
 			for j, pe := range grp {
 				src := stag[pe*per : (pe+1)*per]
@@ -836,14 +835,14 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 		return
 	}
 	per := (srcHi - srcLo) * PS
-	c, p, st, h, P := b.c, b.p, b.st, b.h, b.cl.p
+	p, st, h, P := b.p, b.st, b.h, b.cl.p
 	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{
 		Write: true, WriteOff: writeOff, WritePerPE: per,
 		Charges: []Charge{
-			{ChargeLocalMod, c.numPEBytes(per)}, // receive-side transpose
-			{ChargeHostMem, c.numPEBytes(per)},  // staging assembly
+			{ChargeLocalMod, p.numPEBytes(per)}, // receive-side transpose
+			{ChargeHostMem, p.numPEBytes(per)},  // staging assembly
 		},
-		Modulate: func([]byte) []byte {
+		Modulate: func(c *Comm, _ []byte) []byte {
 			out := c.bulkOut(len(p.rankOf) * per)
 			grp := p.groups[0]
 			for k, pe := range grp {

@@ -13,8 +13,9 @@ import (
 
 // perHostBuild is the oracle of the role rule: host h's plan the way
 // compile built every host before it knew roles — the host's own specs,
-// on a staging of their own, lowered, fused and traced from nothing.
-func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, error) {
+// on a staging of their own, lowered, fused and traced from nothing — and
+// that staging's global buffer.
+func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, []byte, error) {
 	cl := s.cl
 	c, owner := cl.comms[h], s.shards[h]
 	st := &clusterState{}
@@ -23,11 +24,21 @@ func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, 
 	}
 	b, err := cl.hostSpecs(h, owner.ar, st, d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	return owner.planOn(c.buildLocked(b.specs), b.hosts), nil
+	return owner.planOn(c.buildLocked(b.specs), b.payloads(h)), st.global, nil
+}
+
+// window locates a host payload in a staging's global buffer: its offset
+// (-1 if it is not a window of it) and its length.
+func window(b, global []byte) [2]int {
+	off := cap(global) - cap(b)
+	if len(b) == 0 || off < 0 || off+len(b) > len(global) || &global[off] != &b[0] {
+		off = -1
+	}
+	return [2]int{off, len(b)}
 }
 
 // stepNames renders a schedule's name and its steps' kinds in order.
@@ -40,9 +51,10 @@ func stepNames(s *Schedule) string {
 }
 
 // diffPlans names the first field in which got — a host plan out of
-// compile — is not what the per-host build of the same host produces, or
-// returns "".
-func diffPlans(got, want *CompiledPlan) string {
+// compile, on a staging whose global buffer is gotGlobal — is not what
+// the per-host build of the same host produces on wantGlobal, or returns
+// "". A host payload must be the same window of each staging.
+func diffPlans(got, want *CompiledPlan, gotGlobal, wantGlobal []byte) string {
 	switch {
 	case got.owner != want.owner || got.base != want.base:
 		return "bound to another host's tenant or base"
@@ -60,6 +72,11 @@ func diffPlans(got, want *CompiledPlan) string {
 		return fmt.Sprintf("steps %q, want %q", stepNames(got.sched), stepNames(want.sched))
 	case len(got.hosts) != len(want.hosts):
 		return fmt.Sprintf("%d host payloads, want %d", len(got.hosts), len(want.hosts))
+	}
+	for i := range got.hosts {
+		if g, w := window(got.hosts[i], gotGlobal), window(want.hosts[i], wantGlobal); g != w {
+			return fmt.Sprintf("host payload %d is the staging's window (offset, bytes) %v, want %v", i, g, w)
+		}
 	}
 	return ""
 }
@@ -165,11 +182,11 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 							t.Fatalf("cost-only=%v H=%d %s %v root %d: %v", costOnly, H, name, d.Prim, d.Root, err)
 						}
 						for h := 0; h < H; h++ {
-							want, err := perHostBuild(s, d, h)
+							want, global, err := perHostBuild(s, d, h)
 							if err != nil {
 								t.Fatal(err)
 							}
-							if diff := diffPlans(cp.HostPlan(h), want); diff != "" {
+							if diff := diffPlans(cp.HostPlan(h), want, cp.st.global, global); diff != "" {
 								t.Errorf("cost-only=%v H=%d %s %v/%v flat=%v root %d host %d: %s",
 									costOnly, H, name, d.Prim, d.Algorithm, d.Flat, d.Root, h, diff)
 							}
@@ -212,8 +229,9 @@ func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 }
 
 // The role's first host pays for a plan; every other symmetric host of a
-// cold cost-only AllReduce costs a bounded handful of objects — its bound
-// copy of the role's plan — where a build of its own cost thousands.
+// cold AllReduce costs a bounded handful of objects — its bound copy of
+// the role's plan — where a build of its own cost thousands, on either
+// backend.
 func TestClusterCompileAllocsPerHost(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -221,19 +239,62 @@ func TestClusterCompileAllocsPerHost(t *testing.T) {
 	const m = 64 * 16 * 8
 	d := ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 		Src: Span(0, m), Dst: At(m), Elem: elem.I32, Op: elem.Sum, Level: IM}}
-	cold := func(H int) float64 {
-		// AllocsPerRun calls once to warm up and once to count: a cluster each.
-		cls := []*sessionCluster{sessionTestCluster(t, H, geoHost, []int{16}, true), sessionTestCluster(t, H, geoHost, []int{16}, true)}
-		return testing.AllocsPerRun(1, func() {
-			if _, err := cls[0].Compile(d); err != nil {
+	for _, costOnly := range []bool{true, false} {
+		cold := func(H int) float64 {
+			// AllocsPerRun calls once to warm up and once to count: a cluster each.
+			cls := []*sessionCluster{sessionTestCluster(t, H, geoHost, []int{16}, costOnly), sessionTestCluster(t, H, geoHost, []int{16}, costOnly)}
+			return testing.AllocsPerRun(1, func() {
+				if _, err := cls[0].Compile(d); err != nil {
+					t.Fatal(err)
+				}
+				cls = cls[1:]
+			})
+		}
+		a8, a64 := cold(8), cold(64)
+		if perHost := (a64 - a8) / 56; perHost > 8 {
+			t.Errorf("cost-only=%v cold compile: %v allocs on 8 hosts, %v on 64: %v per extra symmetric host, want <= 8", costOnly, a8, a64, perHost)
+		}
+	}
+}
+
+// Only a role's first host traces: compiling every row of the leg table
+// on a functional cluster, at the first and the last root, books a trace
+// miss on the first host of each role — every host of an AlltoAll, the
+// root where the wire or Flat singles it out, the first of the rest — and
+// a trace hit on every other host.
+func TestFunctionalClusterHostsShareRoleRows(t *testing.T) {
+	const H = 4
+	s := sessionTestCluster(t, H, geoHost, []int{16}, false).s
+	for _, d := range roleDescs(H, true) {
+		for _, d.Root = range []int{0, H - 1} {
+			before := make([]PlanCacheStats, H)
+			for h, c := range s.cl.comms {
+				before[h] = c.Snapshot().PlanCache
+			}
+			if _, err := s.Compile(d); err != nil {
 				t.Fatal(err)
 			}
-			cls = cls[1:]
-		})
-	}
-	a8, a64 := cold(8), cold(64)
-	if perHost := (a64 - a8) / 56; perHost > 8 {
-		t.Errorf("cold compile: %v allocs on 8 hosts, %v on 64: %v per extra symmetric host, want <= 8", a8, a64, perHost)
+			alone := d.Prim == AlltoAll
+			rooted := d.Flat || clusterShapes[d.Prim].wire == wireRooted
+			first := 0 // the first host of the symmetric role
+			if rooted && d.Root == 0 {
+				first = 1
+			}
+			for h, c := range s.cl.comms {
+				st := c.Snapshot().PlanCache
+				hits, misses := st.TraceHits-before[h].TraceHits, st.TraceMisses-before[h].TraceMisses
+				// A role's first host books its row's miss, and an Auto leg's
+				// dry builds besides.
+				if alone || rooted && h == d.Root || h == first {
+					if misses == 0 {
+						t.Errorf("%v/%v flat=%v root %d: first host %d of its role booked no trace miss", d.Prim, d.Algorithm, d.Flat, d.Root, h)
+					}
+				} else if hits != 1 || misses != 0 {
+					t.Errorf("%v/%v flat=%v root %d: host %d booked %d trace hits, %d misses; want its role's row: 1 hit",
+						d.Prim, d.Algorithm, d.Flat, d.Root, h, hits, misses)
+				}
+			}
+		}
 	}
 }
 
@@ -253,7 +314,7 @@ func TestStagedRoundsAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, c: c.Comm, p: p, s: 8}
+		e := &algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, p: p, s: 8}
 		var steps int
 		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e).Steps) })
 		return allocs, steps

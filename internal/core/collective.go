@@ -329,7 +329,7 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 		// blocks before later source blocks are read. Auto skips IM/CM.
 		return planSpec{}, fmt.Errorf("core: %v/%v cannot run in place: the streaming engine overwrites source blocks before reading them; use Baseline, PR or Auto", d.Prim.LongName(), eff)
 	}
-	spec = planSpec{env: algoEnv{planKey: planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}, c: c, p: p, s: s}}
+	spec = planSpec{env: algoEnv{planKey: planKey{prim: d.Prim, dims: d.Dims, bytes: m, lvl: eff, algo: alg}, p: p, s: s}}
 	env := &spec.env
 	if sh.reducing {
 		env.elemType, env.op = d.Elem, d.Op

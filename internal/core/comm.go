@@ -119,14 +119,20 @@ type Comm struct {
 	// Parallel-execution state, all guarded by execMu (the per-shard
 	// contexts are only touched while an execution holds the lock). egs
 	// is precomputed at construction and immutable, so the tracing path
-	// (under compMu) may read it too.
-	cur     *CompiledPlan // the running plan (runScheduleLocked)
-	egs     []int         // [0..numGroups): every entangled group
-	streams []*streamCtx  // per-shard streaming contexts (engine.go)
-	modBuf  []byte        // reusable Modulate output arena (bulkOut)
-	slabs   [][]byte      // per-shard scratch slabs (groupsDoScratch)
+	// (under compMu) may read it too. cur is the running plan
+	// (runScheduleLocked): the steps read it, and so do a functional
+	// cluster's peers at the wire rendezvous, whose barrier publishes it.
+	// rotKern is rotate, bound on the first functional launch, for rotStep.
+	cur     *CompiledPlan
+	egs     []int        // [0..numGroups): every entangled group
+	streams []*streamCtx // per-shard streaming contexts (engine.go)
+	modBuf  []byte       // reusable Modulate output arena (bulkOut)
+	slabs   [][]byte     // per-shard scratch slabs (groupsDoScratch)
+	rotKern dpu.Kernel
+	rotStep *StepRotateBlocks
 	grun    groupRunner
 	gsrun   groupScratchRunner
+	srun    segRunner
 }
 
 // Config is everything about a Comm a caller can choose. New applies it
@@ -261,6 +267,19 @@ func (c *Comm) groupsDo(n int, fn func(g int)) {
 	c.grun.fn = nil
 }
 
+// segRunner is groupRunner for a streaming seg's body: it runs on the
+// comm's per-shard streaming contexts at the running plan's arena base.
+type segRunner struct {
+	c    *Comm
+	body func(sc *streamCtx, lo, hi int)
+}
+
+func (sr *segRunner) RunShard(shard, lo, hi int) {
+	sc := sr.c.streams[shard]
+	sc.base = sr.c.cur.base
+	sr.body(sc, lo, hi)
+}
+
 // groupScratchRunner is groupRunner plus a per-shard scratch slab.
 type groupScratchRunner struct {
 	c     *Comm
@@ -299,7 +318,10 @@ func (c *Comm) groupsDoScratch(n, bytes int, fn func(g int, scratch []byte)) {
 // Every staged (StepBulk) Modulate that fully overwrites its output uses
 // it, so cached replays allocate no fresh buffer per step. At most one
 // Bulk step is in flight at a time (steps execute sequentially), so a
-// single arena suffices. Callers hold execMu.
+// single arena suffices — and hands data on to a later step where no Bulk
+// step runs in between: the ring/tree AllReduce snapshot and the
+// single-group AllGather image live there, not on the schedule. Callers
+// hold execMu.
 func (c *Comm) bulkOut(n int) []byte {
 	if cap(c.modBuf) < n {
 		c.modBuf = make([]byte, n)

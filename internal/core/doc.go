@@ -61,7 +61,9 @@
 //     conventional staged host pass), StepColumnStream (one streaming
 //     epoch of the optimized engine), StepHostCompute and StepSync. Each
 //     step carries both the functional closures that move bytes and the
-//     declarative charge counts the cost-only backend needs.
+//     declarative charge counts the cost-only backend needs. A schedule
+//     holds no comm and no run state: its closures take the comm that
+//     executes them, so one schedule serves every comm of its shape.
 //   - Backend (exec.go) executes steps: the functional backend moves real
 //     bytes; the cost-only backend charges the identical cost (pinned
 //     bit-for-bit by exec_test.go) while moving nothing — the engine for
@@ -128,7 +130,7 @@
 // knob). Replay of a warmed
 // CompiledPlan is also allocation-free on the streaming paths: scratch
 // lives in per-shard arenas, rooted results in plan-owned buffers, and
-// kernels are cached on their steps (TestReplayAllocs*).
+// every rotation launches the comm's one bound kernel (TestReplayAllocs*).
 //
 // # Asynchronous execution
 //
@@ -198,5 +200,5 @@
 //	Figure 8      lowerReduceScatter / lowerAllReduce / lowerAllGather
 //	Figure 9      shiftColumn (engine.go)
 //	Table I, II   support.go (TableI, TableII, TechniqueApplies)
-//	§ V-A1        rotateBlocksKernel (engine.go)
+//	§ V-A1        (*Comm).rotate (engine.go)
 package core

@@ -17,10 +17,13 @@ type column []vec.Reg
 // ColumnStream epoch: a host shard (private bus tallies and vector unit)
 // plus preallocated column buffers, so the steady-state streaming loops
 // allocate nothing. Contexts are created once per shard slot on the Comm
-// (ensureStreams) and reused across runs; each is owned by exactly one
-// worker for the duration of a par.Do call, which sets base to the running
-// plan's arena base: the lowerings stream offsets relative to it.
+// c (ensureStreams) and reused across runs; each is owned by exactly one
+// worker for the duration of a par.Do call, whose segRunner sets base to
+// c's running plan's arena base: the lowerings stream offsets relative to
+// it, and read the rest of the run (rooted results, host payloads) off
+// c.cur.
 type streamCtx struct {
+	c    *Comm
 	sh   *host.Shard
 	vu   vec.Unit // scratch transposes; cost is charged declaratively
 	a    column   // read target
@@ -113,17 +116,13 @@ func (c *Comm) ensureStreams(k int) {
 	for len(c.streams) < k {
 		i := len(c.streams)
 		c.streams = append(c.streams, &streamCtx{
+			c:  c,
 			sh: shards[i],
 			a:  make(column, nEG),
 			b:  make(column, nEG),
 			ac: make(column, nEG),
 		})
 	}
-}
-
-// columnBytes is the data volume of one column, for charge computations.
-func (c *Comm) columnBytes() int64 {
-	return int64(c.hc.sys.Geometry().NumGroups()) * dram.BurstBytes
 }
 
 // rotateBlocksWork returns the per-PE accounted work of a non-trivial
@@ -138,48 +137,46 @@ func rotateBlocksWork(m int) (instr, mramBytes int64) {
 	return int64((m + 3) / 4), int64(2 * m)
 }
 
-// rotateBlocksKernel builds the PE-assisted reordering kernel (§ V-A1)
-// for a rotation step of c's: each PE's region [Off, Off+N*S) of the
-// running plan's arena (c.cur) is treated as N blocks of S bytes and
-// left-rotated by Rot(rank) blocks: new block l = old block (l + rot)
-// mod n. The kernel streams MRAM through WRAM-sized chunks; the paper's
-// incremental shifting touches each byte once in and once out, which is
-// what the accounting reflects. The built kernel is cached on the step
-// (functional replays launch it with no per-run closure allocation).
-func rotateBlocksKernel(c *Comm, st *StepRotateBlocks) dpu.Kernel {
-	return func(ctx *dpu.Ctx) {
-		r := st.Rot(ctx.GroupRank) % st.N
-		if r < 0 {
-			r += st.N
-		}
-		if r == 0 {
-			return // nothing to move; kernel exits immediately
-		}
-		m, off := st.N*st.S, c.cur.base+st.Off
-		// Read the full region through WRAM-sized chunks into a rotation
-		// pipeline, then write each block to its rotated position. The
-		// arena buffer models the double-buffered WRAM streaming of the
-		// real kernel; MRAM traffic (the dominant cost) is fully accounted.
-		tmp := ctx.Buf(m)
-		chunk := len(ctx.Wram()) / 2
-		for o := 0; o < m; o += chunk {
-			end := o + chunk
-			if end > m {
-				end = m
-			}
-			ctx.ReadMram(off+o, tmp[o:end])
-		}
-		for l := 0; l < st.N; l++ {
-			srcBlock := (l + r) % st.N
-			for o := 0; o < st.S; o += chunk {
-				end := o + chunk
-				if end > st.S {
-					end = st.S
-				}
-				ctx.WriteMram(off+l*st.S+o, tmp[srcBlock*st.S+o:srcBlock*st.S+end])
-			}
-		}
-		instr, _ := rotateBlocksWork(m) // address arithmetic; DMA accounted above
-		ctx.Exec(instr)
+// rotate is the comm's one PE-assisted reordering kernel (§ V-A1), run for
+// the rotation step being launched (c.rotStep): each PE's region [Off,
+// Off+N*S) of the running plan's arena (c.cur) is treated as N blocks of
+// S bytes and left-rotated by Rot(rank) blocks: new block l = old block
+// (l + rot) mod n. The kernel streams MRAM through WRAM-sized chunks; the
+// paper's incremental shifting touches each byte once in and once out,
+// which is what the accounting reflects.
+func (c *Comm) rotate(ctx *dpu.Ctx) {
+	st := c.rotStep
+	r := st.Rot(ctx.GroupRank) % st.N
+	if r < 0 {
+		r += st.N
 	}
+	if r == 0 {
+		return // nothing to move; kernel exits immediately
+	}
+	m, off := st.N*st.S, c.cur.base+st.Off
+	// Read the full region through WRAM-sized chunks into a rotation
+	// pipeline, then write each block to its rotated position. The
+	// arena buffer models the double-buffered WRAM streaming of the
+	// real kernel; MRAM traffic (the dominant cost) is fully accounted.
+	tmp := ctx.Buf(m)
+	chunk := len(ctx.Wram()) / 2
+	for o := 0; o < m; o += chunk {
+		end := o + chunk
+		if end > m {
+			end = m
+		}
+		ctx.ReadMram(off+o, tmp[o:end])
+	}
+	for l := 0; l < st.N; l++ {
+		srcBlock := (l + r) % st.N
+		for o := 0; o < st.S; o += chunk {
+			end := o + chunk
+			if end > st.S {
+				end = st.S
+			}
+			ctx.WriteMram(off+l*st.S+o, tmp[srcBlock*st.S+o:srcBlock*st.S+end])
+		}
+	}
+	instr, _ := rotateBlocksWork(m) // address arithmetic; DMA accounted above
+	ctx.Exec(instr)
 }

@@ -29,11 +29,14 @@ type Backend interface {
 	// buffers are never dereferenced (only their sizes are validated).
 	Functional() bool
 
-	// Step handlers receive the host the execution accounts against: the
-	// comm's own host normally, or its one scratch tracer's, reset per
-	// trace, while a compile traces charges (plan.go). Functional execution
-	// runs on the comm's own host for its running plan (Comm.cur), adding
-	// the plan's arena base to the steps' arena-relative offsets.
+	// Step handlers receive the comm that executes the step and the host
+	// the execution accounts against: the comm's own host normally, or its
+	// one scratch tracer's, reset per trace, while a compile traces charges
+	// (plan.go). A schedule holds no comm: the handlers pass c on to every
+	// closure a step carries, so one lowered schedule runs on any comm of
+	// its shape — every host of a cluster role at once. Functional
+	// execution runs on c's own host for its running plan (Comm.cur),
+	// adding the plan's arena base to the steps' arena-relative offsets.
 	rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks)
 	bulk(c *Comm, h *host.Host, st *StepBulk)
 	columnStream(c *Comm, h *host.Host, st *StepColumnStream)
@@ -43,7 +46,8 @@ type Backend interface {
 func CostBackend() Backend { return costBackend{} }
 
 // executeOn is the single execution loop every collective goes through:
-// it runs sched's steps on backend b, accounting against host h.
+// it runs sched's steps on backend b with c as the executing comm,
+// accounting against host h.
 func (c *Comm) executeOn(b Backend, h *host.Host, sched *Schedule) {
 	for _, st := range sched.Steps {
 		switch s := st.(type) {
@@ -55,12 +59,12 @@ func (c *Comm) executeOn(b Backend, h *host.Host, sched *Schedule) {
 			b.columnStream(c, h, s)
 		case *StepHostCompute:
 			if s.Run != nil && b.Functional() {
-				s.Run()
+				s.Run(c)
 			}
 			applyCharges(h, s.Charges)
 		case *StepNetTransfer:
 			if s.Run != nil && b.Functional() {
-				s.Run()
+				s.Run(c)
 			}
 			h.ChargeNetRounds(s.Rounds, s.Bytes)
 		case *StepSync:
@@ -79,19 +83,17 @@ func (functionalBackend) Name() string     { return "functional" }
 func (functionalBackend) Functional() bool { return true }
 
 func (functionalBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks) {
-	if st.kern == nil {
-		// Built lazily (under execMu) so steps synthesized by the fusion
-		// pipeline (merged rotations) get a kernel too; cached on the
-		// step so replays launch without rebuilding the closure.
-		st.kern = rotateBlocksKernel(c, st)
+	if c.rotKern == nil { // bound here, not in New: a cost-only comm never pays for it
+		c.rotKern = c.rotate
 	}
+	c.rotStep = st
 	pes, ranks := st.p.launchLists()
 	c.eng.Launch(dpu.LaunchSpec{
 		PEs:        pes,
 		GroupRanks: ranks,
 		Category:   cost.PEMod,
 		Workers:    c.workers,
-	}, h.Meter(), st.kern)
+	}, h.Meter(), c.rotKern)
 }
 
 func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
@@ -101,7 +103,7 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	}
 	out := stag
 	if st.Modulate != nil {
-		out = st.Modulate(stag)
+		out = st.Modulate(c, stag)
 	}
 	applyCharges(h, st.Charges)
 	if st.Write {
@@ -111,7 +113,7 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 
 // columnStream runs the epoch's segs in order: each seg's setup runs
 // serially, then its column loop is sharded across the worker pool on
-// per-shard streaming contexts, and the shard-local bus tallies merge
+// c's per-shard streaming contexts (segRunner), and the shard-local bus tallies merge
 // deterministically before the next seg starts. The inter-seg barrier
 // (par.Do returns only when every shard finished) preserves
 // read-after-write dependencies between segs of fusion-coalesced epochs;
@@ -122,7 +124,7 @@ func (functionalBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStrea
 	h.BeginXfer()
 	for _, sg := range st.segs {
 		if sg.setup != nil {
-			sg.setup()
+			sg.setup(c)
 		}
 		if sg.body == nil || sg.cols <= 0 {
 			continue
@@ -132,7 +134,8 @@ func (functionalBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStrea
 			shards = sg.cols
 		}
 		c.ensureStreams(shards)
-		par.Do(workers, sg.cols, sg)
+		c.srun.c, c.srun.body = c, sg.body
+		par.Do(workers, sg.cols, &c.srun)
 		h.MergeShards()
 	}
 	h.EndXfer()

@@ -230,11 +230,11 @@ func FuzzClusterCompile(f *testing.F) {
 				continue
 			}
 			for h := range cl.comms {
-				want, err := perHostBuild(s, d, h)
+				want, global, err := perHostBuild(s, d, h)
 				if err != nil {
 					t.Fatalf("host %d: compile accepted what the per-host build rejects: %v", h, err)
 				}
-				if diff := diffPlans(cp.HostPlan(h), want); diff != "" {
+				if diff := diffPlans(cp.HostPlan(h), want, cp.st.global, global); diff != "" {
 					t.Fatalf("host %d of %+v: %s", h, d, diff)
 				}
 			}

@@ -68,40 +68,37 @@ func treeSenders(n int) []int {
 
 // stagedAllReduce wraps an AllReduce shape's hops between the snapshot
 // and the write-back. The opening bulk read copies every PE's payload
-// into the schedule's buffer the wire rounds conceptually pass around
-// (the staging slab is reused by later steps, so the copy is mandatory —
-// and charged as host-memory traffic). The closing bulk write lands each
-// group's canonical-rank-order reduction, replicated to every member —
-// the reference Baseline modulation's arithmetic; the hops already
-// charged the reduction and replication work, so it carries only the
-// write traffic itself.
+// into the buffer the wire rounds conceptually pass around, the executing
+// comm's modulation arena (Comm.bulkOut: the hops run no Bulk step, so it
+// survives to the close; the staging slab does not, so the copy is
+// mandatory — and charged as host-memory traffic). The closing bulk write
+// reduces each group in place to its canonical-rank-order reduction,
+// replicated to every member — the reference Baseline modulation's
+// arithmetic; the hops already charged the reduction and replication
+// work, so it carries only the write traffic itself.
 func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
-	c, p, m, t, op := e.c, e.p, e.bytes, e.elemType, e.op
-	var data []byte
+	p, m, t, op := e.p, e.bytes, e.elemType, e.op
 	return stagedRounds(name, &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
-		Charges: []Charge{{ChargeHostMem, c.numPEBytes(m)}},
-		Modulate: func(stag []byte) []byte {
-			if data == nil {
-				data = make([]byte, len(stag))
-			}
-			copy(data, stag)
+		Charges: []Charge{{ChargeHostMem, p.numPEBytes(m)}},
+		Modulate: func(c *Comm, stag []byte) []byte {
+			copy(c.bulkOut(len(stag)), stag)
 			return nil
 		},
 	}, hops, &StepBulk{
 		Write: true, WriteOff: e.dstOff, WritePerPE: m,
-		Modulate: func([]byte) []byte {
-			out := c.bulkOut(len(data))
+		Modulate: func(c *Comm, _ []byte) []byte {
+			data := c.bulkOut(len(p.rankOf) * m)
 			c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
 				elem.Fill(t, red, op.Identity(t))
 				for _, pe := range p.groups[g] {
 					elem.ReduceInto(t, op, red, data[pe*m:(pe+1)*m])
 				}
 				for _, pe := range p.groups[g] {
-					copy(out[pe*m:(pe+1)*m], red)
+					copy(data[pe*m:(pe+1)*m], red)
 				}
 			})
-			return out
+			return data
 		},
 	})
 }
@@ -113,7 +110,7 @@ func lowerRingAllReduce(e *algoEnv) *Schedule {
 	hops := make([]hop, 0, 2*(e.p.n-1))
 	for _, work := range []ChargeKind{ChargeScalarReduce, ChargeSIMD} {
 		for r := 1; r < e.p.n; r++ {
-			hops = append(hops, hop{work, e.c.numPEBytes(e.s)})
+			hops = append(hops, hop{work, e.p.numPEBytes(e.s)})
 		}
 	}
 	return stagedAllReduce(e, "AllReduce/ring", hops)
@@ -137,14 +134,14 @@ func lowerTreeAllReduce(e *algoEnv) *Schedule {
 // sync barrier, then an AllGather pass that reads the blocks back and
 // assembles the full replicated result.
 func lowerRsagAllReduce(e *algoEnv) *Schedule {
-	c, p, m, s, t, op := e.c, e.p, e.bytes, e.s, e.elemType, e.op
+	p, m, s, t, op := e.p, e.bytes, e.s, e.elemType, e.op
 	reduceScatter := &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
 		// The whole input is reduced once, same volume as the reference —
 		// just block-sharded across ranks.
-		Charges: []Charge{{ChargeScalarReduce, c.numPEBytes(m)}},
-		Modulate: func(stag []byte) []byte {
+		Charges: []Charge{{ChargeScalarReduce, p.numPEBytes(m)}},
+		Modulate: func(c *Comm, stag []byte) []byte {
 			out := c.bulkOut(len(p.rankOf) * s)
 			c.groupsDoScratch(len(p.groups), s, func(g int, red []byte) {
 				pes := p.groups[g]
@@ -164,8 +161,8 @@ func lowerRsagAllReduce(e *algoEnv) *Schedule {
 		Write: true, WriteOff: e.dstOff, WritePerPE: m,
 		// Replication pass over all output, memcpy class — the reference's
 		// second charge.
-		Charges: []Charge{{ChargeSIMD, c.numPEBytes(m)}},
-		Modulate: func(stag []byte) []byte {
+		Charges: []Charge{{ChargeSIMD, p.numPEBytes(m)}},
+		Modulate: func(c *Comm, stag []byte) []byte {
 			out := c.bulkOut(len(p.rankOf) * m)
 			c.groupsDo(len(p.groups), func(g int) {
 				pes := p.groups[g]
@@ -188,11 +185,11 @@ func lowerRsagAllReduce(e *algoEnv) *Schedule {
 // already charged the wire; the payload fan-out into the PE-major buffer
 // is memcpy class).
 func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
-	c, p, s, at := e.c, e.p, e.bytes, e.hosts
+	p, s, at := e.p, e.bytes, e.hosts
 	return stagedRounds(name, nil, hops, &StepBulk{
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
-		Charges: []Charge{{ChargeSIMD, c.numPEBytes(s)}},
-		Modulate: func([]byte) []byte {
+		Charges: []Charge{{ChargeSIMD, p.numPEBytes(s)}},
+		Modulate: func(c *Comm, _ []byte) []byte {
 			out, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 			c.groupsDo(len(p.groups), func(g int) {
 				for _, pe := range p.groups[g] {

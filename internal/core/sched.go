@@ -10,7 +10,8 @@ import (
 // This file is the scheduler seam of the submission queue: a static
 // table (schedulers) maps SchedPolicy values to Scheduler
 // implementations. pickLocked (async.go) is the single funnel: it
-// enumerates the hazard-free candidates near every bucket's head, hands
+// enumerates the hazard-free candidates near every bucket's head (no
+// earlier plan of the bucket conflicts; tenant arenas are disjoint), hands
 // them to the active policy's Pick, and performs the shared bookkeeping
 // (queue removal, weighted-fair virtual-time advance). A policy therefore
 // only decides *who runs next among independent plans* — hazard ordering,
@@ -35,8 +36,9 @@ import (
 const DefaultLookahead = 32
 
 // Candidate is one hazard-free queued plan offered to a Scheduler's Pick:
-// no earlier-submitted plan still queued anywhere conflicts with it, so
-// serving it next cannot reorder a data dependence.
+// no plan queued before it in its bucket conflicts with it, and no plan of
+// another bucket can (tenant arenas are disjoint), so serving it next
+// cannot reorder a data dependence.
 type Candidate struct {
 	// F is the queued future.
 	F *Future
@@ -258,7 +260,8 @@ func (s *lookaheadSched) pickBest(cands []Candidate) int {
 // offer order, on the projection, and rolls it back; it returns the
 // makespan the placements reached. The hypothetical order is
 // hazard-valid: candidates are pairwise independent (each conflicts with
-// no earlier queued plan, and they are all queued).
+// no plan queued before it in its bucket, and plans of two buckets never
+// conflict).
 func (s *lookaheadSched) score(cands []Candidate, i int) cost.Seconds {
 	s.proj.Mark()
 	s.proj.Place(cands[i].F.notBefore, cands[i].F.cp.tr.segs)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dpu"
 	"repro/internal/dram"
 	"repro/internal/elem"
 	"repro/internal/host"
@@ -95,18 +94,14 @@ type Step interface{ stepName() string }
 
 // StepRotateBlocks runs the PE-assisted reordering kernel (§ V-A1):
 // every PE's region [Off, Off+N*S) is treated as N blocks of S bytes and
-// left-rotated by Rot(rank) blocks. The cost-only backend reproduces the
-// kernel's MRAM/instruction accounting analytically. kern caches the
-// built functional kernel (engine.go) so replays — including steps
-// produced by rotation merging in the fusion pipeline — launch without
-// rebuilding the closure.
+// left-rotated by Rot(rank) blocks. The functional backend launches the
+// executing comm's one kernel (Comm.rotate) on the step; the cost-only
+// backend reproduces its MRAM/instruction accounting analytically.
 type StepRotateBlocks struct {
 	p    *plan
 	Off  int
 	N, S int
 	Rot  func(rank int) int
-
-	kern dpu.Kernel
 }
 
 func (*StepRotateBlocks) stepName() string { return "RotateBlocks" }
@@ -129,14 +124,14 @@ type StepBulk struct {
 	// affect the per-category breakdown).
 	Charges []Charge
 
-	// Modulate consumes the staging buffer (nil when Read is false) and
-	// returns the PE-major buffer to write (ignored when Write is
-	// false). Only the functional backend calls it; nil means identity.
-	// The staging buffer is the host's reusable slab and the returned
-	// buffer is typically the comm's modulation arena (Comm.bulkOut) —
-	// both are fully overwritten by each run, so replays allocate no
-	// fresh buffers.
-	Modulate func(stag []byte) []byte
+	// Modulate consumes the staging buffer (nil when Read is false) on the
+	// comm c that executes the step and returns the PE-major buffer to
+	// write (ignored when Write is false). Only the functional backend
+	// calls it; nil means identity. The staging buffer is the host's
+	// reusable slab and the returned buffer is typically c's modulation
+	// arena (Comm.bulkOut) — both are fully overwritten by each run, so
+	// replays allocate no fresh buffers.
+	Modulate func(c *Comm, stag []byte) []byte
 }
 
 func (*StepBulk) stepName() string { return "Bulk" }
@@ -144,23 +139,16 @@ func (*StepBulk) stepName() string { return "Bulk" }
 // streamSeg is one shardable loop of a streaming epoch: cols independent
 // column iterations, each touching every entangled group once per
 // read/write. The functional executor runs body over contiguous
-// sub-ranges on per-shard streaming contexts (par.Do); iterations MUST be
-// mutually write-disjoint — the lowerings guarantee it by construction
-// (distinct iterations address distinct MRAM bursts or distinct host
-// result lanes). setup, if set, runs serially on the executor goroutine
-// before the fan-out (e.g. binding the run's rooted result buffers).
+// sub-ranges on the executing comm's per-shard streaming contexts
+// (segRunner); iterations MUST be mutually write-disjoint — the lowerings
+// guarantee it by construction (distinct iterations address distinct MRAM
+// bursts or distinct host result lanes). setup, if set, runs serially on
+// the executor goroutine before the fan-out (e.g. binding the run's
+// rooted result buffers).
 type streamSeg struct {
-	c     *Comm
 	cols  int
-	setup func()
+	setup func(c *Comm)
 	body  func(sc *streamCtx, lo, hi int)
-}
-
-// RunShard implements par.Runner on the comm's per-shard stream contexts,
-// at the running plan's arena base.
-func (sg *streamSeg) RunShard(shard, lo, hi int) {
-	sg.c.streams[shard].base = sg.c.cur.base
-	sg.body(sg.c.streams[shard], lo, hi)
 }
 
 // StepColumnStream is one streaming transfer epoch of the optimized
@@ -181,10 +169,10 @@ func (*StepColumnStream) stepName() string { return "ColumnStream" }
 
 // StepHostCompute is host-only work with no PE traffic: assembling or
 // storing rooted buffers, driver-side domain transfers of broadcast
-// payloads. Run (optional) is functional-only.
+// payloads. Run (optional) is functional-only, on the executing comm.
 type StepHostCompute struct {
 	Charges []Charge
-	Run     func()
+	Run     func(c *Comm)
 }
 
 func (*StepHostCompute) stepName() string { return "HostCompute" }
@@ -205,8 +193,9 @@ type StepNetTransfer struct {
 	// no-op (elided by fusion).
 	Rounds int
 	Bytes  int64
-	// Run is executed by the functional backend only.
-	Run func()
+	// Run is executed by the functional backend only, on the executing
+	// comm.
+	Run func(c *Comm)
 }
 
 func (*StepNetTransfer) stepName() string { return "NetTransfer" }
@@ -231,9 +220,16 @@ func rotFwd(rank int) int { return rank }
 func rotBwd(rank int) int { return -rank }
 
 // numPEBytes is the total byte count of a perPE-sized region over every
-// PE — the size of a full staging buffer.
-func (c *Comm) numPEBytes(perPE int) int64 {
-	return int64(c.hc.sys.Geometry().NumPEs()) * int64(perPE)
+// PE the group plan covers (the whole machine) — the size of a full
+// staging buffer.
+func (p *plan) numPEBytes(perPE int) int64 {
+	return int64(len(p.rankOf)) * int64(perPE)
+}
+
+// columnBytes is the data volume of one column, one burst per entangled
+// group, for charge computations.
+func (p *plan) columnBytes() int64 {
+	return int64(len(p.rankOf)/dram.ChipsPerRank) * dram.BurstBytes
 }
 
 // ---------------------------------------------------------------------
@@ -241,15 +237,16 @@ func (c *Comm) numPEBytes(perPE int) int64 {
 // ---------------------------------------------------------------------
 
 // The lowerX producers are the AlgoReference rows of the lowering table
-// (algorithm.go). Each reads the resolved call — comm, group plan,
+// (algorithm.go). Each reads the resolved call — group plan,
 // arena-relative offsets, block size, element/op, concrete effective
-// level — from its algoEnv. What differs per plan is read when the
-// schedule runs, off the comm's running plan (Comm.cur): the functional
-// backend adds its arena base, Scatter and Broadcast read its host
-// payloads, and the rooted ones fill its result buffers.
+// level — from its algoEnv, and nothing else: the schedule is a pure
+// function of them. Everything else is read when the schedule runs, off
+// the comm each step runs on and its running plan (Comm.cur): the
+// functional backend adds its arena base, Scatter and Broadcast read its
+// host payloads, and the rooted ones fill its result buffers.
 
 func lowerAlltoAll(env *algoEnv) *Schedule {
-	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.lvl
+	p, srcOff, dstOff, s, lvl := env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AlltoAll/" + lvl.String()}
@@ -266,8 +263,8 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
-			Charges: []Charge{{modKind, c.numPEBytes(m)}},
-			Modulate: func(stag []byte) []byte {
+			Charges: []Charge{{modKind, p.numPEBytes(m)}},
+			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(stag))
 				c.groupsDo(len(p.groups), func(gi int) {
 					grp := p.groups[gi]
@@ -302,7 +299,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 		cm := lvl == CM
 		ecols := s / 8
 		cols := int64(n) * int64(ecols)
-		colB := c.columnBytes()
+		colB := p.columnBytes()
 		charges := []Charge{{ChargeSIMD, cols * colB}}
 		if !cm {
 			// Without cross-domain modulation every shift is transpose +
@@ -317,7 +314,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 			// Flattened (k, e) loop: every iteration reads burst column
 			// k*s+e and writes column ((n-k)%n)*s+e — distinct columns for
 			// distinct iterations, so the whole loop shards freely.
-			segs: []*streamSeg{{c: c, cols: n * ecols, body: func(sc *streamCtx, lo, hi int) {
+			segs: []*streamSeg{{cols: n * ecols, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					k := i / ecols
 					e := (i % ecols) * 8
@@ -339,7 +336,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 // ---------------------------------------------------------------------
 
 func lowerReduceScatter(env *algoEnv) *Schedule {
-	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
+	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
@@ -356,8 +353,8 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: s,
-			Charges: []Charge{{redKind, c.numPEBytes(m)}},
-			Modulate: func(stag []byte) []byte {
+			Charges: []Charge{{redKind, p.numPEBytes(m)}},
+			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(p.rankOf) * s)
 				c.groupsDo(len(p.groups), func(gi int) {
 					grp := p.groups[gi]
@@ -382,7 +379,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 	default: // IM
 		noDT := t == elem.I8 // host can interpret 8-bit data in PIM domain
 		iters := int64(s / 8)
-		colB := c.columnBytes()
+		colB := p.columnBytes()
 		charges := []Charge{
 			{ChargeSIMD, int64(n) * iters * colB},
 			{ChargeReduce, int64(n) * iters * colB},
@@ -397,7 +394,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 			// Per element column e: reduce the n slot bursts into the
 			// shard accumulator, write one burst. Iterations touch
 			// distinct columns — shardable.
-			segs: []*streamSeg{{c: c, cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
+			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := i * 8
 					sc.fillIdentity(t, op, sc.ac) // host byte order
@@ -422,7 +419,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 // Results); the functional backend fills them, the cost-only backend
 // leaves the results nil.
 func lowerReduce(env *algoEnv) *Schedule {
-	c, p, srcOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
+	p, srcOff, s, t, op, lvl := env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "Reduce/" + lvl.String()}
@@ -439,10 +436,10 @@ func lowerReduce(env *algoEnv) *Schedule {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Charges: []Charge{
-				{redKind, c.numPEBytes(m)},
+				{redKind, p.numPEBytes(m)},
 				{ChargeHostMem, int64(len(p.groups)) * int64(m)}, // result store
 			},
-			Modulate: func(stag []byte) []byte {
+			Modulate: func(c *Comm, stag []byte) []byte {
 				res := c.cur.rootedBufs(len(p.groups), m)
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
@@ -466,7 +463,7 @@ func lowerReduce(env *algoEnv) *Schedule {
 	default: // IM
 		noDT := t == elem.I8
 		iters := int64(s / 8)
-		colB := c.columnBytes()
+		colB := p.columnBytes()
 		charges := []Charge{
 			{ChargeSIMD, int64(n) * iters * colB},
 			{ChargeReduce, int64(n) * iters * colB},
@@ -475,15 +472,15 @@ func lowerReduce(env *algoEnv) *Schedule {
 			charges = append(charges, Charge{ChargeDT, int64(n) * iters * colB})
 		}
 		charges = append(charges, Charge{ChargeHostMem, int64(len(p.groups)) * int64(m)}) // result store
-		var res [][]byte
 		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
 		sched.add(&StepColumnStream{
 			Reads:   int64(n) * iters,
 			Charges: charges,
 			segs: []*streamSeg{{
-				c: c, cols: s / 8,
-				setup: func() { res = c.cur.rootedBufs(len(p.groups), m) },
+				cols:  s / 8,
+				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), m) },
 				body: func(sc *streamCtx, lo, hi int) {
+					res := sc.c.cur.rooted
 					for i := lo; i < hi; i++ {
 						e := i * 8
 						sc.fillIdentity(t, op, sc.ac)
@@ -516,7 +513,7 @@ func lowerReduce(env *algoEnv) *Schedule {
 // ---------------------------------------------------------------------
 
 func lowerAllReduce(env *algoEnv) *Schedule {
-	c, p, srcOff, dstOff, s, t, op, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
+	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	sched := &Schedule{Name: "AllReduce/" + lvl.String()}
@@ -536,10 +533,10 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 			// Reduction pass over all input plus a memcpy-class
 			// replication pass over all output.
 			Charges: []Charge{
-				{redKind, c.numPEBytes(m)},
-				{ChargeSIMD, c.numPEBytes(m)},
+				{redKind, p.numPEBytes(m)},
+				{ChargeSIMD, p.numPEBytes(m)},
 			},
-			Modulate: func(stag []byte) []byte {
+			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(stag))
 				c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
 					grp := p.groups[g]
@@ -569,7 +566,7 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 		// then fix block order locally. Host memory is never touched.
 		noDT := t == elem.I8
 		iters := int64(s / 8)
-		colB := c.columnBytes()
+		colB := p.columnBytes()
 		charges := []Charge{
 			{ChargeSIMD, 2 * int64(n) * iters * colB},
 			{ChargeReduce, int64(n) * iters * colB},
@@ -581,7 +578,7 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 		sched.add(&StepColumnStream{
 			Reads: int64(n) * iters, Writes: int64(n) * iters,
 			Charges: charges,
-			segs: []*streamSeg{{c: c, cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
+			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := i * 8
 					sc.fillIdentity(t, op, sc.ac) // host byte order
@@ -613,41 +610,39 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 // ---------------------------------------------------------------------
 
 func lowerAllGather(env *algoEnv) *Schedule {
-	c, p, srcOff, dstOff, s, lvl := env.c, env.p, env.srcOff, env.dstOff, env.s, env.lvl
+	p, srcOff, dstOff, s, lvl := env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
+	perPE := n * s
 	sched := &Schedule{Name: "AllGather/" + lvl.String()}
-	colB := c.columnBytes()
+	colB := p.columnBytes()
 	switch lvl {
 	case Baseline, PR:
 		// Conventional path; PE-assisted reordering only removes
 		// per-rank layout bookkeeping here, which is negligible, so
-		// Baseline and PR share the lowering.
-		gatherPEMajorInto := func(out, stag []byte) {
+		// Baseline and PR share the lowering. The gathered PE-major image
+		// is assembled in the executing comm's modulation arena.
+		gatherPEMajor := func(c *Comm, stag []byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * perPE)
 			c.groupsDo(len(p.groups), func(gi int) {
 				grp := p.groups[gi]
 				for _, dstPE := range grp {
 					for i, srcPE := range grp {
-						copy(out[dstPE*n*s+i*s:dstPE*n*s+i*s+s], stag[srcPE*s:(srcPE+1)*s])
+						copy(out[dstPE*perPE+i*s:dstPE*perPE+i*s+s], stag[srcPE*s:(srcPE+1)*s])
 					}
 				}
 			})
+			return out
 		}
 		if len(p.groups) == 1 {
 			// Single group: the gathered buffer is identical for every
 			// PE, so the driver's fast broadcast applies — one domain
-			// transfer total (§ VIII-E). The gathered image lives in a
-			// buffer of the schedule (allocated on first run) shared by the
-			// assembly and broadcast steps of this lowering.
-			var out []byte
-			perPE := n * s
+			// transfer total (§ VIII-E). The broadcast streams the image
+			// out of the arena the assembly left it in (Comm.bulkOut).
 			sched.add(&StepBulk{
 				Read: true, ReadOff: srcOff, ReadPerPE: s,
-				Charges: []Charge{{ChargeLocalMod, int64(n * s)}},
-				Modulate: func(stag []byte) []byte {
-					if out == nil {
-						out = make([]byte, len(p.rankOf)*perPE)
-					}
-					gatherPEMajorInto(out, stag)
+				Charges: []Charge{{ChargeLocalMod, int64(perPE)}},
+				Modulate: func(c *Comm, stag []byte) []byte {
+					gatherPEMajor(c, stag)
 					return nil
 				},
 			})
@@ -660,21 +655,17 @@ func lowerAllGather(env *algoEnv) *Schedule {
 			sched.add(&StepColumnStream{
 				Writes:  int64(perPE / 8),
 				Charges: []Charge{{ChargeSIMD, int64(perPE/8) * colB}},
-				segs: []*streamSeg{c.streamBroadcast(dstOff, perPE, func(pe, e int) []byte {
-					return out[pe*perPE+e:]
+				segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, pe, e int) []byte {
+					return c.modBuf[pe*perPE+e:]
 				})},
 			})
 		} else {
 			sched.add(&StepBulk{
 				Read: true, ReadOff: srcOff, ReadPerPE: s,
-				Write: true, WriteOff: dstOff, WritePerPE: n * s,
+				Write: true, WriteOff: dstOff, WritePerPE: perPE,
 				// Replication is sequential copying (memcpy class).
-				Charges: []Charge{{ChargeSIMD, c.numPEBytes(n * s)}},
-				Modulate: func(stag []byte) []byte {
-					out := c.bulkOut(len(p.rankOf) * n * s)
-					gatherPEMajorInto(out, stag)
-					return out
-				},
+				Charges:  []Charge{{ChargeSIMD, p.numPEBytes(perPE)}},
+				Modulate: gatherPEMajor,
 			})
 		}
 	default: // IM or CM
@@ -688,7 +679,7 @@ func lowerAllGather(env *algoEnv) *Schedule {
 		sched.add(&StepColumnStream{
 			Reads: iters, Writes: int64(n) * iters,
 			Charges: charges,
-			segs: []*streamSeg{{c: c, cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
+			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := i * 8
 					sc.readColumn(srcOff+e, sc.a)
@@ -707,14 +698,14 @@ func lowerAllGather(env *algoEnv) *Schedule {
 }
 
 func lowerGather(env *algoEnv) *Schedule {
-	c, p, srcOff, s, lvl := env.c, env.p, env.srcOff, env.s, env.lvl
+	p, srcOff, s, lvl := env.p, env.srcOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "Gather/" + lvl.String()}
 	if lvl == Baseline {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
-			Charges: []Charge{{ChargeHostMem, c.numPEBytes(s)}}, // copy out of staging
-			Modulate: func(stag []byte) []byte {
+			Charges: []Charge{{ChargeHostMem, p.numPEBytes(s)}}, // copy out of staging
+			Modulate: func(c *Comm, stag []byte) []byte {
 				res := c.cur.rootedBufs(len(p.groups), n*s)
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
@@ -727,8 +718,7 @@ func lowerGather(env *algoEnv) *Schedule {
 		})
 	} else { // IM: stream straight into the user buffers
 		iters := int64(s / 8)
-		colB := c.columnBytes()
-		var res [][]byte
+		colB := p.columnBytes()
 		sched.add(&StepColumnStream{
 			Reads: iters,
 			Charges: []Charge{
@@ -736,9 +726,10 @@ func lowerGather(env *algoEnv) *Schedule {
 				{ChargeHostMem, int64(len(p.groups)) * int64(n*s)},
 			},
 			segs: []*streamSeg{{
-				c: c, cols: s / 8,
-				setup: func() { res = c.cur.rootedBufs(len(p.groups), n*s) },
+				cols:  s / 8,
+				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), n*s) },
 				body: func(sc *streamCtx, lo, hi int) {
+					res := sc.c.cur.rooted
 					for i := lo; i < hi; i++ {
 						e := i * 8
 						sc.readColumn(srcOff+e, sc.a)
@@ -762,7 +753,7 @@ func lowerGather(env *algoEnv) *Schedule {
 // ---------------------------------------------------------------------
 
 func lowerScatter(env *algoEnv) *Schedule {
-	c, p, at, dstOff, s, lvl := env.c, env.p, env.hosts, env.dstOff, env.s, env.lvl
+	p, at, dstOff, s, lvl := env.p, env.hosts, env.dstOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "Scatter/" + lvl.String()}
 	if lvl == Baseline {
@@ -770,8 +761,8 @@ func lowerScatter(env *algoEnv) *Schedule {
 		// write with DT.
 		sched.add(&StepBulk{
 			Write: true, WriteOff: dstOff, WritePerPE: s,
-			Charges: []Charge{{ChargeHostMem, c.numPEBytes(s)}}, // staging assembly
-			Modulate: func([]byte) []byte {
+			Charges: []Charge{{ChargeHostMem, p.numPEBytes(s)}}, // staging assembly
+			Modulate: func(c *Comm, _ []byte) []byte {
 				stag, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
@@ -784,7 +775,7 @@ func lowerScatter(env *algoEnv) *Schedule {
 		})
 	} else { // IM: stream user buffers straight into bursts
 		iters := int64(s / 8)
-		colB := c.columnBytes()
+		colB := p.columnBytes()
 		sched.add(&StepColumnStream{
 			Writes: iters,
 			Charges: []Charge{
@@ -792,7 +783,7 @@ func lowerScatter(env *algoEnv) *Schedule {
 				{ChargeDT, iters * colB},
 				{ChargeHostMem, int64(len(p.groups)) * int64(n*s)}, // user-buffer reads
 			},
-			segs: []*streamSeg{c.streamBroadcast(dstOff, s, func(pe, e int) []byte {
+			segs: []*streamSeg{p.streamBroadcast(dstOff, s, func(c *Comm, pe, e int) []byte {
 				return c.cur.hosts[at+int(p.groupOf[pe])][int(p.rankOf[pe])*s+e:]
 			})},
 		})
@@ -802,7 +793,7 @@ func lowerScatter(env *algoEnv) *Schedule {
 }
 
 func lowerBroadcast(env *algoEnv) *Schedule {
-	c, p, at, dstOff, s := env.c, env.p, env.hosts, env.dstOff, env.s
+	p, at, dstOff, s := env.p, env.hosts, env.dstOff, env.s
 	// The native driver path is already near-optimal (§ VIII-B): one
 	// domain transfer per payload serves all PEs, so all optimization
 	// levels share this lowering.
@@ -816,8 +807,8 @@ func lowerBroadcast(env *algoEnv) *Schedule {
 	})
 	sched.add(&StepColumnStream{
 		Writes:  iters,
-		Charges: []Charge{{ChargeSIMD, iters * c.columnBytes()}},
-		segs: []*streamSeg{c.streamBroadcast(dstOff, s, func(pe, e int) []byte {
+		Charges: []Charge{{ChargeSIMD, iters * p.columnBytes()}},
+		segs: []*streamSeg{p.streamBroadcast(dstOff, s, func(c *Comm, pe, e int) []byte {
 			return c.cur.hosts[at+int(p.groupOf[pe])][e:]
 		})},
 	})
@@ -827,19 +818,19 @@ func lowerBroadcast(env *algoEnv) *Schedule {
 
 // streamBroadcast builds the seg that streams host-side bytes into every
 // PE's arena region [dstOff, dstOff+perPE): for each element column it
-// assembles one register per entangled group from lane(pe, e) and writes
-// it in PIM byte order. Iterations touch distinct columns, so the seg
-// shards freely. Shared by the Scatter/Broadcast/single-group-AllGather
-// write paths.
-func (c *Comm) streamBroadcast(dstOff, perPE int, lane func(pe, e int) []byte) *streamSeg {
-	nEG := c.hc.sys.Geometry().NumGroups()
-	return &streamSeg{c: c, cols: perPE / 8, body: func(sc *streamCtx, lo, hi int) {
+// assembles one register per entangled group from lane(c, pe, e), c the
+// executing comm, and writes it in PIM byte order. Iterations touch
+// distinct columns, so the seg shards freely. Shared by the
+// Scatter/Broadcast/single-group-AllGather write paths.
+func (p *plan) streamBroadcast(dstOff, perPE int, lane func(c *Comm, pe, e int) []byte) *streamSeg {
+	nEG := len(p.rankOf) / dram.ChipsPerRank
+	return &streamSeg{cols: perPE / 8, body: func(sc *streamCtx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := i * 8
 			for g := 0; g < nEG; g++ {
 				var r vec.Reg
 				for chip := 0; chip < dram.ChipsPerRank; chip++ {
-					r.SetLane(chip, lane(g*dram.ChipsPerRank+chip, e))
+					r.SetLane(chip, lane(sc.c, g*dram.ChipsPerRank+chip, e))
 				}
 				sc.sh.WriteBurst(g, sc.base+dstOff+e, sc.vu.Transpose8x8(r))
 			}

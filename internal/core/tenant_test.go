@@ -82,37 +82,66 @@ func TestWeightedFairPickOrder(t *testing.T) {
 	}
 }
 
-// Cross-bucket hazards execute in submission order: the default bucket
-// (plain-Comm plans, not arena-bounded) wins vtime ties by creation
-// order, but its head must not run before an earlier-submitted
-// conflicting plan queued in a tenant bucket.
-func TestWeightedFairKeepsCrossBucketHazardOrder(t *testing.T) {
-	def := &subQueue{weight: 1}
-	ten := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{def, ten}, sched: wfqSched{}}
-
-	mkFut := func(seq uint64, write bool, off, n int) *Future {
-		f := fakeFuture(1)
-		f.seq = seq
-		f.cp.regs.add(span{off, n}, span{}, write)
-		return f
+// The funnel scans only a plan's own bucket for hazards, because no
+// queued plan can conflict with a queued plan of another bucket: live
+// arenas are disjoint, and Close drains and sweeps a bucket before its
+// arena is freed for reuse. Churn tenants on a stepped comm — every new
+// one carved where a closed one was, its plans queued behind live
+// tenants' conflicting-within-the-bucket plans — and check at every Step.
+func TestQueuedPlansOfTwoBucketsNeverConflict(t *testing.T) {
+	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	const m = 16 * 8
+	d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(m), Level: CM}
+	step := func() {
+		c.Step()
+		c.asyncMu.Lock()
+		defer c.asyncMu.Unlock()
+		for i, q := range c.queues {
+			for _, r := range c.queues[i+1:] {
+				for _, f := range q.q {
+					for _, o := range r.q {
+						if f.cp.conflicts(o.cp) {
+							t.Fatalf("queued plans at bases %d and %d of two buckets conflict", f.cp.base, o.cp.base)
+						}
+					}
+				}
+			}
+		}
 	}
-	reader := mkFut(1, false, 128, 64) // tenant submits first
-	writer := mkFut(2, true, 128, 64)  // plain Comm submits second: WAR
-	indep := mkFut(3, true, 512, 64)   // plain Comm, no conflict
-	ten.q = append(ten.q, reader)
-	def.q = append(def.q, writer, indep)
-
-	c.asyncMu.Lock()
-	first := c.pickLocked()
-	second := c.pickLocked()
-	third := c.pickLocked()
-	c.asyncMu.Unlock()
-	if first != reader {
-		t.Fatalf("conflicting later-submitted plan ran first (got seq %d, want seq 1)", first.seq)
+	var live []*Tenant
+	freed, reused := map[int]bool{}, 0
+	for round := 0; round < 16; round++ {
+		if len(live) == 4 { // MRAM is full: retire the oldest
+			freed[live[0].ar.base] = true
+			if err := live[0].Close(); err != nil {
+				t.Fatal(err)
+			}
+			live = live[1:]
+		}
+		ten, err := c.NewTenant(TenantConfig{ArenaBytes: 1 << 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if freed[ten.ar.base] {
+			reused++
+		}
+		live = append(live, ten)
+		for _, lt := range live {
+			for k := 0; k < 2; k++ {
+				if _, err := lt.Submit(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for k := 0; k < len(live); k++ {
+			step()
+		}
 	}
-	if second != writer || third != indep {
-		t.Errorf("remaining picks out of order: %d then %d, want 2 then 3", second.seq, third.seq)
+	if reused < 8 {
+		t.Fatalf("%d tenants reused a freed arena, want >= 8", reused)
+	}
+	for c.Pending() > 0 {
+		step()
 	}
 }
 
