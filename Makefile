@@ -43,9 +43,9 @@ bench-compare:
 	$(GO) run ./cmd/pidbench -compare bench_baseline.json
 
 # The CI allocation gate over the wall-clock benchmark: rerun cost_sweep,
-# serve_steady and serve_lookahead with the seed, seconds and GOMAXPROCS
-# of the newest root BENCH_<n>.json and fail on allocs_per_op more than
-# 2% above it.
+# serve_steady, serve_lookahead and app_mix with the seed, seconds and
+# GOMAXPROCS of the newest root BENCH_<n>.json and fail on allocs_per_op
+# more than 2% above it.
 bench-gate:
 	$(GO) run ./cmd/benchgate
 
@@ -120,7 +120,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7525
+LOC_CEILING = 7529
 COMM_METHODS_CEILING = 19
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

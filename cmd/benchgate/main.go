@@ -1,10 +1,10 @@
 // Command benchgate is the allocation gate over the wall-clock benchmark
 // (benchmark/): it reruns the workloads whose allocs_per_op repeats to
-// four or five digits — cost_sweep, serve_steady and serve_lookahead —
-// with the seed and seconds of the newest BENCH_<n>.json in the
-// repository root, under that file's GOMAXPROCS, and fails when a
-// workload allocates more than 2% above the file's value. Run it from the
-// repository root:
+// within a fraction of a percent — cost_sweep, serve_steady,
+// serve_lookahead and app_mix — with the seed and seconds of the newest
+// BENCH_<n>.json in the repository root, under that file's GOMAXPROCS,
+// and fails when a workload allocates more than 2% above the file's
+// value. Run it from the repository root:
 //
 //	go run ./cmd/benchgate   (make bench-gate)
 package main
@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -28,6 +29,9 @@ type workload struct {
 		Allocs struct{ Value float64 } `json:"allocs_per_op"`
 	}
 }
+
+// gatedWorkloads are the workloads whose allocs_per_op the gate holds.
+var gatedWorkloads = []string{"cost_sweep", "serve_steady", "serve_lookahead", "app_mix"}
 
 func main() {
 	if err := run(); err != nil {
@@ -63,7 +67,7 @@ func run() error {
 	var over []string
 	gated := 0
 	for _, w := range ref.Workloads {
-		if w.Name != "cost_sweep" && w.Name != "serve_steady" && w.Name != "serve_lookahead" {
+		if !slices.Contains(gatedWorkloads, w.Name) {
 			continue
 		}
 		gated++
@@ -86,8 +90,8 @@ func run() error {
 			over = append(over, w.Name)
 		}
 	}
-	if gated != 3 {
-		return fmt.Errorf("%s holds %d of the 3 gated workloads", path, gated)
+	if gated != len(gatedWorkloads) {
+		return fmt.Errorf("%s holds %d of the %d gated workloads", path, gated, len(gatedWorkloads))
 	}
 	if len(over) > 0 {
 		return fmt.Errorf("allocs_per_op more than 2%% above %s on %s", path, strings.Join(over, ", "))

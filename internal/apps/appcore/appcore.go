@@ -4,6 +4,17 @@
 // paper's channel scaling rule, and the CPU-only roofline model used by
 // the Figure 21 comparison.
 //
+// An app run borrows its machine, the way the paper's applications
+// allocate one rank set and run many inferences on it: CommForPEs takes
+// the idle functional machine of its (geometry, hypercube shape,
+// GOMAXPROCS) key, or builds one if there is none, and opens a fresh
+// whole-MRAM session on it. A run that succeeds gives the machine back
+// from Tracker.Finish, which closes the session (its plans go, the
+// machine's shape rows stay) and zeroes every bank, so the next run of the
+// key sees the bytes of a fresh machine and compiles nothing. The pool
+// keeps one idle machine per key and at most idleBudget bytes of idle
+// MRAM; a run that fails never returns its machine.
+//
 // Host placement payloads are built in place: a Scatter's buffer is
 // allocated once at its final size and every rank's part is written
 // straight into its slot (PartitionCSR, the apps' weight and tile
@@ -13,6 +24,8 @@ package appcore
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -31,11 +44,6 @@ type Profile struct {
 	// CommBreakdown aggregates the per-category breakdown of all
 	// communication calls (for the Figure 4 pies).
 	CommBreakdown cost.Breakdown
-	// Elapsed is the overlap-aware elapsed simulated time (Comm.Elapsed
-	// at the end of the run): at most Total, lower when asynchronously
-	// submitted collectives overlapped on the timeline. Zero if the app
-	// predates Tracker.Finish.
-	Elapsed cost.Seconds
 }
 
 // Total returns kernel + communication time.
@@ -62,33 +70,33 @@ func (p *Profile) String() string {
 	return s + ")"
 }
 
-// Tracker wraps a Comm and attributes simulated time to profile buckets.
+// Tracker is one app run on a borrowed machine: C and its session (the
+// second result of CommForPEs), and the profile the run's kernels and
+// collectives are attributed to.
 type Tracker struct {
 	C    *core.Comm
 	Prof Profile
-	pes  []int // every PE of C, the launch list of Kernel
-}
-
-// NewTracker creates a tracker for the comm context.
-func NewTracker(c *core.Comm) *Tracker {
-	pes := make([]int, c.Engine().System().Geometry().NumPEs())
-	for i := range pes {
-		pes[i] = i
-	}
-	return &Tracker{C: c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}, pes: pes}
+	s    *core.Tenant
+	key  poolKey
+	pes  []int      // every PE of C, the launch list of Kernel
+	km   cost.Meter // one kernel launch's charges
 }
 
 // Kernel launches the application kernel k on every PE of t.C and
-// attributes the elapsed simulated time to KernelTime. Kernel is a
-// barrier: it flushes the comm's submission queue first (kernels touch
-// MRAM the in-flight collectives may be producing) and extends the
-// elapsed-time timeline with the kernel's cost.
+// attributes its simulated time to KernelTime. Kernel is a barrier: it
+// flushes the comm's submission queue first (kernels touch MRAM the
+// in-flight collectives may be producing) and extends the elapsed-time
+// timeline with the kernel's cost. The launch charges the tracker's own
+// reset meter, which is then merged into the machine's: KernelTime is
+// exact, not a difference of the machine meter's cumulative totals,
+// whose low bits would depend on the runs the machine served before.
 func (t *Tracker) Kernel(k dpu.Kernel) {
 	t.C.Flush()
-	before := t.C.Meter().Snapshot()
-	t.C.Engine().Launch(dpu.LaunchSpec{PEs: t.pes, Category: cost.Kernel}, t.C.Meter(), k)
-	bd := t.C.Meter().Snapshot().Sub(before)
+	t.km.Reset()
+	t.C.Engine().Launch(dpu.LaunchSpec{PEs: t.pes, Category: cost.Kernel}, &t.km, k)
+	bd := t.km.Snapshot()
 	t.Prof.KernelTime += bd.Total()
+	t.C.Meter().Merge(&t.km)
 	t.C.ExtendElapsed(bd)
 }
 
@@ -147,11 +155,21 @@ func (t *Tracker) CommSequence(f *core.Future, err error) error {
 	return nil
 }
 
-// Finish flushes the comm and records the overlap-aware elapsed time in
-// the profile. Call it once, after the run's last collective.
+// Finish ends a successful run and gives its machine back: it closes the
+// session (which flushes it and drops its plans), zeroes every bank and
+// parks the machine for the next run of its key. Call it once, after the
+// run has copied out the results it returns: Finish is the run's last use
+// of t.C, which another run may be using as soon as it returns. A run
+// that fails skips Finish, and its machine is dropped.
 func (t *Tracker) Finish() {
-	t.C.Flush()
-	t.Prof.Elapsed = t.C.Elapsed()
+	if t.s.Close() != nil {
+		return
+	}
+	sys := t.C.Engine().System()
+	for _, pe := range t.pes {
+		clear(sys.BankBytes(pe))
+	}
+	pool.park(t.key, t.C)
 }
 
 // GeoForPEs returns the DIMM geometry the paper uses for a given PE count
@@ -229,22 +247,93 @@ func (m CPUModel) LookupTime(rows int64) cost.Seconds {
 	return cost.Seconds(float64(rows) / m.LookupsPerSec)
 }
 
-// CommForPEs builds the functional machine of an app config — the
-// default configuration on the canonical geometry of pes PEs, each bank
-// holding the app's MRAM layout of footprint bytes rounded up to a whole
-// burst — and its whole-MRAM session (at offset 0) for the collectives.
-func CommForPEs(shape []int, pes, footprint int) (*core.Comm, *core.Tenant, error) {
+// idleBudget bounds the MRAM the pool keeps idle across all keys, in
+// bytes: app_mix's five machines hold ~25 MB. A machine that cannot fit
+// even in an empty pool is dropped.
+const idleBudget = 64 << 20
+
+// poolKey is what makes two app machines interchangeable: a machine is
+// built by core.New from the geometry and shape alone, and its ExecWorkers
+// default is GOMAXPROCS at construction.
+type poolKey struct {
+	geo     dram.Geometry
+	shape   string
+	workers int
+}
+
+// pool holds the idle machines, at most one per key.
+var pool = machinePool{idle: make(map[poolKey]*core.Comm)}
+
+type machinePool struct {
+	mu    sync.Mutex
+	idle  map[poolKey]*core.Comm
+	bytes int // MRAM of the idle machines
+}
+
+// take removes and returns the idle machine of k, or nil.
+func (p *machinePool) take(k poolKey) *core.Comm {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.idle[k]
+	if c != nil {
+		delete(p.idle, k)
+		p.bytes -= mramBytes(k.geo)
+	}
+	return c
+}
+
+// park makes c the idle machine of k unless k already has one. Idle
+// machines of other keys are dropped to make room for it if the budget
+// requires, so a sweep over many configs keeps reusing its latest ones.
+func (p *machinePool) park(k poolKey, c *core.Comm) {
+	n := mramBytes(k.geo)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.idle[k] != nil || n > idleBudget {
+		return
+	}
+	for o := range p.idle {
+		if p.bytes+n <= idleBudget {
+			break
+		}
+		p.bytes -= mramBytes(o.geo)
+		delete(p.idle, o)
+	}
+	p.idle[k] = c
+	p.bytes += n
+}
+
+func mramBytes(g dram.Geometry) int { return g.NumPEs() * g.MramPerBank }
+
+// CommForPEs starts an app run: it borrows the functional machine of the
+// config — the default configuration on the canonical geometry of pes
+// PEs, each bank holding the app's MRAM layout of footprint bytes rounded
+// up to a whole burst — from the pool, building it if no idle one has the
+// same geometry, shape and GOMAXPROCS, and opens a fresh whole-MRAM
+// session (at offset 0) on it for the run's collectives. The machine reads
+// all zero either way. The run ends with Tracker.Finish.
+func CommForPEs(shape []int, pes, footprint int) (*Tracker, *core.Tenant, error) {
 	mram := (footprint + dram.BurstBytes - 1) / dram.BurstBytes * dram.BurstBytes
 	geo, err := GeoForPEs(pes, mram)
 	if err != nil {
 		return nil, nil, err
 	}
-	c, err := core.New(geo, shape, core.Config{})
+	k := poolKey{geo, fmt.Sprint(shape), runtime.GOMAXPROCS(0)}
+	c := pool.take(k)
+	if c == nil {
+		if c, err = core.New(geo, shape, core.Config{}); err != nil {
+			return nil, nil, err
+		}
+	}
+	s, err := c.Session()
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := c.Session()
-	return c, s, err
+	all := make([]int, pes)
+	for i := range all {
+		all[i] = i
+	}
+	return &Tracker{C: c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}, s: s, key: k, pes: all}, s, nil
 }
 
 // I32Bytes encodes v little-endian, four bytes per element.

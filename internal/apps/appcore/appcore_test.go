@@ -123,11 +123,10 @@ func TestDefaultCPUIsSane(t *testing.T) {
 }
 
 func TestTrackerAttribution(t *testing.T) {
-	mach, comm, err := CommForPEs([]int{16}, 16, 4096)
+	tr, comm, err := CommForPEs([]int{16}, 16, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(mach)
 	var ran atomic.Int32
 	tr.Kernel(func(ctx *dpu.Ctx) {
 		ran.Add(1)
@@ -137,7 +136,7 @@ func TestTrackerAttribution(t *testing.T) {
 		t.Errorf("kernel ran on %d PEs, want all 16", ran.Load())
 	}
 	want := cost.DefaultParams().DPUInstrTime(1000) + cost.DefaultParams().KernelLaunch
-	if tr.Prof.KernelTime != want || mach.Meter().Get(cost.Kernel) <= 0 {
+	if tr.Prof.KernelTime != want || tr.C.Meter().Get(cost.Kernel) <= 0 {
 		t.Errorf("kernel time %v, want %v charged as Kernel", tr.Prof.KernelTime, want)
 	}
 	bufs := [][]byte{make([]byte, 16*8)}
@@ -158,8 +157,7 @@ func TestTrackerAttribution(t *testing.T) {
 }
 
 func TestTrackerPropagatesErrors(t *testing.T) {
-	mach, comm, _ := CommForPEs([]int{16}, 16, 4096)
-	tr := NewTracker(mach)
+	tr, comm, _ := CommForPEs([]int{16}, 16, 4096)
 	bd, err := comm.Run(core.Collective{Prim: core.Gather, Dims: "bad-dims",
 		Src: core.Span(0, 8), Level: core.IM})
 	if err == nil {
@@ -199,5 +197,36 @@ func TestPartitionCSRConservesEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The pool holds one idle machine per key and at most idleBudget bytes of
+// idle MRAM: a returned machine displaces older ones of other keys to fit,
+// and one over the whole budget is dropped.
+func TestPoolBudget(t *testing.T) {
+	key := func(mram int) poolKey {
+		g, err := GeoForPEs(256, mram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return poolKey{geo: g, shape: "[256]", workers: 1}
+	}
+	half := idleBudget / 256 / 2
+	a, b, huge := key(half+8), key(half+16), key(2*half+8)
+	ca, ca2, cb := &core.Comm{}, &core.Comm{}, &core.Comm{}
+	p := machinePool{idle: make(map[poolKey]*core.Comm)}
+	p.park(a, ca)
+	p.park(a, ca2) // a is taken: ca2 is dropped
+	if p.take(a) != ca {
+		t.Fatal("a key's idle machine was replaced")
+	}
+	p.park(a, ca)
+	p.park(b, cb) // a and b together exceed the budget: b displaces a
+	if p.bytes > idleBudget || p.take(a) != nil || p.take(b) != cb {
+		t.Fatalf("pool kept %d bytes over a %d budget, or the older machine", p.bytes, idleBudget)
+	}
+	p.park(huge, ca)
+	if p.take(huge) != nil || p.bytes != 0 {
+		t.Error("a machine over the whole budget was pooled")
 	}
 }

@@ -76,11 +76,10 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	distOff := visitedOff + fB   // distances of owned vertices
 	flagOff := distOff + distB   // "frontier non-empty" flag
 
-	mach, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
+	tr, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(mach)
 
 	// Distribute the graph; broadcast the initial frontier/visited state.
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
@@ -225,6 +224,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			dist[p*owned+i] = int32(binary.LittleEndian.Uint32(bufs[0][p*distB+4*i:]))
 		}
 	}
+	tr.Finish()
 	return dist, &tr.Prof, nil
 }
 

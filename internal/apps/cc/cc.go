@@ -75,11 +75,10 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	newOff := candOff + lB     // MIN-AllReduced labels
 	flagOff := newOff + lB     // "any label changed" flag
 
-	mach, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
+	tr, comm, err := appcore.CommForPEs([]int{N}, N, flagOff+8)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(mach)
 
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})
@@ -213,6 +212,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			out[p*owned+i] = int32(binary.LittleEndian.Uint32(bufs[0][p*sliceB+4*i:]))
 		}
 	}
+	tr.Finish()
 	return out, &tr.Prof, nil
 }
 

@@ -203,11 +203,10 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	wOff := embOff + embB
 	outOff := wOff + wB
 
-	mach, comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, outOff+outB)
+	tr, comm, err := appcore.CommForPEs([]int{X, Y, Z}, N, outOff+outB)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(mach)
 	emb := cfg.embeddings()
 
 	// Scatter embedding shards: PE (x,y,z) owns tables of shard z, rows

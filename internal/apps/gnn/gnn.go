@@ -238,11 +238,10 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	candOff := iOff + p1B
 	xsubOff := candOff + stripB
 
-	mach, comm, err := appcore.CommForPEs([]int{C, R}, N, xsubOff+subB)
+	tr, comm, err := appcore.CommForPEs([]int{C, R}, N, xsubOff+subB)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(mach)
 
 	// Distribute: A tiles and X strips by Scatter, W by Broadcast. The
 	// two Scatters go through the fuser as one sequence: a single
@@ -428,7 +427,6 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		return nil, nil, err
 	}
 	bufs := gaF.Results()
-	tr.Finish()
 	out := make([]int64, V*F)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
@@ -439,6 +437,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			}
 		}
 	}
+	tr.Finish()
 	return out, &tr.Prof, nil
 }
 

@@ -128,11 +128,10 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	partOff := xOff + sliceB
 	outOff := partOff + F*4
 
-	mach, comm, err := appcore.CommForPEs([]int{N}, N, outOff+sliceB)
+	tr, comm, err := appcore.CommForPEs([]int{N}, N, outOff+sliceB)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr := appcore.NewTracker(mach)
 
 	// Distribute weights: one Scatter per layer, compiled through the
 	// fuser as a single sequence — the L distributions execute as one

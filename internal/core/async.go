@@ -632,6 +632,7 @@ func (c *Comm) Flush() {
 	c.asyncMu.Unlock()
 	c.execMu.Lock()
 	c.placeSerialLocked(nil)
+	clear(c.frontier[:cap(c.frontier)]) // stale placements too: a flushed machine pins no plan
 	c.frontier = c.frontier[:0]
 	c.execMu.Unlock()
 }

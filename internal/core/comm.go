@@ -94,7 +94,7 @@ type Comm struct {
 	// policy's Scheduler instance, whose Pick calls asyncMu serializes;
 	// cands is pickLocked's reusable candidate scratch (async.go,
 	// sched.go); futs is what is left of the chunk submissions carve their
-	// Futures from.
+	// Futures from, dropped when the last session closes (tenant.go).
 	asyncMu      sync.Mutex
 	asyncCond    *sync.Cond
 	queues       []*subQueue

@@ -231,6 +231,9 @@ func (t *Tenant) Close() error {
 		c.completeDroppedLocked(f, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
 	}
 	t.sq.q = nil
+	if len(c.queues) == 0 { // the last session: an idle machine's chunk pins no finished plan
+		c.futs = nil
+	}
 	c.asyncMu.Unlock()
 	c.tenantMu.Lock()
 	c.tenants = slices.DeleteFunc(c.tenants, func(o *Tenant) bool { return o == t })

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -281,4 +283,43 @@ func TestTenantQuota(t *testing.T) {
 	if got := tenantRow(t, ten).Admitted; got != per*2 {
 		t.Errorf("admitted ledger %v, want %v", got, per*2)
 	}
+}
+
+// An idle machine pins no finished work: once its last session closes,
+// nothing the machine keeps reaches a plan that ran on it, so the host
+// payload a submitted Scatter bound is collected while the machine lives
+// on. The future chunk and the frontier's backing array both used to
+// keep it.
+func TestClosedLastSessionPinsNoPayload(t *testing.T) {
+	c := newMachine(t, dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 4096}, []int{16}, Config{})
+	collected := make(chan struct{})
+	func() {
+		s, err := c.Session()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := new([16 * 64]byte)
+		runtime.SetFinalizer(payload, func(*[16 * 64]byte) { close(collected) })
+		f, err := s.Submit(Collective{Prim: Scatter, Dims: "1", Hosts: [][]byte{payload[:]}, Dst: Span(0, 64)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for range 50 {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(c)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the payload of a finished plan is still reachable from its idle machine")
+	runtime.KeepAlive(c)
 }
