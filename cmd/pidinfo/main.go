@@ -204,7 +204,9 @@ func printPlanCache(mram int) error {
 // AlltoAll through the cluster layer's whole-cluster session, replays
 // both from their cached ClusterPlans, and prints the per-call costs,
 // the fusion rewrites of the per-host schedules, and the cluster's
-// snapshot — the cluster-scale counterpart of -plancache.
+// snapshot — the cluster-scale counterpart of -plancache. The hosts share
+// one shape table, so every host's plan cache and fusion lines are the
+// table's.
 func printCluster(mram int) error {
 	const hosts = 4
 	cl, err := pidcomm.NewCluster(hosts, pidcomm.PaperSystem(mram), []int{32, 32}, pidcomm.CostOnly())

@@ -315,14 +315,7 @@ func TestClusterTreeMatchesRing(t *testing.T) {
 	// build returns the whole-cluster session of a fresh cluster, which its
 	// collectives compile on, with seeded source regions.
 	build := func() *core.ClusterTenant {
-		comms := make([]*core.Comm, H)
-		for h := range comms {
-			var err error
-			if comms[h], err = core.New(geo, []int{16}, core.Config{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cl, err := core.NewCluster(comms)
+		cl, err := core.NewCluster(H, geo, []int{16}, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

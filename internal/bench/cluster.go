@@ -37,14 +37,7 @@ func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algo
 	if m == 0 {
 		m = 8 * P
 	}
-	comms := make([]*core.Comm, hosts)
-	for h := range comms {
-		var err error
-		if comms[h], err = core.New(geo, []int{P}, core.Config{Params: params, Backend: core.CostBackend()}); err != nil {
-			return cost.Breakdown{}, err
-		}
-	}
-	cl, err := core.NewCluster(comms)
+	cl, err := core.NewCluster(hosts, geo, []int{P}, core.Config{Params: params, Backend: core.CostBackend()})
 	if err != nil {
 		return cost.Breakdown{}, err
 	}

@@ -91,6 +91,7 @@ type autoDecision struct {
 // SetAutoObjective configures what Auto resolution minimizes. Cached
 // decisions are dropped on a change — they were scored under the old
 // objective. Plans already compiled keep the candidate they resolved to.
+// On a cluster host it sets every host's objective (one shape table).
 func (c *Comm) SetAutoObjective(o AutoObjective) {
 	c.autoMu.Lock()
 	defer c.autoMu.Unlock()

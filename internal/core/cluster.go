@@ -12,20 +12,19 @@ package core
 // (the interior per-leg syncs collapse — a cross-leg rewrite on every
 // hierarchical plan) and replays through the same engine as a
 // single-host collective; it is cached once, in its session's cache under
-// its clusterKey (the per-host plans are built past the hosts' own plan
-// caches and shape tables).
+// its clusterKey (the per-host plans are built past the shards' plan
+// caches and the shape table's rows).
 //
-// One plan per role, bound per host: the hosts of § IX-A all do the same
-// thing, so compile builds once per role — hosts whose specs are validated
-// against and priced from the same things (hostRole: one comm
-// configuration, the session's arena being every host's; the root apart
-// where a rooted wire or Flat singles it out; each host of an AlltoAll
-// apart, whose pack/unpack volumes follow h). A later host's plan is the
-// role's row bound to its own shard and its own window of the staging
-// (clusterBuild.payloads), like any row hit: it lowers and traces
-// nothing. That holds on both backends: a lowered schedule holds no comm
-// and no host index — its steps run on the comm that executes them — so
-// the H executors of a functional cluster run one role's schedule at once.
+// One configuration, one shape table, one plan per role: NewCluster builds
+// every host from one Config on one shape table (comm.go), so a local
+// collective compiled on every shard lowers and traces once. A lowered
+// schedule holds no comm — its steps run on the comm that executes them —
+// so compile builds one row for the hosts the lowering does not single
+// out, and one for each host it does: the root where a rooted wire or Flat
+// reads it, each host of an AlltoAll, whose pack/unpack volumes follow h.
+// Every other host binds its role's row to its own shard and window of the
+// staging (clusterBuild.payloads), lowering and tracing nothing, and the H
+// executors of a functional cluster run one schedule at once.
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -74,7 +73,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"repro/internal/cost"
@@ -178,10 +176,9 @@ type clusterState struct {
 	bar  *barrier
 }
 
-// Cluster is a set of H identically-shaped hosts executing hierarchical
-// collectives. Build one with NewCluster over comms that share geometry,
-// hypercube shape and backend; the pidcomm package wraps it in the
-// user-facing session API.
+// Cluster is a set of H identically configured hosts executing
+// hierarchical collectives, built by NewCluster; the pidcomm package wraps
+// it in the user-facing session API.
 type Cluster struct {
 	comms      []*Comm
 	p          int // PEs per host
@@ -192,40 +189,26 @@ type Cluster struct {
 	execMu sync.Mutex
 }
 
-// NewCluster builds a cluster over the given per-host comms. The hosts
-// must be distinct, non-empty, and homogeneous: same PE count, same
-// hypercube shape, same backend kind — and, on the functional backend,
-// not in stepped mode. (Use pidcomm.NewCluster to provision hosts and
-// cluster in one call.)
-func NewCluster(comms []*Comm) (*Cluster, error) {
-	if len(comms) == 0 {
-		return nil, fmt.Errorf("core: cluster needs at least one host")
+// NewCluster builds hosts machines, each New(geo, shape, cfg), on one
+// shape table, and joins them into a cluster. A functional cluster cannot
+// be stepped, which it reports before building anything.
+func NewCluster(hosts int, geo dram.Geometry, shape []int, cfg Config) (*Cluster, error) {
+	if hosts <= 0 {
+		return nil, fmt.Errorf("core: cluster needs at least one host, got %d", hosts)
 	}
-	p := comms[0].hc.sys.Geometry().NumPEs()
-	shape := comms[0].hc.Shape()
-	functional := comms[0].backend.Functional()
-	for h, c := range comms {
-		for h2 := 0; h2 < h; h2++ {
-			if comms[h2] == c {
-				return nil, fmt.Errorf("core: host %d and %d are the same comm", h2, h)
-			}
-		}
-		if got := c.hc.sys.Geometry().NumPEs(); got != p {
-			return nil, fmt.Errorf("core: host %d has %d PEs, host 0 has %d (cluster hosts must be homogeneous)", h, got, p)
-		}
-		if gs := c.hc.Shape(); !slices.Equal(gs, shape) {
-			return nil, fmt.Errorf("core: host %d hypercube shape %v != host 0 shape %v", h, gs, shape)
-		}
-		if c.backend.Functional() != functional {
-			return nil, fmt.Errorf("core: host %d backend %q differs from host 0 (mixed functional/cost clusters are not supported)", h, c.backend.Name())
-		}
-		if functional && c.stepped {
-			// Stepping one host's plan parks at its network-leg barrier
-			// with no one left to step the peers.
-			return nil, fmt.Errorf("core: host %d is in stepped mode: functional cluster hosts rendezvous inside network legs and need one executor each (use a cost-only cluster, which has no barriers)", h)
+	functional := cfg.Backend == nil || cfg.Backend.Functional()
+	if functional && cfg.Stepped {
+		return nil, fmt.Errorf("core: a functional cluster cannot be stepped: its hosts rendezvous inside network legs and need one executor each (use a cost-only cluster, which has no barriers)")
+	}
+	cl := &Cluster{comms: make([]*Comm, hosts), p: geo.NumPEs(), functional: functional}
+	tab := newShapeTable()
+	for h := range cl.comms {
+		var err error
+		if cl.comms[h], err = newComm(geo, shape, cfg, tab); err != nil {
+			return nil, err
 		}
 	}
-	return &Cluster{comms: comms, p: p, functional: functional}, nil
+	return cl, nil
 }
 
 // NumHosts returns the number of hosts.
@@ -341,8 +324,8 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		}
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	roles := make(map[hostRole]*clusterBuild)
 	shared := make([]bool, len(cl.comms)) // host h took its role's row
+	var sym *clusterBuild                 // the row of the hosts the lowering does not single out
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
 	_, unknown := shapeOf(d.Prim)
 	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
@@ -351,16 +334,11 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		if err := owner.errIfClosed(); err != nil {
 			return nil, fmt.Errorf("cluster host %d: %w", h, err)
 		}
-		c.autoMu.Lock()
-		role := hostRole{geo: c.hc.sys.Geometry(), params: c.h.Params(), fuse: c.fuse, obj: c.autoObj, h: -1}
-		c.autoMu.Unlock()
-		if d.Prim == AlltoAll || rooted && h == d.Root {
-			role.h = h
-		}
-		b := roles[role]
-		if shared[h] = b != nil; !shared[h] {
-			// Validated, lowered, fused and traced past the host's caches —
-			// this entry is the cache — by the role's first host only.
+		own := d.Prim == AlltoAll || rooted && h == d.Root // the lowering reads h
+		b := sym
+		if shared[h] = !own && b != nil; !shared[h] {
+			// Validated, lowered, fused and traced past the shape table's
+			// rows — this entry is the cache — by the role's first host only.
 			var err error
 			if b, err = cl.hostSpecs(h, owner.ar, st, d); err != nil {
 				return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
@@ -368,17 +346,20 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 			c.compMu.Lock()
 			b.row = c.buildLocked(b.specs)
 			c.compMu.Unlock()
-			roles[role] = b
+			if !own {
+				sym = b
+			}
 		}
 		cp.plans[h] = owner.planOn(b.row, b.payloads(h))
 	}
-	// Booked on every host like any other miss, and cached, only now: a
+	// Booked, a plan miss per host like any other, and cached only now: a
 	// descriptor rejected at any host leaves no counter and no entry behind.
-	for h, c := range cl.comms {
-		c.compMu.Lock()
-		c.countBuildLocked(cp.plans[h], shared[h])
-		c.compMu.Unlock()
+	c := cl.comms[0] // the counters are the hosts' one table's
+	c.compMu.Lock()
+	for h, hp := range cp.plans {
+		c.countBuildLocked(hp, shared[h])
 	}
+	c.compMu.Unlock()
 	s.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
@@ -417,19 +398,6 @@ func (s *ClusterTenant) Close() error {
 		err = errors.Join(err, t.Close())
 	}
 	return err
-}
-
-// hostRole is everything besides the descriptor and the session's arena
-// that a host's specs are validated against and priced from (the header
-// states the rule); h is the host itself where the lowering reads it — the
-// root of a rooted wire or Flat, every host of an AlltoAll — and -1
-// everywhere else.
-type hostRole struct {
-	geo    dram.Geometry
-	params cost.Params
-	fuse   FuseLevel
-	obj    AutoObjective
-	h      int
 }
 
 // ---------------------------------------------------------------------

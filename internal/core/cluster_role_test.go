@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dram"
@@ -258,43 +260,105 @@ func TestClusterCompileAllocsPerHost(t *testing.T) {
 }
 
 // Only a role's first host traces: compiling every row of the leg table
-// on a functional cluster, at the first and the last root, books a trace
-// miss on the first host of each role — every host of an AlltoAll, the
-// root where the wire or Flat singles it out, the first of the rest — and
-// a trace hit on every other host.
+// on a functional cluster, at the first and the last root, books on the
+// hosts' one shape table a trace miss per role — every host of an
+// AlltoAll, the root where the wire or Flat singles it out, the rest — and
+// a trace hit for every other host.
 func TestFunctionalClusterHostsShareRoleRows(t *testing.T) {
 	const H = 4
 	s := sessionTestCluster(t, H, geoHost, []int{16}, false).s
 	for _, d := range roleDescs(H, true) {
 		for _, d.Root = range []int{0, H - 1} {
-			before := make([]PlanCacheStats, H)
-			for h, c := range s.cl.comms {
-				before[h] = c.Snapshot().PlanCache
-			}
+			before := s.cl.Host(0).Snapshot().PlanCache
 			if _, err := s.Compile(d); err != nil {
 				t.Fatal(err)
 			}
-			alone := d.Prim == AlltoAll
-			rooted := d.Flat || clusterShapes[d.Prim].wire == wireRooted
-			first := 0 // the first host of the symmetric role
-			if rooted && d.Root == 0 {
-				first = 1
+			roles := uint64(1)
+			if d.Prim == AlltoAll {
+				roles = H
+			} else if d.Flat || clusterShapes[d.Prim].wire == wireRooted {
+				roles = 2
 			}
-			for h, c := range s.cl.comms {
-				st := c.Snapshot().PlanCache
-				hits, misses := st.TraceHits-before[h].TraceHits, st.TraceMisses-before[h].TraceMisses
-				// A role's first host books its row's miss, and an Auto leg's
-				// dry builds besides.
-				if alone || rooted && h == d.Root || h == first {
-					if misses == 0 {
-						t.Errorf("%v/%v flat=%v root %d: first host %d of its role booked no trace miss", d.Prim, d.Algorithm, d.Flat, d.Root, h)
-					}
-				} else if hits != 1 || misses != 0 {
-					t.Errorf("%v/%v flat=%v root %d: host %d booked %d trace hits, %d misses; want its role's row: 1 hit",
-						d.Prim, d.Algorithm, d.Flat, d.Root, h, hits, misses)
+			st := s.cl.Host(0).Snapshot().PlanCache
+			// Each role's row is a miss, and an Auto leg's dry builds besides.
+			if hits, misses := st.TraceHits-before.TraceHits, st.TraceMisses-before.TraceMisses; hits != H-roles || misses < roles {
+				t.Errorf("%v/%v flat=%v root %d: the table booked %d trace hits, %d misses; want %d hits, >= %d misses",
+					d.Prim, d.Algorithm, d.Flat, d.Root, hits, misses, H-roles, roles)
+			}
+			for h := 1; h < H; h++ {
+				if got := s.cl.Host(h).Snapshot().PlanCache; got != st {
+					t.Errorf("host %d reports %+v, host 0 %+v: want the one table's", h, got, st)
 				}
 			}
 		}
+	}
+}
+
+// The shards of a cluster session share the hosts' one shape table: a
+// local collective compiled on every shard at once — one goroutine per
+// host — lowers and traces once, every host reports that one row, and,
+// functionally, each host's run moves exactly what a lone machine's does.
+func TestClusterShardsShareShapeRows(t *testing.T) {
+	const H, P, m = 4, 16, 16 * 8
+	d := Collective{Prim: ReduceScatter, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}
+	for _, costOnly := range []bool{true, false} {
+		cl := sessionTestCluster(t, H, geoHost, []int{P}, costOnly)
+		var lone *testComm
+		if !costOnly {
+			lone = newTestComm(t, geoHost, []int{P}, Config{})
+			in := fillSrc(lone, 0, m, 5)
+			for h := 0; h < H; h++ {
+				for pe, b := range in {
+					cl.s.Host(h).SetPEBuffer(pe, 0, b)
+				}
+			}
+			if _, err := lone.s.Run(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := make([]error, H)
+		var wg sync.WaitGroup
+		for h := 0; h < H; h++ {
+			wg.Add(1)
+			go func(h int) {
+				defer wg.Done()
+				_, errs[h] = cl.s.Host(h).Run(d)
+			}(h)
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
+		if st := cl.Host(0).Snapshot().PlanCache; st.TraceMisses != 1 || st.TraceHits != H-1 {
+			t.Errorf("cost-only=%v: %d shards booked %d trace misses, %d hits; want 1 and %d", costOnly, H, st.TraceMisses, st.TraceHits, H-1)
+		}
+		for h := 0; h < H; h++ {
+			if n := cl.Host(h).Snapshot().PlanCache.CachedTraces; n != 1 {
+				t.Errorf("cost-only=%v: host %d reports %d shape rows, want the table's 1", costOnly, h, n)
+			}
+			for pe := 0; lone != nil && pe < P; pe++ {
+				if !bytes.Equal(cl.s.Host(h).GetPEBuffer(pe, 0, 3*m), lone.GetPEBuffer(pe, 0, 3*m)) {
+					t.Fatalf("host %d PE %d differs from a lone machine's", h, pe)
+				}
+			}
+		}
+	}
+}
+
+// The hosts share what a machine of its own allocates for its shape
+// table: a cost-only cluster costs a bounded handful of objects per host.
+func TestNewClusterAllocsPerHost(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const H = 256
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewCluster(H, geoHost, []int{16}, Config{Backend: CostBackend()}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perHost := allocs / H; perHost > 14 {
+		t.Errorf("a cost-only cluster of %d hosts allocates %v objects: %v per host, want <= 14", H, allocs, perHost)
 	}
 }
 

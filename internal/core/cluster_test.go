@@ -30,11 +30,7 @@ func testCluster(t testing.TB, hosts int, geo dram.Geometry, shape []int, costOn
 	if costOnly {
 		cfg.Backend = CostBackend()
 	}
-	comms := make([]*Comm, hosts)
-	for h := range comms {
-		comms[h] = newMachine(t, geo, shape, cfg)
-	}
-	cl, err := NewCluster(comms)
+	cl, err := NewCluster(hosts, geo, shape, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,19 +563,19 @@ func TestClusterSubmit(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(nil); err == nil {
-		t.Error("empty cluster accepted")
+	for _, hosts := range []int{0, -1} {
+		if _, err := NewCluster(hosts, geoHost, []int{16}, Config{}); err == nil {
+			t.Errorf("cluster of %d hosts accepted", hosts)
+		}
 	}
-	c := newMachine(t, geoHost, []int{16}, Config{})
-	if _, err := NewCluster([]*Comm{c, c}); err == nil {
-		t.Error("duplicate host comm accepted")
+	// A functional stepped cluster is refused before any host is built.
+	var err error
+	allocs := testing.AllocsPerRun(1, func() { _, err = NewCluster(64, geoHost, []int{16}, Config{Stepped: true}) })
+	if err == nil || !strings.Contains(err.Error(), "stepped") {
+		t.Errorf("functional stepped cluster: got %v, want an error naming stepped mode", err)
 	}
-	c2 := newMachine(t, geo64, []int{64}, Config{})
-	if _, err := NewCluster([]*Comm{c, c2}); err == nil {
-		t.Error("mismatched host PE counts accepted")
-	}
-	if _, err := NewCluster([]*Comm{c, newMachine(t, geoHost, []int{16}, Config{Backend: CostBackend()})}); err == nil {
-		t.Error("mixed functional/cost-only backends accepted")
+	if !raceEnabled && allocs > 8 {
+		t.Errorf("refusing a functional stepped cluster of 64 hosts allocates %v objects, want <= 8 (no host built)", allocs)
 	}
 
 	cl := sessionTestCluster(t, 2, geoHost, []int{4, 4}, false)

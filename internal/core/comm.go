@@ -57,25 +57,8 @@ type Comm struct {
 	// host model (its meter epoch state and transfer statistics).
 	execMu sync.Mutex
 
-	// planMu guards plans, the cached group plans per dims string;
-	// applications alternate between a few dims selections every layer
-	// (Algorithm 1).
-	planMu sync.Mutex
-	plans  map[string]*plan
-
-	// autoMu guards the Auto decision cache and the objective knob
-	// (auto.go).
-	autoMu    sync.Mutex
-	autoCache map[autoKey]autoDecision
-	autoObj   AutoObjective
-
-	// compMu guards the shape rows (plan.go), every session's plans, the
-	// hit/miss counters, the aggregate fusion statistics and the tracer.
-	compMu  sync.Mutex
-	rows    map[seqKey]*planEntry
-	cacheSt PlanCacheStats
-	fuseSt  FusionStats
-	tracer  *tracer
+	// The shape table: the comm's own (New), or its cluster's (NewCluster).
+	*shapeTable
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
 	// barrier behind which new submissions may not start, frontier holds
@@ -135,6 +118,36 @@ type Comm struct {
 	srun    segRunner
 }
 
+// shapeTable is what a comm compiles that depends only on its
+// configuration and the call shape. A lone machine (New) has its own; the
+// hosts of a Cluster, built from one Config, share one (NewCluster).
+type shapeTable struct {
+	// planMu guards plans, the cached group plans per dims string;
+	// applications alternate between a few dims selections every layer
+	// (Algorithm 1).
+	planMu sync.Mutex
+	plans  map[string]*plan
+
+	// autoMu guards the Auto decision cache and the objective knob
+	// (auto.go).
+	autoMu    sync.Mutex
+	autoCache map[autoKey]autoDecision
+	autoObj   AutoObjective
+
+	// compMu guards the shape rows, the plans of every session on the
+	// table's comms, the hit/miss counters, the aggregate fusion
+	// statistics and the tracer.
+	compMu  sync.Mutex
+	rows    map[seqKey]*planEntry
+	cacheSt PlanCacheStats
+	fuseSt  FusionStats
+	tracer  *tracer
+}
+
+func newShapeTable() *shapeTable {
+	return &shapeTable{plans: make(map[string]*plan), autoCache: make(map[autoKey]autoDecision), rows: make(map[seqKey]*planEntry)}
+}
+
 // Config is everything about a Comm a caller can choose. New applies it
 // once; nothing in it can change afterwards (the Auto objective,
 // SetAutoObjective, is the one runtime setting).
@@ -177,10 +190,15 @@ type Config struct {
 
 // New builds the simulated system for geo — phantom when cfg.Backend is
 // not functional — the virtual hypercube of the given shape over its PEs,
-// and the communication context configured by cfg. It is the only
-// constructor: cfg is validated here, once, and the scheduler instance is
-// resolved here, once.
+// and the communication context configured by cfg, on a shape table of its
+// own. It and NewCluster are the only constructors: newComm validates cfg
+// and resolves the scheduler instance, once per comm.
 func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
+	return newComm(geo, shape, cfg, newShapeTable())
+}
+
+// newComm is New on the shape table tab.
+func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm, error) {
 	if cfg.Params == (cost.Params{}) {
 		cfg.Params = cost.DefaultParams()
 	}
@@ -224,9 +242,7 @@ func New(geo dram.Geometry, shape []int, cfg Config) (*Comm, error) {
 		sched:      schedulers[cfg.Sched].New(),
 		lookahead:  cfg.Lookahead,
 		stepped:    cfg.Stepped,
-		plans:      make(map[string]*plan),
-		autoCache:  make(map[autoKey]autoDecision),
-		rows:       make(map[seqKey]*planEntry),
+		shapeTable: tab,
 		asyncSlots: make(chan struct{}, MaxPendingPlans),
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}

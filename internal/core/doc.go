@@ -45,7 +45,7 @@
 // A collective call flows through four stages: validate, lower to the
 // schedule IR, compile to a plan, execute. Compilation is one path:
 // descriptor → specIn (validation, Auto resolution, the resolved call) →
-// compiled (the session's plans, then the machine's shape rows, both
+// compiled (the session's plans, then the shape table's rows, both
 // keyed by the members' arena-relative signatures; a collective is a
 // sequence of one) → buildLocked (lower → concatenate → fuse → trace, on
 // a row miss). Auto's dry builds fill the same rows.

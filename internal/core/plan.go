@@ -19,9 +19,11 @@ import (
 //
 // One pipeline: descriptor → specIn (collective.go) → compiled, where a
 // collective is a sequence of one → buildLocked on a row miss. Shapes
-// belong to the machine: the Comm's one table of shape rows, keyed by the
-// members' arena-relative signatures, serves every session at every
-// arena base; a row lowers its fused IR Schedule once, at those offsets.
+// belong to the configuration: the shape table (comm.go) — a lone
+// machine's own, or the one every host of a Cluster shares — keys its rows
+// by the members' arena-relative signatures, so a row serves every session
+// at every arena base on every host; a row lowers its fused IR Schedule
+// once, at those offsets, and holds no comm.
 // Plans belong to sessions: a plan is its row, its owner, the owner's
 // arena base and its per-run state (host payloads, rooted results), and
 // each Tenant caches its own per row and drops them when it closes; a
@@ -33,7 +35,7 @@ import (
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
-// on the comm's one scratch tracer, reset per trace (the row keeps
+// on the shape table's one scratch tracer, reset per trace (the row keeps
 // copies). Each addition's value depends only on the call shape
 // — never on prior meter state, nor on where the arena sits
 // (TestChargeTraceIsPositionIndependent) — so replaying the trace applies
@@ -295,16 +297,16 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
 	return cp.out, cp.tr.total
 }
 
-// tracer is the comm's one scratch, reset per trace: a cost-only host
-// (none of the comm's state) recording into adds, and the segs buffer.
+// tracer is the shape table's one scratch, reset per trace: a cost-only
+// host (none of a comm's state) recording into adds, and the segs buffer.
 type tracer struct {
 	h    *host.Host
 	adds []cost.TraceEntry
 	segs []cost.Segment
 }
 
-// trace resets the comm's tracer, runs sched cost-only on it and returns
-// it. The tracer is off the comm meanwhile: a schedule that panics
+// trace resets the table's tracer, runs sched cost-only on it and returns
+// it. The tracer is off the table meanwhile: a schedule that panics
 // mid-epoch leaves the next trace a fresh one. Callers hold compMu.
 func (c *Comm) trace(sched *Schedule) *tracer {
 	tc := c.tracer
@@ -380,7 +382,7 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*Compi
 	return cp, nil
 }
 
-// countBuildLocked books one build in the comm's counters: a plan miss,
+// countBuildLocked books one build in the table's counters: a plan miss,
 // a trace hit or miss, and the plan's fusion report. Callers hold compMu.
 func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 	c.cacheSt.PlanMisses++
@@ -449,8 +451,9 @@ func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 }
 
 // PlanCacheStats reports the two compile caches' behavior and memory
-// footprint (Snapshot.PlanCache): the sessions' plans and the machine's
-// shape rows. Hit/miss counters are cumulative over the Comm's lifetime.
+// footprint (Snapshot.PlanCache): the sessions' plans and the shape
+// table's rows. Every field but CachedPlans and CachedSeqs is the table's,
+// cumulative over its lifetime: on a cluster host, every host's.
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count lookups in a session's plans. A miss
 	// pays validation and, unless the row is new, nothing else: lowering

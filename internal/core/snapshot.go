@@ -28,6 +28,8 @@ type Snapshot struct {
 	// kernels launched against Comm.Meter land on Comm.Meter alone.
 	Meter cost.Breakdown
 	// Cumulative; Auto is sorted by (primitive, dims, bytes, constraint).
+	// All three are the shape table's (on a cluster host, the one every
+	// host shares), but PlanCache's CachedPlans and CachedSeqs: the Comm's.
 	PlanCache PlanCacheStats
 	Fusion    FusionStats
 	Auto      []AutoDecision

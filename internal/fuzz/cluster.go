@@ -71,18 +71,11 @@ type cluster struct {
 // mkCluster builds a functional cluster on a session behind a clusterPad
 // pad, or a cost-only one on its whole-cluster session.
 func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
-	comms := make([]*core.Comm, sc.Hosts)
 	var cfg core.Config
 	if costOnly {
 		cfg.Backend = core.CostBackend()
 	}
-	for h := range comms {
-		var err error
-		if comms[h], err = core.New(sc.Geo, sc.Shape, cfg); err != nil {
-			return cluster{}, err
-		}
-	}
-	cl, err := core.NewCluster(comms)
+	cl, err := core.NewCluster(sc.Hosts, sc.Geo, sc.Shape, cfg)
 	if err != nil {
 		return cluster{}, err
 	}

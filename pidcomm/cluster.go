@@ -23,8 +23,7 @@ import (
 // thousands of hosts cheap (`pidbench -exp cluster`). Like a Machine, a
 // cluster's run-time state is read through one method, Snapshot.
 type Cluster struct {
-	machines []*Machine
-	cc       *core.Cluster
+	cc *core.Cluster
 
 	// mu guards whole, the session of Run, Compile and Submit.
 	mu    sync.Mutex
@@ -36,24 +35,11 @@ type Cluster struct {
 // MachineOptions apply to every host (use WithParams to set NetParams
 // alongside the per-host timing model).
 func NewCluster(hosts int, geo Geometry, shape []int, opts ...MachineOption) (*Cluster, error) {
-	if hosts <= 0 {
-		return nil, fmt.Errorf("pidcomm: cluster needs at least one host, got %d", hosts)
-	}
-	machines := make([]*Machine, hosts)
-	comms := make([]*core.Comm, hosts)
-	for h := range machines {
-		m, err := NewMachine(geo, shape, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("pidcomm: cluster host %d: %w", h, err)
-		}
-		machines[h] = m
-		comms[h] = m.cc
-	}
-	cc, err := core.NewCluster(comms)
+	cc, err := core.NewCluster(hosts, geo, shape, config(opts))
 	if err != nil {
 		return nil, fmt.Errorf("pidcomm: %w", err)
 	}
-	return &Cluster{machines: machines, cc: cc}, nil
+	return &Cluster{cc: cc}, nil
 }
 
 // NumHosts returns the number of hosts.
@@ -66,10 +52,11 @@ func (cl *Cluster) PEsPerHost() int { return cl.cc.PEsPerHost() }
 func (cl *Cluster) NumPEs() int { return cl.NumHosts() * cl.PEsPerHost() }
 
 // CostOnly reports whether the cluster runs the cost-only backend.
-func (cl *Cluster) CostOnly() bool { return cl.machines[0].CostOnly() }
+func (cl *Cluster) CostOnly() bool { return cl.Machine(0).CostOnly() }
 
-// Machine returns host h's machine, where its sessions and timeline live.
-func (cl *Cluster) Machine(h int) *Machine { return cl.machines[h] }
+// Machine returns host h's machine, where its sessions and timeline live;
+// SetAutoObjective on it sets every host's objective (one shape table).
+func (cl *Cluster) Machine(h int) *Machine { return &Machine{cc: cl.cc.Host(h)} }
 
 // Run executes d once across every host in the cluster's whole-cluster
 // session (Comm), bound by the first Run, Compile or Submit: regions are

@@ -1,9 +1,6 @@
 package pidcomm
 
-import (
-	"repro/internal/core"
-	"repro/internal/dram"
-)
+import "repro/internal/core"
 
 // Machine is one simulated PIM-enabled DIMM system: the DIMM geometry,
 // the virtual hypercube over its PEs, the timing model, the shared
@@ -14,9 +11,7 @@ import (
 // unit of isolation. What the machine did is read through one method,
 // Snapshot; Pending and Elapsed alone, polled per request, have getters.
 type Machine struct {
-	sys *dram.System
-	hc  *core.Hypercube
-	cc  *core.Comm
+	cc *core.Comm
 }
 
 // MachineOption sets one field of the machine's configuration.
@@ -89,16 +84,21 @@ func WithLookahead(k int) MachineOption {
 // and virtual-hypercube shape (every dimension a power of two except
 // the last; product equal to the PE count).
 func NewMachine(geo Geometry, shape []int, opts ...MachineOption) (*Machine, error) {
+	cc, err := core.New(geo, shape, config(opts))
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{cc: cc}, nil
+}
+
+// config applies opts to the zero configuration, for NewMachine and
+// NewCluster alike.
+func config(opts []MachineOption) core.Config {
 	var cfg core.Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cc, err := core.New(geo, shape, cfg)
-	if err != nil {
-		return nil, err
-	}
-	hc := cc.Hypercube()
-	return &Machine{sys: hc.System(), hc: hc, cc: cc}, nil
+	return cfg
 }
 
 // ExecWorkers returns the worker-pool size collectives execute with.
@@ -145,17 +145,17 @@ func (m *Machine) Comm() (*Comm, error) { return m.cc.Session() }
 func (m *Machine) CostOnly() bool { return !m.cc.Backend().Functional() }
 
 // Shape returns the hypercube shape.
-func (m *Machine) Shape() []int { return m.hc.Shape() }
+func (m *Machine) Shape() []int { return m.cc.Hypercube().Shape() }
 
 // NumPEs returns the machine's PE count.
-func (m *Machine) NumPEs() int { return m.sys.Geometry().NumPEs() }
+func (m *Machine) NumPEs() int { return m.cc.Hypercube().System().Geometry().NumPEs() }
 
 // MramPerBank returns the per-PE MRAM capacity in bytes.
-func (m *Machine) MramPerBank() int { return m.sys.MramSize() }
+func (m *Machine) MramPerBank() int { return m.cc.Hypercube().System().MramSize() }
 
 // Groups returns the communication groups (PE lists in rank order) the
 // dims selection produces — the cube slices of § IV-B2.
-func (m *Machine) Groups(dims string) ([][]int, error) { return m.hc.Groups(dims) }
+func (m *Machine) Groups(dims string) ([][]int, error) { return m.cc.Hypercube().Groups(dims) }
 
 // Snapshot returns the machine's run-time state as one value to print
 // (`pidinfo -tenants`) or read field by field. Its Meter sums every
@@ -166,7 +166,8 @@ func (m *Machine) Snapshot() Snapshot { return m.cc.Snapshot() }
 // minimizes: the meter total (AutoMeter, the default — serial cost) or
 // the pipelined dry-placed makespan (AutoMakespan — overlapped elapsed
 // time, the right objective for async submission bursts). Cached Auto
-// decisions are dropped on a change.
+// decisions are dropped on a change. On a cluster host (Cluster.Machine)
+// it sets the objective of the whole cluster.
 func (m *Machine) SetAutoObjective(o AutoObjective) { m.cc.SetAutoObjective(o) }
 
 // Step pops the next queued plan under the scheduling policy and
