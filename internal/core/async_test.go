@@ -327,12 +327,13 @@ func TestExtendElapsedAllocs(t *testing.T) {
 
 // failingPlan hand-builds a plan whose functional execution panics
 // mid-schedule (after the charge trace was captured cleanly), modeling a
-// backend error inside a schedule step.
+// backend error inside a schedule step: the modulation of a bulk step,
+// which only the functional backend runs.
 func failingPlan(c *testComm) *CompiledPlan {
 	sched := &Schedule{Name: "test/failing"}
-	sched.add(&StepHostCompute{
-		Charges: []Charge{{ChargeHostMem, 64}},
-		Run:     func(*Comm) { panic("injected backend failure") },
+	sched.add(&StepBulk{
+		Charges:  []Charge{{ChargeHostMem, 64}},
+		Modulate: func(*Comm, []byte) []byte { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
 	c.compMu.Lock()

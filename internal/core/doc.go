@@ -16,9 +16,10 @@
 //
 // # Configured at construction
 //
-// New(geo, shape, Config) is the only constructor: it builds the
-// (phantom or real) system, the hypercube and the Comm, validates the
-// Config once and resolves the scheduler once. Backend, cost
+// New(geo, shape, Config) and NewCluster(hosts, geo, shape, Config), which
+// builds its hosts with New on one shape table, are the only constructors:
+// New builds the (phantom or real) system, the hypercube and the Comm,
+// validates the Config once and resolves the scheduler once. Backend, cost
 // parameters, fusion level, worker count, scheduling policy, lookahead
 // window and stepped mode are fixed for the Comm's life; the Auto
 // objective (SetAutoObjective) is the one runtime setting.
@@ -59,8 +60,9 @@
 //   - Schedule (schedule.go) is the typed IR every collective lowers to:
 //     StepRotateBlocks (the PE-assisted reorder kernel), StepBulk (a
 //     conventional staged host pass), StepColumnStream (one streaming
-//     epoch of the optimized engine), StepHostCompute and StepSync. Each
-//     step carries both the functional closures that move bytes and the
+//     epoch of the optimized engine), StepHostCompute, StepNetTransfer (a
+//     cluster's inter-host network leg) and StepSync. Each step carries
+//     both the functional closures that move bytes and the
 //     declarative charge counts the cost-only backend needs. A schedule
 //     holds no comm and no run state: its closures take the comm that
 //     executes them, so one schedule serves every comm of its shape.
@@ -96,11 +98,12 @@
 //     reduce-scatter hops, n-1 allgather hops) — bandwidth-optimal hops.
 //     Tree AllReduce: a binomial tree, ceil(log2 n) reduce-up plus as
 //     many broadcast-down rounds of the full payload — fewest rounds.
-//     Rsag AllReduce: the Rabenseifner composition, a machine-wide
-//     ReduceScatter bulk phase then an AllGather one — block-parallel
-//     host reduction for one extra bus round trip of a block. Ring and
-//     tree Broadcast: the same staged shapes delivering the host payload
-//     through the bulk path instead of the driver's single-DT broadcast.
+//     Rsag AllReduce: the Rabenseifner composition, the staged passes of
+//     the Baseline ReduceScatter and the multi-group AllGather themselves
+//     — block-parallel host reduction for one extra bus round trip of a
+//     block. Ring and tree Broadcast: the same staged shapes delivering
+//     the host payload through the bulk path instead of the driver's
+//     single-DT broadcast.
 //     The ring and tree rows also carry the rounds × bytes of a cluster
 //     AllReduce's host-level wire leg (cluster.go).
 //   - Autotuning (auto.go): a descriptor left at Level Auto and/or

@@ -140,16 +140,13 @@ func rotateBlocksWork(m int) (instr, mramBytes int64) {
 // rotate is the comm's one PE-assisted reordering kernel (§ V-A1), run for
 // the rotation step being launched (c.rotStep): each PE's region [Off,
 // Off+N*S) of the running plan's arena (c.cur) is treated as N blocks of
-// S bytes and left-rotated by Rot(rank) blocks: new block l = old block
-// (l + rot) mod n. The kernel streams MRAM through WRAM-sized chunks; the
-// paper's incremental shifting touches each byte once in and once out,
-// which is what the accounting reflects.
+// S bytes and left-rotated by r = rotation(rank) blocks: new block l =
+// old block (l + r) mod N. The kernel streams MRAM through WRAM-sized
+// chunks; the paper's incremental shifting touches each byte once in and
+// once out, which is what the accounting reflects.
 func (c *Comm) rotate(ctx *dpu.Ctx) {
 	st := c.rotStep
-	r := st.Rot(ctx.GroupRank) % st.N
-	if r < 0 {
-		r += st.N
-	}
+	r := st.rotation(ctx.GroupRank)
 	if r == 0 {
 		return // nothing to move; kernel exits immediately
 	}

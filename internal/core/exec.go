@@ -58,9 +58,6 @@ func (c *Comm) executeOn(b Backend, h *host.Host, sched *Schedule) {
 		case *StepColumnStream:
 			b.columnStream(c, h, s)
 		case *StepHostCompute:
-			if s.Run != nil && b.Functional() {
-				s.Run(c)
-			}
 			applyCharges(h, s.Charges)
 		case *StepNetTransfer:
 			if s.Run != nil && b.Functional() {
@@ -164,11 +161,7 @@ func (costBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks) {
 		GroupRanks: ranks,
 		Category:   cost.PEMod,
 	}, h.Meter(), func(_, rank int) (instr, mramBytes int64) {
-		r := st.Rot(rank) % st.N
-		if r < 0 {
-			r += st.N
-		}
-		if r == 0 {
+		if st.rotation(rank) == 0 {
 			return 0, 0
 		}
 		return rotateBlocksWork(m)

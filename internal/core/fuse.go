@@ -21,11 +21,11 @@ import (
 //     single transfer epoch (burst tallies and charges concatenate, the
 //     functional bodies chain), so a multi-collective sequence streams
 //     as one dense epoch.
-//  3. Inverse rotate/unrotate pairs are a special case of (1): the
-//     composed rotation is the identity, which dropNoops then removes
-//     entirely — e.g. an AlltoAll's trailing unrotate of its destination
-//     cancels a following ReduceScatter's leading rotate of the same
-//     region.
+//  3. Inverse rotate/unrotate pairs are a special case of (1): their
+//     multipliers sum to 0, so the composed rotation is the identity,
+//     which dropNoops then removes entirely — e.g. an AlltoAll's trailing
+//     unrotate (-1) of its destination cancels a following
+//     ReduceScatter's leading rotate (+1) of the same region.
 //  4. dropNoops: steps that provably do nothing (a rotation by zero
 //     blocks for every rank, an empty bulk or host-compute step, an
 //     empty transfer epoch) are removed, saving their fixed launch
@@ -171,7 +171,7 @@ func (s *FusionStats) add(r FusionReport) {
 // every PE, but the launch itself would still be charged).
 func rotateIsNoop(st *StepRotateBlocks) bool {
 	for rank := 0; rank < st.p.n; rank++ {
-		if st.Rot(rank)%st.N != 0 {
+		if st.rotation(rank) != 0 {
 			return false
 		}
 	}
@@ -197,12 +197,10 @@ func sameRotateRegion(a, b *StepRotateBlocks) bool {
 }
 
 // mergeRotates composes two adjacent same-region rotations into one step
-// rotating by the summed amount. Left-rotations compose additively, so
-// the result is byte-identical to applying both.
+// rotating by the summed multiplier. Left-rotations compose additively,
+// so the result is byte-identical to applying both.
 func mergeRotates(a, b *StepRotateBlocks) *StepRotateBlocks {
-	ra, rb := a.Rot, b.Rot
-	return &StepRotateBlocks{p: a.p, Off: a.Off, N: a.N, S: a.S,
-		Rot: func(rank int) int { return ra(rank) + rb(rank) }}
+	return &StepRotateBlocks{p: a.p, Off: a.Off, N: a.N, S: a.S, Mul: a.Mul + b.Mul}
 }
 
 // stepIsNoop classifies steps that provably perform no work and no
@@ -215,7 +213,7 @@ func stepIsNoop(st Step) bool {
 	case *StepBulk:
 		return !s.Read && !s.Write && len(s.Charges) == 0 && s.Modulate == nil
 	case *StepHostCompute:
-		return len(s.Charges) == 0 && s.Run == nil
+		return len(s.Charges) == 0
 	case *StepColumnStream:
 		return s.Reads == 0 && s.Writes == 0 && len(s.Charges) == 0 && len(s.segs) == 0
 	case *StepNetTransfer:

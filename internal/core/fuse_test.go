@@ -443,3 +443,33 @@ func TestSequenceSubmitMatchesRun(t *testing.T) {
 	b.Flush()
 	compareMram(t, "submit vs run", a, b)
 }
+
+// Fusing an AlltoAll(IM) into a ReduceScatter(IM) of its destination
+// merges the AlltoAll's trailing unrotate with the ReduceScatter's
+// leading rotate into one step that sums their multipliers — no closure
+// — drops it as the identity, and coalesces the two epochs: at most 7
+// objects for the whole pass.
+func TestFusedRotationPairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m = 512
+	c := costSystem(t, geo64, []int{8, 8})
+	var steps []Step
+	for _, d := range []Collective{
+		{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(m), Level: IM},
+		{Prim: ReduceScatter, Dims: "10", Src: Span(m, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM},
+	} {
+		sp, err := c.specIn(c.s.ar, d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, sp.schedule().Steps...)
+	}
+	if _, rep := fuseSteps(steps); rep.RotatesMerged != 1 || rep.RotatesElided != 1 || rep.EpochsCoalesced != 1 {
+		t.Fatalf("fusing the pair: %v, want one rotation pair merged and elided and one epoch coalesced", rep)
+	}
+	if got := testing.AllocsPerRun(100, func() { fuseSteps(steps) }); got > 7 {
+		t.Errorf("fusing the pair allocates %v objects, want <= 7", got)
+	}
+}

@@ -1,7 +1,5 @@
 package core
 
-import "repro/internal/elem"
-
 // This file holds the alternative rows of the lowering table
 // (algorithm.go): classic MPI algorithm shapes expressed in the schedule
 // IR, emulated on the host path; what each trades against the reference
@@ -90,10 +88,7 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
 		Modulate: func(c *Comm, _ []byte) []byte {
 			data := c.bulkOut(len(p.rankOf) * m)
 			c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
-				elem.Fill(t, red, op.Identity(t))
-				for _, pe := range p.groups[g] {
-					elem.ReduceInto(t, op, red, data[pe*m:(pe+1)*m])
-				}
+				foldGroup(t, op, red, data, p.groups[g], m, e.s, false)
 				for _, pe := range p.groups[g] {
 					copy(data[pe*m:(pe+1)*m], red)
 				}
@@ -129,54 +124,15 @@ func lowerTreeAllReduce(e *algoEnv) *Schedule {
 	return stagedAllReduce(e, "AllReduce/tree", hops)
 }
 
-// lowerRsagAllReduce is two machine-wide bulk phases: a ReduceScatter
-// pass that leaves each PE holding its rank's reduced block at dst, a
-// sync barrier, then an AllGather pass that reads the blocks back and
-// assembles the full replicated result.
+// lowerRsagAllReduce is the Rabenseifner composition: the staged
+// ReduceScatter pass leaves each PE its rank's reduced block at dst, a
+// sync barrier ends that phase, and the staged AllGather pass reads the
+// blocks back and writes the full replicated result over them.
 func lowerRsagAllReduce(e *algoEnv) *Schedule {
-	p, m, s, t, op := e.p, e.bytes, e.s, e.elemType, e.op
-	reduceScatter := &StepBulk{
-		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
-		Write: true, WriteOff: e.dstOff, WritePerPE: s,
-		// The whole input is reduced once, same volume as the reference —
-		// just block-sharded across ranks.
-		Charges: []Charge{{ChargeScalarReduce, p.numPEBytes(m)}},
-		Modulate: func(c *Comm, stag []byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * s)
-			c.groupsDoScratch(len(p.groups), s, func(g int, red []byte) {
-				pes := p.groups[g]
-				for i, pe := range pes {
-					elem.Fill(t, red, op.Identity(t))
-					for _, src := range pes {
-						elem.ReduceInto(t, op, red, stag[src*m+i*s:src*m+(i+1)*s])
-					}
-					copy(out[pe*s:(pe+1)*s], red)
-				}
-			})
-			return out
-		},
-	}
-	allGather := &StepBulk{
-		Read: true, ReadOff: e.dstOff, ReadPerPE: s,
-		Write: true, WriteOff: e.dstOff, WritePerPE: m,
-		// Replication pass over all output, memcpy class — the reference's
-		// second charge.
-		Charges: []Charge{{ChargeSIMD, p.numPEBytes(m)}},
-		Modulate: func(c *Comm, stag []byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * m)
-			c.groupsDo(len(p.groups), func(g int) {
-				pes := p.groups[g]
-				for _, pe := range pes {
-					for k, src := range pes {
-						copy(out[pe*m+k*s:pe*m+(k+1)*s], stag[src*s:(src+1)*s])
-					}
-				}
-			})
-			return out
-		},
-	}
-	// The first sync is the RS/AG phase barrier.
-	return &Schedule{Name: "AllReduce/rsag", Steps: []Step{reduceScatter, &StepSync{}, allGather, &StepSync{}}}
+	return &Schedule{Name: "AllReduce/rsag", Steps: []Step{
+		reduceScatterBulk(e, ChargeScalarReduce), &StepSync{},
+		allGatherBulk(e.p, e.dstOff, e.dstOff, e.s), &StepSync{},
+	}}
 }
 
 // stagedBroadcast closes a Broadcast shape's forwarding hops with the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -622,7 +624,8 @@ func TestTraceScheduleAllocs(t *testing.T) {
 // A schedule that panics mid-trace, after it has charged a bus epoch,
 // takes the comm's tracer down with it: the tracer is not put back, and
 // the next compile on the comm traces exactly what it traces on a fresh
-// comm.
+// comm. The panic is a rotation over zero blocks, whose rotation divides
+// by zero when the cost backend prices it.
 func TestPanickingTraceLeavesNextTraceClean(t *testing.T) {
 	c := costSystem(t, geo64, []int{8, 8})
 	if _, err := freshPlan(c.s, traceAllReduce); err != nil { // a warm tracer
@@ -634,13 +637,14 @@ func TestPanickingTraceLeavesNextTraceClean(t *testing.T) {
 	}
 	bad := &Schedule{Name: "test/panics-mid-trace"}
 	bad.add(&StepBulk{Read: true, ReadPerPE: 64, Charges: []Charge{{ChargeReduce, 4096}}})
-	bad.add(&StepRotateBlocks{p: p, N: 8, S: 8, Rot: func(int) int { panic("injected lowering failure") }})
+	bad.add(&StepRotateBlocks{p: p, N: 0, S: 8, Mul: 1})
 	func() {
 		c.compMu.Lock()
 		defer c.compMu.Unlock()
 		defer func() {
-			if r := recover(); r != "injected lowering failure" {
-				t.Fatalf("tracing the panicking schedule recovered %v", r)
+			r := recover()
+			if err, ok := r.(runtime.Error); !ok || !strings.Contains(err.Error(), "divide by zero") {
+				t.Fatalf("tracing the panicking schedule recovered %v, want a division-by-zero runtime error", r)
 			}
 			if c.tracer != nil {
 				t.Error("the tracer of a panicked trace is back on the comm")

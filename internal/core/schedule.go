@@ -94,17 +94,30 @@ type Step interface{ stepName() string }
 
 // StepRotateBlocks runs the PE-assisted reordering kernel (§ V-A1):
 // every PE's region [Off, Off+N*S) is treated as N blocks of S bytes and
-// left-rotated by Rot(rank) blocks. The functional backend launches the
-// executing comm's one kernel (Comm.rotate) on the step; the cost-only
-// backend reproduces its MRAM/instruction accounting analytically.
+// left-rotated by Mul times the PE's group rank (rotation). A lowering
+// pre-rotates a source with Mul 1 and undoes it on a destination with
+// Mul -1; fusion composes two rotations of one region by adding their
+// multipliers. The functional backend launches the executing comm's one
+// kernel (Comm.rotate) on the step; the cost-only backend reproduces its
+// MRAM/instruction accounting analytically.
 type StepRotateBlocks struct {
 	p    *plan
 	Off  int
 	N, S int
-	Rot  func(rank int) int
+	Mul  int
 }
 
 func (*StepRotateBlocks) stepName() string { return "RotateBlocks" }
+
+// rotation returns the blocks rank's region rotates left by: Mul·rank
+// mod N, in [0, N).
+func (st *StepRotateBlocks) rotation(rank int) int {
+	r := st.Mul * rank % st.N
+	if r < 0 {
+		r += st.N
+	}
+	return r
+}
 
 // StepBulk is one conventional host-memory phase: an optional staged
 // BulkRead, host-side modulation over the staging buffer, an optional
@@ -167,12 +180,11 @@ type StepColumnStream struct {
 
 func (*StepColumnStream) stepName() string { return "ColumnStream" }
 
-// StepHostCompute is host-only work with no PE traffic: assembling or
-// storing rooted buffers, driver-side domain transfers of broadcast
-// payloads. Run (optional) is functional-only, on the executing comm.
+// StepHostCompute is host-only work with no PE traffic, charged and not
+// run: storing rooted buffers, driver-side domain transfers of broadcast
+// payloads, the wire rounds of a staged shape.
 type StepHostCompute struct {
 	Charges []Charge
-	Run     func(c *Comm)
 }
 
 func (*StepHostCompute) stepName() string { return "HostCompute" }
@@ -214,11 +226,6 @@ type Schedule struct {
 
 func (s *Schedule) add(st Step) { s.Steps = append(s.Steps, st) }
 
-// rotFwd/rotBwd are the standard pre/post rotation amounts of the
-// PE-assisted reordering passes.
-func rotFwd(rank int) int { return rank }
-func rotBwd(rank int) int { return -rank }
-
 // numPEBytes is the total byte count of a perPE-sized region over every
 // PE the group plan covers (the whole machine) — the size of a full
 // staging buffer.
@@ -253,17 +260,11 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		if pr {
-			sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
-		}
-		modKind := ChargeScalarMod
-		if pr {
-			modKind = ChargeLocalMod
-		}
+		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarMod, ChargeLocalMod)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
-			Charges: []Charge{{modKind, p.numPEBytes(m)}},
+			Charges: []Charge{{kind, p.numPEBytes(m)}},
 			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(stag))
 				c.groupsDo(len(p.groups), func(gi int) {
@@ -293,7 +294,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 			},
 		})
 		if pr {
-			sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Rot: rotBwd})
+			sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Mul: -1})
 		}
 	default: // IM or CM
 		cm := lvl == CM
@@ -307,7 +308,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 			// form of DT.
 			charges = append(charges, Charge{ChargeDT, 2 * cols * colB})
 		}
-		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
+		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
 			Reads: cols, Writes: cols,
 			Charges: charges,
@@ -325,93 +326,156 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 				}
 			}}},
 		})
-		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Rot: rotBwd})
+		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Mul: -1})
 	}
 	sched.add(&StepSync{})
 	return sched
 }
 
 // ---------------------------------------------------------------------
-// ReduceScatter and Reduce (Figure 8(b), § V-B2/B4)
+// The reduce half (Figure 8(b)(c), § V-B2-B4)
 // ---------------------------------------------------------------------
+
+// ReduceScatter, Reduce and AllReduce run one reduction and differ only
+// in where its result goes: back to the rank that owns each block, to
+// the host, or to every rank. Their staged (Baseline, PR) passes open
+// with stagedFront; Reduce and AllReduce fold a group's payloads with
+// foldGroup. Their IM epochs fold each element column with foldSlots,
+// priced by foldCharges, and Reduce, like Gather, stores rooted lanes
+// with storeLanes.
+
+// stagedFront opens a staged pass over the n blocks of s bytes every PE
+// holds at srcOff, and returns the charge kind of that pass: at PR the
+// PEs first pre-rotate their blocks left by their rank (§ V-A1), so the
+// host pass is local work rather than scalar.
+func stagedFront(sched *Schedule, p *plan, lvl Level, srcOff, s int, scalar, local ChargeKind) ChargeKind {
+	if lvl != PR {
+		return scalar
+	}
+	sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: p.n, S: s, Mul: 1})
+	return local
+}
+
+// foldGroup reduces the m-byte payloads that group grp's PEs staged in
+// stag into red, in rank order. At PR (pr) rank i pre-rotated its blocks
+// of s bytes left by i, so the fold puts its slot k back at block
+// (k+i) mod n.
+func foldGroup(t elem.Type, op elem.Op, red, stag []byte, grp []int, m, s int, pr bool) {
+	n := len(grp)
+	elem.Fill(t, red, op.Identity(t))
+	for i, pe := range grp {
+		src := stag[pe*m : (pe+1)*m]
+		if !pr {
+			elem.ReduceInto(t, op, red, src)
+			continue
+		}
+		for k := 0; k < n; k++ {
+			blk := (k + i) % n
+			elem.ReduceInto(t, op, red[blk*s:blk*s+s], src[k*s:k*s+s])
+		}
+	}
+}
+
+// foldSlots reduces element column e of the n pre-rotated slots of s
+// bytes at srcOff into sc.ac, in host byte order: slot k is shifted by k
+// ranks, so lane j of the result is rank j's reduced block.
+func (sc *streamCtx) foldSlots(p *plan, t elem.Type, op elem.Op, srcOff, s, e int) {
+	sc.fillIdentity(t, op, sc.ac)
+	for k := 0; k < p.n; k++ {
+		sc.readColumn(srcOff+k*s+e, sc.a)
+		sc.shiftColumn(p, sc.b, sc.a, k)
+		sc.transposeColumn(sc.b)
+		sc.reduceColumnInto(t, op, sc.ac, sc.b)
+	}
+}
+
+// foldCharges prices an IM fold of iters element columns per slot:
+// simd, n and dt columns of SIMD modulation, reduction and domain
+// transfer per element column, in that order. I8 skips the domain
+// transfer: the host can interpret 8-bit data in the PIM domain. The
+// slice has room for one more charge.
+func (p *plan) foldCharges(t elem.Type, iters, simd, dt int64) []Charge {
+	colB := p.columnBytes()
+	charges := append(make([]Charge, 0, 4),
+		Charge{ChargeSIMD, simd * iters * colB},
+		Charge{ChargeReduce, int64(p.n) * iters * colB})
+	if t != elem.I8 {
+		charges = append(charges, Charge{ChargeDT, dt * iters * colB})
+	}
+	return charges
+}
+
+// storeLanes stores element column e of col, in host byte order, into
+// the rooted results res: PE pe's lane lands in its group's buffer, in
+// its rank's block of s bytes. Iterations storing distinct e write
+// distinct bytes, so shards don't overlap.
+func (p *plan) storeLanes(res [][]byte, col column, s, e int) {
+	for g, grp := range p.groups {
+		for j, pe := range grp {
+			copy(res[g][j*s+e:j*s+e+8], col.lane(pe))
+		}
+	}
+}
 
 func lowerReduceScatter(env *algoEnv) *Schedule {
 	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
-	m := n * s
 	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
 	switch lvl {
 	case Baseline, PR:
-		pr := lvl == PR
-		if pr {
-			sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
-		}
-		redKind := ChargeScalarReduce
-		if pr {
-			redKind = ChargeLocalReduce
-		}
-		sched.add(&StepBulk{
-			Read: true, ReadOff: srcOff, ReadPerPE: m,
-			Write: true, WriteOff: dstOff, WritePerPE: s,
-			Charges: []Charge{{redKind, p.numPEBytes(m)}},
-			Modulate: func(c *Comm, stag []byte) []byte {
-				out := c.bulkOut(len(p.rankOf) * s)
-				c.groupsDo(len(p.groups), func(gi int) {
-					grp := p.groups[gi]
-					for pIdx, dstPE := range grp {
-						blk := out[dstPE*s : (dstPE+1)*s]
-						elem.Fill(t, blk, op.Identity(t))
-						for i, srcPE := range grp {
-							// Without PR, block p sits at slot p; with PR,
-							// rank i pre-rotated left by i so block p is at
-							// slot (p-i)%n.
-							slot := pIdx
-							if pr {
-								slot = ((pIdx-i)%n + n) % n
-							}
-							elem.ReduceInto(t, op, blk, stag[srcPE*m+slot*s:srcPE*m+slot*s+s])
-						}
-					}
-				})
-				return out
-			},
-		})
+		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
+		sched.add(reduceScatterBulk(env, kind))
 	default: // IM
-		noDT := t == elem.I8 // host can interpret 8-bit data in PIM domain
 		iters := int64(s / 8)
-		colB := p.columnBytes()
-		charges := []Charge{
-			{ChargeSIMD, int64(n) * iters * colB},
-			{ChargeReduce, int64(n) * iters * colB},
-		}
-		if !noDT {
-			charges = append(charges, Charge{ChargeDT, int64(n+1) * iters * colB})
-		}
-		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
+		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
 			Reads: int64(n) * iters, Writes: iters,
-			Charges: charges,
-			// Per element column e: reduce the n slot bursts into the
-			// shard accumulator, write one burst. Iterations touch
-			// distinct columns — shardable.
+			Charges: p.foldCharges(t, iters, int64(n), int64(n+1)),
+			// Per element column e: fold the n slot bursts, write one
+			// burst. Iterations touch distinct columns — shardable.
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
-					e := i * 8
-					sc.fillIdentity(t, op, sc.ac) // host byte order
-					for k := 0; k < n; k++ {
-						sc.readColumn(srcOff+k*s+e, sc.a)
-						sc.shiftColumn(p, sc.b, sc.a, k) // lane = destination rank
-						sc.transposeColumn(sc.b)
-						sc.reduceColumnInto(t, op, sc.ac, sc.b)
-					}
+					sc.foldSlots(p, t, op, srcOff, s, i*8)
 					sc.transposeColumn(sc.ac)
-					sc.writeColumn(dstOff+e, sc.ac)
+					sc.writeColumn(dstOff+i*8, sc.ac)
 				}
 			}}},
 		})
 	}
 	sched.add(&StepSync{})
 	return sched
+}
+
+// reduceScatterBulk is the staged ReduceScatter pass, charged as kind
+// work: each group reduces block p of its members' n blocks at srcOff
+// into rank p's dstOff. At PR rank i pre-rotated its blocks left by i,
+// so block p sits at its slot (p-i) mod n.
+func reduceScatterBulk(env *algoEnv, kind ChargeKind) *StepBulk {
+	p, s, t, op, pr := env.p, env.s, env.elemType, env.op, env.lvl == PR
+	n, m := p.n, p.n*s
+	return &StepBulk{
+		Read: true, ReadOff: env.srcOff, ReadPerPE: m,
+		Write: true, WriteOff: env.dstOff, WritePerPE: s,
+		Charges: []Charge{{kind, p.numPEBytes(m)}},
+		Modulate: func(c *Comm, stag []byte) []byte {
+			out := c.bulkOut(len(p.rankOf) * s)
+			c.groupsDo(len(p.groups), func(gi int) {
+				grp := p.groups[gi]
+				for pIdx, dstPE := range grp {
+					blk := out[dstPE*s : (dstPE+1)*s]
+					elem.Fill(t, blk, op.Identity(t))
+					for i, srcPE := range grp {
+						slot := pIdx
+						if pr {
+							slot = ((pIdx-i)%n + n) % n
+						}
+						elem.ReduceInto(t, op, blk, stag[srcPE*m+slot*s:srcPE*m+slot*s+s])
+					}
+				}
+			})
+			return out
+		},
+	}
 }
 
 // lowerReduce lowers the rooted Reduce. The per-group host results land
@@ -422,83 +486,36 @@ func lowerReduce(env *algoEnv) *Schedule {
 	p, srcOff, s, t, op, lvl := env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
+	store := Charge{ChargeHostMem, int64(len(p.groups)) * int64(m)} // result store
 	sched := &Schedule{Name: "Reduce/" + lvl.String()}
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		if pr {
-			sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
-		}
-		redKind := ChargeScalarReduce
-		if pr {
-			redKind = ChargeLocalReduce
-		}
+		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
-			Charges: []Charge{
-				{redKind, p.numPEBytes(m)},
-				{ChargeHostMem, int64(len(p.groups)) * int64(m)}, // result store
-			},
+			Charges: []Charge{{kind, p.numPEBytes(m)}, store},
 			Modulate: func(c *Comm, stag []byte) []byte {
 				res := c.cur.rootedBufs(len(p.groups), m)
 				c.groupsDo(len(p.groups), func(g int) {
-					grp := p.groups[g]
-					elem.Fill(t, res[g], op.Identity(t))
-					for i, srcPE := range grp {
-						src := stag[srcPE*m : (srcPE+1)*m]
-						if pr {
-							// Undo the rotation block-wise while reducing.
-							for k := 0; k < n; k++ {
-								blk := (k + i) % n
-								elem.ReduceInto(t, op, res[g][blk*s:blk*s+s], src[k*s:k*s+s])
-							}
-						} else {
-							elem.ReduceInto(t, op, res[g], src)
-						}
-					}
+					foldGroup(t, op, res[g], stag, p.groups[g], m, s, pr)
 				})
 				return nil
 			},
 		})
 	default: // IM
-		noDT := t == elem.I8
 		iters := int64(s / 8)
-		colB := p.columnBytes()
-		charges := []Charge{
-			{ChargeSIMD, int64(n) * iters * colB},
-			{ChargeReduce, int64(n) * iters * colB},
-		}
-		if !noDT {
-			charges = append(charges, Charge{ChargeDT, int64(n) * iters * colB})
-		}
-		charges = append(charges, Charge{ChargeHostMem, int64(len(p.groups)) * int64(m)}) // result store
-		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
+		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
 			Reads:   int64(n) * iters,
-			Charges: charges,
+			Charges: append(p.foldCharges(t, iters, int64(n), int64(n)), store),
 			segs: []*streamSeg{{
 				cols:  s / 8,
 				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), m) },
 				body: func(sc *streamCtx, lo, hi int) {
-					res := sc.c.cur.rooted
 					for i := lo; i < hi; i++ {
-						e := i * 8
-						sc.fillIdentity(t, op, sc.ac)
-						for k := 0; k < n; k++ {
-							sc.readColumn(srcOff+k*s+e, sc.a)
-							sc.shiftColumn(p, sc.b, sc.a, k)
-							sc.transposeColumn(sc.b)
-							sc.reduceColumnInto(t, op, sc.ac, sc.b)
-						}
-						// ac lane (rank j) = reduced block j, element column
-						// e: store to the per-group host result buffers —
-						// distinct e bytes per iteration, so shards don't
-						// overlap.
-						for g, grp := range p.groups {
-							for j, pe := range grp {
-								copy(res[g][j*s+e:j*s+e+8], sc.ac.lane(pe))
-							}
-						}
+						sc.foldSlots(p, t, op, srcOff, s, i*8)
+						p.storeLanes(sc.c.cur.rooted, sc.ac, s, i*8)
 					}
 				},
 			}},
@@ -508,10 +525,6 @@ func lowerReduce(env *algoEnv) *Schedule {
 	return sched
 }
 
-// ---------------------------------------------------------------------
-// AllReduce (Figure 8(c), § V-B3)
-// ---------------------------------------------------------------------
-
 func lowerAllReduce(env *algoEnv) *Schedule {
 	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
@@ -520,39 +533,21 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		if pr {
-			sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
-		}
-		redKind := ChargeScalarReduce
-		if pr {
-			redKind = ChargeLocalReduce
-		}
+		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
 			// Reduction pass over all input plus a memcpy-class
 			// replication pass over all output.
 			Charges: []Charge{
-				{redKind, p.numPEBytes(m)},
+				{kind, p.numPEBytes(m)},
 				{ChargeSIMD, p.numPEBytes(m)},
 			},
 			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(stag))
 				c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
-					grp := p.groups[g]
-					elem.Fill(t, red, op.Identity(t))
-					for i, srcPE := range grp {
-						src := stag[srcPE*m : (srcPE+1)*m]
-						if pr {
-							for k := 0; k < n; k++ {
-								blk := (k + i) % n
-								elem.ReduceInto(t, op, red[blk*s:blk*s+s], src[k*s:k*s+s])
-							}
-						} else {
-							elem.ReduceInto(t, op, red, src)
-						}
-					}
-					for _, dstPE := range grp {
+					foldGroup(t, op, red, stag, p.groups[g], m, s, pr)
+					for _, dstPE := range p.groups[g] {
 						copy(out[dstPE*m:(dstPE+1)*m], red)
 					}
 				})
@@ -561,33 +556,18 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 		})
 	default: // IM
 		// Fused streaming ReduceScatter + AllGather: per element column,
-		// reduce the n slot bursts into an accumulator, domain-transfer
-		// back once, write it n times with incremental shifts; the PEs
-		// then fix block order locally. Host memory is never touched.
-		noDT := t == elem.I8
+		// fold the n slot bursts, domain-transfer back once, write it n
+		// times with incremental shifts; the PEs then fix block order
+		// locally. Host memory is never touched.
 		iters := int64(s / 8)
-		colB := p.columnBytes()
-		charges := []Charge{
-			{ChargeSIMD, 2 * int64(n) * iters * colB},
-			{ChargeReduce, int64(n) * iters * colB},
-		}
-		if !noDT {
-			charges = append(charges, Charge{ChargeDT, int64(n+1) * iters * colB})
-		}
-		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Rot: rotFwd})
+		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
 			Reads: int64(n) * iters, Writes: int64(n) * iters,
-			Charges: charges,
+			Charges: p.foldCharges(t, iters, 2*int64(n), int64(n+1)),
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					e := i * 8
-					sc.fillIdentity(t, op, sc.ac) // host byte order
-					for k := 0; k < n; k++ {
-						sc.readColumn(srcOff+k*s+e, sc.a)
-						sc.shiftColumn(p, sc.b, sc.a, k)
-						sc.transposeColumn(sc.b)
-						sc.reduceColumnInto(t, op, sc.ac, sc.b)
-					}
+					sc.foldSlots(p, t, op, srcOff, s, e)
 					// One DT back to PIM domain serves all n outbound
 					// writes, whose shifts are pure redistribution.
 					sc.transposeColumn(sc.ac)
@@ -599,7 +579,7 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 				}
 			}}},
 		})
-		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Rot: rotBwd})
+		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Mul: -1})
 	}
 	sched.add(&StepSync{})
 	return sched
@@ -619,55 +599,36 @@ func lowerAllGather(env *algoEnv) *Schedule {
 	case Baseline, PR:
 		// Conventional path; PE-assisted reordering only removes
 		// per-rank layout bookkeeping here, which is negligible, so
-		// Baseline and PR share the lowering. The gathered PE-major image
-		// is assembled in the executing comm's modulation arena.
-		gatherPEMajor := func(c *Comm, stag []byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * perPE)
-			c.groupsDo(len(p.groups), func(gi int) {
-				grp := p.groups[gi]
-				for _, dstPE := range grp {
-					for i, srcPE := range grp {
-						copy(out[dstPE*perPE+i*s:dstPE*perPE+i*s+s], stag[srcPE*s:(srcPE+1)*s])
-					}
-				}
-			})
-			return out
+		// Baseline and PR share the lowering.
+		if len(p.groups) > 1 {
+			sched.add(allGatherBulk(p, srcOff, dstOff, s))
+			break
 		}
-		if len(p.groups) == 1 {
-			// Single group: the gathered buffer is identical for every
-			// PE, so the driver's fast broadcast applies — one domain
-			// transfer total (§ VIII-E). The broadcast streams the image
-			// out of the arena the assembly left it in (Comm.bulkOut).
-			sched.add(&StepBulk{
-				Read: true, ReadOff: srcOff, ReadPerPE: s,
-				Charges: []Charge{{ChargeLocalMod, int64(perPE)}},
-				Modulate: func(c *Comm, stag []byte) []byte {
-					gatherPEMajor(c, stag)
-					return nil
-				},
-			})
-			sched.add(&StepHostCompute{
-				Charges: []Charge{
-					{ChargeDT, int64(perPE)}, // DT once, reused for all PEs
-					{ChargeHostMem, int64(perPE)},
-				},
-			})
-			sched.add(&StepColumnStream{
-				Writes:  int64(perPE / 8),
-				Charges: []Charge{{ChargeSIMD, int64(perPE/8) * colB}},
-				segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, pe, e int) []byte {
-					return c.modBuf[pe*perPE+e:]
-				})},
-			})
-		} else {
-			sched.add(&StepBulk{
-				Read: true, ReadOff: srcOff, ReadPerPE: s,
-				Write: true, WriteOff: dstOff, WritePerPE: perPE,
-				// Replication is sequential copying (memcpy class).
-				Charges:  []Charge{{ChargeSIMD, p.numPEBytes(perPE)}},
-				Modulate: gatherPEMajor,
-			})
-		}
+		// Single group: the gathered buffer is identical for every PE,
+		// so the driver's fast broadcast applies — one domain transfer
+		// total (§ VIII-E). The broadcast streams the image out of the
+		// arena the assembly left it in (Comm.bulkOut).
+		sched.add(&StepBulk{
+			Read: true, ReadOff: srcOff, ReadPerPE: s,
+			Charges: []Charge{{ChargeLocalMod, int64(perPE)}},
+			Modulate: func(c *Comm, stag []byte) []byte {
+				p.gatherPEMajor(c, stag, s)
+				return nil
+			},
+		})
+		sched.add(&StepHostCompute{
+			Charges: []Charge{
+				{ChargeDT, int64(perPE)}, // DT once, reused for all PEs
+				{ChargeHostMem, int64(perPE)},
+			},
+		})
+		sched.add(&StepColumnStream{
+			Writes:  int64(perPE / 8),
+			Charges: []Charge{{ChargeSIMD, int64(perPE/8) * colB}},
+			segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, pe, e int) []byte {
+				return c.modBuf[pe*perPE+e:]
+			})},
+		})
 	default: // IM or CM
 		cm := lvl == CM
 		iters := int64(s / 8)
@@ -691,10 +652,41 @@ func lowerAllGather(env *algoEnv) *Schedule {
 				}
 			}}},
 		})
-		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Rot: rotBwd})
+		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Mul: -1})
 	}
 	sched.add(&StepSync{})
 	return sched
+}
+
+// allGatherBulk is the staged AllGather pass: every PE's s bytes at
+// srcOff are read, and each group's blocks, in rank order, are written
+// to every member's dstOff. Replication is sequential copying (memcpy
+// class).
+func allGatherBulk(p *plan, srcOff, dstOff, s int) *StepBulk {
+	m := p.n * s
+	return &StepBulk{
+		Read: true, ReadOff: srcOff, ReadPerPE: s,
+		Write: true, WriteOff: dstOff, WritePerPE: m,
+		Charges:  []Charge{{ChargeSIMD, p.numPEBytes(m)}},
+		Modulate: func(c *Comm, stag []byte) []byte { return p.gatherPEMajor(c, stag, s) },
+	}
+}
+
+// gatherPEMajor assembles, in c's modulation arena (Comm.bulkOut), the
+// gathered PE-major image of the s-byte blocks staged in stag — each
+// group's blocks in rank order, once per member — and returns it.
+func (p *plan) gatherPEMajor(c *Comm, stag []byte, s int) []byte {
+	m := p.n * s
+	out := c.bulkOut(len(p.rankOf) * m)
+	c.groupsDo(len(p.groups), func(gi int) {
+		grp := p.groups[gi]
+		for _, dstPE := range grp {
+			for i, srcPE := range grp {
+				copy(out[dstPE*m+i*s:dstPE*m+i*s+s], stag[srcPE*s:(srcPE+1)*s])
+			}
+		}
+	})
+	return out
 }
 
 func lowerGather(env *algoEnv) *Schedule {
@@ -729,16 +721,10 @@ func lowerGather(env *algoEnv) *Schedule {
 				cols:  s / 8,
 				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), n*s) },
 				body: func(sc *streamCtx, lo, hi int) {
-					res := sc.c.cur.rooted
 					for i := lo; i < hi; i++ {
-						e := i * 8
-						sc.readColumn(srcOff+e, sc.a)
+						sc.readColumn(srcOff+i*8, sc.a)
 						sc.transposeColumn(sc.a)
-						for g, grp := range p.groups {
-							for j, pe := range grp {
-								copy(res[g][j*s+e:j*s+e+8], sc.a.lane(pe))
-							}
-						}
+						p.storeLanes(sc.c.cur.rooted, sc.a, s, i*8)
 					}
 				},
 			}},
