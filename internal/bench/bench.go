@@ -141,10 +141,3 @@ func (t *table) write(w io.Writer) {
 		line(r)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

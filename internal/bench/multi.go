@@ -90,10 +90,3 @@ func mramFor(n int) int {
 	}
 	return p
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

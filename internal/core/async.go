@@ -78,16 +78,14 @@ func (c *Comm) Pending() int {
 // would race it.
 func (c *Comm) Step() *Future {
 	c.asyncMu.Lock()
+	defer c.asyncMu.Unlock()
 	if c.asyncRunning {
-		c.asyncMu.Unlock()
 		return nil
 	}
 	f := c.pickLocked()
-	c.asyncMu.Unlock()
-	if f == nil {
-		return nil
+	if f != nil {
+		c.runLocked(f)
 	}
-	c.runSubmitted(f)
 	return f
 }
 
@@ -160,12 +158,10 @@ type Future struct {
 	seq     uint64
 	cluster bool
 
-	// done is stored once, after the results below (finishLocked, or
-	// rejectLocked before anyone else has the handle). wake is made by
-	// the first waiter that really blocks and closed by finishLocked, both
-	// under asyncMu: the stepped serving path never blocks and has none.
+	// done is stored once, after the results below, under asyncMu
+	// (finishLocked, or rejectLocked before anyone else has the handle);
+	// a waiter that blocks parks on the comm's asyncCond (waitLocked).
 	done atomic.Bool
-	wake chan struct{}
 
 	// notBefore and deadline are the serving attributes carried from
 	// SubmitOptions: the plan's simulated arrival time (its placement
@@ -199,26 +195,36 @@ func (c *Comm) carveLocked(cp *CompiledPlan, o SubmitOptions) *Future {
 // Done reports without blocking whether the execution has completed.
 func (f *Future) Done() bool { return f.done.Load() }
 
-// wait blocks until the execution completes. On a stepped comm nothing
-// else drains the queue, so the waiter steps it until its future is done
-// (or the queue is empty: another goroutine's Step is executing it). A
-// waiter that must block parks on wake; done is stored under asyncMu, so
-// the flag cannot flip between the check and the park.
+// wait blocks until the execution completes (waitLocked).
 func (f *Future) wait() {
-	c := f.cp.owner.c
-	for c.stepped && !f.Done() && c.Step() != nil {
-	}
 	if f.Done() {
 		return
 	}
+	c := f.cp.owner.c
 	c.asyncMu.Lock()
-	if f.wake == nil && !f.Done() {
-		f.wake = make(chan struct{})
-	}
-	wake := f.wake
+	c.waitLocked(f.Done)
 	c.asyncMu.Unlock()
-	if wake != nil {
-		<-wake
+}
+
+// waitLocked is the queue's one wait, behind Future.wait, Flush and
+// submit's backpressure: it returns once done holds. On a stepped comm
+// nothing else drains the queue, so the waiter picks and runs the next
+// plan itself; with nothing to pick (another goroutine is executing it)
+// or on a live comm, it parks on asyncCond until a completion broadcasts.
+// done is evaluated under asyncMu, so it cannot flip between the check and
+// the park. Callers hold asyncMu; it is released while a plan runs or the
+// waiter is parked.
+func (c *Comm) waitLocked(done func() bool) {
+	for !done() {
+		if c.stepped {
+			if f := c.pickLocked(); f != nil {
+				c.runLocked(f)
+				continue
+			}
+		}
+		c.parked++
+		c.asyncCond.Wait()
+		c.parked--
 	}
 }
 
@@ -322,31 +328,30 @@ type SubmitOptions struct {
 // deadline). See CompiledPlan.Submit for queue semantics.
 func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.owner.c.submit(cp, false, o) }
 
-// submit enqueues a plan execution, starting the worker if idle. cluster
-// marks a host plan the cluster layer has admitted on every host up front
-// (ClusterPlan.Submit): it skips quota and overload admission here and is
-// never shed. A submission allocates nothing of its own: its Future is
-// carved.
+// submit enqueues a plan execution, starting the worker if idle, in one
+// asyncMu section: admit, wait for a queue slot, re-check closure, check
+// overload, enqueue. cluster marks a host plan the cluster layer has
+// admitted on every host up front (ClusterPlan.Submit): it skips quota and
+// overload admission here and is never shed. A submission allocates
+// nothing of its own: its Future is carved.
 func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
 	t := cp.owner
+	c.asyncMu.Lock()
+	defer c.asyncMu.Unlock()
+	f := c.carveLocked(cp, o)
 	if !cluster {
-		if err := t.admit(cp.tr.total.Total()); err != nil {
-			c.asyncMu.Lock()
-			return c.rejectLocked(c.carveLocked(cp, o), false, err)
+		if err := t.admitLocked(cp.tr.total.Total()); err != nil {
+			return c.rejectLocked(f, false, err)
 		}
 	}
-	// Acquire a queue slot (backpressure). Nothing drains a stepped comm
-	// while its submitter waits, so there a full queue is stepped from
-	// here — the rule Future.wait and Flush follow.
-	for c.stepped && len(c.asyncSlots) == cap(c.asyncSlots) && c.Step() != nil {
-	}
-	c.asyncSlots <- struct{}{}
-	c.asyncMu.Lock()
-	f := c.carveLocked(cp, o)
-	// Re-check closure under asyncMu: a Close racing this submission has
-	// either already swept the bucket (we must not re-populate it) or will
-	// sweep the entry we are about to append.
-	if t.Closed() {
+	// Backpressure: the pending count is the queue slot. The wait is the
+	// only stretch of the section that releases asyncMu.
+	c.waitLocked(func() bool { return c.asyncPending < MaxPendingPlans })
+	// Re-check closure in the section that enqueues, since the wait may
+	// have released asyncMu: a Close that set the flag by now is refused
+	// here, one that sets it later drains this plan before it retires the
+	// bucket, so a closed tenant's bucket stays empty.
+	if t.closed.Load() {
 		return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
 	}
 	// Per-tenant overload admission: beyond MaxPending in-flight plans,
@@ -375,18 +380,15 @@ func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
 		c.asyncRunning = true
 		go c.asyncLoop()
 	}
-	c.asyncMu.Unlock()
 	return f
 }
 
 // rejectLocked is the one epilogue of a submission refused before it was
-// enqueued, when nobody can be waiting on f yet: it releases asyncMu —
-// and an admitted plan's queue slot and quota — and completes f with err.
+// enqueued, when nobody can be waiting on f yet: it refunds an admitted
+// plan's quota in place and completes f with err. Callers hold asyncMu.
 func (c *Comm) rejectLocked(f *Future, admitted bool, err error) *Future {
-	c.asyncMu.Unlock()
 	if admitted {
-		<-c.asyncSlots
-		f.cp.owner.refund(f.cp.tr.total.Total())
+		f.cp.owner.admitted -= f.cp.tr.total.Total()
 	}
 	f.err = err
 	f.done.Store(true)
@@ -402,29 +404,25 @@ func (q *subQueue) remove(i int) *Future {
 }
 
 // completeDroppedLocked finishes a queued future without executing it
-// (overload shedding, tenant close): it refunds the quota admission and
+// (overload shedding): it refunds the quota admission in place and
 // completes the future with err. Its Window stays zero — it never reached
 // the timeline. Callers hold asyncMu and have already removed the future
 // from its bucket.
 func (c *Comm) completeDroppedLocked(f *Future, err error) {
-	f.cp.owner.refund(f.cp.tr.total.Total())
+	f.cp.owner.admitted -= f.cp.tr.total.Total()
 	f.err = err
 	c.finishLocked(f)
 }
 
 // finishLocked is the single completion path of an enqueued future,
 // executed or dropped, and runs exactly once for it: it publishes the
-// results set before the call (the flag, then any blocked waiters) and
-// releases the in-flight and pending counts and the queue slot. Callers
-// hold asyncMu.
+// results set before the call, releases the in-flight and pending counts
+// (the latter frees the queue slot) and broadcasts asyncCond, waking every
+// parked waiter to re-check its condition. Callers hold asyncMu.
 func (c *Comm) finishLocked(f *Future) {
 	f.done.Store(true)
-	if f.wake != nil {
-		close(f.wake)
-	}
 	f.cp.owner.inflight--
 	c.asyncPending--
-	<-c.asyncSlots // release the queue slot before a Flush can see the drain
 	c.asyncCond.Broadcast()
 }
 
@@ -441,8 +439,8 @@ func (c *Comm) finishLocked(f *Future) {
 // with it, so conflicting plans always execute in submission order and
 // byte-level results are independent of the policy — it only chooses
 // among independent plans. Plans of two buckets never conflict: a bucket
-// is one tenant's, live tenant arenas are disjoint, and Tenant.Close
-// flushes and sweeps its bucket before it frees its arena for reuse.
+// is one live tenant's, live tenant arenas are disjoint, and Tenant.Close
+// drains its bucket before it frees its arena for reuse.
 // Every bucket's head is a candidate (nothing is queued before it), hence
 // the pick cannot return nil while work is queued.
 func (c *Comm) pickLocked() *Future {
@@ -452,7 +450,8 @@ func (c *Comm) pickLocked() *Future {
 		win = 1
 	}
 	cands := c.cands[:0]
-	for _, q := range c.queues {
+	for _, t := range c.tenants {
+		q := &t.sq
 		depth := len(q.q)
 		if depth > win {
 			depth = win
@@ -463,8 +462,7 @@ func (c *Comm) pickLocked() *Future {
 				continue
 			}
 			cands = append(cands, Candidate{
-				F: f, Head: i == 0,
-				VTime: q.vtime, Weight: q.weight,
+				F: f, VTime: q.vtime, Weight: q.weight,
 				q: q, idx: i,
 			})
 		}
@@ -509,28 +507,24 @@ func edfLess(a, b *Future) bool {
 // weighted-fair order and exits when all are empty (a later Submit
 // starts a fresh one).
 func (c *Comm) asyncLoop() {
-	for {
-		c.asyncMu.Lock()
-		f := c.pickLocked()
-		if f == nil {
-			c.asyncRunning = false
-			c.asyncMu.Unlock()
-			return
-		}
-		c.asyncMu.Unlock()
-		c.runSubmitted(f)
+	c.asyncMu.Lock()
+	defer c.asyncMu.Unlock()
+	for f := c.pickLocked(); f != nil; f = c.pickLocked() {
+		c.runLocked(f)
 	}
+	c.asyncRunning = false
 }
 
-// runSubmitted executes one queued future and completes it. A
-// mid-schedule backend error is captured into f.err by execSubmitted's
-// recover and takes the same completion path (finishLocked), so a failing
-// plan can neither complete twice nor leak or double-release its slot.
-func (c *Comm) runSubmitted(f *Future) {
+// runLocked executes one picked future with asyncMu released and
+// completes it. A mid-schedule backend error is captured into f.err by
+// execSubmitted's recover and takes the same completion path
+// (finishLocked), so a failing plan can neither complete twice nor leak
+// or double-release its slot. Callers hold asyncMu.
+func (c *Comm) runLocked(f *Future) {
+	c.asyncMu.Unlock()
 	f.out, f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
 	c.asyncMu.Lock()
 	c.finishLocked(f)
-	c.asyncMu.Unlock()
 }
 
 // execSubmitted places one plan on the timeline (hazard-ordered, overlap-
@@ -621,14 +615,8 @@ func (c *Comm) placeSerialLocked(segs []cost.Segment) {
 // directly (SetPEBuffer/GetPEBuffer, application kernels) while
 // submissions may be in flight.
 func (c *Comm) Flush() {
-	// In stepped mode no worker drains the queue, so Flush steps it dry
-	// itself before waiting out anything still executing elsewhere.
-	for c.stepped && c.Step() != nil {
-	}
 	c.asyncMu.Lock()
-	for c.asyncPending > 0 {
-		c.asyncCond.Wait()
-	}
+	c.waitLocked(func() bool { return c.asyncPending == 0 })
 	c.asyncMu.Unlock()
 	c.execMu.Lock()
 	c.placeSerialLocked(nil)

@@ -382,9 +382,9 @@ func TestFutureErrSurfacesBackendErrorExactlyOnce(t *testing.T) {
 	}
 
 	// Slot accounting: after the queue drained, every slot must have been
-	// released exactly once — the semaphore is empty again, and the comm
-	// still accepts a full MaxPendingPlans burst without blocking.
-	if n := len(c.asyncSlots); n != 0 {
+	// released exactly once — nothing is pending (the pending count is the
+	// slot), and the comm still accepts a burst without blocking.
+	if n := c.Pending(); n != 0 {
 		t.Fatalf("%d queue slots leaked after failures", n)
 	}
 	var fs []*Future
@@ -402,7 +402,7 @@ func TestFutureErrSurfacesBackendErrorExactlyOnce(t *testing.T) {
 			t.Fatalf("post-failure submission failed: %v", err)
 		}
 	}
-	if n := len(c.asyncSlots); n != 0 {
+	if n := c.Pending(); n != 0 {
 		t.Fatalf("%d queue slots outstanding after drain", n)
 	}
 }

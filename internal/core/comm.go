@@ -69,35 +69,33 @@ type Comm struct {
 	frontier  []placedPlan
 	extSegs   []cost.Segment
 
-	// asyncMu guards the submission queues, the weighted-fair virtual
-	// clock and the worker state; asyncCond signals queue drain to
-	// Flush. asyncSlots is the queue-slot semaphore bounding in-flight
-	// submissions at MaxPendingPlans. queues holds one bucket per live
-	// tenant, in creation order (async.go, tenant.go). sched is the
-	// policy's Scheduler instance, whose Pick calls asyncMu serializes;
-	// cands is pickLocked's reusable candidate scratch (async.go,
-	// sched.go); futs is what is left of the chunk submissions carve their
-	// Futures from, dropped when the last session closes (tenant.go).
+	// asyncMu guards every submission and session-lifecycle state of the
+	// machine: the registry of live tenants (in creation order; each one's
+	// bucket is its sq), tenantSeq, the count of tenants ever registered
+	// that default names are drawn from, the retired list of closed
+	// tenants, kept so machine-total accounting still sees their meters,
+	// each tenant's admission ledger and in-flight count (tenant.go), the
+	// weighted-fair virtual clock, the worker state and the pending count,
+	// which is also the queue slot: submissions wait while MaxPendingPlans
+	// are pending. asyncCond is the queue's one wait (waitLocked), broadcast
+	// by every completion; parked counts the waiters blocked on it. sched is
+	// the policy's Scheduler instance, whose Pick calls asyncMu serializes;
+	// cands is pickLocked's reusable candidate scratch (async.go, sched.go);
+	// futs is what is left of the chunk submissions carve their Futures
+	// from, dropped when the last session closes (tenant.go).
 	asyncMu      sync.Mutex
 	asyncCond    *sync.Cond
-	queues       []*subQueue
+	tenants      []*Tenant
+	tenantSeq    int
+	retired      []*Tenant
 	vclock       float64
 	seqCounter   uint64
 	asyncRunning bool
 	asyncPending int
-	asyncSlots   chan struct{}
+	parked       int
 	sched        Scheduler
 	cands        []Candidate
 	futs         []Future
-
-	// tenantMu guards the registry of live tenants, tenantSeq, the count
-	// of tenants ever registered that default names are drawn from, the
-	// retired list of closed tenants, kept so machine-total accounting
-	// still sees their meters (tenant.go).
-	tenantMu  sync.Mutex
-	tenants   []*Tenant
-	tenantSeq int
-	retired   []*Tenant
 
 	// Parallel-execution state, all guarded by execMu (the per-shard
 	// contexts are only touched while an execution holds the lock). egs
@@ -243,7 +241,6 @@ func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm
 		lookahead:  cfg.Lookahead,
 		stepped:    cfg.Stepped,
 		shapeTable: tab,
-		asyncSlots: make(chan struct{}, MaxPendingPlans),
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}
 	if c.workers <= 0 {

@@ -147,8 +147,8 @@
 // makespan; Comm.Flush is the barrier. A submission allocates nothing of
 // its own: its Future is carved from a per-Comm chunk (never reused, so
 // a held handle stays valid), completion is an atomic flag stored on the
-// one completion path — only a waiter that really blocks makes a channel
-// for it to close — and a tenant's meter-mirroring recorder is bound
+// one completion path, which broadcasts the one condition every blocked
+// waiter parks on, and a tenant's meter-mirroring recorder is bound
 // once, in NewTenant. The bench "async" experiment measures the overlap
 // speedup on a DLRM-style pipeline.
 //

@@ -11,9 +11,9 @@ import (
 	"repro/internal/cost"
 )
 
-// Tests of the Future's completion path (an atomic flag plus a channel
-// made only by a waiter that blocks) and of its storage (carved from a
-// per-Comm chunk, never reused).
+// Tests of the Future's completion path (an atomic flag plus the comm's
+// one wait, waitLocked) and of its storage (carved from a per-Comm chunk,
+// never reused).
 
 // gatherDesc is a rooted Gather over asyncTestComm's 32 PEs: on the
 // functional backend its future carries detached result bytes.
@@ -35,11 +35,12 @@ func pollLocked(t *testing.T, c *Comm, what string, cond func() bool) {
 	}
 }
 
-// waitForWaiter returns once a goroutine is about to park on f: a waiter
-// that must block registers by making f.wake under asyncMu.
+// waitForWaiter returns once a goroutine has parked on f's comm: a waiter
+// that must block counts itself in parked under asyncMu.
 func waitForWaiter(t *testing.T, f *Future) {
 	t.Helper()
-	pollLocked(t, f.cp.owner.c, "a waiter blocks on the future", func() bool { return f.wake != nil })
+	c := f.cp.owner.c
+	pollLocked(t, c, "a waiter blocks on the future", func() bool { return c.parked > 0 })
 }
 
 // The steady-state serving trip — SubmitOpts, the policy's pick, the
@@ -135,9 +136,8 @@ func TestFutureConcurrentAccessorsAgree(t *testing.T) {
 	}
 }
 
-// A goroutine blocked in Wait on a queued future is released with the
-// drop's error — ShedOldest's ErrOverloaded, a closing tenant's
-// ErrTenantClosed — a zero breakdown and a zero window.
+// A goroutine blocked in Wait on a queued future that ShedOldest drops is
+// released with ErrOverloaded, a zero breakdown and a zero window.
 func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 	c := tenantTestCommWith(t, 1<<13, Config{})
 	ten, err := c.NewTenant(servingTenantCfg("a", 2, ShedOldest))
@@ -152,24 +152,6 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 		bd  cost.Breakdown
 		err error
 	}
-	waitOn := func(f *Future) chan result {
-		res := make(chan result, 1)
-		go func() {
-			bd, err := f.Wait()
-			res <- result{bd, err}
-		}()
-		waitForWaiter(t, f)
-		return res
-	}
-	check := func(f *Future, r result, want error) {
-		t.Helper()
-		if !errors.Is(r.err, want) || r.bd != (cost.Breakdown{}) {
-			t.Fatalf("dropped future: Wait = %v, %v; want a zero breakdown and %v", r.bd, r.err, want)
-		}
-		if s, e := f.Window(); s != 0 || e != 0 || !f.Done() || f.Results() != nil {
-			t.Fatalf("dropped future: window [%v, %v), Done %v", s, e, f.Done())
-		}
-	}
 
 	// Two in flight of two allowed — one the worker has picked and cannot
 	// finish, f queued behind it — so a third submission sheds f.
@@ -177,38 +159,79 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 	cp.Submit()
 	pollLocked(t, c, "the worker has picked the first plan", func() bool { return len(ten.sq.q) == 0 })
 	f := cp.Submit()
-	res := waitOn(f)
+	res := make(chan result, 1)
+	go func() {
+		bd, err := f.Wait()
+		res <- result{bd, err}
+	}()
+	waitForWaiter(t, f)
 	newer := cp.Submit()
-	check(f, <-res, ErrOverloaded)
+	if r := <-res; !errors.Is(r.err, ErrOverloaded) || r.bd != (cost.Breakdown{}) {
+		t.Fatalf("dropped future: Wait = %v, %v; want a zero breakdown and %v", r.bd, r.err, ErrOverloaded)
+	}
+	if s, e := f.Window(); s != 0 || e != 0 || !f.Done() || f.Results() != nil {
+		t.Fatalf("dropped future: window [%v, %v), Done %v", s, e, f.Done())
+	}
 	c.execMu.Unlock()
 	if err := newer.Err(); err != nil {
 		t.Fatal(err)
 	}
 	c.Flush()
+	if got := c.Pending(); got != 0 {
+		t.Fatalf("after the drop: Pending %d", got)
+	}
+}
 
-	// Close sweeps what a submission racing it enqueued after its Flush
-	// drained. submit's re-check of the closed flag under asyncMu leaves
-	// no interleaving that does, so the straggler is enqueued by hand,
-	// with submit's bookkeeping except the pending count Flush waits on.
-	if err := ten.admit(cp.Cost().Total()); err != nil {
-		t.Fatal(err)
-	}
-	c.asyncSlots <- struct{}{}
-	c.asyncMu.Lock()
-	f = c.carveLocked(cp, SubmitOptions{})
-	ten.sq.q = append(ten.sq.q, f)
-	ten.inflight++
-	c.asyncMu.Unlock()
-	res = waitOn(f)
-	if err := ten.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check(f, <-res, ErrTenantClosed)
-	c.asyncMu.Lock()
-	c.asyncPending++ // the count the sweep released and the straggler never took
-	c.asyncMu.Unlock()
-	if got := c.Pending(); got != 0 || len(c.asyncSlots) != 0 {
-		t.Fatalf("after the drops: Pending %d, %d queue slots held", got, len(c.asyncSlots))
+// A submission racing Close either runs or fails with ErrTenantClosed,
+// and none is left queued: submit checks the closed flag in the section
+// that enqueues, and Close sets it before its drain. On a live comm and a
+// stepped one, one goroutine submits 64 times while another closes the
+// tenant; once both return, every future is complete and nothing is
+// pending.
+func TestSubmitRacingCloseDrains(t *testing.T) {
+	for _, stepped := range []bool{false, true} {
+		c := tenantTestCommWith(t, 1<<13, Config{Stepped: stepped})
+		for round := 0; round < 50; round++ {
+			ten, err := c.NewTenant(TenantConfig{Name: "racer", ArenaBytes: 1 << 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := ten.Compile(servingCollective)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := make([]*Future, 64)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := range fs {
+					fs[i] = cp.Submit()
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := ten.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			close(start)
+			wg.Wait()
+			for i, f := range fs {
+				if !f.Done() {
+					t.Fatalf("stepped=%v round %d: submission %d is still queued after Close", stepped, round, i)
+				}
+				if err := f.Err(); err != nil && !errors.Is(err, ErrTenantClosed) {
+					t.Fatalf("stepped=%v round %d: submission %d failed with %v", stepped, round, i, err)
+				}
+			}
+			if got := c.Pending(); got != 0 {
+				t.Fatalf("stepped=%v round %d: Pending %d after Close", stepped, round, got)
+			}
+		}
 	}
 }
 
@@ -244,8 +267,8 @@ func TestRejectedFutureIsDone(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("stepped=%v: an accessor of a rejected future blocked", stepped)
 		}
-		if c.Pending() != 0 || len(c.asyncSlots) != 0 {
-			t.Fatalf("stepped=%v: the rejection left %d pending, %d slots held", stepped, c.Pending(), len(c.asyncSlots))
+		if c.Pending() != 0 {
+			t.Fatalf("stepped=%v: the rejection left %d pending", stepped, c.Pending())
 		}
 	}
 }

@@ -68,8 +68,8 @@ func TestLookaheadPicksMatchCloneOracle(t *testing.T) {
 		want := &Comm{sched: &cloneOracleSched{}, lookahead: got.lookahead}
 		for i := 0; i < nq; i++ {
 			w := float64(1 + rng.Intn(4))
-			got.queues = append(got.queues, &subQueue{weight: w})
-			want.queues = append(want.queues, &subQueue{weight: w})
+			bareBuckets(got, w)
+			bareBuckets(want, w)
 		}
 		var seq uint64
 		var now cost.Seconds
@@ -90,8 +90,8 @@ func TestLookaheadPicksMatchCloneOracle(t *testing.T) {
 				f.deadline = now + cost.Seconds(1+rng.Intn(8))*1e-4
 			}
 			q := rng.Intn(nq)
-			got.queues[q].q = append(got.queues[q].q, f)
-			want.queues[q].q = append(want.queues[q].q, f)
+			got.tenants[q].sq.q = append(got.tenants[q].sq.q, f)
+			want.tenants[q].sq.q = append(want.tenants[q].sq.q, f)
 		}
 		for i := 0; i < 40; i++ {
 			arrive()
@@ -144,7 +144,7 @@ func TestLookaheadStepAllocs(t *testing.T) {
 		round := func() {
 			spare.Submit()
 			c.asyncMu.Lock()
-			n := len(c.queues[0].q)
+			n := len(c.tenants[0].sq.q)
 			c.asyncMu.Unlock()
 			if n != nPlans {
 				t.Fatalf("%d plans queued, want %d", n, nPlans)

@@ -9,14 +9,15 @@ import (
 
 // This file is the scheduler seam of the submission queue: a static
 // table (schedulers) maps SchedPolicy values to Scheduler
-// implementations. pickLocked (async.go) is the single funnel: it
-// enumerates the hazard-free candidates near every bucket's head (no
-// earlier plan of the bucket conflicts; tenant arenas are disjoint), hands
-// them to the active policy's Pick, and performs the shared bookkeeping
-// (queue removal, weighted-fair virtual-time advance). A policy therefore
-// only decides *who runs next among independent plans* — hazard ordering,
-// fairness accounting and byte-level results are funnel invariants no
-// policy can break.
+// implementations. pickLocked (async.go) is the single funnel: it walks
+// the live tenants, enumerates the hazard-free candidates near the head of
+// each one's bucket (no earlier plan of the bucket conflicts; live tenant
+// arenas are disjoint, and Close drains a bucket before it frees the
+// arena), hands them to the active policy's Pick, and performs the shared
+// bookkeeping (queue removal, weighted-fair virtual-time advance). A
+// policy therefore only decides *who runs next among independent plans* —
+// hazard ordering, fairness accounting and byte-level results are funnel
+// invariants no policy can break.
 //
 // Four policies are built in: FIFO (global submission order), WFQ
 // (weighted fair across buckets, the default), EDF (earliest deadline
@@ -36,16 +37,12 @@ import (
 const DefaultLookahead = 32
 
 // Candidate is one hazard-free queued plan offered to a Scheduler's Pick:
-// no plan queued before it in its bucket conflicts with it, and no plan of
-// another bucket can (tenant arenas are disjoint), so serving it next
-// cannot reorder a data dependence.
+// no plan queued before it in its live tenant's bucket conflicts with it,
+// and no plan of another bucket can (live tenant arenas are disjoint), so
+// serving it next cannot reorder a data dependence.
 type Candidate struct {
 	// F is the queued future.
 	F *Future
-	// Head reports whether the plan sits at its bucket's head (bucket
-	// order is FIFO; a non-head candidate jumps queue-mates it does not
-	// conflict with).
-	Head bool
 	// VTime and Weight are the owning bucket's weighted-fair virtual
 	// time and service weight at pick time.
 	VTime  float64

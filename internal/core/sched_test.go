@@ -91,8 +91,8 @@ func TestLookaheadPicksMakespanMinimizer(t *testing.T) {
 	cpuThenBus := fakeSegFuture(1, []cost.Segment{
 		{Lane: cost.LaneCPU, Dur: 1}, {Lane: cost.LaneBus, Dur: 1}})
 	busOnly := fakeSegFuture(2, []cost.Segment{{Lane: cost.LaneBus, Dur: 2}})
-	q := &subQueue{weight: 1, q: []*Future{cpuThenBus, busOnly}}
-	c := &Comm{queues: []*subQueue{q}, sched: &lookaheadSched{}, lookahead: DefaultLookahead}
+	c := &Comm{sched: &lookaheadSched{}, lookahead: DefaultLookahead}
+	bareBuckets(c, 1)[0].q = []*Future{cpuThenBus, busOnly}
 
 	c.asyncMu.Lock()
 	first := c.pickLocked()
@@ -109,9 +109,9 @@ func TestLookaheadPicksMakespanMinimizer(t *testing.T) {
 // lookaheadSlack weighted shares ahead — within a bounded number of
 // picks, not after the whole backlog.
 func TestLookaheadStarvationBound(t *testing.T) {
-	a := &subQueue{weight: 1}
-	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}, sched: &lookaheadSched{}, lookahead: DefaultLookahead}
+	c := &Comm{sched: &lookaheadSched{}, lookahead: DefaultLookahead}
+	qs := bareBuckets(c, 1, 1)
+	a, b := qs[0], qs[1]
 	for i := 0; i < 32; i++ {
 		f := fakeFuture(1)
 		f.seq = uint64(i + 1)

@@ -27,9 +27,9 @@ var servingCollective = Collective{Prim: AlltoAll, Dims: "1",
 // deadline first, any deadline before none, ties and the deadline-free
 // tail by submission order — across buckets and past bucket heads.
 func TestEDFPickOrder(t *testing.T) {
-	a := &subQueue{weight: 1}
-	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}, sched: edfSched{}, lookahead: DefaultLookahead}
+	c := &Comm{sched: edfSched{}, lookahead: DefaultLookahead}
+	qs := bareBuckets(c, 1, 1)
+	a, b := qs[0], qs[1]
 	mk := func(seq uint64, deadline float64) *Future {
 		f := fakeFuture(1)
 		f.seq = seq
@@ -55,8 +55,8 @@ func TestEDFPickOrder(t *testing.T) {
 // for it: EDF never reorders across a data hazard, even when the
 // earlier plan has no deadline at all.
 func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
-	a := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a}, sched: edfSched{}, lookahead: DefaultLookahead}
+	c := &Comm{sched: edfSched{}, lookahead: DefaultLookahead}
+	a := bareBuckets(c, 1)[0]
 	mk := func(seq uint64, deadline float64, off int) *Future {
 		f := fakeFuture(1)
 		f.seq = seq

@@ -14,8 +14,10 @@ import (
 // values that Comm.Snapshot fills and String renders (what `pidinfo`'s
 // modes print). Each section is read under the one lock that guards it and
 // no two locks are held together, so sections are individually, not
-// jointly, consistent: exact as a whole on a quiescent Comm, while a tenant
-// closed between two reads can show both as a live row and in FreeSpans.
+// jointly, consistent: the tenant rows, Pending and every row's InFlight
+// and Admitted come from one asyncMu section and agree with each other,
+// and the whole is exact on a quiescent Comm, while a tenant closed between
+// two reads can show both as a live row and in FreeSpans.
 type Snapshot struct {
 	// Elapsed is the timeline's overlap-aware makespan, LaneBusy[l] the
 	// cumulative work on cost.Lane l (LaneBusy[cost.LaneNet]: a cluster
@@ -67,10 +69,15 @@ func (c *Comm) Snapshot() Snapshot {
 	}
 	c.execMu.Unlock()
 
-	c.tenantMu.Lock()
-	retired := len(c.retired)
+	c.asyncMu.Lock()
 	ts := slices.Concat(c.retired, c.tenants)
-	c.tenantMu.Unlock()
+	s.Pending = c.asyncPending
+	s.Tenants = make([]TenantSnapshot, len(ts))
+	for i, t := range ts {
+		s.Tenants[i] = TenantSnapshot{Name: t.name, Base: t.ar.base, Bytes: t.ar.size, Weight: t.weight,
+			Quota: t.quota, Admitted: t.admitted, InFlight: t.inflight, Retired: i < len(c.retired)}
+	}
+	c.asyncMu.Unlock()
 
 	c.compMu.Lock()
 	s.PlanCache, s.Fusion = c.cacheSt, c.fuseSt
@@ -102,21 +109,10 @@ func (c *Comm) Snapshot() Snapshot {
 			cmp.Compare(a.Bytes, b.Bytes), cmp.Compare(a.Constraint, b.Constraint))
 	})
 
-	s.Tenants = make([]TenantSnapshot, len(ts))
 	for i, t := range ts {
-		t.mu.Lock()
-		admitted := t.admitted
-		t.mu.Unlock()
-		s.Tenants[i] = TenantSnapshot{Name: t.name, Base: t.ar.base, Bytes: t.ar.size, Weight: t.weight,
-			Quota: t.quota, Admitted: admitted, Meter: t.meter.Snapshot(), Retired: i < retired}
+		s.Tenants[i].Meter = t.meter.Snapshot()
 		s.Meter = s.Meter.Add(s.Tenants[i].Meter)
 	}
-	c.asyncMu.Lock()
-	s.Pending = c.asyncPending
-	for i, t := range ts {
-		s.Tenants[i].InFlight = t.inflight
-	}
-	c.asyncMu.Unlock()
 
 	s.FreeSpans = c.hc.sys.FreeSpans()
 	for _, a := range s.FreeSpans {

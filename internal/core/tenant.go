@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -84,7 +84,7 @@ type Tenant struct {
 	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run
 	weight float64
 	quota  cost.Seconds
-	sq     subQueue // the tenant's scheduler bucket; c.queues holds its address
+	sq     subQueue // the tenant's scheduler bucket, guarded by the Comm's asyncMu
 
 	// maxPending and shed are the overload-admission knobs (immutable
 	// after creation): beyond maxPending in-flight plans, submissions
@@ -94,19 +94,20 @@ type Tenant struct {
 
 	// inflight counts the tenant's submitted-but-uncompleted plans
 	// (queued or executing); overErr is the error of a plan shed beyond
-	// them, made on first use. Guarded by the Comm's asyncMu.
+	// them, made on first use; admitted is the admission ledger, the
+	// simulated time admitted against the quota. Guarded by the Comm's
+	// asyncMu.
 	inflight int
 	overErr  error
+	admitted cost.Seconds
 
 	// plans is the session's plan cache (plan.go), keyed by the plan's
 	// shape row, made on the first cacheable miss and dropped by Close.
 	// Guarded by the Comm's compMu.
 	plans map[*planEntry]*CompiledPlan
 
-	// mu guards the admission ledger and the closed flag.
-	mu       sync.Mutex
-	admitted cost.Seconds
-	closed   bool
+	// closed is set once, by Close, before it drains the machine.
+	closed atomic.Bool
 }
 
 // TenantConfig describes one session on a shared machine.
@@ -145,8 +146,8 @@ type TenantConfig struct {
 // (enforced against each plan's predicted cost at Run/Submit) and the
 // overload bounds.
 func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
-	c.tenantMu.Lock()
-	defer c.tenantMu.Unlock()
+	c.asyncMu.Lock()
+	defer c.asyncMu.Unlock()
 	name, weight := cfg.Name, cfg.Weight
 	if name == "" {
 		name = fmt.Sprintf("tenant-%d", c.tenantSeq)
@@ -185,9 +186,6 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 	t.rec = t.meter.Add
 	c.tenantSeq++
 	c.tenants = append(c.tenants, t)
-	c.asyncMu.Lock()
-	c.queues = append(c.queues, &t.sq)
-	c.asyncMu.Unlock()
 	return t, nil
 }
 
@@ -203,42 +201,30 @@ func (c *Comm) Session() (*Tenant, error) {
 }
 
 // Close retires the tenant — the teardown half of tenant churn. It
-// drains the machine, rejects every later compile and admission with
-// ErrTenantClosed, removes the tenant's scheduler bucket, drops its plan
-// cache — the machine's shape rows stay, for any later session to
-// share — and then returns the arena to the system's coalescing
-// free-list allocator for future NewTenant calls. The tenant's meter
-// survives on the Comm's retired list (Snapshot.Tenants), so machine-total
-// accounting stays bit-identical across create/teardown cycles. Returns
-// ErrTenantClosed on a double close.
+// rejects every later compile and admission with ErrTenantClosed, drains
+// the machine, moves the tenant and its scheduler bucket from the live
+// registry to the retired list, drops its plan cache — the machine's
+// shape rows stay, for any later session to share — and then returns the
+// arena to the system's coalescing free-list allocator for future
+// NewTenant calls. The flag is set before the drain and submit checks it
+// in the section that enqueues, so no plan reaches the bucket after the
+// drain. The tenant's meter survives on the Comm's retired list
+// (Snapshot.Tenants), so machine-total accounting stays bit-identical
+// across create/teardown cycles. Returns ErrTenantClosed on a double close.
 func (t *Tenant) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Swap(true) {
 		return fmt.Errorf("%w: tenant %q closed twice", ErrTenantClosed, t.name)
 	}
-	t.closed = true
-	t.mu.Unlock()
 	c := t.c
 	c.Flush()
 	c.asyncMu.Lock()
-	c.queues = slices.DeleteFunc(c.queues, func(q *subQueue) bool { return q == &t.sq })
-	// Sweep stragglers: a Submit that passed admission before the closed
-	// flag was set may have enqueued after the Flush drained. Nothing
-	// will ever pick them from the detached bucket, so complete them
-	// here with ErrTenantClosed.
-	for _, f := range t.sq.q {
-		c.completeDroppedLocked(f, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
-	}
+	c.tenants = slices.DeleteFunc(c.tenants, func(o *Tenant) bool { return o == t })
+	c.retired = append(c.retired, t)
 	t.sq.q = nil
-	if len(c.queues) == 0 { // the last session: an idle machine's chunk pins no finished plan
+	if len(c.tenants) == 0 { // the last session: an idle machine's chunk pins no finished plan
 		c.futs = nil
 	}
 	c.asyncMu.Unlock()
-	c.tenantMu.Lock()
-	c.tenants = slices.DeleteFunc(c.tenants, func(o *Tenant) bool { return o == t })
-	c.retired = append(c.retired, t)
-	c.tenantMu.Unlock()
 	c.compMu.Lock()
 	t.plans = nil
 	c.compMu.Unlock()
@@ -259,11 +245,7 @@ func (c *Comm) CloseTenant(t *Tenant) error {
 }
 
 // Closed reports whether the tenant has been closed.
-func (t *Tenant) Closed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
+func (t *Tenant) Closed() bool { return t.closed.Load() }
 
 // Compile compiles d — validation against the tenant's arena (every
 // region must lie within [0, ArenaBytes)), Auto resolution, lowering to
@@ -405,12 +387,20 @@ func (t *Tenant) Flush() { t.c.Flush() }
 // Elapsed returns the shared machine's overlap-aware elapsed time.
 func (t *Tenant) Elapsed() cost.Seconds { return t.c.Elapsed() }
 
-// admit charges the tenant's admission ledger with a plan's predicted
-// cost, rejecting with ErrQuotaExceeded if the quota cannot cover it.
+// admit is admitLocked under the comm's asyncMu.
 func (t *Tenant) admit(c cost.Seconds) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
+	t.c.asyncMu.Lock()
+	defer t.c.asyncMu.Unlock()
+	return t.admitLocked(c)
+}
+
+// admitLocked is the admission check of a run or submission: a closed
+// tenant admits nothing (ErrTenantClosed); otherwise it charges the
+// admission ledger with a plan's predicted cost, rejecting with
+// ErrQuotaExceeded if the quota cannot cover it. Callers hold the comm's
+// asyncMu.
+func (t *Tenant) admitLocked(c cost.Seconds) error {
+	if t.closed.Load() {
 		return fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)
 	}
 	if t.quota > 0 && t.admitted+c > t.quota {
@@ -422,11 +412,11 @@ func (t *Tenant) admit(c cost.Seconds) error {
 }
 
 // refund reverses an admit for a plan that was admitted but never ran
-// (shed under overload, swept by a racing Close).
+// (a cluster submission rejected on another host).
 func (t *Tenant) refund(c cost.Seconds) {
-	t.mu.Lock()
+	t.c.asyncMu.Lock()
 	t.admitted -= c
-	t.mu.Unlock()
+	t.c.asyncMu.Unlock()
 }
 
 // overloadedLocked is the rejection of a submission beyond MaxPending

@@ -50,13 +50,25 @@ func fakeFuture(totalSeconds float64) *Future {
 	return &Future{cp: &CompiledPlan{planEntry: &planEntry{tr: &chargeTrace{total: m.Snapshot()}}}}
 }
 
+// bareBuckets registers one bare session per weight on c — no arena, only
+// the bucket pickLocked walks — and returns their buckets in order.
+func bareBuckets(c *Comm, weights ...float64) []*subQueue {
+	qs := make([]*subQueue, len(weights))
+	for i, w := range weights {
+		t := &Tenant{c: c, sq: subQueue{weight: w}}
+		c.tenants = append(c.tenants, t)
+		qs[i] = &t.sq
+	}
+	return qs
+}
+
 // The weighted-fair pick order: two backlogged buckets with weights 2:1
 // and unit-cost plans must be served in a 2:1 interleave, ties to the
 // earlier bucket.
 func TestWeightedFairPickOrder(t *testing.T) {
-	a := &subQueue{weight: 2}
-	b := &subQueue{weight: 1}
-	c := &Comm{queues: []*subQueue{a, b}, sched: wfqSched{}}
+	c := &Comm{sched: wfqSched{}}
+	qs := bareBuckets(c, 2, 1)
+	a, b := qs[0], qs[1]
 	tag := map[*Future]string{}
 	for i := 0; i < 6; i++ {
 		f := fakeFuture(1)
@@ -86,8 +98,8 @@ func TestWeightedFairPickOrder(t *testing.T) {
 
 // The funnel scans only a plan's own bucket for hazards, because no
 // queued plan can conflict with a queued plan of another bucket: live
-// arenas are disjoint, and Close drains and sweeps a bucket before its
-// arena is freed for reuse. Churn tenants on a stepped comm — every new
+// arenas are disjoint, and Close drains a bucket before its arena is
+// freed for reuse. Churn tenants on a stepped comm — every new
 // one carved where a closed one was, its plans queued behind live
 // tenants' conflicting-within-the-bucket plans — and check at every Step.
 func TestQueuedPlansOfTwoBucketsNeverConflict(t *testing.T) {
@@ -98,10 +110,10 @@ func TestQueuedPlansOfTwoBucketsNeverConflict(t *testing.T) {
 		c.Step()
 		c.asyncMu.Lock()
 		defer c.asyncMu.Unlock()
-		for i, q := range c.queues {
-			for _, r := range c.queues[i+1:] {
-				for _, f := range q.q {
-					for _, o := range r.q {
+		for i, a := range c.tenants {
+			for _, b := range c.tenants[i+1:] {
+				for _, f := range a.sq.q {
+					for _, o := range b.sq.q {
 						if f.cp.conflicts(o.cp) {
 							t.Fatalf("queued plans at bases %d and %d of two buckets conflict", f.cp.base, o.cp.base)
 						}

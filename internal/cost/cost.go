@@ -78,9 +78,7 @@ type Seconds float64
 // Meter accumulates simulated time per category. The zero value is ready
 // to use. Meter is safe for concurrent use: independent actors (parallel
 // collectives, application kernel launches) may accrue into one meter,
-// each addition applied atomically. Parallel actors whose times overlap
-// rather than add (e.g. the PEs of one kernel launch) still accumulate
-// locally and merge via MergeMax/Add.
+// each addition applied atomically.
 type Meter struct {
 	mu    sync.Mutex
 	byCat [numCategories]Seconds
@@ -111,9 +109,9 @@ func SumTrace(adds []TraceEntry) Breakdown {
 }
 
 // SetRecorder registers f to observe every subsequent Add/AddBytes in
-// call order; nil stops recording. Merge, MergeMax and Scale are NOT
-// recorded — a recorded meter must only be driven through additions
-// (core's tracer asserts this invariant with SumTrace after every trace).
+// call order; nil stops recording. Merge is NOT recorded — a recorded
+// meter must only be driven through additions (core's tracer asserts this
+// invariant with SumTrace after every trace).
 // f runs with the meter's lock held and must not call back into the meter.
 func (m *Meter) SetRecorder(f func(Category, Seconds)) {
 	m.mu.Lock()
@@ -167,33 +165,6 @@ func (m *Meter) Merge(other *Meter) {
 	defer m.mu.Unlock()
 	for i, v := range o.byCat {
 		m.byCat[i] += v
-	}
-}
-
-// MergeMax merges other into m taking, per category, the maximum of the two.
-// It models perfectly overlapped parallel actors (e.g. the per-rank transfer
-// engines, or the DPUs running a kernel): the slowest actor determines the
-// elapsed time.
-func (m *Meter) MergeMax(other *Meter) {
-	o := other.Snapshot()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, v := range o.byCat {
-		if v > m.byCat[i] {
-			m.byCat[i] = v
-		}
-	}
-}
-
-// Scale multiplies every category by f (used to model partial overlap).
-func (m *Meter) Scale(f float64) {
-	if f < 0 {
-		panic("cost: negative scale")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.byCat {
-		m.byCat[i] *= Seconds(f)
 	}
 }
 
@@ -254,8 +225,7 @@ func (b Breakdown) Add(other Breakdown) Breakdown {
 // Max returns the per-category maximum of b and other. It models
 // perfectly overlapped parallel actors — the cluster layer folds its
 // per-host breakdowns with Max, since the hosts of one collective run
-// concurrently and the slowest determines the elapsed time (the
-// Breakdown counterpart of Meter.MergeMax).
+// concurrently and the slowest determines the elapsed time.
 func (b Breakdown) Max(other Breakdown) Breakdown {
 	out := b
 	for i, v := range other.byCat {

@@ -81,9 +81,6 @@ func (h *Host) Params() cost.Params { return h.params }
 // Meter returns the host's cost meter.
 func (h *Host) Meter() *cost.Meter { return h.meter }
 
-// VecUnit returns the host's vector unit (shared instruction counter).
-func (h *Host) VecUnit() *vec.Unit { return &h.vu }
-
 // BeginXfer opens a transfer epoch: burst traffic is tallied per channel
 // and charged at EndXfer with channels running in parallel. Epochs nest;
 // only the outermost EndXfer charges.
@@ -158,9 +155,6 @@ type Shard struct {
 	// lines of their own, wherever the allocator happens to place them.
 	_ [80]byte
 }
-
-// VecUnit returns the shard's private vector unit.
-func (s *Shard) VecUnit() *vec.Unit { return &s.vu }
 
 // TallyBursts is the shard-local form of Host.TallyBursts.
 func (s *Shard) TallyBursts(group int, count int64) {
