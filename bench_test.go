@@ -38,7 +38,7 @@ func runPrim(b *testing.B, prim core.Primitive, lvl core.Level, shape []int, dim
 	for i := 0; i < b.N; i++ {
 		var err error
 		thr, _, err = bench.RunPrimitive(bench.PrimSpec{
-			Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl,
+			Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl, Elem: elem.I32, Op: elem.Sum,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -160,7 +160,7 @@ func BenchmarkFig17Breakdown(b *testing.B) {
 				var err error
 				_, bd, err = bench.RunPrimitive(bench.PrimSpec{
 					Shape: []int{16, 16}, Dims: "10", RecvPerPE: benchSize,
-					Prim: core.ReduceScatter, Level: lvl,
+					Prim: core.ReduceScatter, Level: lvl, Elem: elem.I32, Op: elem.Sum,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -121,7 +121,7 @@ func demoComm(mram int) (*core.Comm, *core.Tenant, int, error) {
 // cache is scored (and cleared) per objective; rows where the two picks
 // differ are where the makespan objective earns its keep.
 func printAuto(mram int) error {
-	comm, _, m, err := demoComm(mram)
+	comm, session, m, err := demoComm(mram)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func printAuto(mram int) error {
 	for _, obj := range []core.AutoObjective{core.AutoMeter, core.AutoMakespan} {
 		comm.SetAutoObjective(obj)
 		for _, d := range sigs {
-			if _, _, err := comm.Resolve(d); err != nil {
+			if _, _, err := session.Resolve(d); err != nil {
 				return err
 			}
 		}

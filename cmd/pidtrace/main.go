@@ -45,14 +45,9 @@ func main() {
 	}
 	spec.Dims = *dims
 
-	ok := false
-	for _, p := range core.Primitives() {
-		if p.String() == *prim {
-			spec.Prim, ok = p, true
-		}
-	}
-	if !ok {
-		fatal("unknown primitive %q", *prim)
+	var ok bool
+	if spec.Prim, ok = lookup(core.Primitives(), *prim); !ok {
+		fatal("unknown primitive %q (want one of %v)", *prim, core.Primitives())
 	}
 	levels := map[string]core.Level{"Auto": core.Auto, "Base": core.Baseline, "PR": core.PR, "IM": core.IM, "CM": core.CM}
 	if spec.Level, ok = levels[*level]; !ok {
@@ -62,15 +57,11 @@ func main() {
 	if spec.Algo, err = core.ParseAlgorithm(*algo); err != nil {
 		fatal("%v", err)
 	}
-	for _, t := range elem.Types() {
-		if t.String() == *elemName {
-			spec.Elem, ok = t, true
-		}
+	if spec.Elem, ok = lookup(elem.Types(), *elemName); !ok {
+		fatal("unknown element type %q (want one of %v)", *elemName, elem.Types())
 	}
-	for _, o := range elem.Ops() {
-		if o.String() == *op {
-			spec.Op = o
-		}
+	if spec.Op, ok = lookup(elem.Ops(), *op); !ok {
+		fatal("unknown reduction op %q (want one of %v)", *op, elem.Ops())
 	}
 
 	thr, bd, stats, err := bench.RunPrimitiveWithStats(spec)
@@ -97,6 +88,17 @@ func main() {
 		fmt.Printf("  ch%d=%.2fMiB", ch, float64(b)/(1<<20))
 	}
 	fmt.Println()
+}
+
+// lookup returns the value of vals named name.
+func lookup[T fmt.Stringer](vals []T, name string) (T, bool) {
+	for _, v := range vals {
+		if v.String() == name {
+			return v, true
+		}
+	}
+	var zero T
+	return zero, false
 }
 
 func fatal(format string, args ...interface{}) {

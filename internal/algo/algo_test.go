@@ -256,6 +256,10 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := c.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
 	find := func(prim core.Primitive, bytes int) core.AutoDecision {
 		t.Helper()
 		for _, dec := range c.Snapshot().Auto {
@@ -281,12 +285,12 @@ func TestMakespanAutoNeverWorse(t *testing.T) {
 			d.Elem, d.Op = elem.I32, elem.Sum
 		}
 		c.SetAutoObjective(core.AutoMeter)
-		if _, _, err := c.Resolve(d); err != nil {
+		if _, _, err := s.Resolve(d); err != nil {
 			t.Fatal(err)
 		}
 		meterPick := find(sg.prim, sg.m)
 		c.SetAutoObjective(core.AutoMakespan)
-		if _, _, err := c.Resolve(d); err != nil {
+		if _, _, err := s.Resolve(d); err != nil {
 			t.Fatal(err)
 		}
 		ksPick := find(sg.prim, sg.m)

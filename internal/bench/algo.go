@@ -36,17 +36,12 @@ const (
 // pipelined dry-placed makespan (overlapped seconds at
 // core.AutoPipelineDepth).
 func MeasureAlgoAllReduce(bytesPerPE int, alg core.Algorithm) (meter, makespan cost.Seconds, err error) {
-	n := 1
-	for _, l := range algoPinShape {
-		n *= l
-	}
-	_, comm, err := newPrimComm(algoPinShape, n, bytesPerPE, true)
+	_, comm, d, _, err := primSetup(PrimSpec{Shape: algoPinShape, Dims: algoPinDims, RecvPerPE: bytesPerPE,
+		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, Algo: alg, CostOnly: true})
 	if err != nil {
 		return 0, 0, err
 	}
-	cp, err := comm.Compile(core.Collective{Prim: core.AllReduce, Dims: algoPinDims,
-		Src: core.Span(0, bytesPerPE), Dst: core.At(2 * bytesPerPE),
-		Elem: elem.I32, Op: elem.Sum, Level: core.Baseline, Algorithm: alg})
+	cp, err := comm.Compile(d)
 	if err != nil {
 		return 0, 0, err
 	}

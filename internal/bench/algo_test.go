@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/elem"
 )
 
 func TestAlgoExperimentRegistered(t *testing.T) {
@@ -90,7 +91,7 @@ func TestMakespanObjectiveBeatsMeterPinned(t *testing.T) {
 // Broadcast and be rejected everywhere else.
 func TestPrimSpecAlgorithm(t *testing.T) {
 	spec := PrimSpec{Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512,
-		Prim: core.AllReduce, Level: core.Baseline, CostOnly: true, Algo: core.AlgoRing}
+		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: true, Algo: core.AlgoRing}
 	if _, _, err := RunPrimitive(spec); err != nil {
 		t.Fatalf("AllReduce/ring: %v", err)
 	}

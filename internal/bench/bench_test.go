@@ -49,7 +49,7 @@ func TestTablesRun(t *testing.T) {
 func TestRunPrimitiveAll(t *testing.T) {
 	for _, prim := range core.Primitives() {
 		thr, bd, err := RunPrimitive(PrimSpec{
-			Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512, Prim: prim, Level: core.CM,
+			Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", prim, err)
@@ -70,6 +70,26 @@ func TestRunPrimitiveWithReduceArgs(t *testing.T) {
 	}
 	if thr <= 0 {
 		t.Error("no throughput")
+	}
+}
+
+// The zero Elem/Op pair is INT8 SUM, not a default: an IM ReduceScatter
+// skips the domain-transfer charge for INT8 (foldCharges), so it costs
+// less than at INT32 SUM.
+func TestPrimSpecZeroElemIsInt8(t *testing.T) {
+	spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: 64 << 10,
+		Prim: core.ReduceScatter, Level: core.IM, CostOnly: true}
+	_, i8, err := RunPrimitive(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Elem, spec.Op = elem.I32, elem.Sum
+	_, i32, err := RunPrimitive(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i8.Total() >= i32.Total() {
+		t.Errorf("INT8 SUM costs %v, want less than INT32 SUM's %v", i8.Total(), i32.Total())
 	}
 }
 
@@ -144,7 +164,7 @@ func TestFig14ShapeCalibration(t *testing.T) {
 		t.Skip("calibration run is slow")
 	}
 	ratio := func(prim core.Primitive) float64 {
-		spec := PrimSpec{Shape: []int{16, 16}, Dims: "10", RecvPerPE: 32 << 10, Prim: prim}
+		spec := PrimSpec{Shape: []int{16, 16}, Dims: "10", RecvPerPE: 32 << 10, Prim: prim, Elem: elem.I32, Op: elem.Sum}
 		spec.Level = core.Baseline
 		base, _, err := RunPrimitive(spec)
 		if err != nil {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -12,51 +11,11 @@ import (
 // Extension experiments beyond the paper's figures: the design-choice
 // ablations DESIGN.md § 6 calls out, and the § IX-B hardware what-ifs.
 
-// runPrimWithParams is RunPrimitive with a custom cost model.
-func runPrimWithParams(shape []int, dims string, size int, prim core.Primitive, lvl core.Level, params cost.Params, costOnly bool) (float64, cost.Breakdown, error) {
-	n := 1
-	for _, l := range shape {
-		n *= l
-	}
-	geo, err := primGeo(n, size)
-	if err != nil {
-		return 0, cost.Breakdown{}, err
-	}
-	mach, comm, err := newCommOn(geo, shape, costOnly, core.Config{Params: params})
-	if err != nil {
-		return 0, cost.Breakdown{}, err
-	}
-	if !costOnly {
-		rng := rand.New(rand.NewSource(7))
-		buf := make([]byte, size)
-		for pe := 0; pe < n; pe++ {
-			rng.Read(buf)
-			comm.SetPEBuffer(pe, 0, buf)
-		}
-	}
-	switch prim {
-	case core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather:
-	default:
-		return 0, cost.Breakdown{}, fmt.Errorf("bench: extension runner supports AA/RS/AR/AG, got %v", prim)
-	}
-	d, err := primCollective(PrimSpec{Prim: prim, Dims: dims, RecvPerPE: size, Level: lvl,
-		Elem: elem.I32, Op: elem.Sum}, nGroupSize(mach, dims))
-	if err != nil {
-		return 0, cost.Breakdown{}, err
-	}
-	bd, err := comm.Run(d)
-	if err != nil {
-		return 0, cost.Breakdown{}, err
-	}
-	return gbps(int64(size)*int64(n), float64(bd.Total())), bd, nil
-}
-
-func nGroupSize(c *core.Comm, dims string) int {
-	groups, err := c.Hypercube().Groups(dims)
-	if err != nil || len(groups) == 0 {
-		return 1
-	}
-	return len(groups[0])
+// cmSpec is the extension measurements' primitive at CM on the paper's
+// 32×32 machine, x axis, INT32 SUM where it reduces, under params.
+func cmSpec(prim core.Primitive, size int, params cost.Params, costOnly bool) PrimSpec {
+	return PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: core.CM,
+		Elem: elem.I32, Op: elem.Sum, Params: params, CostOnly: costOnly}
 }
 
 func init() {
@@ -66,11 +25,11 @@ func init() {
 		dsa := cost.DefaultParams()
 		dsa.DSAOffload = true
 		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-			base, _, err := runPrimWithParams([]int{32, 32}, "10", size, prim, core.CM, cost.DefaultParams(), o.CostOnly)
+			base, _, err := RunPrimitive(cmSpec(prim, size, cost.DefaultParams(), o.CostOnly))
 			if err != nil {
 				return err
 			}
-			with, _, err := runPrimWithParams([]int{32, 32}, "10", size, prim, core.CM, dsa, o.CostOnly)
+			with, _, err := RunPrimitive(cmSpec(prim, size, dsa, o.CostOnly))
 			if err != nil {
 				return err
 			}
@@ -86,11 +45,11 @@ func init() {
 		serial := cost.DefaultParams()
 		serial.RankParallel = false
 		for _, prim := range []core.Primitive{core.AlltoAll, core.AllGather} {
-			par, _, err := runPrimWithParams([]int{32, 32}, "10", size, prim, core.CM, cost.DefaultParams(), o.CostOnly)
+			par, _, err := RunPrimitive(cmSpec(prim, size, cost.DefaultParams(), o.CostOnly))
 			if err != nil {
 				return err
 			}
-			ser, _, err := runPrimWithParams([]int{32, 32}, "10", size, prim, core.CM, serial, o.CostOnly)
+			ser, _, err := RunPrimitive(cmSpec(prim, size, serial, o.CostOnly))
 			if err != nil {
 				return err
 			}
@@ -105,11 +64,11 @@ func init() {
 		for _, launch := range []float64{5e-6, 20e-6, 80e-6} {
 			p := cost.DefaultParams()
 			p.KernelLaunch = cost.Seconds(launch)
-			small, _, err := runPrimWithParams([]int{32, 32}, "10", 4<<10, core.AlltoAll, core.CM, p, o.CostOnly)
+			small, _, err := RunPrimitive(cmSpec(core.AlltoAll, 4<<10, p, o.CostOnly))
 			if err != nil {
 				return err
 			}
-			large, _, err := runPrimWithParams([]int{32, 32}, "10", 64<<10, core.AlltoAll, core.CM, p, o.CostOnly)
+			large, _, err := RunPrimitive(cmSpec(core.AlltoAll, 64<<10, p, o.CostOnly))
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/elem"
 )
 
 // This file implements the benchmark-regression machinery behind
@@ -92,7 +93,7 @@ func collectFig14(add func(string, float64)) error {
 	for _, prim := range core.Primitives() {
 		for _, lvl := range []core.Level{core.Baseline, core.CM} {
 			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size,
-				Prim: prim, Level: lvl, CostOnly: true}
+				Prim: prim, Level: lvl, Elem: elem.I32, Op: elem.Sum, CostOnly: true}
 			_, bd, err := RunPrimitive(spec)
 			if err != nil {
 				return err

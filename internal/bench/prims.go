@@ -24,12 +24,16 @@ type PrimSpec struct {
 	// Prim, Level select what to run.
 	Prim  core.Primitive
 	Level core.Level
-	// Elem/Op apply to the reducing primitives.
+	// Elem/Op apply to the reducing primitives. Their zero values are
+	// INT8 and SUM: a caller that means another pair sets both.
 	Elem elem.Type
 	Op   elem.Op
 	// Algo constrains the schedule algorithm (AllReduce and Broadcast
 	// only; the zero value AlgoAuto keeps the default resolution).
 	Algo core.Algorithm
+	// Params is the timing model; the zero value means
+	// cost.DefaultParams(), as in core.Config.
+	Params cost.Params
 	// CostOnly runs on the cost-only backend over a phantom system: the
 	// throughput and breakdown are identical (the cost model is shared
 	// bit-for-bit), but no MRAM is allocated and no data moves.
@@ -47,24 +51,15 @@ func RunPrimitive(spec PrimSpec) (float64, cost.Breakdown, error) {
 // RunPrimitiveWithStats additionally returns the host's cumulative bus
 // traffic statistics (cmd/pidtrace prints them).
 func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferStats, error) {
-	n := 1
-	for _, l := range spec.Shape {
-		n *= l
+	if spec.Algo != core.AlgoAuto && spec.Prim != core.AllReduce && spec.Prim != core.Broadcast {
+		return 0, cost.Breakdown{}, host.XferStats{}, fmt.Errorf("bench: algorithm %v not supported for %v", spec.Algo, spec.Prim)
 	}
-	if spec.Elem == 0 && spec.Op == 0 {
-		spec.Elem, spec.Op = elem.I32, elem.Sum
-	}
-	mach, comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, spec.CostOnly)
+	mach, comm, d, groups, err := primSetup(spec)
 	if err != nil {
 		return 0, cost.Breakdown{}, host.XferStats{}, err
 	}
-	p := mach.Hypercube()
-	groups, err := p.Groups(spec.Dims)
-	if err != nil {
-		return 0, cost.Breakdown{}, host.XferStats{}, err
-	}
-	gsize := len(groups[0])
-	m := spec.RecvPerPE
+	gsize, m := len(groups[0]), spec.RecvPerPE
+	n := len(groups) * gsize // the groups tile the PEs
 	fill := func(bytesPerPE int) {
 		if spec.CostOnly {
 			return // phantom system: no MRAM to fill, data is irrelevant to cost
@@ -88,13 +83,6 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 		return out
 	}
 
-	if spec.Algo != core.AlgoAuto && spec.Prim != core.AllReduce && spec.Prim != core.Broadcast {
-		return 0, cost.Breakdown{}, host.XferStats{}, fmt.Errorf("bench: algorithm %v not supported for %v", spec.Algo, spec.Prim)
-	}
-	d, err := primCollective(spec, gsize)
-	if err != nil {
-		return 0, cost.Breakdown{}, host.XferStats{}, err
-	}
 	bytes := int64(m) * int64(n)
 	switch spec.Prim {
 	case core.Scatter:
@@ -122,26 +110,36 @@ func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferSta
 // selection mapped to its effective value otherwise. The resolution is
 // backend-independent, so it always runs on a cost-only comm.
 func ResolvePrimitive(spec PrimSpec) (core.Algorithm, core.Level, error) {
-	n := 1
-	for _, l := range spec.Shape {
-		n *= l
-	}
-	if spec.Elem == 0 && spec.Op == 0 {
-		spec.Elem, spec.Op = elem.I32, elem.Sum
-	}
-	mach, comm, err := newPrimComm(spec.Shape, n, spec.RecvPerPE, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	groups, err := mach.Hypercube().Groups(spec.Dims)
-	if err != nil {
-		return 0, 0, err
-	}
-	d, err := primCollective(spec, len(groups[0]))
+	spec.CostOnly = true
+	_, comm, d, _, err := primSetup(spec)
 	if err != nil {
 		return 0, 0, err
 	}
 	return comm.Resolve(d)
+}
+
+// primSetup is what running and resolving a spec share: a fresh machine
+// for it, its whole-MRAM session, the measurement's descriptor without
+// host payloads, and the dims groups.
+func primSetup(spec PrimSpec) (*core.Comm, *core.Tenant, core.Collective, [][]int, error) {
+	n := 1
+	for _, l := range spec.Shape {
+		n *= l
+	}
+	geo, err := primGeo(n, spec.RecvPerPE)
+	if err != nil {
+		return nil, nil, core.Collective{}, nil, err
+	}
+	mach, comm, err := newCommOn(geo, spec.Shape, spec.CostOnly, core.Config{Params: spec.Params})
+	if err != nil {
+		return nil, nil, core.Collective{}, nil, err
+	}
+	groups, err := mach.Hypercube().Groups(spec.Dims)
+	if err != nil {
+		return nil, nil, core.Collective{}, nil, err
+	}
+	d, err := primCollective(spec, len(groups[0]))
+	return mach, comm, d, groups, err
 }
 
 // primCollective returns the descriptor of the spec's measurement on
@@ -178,14 +176,6 @@ func primGeo(n, recvPerPE int) (dram.Geometry, error) {
 	return appcore.GeoForPEs(n, mramFor(4*recvPerPE+64))
 }
 
-func newPrimComm(shape []int, n, recvPerPE int, costOnly bool) (*core.Comm, *core.Tenant, error) {
-	geo, err := primGeo(n, recvPerPE)
-	if err != nil {
-		return nil, nil, err
-	}
-	return newCommOn(geo, shape, costOnly, core.Config{})
-}
-
 // newCommOn builds a machine for the geometry/shape at cfg, on the
 // cost-only backend (over a phantom, no-MRAM system) when costOnly is
 // set, and its whole-MRAM session (at offset 0).
@@ -215,7 +205,7 @@ func init() {
 		t := newTable("Primitive", "Base GB/s", "PID-Comm GB/s", "Speedup")
 		var ratios []float64
 		for _, prim := range core.Primitives() {
-			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, CostOnly: o.CostOnly}
+			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly}
 			spec.Level = core.Baseline
 			base, _, err := RunPrimitive(spec)
 			if err != nil {
@@ -246,7 +236,8 @@ func init() {
 						continue
 					}
 				}
-				thr, _, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly})
+				thr, _, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl,
+					Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}
@@ -263,7 +254,8 @@ func init() {
 		t := newTable("Primitive", "Design", "Total(ms)", "DT", "HostMod", "HostMem", "PEMem", "PEMod", "Other")
 		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
 			for _, lvl := range []core.Level{core.Baseline, core.CM} {
-				_, bd, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl, CostOnly: o.CostOnly})
+				_, bd, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl,
+					Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}
@@ -297,11 +289,11 @@ func init() {
 		} {
 			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
 				for _, size := range sizes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly})
+					base, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
+					ours, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
@@ -328,11 +320,11 @@ func init() {
 					dims = dims[:1]
 				}
 				for i, shape := range shapes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.Baseline, CostOnly: o.CostOnly})
+					base, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
+					ours, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 					if err != nil {
 						return err
 					}
@@ -356,7 +348,7 @@ func init() {
 		for _, shape := range shapes {
 			row := []string{fmt.Sprintf("%v", shape)}
 			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-				thr, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: "100", RecvPerPE: size, Prim: prim, Level: core.CM, CostOnly: o.CostOnly})
+				thr, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: "100", RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
 				if err != nil {
 					return err
 				}

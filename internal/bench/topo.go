@@ -37,7 +37,8 @@ type TopoResult struct {
 // the dims groups of the shape hypercube on the three topologies of
 // Figure 23(a), hypercube first.
 func MeasureTopologies(shape []int, dims string, m int, costOnly bool) ([]TopoResult, error) {
-	spec := PrimSpec{Shape: shape, Dims: dims, RecvPerPE: m, Prim: core.AllReduce, Level: core.CM, CostOnly: costOnly}
+	spec := PrimSpec{Shape: shape, Dims: dims, RecvPerPE: m, Prim: core.AllReduce, Level: core.CM,
+		Elem: elem.I32, Op: elem.Sum, CostOnly: costOnly}
 	_, hyper, err := RunPrimitive(spec)
 	if err != nil {
 		return nil, err

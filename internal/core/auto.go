@@ -93,8 +93,8 @@ type autoDecision struct {
 // objective. Plans already compiled keep the candidate they resolved to.
 // On a cluster host it sets every host's objective (one shape table).
 func (c *Comm) SetAutoObjective(o AutoObjective) {
-	c.autoMu.Lock()
-	defer c.autoMu.Unlock()
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
 	if c.autoObj != o {
 		c.autoObj = o
 		c.autoCache = make(map[autoKey]autoDecision)
@@ -109,9 +109,8 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 // built is inapplicable to this signature (e.g. the streaming levels
 // cannot run an in-place AlltoAll; a row's applies predicate rejects the
 // level) and is skipped; autoPick errors only when no candidate applies.
+// Callers hold compMu.
 func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEntry, error)) (autoDecision, error) {
-	c.autoMu.Lock()
-	defer c.autoMu.Unlock()
 	if dec, ok := c.autoCache[key]; ok {
 		return dec, nil
 	}
@@ -156,7 +155,7 @@ func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEn
 }
 
 // autoLess orders two candidates under the comm's objective, with the
-// other objective as tie-break. Callers hold autoMu.
+// other objective as tie-break. Callers hold compMu.
 func (c *Comm) autoLess(a, b autoDecision) bool {
 	x, y, tx, ty := a.meter, b.meter, a.makespan, b.makespan
 	if c.autoObj == AutoMakespan {
@@ -177,6 +176,7 @@ func (c *Comm) autoLess(a, b autoDecision) bool {
 // so repeated Auto calls with one signature resolve in a map lookup. The
 // candidates' rows are keyed by d's own offsets, so a compile of the
 // winner at those offsets, in any session, finds its row traced.
+// Callers hold compMu.
 func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	if d.Prim == Broadcast {
 		// Single level at every optimization setting (§ VIII-B); the
@@ -211,15 +211,13 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 // the whole-MRAM arena, a dry spec whose host payload may be left out. A
 // row the table lacks is built — lowered, fused and traced — and kept:
 // one trace miss per candidate, after which every lookup of its key, the
-// winner's compile included, is a hit.
+// winner's compile included, is a hit. Callers hold compMu.
 func (c *Comm) autoRow(d Collective) (*planEntry, error) {
 	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
 	if err != nil {
 		return nil, err
 	}
 	key := seqKey{head: spec.env.planKey}
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
 	if row := c.rows[key]; row != nil {
 		c.cacheSt.TraceHits++
 		return row, nil

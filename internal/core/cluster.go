@@ -60,14 +60,15 @@ package core
 // admit on every shard first, which a closed shard refuses, so a plan
 // outliving a shard never runs.
 //
-// Concurrency: the functional backend executes a cluster plan with one
-// goroutine per host; the hosts meet at generation-counting barriers
-// inside the network legs. Serial Runs are serialized on the cluster;
-// Submit admits on every host, then enqueues on every host atomically,
-// so the per-host queues see cluster plans in one global order and the
-// rendezvous always pair up. Cluster plans should be submitted from one
-// goroutine at a time per session; the cost-only backend has no barriers
-// and no such constraint.
+// Concurrency: Compile holds the hosts' one compMu from entry to return,
+// the session's plan cache included. The functional backend executes a
+// cluster plan with one goroutine per host; the hosts meet at
+// generation-counting barriers inside the network legs. Serial Runs are
+// serialized on the cluster's execMu; Submit admits on every host, then
+// enqueues on every host atomically under it, so the per-host queues see
+// cluster plans in one global order and the rendezvous always pair up.
+// Cluster plans should be submitted from one goroutine at a time per
+// session; the cost-only backend has no barriers and no such constraint.
 
 import (
 	"errors"
@@ -275,13 +276,11 @@ func (cl *Cluster) join(carve func(*Comm) (*Tenant, error)) (*ClusterTenant, err
 // every host. Cluster collectives go through Compile/Run/Submit with
 // arena-relative regions; per-host data placement and local collectives
 // go through the shards (Host), which are full single-machine sessions.
+// Its plan cache is guarded by the hosts' one compMu, like their rows.
 type ClusterTenant struct {
 	cl     *Cluster
 	shards []*Tenant
-
-	// mu guards the session's plan cache.
-	mu    sync.Mutex
-	cache map[clusterKey]*clusterState
+	cache  map[clusterKey]*clusterState
 }
 
 // Host returns the session's shard on host h.
@@ -306,15 +305,16 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	cl := s.cl
 	key := clusterKey{prim: d.Prim, dims: d.Dims, src: d.Src, dst: d.Dst, elem: d.Elem, op: d.Op,
 		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c := cl.comms[0] // the hosts' one shape table
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	for h, t := range s.shards {
+		if err := t.errIfClosed(); err != nil {
+			return nil, fmt.Errorf("cluster host %d: %w", h, err)
+		}
+	}
 	st, ok := s.cache[key]
 	if ok && st.plan != nil {
-		for _, t := range s.shards {
-			if err := t.errIfClosed(); err != nil {
-				return nil, err
-			}
-		}
 		return st.plan, nil
 	}
 	if !ok {
@@ -329,11 +329,8 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
 	_, unknown := shapeOf(d.Prim)
 	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
-	for h, c := range cl.comms {
+	for h := range cl.comms {
 		owner := s.shards[h]
-		if err := owner.errIfClosed(); err != nil {
-			return nil, fmt.Errorf("cluster host %d: %w", h, err)
-		}
 		own := d.Prim == AlltoAll || rooted && h == d.Root // the lowering reads h
 		b := sym
 		if shared[h] = !own && b != nil; !shared[h] {
@@ -343,9 +340,7 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 			if b, err = cl.hostSpecs(h, owner.ar, st, d); err != nil {
 				return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 			}
-			c.compMu.Lock()
-			b.row = c.buildLocked(b.specs)
-			c.compMu.Unlock()
+			b.row = b.c.buildLocked(b.specs)
 			if !own {
 				sym = b
 			}
@@ -354,12 +349,9 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	}
 	// Booked, a plan miss per host like any other, and cached only now: a
 	// descriptor rejected at any host leaves no counter and no entry behind.
-	c := cl.comms[0] // the counters are the hosts' one table's
-	c.compMu.Lock()
 	for h, hp := range cp.plans {
 		c.countBuildLocked(hp, shared[h])
 	}
-	c.compMu.Unlock()
 	s.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp
@@ -513,14 +505,14 @@ func (b *clusterBuild) payloads(h int) [][]byte {
 }
 
 // hostSpecs validates d for host h and lowers its members, arena-relative,
-// with the host payloads they read.
+// with the host payloads they read. Callers hold compMu.
 func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) (*clusterBuild, error) {
 	sh, err := shapeOf(d.Prim)
 	if err != nil {
 		return nil, err
 	}
 	c := cl.comms[h]
-	p, err := c.plan(d.Dims)
+	p, err := c.planLocked(d.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -722,7 +714,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if b.win = global; row.redist == Scatter {
 		n, b.win, b.stride = b.s, global/H, global/H
 	}
-	_, eff, err := c.Resolve(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
+	_, eff, err := c.resolveLocked(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
 	if err != nil {
 		return err
 	}

@@ -201,9 +201,8 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 }
 
 // A compile rejected at host k > 0 books nothing on the hosts before it:
-// the session's third shard is closed, and the two hosts whose plans were
-// built and thrown away count no plan miss, no trace miss and no fused
-// plan.
+// the session's third shard is closed, and no host counts a plan miss, a
+// trace miss or a fused plan.
 func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 	for _, costOnly := range []bool{true, false} {
 		cl := testCluster(t, 3, geoHost, []int{16}, costOnly)

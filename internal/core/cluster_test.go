@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cost"
@@ -882,6 +884,118 @@ func TestClusterWireLegs(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentCompilesShareOneTable drives every compile-side entry of
+// a cluster's one shape table from four goroutines at once: Auto-level
+// compiles on the shards of a session that another goroutine closes and
+// re-creates every round, cluster compiles on a long-lived and on that
+// churning session, SetAutoObjective flips, and snapshots of both hosts.
+// Every compile succeeds or fails with ErrTenantClosed, and afterwards
+// each descriptor costs what it costs on a fresh cluster.
+func TestConcurrentCompilesShareOneTable(t *testing.T) {
+	const H, rounds, m = 2, 50, 256
+	shape := []int{4, 4}
+	local := []Collective{
+		{Prim: AllReduce, Dims: "10", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum},
+		{Prim: AlltoAll, Dims: "01", Src: Span(4*m, m), Dst: At(6 * m)},
+	}
+	global := []ClusterCollective{
+		{Collective: Collective{Prim: AllReduce, Dims: "11", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}},
+		{Collective: Collective{Prim: AlltoAll, Dims: "11", Src: Span(0, m), Dst: At(2 * m), Level: CM}},
+	}
+	cfg := TenantConfig{ArenaBytes: 8 * m}
+	newSession := func(cl *Cluster) *ClusterTenant {
+		s, err := cl.NewTenant(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cl := testCluster(t, H, geoHost, shape, true)
+	whole := newSession(cl)
+	var churn atomic.Pointer[ClusterTenant]
+	churn.Store(newSession(cl))
+
+	errs := make(chan error, 4*rounds*H*len(local))
+	closedOK := func(err error) {
+		if err != nil && !errors.Is(err, ErrTenantClosed) {
+			errs <- err
+		}
+	}
+	var wg sync.WaitGroup
+	for _, work := range []func(r int){
+		func(int) {
+			s := churn.Load()
+			for h := 0; h < H; h++ {
+				for _, d := range local {
+					_, err := s.Host(h).Compile(d)
+					closedOK(err)
+				}
+			}
+		},
+		func(int) {
+			_, err := whole.Compile(global[0])
+			closedOK(err)
+			s := churn.Load()
+			_, err = s.Compile(global[1])
+			closedOK(err)
+			closedOK(s.Close())
+			churn.Store(newSession(cl))
+		},
+		func(r int) { cl.Host(r % H).SetAutoObjective(AutoObjective(r % 2)) },
+		func(int) {
+			for h := 0; h < H; h++ {
+				cl.Host(h).Snapshot()
+			}
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				work(r)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	fresh := testCluster(t, H, geoHost, shape, true)
+	freshS := newSession(fresh)
+	cl.Host(0).SetAutoObjective(AutoMeter)
+	for h := 0; h < H; h++ {
+		for _, d := range local {
+			got, err := churn.Load().Host(h).Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := freshS.Host(h).Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cost() != want.Cost() || got.Level() != want.Level() || got.Algorithm() != want.Algorithm() {
+				t.Errorf("host %d %v: (%v, %v) costs %v, a fresh cluster's (%v, %v) %v",
+					h, d.Prim, got.Algorithm(), got.Level(), got.Cost(), want.Algorithm(), want.Level(), want.Cost())
+			}
+		}
+	}
+	for i, s := range []*ClusterTenant{whole, churn.Load()} {
+		got, err := s.Compile(global[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := freshS.Compile(global[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost() != want.Cost() {
+			t.Errorf("cluster %v costs %v, on a fresh cluster %v", global[i].Prim, got.Cost(), want.Cost())
 		}
 	}
 }

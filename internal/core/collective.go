@@ -111,15 +111,15 @@ func checkArenaRegion(ar arena, off, n int) error {
 	return nil
 }
 
-// Resolve returns the (algorithm, level) pair a session's Compile(d) picks,
+// resolveLocked returns the (algorithm, level) pair Compile(d) picks,
 // compiling nothing: an explicit level keeps its effective value and
 // AlgoAuto maps to AlgoReference (no search, identical plans and costs);
 // Level Auto hands the pair to the autotuner, constrained to d.Algorithm
 // when that is explicit, whose dry builds at d's offsets on the whole
 // MRAM report a region that does not fit as Compile would. Whether an
 // explicitly requested algorithm applies to the resolved call is
-// Compile's check, not Resolve's.
-func (c *Comm) Resolve(d Collective) (Algorithm, Level, error) {
+// Compile's check, not this one's. Callers hold compMu.
+func (c *Comm) resolveLocked(d Collective) (Algorithm, Level, error) {
 	if d.Level < Auto || d.Level > CM {
 		return 0, 0, fmt.Errorf("core: unknown level %v", d.Level)
 	}
@@ -299,6 +299,7 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 // layer's local legs and Auto's dry builds. dry marks the last: a
 // candidate is only traced, never run, so its host payload may be left
 // out wherever the descriptor states its size, as on a cost-only comm.
+// Callers hold compMu.
 func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err error) {
 	defer func() {
 		if err != nil {
@@ -309,7 +310,7 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 	if err != nil {
 		return planSpec{}, err
 	}
-	p, err := c.plan(d.Dims)
+	p, err := c.planLocked(d.Dims)
 	if err != nil {
 		return planSpec{}, err
 	}
@@ -319,7 +320,7 @@ func (c *Comm) specIn(ar arena, d Collective, dry bool) (spec planSpec, err erro
 	if err != nil {
 		return planSpec{}, err
 	}
-	alg, eff, err := c.Resolve(d)
+	alg, eff, err := c.resolveLocked(d)
 	if err != nil {
 		return planSpec{}, err
 	}

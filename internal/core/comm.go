@@ -20,14 +20,12 @@ import (
 // Schedule (schedule.go) and a CompiledPlan (plan.go), run by the single
 // executor (exec.go) against the comm's Backend.
 //
-// Comm is safe for concurrent use: independent collectives may be issued
-// from multiple goroutines. Executions serialize on one mutex — the
-// simulated substrate models a single machine whose bus and driver the
-// host drives, so collectives interleave at call granularity, exactly as
-// a driver-level lock would enforce on real hardware. Callers remain
-// responsible for data disjointness within a session: two concurrent
-// collectives (or app kernels) touching overlapping MRAM regions race
-// semantically even though each executes atomically.
+// Comm is safe for concurrent use (doc.go, Concurrency). Executions
+// serialize on execMu, as a driver-level lock would on real hardware, so
+// collectives interleave at call granularity. Callers remain responsible
+// for data disjointness within a session: two concurrent collectives (or
+// app kernels) touching overlapping MRAM regions race semantically even
+// though each executes atomically.
 //
 // Asynchronous execution (async.go): a submission enqueues a compiled
 // plan on its session's bucket of the machine's submission queue and
@@ -119,27 +117,19 @@ type Comm struct {
 // shapeTable is what a comm compiles that depends only on its
 // configuration and the call shape. A lone machine (New) has its own; the
 // hosts of a Cluster, built from one Config, share one (NewCluster).
+// compMu, the one lock of compilation (doc.go, Concurrency), guards it
+// all — group plans per dims string, Auto decisions and objective
+// (auto.go), shape rows, counters, fusion statistics, tracer — and every
+// session's plans on the table's comms, cluster sessions' included.
 type shapeTable struct {
-	// planMu guards plans, the cached group plans per dims string;
-	// applications alternate between a few dims selections every layer
-	// (Algorithm 1).
-	planMu sync.Mutex
-	plans  map[string]*plan
-
-	// autoMu guards the Auto decision cache and the objective knob
-	// (auto.go).
-	autoMu    sync.Mutex
+	compMu    sync.Mutex
+	plans     map[string]*plan
 	autoCache map[autoKey]autoDecision
 	autoObj   AutoObjective
-
-	// compMu guards the shape rows, the plans of every session on the
-	// table's comms, the hit/miss counters, the aggregate fusion
-	// statistics and the tracer.
-	compMu  sync.Mutex
-	rows    map[seqKey]*planEntry
-	cacheSt PlanCacheStats
-	fuseSt  FusionStats
-	tracer  *tracer
+	rows      map[seqKey]*planEntry
+	cacheSt   PlanCacheStats
+	fuseSt    FusionStats
+	tracer    *tracer
 }
 
 func newShapeTable() *shapeTable {
@@ -358,9 +348,9 @@ func (c *Comm) Host() *host.Host { return c.h }
 // Engine returns the DPU engine (shared with application kernels).
 func (c *Comm) Engine() *dpu.Engine { return c.eng }
 
-func (c *Comm) plan(dims string) (*plan, error) {
-	c.planMu.Lock()
-	defer c.planMu.Unlock()
+// planLocked returns the cached group plan of dims, building it on a
+// miss. Callers hold compMu.
+func (c *Comm) planLocked(dims string) (*plan, error) {
 	if p, ok := c.plans[dims]; ok {
 		return p, nil
 	}

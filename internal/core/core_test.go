@@ -26,6 +26,14 @@ func (c *testComm) Submit(d Collective) (*Future, error)        { return c.s.Sub
 func (c *testComm) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	return c.s.CompileSequence(ds...)
 }
+func (c *testComm) Resolve(d Collective) (Algorithm, Level, error) { return c.s.Resolve(d) }
+
+// plan is planLocked under compMu, for tests that read a group plan.
+func (c *Comm) plan(dims string) (*plan, error) {
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	return c.planLocked(dims)
+}
 
 // newMachine is New failing the test on an error: a machine with no
 // session yet, for tests that carve their own tenants.
@@ -468,7 +476,7 @@ func TestValidationErrors(t *testing.T) {
 
 // An out-of-range enum is an error, not a silent default: a Level beyond
 // the table (on a single machine and on a cluster, whose legs resolve
-// through the same Comm.Resolve), a Config.Fuse and a TenantConfig.Shed.
+// through the same resolveLocked), a Config.Fuse and a TenantConfig.Shed.
 func TestUnknownEnumsAreRejected(t *testing.T) {
 	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend()})
 	for _, lvl := range []Level{-3, -1, CM + 1, 42} {

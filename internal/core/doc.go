@@ -186,6 +186,15 @@
 // experiment measures the lookahead payoff on an adversarial submission
 // order.
 //
+// # Concurrency
+//
+// A machine has three locks, one per concern: execMu for execution,
+// asyncMu for submission and the session lifecycle, and its shape table's
+// compMu for compilation, which a cluster's hosts share and a compile
+// takes once. The one nesting is a Cluster's execMu before a host's
+// asyncMu or execMu; compMu is never held with either, and only leaf
+// locks, such as a meter's, are taken inside it.
+//
 // # Inspecting a run
 //
 // Run-time state has one read path (snapshot.go): Comm.Snapshot returns a

@@ -16,7 +16,7 @@ const (
 	// dry-runs every applicable level on the cost-only backend, picks
 	// the cheapest for the (primitive, dims, payload, element type)
 	// signature, caches the decision on the Comm, and executes with it.
-	// See Comm.Resolve.
+	// See Tenant.Resolve.
 	//
 	// Auto is resolved to a concrete level at every collective entry
 	// point; it must never reach EffectiveLevel or a schedule builder.

@@ -346,7 +346,7 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 // caller's buffers by reference, so it serves that call alone. The closed
 // check runs under compMu, which Close takes, after setting the flag, to
 // drop the session's plans: a racing Close either stops a compile or
-// drops its plan.
+// drops its plan. Callers hold compMu.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*CompiledPlan, error) {
 	key, cacheable := seqKey{head: specs[0].env.planKey}, true
 	for i, sp := range specs {
@@ -355,8 +355,6 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*Compi
 			key.tail += fmt.Sprintf("%+v;", sp.env.planKey)
 		}
 	}
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
 	if err := owner.errIfClosed(); err != nil {
 		return nil, err
 	}

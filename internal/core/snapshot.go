@@ -12,12 +12,12 @@ import (
 
 // Snapshot is the one read surface of a Comm's run-time state: plain
 // values that Comm.Snapshot fills and String renders (what `pidinfo`'s
-// modes print). Each section is read under the one lock that guards it and
-// no two locks are held together, so sections are individually, not
-// jointly, consistent: the tenant rows, Pending and every row's InFlight
-// and Admitted come from one asyncMu section and agree with each other,
-// and the whole is exact on a quiescent Comm, while a tenant closed between
-// two reads can show both as a live row and in FreeSpans.
+// modes print). Each section is read under the one lock that guards it,
+// no two held together, so sections are individually, not jointly,
+// consistent: the tenant rows, Pending, InFlight and Admitted come from one
+// asyncMu section, PlanCache, Fusion and Auto from one compMu section. The
+// whole is exact on a quiescent Comm, while a tenant closed between two
+// reads can show both as a live row and in FreeSpans.
 type Snapshot struct {
 	// Elapsed is the timeline's overlap-aware makespan, LaneBusy[l] the
 	// cumulative work on cost.Lane l (LaneBusy[cost.LaneNet]: a cluster
@@ -95,15 +95,12 @@ func (c *Comm) Snapshot() Snapshot {
 			}
 		}
 	}
-	c.compMu.Unlock()
-
-	c.autoMu.Lock()
 	s.Auto = make([]AutoDecision, 0, len(c.autoCache))
 	for k, dec := range c.autoCache {
 		s.Auto = append(s.Auto, AutoDecision{Prim: k.prim, Dims: k.dims, Bytes: k.bytes, Elem: k.elemType, Op: k.op,
 			InPlace: k.inPlace, Constraint: k.algo, Algo: dec.algo, Level: dec.lvl, Meter: dec.meter, Makespan: dec.makespan})
 	}
-	c.autoMu.Unlock()
+	c.compMu.Unlock()
 	slices.SortFunc(s.Auto, func(a, b AutoDecision) int {
 		return cmp.Or(cmp.Compare(a.Prim, b.Prim), cmp.Compare(a.Dims, b.Dims),
 			cmp.Compare(a.Bytes, b.Bytes), cmp.Compare(a.Constraint, b.Constraint))

@@ -280,6 +280,8 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("core: empty collective sequence")
 	}
+	t.c.compMu.Lock() // the one lock of a compile, held to return
+	defer t.c.compMu.Unlock()
 	var one [1]planSpec
 	specs := one[:0]
 	var hosts [][]byte // one payload member's as is, several concatenated
@@ -340,11 +342,14 @@ func (t *Tenant) SubmitOpts(d Collective, o SubmitOptions) (*Future, error) {
 	return cp.SubmitOpts(o), nil
 }
 
-// Resolve returns the (algorithm, level) pair descriptor d resolves to:
-// the autotuner's pick (under the machine's Auto objective) where
-// either axis is Auto, the explicit selection otherwise. Exactly what
-// Compile would resolve d to, without compiling anything.
-func (t *Tenant) Resolve(d Collective) (Algorithm, Level, error) { return t.c.Resolve(d) }
+// Resolve returns the (algorithm, level) pair Compile(d) would resolve
+// to, compiling nothing: the autotuner's pick (under the machine's Auto
+// objective) where either axis is Auto, the explicit selection otherwise.
+func (t *Tenant) Resolve(d Collective) (Algorithm, Level, error) {
+	t.c.compMu.Lock()
+	defer t.c.compMu.Unlock()
+	return t.c.resolveLocked(d)
+}
 
 // SetPEBuffer writes raw bytes directly into the tenant's arena of a
 // PE's MRAM (no cost): test/application setup representing data the PE

@@ -52,9 +52,6 @@ func (g Geometry) NumPEs() int {
 // NumGroups returns the number of entangled groups.
 func (g Geometry) NumGroups() int { return g.NumPEs() / ChipsPerRank }
 
-// GroupsPerRank returns entangled groups per rank (= banks per chip).
-func (g Geometry) GroupsPerRank() int { return g.BanksPerChip }
-
 // PaperGeometry returns the paper's testbed: 4 channels x 4 ranks x 8 chips
 // x 8 banks = 1024 PEs, with mramPerBank bytes of MRAM each.
 func PaperGeometry(mramPerBank int) Geometry {
@@ -248,9 +245,6 @@ func NewPhantomSystem(geo Geometry) (*System, error) {
 	}
 	return &System{geo: geo, phantom: true, free: []Arena{{Base: 0, Bytes: geo.MramPerBank}}}, nil
 }
-
-// Phantom reports whether the system backs no MRAM.
-func (s *System) Phantom() bool { return s.phantom }
 
 func (s *System) checkBacked(op string) {
 	if s.phantom {

@@ -101,9 +101,6 @@ func (j *job) run() {
 	}
 }
 
-// PoolSize returns the number of helper goroutines (0 before first use).
-func PoolSize() int { return poolSize }
-
 // Do partitions [0, n) into min(workers, n) contiguous shards and runs
 // r.RunShard on each, using up to workers-1 idle pool helpers plus the
 // calling goroutine. It returns after every shard has completed.

@@ -14,7 +14,6 @@ func (u *Unit) Reduce(t elem.Type, op elem.Op, a, b Reg) Reg {
 		v := op.Combine(elem.Load(t, a[:], off), elem.Load(t, b[:], off))
 		elem.Store(t, out[:], off, v)
 	}
-	u.retire(1)
 	return out
 }
 
@@ -23,6 +22,5 @@ func (u *Unit) Reduce(t elem.Type, op elem.Op, a, b Reg) Reg {
 func (u *Unit) FillIdentity(t elem.Type, op elem.Op) Reg {
 	var out Reg
 	elem.Fill(t, out[:], op.Identity(t))
-	u.retire(1)
 	return out
 }

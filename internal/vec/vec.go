@@ -3,8 +3,9 @@
 // PID-Comm's in-register and cross-domain modulation are register-level
 // byte permutations executed with AVX-512 instructions on the real system
 // (§ VI-B cites _mm512_rol_epi64 and friends). This package performs the
-// identical permutations on real bytes — so collective results are
-// bit-exact — and counts instructions so the cost model can charge them.
+// identical permutations on real bytes, so collective results are
+// bit-exact; the cost model charges them per schedule step, not per
+// instruction.
 //
 // A Reg is exactly one DDR4 burst (64 bytes), which is also the unit PID-Comm
 // streams between the host and an entangled group of 8 banks.
@@ -26,32 +27,21 @@ const LaneBytes = 8
 // Reg is a 512-bit vector register.
 type Reg [RegBytes]byte
 
-// Unit is a vector execution unit with instruction accounting. The zero
-// value is ready to use. Callers read Ops() to charge the cost model.
-type Unit struct {
-	ops int64 // retired vector instructions
-}
-
-// Ops returns the number of vector instructions retired since ResetOps.
-func (u *Unit) Ops() int64 { return u.ops }
-
-// ResetOps zeroes the instruction counter.
-func (u *Unit) ResetOps() { u.ops = 0 }
-
-func (u *Unit) retire(n int64) { u.ops += n }
+// Unit is a vector execution unit. It holds no state, so the zero value
+// is ready to use: the schedule step that issues its instructions
+// declares their cost.
+type Unit struct{}
 
 // Load fills a register from src (len >= RegBytes). One vector load.
 func (u *Unit) Load(src []byte) Reg {
 	var r Reg
 	copy(r[:], src[:RegBytes])
-	u.retire(1)
 	return r
 }
 
 // Store writes the register to dst (len >= RegBytes). One vector store.
 func (u *Unit) Store(dst []byte, r Reg) {
 	copy(dst[:RegBytes], r[:])
-	u.retire(1)
 }
 
 // RotBytes rotates the whole register left by n bytes (n may be negative
@@ -62,7 +52,6 @@ func (u *Unit) RotBytes(r Reg, n int) Reg {
 	for i := 0; i < RegBytes; i++ {
 		out[(i+n)%RegBytes] = r[i]
 	}
-	u.retire(1)
 	return out
 }
 
@@ -82,7 +71,6 @@ func (u *Unit) RotBytesWithin(r Reg, blockBytes, n int) Reg {
 			out[base+(i+n)%blockBytes] = r[base+i]
 		}
 	}
-	u.retire(1)
 	return out
 }
 
@@ -129,7 +117,6 @@ func (u *Unit) Transpose8x8(r Reg) Reg {
 			out[8*k+w] = r[8*w+k]
 		}
 	}
-	u.retire(3)
 	return out
 }
 
@@ -159,7 +146,6 @@ func (u *Unit) BroadcastLane(r Reg, i int) Reg {
 	for l := 0; l < Lanes; l++ {
 		copy(out[l*LaneBytes:], lane)
 	}
-	u.retire(1)
 	return out
 }
 
