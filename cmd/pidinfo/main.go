@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("  modulation B/cycle    scalar %.1f, local %.1f, SIMD %.1f\n", p.ScalarModBPC, p.LocalModBPC, p.SIMDModBPC)
 	fmt.Printf("  reduction B/cycle     scalar %.1f, local %.1f, vertical-SIMD %.1f\n", p.ScalarRedBPC, p.LocalRedBPC, p.ReduceBPC)
 	fmt.Printf("  domain transfer       %.1f B/cycle\n", p.DTBPC)
-	fmt.Printf("  DPU: MRAM %.0f MB/s, WRAM %.1f GB/s, %d MHz\n", p.DPUMramBW/1e6, p.DPUWramBW/1e9, int(p.DPUInstrHz/1e6))
+	fmt.Printf("  DPU: MRAM %.0f MB/s, %d MHz\n", p.DPUMramBW/1e6, int(p.DPUInstrHz/1e6))
 	fmt.Printf("  kernel launch         %.0f us, rank-parallel transfers: %v\n", float64(p.KernelLaunch)*1e6, p.RankParallel)
 	fmt.Printf("  network (cluster)     %.1f Gbps x%d NIC (eff %.0f%%), %.0f us latency, %d switch tier(s)\n",
 		p.Net.LinkBW*8/1e9, p.Net.NICsPerHost, p.Net.Efficiency*100,

@@ -21,6 +21,7 @@ func main() {
 		panic(err)
 	}
 	h := host.New(sys, cost.DefaultParams())
+	sh := h.Shards(1)[0] // bursts move through a shard, tallied at MergeShards
 
 	fmt.Println("1. Host-domain data: eight 8-byte elements A..H")
 	data := make([]byte, 64)
@@ -36,7 +37,8 @@ func main() {
 	var r vec.Reg
 	copy(r[:], data)
 	h.BeginXfer()
-	h.WriteBurst(0, 0, r)
+	sh.WriteBurst(0, 0, r)
+	h.MergeShards()
 	h.EndXfer()
 	for c := 0; c < 8; c++ {
 		fmt.Printf("   bank %d: % x\n", c, sys.BankBytes(c)[:8])
@@ -47,7 +49,8 @@ func main() {
 	h.DomainTransfer(dt)
 	copy(r[:], dt)
 	h.BeginXfer()
-	h.WriteBurst(0, 0, r)
+	sh.WriteBurst(0, 0, r)
+	h.MergeShards()
 	h.EndXfer()
 	for c := 0; c < 8; c++ {
 		fmt.Printf("   bank %d: % x   <- element %c intact\n", c, sys.BankBytes(c)[:8], 'A'+c)
@@ -58,9 +61,10 @@ func main() {
 	fmt.Println("   (this is _mm512_rol_epi64 on real hardware):")
 	var u vec.Unit
 	h.BeginXfer()
-	burst := h.ReadBurst(0, 0)
+	burst := sh.ReadBurst(0, 0)
 	burst = u.RotBanks(burst, 8, 1)
-	h.WriteBurst(0, 0, burst)
+	sh.WriteBurst(0, 0, burst)
+	h.MergeShards()
 	h.EndXfer()
 	for c := 0; c < 8; c++ {
 		fmt.Printf("   bank %d: % x   <- element %c\n", c, sys.BankBytes(c)[:8], 'A'+(c+7)%8)

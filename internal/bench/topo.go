@@ -116,10 +116,10 @@ func hostBusAllReduce(tree bool, params cost.Params, geo dram.Geometry, n, m int
 	// Bus traffic spreads uniformly over channels, as in the streaming
 	// engine's epoch accounting.
 	h.Meter().AddBytes(cost.PEMem, busBytes, params.ChannelBW*float64(geo.Channels))
-	h.ChargeSIMD(simdBytes)
-	h.ChargeReduce(reduceBytes)
+	h.Charge(host.SIMD, simdBytes)
+	h.Charge(host.Reduce, reduceBytes)
 	if t != elem.I8 {
-		h.ChargeDT(2 * reduceBytes) // domain transfer around the arithmetic
+		h.Charge(host.DT, 2*reduceBytes) // domain transfer around the arithmetic
 	}
 	for i := 0; i < syncs; i++ {
 		h.ChargeSync()

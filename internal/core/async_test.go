@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
+	"repro/internal/host"
 )
 
 // asyncTestComm builds a small functional comm: 32 PEs (1 ch x 1 rank x
@@ -332,7 +333,7 @@ func TestExtendElapsedAllocs(t *testing.T) {
 func failingPlan(c *testComm) *CompiledPlan {
 	sched := &Schedule{Name: "test/failing"}
 	sched.add(&StepBulk{
-		Charges:  []Charge{{ChargeHostMem, 64}},
+		Charges:  []Charge{{host.HostMem, 64}},
 		Modulate: func(*Comm, []byte) []byte { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})

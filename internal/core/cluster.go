@@ -67,6 +67,8 @@ package core
 // serialized on the cluster's execMu; Submit admits on every host, then
 // enqueues on every host atomically under it, so the per-host queues see
 // cluster plans in one global order and the rendezvous always pair up.
+// A shard's Close holds it too, so no shard closes between a run's or a
+// submission's admission and its last host.
 // Cluster plans should be submitted from one goroutine at a time per
 // session; the cost-only backend has no barriers and no such constraint.
 
@@ -79,6 +81,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
+	"repro/internal/host"
 )
 
 // ClusterCollective describes one collective over every PE of a
@@ -186,7 +189,8 @@ type Cluster struct {
 	functional bool
 
 	// execMu serializes serial cluster runs and makes Submit's multi-host
-	// enqueue atomic (a single global order of cluster plans).
+	// enqueue atomic (a single global order of cluster plans); a cluster
+	// session's shard closes under it.
 	execMu sync.Mutex
 }
 
@@ -256,6 +260,7 @@ func (cl *Cluster) join(carve func(*Comm) (*Tenant, error)) (*ClusterTenant, err
 	for h, c := range cl.comms {
 		t, err := carve(c)
 		if err == nil {
+			t.cl = cl
 			shards = append(shards, t)
 			if a0 := shards[0].ar; t.ar != a0 {
 				err = fmt.Errorf("tenant %q arena diverges across hosts ([%d,+%d) on host 0, [%d,+%d) here)",
@@ -698,7 +703,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Charges: []Charge{{ChargeScalarReduce, int64(H) * int64(P) * int64(m)}}})
+			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Charges: []Charge{{host.ScalarReduce, int64(H) * int64(P) * int64(m)}}})
 		}
 		b.net("flat:bcast", ceilLog2(H), int64(global), nil)
 	}
@@ -770,7 +775,7 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	p, st, h, P := b.p, b.st, b.h, b.cl.p
 	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{
 		Read: true, ReadOff: readOff, ReadPerPE: per,
-		Charges: []Charge{{ChargeHostMem, p.numPEBytes(per)}}, // slab store
+		Charges: []Charge{{host.HostMem, p.numPEBytes(per)}}, // slab store
 		Modulate: func(_ *Comm, stag []byte) []byte {
 			grp := p.groups[0]
 			for j, pe := range grp {
@@ -799,8 +804,8 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{
 		Write: true, WriteOff: writeOff, WritePerPE: per,
 		Charges: []Charge{
-			{ChargeLocalMod, p.numPEBytes(per)}, // receive-side transpose
-			{ChargeHostMem, p.numPEBytes(per)},  // staging assembly
+			{host.LocalMod, p.numPEBytes(per)}, // receive-side transpose
+			{host.HostMem, p.numPEBytes(per)},  // staging assembly
 		},
 		Modulate: func(c *Comm, _ []byte) []byte {
 			out := c.bulkOut(len(p.rankOf) * per)
@@ -878,14 +883,14 @@ func (cp *ClusterPlan) admitAll() error {
 // functional backend (the hosts rendezvous inside the network legs),
 // serially on the cost-only backend — and returns the per-category
 // maximum of the hosts' charges: the cluster critical path of this
-// call. Serial cluster runs are serialized with each other and with
-// Submit.
+// call. Serial cluster runs are serialized with each other, with
+// Submit and with a shard's Close.
 func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
+	cp.cl.execMu.Lock()
+	defer cp.cl.execMu.Unlock()
 	if err := cp.admitAll(); err != nil {
 		return cost.Breakdown{}, err
 	}
-	cp.cl.execMu.Lock()
-	defer cp.cl.execMu.Unlock()
 	var wg sync.WaitGroup
 	for _, hp := range cp.plans {
 		if !cp.cl.functional {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -997,5 +998,86 @@ func TestConcurrentCompilesShareOneTable(t *testing.T) {
 		if got.Cost() != want.Cost() {
 			t.Errorf("cluster %v costs %v, on a fresh cluster %v", global[i].Prim, got.Cost(), want.Cost())
 		}
+	}
+}
+
+// A cluster submission runs on every host or on none, also when one of
+// its shards closes while the submission waits for a queue slot on that
+// host: host 1 is held busy (its execMu taken, MaxPendingPlans local
+// plans queued), the cluster Submit parks on host 1's slot wait, and the
+// session's shard on host 1 closes. The future must succeed with equal
+// shard meters or fail with neither shard charged; on a functional
+// cluster it must also complete, since a host plan enqueued alone waits
+// at the network leg's barrier for a peer that never runs.
+func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
+	const H, P = 2, 16
+	const m = 8 * H * P
+	for _, costOnly := range []bool{true, false} {
+		t.Run(map[bool]string{true: "cost", false: "functional"}[costOnly], func(t *testing.T) {
+			cl := testCluster(t, H, geoHost, []int{P}, costOnly)
+			s, err := cl.NewTenant(TenantConfig{Name: "s", ArenaBytes: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := s.Compile(ClusterCollective{Collective: Collective{
+				Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m),
+				Elem: elem.I32, Op: elem.Sum, Level: Baseline,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1 := cl.Host(1)
+			local, err := h1.NewTenant(TenantConfig{Name: "local", ArenaBytes: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lp, err := local.Compile(servingCollective)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h1.execMu.Lock()
+			held := true
+			defer func() {
+				if held {
+					h1.execMu.Unlock()
+				}
+			}()
+			for i := 0; i < MaxPendingPlans; i++ {
+				lp.Submit()
+			}
+			submitted := make(chan *ClusterFuture, 1)
+			go func() { submitted <- cp.Submit() }()
+			pollLocked(t, h1, "the cluster submission waits for a slot on host 1", func() bool { return h1.parked > 0 })
+			closed := make(chan error, 1)
+			go func() { closed <- s.Host(1).Close() }()
+			// A close that does not wait for the submission sets its flag
+			// at once; give it about 100 ms before host 1 drains.
+			for deadline := time.Now().Add(100 * time.Millisecond); !s.Host(1).Closed() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			h1.execMu.Unlock()
+			held = false
+
+			cf := <-submitted
+			errc := make(chan error, 1)
+			go func() { errc <- cf.Err() }()
+			select {
+			case err = <-errc:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the cluster future did not complete within 5 s: a host waits for a peer that never runs")
+			}
+			m0, m1 := s.Host(0).meter.Snapshot(), s.Host(1).meter.Snapshot()
+			switch {
+			case err == nil && m0 != m1:
+				t.Errorf("the submission succeeded with unequal shard meters: host 0 %v, host 1 %v", m0, m1)
+			case err == nil && m0.Total() == 0:
+				t.Error("the submission succeeded but charged no shard")
+			case err != nil && (m0.Total() != 0 || m1.Total() != 0):
+				t.Errorf("the submission failed (%v) but charged host 0 %v and host 1 %v", err, m0.Total(), m1.Total())
+			}
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

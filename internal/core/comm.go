@@ -41,11 +41,10 @@ type Comm struct {
 	backend Backend
 
 	// The rest of the Config, resolved by New and immutable afterwards,
-	// so every path reads it without a lock: the fusion level (never
-	// FuseDefault), the worker-shard count (never 0), the candidate
-	// window depth of the window-scanning policies, and stepped mode,
-	// where the caller drives execution via Step instead of a background
-	// worker.
+	// so every path reads it without a lock: the fusion level, the
+	// worker-shard count (never 0), the candidate window depth of the
+	// window-scanning policies, and stepped mode, where the caller
+	// drives execution via Step instead of a background worker.
 	fuse      FuseLevel
 	workers   int
 	lookahead int
@@ -151,7 +150,7 @@ type Config struct {
 	// implied by the call).
 	Backend Backend
 	// Fuse is the schedule-fusion level every plan of the comm is
-	// compiled at (fuse.go); FuseDefault means FuseFull.
+	// compiled at (fuse.go); the zero value is FuseFull.
 	Fuse FuseLevel
 	// ExecWorkers is the number of worker shards the functional backend
 	// splits schedule-step work across (bulk transfers, streaming epochs,
@@ -205,7 +204,7 @@ func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm
 	if cfg.Sched < 0 || int(cfg.Sched) >= len(schedulers) {
 		return nil, fmt.Errorf("core: unknown scheduling policy %v", cfg.Sched)
 	}
-	if cfg.Fuse < FuseDefault || cfg.Fuse > FuseFull {
+	if cfg.Fuse < FuseFull || cfg.Fuse > FuseOff {
 		return nil, fmt.Errorf("core: unknown fusion level %v", cfg.Fuse)
 	}
 	newSystem := dram.NewSystem
@@ -225,7 +224,7 @@ func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm
 		h:          host.New(hc.sys, cfg.Params),
 		eng:        dpu.NewEngine(hc.sys, cfg.Params),
 		backend:    cfg.Backend,
-		fuse:       cfg.Fuse.resolved(),
+		fuse:       cfg.Fuse,
 		workers:    cfg.ExecWorkers,
 		sched:      schedulers[cfg.Sched].New(),
 		lookahead:  cfg.Lookahead,

@@ -497,7 +497,7 @@ func TestUnknownEnumsAreRejected(t *testing.T) {
 			t.Errorf("cluster %v at Level(77) compiles", d.Prim)
 		}
 	}
-	for _, f := range []FuseLevel{-1, FuseFull + 1, 9} {
+	for _, f := range []FuseLevel{-1, FuseOff + 1, 9} {
 		if _, err := New(geo64, []int{8, 8}, Config{Backend: CostBackend(), Fuse: f}); err == nil {
 			t.Errorf("Config.Fuse %v accepted", f)
 		}

@@ -192,8 +192,9 @@
 // asyncMu for submission and the session lifecycle, and its shape table's
 // compMu for compilation, which a cluster's hosts share and a compile
 // takes once. The one nesting is a Cluster's execMu before a host's
-// asyncMu or execMu; compMu is never held with either, and only leaf
-// locks, such as a meter's, are taken inside it.
+// locks: a cluster run or submission takes asyncMu or execMu under it,
+// a cluster shard's Close all three. compMu is never held with asyncMu
+// or execMu, and only leaf locks, such as a meter's, are taken inside it.
 //
 // # Inspecting a run
 //

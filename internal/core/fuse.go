@@ -45,29 +45,17 @@ import (
 type FuseLevel int
 
 const (
-	// FuseDefault resolves to FuseFull: fusion is on by default.
-	FuseDefault FuseLevel = iota
+	// FuseFull applies all peephole passes to a fixpoint: the zero
+	// value, so fusion is on by default.
+	FuseFull FuseLevel = iota
 	// FuseOff executes schedules exactly as lowered — bit-identical to
 	// the pre-fusion engine, the reference for equivalence tests.
 	FuseOff
-	// FuseFull applies all peephole passes to a fixpoint.
-	FuseFull
 )
-
-// resolved maps FuseDefault to the concrete default level.
-func (f FuseLevel) resolved() FuseLevel {
-	if f == FuseDefault {
-		return FuseFull
-	}
-	return f
-}
-
-// enabled reports whether any pass runs at this level.
-func (f FuseLevel) enabled() bool { return f.resolved() == FuseFull }
 
 // String returns the knob label used by the CLIs.
 func (f FuseLevel) String() string {
-	switch f.resolved() {
+	switch f {
 	case FuseOff:
 		return "off"
 	case FuseFull:

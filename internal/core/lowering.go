@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/host"
+
 // This file holds the alternative rows of the lowering table
 // (algorithm.go): classic MPI algorithm shapes expressed in the schedule
 // IR, emulated on the host path; what each trades against the reference
@@ -14,10 +16,10 @@ func baselineMulti(eff Level, n int) bool { return eff == Baseline && n >= 2 }
 
 // hop is one priced wire round of a staged shape: vol bytes cross the
 // host — a send plus a receive of host-memory traffic — and, unless the
-// round purely forwards (work == ChargeHostMem), the receivers spend vol
+// round purely forwards (work == host.HostMem), the receivers spend vol
 // bytes of work folding or copying them in.
 type hop struct {
-	work ChargeKind
+	work host.Work
 	vol  int64
 }
 
@@ -34,10 +36,10 @@ func stagedRounds(name string, open Step, hops []hop, closing Step) *Schedule {
 	steps, charges := make([]StepHostCompute, len(hops)), make([]Charge, 0, 2*len(hops))
 	for i, h := range hops {
 		lo := len(charges)
-		if h.work != ChargeHostMem {
+		if h.work != host.HostMem {
 			charges = append(charges, Charge{h.work, h.vol})
 		}
-		charges = append(charges, Charge{ChargeHostMem, 2 * h.vol})
+		charges = append(charges, Charge{host.HostMem, 2 * h.vol})
 		steps[i].Charges = charges[lo:len(charges):len(charges)]
 		sched.add(&steps[i])
 	}
@@ -78,7 +80,7 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
 	p, m, t, op := e.p, e.bytes, e.elemType, e.op
 	return stagedRounds(name, &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
-		Charges: []Charge{{ChargeHostMem, p.numPEBytes(m)}},
+		Charges: []Charge{{host.HostMem, p.numPEBytes(m)}},
 		Modulate: func(c *Comm, stag []byte) []byte {
 			copy(c.bulkOut(len(stag)), stag)
 			return nil
@@ -103,7 +105,7 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
 // its own), then n-1 allgather hops (pure copies).
 func lowerRingAllReduce(e *algoEnv) *Schedule {
 	hops := make([]hop, 0, 2*(e.p.n-1))
-	for _, work := range []ChargeKind{ChargeScalarReduce, ChargeSIMD} {
+	for _, work := range []host.Work{host.ScalarReduce, host.SIMD} {
 		for r := 1; r < e.p.n; r++ {
 			hops = append(hops, hop{work, e.p.numPEBytes(e.s)})
 		}
@@ -118,8 +120,8 @@ func lowerTreeAllReduce(e *algoEnv) *Schedule {
 	pair := int64(len(e.p.groups)) * int64(e.bytes) // one sender per group
 	hops := make([]hop, 2*len(up))
 	for i, senders := range up {
-		hops[i] = hop{ChargeScalarReduce, int64(senders) * pair}
-		hops[len(hops)-1-i] = hop{ChargeSIMD, int64(senders) * pair}
+		hops[i] = hop{host.ScalarReduce, int64(senders) * pair}
+		hops[len(hops)-1-i] = hop{host.SIMD, int64(senders) * pair}
 	}
 	return stagedAllReduce(e, "AllReduce/tree", hops)
 }
@@ -130,7 +132,7 @@ func lowerTreeAllReduce(e *algoEnv) *Schedule {
 // blocks back and writes the full replicated result over them.
 func lowerRsagAllReduce(e *algoEnv) *Schedule {
 	return &Schedule{Name: "AllReduce/rsag", Steps: []Step{
-		reduceScatterBulk(e, ChargeScalarReduce), &StepSync{},
+		reduceScatterBulk(e, host.ScalarReduce), &StepSync{},
 		allGatherBulk(e.p, e.dstOff, e.dstOff, e.s), &StepSync{},
 	}}
 }
@@ -144,7 +146,7 @@ func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
 	p, s, at := e.p, e.bytes, e.hosts
 	return stagedRounds(name, nil, hops, &StepBulk{
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
-		Charges: []Charge{{ChargeSIMD, p.numPEBytes(s)}},
+		Charges: []Charge{{host.SIMD, p.numPEBytes(s)}},
 		Modulate: func(c *Comm, _ []byte) []byte {
 			out, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 			c.groupsDo(len(p.groups), func(g int) {
@@ -162,7 +164,7 @@ func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
 func lowerRingBroadcast(e *algoEnv) *Schedule {
 	hops := make([]hop, e.p.n-1)
 	for r := range hops {
-		hops[r] = hop{ChargeHostMem, int64(len(e.p.groups)) * int64(e.bytes)}
+		hops[r] = hop{host.HostMem, int64(len(e.p.groups)) * int64(e.bytes)}
 	}
 	return stagedBroadcast(e, "Broadcast/ring", hops)
 }
@@ -174,7 +176,7 @@ func lowerTreeBroadcast(e *algoEnv) *Schedule {
 	var hops []hop
 	for have := 1; have < e.p.n; have *= 2 {
 		senders := min(have, e.p.n-have)
-		hops = append(hops, hop{ChargeHostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes)})
+		hops = append(hops, hop{host.HostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes)})
 	}
 	return stagedBroadcast(e, "Broadcast/tree", hops)
 }

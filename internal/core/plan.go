@@ -389,7 +389,7 @@ func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 	} else {
 		c.cacheSt.TraceMisses++
 	}
-	if c.fuse.enabled() {
+	if c.fuse == FuseFull {
 		c.fuseSt.add(cp.fusion)
 	}
 }
@@ -430,7 +430,7 @@ func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 	}
 	rep := FusionReport{StepsBefore: len(sched.Steps), StepsAfter: len(sched.Steps)}
 	fused := sched.Steps
-	if c.fuse.enabled() {
+	if c.fuse == FuseFull {
 		fused, rep = fuseSteps(sched.Steps)
 	}
 	if rep.Changed() {

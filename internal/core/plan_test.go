@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
+	"repro/internal/host"
 )
 
 // TestCompiledReplayMatchesOneShot pins the plan/execute split's core
@@ -600,7 +601,7 @@ func TestTraceScheduleAllocs(t *testing.T) {
 		// Alternating host and network steps: n additions, n segments.
 		sched := &Schedule{Name: fmt.Sprintf("test/%d-steps", n)}
 		for i := 0; i < n; i += 2 {
-			sched.add(&StepHostCompute{Charges: []Charge{{ChargeHostMem, int64(64 * (i + 1))}}})
+			sched.add(&StepHostCompute{Charges: []Charge{{host.HostMem, int64(64 * (i + 1))}}})
 			sched.add(&StepNetTransfer{Rounds: 1, Bytes: 64})
 		}
 		scheds = append(scheds, sched)
@@ -636,7 +637,7 @@ func TestPanickingTraceLeavesNextTraceClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &Schedule{Name: "test/panics-mid-trace"}
-	bad.add(&StepBulk{Read: true, ReadPerPE: 64, Charges: []Charge{{ChargeReduce, 4096}}})
+	bad.add(&StepBulk{Read: true, ReadPerPE: 64, Charges: []Charge{{host.Reduce, 4096}}})
 	bad.add(&StepRotateBlocks{p: p, N: 0, S: 8, Mul: 1})
 	func() {
 		c.compMu.Lock()

@@ -32,60 +32,16 @@ import (
 // between them, preserving read-after-write dependencies across fused
 // collective boundaries.
 
-// ChargeKind classifies one host-side compute/memory charge of a step.
-// Each kind maps to exactly one host.Host charge method.
-type ChargeKind int
-
-const (
-	// ChargeDT is domain-transfer compute (8x8 byte transposes).
-	ChargeDT ChargeKind = iota
-	// ChargeScalarMod is the baseline's cache-hostile global modulation.
-	ChargeScalarMod
-	// ChargeLocalMod is cache-friendly local modulation (post-PR).
-	ChargeLocalMod
-	// ChargeSIMD is in-register modulation (shuffles/rotates/memcpy class).
-	ChargeSIMD
-	// ChargeReduce is vertical SIMD reduction.
-	ChargeReduce
-	// ChargeScalarReduce is the baseline's scalar reduction loops.
-	ChargeScalarReduce
-	// ChargeLocalReduce is reduction over PE-pre-reordered data.
-	ChargeLocalReduce
-	// ChargeHostMem is host main-memory traffic.
-	ChargeHostMem
-)
-
-// Charge is one (kind, byte count) host charge.
+// Charge is one host charge of a step: Bytes of host work of one kind,
+// priced by host.Host.Charge.
 type Charge struct {
-	Kind  ChargeKind
+	Kind  host.Work
 	Bytes int64
-}
-
-// applyCharge dispatches one charge to the given host's cost model.
-func applyCharge(h *host.Host, ch Charge) {
-	switch ch.Kind {
-	case ChargeDT:
-		h.ChargeDT(ch.Bytes)
-	case ChargeScalarMod:
-		h.ChargeScalarMod(ch.Bytes)
-	case ChargeLocalMod:
-		h.ChargeLocalMod(ch.Bytes)
-	case ChargeSIMD:
-		h.ChargeSIMD(ch.Bytes)
-	case ChargeReduce:
-		h.ChargeReduce(ch.Bytes)
-	case ChargeScalarReduce:
-		h.ChargeScalarReduce(ch.Bytes)
-	case ChargeLocalReduce:
-		h.ChargeLocalReduce(ch.Bytes)
-	case ChargeHostMem:
-		h.ChargeHostMem(ch.Bytes)
-	}
 }
 
 func applyCharges(h *host.Host, charges []Charge) {
 	for _, ch := range charges {
-		applyCharge(h, ch)
+		h.Charge(ch.Kind, ch.Bytes)
 	}
 }
 
@@ -260,7 +216,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarMod, ChargeLocalMod)
+		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarMod, host.LocalMod)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
@@ -301,12 +257,12 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 		ecols := s / 8
 		cols := int64(n) * int64(ecols)
 		colB := p.columnBytes()
-		charges := []Charge{{ChargeSIMD, cols * colB}}
+		charges := []Charge{{host.SIMD, cols * colB}}
 		if !cm {
 			// Without cross-domain modulation every shift is transpose +
 			// word shift + transpose; the transposes are the in-register
 			// form of DT.
-			charges = append(charges, Charge{ChargeDT, 2 * cols * colB})
+			charges = append(charges, Charge{host.DT, 2 * cols * colB})
 		}
 		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
@@ -348,7 +304,7 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 // holds at srcOff, and returns the charge kind of that pass: at PR the
 // PEs first pre-rotate their blocks left by their rank (§ V-A1), so the
 // host pass is local work rather than scalar.
-func stagedFront(sched *Schedule, p *plan, lvl Level, srcOff, s int, scalar, local ChargeKind) ChargeKind {
+func stagedFront(sched *Schedule, p *plan, lvl Level, srcOff, s int, scalar, local host.Work) host.Work {
 	if lvl != PR {
 		return scalar
 	}
@@ -397,10 +353,10 @@ func (sc *streamCtx) foldSlots(p *plan, t elem.Type, op elem.Op, srcOff, s, e in
 func (p *plan) foldCharges(t elem.Type, iters, simd, dt int64) []Charge {
 	colB := p.columnBytes()
 	charges := append(make([]Charge, 0, 4),
-		Charge{ChargeSIMD, simd * iters * colB},
-		Charge{ChargeReduce, int64(p.n) * iters * colB})
+		Charge{host.SIMD, simd * iters * colB},
+		Charge{host.Reduce, int64(p.n) * iters * colB})
 	if t != elem.I8 {
-		charges = append(charges, Charge{ChargeDT, dt * iters * colB})
+		charges = append(charges, Charge{host.DT, dt * iters * colB})
 	}
 	return charges
 }
@@ -423,7 +379,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
 	switch lvl {
 	case Baseline, PR:
-		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
+		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
 		sched.add(reduceScatterBulk(env, kind))
 	default: // IM
 		iters := int64(s / 8)
@@ -450,7 +406,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 // work: each group reduces block p of its members' n blocks at srcOff
 // into rank p's dstOff. At PR rank i pre-rotated its blocks left by i,
 // so block p sits at its slot (p-i) mod n.
-func reduceScatterBulk(env *algoEnv, kind ChargeKind) *StepBulk {
+func reduceScatterBulk(env *algoEnv, kind host.Work) *StepBulk {
 	p, s, t, op, pr := env.p, env.s, env.elemType, env.op, env.lvl == PR
 	n, m := p.n, p.n*s
 	return &StepBulk{
@@ -486,12 +442,12 @@ func lowerReduce(env *algoEnv) *Schedule {
 	p, srcOff, s, t, op, lvl := env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
-	store := Charge{ChargeHostMem, int64(len(p.groups)) * int64(m)} // result store
+	store := Charge{host.HostMem, int64(len(p.groups)) * int64(m)} // result store
 	sched := &Schedule{Name: "Reduce/" + lvl.String()}
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
+		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Charges: []Charge{{kind, p.numPEBytes(m)}, store},
@@ -533,7 +489,7 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, ChargeScalarReduce, ChargeLocalReduce)
+		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
@@ -541,7 +497,7 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 			// replication pass over all output.
 			Charges: []Charge{
 				{kind, p.numPEBytes(m)},
-				{ChargeSIMD, p.numPEBytes(m)},
+				{host.SIMD, p.numPEBytes(m)},
 			},
 			Modulate: func(c *Comm, stag []byte) []byte {
 				out := c.bulkOut(len(stag))
@@ -610,7 +566,7 @@ func lowerAllGather(env *algoEnv) *Schedule {
 		// arena the assembly left it in (Comm.bulkOut).
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
-			Charges: []Charge{{ChargeLocalMod, int64(perPE)}},
+			Charges: []Charge{{host.LocalMod, int64(perPE)}},
 			Modulate: func(c *Comm, stag []byte) []byte {
 				p.gatherPEMajor(c, stag, s)
 				return nil
@@ -618,13 +574,13 @@ func lowerAllGather(env *algoEnv) *Schedule {
 		})
 		sched.add(&StepHostCompute{
 			Charges: []Charge{
-				{ChargeDT, int64(perPE)}, // DT once, reused for all PEs
-				{ChargeHostMem, int64(perPE)},
+				{host.DT, int64(perPE)}, // DT once, reused for all PEs
+				{host.HostMem, int64(perPE)},
 			},
 		})
 		sched.add(&StepColumnStream{
 			Writes:  int64(perPE / 8),
-			Charges: []Charge{{ChargeSIMD, int64(perPE/8) * colB}},
+			Charges: []Charge{{host.SIMD, int64(perPE/8) * colB}},
 			segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, pe, e int) []byte {
 				return c.modBuf[pe*perPE+e:]
 			})},
@@ -632,10 +588,10 @@ func lowerAllGather(env *algoEnv) *Schedule {
 	default: // IM or CM
 		cm := lvl == CM
 		iters := int64(s / 8)
-		charges := []Charge{{ChargeSIMD, int64(n) * iters * colB}}
+		charges := []Charge{{host.SIMD, int64(n) * iters * colB}}
 		if !cm {
 			// One inbound transpose per read, one outbound per write.
-			charges = append(charges, Charge{ChargeDT, int64(n+1) * iters * colB})
+			charges = append(charges, Charge{host.DT, int64(n+1) * iters * colB})
 		}
 		sched.add(&StepColumnStream{
 			Reads: iters, Writes: int64(n) * iters,
@@ -667,7 +623,7 @@ func allGatherBulk(p *plan, srcOff, dstOff, s int) *StepBulk {
 	return &StepBulk{
 		Read: true, ReadOff: srcOff, ReadPerPE: s,
 		Write: true, WriteOff: dstOff, WritePerPE: m,
-		Charges:  []Charge{{ChargeSIMD, p.numPEBytes(m)}},
+		Charges:  []Charge{{host.SIMD, p.numPEBytes(m)}},
 		Modulate: func(c *Comm, stag []byte) []byte { return p.gatherPEMajor(c, stag, s) },
 	}
 }
@@ -696,7 +652,7 @@ func lowerGather(env *algoEnv) *Schedule {
 	if lvl == Baseline {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
-			Charges: []Charge{{ChargeHostMem, p.numPEBytes(s)}}, // copy out of staging
+			Charges: []Charge{{host.HostMem, p.numPEBytes(s)}}, // copy out of staging
 			Modulate: func(c *Comm, stag []byte) []byte {
 				res := c.cur.rootedBufs(len(p.groups), n*s)
 				c.groupsDo(len(p.groups), func(g int) {
@@ -714,8 +670,8 @@ func lowerGather(env *algoEnv) *Schedule {
 		sched.add(&StepColumnStream{
 			Reads: iters,
 			Charges: []Charge{
-				{ChargeDT, iters * colB},
-				{ChargeHostMem, int64(len(p.groups)) * int64(n*s)},
+				{host.DT, iters * colB},
+				{host.HostMem, int64(len(p.groups)) * int64(n*s)},
 			},
 			segs: []*streamSeg{{
 				cols:  s / 8,
@@ -747,7 +703,7 @@ func lowerScatter(env *algoEnv) *Schedule {
 		// write with DT.
 		sched.add(&StepBulk{
 			Write: true, WriteOff: dstOff, WritePerPE: s,
-			Charges: []Charge{{ChargeHostMem, p.numPEBytes(s)}}, // staging assembly
+			Charges: []Charge{{host.HostMem, p.numPEBytes(s)}}, // staging assembly
 			Modulate: func(c *Comm, _ []byte) []byte {
 				stag, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
 				c.groupsDo(len(p.groups), func(g int) {
@@ -765,9 +721,9 @@ func lowerScatter(env *algoEnv) *Schedule {
 		sched.add(&StepColumnStream{
 			Writes: iters,
 			Charges: []Charge{
-				{ChargeSIMD, iters * colB},
-				{ChargeDT, iters * colB},
-				{ChargeHostMem, int64(len(p.groups)) * int64(n*s)}, // user-buffer reads
+				{host.SIMD, iters * colB},
+				{host.DT, iters * colB},
+				{host.HostMem, int64(len(p.groups)) * int64(n*s)}, // user-buffer reads
 			},
 			segs: []*streamSeg{p.streamBroadcast(dstOff, s, func(c *Comm, pe, e int) []byte {
 				return c.cur.hosts[at+int(p.groupOf[pe])][int(p.rankOf[pe])*s+e:]
@@ -787,13 +743,13 @@ func lowerBroadcast(env *algoEnv) *Schedule {
 	iters := int64(s / 8)
 	sched.add(&StepHostCompute{
 		Charges: []Charge{
-			{ChargeHostMem, int64(len(p.groups)) * int64(s)},
-			{ChargeDT, int64(len(p.groups)) * int64(s)}, // DT once per payload
+			{host.HostMem, int64(len(p.groups)) * int64(s)},
+			{host.DT, int64(len(p.groups)) * int64(s)}, // DT once per payload
 		},
 	})
 	sched.add(&StepColumnStream{
 		Writes:  iters,
-		Charges: []Charge{{ChargeSIMD, iters * p.columnBytes()}},
+		Charges: []Charge{{host.SIMD, iters * p.columnBytes()}},
 		segs: []*streamSeg{p.streamBroadcast(dstOff, s, func(c *Comm, pe, e int) []byte {
 			return c.cur.hosts[at+int(p.groupOf[pe])][e:]
 		})},

@@ -108,6 +108,9 @@ type Tenant struct {
 
 	// closed is set once, by Close, before it drains the machine.
 	closed atomic.Bool
+	// cl is the cluster of a cluster session's shard (set by join):
+	// its Close runs under the cluster's execMu.
+	cl *Cluster
 }
 
 // TenantConfig describes one session on a shared machine.
@@ -210,8 +213,14 @@ func (c *Comm) Session() (*Tenant, error) {
 // in the section that enqueues, so no plan reaches the bucket after the
 // drain. The tenant's meter survives on the Comm's retired list
 // (Snapshot.Tenants), so machine-total accounting stays bit-identical
-// across create/teardown cycles. Returns ErrTenantClosed on a double close.
+// across create/teardown cycles. A cluster shard closes under the
+// cluster's execMu, never between a cluster run's or submission's
+// admission and its last host. Returns ErrTenantClosed on a double close.
 func (t *Tenant) Close() error {
+	if t.cl != nil {
+		t.cl.execMu.Lock()
+		defer t.cl.execMu.Unlock()
+	}
 	if t.closed.Swap(true) {
 		return fmt.Errorf("%w: tenant %q closed twice", ErrTenantClosed, t.name)
 	}

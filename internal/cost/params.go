@@ -55,10 +55,6 @@ type Params struct {
 	// DPUMramBW is per-DPU MRAM streaming bandwidth (UPMEM: ~628 MB/s).
 	DPUMramBW float64
 
-	// DPUWramBW is per-DPU WRAM bandwidth (~2.8 GB/s effective with
-	// enough tasklets).
-	DPUWramBW float64
-
 	// DPUInstrHz is per-DPU retired-instruction throughput with the
 	// pipeline saturated by >=11 tasklets (UPMEM: 350 MHz, ~1 IPC).
 	DPUInstrHz float64
@@ -104,7 +100,6 @@ func DefaultParams() Params {
 		DTBPC:        16.0,
 		ReduceBPC:    32.0,
 		DPUMramBW:    628e6,
-		DPUWramBW:    2.8e9,
 		DPUInstrHz:   350e6,
 		KernelLaunch: 20e-6,
 		RankParallel: true,
@@ -145,7 +140,6 @@ func (p Params) Validate() error {
 		{p.DTBPC > 0, "DTBPC"},
 		{p.ReduceBPC > 0, "ReduceBPC"},
 		{p.DPUMramBW > 0, "DPUMramBW"},
-		{p.DPUWramBW > 0, "DPUWramBW"},
 		{p.DPUInstrHz > 0, "DPUInstrHz"},
 		{p.KernelLaunch >= 0, "KernelLaunch"},
 		{p.DSAFactor > 0 || !p.DSAOffload, "DSAFactor"},

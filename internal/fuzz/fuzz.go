@@ -136,12 +136,12 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 func (sc Scenario) Check(rng *rand.Rand) error {
 	// Every primitive runs in the session of a fresh machine; a scenario New
 	// rejects is reported once, here, so mk cannot fail on it.
-	if _, _, err := sc.session(core.FuseDefault); err != nil {
+	if _, _, err := sc.session(core.FuseFull); err != nil {
 		return err
 	}
 	var machines []*core.Comm
 	mk := func() (*core.Tenant, [][]byte, [][]int, int) {
-		mach, c, err := sc.session(core.FuseDefault)
+		mach, c, err := sc.session(core.FuseFull)
 		if err != nil {
 			panic(err)
 		}

@@ -29,19 +29,21 @@
 //     channel and charged at epoch end as the *maximum* per-channel time
 //     — channels transfer in parallel, as on real hardware; without
 //     RankParallel the effective bandwidth halves (§ VIII ablation).
-//   - ReadBurst/WriteBurst move one 64-byte burst per entangled group in
-//     PIM byte order — the unit the optimized column-streaming engine
-//     consumes (§ V-A2).
+//   - Shard.ReadBurst/WriteBurst are the one burst path: one 64-byte
+//     burst per entangled group in PIM byte order, the unit the
+//     optimized column-streaming engine consumes (§ V-A2), tallied
+//     before it touches MRAM.
 //   - BulkRead/BulkWrite are the conventional UPMEM-SDK-style staged
 //     paths of the baseline design (§ III-A, Figure 3a): bus + automatic
-//     domain transfer + staging-memory traffic.
+//     domain transfer + staging-memory traffic, in one charge order
+//     (bulk) that ChargeBulkRead/ChargeBulkWrite share.
 //   - DomainTransfer is the driver's 8x8 byte transpose between PIM and
 //     host byte domains (§ II-B, Figure 1).
-//   - Charge* methods map one host-side work class each to the cost
-//     model (scalar/local/SIMD modulation, reductions, staging traffic).
+//   - Charge prices a Work — one host-side class (DT, scalar/local/SIMD
+//     modulation, reductions, staging traffic) — from one table of
+//     categories and cost.Params throughput fields.
 //   - Cost-only seams: TallyBursts, ChargeBulkRead, ChargeBulkWrite and
-//     ApplyStats account traffic without moving bytes, with charge
-//     sequences that mirror the functional paths exactly — the host-side
+//     ApplyStats account traffic without moving bytes — the host-side
 //     half of the cost-only backend's bit-identical guarantee.
 //
 // XferStats (stats.go) summarizes cumulative bus traffic for tests and
@@ -51,6 +53,6 @@
 //
 //	Figure 1, § II-B  DomainTransfer
 //	Figure 3a, § III  BulkRead / BulkWrite (baseline staging)
-//	§ V-A2            ReadBurst / WriteBurst (column streaming)
-//	§ VIII-D          Charge{Scalar,Local}Reduce calibration
+//	§ V-A2            Shard.ReadBurst / WriteBurst (column streaming)
+//	§ VIII-D          the ScalarReduce / LocalReduce rows of the Work table
 package host

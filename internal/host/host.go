@@ -116,13 +116,11 @@ func (h *Host) EndXfer() {
 	}
 }
 
-func (h *Host) tallyBurst(group int) { h.TallyBursts(group, 1) }
-
 // TallyBursts accounts count 64-byte bursts to/from the entangled group
-// without moving any bytes: the cost-only backend's replacement for
-// ReadBurst/WriteBurst. The epoch and statistics bookkeeping is shared
-// with the functional path, so per-channel totals — and therefore the
-// PEMem time charged at EndXfer — are identical. Must run inside a
+// without moving any bytes: the cost-only backend's replacement for a
+// Shard's ReadBurst/WriteBurst. The epoch and statistics bookkeeping is
+// shared with the functional path, so per-channel totals — and therefore
+// the PEMem time charged at EndXfer — are identical. Must run inside a
 // transfer epoch.
 func (h *Host) TallyBursts(group int, count int64) {
 	if h.epochDepth == 0 {
@@ -166,18 +164,21 @@ func (s *Shard) TallyBursts(group int, count int64) {
 	s.bursts += count
 }
 
-// ReadBurst is the shard-local form of Host.ReadBurst.
+// ReadBurst reads one 64-byte burst from the entangled group into a
+// vector register, in PIM byte order (as on the bus). It tallies before
+// it touches MRAM, so a burst outside a transfer epoch panics unread.
 func (s *Shard) ReadBurst(group, off int) vec.Reg {
+	s.TallyBursts(group, 1)
 	var r vec.Reg
 	s.h.sys.ReadBurst(group, off, (*[dram.BurstBytes]byte)(&r))
-	s.TallyBursts(group, 1)
 	return r
 }
 
-// WriteBurst is the shard-local form of Host.WriteBurst.
+// WriteBurst writes a register to the entangled group as one burst,
+// tallied first like ReadBurst.
 func (s *Shard) WriteBurst(group, off int, r vec.Reg) {
-	s.h.sys.WriteBurst(group, off, (*[dram.BurstBytes]byte)(&r))
 	s.TallyBursts(group, 1)
+	s.h.sys.WriteBurst(group, off, (*[dram.BurstBytes]byte)(&r))
 }
 
 // Shards returns k reusable per-worker tally contexts (growing the set
@@ -216,31 +217,6 @@ func (h *Host) MergeShards() {
 	}
 }
 
-// ReadBurst reads one 64-byte burst from the entangled group into a vector
-// register, in PIM byte order (as on the bus). Must be inside an epoch.
-func (h *Host) ReadBurst(group, off int) vec.Reg {
-	if h.epochDepth == 0 {
-		panic("host: ReadBurst outside transfer epoch")
-	}
-	var buf [dram.BurstBytes]byte
-	h.sys.ReadBurst(group, off, &buf)
-	h.tallyBurst(group)
-	var r vec.Reg
-	copy(r[:], buf[:])
-	return r
-}
-
-// WriteBurst writes a register to the entangled group as one burst.
-func (h *Host) WriteBurst(group, off int, r vec.Reg) {
-	if h.epochDepth == 0 {
-		panic("host: WriteBurst outside transfer epoch")
-	}
-	var buf [dram.BurstBytes]byte
-	copy(buf[:], r[:])
-	h.sys.WriteBurst(group, off, &buf)
-	h.tallyBurst(group)
-}
-
 // dsa returns the throughput multiplier for host-side transform work:
 // 1 normally, DSAFactor under the § IX-B DSA-offload what-if.
 func (h *Host) dsa() float64 {
@@ -250,48 +226,61 @@ func (h *Host) dsa() float64 {
 	return 1
 }
 
-// ChargeDT charges domain-transfer compute for n bytes.
-func (h *Host) ChargeDT(n int64) {
-	h.meter.Add(cost.DomainTransfer, h.params.HostBytesAt(n, h.params.DTBPC*h.dsa()))
+// Work is a class of host-side work priced per byte by Charge: the
+// domain transfer, the modulation and reduction classes, and staging
+// traffic to host main memory.
+type Work uint8
+
+const (
+	// DT is domain-transfer compute (8x8 byte transposes).
+	DT Work = iota
+	// ScalarMod is the baseline's global modulation: scalar and
+	// cache-hostile.
+	ScalarMod
+	// LocalMod is cache-friendly local modulation, after PE-assisted
+	// reordering.
+	LocalMod
+	// SIMD is in-register modulation (shuffles, rotates, memcpy).
+	SIMD
+	// Reduce is vertical SIMD reduction, per input byte.
+	Reduce
+	// ScalarReduce is the baseline's scalar reduction loops over staged
+	// data, per input byte.
+	ScalarReduce
+	// LocalReduce is reduction over PE-pre-reordered (cache-local) data,
+	// per input byte.
+	LocalReduce
+	// HostMem is host main-memory traffic.
+	HostMem
+)
+
+// works prices each Work: the meter category it accrues to and its
+// throughput field of cost.Params — host bytes/cycle, scaled by the DSA
+// what-if, except HostMem's, which is main-memory bandwidth in
+// bytes/second.
+var works = [...]struct {
+	cat  cost.Category
+	rate func(*cost.Params) float64
+}{
+	DT:           {cost.DomainTransfer, func(p *cost.Params) float64 { return p.DTBPC }},
+	ScalarMod:    {cost.HostMod, func(p *cost.Params) float64 { return p.ScalarModBPC }},
+	LocalMod:     {cost.HostMod, func(p *cost.Params) float64 { return p.LocalModBPC }},
+	SIMD:         {cost.HostMod, func(p *cost.Params) float64 { return p.SIMDModBPC }},
+	Reduce:       {cost.HostMod, func(p *cost.Params) float64 { return p.ReduceBPC }},
+	ScalarReduce: {cost.HostMod, func(p *cost.Params) float64 { return p.ScalarRedBPC }},
+	LocalReduce:  {cost.HostMod, func(p *cost.Params) float64 { return p.LocalRedBPC }},
+	HostMem:      {cost.HostMem, func(p *cost.Params) float64 { return p.HostMemBW }},
 }
 
-// ChargeScalarMod charges baseline global modulation (scalar, cache-
-// hostile) for n bytes.
-func (h *Host) ChargeScalarMod(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.ScalarModBPC*h.dsa()))
-}
-
-// ChargeLocalMod charges cache-friendly local modulation (post PE-assisted
-// reordering) for n bytes.
-func (h *Host) ChargeLocalMod(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.LocalModBPC*h.dsa()))
-}
-
-// ChargeSIMD charges in-register modulation (shuffles/rotates) for n bytes.
-func (h *Host) ChargeSIMD(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.SIMDModBPC*h.dsa()))
-}
-
-// ChargeReduce charges vertical SIMD reduction for n bytes of input.
-func (h *Host) ChargeReduce(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.ReduceBPC*h.dsa()))
-}
-
-// ChargeScalarReduce charges the baseline's scalar reduction loops over
-// staged data for n input bytes.
-func (h *Host) ChargeScalarReduce(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.ScalarRedBPC*h.dsa()))
-}
-
-// ChargeLocalReduce charges reductions over PE-pre-reordered
-// (cache-local) data for n input bytes.
-func (h *Host) ChargeLocalReduce(n int64) {
-	h.meter.Add(cost.HostMod, h.params.HostBytesAt(n, h.params.LocalRedBPC*h.dsa()))
-}
-
-// ChargeHostMem charges host main-memory traffic for n bytes.
-func (h *Host) ChargeHostMem(n int64) {
-	h.meter.AddBytes(cost.HostMem, n, h.params.HostMemBW)
+// Charge charges n bytes of host work w, one meter addition in its
+// category.
+func (h *Host) Charge(w Work, n int64) {
+	k := works[w]
+	if w == HostMem {
+		h.meter.AddBytes(k.cat, n, k.rate(&h.params))
+		return
+	}
+	h.meter.Add(k.cat, h.params.HostBytesAt(n, k.rate(&h.params)*h.dsa()))
 }
 
 // ChargeSync charges a fixed host-side synchronization/launch overhead.
@@ -326,7 +315,7 @@ func (h *Host) DomainTransfer(buf []byte) {
 		r = h.vu.Transpose8x8(r)
 		h.vu.Store(buf[off:], r)
 	}
-	h.ChargeDT(int64(len(buf)))
+	h.Charge(DT, int64(len(buf)))
 }
 
 // bulkReadRun is the reusable par.Runner of BulkRead: shard workers own
@@ -355,42 +344,6 @@ func (br *bulkReadRun) RunShard(shard, lo, hi int) {
 	}
 }
 
-// staging returns the host's reusable staging slab grown to n bytes.
-func (h *Host) staging(n int) []byte {
-	if cap(h.stag) < n {
-		h.stag = make([]byte, n)
-	}
-	return h.stag[:n]
-}
-
-// BulkRead is the conventional (UPMEM-SDK-style) retrieval path used by
-// the baseline design: it reads perPE bytes starting at MRAM offset off
-// from every PE of every listed group, applies the driver's automatic
-// domain transfer, stores the result into a host staging buffer, and
-// charges bus, DT and host-memory costs. The staging layout is PE-major:
-// the bytes of the i-th PE (groups in the given order, chips in order
-// within each group) occupy buf[i*perPE : (i+1)*perPE].
-//
-// The returned buffer is the host's own staging slab: it stays valid
-// until the next BulkRead on this host. The group loop is sharded across
-// the configured workers (SetWorkers); results and accounting are
-// byte-identical at any worker count.
-func (h *Host) BulkRead(groups []int, off, perPE int) []byte {
-	if perPE%dram.BankBurstBytes != 0 {
-		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
-	}
-	buf := h.staging(len(groups) * dram.ChipsPerRank * perPE)
-	h.Shards(h.workers)
-	h.BeginXfer()
-	h.brun = bulkReadRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
-	par.Do(h.workers, len(groups), &h.brun)
-	h.MergeShards()
-	h.EndXfer()
-	h.ChargeDT(int64(len(buf)))
-	h.ChargeHostMem(int64(len(buf))) // staging store
-	return buf
-}
-
 // bulkWriteRun is the reusable par.Runner of BulkWrite (group ranges are
 // disjoint in both the host buffer and MRAM).
 type bulkWriteRun struct {
@@ -417,6 +370,65 @@ func (bw *bulkWriteRun) RunShard(shard, lo, hi int) {
 	}
 }
 
+// staging returns the host's reusable staging slab grown to n bytes.
+func (h *Host) staging(n int) []byte {
+	if cap(h.stag) < n {
+		h.stag = make([]byte, n)
+	}
+	return h.stag[:n]
+}
+
+// bulk is the one charge order of a staged transfer of perPE bytes per
+// PE of every listed group: a read charges its bus epoch, then DT, then
+// the staging store; a write charges the staging read, then DT, then its
+// bus epoch. move moves the bytes, sharded over the configured workers;
+// nil tallies the same bursts without moving any, so both backends
+// charge, and count, the same.
+func (h *Host) bulk(groups []int, perPE int, read bool, move par.Runner) {
+	if perPE%dram.BankBurstBytes != 0 {
+		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
+	}
+	total := int64(len(groups)) * dram.ChipsPerRank * int64(perPE)
+	if !read {
+		h.Charge(HostMem, total) // staging read
+		h.Charge(DT, total)
+	}
+	h.BeginXfer()
+	if move != nil {
+		h.Shards(h.workers)
+		par.Do(h.workers, len(groups), move)
+		h.MergeShards()
+	} else {
+		for _, g := range groups {
+			h.TallyBursts(g, int64(perPE/dram.BankBurstBytes))
+		}
+	}
+	h.EndXfer()
+	if read {
+		h.Charge(DT, total)
+		h.Charge(HostMem, total) // staging store
+	}
+}
+
+// BulkRead is the conventional (UPMEM-SDK-style) retrieval path used by
+// the baseline design: it reads perPE bytes starting at MRAM offset off
+// from every PE of every listed group, applies the driver's automatic
+// domain transfer, stores the result into a host staging buffer, and
+// charges bus, DT and host-memory costs. The staging layout is PE-major:
+// the bytes of the i-th PE (groups in the given order, chips in order
+// within each group) occupy buf[i*perPE : (i+1)*perPE].
+//
+// The returned buffer is the host's own staging slab: it stays valid
+// until the next BulkRead on this host. The group loop is sharded across
+// the configured workers (SetWorkers); results and accounting are
+// byte-identical at any worker count.
+func (h *Host) BulkRead(groups []int, off, perPE int) []byte {
+	buf := h.staging(len(groups) * dram.ChipsPerRank * perPE)
+	h.brun = bulkReadRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
+	h.bulk(groups, perPE, true, &h.brun)
+	return buf
+}
+
 // BulkWrite is the inverse of BulkRead: it scatters a PE-major host buffer
 // back to the PEs' MRAM at offset off, applying domain transfer, and
 // charges host-memory (staging read), DT and bus costs. The group loop is
@@ -430,50 +442,14 @@ func (h *Host) BulkWrite(groups []int, off int, buf []byte) {
 		panic(fmt.Sprintf("host: buffer %d not divisible by %d PEs", len(buf), n))
 	}
 	perPE := len(buf) / n
-	if perPE%dram.BankBurstBytes != 0 {
-		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
-	}
-	h.ChargeHostMem(int64(len(buf))) // staging read
-	h.ChargeDT(int64(len(buf)))
-	h.Shards(h.workers)
-	h.BeginXfer()
 	h.wrun = bulkWriteRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
-	par.Do(h.workers, len(groups), &h.wrun)
-	h.MergeShards()
-	h.EndXfer()
+	h.bulk(groups, perPE, false, &h.wrun)
 }
 
 // ChargeBulkRead accounts a BulkRead of perPE bytes per PE from every
-// listed group without moving data: same bus epoch, DT and staging
-// charges in the same order, so the resulting meter and transfer
-// statistics match BulkRead exactly.
-func (h *Host) ChargeBulkRead(groups []int, perPE int) {
-	if perPE%dram.BankBurstBytes != 0 {
-		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
-	}
-	total := int64(len(groups)) * dram.ChipsPerRank * int64(perPE)
-	h.BeginXfer()
-	for _, g := range groups {
-		h.TallyBursts(g, int64(perPE/dram.BankBurstBytes))
-	}
-	h.EndXfer()
-	h.ChargeDT(total)
-	h.ChargeHostMem(total) // staging store
-}
+// listed group without moving data.
+func (h *Host) ChargeBulkRead(groups []int, perPE int) { h.bulk(groups, perPE, true, nil) }
 
 // ChargeBulkWrite accounts a BulkWrite of perPE bytes per PE to every
-// listed group without moving data; the charge sequence mirrors
-// BulkWrite exactly.
-func (h *Host) ChargeBulkWrite(groups []int, perPE int) {
-	if perPE%dram.BankBurstBytes != 0 {
-		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
-	}
-	total := int64(len(groups)) * dram.ChipsPerRank * int64(perPE)
-	h.ChargeHostMem(total) // staging read
-	h.ChargeDT(total)
-	h.BeginXfer()
-	for _, g := range groups {
-		h.TallyBursts(g, int64(perPE/dram.BankBurstBytes))
-	}
-	h.EndXfer()
-}
+// listed group without moving data.
+func (h *Host) ChargeBulkWrite(groups []int, perPE int) { h.bulk(groups, perPE, false, nil) }

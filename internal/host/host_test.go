@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -20,16 +21,26 @@ func testHost(t *testing.T) *Host {
 	return New(sys, cost.DefaultParams())
 }
 
+// inEpoch runs fn on the host's first shard inside one transfer epoch,
+// merging its tallies before the epoch closes.
+func inEpoch(h *Host, fn func(sh *Shard)) {
+	h.BeginXfer()
+	fn(h.Shards(1)[0])
+	h.MergeShards()
+	h.EndXfer()
+}
+
 func TestReadWriteBurstRoundTrip(t *testing.T) {
 	h := testHost(t)
 	var r vec.Reg
 	for i := range r {
 		r[i] = byte(i ^ 0x5A)
 	}
-	h.BeginXfer()
-	h.WriteBurst(1, 64, r)
-	got := h.ReadBurst(1, 64)
-	h.EndXfer()
+	var got vec.Reg
+	inEpoch(h, func(sh *Shard) {
+		sh.WriteBurst(1, 64, r)
+		got = sh.ReadBurst(1, 64)
+	})
 	if got != r {
 		t.Fatal("burst round trip mismatch")
 	}
@@ -38,14 +49,30 @@ func TestReadWriteBurstRoundTrip(t *testing.T) {
 	}
 }
 
+// A burst outside a transfer epoch panics before it touches MRAM.
 func TestBurstOutsideEpochPanics(t *testing.T) {
 	h := testHost(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	sh := h.Shards(1)[0]
+	panics := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s outside an epoch did not panic", what)
+			}
+		}()
+		fn()
+	}
+	panics("ReadBurst", func() { sh.ReadBurst(0, 0) })
+	var r vec.Reg
+	for i := range r {
+		r[i] = 0xFF
+	}
+	panics("WriteBurst", func() { sh.WriteBurst(0, 0, r) })
+	for c := 0; c < dram.ChipsPerRank; c++ {
+		if bank := h.System().BankBytes(c)[:vec.LaneBytes]; !bytes.Equal(bank, make([]byte, vec.LaneBytes)) {
+			t.Fatalf("bank %d holds %v after a refused write", c, bank)
 		}
-	}()
-	h.ReadBurst(0, 0)
+	}
 }
 
 func TestEndXferWithoutBeginPanics(t *testing.T) {
@@ -68,8 +95,7 @@ func TestChannelsTransferInParallel(t *testing.T) {
 		hh := New(h.System(), h.Params())
 		hh.BeginXfer()
 		for _, g := range groups {
-			hh.WriteBurst(g, 0, vec.Reg{})
-			hh.WriteBurst(g, 0, vec.Reg{})
+			hh.TallyBursts(g, 2)
 		}
 		hh.EndXfer()
 		return hh.Meter().Get(cost.PEMem)
@@ -89,7 +115,7 @@ func TestRankParallelAblation(t *testing.T) {
 
 	run := func(hh *Host) cost.Seconds {
 		hh.BeginXfer()
-		hh.WriteBurst(0, 0, vec.Reg{})
+		hh.TallyBursts(0, 1)
 		hh.EndXfer()
 		return hh.Meter().Get(cost.PEMem)
 	}
@@ -102,7 +128,7 @@ func TestNestedEpochsChargeOnce(t *testing.T) {
 	h := testHost(t)
 	h.BeginXfer()
 	h.BeginXfer()
-	h.WriteBurst(0, 0, vec.Reg{})
+	h.TallyBursts(0, 1)
 	h.EndXfer()
 	mid := h.Meter().Get(cost.PEMem)
 	if mid != 0 {
@@ -160,9 +186,7 @@ func TestDTThenWritePlacesElementsInBanks(t *testing.T) {
 	h.DomainTransfer(dt)
 	var r vec.Reg
 	copy(r[:], dt)
-	h.BeginXfer()
-	h.WriteBurst(0, 0, r)
-	h.EndXfer()
+	inEpoch(h, func(sh *Shard) { sh.WriteBurst(0, 0, r) })
 	// Bank c must now hold element c contiguously.
 	for c := 0; c < dram.ChipsPerRank; c++ {
 		bank := h.System().BankBytes(0*dram.ChipsPerRank + c)[:8]
@@ -224,20 +248,70 @@ func TestBulkAlignmentPanics(t *testing.T) {
 	h.BulkRead([]int{0}, 0, 12)
 }
 
+// Every Work adds exactly one meter entry, in its category, equal bit for
+// bit to the formula of the Params field it names — with the DSA what-if
+// off and on. The fields hold distinct defaults, so a row of the table
+// that points at the wrong one fails here.
 func TestChargeHelpers(t *testing.T) {
+	type rec struct {
+		cat cost.Category
+		t   cost.Seconds
+	}
+	rows := []struct {
+		w     Work
+		cat   cost.Category
+		field func(cost.Params) float64
+	}{
+		{DT, cost.DomainTransfer, func(p cost.Params) float64 { return p.DTBPC }},
+		{ScalarMod, cost.HostMod, func(p cost.Params) float64 { return p.ScalarModBPC }},
+		{LocalMod, cost.HostMod, func(p cost.Params) float64 { return p.LocalModBPC }},
+		{SIMD, cost.HostMod, func(p cost.Params) float64 { return p.SIMDModBPC }},
+		{Reduce, cost.HostMod, func(p cost.Params) float64 { return p.ReduceBPC }},
+		{ScalarReduce, cost.HostMod, func(p cost.Params) float64 { return p.ScalarRedBPC }},
+		{LocalReduce, cost.HostMod, func(p cost.Params) float64 { return p.LocalRedBPC }},
+		{HostMem, cost.HostMem, nil}, // bytes/second, not bytes/cycle
+	}
+	if len(rows) != len(works) {
+		t.Fatalf("%d rows for %d kinds of host work", len(rows), len(works))
+	}
+	seen := map[float64]Work{}
+	for _, r := range rows {
+		if r.field == nil {
+			continue
+		}
+		v := r.field(cost.DefaultParams())
+		if w, dup := seen[v]; dup {
+			t.Fatalf("%v and %v read equal defaults (%v): the table test cannot tell them apart", w, r.w, v)
+		}
+		seen[v] = r.w
+	}
+	const n = 1000
+	for _, dsa := range []bool{false, true} {
+		p := cost.DefaultParams()
+		p.DSAOffload = dsa
+		factor := 1.0
+		if dsa {
+			factor = p.DSAFactor
+		}
+		for _, r := range rows {
+			h := testHost(t)
+			h.params = p
+			var got []rec
+			h.Meter().SetRecorder(func(c cost.Category, s cost.Seconds) { got = append(got, rec{c, s}) })
+			h.Charge(r.w, n)
+			want := rec{r.cat, cost.Seconds(float64(n) / p.HostMemBW)}
+			if r.field != nil {
+				want.t = p.HostBytesAt(n, r.field(p)*factor)
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("DSA %v: Charge(%v, %d) added %v, want one entry %v", dsa, r.w, n, got, want)
+			}
+		}
+	}
 	h := testHost(t)
-	h.ChargeDT(1000)
-	h.ChargeScalarMod(1000)
-	h.ChargeLocalMod(1000)
-	h.ChargeSIMD(1000)
-	h.ChargeReduce(1000)
-	h.ChargeHostMem(1000)
 	h.ChargeSync()
-	if h.Meter().Get(cost.DomainTransfer) <= 0 ||
-		h.Meter().Get(cost.HostMod) <= 0 ||
-		h.Meter().Get(cost.HostMem) <= 0 ||
-		h.Meter().Get(cost.Other) <= 0 {
-		t.Error("charge helpers missed a category")
+	if got, want := h.Meter().Get(cost.Other), h.Params().KernelLaunch; got != want {
+		t.Errorf("ChargeSync charged %v to Other, want %v", got, want)
 	}
 	// Scalar modulation must be slower than local, which is slower than SIMD.
 	p := h.Params()
@@ -246,16 +320,70 @@ func TestChargeHelpers(t *testing.T) {
 	}
 }
 
+// The functional bulk transfers and their cost-only twins charge the
+// same meter entries in the same order and count the same traffic, at
+// one worker and at several.
+func TestBulkMatchesChargeBulk(t *testing.T) {
+	geo := dram.Geometry{Channels: 2, RanksPerChannel: 2, BanksPerChip: 2, MramPerBank: 2048}
+	groups := []int{5, 0, 3, 6, 1}
+	const off, perPE = 256, 128
+	type rec struct {
+		cat cost.Category
+		t   cost.Seconds
+	}
+	recorded := func(h *Host) *[]rec {
+		var got []rec
+		h.Meter().SetRecorder(func(c cost.Category, s cost.Seconds) { got = append(got, rec{c, s}) })
+		return &got
+	}
+	data := make([]byte, len(groups)*dram.ChipsPerRank*perPE)
+	rand.New(rand.NewSource(5)).Read(data)
+	for _, workers := range []int{1, 4} {
+		sys, err := dram.NewSystem(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phantom, err := dram.NewPhantomSystem(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn, cf := New(sys, cost.DefaultParams()), New(phantom, cost.DefaultParams())
+		fn.SetWorkers(workers)
+		for _, op := range []struct {
+			name        string
+			move, tally func()
+		}{
+			{"BulkWrite", func() { fn.BulkWrite(groups, off, data) }, func() { cf.ChargeBulkWrite(groups, perPE) }},
+			{"BulkRead", func() { fn.BulkRead(groups, off, perPE) }, func() { cf.ChargeBulkRead(groups, perPE) }},
+		} {
+			gotFn, gotCf := recorded(fn), recorded(cf)
+			fn.ResetStats()
+			cf.ResetStats()
+			op.move()
+			op.tally()
+			if !slices.Equal(*gotFn, *gotCf) {
+				t.Errorf("%d workers: %s charged %v, its cost-only twin %v", workers, op.name, *gotFn, *gotCf)
+			}
+			if len(*gotFn) != 3 {
+				t.Errorf("%d workers: %s charged %d entries, want 3 (bus, DT, staging)", workers, op.name, len(*gotFn))
+			}
+			if a, b := fn.Stats(), cf.Stats(); a.Bursts != b.Bursts || !slices.Equal(a.BytesPerChannel, b.BytesPerChannel) {
+				t.Errorf("%d workers: %s counted %+v, its cost-only twin %+v", workers, op.name, a, b)
+			}
+		}
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	h := testHost(t)
 	if h.Stats().TotalBytes() != 0 || h.Stats().Bursts != 0 {
 		t.Error("fresh host has traffic")
 	}
-	h.BeginXfer()
-	h.WriteBurst(0, 0, vec.Reg{})
-	h.WriteBurst(0, 8, vec.Reg{})
-	_ = h.ReadBurst(0, 0)
-	h.EndXfer()
+	inEpoch(h, func(sh *Shard) {
+		sh.WriteBurst(0, 0, vec.Reg{})
+		sh.WriteBurst(0, 8, vec.Reg{})
+		_ = sh.ReadBurst(0, 0)
+	})
 	st := h.Stats()
 	if st.Bursts != 3 {
 		t.Errorf("bursts = %d, want 3", st.Bursts)

@@ -172,9 +172,8 @@ type FuseLevel = core.FuseLevel
 
 // Re-exported fusion levels.
 const (
-	FuseDefault = core.FuseDefault
-	FuseOff     = core.FuseOff
-	FuseFull    = core.FuseFull
+	FuseFull = core.FuseFull
+	FuseOff  = core.FuseOff
 )
 
 // FusionReport describes what the fusion pipeline did to one compiled
