@@ -1,17 +1,20 @@
 // Package fuzz holds the randomized differential-testing core shared by
 // cmd/pidfuzz (the long-running standalone binary) and the in-process
-// smoke test that runs a small number of scenarios in CI: random system
-// geometries, hypercube shapes, dimension selections, payload sizes,
-// element types, reduction operators and optimization levels (including
-// the Auto pseudo-level), every primitive run and compared against the
-// independent reference model. Every scenario additionally compiles an
-// AlltoAll→ReduceScatter chain through the schedule-fusion optimizer
-// (the default) and diffs the resulting MRAM against an unfused
-// execution, giving the peephole passes randomized coverage on every
-// run, and checks that nothing ran outside the sessions of every scenario
-// machine: its meter equals its snapshot's, bit for bit. Every scenario
-// session sits behind a pad session, so collectives run at a nonzero
-// arena base.
+// smoke tests that run a small number of scenarios in CI.
+//
+// Each differential check is stated once, as a row of one table,
+// checks: the eight primitives and the in-place AlltoAll, each compared
+// against the reference model by check.verify on any communicator. Two
+// drivers supply the communicators. Scenario.Check runs every row on
+// every hypercube group of a fresh machine of a scenario Random draws
+// (geometry, shape, dims, block size, element type, operator, worker
+// count and level, Auto included), in a session behind a pad session,
+// then diffs a fused AlltoAll→ReduceScatter sequence against an unfused
+// one. ClusterScenario.Check runs every row but the in-place one on the
+// one group of a cluster's global ranks, and requires a cost-only twin
+// cluster's breakdowns to equal the functional ones. Both check that
+// nothing ran outside the sessions of every machine: its meter equals its
+// snapshot's, bit for bit. ServingScenario drives online-serving mixes.
 package fuzz
 
 import (
@@ -45,10 +48,10 @@ type Scenario struct {
 	Algo core.Algorithm
 }
 
-// Random draws a scenario. When includeAuto is set, the Auto pseudo-level
-// is among the optimization-level choices, exercising the autotuner's
-// dry-run/cache path on every primitive.
-func Random(rng *rand.Rand, includeAuto bool) Scenario {
+// Random draws a scenario. The Auto pseudo-level is among the
+// optimization-level choices, exercising the autotuner's dry-run/cache
+// path on every primitive.
+func Random(rng *rand.Rand) Scenario {
 	geos := []dram.Geometry{
 		{Channels: 1, RanksPerChannel: 1, BanksPerChip: 2, MramPerBank: 1 << 14}, // 16 PEs
 		{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 1 << 14}, // 64 PEs
@@ -97,10 +100,7 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 		dims[rng.Intn(len(dims))] = '1'
 	}
 
-	levels := core.Levels()
-	if includeAuto {
-		levels = append(levels, core.Auto)
-	}
+	levels := append(core.Levels(), core.Auto)
 	lvl := levels[rng.Intn(len(levels))]
 
 	// Algorithm constraint for the AllReduce leg: the table's
@@ -124,158 +124,34 @@ func Random(rng *rand.Rand, includeAuto bool) Scenario {
 		Dims:    string(dims),
 		S:       8 * (1 + rng.Intn(4)),
 		Lvl:     lvl,
-		Typ:     elem.Types()[rng.Intn(4)],
-		Op:      elem.Ops()[rng.Intn(6)],
+		Typ:     elem.Types()[rng.Intn(len(elem.Types()))],
+		Op:      elem.Ops()[rng.Intn(len(elem.Ops()))],
 		Workers: 1 + rng.Intn(4),
 		Algo:    algo,
 	}
 }
 
-// Check runs every primitive under the scenario and returns an error
-// naming the first divergence from the reference model.
+// Check runs every row of checks on every hypercube group of a fresh
+// machine of the scenario and returns an error naming the first
+// divergence from the reference model.
 func (sc Scenario) Check(rng *rand.Rand) error {
-	// Every primitive runs in the session of a fresh machine; a scenario New
-	// rejects is reported once, here, so mk cannot fail on it.
-	if _, _, err := sc.session(core.FuseFull); err != nil {
-		return err
-	}
 	var machines []*core.Comm
-	mk := func() (*core.Tenant, [][]byte, [][]int, int) {
-		mach, c, err := sc.session(core.FuseFull)
+	for _, k := range checks {
+		mach, s, err := sc.session(core.FuseFull)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		machines = append(machines, mach)
-		groups, err := mach.Hypercube().Groups(sc.Dims)
+		r, err := sessionRanks(mach, s, sc.Dims)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		n := len(groups[0])
-		m := n * sc.S
-		in := make([][]byte, sc.Geo.NumPEs())
-		for pe := range in {
-			in[pe] = make([]byte, m)
-			rng.Read(in[pe])
-			c.SetPEBuffer(pe, 0, in[pe])
+		d := core.Collective{Dims: sc.Dims, Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl}
+		if k.prim == core.AllReduce {
+			d.Algorithm = sc.Algo
 		}
-		return c, in, groups, m
-	}
-	sel := func(in [][]byte, grp []int) [][]byte {
-		out := make([][]byte, len(grp))
-		for i, pe := range grp {
-			out[i] = in[pe]
-		}
-		return out
-	}
-
-	// AlltoAll.
-	c, in, groups, m := mk()
-	if _, err := c.Run(core.Collective{Prim: core.AlltoAll, Dims: sc.Dims,
-		Src: core.Span(0, m), Dst: core.At(2 * m), Level: sc.Lvl}); err != nil {
-		return fmt.Errorf("AlltoAll: %w", err)
-	}
-	for _, grp := range groups {
-		want := core.RefAlltoAll(sel(in, grp), sc.S)
-		for j, pe := range grp {
-			if !bytes.Equal(c.GetPEBuffer(pe, 2*m, m), want[j]) {
-				return fmt.Errorf("AlltoAll diverges at PE %d (%+v)", pe, sc)
-			}
-		}
-	}
-	// ReduceScatter.
-	c, in, groups, m = mk()
-	if _, err := c.Run(core.Collective{Prim: core.ReduceScatter, Dims: sc.Dims,
-		Src: core.Span(0, m), Dst: core.At(2 * m),
-		Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl}); err != nil {
-		return fmt.Errorf("ReduceScatter: %w", err)
-	}
-	for _, grp := range groups {
-		want := core.RefReduceScatter(sc.Typ, sc.Op, sel(in, grp), sc.S)
-		for j, pe := range grp {
-			if !bytes.Equal(c.GetPEBuffer(pe, 2*m, sc.S), want[j]) {
-				return fmt.Errorf("ReduceScatter diverges at PE %d (%+v)", pe, sc)
-			}
-		}
-	}
-	// AllReduce — through the descriptor form so the scenario's algorithm
-	// constraint applies (reference, ring, tree or Rabenseifner must all
-	// match the reference model bytes).
-	c, in, groups, m = mk()
-	if _, err := c.Run(core.Collective{Prim: core.AllReduce, Dims: sc.Dims,
-		Src: core.Span(0, m), Dst: core.At(2 * m), Elem: sc.Typ, Op: sc.Op,
-		Level: sc.Lvl, Algorithm: sc.Algo}); err != nil {
-		return fmt.Errorf("AllReduce(%v): %w", sc.Algo, err)
-	}
-	for _, grp := range groups {
-		want := core.RefAllReduce(sc.Typ, sc.Op, sel(in, grp))
-		for j, pe := range grp {
-			if !bytes.Equal(c.GetPEBuffer(pe, 2*m, m), want[j]) {
-				return fmt.Errorf("AllReduce diverges at PE %d (%+v)", pe, sc)
-			}
-		}
-	}
-	// AllGather (input s per PE).
-	c, in, groups, _ = mk()
-	n := len(groups[0])
-	if _, err := c.Run(core.Collective{Prim: core.AllGather, Dims: sc.Dims,
-		Src: core.Span(0, sc.S), Dst: core.At(m), Level: sc.Lvl}); err != nil {
-		return fmt.Errorf("AllGather: %w", err)
-	}
-	for _, grp := range groups {
-		heads := make([][]byte, len(grp))
-		for i, pe := range grp {
-			heads[i] = in[pe][:sc.S]
-		}
-		want := core.RefAllGather(heads)
-		for j, pe := range grp {
-			if !bytes.Equal(c.GetPEBuffer(pe, m, n*sc.S), want[j]) {
-				return fmt.Errorf("AllGather diverges at PE %d (%+v)", pe, sc)
-			}
-		}
-	}
-	// In-place AlltoAll on the staged path (src == dst); with Auto the
-	// streaming candidates are inapplicable and must be skipped.
-	c, in, groups, m = mk()
-	ipLvl := sc.Lvl
-	if core.EffectiveLevel(core.AlltoAll, ipLvl) >= core.IM {
-		ipLvl = core.Auto
-	}
-	if _, err := c.Run(core.Collective{Prim: core.AlltoAll, Dims: sc.Dims,
-		Src: core.Span(0, m), Dst: core.At(0), Level: ipLvl}); err != nil {
-		return fmt.Errorf("in-place AlltoAll: %w", err)
-	}
-	for _, grp := range groups {
-		want := core.RefAlltoAll(sel(in, grp), sc.S)
-		for j, pe := range grp {
-			if !bytes.Equal(c.GetPEBuffer(pe, 0, m), want[j]) {
-				return fmt.Errorf("in-place AlltoAll diverges at PE %d (%+v)", pe, sc)
-			}
-		}
-	}
-	// Gather + Reduce round trips (host-rooted).
-	c, in, groups, m = mk()
-	got, err := runRooted(c, core.Collective{Prim: core.Gather, Dims: sc.Dims,
-		Src: core.Span(0, sc.S), Level: sc.Lvl})
-	if err != nil {
-		return fmt.Errorf("Gather: %w", err)
-	}
-	for g, grp := range groups {
-		heads := make([][]byte, len(grp))
-		for i, pe := range grp {
-			heads[i] = in[pe][:sc.S]
-		}
-		if !bytes.Equal(got[g], core.RefGather(heads)) {
-			return fmt.Errorf("Gather diverges at group %d (%+v)", g, sc)
-		}
-	}
-	red, err := runRooted(c, core.Collective{Prim: core.Reduce, Dims: sc.Dims,
-		Src: core.Span(0, m), Elem: sc.Typ, Op: sc.Op, Level: sc.Lvl})
-	if err != nil {
-		return fmt.Errorf("Reduce: %w", err)
-	}
-	for g, grp := range groups {
-		if !bytes.Equal(red[g], core.RefReduce(sc.Typ, sc.Op, sel(in, grp))) {
-			return fmt.Errorf("Reduce diverges at group %d (%+v)", g, sc)
+		if err := k.verify(rng, r, d, sc.S); err != nil {
+			return fmt.Errorf("%w (%+v)", err, sc)
 		}
 	}
 
@@ -289,6 +165,24 @@ func (sc Scenario) Check(rng *rand.Rand) error {
 		return fmt.Errorf("%w (%+v)", err, sc)
 	}
 	return sc.checkFusedSequence(rng)
+}
+
+// sessionRanks wraps a session of machine c as the ranks of the
+// hypercube groups dims selects: a rank is a PE, and a run compiles,
+// runs and returns the plan's rooted results.
+func sessionRanks(c *core.Comm, s *core.Tenant, dims string) (ranks, error) {
+	groups, err := c.Hypercube().Groups(dims)
+	return ranks{groups: groups, set: s.SetPEBuffer, get: s.GetPEBuffer,
+		run: func(d core.Collective) ([][]byte, error) {
+			cp, err := s.Compile(d)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := cp.Run(); err != nil {
+				return nil, err
+			}
+			return cp.Results(), nil
+		}}, err
 }
 
 // scenarioPad is the arena of the pad session every scenario session is
@@ -370,17 +264,4 @@ func (sc Scenario) checkFusedSequence(rng *rand.Rand) error {
 		}
 	}
 	return inSession(fmach, pmach)
-}
-
-// runRooted runs a rooted collective (Gather, Reduce) once and returns
-// its per-group host results.
-func runRooted(c *core.Tenant, d core.Collective) ([][]byte, error) {
-	cp, err := c.Compile(d)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cp.Run(); err != nil {
-		return nil, err
-	}
-	return cp.Results(), nil
 }

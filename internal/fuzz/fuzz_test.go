@@ -16,7 +16,7 @@ func TestFuzzSmoke(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	autoSeen := false
 	for i := 0; i < scenarios; i++ {
-		sc := Random(rng, true)
+		sc := Random(rng)
 		if sc.Lvl == core.Auto {
 			autoSeen = true
 		}
@@ -27,7 +27,7 @@ func TestFuzzSmoke(t *testing.T) {
 	if !autoSeen {
 		// The fixed seed should draw Auto at least once; if a draw-pool
 		// change broke that, pin one explicitly.
-		sc := Random(rng, false)
+		sc := Random(rng)
 		sc.Lvl = core.Auto
 		if err := sc.Check(rng); err != nil {
 			t.Fatalf("pinned Auto scenario: %v", err)
