@@ -14,13 +14,14 @@ vet:
 build:
 	$(GO) build ./...
 
-# The whole suite, then the kernel path and the algorithm differential
-# suite again at one and four CPUs: the inline and the pooled shard path
-# both see reused arena slabs, the panic hand-off, and the staged passes
-# sharded through groupsDo and groupsDoScratch.
+# The whole suite, then the kernel path, the algorithm differential
+# suite and the transfer layers again at one and four CPUs: the inline
+# and the pooled shard path both see reused arena slabs, the panic
+# hand-off, the staged passes sharded through groupsDo and
+# groupsDoScratch, and bulk copies sharded across group ranges.
 test:
 	$(GO) test ./...
-	$(GO) test -cpu 1,4 ./internal/dpu ./internal/par ./internal/apps/... ./internal/algo
+	$(GO) test -cpu 1,4 ./internal/dpu ./internal/par ./internal/apps/... ./internal/algo ./internal/host ./internal/dram
 
 # Full suite under the race detector: exercises the concurrent-Comm
 # stress test, the shared-engine launch test, and the parallel-executor
@@ -121,7 +122,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7357
+LOC_CEILING = 7345
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

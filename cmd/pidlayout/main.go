@@ -7,76 +7,71 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
+	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/host"
 	"repro/internal/vec"
-
-	"repro/internal/cost"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run prints the demonstration to w. Bursts go through dram's bus-order
+// ReadBurst/WriteBurst: the byte order on the channel bus is the point.
+func run(w io.Writer) {
 	sys, err := dram.NewSystem(dram.Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 1, MramPerBank: 64})
 	if err != nil {
 		panic(err)
 	}
 	h := host.New(sys, cost.DefaultParams())
-	sh := h.Shards(1)[0] // bursts move through a shard, tallied at MergeShards
 
-	fmt.Println("1. Host-domain data: eight 8-byte elements A..H")
+	fmt.Fprintln(w, "1. Host-domain data: eight 8-byte elements A..H")
 	data := make([]byte, 64)
 	for e := 0; e < 8; e++ {
 		for b := 0; b < 8; b++ {
 			data[8*e+b] = byte('A'+e)<<4 | byte(b) // element letter, byte index
 		}
 	}
-	printWords("   host buffer", data)
+	printWords(w, "   host buffer", data)
 
-	fmt.Println("\n2. Written raw (no domain transfer): each element shatters")
-	fmt.Println("   across the 8 banks — byte i of the burst lands in chip i%8:")
-	var r vec.Reg
+	fmt.Fprintln(w, "\n2. Written raw (no domain transfer): each element shatters")
+	fmt.Fprintln(w, "   across the 8 banks — byte i of the burst lands in chip i%8:")
+	var r [dram.BurstBytes]byte
 	copy(r[:], data)
-	h.BeginXfer()
-	sh.WriteBurst(0, 0, r)
-	h.MergeShards()
-	h.EndXfer()
+	sys.WriteBurst(0, 0, &r)
 	for c := 0; c < 8; c++ {
-		fmt.Printf("   bank %d: % x\n", c, sys.BankBytes(c)[:8])
+		fmt.Fprintf(w, "   bank %d: % x\n", c, sys.BankBytes(c)[:8])
 	}
 
-	fmt.Println("\n3. Domain transfer first (8x8 byte transpose, § II-B):")
+	fmt.Fprintln(w, "\n3. Domain transfer first (8x8 byte transpose, § II-B):")
 	dt := append([]byte(nil), data...)
 	h.DomainTransfer(dt)
 	copy(r[:], dt)
-	h.BeginXfer()
-	sh.WriteBurst(0, 0, r)
-	h.MergeShards()
-	h.EndXfer()
+	sys.WriteBurst(0, 0, &r)
 	for c := 0; c < 8; c++ {
-		fmt.Printf("   bank %d: % x   <- element %c intact\n", c, sys.BankBytes(c)[:8], 'A'+c)
+		fmt.Fprintf(w, "   bank %d: % x   <- element %c intact\n", c, sys.BankBytes(c)[:8], 'A'+c)
 	}
 
-	fmt.Println("\n4. Cross-domain modulation (§ V-A3): one byte-level rotate of")
-	fmt.Println("   the PIM-domain burst moves every element to the next bank")
-	fmt.Println("   (this is _mm512_rol_epi64 on real hardware):")
+	fmt.Fprintln(w, "\n4. Cross-domain modulation (§ V-A3): one byte-level rotate of")
+	fmt.Fprintln(w, "   the PIM-domain burst moves every element to the next bank")
+	fmt.Fprintln(w, "   (this is _mm512_rol_epi64 on real hardware):")
 	var u vec.Unit
-	h.BeginXfer()
-	burst := sh.ReadBurst(0, 0)
-	burst = u.RotBanks(burst, 8, 1)
-	sh.WriteBurst(0, 0, burst)
-	h.MergeShards()
-	h.EndXfer()
+	sys.ReadBurst(0, 0, &r)
+	r = u.RotBanks(r, 8, 1)
+	sys.WriteBurst(0, 0, &r)
 	for c := 0; c < 8; c++ {
-		fmt.Printf("   bank %d: % x   <- element %c\n", c, sys.BankBytes(c)[:8], 'A'+(c+7)%8)
+		fmt.Fprintf(w, "   bank %d: % x   <- element %c\n", c, sys.BankBytes(c)[:8], 'A'+(c+7)%8)
 	}
-	fmt.Println("\nNo domain transfer was needed for step 4 — that single fused")
-	fmt.Println("shuffle is what eliminates DT from AlltoAll and AllGather.")
+	fmt.Fprintln(w, "\nNo domain transfer was needed for step 4 — that single fused")
+	fmt.Fprintln(w, "shuffle is what eliminates DT from AlltoAll and AllGather.")
 }
 
-func printWords(label string, b []byte) {
-	fmt.Printf("%s:", label)
+func printWords(w io.Writer, label string, b []byte) {
+	fmt.Fprintf(w, "%s:", label)
 	for e := 0; e < 8; e++ {
-		fmt.Printf(" %c[% x]", 'A'+e, b[8*e:8*e+2])
+		fmt.Fprintf(w, " %c[% x]", 'A'+e, b[8*e:8*e+2])
 	}
-	fmt.Println(" ...")
+	fmt.Fprintln(w, " ...")
 }

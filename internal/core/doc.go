@@ -211,7 +211,9 @@
 //	Figures 5, 6  Hypercube, Groups (hypercube.go)
 //	Figure 7      lowerAlltoAll (schedule.go)
 //	Figure 8      lowerReduceScatter / lowerAllReduce / lowerAllGather
-//	Figure 9      shiftColumn (engine.go)
+//	Figure 9      shiftColumn (engine.go): one 8-byte lane per PE, columns
+//	              held in lane order (lane c = bank c's bytes), so the
+//	              bus interleave and its DT are charges, not byte moves
 //	Table I, II   support.go (TableI, TableII, TechniqueApplies)
 //	§ V-A1        (*Comm).rotate (engine.go)
 package core

@@ -10,12 +10,15 @@ import (
 
 // column holds one 64-byte burst per entangled group, all at the same
 // per-bank MRAM offset — the unit the optimized engine streams. Registers
-// are in PIM byte order unless stated otherwise.
+// are in lane order: lane c is bank c's 8 bytes, the host byte order of
+// a burst after its domain transfer (§ II-B), so a PE's element is one
+// whole lane. The bus-order interleave is never computed here; a level
+// that pays for domain transfers declares them as charges.
 type column []vec.Reg
 
 // streamCtx is one worker's private streaming context during a parallel
-// ColumnStream epoch: a host shard (private bus tallies and vector unit)
-// plus preallocated column buffers, so the steady-state streaming loops
+// ColumnStream epoch: a host shard (private bus tallies) plus
+// preallocated column buffers, so the steady-state streaming loops
 // allocate nothing. Contexts are created once per shard slot on the Comm
 // c (ensureStreams) and reused across runs; each is owned by exactly one
 // worker for the duration of a par.Do call, whose segRunner sets base to
@@ -25,7 +28,7 @@ type column []vec.Reg
 type streamCtx struct {
 	c    *Comm
 	sh   *host.Shard
-	vu   vec.Unit // scratch transposes; cost is charged declaratively
+	vu   vec.Unit // scratch reductions; cost is charged declaratively
 	a    column   // read target
 	b    column   // shift target
 	ac   column   // reduction accumulator
@@ -36,22 +39,14 @@ type streamCtx struct {
 // group into dst. Must run inside a transfer epoch.
 func (sc *streamCtx) readColumn(off int, dst column) {
 	for g := range dst {
-		dst[g] = sc.sh.ReadBurst(g, sc.base+off)
+		sc.sh.ReadLanes(g, sc.base+off, &dst[g])
 	}
 }
 
 // writeColumn writes one burst per entangled group at arena offset off.
 func (sc *streamCtx) writeColumn(off int, col column) {
-	for g, r := range col {
-		sc.sh.WriteBurst(g, sc.base+off, r)
-	}
-}
-
-// moveElem copies the PIM-domain element of lane src in sr into lane dst
-// of dr: bank c's element occupies byte c of every aligned 8-byte word.
-func moveElem(dr *vec.Reg, dst int, sr *vec.Reg, src int) {
-	for w := 0; w < vec.Lanes; w++ {
-		dr[8*w+dst] = sr[8*w+src]
+	for g := range col {
+		sc.sh.WriteLanes(g, sc.base+off, &col[g])
 	}
 }
 
@@ -63,29 +58,22 @@ func moveElem(dr *vec.Reg, dst int, sr *vec.Reg, src int) {
 // span several, or stride across them (Figure 9 general cases). dst must
 // not alias src.
 func (sc *streamCtx) shiftColumn(p *plan, dst, src column, shift int) {
-	for g := range src {
-		for chip := 0; chip < dram.ChipsPerRank; chip++ {
-			pe := g*dram.ChipsPerRank + chip
-			grp := p.groupOf[pe]
-			dstRank := (int(p.rankOf[pe]) + shift) % p.n
-			if dstRank < 0 {
-				dstRank += p.n
+	shift %= p.n
+	if shift < 0 {
+		shift += p.n
+	}
+	for _, grp := range p.groups {
+		j := shift // rank i's element goes to rank j = (i+shift) mod n
+		for _, pe := range grp {
+			*dst.lane(grp[j]) = *src.lane(pe)
+			if j++; j == p.n {
+				j = 0
 			}
-			dstPE := p.groups[grp][dstRank]
-			moveElem(&dst[dstPE/dram.ChipsPerRank], dstPE%dram.ChipsPerRank, &src[g], chip)
 		}
 	}
 }
 
-// transposeColumn converts every register between PIM and host byte order,
-// in place (functional only; the caller charges DT or nothing per level).
-func (sc *streamCtx) transposeColumn(col column) {
-	for g, r := range col {
-		col[g] = sc.vu.Transpose8x8(r)
-	}
-}
-
-// reduceColumnInto accumulates src into acc elementwise (host byte order:
+// reduceColumnInto accumulates src into acc elementwise (lane order:
 // each lane is a whole element, so vertical SIMD ops apply; § V-B2).
 func (sc *streamCtx) reduceColumnInto(t elem.Type, op elem.Op, acc, src column) {
 	for g := range acc {
@@ -101,10 +89,10 @@ func (sc *streamCtx) fillIdentity(t elem.Type, op elem.Op, col column) {
 	}
 }
 
-// lane returns the 8-byte lane of PE pe within the column (host byte
-// order: lane = the PE's whole element word).
-func (c column) lane(pe int) []byte {
-	return c[pe/dram.ChipsPerRank][(pe%dram.ChipsPerRank)*vec.LaneBytes : (pe%dram.ChipsPerRank+1)*vec.LaneBytes]
+// lane returns the 8-byte lane of PE pe within the column: the PE's
+// whole element word.
+func (c column) lane(pe int) *[vec.LaneBytes]byte {
+	return (*[vec.LaneBytes]byte)(c[pe/dram.ChipsPerRank][pe%dram.ChipsPerRank*vec.LaneBytes:])
 }
 
 // ensureStreams grows the Comm's streaming-context set to k entries.

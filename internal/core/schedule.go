@@ -122,7 +122,7 @@ type streamSeg struct {
 
 // StepColumnStream is one streaming transfer epoch of the optimized
 // engine: burst columns move between host registers and every entangled
-// group, with in-register shifts/transposes/reductions. Reads and Writes
+// group, with in-register shifts and reductions. Reads and Writes
 // count column transfers (each touches every entangled group once — one
 // burst per group), which is all the cost-only backend needs to reproduce
 // the bus accounting. segs perform the real data movement and are
@@ -333,14 +333,13 @@ func foldGroup(t elem.Type, op elem.Op, red, stag []byte, grp []int, m, s int, p
 }
 
 // foldSlots reduces element column e of the n pre-rotated slots of s
-// bytes at srcOff into sc.ac, in host byte order: slot k is shifted by k
-// ranks, so lane j of the result is rank j's reduced block.
+// bytes at srcOff into sc.ac: slot k is shifted by k ranks, so lane j of
+// the result is rank j's reduced block.
 func (sc *streamCtx) foldSlots(p *plan, t elem.Type, op elem.Op, srcOff, s, e int) {
 	sc.fillIdentity(t, op, sc.ac)
 	for k := 0; k < p.n; k++ {
 		sc.readColumn(srcOff+k*s+e, sc.a)
 		sc.shiftColumn(p, sc.b, sc.a, k)
-		sc.transposeColumn(sc.b)
 		sc.reduceColumnInto(t, op, sc.ac, sc.b)
 	}
 }
@@ -361,14 +360,14 @@ func (p *plan) foldCharges(t elem.Type, iters, simd, dt int64) []Charge {
 	return charges
 }
 
-// storeLanes stores element column e of col, in host byte order, into
+// storeLanes stores element column e of col, in lane order, into
 // the rooted results res: PE pe's lane lands in its group's buffer, in
 // its rank's block of s bytes. Iterations storing distinct e write
 // distinct bytes, so shards don't overlap.
 func (p *plan) storeLanes(res [][]byte, col column, s, e int) {
 	for g, grp := range p.groups {
 		for j, pe := range grp {
-			copy(res[g][j*s+e:j*s+e+8], col.lane(pe))
+			*(*[vec.LaneBytes]byte)(res[g][j*s+e:]) = *col.lane(pe)
 		}
 	}
 }
@@ -392,7 +391,6 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					sc.foldSlots(p, t, op, srcOff, s, i*8)
-					sc.transposeColumn(sc.ac)
 					sc.writeColumn(dstOff+i*8, sc.ac)
 				}
 			}}},
@@ -512,9 +510,9 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 		})
 	default: // IM
 		// Fused streaming ReduceScatter + AllGather: per element column,
-		// fold the n slot bursts, domain-transfer back once, write it n
-		// times with incremental shifts; the PEs then fix block order
-		// locally. Host memory is never touched.
+		// fold the n slot bursts, domain-transfer back once (charged),
+		// write it n times with incremental shifts; the PEs then fix block
+		// order locally. Host memory is never touched.
 		iters := int64(s / 8)
 		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
 		sched.add(&StepColumnStream{
@@ -524,9 +522,8 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 				for i := lo; i < hi; i++ {
 					e := i * 8
 					sc.foldSlots(p, t, op, srcOff, s, e)
-					// One DT back to PIM domain serves all n outbound
-					// writes, whose shifts are pure redistribution.
-					sc.transposeColumn(sc.ac)
+					// The n outbound writes' shifts are pure
+					// redistribution of the folded column.
 					for k := 0; k < n; k++ {
 						sc.shiftColumn(p, sc.b, sc.ac, k)
 						w := (n - k) % n
@@ -679,7 +676,6 @@ func lowerGather(env *algoEnv) *Schedule {
 				body: func(sc *streamCtx, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						sc.readColumn(srcOff+i*8, sc.a)
-						sc.transposeColumn(sc.a)
 						p.storeLanes(sc.c.cur.rooted, sc.a, s, i*8)
 					}
 				},
@@ -761,7 +757,9 @@ func lowerBroadcast(env *algoEnv) *Schedule {
 // streamBroadcast builds the seg that streams host-side bytes into every
 // PE's arena region [dstOff, dstOff+perPE): for each element column it
 // assembles one register per entangled group from lane(c, pe, e), c the
-// executing comm, and writes it in PIM byte order. Iterations touch
+// executing comm, and writes it in lane order, which is how the host
+// holds the bytes: the domain transfer the hardware performs on the way
+// is a charge of the step, not a byte permutation here. Iterations touch
 // distinct columns, so the seg shards freely. Shared by the
 // Scatter/Broadcast/single-group-AllGather write paths.
 func (p *plan) streamBroadcast(dstOff, perPE int, lane func(c *Comm, pe, e int) []byte) *streamSeg {
@@ -774,7 +772,7 @@ func (p *plan) streamBroadcast(dstOff, perPE int, lane func(c *Comm, pe, e int) 
 				for chip := 0; chip < dram.ChipsPerRank; chip++ {
 					r.SetLane(chip, lane(sc.c, g*dram.ChipsPerRank+chip, e))
 				}
-				sc.sh.WriteBurst(g, sc.base+dstOff+e, sc.vu.Transpose8x8(r))
+				sc.sh.WriteLanes(g, sc.base+dstOff+e, &r)
 			}
 		}
 	}}

@@ -18,13 +18,25 @@
 // on this layout, so data placement bugs surface as data corruption in
 // tests rather than as silent cost-model drift.
 //
+// # Bus order and lane order (§ II-B)
+//
+// Bus order — ReadBurst/WriteBurst, byte i of the burst in chip i%8 — is
+// the model: it is what the channel carries, and the oracle the tests
+// hold every other access to. The simulator moves bytes in lane order
+// instead: ReadLanes/WriteLanes give lane c (bytes 8c..8c+7) to bank c,
+// which is the bus-order burst after its 8x8 domain transfer, and is
+// eight 8-byte word copies. ReadSpan/WriteSpan are runs of lane-order
+// bursts regrouped by bank, one copy per bank. ReadBurst/WriteBurst are
+// lane order plus one transpose, so both orders share one set of checks.
+//
 // # Key types
 //
 //   - Geometry sizes a system (channels, ranks, banks, MRAM per bank);
 //     PaperGeometry returns the paper's 1024-PE testbed (§ VIII-A).
 //   - System allocates the banks and implements burst striping
-//     (ReadBurst/WriteBurst), PE linearization (PEFromLinear) and the
-//     group-to-rank mapping (RankOfGroup).
+//     (ReadBurst/WriteBurst, ReadLanes/WriteLanes, ReadSpan/WriteSpan),
+//     PE linearization (PEFromLinear) and the group-to-rank mapping
+//     (RankOfGroup).
 //   - NewPhantomSystem allocates a geometry-only system with no backing
 //     MRAM: topology and size queries work, byte access panics. Combined
 //     with the cost-only backend it makes paper-scale sweeps allocation-
@@ -50,6 +62,7 @@
 // # Paper map
 //
 //	Figure 1, § II-A  Geometry, the entangled-group striping
-//	§ II-B            the PIM/host byte-domain split ReadBurst exposes
+//	§ II-B            the PIM/host byte-domain split: ReadBurst (bus
+//	                  order) against ReadLanes (after the transfer)
 //	§ VIII-A          PaperGeometry (4 ch x 4 ranks x 8 chips x 8 banks)
 package dram

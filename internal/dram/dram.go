@@ -3,6 +3,8 @@ package dram
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/vec"
 )
 
 // ChipsPerRank is fixed by the DDR4 x8 DIMM organization: 8 chips with
@@ -237,8 +239,8 @@ func NewSystem(geo Geometry) (*System, error) {
 
 // NewPhantomSystem validates the geometry and returns a system with no
 // backing MRAM. It is the substrate for cost-only execution: region
-// checks, group enumeration and bus accounting all work, but ReadBurst,
-// WriteBurst and BankBytes panic.
+// checks, group enumeration and bus accounting all work, but every burst,
+// span and bank access panics.
 func NewPhantomSystem(geo Geometry) (*System, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -324,34 +326,82 @@ func (s *System) checkBurst(group, offset int) {
 	}
 }
 
+// ReadLanes reads one 64-byte burst from entangled group g at per-bank
+// offset off (must be 8-byte aligned) in lane order: lane c of out is
+// bank c's 8 bytes, out[8*c+w] = bank(c).mram[off+w]. It is the burst
+// after the driver's domain transfer, and eight 8-byte word copies.
+func (s *System) ReadLanes(group, off int, out *[BurstBytes]byte) {
+	s.checkBacked("ReadLanes")
+	s.checkBurst(group, off)
+	banks := s.mram[group*ChipsPerRank : (group+1)*ChipsPerRank]
+	for c, m := range banks {
+		*(*[BankBurstBytes]byte)(out[c*BankBurstBytes:]) = [BankBurstBytes]byte(m[off:])
+	}
+}
+
+// WriteLanes writes one 64-byte burst in lane order to entangled group g
+// at per-bank offset off: bank(c).mram[off+w] = in[8*c+w].
+func (s *System) WriteLanes(group, off int, in *[BurstBytes]byte) {
+	s.checkBacked("WriteLanes")
+	s.checkBurst(group, off)
+	banks := s.mram[group*ChipsPerRank : (group+1)*ChipsPerRank]
+	for c, m := range banks {
+		*(*[BankBurstBytes]byte)(m[off:]) = [BankBurstBytes]byte(in[c*BankBurstBytes:])
+	}
+}
+
 // ReadBurst reads one 64-byte burst from entangled group g at per-bank
 // offset off (must be 8-byte aligned): the returned buffer interleaves the
 // 8 banks byte-wise, exactly as the bytes appear on the channel bus. That
-// is, out[i] = bank(i%8).mram[off + i/8].
+// is, out[i] = bank(i%8).mram[off + i/8] — ReadLanes transposed.
 func (s *System) ReadBurst(group, off int, out *[BurstBytes]byte) {
-	s.checkBacked("ReadBurst")
-	s.checkBurst(group, off)
-	base := group * ChipsPerRank
-	for c := 0; c < ChipsPerRank; c++ {
-		m := s.mram[base+c]
-		for w := 0; w < BankBurstBytes; w++ {
-			out[8*w+c] = m[off+w]
-		}
-	}
+	s.ReadLanes(group, off, out)
+	var u vec.Unit
+	*out = u.Transpose8x8(*out)
 }
 
 // WriteBurst writes one 64-byte burst to entangled group g at per-bank
 // offset off, striping bytes exactly as the memory controller does:
-// bank(i%8).mram[off + i/8] = in[i].
+// bank(i%8).mram[off + i/8] = in[i] — WriteLanes of in transposed.
 func (s *System) WriteBurst(group, off int, in *[BurstBytes]byte) {
-	s.checkBacked("WriteBurst")
-	s.checkBurst(group, off)
-	base := group * ChipsPerRank
-	for c := 0; c < ChipsPerRank; c++ {
-		m := s.mram[base+c]
-		for w := 0; w < BankBurstBytes; w++ {
-			m[off+w] = in[8*w+c]
-		}
+	var u vec.Unit
+	lanes := [BurstBytes]byte(u.Transpose8x8(*in))
+	s.WriteLanes(group, off, &lanes)
+}
+
+// checkSpan checks a run of len(buf)/BurstBytes bursts of entangled
+// group g from per-bank offset off: its first and last burst.
+func (s *System) checkSpan(op string, group, off int, buf []byte) {
+	s.checkBacked(op)
+	if len(buf)%BurstBytes != 0 {
+		panic(fmt.Sprintf("dram: %s of %d B, not a multiple of %d", op, len(buf), BurstBytes))
+	}
+	if len(buf) > 0 {
+		s.checkBurst(group, off)
+		s.checkBurst(group, off+len(buf)/ChipsPerRank-BankBurstBytes)
+	}
+}
+
+// ReadSpan reads n = len(dst)/8 bytes from each bank of entangled group g,
+// from per-bank offset off on, into dst PE-major: bank c's n bytes land
+// in dst[c*n:(c+1)*n], one copy per bank. It is what n/8 ReadLanes
+// bursts deliver, regrouped by bank. len(dst) must be a multiple of
+// BurstBytes.
+func (s *System) ReadSpan(group, off int, dst []byte) {
+	s.checkSpan("ReadSpan", group, off, dst)
+	n := len(dst) / ChipsPerRank
+	for c, m := range s.mram[group*ChipsPerRank : (group+1)*ChipsPerRank] {
+		copy(dst[c*n:(c+1)*n], m[off:off+n])
+	}
+}
+
+// WriteSpan is the inverse of ReadSpan: bank c of entangled group g
+// receives src[c*n:(c+1)*n] at per-bank offset off, n = len(src)/8.
+func (s *System) WriteSpan(group, off int, src []byte) {
+	s.checkSpan("WriteSpan", group, off, src)
+	n := len(src) / ChipsPerRank
+	for c, m := range s.mram[group*ChipsPerRank : (group+1)*ChipsPerRank] {
+		copy(m[off:off+n], src[c*n:(c+1)*n])
 	}
 }
 

@@ -182,7 +182,9 @@ func (o Op) Identity(t Type) int64 {
 
 // ReduceInto combines src into dst elementwise: dst[i] = op(dst[i], src[i])
 // for len(dst)/t.Size() elements. len(dst) must equal len(src) and be a
-// multiple of the element size.
+// multiple of the element size. The op is chosen once per call, not per
+// element: Sum and the bitwise ops fold a 64-bit word of elements at a
+// time, Min and Max run one loop per type.
 func ReduceInto(t Type, o Op, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("elem: length mismatch %d != %d", len(dst), len(src)))
@@ -191,9 +193,85 @@ func ReduceInto(t Type, o Op, dst, src []byte) {
 	if len(dst)%sz != 0 {
 		panic(fmt.Sprintf("elem: length %d not a multiple of element size %d", len(dst), sz))
 	}
-	for off := 0; off < len(dst); off += sz {
-		v := o.Combine(Load(t, dst, off), Load(t, src, off))
-		Store(t, dst, off, v)
+	if o == Min || o == Max {
+		minMaxInto(t, o == Max, dst, src)
+		return
+	}
+	n := len(dst) &^ 7
+	wordsInto(o, signBits[t], dst[:n], src[:n])
+	for off := n; off < len(dst); off += sz { // the bytes past the last word
+		Store(t, dst, off, o.Combine(Load(t, dst, off), Load(t, src, off)))
+	}
+}
+
+// signBits[t] has the sign bit of every element of type t in a 64-bit
+// word set.
+var signBits = [...]uint64{
+	I8:  0x8080808080808080,
+	I16: 0x8000800080008000,
+	I32: 0x8000000080000000,
+	I64: 0x8000000000000000,
+}
+
+// wordsInto folds src into dst (whole 64-bit words) with Sum or a bitwise
+// op. The bitwise ops ignore element boundaries; Sum adds the bits below
+// each element's sign bit (sign set in signs) with carries that stay
+// inside the element, then adds the sign bits mod 2, so every element
+// wraps at its own width.
+func wordsInto(o Op, signs uint64, dst, src []byte) {
+	le := binary.LittleEndian
+	switch o {
+	case Sum:
+		for i := 0; i < len(dst); i += 8 {
+			a, b := le.Uint64(dst[i:]), le.Uint64(src[i:])
+			le.PutUint64(dst[i:], ((a&^signs)+(b&^signs))^((a^b)&signs))
+		}
+	case Or:
+		for i := 0; i < len(dst); i += 8 {
+			le.PutUint64(dst[i:], le.Uint64(dst[i:])|le.Uint64(src[i:]))
+		}
+	case And:
+		for i := 0; i < len(dst); i += 8 {
+			le.PutUint64(dst[i:], le.Uint64(dst[i:])&le.Uint64(src[i:]))
+		}
+	case Xor:
+		for i := 0; i < len(dst); i += 8 {
+			le.PutUint64(dst[i:], le.Uint64(dst[i:])^le.Uint64(src[i:]))
+		}
+	default:
+		panic(fmt.Sprintf("elem: unknown op %d", int(o)))
+	}
+}
+
+// minMaxInto is ReduceInto's Min (max false) and Max: one loop per type,
+// overwriting each element of dst its src element beats.
+func minMaxInto(t Type, max bool, dst, src []byte) {
+	le := binary.LittleEndian
+	switch t {
+	case I8:
+		for i := range dst {
+			if a, b := int8(dst[i]), int8(src[i]); a != b && (b > a) == max {
+				dst[i] = byte(b)
+			}
+		}
+	case I16:
+		for i := 0; i < len(dst); i += 2 {
+			if a, b := int16(le.Uint16(dst[i:])), int16(le.Uint16(src[i:])); a != b && (b > a) == max {
+				le.PutUint16(dst[i:], uint16(b))
+			}
+		}
+	case I32:
+		for i := 0; i < len(dst); i += 4 {
+			if a, b := int32(le.Uint32(dst[i:])), int32(le.Uint32(src[i:])); a != b && (b > a) == max {
+				le.PutUint32(dst[i:], uint32(b))
+			}
+		}
+	case I64:
+		for i := 0; i < len(dst); i += 8 {
+			if a, b := int64(le.Uint64(dst[i:])), int64(le.Uint64(src[i:])); a != b && (b > a) == max {
+				le.PutUint64(dst[i:], uint64(b))
+			}
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package elem
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,51 @@ func TestReduceInto(t *testing.T) {
 	for off := 0; off < 8; off += 2 {
 		if got := Load(I16, dst, off); got != 7 {
 			t.Fatalf("dst[%d] = %d, want 7", off, got)
+		}
+	}
+}
+
+// reduceIntoOracle is ReduceInto one element at a time: Load, Combine,
+// Store.
+func reduceIntoOracle(t Type, o Op, dst, src []byte) {
+	for off := 0; off < len(dst); off += t.Size() {
+		Store(t, dst, off, o.Combine(Load(t, dst, off), Load(t, src, off)))
+	}
+}
+
+// ReduceInto's word and per-type loops agree with the per-element oracle
+// for every type and op: on the extremes of each width, -1, 0 and 1 against
+// each other (Sum wraps, Min and Max compare signed), on random bytes, and
+// on lengths with and without a partial last word.
+func TestReduceIntoMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, ty := range Types() {
+		sz := ty.Size()
+		bits := uint(8 * sz)
+		special := []int64{-(int64(1) << (bits - 1)), int64(1)<<(bits-1) - 1, -1, 0, 1}
+		for _, o := range Ops() {
+			// Every ordered pair of special values, then random elements.
+			var a, b []byte
+			for _, x := range special {
+				for _, y := range special {
+					a, b = append(a, make([]byte, sz)...), append(b, make([]byte, sz)...)
+					Store(ty, a, len(a)-sz, x)
+					Store(ty, b, len(b)-sz, y)
+				}
+			}
+			r := make([]byte, 64*sz)
+			rng.Read(r)
+			a = append(a, r[:32*sz]...)
+			b = append(b, r[32*sz:]...)
+			for _, n := range []int{0, sz, 8, 8 + sz, len(a) - sz, len(a)} {
+				n -= n % sz
+				got, want := append([]byte(nil), a[:n]...), append([]byte(nil), a[:n]...)
+				ReduceInto(ty, o, got, b[:n])
+				reduceIntoOracle(ty, o, want, b[:n])
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%v %v over %d bytes:\n got %x\nwant %x", ty, o, n, got, want)
+				}
+			}
 		}
 	}
 }

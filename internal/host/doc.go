@@ -16,8 +16,8 @@
 //   - Host owns the attached dram.System, the cost parameters, and the
 //     meter. Single-owner state (core.Comm serializes executions on it),
 //     except Stats and Meter, which may be polled concurrently.
-//   - Shards (host.go) are the worker-pool seam: each shard wraps its
-//     own vector unit and burst/channel tallies so executor workers
+//   - Shards (host.go) are the worker-pool seam: each shard holds its
+//     own burst/channel tallies so executor workers
 //     stream disjoint column ranges concurrently, and MergeShards folds
 //     the tallies back deterministically (shard order, then channel
 //     order) on the executing goroutine before the epoch closes. The
@@ -29,14 +29,21 @@
 //     channel and charged at epoch end as the *maximum* per-channel time
 //     — channels transfer in parallel, as on real hardware; without
 //     RankParallel the effective bandwidth halves (§ VIII ablation).
-//   - Shard.ReadBurst/WriteBurst are the one burst path: one 64-byte
-//     burst per entangled group in PIM byte order, the unit the
+//   - Shard.ReadLanes/WriteLanes are the one burst path: one 64-byte
+//     burst per entangled group in lane order — lane c is bank c's 8
+//     bytes, the burst after its domain transfer — the unit the
 //     optimized column-streaming engine consumes (§ V-A2), tallied
-//     before it touches MRAM.
+//     before it touches MRAM. A burst is eight word copies; the
+//     bus-order interleave (dram's ReadBurst/WriteBurst) is never
+//     computed on this path, and the domain transfers a level performs
+//     are charged by its schedule steps.
 //   - BulkRead/BulkWrite are the conventional UPMEM-SDK-style staged
 //     paths of the baseline design (§ III-A, Figure 3a): bus + automatic
 //     domain transfer + staging-memory traffic, in one charge order
-//     (bulk) that ChargeBulkRead/ChargeBulkWrite share.
+//     (bulk) that ChargeBulkRead/ChargeBulkWrite share. Staging is
+//     PE-major, so a group's bursts land as one contiguous copy per PE
+//     (dram's ReadSpan/WriteSpan), after one span check and one tally
+//     per group — the same integer tallies as burst by burst.
 //   - DomainTransfer is the driver's 8x8 byte transpose between PIM and
 //     host byte domains (§ II-B, Figure 1).
 //   - Charge prices a Work — one host-side class (DT, scalar/local/SIMD
@@ -53,6 +60,6 @@
 //
 //	Figure 1, § II-B  DomainTransfer
 //	Figure 3a, § III  BulkRead / BulkWrite (baseline staging)
-//	§ V-A2            Shard.ReadBurst / WriteBurst (column streaming)
+//	§ V-A2            Shard.ReadLanes / WriteLanes (column streaming)
 //	§ VIII-D          the ScalarReduce / LocalReduce rows of the Work table
 package host

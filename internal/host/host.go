@@ -118,7 +118,7 @@ func (h *Host) EndXfer() {
 
 // TallyBursts accounts count 64-byte bursts to/from the entangled group
 // without moving any bytes: the cost-only backend's replacement for a
-// Shard's ReadBurst/WriteBurst. The epoch and statistics bookkeeping is
+// Shard's ReadLanes/WriteLanes. The epoch and statistics bookkeeping is
 // shared with the functional path, so per-channel totals — and therefore
 // the PEMem time charged at EndXfer — are identical. Must run inside a
 // transfer epoch.
@@ -139,16 +139,15 @@ func (h *Host) TallyBursts(group int, count int64) {
 
 // Shard is one worker's private view of the host during a parallel
 // transfer epoch: burst movement goes straight to the memory system
-// (workers touch disjoint bursts by construction), while bus tallies and
-// vector-unit retirement accumulate shard-locally until the owner calls
-// MergeShards. A Shard must only be used between BeginXfer/EndXfer of
-// the host that issued it, and only by one goroutine at a time.
+// (workers touch disjoint bursts by construction), while bus tallies
+// accumulate shard-locally until the owner calls MergeShards. A Shard
+// must only be used between BeginXfer/EndXfer of the host that issued
+// it, and only by one goroutine at a time.
 type Shard struct {
 	h         *Host
-	vu        vec.Unit
 	bursts    int64
 	chanBytes []int64
-	// Every burst writes vu, bursts and chanBytes: the pad (here, and the
+	// Every burst writes bursts and chanBytes: the pad (here, and the
 	// rounded-up capacity in Shards) gives each worker's tallies cache
 	// lines of their own, wherever the allocator happens to place them.
 	_ [80]byte
@@ -164,21 +163,20 @@ func (s *Shard) TallyBursts(group int, count int64) {
 	s.bursts += count
 }
 
-// ReadBurst reads one 64-byte burst from the entangled group into a
-// vector register, in PIM byte order (as on the bus). It tallies before
-// it touches MRAM, so a burst outside a transfer epoch panics unread.
-func (s *Shard) ReadBurst(group, off int) vec.Reg {
+// ReadLanes reads one 64-byte burst from the entangled group into r in
+// lane order: lane c is bank c's 8 bytes (dram.System.ReadLanes). It
+// tallies before it touches MRAM, so a burst outside a transfer epoch
+// panics unread.
+func (s *Shard) ReadLanes(group, off int, r *vec.Reg) {
 	s.TallyBursts(group, 1)
-	var r vec.Reg
-	s.h.sys.ReadBurst(group, off, (*[dram.BurstBytes]byte)(&r))
-	return r
+	s.h.sys.ReadLanes(group, off, (*[dram.BurstBytes]byte)(r))
 }
 
-// WriteBurst writes a register to the entangled group as one burst,
-// tallied first like ReadBurst.
-func (s *Shard) WriteBurst(group, off int, r vec.Reg) {
+// WriteLanes writes a lane-order register to the entangled group as one
+// burst, tallied first like ReadLanes.
+func (s *Shard) WriteLanes(group, off int, r *vec.Reg) {
 	s.TallyBursts(group, 1)
-	s.h.sys.WriteBurst(group, off, (*[dram.BurstBytes]byte)(&r))
+	s.h.sys.WriteLanes(group, off, (*[dram.BurstBytes]byte)(r))
 }
 
 // Shards returns k reusable per-worker tally contexts (growing the set
@@ -320,7 +318,9 @@ func (h *Host) DomainTransfer(buf []byte) {
 
 // bulkReadRun is the reusable par.Runner of BulkRead: shard workers own
 // contiguous group ranges, so their staging-buffer writes and burst reads
-// are disjoint.
+// are disjoint. Staging is PE-major and a burst in lane order is a word
+// of each PE, so a group's perPE/8 bursts land as one copy per PE
+// (dram.System.ReadSpan), tallied first.
 type bulkReadRun struct {
 	h      *Host
 	groups []int
@@ -330,22 +330,17 @@ type bulkReadRun struct {
 }
 
 func (br *bulkReadRun) RunShard(shard, lo, hi int) {
-	sh := br.h.shards[shard]
+	sh, n := br.h.shards[shard], dram.ChipsPerRank*br.perPE
 	for gi := lo; gi < hi; gi++ {
 		g := br.groups[gi]
-		for b := 0; b < br.perPE; b += dram.BankBurstBytes {
-			r := sh.ReadBurst(g, br.off+b)
-			r = sh.vu.Transpose8x8(r) // DT: lane c = PE c's 8 bytes
-			for c := 0; c < dram.ChipsPerRank; c++ {
-				pe := gi*dram.ChipsPerRank + c
-				copy(br.buf[pe*br.perPE+b:pe*br.perPE+b+vec.LaneBytes], r[c*vec.LaneBytes:(c+1)*vec.LaneBytes])
-			}
-		}
+		sh.TallyBursts(g, int64(br.perPE/dram.BankBurstBytes))
+		br.h.sys.ReadSpan(g, br.off, br.buf[gi*n:(gi+1)*n])
 	}
 }
 
 // bulkWriteRun is the reusable par.Runner of BulkWrite (group ranges are
-// disjoint in both the host buffer and MRAM).
+// disjoint in both the host buffer and MRAM): one copy per PE, like
+// bulkReadRun.
 type bulkWriteRun struct {
 	h      *Host
 	groups []int
@@ -355,18 +350,11 @@ type bulkWriteRun struct {
 }
 
 func (bw *bulkWriteRun) RunShard(shard, lo, hi int) {
-	sh := bw.h.shards[shard]
+	sh, n := bw.h.shards[shard], dram.ChipsPerRank*bw.perPE
 	for gi := lo; gi < hi; gi++ {
 		g := bw.groups[gi]
-		for b := 0; b < bw.perPE; b += dram.BankBurstBytes {
-			var r vec.Reg
-			for c := 0; c < dram.ChipsPerRank; c++ {
-				pe := gi*dram.ChipsPerRank + c
-				copy(r[c*vec.LaneBytes:(c+1)*vec.LaneBytes], bw.buf[pe*bw.perPE+b:])
-			}
-			r = sh.vu.Transpose8x8(r) // back to PIM byte order
-			sh.WriteBurst(g, bw.off+b, r)
-		}
+		sh.TallyBursts(g, int64(bw.perPE/dram.BankBurstBytes))
+		bw.h.sys.WriteSpan(g, bw.off, bw.buf[gi*n:(gi+1)*n])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -30,19 +31,28 @@ func inEpoch(h *Host, fn func(sh *Shard)) {
 	h.EndXfer()
 }
 
+// A lane-order burst through a shard is the bus-order burst of dram
+// transposed: bus order written through the shard reads back on the
+// bus, and lanes read back as written, with the bus time charged.
 func TestReadWriteBurstRoundTrip(t *testing.T) {
 	h := testHost(t)
 	var r vec.Reg
 	for i := range r {
 		r[i] = byte(i ^ 0x5A)
 	}
-	var got vec.Reg
+	var u vec.Unit
+	lanes := u.Transpose8x8(r)
+	var got, bus vec.Reg
 	inEpoch(h, func(sh *Shard) {
-		sh.WriteBurst(1, 64, r)
-		got = sh.ReadBurst(1, 64)
+		sh.WriteLanes(1, 64, &lanes)
+		sh.ReadLanes(1, 64, &got)
 	})
-	if got != r {
-		t.Fatal("burst round trip mismatch")
+	if got != lanes {
+		t.Fatal("lane round trip mismatch")
+	}
+	h.System().ReadBurst(1, 64, (*[dram.BurstBytes]byte)(&bus))
+	if bus != r {
+		t.Fatal("bus-order read of a lane write mismatch")
 	}
 	if h.Meter().Get(cost.PEMem) <= 0 {
 		t.Error("no bus time charged")
@@ -62,12 +72,12 @@ func TestBurstOutsideEpochPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	panics("ReadBurst", func() { sh.ReadBurst(0, 0) })
 	var r vec.Reg
+	panics("ReadLanes", func() { sh.ReadLanes(0, 0, &r) })
 	for i := range r {
 		r[i] = 0xFF
 	}
-	panics("WriteBurst", func() { sh.WriteBurst(0, 0, r) })
+	panics("WriteLanes", func() { sh.WriteLanes(0, 0, &r) })
 	for c := 0; c < dram.ChipsPerRank; c++ {
 		if bank := h.System().BankBytes(c)[:vec.LaneBytes]; !bytes.Equal(bank, make([]byte, vec.LaneBytes)) {
 			t.Fatalf("bank %d holds %v after a refused write", c, bank)
@@ -184,9 +194,7 @@ func TestDTThenWritePlacesElementsInBanks(t *testing.T) {
 	}
 	dt := append([]byte(nil), hostData...)
 	h.DomainTransfer(dt)
-	var r vec.Reg
-	copy(r[:], dt)
-	inEpoch(h, func(sh *Shard) { sh.WriteBurst(0, 0, r) })
+	h.System().WriteBurst(0, 0, (*[dram.BurstBytes]byte)(dt))
 	// Bank c must now hold element c contiguously.
 	for c := 0; c < dram.ChipsPerRank; c++ {
 		bank := h.System().BankBytes(0*dram.ChipsPerRank + c)[:8]
@@ -246,6 +254,48 @@ func TestBulkAlignmentPanics(t *testing.T) {
 		}
 	}()
 	h.BulkRead([]int{0}, 0, 12)
+}
+
+// A bulk transfer checks each group's span before it moves a byte: a
+// misaligned offset, a span past MRAM and a phantom system all panic
+// with dram's message, with MRAM untouched.
+func TestBulkSpanPanics(t *testing.T) {
+	geo := dram.Geometry{Channels: 2, RanksPerChannel: 2, BanksPerChip: 2, MramPerBank: 2048}
+	for _, tc := range []struct {
+		name    string
+		phantom bool
+		off     int
+	}{
+		{"misaligned offset", false, 4},
+		{"span past MRAM", false, 2048 - 64},
+		{"negative offset", false, -8},
+		{"phantom system", true, 0},
+	} {
+		for _, read := range []bool{true, false} {
+			sys, _ := dram.NewSystem(geo)
+			if tc.phantom {
+				sys, _ = dram.NewPhantomSystem(geo)
+			}
+			h := New(sys, cost.DefaultParams())
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, "dram: ") {
+						t.Errorf("%s (read %v): want a dram panic, got %q", tc.name, read, msg)
+					}
+				}()
+				if read {
+					h.BulkRead([]int{0, 1}, tc.off, 128)
+				} else {
+					h.BulkWrite([]int{0, 1}, tc.off, bytes.Repeat([]byte{0xFF}, 2*dram.ChipsPerRank*128))
+				}
+			}()
+			for pe := 0; !tc.phantom && pe < geo.NumPEs(); pe++ {
+				if !bytes.Equal(sys.BankBytes(pe), make([]byte, geo.MramPerBank)) {
+					t.Fatalf("%s: PE %d written by a refused bulk write", tc.name, pe)
+				}
+			}
+		}
+	}
 }
 
 // Every Work adds exactly one meter entry, in its category, equal bit for
@@ -380,9 +430,10 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("fresh host has traffic")
 	}
 	inEpoch(h, func(sh *Shard) {
-		sh.WriteBurst(0, 0, vec.Reg{})
-		sh.WriteBurst(0, 8, vec.Reg{})
-		_ = sh.ReadBurst(0, 0)
+		var r vec.Reg
+		sh.WriteLanes(0, 0, &r)
+		sh.WriteLanes(0, 8, &r)
+		sh.ReadLanes(0, 0, &r)
 	})
 	st := h.Stats()
 	if st.Bursts != 3 {

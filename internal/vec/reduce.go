@@ -8,13 +8,8 @@ import "repro/internal/elem"
 // (§ V-B2): elements to be combined are placed in different registers but
 // identical slots, so one instruction reduces a whole burst.
 func (u *Unit) Reduce(t elem.Type, op elem.Op, a, b Reg) Reg {
-	var out Reg
-	sz := t.Size()
-	for off := 0; off < RegBytes; off += sz {
-		v := op.Combine(elem.Load(t, a[:], off), elem.Load(t, b[:], off))
-		elem.Store(t, out[:], off, v)
-	}
-	return out
+	elem.ReduceInto(t, op, a[:], b[:])
+	return a
 }
 
 // FillIdentity returns a register whose every element of type t is the

@@ -11,7 +11,10 @@
 // streams between the host and an entangled group of 8 banks.
 package vec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // RegBytes is the register width in bytes (AVX-512 / one DDR4 burst).
 const RegBytes = 64
@@ -44,22 +47,12 @@ func (u *Unit) Store(dst []byte, r Reg) {
 	copy(dst[:RegBytes], r[:])
 }
 
-// RotBytes rotates the whole register left by n bytes (n may be negative
-// or larger than RegBytes). One shuffle instruction.
-func (u *Unit) RotBytes(r Reg, n int) Reg {
-	n = mod(n, RegBytes)
-	var out Reg
-	for i := 0; i < RegBytes; i++ {
-		out[(i+n)%RegBytes] = r[i]
-	}
-	return out
-}
-
 // RotBytesWithin rotates bytes left by n within each consecutive block of
-// blockBytes bytes. It implements lane rotation for communication groups
-// smaller than an entangled group (Figure 9: a group of 4 PEs occupies half
-// a burst, so rotation must stay within the 32-byte half). blockBytes must
-// divide RegBytes. One shuffle instruction.
+// blockBytes bytes (n may be negative or larger than the block; a block
+// of RegBytes rotates the whole register). It implements lane rotation
+// for communication groups smaller than an entangled group (Figure 9: a
+// group of 4 PEs occupies half a burst, so rotation must stay within the
+// 32-byte half). blockBytes must divide RegBytes. One shuffle instruction.
 func (u *Unit) RotBytesWithin(r Reg, blockBytes, n int) Reg {
 	if blockBytes <= 0 || RegBytes%blockBytes != 0 {
 		panic(fmt.Sprintf("vec: blockBytes %d does not divide %d", blockBytes, RegBytes))
@@ -74,21 +67,14 @@ func (u *Unit) RotBytesWithin(r Reg, blockBytes, n int) Reg {
 	return out
 }
 
-// RotLanes rotates the 8 64-bit lanes left by n lanes. Used for host-domain
-// (post-domain-transfer) word-level shifts in in-register modulation.
-// One permute instruction.
-func (u *Unit) RotLanes(r Reg, n int) Reg {
-	return u.RotBytes(r, n*LaneBytes) // same shuffle, different granularity
-}
-
 // RotBanks is the fused byte-level shift of cross-domain modulation
 // (§ V-A3). In the PIM byte domain, byte i of a burst belongs to bank i%8,
 // so an 8-byte element of bank k occupies byte k of every aligned 8-byte
 // word. Rotating each 8-byte word left by rot bytes therefore moves every
 // element intact from bank k to bank (k+rot)%g within its sub-group of g
 // banks, with no domain transfer. It is exactly what _mm512_rol_epi64
-// performs on real hardware; it equals DT -> RotLanesWithin(g, rot) -> DT
-// but costs a single instruction. g must divide Lanes.
+// performs on real hardware; it equals DT -> lane rotation within groups
+// of g lanes -> DT but costs a single instruction. g must divide Lanes.
 func (u *Unit) RotBanks(r Reg, g, rot int) Reg {
 	if g <= 0 || Lanes%g != 0 {
 		panic(fmt.Sprintf("vec: bank group %d does not divide %d", g, Lanes))
@@ -96,38 +82,47 @@ func (u *Unit) RotBanks(r Reg, g, rot int) Reg {
 	return u.RotBytesWithin(r, g, rot)
 }
 
-// RotLanesWithin rotates lanes left by n within consecutive groups of
-// groupLanes lanes. groupLanes must divide Lanes.
-func (u *Unit) RotLanesWithin(r Reg, groupLanes, n int) Reg {
-	if groupLanes <= 0 || Lanes%groupLanes != 0 {
-		panic(fmt.Sprintf("vec: groupLanes %d does not divide %d", groupLanes, Lanes))
-	}
-	return u.RotBytesWithin(r, groupLanes*LaneBytes, n*LaneBytes)
-}
-
 // Transpose8x8 transposes the register seen as an 8x8 byte matrix:
 // out[8*k+w] = in[8*w+k]. This is exactly one burst's domain transfer
 // (§ II-B): it converts between host byte order and PIM byte order.
-// It is an involution. Modeled as a short shuffle sequence (3 instructions,
-// matching a log2(8)-step in-register transpose network).
+// It is an involution. Like the log2(8)-step in-register network it
+// models (3 shuffle instructions), it swaps the off-diagonal 4x4, then
+// 2x2, then 1x1 byte blocks, each stage a mask-and-shift of row pairs
+// of the eight 64-bit rows.
 func (u *Unit) Transpose8x8(r Reg) Reg {
+	le := binary.LittleEndian
+	w0, w1, w2, w3 := le.Uint64(r[0:]), le.Uint64(r[8:]), le.Uint64(r[16:]), le.Uint64(r[24:])
+	w4, w5, w6, w7 := le.Uint64(r[32:]), le.Uint64(r[40:]), le.Uint64(r[48:]), le.Uint64(r[56:])
+	const k32, k16, k8 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	w0, w4 = swapBlocks(w0, w4, 32, k32)
+	w1, w5 = swapBlocks(w1, w5, 32, k32)
+	w2, w6 = swapBlocks(w2, w6, 32, k32)
+	w3, w7 = swapBlocks(w3, w7, 32, k32)
+	w0, w2 = swapBlocks(w0, w2, 16, k16)
+	w1, w3 = swapBlocks(w1, w3, 16, k16)
+	w4, w6 = swapBlocks(w4, w6, 16, k16)
+	w5, w7 = swapBlocks(w5, w7, 16, k16)
+	w0, w1 = swapBlocks(w0, w1, 8, k8)
+	w2, w3 = swapBlocks(w2, w3, 8, k8)
+	w4, w5 = swapBlocks(w4, w5, 8, k8)
+	w6, w7 = swapBlocks(w6, w7, 8, k8)
 	var out Reg
-	for w := 0; w < 8; w++ {
-		for k := 0; k < 8; k++ {
-			out[8*k+w] = r[8*w+k]
-		}
-	}
+	le.PutUint64(out[0:], w0)
+	le.PutUint64(out[8:], w1)
+	le.PutUint64(out[16:], w2)
+	le.PutUint64(out[24:], w3)
+	le.PutUint64(out[32:], w4)
+	le.PutUint64(out[40:], w5)
+	le.PutUint64(out[48:], w6)
+	le.PutUint64(out[56:], w7)
 	return out
 }
 
-// Lane returns lane i as a byte slice view of a copy (8 bytes).
-func (r Reg) Lane(i int) []byte {
-	if i < 0 || i >= Lanes {
-		panic(fmt.Sprintf("vec: lane %d out of range", i))
-	}
-	out := make([]byte, LaneBytes)
-	copy(out, r[i*LaneBytes:(i+1)*LaneBytes])
-	return out
+// swapBlocks trades the bytes of row a outside keep (its high block of
+// each pair of shift-bit blocks) with the bytes of row b inside keep
+// (its low block): one stage of the transpose network for one row pair.
+func swapBlocks(a, b uint64, shift uint, keep uint64) (uint64, uint64) {
+	return a&keep | b<<shift&^keep, b&^keep | a>>shift&keep
 }
 
 // SetLane overwrites lane i with the first 8 bytes of b.
@@ -135,18 +130,7 @@ func (r *Reg) SetLane(i int, b []byte) {
 	if i < 0 || i >= Lanes {
 		panic(fmt.Sprintf("vec: lane %d out of range", i))
 	}
-	copy(r[i*LaneBytes:(i+1)*LaneBytes], b[:LaneBytes])
-}
-
-// BroadcastLane returns a register with every lane equal to lane i of r.
-// One broadcast instruction.
-func (u *Unit) BroadcastLane(r Reg, i int) Reg {
-	lane := r.Lane(i)
-	var out Reg
-	for l := 0; l < Lanes; l++ {
-		copy(out[l*LaneBytes:], lane)
-	}
-	return out
+	*(*[LaneBytes]byte)(r[i*LaneBytes:]) = [LaneBytes]byte(b)
 }
 
 func mod(n, m int) int {

@@ -31,36 +31,72 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// rotBytes rotates the whole register left by n bytes, one byte at a
+// time: the oracle of RotBytesWithin's whole-register case.
+func rotBytes(r Reg, n int) Reg {
+	n = mod(n, RegBytes)
+	var out Reg
+	for i := 0; i < RegBytes; i++ {
+		out[(i+n)%RegBytes] = r[i]
+	}
+	return out
+}
+
+// rotLanesWithin rotates lanes left by n within consecutive groups of
+// groupLanes lanes: the host-domain half of the cross-domain modulation
+// identity.
+func rotLanesWithin(r Reg, groupLanes, n int) Reg {
+	var u Unit
+	return u.RotBytesWithin(r, groupLanes*LaneBytes, n*LaneBytes)
+}
+
+// lane is lane i of r.
+func lane(r *Reg, i int) []byte { return r[i*LaneBytes : (i+1)*LaneBytes] }
+
+// transposeOracle is Transpose8x8 one byte at a time.
+func transposeOracle(r Reg) Reg {
+	var out Reg
+	for w := 0; w < 8; w++ {
+		for k := 0; k < 8; k++ {
+			out[8*k+w] = r[8*w+k]
+		}
+	}
+	return out
+}
+
+// RotBytesWithin over one whole-register block rotates the register.
 func TestRotBytesBasic(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	out := u.RotBytes(r, 1)
+	out := u.RotBytesWithin(r, RegBytes, 1)
 	if out[1] != 0 || out[0] != 63 {
-		t.Errorf("RotBytes(1): out[1]=%d out[0]=%d", out[1], out[0])
+		t.Errorf("RotBytesWithin(64, 1): out[1]=%d out[0]=%d", out[1], out[0])
 	}
 }
 
 func TestRotBytesNegativeAndWrap(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	if u.RotBytes(r, -1) != u.RotBytes(r, 63) {
-		t.Error("RotBytes(-1) != RotBytes(63)")
+	if u.RotBytesWithin(r, RegBytes, -1) != u.RotBytesWithin(r, RegBytes, 63) {
+		t.Error("rotation by -1 != rotation by 63")
 	}
-	if u.RotBytes(r, 64) != r {
-		t.Error("RotBytes(64) should be identity")
+	if u.RotBytesWithin(r, RegBytes, 64) != r {
+		t.Error("rotation by 64 should be identity")
 	}
-	if u.RotBytes(r, 0) != r {
-		t.Error("RotBytes(0) should be identity")
+	if u.RotBytesWithin(r, RegBytes, 0) != r {
+		t.Error("rotation by 0 should be identity")
 	}
 }
 
 func TestRotBytesComposition(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	a := u.RotBytes(u.RotBytes(r, 5), 7)
-	b := u.RotBytes(r, 12)
-	if a != b {
-		t.Error("rotation composition failed")
+	for _, blk := range []int{2, 8, 32, RegBytes} {
+		a := u.RotBytesWithin(u.RotBytesWithin(r, blk, 5), blk, 7)
+		b := u.RotBytesWithin(r, blk, 12)
+		if a != b {
+			t.Errorf("block %d: rotation composition failed", blk)
+		}
 	}
 }
 
@@ -84,8 +120,10 @@ func TestRotBytesWithinHalves(t *testing.T) {
 func TestRotBytesWithinFullBlockEqualsRotBytes(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	if u.RotBytesWithin(r, RegBytes, 13) != u.RotBytes(r, 13) {
-		t.Error("RotBytesWithin(64, n) != RotBytes(n)")
+	for n := -70; n <= 70; n++ {
+		if u.RotBytesWithin(r, RegBytes, n) != rotBytes(r, n) {
+			t.Fatalf("RotBytesWithin(64, %d) != the byte-loop rotation", n)
+		}
 	}
 }
 
@@ -99,28 +137,31 @@ func TestRotBytesWithinBadBlockPanics(t *testing.T) {
 	u.RotBytesWithin(seqReg(), 7, 1)
 }
 
+// In host byte order (lane c = bank c's element) a lane rotation is the
+// PIM-order RotBanks conjugated by the domain transfer.
 func TestRotLanesMovesWholeElements(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	out := u.RotLanes(r, 1)
+	out := u.Transpose8x8(u.RotBanks(u.Transpose8x8(r), 8, 1))
 	// Lane 0 (bytes 0..7) should now be at lane 1.
-	if !bytes.Equal(out.Lane(1), r.Lane(0)) {
-		t.Error("RotLanes(1) did not move lane 0 to lane 1")
+	if !bytes.Equal(lane(&out, 1), lane(&r, 0)) {
+		t.Error("lane rotation by 1 did not move lane 0 to lane 1")
 	}
-	if !bytes.Equal(out.Lane(0), r.Lane(7)) {
-		t.Error("RotLanes(1) did not wrap lane 7 to lane 0")
+	if !bytes.Equal(lane(&out, 0), lane(&r, 7)) {
+		t.Error("lane rotation by 1 did not wrap lane 7 to lane 0")
 	}
 }
 
 func TestRotLanesWithinSubGroups(t *testing.T) {
 	var u Unit
 	r := seqReg()
-	out := u.RotLanesWithin(r, 4, 1)
-	if !bytes.Equal(out.Lane(1), r.Lane(0)) || !bytes.Equal(out.Lane(0), r.Lane(3)) {
-		t.Error("first sub-group rotation wrong")
-	}
-	if !bytes.Equal(out.Lane(5), r.Lane(4)) || !bytes.Equal(out.Lane(4), r.Lane(7)) {
-		t.Error("second sub-group rotation wrong")
+	for _, out := range []Reg{rotLanesWithin(r, 4, 1), u.Transpose8x8(u.RotBanks(u.Transpose8x8(r), 4, 1))} {
+		if !bytes.Equal(lane(&out, 1), lane(&r, 0)) || !bytes.Equal(lane(&out, 0), lane(&r, 3)) {
+			t.Error("first sub-group rotation wrong")
+		}
+		if !bytes.Equal(lane(&out, 5), lane(&r, 4)) || !bytes.Equal(lane(&out, 4), lane(&r, 7)) {
+			t.Error("second sub-group rotation wrong")
+		}
 	}
 }
 
@@ -142,6 +183,43 @@ func TestTranspose8x8Mapping(t *testing.T) {
 	}
 }
 
+// The word transpose agrees with the byte loop on structured registers
+// (one byte set, one row set, one column set, the sequence, all ones) and
+// on 10^4 random ones.
+func TestTranspose8x8MatchesByteLoop(t *testing.T) {
+	var u Unit
+	var regs []Reg
+	for i := 0; i < RegBytes; i++ {
+		var r Reg
+		r[i] = 0xFF
+		regs = append(regs, r)
+	}
+	for k := 0; k < 8; k++ {
+		var row, col Reg
+		for w := 0; w < 8; w++ {
+			row[8*k+w] = byte(0x10*k + w + 1)
+			col[8*w+k] = byte(0x10*w + k + 1)
+		}
+		regs = append(regs, row, col)
+	}
+	var ones Reg
+	for i := range ones {
+		ones[i] = 0xFF
+	}
+	regs = append(regs, seqReg(), ones)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		var r Reg
+		rng.Read(r[:])
+		regs = append(regs, r)
+	}
+	for i, r := range regs {
+		if got, want := u.Transpose8x8(r), transposeOracle(r); got != want {
+			t.Fatalf("register %d: Transpose8x8 %x, byte loop %x", i, got, want)
+		}
+	}
+}
+
 // The cross-domain modulation identity (§ V-A3): the fused PIM-domain
 // byte shift equals DT -> lane-rotate -> DT, for full entangled groups and
 // for sub-groups.
@@ -154,7 +232,7 @@ func TestCrossDomainModulationIdentity(t *testing.T) {
 			rng.Read(r[:])
 			rot := rng.Intn(2*g) - g
 			fused := u.RotBanks(r, g, rot)
-			viaDT := u.Transpose8x8(u.RotLanesWithin(u.Transpose8x8(r), g, rot))
+			viaDT := u.Transpose8x8(rotLanesWithin(u.Transpose8x8(r), g, rot))
 			if fused != viaDT {
 				t.Fatalf("g %d trial %d rot %d: fused != via-DT", g, trial, rot)
 			}
@@ -178,14 +256,15 @@ func TestRotBanksMovesElementIntact(t *testing.T) {
 	}
 }
 
-// Property-based: RotBytes preserves multiset of bytes and is a bijection.
+// Property-based: rotating bytes preserves their multiset (a bijection),
+// at every block size.
 func TestRotBytesIsPermutation(t *testing.T) {
 	var u Unit
-	f := func(seed int64, n int) bool {
+	f := func(seed int64, n int, b uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var r Reg
 		rng.Read(r[:])
-		out := u.RotBytes(r, n%200)
+		out := u.RotBytesWithin(r, 1<<(b%7), n%200)
 		var cin, cout [256]int
 		for i := 0; i < RegBytes; i++ {
 			cin[r[i]]++
@@ -202,10 +281,10 @@ func TestLaneSetLane(t *testing.T) {
 	var r Reg
 	b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	r.SetLane(3, b)
-	if !bytes.Equal(r.Lane(3), b) {
-		t.Error("SetLane/Lane mismatch")
+	if !bytes.Equal(lane(&r, 3), b) {
+		t.Error("SetLane did not write lane 3")
 	}
-	if r.Lane(2)[0] != 0 {
+	if r[2*LaneBytes+7] != 0 || r[4*LaneBytes] != 0 {
 		t.Error("SetLane touched neighboring lane")
 	}
 }
@@ -217,18 +296,7 @@ func TestLaneBoundsPanic(t *testing.T) {
 		}
 	}()
 	var r Reg
-	r.Lane(8)
-}
-
-func TestBroadcastLane(t *testing.T) {
-	var u Unit
-	r := seqReg()
-	out := u.BroadcastLane(r, 2)
-	for l := 0; l < Lanes; l++ {
-		if !bytes.Equal(out.Lane(l), r.Lane(2)) {
-			t.Fatalf("lane %d not broadcast", l)
-		}
-	}
+	r.SetLane(8, make([]byte, LaneBytes))
 }
 
 func TestReduceSumI32(t *testing.T) {
