@@ -47,7 +47,7 @@ bench-compare:
 # The CI allocation gate over the wall-clock benchmark: rerun cost_sweep,
 # serve_steady, serve_lookahead and app_mix with the seed, seconds and
 # GOMAXPROCS of the newest root BENCH_<n>.json and fail on allocs_per_op
-# more than 2% above it.
+# or bytes_per_op more than 2% above it.
 bench-gate:
 	$(GO) run ./cmd/benchgate
 

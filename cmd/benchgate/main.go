@@ -1,10 +1,11 @@
 // Command benchgate is the allocation gate over the wall-clock benchmark
-// (benchmark/): it reruns the workloads whose allocs_per_op repeats to
-// within a fraction of a percent — cost_sweep, serve_steady,
-// serve_lookahead and app_mix — with the seed and seconds of the newest
-// BENCH_<n>.json in the repository root, under that file's GOMAXPROCS,
-// and fails when a workload allocates more than 2% above the file's
-// value. Run it from the repository root:
+// (benchmark/): it reruns the workloads whose allocs_per_op and
+// bytes_per_op repeat to within a fraction of a percent — cost_sweep,
+// serve_steady, serve_lookahead and app_mix — with the seed and seconds
+// of the newest BENCH_<n>.json in the repository root, under that file's
+// GOMAXPROCS, and fails when a workload allocates more objects or more
+// bytes per op than 2% above the file's values. Run it from the
+// repository root:
 //
 //	go run ./cmd/benchgate   (make bench-gate)
 package main
@@ -25,12 +26,13 @@ import (
 // a result set, or the last line of a -workload run.
 type workload struct {
 	Name    string
-	Metrics struct {
-		Allocs struct{ Value float64 } `json:"allocs_per_op"`
-	}
+	Metrics map[string]struct{ Value float64 }
 }
 
-// gatedWorkloads are the workloads whose allocs_per_op the gate holds.
+// gatedMetrics are the metrics the gate holds to 2% above the reference.
+var gatedMetrics = []string{"allocs_per_op", "bytes_per_op"}
+
+// gatedWorkloads are the workloads whose gatedMetrics the gate holds.
 var gatedWorkloads = []string{"cost_sweep", "serve_steady", "serve_lookahead", "app_mix"}
 
 func main() {
@@ -84,17 +86,27 @@ func run() error {
 		if err := json.Unmarshal(lines[len(lines)-1], &got); err != nil {
 			return fmt.Errorf("%s: reading the result line: %w", w.Name, err)
 		}
-		limit := w.Metrics.Allocs.Value * 1.02
-		fmt.Printf("%-16s allocs_per_op %.4f, %s %.4f, limit %.4f\n", w.Name, got.Metrics.Allocs.Value, path, w.Metrics.Allocs.Value, limit)
-		if got.Metrics.Allocs.Value > limit {
-			over = append(over, w.Name)
+		for _, m := range gatedMetrics {
+			want, ok := w.Metrics[m]
+			if !ok {
+				return fmt.Errorf("%s holds no %s for %s", path, m, w.Name)
+			}
+			have, ok := got.Metrics[m]
+			if !ok {
+				return fmt.Errorf("%s: the run reported no %s", w.Name, m)
+			}
+			limit := want.Value * 1.02
+			fmt.Printf("%-16s %-13s %.4f, %s %.4f, limit %.4f\n", w.Name, m, have.Value, path, want.Value, limit)
+			if have.Value > limit {
+				over = append(over, w.Name+" "+m)
+			}
 		}
 	}
 	if gated != len(gatedWorkloads) {
 		return fmt.Errorf("%s holds %d of the %d gated workloads", path, gated, len(gatedWorkloads))
 	}
 	if len(over) > 0 {
-		return fmt.Errorf("allocs_per_op more than 2%% above %s on %s", path, strings.Join(over, ", "))
+		return fmt.Errorf("more than 2%% above %s: %s", path, strings.Join(over, ", "))
 	}
 	return nil
 }

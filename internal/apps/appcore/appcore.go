@@ -13,16 +13,19 @@
 // machine's shape rows stay) and zeroes every bank, so the next run of the
 // key sees the bytes of a fresh machine and compiles nothing. The pool
 // keeps one idle machine per key and at most idleBudget bytes of idle
-// MRAM; a run that fails never returns its machine.
+// MRAM and staging; a run that fails never returns its machine.
 //
-// Host placement payloads are built in place: a Scatter's buffer is
-// allocated once at its final size and every rank's part is written
-// straight into its slot (PartitionCSR, the apps' weight and tile
-// packers) — there is no per-rank intermediate to join afterwards.
+// Host placement payloads are staged in place: every Scatter and
+// Broadcast buffer of a run is carved at its final size by Tracker.Stage
+// from the host staging arena the run borrowed with its machine, and
+// every rank's part is written straight into its slot (PartitionCSR, the
+// apps' weight, table and tile packers) — there is no per-rank
+// intermediate to join afterwards. Finish parks the arena with the
+// machine, grown to the run's high-water mark, so a repeat run of the key
+// allocates no payload.
 package appcore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -74,12 +77,29 @@ func (p *Profile) String() string {
 // second result of CommForPEs), and the profile the run's kernels and
 // collectives are attributed to.
 type Tracker struct {
-	C    *core.Comm
-	Prof Profile
-	s    *core.Tenant
-	key  poolKey
-	pes  []int      // every PE of C, the launch list of Kernel
-	km   cost.Meter // one kernel launch's charges
+	C      *core.Comm
+	Prof   Profile
+	s      *core.Tenant
+	key    poolKey
+	pes    []int      // every PE of C, the launch list of Kernel
+	km     cost.Meter // one kernel launch's charges
+	arena  []byte     // the host staging borrowed with C
+	staged int        // bytes every Stage of the run asked for, arena or not
+}
+
+// Stage returns n zeroed host bytes for a placement payload, valid until
+// Finish. It carves them from the run's staging arena; once the arena is
+// spent, the rest of the run's requests are allocated and Finish parks an
+// arena that holds them all.
+func (t *Tracker) Stage(n int) []byte {
+	off := t.staged
+	t.staged += (n + 7) &^ 7 // keeps every payload word-aligned in the arena
+	if t.staged > len(t.arena) {
+		return make([]byte, n)
+	}
+	b := t.arena[off : off+n : off+n]
+	clear(b)
+	return b
 }
 
 // Kernel launches the application kernel k on every PE of t.C and
@@ -157,10 +177,11 @@ func (t *Tracker) CommSequence(f *core.Future, err error) error {
 
 // Finish ends a successful run and gives its machine back: it closes the
 // session (which flushes it and drops its plans), zeroes every bank and
-// parks the machine for the next run of its key. Call it once, after the
-// run has copied out the results it returns: Finish is the run's last use
-// of t.C, which another run may be using as soon as it returns. A run
-// that fails skips Finish, and its machine is dropped.
+// parks the machine with its staging arena for the next run of its key.
+// Call it once, after the run has copied out the results it returns:
+// Finish is the run's last use of t.C and of every Stage buffer, which
+// another run may be using as soon as it returns. A run that fails skips
+// Finish, and its machine and arena are dropped.
 func (t *Tracker) Finish() {
 	if t.s.Close() != nil {
 		return
@@ -169,7 +190,10 @@ func (t *Tracker) Finish() {
 	for _, pe := range t.pes {
 		clear(sys.BankBytes(pe))
 	}
-	pool.park(t.key, t.C)
+	if t.staged > len(t.arena) {
+		t.arena = make([]byte, t.staged)
+	}
+	pool.park(t.key, idleMachine{t.C, t.arena})
 }
 
 // GeoForPEs returns the DIMM geometry the paper uses for a given PE count
@@ -247,9 +271,10 @@ func (m CPUModel) LookupTime(rows int64) cost.Seconds {
 	return cost.Seconds(float64(rows) / m.LookupsPerSec)
 }
 
-// idleBudget bounds the MRAM the pool keeps idle across all keys, in
-// bytes: app_mix's five machines hold ~25 MB. A machine that cannot fit
-// even in an empty pool is dropped.
+// idleBudget bounds the MRAM and staging the pool keeps idle across all
+// keys, in bytes: app_mix's five machines hold ~25.1 MB of MRAM and ~17.6 MB
+// of arenas (12.6 MB of them mlp's weights), ~42.7 MB in all. A machine
+// whose MRAM and arena cannot fit even in an empty pool is dropped.
 const idleBudget = 64 << 20
 
 // poolKey is what makes two app machines interchangeable: a machine is
@@ -262,55 +287,66 @@ type poolKey struct {
 }
 
 // pool holds the idle machines, at most one per key.
-var pool = machinePool{idle: make(map[poolKey]*core.Comm)}
+var pool = machinePool{idle: make(map[poolKey]idleMachine)}
+
+// idleMachine is what a run borrows and gives back as one unit: the
+// machine and the host staging arena its payloads are carved from.
+type idleMachine struct {
+	c     *core.Comm
+	arena []byte
+}
+
+// bytes is what m holds idle: its MRAM and its arena.
+func (m idleMachine) bytes(k poolKey) int {
+	return k.geo.NumPEs()*k.geo.MramPerBank + len(m.arena)
+}
 
 type machinePool struct {
 	mu    sync.Mutex
-	idle  map[poolKey]*core.Comm
-	bytes int // MRAM of the idle machines
+	idle  map[poolKey]idleMachine
+	bytes int // MRAM and arenas of the idle machines
 }
 
-// take removes and returns the idle machine of k, or nil.
-func (p *machinePool) take(k poolKey) *core.Comm {
+// take removes and returns the idle machine of k, or a zero idleMachine.
+func (p *machinePool) take(k poolKey) idleMachine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := p.idle[k]
-	if c != nil {
+	m, ok := p.idle[k]
+	if ok {
 		delete(p.idle, k)
-		p.bytes -= mramBytes(k.geo)
+		p.bytes -= m.bytes(k)
 	}
-	return c
+	return m
 }
 
-// park makes c the idle machine of k unless k already has one. Idle
+// park makes m the idle machine of k unless k already has one. Idle
 // machines of other keys are dropped to make room for it if the budget
 // requires, so a sweep over many configs keeps reusing its latest ones.
-func (p *machinePool) park(k poolKey, c *core.Comm) {
-	n := mramBytes(k.geo)
+func (p *machinePool) park(k poolKey, m idleMachine) {
+	n := m.bytes(k)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.idle[k] != nil || n > idleBudget {
+	if _, ok := p.idle[k]; ok || n > idleBudget {
 		return
 	}
-	for o := range p.idle {
+	for o, om := range p.idle {
 		if p.bytes+n <= idleBudget {
 			break
 		}
-		p.bytes -= mramBytes(o.geo)
+		p.bytes -= om.bytes(o)
 		delete(p.idle, o)
 	}
-	p.idle[k] = c
+	p.idle[k] = m
 	p.bytes += n
 }
-
-func mramBytes(g dram.Geometry) int { return g.NumPEs() * g.MramPerBank }
 
 // CommForPEs starts an app run: it borrows the functional machine of the
 // config — the default configuration on the canonical geometry of pes
 // PEs, each bank holding the app's MRAM layout of footprint bytes rounded
 // up to a whole burst — from the pool, building it if no idle one has the
 // same geometry, shape and GOMAXPROCS, and opens a fresh whole-MRAM
-// session (at offset 0) on it for the run's collectives. The machine reads
+// session (at offset 0) on it for the run's collectives, lending the run
+// the machine's staging arena with it (Tracker.Stage). The machine reads
 // all zero either way. The run ends with Tracker.Finish.
 func CommForPEs(shape []int, pes, footprint int) (*Tracker, *core.Tenant, error) {
 	mram := (footprint + dram.BurstBytes - 1) / dram.BurstBytes * dram.BurstBytes
@@ -319,13 +355,13 @@ func CommForPEs(shape []int, pes, footprint int) (*Tracker, *core.Tenant, error)
 		return nil, nil, err
 	}
 	k := poolKey{geo, fmt.Sprint(shape), runtime.GOMAXPROCS(0)}
-	c := pool.take(k)
-	if c == nil {
-		if c, err = core.New(geo, shape, core.Config{}); err != nil {
+	m := pool.take(k)
+	if m.c == nil {
+		if m.c, err = core.New(geo, shape, core.Config{}); err != nil {
 			return nil, nil, err
 		}
 	}
-	s, err := c.Session()
+	s, err := m.c.Session()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -333,14 +369,5 @@ func CommForPEs(shape []int, pes, footprint int) (*Tracker, *core.Tenant, error)
 	for i := range all {
 		all[i] = i
 	}
-	return &Tracker{C: c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}, s: s, key: k, pes: all}, s, nil
-}
-
-// I32Bytes encodes v little-endian, four bytes per element.
-func I32Bytes(v []int32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-	}
-	return out
+	return &Tracker{C: m.c, Prof: Profile{ByPrimitive: make(map[core.Primitive]cost.Seconds)}, s: s, key: k, pes: all, arena: m.arena}, s, nil
 }

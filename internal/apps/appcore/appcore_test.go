@@ -1,6 +1,8 @@
 package appcore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -60,10 +62,66 @@ func TestGeoForPEsScalesBanksBeforeRanks(t *testing.T) {
 	}
 }
 
+// partitionCSR stages g's n-way partition the way a run does: CSRSize,
+// then PartitionCSR into a zeroed slab.
+func partitionCSR(g *data.Graph, n int) ([]byte, int, error) {
+	size, err := CSRSize(g, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	slab := make([]byte, n*size)
+	PartitionCSR(slab, g, n, size)
+	return slab, size, nil
+}
+
+// partitionCSROracle is the allocating builder PartitionCSR replaced: it
+// sizes every part, then serializes each into its slot of a fresh slab.
+func partitionCSROracle(g *data.Graph, n int) ([]byte, int) {
+	owned := g.V / n
+	maxSz := 0
+	for p := 0; p < n; p++ {
+		edges := int(g.RowPtr[(p+1)*owned] - g.RowPtr[p*owned])
+		if sz := 4*(owned+1) + 4*edges; sz > maxSz {
+			maxSz = sz
+		}
+	}
+	maxSz = (maxSz + 7) &^ 7
+	out := make([]byte, n*maxSz)
+	for p := 0; p < n; p++ {
+		buf := out[p*maxSz : (p+1)*maxSz]
+		base := g.RowPtr[p*owned]
+		for i := 0; i <= owned; i++ {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(g.RowPtr[p*owned+i]-base))
+		}
+		for i, c := range g.Col[base:g.RowPtr[(p+1)*owned]] {
+			binary.LittleEndian.PutUint32(buf[4*(owned+1)+4*i:], uint32(c))
+		}
+	}
+	return out, maxSz
+}
+
+// CSRSize plus PartitionCSR into a staged slab is the allocating builder,
+// byte for byte, on skewed, uniform and undirected graphs at every split.
+func TestPartitionCSRMatchesOracle(t *testing.T) {
+	for _, g := range []*data.Graph{data.RMAT(256, 1024, 3), data.Uniform(512, 4096, 4),
+		data.Undirected(data.RMAT(1024, 2048, 5)), data.RMAT(64, 0, 6)} {
+		for _, n := range []int{1, 8, 32, 64} {
+			slab, size, err := partitionCSR(g, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSize := partitionCSROracle(g, n)
+			if size != wantSize || !bytes.Equal(slab, want) {
+				t.Errorf("%d vertices, %d parts: the staged partition differs from the oracle's", g.V, n)
+			}
+		}
+	}
+}
+
 func TestPartitionCSRRoundTrip(t *testing.T) {
 	g := data.RMAT(256, 1024, 3)
 	for _, n := range []int{4, 16, 64} {
-		slab, size, err := PartitionCSR(g, n)
+		slab, size, err := partitionCSR(g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +148,7 @@ func TestPartitionCSRRoundTrip(t *testing.T) {
 
 func TestPartitionCSRRejectsBadSplit(t *testing.T) {
 	g := data.RMAT(256, 512, 3)
-	if _, _, err := PartitionCSR(g, 7); err == nil {
+	if _, err := CSRSize(g, 7); err == nil {
 		t.Error("7-way split of 256 vertices accepted")
 	}
 }
@@ -181,7 +239,7 @@ func TestCommForPEsValidation(t *testing.T) {
 func TestPartitionCSRConservesEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		g := data.Uniform(128, 512, seed)
-		slab, size, err := PartitionCSR(g, 8)
+		slab, size, err := partitionCSR(g, 8)
 		if err != nil {
 			return false
 		}
@@ -201,8 +259,8 @@ func TestPartitionCSRConservesEdges(t *testing.T) {
 }
 
 // The pool holds one idle machine per key and at most idleBudget bytes of
-// idle MRAM: a returned machine displaces older ones of other keys to fit,
-// and one over the whole budget is dropped.
+// idle MRAM and staging: a returned machine displaces older ones of other
+// keys to fit, and one over the whole budget is dropped, with its arena.
 func TestPoolBudget(t *testing.T) {
 	key := func(mram int) poolKey {
 		g, err := GeoForPEs(256, mram)
@@ -212,21 +270,29 @@ func TestPoolBudget(t *testing.T) {
 		return poolKey{geo: g, shape: "[256]", workers: 1}
 	}
 	half := idleBudget / 256 / 2
-	a, b, huge := key(half+8), key(half+16), key(2*half+8)
+	a, b, huge := key(half/2), key(half+16), key(2*half)
 	ca, ca2, cb := &core.Comm{}, &core.Comm{}, &core.Comm{}
-	p := machinePool{idle: make(map[poolKey]*core.Comm)}
-	p.park(a, ca)
-	p.park(a, ca2) // a is taken: ca2 is dropped
-	if p.take(a) != ca {
-		t.Fatal("a key's idle machine was replaced")
+	arena := make([]byte, idleBudget/4+8) // a's MRAM and arena fit in half the budget, b's MRAM alone does not
+	p := machinePool{idle: make(map[poolKey]idleMachine)}
+	p.park(a, idleMachine{ca, arena})
+	if p.bytes != 256*(half/2)+len(arena) {
+		t.Fatalf("the pool counts %d bytes for one machine of %d bytes of MRAM and a %d-byte arena",
+			p.bytes, 256*(half/2), len(arena))
 	}
-	p.park(a, ca)
-	p.park(b, cb) // a and b together exceed the budget: b displaces a
-	if p.bytes > idleBudget || p.take(a) != nil || p.take(b) != cb {
+	p.park(a, idleMachine{ca2, nil}) // a is taken: ca2 is dropped
+	if m := p.take(a); m.c != ca || &m.arena[0] != &arena[0] {
+		t.Fatal("a key's idle machine or arena was replaced")
+	}
+	if p.bytes != 0 {
+		t.Fatalf("the pool counts %d bytes with no idle machine", p.bytes)
+	}
+	p.park(a, idleMachine{ca, arena})
+	p.park(b, idleMachine{cb, nil}) // a's MRAM and arena and b together exceed the budget: b displaces a
+	if p.bytes > idleBudget || p.take(a).c != nil || p.take(b).c != cb {
 		t.Fatalf("pool kept %d bytes over a %d budget, or the older machine", p.bytes, idleBudget)
 	}
-	p.park(huge, ca)
-	if p.take(huge) != nil || p.bytes != 0 {
-		t.Error("a machine over the whole budget was pooled")
+	p.park(huge, idleMachine{ca, make([]byte, 8)}) // MRAM of the whole budget: the arena tips it over
+	if p.take(huge).c != nil || p.bytes != 0 {
+		t.Error("a machine and arena over the whole budget were pooled")
 	}
 }

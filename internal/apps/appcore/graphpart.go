@@ -7,30 +7,33 @@ import (
 	"repro/internal/data"
 )
 
-// PartitionCSR splits a graph into per-PE subgraphs by contiguous vertex
-// ranges (PE p owns vertices [p*V/n, (p+1)*V/n)) and serializes each as
+// CSRSize returns the common size of one part of g's n-way PartitionCSR:
+// PE p owns vertices [p*V/n, (p+1)*V/n), and its part holds
 //
 //	[rowptr: (ownedV+1) x u32, local offsets][cols: edges x u32]
 //
-// padded with zeros to a common 8-byte-aligned size. It returns the n
-// subgraphs back to back in one buffer — a Scatter's host payload as it
-// is, PE p's part at [p*size, (p+1)*size) — and the common size.
-func PartitionCSR(g *data.Graph, n int) ([]byte, int, error) {
+// padded to the largest part's 8-byte-aligned size.
+func CSRSize(g *data.Graph, n int) (int, error) {
 	if g.V%n != 0 {
-		return nil, 0, fmt.Errorf("appcore: %d vertices not divisible by %d PEs", g.V, n)
+		return 0, fmt.Errorf("appcore: %d vertices not divisible by %d PEs", g.V, n)
 	}
 	owned := g.V / n
 	maxSz := 0
 	for p := 0; p < n; p++ {
 		edges := int(g.RowPtr[(p+1)*owned] - g.RowPtr[p*owned])
-		if sz := 4*(owned+1) + 4*edges; sz > maxSz {
-			maxSz = sz
-		}
+		maxSz = max(maxSz, 4*(owned+1)+4*edges)
 	}
-	maxSz = (maxSz + 7) &^ 7
-	out := make([]byte, n*maxSz)
+	return (maxSz + 7) &^ 7, nil
+}
+
+// PartitionCSR writes g's n per-PE subgraphs back to back into dst — a
+// Scatter's host payload as it is, PE p's part at [p*size, (p+1)*size)
+// for size = CSRSize(g, n). dst holds n*size bytes that read zero, which
+// become each part's padding.
+func PartitionCSR(dst []byte, g *data.Graph, n, size int) {
+	owned := g.V / n
 	for p := 0; p < n; p++ {
-		buf := out[p*maxSz : (p+1)*maxSz]
+		buf := dst[p*size : (p+1)*size]
 		base := g.RowPtr[p*owned]
 		for i := 0; i <= owned; i++ {
 			binary.LittleEndian.PutUint32(buf[4*i:], uint32(g.RowPtr[p*owned+i]-base))
@@ -39,7 +42,6 @@ func PartitionCSR(g *data.Graph, n int) ([]byte, int, error) {
 			binary.LittleEndian.PutUint32(buf[4*(owned+1)+4*i:], uint32(c))
 		}
 	}
-	return out, maxSz, nil
 }
 
 // SubgraphReader decodes a PartitionCSR buffer inside a DPU kernel.

@@ -1,6 +1,7 @@
 package appcore_test
 
 import (
+	"fmt"
 	"maps"
 	"reflect"
 	"slices"
@@ -19,24 +20,28 @@ import (
 	"repro/internal/elem"
 )
 
-// appRuns returns one RunPIM per app at lvl, each at a small config.
-func appRuns(lvl core.Level) map[string]func() (any, *appcore.Profile, error) {
+// appRuns returns one RunPIM per app at lvl, each at a small config whose
+// inputs seed draws (bfs starts from vertex seed; cc has no seed). Every
+// seed of an app runs on the same pool key.
+func appRuns(lvl core.Level, seed int64) map[string]func() (any, *appcore.Profile, error) {
 	gnnIn := data.GNNInput{Name: "pool", Graph: data.RMAT(256, 1024, 3), F: 16}
 	bfsGraph := data.RMAT(1024, 4096, 4)
 	ccGraph := data.Undirected(data.RMAT(512, 2048, 5))
 	return map[string]func() (any, *appcore.Profile, error){
 		"dlrm": func() (any, *appcore.Profile, error) {
 			return dlrm.RunPIM(dlrm.Config{Tables: 8, RowsPerTable: 512, EmbDim: 16, Batch: 128,
-				X: 2, Y: 2, Z: 4, TopOut: 8, TopLayers: 2, Batches: 2, Seed: 1}, lvl)
+				X: 2, Y: 2, Z: 4, TopOut: 8, TopLayers: 2, Batches: 2, Seed: seed}, lvl)
 		},
 		"gnn": func() (any, *appcore.Profile, error) {
-			return gnn.RunPIM(gnn.Config{Input: &gnnIn, Rows: 4, Cols: 4, Layers: 2, Elem: elem.I32, Seed: 1}, gnn.RSAR, lvl)
+			return gnn.RunPIM(gnn.Config{Input: &gnnIn, Rows: 4, Cols: 4, Layers: 2, Elem: elem.I32, Seed: seed}, gnn.RSAR, lvl)
 		},
 		"mlp": func() (any, *appcore.Profile, error) {
-			return mlp.RunPIM(mlp.Config{Features: 256, Layers: 3, PEs: 32, Batches: 2, Seed: 1}, lvl)
+			return mlp.RunPIM(mlp.Config{Features: 256, Layers: 3, PEs: 32, Batches: 2, Seed: seed}, lvl)
 		},
-		"bfs": func() (any, *appcore.Profile, error) { return bfs.RunPIM(bfs.Config{Graph: bfsGraph, PEs: 32}, lvl) },
-		"cc":  func() (any, *appcore.Profile, error) { return cc.RunPIM(cc.Config{Graph: ccGraph, PEs: 32}, lvl) },
+		"bfs": func() (any, *appcore.Profile, error) {
+			return bfs.RunPIM(bfs.Config{Graph: bfsGraph, PEs: 32, Source: int(seed)}, lvl)
+		},
+		"cc": func() (any, *appcore.Profile, error) { return cc.RunPIM(cc.Config{Graph: ccGraph, PEs: 32}, lvl) },
 	}
 }
 
@@ -45,7 +50,7 @@ func appRuns(lvl core.Level) map[string]func() (any, *appcore.Profile, error) {
 // the communication breakdown.
 func TestPooledRunRepeatsFreshRun(t *testing.T) {
 	for _, lvl := range []core.Level{core.Baseline, core.CM} {
-		runs := appRuns(lvl)
+		runs := appRuns(lvl, 1)
 		for _, app := range slices.Sorted(maps.Keys(runs)) {
 			appcore.ResetPool()
 			out1, p1, err := runs[app]()
@@ -70,7 +75,8 @@ func TestPooledRunRepeatsFreshRun(t *testing.T) {
 	}
 }
 
-// Finish gives back a machine that reads all zero, whatever its run wrote.
+// Finish gives back a machine that reads all zero, whatever its run wrote,
+// and an arena whose bytes Stage hands out zeroed again.
 func TestReacquiredMachineReadsZero(t *testing.T) {
 	appcore.ResetPool()
 	const mram = 4096
@@ -85,6 +91,7 @@ func TestReacquiredMachineReadsZero(t *testing.T) {
 		}
 		ctx.WriteMram(0, b)
 	})
+	tr.Stage(mram) // the first run of the key sizes its arena
 	used := tr.C
 	tr.Finish()
 	tr, _, err = appcore.CommForPEs([]int{16}, 16, mram)
@@ -102,16 +109,42 @@ func TestReacquiredMachineReadsZero(t *testing.T) {
 			}
 		}
 	}
+	staged := tr.Stage(mram)
+	for i := range staged {
+		staged[i] = byte(i | 1)
+	}
+	tr.Finish()
+	tr, _, err = appcore.CommForPEs([]int{16}, 16, mram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := tr.Stage(mram)
+	if &again[0] != &staged[0] {
+		t.Fatal("the run's staging did not come from the arena parked with its machine")
+	}
+	for i, v := range again {
+		if v != 0 {
+			t.Fatalf("staged byte %d reads %#x on the next run of the key", i, v)
+		}
+	}
 	tr.Finish()
 }
 
-// A run that fails never calls Finish, so its machine is not reused.
+// A run that fails never calls Finish, so neither its machine nor its
+// arena is reused.
 func TestFailedRunMachineIsNotReused(t *testing.T) {
 	appcore.ResetPool()
+	tr, _, err := appcore.CommForPEs([]int{16}, 16, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Stage(4096)
+	tr.Finish()
 	tr, comm, err := appcore.CommForPEs([]int{16}, 16, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
+	staged := tr.Stage(4096)
 	if _, err := comm.Run(core.Collective{Prim: core.Gather, Dims: "bad-dims", Src: core.Span(0, 8)}); err == nil {
 		t.Fatal("a malformed collective ran")
 	}
@@ -123,7 +156,49 @@ func TestFailedRunMachineIsNotReused(t *testing.T) {
 	if tr.C == failed {
 		t.Error("a failed run's machine was lent again")
 	}
+	if b := tr.Stage(4096); &b[0] == &staged[0] {
+		t.Error("a failed run's arena was lent again")
+	}
 	tr.Finish()
+}
+
+// A run's result owns its memory: a later run of the key, which stages
+// its payloads in the same arena, leaves an earlier result as it was.
+func TestResultsDoNotAliasTheArena(t *testing.T) {
+	appcore.ResetPool()
+	first, second := appRuns(core.CM, 1), appRuns(core.CM, 2)
+	for _, app := range slices.Sorted(maps.Keys(first)) {
+		if _, _, err := first[app](); err != nil { // sizes the key's arena
+			t.Fatalf("%s: %v", app, err)
+		}
+		out, _, err := first[app]()
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		kept := cloneOutput(out)
+		if _, _, err := second[app](); err != nil {
+			t.Fatalf("%s seed 2: %v", app, err)
+		}
+		if !reflect.DeepEqual(out, kept) {
+			t.Errorf("%s: a later run of the key changed an earlier run's result", app)
+		}
+	}
+	counted, held := appcore.IdleBytes()
+	if counted != held || counted > appcore.IdleBudget || appcore.IdleMachines() != len(first) {
+		t.Errorf("the pool counts %d bytes for %d idle machines holding %d bytes of MRAM and arenas, budget %d",
+			counted, appcore.IdleMachines(), held, appcore.IdleBudget)
+	}
+}
+
+// cloneOutput copies a RunPIM result.
+func cloneOutput(out any) any {
+	switch v := out.(type) {
+	case []int32:
+		return slices.Clone(v)
+	case []int64:
+		return slices.Clone(v)
+	}
+	panic(fmt.Sprintf("an app result of type %T", out))
 }
 
 // Concurrent runs of one config each get a machine of their own: at most

@@ -63,7 +63,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	fB = (fB + 8*N - 1) / (8 * N) * (8 * N)
 	distB := (owned*4 + 7) &^ 7
 
-	adjBuf, adjSz, err := appcore.PartitionCSR(g, N)
+	adjSz, err := appcore.CSRSize(g, N)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -82,12 +82,14 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 
 	// Distribute the graph; broadcast the initial frontier/visited state.
+	adjBuf := tr.Stage(N * adjSz)
+	appcore.PartitionCSR(adjBuf, g, N, adjSz)
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
 		return nil, nil, err
 	}
-	init := make([]byte, fB)
+	init := tr.Stage(fB)
 	init[cfg.Source/8] |= 1 << (cfg.Source % 8)
 	bd, err = comm.Run(core.Collective{Prim: core.Broadcast, Dims: "1",
 		Hosts: [][]byte{init}, Dst: core.At(frontOff), Level: lvl})

@@ -65,7 +65,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 	lB = (lB + 8*N - 1) / (8 * N) * (8 * N)
 
-	adjBuf, adjSz, err := appcore.PartitionCSR(g, N)
+	adjSz, err := appcore.CSRSize(g, N)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -80,13 +80,15 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		return nil, nil, err
 	}
 
+	adjBuf := tr.Stage(N * adjSz)
+	appcore.PartitionCSR(adjBuf, g, N, adjSz)
 	bd, err := comm.Run(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: [][]byte{adjBuf}, Dst: core.Span(adjOff, adjSz), Level: lvl})
 	if err := tr.Comm(core.Scatter, bd, err); err != nil {
 		return nil, nil, err
 	}
 	// Initial labels: label[v] = v; padding = MaxInt32.
-	init := make([]byte, lB)
+	init := tr.Stage(lB)
 	for v := 0; v < lB/4; v++ {
 		x := int32(v)
 		if v >= g.V {

@@ -96,25 +96,60 @@ func (c Config) batches() int {
 	return c.Batches
 }
 
+// embRNG and nextEmb draw the embedding tables, table-major, then row,
+// then column (embeddings()'s order). RunPIM and RunCPU consume the same
+// stream in the same order.
+func (c Config) embRNG() *rand.Rand { return rand.New(rand.NewSource(c.Seed * 77)) }
+
+func nextEmb(rng *rand.Rand) int32 { return int32(rng.Intn(15)) - 7 }
+
+// topLen is the top-MLP weight count: the input layer (TopOut x T*D, in
+// assembled-vector order) followed by TopLayers-1 hidden layers (TopOut x
+// TopOut each).
+func (c Config) topLen() int {
+	return c.TopOut*c.Tables*c.EmbDim + (c.TopLayers-1)*c.TopOut*c.TopOut
+}
+
+// embeddings returns the tables for the CPU reference, row-major per
+// table.
 func (c Config) embeddings() []int32 {
-	rng := rand.New(rand.NewSource(c.Seed * 77))
+	rng := c.embRNG()
 	e := make([]int32, c.Tables*c.RowsPerTable*c.EmbDim)
 	for i := range e {
-		e[i] = int32(rng.Intn(15)) - 7
+		e[i] = nextEmb(rng)
 	}
 	return e
 }
 
-// topWeights returns the concatenated top-MLP weights: the input layer
-// (TopOut x T*D, in assembled-vector order) followed by TopLayers-1
-// hidden layers (TopOut x TopOut each).
-func (c Config) topWeights() []int32 {
-	rng := rand.New(rand.NewSource(c.Seed * 131))
-	w := make([]int32, c.TopOut*c.Tables*c.EmbDim+(c.TopLayers-1)*c.TopOut*c.TopOut)
-	for i := range w {
-		w[i] = int32(rng.Intn(7)) - 3
+// packShards draws the embedding tables straight into their owners' slots
+// of dst, the embedding Scatter's payload of N shards of embB bytes: PE
+// (x,y,z) owns the tables of shard z, the rows of shard y and the columns
+// of slice x, stored [table][row][column].
+func (c Config) packShards(dst []byte, embB int) {
+	X, Y := c.X, c.Y
+	Tz, Ry, Dx := c.Tables/c.Z, c.RowsPerTable/c.Y, c.EmbDim/c.X
+	rng := c.embRNG()
+	for t := 0; t < c.Tables; t++ {
+		z, tl := t/Tz, t%Tz
+		for row := 0; row < c.RowsPerTable; row++ {
+			y, r := row/Ry, row%Ry
+			for x := 0; x < X; x++ {
+				slot := dst[(x+X*(y+Y*z))*embB+(tl*Ry+r)*Dx*4:]
+				for cidx := 0; cidx < Dx; cidx++ {
+					binary.LittleEndian.PutUint32(slot[4*cidx:], uint32(nextEmb(rng)))
+				}
+			}
+		}
 	}
-	return w
+}
+
+// packTop draws the topLen top-MLP weights, entries in [-3,3], straight
+// into dst: the weight Broadcast's payload, which RunCPU decodes.
+func (c Config) packTop(dst []byte) {
+	rng := rand.New(rand.NewSource(c.Seed * 131))
+	for i := 0; i < c.topLen(); i++ {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(rng.Intn(7))-3))
+	}
 }
 
 // topMLP runs the shared top-MLP pipeline on one assembled sample vector
@@ -190,7 +225,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	rsB := respB / Y         // ReduceScatter slice
 	aaB := rsB               // AlltoAll(xz) result (same volume)
 	embB := alignUp(Tz * Ry * Dx * 4)
-	wB := alignUp((cfg.TopOut*T*D + (cfg.TopLayers-1)*cfg.TopOut*cfg.TopOut) * 4)
+	wB := alignUp(cfg.topLen() * 4)
 	outB := alignUp(Bd * cfg.TopOut * 4)
 
 	idxOff := 0
@@ -207,22 +242,14 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	emb := cfg.embeddings()
 
-	// Scatter embedding shards: PE (x,y,z) owns tables of shard z, rows
-	// of shard y, columns of slice x.
-	embBuf := make([]byte, N*embB)
-	for pe := 0; pe < N; pe++ {
-		x, y, z := pe%X, pe/X%Y, pe/(X*Y)
-		for tl := 0; tl < Tz; tl++ {
-			for r := 0; r < Ry; r++ {
-				for cidx := 0; cidx < Dx; cidx++ {
-					v := emb[((z*Tz+tl)*Rr+(y*Ry+r))*D+x*Dx+cidx]
-					binary.LittleEndian.PutUint32(embBuf[pe*embB+((tl*Ry+r)*Dx+cidx)*4:], uint32(v))
-				}
-			}
-		}
-	}
+	// Scatter embedding shards, each entry drawn straight into its
+	// owner's slot of the staged payload: PE (x,y,z) owns tables of shard
+	// z, rows of shard y, columns of slice x.
+	embBuf := tr.Stage(N * embB)
+	cfg.packShards(embBuf, embB)
+	wBuf := tr.Stage(4 * cfg.topLen())
+	cfg.packTop(wBuf)
 	// The embedding Scatter and the top-MLP weight Broadcast (already in
 	// assembled-vector order) distribute together as one fused sequence:
 	// a single submission whose interior synchronization the fuser
@@ -231,7 +258,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		core.Collective{Prim: core.Scatter, Dims: "111",
 			Hosts: [][]byte{embBuf}, Dst: core.Span(embOff, embB), Level: lvl},
 		core.Collective{Prim: core.Broadcast, Dims: "111",
-			Hosts: [][]byte{appcore.I32Bytes(cfg.topWeights())}, Dst: core.At(wOff), Level: lvl})
+			Hosts: [][]byte{wBuf}, Dst: core.At(wOff), Level: lvl})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,8 +268,8 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 
 	// Serving replays the same five collective signatures every batch
 	// (Figure 11's pipeline), so compile them once and replay. The index
-	// Scatter binds idxBuf, which is refilled in place per batch.
-	idxBuf := make([]byte, N*idxB)
+	// Scatter binds the staged idxBuf, which is refilled in place per batch.
+	idxBuf := tr.Stage(N * idxB)
 	idxPlan, err := comm.Compile(core.Collective{Prim: core.Scatter, Dims: "111",
 		Hosts: [][]byte{idxBuf}, Dst: core.Span(idxOff, idxB), Level: lvl})
 	if err != nil {
@@ -426,7 +453,12 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 		return nil, 0, err
 	}
 	emb := cfg.embeddings()
-	w := cfg.topWeights()
+	wb := make([]byte, 4*cfg.topLen())
+	cfg.packTop(wb)
+	w := make([]int32, cfg.topLen())
+	for i := range w {
+		w[i] = int32(binary.LittleEndian.Uint32(wb[4*i:]))
+	}
 	T, Rr, D := cfg.Tables, cfg.RowsPerTable, cfg.EmbDim
 	Tz := T / cfg.Z
 	Dx := D / cfg.X

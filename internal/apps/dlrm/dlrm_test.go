@@ -1,6 +1,8 @@
 package dlrm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
@@ -131,5 +133,48 @@ func TestBatchesAmortizeTableScatter(t *testing.T) {
 	if float64(prof2.Total()) >= 2*float64(prof1.Total()) {
 		t.Errorf("2 amortized batches (%v) should cost less than 2 full runs (%v)",
 			prof2.Total(), 2*prof1.Total())
+	}
+}
+
+// shardsOracle is the allocating pack packShards replaced: it builds the
+// whole table with embeddings(), then copies PE (x,y,z)'s tables of shard
+// z, rows of shard y and columns of slice x into its slot.
+func shardsOracle(c Config, embB int) []byte {
+	X, Y, Z := c.X, c.Y, c.Z
+	N := X * Y * Z
+	Tz, Ry, Dx := c.Tables/Z, c.RowsPerTable/Y, c.EmbDim/X
+	emb := c.embeddings()
+	buf := make([]byte, N*embB)
+	for pe := 0; pe < N; pe++ {
+		x, y, z := pe%X, pe/X%Y, pe/(X*Y)
+		for tl := 0; tl < Tz; tl++ {
+			for r := 0; r < Ry; r++ {
+				for cidx := 0; cidx < Dx; cidx++ {
+					v := emb[((z*Tz+tl)*c.RowsPerTable+(y*Ry+r))*c.EmbDim+x*Dx+cidx]
+					binary.LittleEndian.PutUint32(buf[pe*embB+((tl*Ry+r)*Dx+cidx)*4:], uint32(v))
+				}
+			}
+		}
+	}
+	return buf
+}
+
+// The shards RunPIM draws straight into its staged payload are the CPU
+// reference's tables, byte for byte.
+func TestPackedPayloadsMatchCPUReference(t *testing.T) {
+	for _, c := range []Config{testCfg(),
+		{Tables: 8, RowsPerTable: 1024, EmbDim: 16, Batch: 1024, X: 2, Y: 2, Z: 8, TopOut: 32, TopLayers: 2, Seed: 1},
+		{Tables: 4, RowsPerTable: 96, EmbDim: 8, Batch: 16, X: 1, Y: 4, Z: 2, TopOut: 4, TopLayers: 3, Seed: 7},
+		{Tables: 6, RowsPerTable: 10, EmbDim: 4, Batch: 6, X: 2, Y: 1, Z: 3, TopOut: 3, TopLayers: 1, Seed: 3}} {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		embB := alignUp((c.Tables / c.Z) * (c.RowsPerTable / c.Y) * (c.EmbDim / c.X) * 4)
+		want := shardsOracle(c, embB)
+		got := make([]byte, len(want))
+		c.packShards(got, embB)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%+v: the staged shards differ from the packed embeddings()", c)
+		}
 	}
 }

@@ -158,34 +158,42 @@ func unpackInto(t elem.Type, dst []int64, b []byte) {
 	}
 }
 
-// packTiles serializes the rows x cols adjacency tiles into one Scatter
-// payload. PE (x=j, y=i)'s tile, at slot j+i*cols, is a CSR whose rows
-// are row block i's vertices and whose columns are strip-j locals,
+// tileSize returns the common size of the rows x cols adjacency tiles
+// packTiles writes: PE (x=j, y=i)'s tile is a CSR whose rows are row block
+// i's vertices and whose columns are strip-j locals,
 //
 //	[rowptr: (V/rows+1) x u32][cols: nnz x u32]
 //
-// zero-padded to the common 8-byte-aligned tile size it also returns.
-func packTiles(g *data.Graph, rows, cols int) ([]byte, int) {
+// zero-padded to the largest tile's 8-byte-aligned size.
+func tileSize(g *data.Graph, rows, cols int) int {
 	rowsPer := g.V / rows
-	strip := func(w int32) int { return int(w) % rowsPer / (rowsPer / cols) } // the j with localCol >= 0
 	nnz := make([]int, rows*cols)
 	maxNnz := 0
 	for v := 0; v < g.V; v++ {
 		for _, w := range g.Neighbors(v) {
-			k := strip(w) + v/rowsPer*cols
+			k := tileStrip(w, rowsPer, cols) + v/rowsPer*cols
 			nnz[k]++
 			maxNnz = max(maxNnz, nnz[k])
 		}
 	}
-	maxTile := (4*(rowsPer+1) + 4*maxNnz + 7) &^ 7
-	out := make([]byte, rows*cols*maxTile)
+	return (4*(rowsPer+1) + 4*maxNnz + 7) &^ 7
+}
+
+// tileStrip is the strip j of global vertex w (the j with localCol >= 0).
+func tileStrip(w int32, rowsPer, cols int) int { return int(w) % rowsPer / (rowsPer / cols) }
+
+// packTiles writes the rows x cols adjacency tiles into dst, one Scatter
+// payload that holds PE (x=j, y=i)'s tile at slot j+i*cols; maxTile is
+// tileSize's and dst reads zero, which becomes each tile's padding.
+func packTiles(dst []byte, g *data.Graph, rows, cols, maxTile int) {
+	rowsPer := g.V / rows
 	fill := make([]int, cols) // entries written so far to each tile of the row block
 	for i := 0; i < rows; i++ {
 		clear(fill)
-		tiles := out[i*cols*maxTile:]
+		tiles := dst[i*cols*maxTile:]
 		for r := 0; r < rowsPer; r++ {
 			for _, w := range g.Neighbors(i*rowsPer + r) {
-				j := strip(w)
+				j := tileStrip(w, rowsPer, cols)
 				putU32(tiles[j*maxTile+4*(rowsPer+1)+4*fill[j]:], uint32(localCol(g.V, rows, cols, j, int(w))))
 				fill[j]++
 			}
@@ -194,7 +202,6 @@ func packTiles(g *data.Graph, rows, cols int) ([]byte, int) {
 			}
 		}
 	}
-	return out, maxTile
 }
 
 func putU32(b []byte, v uint32) {
@@ -224,7 +231,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	stripLen := V / C // strip rows per column
 	sub := V / N      // sub-strip rows per PE
 
-	tiles, maxTile := packTiles(g, R, C)
+	maxTile := tileSize(g, R, C)
 
 	stripB := stripLen * F * sz
 	wB := F * F * sz
@@ -243,11 +250,14 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		return nil, nil, err
 	}
 
-	// Distribute: A tiles and X strips by Scatter, W by Broadcast. The
-	// two Scatters go through the fuser as one sequence: a single
-	// distribution plan whose interior synchronization is elided.
+	// Distribute: A tiles and X strips by Scatter, W by Broadcast, each
+	// payload staged and packed in place. The two Scatters go through the
+	// fuser as one sequence: a single distribution plan whose interior
+	// synchronization is elided.
+	tiles := tr.Stage(N * maxTile)
+	packTiles(tiles, g, R, C, maxTile)
 	x0 := genFeatures(cfg, V, F)
-	xbufs := make([]byte, N*stripB)
+	xbufs := tr.Stage(N * stripB)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {
 			strip := xbufs[(j+i*C)*stripB:]
@@ -304,9 +314,9 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	}
 
 	// The layer loop replays the same collective signatures every layer,
-	// so compile them once. The weight Broadcast binds wBuf, refilled in
-	// place with each layer's packed weights.
-	wBuf := make([]byte, wB)
+	// so compile them once. The weight Broadcast binds the staged wBuf,
+	// refilled in place with each layer's packed weights.
+	wBuf := tr.Stage(wB)
 	wBcast, err := comm.Compile(core.Collective{Prim: core.Broadcast, Dims: "11",
 		Hosts: [][]byte{wBuf}, Dst: core.At(wOff), Level: lvl})
 	if err != nil {

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -125,6 +126,59 @@ func TestDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nondeterministic")
+		}
+	}
+}
+
+// tilesOracle is the allocating builder tileSize and packTiles replaced:
+// it counts every tile's entries, then serializes each row block's tiles
+// into their slots of a fresh payload.
+func tilesOracle(g *data.Graph, rows, cols int) ([]byte, int) {
+	rowsPer := g.V / rows
+	strip := func(w int32) int { return int(w) % rowsPer / (rowsPer / cols) }
+	nnz := make([]int, rows*cols)
+	maxNnz := 0
+	for v := 0; v < g.V; v++ {
+		for _, w := range g.Neighbors(v) {
+			k := strip(w) + v/rowsPer*cols
+			nnz[k]++
+			maxNnz = max(maxNnz, nnz[k])
+		}
+	}
+	maxTile := (4*(rowsPer+1) + 4*maxNnz + 7) &^ 7
+	out := make([]byte, rows*cols*maxTile)
+	fill := make([]int, cols)
+	for i := 0; i < rows; i++ {
+		clear(fill)
+		tiles := out[i*cols*maxTile:]
+		for r := 0; r < rowsPer; r++ {
+			for _, w := range g.Neighbors(i*rowsPer + r) {
+				j := strip(w)
+				putU32(tiles[j*maxTile+4*(rowsPer+1)+4*fill[j]:], uint32(localCol(g.V, rows, cols, j, int(w))))
+				fill[j]++
+			}
+			for j, n := range fill {
+				putU32(tiles[j*maxTile+4*(r+1):], uint32(n))
+			}
+		}
+	}
+	return out, maxTile
+}
+
+// tileSize plus packTiles into a staged payload is the allocating builder,
+// byte for byte, on several graphs and grids.
+func TestPackTilesMatchesOracle(t *testing.T) {
+	for _, g := range []*data.Graph{data.RMAT(1024, 4096, 20), data.Uniform(512, 2048, 21),
+		data.Undirected(data.RMAT(256, 1024, 22))} {
+		for _, grid := range [][2]int{{8, 8}, {4, 8}, {2, 2}, {1, 4}} {
+			rows, cols := grid[0], grid[1]
+			want, wantTile := tilesOracle(g, rows, cols)
+			maxTile := tileSize(g, rows, cols)
+			got := make([]byte, rows*cols*maxTile)
+			packTiles(got, g, rows, cols, maxTile)
+			if maxTile != wantTile || !bytes.Equal(got, want) {
+				t.Errorf("%d vertices on %dx%d: the staged tiles differ from the oracle's", g.V, rows, cols)
+			}
 		}
 	}
 }

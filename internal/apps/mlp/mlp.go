@@ -68,32 +68,50 @@ func activation(v int64) int32 {
 	return int32(v)
 }
 
-// weightRNG and nextWeight draw layer l's FxF weight matrix, row-major,
+// weightRNG and nextEntry draw layer l's FxF weight matrix, row-major,
 // entries in [-3,3]. RunPIM and RunCPU consume the same stream in the
 // same order.
 func weightRNG(cfg Config, l int) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed*1000 + int64(l)))
 }
 
-func nextWeight(rng *rand.Rand) int32 { return int32(rng.Intn(7)) - 3 }
+func nextEntry(rng *rand.Rand) int32 { return int32(rng.Intn(7)) - 3 }
 
 // genWeights produces layer l's weight matrix for the CPU reference.
 func genWeights(cfg Config, l int) []int32 {
 	rng := weightRNG(cfg, l)
 	w := make([]int32, cfg.Features*cfg.Features)
 	for i := range w {
-		w[i] = nextWeight(rng)
+		w[i] = nextEntry(rng)
 	}
 	return w
 }
 
-func genInput(cfg Config, batch int) []int32 {
-	rng := rand.New(rand.NewSource(cfg.Seed*7777 + int64(batch)))
-	x := make([]int32, cfg.Features)
-	for i := range x {
-		x[i] = int32(rng.Intn(7)) - 3
+// packWeights draws layer l's weights straight into their owners' slots
+// of dst, the layer's Scatter payload: PE p holds columns
+// [p*cols, (p+1)*cols), row-major F x cols.
+func packWeights(cfg Config, l int, dst []byte) {
+	F, N := cfg.Features, cfg.PEs
+	cols := F / N
+	wPerLayerB := F * cols * 4
+	rng := weightRNG(cfg, l)
+	for r := 0; r < F; r++ {
+		for p := 0; p < N; p++ {
+			for j := 0; j < cols; j++ {
+				binary.LittleEndian.PutUint32(dst[p*wPerLayerB+(r*cols+j)*4:], uint32(nextEntry(rng)))
+			}
+		}
 	}
-	return x
+}
+
+// packInput draws batch b's input vector, entries in [-3,3], straight
+// into dst: the input Scatter's payload (PE p's slice is entries
+// [p*cols, (p+1)*cols)), which RunCPU decodes.
+func packInput(cfg Config, batch int, dst []byte) {
+	rng := rand.New(rand.NewSource(cfg.Seed*7777 + int64(batch)))
+	for i := 0; i < cfg.Features; i++ {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(nextEntry(rng)))
+	}
 }
 
 func (c Config) batches() int {
@@ -136,19 +154,11 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	// Distribute weights: one Scatter per layer, compiled through the
 	// fuser as a single sequence — the L distributions execute as one
 	// plan with one synchronization instead of L. Each weight is drawn
-	// straight into its owner's slot of the layer's Scatter payload.
+	// straight into its owner's slot of the layer's staged Scatter payload.
 	wdist := make([]core.Collective, L)
 	for l := 0; l < L; l++ {
-		rng := weightRNG(cfg, l)
-		buf := make([]byte, N*wPerLayerB)
-		for r := 0; r < F; r++ {
-			// PE p holds columns [p*cols, (p+1)*cols), row-major F x cols.
-			for p := 0; p < N; p++ {
-				for j := 0; j < cols; j++ {
-					binary.LittleEndian.PutUint32(buf[p*wPerLayerB+(r*cols+j)*4:], uint32(nextWeight(rng)))
-				}
-			}
-		}
+		buf := tr.Stage(N * wPerLayerB)
+		packWeights(cfg, l, buf)
 		wdist[l] = core.Collective{Prim: core.Scatter, Dims: "1",
 			Hosts: [][]byte{buf}, Dst: core.Span(wOff+l*wPerLayerB, wPerLayerB), Level: lvl}
 	}
@@ -161,9 +171,9 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 	// Inference serving replays the same collective signatures every
 	// batch and layer, so compile them once and replay: the input
-	// Scatter (bound to xBuf, refilled in place per batch), the
-	// per-layer ReduceScatter, and the final Gather.
-	xBuf := make([]byte, N*sliceB)
+	// Scatter (bound to the staged xBuf, each batch's input drawn straight
+	// into it), the per-layer ReduceScatter, and the final Gather.
+	xBuf := tr.Stage(N * sliceB)
 	xPlan, err := comm.Compile(core.Collective{Prim: core.Scatter, Dims: "1",
 		Hosts: [][]byte{xBuf}, Dst: core.Span(xOff, sliceB), Level: lvl})
 	if err != nil {
@@ -185,7 +195,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		// Refilling xBuf is safe: the previous input Scatter executed
 		// before the previous batch's first layer kernel, and the
 		// in-flight Gather reads MRAM, not this host buffer.
-		copy(xBuf, appcore.I32Bytes(genInput(cfg, batch)))
+		packInput(cfg, batch, xBuf)
 		// The input Scatter writes xOff, which the in-flight Gather reads:
 		// a WAR hazard the submission queue orders — the Scatter executes
 		// only after the Gather completes, without an explicit wait.
@@ -282,8 +292,10 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	for l := range weights {
 		weights[l] = genWeights(cfg, l)
 	}
+	xb := make([]byte, 4*F)
 	for batch := 0; batch < cfg.batches(); batch++ {
-		x = genInput(cfg, batch)
+		packInput(cfg, batch, xb)
+		x = bytesI32(xb)
 		for l := 0; l < L; l++ {
 			w := weights[l]
 			y := make([]int32, F)

@@ -1,6 +1,8 @@
 package mlp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/core"
@@ -144,5 +146,50 @@ func TestBatchesAmortizeWeightScatter(t *testing.T) {
 	if float64(prof1.Total()) >= 3*float64(prof3.Total()) {
 		t.Errorf("3 amortized batches (%v) should cost less than 3 full runs (%v)",
 			prof1.Total(), 3*prof3.Total())
+	}
+}
+
+// weightsOracle is the allocating weight loop packWeights replaced, fed
+// from the CPU reference's matrix: PE p's slot of the layer payload holds
+// columns [p*cols, (p+1)*cols) of genWeights, row-major F x cols.
+func weightsOracle(cfg Config, l int) []byte {
+	F, N := cfg.Features, cfg.PEs
+	cols := F / N
+	wPerLayerB := F * cols * 4
+	w := genWeights(cfg, l)
+	buf := make([]byte, N*wPerLayerB)
+	for r := 0; r < F; r++ {
+		for p := 0; p < N; p++ {
+			for j := 0; j < cols; j++ {
+				binary.LittleEndian.PutUint32(buf[p*wPerLayerB+(r*cols+j)*4:], uint32(w[r*F+p*cols+j]))
+			}
+		}
+	}
+	return buf
+}
+
+// The weights RunPIM draws straight into its staged payloads are the CPU
+// reference's, byte for byte, and neither they nor a batch's input keep
+// anything the staging held.
+func TestPackedPayloadsMatchCPUReference(t *testing.T) {
+	for _, cfg := range []Config{testCfg(), {Features: 256, Layers: 2, PEs: 32, Seed: 1},
+		{Features: 512, Layers: 2, PEs: 128, Seed: 9}, {Features: 64, Layers: 1, PEs: 8, Seed: 2}} {
+		for l := 0; l < cfg.Layers; l++ {
+			want := weightsOracle(cfg, l)
+			got := bytes.Repeat([]byte{0xA5}, len(want))
+			packWeights(cfg, l, got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%+v layer %d: the staged weights differ from the CPU reference's", cfg, l)
+			}
+		}
+		for batch := 0; batch < 2; batch++ {
+			want := make([]byte, 4*cfg.Features)
+			packInput(cfg, batch, want)
+			got := bytes.Repeat([]byte{0xA5}, len(want))
+			packInput(cfg, batch, got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%+v batch %d: the refilled input keeps bytes the staging held", cfg, batch)
+			}
+		}
 	}
 }
