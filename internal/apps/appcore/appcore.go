@@ -15,14 +15,14 @@
 // keeps one idle machine per key and at most idleBudget bytes of idle
 // MRAM and staging; a run that fails never returns its machine.
 //
-// Host placement payloads are staged in place: every Scatter and
-// Broadcast buffer of a run is carved at its final size by Tracker.Stage
-// from the host staging arena the run borrowed with its machine, and
-// every rank's part is written straight into its slot (PartitionCSR, the
-// apps' weight, table and tile packers) — there is no per-rank
-// intermediate to join afterwards. Finish parks the arena with the
-// machine, grown to the run's high-water mark, so a repeat run of the key
-// allocates no payload.
+// Host buffers are staged in place: every Scatter and Broadcast payload
+// and every Gather result buffer of a run is carved at its final size by
+// Tracker.Stage from the host staging arena the run borrowed with its
+// machine, and every rank's part is written straight into its slot
+// (PartitionCSR, the apps' weight, table and tile packers) — there is no
+// per-rank intermediate to join afterwards. Finish parks the arena with
+// the machine, grown to the run's high-water mark, so a repeat run of the
+// key allocates no host buffer.
 package appcore
 
 import (
@@ -87,8 +87,8 @@ type Tracker struct {
 	staged int        // bytes every Stage of the run asked for, arena or not
 }
 
-// Stage returns n zeroed host bytes for a placement payload, valid until
-// Finish. It carves them from the run's staging arena; once the arena is
+// Stage returns n zeroed host bytes for a placement payload or a
+// Gather's results (its Hosts), valid until Finish. It carves them from the run's staging arena; once the arena is
 // spent, the rest of the run's requests are allocated and Finish parks an
 // arena that holds them all.
 func (t *Tracker) Stage(n int) []byte {

@@ -125,8 +125,9 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	flags := [][]byte{tr.Stage(N * 8)}
 	flagGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "1",
-		Src: core.Span(flagOff, 8), Level: lvl})
+		Src: core.Span(flagOff, 8), Level: lvl, Hosts: flags})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,13 +206,14 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		if err := tr.Comm(core.Gather, fbd, err); err != nil {
 			return nil, nil, err
 		}
-		if flagGather.Results()[0][0] == 0 { // all PEs computed the same global flag
+		if flags[0][0] == 0 { // all PEs computed the same global flag
 			break
 		}
 	}
 	// Collect distances from the owning PEs.
+	bufs := [][]byte{tr.Stage(N * distB)}
 	distGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "1",
-		Src: core.Span(distOff, distB), Level: lvl})
+		Src: core.Span(distOff, distB), Level: lvl, Hosts: bufs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,7 +221,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err := tr.Comm(core.Gather, gbd, err); err != nil {
 		return nil, nil, err
 	}
-	bufs := distGather.Results()
 	dist := make([]int32, g.V)
 	for p := 0; p < N; p++ {
 		for i := 0; i < owned; i++ {

@@ -110,8 +110,9 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	flags := [][]byte{tr.Stage(N * 8)}
 	flagGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "1",
-		Src: core.Span(flagOff, 8), Level: lvl})
+		Src: core.Span(flagOff, 8), Level: lvl, Hosts: flags})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,7 +184,7 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		if err := tr.Comm(core.Gather, fbd, err); err != nil {
 			return nil, nil, err
 		}
-		if flagGather.Results()[0][0] == 0 {
+		if flags[0][0] == 0 {
 			break
 		}
 	}
@@ -198,8 +199,9 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 		ctx.WriteMram(candOff, slice)
 		ctx.Exec(int64(owned))
 	})
+	bufs := [][]byte{tr.Stage(N * sliceB)}
 	labelGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "1",
-		Src: core.Span(candOff, sliceB), Level: lvl})
+		Src: core.Span(candOff, sliceB), Level: lvl, Hosts: bufs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -207,7 +209,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err := tr.Comm(core.Gather, gbd, err); err != nil {
 		return nil, nil, err
 	}
-	bufs := labelGather.Results()
 	out := make([]int32, g.V)
 	for p := 0; p < N; p++ {
 		for i := 0; i < owned; i++ {

@@ -295,8 +295,9 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	bufs := [][]byte{tr.Stage(N * outB)}
 	outGather, err := comm.Compile(core.Collective{Prim: core.Gather, Dims: "111",
-		Src: core.Span(outOff, outB), Level: lvl})
+		Src: core.Span(outOff, outB), Level: lvl, Hosts: bufs})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -421,8 +422,8 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			ctx.Exec(int64(Bd*cfg.TopOut*(vecLen+(cfg.TopLayers-1)*cfg.TopOut)) * 3)
 		})
 		// Submit the per-sample output Gather; the next batch's index
-		// Scatter overlaps it (disjoint regions), and the future owns its
-		// result buffers, so the pipeline never clobbers them.
+		// Scatter overlaps it (disjoint regions). Each run overwrites bufs,
+		// and only the last batch's are read.
 		gatherF = outGather.Submit()
 	}
 	if err := tr.CommFuture(core.Gather, gatherF, nil); err != nil {
@@ -430,7 +431,6 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 	}
 	// Reorder the last batch's outputs by global sample ID (earlier
 	// batches' outputs are superseded, matching the CPU reference).
-	bufs := gatherF.Results()
 	final := make([]int32, B*cfg.TopOut)
 	for s := 0; s < B; s++ {
 		y := s / (B / Y)

@@ -431,12 +431,12 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		ctx.WriteMram(xsubOff, b)
 		ctx.Exec(int64(sub))
 	})
+	bufs := [][]byte{tr.Stage(N * subB)}
 	gaF, err := comm.Submit(core.Collective{Prim: core.Gather, Dims: "11",
-		Src: core.Span(xsubOff, subB), Level: lvl})
+		Src: core.Span(xsubOff, subB), Level: lvl, Hosts: bufs})
 	if err := tr.CommFuture(core.Gather, gaF, err); err != nil {
 		return nil, nil, err
 	}
-	bufs := gaF.Results()
 	out := make([]int64, V*F)
 	for i := 0; i < R; i++ {
 		for j := 0; j < C; j++ {

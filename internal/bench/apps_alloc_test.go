@@ -18,17 +18,18 @@ import (
 // configurations of the wall-clock benchmark's app_mix workload. The
 // first run of a config builds its machine and sizes its staging arena;
 // the second borrows both from appcore's pool, zeroed, its plans hit the
-// machine's shape rows, and every placement payload is carved from the
-// arena (Tracker.Stage). Kernels stage through the pooled per-worker
-// arena too, so what a repeat run allocates is the random sources and
-// inputs it draws from the seed (dlrm's click logs, gnn's features and
-// layer weights), plans, futures and results. Both ceilings sit ~25%
-// above what a repeat run measures at two launch workers (bytes: dlrm
-// 970 KB, gnn 425 KB, mlp 56 KB, bfs 135 KB, cc 20 KB; objects: dlrm
-// 119, gnn 68, mlp 85, bfs 39, cc 39). A run that builds its machine
-// again (~4 MB of MRAM and ~200 objects more), a payload or kernel that
-// goes back to make, or a payload assembled from per-rank parts fails
-// here before it moves bytes_per_op in `go run ./benchmark`.
+// machine's shape rows, and every placement payload and Gather result
+// buffer is carved from the arena (Tracker.Stage). Kernels stage through
+// the pooled per-worker arena too, so what a repeat run allocates is the
+// random sources and inputs it draws from the seed (dlrm's click logs,
+// gnn's features and layer weights), plans, futures and the results it
+// returns. The byte ceilings sit ~25% above what a repeat run measures at
+// two launch workers (dlrm 306 KB, gnn 291 KB, mlp 41 KB, bfs 68 KB, cc
+// 11 KB), the object ceilings further (dlrm 96, gnn 53, mlp 67, bfs 36,
+// cc 34). A run that builds its machine again (~4 MB of MRAM and ~200
+// objects more), a payload, result buffer or kernel that goes back to
+// make, or a payload assembled from per-rank parts fails here before it
+// moves bytes_per_op in `go run ./benchmark`.
 func TestAppRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -47,23 +48,23 @@ func TestAppRunAllocBudget(t *testing.T) {
 			_, _, err := dlrm.RunPIM(dlrm.Config{Tables: 8, RowsPerTable: 1024, EmbDim: 16, Batch: 1024,
 				X: 2, Y: 2, Z: 8, TopOut: 32, TopLayers: 2, Batches: 4, Seed: 1}, core.CM)
 			return err
-		}, 1_220_000, 150},
+		}, 382_000, 150},
 		{"gnn", func() error {
 			_, _, err := gnn.RunPIM(gnn.Config{Input: &gnnIn, Rows: 8, Cols: 8, Layers: 2, Elem: elem.I32, Seed: 1}, gnn.RSAR, core.CM)
 			return err
-		}, 535_000, 85},
+		}, 364_000, 85},
 		{"mlp", func() error {
 			_, _, err := mlp.RunPIM(mlp.Config{Features: 1024, Layers: 3, PEs: 64, Batches: 2, Seed: 1}, core.CM)
 			return err
-		}, 71_000, 105},
+		}, 51_000, 105},
 		{"bfs", func() error {
 			_, _, err := bfs.RunPIM(bfs.Config{Graph: bfsGraph, PEs: 64}, core.CM)
 			return err
-		}, 170_000, 50},
+		}, 85_000, 50},
 		{"cc", func() error {
 			_, _, err := cc.RunPIM(cc.Config{Graph: ccGraph, PEs: 64}, core.CM)
 			return err
-		}, 25_000, 50},
+		}, 14_000, 50},
 	} {
 		if err := app.run(); err != nil { // warm: the par pool, the algorithm table
 			t.Fatalf("%s: %v", app.name, err)

@@ -145,10 +145,12 @@ type placedPlan struct {
 // Future is the handle of one submitted plan execution. All accessors
 // except Done block until the execution completes — on a stepped comm,
 // where no worker drains the queue, by stepping it themselves. A Future
-// is safe for concurrent use; its results never change once set. Futures
-// are carved from per-Comm chunks and never reused: a handle stays valid
-// for as long as it is held, and pins at most its chunk (futureChunk-1
-// neighbours and their detached rooted results) until dropped.
+// is safe for concurrent use; what it reports never changes once set. A
+// Gather's or Reduce's results are its plan's (Plan().Results()), which
+// the plan's next run overwrites. Futures are carved from per-Comm
+// chunks and never reused: a handle stays valid for as long as it is
+// held, and pins at most its chunk (futureChunk-1 neighbours and their
+// plans) until dropped.
 type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number: the FIFO policy's
@@ -171,7 +173,6 @@ type Future struct {
 	deadline  cost.Seconds
 
 	// Set exactly once before done is stored.
-	out        [][]byte
 	err        error
 	start, end cost.Seconds
 }
@@ -257,15 +258,6 @@ func (f *Future) Cost() cost.Breakdown {
 	return bd
 }
 
-// Results blocks until the execution completes and returns the rooted
-// result buffers (Gather/Reduce plans on a functional backend; nil
-// otherwise). Unlike CompiledPlan.Results, the returned buffers belong to
-// this run and stay valid even after the plan runs again.
-func (f *Future) Results() [][]byte {
-	f.wait()
-	return f.out
-}
-
 // Window blocks until the execution completes and returns the plan's
 // interval [start, end) on the Comm's elapsed-time timeline. Dependent
 // plans have non-overlapping windows in hazard order; independent plans'
@@ -306,9 +298,10 @@ type subQueue struct {
 // submission: a rejected plan returns an already-completed Future whose
 // Err carries the admission error, and nothing is enqueued.
 //
-// Host-input plans (Scatter, Broadcast) read their bound buffers when the
-// plan *executes*, not when it is submitted: do not refill the buffers
-// until the future completes.
+// Plans read (Scatter, Broadcast) or write (Gather, Reduce) their host
+// buffers when the plan *executes*, not when it is submitted: do not
+// refill or read them until the future completes, and read a rooted
+// result (Results) before the plan is submitted again.
 func (cp *CompiledPlan) Submit() *Future { return cp.owner.c.submit(cp, false, SubmitOptions{}) }
 
 // SubmitOptions carries the serving attributes of one submission.
@@ -522,7 +515,7 @@ func (c *Comm) asyncLoop() {
 // or double-release its slot. Callers hold asyncMu.
 func (c *Comm) runLocked(f *Future) {
 	c.asyncMu.Unlock()
-	f.out, f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
+	f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
 	c.asyncMu.Lock()
 	c.finishLocked(f)
 }
@@ -532,7 +525,7 @@ func (c *Comm) runLocked(f *Future) {
 // backend mid-schedule is converted into the returned error; the plan's
 // timeline window remains booked (its partial charges remain on the
 // meter) and dependents stay ordered after it.
-func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]byte, start, end cost.Seconds, err error) {
+func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (start, end cost.Seconds, err error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	defer func() {
@@ -588,17 +581,8 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (out [][]
 	start, end = c.tl.Place(earliest, cp.tr.segs)
 	c.frontier = append(c.frontier, placedPlan{cp: cp, end: end})
 
-	if out, _ = c.runScheduleLocked(cp); out != nil {
-		// Detach the rooted results: the schedule writes into the plan's
-		// reused buffers (rootedBufs), but a Future's Results belong to
-		// the future and must survive later runs of the same plan.
-		own := make([][]byte, len(out))
-		for i, b := range out {
-			own[i] = append([]byte(nil), b...)
-		}
-		out = own
-	}
-	return out, start, end, nil
+	c.runScheduleLocked(cp)
+	return start, end, nil
 }
 
 // placeSerialLocked runs segs on the timeline as a barrier (Serial, which

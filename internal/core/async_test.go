@@ -489,28 +489,34 @@ func TestPlanCacheStats(t *testing.T) {
 	}
 }
 
-// TestSubmitRootedResults checks a submitted Gather's results are owned
-// by the future and survive later runs of the same plan.
+// TestSubmitRootedResults checks a submitted Gather writes its plan's
+// result buffers, and that the plan's next run, submitted or serial,
+// overwrites those same buffers in place: a result that must survive
+// later runs is the caller's to keep (Hosts).
 func TestSubmitRootedResults(t *testing.T) {
 	const s = 64
 	c := asyncTestComm(t, false)
+	d := Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}
 	fillPEs(c, 0, s, 5)
-	f, err := c.Submit(Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM})
+	f, err := c.Submit(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := f.Results()
+	if err := f.Err(); err != nil {
+		t.Fatal(err)
+	}
+	bufs := f.Plan().Results()
 	if len(bufs) != 1 || len(bufs[0]) != 32*s {
 		t.Fatalf("gather results shape: %d groups", len(bufs))
 	}
-	snapshot := append([]byte(nil), bufs[0]...)
-	// Overwrite MRAM and rerun: the future's buffers must not change.
+	first := append([]byte(nil), bufs[0]...)
 	fillPEs(c, 0, s, 6)
-	if _, _, err := runRooted(c, Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}); err != nil {
+	again, _, err := runRooted(c, d)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snapshot, bufs[0]) {
-		t.Fatal("future results were clobbered by a later run")
+	if &again[0][0] != &bufs[0][0] || bytes.Equal(bufs[0], first) {
+		t.Fatal("a later run of the plan did not overwrite its result buffers in place")
 	}
 }
 

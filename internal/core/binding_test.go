@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,8 +13,8 @@ import (
 
 // This file tests what a run binds. Every plan of one shape row runs the
 // row's schedule, lowered once at arena-relative offsets; a functional run
-// reads its own plan's arena base, host payloads and rooted-result
-// buffers (Comm.cur).
+// reads its own plan's arena base and host buffers, which rooted
+// primitives read or write (Comm.cur).
 
 // sessionInputs writes n random bytes at arena offset off of every PE of s
 // and returns the per-PE copies.
@@ -201,9 +202,9 @@ func TestFunctionalRunsAtTheArenaBase(t *testing.T) {
 	untouched("after the sequence")
 }
 
-// Two rooted plans of one row, in sessions at two bases, each keep their
-// own results — after Run, and from Futures submitted together — on the
-// bulk and the streaming paths.
+// Two rooted plans of one row, in sessions at two bases, each write
+// their own result buffers — after Run, and after Futures submitted
+// together — on the bulk and the streaming paths.
 func TestRootedResultsBelongToTheirPlan(t *testing.T) {
 	const s = 16
 	c := newMachine(t, geo64, []int{8, 8}, Config{})
@@ -259,8 +260,79 @@ func TestRootedResultsBelongToTheirPlan(t *testing.T) {
 		}
 		fs := [2]*Future{plans[0].Submit(), plans[1].Submit()}
 		for i, f := range fs {
-			if !equalBufs(f.Results(), want[i]) {
-				t.Errorf("%s: session %d's Future results are not its own", what, i)
+			if err := f.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if !equalBufs(f.Plan().Results(), want[i]) {
+				t.Errorf("%s: session %d's submitted run did not write its own results", what, i)
+			}
+		}
+	}
+}
+
+// Gather and Reduce write the caller's Hosts, at Baseline and IM: a run
+// fills exactly those buffers, which Results returns; a plan binding them
+// is never cached, so a run of the descriptor with other Hosts leaves the
+// first ones intact; a wrong buffer count or size is a compile error.
+func TestRootedPlansWriteTheirHosts(t *testing.T) {
+	const s = 16
+	c := testSystem(t, geo64, []int{8, 8})
+	p, err := c.plan("10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, m := p.groups, p.n*s // both primitives write m bytes per group
+	rng := rand.New(rand.NewSource(3))
+	for _, d := range []Collective{
+		{Prim: Gather, Dims: "10", Src: Span(0, s), Level: Baseline},
+		{Prim: Gather, Dims: "10", Src: Span(0, s), Level: IM},
+		{Prim: Reduce, Dims: "10", Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: Baseline},
+		{Prim: Reduce, Dims: "10", Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM},
+	} {
+		what := fmt.Sprintf("%v/%v", d.Prim, d.Level)
+		// run compiles d with hosts, pre-filled with noise the run must
+		// overwrite, runs it on fresh inputs and returns the plan and the
+		// reference results.
+		run := func(hosts [][]byte) (*CompiledPlan, [][]byte) {
+			in := sessionInputs(c.s, rng, 0, d.Src.Bytes)
+			d.Hosts = hosts
+			cp, err := c.Compile(d)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if _, err := cp.Run(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want := make([][]byte, len(groups))
+			for g := range groups {
+				want[g] = refOf(d, groups, in, s, g, 0)
+			}
+			return cp, want
+		}
+		first := randomPayloads(rng, len(groups), m)
+		cp, want := run(first)
+		got := cp.Results()
+		for g := range first {
+			if len(got) != len(first) || &got[g][0] != &first[g][0] || !bytes.Equal(first[g], want[g]) {
+				t.Fatalf("%s: group %d: the run did not write the caller's buffer", what, g)
+			}
+		}
+		if again, err := c.Compile(d); err != nil || again == cp {
+			t.Errorf("%s: a second compile returned %p (the first plan %p), %v", what, again, cp, err)
+		}
+		second := randomPayloads(rng, len(groups), m)
+		if _, other := run(second); !equalBufs(second, other) {
+			t.Errorf("%s: the run with other Hosts did not write them", what)
+		}
+		if !equalBufs(first, want) {
+			t.Errorf("%s: the run with other Hosts wrote the first plan's", what)
+		}
+		short := slices.Clone(first)
+		short[len(short)-1] = short[len(short)-1][:m-8]
+		for _, bad := range [][][]byte{first[1:], append(slices.Clip(first), first[0]), short} {
+			d.Hosts = bad
+			if _, err := c.Compile(d); err == nil {
+				t.Errorf("%s: %d host buffers of %d bytes (last) compiled", what, len(bad), len(bad[len(bad)-1]))
 			}
 		}
 	}
@@ -377,7 +449,11 @@ func TestConcurrentSessionsShareRows(t *testing.T) {
 					rng.Read(h)
 				}
 				bc.Submit()
-				got := ga.Submit().Results() // ordered after the Broadcast it reads
+				if err := ga.Submit().Err(); err != nil { // ordered after the Broadcast it reads
+					errs <- err
+					return
+				}
+				got := ga.Results()
 				for g, h := range hosts {
 					if !bytes.Equal(got[g], bytes.Repeat(h[:s], n)) {
 						errs <- fmt.Errorf("session %d round %d: group %d gathered another plan's bytes", i, r, g)

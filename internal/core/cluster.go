@@ -22,9 +22,9 @@ package core
 // so compile builds one row for the hosts the lowering does not single
 // out, and one for each host it does: the root where a rooted wire or Flat
 // reads it, each host of an AlltoAll, whose pack/unpack volumes follow h.
-// Every other host binds its role's row to its own shard and window of the
-// staging (clusterBuild.payloads), lowering and tracing nothing, and the H
-// executors of a functional cluster run one schedule at once.
+// Every other host binds its role's row to its own shard and buffers of
+// the staging (clusterBuild.payloads), lowering and tracing nothing, and
+// the H executors of a functional cluster run one schedule at once.
 //
 // The leg table (clusterShapes below states the same rows in the same
 // order; H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -89,7 +89,8 @@ import (
 // communicator: Dims must select every dimension of the per-host
 // hypercube, per-PE region sizes are the global call's (e.g. an
 // AlltoAll buffer holds H*P blocks), and Hosts carries at most one
-// global payload (Scatter/Broadcast). Root selects the root host of the
+// global payload (Scatter/Broadcast; a Gather's or Reduce's result is the
+// plan's: ClusterPlan.Results). Root selects the root host of the
 // rooted primitives (Broadcast, Scatter, Gather, Reduce). Flat requests
 // the naive flat emulation instead of the hierarchical lowering — every
 // PE's raw data crosses the wire to the root — and is implemented for
@@ -174,6 +175,9 @@ type clusterState struct {
 	// global is the assembled / merged cluster-wide buffer the
 	// redistribution legs read (and rooted Results return).
 	global []byte
+	// parts is what the local legs write, host h the h-th of H windows:
+	// global itself, or a buffer of its own where the wire reduces them.
+	parts []byte
 	// xfer[src][dst] is the AlltoAll exchange slab: P*P blocks of s
 	// bytes, block (j,k) at (j*P+k)*s — source rank j to dest rank k.
 	xfer [][][]byte
@@ -499,14 +503,16 @@ type clusterBuild struct {
 	win, stride int
 }
 
-// payloads returns the host payloads host h's plan reads: its window of
-// the staging — all of it (Broadcast) or its 1/H portion (Scatter) — or
-// nil without a redistribution leg or a staging (cost-only).
+// payloads returns the two host buffers host h's plan binds: its part, which
+// a local leg writes, and the window of the staging its redistribution
+// leg reads — all of it (Broadcast), its 1/H portion (Scatter) or none.
+// Nil without a staging (cost-only).
 func (b *clusterBuild) payloads(h int) [][]byte {
-	if b.win == 0 || b.st.global == nil {
+	if b.st.global == nil {
 		return nil
 	}
-	return [][]byte{b.st.global[h*b.stride:][:b.win]}
+	n := len(b.st.parts) / len(b.cl.comms)
+	return [][]byte{b.st.parts[h*n:][:n], b.st.global[h*b.stride:][:b.win]}
 }
 
 // hostSpecs validates d for host h and lowers its members, arena-relative,
@@ -550,6 +556,9 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	n := len(cl.comms) * cl.p
 	if d.Prim == AllReduce || d.Prim == Reduce {
 		n = cl.p
+	}
+	if d.Hosts != nil && sh.rooted() {
+		return nil, fmt.Errorf("core: output is the plan's staging (ClusterPlan.Results), not Hosts")
 	}
 	b := &clusterBuild{cl: cl, c: c, h: h, p: p, ar: ar, st: st, d: d}
 	if b.m, b.s, err = sh.check(ar, d.Collective, n, 1, !cl.functional); err != nil {
@@ -647,17 +656,20 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	// clusters keep everything nil so sweeps allocate no O(data) state.
 	if b.cl.functional && len(st.global) != global {
 		st.global = make([]byte, global)
+		if st.parts = st.global; sh.reducing {
+			st.parts = make([]byte, H*part)
+		}
 	}
 	// The wire's rendezvous: the last host to arrive fills the global
 	// buffer, from the caller's payload where there is no local leg (the
 	// closure runs on the functional backend only, where check has required
-	// it), else from every host's local-leg rooted result — in the running
-	// plan (Comm.cur) of each, which the barrier's mutex publishes —
-	// concatenated in host order or reduced (a Flat part is P raw buffers).
+	// it), else by reducing the hosts' parts, which the barrier's mutex
+	// publishes (a Flat part is P raw buffers), unless they are the global
+	// buffer.
 	// No host brings anything of its own, so every host runs the same
 	// step. The closures get copies of the fields they read, not the
 	// 128-byte descriptor each.
-	cl, c, elemT, op, hosts := b.cl, b.c, d.Elem, d.Op, d.Hosts
+	c, elemT, op, hosts := b.c, d.Elem, d.Op, d.Hosts
 	merge := func() {
 		if row.local == noLeg {
 			copy(st.global, hosts[0])
@@ -665,15 +677,8 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		}
 		if sh.reducing {
 			elem.Fill(elemT, st.global, op.Identity(elemT))
-		}
-		for hh, hc := range cl.comms {
-			p := hc.cur.rooted[0]
-			if !sh.reducing {
-				copy(st.global[hh*part:], p)
-				continue
-			}
-			for o := 0; o < len(p); o += global {
-				elem.ReduceInto(elemT, op, st.global, p[o:o+global])
+			for o := 0; o < len(st.parts); o += global {
+				elem.ReduceInto(elemT, op, st.global, st.parts[o:o+global])
 			}
 		}
 	}
@@ -709,7 +714,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	}
 
 	// The redistribution leg: the single-host lowering of row.redist, whose
-	// payload — the plan's one — is a window of the staging: all of it
+	// payload — host buffer 1 — is a window of the staging: all of it
 	// (Broadcast, n bytes per PE) or this host's 1/H portion (Scatter, one
 	// block per PE).
 	if row.redist == noLeg {
@@ -724,7 +729,7 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		return err
 	}
 	b.member(span{}, span{d.Dst.Off, n}, lowerings[row.redist][AlgoReference].lower(&algoEnv{
-		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, p: b.p, s: n}))
+		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, p: b.p, s: n, hosts: 1}))
 	return nil
 }
 

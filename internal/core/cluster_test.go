@@ -259,6 +259,9 @@ func TestClusterMatchesFlatComm(t *testing.T) {
 			if got := cp.Results(); !bytes.Equal(got, want[0]) {
 				t.Fatal("cluster Gather result differs from flat communicator")
 			}
+			if got := cp.HostPlan(H / 2).Results(); got != nil {
+				t.Errorf("the root's host plan returned %d result buffers, want none (the result is ClusterPlan.Results)", len(got))
+			}
 		})
 
 		t.Run(fmt.Sprintf("H=%d/Reduce", H), func(t *testing.T) {
@@ -617,6 +620,13 @@ func TestClusterValidation(t *testing.T) {
 	}}
 	if _, err := cl.Run(shortScatter); err == nil {
 		t.Error("undersized Scatter payload accepted")
+	}
+	gatherHosts := ClusterCollective{Collective: Collective{
+		Prim: Gather, Dims: "11", Src: Span(0, 8), Level: IM,
+		Hosts: [][]byte{make([]byte, 2*16*8)},
+	}}
+	if _, err := cl.Run(gatherHosts); err == nil {
+		t.Error("a cluster Gather bound Hosts (its result is the plan's staging)")
 	}
 }
 

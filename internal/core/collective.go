@@ -54,14 +54,14 @@ func Span(off, bytes int) Region { return Region{Off: off, Bytes: bytes} }
 //	AllReduce      Src (bytes/PE), Dst (same size), Elem, Op
 //	AllGather      Src (contribution), Dst (n×Src)
 //	Scatter        Hosts (n×Dst per group), Dst (bytes/PE, explicit)
-//	Gather         Src (bytes/PE); results via CompiledPlan/Future Results
-//	Reduce         Src (bytes/PE), Elem, Op; results via Results
+//	Gather         Src (bytes/PE), Hosts (n×Src per group, or nil)
+//	Reduce         Src (bytes/PE), Elem, Op, Hosts (Src per group, or nil)
 //	Broadcast      Hosts (one payload per group), Dst (payload size)
 //
 // A region or Hosts slice a primitive does not use must be left zero.
 //
-// Hosts buffers are bound by reference: a compiled Scatter/Broadcast
-// plan reads their current contents on every Run.
+// Hosts buffers are bound by reference: a compiled plan reads (Scatter,
+// Broadcast) or writes (Gather, Reduce) them on every Run.
 type Collective struct {
 	// Prim selects the primitive.
 	Prim Primitive
@@ -72,7 +72,7 @@ type Collective struct {
 	// whose input is host-side).
 	Src Region
 	// Dst is the per-PE destination region (unused for Gather/Reduce,
-	// whose output is host-side).
+	// whose output is host-side: Hosts).
 	Dst Region
 	// Elem and Op configure the reducing primitives (ReduceScatter,
 	// AllReduce, Reduce); other primitives ignore them.
@@ -86,9 +86,10 @@ type Collective struct {
 	// autotuner searches (algorithm x level). An explicit algorithm with
 	// Level Auto searches only that algorithm's applicable levels.
 	Algorithm Algorithm
-	// Hosts carries the host-side payloads of Scatter and Broadcast:
-	// one buffer per communication group, in group order. On a
-	// cost-only backend Scatter accepts nil (sizes are implied).
+	// Hosts is the host side of the rooted primitives, one buffer per
+	// communication group, in group order. Gather and Reduce accept nil
+	// (their plan writes its own: CompiledPlan.Results), and so does
+	// Scatter on a cost-only backend (sizes are implied).
 	Hosts [][]byte
 }
 
@@ -170,10 +171,10 @@ type shape struct {
 	// blocked payloads are n blocks of m/n burst-aligned bytes.
 	blocked bool
 	// dst is the implied Dst size; sizeNone marks a rooted primitive,
-	// whose output is host-side (Results) and which takes no Dst.
+	// whose output is host-side (Hosts) and which takes no Dst.
 	dst sizeRule
-	// host is the size of each Hosts buffer; sizeNone everywhere but the
-	// host-input primitives, which in turn take no Src.
+	// host is the size of each Hosts buffer; sizeNone but for the rooted
+	// primitives, whose host-input ones (with a Dst) take no Src.
 	host sizeRule
 	// sizedByHosts: the payload is the length of the Hosts buffers and
 	// Dst.Bytes is implied by it (Broadcast). Otherwise a host-input
@@ -187,7 +188,7 @@ type shape struct {
 	inPlaceOK bool
 }
 
-func (sh *shape) hostInput() bool { return sh.host != sizeNone }
+func (sh *shape) hostInput() bool { return sh.host != sizeNone && !sh.rooted() }
 func (sh *shape) rooted() bool    { return sh.dst == sizeNone }
 
 // shapes is the shape table, indexed by Primitive.
@@ -197,8 +198,8 @@ var shapes = [...]shape{
 	AllReduce:     {reducing: true, blocked: true, dst: sizeSame, consumesSrc: true},
 	AllGather:     {dst: sizeAllRanks},
 	Scatter:       {dst: sizeSame, host: sizeAllRanks},
-	Gather:        {},
-	Reduce:        {reducing: true, blocked: true, consumesSrc: true},
+	Gather:        {host: sizeAllRanks},
+	Reduce:        {reducing: true, blocked: true, host: sizeSame, consumesSrc: true},
 	Broadcast:     {dst: sizeSame, host: sizeSame, sizedByHosts: true},
 }
 
@@ -230,17 +231,17 @@ func (sh *shape) inPlace(d Collective) bool { return sh.inPlaceOK && d.Src.Off =
 // of n ranks whose regions live in ar — everything about a descriptor
 // that does not depend on the resolved (algorithm, level) — and returns
 // the payload m and the block size s (== m where the primitive has no
-// blocks). nilHosts lets a host-input descriptor leave Hosts nil: a
-// cost-only caller whose payload size Dst.Bytes states.
+// blocks). nilHosts lets a host-input descriptor leave Hosts nil, as a
+// rooted one may: a cost-only caller whose payload size Dst.Bytes states.
 func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m, s int, err error) {
-	if d.Hosts != nil && !sh.hostInput() {
+	if d.Hosts != nil && sh.host == sizeNone {
 		return 0, 0, fmt.Errorf("core: takes no host payload (Hosts must be nil)")
 	}
 	if sh.hostInput() && d.Src != (Region{}) {
 		return 0, 0, fmt.Errorf("core: input is host-side (Hosts), not a Src region")
 	}
 	if sh.rooted() && d.Dst != (Region{}) {
-		return 0, 0, fmt.Errorf("core: output is host-side (Results), not a Dst region")
+		return 0, 0, fmt.Errorf("core: output is host-side (Hosts), not a Dst region")
 	}
 	if sh.reducing {
 		if err := checkElem(d.Elem, d.Op); err != nil {
@@ -279,7 +280,7 @@ func (sh *shape) check(ar arena, d Collective, n, groups int, nilHosts bool) (m,
 				d.Src.Off, d.Src.Off+m, d.Dst.Off, d.Dst.Off+dst)
 		}
 	}
-	if sh.hostInput() && !(d.Hosts == nil && nilHosts) {
+	if d.Hosts != nil || sh.hostInput() && !nilHosts {
 		if len(d.Hosts) != groups {
 			return 0, 0, fmt.Errorf("core: %d host buffers for %d groups", len(d.Hosts), groups)
 		}

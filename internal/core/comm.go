@@ -98,8 +98,7 @@ type Comm struct {
 	// contexts are only touched while an execution holds the lock). egs
 	// is precomputed at construction and immutable, so the tracing path
 	// (under compMu) may read it too. cur is the running plan
-	// (runScheduleLocked): the steps read it, and so do a functional
-	// cluster's peers at the wire rendezvous, whose barrier publishes it.
+	// (runScheduleLocked): the steps read its base and host buffers.
 	// rotKern is rotate, bound on the first functional launch, for rotStep.
 	cur     *CompiledPlan
 	egs     []int        // [0..numGroups): every entangled group

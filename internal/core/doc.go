@@ -75,11 +75,11 @@
 //     signature, members, arena-relative footprint, fused schedule at
 //     arena-relative offsets, charge trace, fusion report, member costs:
 //     the machine's, shared by every session at every base — bound to its
-//     session's arena base, host payloads and rooted results, which a
-//     functional run reads off the comm's running plan. A plan that finds
-//     its row (a successor tenant's, Auto's winner) lowers and traces
-//     nothing on either backend (Snapshot.PlanCache instruments both
-//     caches).
+//     session's arena base and host buffers (Hosts, which Scatter and
+//     Broadcast read and Gather and Reduce write), which a functional run
+//     reads off the comm's running plan. A plan that finds its row (a
+//     successor tenant's, Auto's winner) lowers and traces nothing on
+//     either backend (Snapshot.PlanCache instruments both caches).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
@@ -132,7 +132,7 @@
 // (parallel_test.go pins this, and the fuzz harness randomizes the
 // knob). Replay of a warmed
 // CompiledPlan is also allocation-free on the streaming paths: scratch
-// lives in per-shard arenas, rooted results in plan-owned buffers, and
+// lives in per-shard arenas, rooted results in the plan's Hosts, and
 // every rotation launches the comm's one bound kernel (TestReplayAllocs*).
 //
 // # Asynchronous execution

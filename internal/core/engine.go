@@ -23,8 +23,8 @@ type column []vec.Reg
 // c (ensureStreams) and reused across runs; each is owned by exactly one
 // worker for the duration of a par.Do call, whose segRunner sets base to
 // c's running plan's arena base: the lowerings stream offsets relative to
-// it, and read the rest of the run (rooted results, host payloads) off
-// c.cur.
+// it, and read the run's host buffers (Hosts, which rooted primitives
+// write) off c.cur.
 type streamCtx struct {
 	c    *Comm
 	sh   *host.Shard

@@ -25,8 +25,8 @@ type Backend interface {
 	// Name identifies the backend ("functional" or "cost").
 	Name() string
 	// Functional reports whether the backend moves real bytes. When
-	// false, rooted primitives return nil result buffers and host input
-	// buffers are never dereferenced (only their sizes are validated).
+	// false, host buffers are never dereferenced (only their sizes are
+	// validated): rooted primitives write no results.
 	Functional() bool
 
 	// Step handlers receive the comm that executes the step and the host
@@ -108,9 +108,9 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	}
 }
 
-// columnStream runs the epoch's segs in order: each seg's setup runs
-// serially, then its column loop is sharded across the worker pool on
-// c's per-shard streaming contexts (segRunner), and the shard-local bus tallies merge
+// columnStream runs the epoch's segs in order: each seg's column loop is
+// sharded across the worker pool on c's per-shard streaming contexts
+// (segRunner), and the shard-local bus tallies merge
 // deterministically before the next seg starts. The inter-seg barrier
 // (par.Do returns only when every shard finished) preserves
 // read-after-write dependencies between segs of fusion-coalesced epochs;
@@ -120,10 +120,7 @@ func (functionalBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStrea
 	workers := c.workers
 	h.BeginXfer()
 	for _, sg := range st.segs {
-		if sg.setup != nil {
-			sg.setup(c)
-		}
-		if sg.body == nil || sg.cols <= 0 {
+		if sg.cols <= 0 {
 			continue
 		}
 		shards := workers

@@ -88,7 +88,8 @@ func TestSubmitStepDoesNotAllocate(t *testing.T) {
 }
 
 // Eight goroutines blocked in every accessor of one future on a live comm
-// all wake once and read the same values.
+// all wake once and read the same values, and the same results of its
+// plan.
 func TestFutureConcurrentAccessorsAgree(t *testing.T) {
 	c := asyncTestComm(t, false)
 	fillPEs(c, 0, 64, 5)
@@ -113,7 +114,7 @@ func TestFutureConcurrentAccessorsAgree(t *testing.T) {
 			s.bd, s.err = f.Wait()
 			s.err2 = f.Err()
 			s.start, s.end = f.Window()
-			s.out = f.Results()[0]
+			s.out = f.Plan().Results()[0]
 		}(&got[i])
 	}
 	waitForWaiter(t, f)
@@ -169,7 +170,7 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 	if r := <-res; !errors.Is(r.err, ErrOverloaded) || r.bd != (cost.Breakdown{}) {
 		t.Fatalf("dropped future: Wait = %v, %v; want a zero breakdown and %v", r.bd, r.err, ErrOverloaded)
 	}
-	if s, e := f.Window(); s != 0 || e != 0 || !f.Done() || f.Results() != nil {
+	if s, e := f.Window(); s != 0 || e != 0 || !f.Done() {
 		t.Fatalf("dropped future: window [%v, %v), Done %v", s, e, f.Done())
 	}
 	c.execMu.Unlock()
@@ -258,7 +259,7 @@ func TestRejectedFutureIsDone(t *testing.T) {
 			bd, err := f.Wait()
 			s, e := f.Window()
 			if !errors.Is(err, ErrQuotaExceeded) || !errors.Is(f.Err(), ErrQuotaExceeded) ||
-				bd != (cost.Breakdown{}) || f.Cost() != bd || s != 0 || e != 0 || f.Results() != nil || f.Plan() != cp {
+				bd != (cost.Breakdown{}) || f.Cost() != bd || s != 0 || e != 0 || f.Plan() != cp {
 				t.Errorf("stepped=%v: rejected future: %v, %v, window [%v, %v)", stepped, bd, err, s, e)
 			}
 		}()
@@ -318,9 +319,10 @@ func TestDonePolledWhileStepping(t *testing.T) {
 	}
 }
 
-// Carving is not pooling: a held handle keeps its values while the comm
-// carves on through that chunk and three more, and no later submission
-// is handed the same Future.
+// Carving is not pooling: a held handle keeps its plan, window and error
+// while the comm carves on through that chunk and three more, and no
+// later submission is handed the same Future. Its plan's results are the
+// latest run's: every run overwrites them.
 func TestCarvedFutureOutlivesItsChunk(t *testing.T) {
 	c := asyncTestComm(t, false)
 	fillPEs(c, 0, 64, 5)
@@ -336,7 +338,7 @@ func TestCarvedFutureOutlivesItsChunk(t *testing.T) {
 		t.Fatalf("the first submission left %d futures in the chunk, want %d", len(c.futs), futureChunk-1)
 	}
 	start, end := held.Window()
-	out := append([]byte(nil), held.Results()[0]...)
+	out := append([]byte(nil), cp.Results()[0]...)
 
 	fillPEs(c, 0, 64, 6) // later runs gather other bytes
 	for i := 0; i < 200; i++ {
@@ -347,13 +349,13 @@ func TestCarvedFutureOutlivesItsChunk(t *testing.T) {
 		if err := f.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 && bytes.Equal(f.Results()[0], out) {
-			t.Fatal("the refill did not change the gathered bytes")
-		}
 	}
 	s, e := held.Window()
-	if held.Plan() != cp || s != start || e != end || held.Err() != nil || !bytes.Equal(held.Results()[0], out) {
+	if held.Plan() != cp || s != start || e != end || held.Err() != nil {
 		t.Fatalf("the held future changed: plan %p, window [%v, %v) was [%v, %v), err %v",
 			held.Plan(), s, e, start, end, held.Err())
+	}
+	if bytes.Equal(cp.Results()[0], out) {
+		t.Fatal("the later runs did not overwrite the plan's results")
 	}
 }

@@ -65,7 +65,7 @@ func decodeDesc(data []byte) Collective {
 // FuzzCollectiveCompile feeds arbitrary descriptors to Compile on a
 // cost-only comm: whatever the bytes say, the answer is a plan or an
 // error, never a panic, and an out-of-range Level is an error. The seed
-// corpus is the eight valid shapes.
+// corpus is the eight valid shapes, plus Gather and Reduce writing Hosts.
 func FuzzCollectiveCompile(f *testing.F) {
 	const n, m = 8, 8 * 64 // group size of dims "10", payload
 	hosts := func(bytes int) [][]byte {
@@ -83,7 +83,9 @@ func FuzzCollectiveCompile(f *testing.F) {
 		{Prim: AllGather, Dims: "10", Src: Span(0, m/n), Dst: Span(2*m, m), Level: PR},
 		{Prim: Scatter, Dims: "10", Dst: Span(0, m/n), Hosts: hosts(m), Level: IM},
 		{Prim: Gather, Dims: "10", Src: Span(0, m/n), Level: Baseline},
+		{Prim: Gather, Dims: "10", Src: Span(0, m/n), Hosts: hosts(m), Level: IM},
 		{Prim: Reduce, Dims: "10", Src: Span(0, m), Elem: elem.I64, Op: elem.Xor},
+		{Prim: Reduce, Dims: "10", Src: Span(0, m), Elem: elem.I32, Op: elem.Max, Hosts: hosts(m), Level: Baseline},
 		{Prim: Broadcast, Dims: "10", Dst: At(0), Hosts: hosts(m)},
 	} {
 		seed := encodeDesc(d)

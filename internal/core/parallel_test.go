@@ -251,8 +251,9 @@ func TestReplayAllocsStreaming(t *testing.T) {
 	}
 }
 
-// TestReplayAllocsRooted: rooted streaming plans reuse their plan-owned
-// result buffers (rootedBufs), so they hit zero too.
+// TestReplayAllocsRooted: a rooted streaming plan compiled without Hosts
+// makes its result buffers on its first run and reuses them, so it hits
+// zero too.
 func TestReplayAllocsRooted(t *testing.T) {
 	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 1})
 	s := 16

@@ -25,7 +25,7 @@ import (
 // at every arena base on every host; a row lowers its fused IR Schedule
 // once, at those offsets, and holds no comm.
 // Plans belong to sessions: a plan is its row, its owner, the owner's
-// arena base and its per-run state (host payloads, rooted results), and
+// arena base and the host buffers its runs read or write (Hosts), and
 // each Tenant caches its own per row and drops them when it closes; a
 // run binds its plan (Comm.cur), so a compile that finds its row lowers
 // nothing. Auto's candidate dry builds (auto.go) fill and read the
@@ -142,42 +142,25 @@ func (tr *chargeTrace) memBytes() int64 {
 // executes a replay. Plans stay valid for the lifetime of their Comm and
 // may be Run from multiple goroutines (executions serialize on the Comm).
 //
-// Host-input plans (Scatter, Broadcast) bind the buffer slices passed at
-// compile time: a replay reads their *current* contents, so callers
-// refill the same slices between runs. Rooted plans (Gather, Reduce)
-// leave their latest results in Results.
+// A plan bound to Hosts serves that call alone: a Scatter or Broadcast
+// replay reads their *current* contents, so callers refill the same
+// slices between runs; a Gather or Reduce replay writes its results
+// into them (or, compiled without, into its own: Results).
 type CompiledPlan struct {
 	// planEntry is the plan's shape row, shared with every plan of its key.
 	*planEntry
 	// owner is the tenant that compiled the plan: every run is attributed
-	// to it and admitted against it; base is its arena base; hosts are the
-	// payloads its runs read (algoEnv.hosts indexes them). Immutable.
+	// to it and admitted against it; base is its arena base. Immutable.
 	owner *Tenant
 	base  int
+	// hosts are the host buffers its runs read or write (algoEnv.hosts
+	// indexes them): the caller's, or a rooted plan's own, made on its
+	// first functional run. Guarded by owner.c.execMu.
 	hosts [][]byte
-
-	// out is the latest run's rooted results, which the schedule's
-	// closures point at rooted, the plan-owned backing store reused across
-	// runs (rootedBufs). Both guarded by owner.c.execMu.
-	out    [][]byte
-	rooted [][]byte
-}
-
-// rootedBufs returns the plan's cached rooted-result buffers (groups
-// buffers of n bytes each), allocating them on first use, and publishes
-// them as the current run's output. Every run fully overwrites the
-// buffers, so reuse is safe under the Results contract (buffers are
-// valid until the next Run of the same plan). Called from schedule
-// closures on the running plan (Comm.cur) — the caller holds execMu.
-func (cp *CompiledPlan) rootedBufs(groups, n int) [][]byte {
-	if len(cp.rooted) != groups || (groups > 0 && len(cp.rooted[0]) != n) {
-		cp.rooted = make([][]byte, groups)
-		for g := range cp.rooted {
-			cp.rooted[g] = make([]byte, n)
-		}
-	}
-	cp.out = cp.rooted
-	return cp.rooted
+	// outs and outBytes shape the buffers a single-host Gather or Reduce
+	// writes: outs of outBytes each (zero for every other plan, the
+	// cluster's host plans included). Immutable.
+	outs, outBytes int
 }
 
 // Primitive returns the plan's collective primitive.
@@ -240,61 +223,69 @@ func (cp *CompiledPlan) Run() (cost.Breakdown, error) {
 	if err := cp.owner.admit(cp.tr.total.Total()); err != nil {
 		return cost.Breakdown{}, err
 	}
-	_, bd := cp.run()
-	return bd, nil
+	cp.run()
+	return cp.tr.total, nil // what the run added to the meter, bit-stable
 }
 
-// Results returns the rooted result buffers (one per communication
-// group) of the plan's most recent Run: non-nil only for Gather/Reduce
-// plans on a functional backend. The buffers are valid until the next
-// Run of the same plan.
+// Results returns the host buffers, one per communication group, a
+// Gather or Reduce plan writes (nil for the other primitives and for a
+// cluster's host plans, whose result is ClusterPlan.Results): the Hosts
+// it was compiled with or, on a functional backend, its own, made on its
+// first Run (nil before it). Every run of the plan, Submit's included,
+// overwrites them, and their contents are undefined after a run that
+// failed: results that must survive later runs need Hosts of their own.
+// On a cost-only backend no run writes them.
 func (cp *CompiledPlan) Results() [][]byte {
+	if cp.outs == 0 {
+		return nil
+	}
 	cp.owner.c.execMu.Lock()
 	defer cp.owner.c.execMu.Unlock()
-	return cp.out
+	return cp.hosts
 }
 
-// run executes one replay under the comm's execution lock and returns
-// the rooted results (if any) and the call's breakdown. Serial runs are
-// barriers with respect to submitted plans: run waits for the submission
-// queue to drain, then appends its lane segments to the elapsed-time
-// timeline (no overlap).
-func (cp *CompiledPlan) run() ([][]byte, cost.Breakdown) {
+// run executes one replay under the comm's execution lock. Serial runs
+// are barriers with respect to submitted plans: run waits for the
+// submission queue to drain, then appends its lane segments to the
+// elapsed-time timeline (no overlap).
+func (cp *CompiledPlan) run() {
 	c := cp.owner.c
 	c.Flush()
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	c.placeSerialLocked(cp.tr.segs)
-	return c.runScheduleLocked(cp)
+	c.runScheduleLocked(cp)
 }
 
 // runScheduleLocked executes one replay of cp on the comm's backend —
 // the row's schedule, for cp as the running plan, on the functional
-// backend, the precomputed charge trace on the cost-only backend — and
-// returns the rooted results with the run's breakdown: the trace total,
-// which is what either backend just added to the meter, free of the
-// low-bit noise a difference of cumulative meter snapshots would carry.
-// The single execution block shared by the serial (run) and asynchronous
+// backend, the precomputed charge trace on the cost-only backend. The
+// single execution block shared by the serial (run) and asynchronous
 // (execSubmitted) paths, so the two cannot drift apart in accounting.
 // Callers hold execMu.
-func (c *Comm) runScheduleLocked(cp *CompiledPlan) ([][]byte, cost.Breakdown) {
+func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
 	// Attribute every charge of this run to the owning tenant: its
 	// recorder, bound once in NewTenant, mirrors each meter addition —
 	// same operands, same order — into the tenant's meter, so that meter
 	// evolves bit-identically to running its workload alone (tenant.go).
 	m := c.h.Meter()
 	m.SetRecorder(cp.owner.rec)
-	cp.out, c.cur = nil, cp
+	c.cur = cp
 	defer func() { m.SetRecorder(nil); c.cur = nil }()
-	if c.backend.Functional() {
-		c.executeOn(c.backend, c.h, cp.sched)
-	} else {
+	if !c.backend.Functional() {
 		for _, e := range cp.tr.adds {
 			m.Add(e.Cat, e.T)
 		}
 		c.h.ApplyStats(cp.tr.stats)
+		return
 	}
-	return cp.out, cp.tr.total
+	if cp.hosts == nil && cp.outs > 0 {
+		cp.hosts = make([][]byte, cp.outs)
+		for g := range cp.hosts {
+			cp.hosts[g] = make([]byte, cp.outBytes)
+		}
+	}
+	c.executeOn(c.backend, c.h, cp.sched)
 }
 
 // tracer is the shape table's one scratch, reset per trace: a cost-only
@@ -339,16 +330,16 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 }
 
 // compiled returns owner's plan for specs — one collective or a sequence
-// of them — reading hosts. A repeated signature is a lookup in the
+// of them — binding hosts. A repeated signature is a lookup in the
 // session's plans; a miss binds a plan to the key's shape row, which
 // lowers and traces nothing, or builds a new row for every session to
-// share. A plan with a host-input member is never cached: it binds the
-// caller's buffers by reference, so it serves that call alone. The closed
-// check runs under compMu, which Close takes, after setting the flag, to
-// drop the session's plans: a racing Close either stops a compile or
-// drops its plan. Callers hold compMu.
+// share. A plan that binds Hosts, or has a host-input member, is never
+// cached: it serves that call alone. The closed check runs under compMu,
+// which Close takes, after setting the flag, to drop the session's plans:
+// a racing Close either stops a compile or drops its plan. Callers hold
+// compMu.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*CompiledPlan, error) {
-	key, cacheable := seqKey{head: specs[0].env.planKey}, true
+	key, cacheable := seqKey{head: specs[0].env.planKey}, hosts == nil
 	for i, sp := range specs {
 		cacheable = cacheable && !shapes[sp.env.prim].hostInput()
 		if i > 0 {
@@ -370,6 +361,9 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*Compi
 		c.rows[key] = row
 	}
 	cp := owner.planOn(row, hosts)
+	if env := &specs[0].env; shapes[env.prim].rooted() { // a sequence of one
+		cp.outs, cp.outBytes = len(env.p.groups), shapes[env.prim].host.of(env.bytes, env.p.n)
+	}
 	c.countBuildLocked(cp, traced)
 	if cacheable {
 		if owner.plans == nil {
@@ -395,7 +389,7 @@ func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
 }
 
 // planOn is the one constructor of a session's plan: t's plan on row, at
-// t's arena base, reading hosts.
+// t's arena base, binding hosts.
 func (t *Tenant) planOn(row *planEntry, hosts [][]byte) *CompiledPlan {
 	return &CompiledPlan{planEntry: row, owner: t, base: t.ar.base, hosts: hosts}
 }
@@ -455,10 +449,10 @@ func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 type PlanCacheStats struct {
 	// PlanHits and PlanMisses count lookups in a session's plans. A miss
 	// pays validation and, unless the row is new, nothing else: lowering
-	// and charge tracing are a new row's, on either backend. Plans with a
-	// host-input member (Scatter, Broadcast) always miss — they bind caller
-	// buffers — but still share rows. Plans the cluster layer builds past
-	// the cache count as misses.
+	// and charge tracing are a new row's, on either backend. Plans that
+	// bind caller Hosts or have a host-input member (Scatter, Broadcast)
+	// always miss, but still share rows. Plans the cluster layer builds
+	// past the cache count as misses.
 	PlanHits, PlanMisses uint64
 	// TraceHits and TraceMisses count shape-row lookups, Auto's candidate
 	// dry builds included; a plan hit counts a trace hit. A row depends

@@ -111,13 +111,10 @@ func (*StepBulk) stepName() string { return "Bulk" }
 // sub-ranges on the executing comm's per-shard streaming contexts
 // (segRunner); iterations MUST be mutually write-disjoint — the lowerings
 // guarantee it by construction (distinct iterations address distinct MRAM
-// bursts or distinct host result lanes). setup, if set, runs serially on
-// the executor goroutine before the fan-out (e.g. binding the run's
-// rooted result buffers).
+// bursts or distinct host result lanes).
 type streamSeg struct {
-	cols  int
-	setup func(c *Comm)
-	body  func(sc *streamCtx, lo, hi int)
+	cols int
+	body func(sc *streamCtx, lo, hi int)
 }
 
 // StepColumnStream is one streaming transfer epoch of the optimized
@@ -433,11 +430,11 @@ func reduceScatterBulk(env *algoEnv, kind host.Work) *StepBulk {
 }
 
 // lowerReduce lowers the rooted Reduce. The per-group host results land
-// in the running plan's rooted result buffers (rootedBufs; published via
-// Results); the functional backend fills them, the cost-only backend
-// leaves the results nil.
+// in the running plan's host buffers (Comm.cur.hosts from the env's
+// index), which the functional backend fills and the cost-only backend
+// never touches.
 func lowerReduce(env *algoEnv) *Schedule {
-	p, srcOff, s, t, op, lvl := env.p, env.srcOff, env.s, env.elemType, env.op, env.lvl
+	p, at, srcOff, s, t, op, lvl := env.p, env.hosts, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	store := Charge{host.HostMem, int64(len(p.groups)) * int64(m)} // result store
@@ -450,7 +447,7 @@ func lowerReduce(env *algoEnv) *Schedule {
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Charges: []Charge{{kind, p.numPEBytes(m)}, store},
 			Modulate: func(c *Comm, stag []byte) []byte {
-				res := c.cur.rootedBufs(len(p.groups), m)
+				res := c.cur.hosts[at:]
 				c.groupsDo(len(p.groups), func(g int) {
 					foldGroup(t, op, res[g], stag, p.groups[g], m, s, pr)
 				})
@@ -463,16 +460,12 @@ func lowerReduce(env *algoEnv) *Schedule {
 		sched.add(&StepColumnStream{
 			Reads:   int64(n) * iters,
 			Charges: append(p.foldCharges(t, iters, int64(n), int64(n)), store),
-			segs: []*streamSeg{{
-				cols:  s / 8,
-				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), m) },
-				body: func(sc *streamCtx, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						sc.foldSlots(p, t, op, srcOff, s, i*8)
-						p.storeLanes(sc.c.cur.rooted, sc.ac, s, i*8)
-					}
-				},
-			}},
+			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					sc.foldSlots(p, t, op, srcOff, s, i*8)
+					p.storeLanes(sc.c.cur.hosts[at:], sc.ac, s, i*8)
+				}
+			}}},
 		})
 	}
 	sched.add(&StepSync{})
@@ -643,7 +636,7 @@ func (p *plan) gatherPEMajor(c *Comm, stag []byte, s int) []byte {
 }
 
 func lowerGather(env *algoEnv) *Schedule {
-	p, srcOff, s, lvl := env.p, env.srcOff, env.s, env.lvl
+	p, at, srcOff, s, lvl := env.p, env.hosts, env.srcOff, env.s, env.lvl
 	n := p.n
 	sched := &Schedule{Name: "Gather/" + lvl.String()}
 	if lvl == Baseline {
@@ -651,7 +644,7 @@ func lowerGather(env *algoEnv) *Schedule {
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
 			Charges: []Charge{{host.HostMem, p.numPEBytes(s)}}, // copy out of staging
 			Modulate: func(c *Comm, stag []byte) []byte {
-				res := c.cur.rootedBufs(len(p.groups), n*s)
+				res := c.cur.hosts[at:]
 				c.groupsDo(len(p.groups), func(g int) {
 					grp := p.groups[g]
 					for i, pe := range grp {
@@ -670,16 +663,12 @@ func lowerGather(env *algoEnv) *Schedule {
 				{host.DT, iters * colB},
 				{host.HostMem, int64(len(p.groups)) * int64(n*s)},
 			},
-			segs: []*streamSeg{{
-				cols:  s / 8,
-				setup: func(c *Comm) { c.cur.rootedBufs(len(p.groups), n*s) },
-				body: func(sc *streamCtx, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						sc.readColumn(srcOff+i*8, sc.a)
-						p.storeLanes(sc.c.cur.rooted, sc.a, s, i*8)
-					}
-				},
-			}},
+			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					sc.readColumn(srcOff+i*8, sc.a)
+					p.storeLanes(sc.c.cur.hosts[at:], sc.a, s, i*8)
+				}
+			}}},
 		})
 	}
 	sched.add(&StepSync{})

@@ -318,8 +318,8 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 
 // Run compiles (or fetches the cached plan for) d and executes one
 // replay, returning the run's cost breakdown. Rooted primitives
-// (Gather, Reduce) leave their results on the plan: use Compile and
-// CompiledPlan.Results to read them.
+// (Gather, Reduce) write d.Hosts, or without them the plan's own
+// buffers: use Compile and CompiledPlan.Results to read those.
 func (t *Tenant) Run(d Collective) (cost.Breakdown, error) {
 	cp, err := t.Compile(d)
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // Layout of a check on a group of n ranks at block size s: every rank
 // holds m = n·s random bytes at offset 0 and its input is the first src
 // bytes of those; a non-rooted result lands at 2m (at 0 in place), dst
-// bytes per rank; each group reads one host payload of host bytes.
+// bytes per rank; each group reads one random host payload of host
+// bytes, or a rooted row writes one zeroed host buffer of host bytes.
 
 // size is the byte count of one role of a check.
 type size uint8
@@ -62,7 +63,7 @@ var checks = []check{
 	{prim: core.Scatter, dst: block, host: payload, ref: func(_ core.Collective, in [][]byte, host []byte) [][]byte {
 		return core.RefScatter(host, len(in))
 	}},
-	{prim: core.Gather, src: block, ref: func(_ core.Collective, in [][]byte, _ []byte) [][]byte {
+	{prim: core.Gather, src: block, host: payload, ref: func(_ core.Collective, in [][]byte, _ []byte) [][]byte {
 		return [][]byte{core.RefGather(in)}
 	}},
 	{prim: core.Reduce, src: payload, ref: func(d core.Collective, in [][]byte, _ []byte) [][]byte {
@@ -75,7 +76,8 @@ var checks = []check{
 
 // ranks is the communicator a check runs on: the ranks of each
 // communication group, a rank's bytes at an arena offset, and a run of a
-// descriptor that returns its rooted results, one per group.
+// descriptor that returns its rooted results, one per group (where the
+// descriptor has no Hosts to write them to).
 type ranks struct {
 	groups [][]int
 	set    func(rank, off int, b []byte)
@@ -108,12 +110,14 @@ func (k check) verify(rng *rand.Rand, r ranks, d core.Collective, s int) error {
 			in[g][i] = b[:src]
 		}
 	}
-	// Draw the payloads, one per group.
+	// Draw the payloads, one per group; a rooted row's stay zeroed.
 	hosts := make([][]byte, len(r.groups))
 	if host > 0 {
 		for g := range hosts {
 			hosts[g] = make([]byte, host)
-			rng.Read(hosts[g])
+			if dst > 0 {
+				rng.Read(hosts[g])
+			}
 		}
 		d.Hosts = hosts
 	}
@@ -135,6 +139,9 @@ func (k check) verify(rng *rand.Rand, r ranks, d core.Collective, s int) error {
 	got, err := r.run(d)
 	if err != nil {
 		return fmt.Errorf("%v: %w", k, err)
+	}
+	if dst == 0 && host > 0 {
+		got = hosts // the rooted results must be in the caller's Hosts
 	}
 	// Compare each group at Dst, or its rooted result.
 	for g, grp := range r.groups {

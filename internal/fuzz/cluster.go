@@ -124,8 +124,14 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 		set: func(g, off int, b []byte) { fn.s.Host(g/P).SetPEBuffer(pes[g/P][g%P], off, b) },
 		get: func(g, off, n int) []byte { return fn.s.Host(g/P).GetPEBuffer(pes[g/P][g%P], off, n) },
 		// run runs d on the functional cluster, then its payload-free twin
-		// on the cost-only cluster, and diffs the breakdowns.
+		// on the cost-only cluster, and diffs the breakdowns. A cluster
+		// Gather or Reduce takes no Hosts: its result, the plan's staging,
+		// is copied into the ones d brings.
 		run: func(d core.Collective) ([][]byte, error) {
+			var out [][]byte
+			if d.Dst == (core.Region{}) {
+				out, d.Hosts = d.Hosts, nil
+			}
 			cd := core.ClusterCollective{Collective: d, Root: root}
 			cp, err := fn.s.Compile(cd)
 			if err != nil {
@@ -142,6 +148,9 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 			}
 			if want != got {
 				return nil, fmt.Errorf("cost-only breakdown %+v != functional %+v", got, want)
+			}
+			if out != nil {
+				copy(out[0], cp.Results())
 			}
 			return [][]byte{cp.Results()}, nil
 		}}

@@ -221,8 +221,9 @@ type ReduceOp = elem.Op
 type CompiledPlan = core.CompiledPlan
 
 // Future is the handle of one asynchronously submitted plan execution;
-// see Comm.Submit and CompiledPlan.Submit. Wait/Err/Cost/Results/Window
-// block until the execution completes; Done polls.
+// see Comm.Submit and CompiledPlan.Submit. Wait/Err/Cost/Window block
+// until the execution completes; Done polls. A Gather's or Reduce's
+// results are its plan's (Plan().Results()), overwritten by its next run.
 type Future = core.Future
 
 // Snapshot is a machine's run-time state as plain fields (Machine.Snapshot;
