@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check fmt vet build test race bench-smoke bench-json bench-compare bench-gate benchmark-smoke fuzz-smoke profile staticcheck checkdocs docs loc loc-check
 
-check: fmt vet build test checkdocs
+check: fmt vet build test checkdocs loc-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -123,7 +123,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7315
+LOC_CEILING = 7263
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

@@ -105,10 +105,11 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 // pair for the key and returns the best under the comm's objective. The
 // algorithm axis is the key's constraint (AlgoAuto means every row the
 // lowering table has for the primitive, reference first); the level axis
-// is every distinct effective level. A candidate whose row cannot be
-// built is inapplicable to this signature (e.g. the streaming levels
-// cannot run an in-place AlltoAll; a row's applies predicate rejects the
-// level) and is skipped; autoPick errors only when no candidate applies.
+// is the levels field of the primitive's shape row. A candidate whose
+// row cannot be built is inapplicable to this signature (e.g. the
+// streaming levels cannot run an in-place AlltoAll; a row's applies
+// predicate rejects the level) and is skipped; autoPick errors only when
+// no candidate applies.
 // Callers hold compMu.
 func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEntry, error)) (autoDecision, error) {
 	if dec, ok := c.autoCache[key]; ok {
@@ -122,13 +123,7 @@ func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEn
 	found := false
 	var fails []error
 	for _, alg := range algs {
-		seen := make(map[Level]bool)
-		for _, l := range Levels() {
-			eff := EffectiveLevel(key.prim, l)
-			if seen[eff] {
-				continue
-			}
-			seen[eff] = true
+		for _, eff := range shapes[key.prim].levels {
 			e, err := row(alg, eff)
 			if err != nil {
 				fails = append(fails, err)

@@ -26,8 +26,8 @@ package core
 // the staging (clusterBuild.payloads), lowering and tracing nothing, and
 // the H executors of a functional cluster run one schedule at once.
 //
-// The leg table (clusterShapes below states the same rows in the same
-// order; H hosts, P PEs per host, m the reduced or per-PE payload):
+// The leg table (the cluster field of each shapes row, then clusterFlat;
+// H hosts, P PEs per host, m the reduced or per-PE payload):
 //
 //	              local leg   wire (rounds × bytes per round)            redistribution
 //	ReduceScatter Reduce      all-pairs: (H-1) × m/H                     Scatter
@@ -336,8 +336,7 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	shared := make([]bool, len(cl.comms)) // host h took its role's row
 	var sym *clusterBuild                 // the row of the hosts the lowering does not single out
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
-	_, unknown := shapeOf(d.Prim)
-	rooted := d.Flat || unknown == nil && clusterShapes[d.Prim].wire == wireRooted
+	rooted := d.Flat || d.Prim.known() && shapes[d.Prim].cluster.wire == wireRooted
 	for h := range cl.comms {
 		owner := s.shards[h]
 		own := d.Prim == AlltoAll || rooted && h == d.Root // the lowering reads h
@@ -443,10 +442,10 @@ func hostAlgorithms(alg Algorithm) []Algorithm {
 // noLeg marks a leg a lowering does not have.
 const noLeg Primitive = -1
 
-// clusterShape is one row of the leg table: a hierarchical lowering the
-// way § IX-A states it — a local leg, one trip over the wire (data are
-// sent after being reduced and before being duplicated), a
-// redistribution leg. Both outer legs are single-host rows of shapes.
+// clusterShape is one row of the leg table (a shapes row's cluster): a
+// hierarchical lowering the way § IX-A states it — a local leg, one trip
+// over the wire (data are sent after being reduced and before being
+// duplicated), a redistribution leg. Both outer legs are rows of shapes.
 type clusterShape struct {
 	// local is the collective whose rooted result the host puts on the
 	// wire: Reduce (the wire merges the hosts' parts with (Elem, Op)) or
@@ -459,19 +458,6 @@ type clusterShape struct {
 	// or a Scatter of the host's 1/H portion. noLeg: a rooted result,
 	// read from the staging by Results.
 	redist Primitive
-}
-
-// clusterShapes is the leg table, indexed by Primitive like shapes;
-// AlltoAll's row stays empty (the one hand-written lowering, alltoAll).
-var clusterShapes = [...]clusterShape{
-	AlltoAll:      {},
-	ReduceScatter: {Reduce, wireAllPairs, "ring", Scatter},
-	AllReduce:     {Reduce, wireAllReduce, "", Broadcast},
-	AllGather:     {Gather, wireAllPairs, "allgather", Broadcast},
-	Scatter:       {noLeg, wireRooted, "scatter", Scatter},
-	Gather:        {Gather, wireRooted, "gather", noLeg},
-	Reduce:        {Reduce, wireRooted, "reduce", noLeg},
-	Broadcast:     {noLeg, wireFanOut, "fanout", Broadcast},
 }
 
 // clusterFlat is the ninth row, the naive AllReduce of a cluster that
@@ -570,7 +556,7 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	case d.Flat:
 		err = b.legs(&clusterFlat, sh)
 	default:
-		err = b.legs(&clusterShapes[d.Prim], sh)
+		err = b.legs(&sh.cluster, sh)
 	}
 	if err != nil {
 		return nil, err

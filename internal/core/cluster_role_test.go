@@ -275,7 +275,7 @@ func TestFunctionalClusterHostsShareRoleRows(t *testing.T) {
 			roles := uint64(1)
 			if d.Prim == AlltoAll {
 				roles = H
-			} else if d.Flat || clusterShapes[d.Prim].wire == wireRooted {
+			} else if d.Flat || shapes[d.Prim].cluster.wire == wireRooted {
 				roles = 2
 			}
 			st := s.cl.Host(0).Snapshot().PlanCache

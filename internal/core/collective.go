@@ -121,6 +121,9 @@ func checkArenaRegion(ar arena, off, n int) error {
 // explicitly requested algorithm applies to the resolved call is
 // Compile's check, not this one's. Callers hold compMu.
 func (c *Comm) resolveLocked(d Collective) (Algorithm, Level, error) {
+	if _, err := shapeOf(d.Prim); err != nil {
+		return 0, 0, err
+	}
 	if d.Level < Auto || d.Level > CM {
 		return 0, 0, fmt.Errorf("core: unknown level %v", d.Level)
 	}
@@ -163,8 +166,17 @@ func (r sizeRule) of(m, n int) int {
 }
 
 // shape is one row of the shape table: everything that distinguishes a
-// primitive's descriptor from the other seven.
+// primitive from the other seven.
 type shape struct {
+	// abbr and name are the paper's abbreviation and full name (Figure 2).
+	abbr, name string
+	// levels are the primitive's effective levels in ascending order: its
+	// column of Table II, Baseline then every level whose technique
+	// applies. EffectiveLevel and Auto's level axis read it.
+	levels []Level
+	// cluster is the primitive's row of the leg table (cluster.go);
+	// AlltoAll's stays empty.
+	cluster clusterShape
 	// reducing primitives combine elements with (Elem, Op); the others
 	// ignore both.
 	reducing bool
@@ -193,19 +205,31 @@ func (sh *shape) rooted() bool    { return sh.dst == sizeNone }
 
 // shapes is the shape table, indexed by Primitive.
 var shapes = [...]shape{
-	AlltoAll:      {blocked: true, dst: sizeSame, consumesSrc: true, inPlaceOK: true},
-	ReduceScatter: {reducing: true, blocked: true, dst: sizePerRank, consumesSrc: true},
-	AllReduce:     {reducing: true, blocked: true, dst: sizeSame, consumesSrc: true},
-	AllGather:     {dst: sizeAllRanks},
-	Scatter:       {dst: sizeSame, host: sizeAllRanks},
-	Gather:        {host: sizeAllRanks},
-	Reduce:        {reducing: true, blocked: true, host: sizeSame, consumesSrc: true},
-	Broadcast:     {dst: sizeSame, host: sizeSame, sizedByHosts: true},
+	AlltoAll: {abbr: "AA", name: "AlltoAll", levels: []Level{Baseline, PR, IM, CM},
+		blocked: true, dst: sizeSame, consumesSrc: true, inPlaceOK: true},
+	ReduceScatter: {abbr: "RS", name: "ReduceScatter", levels: []Level{Baseline, PR, IM},
+		reducing: true, blocked: true, dst: sizePerRank, consumesSrc: true,
+		cluster: clusterShape{Reduce, wireAllPairs, "ring", Scatter}},
+	AllReduce: {abbr: "AR", name: "AllReduce", levels: []Level{Baseline, PR, IM},
+		reducing: true, blocked: true, dst: sizeSame, consumesSrc: true,
+		cluster: clusterShape{Reduce, wireAllReduce, "", Broadcast}},
+	AllGather: {abbr: "AG", name: "AllGather", levels: []Level{Baseline, PR, IM, CM},
+		dst: sizeAllRanks, cluster: clusterShape{Gather, wireAllPairs, "allgather", Broadcast}},
+	Scatter: {abbr: "Sc", name: "Scatter", levels: []Level{Baseline, IM},
+		dst: sizeSame, host: sizeAllRanks, cluster: clusterShape{noLeg, wireRooted, "scatter", Scatter}},
+	Gather: {abbr: "Ga", name: "Gather", levels: []Level{Baseline, IM},
+		host: sizeAllRanks, cluster: clusterShape{Gather, wireRooted, "gather", noLeg}},
+	Reduce: {abbr: "Re", name: "Reduce", levels: []Level{Baseline, PR, IM},
+		reducing: true, blocked: true, host: sizeSame, consumesSrc: true,
+		cluster: clusterShape{Reduce, wireRooted, "reduce", noLeg}},
+	Broadcast: {abbr: "Br", name: "Broadcast", levels: []Level{Baseline},
+		dst: sizeSame, host: sizeSame, sizedByHosts: true,
+		cluster: clusterShape{noLeg, wireFanOut, "fanout", Broadcast}},
 }
 
 // shapeOf returns p's row of the shape table.
 func shapeOf(p Primitive) (*shape, error) {
-	if p < 0 || int(p) >= len(shapes) {
+	if !p.known() {
 		return nil, fmt.Errorf("core: unknown primitive %v", p)
 	}
 	return &shapes[p], nil

@@ -476,9 +476,21 @@ func TestValidationErrors(t *testing.T) {
 
 // An out-of-range enum is an error, not a silent default: a Level beyond
 // the table (on a single machine and on a cluster, whose legs resolve
-// through the same resolveLocked), a Config.Fuse and a TenantConfig.Shed.
+// through the same resolveLocked), a Primitive outside the shape table at
+// an explicit level as at Auto, a Config.Fuse and a TenantConfig.Shed.
 func TestUnknownEnumsAreRejected(t *testing.T) {
 	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend()})
+	for _, p := range []Primitive{-1, 8} {
+		for _, lvl := range []Level{Auto, Baseline, IM} {
+			d := Collective{Prim: p, Dims: "10", Src: Span(0, 512), Dst: At(1024), Level: lvl}
+			if _, err := c.Compile(d); err == nil {
+				t.Errorf("%v at %v compiles", p, lvl)
+			}
+			if _, _, err := c.s.Resolve(d); err == nil {
+				t.Errorf("%v at %v resolves", p, lvl)
+			}
+		}
+	}
 	for _, lvl := range []Level{-3, -1, CM + 1, 42} {
 		d := Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, 512), Dst: At(1024), Level: lvl}
 		if _, err := c.Compile(d); err == nil {

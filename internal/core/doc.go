@@ -34,12 +34,12 @@
 // (collective.go): primitive, dims bitmap, arena-relative Region
 // handles, element type/operator, level (zero value = Auto) and host
 // payloads. Exactly three entry points of a session consume it —
-// Compile, Run, Submit — and nothing else does. What distinguishes the
-// eight primitives' descriptors (which regions they use, the sizes those
-// imply, whether they reduce, whether they may run in place) is one
-// static table, shapes, read by the one validation path (specIn), the
-// cluster layer (a global call is the same row on H×P ranks) and the
-// autotuner; the table also names each primitive's reference lowering.
+// Compile, Run, Submit — and nothing else does. Everything that
+// distinguishes the eight primitives (names, Table II levels, which
+// regions they use, the sizes those imply, whether they reduce or run in
+// place, the cluster leg row) is one row of one static table, shapes,
+// read by the one validation path (specIn), the cluster layer (a global
+// call is the same row on H×P ranks) and the autotuner.
 //
 // # Pipeline
 //
@@ -207,13 +207,14 @@
 //
 // # Paper map
 //
-//	Figure 2      Primitive (level.go), shapes (collective.go)
+//	Figure 2      Primitive (level.go): the rows of shapes (collective.go)
 //	Figures 5, 6  Hypercube, Groups (hypercube.go)
 //	Figure 7      lowerAlltoAll (schedule.go)
 //	Figure 8      lowerReduceScatter / lowerAllReduce / lowerAllGather
 //	Figure 9      shiftColumn (engine.go): one 8-byte lane per PE, columns
 //	              held in lane order (lane c = bank c's bytes), so the
 //	              bus interleave and its DT are charges, not byte moves
-//	Table I, II   support.go (TableI, TableII, TechniqueApplies)
+//	Table I       TableI (support.go)
+//	Table II      the levels field of the shapes rows, rendered by TableII
 //	§ V-A1        (*Comm).rotate (engine.go)
 package core

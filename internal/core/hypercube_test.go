@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,28 +207,29 @@ func TestDimsString(t *testing.T) {
 	DimsString(2, 5)
 }
 
+// TestEffectiveLevelMatrix pins EffectiveLevel on every primitive at
+// every requestable level against Table II, written out here rather than
+// read off the shape table. Columns: Auto, Baseline, PR, IM, CM.
 func TestEffectiveLevelMatrix(t *testing.T) {
-	tests := []struct {
-		p    Primitive
-		req  Level
-		want Level
-	}{
-		{AlltoAll, CM, CM},
-		{AlltoAll, IM, IM},
-		{ReduceScatter, CM, IM},
-		{AllReduce, CM, IM},
-		{AllGather, CM, CM},
-		{Scatter, PR, Baseline},
-		{Scatter, CM, IM},
-		{Gather, CM, IM},
-		{Reduce, CM, IM},
-		{Reduce, PR, PR},
-		{Broadcast, CM, Baseline},
-		{AlltoAll, Baseline, Baseline},
+	const B = Baseline
+	want := map[Primitive][5]Level{
+		AlltoAll:      {B, B, PR, IM, CM},
+		ReduceScatter: {B, B, PR, IM, IM},
+		AllReduce:     {B, B, PR, IM, IM},
+		AllGather:     {B, B, PR, IM, CM},
+		Scatter:       {B, B, B, IM, IM},
+		Gather:        {B, B, B, IM, IM},
+		Reduce:        {B, B, PR, IM, IM},
+		Broadcast:     {B, B, B, B, B},
 	}
-	for _, tc := range tests {
-		if got := EffectiveLevel(tc.p, tc.req); got != tc.want {
-			t.Errorf("EffectiveLevel(%v, %v) = %v, want %v", tc.p, tc.req, got, tc.want)
+	if len(want) != len(Primitives()) {
+		t.Fatalf("matrix has %d rows for %d primitives", len(want), len(Primitives()))
+	}
+	for _, p := range Primitives() {
+		for i, req := range []Level{Auto, Baseline, PR, IM, CM} {
+			if got := EffectiveLevel(p, req); got != want[p][i] {
+				t.Errorf("EffectiveLevel(%v, %v) = %v, want %v", p, req, got, want[p][i])
+			}
 		}
 	}
 }
@@ -279,20 +281,45 @@ func TestTableIIMatchesPaper(t *testing.T) {
 }
 
 func TestTableRenderings(t *testing.T) {
-	for _, s := range []string{TableI(), TableII()} {
-		if len(s) == 0 {
-			t.Error("empty table rendering")
-		}
+	const tableI = "Framework    Multi-Instance  Performance   AA  RS  AR  AG  Sc  Ga  Re  Br \n" +
+		"UPMEM SDK    Not Supported   Not Optimized                 v   v       v  \n" +
+		"SimplePIM    Not Supported   Not Optimized         v   v   v   v       v  \n" +
+		"PID-Comm     Supported       Optimized     v   v   v   v   v   v   v   v  \n"
+	const tableII = "Technique                  AA  RS  AR  AG  Sc  Ga  Re  Br \n" +
+		"PE-assisted reordering     v   v   v   v           v      \n" +
+		"In-register modulation     v   v   v   v   v   v   v      \n" +
+		"Cross-domain modulation    v           v                  \n"
+	if got := TableI(); got != tableI {
+		t.Errorf("TableI:\n%s\nwant:\n%s", got, tableI)
 	}
+	if got := TableII(); got != tableII {
+		t.Errorf("TableII:\n%s\nwant:\n%s", got, tableII)
+	}
+	var names []string
 	for _, p := range Primitives() {
-		if p.String() == "" || p.LongName() == "" {
-			t.Error("missing primitive name")
+		names = append(names, p.String()+"="+p.LongName())
+	}
+	if got, want := strings.Join(names, " "), "AA=AlltoAll RS=ReduceScatter AR=AllReduce AG=AllGather "+
+		"Sc=Scatter Ga=Gather Re=Reduce Br=Broadcast"; got != want {
+		t.Errorf("primitive names %q, want %q", got, want)
+	}
+	if got := fmt.Sprint(Auto, Baseline, PR, IM, CM); got != "Auto Base +PR +IM +CM" {
+		t.Errorf("level names %q", got)
+	}
+	// Out of range renders its number: String must not reach shapeOf,
+	// whose error formats the primitive with %v.
+	for _, tc := range []struct {
+		v    fmt.Stringer
+		want string
+	}{
+		{Primitive(-1), "Primitive(-1)"}, {Primitive(8), "Primitive(8)"}, {Level(-1), "Level(-1)"}, {Level(5), "Level(5)"},
+	} {
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
-	for _, l := range Levels() {
-		if l.String() == "" {
-			t.Error("missing level name")
-		}
+	if got := Primitive(8).LongName(); got != "Primitive(8)" {
+		t.Errorf("Primitive(8).LongName() = %q", got)
 	}
 	if fmt.Sprint(Framework(9)) == "" {
 		t.Error("unknown framework should still render")

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Level selects how much of PID-Comm's optimization stack a collective
 // uses. Levels are cumulative (§ V-A takes "three progressive steps from
@@ -44,20 +47,10 @@ func Levels() []Level { return []Level{Baseline, PR, IM, CM} }
 
 // String returns the label used in the ablation study (Figure 16).
 func (l Level) String() string {
-	switch l {
-	case Auto:
-		return "Auto"
-	case Baseline:
-		return "Base"
-	case PR:
-		return "+PR"
-	case IM:
-		return "+IM"
-	case CM:
-		return "+CM"
-	default:
+	if l < Auto || l > CM {
 		return fmt.Sprintf("Level(%d)", int(l))
 	}
+	return [...]string{Auto: "Auto", Baseline: "Base", PR: "+PR", IM: "+IM", CM: "+CM"}[l]
 }
 
 // Primitive identifies one of the eight collective communication
@@ -85,93 +78,43 @@ const (
 	Broadcast
 )
 
-// Primitives lists all primitives in the paper's column order (Table I).
+// Primitives lists all primitives in the paper's column order (Table I),
+// which is the order of the shape table's rows (collective.go).
 func Primitives() []Primitive {
-	return []Primitive{AlltoAll, ReduceScatter, AllReduce, AllGather, Scatter, Gather, Reduce, Broadcast}
+	ps := make([]Primitive, len(shapes))
+	for i := range ps {
+		ps[i] = Primitive(i)
+	}
+	return ps
 }
+
+// known reports whether p names a row of the shape table. String and
+// LongName range-check with it, not with shapeOf, whose error formats p.
+func (p Primitive) known() bool { return p >= 0 && int(p) < len(shapes) }
 
 // String returns the paper's abbreviation.
 func (p Primitive) String() string {
-	switch p {
-	case AlltoAll:
-		return "AA"
-	case ReduceScatter:
-		return "RS"
-	case AllReduce:
-		return "AR"
-	case AllGather:
-		return "AG"
-	case Scatter:
-		return "Sc"
-	case Gather:
-		return "Ga"
-	case Reduce:
-		return "Re"
-	case Broadcast:
-		return "Br"
-	default:
+	if !p.known() {
 		return fmt.Sprintf("Primitive(%d)", int(p))
 	}
+	return shapes[p].abbr
 }
 
 // LongName returns the full primitive name.
 func (p Primitive) LongName() string {
-	switch p {
-	case AlltoAll:
-		return "AlltoAll"
-	case ReduceScatter:
-		return "ReduceScatter"
-	case AllReduce:
-		return "AllReduce"
-	case AllGather:
-		return "AllGather"
-	case Scatter:
-		return "Scatter"
-	case Gather:
-		return "Gather"
-	case Reduce:
-		return "Reduce"
-	case Broadcast:
-		return "Broadcast"
-	default:
+	if !p.known() {
 		return p.String()
 	}
+	return shapes[p].name
 }
 
 // TechniqueApplies reports whether optimization level l introduces a new
-// technique for primitive p — the applicability matrix of Table II.
-//
-//	PE-assisted reordering:  AA RS AR AG Re
-//	In-register modulation:  AA RS AR AG Sc Ga Re
-//	Cross-domain modulation: AA AG
-//
-// Broadcast is already optimal in the native driver (§ VIII-B) and gains
-// nothing from any technique.
+// technique for primitive p — the applicability matrix of Table II, which
+// the levels field of p's shape row states (collective.go). Broadcast is
+// already optimal in the native driver (§ VIII-B) and gains nothing from
+// any technique.
 func TechniqueApplies(p Primitive, l Level) bool {
-	switch l {
-	case Baseline:
-		return true
-	case PR:
-		switch p {
-		case AlltoAll, ReduceScatter, AllReduce, AllGather, Reduce:
-			return true
-		}
-		return false
-	case IM:
-		switch p {
-		case AlltoAll, ReduceScatter, AllReduce, AllGather, Scatter, Gather, Reduce:
-			return true
-		}
-		return false
-	case CM:
-		switch p {
-		case AlltoAll, AllGather:
-			return true
-		}
-		return false
-	default:
-		return false
-	}
+	return p.known() && slices.Contains(shapes[p].levels, l)
 }
 
 // EffectiveLevel returns the level actually used when level l is requested
@@ -180,12 +123,11 @@ func TechniqueApplies(p Primitive, l Level) bool {
 // has no PE-side data to pre-reorder, so its stack is Baseline then IM).
 func EffectiveLevel(p Primitive, l Level) Level {
 	eff := Baseline
-	for _, cand := range Levels() {
-		if cand == Baseline || cand > l {
-			continue
-		}
-		if TechniqueApplies(p, cand) {
-			eff = cand
+	if p.known() {
+		for _, cand := range shapes[p].levels {
+			if cand <= l {
+				eff = cand
+			}
 		}
 	}
 	return eff
