@@ -20,7 +20,9 @@ import (
 // the second borrows both from appcore's pool, zeroed, its plans hit the
 // machine's shape rows, and every placement payload and Gather result
 // buffer is carved from the arena (Tracker.Stage). Kernels stage through
-// the pooled per-worker arena too, so what a repeat run allocates is the
+// the per-shard arenas of the engine's pooled launch descriptor too (one
+// per shard however many pool helpers were free, so a busy machine adds
+// no 64 KiB context to a repeat run), so what a repeat run allocates is the
 // random sources and inputs it draws from the seed (dlrm's click logs,
 // gnn's features and layer weights), plans, futures and the results it
 // returns. The byte ceilings sit ~25% above what a repeat run measures at

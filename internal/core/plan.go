@@ -273,9 +273,7 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
 	c.cur = cp
 	defer func() { m.SetRecorder(nil); c.cur = nil }()
 	if !c.backend.Functional() {
-		for _, e := range cp.tr.adds {
-			m.Add(e.Cat, e.T)
-		}
+		m.AddTrace(cp.tr.adds)
 		c.h.ApplyStats(cp.tr.stats)
 		return
 	}

@@ -132,6 +132,26 @@ func (m *Meter) Add(c Category, t Seconds) {
 	}
 }
 
+// AddTrace accrues every entry of adds in order, exactly as a loop of Add
+// would — same operands, same order, the recorder called once per entry
+// — under one acquisition of the lock. It is the cost-only replay of a
+// compiled plan's charge trace. Its body restates Add's rather than
+// sharing a helper: the helper does not inline, and every Add pays for
+// the call.
+func (m *Meter) AddTrace(adds []TraceEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range adds {
+		if e.T < 0 {
+			panic(fmt.Sprintf("cost: negative time %v for %v", e.T, e.Cat))
+		}
+		m.byCat[e.Cat] += e.T
+		if m.rec != nil {
+			m.rec(e.Cat, e.T)
+		}
+	}
+}
+
 // AddBytes accrues bytes/bw seconds to category c. bw is in bytes/second.
 func (m *Meter) AddBytes(c Category, bytes int64, bw float64) {
 	if bw <= 0 {

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,30 @@ func TestMeterAddNegativePanics(t *testing.T) {
 		}
 	}()
 	NewMeter().Add(HostMod, -1)
+}
+
+// AddTrace is the Add loop under one lock: the same breakdown bit for
+// bit and the same recorder calls in the same order, on a meter that
+// already holds charges.
+func TestMeterAddTraceMatchesAddLoop(t *testing.T) {
+	adds := []TraceEntry{{PEMem, 0.1}, {HostMod, 1e-7}, {PEMem, 0.2}, {Kernel, 0}, {Other, 1.0 / 3}, {PEMem, 0.3}, {HostMod, 3e9}}
+	var seqs [2][]TraceEntry
+	var meters [2]Meter
+	for i := range meters {
+		m, i := &meters[i], i
+		m.Add(PEMem, 0.7)
+		m.SetRecorder(func(c Category, t Seconds) { seqs[i] = append(seqs[i], TraceEntry{c, t}) })
+	}
+	for _, e := range adds {
+		meters[0].Add(e.Cat, e.T)
+	}
+	meters[1].AddTrace(adds)
+	if a, b := meters[0].Snapshot(), meters[1].Snapshot(); a != b {
+		t.Errorf("AddTrace breakdown %v, Add loop %v", b, a)
+	}
+	if !slices.Equal(seqs[0], adds) || !slices.Equal(seqs[1], adds) {
+		t.Errorf("recorder saw %v under AddTrace and %v under the Add loop, want %v", seqs[1], seqs[0], adds)
+	}
 }
 
 func TestMeterAddBytes(t *testing.T) {

@@ -36,7 +36,12 @@
 //     independent plans makes Elapsed smaller. Mark and Rollback bracket
 //     a what-if: placements between them are journaled and undone
 //     exactly, which is how the lookahead scheduler scores candidates on
-//     its projection without copying it.
+//     its projection without copying it. SetFloor prunes each lane by
+//     moving a head index past the intervals the floor retired, and
+//     Check states the timeline's invariants: on every lane
+//     0 ≤ head ≤ len, the intervals before head exactly those ending at
+//     or before the floor, every live one ending after it, and the dead
+//     prefix invisible to Clone and to every placement.
 //   - NetParams (net.go) parameterizes the inter-host network of the
 //     cluster layer: link bandwidth/latency, efficiency, NIC striping,
 //     switch tiers and deterministic skew, combined by RoundTime into

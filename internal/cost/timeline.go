@@ -1,5 +1,7 @@
 package cost
 
+import "fmt"
+
 // This file provides overlap-aware elapsed-time accounting. The Meter
 // (cost.go) sums *work*: every charge adds to its category no matter when
 // it happens, which models fully serialized execution. Asynchronous plan
@@ -131,7 +133,12 @@ type interval struct{ start, end Seconds }
 // Timeline is not safe for concurrent use; core.Comm guards its timeline
 // with the execution lock.
 type Timeline struct {
+	// busy[l][head[l]:] is lane l's live list, sorted and disjoint. The
+	// dead prefix busy[l][:head[l]] is exactly the intervals that end at
+	// or before the floor: SetFloor moves head past them, and place
+	// reclaims them only when its append would outgrow the array.
 	busy  [NumLanes][]interval
+	head  [NumLanes]int
 	total [NumLanes]Seconds
 	end   Seconds
 	floor Seconds
@@ -145,7 +152,10 @@ type Timeline struct {
 	markEnd   Seconds
 }
 
-// booking is one journaled place: the interval inserted at busy[lane][idx].
+// booking is one journaled place: the interval inserted at idx of the
+// lane's live list, busy[lane][head[lane]+idx]. The index is relative to
+// head because a compaction inside the mark moves the live list (and
+// resets head) without moving any interval within it.
 type booking struct {
 	lane Lane
 	idx  int
@@ -173,18 +183,21 @@ func (tl *Timeline) Reset() {
 	*tl = Timeline{busy: busy, journal: tl.journal[:0]}
 }
 
-// Clone returns an independent deep copy of the timeline, outside any
-// mark: placements on the clone never disturb the original and vice
-// versa. The copy is deep because place() books intervals with an
-// in-place insert-shift that would corrupt a shared backing array. No
+// live returns lane l's live list.
+func (tl *Timeline) live(l Lane) []interval { return tl.busy[l][tl.head[l]:] }
+
+// Clone returns an independent deep copy of the timeline's live lists,
+// outside any mark: placements on the clone never disturb the original
+// and vice versa. The copy is deep because place() books intervals with
+// an in-place insert-shift that would corrupt a shared backing array. No
 // product code calls it — what-if scoring places on the timeline itself
 // between Mark and Rollback; Clone is the oracle the rollback tests
 // compare against and a layer the benchmark times.
 func (tl *Timeline) Clone() Timeline {
 	out := Timeline{total: tl.total, end: tl.end, floor: tl.floor}
 	for l := range tl.busy {
-		if len(tl.busy[l]) > 0 {
-			out.busy[l] = append([]interval(nil), tl.busy[l]...)
+		if live := tl.live(Lane(l)); len(live) > 0 {
+			out.busy[l] = append([]interval(nil), live...)
 		}
 	}
 	return out
@@ -210,8 +223,8 @@ func (tl *Timeline) Rollback() {
 	}
 	for k := len(tl.journal) - 1; k >= 0; k-- {
 		b := tl.journal[k]
-		ivs := tl.busy[b.lane]
-		tl.busy[b.lane] = append(ivs[:b.idx], ivs[b.idx+1:]...)
+		ivs, i := tl.busy[b.lane], tl.head[b.lane]+b.idx
+		tl.busy[b.lane] = append(ivs[:i], ivs[i+1:]...)
 	}
 	tl.journal = tl.journal[:0]
 	tl.total, tl.end = tl.markTotal, tl.markEnd
@@ -227,24 +240,22 @@ func (tl *Timeline) mustNotMark(op string) {
 // SetFloor declares that no future placement will start before f (a
 // barrier: a serial run or queue flush happened at f). Busy intervals
 // entirely before the floor can never border a usable gap again and are
-// pruned, keeping the lists — and the first-fit search — bounded by the
-// work in flight since the last barrier rather than the timeline's whole
-// history. It panics between Mark and Rollback.
+// pruned — head moves past them, at a cost of the intervals dropped, not
+// of the list — keeping the live lists, and the first-fit search, bounded
+// by the work in flight since the last barrier rather than the
+// timeline's whole history. It panics between Mark and Rollback.
 func (tl *Timeline) SetFloor(f Seconds) {
 	tl.mustNotMark("SetFloor")
 	if f <= tl.floor {
 		return
 	}
 	tl.floor = f
-	for l := range tl.busy {
-		ivs := tl.busy[l]
-		i := 0
-		for i < len(ivs) && ivs[i].end <= f {
-			i++
+	for l, ivs := range tl.busy {
+		h := tl.head[l]
+		for h < len(ivs) && ivs[h].end <= f {
+			h++
 		}
-		if i > 0 {
-			tl.busy[l] = append(ivs[:0], ivs[i:]...)
-		}
+		tl.head[l] = h
 	}
 }
 
@@ -303,30 +314,54 @@ func (tl *Timeline) Serial(segs []Segment) Seconds {
 	for l := range tl.busy {
 		tl.busy[l] = tl.busy[l][:0]
 	}
+	tl.head = [NumLanes]int{}
 	return cursor
 }
 
 // place books the first gap of length dur on the lane at or after from
 // and returns the booked start time.
 func (tl *Timeline) place(lane Lane, from, dur Seconds) Seconds {
-	ivs := tl.busy[lane]
+	ivs, h := tl.busy[lane], tl.head[lane]
 	pos := from
-	// Skip the intervals ending at or before pos by bisection: the list is
-	// sorted and disjoint, so its ends are sorted too. From the first
-	// interval with end > pos on, every end exceeds the cursor.
-	i, hi := 0, len(ivs)
-	for i < hi {
-		if mid := int(uint(i+hi) >> 1); ivs[mid].end <= pos {
-			i = mid + 1
+	// Skip the live intervals ending at or before pos: the list is sorted
+	// and disjoint, so its ends are sorted too. Bookings land near the
+	// tail, so gallop back from it to bracket the first interval with
+	// end > pos in [lo, hi], then bisect. From that interval on, every
+	// end exceeds the cursor.
+	lo, hi := h, len(ivs)
+	for step := 1; lo < hi; step *= 2 {
+		j := max(hi-step, lo)
+		if ivs[j].end <= pos {
+			lo = j + 1
+			break
+		}
+		hi = j
+	}
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ivs[mid].end <= pos {
+			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
+	i := lo
 	for ; i < len(ivs); i++ {
 		if pos+dur <= ivs[i].start {
 			break // fits in the gap before interval i
 		}
 		pos = ivs[i].end
+	}
+	if len(ivs) == cap(ivs) && h > 0 {
+		// The append below would outgrow the array: slide the live list
+		// down over the dead prefix instead. An array still grows only
+		// when its live list fills it, as under eager pruning, so the
+		// steady state allocates nothing and capacity stays under twice
+		// the peak live count. A slide happens at most once per pruning
+		// SetFloor, where the eager prune copied the list on every one,
+		// and the h slots it frees last h bookings.
+		ivs = ivs[:copy(ivs, ivs[h:])]
+		i -= h
+		h, tl.head[lane] = 0, 0
 	}
 	// Insert in place: grow by one, shift the tail, write the slot. The
 	// backing array is retained across SetFloor pruning, so once a lane's
@@ -338,7 +373,44 @@ func (tl *Timeline) place(lane Lane, from, dur Seconds) Seconds {
 	tl.busy[lane] = ivs
 	tl.total[lane] += dur
 	if tl.marking {
-		tl.journal = append(tl.journal, booking{lane, i})
+		tl.journal = append(tl.journal, booking{lane, i - h})
 	}
 	return pos
+}
+
+// Check reports the first broken structural invariant of the timeline:
+// on every lane 0 ≤ head ≤ len; every interval non-empty, sorted and
+// disjoint from its predecessor, ending at or before the makespan; the
+// intervals before head exactly those that end at or before the floor;
+// and the lane's total at least the sum of the intervals it still holds
+// (pruning drops intervals, never totals). It reads the timeline only.
+func (tl *Timeline) Check() error {
+	for l, ivs := range tl.busy {
+		lane, h := Lane(l), tl.head[l]
+		if h < 0 || h > len(ivs) {
+			return fmt.Errorf("lane %v head %d outside [0,%d]", lane, h, len(ivs))
+		}
+		var sum Seconds
+		for i, iv := range ivs {
+			if !(iv.start < iv.end) {
+				return fmt.Errorf("lane %v interval %d [%v,%v) is empty", lane, i, iv.start, iv.end)
+			}
+			if i > 0 && iv.start < ivs[i-1].end {
+				return fmt.Errorf("lane %v interval %d [%v,%v) overlaps or precedes [%v,%v)",
+					lane, i, iv.start, iv.end, ivs[i-1].start, ivs[i-1].end)
+			}
+			if iv.end > tl.end {
+				return fmt.Errorf("lane %v interval %d ends at %v, past the makespan %v", lane, i, iv.end, tl.end)
+			}
+			if dead := i < h; dead != (iv.end <= tl.floor) {
+				return fmt.Errorf("lane %v interval %d ends at %v against floor %v, but head is %d", lane, i, iv.end, tl.floor, h)
+			}
+			sum += iv.end - iv.start
+		}
+		// (pos+dur)-pos rounds, so the two sums agree only to rounding.
+		if tl.total[l] < sum*(1-1e-12) {
+			return fmt.Errorf("lane %v total %v below its intervals' sum %v", lane, tl.total[l], sum)
+		}
+	}
+	return nil
 }

@@ -136,6 +136,9 @@ func TestSerialMatchesPlaceThenFloor(t *testing.T) {
 					t.Fatalf("run %d step %d: next placement [%v,%v), reference [%v,%v)", run, step, s, f, rs, rf)
 				}
 			}
+			if err := tl.Check(); err != nil {
+				t.Fatalf("run %d step %d: %v", run, step, err)
+			}
 		}
 	}
 	var tl Timeline

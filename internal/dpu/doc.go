@@ -36,15 +36,18 @@
 //
 //   - Lifetime is one PE's kernel: the launch loop resets the arena before
 //     each PE, so a buffer must not outlive the kernel call it was taken in.
-//   - Contents are undefined: every PE after a worker's first sees what the
+//   - Contents are undefined: every PE after a shard's first sees what the
 //     previous PE left. Clear what the kernel needs zeroed.
 //   - No traffic is charged: the arena models WRAM streaming state, not
 //     MRAM. Only ReadMram/WriteMram and Exec reach the cost model.
-//   - Slabs are retained with the pooled per-worker context. A take that
-//     does not fit grows the slab to everything the PE has taken so far
-//     (earlier buffers stay valid), so from a worker's second PE on, and
-//     on every later launch, nothing is allocated. An engine holds at most
-//     the largest single-PE footprint per launch worker.
+//   - Slabs are retained with the shard's context: shard k of a launch
+//     always runs on context k of the engine's pooled launch descriptor,
+//     whichever goroutine claims it. A take that does not fit grows the
+//     slab to everything the PE has taken so far (earlier buffers stay
+//     valid), so from a shard's second PE on, and on every later launch,
+//     nothing is allocated — however many pool helpers happened to be
+//     free. An engine holds at most the largest single-PE footprint per
+//     launch shard.
 //
 // # Paper map
 //

@@ -22,14 +22,15 @@ const SaturatingTasklets = 11
 // Exec. Ctx is not safe for concurrent use; each PE gets its own.
 //
 // Kernel staging comes from the context, not from make: Wram is the fixed
-// 64 KiB scratchpad, and Buf/I32/I64 hand out pieces of a per-worker
+// 64 KiB scratchpad, and Buf/I32/I64 hand out pieces of a per-shard
 // scratch arena. An arena buffer is valid until the kernel returns for
 // the current PE (the launch loop resets the arena before each PE), its
 // contents are undefined — clear it where the kernel relies on zeroes —
 // and it models the WRAM streaming state of the real kernel, so no MRAM
-// traffic is accounted. The arena's slabs stay with the pooled context:
-// once a worker has run the largest kernel, a launch allocates nothing,
-// and an engine retains at most that single-PE footprint per worker.
+// traffic is accounted. The arena's slabs stay with the context, which
+// belongs to one shard index of a pooled launch descriptor: once each
+// shard has run the largest kernel, a launch allocates nothing, and an
+// engine retains at most that single-PE footprint per shard.
 type Ctx struct {
 	// PE is the linear PE index.
 	PE int
@@ -119,7 +120,6 @@ type Engine struct {
 	params cost.Params
 
 	mu       sync.Mutex
-	ctxs     []*Ctx         // reusable per-worker contexts (WRAM + scratch arena)
 	launches []*launchState // reusable launch descriptors
 }
 
@@ -133,26 +133,6 @@ func (e *Engine) System() *dram.System { return e.sys }
 
 // Params returns the engine's cost parameters.
 func (e *Engine) Params() cost.Params { return e.params }
-
-// getCtx returns a pooled kernel context with its WRAM (and any grown
-// arena slabs) attached; per-PE fields are reset by the launch loop.
-func (e *Engine) getCtx() *Ctx {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.ctxs); n > 0 {
-		c := e.ctxs[n-1]
-		e.ctxs = e.ctxs[:n-1]
-		return c
-	}
-	return &Ctx{wram: make([]byte, WramBytes)}
-}
-
-func (e *Engine) putCtx(c *Ctx) {
-	c.mram = nil
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ctxs = append(e.ctxs, c)
-}
 
 // LaunchSpec configures a kernel launch.
 type LaunchSpec struct {
@@ -176,7 +156,7 @@ type LaunchSpec struct {
 }
 
 // launchState is one in-flight Launch: the par.Runner that executes a
-// shard of the PE list on a pooled context and records the shard's
+// shard of the PE list on the shard's context and records the shard's
 // maximum per-PE time. Recycled via the engine so steady-state launches
 // allocate nothing.
 type launchState struct {
@@ -186,13 +166,20 @@ type launchState struct {
 	ipc   float64
 	k     Kernel
 	maxs  []cost.Seconds // per-shard maximum per-PE time
+	// ctxs[k] is shard k's context (WRAM + scratch arena), made the first
+	// time shard k runs. Every shard runs in every launch, whichever
+	// goroutine claims it, so the contexts an engine holds, and the slabs
+	// each grows, do not depend on how many pool helpers were free.
+	ctxs []*Ctx
 }
 
-// RunShard executes PEs [lo, hi) of the launch on one pooled context,
-// which goes back to the pool even when the kernel panics.
+// RunShard executes PEs [lo, hi) of the launch on the shard's context.
 func (ls *launchState) RunShard(shard, lo, hi int) {
-	ctx := ls.e.getCtx()
-	defer ls.e.putCtx(ctx)
+	ctx := ls.ctxs[shard]
+	if ctx == nil {
+		ctx = &Ctx{wram: make([]byte, WramBytes)}
+		ls.ctxs[shard] = ctx
+	}
 	var localMax cost.Seconds
 	for i := lo; i < hi; i++ {
 		pe := ls.pes[i]
@@ -224,6 +211,9 @@ func (e *Engine) getLaunch(workers int) *launchState {
 	e.mu.Unlock()
 	if cap(ls.maxs) < workers {
 		ls.maxs = make([]cost.Seconds, workers)
+	}
+	if len(ls.ctxs) < workers {
+		ls.ctxs = append(ls.ctxs, make([]*Ctx, workers-len(ls.ctxs))...)
 	}
 	ls.maxs = ls.maxs[:workers]
 	for i := range ls.maxs {

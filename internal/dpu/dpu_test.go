@@ -3,6 +3,7 @@ package dpu
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,7 +244,7 @@ func TestArenaBuffersDoNotAlias(t *testing.T) {
 	})
 }
 
-// Every PE after a worker's first, and every launch after an engine's
+// Every PE after a shard's first, and every launch after an engine's
 // first, takes its staging from the slabs the context already holds.
 func TestSteadyStateLaunchDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
@@ -266,17 +267,48 @@ func TestSteadyStateLaunchDoesNotAllocate(t *testing.T) {
 			c.WriteMram(512, c.Buf(64))
 			c.Exec(128)
 		}
-		// Warm two contexts whether or not a pool helper is free to take
-		// a shard: the second is created while the first is held out.
-		held := e.getCtx()
-		e.Launch(spec, meter, kernel)
-		e.putCtx(held)
-		e.Launch(spec, meter, kernel)
 		e.Launch(spec, meter, kernel)
 		if avg := testing.AllocsPerRun(20, func() { e.Launch(spec, meter, kernel) }); avg != 0 {
 			t.Errorf("Workers=%d: a warm 64-PE launch allocates %.2f times", workers, avg)
 		}
 	}
+}
+
+// A shard's context does not depend on which goroutine runs the shard.
+// When no pool helper is free the caller claims every shard in turn; the
+// launch must still leave one context per shard, each reused by its shard
+// in any claim order, so a later launch that does find a helper makes no
+// 64 KiB context of its own.
+func TestLaunchContextsFollowShards(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	e := testEngine(t)
+	const shards = 4
+	ls := e.getLaunch(shards)
+	ls.pes, ls.k = allPEs(e), func(c *Ctx) { c.Buf(256 + c.PE); c.I32(64) }
+	n := len(ls.pes)
+	claim := func(order ...int) func() {
+		return func() {
+			for _, k := range order {
+				ls.RunShard(k, k*n/shards, (k+1)*n/shards)
+			}
+		}
+	}
+	claim(0, 1, 2, 3)()
+	ctxs := slices.Clone(ls.ctxs)
+	for k, c := range ctxs {
+		if c == nil || slices.Index(ctxs, c) != k {
+			t.Fatalf("shard %d has context %p after one launch: want one of its own (%p)", k, c, ctxs)
+		}
+	}
+	if a := testing.AllocsPerRun(10, claim(3, 1, 0, 2)); a != 0 {
+		t.Errorf("shards claimed in another order allocate %v times, want 0", a)
+	}
+	if !slices.Equal(ls.ctxs, ctxs) {
+		t.Errorf("shard contexts changed with the claim order: %p, want %p", ls.ctxs, ctxs)
+	}
+	e.putLaunch(ls)
 }
 
 func TestLaunchEmptyPEsIsNoOp(t *testing.T) {

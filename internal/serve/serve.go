@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"strconv"
 
 	"repro/internal/cost"
@@ -300,11 +300,10 @@ func genArrivals(cfg Config) ([]arrival, error) {
 		}
 	next:
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].t != all[b].t {
-			return all[a].t < all[b].t
-		}
-		return all[a].tenant < all[b].tenant
+	// Arrivals with equal (t, tenant) are equal values, so an unstable
+	// sort yields the stable sort's order.
+	slices.SortFunc(all, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.tenant, b.tenant))
 	})
 	return all, nil
 }

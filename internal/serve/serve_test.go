@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cost"
@@ -283,6 +285,45 @@ func TestOverloadShed(t *testing.T) {
 				t.Fatalf("%v: shed request %d carries a window: %+v", shed, i, r)
 			}
 		}
+	}
+}
+
+// genArrivals' unstable sort by (t, tenant) returns what a stable sort of
+// the same arrivals does: bursty clumps share t, but two arrivals equal
+// in (t, tenant) are equal values. The check is not vacuous: the config
+// draws clumps and both tenants interleave.
+func TestGenArrivalsMatchesStableSort(t *testing.T) {
+	cfg := Config{Seed: 3, Horizon: 0.5, Tenants: []TenantSpec{
+		{Name: "a", Model: MLP, Arrivals: Bursty, Rate: 4000, Burst: 6},
+		{Name: "b", Model: GNN, Arrivals: Bursty, Rate: 3000},
+		{Name: "c", Model: DLRM, Rate: 2000},
+	}}
+	got, err := genArrivals(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(got)
+	rand.New(rand.NewSource(1)).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	sort.SliceStable(want, func(a, b int) bool {
+		if want[a].t != want[b].t {
+			return want[a].t < want[b].t
+		}
+		return want[a].tenant < want[b].tenant
+	})
+	if !slices.Equal(got, want) {
+		t.Fatal("genArrivals differs from the stable sort of its arrivals")
+	}
+	clumped, switches := 0, 0
+	for i := 1; i < len(got); i++ {
+		if got[i].t == got[i-1].t {
+			clumped++
+		}
+		if got[i].tenant != got[i-1].tenant {
+			switches++
+		}
+	}
+	if clumped < 100 || switches < 100 {
+		t.Fatalf("%d arrivals, %d share t with their predecessor and %d switch tenant: want clumps and interleaving", len(got), clumped, switches)
 	}
 }
 
