@@ -440,7 +440,7 @@ func TestSerialRunIsBarrier(t *testing.T) {
 	}
 }
 
-// TestPlanCacheStats pins the instrumentation: hits/misses and memory
+// TestPlanCacheStats pins the instrumentation: row hits/misses and memory
 // accounting across compiles and one-shot replays.
 func TestPlanCacheStats(t *testing.T) {
 	const m = 32 * 8
@@ -453,7 +453,7 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Snapshot().PlanCache
-	if st.PlanMisses != 1 || st.PlanHits != 0 || st.TraceMisses != 1 {
+	if st.TraceHits != 0 || st.TraceMisses != 1 {
 		t.Fatalf("after first call: %+v", st)
 	}
 	for i := 0; i < 3; i++ {
@@ -463,16 +463,16 @@ func TestPlanCacheStats(t *testing.T) {
 		}
 	}
 	st = c.Snapshot().PlanCache
-	if st.PlanHits != 3 || st.PlanMisses != 1 {
+	if st.TraceHits != 3 || st.TraceMisses != 1 {
 		t.Fatalf("after replays: %+v", st)
 	}
-	if st.CachedPlans != 1 || st.CachedTraces != 1 {
+	if st.CachedTraces != 1 {
 		t.Fatalf("cache sizes: %+v", st)
 	}
 	if st.TraceEntries == 0 || st.TraceBytes == 0 {
 		t.Fatalf("no trace memory accounted: %+v", st)
 	}
-	// Host-input plans miss the plan cache but hit the trace cache.
+	// Host-input plans share rows too.
 	bufs := [][]byte{nil}
 	_ = bufs
 	if _, err := c.Run(Collective{Prim: Scatter, Dims: "1",
@@ -511,11 +511,10 @@ func TestSubmitRootedResults(t *testing.T) {
 	}
 	first := append([]byte(nil), bufs[0]...)
 	fillPEs(c, 0, s, 6)
-	again, _, err := runRooted(c, d)
-	if err != nil {
+	if _, err := f.Plan().Run(); err != nil {
 		t.Fatal(err)
 	}
-	if &again[0][0] != &bufs[0][0] || bytes.Equal(bufs[0], first) {
+	if again := f.Plan().Results(); &again[0][0] != &bufs[0][0] || bytes.Equal(bufs[0], first) {
 		t.Fatal("a later run of the plan did not overwrite its result buffers in place")
 	}
 }

@@ -203,24 +203,15 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 
 // autoRow returns the shape row of candidate d — a caller's descriptor
 // with the candidate (algorithm, level) filled in — at d's own offsets on
-// the whole-MRAM arena, a dry spec whose host payload may be left out. A
-// row the table lacks is built — lowered, fused and traced — and kept:
-// one trace miss per candidate, after which every lookup of its key, the
-// winner's compile included, is a hit. Callers hold compMu.
+// the whole-MRAM arena, a dry spec whose host payload may be left out
+// (rowLocked): one trace miss per candidate, after which every lookup of
+// its key, the winner's compile included, is a hit. Callers hold compMu.
 func (c *Comm) autoRow(d Collective) (*planEntry, error) {
 	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
 	if err != nil {
 		return nil, err
 	}
-	key := seqKey{head: spec.env.planKey}
-	if row := c.rows[key]; row != nil {
-		c.cacheSt.TraceHits++
-		return row, nil
-	}
-	c.cacheSt.TraceMisses++
-	row := c.buildLocked([]planSpec{spec})
-	c.rows[key] = row
-	return row, nil
+	return c.rowLocked([]planSpec{spec}), nil
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by

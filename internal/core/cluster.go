@@ -12,8 +12,8 @@ package core
 // (the interior per-leg syncs collapse — a cross-leg rewrite on every
 // hierarchical plan) and replays through the same engine as a
 // single-host collective; it is cached once, in its session's cache under
-// its clusterKey (the per-host plans are built past the shards' plan
-// caches and the shape table's rows).
+// its clusterKey (the per-host plans are built past the shape table's
+// rows).
 //
 // One configuration, one shape table, one plan per role: NewCluster builds
 // every host from one Config on one shape table (comm.go), so a local
@@ -333,15 +333,14 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		}
 	}
 	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	shared := make([]bool, len(cl.comms)) // host h took its role's row
-	var sym *clusterBuild                 // the row of the hosts the lowering does not single out
+	var sym *clusterBuild // the row of the hosts the lowering does not single out
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
 	rooted := d.Flat || d.Prim.known() && shapes[d.Prim].cluster.wire == wireRooted
 	for h := range cl.comms {
 		owner := s.shards[h]
 		own := d.Prim == AlltoAll || rooted && h == d.Root // the lowering reads h
 		b := sym
-		if shared[h] = !own && b != nil; !shared[h] {
+		if own || b == nil {
 			// Validated, lowered, fused and traced past the shape table's
 			// rows — this entry is the cache — by the role's first host only.
 			var err error
@@ -352,14 +351,12 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 			if !own {
 				sym = b
 			}
+		} else {
+			c.cacheSt.TraceHits++ // host h shares its role's row
 		}
 		cp.plans[h] = owner.planOn(b.row, b.payloads(h))
 	}
-	// Booked, a plan miss per host like any other, and cached only now: a
-	// descriptor rejected at any host leaves no counter and no entry behind.
-	for h, hp := range cp.plans {
-		c.countBuildLocked(hp, shared[h])
-	}
+	// Cached only now: a descriptor rejected at any host leaves no entry.
 	s.cache[key] = st
 	if !(cl.functional && d.Hosts != nil) {
 		st.plan = cp

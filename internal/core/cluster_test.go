@@ -392,7 +392,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if before := cl.Host(0).Snapshot().PlanCache; before.PlanMisses == 0 {
+	if before := cl.Host(0).Snapshot().PlanCache; before.TraceMisses == 0 {
 		t.Error("cluster host builds were never booked on the host")
 	}
 
@@ -414,10 +414,10 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		t.Error("payload-capturing cluster plan was cached")
 	}
 
-	// The cluster cache is the only cache of a host plan: the hosts' own
-	// plan caches hold nothing.
+	// The cluster cache is the only cache of a host plan: the hosts' shape
+	// table holds no row of it.
 	for h := 0; h < H; h++ {
-		if st := cl.Host(h).Snapshot().PlanCache; st.CachedPlans+st.CachedSeqs+st.CachedTraces != 0 {
+		if st := cl.Host(h).Snapshot().PlanCache; st.CachedTraces != 0 {
 			t.Errorf("host %d caches cluster members itself: %+v", h, st)
 		}
 	}

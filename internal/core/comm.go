@@ -117,8 +117,8 @@ type Comm struct {
 // hosts of a Cluster, built from one Config, share one (NewCluster).
 // compMu, the one lock of compilation (doc.go, Concurrency), guards it
 // all — group plans per dims string, Auto decisions and objective
-// (auto.go), shape rows, counters, fusion statistics, tracer — and every
-// session's plans on the table's comms, cluster sessions' included.
+// (auto.go), shape rows, counters, fusion statistics, tracer — and the
+// cluster sessions' plan caches on the table's comms.
 type shapeTable struct {
 	compMu    sync.Mutex
 	plans     map[string]*plan

@@ -46,13 +46,13 @@
 // A collective call flows through four stages: validate, lower to the
 // schedule IR, compile to a plan, execute. Compilation is one path:
 // descriptor → specIn (validation, Auto resolution, the resolved call) →
-// compiled (the session's plans, then the shape table's rows, both
-// keyed by the members' arena-relative signatures; a collective is a
-// sequence of one) → buildLocked (lower → concatenate → fuse → trace, on
-// a row miss). Auto's dry builds fill the same rows.
-// The cluster layer calls buildLocked past both caches: its session
-// (ClusterTenant, one arena on every host) caches a host plan once, with
-// the staging it binds — one plan per role, bound per host (cluster.go).
+// compiled (a new plan on the shape table's row, keyed by the members'
+// arena-relative signatures; a collective is a sequence of one) →
+// buildLocked (lower → concatenate → fuse → trace, on a row miss). The
+// shape table is the one compile cache, and Auto's dry builds fill its
+// rows. The cluster layer builds past them: its session (ClusterTenant,
+// one arena on every host) caches a host plan once, with the staging it
+// binds — one plan per role, bound per host (cluster.go).
 //
 //   - Hypercube (hypercube.go) holds the virtual shape of § IV-B and
 //     produces communication groups (the cube slices of Figure 5) from a
@@ -79,7 +79,7 @@
 //     Broadcast read and Gather and Reduce write), which a functional run
 //     reads off the comm's running plan. A plan that finds its row (a
 //     successor tenant's, Auto's winner) lowers and traces nothing on
-//     either backend (Snapshot.PlanCache instruments both caches).
+//     either backend (Snapshot.PlanCache instruments the rows).
 //   - Fusion (fuse.go): before tracing, peephole passes rewrite the
 //     lowered schedule — adjacent same-region rotations compose (inverse
 //     pairs cancel), back-to-back streaming epochs coalesce, no-ops and
@@ -160,7 +160,7 @@
 // to running alone), a weight, and an optional simulated-time quota
 // enforced at admission. The whole lifecycle lives there: NewTenant
 // carves the arena from the system's free-list allocator and registers
-// the session, Close retires it, drops its plans and frees the arena —
+// the session, Close retires it and frees the arena —
 // pidcomm re-exports the type as its Comm. The submission queue is
 // per-tenant buckets served by start-time weighted fair queuing
 // (async.go); within a bucket FIFO order — and with it hazard order — is
@@ -193,7 +193,7 @@
 // compMu for compilation, which a cluster's hosts share and a compile
 // takes once. The one nesting is a Cluster's execMu before a host's
 // locks: a cluster run or submission takes asyncMu or execMu under it,
-// a cluster shard's Close all three. compMu is never held with asyncMu
+// a cluster shard's Close both. compMu is never held with asyncMu
 // or execMu, and only leaf locks, such as a meter's, are taken inside it.
 //
 // # Inspecting a run

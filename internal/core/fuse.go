@@ -123,22 +123,23 @@ func (r FusionReport) String() string {
 }
 
 // FusionStats aggregates fusion activity over a Comm's lifetime
-// (Snapshot.Fusion; surfaced by `pidinfo -plancache`). Counters are
-// cumulative, like the plan-cache counters.
+// (Snapshot.Fusion; surfaced by `pidinfo -plancache`): it counts rows
+// built, Auto candidates and cluster role rows included, not plans.
+// Counters are cumulative, like the plan-cache counters.
 type FusionStats struct {
-	// PlansCompiled counts plans that went through the fusion pipeline;
+	// PlansCompiled counts rows that went through the fusion pipeline;
 	// PlansFused counts those whose schedule actually changed.
 	PlansCompiled, PlansFused int
-	// Pass counters summed over all fused plans.
+	// Pass counters summed over all fused rows.
 	RotatesMerged, RotatesElided, SyncsElided, EpochsCoalesced, OtherElided int
 	// PEBytesSaved/PEInstrSaved sum the per-PE rotation work removed.
 	PEBytesSaved, PEInstrSaved int64
-	// CostSaved is the summed per-run simulated time the fused plans
-	// save over their unfused forms (each plan counted once, at compile).
+	// CostSaved is the summed per-run simulated time the fused rows
+	// save over their unfused forms (each row counted once, when built).
 	CostSaved cost.Seconds
 }
 
-// add folds one plan's report into the aggregate.
+// add folds one row's report into the aggregate.
 func (s *FusionStats) add(r FusionReport) {
 	s.PlansCompiled++
 	if r.Changed() {

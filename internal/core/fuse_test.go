@@ -348,9 +348,9 @@ func TestSequenceRejectsRooted(t *testing.T) {
 }
 
 // TestSequenceCacheAndStats pins sequence caching and the aggregate
-// fusion statistics: recompiling an identical sequence is a cache hit,
-// the cached-sequence count is surfaced, and FusionStats accumulates the
-// per-plan reports.
+// fusion statistics: recompiling an identical sequence binds the same
+// shape row, the row count is surfaced, and FusionStats accumulates the
+// report of each row built.
 func TestSequenceCacheAndStats(t *testing.T) {
 	c := costSystem(t, geo64, []int{8, 8})
 	const s = 32
@@ -367,12 +367,12 @@ func TestSequenceCacheAndStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp1 != cp2 {
+	if cp1.planEntry != cp2.planEntry {
 		t.Fatal("identical sequence did not hit the cache")
 	}
 	snap := c.Snapshot()
-	if snap.PlanCache.CachedSeqs != 1 {
-		t.Fatalf("CachedSeqs = %d, want 1", snap.PlanCache.CachedSeqs)
+	if st := snap.PlanCache; st.CachedTraces != 1 || st.TraceHits != 1 || snap.Fusion.PlansCompiled != 1 {
+		t.Fatalf("one sequence compiled twice: %+v, %+v", st, snap.Fusion)
 	}
 	fs := snap.Fusion
 	if fs.PlansFused == 0 || fs.RotatesElided == 0 || fs.CostSaved <= 0 {

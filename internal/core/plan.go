@@ -12,26 +12,25 @@ import (
 
 // This file implements the plan/execute split: a collective is compiled
 // once — validated, Auto-resolved, and its charges precomputed — into a
-// CompiledPlan that can be replayed many times. Tenant.Run is Compile+Run
-// over the session's plans, so iterative workloads that repeat a call
-// signature every layer/iteration (DLRM, GNN, MLP, BFS/CC — and the
-// paper-scale sweeps of the bench harness) amortize all per-call setup.
+// CompiledPlan that can be replayed many times, so iterative workloads
+// that repeat a call signature every layer/iteration (DLRM, GNN, MLP,
+// BFS/CC — and the paper-scale sweeps of the bench harness) compile once
+// and amortize all per-call setup.
 //
 // One pipeline: descriptor → specIn (collective.go) → compiled, where a
-// collective is a sequence of one → buildLocked on a row miss. Shapes
-// belong to the configuration: the shape table (comm.go) — a lone
-// machine's own, or the one every host of a Cluster shares — keys its rows
-// by the members' arena-relative signatures, so a row serves every session
-// at every arena base on every host; a row lowers its fused IR Schedule
-// once, at those offsets, and holds no comm.
-// Plans belong to sessions: a plan is its row, its owner, the owner's
-// arena base and the host buffers its runs read or write (Hosts), and
-// each Tenant caches its own per row and drops them when it closes; a
-// run binds its plan (Comm.cur), so a compile that finds its row lowers
-// nothing. Auto's candidate dry builds (auto.go) fill and read the
-// same rows, so the winner's compile traces nothing. The cluster layer
-// (cluster.go) calls buildLocked past both caches: a host plan is cached
-// once, in its cluster session, with the staging it binds.
+// collective is a sequence of one → rowLocked → buildLocked on a row
+// miss. The shape table (comm.go) — a lone machine's own, or the one
+// every host of a Cluster shares — is the one compile cache: it keys its
+// rows by the members' arena-relative signatures, so a row serves every
+// session at every arena base on every host; a row lowers its fused IR
+// Schedule once, at those offsets, and holds no comm. A plan is its row
+// bound at Compile to its owner, the owner's arena base and the host
+// buffers its runs read or write (Hosts); a run binds its plan
+// (Comm.cur), so a compile that finds its row lowers nothing. Auto's
+// candidate dry builds (auto.go) fill and read the same rows, so the
+// winner's compile traces nothing. The cluster layer (cluster.go) calls
+// buildLocked past the rows: a host plan is cached once, in its cluster
+// session, with the staging it binds.
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
@@ -327,63 +326,38 @@ func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
 	return &chargeTrace{adds: slices.Clone(tc.adds), stats: tc.h.Stats(), total: tc.h.Meter().Snapshot(), segs: slices.Clone(tc.segs)}
 }
 
-// compiled returns owner's plan for specs — one collective or a sequence
-// of them — binding hosts. A repeated signature is a lookup in the
-// session's plans; a miss binds a plan to the key's shape row, which
-// lowers and traces nothing, or builds a new row for every session to
-// share. A plan that binds Hosts, or has a host-input member, is never
-// cached: it serves that call alone. The closed check runs under compMu,
-// which Close takes, after setting the flag, to drop the session's plans:
-// a racing Close either stops a compile or drops its plan. Callers hold
-// compMu.
+// compiled binds owner's plan for specs — one collective or a sequence
+// of them — to their shape row (rowLocked), with hosts: a compile that
+// finds its row lowers and traces nothing. A closed session compiles
+// nothing; a plan compiled while it closes never runs, because Run and
+// Submit admit against the session first. Callers hold compMu.
 func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*CompiledPlan, error) {
-	key, cacheable := seqKey{head: specs[0].env.planKey}, hosts == nil
-	for i, sp := range specs {
-		cacheable = cacheable && !shapes[sp.env.prim].hostInput()
-		if i > 0 {
-			key.tail += fmt.Sprintf("%+v;", sp.env.planKey)
-		}
-	}
 	if err := owner.errIfClosed(); err != nil {
 		return nil, err
 	}
-	row := c.rows[key]
-	if cp := owner.plans[row]; cp != nil {
-		c.cacheSt.PlanHits++
-		c.cacheSt.TraceHits++
-		return cp, nil
-	}
-	traced := row != nil
-	if !traced {
-		row = c.buildLocked(specs)
-		c.rows[key] = row
-	}
-	cp := owner.planOn(row, hosts)
+	cp := owner.planOn(c.rowLocked(specs), hosts)
 	if env := &specs[0].env; shapes[env.prim].rooted() { // a sequence of one
 		cp.outs, cp.outBytes = len(env.p.groups), shapes[env.prim].host.of(env.bytes, env.p.n)
-	}
-	c.countBuildLocked(cp, traced)
-	if cacheable {
-		if owner.plans == nil {
-			owner.plans = make(map[*planEntry]*CompiledPlan)
-		}
-		owner.plans[cp.planEntry] = cp
 	}
 	return cp, nil
 }
 
-// countBuildLocked books one build in the table's counters: a plan miss,
-// a trace hit or miss, and the plan's fusion report. Callers hold compMu.
-func (c *Comm) countBuildLocked(cp *CompiledPlan, traceHit bool) {
-	c.cacheSt.PlanMisses++
-	if traceHit {
+// rowLocked returns the shape row of specs, keyed by the members'
+// arena-relative signatures, and books the lookup: a hit, or a miss that
+// builds the row for every session and Auto to share. It is the one
+// lookup of the table's rows. Callers hold compMu.
+func (c *Comm) rowLocked(specs []planSpec) *planEntry {
+	key := seqKey{head: specs[0].env.planKey}
+	for _, sp := range specs[1:] {
+		key.tail += fmt.Sprintf("%+v;", sp.env.planKey)
+	}
+	if row := c.rows[key]; row != nil {
 		c.cacheSt.TraceHits++
-	} else {
-		c.cacheSt.TraceMisses++
+		return row
 	}
-	if c.fuse == FuseFull {
-		c.fuseSt.add(cp.fusion)
-	}
+	row := c.buildLocked(specs)
+	c.rows[key] = row
+	return row
 }
 
 // planOn is the one constructor of a session's plan: t's plan on row, at
@@ -398,8 +372,8 @@ func (t *Tenant) planOn(row *planEntry, hosts [][]byte) *CompiledPlan {
 // which is where the cross-collective rewrites of a sequence happen — and
 // traced: the fused schedule as a single plan, the unfused one too when a
 // pass changed it (the report quotes the per-run saving), and each member
-// of a sequence. It touches neither cache nor counter; callers hold
-// compMu.
+// of a sequence. It books the build — a trace miss and, under FuseFull,
+// the row's fusion report — and caches nothing; callers hold compMu.
 func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 	row := &planEntry{key: specs[0].env.planKey, members: make([]Primitive, len(specs))}
 	for i, sp := range specs {
@@ -437,31 +411,25 @@ func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 		rep.CostBefore = row.tr.total
 	}
 	row.fusion = rep
+	c.cacheSt.TraceMisses++
+	if c.fuse == FuseFull {
+		c.fuseSt.add(rep)
+	}
 	return row
 }
 
-// PlanCacheStats reports the two compile caches' behavior and memory
-// footprint (Snapshot.PlanCache): the sessions' plans and the shape
-// table's rows. Every field but CachedPlans and CachedSeqs is the table's,
-// cumulative over its lifetime: on a cluster host, every host's.
+// PlanCacheStats reports the compile cache's behavior and memory
+// footprint (Snapshot.PlanCache): the shape table's rows, cumulative over
+// its lifetime — on a cluster host, every host's.
 type PlanCacheStats struct {
-	// PlanHits and PlanMisses count lookups in a session's plans. A miss
-	// pays validation and, unless the row is new, nothing else: lowering
-	// and charge tracing are a new row's, on either backend. Plans that
-	// bind caller Hosts or have a host-input member (Scatter, Broadcast)
-	// always miss, but still share rows. Plans the cluster layer builds
-	// past the cache count as misses.
-	PlanHits, PlanMisses uint64
-	// TraceHits and TraceMisses count shape-row lookups, Auto's candidate
-	// dry builds included; a plan hit counts a trace hit. A row depends
-	// only on the arena-relative call shape, so it serves a session's first
-	// compile of a shape another session or Auto traced, and a cluster host
-	// sharing its role's row: a plan miss and a trace hit (cluster.go).
+	// TraceHits and TraceMisses count shape-row lookups, one per compile
+	// and per Auto candidate dry build; a miss lowers, fuses and traces a
+	// new row. A row depends only on the arena-relative call shape, so it
+	// serves every compile of its shape in any session, and a cluster host
+	// sharing its role's row books a hit (cluster.go).
 	TraceHits, TraceMisses uint64
-	// CachedPlans and CachedSeqs are the cached plans of single
-	// collectives and of sequences, summed over the live sessions;
 	// CachedTraces counts the shape rows (one charge trace each).
-	CachedPlans, CachedTraces, CachedSeqs int
+	CachedTraces int
 	// TraceEntries is the total recorded meter additions across cached
 	// traces; TraceBytes approximates their memory footprint.
 	TraceEntries int64

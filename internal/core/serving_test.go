@@ -303,9 +303,9 @@ func TestTenantCloseRetires(t *testing.T) {
 }
 
 // A successor session compiles its own plans on the machine's shape rows:
-// at the retiree's base and at another one, its first compile misses its
-// plan cache, hits the row the retiree traced, and returns a plan of its
-// own that runs — never the retired tenant's plan.
+// at the retiree's base and at another one, its first compile hits the
+// row the retiree traced and returns a plan of its own that runs — never
+// the retired tenant's plan.
 func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 	for _, pad := range []int{0, 1 << 10} {
 		c := tenantTestComm(t, 1<<13)
@@ -317,8 +317,8 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, err := ta.Compile(servingCollective); err != nil || again != old {
-			t.Fatalf("recompile = %p, %v; want the cached plan %p", again, err, old)
+		if again, err := ta.Compile(servingCollective); err != nil || again.planEntry != old.planEntry {
+			t.Fatalf("recompile = %p, %v; want a plan on the row %p", again, err, old.planEntry)
 		}
 		if err := ta.Close(); err != nil {
 			t.Fatal(err)
@@ -341,8 +341,8 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := c.Snapshot().PlanCache
-		if st.PlanMisses != before.PlanMisses+1 || st.TraceHits != before.TraceHits+1 || st.TraceMisses != 1 || st.CachedTraces != 1 {
-			t.Errorf("pad %d: successor compile booked %+v after %+v, want a plan miss on the retiree's row", pad, st, before)
+		if st.TraceHits != before.TraceHits+1 || st.TraceMisses != 1 || st.CachedTraces != 1 {
+			t.Errorf("pad %d: successor compile booked %+v after %+v, want a hit on the retiree's row", pad, st, before)
 		}
 		if cp == old || cp.owner != tb || cp.tr != old.tr {
 			t.Errorf("pad %d: successor plan %p (owner %q), retiree's %p: want a plan of its own on the shared trace", pad, cp, cp.owner.name, old)
@@ -400,10 +400,10 @@ func TestEmptyBucketRejoinsAtVclockAfterChurn(t *testing.T) {
 	}
 }
 
-// A Close racing Compile must not leave the closed tenant holding a plan:
-// the compile either fails with ErrTenantClosed or caches its plan before
-// Close drops the session's plans. Meaningful under -race.
-func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
+// A Compile racing Close may return a plan, but that plan never runs: the
+// last plan the loop compiled fails Run and Submit with ErrTenantClosed
+// after Close and charges no meter. Meaningful under -race.
+func TestCloseRacingCompileLeavesNoRunnablePlan(t *testing.T) {
 	c := tenantTestComm(t, 1<<13)
 	for round := 0; round < 50; round++ {
 		ten, err := c.NewTenant(servingTenantCfg("racer", 0, ShedReject))
@@ -411,15 +411,17 @@ func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		started, done := make(chan struct{}), make(chan error, 1)
+		var last *CompiledPlan
 		go func() {
 			d := servingCollective
 			for k := 0; ; k++ { // distinct keys, Dst clear of Src
 				d.Dst.Off = servingCollective.Dst.Off + 8*(k%256)
-				if _, err := ten.Compile(d); err != nil {
+				cp, err := ten.Compile(d)
+				if err != nil {
 					done <- err
 					return
 				}
-				if k == 0 {
+				if last = cp; k == 0 {
 					close(started)
 				}
 			}
@@ -431,10 +433,15 @@ func TestCloseRacingCompileLeavesNoOwnedPlan(t *testing.T) {
 		if err := <-done; !errors.Is(err, ErrTenantClosed) {
 			t.Fatalf("round %d: compile loop ended with %v, want ErrTenantClosed", round, err)
 		}
-		c.compMu.Lock()
-		if n := len(ten.plans); n != 0 {
-			t.Errorf("round %d: the closed tenant still holds %d plans", round, n)
+		machine := c.Meter().Snapshot()
+		if _, err := last.Run(); !errors.Is(err, ErrTenantClosed) {
+			t.Errorf("round %d: Run of a plan compiled while closing = %v, want ErrTenantClosed", round, err)
 		}
-		c.compMu.Unlock()
+		if err := last.Submit().Err(); !errors.Is(err, ErrTenantClosed) {
+			t.Errorf("round %d: Submit of a plan compiled while closing = %v, want ErrTenantClosed", round, err)
+		}
+		if c.Meter().Snapshot() != machine || ten.Meter() != (cost.Breakdown{}) {
+			t.Errorf("round %d: a closed session's plan charged a meter", round)
+		}
 	}
 }

@@ -30,8 +30,7 @@ type Snapshot struct {
 	// kernels launched against Comm.Meter land on Comm.Meter alone.
 	Meter cost.Breakdown
 	// Cumulative; Auto is sorted by (primitive, dims, bytes, constraint).
-	// All three are the shape table's (on a cluster host, the one every
-	// host shares), but PlanCache's CachedPlans and CachedSeqs: the Comm's.
+	// All three are the shape table's: on a cluster host, every host's.
 	PlanCache PlanCacheStats
 	Fusion    FusionStats
 	Auto      []AutoDecision
@@ -85,15 +84,6 @@ func (c *Comm) Snapshot() Snapshot {
 	for _, e := range c.rows {
 		s.PlanCache.TraceEntries += int64(len(e.tr.adds))
 		s.PlanCache.TraceBytes += e.tr.memBytes()
-	}
-	for _, t := range ts { // a retired tenant holds none
-		for _, cp := range t.plans {
-			if len(cp.members) == 1 {
-				s.PlanCache.CachedPlans++
-			} else {
-				s.PlanCache.CachedSeqs++
-			}
-		}
 	}
 	s.Auto = make([]AutoDecision, 0, len(c.autoCache))
 	for k, dec := range c.autoCache {

@@ -14,12 +14,12 @@ import (
 // This file implements tenant sessions — arena-scoped views of one Comm
 // that let many independent workloads ("models being served") share one
 // simulated machine — and their whole lifecycle: NewTenant carves and
-// registers, Close retires, drops the plans and frees. A Tenant owns a
+// registers, Close retires and frees. A Tenant owns a
 // disjoint window of every PE's MRAM, handed out by the system's
 // free-list allocator — all of its Collective regions are validated
 // against that window and translated to absolute offsets, so tenants
 // cannot name, let alone alias, each other's footprints — plus its own
-// plan cache, cost.Meter, a weight in the machine's weighted-fair
+// cost.Meter, a weight in the machine's weighted-fair
 // submission scheduler (async.go), and an optional simulated-time quota.
 //
 // Accounting invariant: every charge a tenant's plan makes on the
@@ -100,11 +100,6 @@ type Tenant struct {
 	inflight int
 	overErr  error
 	admitted cost.Seconds
-
-	// plans is the session's plan cache (plan.go), keyed by the plan's
-	// shape row, made on the first cacheable miss and dropped by Close.
-	// Guarded by the Comm's compMu.
-	plans map[*planEntry]*CompiledPlan
 
 	// closed is set once, by Close, before it drains the machine.
 	closed atomic.Bool
@@ -206,12 +201,12 @@ func (c *Comm) Session() (*Tenant, error) {
 // Close retires the tenant — the teardown half of tenant churn. It
 // rejects every later compile and admission with ErrTenantClosed, drains
 // the machine, moves the tenant and its scheduler bucket from the live
-// registry to the retired list, drops its plan cache — the machine's
-// shape rows stay, for any later session to share — and then returns the
-// arena to the system's coalescing free-list allocator for future
-// NewTenant calls. The flag is set before the drain and submit checks it
-// in the section that enqueues, so no plan reaches the bucket after the
-// drain. The tenant's meter survives on the Comm's retired list
+// registry to the retired list and then returns the arena to the
+// system's coalescing free-list allocator for future NewTenant calls; the
+// machine's shape rows stay, for any later session to share. The flag is
+// set before the drain and submit checks it in the section that
+// enqueues, so no plan reaches the bucket after the drain, and a plan
+// compiled while the session closes fails Run and Submit. The tenant's meter survives on the Comm's retired list
 // (Snapshot.Tenants), so machine-total accounting stays bit-identical
 // across create/teardown cycles. A cluster shard closes under the
 // cluster's execMu, never between a cluster run's or submission's
@@ -234,9 +229,6 @@ func (t *Tenant) Close() error {
 		c.futs = nil
 	}
 	c.asyncMu.Unlock()
-	c.compMu.Lock()
-	t.plans = nil
-	c.compMu.Unlock()
 	if err := c.hc.sys.FreeArena(dram.Arena{Base: t.ar.base, Bytes: t.ar.size}); err != nil {
 		return fmt.Errorf("core: closing tenant %q: %w", t.name, err)
 	}
@@ -266,8 +258,10 @@ func (t *Tenant) Closed() bool { return t.closed.Load() }
 //	    bd, _ := plan.Run() // identical cost/result to a one-shot Run
 //	}
 //
-// Repeated one-shot Runs of an equal descriptor hit the same cache, so
-// they amortize too. The returned plan is owned by the tenant — each
+// Every compile binds a new plan to the machine's shape row for d's
+// arena-relative shape, so a repeated compile of an equal descriptor, in
+// any session, lowers and traces nothing. The returned plan is owned by
+// the tenant — each
 // Run/Submit is admitted against the quota and attributed to the
 // tenant's meter. A closed tenant compiles nothing: ErrTenantClosed.
 func (t *Tenant) Compile(d Collective) (*CompiledPlan, error) { return t.CompileSequence(d) }
@@ -316,10 +310,11 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	return t.c.compiled(specs, t, hosts)
 }
 
-// Run compiles (or fetches the cached plan for) d and executes one
-// replay, returning the run's cost breakdown. Rooted primitives
-// (Gather, Reduce) write d.Hosts, or without them the plan's own
-// buffers: use Compile and CompiledPlan.Results to read those.
+// Run compiles d and executes one replay, returning the run's cost
+// breakdown. Rooted primitives (Gather, Reduce) write d.Hosts; a
+// functional one-shot without them makes its result buffers on every
+// call. To read those, use Compile and CompiledPlan.Results, or pass
+// Hosts.
 func (t *Tenant) Run(d Collective) (cost.Breakdown, error) {
 	cp, err := t.Compile(d)
 	if err != nil {
@@ -328,7 +323,7 @@ func (t *Tenant) Run(d Collective) (cost.Breakdown, error) {
 	return cp.Run()
 }
 
-// Submit compiles (or fetches the cached plan for) d, enqueues one
+// Submit compiles d, enqueues one
 // asynchronous execution on the tenant's weighted-fair bucket and
 // returns its Future. Plans of one session execute in submission order;
 // plans with data hazards (RAW/WAR/WAW on a region) are ordered, and
@@ -446,7 +441,7 @@ func (t *Tenant) overloadedLocked() error {
 }
 
 // errIfClosed is the compile-time closed check: a closed tenant compiles
-// nothing, so it holds no plans once Close has dropped them.
+// nothing.
 func (t *Tenant) errIfClosed() error {
 	if t.Closed() {
 		return fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name)

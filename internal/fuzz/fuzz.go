@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	invariants "repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/elem"
@@ -207,11 +208,16 @@ func (sc Scenario) session(fuse core.FuseLevel) (*core.Comm, *core.Tenant, error
 
 // inSession reports work that ran outside every session of a machine:
 // after a collective-only workload its meter must equal its snapshot's
-// meter — the fold of the session meters — bit for bit.
+// meter — the fold of the session meters — bit for bit. The quiescent
+// snapshot must also hold every check.Snapshot invariant.
 func inSession(machines ...*core.Comm) error {
 	for _, c := range machines {
-		if got, want := c.Meter().Snapshot(), c.Snapshot().Meter; got != want {
-			return fmt.Errorf("machine meter %v != session meters %v: a collective ran outside every session", got, want)
+		s := c.Snapshot()
+		if got := c.Meter().Snapshot(); got != s.Meter {
+			return fmt.Errorf("machine meter %v != session meters %v: a collective ran outside every session", got, s.Meter)
+		}
+		if err := invariants.Snapshot(nil, s, c.Hypercube().System().MramSize(), true); err != nil {
+			return fmt.Errorf("machine snapshot: %w", err)
 		}
 	}
 	return nil

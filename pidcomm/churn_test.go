@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/check"
 	"repro/pidcomm"
 )
 
@@ -14,9 +15,9 @@ import (
 // submitting concurrently the whole time — every churned tenant's meter
 // is bit-identical to a solo run of the same requests on a fresh
 // machine (attributed cost is placement-independent), every snapshot on
-// the way holds the checkSnapshot invariants — the machine meter bit-identical
-// to the fold of retired-then-live tenant meters, arenas and free list
-// tiling MRAM — and the allocator returns to its initial fully-coalesced
+// the way holds the check.Snapshot invariants — the machine meter
+// bit-identical to the fold of retired-then-live tenant meters, arenas
+// and free list tiling MRAM — and the allocator returns to its initial fully-coalesced
 // free state. The concurrent background load makes this a race-detector
 // test: churn must not race the submission worker.
 func TestChurnMeterProperty(t *testing.T) {
@@ -80,10 +81,10 @@ func TestChurnMeterProperty(t *testing.T) {
 	var prev *pidcomm.Snapshot
 	for i := 0; i < cycles; i++ {
 		// This goroutine alone creates and closes tenants, so every
-		// snapshot it takes is quiescent in checkSnapshot's sense.
+		// snapshot it takes is quiescent in check.Snapshot's sense.
 		if i%50 == 0 {
 			s := mach.Snapshot()
-			if err := checkSnapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
+			if err := check.Snapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
 				t.Fatalf("cycle %d: %v", i, err)
 			}
 			prev = &s
@@ -118,7 +119,7 @@ func TestChurnMeterProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mach.Snapshot()
-	if err := checkSnapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
+	if err := check.Snapshot(prev, s, tenantGeo.MramPerBank, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Tenants); got != cycles+1 || s.Tenants[0].Meter != want || s.Tenants[cycles].Meter != bg.Meter() {
@@ -431,7 +432,7 @@ func TestClusterCommAfterFragmentation(t *testing.T) {
 		t.Errorf("session bound [%d,+%d), want the largest free window [8192,+57344)", base, bytes)
 	}
 	for h, hs := range cl.Snapshot().Hosts {
-		if err := checkSnapshot(nil, hs, geo.MramPerBank, true); err != nil {
+		if err := check.Snapshot(nil, hs, geo.MramPerBank, true); err != nil {
 			t.Errorf("host %d: %v", h, err)
 		}
 		if len(hs.FreeSpans) != 1 || hs.FreeBytes != 4096 {

@@ -4,7 +4,8 @@ import "repro/internal/core"
 
 // Machine is one simulated PIM-enabled DIMM system: the DIMM geometry,
 // the virtual hypercube over its PEs, the timing model, the shared
-// elapsed-time timeline and the machine-wide compiled-plan caches.
+// elapsed-time timeline and the machine-wide shape table, its one
+// compile cache.
 // Sessions (Comm) are created with NewTenant or the whole-machine
 // convenience Comm; all sessions share the machine's scheduler and
 // timeline, so a Machine is the unit of capacity while a Comm is the

@@ -12,7 +12,8 @@
 //
 // A Machine owns one simulated system: the DIMM geometry, the virtual
 // hypercube over its PEs, the calibrated timing model, the shared
-// four-lane elapsed-time timeline and the compiled-plan caches.
+// four-lane elapsed-time timeline and the shape table, its one compile
+// cache.
 // Sessions on the machine are Comms, created with NewTenant (or the
 // whole-machine convenience Comm): each tenant is bound to a disjoint
 // per-PE MRAM arena carved from the machine's free-list allocator,
