@@ -7,7 +7,8 @@
 // Snapshot checks a core.Snapshot: the tenant meters fold to the machine
 // meter, retired rows precede live ones and only ever grow, the free list
 // is sorted, coalesced and inside MRAM, live arenas and free spans tile
-// MRAM when no session opened or closed meanwhile, and the cumulative
+// MRAM when no session opened or closed meanwhile, the shape table holds
+// no row it did not build (every row is a trace miss), and the cumulative
 // counters never fall.
 package check
 
@@ -64,6 +65,9 @@ func Snapshot(prev *core.Snapshot, cur core.Snapshot, mram int, quiescent bool) 
 		if !abut || at != mram {
 			return fmt.Errorf("live arenas and free spans %v do not tile [0,%d)", windows, mram)
 		}
+	}
+	if pc := cur.PlanCache; pc.CachedTraces < 0 || uint64(pc.CachedTraces) > pc.TraceMisses {
+		return fmt.Errorf("the shape table holds %d rows but built %d", pc.CachedTraces, pc.TraceMisses)
 	}
 	if f := cur.Fusion; f.PlansFused > f.PlansCompiled {
 		return fmt.Errorf("fusion changed %d rows of %d built", f.PlansFused, f.PlansCompiled)

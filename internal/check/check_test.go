@@ -18,7 +18,7 @@ func TestCheckSnapshotRejectsEachViolation(t *testing.T) {
 	valid := func() core.Snapshot {
 		return core.Snapshot{
 			Elapsed: 2, Meter: bd.Add(bd), FreeBytes: 2048,
-			PlanCache: core.PlanCacheStats{TraceHits: 3, TraceMisses: 2},
+			PlanCache: core.PlanCacheStats{TraceHits: 3, TraceMisses: 2, CachedTraces: 2},
 			Fusion:    core.FusionStats{PlansCompiled: 2, PlansFused: 1},
 			Tenants: []core.TenantSnapshot{
 				{Name: "old", Base: 0, Bytes: 1024, Meter: bd, Retired: true},
@@ -51,6 +51,7 @@ func TestCheckSnapshotRejectsEachViolation(t *testing.T) {
 		"rows built fell":             func(s *core.Snapshot) { s.Fusion.PlansCompiled = 0; s.Fusion.PlansFused = 0 },
 		"fused rows fell":             func(s *core.Snapshot) { s.Fusion.PlansFused = 0 },
 		"more rows fused than built":  func(s *core.Snapshot) { s.Fusion.PlansFused = 3 },
+		"more rows held than built":   func(s *core.Snapshot) { s.PlanCache.CachedTraces = 3 },
 		"elapsed fell":                func(s *core.Snapshot) { s.Elapsed = 0.5 },
 	} {
 		s := valid()

@@ -11,20 +11,20 @@ package core
 // hierarchy is one sequence through the plan builder (plan.go), it fuses
 // (the interior per-leg syncs collapse — a cross-leg rewrite on every
 // hierarchical plan) and replays through the same engine as a
-// single-host collective; it is cached once, in its session's cache under
-// its clusterKey (the per-host plans are built past the shape table's
-// rows).
+// single-host collective.
 //
-// One configuration, one shape table, one plan per role: NewCluster builds
-// every host from one Config on one shape table (comm.go), so a local
-// collective compiled on every shard lowers and traces once. A lowered
-// schedule holds no comm — its steps run on the comm that executes them —
-// so compile builds one row for the hosts the lowering does not single
-// out, and one for each host it does: the root where a rooted wire or Flat
-// reads it, each host of an AlltoAll, whose pack/unpack volumes follow h.
-// Every other host binds its role's row to its own shard and buffers of
-// the staging (clusterBuild.payloads), lowering and tracing nothing, and
-// the H executors of a functional cluster run one schedule at once.
+// One configuration, one shape table, one row per role: NewCluster builds
+// every host from one Config on one shape table (comm.go). A lowered
+// schedule holds no comm and no staging — its steps run on the comm that
+// executes them and read the running plan's staging (Comm.cur) — so a role
+// row is a row of that table, keyed by the arena-relative descriptor and
+// the role (roleKey): the hosts the lowering does not single out, or the
+// host it does — the root where a rooted wire or Flat reads it, each host
+// of an AlltoAll, whose pack/unpack volumes follow h. Compile validates
+// once and binds every host to its role's row, its own shard and its
+// windows of a staging made for the plan, so the H executors of a
+// functional cluster run one schedule at once and a second session, root
+// or payload traces nothing.
 //
 // The leg table (the cluster field of each shapes row, then clusterFlat;
 // H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -54,21 +54,19 @@ package core
 //
 // A cluster collective compiles on a ClusterTenant: the same arena
 // carved on every host (Cluster.NewTenant, Cluster.Session), whose
-// regions are relative to it, whose runs are admitted against every
-// shard and metered on each, and whose plan cache holds them. That cache
-// needs no eviction: it serves only its own session, and Run and Submit
-// admit on every shard first, which a closed shard refuses, so a plan
-// outliving a shard never runs.
+// regions are relative to it and whose runs are admitted against every
+// shard and metered on each. It keeps no plans: Run and Submit admit on
+// every shard first, which a closed shard refuses, so a plan outliving a
+// shard never runs.
 //
-// Concurrency: Compile holds the hosts' one compMu from entry to return,
-// the session's plan cache included. The functional backend executes a
-// cluster plan with one goroutine per host; the hosts meet at
-// generation-counting barriers inside the network legs. Serial Runs are
-// serialized on the cluster's execMu; Submit admits on every host, then
-// enqueues on every host atomically under it, so the per-host queues see
-// cluster plans in one global order and the rendezvous always pair up.
-// A shard's Close holds it too, so no shard closes between a run's or a
-// submission's admission and its last host.
+// Concurrency: Compile holds the hosts' one compMu from entry to return.
+// The functional backend executes a cluster plan with one goroutine per
+// host; the hosts meet at their staging's barrier inside the network legs.
+// Serial Runs are serialized on the cluster's execMu; Submit admits on
+// every host, then enqueues on every host atomically under it, so the
+// per-host queues see cluster plans in one global order and the
+// rendezvous always pair up. A shard's Close holds it too, so no shard
+// closes between a run's or a submission's admission and its last host.
 // Cluster plans should be submitted from one goroutine at a time per
 // session; the cost-only backend has no barriers and no such constraint.
 
@@ -104,20 +102,14 @@ type ClusterCollective struct {
 	Flat bool
 }
 
-// clusterKey identifies a descriptor in the cluster cache. Hosts buffers
-// are identified by presence only — plans that capture caller payloads
-// are not cached (mirroring the single-host host-input rule).
-type clusterKey struct {
-	prim     Primitive
-	dims     string
-	src, dst Region
-	elem     elem.Type
-	op       elem.Op
-	level    Level
-	algo     Algorithm
-	root     int
-	flat     bool
-	hosts    bool
+// roleKey, small since every row's key holds one, completes a cluster
+// role row's key: host is 1 + the host index the lowering reads (the root,
+// each AlltoAll host) or -1 for the others — never a session row's 0 — and
+// obj the AutoObjective an Auto level's legs resolve under.
+type roleKey struct {
+	host int32
+	flat bool
+	obj  uint8
 }
 
 // barrier is a reusable generation-counting rendezvous for the H host
@@ -160,29 +152,55 @@ func (b *barrier) await(action func()) {
 	b.mu.Unlock()
 }
 
-// clusterState is one cluster-cache entry: the per-descriptor shared
-// staging — what the network legs move between the hosts — and, when
-// cacheable, the plan. The staging is allocated once per descriptor and
-// bound into the role rows' network legs and the host plans' payloads at
-// compile time, so cached replays reuse it; the trailing fence barrier of
-// every plan keeps run N+1 from overwriting it while run N still streams.
-// Buffers and barrier exist only on the functional backend — cost-only
-// sweeps to thousands of hosts allocate no O(data) staging.
+// clusterState is a functional cluster plan's staging — what the network
+// legs move between its hosts, which read it as the running plan's
+// (CompiledPlan.st); the trailing fence barrier keeps run N+1 from
+// overwriting it while run N still streams. Cost-only clusters have none.
 type clusterState struct {
-	// plan is the compiled plan, nil while uncompiled and for plans that
-	// capture a caller payload.
-	plan *ClusterPlan
-	// global is the assembled / merged cluster-wide buffer the
-	// redistribution legs read (and rooted Results return).
+	// global is the cluster-wide buffer the redistribution legs read (and
+	// rooted Results return): the caller's payload where there is no local
+	// leg, else what the wire assembles or merges.
 	global []byte
 	// parts is what the local legs write, host h the h-th of H windows:
 	// global itself, or a buffer of its own where the wire reduces them.
 	parts []byte
-	// xfer[src][dst] is the AlltoAll exchange slab: P*P blocks of s
-	// bytes, block (j,k) at (j*P+k)*s — source rank j to dest rank k.
-	xfer [][][]byte
+	// xfer is the AlltoAll exchange, a slab per ordered pair of hosts:
+	// block (j,k) at (j*P+k)*s, source rank j to dest rank k.
+	xfer []byte
 	bar  *barrier
 }
+
+// slab returns the exchange slab host src fills for host dst (src !=
+// dst): the H·(H-1) ordered pairs lie back to back, n bytes each.
+func (st *clusterState) slab(src, dst, H, n int) []byte {
+	i := src*(H-1) + dst
+	if dst > src {
+		i--
+	}
+	return st.xfer[i*n:][:n]
+}
+
+// payloads returns the two host buffers host h's plan binds: its part,
+// which a local leg writes, and the window of the global buffer its
+// redistribution leg reads — all of it (Broadcast), its 1/H portion
+// (Scatter) or none. Nil without a global buffer (AlltoAll, cost-only).
+func (st *clusterState) payloads(v *clusterBuild, h, H int) [][]byte {
+	if st == nil || st.global == nil {
+		return nil
+	}
+	n, win := len(st.parts)/H, st.global[:0]
+	switch v.row.redist {
+	case Broadcast:
+		win = st.global
+	case Scatter:
+		win = st.global[h*len(st.global)/H:][:len(st.global)/H]
+	}
+	return [][]byte{st.parts[h*n:][:n], win}
+}
+
+// awaitPeers is the net-leg run of a pure rendezvous: the running plan's
+// hosts meet at its staging's barrier.
+func awaitPeers(c *Comm) { c.cur.st.bar.await(nil) }
 
 // Cluster is a set of H identically configured hosts executing
 // hierarchical collectives, built by NewCluster; the pidcomm package wraps
@@ -278,18 +296,16 @@ func (cl *Cluster) join(carve func(*Comm) (*Tenant, error)) (*ClusterTenant, err
 			return nil, fmt.Errorf("core: cluster host %d: %w", h, err)
 		}
 	}
-	return &ClusterTenant{cl: cl, shards: shards, cache: make(map[clusterKey]*clusterState)}, nil
+	return &ClusterTenant{cl: cl, shards: shards}, nil
 }
 
 // ClusterTenant is one sharded session on a Cluster: the same arena on
 // every host. Cluster collectives go through Compile/Run/Submit with
 // arena-relative regions; per-host data placement and local collectives
 // go through the shards (Host), which are full single-machine sessions.
-// Its plan cache is guarded by the hosts' one compMu, like their rows.
 type ClusterTenant struct {
 	cl     *Cluster
 	shards []*Tenant
-	cache  map[clusterKey]*clusterState
 }
 
 // Host returns the session's shard on host h.
@@ -302,18 +318,12 @@ func (s *ClusterTenant) Name() string { return s.shards[0].name }
 // host, as (base, bytes).
 func (s *ClusterTenant) Arena() (base, bytes int) { return s.shards[0].Arena() }
 
-// Compile lowers d against the session's arena into one compiled plan
-// per role, bound per host (the header has the rule; see ClusterPlan),
-// and caches the result: recompiling an equal descriptor returns the
-// same plan. Runs are admitted against every shard up front and charges
-// are attributed per shard. Plans that capture a caller payload
-// (functional Broadcast/Scatter) recompile fresh, like their single-host
-// counterparts. A closed shard fails with ErrTenantClosed and caches
-// nothing.
+// Compile validates d against the session's arena and returns a new plan
+// binding every host to its role's row, lowered on a miss (the header has
+// the rule), and to its windows of a staging of the plan's own. Runs admit
+// against every shard; a closed shard fails with ErrTenantClosed.
 func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 	cl := s.cl
-	key := clusterKey{prim: d.Prim, dims: d.Dims, src: d.Src, dst: d.Dst, elem: d.Elem, op: d.Op,
-		level: d.Level, algo: d.Algorithm, root: d.Root, flat: d.Flat, hosts: d.Hosts != nil}
 	c := cl.comms[0] // the hosts' one shape table
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
@@ -322,50 +332,45 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 			return nil, fmt.Errorf("cluster host %d: %w", h, err)
 		}
 	}
-	st, ok := s.cache[key]
-	if ok && st.plan != nil {
-		return st.plan, nil
+	v, err := cl.check(s.shards[0].ar, d)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", d.Prim.LongName(), err)
 	}
-	if !ok {
-		st = &clusterState{}
-		if cl.functional {
-			st.bar = newBarrier(len(cl.comms))
-		}
+	H := len(cl.comms)
+	cp := &ClusterPlan{cl: cl, prim: d.Prim, plans: make([]*CompiledPlan, H)}
+	if cl.functional {
+		cp.st = v.staging(H)
 	}
-	cp := &ClusterPlan{cl: cl, d: d, st: st, plans: make([]*CompiledPlan, len(cl.comms))}
-	var sym *clusterBuild // the row of the hosts the lowering does not single out
+	key := seqKey{head: planKey{prim: d.Prim, dims: d.Dims, srcOff: d.Src.Off, dstOff: d.Dst.Off, bytes: v.m,
+		elemType: d.Elem, op: d.Op, lvl: d.Level, algo: d.Algorithm}, role: roleKey{flat: d.Flat}}
+	if d.Level == Auto {
+		key.role.obj = uint8(c.autoObj)
+	}
 	// rooted: the root's wire rounds (and Flat's reduce) are its alone.
-	rooted := d.Flat || d.Prim.known() && shapes[d.Prim].cluster.wire == wireRooted
+	rooted := d.Flat || v.sh.cluster.wire == wireRooted
 	for h := range cl.comms {
-		owner := s.shards[h]
-		own := d.Prim == AlltoAll || rooted && h == d.Root // the lowering reads h
-		b := sym
-		if own || b == nil {
-			// Validated, lowered, fused and traced past the shape table's
-			// rows — this entry is the cache — by the role's first host only.
-			var err error
-			if b, err = cl.hostSpecs(h, owner.ar, st, d); err != nil {
+		if key.role.host = -1; d.Prim == AlltoAll || rooted && h == d.Root { // the lowering reads h
+			key.role.host = int32(1 + h)
+		}
+		row := c.rows[key]
+		if row != nil {
+			c.cacheSt.TraceHits++
+		} else {
+			specs, err := v.roleSpecs(h)
+			if err != nil {
 				return nil, fmt.Errorf("cluster host %d: %s: %w", h, d.Prim.LongName(), err)
 			}
-			b.row = b.c.buildLocked(b.specs)
-			if !own {
-				sym = b
-			}
-		} else {
-			c.cacheSt.TraceHits++ // host h shares its role's row
+			row = cl.comms[h].buildLocked(specs)
+			c.rows[key] = row
 		}
-		cp.plans[h] = owner.planOn(b.row, b.payloads(h))
-	}
-	// Cached only now: a descriptor rejected at any host leaves no entry.
-	s.cache[key] = st
-	if !(cl.functional && d.Hosts != nil) {
-		st.plan = cp
+		cp.plans[h] = s.shards[h].planOn(row, cp.st.payloads(v, h, H))
+		cp.plans[h].st = cp.st
 	}
 	return cp, nil
 }
 
-// Run compiles (or fetches the cached plan for) d and executes it once
-// across every host, returning the cluster-critical-path breakdown.
+// Run compiles d and executes it once across every host, returning the
+// cluster-critical-path breakdown.
 func (s *ClusterTenant) Run(d ClusterCollective) (cost.Breakdown, error) {
 	cp, err := s.Compile(d)
 	if err != nil {
@@ -465,48 +470,36 @@ type clusterShape struct {
 // the hierarchical lowering is gated against (pidbench -exp cluster).
 var clusterFlat = clusterShape{Gather, wireRooted, "flat:gather", Broadcast}
 
-// clusterBuild accumulates one host's member specs: a role's, whose row
-// every host of the role binds.
+// clusterBuild is a cluster descriptor validated against a session's
+// arena, with the sizes every role's lowering and the plan's staging
+// derive from it, and, in roleSpecs, the member specs of host h's role.
 type clusterBuild struct {
 	cl *Cluster
-	c  *Comm
-	h  int // host index
-	p  *plan
 	ar arena
-	st *clusterState
 	d  ClusterCollective
-	// m and s are the global call's per-PE payload and block size, as
-	// validated against the shape table.
+	sh *shape
+	p  *plan
+	// row is the leg table's row the call lowers through (nil: AlltoAll),
+	// m and s the global call's per-PE payload and block size.
+	row  *clusterShape
 	m, s int
-	// specs are the members and row their shape row (Compile builds it).
-	// Host h's redistribution leg reads win bytes of the staging at
-	// h*stride (payloads); win is 0 without one.
-	specs       []planSpec
-	row         *planEntry
-	win, stride int
+	// part is what one host puts on (or takes off) the wire, global the
+	// cluster-wide buffer the wire assembles in the staging: one payload
+	// where the parts merge by reduction, H parts where they concatenate.
+	part, global int
+	c            *Comm // host h's
+	h            int
+	specs        []planSpec
 }
 
-// payloads returns the two host buffers host h's plan binds: its part, which
-// a local leg writes, and the window of the staging its redistribution
-// leg reads — all of it (Broadcast), its 1/H portion (Scatter) or none.
-// Nil without a staging (cost-only).
-func (b *clusterBuild) payloads(h int) [][]byte {
-	if b.st.global == nil {
-		return nil
-	}
-	n := len(b.st.parts) / len(b.cl.comms)
-	return [][]byte{b.st.parts[h*n:][:n], b.st.global[h*b.stride:][:b.win]}
-}
-
-// hostSpecs validates d for host h and lowers its members, arena-relative,
-// with the host payloads they read. Callers hold compMu.
-func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollective) (*clusterBuild, error) {
+// check validates d for the cluster against ar once, for every host: the
+// hosts share one shape table, hence one group plan. Callers hold compMu.
+func (cl *Cluster) check(ar arena, d ClusterCollective) (*clusterBuild, error) {
 	sh, err := shapeOf(d.Prim)
 	if err != nil {
 		return nil, err
 	}
-	c := cl.comms[h]
-	p, err := c.planLocked(d.Dims)
+	p, err := cl.comms[0].planLocked(d.Dims)
 	if err != nil {
 		return nil, err
 	}
@@ -536,34 +529,82 @@ func (cl *Cluster) hostSpecs(h int, ar arena, st *clusterState, d ClusterCollect
 	// group of H×P ranks: block g of a ReduceScatter, AlltoAll or Scatter
 	// belongs to global rank g. AllReduce and Reduce index no rank with
 	// their result, so only their local leg — P ranks — is blocked.
-	n := len(cl.comms) * cl.p
+	H, P := len(cl.comms), cl.p
+	n := H * P
 	if d.Prim == AllReduce || d.Prim == Reduce {
-		n = cl.p
+		n = P
 	}
 	if d.Hosts != nil && sh.rooted() {
 		return nil, fmt.Errorf("core: output is the plan's staging (ClusterPlan.Results), not Hosts")
 	}
-	b := &clusterBuild{cl: cl, c: c, h: h, p: p, ar: ar, st: st, d: d}
-	if b.m, b.s, err = sh.check(ar, d.Collective, n, 1, !cl.functional); err != nil {
+	v := &clusterBuild{cl: cl, ar: ar, d: d, sh: sh, p: p}
+	if v.m, v.s, err = sh.check(ar, d.Collective, n, 1, !cl.functional); err != nil {
 		return nil, err
 	}
 	switch {
 	case d.Prim == AlltoAll:
-		err = b.alltoAll()
+		return v, nil
 	case d.Flat:
-		err = b.legs(&clusterFlat, sh)
+		v.row = &clusterFlat
 	default:
-		err = b.legs(&sh.cluster, sh)
+		v.row = &sh.cluster
+	}
+	v.part, v.global = v.m, v.m
+	switch {
+	case v.row.local == noLeg:
+		// The caller's payload is the global buffer, sized by the shape
+		// table's host rule on the H×P ranks.
+		if v.global = sh.host.of(v.m, H*P); v.global <= 0 {
+			return nil, fmt.Errorf("core: cluster collective needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
+		}
+		v.part = v.global / H
+	case v.row.local == Gather:
+		if v.part = P * v.m; !sh.reducing {
+			v.global = H * v.part
+		}
+	}
+	return v, nil
+}
+
+// staging makes a functional plan's staging: the global buffer — the
+// caller's payload, or the wire's — and the parts, or the AlltoAll
+// exchange, and the hosts' barrier.
+func (v *clusterBuild) staging(H int) *clusterState {
+	st := &clusterState{bar: newBarrier(H)}
+	switch {
+	case v.row == nil:
+		st.xfer = make([]byte, H*(H-1)*v.p.n*v.p.n*v.s)
+	case v.row.local == noLeg:
+		st.global, st.parts = v.d.Hosts[0], v.d.Hosts[0]
+	default:
+		st.global = make([]byte, v.global)
+		if st.parts = st.global; v.sh.reducing {
+			st.parts = make([]byte, H*v.part)
+		}
+	}
+	return st
+}
+
+// roleSpecs lowers v's members for host h, arena-relative: the specs of
+// the row of h's role. Callers hold compMu.
+func (v *clusterBuild) roleSpecs(h int) ([]planSpec, error) {
+	b := *v
+	b.c, b.h = v.cl.comms[h], h
+	var err error
+	if v.row == nil {
+		err = b.alltoAll()
+	} else {
+		err = b.legs()
 	}
 	if err != nil {
 		return nil, err
 	}
 	// The trailing fence: a zero-round network step whose only job
 	// (functional) is to keep any host from starting the plan's next run —
-	// overwriting the shared staging — while another host still streams
-	// this run's data. It charges nothing on either backend.
-	b.net("fence", 0, 0, st.await)
-	return b, nil
+	// overwriting the staging — while another host still streams this
+	// run's data. It charges nothing on either backend.
+	b.net("fence", 0, 0, awaitPeers)
+	return b.specs, nil
 }
 
 // local appends an ordinary single-host collective as a member.
@@ -592,9 +633,6 @@ func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run fun
 	b.step("NetTransfer/"+name, span{}, span{}, st)
 }
 
-// await is the net-leg run of a pure rendezvous.
-func (st *clusterState) await(*Comm) { st.bar.await(nil) }
-
 // member appends a hand-built member that reads src and writes dst of the
 // arena (an empty span: neither).
 func (b *clusterBuild) member(src, dst span, sched *Schedule) {
@@ -610,62 +648,33 @@ func (b *clusterBuild) step(name string, src, dst span, st Step) {
 
 // legs lowers one row of the leg table: local leg → wire → (Flat: root
 // reduce and fan-out) → redistribution leg.
-func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
-	d, H, P, h, m, st := b.d, len(b.cl.comms), b.cl.p, b.h, b.m, b.st
-	root := h == d.Root
-	// part is what one host puts on (or takes off) the wire, global the
-	// cluster-wide buffer the wire assembles in the staging: one payload
-	// where the parts merge by reduction, H parts where they concatenate.
-	part, global := m, m
-	if row.local == noLeg {
-		// The caller's payload is the global buffer, sized by the shape
-		// table's host rule on the H×P ranks.
-		if global = sh.host.of(m, H*P); global <= 0 {
-			return fmt.Errorf("core: cluster collective needs a non-empty payload (cost-only without Hosts: its size in Dst.Bytes)")
-		}
-		part = global / H
-	} else {
-		if row.local == Gather {
-			if part = P * m; !sh.reducing {
-				global = H * part
-			}
-		}
+func (b *clusterBuild) legs() error {
+	d, row, H, P, m := b.d, b.row, len(b.cl.comms), b.cl.p, b.m
+	part, global := b.part, b.global
+	root := b.h == d.Root
+	if row.local != noLeg {
 		if err := b.local(Collective{Prim: row.local, Dims: d.Dims,
 			Src: Span(d.Src.Off, m), Elem: d.Elem, Op: d.Op, Level: d.Level}); err != nil {
 			return err
 		}
 	}
-	// The staging exists on the functional backend only: cost-only
-	// clusters keep everything nil so sweeps allocate no O(data) state.
-	if b.cl.functional && len(st.global) != global {
-		st.global = make([]byte, global)
-		if st.parts = st.global; sh.reducing {
-			st.parts = make([]byte, H*part)
+	// The wire's rendezvous, the same step on every host: where the parts
+	// merge by reduction, the last host to arrive reduces them (the
+	// barrier's mutex publishes them; a Flat part is P raw buffers) into
+	// the running plan's global buffer; elsewhere the hosts only meet.
+	run := awaitPeers
+	if b.sh.reducing {
+		elemT, op := d.Elem, d.Op
+		run = func(c *Comm) {
+			st := c.cur.st
+			st.bar.await(func() {
+				elem.Fill(elemT, st.global, op.Identity(elemT))
+				for o := 0; o < len(st.parts); o += global {
+					elem.ReduceInto(elemT, op, st.global, st.parts[o:o+global])
+				}
+			})
 		}
 	}
-	// The wire's rendezvous: the last host to arrive fills the global
-	// buffer, from the caller's payload where there is no local leg (the
-	// closure runs on the functional backend only, where check has required
-	// it), else by reducing the hosts' parts, which the barrier's mutex
-	// publishes (a Flat part is P raw buffers), unless they are the global
-	// buffer.
-	// No host brings anything of its own, so every host runs the same
-	// step. The closures get copies of the fields they read, not the
-	// 128-byte descriptor each.
-	c, elemT, op, hosts := b.c, d.Elem, d.Op, d.Hosts
-	merge := func() {
-		if row.local == noLeg {
-			copy(st.global, hosts[0])
-			return
-		}
-		if sh.reducing {
-			elem.Fill(elemT, st.global, op.Identity(elemT))
-			for o := 0; o < len(st.parts); o += global {
-				elem.ReduceInto(elemT, op, st.global, st.parts[o:o+global])
-			}
-		}
-	}
-	run := func(*Comm) { st.bar.await(merge) }
 
 	name, rounds, bytes := row.name, H-1, global/H // wireAllPairs
 	switch row.wire {
@@ -677,8 +686,8 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 		rounds, bytes = ceilLog2(H), global
 	case wireAllReduce:
 		// AlgoAuto keeps the row cheapest on the wire model, the earlier on
-		// a tie; an explicit choice (hostSpecs has checked it) pins the leg.
-		net := c.h.Params().Net
+		// a tie; an explicit choice (check has vetted it) pins the leg.
+		net := b.c.h.Params().Net
 		for _, a := range hostAlgorithms(d.Algorithm) {
 			rr, rb := algorithms[a].wire(H, global)
 			if name == "" || cost.Seconds(rr)*net.RoundTime(int64(rb)) < cost.Seconds(rounds)*net.RoundTime(int64(bytes)) {
@@ -697,17 +706,17 @@ func (b *clusterBuild) legs(row *clusterShape, sh *shape) error {
 	}
 
 	// The redistribution leg: the single-host lowering of row.redist, whose
-	// payload — host buffer 1 — is a window of the staging: all of it
+	// payload — host buffer 1 — is a window of the global buffer: all of it
 	// (Broadcast, n bytes per PE) or this host's 1/H portion (Scatter, one
 	// block per PE).
 	if row.redist == noLeg {
 		return nil
 	}
 	n := global
-	if b.win = global; row.redist == Scatter {
-		n, b.win, b.stride = b.s, global/H, global/H
+	if row.redist == Scatter {
+		n = b.s
 	}
-	_, eff, err := c.resolveLocked(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
+	_, eff, err := b.c.resolveLocked(Collective{Prim: row.redist, Dims: d.Dims, Dst: Span(d.Dst.Off, n), Level: d.Level})
 	if err != nil {
 		return err
 	}
@@ -727,25 +736,13 @@ func (b *clusterBuild) alltoAll() error {
 		Src: Span(d.Src.Off+h*PS, PS), Dst: At(d.Dst.Off + h*PS), Level: d.Level}); err != nil {
 		return err
 	}
-	st := b.st
-	if b.cl.functional && st.xfer == nil {
-		st.xfer = make([][][]byte, H)
-		for i := range st.xfer {
-			st.xfer[i] = make([][]byte, H)
-			for j := range st.xfer[i] {
-				if i != j {
-					st.xfer[i][j] = make([]byte, P*PS)
-				}
-			}
-		}
-	}
 	// Pack the remote portions (a prefix of hosts below h and a suffix
 	// above) into the per-pair exchange slabs, then rendezvous — the
 	// (H-1)/H traffic of § IX-A, one P*PS portion per host per round —
 	// and unpack the incoming slabs transposed into destination order.
 	b.pack(d.Src.Off, 0, h, PS, s)
 	b.pack(d.Src.Off+(h+1)*PS, h+1, H, PS, s)
-	b.net("exchange", H-1, int64(P*PS), st.await)
+	b.net("exchange", H-1, int64(P*PS), awaitPeers)
 	b.unpack(d.Dst.Off, 0, h, PS, s)
 	b.unpack(d.Dst.Off+(h+1)*PS, h+1, H, PS, s)
 	return nil
@@ -753,23 +750,23 @@ func (b *clusterBuild) alltoAll() error {
 
 // pack reads the per-PE region [readOff, readOff+(dstHi-dstLo)*PS) of
 // the arena — the blocks destined to hosts [dstLo, dstHi) — and stores
-// them into this host's outgoing exchange slabs in (source rank, dest
-// rank) order.
+// them into this host's outgoing exchange slabs of the running plan's
+// staging in (source rank, dest rank) order.
 func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	if dstHi <= dstLo {
 		return
 	}
 	per := (dstHi - dstLo) * PS
-	p, st, h, P := b.p, b.st, b.h, b.cl.p
+	p, h, H, P := b.p, b.h, len(b.cl.comms), b.cl.p
 	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{
 		Read: true, ReadOff: readOff, ReadPerPE: per,
 		Charges: []Charge{{host.HostMem, p.numPEBytes(per)}}, // slab store
-		Modulate: func(_ *Comm, stag []byte) []byte {
-			grp := p.groups[0]
-			for j, pe := range grp {
+		Modulate: func(c *Comm, stag []byte) []byte {
+			st := c.cur.st
+			for j, pe := range p.groups[0] {
 				src := stag[pe*per : (pe+1)*per]
 				for dh := dstLo; dh < dstHi; dh++ {
-					slab := st.xfer[h][dh]
+					slab := st.slab(h, dh, H, P*PS)
 					for k := 0; k < P; k++ {
 						copy(slab[(j*P+k)*s:(j*P+k+1)*s], src[(dh-dstLo)*PS+k*s:(dh-dstLo)*PS+(k+1)*s])
 					}
@@ -780,15 +777,16 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	})
 }
 
-// unpack assembles the incoming slabs of hosts [srcLo, srcHi) —
-// transposing (source rank, dest rank) into destination block order —
-// and bulk-writes them to the per-PE region at writeOff of the arena.
+// unpack assembles the incoming slabs of hosts [srcLo, srcHi) from the
+// running plan's staging — transposing (source rank, dest rank) into
+// destination block order — and bulk-writes them to the per-PE region at
+// writeOff of the arena.
 func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	if srcHi <= srcLo {
 		return
 	}
 	per := (srcHi - srcLo) * PS
-	p, st, h, P := b.p, b.st, b.h, b.cl.p
+	p, h, H, P := b.p, b.h, len(b.cl.comms), b.cl.p
 	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{
 		Write: true, WriteOff: writeOff, WritePerPE: per,
 		Charges: []Charge{
@@ -796,12 +794,11 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 			{host.HostMem, p.numPEBytes(per)},  // staging assembly
 		},
 		Modulate: func(c *Comm, _ []byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * per)
-			grp := p.groups[0]
-			for k, pe := range grp {
+			st, out := c.cur.st, c.bulkOut(len(p.rankOf)*per)
+			for k, pe := range p.groups[0] {
 				dst := out[pe*per : (pe+1)*per]
 				for sh := srcLo; sh < srcHi; sh++ {
-					slab := st.xfer[sh][h]
+					slab := st.slab(sh, h, H, P*PS)
 					for j := 0; j < P; j++ {
 						copy(dst[(sh-srcLo)*PS+j*s:(sh-srcLo)*PS+(j+1)*s], slab[(j*P+k)*s:(j*P+k+1)*s])
 					}
@@ -818,11 +815,12 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 
 // ClusterPlan is one cluster collective compiled into one schedule-IR
 // plan per host, ready for repeated Run/Submit while every shard of its
-// session is open; equal descriptors share the session's cached plan.
+// session is open. Its host plans share their role rows with every plan
+// of an equal shape, and its staging with nothing.
 type ClusterPlan struct {
 	cl    *Cluster
-	d     ClusterCollective
-	st    *clusterState
+	prim  Primitive
+	st    *clusterState // nil on a cost-only cluster
 	plans []*CompiledPlan
 }
 
@@ -896,16 +894,18 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	return cp.Cost(), nil
 }
 
-// Results returns a copy of the rooted result of the plan's most recent
-// completed Run — the gathered global buffer (Gather) or the reduced
-// buffer (Reduce) — in global-rank order. Nil on a cost-only cluster
-// and for non-rooted primitives. Call only after Run returns or the
-// submitted future completes.
+// Results returns the rooted result of the plan's most recent completed
+// Run — the gathered global buffer (Gather) or the reduced buffer
+// (Reduce) — in global-rank order: the plan's own staging, not a copy,
+// with CompiledPlan.Results' rule (the next run overwrites it; undefined
+// after a failed run). Nil on a cost-only cluster and for non-rooted
+// primitives. Call only after Run returns or the submitted future
+// completes.
 func (cp *ClusterPlan) Results() []byte {
-	if cp.st.global == nil || !shapes[cp.d.Prim].rooted() {
+	if cp.st == nil || !shapes[cp.prim].rooted() {
 		return nil
 	}
-	return append([]byte(nil), cp.st.global...)
+	return cp.st.global
 }
 
 // Submit enqueues one asynchronous execution on every host and returns

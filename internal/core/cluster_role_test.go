@@ -15,22 +15,31 @@ import (
 
 // perHostBuild is the oracle of the role rule: host h's plan the way
 // compile built every host before it knew roles — the host's own specs,
-// on a staging of their own, lowered, fused and traced from nothing — and
-// that staging's global buffer.
+// on a staging of their own, lowered, fused and traced from nothing, past
+// the shape table's rows — and that staging's global buffer.
 func perHostBuild(s *ClusterTenant, d ClusterCollective, h int) (*CompiledPlan, []byte, error) {
 	cl := s.cl
 	c, owner := cl.comms[h], s.shards[h]
-	st := &clusterState{}
-	if cl.functional {
-		st.bar = newBarrier(len(cl.comms))
-	}
-	b, err := cl.hostSpecs(h, owner.ar, st, d)
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	v, err := cl.check(owner.ar, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	return owner.planOn(c.buildLocked(b.specs), b.payloads(h)), st.global, nil
+	specs, err := v.roleSpecs(h)
+	if err != nil {
+		return nil, nil, err
+	}
+	var st *clusterState
+	if cl.functional {
+		st = v.staging(len(cl.comms))
+	}
+	cp := owner.planOn(c.buildLocked(specs), st.payloads(v, h, len(cl.comms)))
+	cp.st = st
+	if st == nil {
+		return cp, nil, nil
+	}
+	return cp, st.global, nil
 }
 
 // window locates a host payload in a staging's global buffer: its offset
@@ -188,7 +197,10 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if diff := diffPlans(cp.HostPlan(h), want, cp.st.global, global); diff != "" {
+							if cp.HostPlan(h).st != cp.st {
+								t.Fatalf("host %d does not bind its cluster plan's staging", h)
+							}
+							if diff := diffPlans(cp.HostPlan(h), want, globalOf(cp), global); diff != "" {
 								t.Errorf("cost-only=%v H=%d %s %v/%v flat=%v root %d host %d: %s",
 									costOnly, H, name, d.Prim, d.Algorithm, d.Flat, d.Root, h, diff)
 							}
@@ -201,8 +213,8 @@ func TestClusterRolePlansMatchPerHostBuild(t *testing.T) {
 }
 
 // A compile rejected at host k > 0 books nothing on the hosts before it:
-// the session's third shard is closed, and no host counts a plan miss, a
-// trace miss or a fused plan.
+// the session's third shard is closed, the call returns no plan, and no
+// host counts a trace lookup or a fused plan.
 func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 	for _, costOnly := range []bool{true, false} {
 		cl := testCluster(t, 3, geoHost, []int{16}, costOnly)
@@ -213,18 +225,15 @@ func TestRejectedClusterCompileBooksNoHost(t *testing.T) {
 		if err := s.Host(2).Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, err = s.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+		cp, err := s.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 			Src: Span(0, 3*16*8), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM}})
-		if !errors.Is(err, ErrTenantClosed) || !strings.Contains(err.Error(), "cluster host 2") {
-			t.Fatalf("cost-only=%v: Compile = %v, want a closed-tenant rejection at host 2", costOnly, err)
+		if cp != nil || !errors.Is(err, ErrTenantClosed) || !strings.Contains(err.Error(), "cluster host 2") {
+			t.Fatalf("cost-only=%v: Compile = %v, %v; want no plan and a closed-tenant rejection at host 2", costOnly, cp, err)
 		}
 		for h := 0; h < 3; h++ {
 			if s := cl.Host(h).Snapshot(); s.PlanCache != (PlanCacheStats{}) || s.Fusion != (FusionStats{}) {
 				t.Errorf("cost-only=%v: rejected compile booked host %d: %+v, %+v", costOnly, h, s.PlanCache, s.Fusion)
 			}
-		}
-		if len(s.cache) != 0 {
-			t.Errorf("cost-only=%v: rejected compile left %d cache entries", costOnly, len(s.cache))
 		}
 	}
 }
@@ -260,27 +269,35 @@ func TestClusterCompileAllocsPerHost(t *testing.T) {
 
 // Only a role's first host traces: compiling every row of the leg table
 // on a functional cluster, at the first and the last root, books on the
-// hosts' one shape table a trace miss per role — every host of an
-// AlltoAll, the root where the wire or Flat singles it out, the rest — and
-// a trace hit for every other host.
+// hosts' one shape table a trace miss per role row not built yet — every
+// host of an AlltoAll, the root where the wire or Flat singles it out, the
+// rest — and a trace hit for every other host. At the second root only a
+// rooted lowering's root row is new.
 func TestFunctionalClusterHostsShareRoleRows(t *testing.T) {
 	const H = 4
 	s := sessionTestCluster(t, H, geoHost, []int{16}, false).s
 	for _, d := range roleDescs(H, true) {
-		for _, d.Root = range []int{0, H - 1} {
+		for i, root := range []int{0, H - 1} {
+			d.Root = root
 			before := s.cl.Host(0).Snapshot().PlanCache
 			if _, err := s.Compile(d); err != nil {
 				t.Fatal(err)
 			}
+			rooted := d.Prim != AlltoAll && (d.Flat || shapes[d.Prim].cluster.wire == wireRooted)
 			roles := uint64(1)
-			if d.Prim == AlltoAll {
+			switch {
+			case i == 1 && rooted:
+				roles = 1
+			case i == 1:
+				roles = 0
+			case d.Prim == AlltoAll:
 				roles = H
-			} else if d.Flat || shapes[d.Prim].cluster.wire == wireRooted {
+			case rooted:
 				roles = 2
 			}
 			st := s.cl.Host(0).Snapshot().PlanCache
-			// Each role's row is a miss, and an Auto leg's dry builds besides.
-			if hits, misses := st.TraceHits-before.TraceHits, st.TraceMisses-before.TraceMisses; hits != H-roles || misses < roles {
+			// Each new role row is a miss, and an Auto leg's first dry builds besides.
+			if hits, misses := st.TraceHits-before.TraceHits, st.TraceMisses-before.TraceMisses; hits != H-roles || misses < roles || i == 1 && misses != roles {
 				t.Errorf("%v/%v flat=%v root %d: the table booked %d trace hits, %d misses; want %d hits, >= %d misses",
 					d.Prim, d.Algorithm, d.Flat, d.Root, hits, misses, H-roles, roles)
 			}
@@ -407,6 +424,154 @@ func TestBuildPlanAllocs(t *testing.T) {
 		})
 		if allocs > 8 {
 			t.Errorf("buildPlan(%q) on 1024 PEs allocates %v objects, want <= 8", dims, allocs)
+		}
+	}
+}
+
+// globalOf returns a cluster plan's global staging buffer, nil on a
+// cost-only cluster.
+func globalOf(cp *ClusterPlan) []byte {
+	if cp.st == nil {
+		return nil
+	}
+	return cp.st.global
+}
+
+// A second session compiling a cluster shape another session already
+// compiled traces nothing: every host of it binds the first session's role
+// rows, for every row of the leg table at every root, on both backends.
+func TestSecondClusterSessionTracesNothing(t *testing.T) {
+	const H = 3
+	for _, costOnly := range []bool{true, false} {
+		cl := testCluster(t, H, geoHost, []int{16}, costOnly)
+		sets := roleSessions(t, cl)
+		for _, d := range roleDescs(H, !costOnly) {
+			for d.Root = 0; d.Root < H; d.Root++ {
+				first, err := sets["base-0"].Compile(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := cl.Host(0).Snapshot().PlanCache
+				second, err := sets["behind-pad"].Compile(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := cl.Host(0).Snapshot().PlanCache; got.TraceMisses != before.TraceMisses || got.TraceHits != before.TraceHits+H {
+					t.Errorf("cost-only=%v %v/%v flat=%v root %d: the second session booked %+v after %+v; want %d hits and no miss",
+						costOnly, d.Prim, d.Algorithm, d.Flat, d.Root, got, before, H)
+				}
+				for h := 0; h < H; h++ {
+					if first.HostPlan(h).planEntry != second.HostPlan(h).planEntry {
+						t.Errorf("cost-only=%v %v root %d host %d: the second session bound a row of its own", costOnly, d.Prim, d.Root, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Two plans of one functional descriptor share their role rows but not
+// their staging: a rooted plan's Results — its own staging, not a copy —
+// survive the other plan's Run, and a plan whose rows another plan built
+// reduces, gathers and exchanges through its own staging, moving what the
+// builder moves.
+func TestClusterPlansKeepTheirStaging(t *testing.T) {
+	const H, P, s = 3, 16, 8
+	const m = H * P * s
+	cl := sessionTestCluster(t, H, geoHost, []int{P}, false)
+	ranks := clusterRanks(t, cl, "1")
+	fill := func(seed int64) {
+		for g, b := range randGlobal(H*P, m, seed) {
+			cl.Host(g/P).SetPEBuffer(ranks[g/P][g%P], 0, b)
+		}
+	}
+	// out is what a run left: the rooted result, or every PE's Dst region.
+	out := func(cp *ClusterPlan, dst int) []byte {
+		if dst < 0 {
+			return slices.Clone(cp.Results())
+		}
+		var b []byte
+		for h := 0; h < H; h++ {
+			for pe := 0; pe < P; pe++ {
+				b = append(b, cl.Host(h).GetPEBuffer(pe, dst, m)...)
+			}
+		}
+		return b
+	}
+	run := func(cp *ClusterPlan) {
+		if _, err := cp.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		d   ClusterCollective
+		dst int // -1: a rooted result
+	}{
+		{ClusterCollective{Collective: Collective{Prim: Gather, Dims: "1", Src: Span(0, s), Level: IM}, Root: 1}, -1},
+		{ClusterCollective{Collective: Collective{Prim: Reduce, Dims: "1", Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: IM}, Root: 2}, -1},
+		{ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}}, 2 * m},
+		{ClusterCollective{Collective: Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: IM}}, 2 * m},
+	} {
+		builder, err := cl.Compile(c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := cl.Compile(c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(1)
+		run(builder)
+		first := out(builder, c.dst)
+		fill(2)
+		run(other)
+		got := out(other, c.dst)
+		if r := builder.Results(); c.dst < 0 && (!bytes.Equal(r, first) || &r[0] != &builder.Results()[0]) {
+			t.Errorf("%v: the first plan's Results are a copy, or the other plan's Run overwrote them", c.d.Prim)
+		}
+		fill(2) // the reducing levels consume Src
+		run(builder)
+		if want := out(builder, c.dst); !bytes.Equal(got, want) {
+			t.Errorf("%v: the plan on another plan's rows moved other bytes than the builder", c.d.Prim)
+		}
+		if bytes.Equal(got, first) {
+			t.Errorf("%v: two inputs gave one output", c.d.Prim)
+		}
+	}
+}
+
+// A cluster row names the Auto objective its legs resolved under: after
+// SetAutoObjective(AutoMakespan), a cluster AllReduce at Level Auto binds
+// the rows a fresh cluster with that objective builds, not the rows the
+// meter objective built. On these 128-PE hosts the two objectives resolve
+// the local Reduce leg of 1024 bytes per PE to different levels.
+func TestClusterRowsFollowAutoObjective(t *testing.T) {
+	const H = 2
+	geo := dram.Geometry{Channels: 2, RanksPerChannel: 1, BanksPerChip: 8, MramPerBank: 1 << 16}
+	d := ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1", Src: Span(0, 1024), Dst: At(2048),
+		Elem: elem.I32, Op: elem.Sum, Level: Auto}}
+	for _, costOnly := range []bool{true, false} {
+		compile := func(cl *sessionCluster) *ClusterPlan {
+			cp, err := cl.Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cp
+		}
+		cl := sessionTestCluster(t, H, geo, []int{geo.NumPEs()}, costOnly)
+		meter := compile(cl)
+		cl.Host(0).SetAutoObjective(AutoMakespan)
+		got := compile(cl)
+		fresh := sessionTestCluster(t, H, geo, []int{geo.NumPEs()}, costOnly)
+		fresh.Host(0).SetAutoObjective(AutoMakespan)
+		want := compile(fresh)
+		if diffRows(meter.HostPlan(0), want.HostPlan(0)) == "" {
+			t.Fatal("the two objectives build one row: the test shape no longer tells them apart")
+		}
+		for h := 0; h < H; h++ {
+			if diff := diffRows(got.HostPlan(h), want.HostPlan(h)); diff != "" {
+				t.Errorf("cost-only=%v host %d: the makespan compile's row differs from a fresh makespan cluster's: %s", costOnly, h, diff)
+			}
 		}
 	}
 }

@@ -355,9 +355,9 @@ func TestClusterFlatBaselineAllReduce(t *testing.T) {
 	}
 }
 
-// Recompiling an equal descriptor is a cluster-level plan-cache hit
-// (same *ClusterPlan), and the fused per-host schedules must report at
-// least one cross-leg rewrite: the interior syncs between the lowered
+// Recompiling an equal descriptor returns a new plan on the same role
+// rows and traces nothing, and the fused per-host schedules must report
+// at least one cross-leg rewrite: the interior syncs between the lowered
 // legs of one cluster collective are elided.
 func TestClusterPlanCacheAndFusion(t *testing.T) {
 	const H, P = 2, 16
@@ -371,12 +371,21 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	misses := cl.Host(0).Snapshot().PlanCache.TraceMisses
 	cp2, err := cl.Compile(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp1 != cp2 {
-		t.Error("recompiling an equal descriptor missed the cluster plan cache")
+	if cp1 == cp2 || cp1.st == cp2.st {
+		t.Error("recompiling an equal descriptor returned the first plan or its staging")
+	}
+	for h := 0; h < H; h++ {
+		if cp1.HostPlan(h).planEntry != cp2.HostPlan(h).planEntry {
+			t.Errorf("host %d: the recompile bound a row of its own", h)
+		}
+	}
+	if got := cl.Host(0).Snapshot().PlanCache.TraceMisses; got != misses {
+		t.Errorf("the recompile traced: TraceMisses %d -> %d", misses, got)
 	}
 	elided := 0
 	for _, r := range cp1.FusionReports() {
@@ -385,8 +394,7 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 	if elided < 1 {
 		t.Errorf("fused cluster plan elided %d interior syncs, want >= 1", elided)
 	}
-	// The compiled plan replays: two runs accumulate on the meters and
-	// a third compile still hits.
+	// The compiled plan replays: two runs accumulate on the meters.
 	for i := 0; i < 2; i++ {
 		if _, err := cp1.Run(); err != nil {
 			t.Fatal(err)
@@ -396,38 +404,56 @@ func TestClusterPlanCacheAndFusion(t *testing.T) {
 		t.Error("cluster host builds were never booked on the host")
 	}
 
-	// Functional plans that capture a caller payload are not cached.
-	payload := make([]byte, 64)
-	bd := ClusterCollective{Collective: Collective{
-		Prim: Broadcast, Dims: "1", Dst: Span(0, 64), Level: IM,
-		Hosts: [][]byte{payload},
-	}}
-	bp1, err := cl.Compile(bd)
-	if err != nil {
-		t.Fatal(err)
+	// A caller's payload is its plan's global buffer, not part of a row:
+	// a Broadcast of another payload binds the first one's rows, and each
+	// plan reads its own payload.
+	bcast := func(payload []byte) *ClusterPlan {
+		bp, err := cl.Compile(ClusterCollective{Collective: Collective{
+			Prim: Broadcast, Dims: "1", Dst: Span(0, 64), Level: IM, Hosts: [][]byte{payload}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bp
 	}
-	bp2, err := cl.Compile(bd)
-	if err != nil {
-		t.Fatal(err)
+	p1, p2 := bytes.Repeat([]byte{1}, 64), bytes.Repeat([]byte{2}, 64)
+	bp1 := bcast(p1)
+	misses = cl.Host(0).Snapshot().PlanCache.TraceMisses
+	bp2 := bcast(p2)
+	if got := cl.Host(0).Snapshot().PlanCache.TraceMisses; got != misses {
+		t.Errorf("a Broadcast of another payload traced: TraceMisses %d -> %d", misses, got)
 	}
-	if bp1 == bp2 {
-		t.Error("payload-capturing cluster plan was cached")
+	for h := 0; h < H; h++ {
+		if bp1.HostPlan(h).planEntry != bp2.HostPlan(h).planEntry {
+			t.Errorf("host %d: a Broadcast of another payload bound a row of its own", h)
+		}
+	}
+	for _, run := range []struct {
+		bp   *ClusterPlan
+		want byte
+	}{{bp1, 1}, {bp2, 2}, {bp1, 1}} {
+		if _, err := run.bp.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cl.s.Host(H-1).GetPEBuffer(0, 0, 64); !bytes.Equal(got, bytes.Repeat([]byte{run.want}, 64)) {
+			t.Fatalf("Broadcast of payload %d wrote %v", run.want, got[:8])
+		}
 	}
 
-	// The cluster cache is the only cache of a host plan: the hosts' shape
-	// table holds no row of it.
+	// The shape table is the only cache of a host plan: it holds every
+	// role row it built.
 	for h := 0; h < H; h++ {
-		if st := cl.Host(h).Snapshot().PlanCache; st.CachedTraces != 0 {
-			t.Errorf("host %d caches cluster members itself: %+v", h, st)
+		if st := cl.Host(h).Snapshot().PlanCache; st.CachedTraces == 0 || uint64(st.CachedTraces) != st.TraceMisses {
+			t.Errorf("host %d: the table holds %d rows of %d built", h, st.CachedTraces, st.TraceMisses)
 		}
 	}
 }
 
 // Sessions are isolated: two sessions of one name compile equal
-// descriptors into distinct plans, each recompile served from its own
-// cache. Closing one shard stops its whole session — Compile, the cached
-// plan's Run and Submit fail with ErrTenantClosed and charge no host —
-// while the other session's plan still hits.
+// descriptors into distinct plans with their own staging on the same role
+// rows, and the second session traces nothing. Closing one shard stops its
+// whole session — Compile, its plan's Run and Submit fail with
+// ErrTenantClosed and charge no host — while the other session still
+// compiles onto the rows and runs.
 func TestClusterSessionsIsolated(t *testing.T) {
 	const H, P = 2, 16
 	m := 8 * P
@@ -445,15 +471,21 @@ func TestClusterSessionsIsolated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, err := s.Compile(d); err != nil || again != cp {
-			t.Errorf("recompiling on the session at %+v missed its cache (%v)", s.shards[0].ar, err)
-		}
 		return s, cp
 	}
 	a, ap := session()
+	misses := cl.Host(0).Snapshot().PlanCache.TraceMisses
 	b, bp := session()
-	if ap == bp {
-		t.Error("two sessions of the same name share a cluster plan")
+	if got := cl.Host(0).Snapshot().PlanCache.TraceMisses; got != misses {
+		t.Errorf("the second session traced: TraceMisses %d -> %d", misses, got)
+	}
+	if ap == bp || ap.st == bp.st {
+		t.Error("two sessions of the same name share a cluster plan or its staging")
+	}
+	for h := 0; h < H; h++ {
+		if ap.HostPlan(h).planEntry != bp.HostPlan(h).planEntry {
+			t.Errorf("host %d: the sessions bind different rows", h)
+		}
 	}
 	if err := a.Host(0).Close(); err != nil {
 		t.Fatal(err)
@@ -463,21 +495,25 @@ func TestClusterSessionsIsolated(t *testing.T) {
 		t.Errorf("Compile on a session with a closed shard: %v, want ErrTenantClosed", err)
 	}
 	if _, err := ap.Run(); !errors.Is(err, ErrTenantClosed) {
-		t.Errorf("Run of the cached plan: %v, want ErrTenantClosed", err)
+		t.Errorf("Run of the compiled plan: %v, want ErrTenantClosed", err)
 	}
 	if _, err := a.Submit(d); !errors.Is(err, ErrTenantClosed) {
 		t.Errorf("Submit: %v, want ErrTenantClosed", err)
 	}
 	if err := ap.Submit().Err(); !errors.Is(err, ErrTenantClosed) {
-		t.Errorf("Submit of the cached plan: %v, want ErrTenantClosed", err)
+		t.Errorf("Submit of the compiled plan: %v, want ErrTenantClosed", err)
 	}
 	for h, hs := range cl.Snapshot().Hosts {
 		if hs.Meter != before.Hosts[h].Meter {
 			t.Errorf("host %d charged by the closed session: %v -> %v", h, before.Hosts[h].Meter, hs.Meter)
 		}
 	}
-	if cp, err := b.Compile(d); err != nil || cp != bp {
-		t.Errorf("the other session's recompile missed its cache after the close (%v)", err)
+	cp, err := b.Compile(d)
+	if err != nil || cp.HostPlan(0).planEntry != bp.HostPlan(0).planEntry {
+		t.Fatalf("the other session's recompile after the close missed the rows (%v)", err)
+	}
+	if _, err := cp.Run(); err != nil {
+		t.Errorf("the other session's plan after the close: %v", err)
 	}
 }
 
@@ -631,22 +667,22 @@ func TestClusterValidation(t *testing.T) {
 }
 
 // TestFailedClusterCompileCachesNothing: a descriptor the cluster rejects
-// leaves no cache entry — and with it no staging or barrier — behind, and
-// the error names the primitive once.
+// returns no plan — and with it no staging or barrier — and builds no row,
+// and the error names the primitive once.
 func TestFailedClusterCompileCachesNothing(t *testing.T) {
 	cl := sessionTestCluster(t, 3, geoHost, []int{16}, false)
 	for i := 0; i < 4; i++ {
-		_, err := cl.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+		cp, err := cl.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
 			Src: Span(i*1024, 1024), Dst: At(8192), Elem: elem.I32, Op: elem.Sum, Level: IM, Algorithm: AlgoRabenseifner}})
-		if err == nil {
-			t.Fatal("cluster rsag AllReduce accepted")
+		if err == nil || cp != nil {
+			t.Fatalf("cluster rsag AllReduce accepted: %v, %v", cp, err)
 		}
 		if n := strings.Count(err.Error(), "AllReduce"); n != 1 {
 			t.Errorf("error names the primitive %d times: %v", n, err)
 		}
 	}
-	if len(cl.s.cache) != 0 {
-		t.Errorf("len(cache) == %d after four rejected compiles, want 0", len(cl.s.cache))
+	if st := cl.Host(0).Snapshot().PlanCache; st.CachedTraces != 0 {
+		t.Errorf("four rejected compiles built %d rows, want 0", st.CachedTraces)
 	}
 }
 

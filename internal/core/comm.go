@@ -116,9 +116,9 @@ type Comm struct {
 // configuration and the call shape. A lone machine (New) has its own; the
 // hosts of a Cluster, built from one Config, share one (NewCluster).
 // compMu, the one lock of compilation (doc.go, Concurrency), guards it
-// all — group plans per dims string, Auto decisions and objective
-// (auto.go), shape rows, counters, fusion statistics, tracer — and the
-// cluster sessions' plan caches on the table's comms.
+// all: group plans per dims string, Auto decisions and objective
+// (auto.go), shape rows (a cluster's role rows too), counters, fusion
+// statistics, tracer.
 type shapeTable struct {
 	compMu    sync.Mutex
 	plans     map[string]*plan

@@ -49,10 +49,8 @@
 // compiled (a new plan on the shape table's row, keyed by the members'
 // arena-relative signatures; a collective is a sequence of one) →
 // buildLocked (lower → concatenate → fuse → trace, on a row miss). The
-// shape table is the one compile cache, and Auto's dry builds fill its
-// rows. The cluster layer builds past them: its session (ClusterTenant,
-// one arena on every host) caches a host plan once, with the staging it
-// binds — one plan per role, bound per host (cluster.go).
+// shape table is the one compile cache: Auto's dry builds and a cluster's
+// role rows (cluster.go) fill it too.
 //
 //   - Hypercube (hypercube.go) holds the virtual shape of § IV-B and
 //     produces communication groups (the cube slices of Figure 5) from a

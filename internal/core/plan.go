@@ -28,9 +28,8 @@ import (
 // buffers its runs read or write (Hosts); a run binds its plan
 // (Comm.cur), so a compile that finds its row lowers nothing. Auto's
 // candidate dry builds (auto.go) fill and read the same rows, so the
-// winner's compile traces nothing. The cluster layer (cluster.go) calls
-// buildLocked past the rows: a host plan is cached once, in its cluster
-// session, with the staging it binds.
+// winner's compile traces nothing. A cluster's role rows are rows of the
+// same table, keyed by descriptor and role (cluster.go).
 //
 // The precomputed charges are a *trace*: the exact sequence of meter
 // additions a cost-only execution of the schedule performs, captured once
@@ -65,10 +64,11 @@ type planKey struct {
 
 // seqKey is the shape table's key: the first member's signature plus the
 // remaining members' rendered in order — empty for a single collective,
-// whose lookup therefore builds no string.
+// whose lookup therefore builds no string — plus a cluster role row's role.
 type seqKey struct {
 	head planKey
 	tail string
+	role roleKey
 }
 
 // planEntry is one shape row: what depends only on the call shape — never
@@ -80,15 +80,17 @@ type seqKey struct {
 // fusion reports what the fusion pipeline did (zero-valued under
 // FuseOff); memberCosts is each member's unfused per-run cost (for
 // proportional attribution by profilers), traced for sequences only: nil
-// when the one member's cost is the plan's.
+// when the one member's cost is the plan's. A session's Gather or Reduce
+// row writes outs result buffers of outBytes each (rowLocked).
 type planEntry struct {
-	key         planKey
-	members     []Primitive
-	regs        planRegions
-	sched       *Schedule
-	tr          *chargeTrace
-	fusion      FusionReport
-	memberCosts []cost.Breakdown
+	key            planKey
+	members        []Primitive
+	regs           planRegions
+	sched          *Schedule
+	tr             *chargeTrace
+	fusion         FusionReport
+	memberCosts    []cost.Breakdown
+	outs, outBytes int
 }
 
 // planSpec is one validated, Auto-resolved member: its arena-relative
@@ -153,13 +155,12 @@ type CompiledPlan struct {
 	owner *Tenant
 	base  int
 	// hosts are the host buffers its runs read or write (algoEnv.hosts
-	// indexes them): the caller's, or a rooted plan's own, made on its
-	// first functional run. Guarded by owner.c.execMu.
+	// indexes them): the caller's, a rooted plan's own, made on its first
+	// functional run, or windows of st. Guarded by owner.c.execMu.
 	hosts [][]byte
-	// outs and outBytes shape the buffers a single-host Gather or Reduce
-	// writes: outs of outBytes each (zero for every other plan, the
-	// cluster's host plans included). Immutable.
-	outs, outBytes int
+	// st is a functional cluster host plan's staging, which its network
+	// legs read (cluster.go). Immutable.
+	st *clusterState
 }
 
 // Primitive returns the plan's collective primitive.
@@ -230,10 +231,10 @@ func (cp *CompiledPlan) Run() (cost.Breakdown, error) {
 // Gather or Reduce plan writes (nil for the other primitives and for a
 // cluster's host plans, whose result is ClusterPlan.Results): the Hosts
 // it was compiled with or, on a functional backend, its own, made on its
-// first Run (nil before it). Every run of the plan, Submit's included,
-// overwrites them, and their contents are undefined after a run that
-// failed: results that must survive later runs need Hosts of their own.
-// On a cost-only backend no run writes them.
+// first Run (nil before it), never a copy. Every run of the plan,
+// Submit's included, overwrites them, and their contents are undefined
+// after a run that failed: results that must survive later runs need a
+// copy or Hosts of their own. On a cost-only backend no run writes them.
 func (cp *CompiledPlan) Results() [][]byte {
 	if cp.outs == 0 {
 		return nil
@@ -335,17 +336,13 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*Compi
 	if err := owner.errIfClosed(); err != nil {
 		return nil, err
 	}
-	cp := owner.planOn(c.rowLocked(specs), hosts)
-	if env := &specs[0].env; shapes[env.prim].rooted() { // a sequence of one
-		cp.outs, cp.outBytes = len(env.p.groups), shapes[env.prim].host.of(env.bytes, env.p.n)
-	}
-	return cp, nil
+	return owner.planOn(c.rowLocked(specs), hosts), nil
 }
 
-// rowLocked returns the shape row of specs, keyed by the members'
-// arena-relative signatures, and books the lookup: a hit, or a miss that
-// builds the row for every session and Auto to share. It is the one
-// lookup of the table's rows. Callers hold compMu.
+// rowLocked returns the shape row of a session's specs, keyed by the
+// members' arena-relative signatures, and books the lookup: a hit, or a
+// miss that builds the row for every session and Auto to share.
+// ClusterTenant.Compile looks up role rows. Callers hold compMu.
 func (c *Comm) rowLocked(specs []planSpec) *planEntry {
 	key := seqKey{head: specs[0].env.planKey}
 	for _, sp := range specs[1:] {
@@ -356,6 +353,9 @@ func (c *Comm) rowLocked(specs []planSpec) *planEntry {
 		return row
 	}
 	row := c.buildLocked(specs)
+	if env := &specs[0].env; shapes[env.prim].rooted() { // a sequence of one
+		row.outs, row.outBytes = len(env.p.groups), shapes[env.prim].host.of(env.bytes, env.p.n)
+	}
 	c.rows[key] = row
 	return row
 }
@@ -373,7 +373,7 @@ func (t *Tenant) planOn(row *planEntry, hosts [][]byte) *CompiledPlan {
 // traced: the fused schedule as a single plan, the unfused one too when a
 // pass changed it (the report quotes the per-run saving), and each member
 // of a sequence. It books the build — a trace miss and, under FuseFull,
-// the row's fusion report — and caches nothing; callers hold compMu.
+// the row's fusion report; its caller stores the row. Callers hold compMu.
 func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 	row := &planEntry{key: specs[0].env.planKey, members: make([]Primitive, len(specs))}
 	for i, sp := range specs {

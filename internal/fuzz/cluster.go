@@ -149,10 +149,11 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 			if want != got {
 				return nil, fmt.Errorf("cost-only breakdown %+v != functional %+v", got, want)
 			}
+			res := cp.Results() // the plan's staging, which its next run overwrites
 			if out != nil {
-				copy(out[0], cp.Results())
+				copy(out[0], res)
 			}
-			return [][]byte{cp.Results()}, nil
+			return [][]byte{res}, nil
 		}}
 	for _, k := range checks {
 		if k.inPlace {

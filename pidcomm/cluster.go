@@ -14,8 +14,8 @@ import (
 // whole cluster as one flat communicator; the cluster lowers it — per
 // host — into ONE schedule-IR plan (intra-host legs, a network leg
 // priced by the parameterized NetParams model, redistribution legs), so
-// cluster collectives compile, cache, fuse and replay exactly like
-// single-machine ones.
+// cluster collectives compile onto the machines' one shape table, fuse and
+// replay exactly like single-machine ones.
 //
 // Capacity studies run the whole thing on the cost-only backend
 // (CostOnly option): breakdowns stay bit-identical to the functional
@@ -132,9 +132,9 @@ type ClusterComm = core.ClusterTenant
 type ClusterCollective = core.ClusterCollective
 
 // ClusterPlan is one cluster collective compiled into one plan per
-// host, ready for repeated Run/Submit; Results returns rooted results,
-// FusionReports the per-host fusion savings, HostPlan the per-host
-// compiled plans.
+// host, ready for repeated Run/Submit; Results returns rooted results
+// (the plan's staging: the next run overwrites them), FusionReports the
+// per-host fusion savings, HostPlan the per-host compiled plans.
 type ClusterPlan = core.ClusterPlan
 
 // ClusterFuture is the handle of one submitted cluster execution: one
