@@ -1,6 +1,6 @@
 // Command pidbench regenerates the paper's evaluation artifacts on the
 // simulated clock: every table and figure of § VIII has a registered
-// experiment (see DESIGN.md's per-experiment index). Wall-clock
+// experiment (internal/bench's package doc maps them to the paper). Wall-clock
 // measurements of the simulator itself live in benchmark/.
 //
 // Usage:
@@ -16,7 +16,7 @@
 //
 // The default scale keeps the whole suite within laptop memory and
 // minutes; -full uses paper-scale payloads (the timing model is linear in
-// payload, so shapes are identical; see EXPERIMENTS.md). -backend=cost
+// payload, so shapes are identical; see bench.Options). -backend=cost
 // runs the primitive experiments on the cost-only backend (identical
 // tables, orders of magnitude faster). -sched names the submission
 // scheduling policy the "async" experiment's scheduled comm uses (wfq,

@@ -227,7 +227,7 @@ func GeoForPEs(n, mramPerBank int) (dram.Geometry, error) {
 // bandwidth or integer throughput; graph traversal and embedding lookups
 // are bounded by memory latency. The latency-bound rates are calibrated
 // to paper-scale datasets (LiveJournal, Criteo), where working sets far
-// exceed the caches — see DESIGN.md's substitution table.
+// exceed the caches — see the CPUModel fields.
 type CPUModel struct {
 	// MemBW is achievable memory bandwidth for the streaming integer
 	// kernels (bytes/s; naive-but-parallel code, not peak STREAM).

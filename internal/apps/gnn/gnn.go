@@ -11,10 +11,10 @@
 // The vertex set is partitioned so that the strip each PE column needs
 // next layer is exactly what the y-axis collective produces; the paper's
 // per-layer dimension alternation (Algorithm 1) serves the same strip
-// re-orientation and is fixed here by construction (documented in
-// DESIGN.md). Feature elements are quantized integers of configurable
-// width (INT8/16/32 — the Figure 22 sensitivity study); integer
-// wraparound is bit-exact between the PIM run and the CPU reference.
+// re-orientation and is fixed here by construction. Feature elements are
+// quantized integers of configurable width (INT8/16/32 — the Figure 22
+// sensitivity study); integer wraparound is bit-exact between the PIM run
+// and the CPU reference.
 package gnn
 
 import (

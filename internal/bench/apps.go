@@ -68,7 +68,7 @@ func gnnCfg(name string, pes int, et elem.Type) gnn.Config {
 }
 
 // appRuns returns the Table III application matrix. MLP feature sizes are
-// the paper's 16k/32k scaled by 4x (EXPERIMENTS.md records the mapping).
+// the paper's 16k/32k scaled by 4x (the table3 experiment prints the mapping).
 func appRuns() []appRun {
 	var runs []appRun
 	for _, d := range []int{16, 32} {

@@ -15,7 +15,7 @@ type Options struct {
 	W io.Writer
 	// Full selects paper-scale payloads; the default small scale keeps
 	// the whole suite within laptop memory/minutes (the timing model is
-	// linear in payload, so shapes are preserved; see EXPERIMENTS.md).
+	// linear in payload, so shapes are preserved; see the package doc).
 	Full bool
 	// CostOnly runs experiments on the cost-only backend: identical
 	// tables (the cost model is shared bit-for-bit with the functional

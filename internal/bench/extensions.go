@@ -9,7 +9,7 @@ import (
 )
 
 // Extension experiments beyond the paper's figures: the design-choice
-// ablations DESIGN.md § 6 calls out, and the § IX-B hardware what-ifs.
+// ablations (ext-rank, ext-launch) and the § IX-B hardware what-ifs (ext-dsa).
 
 // cmSpec is the extension measurements' primitive at CM on the paper's
 // 32×32 machine, x axis, INT32 SUM where it reduces, under params.

@@ -209,9 +209,10 @@
 //	Figures 5, 6  Hypercube, Groups (hypercube.go)
 //	Figure 7      lowerAlltoAll (schedule.go)
 //	Figure 8      lowerReduceScatter / lowerAllReduce / lowerAllGather
-//	Figure 9      shiftColumn (engine.go): one 8-byte lane per PE, columns
-//	              held in lane order (lane c = bank c's bytes), so the
-//	              bus interleave and its DT are charges, not byte moves
+//	Figure 9      streamCtx.shift (engine.go): one 8-byte lane per PE per
+//	              column, in lane order (lane c = bank c's bytes), so a
+//	              run of columns is one copy per PE and the bus
+//	              interleave and its DT are charges, not byte moves
 //	Table I       TableI (support.go)
 //	Table II      the levels field of the shapes rows, rendered by TableII
 //	§ V-A1        (*Comm).rotate (engine.go)

@@ -2,70 +2,65 @@ package core
 
 import (
 	"repro/internal/dpu"
-	"repro/internal/dram"
 	"repro/internal/elem"
 	"repro/internal/host"
 	"repro/internal/vec"
 )
 
-// column holds one 64-byte burst per entangled group, all at the same
-// per-bank MRAM offset — the unit the optimized engine streams. Registers
-// are in lane order: lane c is bank c's 8 bytes, the host byte order of
-// a burst after its domain transfer (§ II-B), so a PE's element is one
-// whole lane. The bus-order interleave is never computed here; a level
-// that pays for domain transfers declares them as charges.
-type column []vec.Reg
+// runCols bounds a fold's run: a shard reduces at most runCols element
+// columns (runCols·8 bytes per PE) per pass, so its accumulator holds a
+// few hundred bytes per PE whatever the block size.
+const runCols = 32
 
 // streamCtx is one worker's private streaming context during a parallel
-// ColumnStream epoch: a host shard (private bus tallies) plus
-// preallocated column buffers, so the steady-state streaming loops
-// allocate nothing. Contexts are created once per shard slot on the Comm
-// c (ensureStreams) and reused across runs; each is owned by exactly one
-// worker for the duration of a par.Do call, whose segRunner sets base to
-// c's running plan's arena base: the lowerings stream offsets relative to
-// it, and read the run's host buffers (Hosts, which rooted primitives
-// write) off c.cur.
+// ColumnStream epoch: a host shard (private bus tallies) plus the fold
+// accumulator, so the steady-state streaming loops allocate nothing.
+// Contexts are created once per shard slot on the Comm c (ensureStreams)
+// and reused across runs; each is owned by exactly one worker for the
+// duration of a par.Do call, whose segRunner sets base to c's running
+// plan's arena base: the lowerings stream offsets relative to it, and
+// read the run's host buffers (Hosts, which rooted primitives write) off
+// c.cur.
+//
+// The engine streams 64-byte bursts in lane order (§ V-A2, § II-B): lane
+// c is bank c's 8 bytes, so a PE's element is a whole lane and a run of
+// columns is consecutive bytes of each bank. The seg bodies move a
+// shard's columns as such runs, one copy per PE, each booked first with
+// one tally per entangled group; the bus interleave and its domain
+// transfer are charges, never computed.
 type streamCtx struct {
 	c    *Comm
 	sh   *host.Shard
-	vu   vec.Unit // scratch reductions; cost is charged declaratively
-	a    column   // read target
-	b    column   // shift target
-	ac   column   // reduction accumulator
+	acc  []byte // fold accumulator, grown once to runCols columns per PE
 	base int
 }
 
-// readColumn reads the burst at arena offset off from every entangled
-// group into dst. Must run inside a transfer epoch.
-func (sc *streamCtx) readColumn(off int, dst column) {
-	for g := range dst {
-		sc.sh.ReadLanes(g, sc.base+off, &dst[g])
+// tally books cols column transfers: cols bursts on every entangled
+// group. Must run inside a transfer epoch, before the bytes move.
+func (sc *streamCtx) tally(cols int) {
+	for _, g := range sc.c.allEGs() {
+		sc.sh.TallyBursts(g, int64(cols))
 	}
 }
 
-// writeColumn writes one burst per entangled group at arena offset off.
-func (sc *streamCtx) writeColumn(off int, col column) {
-	for g := range col {
-		sc.sh.WriteLanes(g, sc.base+off, &col[g])
-	}
+// bank returns PE pe's n bytes at arena offset off.
+func (sc *streamCtx) bank(pe, off, n int) []byte {
+	off += sc.base
+	return sc.c.hc.sys.BankBytes(pe)[off : off+n]
 }
 
-// shiftColumn moves every lane's element of src to the PE holding rank
-// (rank+shift) mod n of the same communication group, storing into dst —
-// the multi-instance lane rotation at the heart of the optimized engine.
-// Because every PE belongs to exactly one group, the result is a full
-// permutation of the column, whether groups subdivide an entangled group,
-// span several, or stride across them (Figure 9 general cases). dst must
-// not alias src.
-func (sc *streamCtx) shiftColumn(p *plan, dst, src column, shift int) {
-	shift %= p.n
-	if shift < 0 {
-		shift += p.n
-	}
+// shift copies every PE's b bytes at arena offset srcOff to the PE
+// holding rank (rank+k) mod n of the same communication group, at dstOff
+// — the multi-instance lane rotation at the heart of the optimized engine
+// (Figure 9), one copy per PE for a whole run of columns. Because every
+// PE belongs to exactly one group, the result is a full permutation,
+// whether groups subdivide an entangled group, span several, or stride
+// across them. k is in [0, n); the two regions must not overlap.
+func (sc *streamCtx) shift(p *plan, k, dstOff, srcOff, b int) {
 	for _, grp := range p.groups {
-		j := shift // rank i's element goes to rank j = (i+shift) mod n
+		j := k // rank i's run goes to rank j = (i+k) mod n
 		for _, pe := range grp {
-			*dst.lane(grp[j]) = *src.lane(pe)
+			copy(sc.bank(grp[j], dstOff, b), sc.bank(pe, srcOff, b))
 			if j++; j == p.n {
 				j = 0
 			}
@@ -73,26 +68,49 @@ func (sc *streamCtx) shiftColumn(p *plan, dst, src column, shift int) {
 	}
 }
 
-// reduceColumnInto accumulates src into acc elementwise (lane order:
-// each lane is a whole element, so vertical SIMD ops apply; § V-B2).
-func (sc *streamCtx) reduceColumnInto(t elem.Type, op elem.Op, acc, src column) {
-	for g := range acc {
-		acc[g] = sc.vu.Reduce(t, op, acc[g], src[g])
+// store copies every PE's b-byte run of acc to its bank at dstOff.
+func (sc *streamCtx) store(dstOff int, acc []byte, b int) {
+	for pe := range len(acc) / b {
+		copy(sc.bank(pe, dstOff, b), acc[pe*b:])
 	}
 }
 
-// fillIdentity fills col with reduction identities.
-func (sc *streamCtx) fillIdentity(t elem.Type, op elem.Op, col column) {
-	id := sc.vu.FillIdentity(t, op)
-	for g := range col {
-		col[g] = id
+// fold reduces element columns [lo, hi) of the n pre-rotated slots of s
+// bytes at srcOff, at most runCols columns per run: slot k of rank r
+// belongs to rank r+k, so PE pe's run of the accumulator, acc[pe*b:],
+// ends as its rank's reduced bytes (vertical reductions, § V-B2). Each
+// run first books bursts bursts per column on every entangled group,
+// then hands put its byte offset e in a slot, its bytes per PE b and
+// acc. The loop walks every PE's slots in bank order while the
+// accumulator stays in cache: integer reductions do not depend on their
+// order, and rank 0's slots are copied in, the identity being neutral.
+func (sc *streamCtx) fold(p *plan, t elem.Type, op elem.Op, srcOff, s, lo, hi, bursts int, put func(e, b int, acc []byte)) {
+	if sc.acc == nil {
+		sc.acc = make([]byte, len(p.rankOf)*runCols*vec.LaneBytes)
 	}
-}
-
-// lane returns the 8-byte lane of PE pe within the column: the PE's
-// whole element word.
-func (c column) lane(pe int) *[vec.LaneBytes]byte {
-	return (*[vec.LaneBytes]byte)(c[pe/dram.ChipsPerRank][pe%dram.ChipsPerRank*vec.LaneBytes:])
+	for i := lo; i < hi; i += runCols {
+		cols := min(runCols, hi-i)
+		e, b := i*8, cols*8
+		sc.tally(bursts * cols)
+		acc := sc.acc[:len(p.rankOf)*b]
+		for _, grp := range p.groups {
+			for r, pe := range grp {
+				j := r // slot k of rank r lands on rank j = (r+k) mod n
+				for k := 0; k < p.n; k++ {
+					dst, src := acc[grp[j]*b:grp[j]*b+b], sc.bank(pe, srcOff+k*s+e, b)
+					if r == 0 {
+						copy(dst, src)
+					} else {
+						elem.ReduceInto(t, op, dst, src)
+					}
+					if j++; j == p.n {
+						j = 0
+					}
+				}
+			}
+		}
+		put(e, b, acc)
+	}
 }
 
 // ensureStreams grows the Comm's streaming-context set to k entries.
@@ -100,16 +118,8 @@ func (c column) lane(pe int) *[vec.LaneBytes]byte {
 // the bulk-transfer paths (same shard index -> same worker slot).
 func (c *Comm) ensureStreams(k int) {
 	shards := c.h.Shards(k)
-	nEG := c.hc.sys.Geometry().NumGroups()
 	for len(c.streams) < k {
-		i := len(c.streams)
-		c.streams = append(c.streams, &streamCtx{
-			c:  c,
-			sh: shards[i],
-			a:  make(column, nEG),
-			b:  make(column, nEG),
-			ac: make(column, nEG),
-		})
+		c.streams = append(c.streams, &streamCtx{c: c, sh: shards[len(c.streams)]})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/elem"
 	"repro/internal/host"
-	"repro/internal/vec"
 )
 
 // This file defines the schedule IR every collective lowers to, plus the
@@ -267,15 +266,15 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 			Charges: charges,
 			// Flattened (k, e) loop: every iteration reads burst column
 			// k*s+e and writes column ((n-k)%n)*s+e — distinct columns for
-			// distinct iterations, so the whole loop shards freely.
+			// distinct iterations, so the whole loop shards freely. A
+			// shard's range moves as one shifted run per slot k it spans.
 			segs: []*streamSeg{{cols: n * ecols, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					k := i / ecols
-					e := (i % ecols) * 8
-					w := (n - k) % n
-					sc.readColumn(srcOff+k*s+e, sc.a)
-					sc.shiftColumn(p, sc.b, sc.a, k)
-					sc.writeColumn(dstOff+w*s+e, sc.b)
+				for i := lo; i < hi; {
+					k, e := i/ecols, i%ecols*8
+					cols := min(hi-i, ecols-e/8)
+					sc.tally(2 * cols)
+					sc.shift(p, k, dstOff+(n-k)%n*s+e, srcOff+k*s+e, cols*8)
+					i += cols
 				}
 			}}},
 		})
@@ -293,9 +292,8 @@ func lowerAlltoAll(env *algoEnv) *Schedule {
 // in where its result goes: back to the rank that owns each block, to
 // the host, or to every rank. Their staged (Baseline, PR) passes open
 // with stagedFront; Reduce and AllReduce fold a group's payloads with
-// foldGroup. Their IM epochs fold each element column with foldSlots,
-// priced by foldCharges, and Reduce, like Gather, stores rooted lanes
-// with storeLanes.
+// foldGroup. Their IM epochs fold runs of element columns with
+// streamCtx.fold, priced per column by foldCharges.
 
 // stagedFront opens a staged pass over the n blocks of s bytes every PE
 // holds at srcOff, and returns the charge kind of that pass: at PR the
@@ -329,18 +327,6 @@ func foldGroup(t elem.Type, op elem.Op, red, stag []byte, grp []int, m, s int, p
 	}
 }
 
-// foldSlots reduces element column e of the n pre-rotated slots of s
-// bytes at srcOff into sc.ac: slot k is shifted by k ranks, so lane j of
-// the result is rank j's reduced block.
-func (sc *streamCtx) foldSlots(p *plan, t elem.Type, op elem.Op, srcOff, s, e int) {
-	sc.fillIdentity(t, op, sc.ac)
-	for k := 0; k < p.n; k++ {
-		sc.readColumn(srcOff+k*s+e, sc.a)
-		sc.shiftColumn(p, sc.b, sc.a, k)
-		sc.reduceColumnInto(t, op, sc.ac, sc.b)
-	}
-}
-
 // foldCharges prices an IM fold of iters element columns per slot:
 // simd, n and dt columns of SIMD modulation, reduction and domain
 // transfer per element column, in that order. I8 skips the domain
@@ -355,18 +341,6 @@ func (p *plan) foldCharges(t elem.Type, iters, simd, dt int64) []Charge {
 		charges = append(charges, Charge{host.DT, dt * iters * colB})
 	}
 	return charges
-}
-
-// storeLanes stores element column e of col, in lane order, into
-// the rooted results res: PE pe's lane lands in its group's buffer, in
-// its rank's block of s bytes. Iterations storing distinct e write
-// distinct bytes, so shards don't overlap.
-func (p *plan) storeLanes(res [][]byte, col column, s, e int) {
-	for g, grp := range p.groups {
-		for j, pe := range grp {
-			*(*[vec.LaneBytes]byte)(res[g][j*s+e:]) = *col.lane(pe)
-		}
-	}
 }
 
 func lowerReduceScatter(env *algoEnv) *Schedule {
@@ -386,10 +360,7 @@ func lowerReduceScatter(env *algoEnv) *Schedule {
 			// Per element column e: fold the n slot bursts, write one
 			// burst. Iterations touch distinct columns — shardable.
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					sc.foldSlots(p, t, op, srcOff, s, i*8)
-					sc.writeColumn(dstOff+i*8, sc.ac)
-				}
+				sc.fold(p, t, op, srcOff, s, lo, hi, n+1, func(e, b int, acc []byte) { sc.store(dstOff+e, acc, b) })
 			}}},
 		})
 	}
@@ -461,10 +432,14 @@ func lowerReduce(env *algoEnv) *Schedule {
 			Reads:   int64(n) * iters,
 			Charges: append(p.foldCharges(t, iters, int64(n), int64(n)), store),
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					sc.foldSlots(p, t, op, srcOff, s, i*8)
-					p.storeLanes(sc.c.cur.hosts[at:], sc.ac, s, i*8)
-				}
+				res := sc.c.cur.hosts[at:]
+				sc.fold(p, t, op, srcOff, s, lo, hi, n, func(e, b int, acc []byte) {
+					for g, grp := range p.groups {
+						for j, pe := range grp {
+							copy(res[g][j*s+e:], acc[pe*b:pe*b+b])
+						}
+					}
+				})
 			}}},
 		})
 	}
@@ -512,17 +487,16 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 			Reads: int64(n) * iters, Writes: int64(n) * iters,
 			Charges: p.foldCharges(t, iters, 2*int64(n), int64(n+1)),
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					e := i * 8
-					sc.foldSlots(p, t, op, srcOff, s, e)
+				sc.fold(p, t, op, srcOff, s, lo, hi, 2*n, func(e, b int, acc []byte) {
 					// The n outbound writes' shifts are pure
-					// redistribution of the folded column.
-					for k := 0; k < n; k++ {
-						sc.shiftColumn(p, sc.b, sc.ac, k)
-						w := (n - k) % n
-						sc.writeColumn(dstOff+w*s+e, sc.b)
+					// redistribution of the folded run: shift 0 lands
+					// in slot 0, and shift k copies slot 0 on to slot
+					// n-k of the rank k further.
+					sc.store(dstOff+e, acc, b)
+					for k := 1; k < n; k++ {
+						sc.shift(p, k, dstOff+(n-k)*s+e, dstOff+e, b)
 					}
-				}
+				})
 			}}},
 		})
 		sched.add(&StepRotateBlocks{p: p, Off: dstOff, N: n, S: s, Mul: -1})
@@ -587,14 +561,10 @@ func lowerAllGather(env *algoEnv) *Schedule {
 			Reads: iters, Writes: int64(n) * iters,
 			Charges: charges,
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					e := i * 8
-					sc.readColumn(srcOff+e, sc.a)
-					for k := 0; k < n; k++ {
-						sc.shiftColumn(p, sc.b, sc.a, k)
-						w := (n - k) % n
-						sc.writeColumn(dstOff+w*s+e, sc.b)
-					}
+				e, b := lo*8, (hi-lo)*8
+				sc.tally((n + 1) * (hi - lo))
+				for k := 0; k < n; k++ {
+					sc.shift(p, k, dstOff+(n-k)%n*s+e, srcOff+e, b)
 				}
 			}}},
 		})
@@ -664,9 +634,12 @@ func lowerGather(env *algoEnv) *Schedule {
 				{host.HostMem, int64(len(p.groups)) * int64(n*s)},
 			},
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					sc.readColumn(srcOff+i*8, sc.a)
-					p.storeLanes(sc.c.cur.hosts[at:], sc.a, s, i*8)
+				res, e, b := sc.c.cur.hosts[at:], lo*8, (hi-lo)*8
+				sc.tally(hi - lo)
+				for g, grp := range p.groups {
+					for j, pe := range grp {
+						copy(res[g][j*s+e:], sc.bank(pe, srcOff+e, b))
+					}
 				}
 			}}},
 		})
@@ -744,25 +717,19 @@ func lowerBroadcast(env *algoEnv) *Schedule {
 }
 
 // streamBroadcast builds the seg that streams host-side bytes into every
-// PE's arena region [dstOff, dstOff+perPE): for each element column it
-// assembles one register per entangled group from lane(c, pe, e), c the
-// executing comm, and writes it in lane order, which is how the host
+// PE's arena region [dstOff, dstOff+perPE): a shard's run of element
+// columns from e on is one copy per PE of the host bytes from(c, pe, e)
+// begins with, c the executing comm — lane order, which is how the host
 // holds the bytes: the domain transfer the hardware performs on the way
 // is a charge of the step, not a byte permutation here. Iterations touch
 // distinct columns, so the seg shards freely. Shared by the
 // Scatter/Broadcast/single-group-AllGather write paths.
-func (p *plan) streamBroadcast(dstOff, perPE int, lane func(c *Comm, pe, e int) []byte) *streamSeg {
-	nEG := len(p.rankOf) / dram.ChipsPerRank
+func (p *plan) streamBroadcast(dstOff, perPE int, from func(c *Comm, pe, e int) []byte) *streamSeg {
 	return &streamSeg{cols: perPE / 8, body: func(sc *streamCtx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := i * 8
-			for g := 0; g < nEG; g++ {
-				var r vec.Reg
-				for chip := 0; chip < dram.ChipsPerRank; chip++ {
-					r.SetLane(chip, lane(sc.c, g*dram.ChipsPerRank+chip, e))
-				}
-				sc.sh.WriteLanes(g, sc.base+dstOff+e, &r)
-			}
+		e, b := lo*8, (hi-lo)*8
+		sc.tally(hi - lo)
+		for pe := range p.rankOf {
+			copy(sc.bank(pe, dstOff+e, b), from(sc.c, pe, e))
 		}
 	}}
 }

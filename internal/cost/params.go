@@ -86,7 +86,8 @@ type Params struct {
 	Net NetParams
 }
 
-// DefaultParams returns the calibrated defaults described in DESIGN.md § 4.
+// DefaultParams returns the calibrated defaults, approximating the
+// testbed that Params and each of its fields describe (§ VIII-A).
 func DefaultParams() Params {
 	return Params{
 		HostClockHz:  3.0e9,

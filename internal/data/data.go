@@ -3,8 +3,8 @@
 // and Gowalla (LG), GNN inputs for PubMed (PM) and Reddit (RD), and a
 // Criteo-like categorical click log for DLRM. Generators preserve the
 // structural properties that drive communication volume (degree skew,
-// density, dimensionality) at simulator-friendly scale; EXPERIMENTS.md
-// records the scale mapping.
+// density, dimensionality) at simulator-friendly scale: GraphByName and
+// GNNByName build each stand-in at reproduction scale.
 package data
 
 import (

@@ -23,19 +23,22 @@
 // Bus order — ReadBurst/WriteBurst, byte i of the burst in chip i%8 — is
 // the model: it is what the channel carries, and the oracle the tests
 // hold every other access to. The simulator moves bytes in lane order
-// instead: ReadLanes/WriteLanes give lane c (bytes 8c..8c+7) to bank c,
-// which is the bus-order burst after its 8x8 domain transfer, and is
-// eight 8-byte word copies. ReadSpan/WriteSpan are runs of lane-order
-// bursts regrouped by bank, one copy per bank. ReadBurst/WriteBurst are
-// lane order plus one transpose, so both orders share one set of checks.
+// instead: lane c (bytes 8c..8c+7) of a burst is bank c's, which is the
+// bus-order burst after its 8x8 domain transfer. ReadLanes/WriteLanes
+// move one lane-order burst, eight 8-byte word copies; ReadSpan/WriteSpan
+// are runs of lane-order bursts regrouped by bank, one copy per bank, the
+// host's bulk paths. core's column stream moves its runs of lane-order
+// bursts between banks with the same per-bank copies, through BankBytes.
+// ReadBurst/WriteBurst are lane order plus one transpose, so both orders
+// share one set of checks.
 //
 // # Key types
 //
 //   - Geometry sizes a system (channels, ranks, banks, MRAM per bank);
 //     PaperGeometry returns the paper's 1024-PE testbed (§ VIII-A).
 //   - System allocates the banks and implements burst striping
-//     (ReadBurst/WriteBurst, ReadLanes/WriteLanes, ReadSpan/WriteSpan),
-//     PE linearization (PEFromLinear) and the group-to-rank mapping
+//     (ReadBurst/WriteBurst, ReadLanes/WriteLanes, ReadSpan/WriteSpan)
+//     and exposes each bank (BankBytes), PE linearization (PEFromLinear) and the group-to-rank mapping
 //     (RankOfGroup).
 //   - NewPhantomSystem allocates a geometry-only system with no backing
 //     MRAM: topology and size queries work, byte access panics. Combined

@@ -407,7 +407,9 @@ func (s *System) WriteSpan(group, off int, src []byte) {
 
 // BankBytes exposes the raw MRAM of a PE for the DPU simulator (the PE can
 // access its own bank directly, at MRAM bandwidth, without striping --
-// that path never crosses the channel bus).
+// that path never crosses the channel bus) and for core's column stream,
+// which moves lane-order runs through it and books their bursts on a
+// host.Shard.
 func (s *System) BankBytes(linearPE int) []byte {
 	s.checkBacked("BankBytes")
 	if linearPE < 0 || linearPE >= s.geo.NumPEs() {

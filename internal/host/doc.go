@@ -29,14 +29,15 @@
 //     channel and charged at epoch end as the *maximum* per-channel time
 //     — channels transfer in parallel, as on real hardware; without
 //     RankParallel the effective bandwidth halves (§ VIII ablation).
-//   - Shard.ReadLanes/WriteLanes are the one burst path: one 64-byte
-//     burst per entangled group in lane order — lane c is bank c's 8
-//     bytes, the burst after its domain transfer — the unit the
-//     optimized column-streaming engine consumes (§ V-A2), tallied
-//     before it touches MRAM. A burst is eight word copies; the
-//     bus-order interleave (dram's ReadBurst/WriteBurst) is never
-//     computed on this path, and the domain transfers a level performs
-//     are charged by its schedule steps.
+//   - Shard.TallyBursts is the column stream's one burst path: the
+//     optimized engine (§ V-A2, core's streamCtx) streams 64-byte
+//     bursts in lane order — lane c is bank c's 8 bytes, the burst
+//     after its domain transfer — so a run of columns is one copy per
+//     PE, between banks or host buffers, booked with one tally per
+//     entangled group before it moves. The bus-order interleave (dram's
+//     ReadBurst/WriteBurst) is never computed on this path, and the
+//     domain transfers a level performs are charged by its schedule
+//     steps.
 //   - BulkRead/BulkWrite are the conventional UPMEM-SDK-style staged
 //     paths of the baseline design (§ III-A, Figure 3a): bus + automatic
 //     domain transfer + staging-memory traffic, in one charge order
@@ -60,6 +61,6 @@
 //
 //	Figure 1, § II-B  DomainTransfer
 //	Figure 3a, § III  BulkRead / BulkWrite (baseline staging)
-//	§ V-A2            Shard.ReadLanes / WriteLanes (column streaming)
+//	§ V-A2            Shard.TallyBursts (column streaming)
 //	§ VIII-D          the ScalarReduce / LocalReduce rows of the Work table
 package host

@@ -117,8 +117,8 @@ func (h *Host) EndXfer() {
 }
 
 // TallyBursts accounts count 64-byte bursts to/from the entangled group
-// without moving any bytes: the cost-only backend's replacement for a
-// Shard's ReadLanes/WriteLanes. The epoch and statistics bookkeeping is
+// without moving any bytes: the cost-only backend's replacement for the
+// functional engine's shard tallies (Shard.TallyBursts). The epoch and statistics bookkeeping is
 // shared with the functional path, so per-channel totals — and therefore
 // the PEMem time charged at EndXfer — are identical. Must run inside a
 // transfer epoch.
@@ -153,7 +153,11 @@ type Shard struct {
 	_ [80]byte
 }
 
-// TallyBursts is the shard-local form of Host.TallyBursts.
+// TallyBursts is the shard-local form of Host.TallyBursts, and the one
+// burst path of the functional column stream: a worker books a run's
+// bursts here before it moves the run's bytes straight between banks (or
+// host buffers), one copy per PE, as BulkRead/BulkWrite do with
+// dram.System.ReadSpan/WriteSpan.
 func (s *Shard) TallyBursts(group int, count int64) {
 	if s.h.epochDepth == 0 {
 		panic("host: shard tally outside transfer epoch")
@@ -161,22 +165,6 @@ func (s *Shard) TallyBursts(group int, count int64) {
 	ch, _ := s.h.sys.RankOfGroup(group)
 	s.chanBytes[ch] += count * dram.BurstBytes
 	s.bursts += count
-}
-
-// ReadLanes reads one 64-byte burst from the entangled group into r in
-// lane order: lane c is bank c's 8 bytes (dram.System.ReadLanes). It
-// tallies before it touches MRAM, so a burst outside a transfer epoch
-// panics unread.
-func (s *Shard) ReadLanes(group, off int, r *vec.Reg) {
-	s.TallyBursts(group, 1)
-	s.h.sys.ReadLanes(group, off, (*[dram.BurstBytes]byte)(r))
-}
-
-// WriteLanes writes a lane-order register to the entangled group as one
-// burst, tallied first like ReadLanes.
-func (s *Shard) WriteLanes(group, off int, r *vec.Reg) {
-	s.TallyBursts(group, 1)
-	s.h.sys.WriteLanes(group, off, (*[dram.BurstBytes]byte)(r))
 }
 
 // Shards returns k reusable per-worker tally contexts (growing the set

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/dram"
-	"repro/internal/vec"
 )
 
 func testHost(t *testing.T) *Host {
@@ -31,58 +30,18 @@ func inEpoch(h *Host, fn func(sh *Shard)) {
 	h.EndXfer()
 }
 
-// A lane-order burst through a shard is the bus-order burst of dram
-// transposed: bus order written through the shard reads back on the
-// bus, and lanes read back as written, with the bus time charged.
-func TestReadWriteBurstRoundTrip(t *testing.T) {
-	h := testHost(t)
-	var r vec.Reg
-	for i := range r {
-		r[i] = byte(i ^ 0x5A)
-	}
-	var u vec.Unit
-	lanes := u.Transpose8x8(r)
-	var got, bus vec.Reg
-	inEpoch(h, func(sh *Shard) {
-		sh.WriteLanes(1, 64, &lanes)
-		sh.ReadLanes(1, 64, &got)
-	})
-	if got != lanes {
-		t.Fatal("lane round trip mismatch")
-	}
-	h.System().ReadBurst(1, 64, (*[dram.BurstBytes]byte)(&bus))
-	if bus != r {
-		t.Fatal("bus-order read of a lane write mismatch")
-	}
-	if h.Meter().Get(cost.PEMem) <= 0 {
-		t.Error("no bus time charged")
-	}
-}
-
-// A burst outside a transfer epoch panics before it touches MRAM.
+// A shard tally outside a transfer epoch panics: the column stream books
+// a run's bursts before it moves the run, so a run outside an epoch moves
+// nothing.
 func TestBurstOutsideEpochPanics(t *testing.T) {
 	h := testHost(t)
 	sh := h.Shards(1)[0]
-	panics := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s outside an epoch did not panic", what)
-			}
-		}()
-		fn()
-	}
-	var r vec.Reg
-	panics("ReadLanes", func() { sh.ReadLanes(0, 0, &r) })
-	for i := range r {
-		r[i] = 0xFF
-	}
-	panics("WriteLanes", func() { sh.WriteLanes(0, 0, &r) })
-	for c := 0; c < dram.ChipsPerRank; c++ {
-		if bank := h.System().BankBytes(c)[:vec.LaneBytes]; !bytes.Equal(bank, make([]byte, vec.LaneBytes)) {
-			t.Fatalf("bank %d holds %v after a refused write", c, bank)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a shard tally outside an epoch did not panic")
 		}
-	}
+	}()
+	sh.TallyBursts(0, 1)
 }
 
 func TestEndXferWithoutBeginPanics(t *testing.T) {
@@ -430,10 +389,8 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Error("fresh host has traffic")
 	}
 	inEpoch(h, func(sh *Shard) {
-		var r vec.Reg
-		sh.WriteLanes(0, 0, &r)
-		sh.WriteLanes(0, 8, &r)
-		sh.ReadLanes(0, 0, &r)
+		sh.TallyBursts(0, 2)
+		sh.TallyBursts(0, 1)
 	})
 	st := h.Stats()
 	if st.Bursts != 3 {

@@ -11,11 +11,3 @@ func (u *Unit) Reduce(t elem.Type, op elem.Op, a, b Reg) Reg {
 	elem.ReduceInto(t, op, a[:], b[:])
 	return a
 }
-
-// FillIdentity returns a register whose every element of type t is the
-// identity of op. One instruction (set/broadcast).
-func (u *Unit) FillIdentity(t elem.Type, op elem.Op) Reg {
-	var out Reg
-	elem.Fill(t, out[:], op.Identity(t))
-	return out
-}

@@ -125,14 +125,6 @@ func swapBlocks(a, b uint64, shift uint, keep uint64) (uint64, uint64) {
 	return a&keep | b<<shift&^keep, b&^keep | a>>shift&keep
 }
 
-// SetLane overwrites lane i with the first 8 bytes of b.
-func (r *Reg) SetLane(i int, b []byte) {
-	if i < 0 || i >= Lanes {
-		panic(fmt.Sprintf("vec: lane %d out of range", i))
-	}
-	*(*[LaneBytes]byte)(r[i*LaneBytes:]) = [LaneBytes]byte(b)
-}
-
 func mod(n, m int) int {
 	n %= m
 	if n < 0 {

@@ -277,28 +277,6 @@ func TestRotBytesIsPermutation(t *testing.T) {
 	}
 }
 
-func TestLaneSetLane(t *testing.T) {
-	var r Reg
-	b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	r.SetLane(3, b)
-	if !bytes.Equal(lane(&r, 3), b) {
-		t.Error("SetLane did not write lane 3")
-	}
-	if r[2*LaneBytes+7] != 0 || r[4*LaneBytes] != 0 {
-		t.Error("SetLane touched neighboring lane")
-	}
-}
-
-func TestLaneBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var r Reg
-	r.SetLane(8, make([]byte, LaneBytes))
-}
-
 func TestReduceSumI32(t *testing.T) {
 	var u Unit
 	var a, b Reg
@@ -334,11 +312,15 @@ func TestReduceWrapsAtWidth(t *testing.T) {
 	}
 }
 
+// A register filled with op's identity is neutral under Reduce, which
+// is why a fold may copy its first operand instead of reducing it into an
+// identity fill.
 func TestFillIdentityNeutral(t *testing.T) {
 	var u Unit
 	for _, typ := range elem.Types() {
 		for _, op := range elem.Ops() {
-			id := u.FillIdentity(typ, op)
+			var id Reg
+			elem.Fill(typ, id[:], op.Identity(typ))
 			var x Reg
 			rng := rand.New(rand.NewSource(int64(typ)*10 + int64(op)))
 			rng.Read(x[:])

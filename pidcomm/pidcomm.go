@@ -295,7 +295,7 @@ const (
 // once this many plans are in flight.
 const MaxPendingPlans = core.MaxPendingPlans
 
-// DefaultParams returns the calibrated timing parameters (DESIGN.md § 4).
+// DefaultParams returns the calibrated timing parameters (cost.DefaultParams).
 func DefaultParams() Params { return cost.DefaultParams() }
 
 // PaperSystem returns the paper's testbed geometry — 4 channels x 4 ranks
