@@ -11,7 +11,7 @@
 //	pidbench -exp async -sched lookahead
 //	pidbench -exp reorder
 //	pidbench -exp all [-full] [-backend=cost]
-//	pidbench -exp fig14,async,multitenant,fusion -backend=cost -json
+//	pidbench -exp fig14,fig16,async -json
 //	pidbench -compare bench_baseline.json [-threshold 0.10]
 //
 // The default scale keeps the whole suite within laptop memory and
@@ -24,10 +24,18 @@
 // sweeps all registered policies against an adversarial submission
 // order. -exp accepts a comma-separated list.
 //
-// -json emits the selected experiments' regression metrics (simulated
-// seconds) as JSON — the format of the checked-in bench_baseline.json. -compare recollects
-// those metrics and fails (exit 1) on any metric more than -threshold
-// worse than the baseline: the CI benchmark-regression gate.
+// -json runs the selected gated experiments (all of them by default:
+// fig14, fig16-fig20, fig23a, fig23b, ext-dsa, ext-rank, ext-launch,
+// async, multitenant, fusion, cluster, serving, algo and reorder)
+// cost-only at the default scale and emits their cells as JSON, the
+// format of the checked-in bench_baseline.json. A cell is one simulated
+// time a table prints, named "<experiment>/<name>" (fig16/RS/+PR,
+// fig23b/AR/h4/ours), in seconds, lower is better. The application
+// experiments always run functionally and are not gated. -compare
+// recollects the baseline's cells and fails (exit 1) on any more than
+// -threshold worse, or on a failed acceptance check of serving or
+// reorder: the CI benchmark-regression gate. Regenerate the baseline with
+// `make bench-json` only in a change that moves a number on purpose.
 package main
 
 import (
@@ -48,7 +56,7 @@ func run() int {
 	full := flag.Bool("full", false, "use paper-scale payloads (slower, more memory)")
 	backend := flag.String("backend", "functional", "execution backend for primitive experiments: 'functional' (moves real bytes) or 'cost' (cost-only; identical tables, orders of magnitude faster — application experiments always run functionally)")
 	sched := flag.String("sched", "wfq", "submission scheduling policy of the 'async' experiment's scheduled comm, by registry name (see pidinfo -sched); the 'reorder' experiment sweeps all registered policies")
-	jsonOut := flag.Bool("json", false, "emit the selected experiments' regression metrics as JSON instead of tables (deterministic)")
+	jsonOut := flag.Bool("json", false, "emit the selected gated experiments' cells (simulated seconds, run cost-only) as JSON instead of tables (deterministic)")
 	compare := flag.String("compare", "", "baseline metrics JSON to compare against; exits 1 on >threshold regression")
 	threshold := flag.Float64("threshold", 0.10, "relative regression allowed by -compare (0.10 = 10%)")
 	list := flag.Bool("list", false, "list available experiments")

@@ -70,7 +70,7 @@ func main() {
 	fmt.Println(core.TableII())
 
 	p := cost.DefaultParams()
-	fmt.Println("Cost-model parameters (calibrated, DESIGN.md § 4):")
+	fmt.Println("Cost-model parameters (calibrated, cost.DefaultParams):")
 	fmt.Printf("  host clock            %.1f GHz\n", p.HostClockHz/1e9)
 	fmt.Printf("  channel bandwidth     %.1f GB/s (x%d channels)\n", p.ChannelBW/1e9, geo.Channels)
 	fmt.Printf("  host memory bandwidth %.1f GB/s\n", p.HostMemBW/1e9)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -125,30 +126,37 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 }
 
 func init() {
-	register("algo", "Algorithm registry: machine-level AllReduce lowerings, cluster ring vs tree, makespan-aware Auto (cost-only)", func(o Options) error {
+	register("algo", "Algorithm registry: machine-level AllReduce lowerings, cluster ring vs tree, makespan-aware Auto (cost-only)", func(o Options, c *cells) error {
 		// Per-algorithm machine-level sweep: every AllReduce row of the
 		// lowering table is byte-identical to the reference, so the only thing
 		// that varies is where the time goes — the meter total (serial)
-		// and the pipelined makespan (overlapped) per payload size.
+		// and the pipelined makespan (overlapped) per payload size. The
+		// pinned size's cells carry no size (algo/allreduce_ref_meter).
 		sizes := []int{16 << 10, 64 << 10, 256 << 10}
 		if o.Full {
 			sizes = append(sizes, 1<<20)
 		}
 		t := newTable("Size/PE", "Algo", "Meter(ms)", "Makespan(ms)", "Meter vs ref")
 		for _, size := range sizes {
-			var ref cost.Seconds
+			sfx := fmt.Sprintf("_%dK", size>>10)
+			if size == algoPinPerPE {
+				sfx = ""
+			}
+			var ref float64
 			for _, alg := range core.RegisteredAlgorithms(core.AllReduce) {
-				meter, ks, err := MeasureAlgoAllReduce(size, alg)
+				m, ks, err := MeasureAlgoAllReduce(size, alg)
 				if err != nil {
 					return err
 				}
+				name := "allreduce_" + alg.String()
+				meter := c.put(name+"_meter"+sfx, m)
 				if alg == core.AlgoReference {
 					ref = meter
 				}
 				t.add(fmt.Sprintf("%dK", size>>10), alg.String(),
-					fmt.Sprintf("%.3f", float64(meter)*1e3),
-					fmt.Sprintf("%.3f", float64(ks)*1e3),
-					fmt.Sprintf("%.2fx", float64(meter)/float64(ref)))
+					fmt.Sprintf("%.3f", meter*1e3),
+					fmt.Sprintf("%.3f", c.put(name+"_makespan"+sfx, ks)*1e3),
+					fmt.Sprintf("%.2fx", meter/ref))
 			}
 		}
 		t.write(o.W)
@@ -156,31 +164,30 @@ func init() {
 		// Cluster host-level wire algorithms: ring vs tree across the
 		// latency/bandwidth crossover, with the analytic Auto pick.
 		params := cost.DefaultParams()
-		perPEs := []int{16 << 10, 256 << 10, 1 << 20, 4 << 20}
 		fmt.Fprintln(o.W)
 		t = newTable("Bytes/PE", "Ring(ms)", "Tree(ms)", "Auto(ms)", "Auto pick")
-		for _, perPE := range perPEs {
-			ring, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoRing, false)
-			if err != nil {
-				return err
+		for _, perPE := range []int{algoClusterSmall, 256 << 10, 1 << 20, algoClusterLarge} {
+			label := fmt.Sprintf("%dK", perPE>>10)
+			switch perPE {
+			case algoClusterSmall:
+				label = "small"
+			case algoClusterLarge:
+				label = "large"
 			}
-			tree, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoTree, false)
-			if err != nil {
-				return err
-			}
-			auto, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, core.AlgoAuto, false)
-			if err != nil {
-				return err
+			var ms [3]float64
+			for i, alg := range []core.Algorithm{core.AlgoRing, core.AlgoTree, core.AlgoAuto} {
+				bd, err := MeasureClusterAllReduce(clusterPinHosts, perPE, params, alg, false)
+				if err != nil {
+					return err
+				}
+				ms[i] = c.put("cluster_"+strings.ToLower(alg.String())+"_"+label, bd.Total())
 			}
 			pick := "ring"
-			if tree.Total() < ring.Total() {
+			if ms[1] < ms[0] {
 				pick = "tree"
 			}
-			t.add(fmt.Sprintf("%dK", perPE>>10),
-				fmt.Sprintf("%.3f", float64(ring.Total())*1e3),
-				fmt.Sprintf("%.3f", float64(tree.Total())*1e3),
-				fmt.Sprintf("%.3f", float64(auto.Total())*1e3),
-				pick)
+			t.add(fmt.Sprintf("%dK", perPE>>10), fmt.Sprintf("%.3f", ms[0]*1e3), fmt.Sprintf("%.3f", ms[1]*1e3),
+				fmt.Sprintf("%.3f", ms[2]*1e3), pick)
 		}
 		t.write(o.W)
 
@@ -190,45 +197,14 @@ func init() {
 		if err != nil {
 			return err
 		}
+		meter, makespan := c.put("auto_meter_elapsed", g.MeterElapsed), c.put("auto_makespan_elapsed", g.MakespanElapsed)
 		fmt.Fprintln(o.W)
 		t = newTable("Objective", "Pick", "Elapsed(ms)")
-		t.add("meter", fmt.Sprintf("(%v, %v)", g.MeterAlgo, g.MeterLevel),
-			fmt.Sprintf("%.4f", float64(g.MeterElapsed)*1e3))
-		t.add("makespan", fmt.Sprintf("(%v, %v)", g.MakespanAlgo, g.MakespanLevel),
-			fmt.Sprintf("%.4f", float64(g.MakespanElapsed)*1e3))
+		t.add("meter", fmt.Sprintf("(%v, %v)", g.MeterAlgo, g.MeterLevel), fmt.Sprintf("%.4f", meter*1e3))
+		t.add("makespan", fmt.Sprintf("(%v, %v)", g.MakespanAlgo, g.MakespanLevel), fmt.Sprintf("%.4f", makespan*1e3))
 		t.write(o.W)
 		fmt.Fprintf(o.W, "\nAllGather %v %s, depth %d async: makespan objective gains %.2fx elapsed\n",
-			algoPinShape, algoPinDims, AutoGainDepth, float64(g.MeterElapsed)/float64(g.MakespanElapsed))
+			algoPinShape, algoPinDims, AutoGainDepth, meter/makespan)
 		return nil
 	})
-}
-
-func collectAlgo(add func(string, float64)) error {
-	for _, alg := range core.RegisteredAlgorithms(core.AllReduce) {
-		meter, ks, err := MeasureAlgoAllReduce(algoPinPerPE, alg)
-		if err != nil {
-			return err
-		}
-		add("allreduce_"+alg.String()+"_meter", float64(meter))
-		add("allreduce_"+alg.String()+"_makespan", float64(ks))
-	}
-	for _, pin := range []struct {
-		name  string
-		perPE int
-	}{{"small", algoClusterSmall}, {"large", algoClusterLarge}} {
-		for _, alg := range []core.Algorithm{core.AlgoRing, core.AlgoTree} {
-			bd, err := MeasureClusterAllReduce(clusterPinHosts, pin.perPE, cost.DefaultParams(), alg, false)
-			if err != nil {
-				return err
-			}
-			add("cluster_"+alg.String()+"_"+pin.name, float64(bd.Total()))
-		}
-	}
-	g, err := MeasureAutoObjectiveGain()
-	if err != nil {
-		return err
-	}
-	add("auto_meter_elapsed", float64(g.MeterElapsed))
-	add("auto_makespan_elapsed", float64(g.MakespanElapsed))
-	return nil
 }

@@ -173,7 +173,7 @@ func fig13Subset(o Options) []appRun {
 }
 
 func init() {
-	register("fig4", "Execution-time breakdown of applications with conventional communication", func(o Options) error {
+	registerUngated("fig4", "Execution-time breakdown of applications with conventional communication", func(o Options) error {
 		t := newTable("App", "Total(ms)", "Comm%", "DT%", "Mod%", "PEMem%", "HostMem%", "Other%")
 		for _, r := range fig13Subset(o) {
 			prof, err := r.Run(defaultPEs(r), core.Baseline)
@@ -198,7 +198,7 @@ func init() {
 		return nil
 	})
 
-	register("fig13", "Per-application execution-time breakdown, Base vs PID-Comm", func(o Options) error {
+	registerUngated("fig13", "Per-application execution-time breakdown, Base vs PID-Comm", func(o Options) error {
 		t := newTable("App", "Design", "Total(ms)", "Kernel", "Sc", "Ga", "Re", "Br", "AA", "RS", "AG", "AR")
 		for _, r := range fig13Subset(o) {
 			for _, lvl := range []core.Level{core.Baseline, core.CM} {
@@ -223,7 +223,7 @@ func init() {
 		return nil
 	})
 
-	register("fig15", "Speedup of benchmark applications over the conventional baseline", func(o Options) error {
+	registerUngated("fig15", "Speedup of benchmark applications over the conventional baseline", func(o Options) error {
 		t := newTable("App", "Base(ms)", "PID-Comm(ms)", "Speedup")
 		var ratios []float64
 		for _, r := range fig13Subset(o) {
@@ -245,7 +245,7 @@ func init() {
 		return nil
 	})
 
-	register("fig21", "Speedup over CPU-only system with varying number of PEs", func(o Options) error {
+	registerUngated("fig21", "Speedup over CPU-only system with varying number of PEs", func(o Options) error {
 		t := newTable("App", "PEs", "CPU(ms)", "PIM-Base", "PID-Comm")
 		var baseR, oursR []float64
 		for _, r := range fig13Subset(o) {
@@ -275,7 +275,7 @@ func init() {
 		return nil
 	})
 
-	register("fig22", "Word-width sensitivity of GNN (INT8/INT16/INT32)", func(o Options) error {
+	registerUngated("fig22", "Word-width sensitivity of GNN (INT8/INT16/INT32)", func(o Options) error {
 		t := newTable("Variant", "Width", "Base(ms)", "Ours(ms)", "Speedup", "Ours-DT(ms)")
 		inputs := []string{"PM"}
 		if o.Full {

@@ -26,8 +26,6 @@ type AsyncResult struct {
 	// SerialElapsed and AsyncElapsed are the simulated elapsed times of
 	// serial replay vs asynchronous submission of the same plans.
 	SerialElapsed, AsyncElapsed cost.Seconds
-	// Speedup is SerialElapsed / AsyncElapsed.
-	Speedup float64
 }
 
 // asyncComm builds a cost-only machine at cfg of the paper's 1024 PEs
@@ -76,22 +74,17 @@ func pipelinePlans(s *core.Tenant, m, batches int, rsFirst bool) ([]*core.Compil
 	return plans, nil
 }
 
-// MeasureAsyncOverlap measures overlap speedup at per-PE payload m for
-// the given pipeline depths: for each depth, the same compiled plans are
-// replayed serially on one comm and submitted asynchronously on another,
-// and the overlap-aware elapsed times are compared. Cost-only backend
-// (the elapsed-time model is backend-independent; the functional
-// equivalence is pinned by the core async tests). The queue runs under
-// the default weighted-fair policy with a live background worker — the
-// configuration the regression baseline pins.
-func MeasureAsyncOverlap(m int, depths []int) ([]AsyncResult, error) {
-	return measureAsync(m, depths, core.SchedWFQ, false)
-}
-
-// measureAsync is MeasureAsyncOverlap under an explicit scheduling
-// policy. With stepped set, the whole pipeline is submitted before the
-// queue drains, so a window-scanning policy (EDF, lookahead) sees the
-// full backlog instead of racing the background worker.
+// measureAsync measures overlap speedup at per-PE payload m for the
+// given pipeline depths: for each depth, the same compiled plans are
+// replayed serially on one comm and submitted asynchronously on another
+// under policy pol, and the overlap-aware elapsed times are compared.
+// Cost-only backend (the elapsed-time model is backend-independent; the
+// functional equivalence is pinned by the core async tests). Unstepped,
+// the queue runs with a live background worker — under the default
+// weighted-fair policy, the configuration the regression baseline pins.
+// With stepped set, the whole pipeline is submitted before the queue
+// drains, so a window-scanning policy (EDF, lookahead) sees the full
+// backlog instead of racing the background worker.
 func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]AsyncResult, error) {
 	var out []AsyncResult
 	for _, batches := range depths {
@@ -126,42 +119,31 @@ func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]As
 				return nil, err
 			}
 		}
-		r := AsyncResult{
-			Batches:       batches,
-			SerialElapsed: serial.Elapsed(),
-			AsyncElapsed:  async.Elapsed(),
-		}
-		r.Speedup = float64(r.SerialElapsed) / float64(r.AsyncElapsed)
-		out = append(out, r)
+		out = append(out, AsyncResult{Batches: batches, SerialElapsed: serial.Elapsed(), AsyncElapsed: async.Elapsed()})
 	}
 	return out, nil
 }
 
-// RunAsync runs the async-overlap experiment and writes its table. A
-// non-default Options.Sched reruns the pipeline under that policy in
-// stepped mode (the policy sees the full backlog).
-func RunAsync(o Options) error {
-	size := sizeFor(o, 64<<10, 1<<20)
-	results, err := measureAsync(size, []int{1, 2, 4, 8}, o.Sched, o.Sched != core.SchedWFQ)
-	if err != nil {
-		return err
-	}
-	t := newTable("Batches in flight", "Serial elapsed (ms)", "Async elapsed (ms)", "Overlap speedup")
-	for _, r := range results {
-		t.add(fmt.Sprint(r.Batches),
-			fmt.Sprintf("%.3f", float64(r.SerialElapsed)*1e3),
-			fmt.Sprintf("%.3f", float64(r.AsyncElapsed)*1e3),
-			fmt.Sprintf("%.2fx", r.Speedup))
-	}
-	t.write(o.W)
-	fmt.Fprintf(o.W, "(DLRM-style AlltoAll/CM + ReduceScatter/IM per batch on disjoint regions,\n"+
-		" 1024 PEs (32x32), %d KiB/PE, cost-only backend, %s policy; serial replay vs async Submit)\n",
-		size>>10, o.Sched)
-	return nil
-}
-
 func init() {
-	register("async", "Async overlap: futures/submission-queue elapsed time vs serial replay (DLRM-style pipeline)", func(o Options) error {
-		return RunAsync(o)
+	register("async", "Async overlap: futures/submission-queue elapsed time vs serial replay (DLRM-style pipeline)", func(o Options, c *cells) error {
+		// A non-default Options.Sched reruns the pipeline under that
+		// policy in stepped mode (the policy sees the full backlog).
+		size := sizeFor(o, 64<<10, 1<<20)
+		results, err := measureAsync(size, []int{1, 2, 4, 8}, o.Sched, o.Sched != core.SchedWFQ)
+		if err != nil {
+			return err
+		}
+		t := newTable("Batches in flight", "Serial elapsed (ms)", "Async elapsed (ms)", "Overlap speedup")
+		for _, r := range results {
+			serial := c.put(fmt.Sprintf("serial_d%d", r.Batches), r.SerialElapsed)
+			async := c.put(fmt.Sprintf("async_d%d", r.Batches), r.AsyncElapsed)
+			t.add(fmt.Sprint(r.Batches), fmt.Sprintf("%.3f", serial*1e3), fmt.Sprintf("%.3f", async*1e3),
+				fmt.Sprintf("%.2fx", serial/async))
+		}
+		t.write(o.W)
+		fmt.Fprintf(o.W, "(DLRM-style AlltoAll/CM + ReduceScatter/IM per batch on disjoint regions,\n"+
+			" 1024 PEs (32x32), %d KiB/PE, cost-only backend, %s policy; serial replay vs async Submit)\n",
+			size>>10, o.Sched)
+		return nil
 	})
 }

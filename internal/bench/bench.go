@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 )
 
 // Options configures an experiment run.
@@ -37,18 +38,62 @@ type Experiment struct {
 	ID string
 	// Title describes the paper artifact.
 	Title string
-	// Run executes the experiment and writes its table.
-	Run func(Options) error
+	// Gated marks an experiment that runs cost-only: `pidbench -json`
+	// runs it at the default scale and gates every cell it records. The
+	// application experiments (always functional, minutes long) and the
+	// static tables are not gated.
+	Gated bool
+	run   func(Options, *cells) error
 }
+
+// Run executes the experiment and writes its table.
+func (e Experiment) Run(o Options) error { return e.run(o, &cells{}) }
 
 var registry []Experiment
 
-func register(id, title string, run func(Options) error) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
+// register adds a gated experiment: run records every simulated time
+// its table prints as a cell and renders the table from the cells.
+func register(id, title string, run func(Options, *cells) error) {
+	registry = append(registry, Experiment{ID: id, Title: title, Gated: true, run: run})
 }
 
-// Experiments returns all registered experiments in registration order
-// (tables first, then figures in paper order).
+// registerUngated adds a static table or an application experiment.
+func registerUngated(id, title string, run func(Options) error) {
+	registry = append(registry, Experiment{ID: id, Title: title,
+		run: func(o Options, _ *cells) error { return run(o) }})
+}
+
+// cells is what one gated run measured: each simulated time its table
+// prints, in seconds, keyed "<experiment>/<name>", and the acceptance
+// checks it failed. A text run keeps neither (m is nil).
+type cells struct {
+	id     string
+	m      map[string]float64
+	failed []string
+}
+
+// put records s as the cell name and returns it as the float the table
+// renders and derives its rates, ratios and shares from.
+func (c *cells) put(name string, s cost.Seconds) float64 {
+	v := float64(s)
+	if c.m != nil {
+		k := c.id + "/" + name
+		if old, dup := c.m[k]; dup && old != v {
+			panic(fmt.Sprintf("bench: cell %s recorded twice (%v, %v)", k, old, v))
+		}
+		c.m[k] = v
+	}
+	return v
+}
+
+// require records a failed acceptance check unless ok.
+func (c *cells) require(ok bool, format string, args ...any) {
+	if !ok {
+		c.failed = append(c.failed, fmt.Sprintf(format, args...))
+	}
+}
+
+// Experiments returns all registered experiments in registration order.
 func Experiments() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
@@ -110,10 +155,6 @@ type table struct {
 func newTable(cols ...string) *table { return &table{header: cols} }
 
 func (t *table) add(cells ...string) { t.rows = append(t.rows, cells) }
-
-func (t *table) addf(format string, args ...interface{}) {
-	t.add(fmt.Sprintf(format, args...))
-}
 
 func (t *table) write(w io.Writer) {
 	widths := make([]int, len(t.header))

@@ -51,47 +51,45 @@ func MeasureClusterAllReduce(hosts, perPE int, params cost.Params, alg core.Algo
 	}, Flat: flat})
 }
 
-// The pinned configuration the regression metrics and the speedup gate
-// measure: 64 hosts, 16 KiB per PE at the paper's network operating
-// point.
+// The pinned configuration of the speedup gate: 64 hosts, 16 KiB per PE
+// at the paper's network operating point (cells cluster/hier_h64 and
+// cluster/flat_h64 at the default scale).
 const (
 	clusterPinHosts = 64
 	clusterPinPerPE = 16 << 10
 )
 
-// clusterPinned measures the pinned configuration hierarchically and
-// flat; the hierarchical lowering must beat the flat baseline here (the
-// bench test and CI gate pin that speedup).
-func clusterPinned() (hier, flat cost.Breakdown, err error) {
-	p := cost.DefaultParams()
-	if hier, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, false); err != nil {
-		return
+// hier measures a hierarchical AllReduce as the cells hier_<key> and
+// net_<key> and returns its total and network seconds and the network's
+// share of the total in percent.
+func (c *cells) hier(key string, hosts, perPE int, params cost.Params) (tot, net, share float64, err error) {
+	bd, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, false)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	flat, err = MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, true)
-	return
+	tot, net = c.put("hier_"+key, bd.Total()), c.put("net_"+key, bd.Get(cost.Network))
+	return tot, net, 100 * net / tot, nil
 }
 
 func init() {
-	register("cluster", "Cluster-scale AllReduce: hierarchical vs flat lowering, network-model sweep (cost-only)", func(o Options) error {
+	register("cluster", "Cluster-scale AllReduce: hierarchical vs flat lowering, network-model sweep (cost-only)", func(o Options, c *cells) error {
 		perPE := sizeFor(o, 16<<10, 128<<10)
 		params := cost.DefaultParams()
 
 		// Head-to-head: hierarchical vs flat at small host counts.
 		t := newTable("Hosts", "Hier(ms)", "Flat(ms)", "Speedup", "Net share (hier)")
 		for _, hosts := range []int{2, 4, 8, 16, 64} {
-			hier, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, false)
+			hier, _, share, err := c.hier(fmt.Sprintf("h%d", hosts), hosts, perPE, params)
 			if err != nil {
 				return err
 			}
-			flat, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, true)
+			bd, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, true)
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(hosts),
-				fmt.Sprintf("%.3f", float64(hier.Total())*1e3),
-				fmt.Sprintf("%.3f", float64(flat.Total())*1e3),
-				fmt.Sprintf("%.2fx", float64(flat.Total())/float64(hier.Total())),
-				fmt.Sprintf("%.0f%%", 100*float64(hier.Get(cost.Network))/float64(hier.Total())))
+			flat := c.put(fmt.Sprintf("flat_h%d", hosts), bd.Total())
+			t.add(fmt.Sprint(hosts), fmt.Sprintf("%.3f", hier*1e3), fmt.Sprintf("%.3f", flat*1e3),
+				fmt.Sprintf("%.2fx", flat/hier), fmt.Sprintf("%.0f%%", share))
 		}
 		t.write(o.W)
 
@@ -104,14 +102,11 @@ func init() {
 		fmt.Fprintln(o.W)
 		t = newTable("Hosts", "Total(ms)", "Net(ms)", "Net share")
 		for _, hosts := range hostsSweep {
-			hier, err := MeasureClusterAllReduce(hosts, perPE, params, core.AlgoAuto, false)
+			tot, net, share, err := c.hier(fmt.Sprintf("h%d", hosts), hosts, perPE, params)
 			if err != nil {
 				return err
 			}
-			t.add(fmt.Sprint(hosts),
-				fmt.Sprintf("%.3f", float64(hier.Total())*1e3),
-				fmt.Sprintf("%.3f", float64(hier.Get(cost.Network))*1e3),
-				fmt.Sprintf("%.0f%%", 100*float64(hier.Get(cost.Network))/float64(hier.Total())))
+			t.add(fmt.Sprint(hosts), fmt.Sprintf("%.3f", tot*1e3), fmt.Sprintf("%.3f", net*1e3), fmt.Sprintf("%.0f%%", share))
 		}
 		t.write(o.W)
 
@@ -122,16 +117,16 @@ func init() {
 		// per-round latency.
 		netPerPE := 4 << 20
 		nets := []struct {
-			name string
-			net  cost.NetParams
+			name, key string
+			net       cost.NetParams
 		}{
-			{"10G x1 (paper)", cost.DefaultNetParams()},
-			{"100G x1", func() cost.NetParams {
+			{"10G x1 (paper)", "10G_x1", cost.DefaultNetParams()},
+			{"100G x1", "100G_x1", func() cost.NetParams {
 				n := cost.DefaultNetParams()
 				n.LinkBW = 100e9 / 8
 				return n
 			}()},
-			{"100G x4, 2-tier", func() cost.NetParams {
+			{"100G x4, 2-tier", "100G_x4_2tier", func() cost.NetParams {
 				n := cost.DefaultNetParams()
 				n.LinkBW = 100e9 / 8
 				n.NICsPerHost = 4
@@ -144,31 +139,13 @@ func init() {
 		for _, nc := range nets {
 			p := params
 			p.Net = nc.net
-			hier, err := MeasureClusterAllReduce(clusterPinHosts, netPerPE, p, core.AlgoAuto, false)
+			tot, net, share, err := c.hier(nc.key, clusterPinHosts, netPerPE, p)
 			if err != nil {
 				return err
 			}
-			t.add(nc.name,
-				fmt.Sprintf("%.3f", float64(hier.Total())*1e3),
-				fmt.Sprintf("%.3f", float64(hier.Get(cost.Network))*1e3),
-				fmt.Sprintf("%.0f%%", 100*float64(hier.Get(cost.Network))/float64(hier.Total())))
+			t.add(nc.name, fmt.Sprintf("%.3f", tot*1e3), fmt.Sprintf("%.3f", net*1e3), fmt.Sprintf("%.0f%%", share))
 		}
 		t.write(o.W)
 		return nil
 	})
-}
-
-func collectCluster(add func(string, float64)) error {
-	hier, flat, err := clusterPinned()
-	if err != nil {
-		return err
-	}
-	add(fmt.Sprintf("hier_h%d", clusterPinHosts), float64(hier.Total()))
-	add(fmt.Sprintf("flat_h%d", clusterPinHosts), float64(flat.Total()))
-	big, err := MeasureClusterAllReduce(1024, clusterPinPerPE, cost.DefaultParams(), core.AlgoAuto, false)
-	if err != nil {
-		return err
-	}
-	add("hier_h1024", float64(big.Total()))
-	return nil
 }

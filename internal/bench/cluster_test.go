@@ -12,7 +12,12 @@ import (
 // configuration the hierarchical lowering must beat the flat baseline,
 // and the network leg must be priced (nonzero) on both.
 func TestClusterSpeedupGate(t *testing.T) {
-	hier, flat, err := clusterPinned()
+	p := cost.DefaultParams()
+	hier, err := MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := MeasureClusterAllReduce(clusterPinHosts, clusterPinPerPE, p, core.AlgoAuto, true)
 	if err != nil {
 		t.Fatal(err)
 	}

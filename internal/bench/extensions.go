@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/elem"
 )
 
 // Extension experiments beyond the paper's figures: the design-choice
@@ -13,23 +12,31 @@ import (
 
 // cmSpec is the extension measurements' primitive at CM on the paper's
 // 32×32 machine, x axis, INT32 SUM where it reduces, under params.
-func cmSpec(prim core.Primitive, size int, params cost.Params, costOnly bool) PrimSpec {
-	return PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: core.CM,
-		Elem: elem.I32, Op: elem.Sum, Params: params, CostOnly: costOnly}
+func cmSpec(prim core.Primitive, size int, params cost.Params, o Options) PrimSpec {
+	spec := figSpec(paperShape, "10", size, prim, core.CM, o)
+	spec.Params = params
+	return spec
+}
+
+// whatIf measures prim at CM under the default parameters and under alt
+// as the cells prim/<names[0]> and prim/<names[1]> and returns both
+// throughputs.
+func (c *cells) whatIf(prim core.Primitive, size int, alt cost.Params, names [2]string, o Options) (def, with float64, err error) {
+	if def, _, err = c.prim(prim.String()+"/"+names[0], cmSpec(prim, size, cost.DefaultParams(), o)); err != nil {
+		return
+	}
+	with, _, err = c.prim(prim.String()+"/"+names[1], cmSpec(prim, size, alt, o))
+	return
 }
 
 func init() {
-	register("ext-dsa", "Extension (§ IX-B): DSA offload of host-side modulation (what-if)", func(o Options) error {
+	register("ext-dsa", "Extension (§ IX-B): DSA offload of host-side modulation (what-if)", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 1<<20)
 		t := newTable("Primitive", "PID-Comm GB/s", "+DSA GB/s", "Gain")
 		dsa := cost.DefaultParams()
 		dsa.DSAOffload = true
-		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-			base, _, err := RunPrimitive(cmSpec(prim, size, cost.DefaultParams(), o.CostOnly))
-			if err != nil {
-				return err
-			}
-			with, _, err := RunPrimitive(cmSpec(prim, size, dsa, o.CostOnly))
+		for _, prim := range fourPrims {
+			base, with, err := c.whatIf(prim, size, dsa, [2]string{"+CM", "+DSA"}, o)
 			if err != nil {
 				return err
 			}
@@ -39,17 +46,13 @@ func init() {
 		return nil
 	})
 
-	register("ext-rank", "Ablation: rank-parallel vs serialized transfers", func(o Options) error {
+	register("ext-rank", "Ablation: rank-parallel vs serialized transfers", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 1<<20)
 		t := newTable("Primitive", "Rank-parallel GB/s", "Serialized GB/s", "Loss")
 		serial := cost.DefaultParams()
 		serial.RankParallel = false
 		for _, prim := range []core.Primitive{core.AlltoAll, core.AllGather} {
-			par, _, err := RunPrimitive(cmSpec(prim, size, cost.DefaultParams(), o.CostOnly))
-			if err != nil {
-				return err
-			}
-			ser, _, err := RunPrimitive(cmSpec(prim, size, serial, o.CostOnly))
+			par, ser, err := c.whatIf(prim, size, serial, [2]string{"parallel", "serial"}, o)
 			if err != nil {
 				return err
 			}
@@ -59,20 +62,21 @@ func init() {
 		return nil
 	})
 
-	register("ext-launch", "Ablation: kernel-launch overhead sensitivity (small payloads)", func(o Options) error {
+	register("ext-launch", "Ablation: kernel-launch overhead sensitivity (small payloads)", func(o Options, c *cells) error {
 		t := newTable("Launch(us)", "AA 4KiB/PE GB/s", "AA 64KiB/PE GB/s")
 		for _, launch := range []float64{5e-6, 20e-6, 80e-6} {
 			p := cost.DefaultParams()
 			p.KernelLaunch = cost.Seconds(launch)
-			small, _, err := RunPrimitive(cmSpec(core.AlltoAll, 4<<10, p, o.CostOnly))
-			if err != nil {
-				return err
+			us := fmt.Sprintf("%.0f", launch*1e6)
+			row := []string{us}
+			for _, size := range []int{4 << 10, 64 << 10} {
+				thr, _, err := c.prim(fmt.Sprintf("%sus/%dK", us, size>>10), cmSpec(core.AlltoAll, size, p, o))
+				if err != nil {
+					return err
+				}
+				row = append(row, fmt.Sprintf("%.2f", thr))
 			}
-			large, _, err := RunPrimitive(cmSpec(core.AlltoAll, 64<<10, p, o.CostOnly))
-			if err != nil {
-				return err
-			}
-			t.add(fmt.Sprintf("%.0f", launch*1e6), fmt.Sprintf("%.2f", small), fmt.Sprintf("%.2f", large))
+			t.add(row...)
 		}
 		t.write(o.W)
 		return nil

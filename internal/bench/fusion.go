@@ -32,8 +32,6 @@ type FusionResult struct {
 	Batches int
 	// Unfused and Fused are the pipeline's per-replay simulated costs.
 	Unfused, Fused cost.Seconds
-	// Speedup is Unfused / Fused.
-	Speedup float64
 	// Report is the fused plan's pass report.
 	Report core.FusionReport
 }
@@ -95,60 +93,52 @@ func MeasureFusion(m, batches int) (FusionResult, error) {
 	r.Unfused = cpOff.Cost().Total()
 	r.Fused = cpOn.Cost().Total()
 	r.Report = cpOn.FusionReport()
-	if r.Fused > 0 {
-		r.Speedup = float64(r.Unfused) / float64(r.Fused)
-	}
 	return r, nil
 }
 
 // fusionPinPoint is the payload the speedup pin is measured at: the
 // default (small) scale of the experiment, a DLRM-serving-sized slice.
+// Its cells are fusion/unfused and fusion/fused; every other payload's
+// carry its size (fusion/unfused_1K).
 const fusionPinPoint = 4 << 10
 
 // fusionDepth is the pipeline depth of the experiment.
 const fusionDepth = 8
 
-// RunFusion runs the fusion experiment and writes its table.
-func RunFusion(o Options) error {
-	sizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10}
-	if o.Full {
-		sizes = append(sizes, 256<<10)
-	}
-	t := newTable("KiB/PE", "Unfused (ms)", "Fused (ms)", "Speedup", "Rotates elided", "Syncs elided", "Epochs coalesced")
-	var pinned FusionResult
-	for _, m := range sizes {
-		r, err := MeasureFusion(m, fusionDepth)
-		if err != nil {
-			return err
-		}
-		if m == fusionPinPoint {
-			pinned = r
-		}
-		t.add(fmt.Sprintf("%d", m>>10),
-			fmt.Sprintf("%.3f", float64(r.Unfused)*1e3),
-			fmt.Sprintf("%.3f", float64(r.Fused)*1e3),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprint(r.Report.RotatesMerged+r.Report.RotatesElided),
-			fmt.Sprint(r.Report.SyncsElided),
-			fmt.Sprint(r.Report.EpochsCoalesced))
-	}
-	t.write(o.W)
-	fmt.Fprintf(o.W, "\n(DLRM serving pipeline: %d ReduceScatter/IM -> AlltoAll/CM pairs per replay on\n"+
-		" 1024 PEs (32x32), cost-only backend; each AlltoAll feeds the next batch's\n"+
-		" ReduceScatter, so the fuser cancels the rotate/unrotate pair at every batch\n"+
-		" boundary, collapses the interior syncs and coalesces the freed epochs.)\n", fusionDepth)
-	fmt.Fprintf(o.W, "fused schedule: %s\n", pinned.Report)
-	fmt.Fprintf(o.W, "pinned: %.2fx cost improvement at %d KiB/PE (gate: >= 1.15x)\n",
-		pinned.Speedup, fusionPinPoint>>10)
-	return nil
-}
-
-// fusionPinned measures the experiment's pinned configuration — shared
-// by the table, the speedup gate test and the CI metrics.
-func fusionPinned() (FusionResult, error) { return MeasureFusion(fusionPinPoint, fusionDepth) }
-
 func init() {
-	register("fusion", "Schedule fusion: DLRM ReduceScatter->AlltoAll pipeline, unfused vs fused compiled plans", func(o Options) error {
-		return RunFusion(o)
+	register("fusion", "Schedule fusion: DLRM ReduceScatter->AlltoAll pipeline, unfused vs fused compiled plans", func(o Options, c *cells) error {
+		sizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10}
+		if o.Full {
+			sizes = append(sizes, 256<<10)
+		}
+		t := newTable("KiB/PE", "Unfused (ms)", "Fused (ms)", "Speedup", "Rotates elided", "Syncs elided", "Epochs coalesced")
+		var pinned FusionResult
+		for _, m := range sizes {
+			r, err := MeasureFusion(m, fusionDepth)
+			if err != nil {
+				return err
+			}
+			suffix := fmt.Sprintf("_%dK", m>>10)
+			if m == fusionPinPoint {
+				suffix, pinned = "", r
+			}
+			unfused, fused := c.put("unfused"+suffix, r.Unfused), c.put("fused"+suffix, r.Fused)
+			t.add(fmt.Sprintf("%d", m>>10),
+				fmt.Sprintf("%.3f", unfused*1e3),
+				fmt.Sprintf("%.3f", fused*1e3),
+				fmt.Sprintf("%.2fx", unfused/fused),
+				fmt.Sprint(r.Report.RotatesMerged+r.Report.RotatesElided),
+				fmt.Sprint(r.Report.SyncsElided),
+				fmt.Sprint(r.Report.EpochsCoalesced))
+		}
+		t.write(o.W)
+		fmt.Fprintf(o.W, "\n(DLRM serving pipeline: %d ReduceScatter/IM -> AlltoAll/CM pairs per replay on\n"+
+			" 1024 PEs (32x32), cost-only backend; each AlltoAll feeds the next batch's\n"+
+			" ReduceScatter, so the fuser cancels the rotate/unrotate pair at every batch\n"+
+			" boundary, collapses the interior syncs and coalesces the freed epochs.)\n", fusionDepth)
+		fmt.Fprintf(o.W, "fused schedule: %s\n", pinned.Report)
+		fmt.Fprintf(o.W, "pinned: %.2fx cost improvement at %d KiB/PE (gate: >= 1.15x)\n",
+			float64(pinned.Unfused)/float64(pinned.Fused), fusionPinPoint>>10)
+		return nil
 	})
 }

@@ -5,19 +5,18 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/core"
-	"repro/internal/elem"
+	"strings"
 )
 
 // This file implements the benchmark-regression machinery behind
-// `pidbench -json` and `pidbench -compare`: a fixed set of scalar
-// metrics (simulated seconds — lower is better) per experiment,
-// collected on the cost-only backend so a full sweep runs in
-// milliseconds and is bit-deterministic on a given platform. The
-// checked-in bench_baseline.json holds the last accepted values; CI
-// recollects and fails on any metric that regressed beyond the
-// threshold, which turns every perf pin into a *trajectory* guard.
+// `pidbench -json` and `pidbench -compare`: every gated experiment
+// (Experiment.Gated) runs cost-only at the default scale, and the cells
+// it records — each simulated time its table prints, in seconds, lower
+// is better — are the metrics. The cost model is bit-deterministic on a
+// given platform, so the checked-in bench_baseline.json holds the last
+// accepted values exactly; CI recollects and fails on any metric that
+// regressed beyond the threshold, which turns every figure into a
+// *trajectory* guard.
 
 // MetricsSchema versions the JSON layout.
 const MetricsSchema = 1
@@ -35,106 +34,41 @@ type MetricsFile struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// metricExperiments pairs each gated experiment ID with its collector,
-// in the order bench_baseline.json lists them (so a bare `pidbench
-// -json` reproduces the checked-in file byte for byte). Collectors run
-// cost-only at fixed small-scale configurations, so the whole set
-// completes in CI time and the values are deterministic.
-var metricExperiments = []struct {
-	id      string
-	collect func(add func(name string, seconds float64)) error
-}{
-	{"fig14", collectFig14},
-	{"async", collectAsync},
-	{"multitenant", collectMultiTenant},
-	{"fusion", collectFusion},
-	{"cluster", collectCluster},
-	{"serving", collectServing},
-	{"algo", collectAlgo},
-	{"reorder", collectReorder},
-}
-
-// MetricExperimentIDs returns the experiment IDs with metric collectors,
-// in baseline order.
+// MetricExperimentIDs returns the gated experiment IDs in registration
+// order: what a bare `pidbench -json` collects.
 func MetricExperimentIDs() []string {
-	ids := make([]string, len(metricExperiments))
-	for i, me := range metricExperiments {
-		ids[i] = me.id
+	var ids []string
+	for _, e := range registry {
+		if e.Gated {
+			ids = append(ids, e.ID)
+		}
 	}
 	return ids
 }
 
-// CollectMetrics gathers the metrics of the given experiment IDs.
+// CollectMetrics runs the given gated experiments cost-only at the
+// default scale and gathers their cells. An experiment whose acceptance
+// checks fail fails the collection.
 func CollectMetrics(ids []string) (MetricsFile, error) {
 	mf := MetricsFile{Schema: MetricsSchema, Metrics: map[string]float64{}}
 	for _, id := range ids {
-		var collect func(add func(string, float64)) error
-		for _, me := range metricExperiments {
-			if me.id == id {
-				collect = me.collect
-				break
-			}
+		e, err := ByID(id)
+		if err == nil && !e.Gated {
+			err = fmt.Errorf("bench: experiment %q has no regression metrics (have %v)", id, MetricExperimentIDs())
 		}
-		if collect == nil {
-			return mf, fmt.Errorf("bench: experiment %q has no regression metrics (have %v)", id, MetricExperimentIDs())
+		if err != nil {
+			return mf, err
 		}
-		if err := collect(func(name string, v float64) {
-			mf.Metrics[id+"/"+name] = v
-		}); err != nil {
+		c := &cells{id: id, m: mf.Metrics}
+		if err := e.run(Options{W: io.Discard, CostOnly: true}, c); err != nil {
 			return mf, fmt.Errorf("%s: %w", id, err)
+		}
+		if len(c.failed) > 0 {
+			return mf, fmt.Errorf("%s: %s", id, strings.Join(c.failed, "; "))
 		}
 		mf.Experiments = append(mf.Experiments, id)
 	}
 	return mf, nil
-}
-
-func collectFig14(add func(string, float64)) error {
-	const size = 64 << 10
-	for _, prim := range core.Primitives() {
-		for _, lvl := range []core.Level{core.Baseline, core.CM} {
-			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size,
-				Prim: prim, Level: lvl, Elem: elem.I32, Op: elem.Sum, CostOnly: true}
-			_, bd, err := RunPrimitive(spec)
-			if err != nil {
-				return err
-			}
-			add(prim.String()+"/"+lvl.String(), float64(bd.Total()))
-		}
-	}
-	return nil
-}
-
-func collectAsync(add func(string, float64)) error {
-	results, err := MeasureAsyncOverlap(64<<10, []int{1, 8})
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		add(fmt.Sprintf("serial_d%d", r.Batches), float64(r.SerialElapsed))
-		add(fmt.Sprintf("async_d%d", r.Batches), float64(r.AsyncElapsed))
-	}
-	return nil
-}
-
-func collectMultiTenant(add func(string, float64)) error {
-	specs := []tenantSpec{{"dlrm-a", 4}, {"dlrm-b", 2}, {"gnn", 1}, {"mlp", 1}}
-	serial, fair, err := runMultiTenant(specs, 16<<10, 8)
-	if err != nil {
-		return err
-	}
-	add("serial", float64(serial.Elapsed))
-	add("fair", float64(fair.Elapsed))
-	return nil
-}
-
-func collectFusion(add func(string, float64)) error {
-	r, err := fusionPinned()
-	if err != nil {
-		return err
-	}
-	add("unfused", float64(r.Unfused))
-	add("fused", float64(r.Fused))
-	return nil
 }
 
 // WriteMetricsJSON collects the metrics for ids and writes the document.

@@ -10,14 +10,11 @@ import (
 )
 
 func init() {
-	register("fig23b", "AllReduce and AlltoAll on a multi-host environment (1/2/4 hosts)", func(o Options) error {
+	register("fig23b", "AllReduce and AlltoAll on a multi-host environment (1/2/4 hosts)", func(o Options, c *cells) error {
 		perPE := sizeFor(o, 16<<10, 128<<10) // paper: 2 MB per PE
 		t := newTable("Primitive", "Hosts", "Base(ms)", "PID-Comm(ms)", "Net share (ours)")
-		for _, aa := range []bool{false, true} {
-			name := "AllReduce"
-			if aa {
-				name = "AlltoAll"
-			}
+		for _, prim := range []pidcomm.Primitive{pidcomm.AllReduce, pidcomm.AlltoAll} {
+			aa := prim == pidcomm.AlltoAll
 			for _, hosts := range []int{1, 2, 4} {
 				var times [2]cost.Breakdown
 				for i, lvl := range []pidcomm.Level{pidcomm.Baseline, pidcomm.CM} {
@@ -71,11 +68,10 @@ func init() {
 					}
 					times[i] = bd
 				}
-				netShare := float64(times[1].Get(cost.Network)) / float64(times[1].Total())
-				t.add(name, fmt.Sprint(hosts),
-					fmt.Sprintf("%.3f", float64(times[0].Total())*1e3),
-					fmt.Sprintf("%.3f", float64(times[1].Total())*1e3),
-					fmt.Sprintf("%.0f%%", 100*netShare))
+				name := fmt.Sprintf("%s/h%d/", prim, hosts)
+				base, ours := c.put(name+"base", times[0].Total()), c.put(name+"ours", times[1].Total())
+				t.add(prim.LongName(), fmt.Sprint(hosts), fmt.Sprintf("%.3f", base*1e3), fmt.Sprintf("%.3f", ours*1e3),
+					fmt.Sprintf("%.0f%%", 100*(c.put(name+"net", times[1].Get(cost.Network))/ours)))
 			}
 		}
 		t.write(o.W)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"repro/pidcomm"
 )
@@ -106,31 +105,11 @@ func runMultiTenant(specs []tenantSpec, m, requests int) (serial, fair pidcomm.S
 	return
 }
 
-// writeMultiTenant renders the experiment table.
-func writeMultiTenant(w io.Writer, specs []tenantSpec, m, requests int) error {
-	serial, fair, err := runMultiTenant(specs, m, requests)
-	if err != nil {
-		return err
-	}
-	t := newTable("Tenant", "Weight", "Arena KiB/PE", "Plans", "Attributed ms")
-	for _, ti := range fair.Tenants {
-		t.add(ti.Name, fmt.Sprintf("%.0f", ti.Weight),
-			fmt.Sprintf("%d", ti.Bytes>>10),
-			fmt.Sprintf("%d", 2*requests),
-			fmt.Sprintf("%.3f", float64(ti.Meter.Total())*1e3))
-	}
-	t.write(w)
-	fmt.Fprintf(w, "\nwork identical across modes: %v\n", serial.Meter == fair.Meter)
-	fmt.Fprintf(w, "serial makespan        %8.3f ms\n", float64(serial.Elapsed)*1e3)
-	fmt.Fprintf(w, "weighted-fair makespan %8.3f ms\n", float64(fair.Elapsed)*1e3)
-	fmt.Fprintf(w, "overlap speedup        %8.2fx\n", float64(serial.Elapsed)/float64(fair.Elapsed))
-	return nil
-}
-
 func init() {
-	register("multitenant", "Multi-tenant serving: N tenants sharing 1024 PEs, serial vs weighted-fair makespan", func(o Options) error {
+	register("multitenant", "Multi-tenant serving: N tenants sharing 1024 PEs, serial vs weighted-fair makespan", func(o Options, c *cells) error {
 		// Always cost-only: a capacity study over a phantom system (the
 		// breakdowns are bit-identical to a functional machine).
+		const requests = 8
 		size := sizeFor(o, 16<<10, 256<<10)
 		specs := []tenantSpec{
 			{"dlrm-a", 4},
@@ -138,8 +117,25 @@ func init() {
 			{"gnn", 1},
 			{"mlp", 1},
 		}
-		fmt.Fprintf(o.W, "(4 tenants on 1024 PEs (32x32), %d KiB/PE per request, 8 requests each,"+
-			" cost-only backend; blocking Run vs weighted-fair Submit)\n", size>>10)
-		return writeMultiTenant(o.W, specs, size, 8)
+		fmt.Fprintf(o.W, "(4 tenants on 1024 PEs (32x32), %d KiB/PE per request, %d requests each,"+
+			" cost-only backend; blocking Run vs weighted-fair Submit)\n", size>>10, requests)
+		serial, fair, err := runMultiTenant(specs, size, requests)
+		if err != nil {
+			return err
+		}
+		t := newTable("Tenant", "Weight", "Arena KiB/PE", "Plans", "Attributed ms")
+		for _, ti := range fair.Tenants {
+			t.add(ti.Name, fmt.Sprintf("%.0f", ti.Weight),
+				fmt.Sprintf("%d", ti.Bytes>>10),
+				fmt.Sprintf("%d", 2*requests),
+				fmt.Sprintf("%.3f", c.put(ti.Name, ti.Meter.Total())*1e3))
+		}
+		t.write(o.W)
+		s, f := c.put("serial", serial.Elapsed), c.put("fair", fair.Elapsed)
+		fmt.Fprintf(o.W, "\nwork identical across modes: %v\n", serial.Meter == fair.Meter)
+		fmt.Fprintf(o.W, "serial makespan        %8.3f ms\n", s*1e3)
+		fmt.Fprintf(o.W, "weighted-fair makespan %8.3f ms\n", f*1e3)
+		fmt.Fprintf(o.W, "overlap speedup        %8.2fx\n", s/f)
+		return nil
 	})
 }

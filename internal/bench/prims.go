@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/apps/appcore"
 	"repro/internal/core"
@@ -199,20 +200,49 @@ func sizeFor(o Options, small, full int) int {
 	return small
 }
 
+// paperShape is the paper's 32×32 machine (§ VIII-A).
+var paperShape = []int{32, 32}
+
+// figSpec is a figure's measurement: prim at lvl over the dims groups of
+// shape, size bytes per PE, INT32 SUM where it reduces.
+func figSpec(shape []int, dims string, size int, prim core.Primitive, lvl core.Level, o Options) PrimSpec {
+	return PrimSpec{Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl,
+		Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly}
+}
+
+// prim runs spec, records its simulated time as the cell name and
+// returns the breakdown and the throughput derived from the cell:
+// larger-side bytes over simulated seconds (§ VIII-B).
+func (c *cells) prim(name string, spec PrimSpec) (float64, cost.Breakdown, error) {
+	thr, bd, err := RunPrimitive(spec)
+	if err == nil {
+		c.put(name, bd.Total())
+	}
+	return thr, bd, err
+}
+
+// pair measures spec at Baseline and at CM as the cells name/Base and
+// name/+CM and returns both throughputs.
+func (c *cells) pair(name string, spec PrimSpec) (base, ours float64, err error) {
+	spec.Level = core.Baseline
+	if base, _, err = c.prim(name+"/"+spec.Level.String(), spec); err != nil {
+		return
+	}
+	spec.Level = core.CM
+	ours, _, err = c.prim(name+"/"+spec.Level.String(), spec)
+	return
+}
+
+// fourPrims are the primitives of the ablation and scaling figures.
+var fourPrims = []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather}
+
 func init() {
-	register("fig14", "Throughput of the eight supported primitives, 2D (32,32), Base vs PID-Comm", func(o Options) error {
+	register("fig14", "Throughput of the eight supported primitives, 2D (32,32), Base vs PID-Comm", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 1<<20)
 		t := newTable("Primitive", "Base GB/s", "PID-Comm GB/s", "Speedup")
 		var ratios []float64
 		for _, prim := range core.Primitives() {
-			spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly}
-			spec.Level = core.Baseline
-			base, _, err := RunPrimitive(spec)
-			if err != nil {
-				return err
-			}
-			spec.Level = core.CM
-			ours, _, err := RunPrimitive(spec)
+			base, ours, err := c.pair(prim.String(), figSpec(paperShape, "10", size, prim, core.Baseline, o))
 			if err != nil {
 				return err
 			}
@@ -224,20 +254,17 @@ func init() {
 		return nil
 	})
 
-	register("fig16", "Ablation study: Base / +PR / +IM / +CM for AA, RS, AR, AG", func(o Options) error {
+	register("fig16", "Ablation study: Base / +PR / +IM / +CM for AA, RS, AR, AG", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 1<<20)
 		t := newTable("Primitive", "Base", "+PR", "+IM", "+CM", "(GB/s)")
-		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
+		for _, prim := range fourPrims {
 			row := []string{prim.LongName()}
 			for _, lvl := range core.Levels() {
-				if !core.TechniqueApplies(prim, lvl) && lvl != core.Baseline {
-					if core.EffectiveLevel(prim, lvl) != lvl {
-						row = append(row, "-")
-						continue
-					}
+				if !core.TechniqueApplies(prim, lvl) && lvl != core.Baseline && core.EffectiveLevel(prim, lvl) != lvl {
+					row = append(row, "-")
+					continue
 				}
-				thr, _, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl,
-					Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
+				thr, _, err := c.prim(prim.String()+"/"+lvl.String(), figSpec(paperShape, "10", size, prim, lvl, o))
 				if err != nil {
 					return err
 				}
@@ -249,31 +276,37 @@ func init() {
 		return nil
 	})
 
-	register("fig17", "Execution-time breakdown of AA, RS, AR, AG: Base vs PID-Comm", func(o Options) error {
+	register("fig17", "Execution-time breakdown of AA, RS, AR, AG: Base vs PID-Comm", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 8<<20) // paper: 8 MB per PE
+		cats := []struct {
+			name string
+			cat  cost.Category
+		}{{"DT", cost.DomainTransfer}, {"HostMod", cost.HostMod}, {"HostMem", cost.HostMem},
+			{"PEMem", cost.PEMem}, {"PEMod", cost.PEMod}, {"Other", cost.Other}}
 		t := newTable("Primitive", "Design", "Total(ms)", "DT", "HostMod", "HostMem", "PEMem", "PEMod", "Other")
-		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
+		for _, prim := range fourPrims {
 			for _, lvl := range []core.Level{core.Baseline, core.CM} {
-				_, bd, err := RunPrimitive(PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: size, Prim: prim, Level: lvl,
-					Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
+				name := prim.String() + "/" + lvl.String() + "/"
+				_, bd, err := c.prim(name+"Total", figSpec(paperShape, "10", size, prim, lvl, o))
 				if err != nil {
 					return err
 				}
-				name := "Base"
+				design := "Base"
 				if lvl != core.Baseline {
-					name = "PID-Comm"
+					design = "PID-Comm"
 				}
-				ms := func(c cost.Category) string { return fmt.Sprintf("%.3f", float64(bd.Get(c))*1e3) }
-				t.add(prim.LongName(), name, fmt.Sprintf("%.3f", float64(bd.Total())*1e3),
-					ms(cost.DomainTransfer), ms(cost.HostMod), ms(cost.HostMem), ms(cost.PEMem),
-					ms(cost.PEMod), ms(cost.Other))
+				row := []string{prim.LongName(), design, fmt.Sprintf("%.3f", float64(bd.Total())*1e3)}
+				for _, k := range cats {
+					row = append(row, fmt.Sprintf("%.3f", c.put(name+k.name, bd.Get(k.cat))*1e3))
+				}
+				t.add(row...)
 			}
 		}
 		t.write(o.W)
 		return nil
 	})
 
-	register("fig18", "Primitive throughput vs data size (1D and 2D)", func(o Options) error {
+	register("fig18", "Primitive throughput vs data size (1D and 2D)", func(o Options, c *cells) error {
 		sizes := []int{16 << 10, 64 << 10, 256 << 10}
 		if o.Full {
 			sizes = []int{128 << 10, 512 << 10, 2 << 20, 8 << 20}
@@ -285,20 +318,16 @@ func init() {
 			dims  string
 		}{
 			{"1D", []int{1024}, "1"},
-			{"2D", []int{32, 32}, "10"},
+			{"2D", paperShape, "10"},
 		} {
-			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
+			for _, prim := range fourPrims {
 				for _, size := range sizes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
+					k := fmt.Sprintf("%dK", size>>10)
+					base, ours, err := c.pair(cfg.name+"/"+prim.String()+"/"+k, figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline, o))
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: cfg.shape, Dims: cfg.dims, RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
-					if err != nil {
-						return err
-					}
-					t.add(cfg.name, prim.String(), fmt.Sprintf("%dK", size>>10),
-						fmt.Sprintf("%.2f", base), fmt.Sprintf("%.2f", ours))
+					t.add(cfg.name, prim.String(), k, fmt.Sprintf("%.2f", base), fmt.Sprintf("%.2f", ours))
 				}
 			}
 		}
@@ -306,33 +335,22 @@ func init() {
 		return nil
 	})
 
-	register("fig19", "Primitive throughput vs number of PEs (64..1024)", func(o Options) error {
+	register("fig19", "Primitive throughput vs number of PEs (64..1024)", func(o Options, c *cells) error {
 		size := sizeFor(o, 32<<10, 512<<10)
-		pes := []int{64, 128, 256, 512, 1024}
 		t := newTable("Config", "Primitive", "PEs", "Base GB/s", "PID-Comm GB/s")
-		for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-			for _, n := range pes {
+		for _, prim := range fourPrims {
+			for _, n := range []int{64, 128, 256, 512, 1024} {
 				// 1D and square-ish 2D.
-				shapes := [][]int{{n}, {32, n / 32}}
-				dims := []string{"1", "10"}
-				if n < 64 || n/32 < 2 {
-					shapes = shapes[:1]
-					dims = dims[:1]
-				}
-				for i, shape := range shapes {
-					base, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
+				for _, cfg := range []struct {
+					name  string
+					shape []int
+					dims  string
+				}{{"1D", []int{n}, "1"}, {"2D", []int{32, n / 32}, "10"}} {
+					base, ours, err := c.pair(fmt.Sprintf("%s/%s/%d", cfg.name, prim, n), figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline, o))
 					if err != nil {
 						return err
 					}
-					ours, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: dims[i], RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
-					if err != nil {
-						return err
-					}
-					name := "1D"
-					if i == 1 {
-						name = "2D"
-					}
-					t.add(name, prim.String(), fmt.Sprint(n), fmt.Sprintf("%.2f", base), fmt.Sprintf("%.2f", ours))
+					t.add(cfg.name, prim.String(), fmt.Sprint(n), fmt.Sprintf("%.2f", base), fmt.Sprintf("%.2f", ours))
 				}
 			}
 		}
@@ -340,15 +358,16 @@ func init() {
 		return nil
 	})
 
-	register("fig20", "PID-Comm throughput on 3D hypercube shapes", func(o Options) error {
+	register("fig20", "PID-Comm throughput on 3D hypercube shapes", func(o Options, c *cells) error {
 		size := sizeFor(o, 32<<10, 512<<10)
 		shapes := [][]int{{8, 64, 2}, {16, 32, 2}, {32, 16, 2}, {64, 8, 2}, {128, 4, 2},
 			{8, 32, 4}, {16, 16, 4}, {32, 8, 4}, {64, 4, 4}, {128, 2, 4}}
 		t := newTable("Shape", "AA", "RS", "AR", "AG", "(PID-Comm GB/s, x-axis comm)")
 		for _, shape := range shapes {
 			row := []string{fmt.Sprintf("%v", shape)}
-			for _, prim := range []core.Primitive{core.AlltoAll, core.ReduceScatter, core.AllReduce, core.AllGather} {
-				thr, _, err := RunPrimitive(PrimSpec{Shape: shape, Dims: "100", RecvPerPE: size, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly})
+			name := fmt.Sprintf("%dx%dx%d/", shape[0], shape[1], shape[2])
+			for _, prim := range fourPrims {
+				thr, _, err := c.prim(name+prim.String(), figSpec(shape, "100", size, prim, core.CM, o))
 				if err != nil {
 					return err
 				}
@@ -360,16 +379,19 @@ func init() {
 		return nil
 	})
 
-	register("fig23a", "AllReduce on hierarchy-aware topologies: hypercube vs ring vs tree", func(o Options) error {
+	register("fig23a", "AllReduce on hierarchy-aware topologies: hypercube vs ring vs tree", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 2<<20)
-		rows, err := MeasureTopologies([]int{32, 32}, "10", size, o.CostOnly)
+		rows, err := MeasureTopologies(paperShape, "10", size, o.CostOnly)
 		if err != nil {
 			return err
 		}
 		t := newTable("Topology", "Throughput GB/s", "Slowdown vs hypercube")
-		thr := func(r TopoResult) float64 { return gbps(int64(size)*1024, float64(r.Cost.Total())) }
-		for _, r := range rows {
-			t.add(r.Name, fmt.Sprintf("%.2f", thr(r)), fmt.Sprintf("%.2fx", thr(rows[0])/thr(r)))
+		thr := make([]float64, len(rows))
+		for i, r := range rows {
+			thr[i] = gbps(int64(size)*1024, c.put(strings.ToLower(strings.Fields(r.Name)[0]), r.Cost.Total()))
+		}
+		for i, r := range rows {
+			t.add(r.Name, fmt.Sprintf("%.2f", thr[i]), fmt.Sprintf("%.2fx", thr[0]/thr[i]))
 		}
 		t.write(o.W)
 		return nil

@@ -33,96 +33,82 @@ func runServingPoint(pol pidcomm.SchedPolicy, rho float64, n int, mutate func(*s
 	return serve.Run(cfg)
 }
 
+// servingGatePoint is the offered load the acceptance checks and the
+// bare cell names (serving/edf_p99) belong to; every other point's cells
+// carry it (serving/edf_p99_rho060).
+const servingGatePoint = 0.9
+
 func init() {
-	register("serving", "Online serving: open-loop chat/feed/batch mix, WFQ vs EDF throughput-vs-p99 sweep, churn and overload", func(o Options) error {
+	register("serving", "Online serving: open-loop chat/feed/batch mix, WFQ vs EDF throughput-vs-p99 sweep, churn and overload", func(o Options, c *cells) error {
 		n := servingRequests(o.Full)
-		ms := func(s pidcomm.Seconds) string { return fmt.Sprintf("%.4f", float64(s)*1e3) }
+		ms := func(v float64) string { return fmt.Sprintf("%.4f", v*1e3) }
 		t := newTable("rho", "policy", "req/s", "SLO p50(ms)", "SLO p99(ms)", "SLO p99.9(ms)", "missed", "shed")
+		gate := map[pidcomm.SchedPolicy]serve.Result{}
 		for _, rho := range servingPoints {
+			sfx := fmt.Sprintf("_rho%03.0f", rho*100)
+			if rho == servingGatePoint {
+				sfx = ""
+			}
 			for _, pol := range []pidcomm.SchedPolicy{pidcomm.SchedWFQ, pidcomm.SchedEDF} {
 				res, err := runServingPoint(pol, rho, n, nil)
 				if err != nil {
 					return err
 				}
+				if rho == servingGatePoint {
+					gate[pol] = res
+				}
+				name := pol.String() + "_p"
 				t.add(fmt.Sprintf("%.2f", rho), pol.String(), fmt.Sprintf("%.0f", res.Throughput),
-					ms(res.SLO.P50), ms(res.SLO.P99), ms(res.SLO.P999),
+					ms(c.put(name+"50"+sfx, res.SLO.P50)), ms(c.put(name+"99"+sfx, res.SLO.P99)),
+					ms(c.put(name+"999"+sfx, res.SLO.P999)),
 					fmt.Sprintf("%d", res.Missed), fmt.Sprintf("%d", res.Shed))
 			}
 		}
 		t.write(o.W)
 
-		// Variants at the rho=0.9 gate point: tenant churn mid-run, fused
+		// The acceptance checks at the gate point: EDF misses no deadline,
+		// nothing is shed below saturation, and EDF holds at least a 1.2x
+		// p99 advantage over WFQ.
+		wfq, edf := gate[pidcomm.SchedWFQ], gate[pidcomm.SchedEDF]
+		c.put("makespan", edf.Makespan)
+		c.require(edf.Missed == 0, "EDF missed %d deadlines below saturation", edf.Missed)
+		c.require(edf.Shed == 0 && wfq.Shed == 0, "unexpected shedding below saturation (wfq %d, edf %d)", wfq.Shed, edf.Shed)
+		c.require(float64(wfq.SLO.P99) >= 1.2*float64(edf.SLO.P99), "EDF p99 advantage below the 1.2x gate: wfq=%v edf=%v (%.3fx)",
+			wfq.SLO.P99, edf.SLO.P99, float64(wfq.SLO.P99)/float64(edf.SLO.P99))
+
+		// Variants at the gate point: tenant churn mid-run, fused
 		// (preemption-point-free) submission, and deliberate overload with
 		// a tight pending budget.
 		fmt.Fprintln(o.W)
 		v := newTable("variant (rho=0.9, edf)", "req/s", "SLO p99(ms)", "chat p99(ms)", "missed", "shed", "churns")
-		churn, err := runServingPoint(pidcomm.SchedEDF, 0.9, n, func(c *serve.Config) { c.ChurnEvery = 50 })
-		if err != nil {
-			return err
-		}
-		fused, err := runServingPoint(pidcomm.SchedEDF, 0.9, n, func(c *serve.Config) { c.Fused = true })
-		if err != nil {
-			return err
-		}
-		overload, err := runServingPoint(pidcomm.SchedEDF, 0.9, n, func(c *serve.Config) {
-			for i := range c.Tenants {
-				c.Tenants[i].Rate *= 4
-				c.Tenants[i].MaxPending = 4
-			}
-			c.Tenants[len(c.Tenants)-1].Shed = pidcomm.ShedOldest
-			c.MaxRequests = 16 * n
-		})
-		if err != nil {
-			return err
-		}
 		for _, e := range []struct {
-			name string
-			r    serve.Result
-		}{{"churn every 50", churn}, {"fused requests", fused}, {"4x overload, MaxPending 4", overload}} {
+			name, key string
+			mutate    func(*serve.Config)
+		}{
+			{"churn every 50", "churn", func(c *serve.Config) { c.ChurnEvery = 50 }},
+			{"fused requests", "fused", func(c *serve.Config) { c.Fused = true }},
+			{"4x overload, MaxPending 4", "overload", func(c *serve.Config) {
+				for i := range c.Tenants {
+					c.Tenants[i].Rate *= 4
+					c.Tenants[i].MaxPending = 4
+				}
+				c.Tenants[len(c.Tenants)-1].Shed = pidcomm.ShedOldest
+				c.MaxRequests = 16 * n
+			}},
+		} {
+			r, err := runServingPoint(pidcomm.SchedEDF, servingGatePoint, n, e.mutate)
+			if err != nil {
+				return err
+			}
 			churns := 0
-			for _, ts := range e.r.Tenants {
+			for _, ts := range r.Tenants {
 				churns += ts.Churns
 			}
-			v.add(e.name, fmt.Sprintf("%.0f", e.r.Throughput), ms(e.r.SLO.P99), ms(e.r.Tenants[0].Stats.P99),
-				fmt.Sprintf("%d", e.r.Missed), fmt.Sprintf("%d", e.r.Shed), fmt.Sprintf("%d", churns))
+			v.add(e.name, fmt.Sprintf("%.0f", r.Throughput), ms(c.put("edf_"+e.key+"_p99", r.SLO.P99)),
+				ms(c.put("edf_"+e.key+"_chat_p99", r.Tenants[0].Stats.P99)),
+				fmt.Sprintf("%d", r.Missed), fmt.Sprintf("%d", r.Shed), fmt.Sprintf("%d", churns))
 		}
 		v.write(o.W)
 		return nil
 	})
-}
-
-// collectServing gates the serving tail at the canonical rho=0.9 point.
-// Beyond the usual lower-is-better metric deltas, the collector itself
-// enforces the hard acceptance properties: EDF misses zero deadlines
-// below saturation and holds at least a 1.2x p99 advantage over WFQ.
-func collectServing(add func(string, float64)) error {
-	const n = 800
-	wfq, err := runServingPoint(pidcomm.SchedWFQ, 0.9, n, nil)
-	if err != nil {
-		return err
-	}
-	edf, err := runServingPoint(pidcomm.SchedEDF, 0.9, n, nil)
-	if err != nil {
-		return err
-	}
-	churn, err := runServingPoint(pidcomm.SchedEDF, 0.9, n, func(c *serve.Config) { c.ChurnEvery = 50 })
-	if err != nil {
-		return err
-	}
-	if edf.Missed != 0 {
-		return fmt.Errorf("serving: EDF missed %d deadlines below saturation", edf.Missed)
-	}
-	if edf.Shed != 0 || wfq.Shed != 0 {
-		return fmt.Errorf("serving: unexpected shedding below saturation (wfq %d, edf %d)", wfq.Shed, edf.Shed)
-	}
-	if float64(wfq.SLO.P99) < 1.2*float64(edf.SLO.P99) {
-		return fmt.Errorf("serving: EDF p99 advantage below the 1.2x gate: wfq=%v edf=%v (%.3fx)",
-			wfq.SLO.P99, edf.SLO.P99, float64(wfq.SLO.P99)/float64(edf.SLO.P99))
-	}
-	add("wfq_p99", float64(wfq.SLO.P99))
-	add("edf_p99", float64(edf.SLO.P99))
-	add("edf_p999", float64(edf.SLO.P999))
-	add("edf_churn_p99", float64(churn.SLO.P99))
-	add("makespan", float64(edf.Makespan))
-	return nil
 }

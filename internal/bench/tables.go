@@ -7,15 +7,15 @@ import (
 )
 
 func init() {
-	register("table1", "Comparison against conventional approaches", func(o Options) error {
+	registerUngated("table1", "Comparison against conventional approaches", func(o Options) error {
 		fmt.Fprint(o.W, core.TableI())
 		return nil
 	})
-	register("table2", "Applicability of the proposed techniques", func(o Options) error {
+	registerUngated("table2", "Applicability of the proposed techniques", func(o Options) error {
 		fmt.Fprint(o.W, core.TableII())
 		return nil
 	})
-	register("table3", "Benchmark applications", func(o Options) error {
+	registerUngated("table3", "Benchmark applications", func(o Options) error {
 		t := newTable("App", "Hyper.Dim", "Primitives", "Datasets", "Environment")
 		t.add("DLRM", "3", "Sc Ga Br AA RS", "Criteo-like clicks", "Emb dim = 16, 32")
 		t.add("GNN RS&AR", "2", "Sc Ga Br RS AR", "PM-like, RD-like", "Layers = 3")

@@ -530,8 +530,7 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (start, e
 	defer c.execMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			k := &cp.key
-			err = fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
+			err = cp.fail(r)
 		}
 	}()
 

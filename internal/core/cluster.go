@@ -116,13 +116,17 @@ type roleKey struct {
 // executor goroutines of a functional cluster. The LAST arriver runs
 // the exchange action (merging partials, assembling the global buffer)
 // before releasing the others, so the action observes every host's
-// published data and every host observes the action's result.
+// published data and every host observes the action's result. A host
+// whose plan failed still arrives, with its error: that generation runs
+// no action and every arriver unwinds with the error, so no peer waits
+// for a host that never comes, and the next generation starts clean.
 type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     uint64
+	mu        sync.Mutex
+	cond      *sync.Cond
+	n         int
+	arrived   int
+	gen       uint64
+	err, last error // the current generation's failure, the previous one's
 }
 
 func newBarrier(n int) *barrier {
@@ -131,26 +135,36 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
-// await blocks until all n parties have arrived; the last arriver runs
-// action (if non-nil) before releasing the generation.
-func (b *barrier) await(action func()) {
+// await arrives at the current generation, failing it with fail if set,
+// blocks until all n parties have arrived and returns the generation's
+// failure; the last arriver runs action (if non-nil) unless it failed.
+func (b *barrier) await(action func(), fail error) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		if action != nil {
-			action()
-		}
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
+	if b.err == nil {
+		b.err = fail
+	}
+	if b.arrived++; b.arrived < b.n {
 		for gen == b.gen {
 			b.cond.Wait()
 		}
+		return b.last
 	}
-	b.mu.Unlock()
+	if b.err == nil && action != nil {
+		action()
+	}
+	b.last, b.err, b.arrived = b.err, nil, 0
+	b.gen++
+	b.cond.Broadcast()
+	return b.last
 }
+
+// peerFailed unwinds a host from a generation a peer failed: the host has
+// arrived, so its own failure handling must not arrive again.
+type peerFailed struct{ err error }
+
+func (p peerFailed) Error() string { return "cluster peer failed: " + p.err.Error() }
 
 // clusterState is a functional cluster plan's staging — what the network
 // legs move between its hosts, which read it as the running plan's
@@ -198,9 +212,17 @@ func (st *clusterState) payloads(v *clusterBuild, h, H int) [][]byte {
 	return [][]byte{st.parts[h*n:][:n], win}
 }
 
+// meet is a host's arrival at its running plan's barrier; a failed
+// generation unwinds the host.
+func (st *clusterState) meet(action func()) {
+	if err := st.bar.await(action, nil); err != nil {
+		panic(peerFailed{err})
+	}
+}
+
 // awaitPeers is the net-leg run of a pure rendezvous: the running plan's
 // hosts meet at its staging's barrier.
-func awaitPeers(c *Comm) { c.cur.st.bar.await(nil) }
+func awaitPeers(c *Comm) { c.cur.st.meet(nil) }
 
 // Cluster is a set of H identically configured hosts executing
 // hierarchical collectives, built by NewCluster; the pidcomm package wraps
@@ -667,7 +689,7 @@ func (b *clusterBuild) legs() error {
 		elemT, op := d.Elem, d.Op
 		run = func(c *Comm) {
 			st := c.cur.st
-			st.bar.await(func() {
+			st.meet(func() {
 				elem.Fill(elemT, st.global, op.Identity(elemT))
 				for o := 0; o < len(st.parts); o += global {
 					elem.ReduceInto(elemT, op, st.global, st.parts[o:o+global])
@@ -869,27 +891,37 @@ func (cp *ClusterPlan) admitAll() error {
 // functional backend (the hosts rendezvous inside the network legs),
 // serially on the cost-only backend — and returns the per-category
 // maximum of the hosts' charges: the cluster critical path of this
-// call. Serial cluster runs are serialized with each other, with
-// Submit and with a shard's Close.
+// call, or the first host's error if a host failed mid-schedule: every
+// host then stops, the staging is undefined and the next run correct.
+// Serial cluster runs are serialized with each other, with Submit and
+// with a shard's Close.
 func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
 	if err := cp.admitAll(); err != nil {
 		return cost.Breakdown{}, err
 	}
-	var wg sync.WaitGroup
-	for _, hp := range cp.plans {
-		if !cp.cl.functional {
-			hp.run()
-			continue
+	errs := make([]error, len(cp.plans))
+	if !cp.cl.functional {
+		for h, hp := range cp.plans {
+			errs[h] = hp.try()
 		}
-		wg.Add(1)
-		go func(hp *CompiledPlan) {
-			defer wg.Done()
-			hp.run()
-		}(hp)
+	} else {
+		var wg sync.WaitGroup
+		for h, hp := range cp.plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[h] = hp.try()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return cost.Breakdown{}, err
+		}
+	}
 	// A run charges its plan's trace total on either backend.
 	return cp.Cost(), nil
 }

@@ -257,6 +257,29 @@ func (cp *CompiledPlan) run() {
 	c.runScheduleLocked(cp)
 }
 
+// try is run returning a mid-schedule panic as its error (fail).
+func (cp *CompiledPlan) try() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = cp.fail(r)
+		}
+	}()
+	cp.run()
+	return nil
+}
+
+// fail turns a panic r out of a run of cp into its error. A functional
+// cluster host's own failure is an arrival at its staging's barrier, so
+// its peers unwind instead of waiting for it.
+func (cp *CompiledPlan) fail(r any) error {
+	k := &cp.key
+	err := fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
+	if _, peer := r.(peerFailed); !peer && cp.st != nil {
+		cp.st.bar.await(nil, err)
+	}
+	return err
+}
+
 // runScheduleLocked executes one replay of cp on the comm's backend —
 // the row's schedule, for cp as the running plan, on the functional
 // backend, the precomputed charge trace on the cost-only backend. The
