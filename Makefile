@@ -31,9 +31,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Fast sanity pass over the evaluation harness on the cost-only backend.
+# Fast sanity pass over the evaluation harness (the figures run cost-only).
 bench-smoke:
-	$(GO) run ./cmd/pidbench -exp fig14,fusion,cluster,algo -backend=cost
+	$(GO) run ./cmd/pidbench -exp fig14,fusion,cluster,algo
 	$(GO) run ./cmd/pidbench -exp multitenant
 
 # Regenerate the checked-in benchmark baseline (run after an accepted,
@@ -69,12 +69,13 @@ fuzz-smoke:
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
 
-# Profile the simulator itself: a root benchmark (functional backend)
-# under the standard tool, CPU and heap profiles written next to the repo
-# root. BENCH picks it: Fig14 (default) is the primitives, Fig15 the five
-# applications. Inspect with `go tool pprof cpu.pprof` /
+# Profile the simulator itself: a root benchmark under the standard tool,
+# CPU and heap profiles written next to the repo root. BENCH picks it:
+# Fig15 (default) runs the five applications on the functional engine,
+# Fig14 the primitives on the cost-only backend. Inspect with
+# `go tool pprof cpu.pprof` /
 # `go tool pprof -sample_index=alloc_space mem.pprof`.
-BENCH ?= Fig14
+BENCH ?= Fig15
 
 profile:
 	$(GO) test -run '^$$' -bench $(BENCH) -cpuprofile cpu.pprof -memprofile mem.pprof .
@@ -125,7 +126,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7235
+LOC_CEILING = 7236
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

@@ -34,17 +34,17 @@ func reportGBs(b *testing.B, name string, v float64) {
 
 func runPrim(b *testing.B, prim core.Primitive, lvl core.Level, shape []int, dims string, size int) float64 {
 	b.Helper()
-	var thr float64
+	var r bench.PrimResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		thr, _, err = bench.RunPrimitive(bench.PrimSpec{
+		r, err = bench.RunPrimitive(bench.PrimSpec{
 			Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl, Elem: elem.I32, Op: elem.Sum,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	return thr
+	return r.GBps
 }
 
 func BenchmarkTable1Support(b *testing.B) {
@@ -155,10 +155,10 @@ func BenchmarkFig16Ablation(b *testing.B) {
 func BenchmarkFig17Breakdown(b *testing.B) {
 	for _, lvl := range []core.Level{core.Baseline, core.IM} {
 		b.Run(lvl.String(), func(b *testing.B) {
-			var bd cost.Breakdown
+			var r bench.PrimResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, bd, err = bench.RunPrimitive(bench.PrimSpec{
+				r, err = bench.RunPrimitive(bench.PrimSpec{
 					Shape: []int{16, 16}, Dims: "10", RecvPerPE: benchSize,
 					Prim: core.ReduceScatter, Level: lvl, Elem: elem.I32, Op: elem.Sum,
 				})
@@ -166,7 +166,7 @@ func BenchmarkFig17Breakdown(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			reportGBs(b, "hostmem-share", float64(bd.Get(cost.HostMem))/float64(bd.Total()))
+			reportGBs(b, "hostmem-share", float64(r.Cost.Get(cost.HostMem))/float64(r.Cost.Total()))
 		})
 	}
 }
@@ -244,7 +244,7 @@ func BenchmarkFig23aTopology(b *testing.B) {
 	var rows []bench.TopoResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if rows, err = bench.MeasureTopologies([]int{16, 16}, "10", 16*1024, false); err != nil {
+		if rows, err = bench.MeasureTopologies([]int{16, 16}, "10", 16*1024); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func BenchmarkFig23bMultiHost(b *testing.B) {
 		b.Run(fmt.Sprintf("%dhosts", hosts), func(b *testing.B) {
 			var netShare float64
 			for i := 0; i < b.N; i++ {
-				cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()})
+				cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()}, pidcomm.CostOnly())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,14 +269,7 @@ func BenchmarkFig23bMultiHost(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				P := cl.PEsPerHost()
-				m := P * 256
-				buf := make([]byte, m)
-				for h := 0; h < hosts; h++ {
-					for p := 0; p < P; p++ {
-						sess.Host(h).SetPEBuffer(p, 0, buf)
-					}
-				}
+				m := cl.PEsPerHost() * 256
 				bd, err := sess.Run(pidcomm.ClusterCollective{Collective: pidcomm.Collective{
 					Prim: pidcomm.AllReduce, Dims: "1",
 					Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),

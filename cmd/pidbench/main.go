@@ -7,18 +7,18 @@
 //
 //	pidbench -list
 //	pidbench -exp fig14
-//	pidbench -exp async -backend=cost
 //	pidbench -exp async -sched lookahead
 //	pidbench -exp reorder
-//	pidbench -exp all [-full] [-backend=cost]
+//	pidbench -exp all [-full]
 //	pidbench -exp fig14,fig16,async -json
 //	pidbench -compare bench_baseline.json [-threshold 0.10]
 //
 // The default scale keeps the whole suite within laptop memory and
 // minutes; -full uses paper-scale payloads (the timing model is linear in
-// payload, so shapes are identical; see bench.Options). -backend=cost
-// runs the primitive experiments on the cost-only backend (identical
-// tables, orders of magnitude faster). -sched names the submission
+// payload, so shapes are identical; see bench.Options). Every experiment
+// but the applications (fig4, fig13, fig15, fig21, fig22), whose kernels
+// consume real data, runs on the cost-only backend: its breakdowns are
+// the functional backend's bit for bit. -sched names the submission
 // scheduling policy the "async" experiment's scheduled comm uses (wfq,
 // edf, fifo, lookahead — see `pidinfo -sched`); the "reorder" experiment
 // sweeps all registered policies against an adversarial submission
@@ -54,7 +54,6 @@ func main() { os.Exit(run()) }
 func run() int {
 	exp := flag.String("exp", "", "experiment ID (e.g. fig14, table1), a comma-separated list, or 'all'")
 	full := flag.Bool("full", false, "use paper-scale payloads (slower, more memory)")
-	backend := flag.String("backend", "functional", "execution backend for primitive experiments: 'functional' (moves real bytes) or 'cost' (cost-only; identical tables, orders of magnitude faster — application experiments always run functionally)")
 	sched := flag.String("sched", "wfq", "submission scheduling policy of the 'async' experiment's scheduled comm, by registry name (see pidinfo -sched); the 'reorder' experiment sweeps all registered policies")
 	jsonOut := flag.Bool("json", false, "emit the selected gated experiments' cells (simulated seconds, run cost-only) as JSON instead of tables (deterministic)")
 	compare := flag.String("compare", "", "baseline metrics JSON to compare against; exits 1 on >threshold regression")
@@ -62,15 +61,6 @@ func run() int {
 	list := flag.Bool("list", false, "list available experiments")
 	flag.Parse()
 
-	var costOnly bool
-	switch *backend {
-	case "functional":
-	case "cost":
-		costOnly = true
-	default:
-		fmt.Fprintf(os.Stderr, "pidbench: unknown backend %q (want 'functional' or 'cost')\n", *backend)
-		return 2
-	}
 	pol, err := pidcomm.ParseSchedPolicy(*sched)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pidbench:", err)
@@ -117,7 +107,7 @@ func run() int {
 		}
 		return 0
 	}
-	o := bench.Options{W: os.Stdout, Full: *full, CostOnly: costOnly, Sched: pol}
+	o := bench.Options{W: os.Stdout, Full: *full, Sched: pol}
 	start := time.Now()
 	if *exp == "all" {
 		err = bench.RunAll(o)

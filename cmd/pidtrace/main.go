@@ -1,5 +1,5 @@
 // Command pidtrace runs a single collective primitive on the simulated
-// PIM-DIMM system and prints its execution-time breakdown per category —
+// PIM-DIMM system (cost-only backend) and prints its execution-time breakdown per category —
 // the per-primitive view behind Figure 17. Useful for exploring how the
 // optimization levels change where time goes.
 //
@@ -64,27 +64,23 @@ func main() {
 		fatal("unknown reduction op %q (want one of %v)", *op, elem.Ops())
 	}
 
-	thr, bd, stats, err := bench.RunPrimitiveWithStats(spec)
-	if err != nil {
-		fatal("%v", err)
-	}
-	alg, eff, err := bench.ResolvePrimitive(spec)
+	r, err := bench.RunPrimitive(spec)
 	if err != nil {
 		fatal("%v", err)
 	}
 	fmt.Printf("%s on %v dims=%s, %d B/PE, level %v, algo %v (resolved: %v at %v)\n",
-		spec.Prim.LongName(), spec.Shape, spec.Dims, spec.RecvPerPE, spec.Level, spec.Algo, alg, eff)
-	fmt.Printf("throughput: %.2f GB/s   simulated time: %.3f ms\n\n", thr, float64(bd.Total())*1e3)
+		spec.Prim.LongName(), spec.Shape, spec.Dims, spec.RecvPerPE, spec.Level, spec.Algo, r.Algo, r.Level)
+	fmt.Printf("throughput: %.2f GB/s   simulated time: %.3f ms\n\n", r.GBps, float64(r.Cost.Total())*1e3)
 	fmt.Printf("%-16s %12s %7s\n", "category", "time (ms)", "share")
 	for _, c := range cost.Categories() {
-		t := bd.Get(c)
+		t := r.Cost.Get(c)
 		if t == 0 {
 			continue
 		}
-		fmt.Printf("%-16s %12.4f %6.1f%%\n", c, float64(t)*1e3, 100*float64(t)/float64(bd.Total()))
+		fmt.Printf("%-16s %12.4f %6.1f%%\n", c, float64(t)*1e3, 100*float64(t)/float64(r.Cost.Total()))
 	}
-	fmt.Printf("\nbus traffic: %d bursts, %.2f MiB total", stats.Bursts, float64(stats.TotalBytes())/(1<<20))
-	for ch, b := range stats.BytesPerChannel {
+	fmt.Printf("\nbus traffic: %d bursts, %.2f MiB total", r.Stats.Bursts, float64(r.Stats.TotalBytes())/(1<<20))
+	for ch, b := range r.Stats.BytesPerChannel {
 		fmt.Printf("  ch%d=%.2fMiB", ch, float64(b)/(1<<20))
 	}
 	fmt.Println()

@@ -9,8 +9,8 @@ import (
 	"log"
 
 	"repro/internal/apps/bfs"
-	"repro/internal/core"
 	"repro/internal/data"
+	"repro/pidcomm"
 )
 
 func main() {
@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("reachable: %d vertices, eccentricity %d; CPU-only: %.2f ms\n\n",
 		reached, maxD, float64(cpuT)*1e3)
 
-	for _, lvl := range []core.Level{core.Baseline, core.CM} {
+	for _, lvl := range []pidcomm.Level{pidcomm.Baseline, pidcomm.CM} {
 		dist, prof, err := bfs.RunPIM(cfg, lvl)
 		if err != nil {
 			log.Fatal(err)
@@ -46,12 +46,12 @@ func main() {
 			}
 		}
 		name := "Base    "
-		if lvl != core.Baseline {
+		if lvl != pidcomm.Baseline {
 			name = "PID-Comm"
 		}
 		fmt.Printf("%s  total %7.2f ms   AllReduce %6.2f ms   kernel %6.2f ms\n",
 			name, float64(prof.Total())*1e3,
-			float64(prof.ByPrimitive[core.AllReduce])*1e3,
+			float64(prof.ByPrimitive[pidcomm.AllReduce])*1e3,
 			float64(prof.KernelTime)*1e3)
 	}
 	fmt.Println("\ndistances bit-exact against the CPU reference")

@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"repro/internal/apps/dlrm"
-	"repro/internal/core"
+	"repro/pidcomm"
 )
 
 func main() {
@@ -24,7 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, lvl := range []core.Level{core.Baseline, core.CM} {
+	for _, lvl := range []pidcomm.Level{pidcomm.Baseline, pidcomm.CM} {
 		got, prof, err := dlrm.RunPIM(cfg, lvl)
 		if err != nil {
 			log.Fatal(err)
@@ -35,7 +35,7 @@ func main() {
 			}
 		}
 		name := "Base    "
-		if lvl != core.Baseline {
+		if lvl != pidcomm.Baseline {
 			name = "PID-Comm"
 		}
 		fmt.Printf("%s  total %7.2f ms   %v\n", name, float64(prof.Total())*1e3, prof)

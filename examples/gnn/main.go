@@ -9,14 +9,13 @@ import (
 	"log"
 
 	"repro/internal/apps/gnn"
-	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/elem"
+	"repro/pidcomm"
 )
 
 func main() {
 	in := data.GNNInput{Name: "demo", Graph: data.RMAT(2048, 8192, 7), F: 64}
-	cfg := gnn.Config{Input: &in, Rows: 8, Cols: 8, Layers: 3, Elem: elem.I32, Seed: 9}
+	cfg := gnn.Config{Input: &in, Rows: 8, Cols: 8, Layers: 3, Elem: pidcomm.I32, Seed: 9}
 
 	want, cpuT, err := gnn.RunCPU(cfg, gnn.RSAR)
 	if err != nil {
@@ -27,7 +26,7 @@ func main() {
 	fmt.Printf("CPU-only reference: %.2f ms\n\n", float64(cpuT)*1e3)
 
 	for _, variant := range []gnn.Variant{gnn.RSAR, gnn.ARAG} {
-		for _, lvl := range []core.Level{core.Baseline, core.CM} {
+		for _, lvl := range []pidcomm.Level{pidcomm.Baseline, pidcomm.CM} {
 			got, prof, err := gnn.RunPIM(cfg, variant, lvl)
 			if err != nil {
 				log.Fatal(err)
@@ -38,7 +37,7 @@ func main() {
 				}
 			}
 			name := "Base    "
-			if lvl != core.Baseline {
+			if lvl != pidcomm.Baseline {
 				name = "PID-Comm"
 			}
 			fmt.Printf("%v %s  total %7.2f ms   %s\n", variant, name,

@@ -38,7 +38,7 @@ const (
 // core.AutoPipelineDepth).
 func MeasureAlgoAllReduce(bytesPerPE int, alg core.Algorithm) (meter, makespan cost.Seconds, err error) {
 	_, comm, d, _, err := primSetup(PrimSpec{Shape: algoPinShape, Dims: algoPinDims, RecvPerPE: bytesPerPE,
-		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, Algo: alg, CostOnly: true})
+		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, Algo: alg})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -90,7 +90,7 @@ func MeasureAutoObjectiveGain() (AutoGainResult, error) {
 	var r AutoGainResult
 	for _, obj := range []core.AutoObjective{core.AutoMeter, core.AutoMakespan} {
 		geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 20}
-		mach, c, err := newCommOn(geo, algoPinShape, true, core.Config{})
+		mach, c, err := newCommOn(geo, algoPinShape, core.Config{})
 		if err != nil {
 			return r, err
 		}

@@ -91,18 +91,18 @@ func TestMakespanObjectiveBeatsMeterPinned(t *testing.T) {
 // Broadcast and be rejected everywhere else.
 func TestPrimSpecAlgorithm(t *testing.T) {
 	spec := PrimSpec{Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512,
-		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, CostOnly: true, Algo: core.AlgoRing}
-	if _, _, err := RunPrimitive(spec); err != nil {
+		Prim: core.AllReduce, Level: core.Baseline, Elem: elem.I32, Op: elem.Sum, Algo: core.AlgoRing}
+	if _, err := RunPrimitive(spec); err != nil {
 		t.Fatalf("AllReduce/ring: %v", err)
 	}
 	spec.Prim = core.Broadcast
 	spec.Algo = core.AlgoTree
-	if _, _, err := RunPrimitive(spec); err != nil {
+	if _, err := RunPrimitive(spec); err != nil {
 		t.Fatalf("Broadcast/tree: %v", err)
 	}
 	spec.Prim = core.AlltoAll
 	spec.Algo = core.AlgoRing
-	if _, _, err := RunPrimitive(spec); err == nil {
+	if _, err := RunPrimitive(spec); err == nil {
 		t.Error("AlltoAll with an explicit algorithm accepted")
 	}
 }

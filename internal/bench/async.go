@@ -32,7 +32,7 @@ type AsyncResult struct {
 // with enough phantom MRAM for `batches` disjoint region sets of payload
 // m, and its whole-MRAM session.
 func asyncComm(m, batches int, cfg core.Config) (*core.Comm, *core.Tenant, error) {
-	return newCommOn(dram.PaperGeometry(mramFor(4*m*batches+64)), []int{32, 32}, true, cfg)
+	return newCommOn(dram.PaperGeometry(mramFor(4*m*batches+64)), []int{32, 32}, cfg)
 }
 
 // dlrmRequest returns the two descriptors of one DLRM-style serving

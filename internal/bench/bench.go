@@ -18,11 +18,6 @@ type Options struct {
 	// the whole suite within laptop memory/minutes (the timing model is
 	// linear in payload, so shapes are preserved; see the package doc).
 	Full bool
-	// CostOnly runs experiments on the cost-only backend: identical
-	// tables (the cost model is shared bit-for-bit with the functional
-	// backend) at a fraction of the wall-clock and memory, since no MRAM
-	// is allocated and no bytes move. Use for Full-scale sweeps.
-	CostOnly bool
 	// Sched selects the submission scheduling policy of the async
 	// experiment's scheduled comm (`pidbench -sched`). The zero value is
 	// core.SchedWFQ, the machine default. A non-default policy runs the

@@ -48,27 +48,27 @@ func TestTablesRun(t *testing.T) {
 
 func TestRunPrimitiveAll(t *testing.T) {
 	for _, prim := range core.Primitives() {
-		thr, bd, err := RunPrimitive(PrimSpec{
+		r, err := RunPrimitive(PrimSpec{
 			Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512, Prim: prim, Level: core.CM, Elem: elem.I32, Op: elem.Sum,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", prim, err)
 		}
-		if thr <= 0 || bd.Total() <= 0 {
-			t.Errorf("%v: thr=%v total=%v", prim, thr, bd.Total())
+		if r.GBps <= 0 || r.Cost.Total() <= 0 {
+			t.Errorf("%v: thr=%v total=%v", prim, r.GBps, r.Cost.Total())
 		}
 	}
 }
 
 func TestRunPrimitiveWithReduceArgs(t *testing.T) {
-	thr, _, err := RunPrimitive(PrimSpec{
+	r, err := RunPrimitive(PrimSpec{
 		Shape: []int{64}, Dims: "1", RecvPerPE: 1024,
 		Prim: core.ReduceScatter, Level: core.IM, Elem: elem.I8, Op: elem.Or,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if thr <= 0 {
+	if r.GBps <= 0 {
 		t.Error("no throughput")
 	}
 }
@@ -78,23 +78,51 @@ func TestRunPrimitiveWithReduceArgs(t *testing.T) {
 // less than at INT32 SUM.
 func TestPrimSpecZeroElemIsInt8(t *testing.T) {
 	spec := PrimSpec{Shape: []int{32, 32}, Dims: "10", RecvPerPE: 64 << 10,
-		Prim: core.ReduceScatter, Level: core.IM, CostOnly: true}
-	_, i8, err := RunPrimitive(spec)
+		Prim: core.ReduceScatter, Level: core.IM}
+	i8, err := RunPrimitive(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Elem, spec.Op = elem.I32, elem.Sum
-	_, i32, err := RunPrimitive(spec)
+	i32, err := RunPrimitive(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i8.Total() >= i32.Total() {
-		t.Errorf("INT8 SUM costs %v, want less than INT32 SUM's %v", i8.Total(), i32.Total())
+	if i8.Cost.Total() >= i32.Cost.Total() {
+		t.Errorf("INT8 SUM costs %v, want less than INT32 SUM's %v", i8.Cost.Total(), i32.Cost.Total())
+	}
+}
+
+// RunPrimitive reports the pair its run resolved to: what a fresh
+// machine's Resolve picks for the same descriptor, Auto or explicit.
+func TestRunPrimitiveReportsResolvedPair(t *testing.T) {
+	for _, spec := range []PrimSpec{
+		{Shape: []int{4, 64}, Dims: "10", RecvPerPE: 1024, Prim: core.AllGather, Level: core.Auto},
+		{Shape: []int{16, 16}, Dims: "10", RecvPerPE: 16 << 10, Prim: core.Broadcast, Level: core.Auto},
+		{Shape: []int{4, 64}, Dims: "10", RecvPerPE: 64 << 10, Prim: core.AllReduce, Level: core.Baseline,
+			Elem: elem.I32, Op: elem.Sum, Algo: core.AlgoRing},
+		{Shape: []int{8, 8}, Dims: "10", RecvPerPE: 512, Prim: core.Gather, Level: core.CM},
+	} {
+		r, err := RunPrimitive(spec)
+		if err != nil {
+			t.Fatalf("%v: %v", spec.Prim, err)
+		}
+		_, comm, d, _, err := primSetup(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alg, lvl, err := comm.Resolve(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Algo != alg || r.Level != lvl {
+			t.Errorf("%v at %v: measured (%v, %v), Resolve picks (%v, %v)", spec.Prim, spec.Level, r.Algo, r.Level, alg, lvl)
+		}
 	}
 }
 
 func TestRunPrimitiveUnknown(t *testing.T) {
-	if _, _, err := RunPrimitive(PrimSpec{Shape: []int{64}, Dims: "1", RecvPerPE: 512, Prim: core.Primitive(99)}); err == nil {
+	if _, err := RunPrimitive(PrimSpec{Shape: []int{64}, Dims: "1", RecvPerPE: 512, Prim: core.Primitive(99)}); err == nil {
 		t.Error("unknown primitive accepted")
 	}
 }
@@ -166,16 +194,16 @@ func TestFig14ShapeCalibration(t *testing.T) {
 	ratio := func(prim core.Primitive) float64 {
 		spec := PrimSpec{Shape: []int{16, 16}, Dims: "10", RecvPerPE: 32 << 10, Prim: prim, Elem: elem.I32, Op: elem.Sum}
 		spec.Level = core.Baseline
-		base, _, err := RunPrimitive(spec)
+		base, err := RunPrimitive(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec.Level = core.CM
-		ours, _, err := RunPrimitive(spec)
+		ours, err := RunPrimitive(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ours / base
+		return ours.GBps / base.GBps
 	}
 	checks := []struct {
 		prim   core.Primitive
@@ -250,7 +278,7 @@ func TestAsyncExperimentRegistered(t *testing.T) {
 // slower (paper: up to 2.05x and 7.89x at 32x32). The payload is large
 // enough that data terms dominate sync terms.
 func TestTopoOrderingMatchesFigure23a(t *testing.T) {
-	rows, err := MeasureTopologies([]int{16, 16}, "10", 16*4096, true)
+	rows, err := MeasureTopologies([]int{16, 16}, "10", 16*4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,15 +32,18 @@
 //     static tables print no number; neither is gated. The serving and
 //     reorder experiments also record acceptance checks, which fail the
 //     collection.
-//   - Options selects scale and engine: Full switches to paper-scale
+//   - Options selects scale and policy: Full switches to paper-scale
 //     payloads (the timing model is linear in payload, so the default
-//     small scale preserves every shape), CostOnly runs the primitive
-//     experiments on the cost-only backend over phantom (no-MRAM)
-//     systems — identical tables, orders of magnitude faster — and Sched
-//     names the policy of the async experiment's scheduled comm.
+//     small scale preserves every shape) and Sched names the policy of
+//     the async experiment's scheduled comm. There is no engine choice:
+//     every experiment but the applications runs on the cost-only
+//     backend over phantom (no-MRAM) systems, whose breakdowns are the
+//     functional backend's bit for bit (core's
+//     TestCostBackendMatchesFunctional).
 //   - PrimSpec / RunPrimitive (prims.go) is the single primitive-
-//     measurement path all figure experiments share; apps.go wires the
-//     five application benchmarks (Table III) through internal/apps.
+//     measurement path all figure experiments and cmd/pidtrace share;
+//     apps.go wires the five application benchmarks (Table III) through
+//     internal/apps.
 //
 // # Harness-native experiments
 //

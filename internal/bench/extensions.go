@@ -12,8 +12,8 @@ import (
 
 // cmSpec is the extension measurements' primitive at CM on the paper's
 // 32×32 machine, x axis, INT32 SUM where it reduces, under params.
-func cmSpec(prim core.Primitive, size int, params cost.Params, o Options) PrimSpec {
-	spec := figSpec(paperShape, "10", size, prim, core.CM, o)
+func cmSpec(prim core.Primitive, size int, params cost.Params) PrimSpec {
+	spec := figSpec(paperShape, "10", size, prim, core.CM)
 	spec.Params = params
 	return spec
 }
@@ -21,11 +21,11 @@ func cmSpec(prim core.Primitive, size int, params cost.Params, o Options) PrimSp
 // whatIf measures prim at CM under the default parameters and under alt
 // as the cells prim/<names[0]> and prim/<names[1]> and returns both
 // throughputs.
-func (c *cells) whatIf(prim core.Primitive, size int, alt cost.Params, names [2]string, o Options) (def, with float64, err error) {
-	if def, _, err = c.prim(prim.String()+"/"+names[0], cmSpec(prim, size, cost.DefaultParams(), o)); err != nil {
+func (c *cells) whatIf(prim core.Primitive, size int, alt cost.Params, names [2]string) (def, with float64, err error) {
+	if def, _, err = c.prim(prim.String()+"/"+names[0], cmSpec(prim, size, cost.DefaultParams())); err != nil {
 		return
 	}
-	with, _, err = c.prim(prim.String()+"/"+names[1], cmSpec(prim, size, alt, o))
+	with, _, err = c.prim(prim.String()+"/"+names[1], cmSpec(prim, size, alt))
 	return
 }
 
@@ -36,7 +36,7 @@ func init() {
 		dsa := cost.DefaultParams()
 		dsa.DSAOffload = true
 		for _, prim := range fourPrims {
-			base, with, err := c.whatIf(prim, size, dsa, [2]string{"+CM", "+DSA"}, o)
+			base, with, err := c.whatIf(prim, size, dsa, [2]string{"+CM", "+DSA"})
 			if err != nil {
 				return err
 			}
@@ -52,7 +52,7 @@ func init() {
 		serial := cost.DefaultParams()
 		serial.RankParallel = false
 		for _, prim := range []core.Primitive{core.AlltoAll, core.AllGather} {
-			par, ser, err := c.whatIf(prim, size, serial, [2]string{"parallel", "serial"}, o)
+			par, ser, err := c.whatIf(prim, size, serial, [2]string{"parallel", "serial"})
 			if err != nil {
 				return err
 			}
@@ -70,7 +70,7 @@ func init() {
 			us := fmt.Sprintf("%.0f", launch*1e6)
 			row := []string{us}
 			for _, size := range []int{4 << 10, 64 << 10} {
-				thr, _, err := c.prim(fmt.Sprintf("%sus/%dK", us, size>>10), cmSpec(core.AlltoAll, size, p, o))
+				thr, _, err := c.prim(fmt.Sprintf("%sus/%dK", us, size>>10), cmSpec(core.AlltoAll, size, p))
 				if err != nil {
 					return err
 				}

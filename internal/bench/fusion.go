@@ -41,7 +41,7 @@ type FusionResult struct {
 // level and returns its whole-MRAM session.
 func fusionComm(m, batches int, fuse core.FuseLevel) (*core.Tenant, error) {
 	need := (2*batches+1)*m + batches*m // A/C regions plus aligned B slack
-	_, s, err := newCommOn(dram.PaperGeometry(mramFor(need+64)), []int{32, 32}, true, core.Config{Fuse: fuse})
+	_, s, err := newCommOn(dram.PaperGeometry(mramFor(need+64)), []int{32, 32}, core.Config{Fuse: fuse})
 	return s, err
 }
 

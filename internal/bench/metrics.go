@@ -60,7 +60,7 @@ func CollectMetrics(ids []string) (MetricsFile, error) {
 			return mf, err
 		}
 		c := &cells{id: id, m: mf.Metrics}
-		if err := e.run(Options{W: io.Discard, CostOnly: true}, c); err != nil {
+		if err := e.run(Options{W: io.Discard}, c); err != nil {
 			return mf, fmt.Errorf("%s: %w", id, err)
 		}
 		if len(c.failed) > 0 {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -21,11 +20,7 @@ func init() {
 					// 256 PEs per host (one four-rank channel), § IX-A.
 					geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8,
 						MramPerBank: mramFor(3 * perPE * max(1, hosts))}
-					var opts []pidcomm.MachineOption
-					if o.CostOnly {
-						opts = append(opts, pidcomm.CostOnly())
-					}
-					cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()}, opts...)
+					cl, err := pidcomm.NewCluster(hosts, geo, []int{geo.NumPEs()}, pidcomm.CostOnly())
 					if err != nil {
 						return err
 					}
@@ -44,16 +39,6 @@ func init() {
 						m = perPE / (8 * P) * (8 * P)
 						if m == 0 {
 							m = 8 * P
-						}
-					}
-					if !o.CostOnly {
-						rng := rand.New(rand.NewSource(5))
-						buf := make([]byte, m)
-						for h := 0; h < hosts; h++ {
-							for p := 0; p < P; p++ {
-								rng.Read(buf)
-								sess.Host(h).SetPEBuffer(p, 0, buf)
-							}
 						}
 					}
 					d := pidcomm.ClusterCollective{Collective: pidcomm.Collective{

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/apps/appcore"
@@ -13,7 +13,10 @@ import (
 	"repro/internal/host"
 )
 
-// PrimSpec describes one primitive measurement.
+// PrimSpec describes one primitive measurement. It runs on the
+// cost-only backend over a phantom system: the breakdown is the
+// functional backend's bit for bit (the cost model is shared), but no
+// MRAM is allocated and no data moves.
 type PrimSpec struct {
 	// Shape is the hypercube; PEs = product.
 	Shape []int
@@ -35,93 +38,51 @@ type PrimSpec struct {
 	// Params is the timing model; the zero value means
 	// cost.DefaultParams(), as in core.Config.
 	Params cost.Params
-	// CostOnly runs on the cost-only backend over a phantom system: the
-	// throughput and breakdown are identical (the cost model is shared
-	// bit-for-bit), but no MRAM is allocated and no data moves.
-	CostOnly bool
 }
 
-// RunPrimitive executes one primitive on a fresh system and returns the
-// throughput (GB/s, larger-side bytes over simulated seconds, § VIII-B)
-// and the cost breakdown.
-func RunPrimitive(spec PrimSpec) (float64, cost.Breakdown, error) {
-	thr, bd, _, err := RunPrimitiveWithStats(spec)
-	return thr, bd, err
+// PrimResult is everything one primitive measurement reports.
+type PrimResult struct {
+	// GBps is the throughput: larger-side bytes over simulated seconds
+	// (§ VIII-B).
+	GBps float64
+	// Cost is the run's cost breakdown.
+	Cost cost.Breakdown
+	// Stats is the host's cumulative bus traffic (cmd/pidtrace prints it).
+	Stats host.XferStats
+	// Algo and Level are the pair the collective resolved to: the
+	// autotuner's pick under Auto, the effective selection otherwise.
+	Algo  core.Algorithm
+	Level core.Level
 }
 
-// RunPrimitiveWithStats additionally returns the host's cumulative bus
-// traffic statistics (cmd/pidtrace prints them).
-func RunPrimitiveWithStats(spec PrimSpec) (float64, cost.Breakdown, host.XferStats, error) {
-	if spec.Algo != core.AlgoAuto && spec.Prim != core.AllReduce && spec.Prim != core.Broadcast {
-		return 0, cost.Breakdown{}, host.XferStats{}, fmt.Errorf("bench: algorithm %v not supported for %v", spec.Algo, spec.Prim)
-	}
+// RunPrimitive executes one primitive on a fresh system and reports the
+// measurement.
+func RunPrimitive(spec PrimSpec) (PrimResult, error) {
 	mach, comm, d, groups, err := primSetup(spec)
 	if err != nil {
-		return 0, cost.Breakdown{}, host.XferStats{}, err
+		return PrimResult{}, err
 	}
-	gsize, m := len(groups[0]), spec.RecvPerPE
+	cp, err := comm.Compile(d)
+	if err != nil {
+		return PrimResult{}, err
+	}
+	bd, err := cp.Run()
+	if err != nil {
+		return PrimResult{}, err
+	}
+	gsize := len(groups[0])
 	n := len(groups) * gsize // the groups tile the PEs
-	fill := func(bytesPerPE int) {
-		if spec.CostOnly {
-			return // phantom system: no MRAM to fill, data is irrelevant to cost
-		}
-		rng := rand.New(rand.NewSource(7))
-		buf := make([]byte, bytesPerPE)
-		for pe := 0; pe < n; pe++ {
-			rng.Read(buf)
-			comm.SetPEBuffer(pe, 0, buf)
-		}
-	}
-	hostBufs := func(perGroup int) [][]byte {
-		rng := rand.New(rand.NewSource(9))
-		out := make([][]byte, len(groups))
-		for g := range out {
-			out[g] = make([]byte, perGroup)
-			if !spec.CostOnly { // cost backend never reads host buffers
-				rng.Read(out[g])
-			}
-		}
-		return out
-	}
-
-	bytes := int64(m) * int64(n)
-	switch spec.Prim {
-	case core.Scatter:
-		if !spec.CostOnly { // cost backend accepts nil: sizes are implied
-			d.Hosts = hostBufs(gsize * m)
-		}
-	case core.Broadcast:
-		d.Hosts = hostBufs(m)
-	case core.AllGather:
-		fill(d.Src.Bytes)
+	bytes := int64(spec.RecvPerPE) * int64(n)
+	if spec.Prim == core.AllGather {
 		bytes = int64(d.Src.Bytes) * int64(gsize) * int64(n) // output side
-	default:
-		fill(m)
 	}
-	bd, err := comm.Run(d)
-	if err != nil {
-		return 0, cost.Breakdown{}, host.XferStats{}, err
-	}
-	return gbps(bytes, float64(bd.Total())), bd, mach.Host().Stats(), nil
+	return PrimResult{GBps: gbps(bytes, float64(bd.Total())), Cost: bd, Stats: mach.Host().Stats(),
+		Algo: cp.Algorithm(), Level: cp.Level()}, nil
 }
 
-// ResolvePrimitive reports the (algorithm, level) pair the spec's
-// collective resolves to — the autotuner's pick where spec.Level is
-// core.Auto (or spec.Algo is AlgoAuto under Auto level), the explicit
-// selection mapped to its effective value otherwise. The resolution is
-// backend-independent, so it always runs on a cost-only comm.
-func ResolvePrimitive(spec PrimSpec) (core.Algorithm, core.Level, error) {
-	spec.CostOnly = true
-	_, comm, d, _, err := primSetup(spec)
-	if err != nil {
-		return 0, 0, err
-	}
-	return comm.Resolve(d)
-}
-
-// primSetup is what running and resolving a spec share: a fresh machine
-// for it, its whole-MRAM session, the measurement's descriptor without
-// host payloads, and the dims groups.
+// primSetup is what a measurement needs: a fresh cost-only machine for
+// spec, its whole-MRAM session, the measurement's descriptor and the
+// dims groups.
 func primSetup(spec PrimSpec) (*core.Comm, *core.Tenant, core.Collective, [][]int, error) {
 	n := 1
 	for _, l := range spec.Shape {
@@ -131,7 +92,7 @@ func primSetup(spec PrimSpec) (*core.Comm, *core.Tenant, core.Collective, [][]in
 	if err != nil {
 		return nil, nil, core.Collective{}, nil, err
 	}
-	mach, comm, err := newCommOn(geo, spec.Shape, spec.CostOnly, core.Config{Params: spec.Params})
+	mach, comm, err := newCommOn(geo, spec.Shape, core.Config{Params: spec.Params})
 	if err != nil {
 		return nil, nil, core.Collective{}, nil, err
 	}
@@ -139,28 +100,33 @@ func primSetup(spec PrimSpec) (*core.Comm, *core.Tenant, core.Collective, [][]in
 	if err != nil {
 		return nil, nil, core.Collective{}, nil, err
 	}
-	d, err := primCollective(spec, len(groups[0]))
+	d, err := primCollective(spec, groups)
 	return mach, comm, d, groups, err
 }
 
-// primCollective returns the descriptor of the spec's measurement on
-// groups of gsize PEs: the payload at offset 0 and the destination, where
-// there is one, two payloads further on. Host payloads are left to the
-// caller (a cost-only Scatter needs none; Broadcast states its size in
-// Dst).
-func primCollective(spec PrimSpec, gsize int) (core.Collective, error) {
+// primCollective returns the descriptor of the spec's measurement on the
+// dims groups: the payload at offset 0 and the destination, where there
+// is one, two payloads further on. The cost-only backend reads no host
+// payload, so only Broadcast, whose payload size is the length of its
+// Hosts, gets one: a zeroed buffer shared by every group.
+func primCollective(spec PrimSpec, groups [][]int) (core.Collective, error) {
 	m := spec.RecvPerPE
 	d := core.Collective{Prim: spec.Prim, Dims: spec.Dims, Level: spec.Level, Algorithm: spec.Algo}
+	if spec.Algo != core.AlgoAuto && spec.Prim != core.AllReduce && spec.Prim != core.Broadcast {
+		return d, fmt.Errorf("bench: algorithm %v not supported for %v", spec.Algo, spec.Prim)
+	}
 	switch spec.Prim {
 	case core.AlltoAll:
 		d.Src, d.Dst = core.Span(0, m), core.At(2*m)
 	case core.ReduceScatter, core.AllReduce:
 		d.Src, d.Dst, d.Elem, d.Op = core.Span(0, m), core.At(2*m), spec.Elem, spec.Op
 	case core.AllGather:
-		s := m / gsize
+		s := m / len(groups[0])
 		d.Src, d.Dst = core.Span(0, s), core.At(2*s)
-	case core.Scatter, core.Broadcast:
+	case core.Scatter:
 		d.Dst = core.Span(0, m)
+	case core.Broadcast:
+		d.Dst, d.Hosts = core.Span(0, m), slices.Repeat([][]byte{make([]byte, m)}, len(groups))
 	case core.Gather:
 		d.Src = core.Span(0, m)
 	case core.Reduce:
@@ -177,13 +143,11 @@ func primGeo(n, recvPerPE int) (dram.Geometry, error) {
 	return appcore.GeoForPEs(n, mramFor(4*recvPerPE+64))
 }
 
-// newCommOn builds a machine for the geometry/shape at cfg, on the
-// cost-only backend (over a phantom, no-MRAM system) when costOnly is
-// set, and its whole-MRAM session (at offset 0).
-func newCommOn(geo dram.Geometry, shape []int, costOnly bool, cfg core.Config) (*core.Comm, *core.Tenant, error) {
-	if costOnly {
-		cfg.Backend = core.CostBackend()
-	}
+// newCommOn builds a machine for the geometry/shape at cfg on the
+// cost-only backend (over a phantom, no-MRAM system) and its whole-MRAM
+// session (at offset 0).
+func newCommOn(geo dram.Geometry, shape []int, cfg core.Config) (*core.Comm, *core.Tenant, error) {
+	cfg.Backend = core.CostBackend()
 	c, err := core.New(geo, shape, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -205,20 +169,19 @@ var paperShape = []int{32, 32}
 
 // figSpec is a figure's measurement: prim at lvl over the dims groups of
 // shape, size bytes per PE, INT32 SUM where it reduces.
-func figSpec(shape []int, dims string, size int, prim core.Primitive, lvl core.Level, o Options) PrimSpec {
-	return PrimSpec{Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl,
-		Elem: elem.I32, Op: elem.Sum, CostOnly: o.CostOnly}
+func figSpec(shape []int, dims string, size int, prim core.Primitive, lvl core.Level) PrimSpec {
+	return PrimSpec{Shape: shape, Dims: dims, RecvPerPE: size, Prim: prim, Level: lvl, Elem: elem.I32, Op: elem.Sum}
 }
 
 // prim runs spec, records its simulated time as the cell name and
 // returns the breakdown and the throughput derived from the cell:
 // larger-side bytes over simulated seconds (§ VIII-B).
 func (c *cells) prim(name string, spec PrimSpec) (float64, cost.Breakdown, error) {
-	thr, bd, err := RunPrimitive(spec)
+	r, err := RunPrimitive(spec)
 	if err == nil {
-		c.put(name, bd.Total())
+		c.put(name, r.Cost.Total())
 	}
-	return thr, bd, err
+	return r.GBps, r.Cost, err
 }
 
 // pair measures spec at Baseline and at CM as the cells name/Base and
@@ -242,7 +205,7 @@ func init() {
 		t := newTable("Primitive", "Base GB/s", "PID-Comm GB/s", "Speedup")
 		var ratios []float64
 		for _, prim := range core.Primitives() {
-			base, ours, err := c.pair(prim.String(), figSpec(paperShape, "10", size, prim, core.Baseline, o))
+			base, ours, err := c.pair(prim.String(), figSpec(paperShape, "10", size, prim, core.Baseline))
 			if err != nil {
 				return err
 			}
@@ -264,7 +227,7 @@ func init() {
 					row = append(row, "-")
 					continue
 				}
-				thr, _, err := c.prim(prim.String()+"/"+lvl.String(), figSpec(paperShape, "10", size, prim, lvl, o))
+				thr, _, err := c.prim(prim.String()+"/"+lvl.String(), figSpec(paperShape, "10", size, prim, lvl))
 				if err != nil {
 					return err
 				}
@@ -287,7 +250,7 @@ func init() {
 		for _, prim := range fourPrims {
 			for _, lvl := range []core.Level{core.Baseline, core.CM} {
 				name := prim.String() + "/" + lvl.String() + "/"
-				_, bd, err := c.prim(name+"Total", figSpec(paperShape, "10", size, prim, lvl, o))
+				_, bd, err := c.prim(name+"Total", figSpec(paperShape, "10", size, prim, lvl))
 				if err != nil {
 					return err
 				}
@@ -323,7 +286,7 @@ func init() {
 			for _, prim := range fourPrims {
 				for _, size := range sizes {
 					k := fmt.Sprintf("%dK", size>>10)
-					base, ours, err := c.pair(cfg.name+"/"+prim.String()+"/"+k, figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline, o))
+					base, ours, err := c.pair(cfg.name+"/"+prim.String()+"/"+k, figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline))
 					if err != nil {
 						return err
 					}
@@ -346,7 +309,7 @@ func init() {
 					shape []int
 					dims  string
 				}{{"1D", []int{n}, "1"}, {"2D", []int{32, n / 32}, "10"}} {
-					base, ours, err := c.pair(fmt.Sprintf("%s/%s/%d", cfg.name, prim, n), figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline, o))
+					base, ours, err := c.pair(fmt.Sprintf("%s/%s/%d", cfg.name, prim, n), figSpec(cfg.shape, cfg.dims, size, prim, core.Baseline))
 					if err != nil {
 						return err
 					}
@@ -367,7 +330,7 @@ func init() {
 			row := []string{fmt.Sprintf("%v", shape)}
 			name := fmt.Sprintf("%dx%dx%d/", shape[0], shape[1], shape[2])
 			for _, prim := range fourPrims {
-				thr, _, err := c.prim(name+prim.String(), figSpec(shape, "100", size, prim, core.CM, o))
+				thr, _, err := c.prim(name+prim.String(), figSpec(shape, "100", size, prim, core.CM))
 				if err != nil {
 					return err
 				}
@@ -381,7 +344,7 @@ func init() {
 
 	register("fig23a", "AllReduce on hierarchy-aware topologies: hypercube vs ring vs tree", func(o Options, c *cells) error {
 		size := sizeFor(o, 64<<10, 2<<20)
-		rows, err := MeasureTopologies(paperShape, "10", size, o.CostOnly)
+		rows, err := MeasureTopologies(paperShape, "10", size)
 		if err != nil {
 			return err
 		}

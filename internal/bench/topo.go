@@ -36,10 +36,8 @@ type TopoResult struct {
 // MeasureTopologies prices an AllReduce (I32 sum) of m bytes per PE over
 // the dims groups of the shape hypercube on the three topologies of
 // Figure 23(a), hypercube first.
-func MeasureTopologies(shape []int, dims string, m int, costOnly bool) ([]TopoResult, error) {
-	spec := PrimSpec{Shape: shape, Dims: dims, RecvPerPE: m, Prim: core.AllReduce, Level: core.CM,
-		Elem: elem.I32, Op: elem.Sum, CostOnly: costOnly}
-	_, hyper, err := RunPrimitive(spec)
+func MeasureTopologies(shape []int, dims string, m int) ([]TopoResult, error) {
+	hyper, err := RunPrimitive(figSpec(shape, dims, m, core.AllReduce, core.CM))
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +61,7 @@ func MeasureTopologies(shape []int, dims string, m int, costOnly bool) ([]TopoRe
 	if err != nil {
 		return nil, err
 	}
-	return []TopoResult{{"Hypercube (PID-Comm)", hyper}, {"Ring", ring}, {"Tree", tree}}, nil
+	return []TopoResult{{"Hypercube (PID-Comm)", hyper.Cost}, {"Ring", ring}, {"Tree", tree}}, nil
 }
 
 // hostBusAllReduce charges a fresh host with one AllReduce of m bytes per

@@ -359,7 +359,7 @@ func (s *ClusterTenant) Compile(d ClusterCollective) (*ClusterPlan, error) {
 		return nil, fmt.Errorf("%s: %w", d.Prim.LongName(), err)
 	}
 	H := len(cl.comms)
-	cp := &ClusterPlan{cl: cl, prim: d.Prim, plans: make([]*CompiledPlan, H)}
+	cp := &ClusterPlan{cl: cl, prim: d.Prim, plans: make([]*CompiledPlan, H), errs: make([]error, H)}
 	if cl.functional {
 		cp.st = v.staging(H)
 	}
@@ -844,6 +844,7 @@ type ClusterPlan struct {
 	prim  Primitive
 	st    *clusterState // nil on a cost-only cluster
 	plans []*CompiledPlan
+	errs  []error // each host's error of the last Run (Runs hold execMu)
 }
 
 // HostPlan returns host h's compiled plan (schedule, cost, fusion
@@ -901,7 +902,7 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	if err := cp.admitAll(); err != nil {
 		return cost.Breakdown{}, err
 	}
-	errs := make([]error, len(cp.plans))
+	errs := cp.errs
 	if !cp.cl.functional {
 		for h, hp := range cp.plans {
 			errs[h] = hp.try()

@@ -378,6 +378,34 @@ func TestNewClusterAllocsPerHost(t *testing.T) {
 	}
 }
 
+// A compiled cost-only cluster plan replays without allocating: the
+// hosts run serially and each host's run is a meter charge.
+func TestCostOnlyClusterRunDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m = 64 * 16 * 8
+	for _, H := range []int{2, 4} {
+		cl := sessionTestCluster(t, H, geoHost, []int{16}, true)
+		for _, d := range []ClusterCollective{
+			{Collective: Collective{Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(m), Elem: elem.I32, Op: elem.Sum, Level: CM}},
+			{Collective: Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(m), Level: IM}},
+		} {
+			cp, err := cl.Compile(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(20, func() {
+				if _, err := cp.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}); a != 0 {
+				t.Errorf("H=%d %v: a cost-only ClusterPlan.Run allocates %v objects, want 0", H, d.Prim, a)
+			}
+		}
+	}
+}
+
 // geo1024 is the paper's 1024-PE machine with a token MRAM.
 var geo1024 = dram.Geometry{Channels: 4, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 14}
 

@@ -109,6 +109,7 @@ func TestCostBackendMatchesFunctional(t *testing.T) {
 		{"2D-subEG-y", geo64, []int{4, 16}, "01"},
 		{"3D-xz", geo64, []int{4, 2, 8}, "101"},
 		{"nonpow2-strided", geo24, []int{4, 6}, "01"},
+		{"paper-32x32", dram.PaperGeometry(1 << 14), []int{32, 32}, "10"},
 	}
 	for _, tc := range shapes {
 		for _, prim := range Primitives() {
