@@ -71,8 +71,9 @@ benchmark-smoke:
 
 # Profile the simulator itself: a root benchmark under the standard tool,
 # CPU and heap profiles written next to the repo root. BENCH picks it:
-# Fig15 (default) runs the five applications on the functional engine,
-# Fig14 the primitives on the cost-only backend. Inspect with
+# Fig15 (default) runs BFS on a 64k-vertex RMAT graph at Baseline and CM
+# on the functional engine (one application, not all five), Fig14 the
+# primitives on the cost-only backend. Inspect with
 # `go tool pprof cpu.pprof` /
 # `go tool pprof -sample_index=alloc_space mem.pprof`.
 BENCH ?= Fig15

@@ -196,6 +196,27 @@ func (t *Tracker) Finish() {
 	pool.park(t.key, idleMachine{t.C, t.arena})
 }
 
+// Dot returns the sum of int64(w[j]) * int64(x[j]) over w's length (x is
+// at least as long) in four accumulators. Integer sums wrap, so the order
+// does not change the result: the apps' dense kernels and their CPU
+// references share it.
+func Dot[T int32 | int64](w []int32, x []T) int64 {
+	x = x[:len(w)]
+	var a0, a1, a2, a3 int64
+	j := 0
+	for ; j+4 <= len(w); j += 4 {
+		w4, x4 := w[j:j+4:j+4], x[j:j+4:j+4]
+		a0 += int64(w4[0]) * int64(x4[0])
+		a1 += int64(w4[1]) * int64(x4[1])
+		a2 += int64(w4[2]) * int64(x4[2])
+		a3 += int64(w4[3]) * int64(x4[3])
+	}
+	for ; j < len(w); j++ {
+		a0 += int64(w[j]) * int64(x[j])
+	}
+	return a0 + a1 + a2 + a3
+}
+
 // GeoForPEs returns the DIMM geometry the paper uses for a given PE count
 // (§ VIII-E: up to 256 PEs on one channel, then more channels): PE counts
 // must be n = channels * ranks * 8 chips * banks with ranks, banks <= the

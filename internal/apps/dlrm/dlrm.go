@@ -96,12 +96,10 @@ func (c Config) batches() int {
 	return c.Batches
 }
 
-// embRNG and nextEmb draw the embedding tables, table-major, then row,
-// then column (embeddings()'s order). RunPIM and RunCPU consume the same
-// stream in the same order.
+// embRNG draws the embedding tables, entries in [-7,7], table-major, then
+// row, then column (embeddings()'s order). RunPIM and RunCPU consume the
+// same stream in the same order.
 func (c Config) embRNG() *rand.Rand { return rand.New(rand.NewSource(c.Seed * 77)) }
-
-func nextEmb(rng *rand.Rand) int32 { return int32(rng.Intn(15)) - 7 }
 
 // topLen is the top-MLP weight count: the input layer (TopOut x T*D, in
 // assembled-vector order) followed by TopLayers-1 hidden layers (TopOut x
@@ -113,11 +111,8 @@ func (c Config) topLen() int {
 // embeddings returns the tables for the CPU reference, row-major per
 // table.
 func (c Config) embeddings() []int32 {
-	rng := c.embRNG()
 	e := make([]int32, c.Tables*c.RowsPerTable*c.EmbDim)
-	for i := range e {
-		e[i] = nextEmb(rng)
-	}
+	data.Ints(c.embRNG(), e, -7, 7)
 	return e
 }
 
@@ -134,10 +129,7 @@ func (c Config) packShards(dst []byte, embB int) {
 		for row := 0; row < c.RowsPerTable; row++ {
 			y, r := row/Ry, row%Ry
 			for x := 0; x < X; x++ {
-				slot := dst[(x+X*(y+Y*z))*embB+(tl*Ry+r)*Dx*4:]
-				for cidx := 0; cidx < Dx; cidx++ {
-					binary.LittleEndian.PutUint32(slot[4*cidx:], uint32(nextEmb(rng)))
-				}
+				data.PutInts(rng, dst[(x+X*(y+Y*z))*embB+(tl*Ry+r)*Dx*4:][:Dx*4], -7, 7)
 			}
 		}
 	}
@@ -146,10 +138,7 @@ func (c Config) packShards(dst []byte, embB int) {
 // packTop draws the topLen top-MLP weights, entries in [-3,3], straight
 // into dst: the weight Broadcast's payload, which RunCPU decodes.
 func (c Config) packTop(dst []byte) {
-	rng := rand.New(rand.NewSource(c.Seed * 131))
-	for i := 0; i < c.topLen(); i++ {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(int32(rng.Intn(7))-3))
-	}
+	data.PutInts(rand.New(rand.NewSource(c.Seed*131)), dst[:4*c.topLen()], -3, 3)
 }
 
 // topMLP runs the shared top-MLP pipeline on one assembled sample vector
@@ -157,27 +146,22 @@ func (c Config) packTop(dst []byte) {
 // TopOut-long staging for the layer activations. Identical code serves the
 // DPU kernel and the CPU reference, keeping the integer results bit-exact.
 func (c Config) topMLP(w []int32, vec, cur, next []int64, out []int32) {
-	vecLen := c.Tables * c.EmbDim
-	for o := 0; o < c.TopOut; o++ {
-		var acc int64
-		for j := 0; j < vecLen; j++ {
-			acc += int64(w[o*vecLen+j]) * vec[j]
+	n := c.Tables * c.EmbDim // the current layer's input width
+	cur, next = cur[:c.TopOut], next[:c.TopOut]
+	for l := 0; l < c.TopLayers; l++ {
+		in := vec
+		if l > 0 {
+			in = cur
 		}
-		cur[o] = int64(activation(acc))
-	}
-	base := c.TopOut * vecLen
-	for l := 1; l < c.TopLayers; l++ {
-		for o := 0; o < c.TopOut; o++ {
-			var acc int64
-			for j := 0; j < c.TopOut; j++ {
-				acc += int64(w[base+(l-1)*c.TopOut*c.TopOut+o*c.TopOut+j]) * cur[j]
-			}
-			next[o] = int64(activation(acc))
+		for o := range next {
+			next[o] = int64(activation(appcore.Dot(w[o*n:(o+1)*n], in)))
 		}
+		w = w[c.TopOut*n:]
+		n = c.TopOut
 		cur, next = next, cur
 	}
-	for o := 0; o < c.TopOut; o++ {
-		out[o] = int32(cur[o])
+	for o, v := range cur {
+		out[o] = int32(v)
 	}
 }
 
@@ -408,9 +392,10 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 			for b := 0; b < Bd; b++ {
 				// Assemble the input vector from the arrival blocks.
 				for rnk := 0; rnk < X*Z; rnk++ {
-					base := rnk*blockB + b*perSampleB
-					for i := 0; i < Tz*Dx; i++ {
-						vec[rnk*Tz*Dx+i] = int64(int32(binary.LittleEndian.Uint32(aa[base+4*i:])))
+					src := aa[rnk*blockB+b*perSampleB:][:perSampleB]
+					dst := vec[rnk*Tz*Dx:][:Tz*Dx]
+					for i := range dst {
+						dst[i] = int64(int32(binary.LittleEndian.Uint32(src[4*i:])))
 					}
 				}
 				cfg.topMLP(ws, vec, cur, next, res)
@@ -463,6 +448,14 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	Tz := T / cfg.Z
 	Dx := D / cfg.X
 	vecLen := T * D
+	// pos[t*D+c] is where column c of table t's embedding lands in the
+	// assembled vector.
+	pos := make([]int, vecLen)
+	for t := 0; t < T; t++ {
+		for c := 0; c < D; c++ {
+			pos[t*D+c] = cfg.assembledIndex(c/Dx, t/Tz, t%Tz, c%Dx)
+		}
+	}
 	out := make([]int32, cfg.Batch*cfg.TopOut)
 	vec := make([]int64, vecLen)
 	cur, next := make([]int64, cfg.TopOut), make([]int64, cfg.TopOut)
@@ -472,10 +465,9 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 		for s := 0; s < cfg.Batch; s++ {
 			for t := 0; t < T; t++ {
 				row := int(clicks.Index(s, t))
-				z, tl := t/Tz, t%Tz
-				for c := 0; c < D; c++ {
-					x, cl := c/Dx, c%Dx
-					vec[cfg.assembledIndex(x, z, tl, cl)] = int64(emb[(t*Rr+row)*D+c])
+				p := pos[t*D : (t+1)*D]
+				for c, v := range emb[(t*Rr+row)*D:][:D] {
+					vec[p[c]] = int64(v)
 				}
 			}
 			cfg.topMLP(w, vec, cur, next, out[s*cfg.TopOut:])

@@ -18,6 +18,7 @@
 package gnn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -127,23 +128,26 @@ func localCol(v, rows, cols, j, w int) int {
 func genWeights(cfg Config, l int, f int) []int64 {
 	rng := rand.New(rand.NewSource(cfg.Seed*9000 + int64(l)))
 	w := make([]int64, f*f)
-	for i := range w {
-		w[i] = int64(rng.Intn(7)) - 3
-	}
+	data.Ints(rng, w, -3, 3)
 	return w
 }
 
 func genFeatures(cfg Config, v, f int) []int64 {
 	rng := rand.New(rand.NewSource(cfg.Seed * 555))
 	x := make([]int64, v*f)
-	for i := range x {
-		x[i] = int64(rng.Intn(7)) - 3
-	}
+	data.Ints(rng, x, -3, 3)
 	return x
 }
 
 // packInto stores vals into dst as elements of type t (wrapping).
 func packInto(t elem.Type, dst []byte, vals []int64) {
+	if t == elem.I32 {
+		dst = dst[:4*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		}
+		return
+	}
 	sz := t.Size()
 	for i, v := range vals {
 		elem.Store(t, dst, i*sz, v)
@@ -152,9 +156,51 @@ func packInto(t elem.Type, dst []byte, vals []int64) {
 
 // unpackInto loads len(dst) elements of type t from b.
 func unpackInto(t elem.Type, dst []int64, b []byte) {
+	if t == elem.I32 {
+		b = b[:4*len(dst)]
+		for i := range dst {
+			dst[i] = int64(int32(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+		return
+	}
 	sz := t.Size()
 	for i := range dst {
 		dst[i] = elem.Load(t, b, i*sz)
+	}
+}
+
+// addPacked adds the len(dst) elements of type t packed in src to dst:
+// the aggregation decodes only the strip rows its tile's edges name.
+func addPacked(t elem.Type, dst []int64, src []byte) {
+	if t == elem.I32 {
+		src = src[:4*len(dst)]
+		for f := range dst {
+			dst[f] += int64(int32(binary.LittleEndian.Uint32(src[4*f:])))
+		}
+		return
+	}
+	sz := t.Size()
+	for f := range dst {
+		dst[f] += elem.Load(t, src, f*sz)
+	}
+}
+
+// wrapInto truncates every value to t's width, sign-extended back: what a
+// store and a load at width t do to it.
+func wrapInto(t elem.Type, vals []int64) {
+	switch t {
+	case elem.I8:
+		for i, v := range vals {
+			vals[i] = int64(int8(v))
+		}
+	case elem.I16:
+		for i, v := range vals {
+			vals[i] = int64(int16(v))
+		}
+	case elem.I32:
+		for i, v := range vals {
+			vals[i] = int64(int32(v))
+		}
 	}
 }
 
@@ -292,15 +338,7 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 		is := ctx.I64(sub * F)
 		unpackInto(T, is, ib)
 		res := ctx.I64(sub * F)
-		for r := 0; r < sub; r++ {
-			for fo := 0; fo < F; fo++ {
-				var acc int64
-				for fi := 0; fi < F; fi++ {
-					acc += is[r*F+fi] * ws[fi*F+fo]
-				}
-				res[r*F+fo] = activation(acc)
-			}
-		}
+		combine(res, is, ws, F)
 		if padStrip {
 			strip := ctx.Buf(stripB)
 			clear(strip)
@@ -371,19 +409,16 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 			ctx.ReadMram(adjOff, adj)
 			xb := ctx.Buf(stripB)
 			ctx.ReadMram(xOff, xb)
-			xs := ctx.I64(stripLen * F)
-			unpackInto(T, xs, xb)
 			acc := ctx.I64(rowsPer * F)
 			clear(acc)
 			var nnz int64
 			for r := 0; r < rowsPer; r++ {
 				lo := getU32(adj[4*r:])
 				hi := getU32(adj[4*(r+1):])
+				dst := acc[r*F : (r+1)*F]
 				for e := lo; e < hi; e++ {
 					c := int(getU32(adj[4*(rowsPer+1)+4*int(e):]))
-					for f := 0; f < F; f++ {
-						acc[r*F+f] += xs[c*F+f]
-					}
+					addPacked(T, dst, xb[c*F*sz:(c+1)*F*sz])
 				}
 				nnz += int64(hi - lo)
 			}
@@ -451,6 +486,28 @@ func RunPIM(cfg Config, variant Variant, lvl core.Level) ([]int64, *appcore.Prof
 	return out, &tr.Prof, nil
 }
 
+// combine sets res = act(in x w) for the row-major rows of in and the F x F
+// matrix w, accumulating each output row in ikj order: res's row is the sum
+// of w's rows scaled by the input row's entries. Integer sums wrap, so the
+// order does not change the result.
+func combine(res, in, w []int64, F int) {
+	for r := 0; r < len(in)/F; r++ {
+		out := res[r*F : (r+1)*F]
+		clear(out)
+		for fi, a := range in[r*F : (r+1)*F] {
+			if a == 0 {
+				continue
+			}
+			for fo, v := range w[fi*F : (fi+1)*F] {
+				out[fo] += a * v
+			}
+		}
+		for fo, acc := range out {
+			out[fo] = activation(acc)
+		}
+	}
+}
+
 // RunCPU computes the identical GNN on the CPU-only model (same integer
 // wrapping at width cfg.Elem) and returns the final features plus the
 // roofline time.
@@ -465,38 +522,24 @@ func RunCPU(cfg Config, variant Variant) ([]int64, cost.Seconds, error) {
 	x := genFeatures(cfg, V, F)
 	cpu := appcore.DefaultCPU()
 	var total cost.Seconds
-	wrap := func(v int64) int64 {
-		b := make([]byte, 8)
-		elem.Store(T, b, 0, v)
-		return elem.Load(T, b, 0)
-	}
 	for l := 0; l < cfg.Layers; l++ {
 		w := genWeights(cfg, l, F)
 		// Aggregation: I = wrapT(A x X).
 		agg := make([]int64, V*F)
 		var nnz int64
 		for v := 0; v < V; v++ {
+			dst := agg[v*F : (v+1)*F]
 			for _, nb := range g.Neighbors(v) {
-				for f := 0; f < F; f++ {
-					agg[v*F+f] += x[int(nb)*F+f]
+				for f, xv := range x[int(nb)*F : (int(nb)+1)*F] {
+					dst[f] += xv
 				}
 			}
 			nnz += int64(g.OutDegree(v))
 		}
-		for i := range agg {
-			agg[i] = wrap(agg[i])
-		}
+		wrapInto(T, agg)
 		// Combination: X' = act(I x W).
 		nx := make([]int64, V*F)
-		for v := 0; v < V; v++ {
-			for fo := 0; fo < F; fo++ {
-				var acc int64
-				for fi := 0; fi < F; fi++ {
-					acc += agg[v*F+fi] * w[fi*F+fo]
-				}
-				nx[v*F+fo] = activation(acc)
-			}
-		}
+		combine(nx, agg, w, F)
 		x = nx
 		// Aggregation gathers random feature rows (latency-bound per
 		// edge) and streams them; combination is a naive GEMM streaming

@@ -10,12 +10,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/apps/appcore"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/data"
 	"repro/internal/dpu"
 	"repro/internal/elem"
+	"repro/internal/par"
 )
 
 // Config sizes the MLP benchmark.
@@ -68,39 +71,56 @@ func activation(v int64) int32 {
 	return int32(v)
 }
 
-// weightRNG and nextEntry draw layer l's FxF weight matrix, row-major,
-// entries in [-3,3]. RunPIM and RunCPU consume the same stream in the
-// same order.
+// weightRNG draws layer l's FxF weight matrix, row-major, entries in
+// [-3,3]. RunPIM and RunCPU consume the same stream in the same order.
 func weightRNG(cfg Config, l int) *rand.Rand {
 	return rand.New(rand.NewSource(cfg.Seed*1000 + int64(l)))
 }
 
-func nextEntry(rng *rand.Rand) int32 { return int32(rng.Intn(7)) - 3 }
-
 // genWeights produces layer l's weight matrix for the CPU reference.
 func genWeights(cfg Config, l int) []int32 {
-	rng := weightRNG(cfg, l)
 	w := make([]int32, cfg.Features*cfg.Features)
-	for i := range w {
-		w[i] = nextEntry(rng)
-	}
+	data.Ints(weightRNG(cfg, l), w, -3, 3)
 	return w
 }
 
 // packWeights draws layer l's weights straight into their owners' slots
 // of dst, the layer's Scatter payload: PE p holds columns
-// [p*cols, (p+1)*cols), row-major F x cols.
+// [p*cols, (p+1)*cols), row-major F x cols. The stream is row-major over
+// all F columns, so it is drawn a block of whole rows at a time into a
+// stack buffer and copied out one PE at a time: each slot is written in
+// runs of rows, not in one cols-wide piece per row, which would touch N
+// pages for every row drawn.
 func packWeights(cfg Config, l int, dst []byte) {
 	F, N := cfg.Features, cfg.PEs
-	cols := F / N
-	wPerLayerB := F * cols * 4
+	rowB := F / N * 4
+	wPerLayerB := F * rowB
 	rng := weightRNG(cfg, l)
-	for r := 0; r < F; r++ {
+	var buf [32 << 10]byte
+	blk := buf[:]
+	if 4*F > len(blk) {
+		blk = make([]byte, 4*F)
+	}
+	rows := len(blk) / (4 * F)
+	for r0 := 0; r0 < F; r0 += rows {
+		n := min(rows, F-r0)
+		data.PutInts(rng, blk[:4*F*n], -3, 3)
 		for p := 0; p < N; p++ {
-			for j := 0; j < cols; j++ {
-				binary.LittleEndian.PutUint32(dst[p*wPerLayerB+(r*cols+j)*4:], uint32(nextEntry(rng)))
+			slot := dst[p*wPerLayerB+r0*rowB:]
+			for r := 0; r < n; r++ {
+				copy(slot[r*rowB:(r+1)*rowB], blk[r*4*F+p*rowB:])
 			}
 		}
+	}
+}
+
+// eachLayer runs f(l) for every layer l at once, as par.Do shards: each
+// layer's weights are drawn from the layer's own stream.
+type eachLayer func(l int)
+
+func (f eachLayer) RunShard(_, lo, hi int) {
+	for l := lo; l < hi; l++ {
+		f(l)
 	}
 }
 
@@ -108,10 +128,7 @@ func packWeights(cfg Config, l int, dst []byte) {
 // into dst: the input Scatter's payload (PE p's slice is entries
 // [p*cols, (p+1)*cols)), which RunCPU decodes.
 func packInput(cfg Config, batch int, dst []byte) {
-	rng := rand.New(rand.NewSource(cfg.Seed*7777 + int64(batch)))
-	for i := 0; i < cfg.Features; i++ {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(nextEntry(rng)))
-	}
+	data.PutInts(rand.New(rand.NewSource(cfg.Seed*7777+int64(batch))), dst[:4*cfg.Features], -3, 3)
 }
 
 func (c Config) batches() int {
@@ -153,15 +170,17 @@ func RunPIM(cfg Config, lvl core.Level) ([]int32, *appcore.Profile, error) {
 
 	// Distribute weights: one Scatter per layer, compiled through the
 	// fuser as a single sequence — the L distributions execute as one
-	// plan with one synchronization instead of L. Each weight is drawn
-	// straight into its owner's slot of the layer's staged Scatter payload.
+	// plan with one synchronization instead of L. Each layer's weights are
+	// drawn into its owners' slots of the layer's staged Scatter payload,
+	// the layers at once.
 	wdist := make([]core.Collective, L)
+	hosts := make([][]byte, L)
 	for l := 0; l < L; l++ {
-		buf := tr.Stage(N * wPerLayerB)
-		packWeights(cfg, l, buf)
+		hosts[l] = tr.Stage(N * wPerLayerB)
 		wdist[l] = core.Collective{Prim: core.Scatter, Dims: "1",
-			Hosts: [][]byte{buf}, Dst: core.Span(wOff+l*wPerLayerB, wPerLayerB), Level: lvl}
+			Hosts: hosts[l : l+1 : l+1], Dst: core.Span(wOff+l*wPerLayerB, wPerLayerB), Level: lvl}
 	}
+	par.Do(runtime.GOMAXPROCS(0), L, eachLayer(func(l int) { packWeights(cfg, l, hosts[l]) }))
 	wPlan, err := comm.CompileSequence(wdist...)
 	if err != nil {
 		return nil, nil, err
@@ -236,7 +255,9 @@ func mlpForward(cfg Config, tr *appcore.Tracker,
 		layerW := wOff + l*wPerLayerB
 		tr.Kernel(func(ctx *dpu.Ctx) {
 			// Partial GeMV: part[r] = sum_j W[r][j] * x[j] over this
-			// PE's columns, computed fully in the simulator.
+			// PE's columns, computed fully in the simulator. The weight
+			// block streams in reads of whole rows, at most readB bytes
+			// while a row fits.
 			xb := ctx.Buf(sliceB)
 			ctx.ReadMram(xOff, xb)
 			xs := ctx.I32(cols)
@@ -244,14 +265,12 @@ func mlpForward(cfg Config, tr *appcore.Tracker,
 				xs[j] = int32(binary.LittleEndian.Uint32(xb[4*j:]))
 			}
 			part := ctx.Buf(F * 4)
-			row := ctx.Buf(cols * 4)
-			for r := 0; r < F; r++ {
-				ctx.ReadMram(layerW+r*cols*4, row)
-				var acc int32
-				for j := 0; j < cols; j++ {
-					acc += int32(binary.LittleEndian.Uint32(row[4*j:])) * xs[j]
-				}
-				binary.LittleEndian.PutUint32(part[4*r:], uint32(acc))
+			rows := min(F, max(1, readB/sliceB))
+			chunk := ctx.Buf(rows * sliceB)
+			for r0 := 0; r0 < F; r0 += rows {
+				blk := chunk[:min(rows, F-r0)*sliceB]
+				ctx.ReadMram(layerW+r0*sliceB, blk)
+				gemvLE(part[4*r0:], blk, xs)
 			}
 			ctx.WriteMram(partOff, part)
 			ctx.Exec(int64(F * cols * 3)) // ~3 instructions per MAC
@@ -279,6 +298,26 @@ func mlpForward(cfg Config, tr *appcore.Tracker,
 	return gaPlan.Submit(), nil
 }
 
+// readB is the largest weight read of the GeMV kernel.
+const readB = 2 << 10
+
+// gemvLE writes, for each row of blk (len(xs) little-endian int32
+// weights), the row's dot product with xs as one little-endian int32 word
+// of part, in wrapping int32 arithmetic. The loops reslice instead of
+// indexing, so no load is bounds-checked; on the short rows a PE holds
+// (F/N weights) one accumulator runs as fast as several.
+func gemvLE(part, blk []byte, xs []int32) {
+	for len(part) >= 4 && len(blk) >= 4*len(xs) {
+		var acc int32
+		for _, x := range xs {
+			acc += int32(binary.LittleEndian.Uint32(blk[:4])) * x
+			blk = blk[4:]
+		}
+		binary.LittleEndian.PutUint32(part[:4], uint32(acc))
+		part = part[4:]
+	}
+}
+
 // RunCPU computes the identical MLP on the CPU-only model, returning the
 // output and the roofline time.
 func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
@@ -290,9 +329,7 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 	var total cost.Seconds
 	var x []int32
 	weights := make([][]int32, L)
-	for l := range weights {
-		weights[l] = genWeights(cfg, l)
-	}
+	par.Do(runtime.GOMAXPROCS(0), L, eachLayer(func(l int) { weights[l] = genWeights(cfg, l) }))
 	xb := make([]byte, 4*F)
 	for batch := 0; batch < cfg.batches(); batch++ {
 		packInput(cfg, batch, xb)
@@ -300,12 +337,8 @@ func RunCPU(cfg Config) ([]int32, cost.Seconds, error) {
 		for l := 0; l < L; l++ {
 			w := weights[l]
 			y := make([]int32, F)
-			for r := 0; r < F; r++ {
-				var acc int64
-				for j := 0; j < F; j++ {
-					acc += int64(w[r*F+j]) * int64(x[j])
-				}
-				y[r] = activation(acc)
+			for r := range y {
+				y[r] = activation(appcore.Dot(w[r*F:(r+1)*F], x))
 			}
 			x = y
 			total += cpu.Time(int64(F*F*4), int64(F*F*2))

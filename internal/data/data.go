@@ -8,9 +8,11 @@
 package data
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Graph is a directed graph in CSR form. Vertex IDs are dense [0, V).
@@ -40,10 +42,7 @@ func RMAT(v, e int, seed int64) *Graph {
 		panic(fmt.Sprintf("data: RMAT vertex count %d must be a positive power of two", v))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ u, w int32 }
-	seen := make(map[[2]int32]bool, e)
-	edges := make([]edge, 0, e)
-	for len(edges) < e {
+	return distinctEdges(v, e, func() uint64 {
 		lo, hi := 0, v
 		loC, hiC := 0, v
 		for hi-lo > 1 {
@@ -63,93 +62,69 @@ func RMAT(v, e int, seed int64) *Graph {
 				loC = (loC + hiC) / 2
 			}
 		}
-		k := [2]int32{int32(lo), int32(loC)}
-		if !seen[k] {
-			seen[k] = true
-			edges = append(edges, edge{k[0], k[1]})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].w < edges[j].w
+		return edgeKey(int32(lo), int32(loC))
 	})
-	g := &Graph{V: v, RowPtr: make([]int32, v+1), Col: make([]int32, len(edges))}
-	for i, ed := range edges {
-		g.RowPtr[ed.u+1]++
-		g.Col[i] = ed.w
-	}
-	for i := 0; i < v; i++ {
-		g.RowPtr[i+1] += g.RowPtr[i]
-	}
-	return g
 }
 
 // Uniform generates an Erdos-Renyi-style graph with e random edges.
 func Uniform(v, e int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ u, w int32 }
-	seen := make(map[[2]int32]bool, e)
-	edges := make([]edge, 0, e)
-	for len(edges) < e {
-		k := [2]int32{int32(rng.Intn(v)), int32(rng.Intn(v))}
-		if !seen[k] {
-			seen[k] = true
-			edges = append(edges, edge{k[0], k[1]})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].w < edges[j].w
+	return distinctEdges(v, e, func() uint64 {
+		u := int32(rng.Intn(v))
+		return edgeKey(u, int32(rng.Intn(v)))
 	})
-	g := &Graph{V: v, RowPtr: make([]int32, v+1), Col: make([]int32, len(edges))}
-	for i, ed := range edges {
-		g.RowPtr[ed.u+1]++
-		g.Col[i] = ed.w
-	}
-	for i := 0; i < v; i++ {
-		g.RowPtr[i+1] += g.RowPtr[i]
-	}
-	return g
 }
 
 // Undirected returns the graph with every edge mirrored (the CC
 // preprocessing of § VII-D), deduplicated.
 func Undirected(g *Graph) *Graph {
-	seen := make(map[[2]int32]bool, 2*g.NumEdges())
-	type edge struct{ u, w int32 }
-	var edges []edge
-	add := func(u, w int32) {
-		k := [2]int32{u, w}
-		if !seen[k] {
-			seen[k] = true
-			edges = append(edges, edge{u, w})
-		}
-	}
+	keys := make([]uint64, 0, 2*g.NumEdges())
 	for u := 0; u < g.V; u++ {
 		for _, w := range g.Neighbors(u) {
-			add(int32(u), w)
-			add(w, int32(u))
+			keys = append(keys, edgeKey(int32(u), w), edgeKey(w, int32(u)))
 		}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+	return fromKeys(g.V, keys)
+}
+
+// edgeKey packs edge (u, w) into a key that orders edges by u, then w.
+func edgeKey(u, w int32) uint64 { return uint64(u)<<32 | uint64(uint32(w)) }
+
+// distinctEdges draws edge keys until e of them are distinct and returns
+// the graph of those e edges. seen is an open-addressing hash set, at most
+// half full, that holds key+1 so that 0 marks an empty slot.
+func distinctEdges(v, e int, draw func() uint64) *Graph {
+	shift := 64 - bits.Len(uint(2*e))
+	seen := make([]uint64, 1<<(64-shift))
+	mask := uint64(len(seen) - 1)
+	keys := make([]uint64, 0, e)
+	for len(keys) < e {
+		k := draw() + 1
+		for i := k * 0x9e3779b97f4a7c15 >> shift; seen[i] != k; i = (i + 1) & mask {
+			if seen[i] == 0 {
+				seen[i] = k
+				keys = append(keys, k-1)
+				break
+			}
 		}
-		return edges[i].w < edges[j].w
-	})
-	out := &Graph{V: g.V, RowPtr: make([]int32, g.V+1), Col: make([]int32, len(edges))}
-	for i, ed := range edges {
-		out.RowPtr[ed.u+1]++
-		out.Col[i] = ed.w
 	}
-	for i := 0; i < g.V; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
+	return fromKeys(v, keys)
+}
+
+// fromKeys builds the CSR graph on v vertices whose edges are keys,
+// sorted and deduplicated in place.
+func fromKeys(v int, keys []uint64) *Graph {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	g := &Graph{V: v, RowPtr: make([]int32, v+1), Col: make([]int32, len(keys))}
+	for i, k := range keys {
+		g.RowPtr[k>>32+1]++
+		g.Col[i] = int32(uint32(k))
 	}
-	return out
+	for i := 0; i < v; i++ {
+		g.RowPtr[i+1] += g.RowPtr[i]
+	}
+	return g
 }
 
 // GraphByName builds the named benchmark graph at reproduction scale:
@@ -165,15 +140,64 @@ func GraphByName(name string) *Graph {
 	}
 }
 
+// Ints fills dst with integers from [lo, hi], each drawn as
+// lo + rng.Intn(hi-lo+1) draws it: the same values from the same draws of
+// rng (hi-lo+1 must be positive and below 1<<31). The weight, table and
+// feature generators draw through it.
+func Ints[T int32 | int64](rng *rand.Rand, dst []T, lo, hi int32) {
+	d := newIntn(hi - lo + 1)
+	for i := range dst {
+		v := rng.Int31()
+		for v > d.max {
+			v = rng.Int31()
+		}
+		dst[i] = T(lo + d.mod(v))
+	}
+}
+
+// PutInts is Ints into the len(dst)/4 little-endian int32 words of dst.
+func PutInts(rng *rand.Rand, dst []byte, lo, hi int32) {
+	var v [64]int32
+	for len(dst) >= 4 {
+		n := min(len(v), len(dst)/4)
+		Ints(rng, v[:n], lo, hi)
+		for _, x := range v[:n] {
+			binary.LittleEndian.PutUint32(dst, uint32(x))
+			dst = dst[4:]
+		}
+	}
+}
+
+// intn is rand.Rand.Int31n's arithmetic for one bound n, worked out once
+// per call of Ints rather than per draw: Int31n rejects a draw above max,
+// then takes it modulo n. mod is Lemire's remainder by multiplication,
+// exact for every 32-bit value and divisor. (Int31n masks instead when n
+// is a power of two; max is then 1<<31-1, which rejects nothing, and the
+// remainder is that mask.)
+type intn struct {
+	max  int32
+	n, m uint64
+}
+
+func newIntn(n int32) intn {
+	if n <= 0 {
+		panic(fmt.Sprintf("data: draw bound %d is not positive", n))
+	}
+	return intn{max: int32((1 << 31) - 1 - (1<<31)%uint32(n)), n: uint64(n), m: ^uint64(0)/uint64(n) + 1}
+}
+
+func (d intn) mod(v int32) int32 {
+	hi, _ := bits.Mul64(d.m*uint64(v), d.n)
+	return int32(hi)
+}
+
 // Features generates a dense V x F int32 feature matrix with small values
 // (bounded so several GNN layers stay within int32 without UB; wraparound
 // is well-defined anyway).
 func Features(v, f int, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]int32, v*f)
-	for i := range out {
-		out[i] = int32(rng.Intn(7)) - 3
-	}
+	Ints(rng, out, -3, 3)
 	return out
 }
 
