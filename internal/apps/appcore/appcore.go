@@ -34,6 +34,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dpu"
 	"repro/internal/dram"
+	"repro/internal/par"
 )
 
 // Profile splits an application run's simulated time into kernel compute
@@ -186,14 +187,22 @@ func (t *Tracker) Finish() {
 	if t.s.Close() != nil {
 		return
 	}
-	sys := t.C.Engine().System()
-	for _, pe := range t.pes {
-		clear(sys.BankBytes(pe))
-	}
+	par.Do(runtime.GOMAXPROCS(0), len(t.pes), (*bankClear)(t))
 	if t.staged > len(t.arena) {
 		t.arena = make([]byte, t.staged)
 	}
 	pool.park(t.key, idleMachine{t.C, t.arena})
+}
+
+// bankClear is a Tracker as the par.Runner of Finish: each shard zeroes
+// the banks of its PEs, which no other shard writes.
+type bankClear Tracker
+
+func (b *bankClear) RunShard(_, lo, hi int) {
+	sys := b.C.Engine().System()
+	for _, pe := range b.pes[lo:hi] {
+		clear(sys.BankBytes(pe))
+	}
 }
 
 // Dot returns the sum of int64(w[j]) * int64(x[j]) over w's length (x is

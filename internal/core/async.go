@@ -135,11 +135,33 @@ func (cp *CompiledPlan) conflicts(o *CompiledPlan) bool {
 	return anyOverlap(r.writes, s.writes, d) || anyOverlap(r.writes, s.reads, d) || anyOverlap(r.reads, s.writes, d)
 }
 
-// placedPlan is one timeline placement still visible for hazard checks:
-// later submissions conflicting with its plan start after end.
+// placedPlan is a placement visible to hazard checks: later conflicting
+// plans start after end; bound is the latest end of it and all older ones.
 type placedPlan struct {
-	cp  *CompiledPlan
-	end cost.Seconds
+	cp         *CompiledPlan
+	end, bound cost.Seconds
+}
+
+// maxFrontier bounds the live placements of a frontier (execSubmitted).
+const maxFrontier = 256
+
+// frontier holds a Comm's placements in insertion order, n from head on
+// in a ring of maxFrontier+1; the dead ones (ended at or behind the
+// barrier) stay until it fills. top is the latest end placed. ends[lo:] are
+// the live ends, sorted: the barrier only rises, so dead ends are a prefix.
+type frontier struct {
+	ring        []placedPlan
+	head, n, lo int
+	top         cost.Seconds
+	ends        []cost.Seconds
+}
+
+// at returns the j-th oldest placement.
+func (f *frontier) at(j int) *placedPlan {
+	if j += f.head; j >= len(f.ring) {
+		j -= len(f.ring)
+	}
+	return &f.ring[j]
 }
 
 // Future is the handle of one submitted plan execution. All accessors
@@ -520,11 +542,11 @@ func (c *Comm) runLocked(f *Future) {
 	c.finishLocked(f)
 }
 
-// execSubmitted places one plan on the timeline (hazard-ordered, overlap-
-// aware) and executes it under the execution lock. A panic from the
-// backend mid-schedule is converted into the returned error; the plan's
-// timeline window remains booked (its partial charges remain on the
-// meter) and dependents stay ordered after it.
+// execSubmitted places one plan on the timeline after the placements it
+// conflicts with (newest first, only as far back as one could delay it) and
+// runs it under the execution lock. A backend panic mid-schedule becomes
+// the returned error; the plan's window stays booked (its partial charges
+// stay on the meter) and dependents stay ordered after it.
 func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (start, end cost.Seconds, err error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
@@ -534,51 +556,56 @@ func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (start, e
 		}
 	}()
 
-	// Scan the frontier for hazards, pruning entries that finished at or
-	// before the barrier — they can never delay a new plan (earliest
-	// starts at asyncBase), so dropping them keeps the frontier bounded
-	// by the work in flight even in flows that never call Flush.
+	// The plan starts after the latest end of the placements it conflicts
+	// with, a max of any scan order: newest first, the scan stops at a
+	// bound no later than earliest (never before the barrier).
 	earliest := c.asyncBase
 	if notBefore > earliest {
 		// Serving submissions start no earlier than their simulated
 		// arrival time (SubmitOptions.NotBefore).
 		earliest = notBefore
 	}
-	live := 0
-	for i, pl := range c.frontier {
-		if pl.end <= c.asyncBase {
-			continue
-		}
-		if live != i { // compact only past a dropped entry
-			c.frontier[live] = pl
-		}
-		live++
-		if pl.end > earliest && cp.conflicts(pl.cp) {
+	if c.front == nil { // ends' slack moves its dead prefix once per 30-odd placements
+		c.front = &frontier{ring: make([]placedPlan, maxFrontier+1), ends: make([]cost.Seconds, 0, maxFrontier*9/8)}
+	}
+	f := c.front
+	for j := f.n - 1; j >= 0 && f.at(j).bound > earliest; j-- {
+		if pl := f.at(j); pl.end > earliest && cp.conflicts(pl.cp) {
 			earliest = pl.end
 		}
 	}
-	c.frontier = c.frontier[:live]
-	// Flows that never flush would still accumulate entries (asyncBase
-	// never advances): past maxFrontier, retire the oldest entries by
-	// conservatively raising the barrier to their latest finish. That
-	// only restricts where later plans may start — ordering is preserved
-	// and placement stays within the serial bound.
-	const maxFrontier = 256
-	if live > maxFrontier {
-		drop := live - maxFrontier
-		for _, pl := range c.frontier[:drop] {
-			if pl.end > c.asyncBase {
-				c.asyncBase = pl.end
-			}
-		}
+	// Past maxFrontier live placements (a flow that never flushes), the
+	// oldest retires by raising the barrier: one at most, from a full ring.
+	for f.lo < len(f.ends) && f.ends[f.lo] <= c.asyncBase {
+		f.lo++
+	}
+	if len(f.ends)-f.lo > maxFrontier {
+		c.asyncBase = f.at(0).end
+		f.head, f.n = (f.head+1)%len(f.ring), f.n-1
 		c.tl.SetFloor(c.asyncBase)
-		c.frontier = append(c.frontier[:0], c.frontier[drop:]...)
-		if earliest < c.asyncBase {
-			earliest = c.asyncBase
-		}
+		earliest = max(earliest, c.asyncBase)
 	}
 	start, end = c.tl.Place(earliest, cp.tr.segs)
-	c.frontier = append(c.frontier, placedPlan{cp: cp, end: end})
+	if f.n == len(f.ring) { // full: close up over the dead placements
+		live := 0
+		for j := 0; j < f.n; j++ {
+			if pl := f.at(j); pl.end > c.asyncBase {
+				*f.at(live) = *pl
+				live++
+			}
+		}
+		f.n = live
+	}
+	if len(f.ends) == cap(f.ends) {
+		f.ends, f.lo = append(f.ends[:0], f.ends[f.lo:]...), 0
+	}
+	f.top = max(f.top, end)
+	*f.at(f.n) = placedPlan{cp: cp, end: end, bound: f.top}
+	f.n++
+	f.ends = append(f.ends, end) // a new end is mostly the latest: sift it down
+	for i := len(f.ends) - 1; i > f.lo && f.ends[i-1] > end; i-- {
+		f.ends[i], f.ends[i-1] = f.ends[i-1], end
+	}
 
 	c.runScheduleLocked(cp)
 	return start, end, nil
@@ -603,8 +630,10 @@ func (c *Comm) Flush() {
 	c.asyncMu.Unlock()
 	c.execMu.Lock()
 	c.placeSerialLocked(nil)
-	clear(c.frontier[:cap(c.frontier)]) // stale placements too: a flushed machine pins no plan
-	c.frontier = c.frontier[:0]
+	if f := c.front; f != nil {
+		clear(f.ring) // a flushed machine pins no plan
+		f.head, f.n, f.lo, f.ends = 0, 0, 0, f.ends[:0]
+	}
 	c.execMu.Unlock()
 }
 

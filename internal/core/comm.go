@@ -58,12 +58,13 @@ type Comm struct {
 	*shapeTable
 
 	// tl is the overlap-aware elapsed-time timeline; asyncBase is the
-	// barrier behind which new submissions may not start, frontier holds
-	// the placements still visible for hazard checks, extSegs is
+	// barrier behind which new submissions may not start; front holds the
+	// placements still visible for hazard checks, made by the first
+	// submission (nil on a comm that never submits); extSegs is
 	// ExtendElapsed's buffer. All four are guarded by execMu (async.go).
 	tl        cost.Timeline
 	asyncBase cost.Seconds
-	frontier  []placedPlan
+	front     *frontier
 	extSegs   []cost.Segment
 
 	// asyncMu guards every submission and session-lifecycle state of the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -162,11 +163,12 @@ func TestLookaheadStepAllocs(t *testing.T) {
 	}
 }
 
-// The in-place frontier scan keeps what the parent's re-appending scan
-// kept: 700 submissions that are never flushed — conflicting and
-// independent, short and long, so entries expire mid-list and the oldest
-// retire by raising the barrier — get the windows the parent's rule
-// gives them.
+// The hazard frontier keeps what the parent's re-appending scan kept:
+// 1300 submissions — conflicting and independent, short and long, so
+// entries expire mid-list and the oldest retire by raising the barrier —
+// with serial Runs and ExtendElapsed barriers between Steps and a Flush
+// mid-sequence, get the windows the parent's rule gives them, and the
+// frontier holds as many live entries as the parent's.
 func TestFrontierRetiresOldestExactly(t *testing.T) {
 	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend(), Stepped: true})
 	var plans []*CompiledPlan
@@ -218,7 +220,6 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 				earliest = pl.end
 			}
 		}
-		const maxFrontier = 256
 		if len(live) > maxFrontier {
 			drop := len(live) - maxFrontier
 			for _, pl := range live[:drop] {
@@ -239,14 +240,74 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 		return start, end
 	}
 
+	// The parent's Flush: a barrier at the elapsed time and an empty
+	// frontier. A serial Run flushes, then runs as a barrier.
+	parentFlush := func() {
+		base = tl.Serial(nil)
+		frontier = nil
+	}
+	parentLive := func() int {
+		n := 0
+		for _, pl := range frontier {
+			if pl.end > base {
+				n++
+			}
+		}
+		return n
+	}
+	live := func() (ring, ends int) {
+		c.execMu.Lock()
+		defer c.execMu.Unlock()
+		f := c.front
+		for j := 0; j < f.n; j++ {
+			if f.at(j).end > c.asyncBase {
+				ring++
+			}
+		}
+		for _, e := range f.ends {
+			if e > c.asyncBase {
+				ends++
+			}
+		}
+		if !slices.IsSorted(f.ends) {
+			t.Fatalf("ends out of order: %v", f.ends)
+		}
+		return ring, ends
+	}
+
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 700; i++ {
+	var ext cost.Breakdown
+	for i := 0; i < 1300; i++ {
+		switch {
+		case i == 650:
+			c.Flush()
+			parentFlush()
+		case i < 200 && i%40 == 20:
+			// Serial Runs raise the barrier without retiring anything.
+			cp := plans[rng.Intn(len(plans))]
+			bd, err := cp.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parentFlush()
+			base = tl.Serial(cp.tr.segs)
+			ext = bd
+		case i >= 650 && i < 900 && i%50 == 25:
+			// ExtendElapsed raises it past every entry without flushing.
+			c.ExtendElapsed(ext)
+			base = tl.Serial(ext.AppendSegments(nil))
+		}
 		cp := plans[rng.Intn(len(plans))]
 		// One arrival in eight is far ahead of the makespan: the plans
 		// after it backfill the idle stretch and finish before it does.
+		// One in eight falls inside it, where newer placements may end
+		// before the arrival and older conflicting ones after it.
 		var arrival cost.Seconds
-		if rng.Intn(8) == 0 {
+		switch rng.Intn(8) {
+		case 0:
 			arrival = c.Elapsed() + cost.Seconds(rng.Float64())*2e-3
+		case 1:
+			arrival = c.Elapsed() * cost.Seconds(rng.Float64())
 		}
 		f := cp.SubmitOpts(SubmitOptions{NotBefore: arrival})
 		if c.Step() != f {
@@ -256,9 +317,11 @@ func TestFrontierRetiresOldestExactly(t *testing.T) {
 		if s, e := f.Window(); s != ws || e != we {
 			t.Fatalf("submission %d: window [%v,%v), the parent's rule gives [%v,%v)", i, s, e, ws, we)
 		}
+		if r, e := live(); r != parentLive() || e != r {
+			t.Fatalf("submission %d: %d live entries in the ring, %d live ends, the parent's %d", i, r, e, parentLive())
+		}
 	}
-	if retired == 0 || expired == 0 || len(c.frontier) != len(frontier) {
-		t.Errorf("retired %d entries, %d expired mid-list; frontier holds %d, the parent's %d",
-			retired, expired, len(c.frontier), len(frontier))
+	if retired == 0 || expired == 0 {
+		t.Errorf("retired %d entries, %d expired mid-list", retired, expired)
 	}
 }
