@@ -146,9 +146,9 @@
 // its own: its Future is carved from a per-Comm chunk (never reused, so
 // a held handle stays valid), completion is an atomic flag stored on the
 // one completion path, which broadcasts the one condition every blocked
-// waiter parks on, and a tenant's meter-mirroring recorder is bound
-// once, in NewTenant. The bench "async" experiment measures the overlap
-// speedup on a DLRM-style pipeline.
+// waiter parks on, and a cost-only replay adds its charge trace to the
+// machine's and the tenant's meters directly. The bench "async"
+// experiment measures the overlap speedup on a DLRM-style pipeline.
 //
 // # Tenants and weighted-fair scheduling
 //

@@ -280,26 +280,25 @@ func (cp *CompiledPlan) fail(r any) error {
 	return err
 }
 
-// runScheduleLocked executes one replay of cp on the comm's backend —
-// the row's schedule, for cp as the running plan, on the functional
-// backend, the precomputed charge trace on the cost-only backend. The
-// single execution block shared by the serial (run) and asynchronous
-// (execSubmitted) paths, so the two cannot drift apart in accounting.
-// Callers hold execMu.
+// runScheduleLocked executes one replay of cp on the comm's backend: the
+// row's schedule, for cp as the running plan, on the functional backend,
+// the precomputed charge trace on the cost-only one. It is the one
+// execution block of the serial (run) and asynchronous (execSubmitted)
+// paths, and it attributes every charge to cp's tenant, whose meter takes
+// the machine meter's additions in the same order, bit for bit
+// (tenant.go): a cost-only replay adds the trace to both meters, and only
+// a functional run binds the tenant's recorder. Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
-	// Attribute every charge of this run to the owning tenant: its
-	// recorder, bound once in NewTenant, mirrors each meter addition —
-	// same operands, same order — into the tenant's meter, so that meter
-	// evolves bit-identically to running its workload alone (tenant.go).
 	m := c.h.Meter()
-	m.SetRecorder(cp.owner.rec)
-	c.cur = cp
-	defer func() { m.SetRecorder(nil); c.cur = nil }()
 	if !c.backend.Functional() {
 		m.AddTrace(cp.tr.adds)
+		cp.owner.meter.AddTrace(cp.tr.adds)
 		c.h.ApplyStats(cp.tr.stats)
 		return
 	}
+	m.SetRecorder(cp.owner.rec)
+	c.cur = cp
+	defer func() { m.SetRecorder(nil); c.cur = nil }()
 	if cp.hosts == nil && cp.outs > 0 {
 		cp.hosts = make([][]byte, cp.outs)
 		for g := range cp.hosts {

@@ -81,7 +81,7 @@ type Tenant struct {
 	name   string
 	ar     arena
 	meter  cost.Meter
-	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run
+	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run functionally
 	weight float64
 	quota  cost.Seconds
 	sq     subQueue // the tenant's scheduler bucket, guarded by the Comm's asyncMu

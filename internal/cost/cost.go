@@ -108,10 +108,13 @@ func SumTrace(adds []TraceEntry) Breakdown {
 	return b
 }
 
-// SetRecorder registers f to observe every subsequent Add/AddBytes in
-// call order; nil stops recording. Merge is NOT recorded — a recorded
-// meter must only be driven through additions (core's tracer asserts this
-// invariant with SumTrace after every trace).
+// SetRecorder registers f to observe every subsequent Add/AddBytes (and
+// AddTrace entry) in call order; nil stops recording. Merge is NOT
+// recorded — a recorded meter must only be driven through additions
+// (core's tracer asserts this invariant with SumTrace after every trace).
+// Core records to capture a charge trace and, on a functional run, to
+// mirror the machine meter into the running tenant's; a cost-only replay
+// records nothing.
 // f runs with the meter's lock held and must not call back into the meter.
 func (m *Meter) SetRecorder(f func(Category, Seconds)) {
 	m.mu.Lock()
@@ -135,7 +138,9 @@ func (m *Meter) Add(c Category, t Seconds) {
 // AddTrace accrues every entry of adds in order, exactly as a loop of Add
 // would — same operands, same order, the recorder called once per entry
 // — under one acquisition of the lock. It is the cost-only replay of a
-// compiled plan's charge trace. Its body restates Add's rather than
+// compiled plan's charge trace: core adds the trace to the machine meter,
+// then to the running tenant's, with no recorder set, so each meter takes
+// one lock per replay. Its body restates Add's rather than
 // sharing a helper: the helper does not inline, and every Add pays for
 // the call.
 func (m *Meter) AddTrace(adds []TraceEntry) {

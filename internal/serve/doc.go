@@ -9,15 +9,20 @@
 // Run takes a Config naming the tenants (model mix, arrival process,
 // rate, SLO, overload budget) and simulates one serving session as a
 // single-threaded discrete-event loop: each tenant's arrivals are drawn
-// from its own seeded PRNG (Poisson or bursty), submitted as compiled
-// plans carrying their arrival time (NotBefore) and absolute deadline,
-// and scheduled by stepping the machine one pick at a time. The
-// simulated clock chases placements and idles forward to the next
-// arrival, so the whole run — admission order, placements, shedding —
-// is a pure function of the Config and replays bit-identically. The
-// driver's own bookkeeping is a fixed number of objects, whatever the
-// request count: one flat future table with a bounds index, one request
-// table, one percentile scratch buffer.
+// from its own seeded PRNG (Poisson or bursty), the streams merged into
+// time order as they are drawn, submitted as compiled plans carrying
+// their arrival time (NotBefore) and absolute deadline, and scheduled by
+// stepping the machine one pick at a time. The simulated clock chases
+// placements and idles forward to the next arrival, so the whole run —
+// admission order, placements, shedding — is a pure function of the
+// Config and replays bit-identically. The driver's own bookkeeping is a
+// fixed number of objects, whatever the request count: one flat future
+// table with a bounds index, one request table, one percentile scratch
+// buffer. Each piece of it is done once: a cost-only replay adds its
+// charge trace to the machine's and the tenant's meters without a
+// per-charge callback, and the summary sorts every completed sojourn
+// once, in its tenant's partition of the scratch, reading All's and
+// SLO's percentiles across the partitions.
 //
 // Requests are short collective pipelines modeled on the paper's
 // workloads (DLRM embedding exchange, GNN aggregation, MLP gradient

@@ -201,50 +201,146 @@ func Percentile(xs []cost.Seconds, p float64) cost.Seconds {
 	if len(xs) == 0 {
 		return 0
 	}
-	r := int(math.Ceil(p * float64(len(xs))))
-	if r < 1 {
-		r = 1
-	}
-	if r > len(xs) {
-		r = len(xs)
-	}
-	return xs[r-1]
+	return xs[nearestRank(len(xs), p)-1]
 }
 
-// summarize folds a request subset into a Percentiles summary. scratch
-// is the sojourn buffer the calls of one run share, overwritten by each;
-// with room for every completed request it never grows.
-func summarize(reqs []RequestStat, scratch []cost.Seconds, keep func(RequestStat) bool) Percentiles {
-	var s Percentiles
-	sojourns := scratch[:0]
-	var sum cost.Seconds
-	for _, r := range reqs {
-		if !keep(r) {
-			continue
-		}
-		s.Count++
+// nearestRank is the 1-based rank Percentile reads in a population of
+// n > 0.
+func nearestRank(n int, p float64) int {
+	return min(max(int(math.Ceil(p*float64(n))), 1), n)
+}
+
+// tally counts r into s, summing its sojourn into s.Mean (summarize
+// divides it by Completed at the end).
+func (s *Percentiles) tally(r RequestStat) {
+	s.Count++
+	if r.Deadline > 0 {
+		s.DeadlineCarrying++
+	}
+	if r.Shed {
+		s.Shed++
+		return
+	}
+	s.Completed++
+	if r.Missed {
+		s.Missed++
+	}
+	s.Mean += r.Sojourn
+}
+
+// summarize fills res.All, res.SLO and every res.Tenants[i].Stats from
+// res.Requests. One pass in request order counts the populations and
+// sums their sojourns, so every Mean adds the same operands in the same
+// order as a pass over the population alone. A second lays the
+// completed sojourns out in one scratch buffer, partitioned by tenant
+// and by deadline (partition 2*tenant+1 holds the deadline-carrying
+// ones); each partition is sorted once, and a population's percentiles
+// are nearest ranks in the union of its partitions: All is every
+// partition, SLO the odd ones, tenant i partitions 2i and 2i+1.
+func (res *Result) summarize() {
+	nt := len(res.Tenants)
+	var stack [128]int // off and cur for up to 21 tenants
+	idx := stack[:]
+	if 6*nt+1 > len(idx) {
+		idx = make([]int, 6*nt+1)
+	}
+	// off[k] is where partition k starts (off[2*nt] the end); until the
+	// prefix sum below, off[k+1] counts partition k.
+	off := idx[:2*nt+1]
+	for _, r := range res.Requests {
+		res.All.tally(r)
 		if r.Deadline > 0 {
-			s.DeadlineCarrying++
+			res.SLO.tally(r)
 		}
-		if r.Shed {
-			s.Shed++
-			continue
+		res.Tenants[r.Tenant].Stats.tally(r)
+		if !r.Shed {
+			off[partition(r)+1]++
 		}
-		s.Completed++
-		if r.Missed {
-			s.Missed++
-		}
-		sojourns = append(sojourns, r.Sojourn)
-		sum += r.Sojourn
 	}
-	slices.Sort(sojourns)
-	s.P50 = Percentile(sojourns, 0.50)
-	s.P99 = Percentile(sojourns, 0.99)
-	s.P999 = Percentile(sojourns, 0.999)
-	if s.Completed > 0 {
-		s.Mean = sum / cost.Seconds(s.Completed)
+	for k := 1; k <= 2*nt; k++ {
+		off[k] += off[k-1]
 	}
-	return s
+	ps := parts{xs: make([]cost.Seconds, off[2*nt]), off: off, cur: idx[2*nt+1:]}
+	fill := ps.cur[:2*nt]
+	copy(fill, off)
+	for _, r := range res.Requests {
+		if !r.Shed {
+			k := partition(r)
+			ps.xs[fill[k]] = r.Sojourn
+			fill[k]++
+		}
+	}
+	for k := range 2 * nt {
+		slices.Sort(ps.xs[off[k]:off[k+1]])
+	}
+	ps.rank(&res.All, 0, 1, 2*nt)
+	ps.rank(&res.SLO, 1, 2, nt)
+	for i := range res.Tenants {
+		ps.rank(&res.Tenants[i].Stats, 2*i, 1, 2)
+	}
+}
+
+// partition is the scratch partition a completed request's sojourn
+// lands in.
+func partition(r RequestStat) int {
+	if r.Deadline > 0 {
+		return 2*r.Tenant + 1
+	}
+	return 2 * r.Tenant
+}
+
+// parts is summarize's partitioned scratch: partition k is
+// xs[off[k]:off[k+1]], sorted; cur has room for two ints per partition.
+type parts struct {
+	xs       []cost.Seconds
+	off, cur []int
+}
+
+// rank sets s's percentiles and divides its sojourn sum into its Mean.
+// s's population is the union of the count partitions first,
+// first+step, ..., whose sizes add up to s.Completed.
+func (ps *parts) rank(s *Percentiles, first, step, count int) {
+	if s.Completed == 0 {
+		return
+	}
+	// live lists (partition, cursor) pairs of the non-empty partitions.
+	live := ps.cur[:0]
+	for k := first; count > 0; k, count = k+step, count-1 {
+		if ps.off[k] < ps.off[k+1] {
+			live = append(live, k, 0)
+		}
+	}
+	n := s.Completed
+	s.P50 = ps.nth(live, n, nearestRank(n, 0.50))
+	s.P99 = ps.nth(live, n, nearestRank(n, 0.99))
+	s.P999 = ps.nth(live, n, nearestRank(n, 0.999))
+	s.Mean /= cost.Seconds(n)
+}
+
+// nth returns the r-th smallest (1-based) of the n sojourns in the live
+// partitions: the element itself when one partition holds them all,
+// otherwise the (n-r+1)-th step of a k-way walk down from the top of the
+// union, each step past the greatest tail (cmp.Less orders as slices.Sort
+// does). The ranks summarize reads are at or above the median, so no
+// walk takes more than n/2+1 steps. It overwrites live's cursors.
+func (ps *parts) nth(live []int, n, r int) cost.Seconds {
+	if len(live) == 2 {
+		return ps.xs[ps.off[live[0]]+r-1]
+	}
+	for j := 0; j < len(live); j += 2 {
+		live[j+1] = ps.off[live[j]+1]
+	}
+	var x cost.Seconds
+	for r = n - r + 1; r > 0; r-- {
+		best := -1
+		for j := 0; j < len(live); j += 2 {
+			if c := live[j+1]; c > ps.off[live[j]] && (best < 0 || cmp.Less(x, ps.xs[c-1])) {
+				best, x = j, ps.xs[c-1]
+			}
+		}
+		live[best+1]--
+	}
+	return x
 }
 
 // arrival is one generated request arrival.
@@ -253,59 +349,97 @@ type arrival struct {
 	tenant int
 }
 
+// stream is one tenant's arrival process, drawn lazily from its own
+// PRNG: t is its next arrival time and run the arrivals left at t (a
+// bursty clump's size, 1 for Poisson), 0 once t passed the horizon.
+type stream struct {
+	rng  rand.Rand
+	rate float64 // of the draws: Rate, or Rate/Burst for bursty clump epochs
+	geo  float64 // bursty: the geometric clump's stop probability, 1/Burst
+	t    cost.Seconds
+	run  int
+}
+
+// draw advances s to its next arrival time and clump.
+func (s *stream) draw(horizon cost.Seconds) {
+	s.t += cost.Seconds(s.rng.ExpFloat64() / s.rate)
+	if s.t >= horizon {
+		s.run = 0
+		return
+	}
+	s.run = 1
+	if s.geo > 0 {
+		// Geometric clump with mean Burst.
+		for s.rng.Float64() > s.geo {
+			s.run++
+		}
+	}
+}
+
 // genArrivals draws every tenant's arrival process over [0, Horizon)
-// from its own seeded PRNG and merges them in time order (ties by
-// tenant index, so the merge is deterministic).
+// from its own seeded PRNG and merges the streams as it draws them: each
+// is in time order, so the next arrival is always the head with the
+// least (t, tenant), ties going to the lower tenant index.
 func genArrivals(cfg Config) ([]arrival, error) {
 	maxReqs := cfg.MaxRequests
 	if maxReqs <= 0 {
 		maxReqs = 20000
 	}
-	var all []arrival
+	var buf [16]stream // up to 16 tenants' streams allocate nothing
+	ss := buf[:0]
 	for i, sp := range cfg.Tenants {
 		if sp.Rate <= 0 {
+			// The tenants before a bad rate are drawn first: their
+			// overflow is the error, if they have one.
+			if _, err := merge(ss, cfg.Horizon, maxReqs); err != nil {
+				return nil, err
+			}
 			return nil, fmt.Errorf("serve: tenant %q rate %v must be positive", sp.Name, sp.Rate)
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed*1000003 + int64(i)*7919 + 1))
+		ss = append(ss, newStream(sp, cfg.Seed*1000003+int64(i)*7919+1))
+	}
+	return merge(ss, cfg.Horizon, maxReqs)
+}
+
+// newStream returns sp's arrival stream drawn from a PRNG seeded with
+// seed, before its first draw.
+func newStream(sp TenantSpec, seed int64) stream {
+	s := stream{rng: *rand.New(rand.NewSource(seed)), rate: sp.Rate}
+	if sp.Arrivals == Bursty {
 		burst := sp.Burst
 		if burst <= 0 {
 			burst = 4
 		}
-		t := cost.Seconds(0)
-		for {
-			switch sp.Arrivals {
-			case Bursty:
-				t += cost.Seconds(rng.ExpFloat64() / (sp.Rate / float64(burst)))
-				if t >= cfg.Horizon {
-					goto next
-				}
-				// Geometric clump with mean burst.
-				k := 1
-				for rng.Float64() > 1.0/float64(burst) {
-					k++
-				}
-				for j := 0; j < k; j++ {
-					all = append(all, arrival{t: t, tenant: i})
-				}
-			default:
-				t += cost.Seconds(rng.ExpFloat64() / sp.Rate)
-				if t >= cfg.Horizon {
-					goto next
-				}
-				all = append(all, arrival{t: t, tenant: i})
-			}
-			if len(all) > maxReqs {
-				return nil, fmt.Errorf("serve: more than %d arrivals over horizon %v — lower the rates or the horizon", maxReqs, cfg.Horizon)
+		s.rate, s.geo = sp.Rate/float64(burst), 1.0/float64(burst)
+	}
+	return s
+}
+
+// merge drains the streams ss (stream i is tenant i's) in (t, tenant)
+// order, failing once they yield more than maxReqs arrivals.
+func merge(ss []stream, horizon cost.Seconds, maxReqs int) ([]arrival, error) {
+	for i := range ss {
+		ss[i].draw(horizon)
+	}
+	var all []arrival
+	for {
+		j := -1
+		for i := range ss {
+			if ss[i].run > 0 && (j < 0 || ss[i].t < ss[j].t) {
+				j = i
 			}
 		}
-	next:
+		if j < 0 {
+			return all, nil
+		}
+		for s := &ss[j]; s.run > 0; s.run-- {
+			all = append(all, arrival{t: s.t, tenant: j})
+		}
+		if len(all) > maxReqs {
+			return nil, fmt.Errorf("serve: more than %d arrivals over horizon %v — lower the rates or the horizon", maxReqs, horizon)
+		}
+		ss[j].draw(horizon)
 	}
-	// Arrivals with equal (t, tenant) are equal values, so an unstable
-	// sort yields the stable sort's order.
-	slices.SortFunc(all, func(a, b arrival) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.tenant, b.tenant))
-	})
-	return all, nil
 }
 
 // payload returns a model's per-PE payload off the base m.
@@ -641,17 +775,11 @@ func Run(cfg Config) (Result, error) {
 	if res.Makespan > 0 {
 		res.Throughput = float64(res.Completed) / float64(res.Makespan)
 	}
-	scratch := make([]cost.Seconds, 0, res.Completed)
-	res.All = summarize(res.Requests, scratch, func(RequestStat) bool { return true })
-	res.SLO = summarize(res.Requests, scratch, func(r RequestStat) bool { return r.Deadline > 0 })
 	res.Tenants = make([]TenantStats, len(cfg.Tenants))
 	for i, sp := range cfg.Tenants {
-		res.Tenants[i] = TenantStats{
-			Name:   sp.Name,
-			Stats:  summarize(res.Requests, scratch, func(r RequestStat) bool { return r.Tenant == i }),
-			Churns: churns[i],
-		}
+		res.Tenants[i] = TenantStats{Name: sp.Name, Churns: churns[i]}
 	}
+	res.summarize()
 	// Tear every tenant down: the arenas must coalesce back into the
 	// free pool (the churn invariant the fuzz scenario pins).
 	for _, st := range tenants {
