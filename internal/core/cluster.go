@@ -5,9 +5,8 @@ package core
 // cooperate over an MPI-like network. A hierarchical cluster collective
 // lowers — per host — into ONE schedule-IR plan: the intra-host leg(s)
 // (ordinary PID-Comm lowerings), the inter-host network leg (a
-// StepNetTransfer priced by cost.NetParams and, on the functional
-// backend, a rendezvous with the peer hosts' executors around the
-// shared staging), and the redistribution leg. Because the whole
+// StepNetTransfer priced by cost.NetParams, the plan's one phase
+// boundary), and the redistribution leg. Because the whole
 // hierarchy is one sequence through the plan builder (plan.go), it fuses
 // (the interior per-leg syncs collapse — a cross-leg rewrite on every
 // hierarchical plan) and replays through the same engine as a
@@ -22,9 +21,9 @@ package core
 // host it does — the root where a rooted wire or Flat reads it, each host
 // of an AlltoAll, whose pack/unpack volumes follow h. Compile validates
 // once and binds every host to its role's row, its own shard and its
-// windows of a staging made for the plan, so the H executors of a
-// functional cluster run one schedule at once and a second session, root
-// or payload traces nothing.
+// windows of a staging made for the plan, so the H hosts of a functional
+// cluster run one schedule at once and a second session, root or payload
+// traces nothing.
 //
 // The leg table (the cluster field of each shapes row, then clusterFlat;
 // H hosts, P PEs per host, m the reduced or per-PE payload):
@@ -60,26 +59,27 @@ package core
 // shard never runs.
 //
 // Concurrency: Compile holds the hosts' one compMu from entry to return.
-// The functional backend executes a cluster plan with one goroutine per
-// host; the hosts meet at their staging's barrier inside the network legs.
-// Serial Runs are serialized on the cluster's execMu; Submit admits on
-// every host, then enqueues on every host atomically under it, so the
-// per-host queues see cluster plans in one global order and the
-// rendezvous always pair up. A shard's Close holds it too, so no shard
-// closes between a run's or a submission's admission and its last host.
-// Cluster plans should be submitted from one goroutine at a time per
-// session; the cost-only backend has no barriers and no such constraint.
+// Runs and Submits hold the cluster's execMu, and so does a shard's Close,
+// so no shard closes between a run's or a submission's admission and its
+// last host. The functional backend runs a plan as one driver loop over
+// its two phases, split at the wire: every host (through the par pool) up
+// to and through its wire step, the wire's merge once, every host's rest.
+// A functional Submit runs the plan there and then, like Run; a cost-only
+// Submit enqueues one host plan per host, which each host's scheduler
+// replays in its own order.
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
 	"repro/internal/elem"
 	"repro/internal/host"
+	"repro/internal/par"
 )
 
 // ClusterCollective describes one collective over every PE of a
@@ -112,64 +112,9 @@ type roleKey struct {
 	obj  uint8
 }
 
-// barrier is a reusable generation-counting rendezvous for the H host
-// executor goroutines of a functional cluster. The LAST arriver runs
-// the exchange action (merging partials, assembling the global buffer)
-// before releasing the others, so the action observes every host's
-// published data and every host observes the action's result. A host
-// whose plan failed still arrives, with its error: that generation runs
-// no action and every arriver unwinds with the error, so no peer waits
-// for a host that never comes, and the next generation starts clean.
-type barrier struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	n         int
-	arrived   int
-	gen       uint64
-	err, last error // the current generation's failure, the previous one's
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// await arrives at the current generation, failing it with fail if set,
-// blocks until all n parties have arrived and returns the generation's
-// failure; the last arriver runs action (if non-nil) unless it failed.
-func (b *barrier) await(action func(), fail error) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.gen
-	if b.err == nil {
-		b.err = fail
-	}
-	if b.arrived++; b.arrived < b.n {
-		for gen == b.gen {
-			b.cond.Wait()
-		}
-		return b.last
-	}
-	if b.err == nil && action != nil {
-		action()
-	}
-	b.last, b.err, b.arrived = b.err, nil, 0
-	b.gen++
-	b.cond.Broadcast()
-	return b.last
-}
-
-// peerFailed unwinds a host from a generation a peer failed: the host has
-// arrived, so its own failure handling must not arrive again.
-type peerFailed struct{ err error }
-
-func (p peerFailed) Error() string { return "cluster peer failed: " + p.err.Error() }
-
-// clusterState is a functional cluster plan's staging — what the network
-// legs move between its hosts, which read it as the running plan's
-// (CompiledPlan.st); the trailing fence barrier keeps run N+1 from
-// overwriting it while run N still streams. Cost-only clusters have none.
+// clusterState is a functional cluster plan's staging — what the wire
+// moves between its hosts, whose steps read it as the running plan's
+// (CompiledPlan.st). Cost-only clusters have none.
 type clusterState struct {
 	// global is the cluster-wide buffer the redistribution legs read (and
 	// rooted Results return): the caller's payload where there is no local
@@ -181,7 +126,10 @@ type clusterState struct {
 	// xfer is the AlltoAll exchange, a slab per ordered pair of hosts:
 	// block (j,k) at (j*P+k)*s, source rank j to dest rank k.
 	xfer []byte
-	bar  *barrier
+	// merge is the reducing wire's exchange, which the driver runs once
+	// between the phases: every part reduced into global. Nil elsewhere:
+	// the wire only moves bytes.
+	merge func()
 }
 
 // slab returns the exchange slab host src fills for host dst (src !=
@@ -212,18 +160,6 @@ func (st *clusterState) payloads(v *clusterBuild, h, H int) [][]byte {
 	return [][]byte{st.parts[h*n:][:n], win}
 }
 
-// meet is a host's arrival at its running plan's barrier; a failed
-// generation unwinds the host.
-func (st *clusterState) meet(action func()) {
-	if err := st.bar.await(action, nil); err != nil {
-		panic(peerFailed{err})
-	}
-}
-
-// awaitPeers is the net-leg run of a pure rendezvous: the running plan's
-// hosts meet at its staging's barrier.
-func awaitPeers(c *Comm) { c.cur.st.meet(nil) }
-
 // Cluster is a set of H identically configured hosts executing
 // hierarchical collectives, built by NewCluster; the pidcomm package wraps
 // it in the user-facing session API.
@@ -239,17 +175,12 @@ type Cluster struct {
 }
 
 // NewCluster builds hosts machines, each New(geo, shape, cfg), on one
-// shape table, and joins them into a cluster. A functional cluster cannot
-// be stepped, which it reports before building anything.
+// shape table, and joins them into a cluster.
 func NewCluster(hosts int, geo dram.Geometry, shape []int, cfg Config) (*Cluster, error) {
 	if hosts <= 0 {
 		return nil, fmt.Errorf("core: cluster needs at least one host, got %d", hosts)
 	}
-	functional := cfg.Backend == nil || cfg.Backend.Functional()
-	if functional && cfg.Stepped {
-		return nil, fmt.Errorf("core: a functional cluster cannot be stepped: its hosts rendezvous inside network legs and need one executor each (use a cost-only cluster, which has no barriers)")
-	}
-	cl := &Cluster{comms: make([]*Comm, hosts), p: geo.NumPEs(), functional: functional}
+	cl := &Cluster{comms: make([]*Comm, hosts), p: geo.NumPEs(), functional: cfg.Backend == nil || cfg.Backend.Functional()}
 	tab := newShapeTable()
 	for h := range cl.comms {
 		var err error
@@ -590,9 +521,10 @@ func (cl *Cluster) check(ar arena, d ClusterCollective) (*clusterBuild, error) {
 
 // staging makes a functional plan's staging: the global buffer — the
 // caller's payload, or the wire's — and the parts, or the AlltoAll
-// exchange, and the hosts' barrier.
+// exchange. Where the parts merge by reduction (a Flat part is P raw
+// buffers), merge reduces them into the global buffer.
 func (v *clusterBuild) staging(H int) *clusterState {
-	st := &clusterState{bar: newBarrier(H)}
+	st := &clusterState{}
 	switch {
 	case v.row == nil:
 		st.xfer = make([]byte, H*(H-1)*v.p.n*v.p.n*v.s)
@@ -602,6 +534,13 @@ func (v *clusterBuild) staging(H int) *clusterState {
 		st.global = make([]byte, v.global)
 		if st.parts = st.global; v.sh.reducing {
 			st.parts = make([]byte, H*v.part)
+			t, op := v.d.Elem, v.d.Op
+			st.merge = func() {
+				elem.Fill(t, st.global, op.Identity(t))
+				for o := 0; o < len(st.parts); o += len(st.global) {
+					elem.ReduceInto(t, op, st.global, st.parts[o:][:len(st.global)])
+				}
+			}
 		}
 	}
 	return st
@@ -618,15 +557,7 @@ func (v *clusterBuild) roleSpecs(h int) ([]planSpec, error) {
 	} else {
 		err = b.legs()
 	}
-	if err != nil {
-		return nil, err
-	}
-	// The trailing fence: a zero-round network step whose only job
-	// (functional) is to keep any host from starting the plan's next run —
-	// overwriting the staging — while another host still streams this
-	// run's data. It charges nothing on either backend.
-	b.net("fence", 0, 0, awaitPeers)
-	return b.specs, nil
+	return b.specs, err
 }
 
 // local appends an ordinary single-host collective as a member.
@@ -641,18 +572,9 @@ func (b *clusterBuild) local(d Collective) error {
 
 // net appends an inter-host network leg: rounds exchange rounds of
 // bytesPerRound each, charged through cost.NetParams onto the host's
-// network lane, plus (functional) the rendezvous run.
-func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, run func(*Comm)) {
-	st := &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound}
-	// The cost-only twin gets an empty closure where the functional
-	// cluster has a rendezvous: the step must survive (or be elided by)
-	// fusion identically on both backends, or epoch coalescing around a
-	// dropped step would regroup the bus-time float additions and break
-	// the bit-exact functional/cost breakdown equality.
-	if st.Run = run; run != nil && !b.cl.functional {
-		st.Run = func(*Comm) {}
-	}
-	b.step("NetTransfer/"+name, span{}, span{}, st)
+// network lane. wire marks the plan's wire, on both backends alike.
+func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, wire bool) {
+	b.step("NetTransfer/"+name, span{}, span{}, &StepNetTransfer{Rounds: rounds, Bytes: bytesPerRound, wire: wire})
 }
 
 // member appends a hand-built member that reads src and writes dst of the
@@ -680,24 +602,6 @@ func (b *clusterBuild) legs() error {
 			return err
 		}
 	}
-	// The wire's rendezvous, the same step on every host: where the parts
-	// merge by reduction, the last host to arrive reduces them (the
-	// barrier's mutex publishes them; a Flat part is P raw buffers) into
-	// the running plan's global buffer; elsewhere the hosts only meet.
-	run := awaitPeers
-	if b.sh.reducing {
-		elemT, op := d.Elem, d.Op
-		run = func(c *Comm) {
-			st := c.cur.st
-			st.meet(func() {
-				elem.Fill(elemT, st.global, op.Identity(elemT))
-				for o := 0; o < len(st.parts); o += global {
-					elem.ReduceInto(elemT, op, st.global, st.parts[o:o+global])
-				}
-			})
-		}
-	}
-
 	name, rounds, bytes := row.name, H-1, global/H // wireAllPairs
 	switch row.wire {
 	case wireRooted:
@@ -717,14 +621,14 @@ func (b *clusterBuild) legs() error {
 			}
 		}
 	}
-	b.net(name, rounds, int64(bytes), run)
+	b.net(name, rounds, int64(bytes), true)
 
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
 			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Charges: []Charge{{host.ScalarReduce, int64(H) * int64(P) * int64(m)}}})
 		}
-		b.net("flat:bcast", ceilLog2(H), int64(global), nil)
+		b.net("flat:bcast", ceilLog2(H), int64(global), false)
 	}
 
 	// The redistribution leg: the single-host lowering of row.redist, whose
@@ -759,12 +663,12 @@ func (b *clusterBuild) alltoAll() error {
 		return err
 	}
 	// Pack the remote portions (a prefix of hosts below h and a suffix
-	// above) into the per-pair exchange slabs, then rendezvous — the
+	// above) into the per-pair exchange slabs, then the wire — the
 	// (H-1)/H traffic of § IX-A, one P*PS portion per host per round —
 	// and unpack the incoming slabs transposed into destination order.
 	b.pack(d.Src.Off, 0, h, PS, s)
 	b.pack(d.Src.Off+(h+1)*PS, h+1, H, PS, s)
-	b.net("exchange", H-1, int64(P*PS), awaitPeers)
+	b.net("exchange", H-1, int64(P*PS), true)
 	b.unpack(d.Dst.Off, 0, h, PS, s)
 	b.unpack(d.Dst.Off+(h+1)*PS, h+1, H, PS, s)
 	return nil
@@ -844,7 +748,7 @@ type ClusterPlan struct {
 	prim  Primitive
 	st    *clusterState // nil on a cost-only cluster
 	plans []*CompiledPlan
-	errs  []error // each host's error of the last Run (Runs hold execMu)
+	errs  []error // each host's error of the last run (runs hold execMu)
 }
 
 // HostPlan returns host h's compiled plan (schedule, cost, fusion
@@ -872,10 +776,9 @@ func (cp *ClusterPlan) FusionReports() []FusionReport {
 	return out
 }
 
-// admitAll reserves quota on every shard up front, so a
-// rejection can never strand part of the cluster at a rendezvous
-// barrier. A mid-scan rejection refunds the hosts admitted before it:
-// the call runs nothing, so it charges nothing.
+// admitAll reserves quota on every shard up front, so a rejection can
+// never run part of the cluster. A mid-scan rejection refunds the hosts
+// admitted before it: the call runs nothing, so it charges nothing.
 func (cp *ClusterPlan) admitAll() error {
 	for h, hp := range cp.plans {
 		if err := hp.owner.admit(hp.tr.total.Total()); err != nil {
@@ -888,43 +791,83 @@ func (cp *ClusterPlan) admitAll() error {
 	return nil
 }
 
-// Run executes one replay on every host — concurrently on the
-// functional backend (the hosts rendezvous inside the network legs),
-// serially on the cost-only backend — and returns the per-category
-// maximum of the hosts' charges: the cluster critical path of this
-// call, or the first host's error if a host failed mid-schedule: every
-// host then stops, the staging is undefined and the next run correct.
-// Serial cluster runs are serialized with each other, with Submit and
-// with a shard's Close.
+// Run executes one replay on every host and returns the per-category
+// maximum of the hosts' charges: the cluster critical path of this call,
+// or the first host's error if a host failed mid-schedule: the staging is
+// then undefined and the next run correct. Like a machine's Run, it is a
+// barrier on every host's timeline. Cluster runs are serialized with each
+// other, with Submit and with a shard's Close.
 func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
+	return cp.runLocked()
+}
+
+// runLocked admits a run on every shard and executes it: host by host on
+// the cost-only backend, phase by phase on the functional one (runPhases).
+// Callers hold cl.execMu.
+func (cp *ClusterPlan) runLocked() (cost.Breakdown, error) {
 	if err := cp.admitAll(); err != nil {
 		return cost.Breakdown{}, err
 	}
-	errs := cp.errs
-	if !cp.cl.functional {
-		for h, hp := range cp.plans {
-			errs[h] = hp.try()
-		}
+	if cp.st != nil {
+		cp.runPhases()
 	} else {
-		var wg sync.WaitGroup
 		for h, hp := range cp.plans {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[h] = hp.try()
-			}()
+			cp.errs[h] = hp.try(hp.run)
 		}
-		wg.Wait()
 	}
-	for _, err := range errs {
+	for _, err := range cp.errs {
 		if err != nil {
 			return cost.Breakdown{}, err
 		}
 	}
 	// A run charges its plan's trace total on either backend.
 	return cp.Cost(), nil
+}
+
+// runPhases is the functional driver loop. Every host is flushed, locked
+// and bound to its host plan as a serial run binds it; then every host
+// runs its steps up to and through its wire step and, unless one failed,
+// the wire's merge runs once and every host runs the rest. The hosts of a
+// phase run through the par pool, each recovering its failure into its
+// error, so a failure skips the phases after it. Callers hold cl.execMu.
+func (cp *ClusterPlan) runPhases() {
+	for _, hp := range cp.plans {
+		c := hp.owner.c
+		c.Flush()
+		c.execMu.Lock()
+		c.placeSerialLocked(hp.tr.segs)
+		c.bind(hp)
+	}
+	defer func() {
+		for _, hp := range cp.plans {
+			hp.owner.c.bind(nil)
+			hp.owner.c.execMu.Unlock()
+		}
+	}()
+	H := len(cp.plans)
+	phase := func(afterWire bool) {
+		par.Do(H, H, &groupRunner{fn: func(h int) {
+			hp := cp.plans[h]
+			c, steps := hp.owner.c, hp.sched.Steps
+			w := 1 + slices.IndexFunc(steps, func(st Step) bool { n, ok := st.(*StepNetTransfer); return ok && n.wire })
+			if steps = steps[:w]; afterWire {
+				steps = hp.sched.Steps[w:]
+			}
+			cp.errs[h] = hp.try(func() { c.executeOn(c.backend, c.h, steps) })
+		}})
+	}
+	phase(false)
+	for _, err := range cp.errs {
+		if err != nil {
+			return
+		}
+	}
+	if cp.st.merge != nil {
+		cp.st.merge()
+	}
+	phase(true)
 }
 
 // Results returns the rooted result of the plan's most recent completed
@@ -941,17 +884,23 @@ func (cp *ClusterPlan) Results() []byte {
 	return cp.st.global
 }
 
-// Submit enqueues one asynchronous execution on every host and returns
-// a ClusterFuture. Admission is all or nothing: every host's session is
-// checked against its overload bound (a cluster submission sheds
-// nothing) and its quota before any host enqueues, and a queued host plan
-// is never shed by a later local submission. The multi-host enqueue is
-// atomic (serialized against other cluster Submits and Runs), so every
-// host's queue sees cluster plans in one global order.
+// Submit executes the plan once on every host and returns a ClusterFuture.
+// On a functional cluster it runs the plan as Run does, at submission,
+// and returns the future completed. On a cost-only cluster it enqueues
+// one host plan on every host's scheduler. Admission is all or nothing:
+// every host's session is checked against its overload bound (a cluster
+// submission sheds nothing) and its quota before any host enqueues, and a
+// queued host plan is never shed by a later local submission. The
+// multi-host enqueue is atomic (serialized against other cluster Submits
+// and Runs).
 func (cp *ClusterPlan) Submit() *ClusterFuture {
 	cf := &ClusterFuture{cp: cp}
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
+	if cp.st != nil {
+		cf.bd, cf.err = cp.runLocked()
+		return cf
+	}
 	for h, hp := range cp.plans {
 		hp.owner.c.asyncMu.Lock()
 		err := hp.owner.overloadedLocked()
@@ -971,11 +920,13 @@ func (cp *ClusterPlan) Submit() *ClusterFuture {
 	return cf
 }
 
-// ClusterFuture is the handle of one submitted cluster execution: one
-// Future per host, completing when all hosts have run.
+// ClusterFuture is the handle of one submitted cluster execution: a
+// functional cluster's, completed at submission with its breakdown and
+// error, or one Future per host, completing when all hosts have run.
 type ClusterFuture struct {
 	cp  *ClusterPlan
 	fs  []*Future
+	bd  cost.Breakdown
 	err error
 }
 
@@ -993,11 +944,7 @@ func (cf *ClusterFuture) Done() bool {
 // maximum of the hosts' charges and the first error (an admission
 // rejection completes immediately with no host ever enqueued).
 func (cf *ClusterFuture) Wait() (cost.Breakdown, error) {
-	if cf.err != nil {
-		return cost.Breakdown{}, cf.err
-	}
-	var bd cost.Breakdown
-	var err error
+	bd, err := cf.bd, cf.err
 	for _, f := range cf.fs {
 		b, e := f.Wait()
 		bd = bd.Max(b)

@@ -13,7 +13,7 @@ import (
 // faultBackend is the functional backend with one injected fault: the
 // at-th backend step (rotate, bulk or column stream, counted from 0
 // across runs) that comm target executes panics; at < 0 never fires.
-// Only target's executor touches the count, one run at a time under its
+// Only target's steps touch the count, one run at a time under its
 // execMu.
 type faultBackend struct {
 	functionalBackend
@@ -46,7 +46,7 @@ func (f *faultBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStream)
 }
 
 // within runs fn and fails the test if it does not return in time: a
-// host stranded at a barrier must fail the test, not hang it.
+// host stranded waiting for a peer must fail the test, not hang it.
 func within(t *testing.T, what string, fn func() error) error {
 	t.Helper()
 	done := make(chan error, 1)
@@ -60,11 +60,10 @@ func within(t *testing.T, what string, fn func() error) error {
 	}
 }
 
-// A host that fails mid-schedule must not strand its peers at the
-// staging's barrier: a functional cluster's failed run, serial or
-// submitted, returns the error on every host, before or after the wire
-// leg, and the next run of that plan and of another plan is correct on
-// every host.
+// A host that fails mid-schedule must not strand its peers: a functional
+// cluster's failed run, serial or submitted, returns the error, before or
+// after the wire leg, and the next run of that plan and of another plan
+// is correct on every host.
 func TestClusterHostFaultUnwindsPeers(t *testing.T) {
 	const P, m = 16, 256
 	for _, H := range []int{2, 3} {

@@ -604,20 +604,144 @@ func TestClusterSubmit(t *testing.T) {
 	}
 }
 
+// Two sessions' cluster submissions complete whatever order each host's
+// scheduler would pick them in: four local plans advance session a's WFQ
+// virtual time on host 0 alone, so host 0 ranks b's cluster plan before
+// a's while host 1 ranks a's first.
+func TestClusterSubmitsCompleteInAnyPickOrder(t *testing.T) {
+	const H, P, m = 2, 16, 1024
+	cl := testCluster(t, H, geoHost, []int{P}, false)
+	var ss [2]*ClusterTenant
+	want := make([][]byte, len(ss))
+	for i, name := range []string{"a", "b"} {
+		s, err := cl.NewTenant(TenantConfig{Name: name, ArenaBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss[i], want[i] = s, make([]byte, m)
+		elem.Fill(elem.I32, want[i], 0)
+		for g, data := range randGlobal(H*P, m, int64(31+i)) {
+			s.Host(g/P).SetPEBuffer(g%P, 0, data)
+			elem.ReduceInto(elem.I32, elem.Sum, want[i], data)
+		}
+	}
+	// Every plan is compiled first, so the six submissions land while
+	// host 0 still runs the first.
+	lp, err := ss[0].Host(0).Compile(Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, 2048), Dst: At(2048), Level: Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []*ClusterPlan
+	for _, s := range ss {
+		cp, err := s.Compile(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1", Src: Span(0, m), Dst: At(m),
+			Elem: elem.I32, Op: elem.Sum, Level: IM}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps = append(cps, cp)
+	}
+	err = within(t, "two sessions' cluster submissions", func() error {
+		var locals []*Future
+		for i := 0; i < 4; i++ {
+			locals = append(locals, lp.Submit())
+		}
+		var errs []error
+		for _, f := range []*ClusterFuture{cps[0].Submit(), cps[1].Submit()} {
+			errs = append(errs, f.Err())
+		}
+		for _, f := range locals {
+			errs = append(errs, f.Err())
+		}
+		return errors.Join(errs...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range ss {
+		for h := 0; h < H; h++ {
+			for pe := 0; pe < P; pe++ {
+				if got := s.Host(h).GetPEBuffer(pe, m, m); !bytes.Equal(got, want[i]) {
+					t.Fatalf("session %s, host %d PE %d: wrong AllReduce result", s.Name(), h, pe)
+				}
+			}
+		}
+	}
+}
+
+// A stepped functional cluster runs like a non-stepped one: a cluster
+// submission steps each host's queued local plans, runs on every host and
+// returns complete, and the local plans queued after it wait for Step or
+// Flush. Every PE's arena ends byte-identical to the same sequence on a
+// non-stepped cluster.
+func TestSteppedFunctionalCluster(t *testing.T) {
+	const P, m = 16, 512
+	for _, H := range []int{2, 3} {
+		t.Run(fmt.Sprintf("H%d", H), func(t *testing.T) {
+			run := func(stepped bool) []byte {
+				cl, err := NewCluster(H, geoHost, []int{P}, Config{Stepped: stepped})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := cl.NewTenant(TenantConfig{Name: "s", ArenaBytes: 4 * m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g, data := range randGlobal(H*P, 4*m, 41) {
+					s.Host(g/P).SetPEBuffer(g%P, 0, data)
+				}
+				local := func(src, dst int) {
+					t.Helper()
+					for h := 0; h < H; h++ {
+						if _, err := s.Host(h).Submit(Collective{Prim: AlltoAll, Dims: "1", Src: Span(src, m), Dst: At(dst), Level: CM}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := cl.Host(H - 1).Pending(); stepped && got != 1 {
+						t.Fatalf("stepped host %d has %d pending plans, want the local one queued", H-1, got)
+					}
+				}
+				local(0, m)
+				cf, err := s.Submit(ClusterCollective{Collective: Collective{Prim: AllReduce, Dims: "1",
+					Src: Span(m, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: IM}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cf.Done() {
+					t.Fatal("a functional cluster submission returned before it ran")
+				}
+				if err := cf.Err(); err != nil {
+					t.Fatal(err)
+				}
+				local(2*m, 3*m)
+				if stepped && cl.Host(0).Step() == nil {
+					t.Fatal("stepped host 0 had no local plan to step")
+				}
+				cl.Flush()
+				var out []byte
+				for h := 0; h < H; h++ {
+					for pe := 0; pe < P; pe++ {
+						out = append(out, s.Host(h).GetPEBuffer(pe, 0, 4*m)...)
+					}
+				}
+				return out
+			}
+			if !bytes.Equal(run(true), run(false)) {
+				t.Error("the stepped cluster left other bytes than the non-stepped one")
+			}
+		})
+	}
+}
+
 func TestClusterValidation(t *testing.T) {
 	for _, hosts := range []int{0, -1} {
 		if _, err := NewCluster(hosts, geoHost, []int{16}, Config{}); err == nil {
 			t.Errorf("cluster of %d hosts accepted", hosts)
 		}
 	}
-	// A functional stepped cluster is refused before any host is built.
-	var err error
-	allocs := testing.AllocsPerRun(1, func() { _, err = NewCluster(64, geoHost, []int{16}, Config{Stepped: true}) })
-	if err == nil || !strings.Contains(err.Error(), "stepped") {
-		t.Errorf("functional stepped cluster: got %v, want an error naming stepped mode", err)
-	}
-	if !raceEnabled && allocs > 8 {
-		t.Errorf("refusing a functional stepped cluster of 64 hosts allocates %v objects, want <= 8 (no host built)", allocs)
+	// A functional cluster may be stepped (TestSteppedFunctionalCluster
+	// drives one).
+	if _, err := NewCluster(2, geoHost, []int{16}, Config{Stepped: true}); err != nil {
+		t.Errorf("functional stepped cluster refused: %v", err)
 	}
 
 	cl := sessionTestCluster(t, 2, geoHost, []int{4, 4}, false)
@@ -667,7 +791,7 @@ func TestClusterValidation(t *testing.T) {
 }
 
 // TestFailedClusterCompileCachesNothing: a descriptor the cluster rejects
-// returns no plan — and with it no staging or barrier — and builds no row,
+// returns no plan — and with it no staging — and builds no row,
 // and the error names the primitive once.
 func TestFailedClusterCompileCachesNothing(t *testing.T) {
 	cl := sessionTestCluster(t, 3, geoHost, []int{16}, false)
@@ -1050,11 +1174,10 @@ func TestConcurrentCompilesShareOneTable(t *testing.T) {
 // A cluster submission runs on every host or on none, also when one of
 // its shards closes while the submission waits for a queue slot on that
 // host: host 1 is held busy (its execMu taken, MaxPendingPlans local
-// plans queued), the cluster Submit parks on host 1's slot wait, and the
-// session's shard on host 1 closes. The future must succeed with equal
-// shard meters or fail with neither shard charged; on a functional
-// cluster it must also complete, since a host plan enqueued alone waits
-// at the network leg's barrier for a peer that never runs.
+// plans queued), the cluster Submit parks on host 1 (cost-only: its slot
+// wait; functional: its Flush before the run), and the session's shard on
+// host 1 closes. The future must succeed with equal shard meters or fail
+// with neither shard charged, and it must complete.
 func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
 	const H, P = 2, 16
 	const m = 8 * H * P

@@ -191,8 +191,10 @@
 // compMu for compilation, which a cluster's hosts share and a compile
 // takes once. The one nesting is a Cluster's execMu before a host's
 // locks: a cluster run or submission takes asyncMu or execMu under it,
-// a cluster shard's Close both. compMu is never held with asyncMu
-// or execMu, and only leaf locks, such as a meter's, are taken inside it.
+// a cluster shard's Close both, and a functional cluster run holds every
+// host's execMu at once, taken in host order, each after flushing that
+// host. compMu is never held with asyncMu or execMu, and only leaf locks,
+// such as a meter's, are taken inside it.
 //
 // # Inspecting a run
 //

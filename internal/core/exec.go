@@ -46,10 +46,10 @@ type Backend interface {
 func CostBackend() Backend { return costBackend{} }
 
 // executeOn is the single execution loop every collective goes through:
-// it runs sched's steps on backend b with c as the executing comm,
-// accounting against host h.
-func (c *Comm) executeOn(b Backend, h *host.Host, sched *Schedule) {
-	for _, st := range sched.Steps {
+// it runs steps, a schedule's or a run of them, on backend b with c as the
+// executing comm, accounting against host h.
+func (c *Comm) executeOn(b Backend, h *host.Host, steps []Step) {
+	for _, st := range steps {
 		switch s := st.(type) {
 		case *StepRotateBlocks:
 			b.rotateBlocks(c, h, s)
@@ -60,9 +60,6 @@ func (c *Comm) executeOn(b Backend, h *host.Host, sched *Schedule) {
 		case *StepHostCompute:
 			applyCharges(h, s.Charges)
 		case *StepNetTransfer:
-			if s.Run != nil && b.Functional() {
-				s.Run(c)
-			}
 			h.ChargeNetRounds(s.Rounds, s.Bytes)
 		case *StepSync:
 			h.ChargeSync()

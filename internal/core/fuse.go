@@ -206,9 +206,10 @@ func stepIsNoop(st Step) bool {
 	case *StepColumnStream:
 		return s.Reads == 0 && s.Writes == 0 && len(s.Charges) == 0 && len(s.segs) == 0
 	case *StepNetTransfer:
-		// A zero-round leg with no functional rendezvous charges nothing
-		// and moves nothing (e.g. the network leg of a 1-host cluster).
-		return s.Rounds <= 0 && s.Run == nil
+		// A zero-round leg charges nothing and moves nothing (e.g. the
+		// Flat fan-out of a 1-host cluster), unless it is the wire: the
+		// phase boundary stays, with the same steps on both backends.
+		return s.Rounds <= 0 && !s.wire
 	default:
 		return false
 	}

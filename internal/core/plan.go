@@ -158,8 +158,8 @@ type CompiledPlan struct {
 	// indexes them): the caller's, a rooted plan's own, made on its first
 	// functional run, or windows of st. Guarded by owner.c.execMu.
 	hosts [][]byte
-	// st is a functional cluster host plan's staging, which its network
-	// legs read (cluster.go). Immutable.
+	// st is a functional cluster host plan's staging, which an AlltoAll's
+	// pack and unpack steps read (cluster.go). Immutable.
 	st *clusterState
 }
 
@@ -257,27 +257,22 @@ func (cp *CompiledPlan) run() {
 	c.runScheduleLocked(cp)
 }
 
-// try is run returning a mid-schedule panic as its error (fail).
-func (cp *CompiledPlan) try() (err error) {
+// try calls run, a run of cp or a part of one, returning a mid-schedule
+// panic as its error (fail).
+func (cp *CompiledPlan) try(run func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = cp.fail(r)
 		}
 	}()
-	cp.run()
+	run()
 	return nil
 }
 
-// fail turns a panic r out of a run of cp into its error. A functional
-// cluster host's own failure is an arrival at its staging's barrier, so
-// its peers unwind instead of waiting for it.
+// fail turns a panic r out of a run of cp into its error.
 func (cp *CompiledPlan) fail(r any) error {
 	k := &cp.key
-	err := fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
-	if _, peer := r.(peerFailed); !peer && cp.st != nil {
-		cp.st.bar.await(nil, err)
-	}
-	return err
+	return fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
 }
 
 // runScheduleLocked executes one replay of cp on the comm's backend: the
@@ -296,16 +291,25 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
 		c.h.ApplyStats(cp.tr.stats)
 		return
 	}
-	m.SetRecorder(cp.owner.rec)
-	c.cur = cp
-	defer func() { m.SetRecorder(nil); c.cur = nil }()
+	c.bind(cp)
+	defer c.bind(nil)
 	if cp.hosts == nil && cp.outs > 0 {
 		cp.hosts = make([][]byte, cp.outs)
 		for g := range cp.hosts {
 			cp.hosts[g] = make([]byte, cp.outBytes)
 		}
 	}
-	c.executeOn(c.backend, c.h, cp.sched)
+	c.executeOn(c.backend, c.h, cp.sched.Steps)
+}
+
+// bind makes cp the running plan of a functional comm and its tenant's
+// recorder the meter's; nil unbinds both. Callers hold execMu.
+func (c *Comm) bind(cp *CompiledPlan) {
+	var rec func(cost.Category, cost.Seconds)
+	if c.cur = cp; cp != nil {
+		rec = cp.owner.rec
+	}
+	c.h.Meter().SetRecorder(rec)
 }
 
 // tracer is the shape table's one scratch, reset per trace: a cost-only
@@ -330,7 +334,7 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 	tc.adds = tc.adds[:0]
 	tc.h.Meter().Reset()
 	tc.h.ResetStats()
-	c.executeOn(CostBackend(), tc.h, sched)
+	c.executeOn(CostBackend(), tc.h, sched.Steps)
 	// Replay fidelity invariant: the recorder only observes Add/AddBytes,
 	// so if any execution path ever drives the meter through Merge/Scale
 	// the trace would silently undercount. Re-summing the trace must

@@ -145,21 +145,21 @@ func (*StepHostCompute) stepName() string { return "HostCompute" }
 // cluster collective (§ IX-A): Rounds overlapped exchange rounds of
 // Bytes payload each, priced by the parameterized network model
 // (cost.NetParams via host.ChargeNetRounds) and placed on the network
-// lane of the per-host timeline. Run (functional-only, optional) moves
-// the real bytes through the cluster's shared staging — typically a
-// rendezvous barrier with the peer hosts' executors around the exchange.
-// The whole leg is one step, so a hierarchical collective's schedule
-// stays a single plan that compiles, caches, fuses and replays like any
-// other.
+// lane of the per-host timeline. Executing it only charges: the bytes
+// cross between hosts in the cluster's staging, which the steps before
+// the wire fill and the steps after it read, and a functional cluster
+// runs every host's steps up to and through its wire before any host
+// runs on (ClusterPlan.Run). The whole leg is one step, so a
+// hierarchical collective's schedule stays a single plan that compiles,
+// caches, fuses and replays like any other.
 type StepNetTransfer struct {
 	// Rounds is the number of overlapped exchange rounds; Bytes is the
-	// per-round payload every host moves. Rounds 0 with a nil Run is a
-	// no-op (elided by fusion).
+	// per-round payload every host moves. Rounds 0 is a no-op (elided by
+	// fusion) unless the step is the wire.
 	Rounds int
 	Bytes  int64
-	// Run is executed by the functional backend only, on the executing
-	// comm.
-	Run func(c *Comm)
+	// wire marks the plan's wire, its one phase boundary.
+	wire bool
 }
 
 func (*StepNetTransfer) stepName() string { return "NetTransfer" }

@@ -418,10 +418,26 @@ func newStream(sp TenantSpec, seed int64) stream {
 // merge drains the streams ss (stream i is tenant i's) in (t, tenant)
 // order, failing once they yield more than maxReqs arrivals.
 func merge(ss []stream, horizon cost.Seconds, maxReqs int) ([]arrival, error) {
+	// The output is sized once: the arrival count's mean, Σ Rate × horizon,
+	// plus four standard deviations, clamped to the overflow bound. Each
+	// stream is compound Poisson: rate × horizon epochs of one arrival, or
+	// of a geometric clump X (E[X] = 1/geo, E[X²] = (2-geo)/geo²).
+	mean, variance := 0.0, 0.0
 	for i := range ss {
-		ss[i].draw(horizon)
+		s := &ss[i]
+		epochs, x, x2 := s.rate*float64(horizon), 1.0, 1.0
+		if s.geo > 0 {
+			x, x2 = 1/s.geo, (2-s.geo)/(s.geo*s.geo)
+		}
+		mean += epochs * x
+		variance += epochs * x2
+		s.draw(horizon)
 	}
-	var all []arrival
+	n := 0
+	if c := mean + 4*math.Sqrt(variance) + 16; c > 0 {
+		n = int(min(c, float64(maxReqs+1)))
+	}
+	all := make([]arrival, 0, n)
 	for {
 		j := -1
 		for i := range ss {

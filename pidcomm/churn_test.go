@@ -543,8 +543,7 @@ func TestCloseTenantOfForeignSession(t *testing.T) {
 // A cluster submission is admitted on every host or on none. With one
 // slot per shard (MaxPending 1) and host 0 alone stepped past the first
 // submission, the second must be rejected without host 0 enqueueing it —
-// it used to run there alone, and on a functional cluster would park at
-// the wire's barrier with no peer. And a local submission on one shard
+// it used to run there alone. And a local submission on one shard
 // never sheds that shard's queued cluster host plan under ShedOldest: it
 // is rejected instead, and the cluster plan runs on every host.
 func TestClusterSubmitAdmitsAllOrNothing(t *testing.T) {

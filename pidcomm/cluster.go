@@ -134,11 +134,17 @@ type ClusterCollective = core.ClusterCollective
 // ClusterPlan is one cluster collective compiled into one plan per
 // host, ready for repeated Run/Submit; Results returns rooted results
 // (the plan's staging: the next run overwrites them), FusionReports the
-// per-host fusion savings, HostPlan the per-host compiled plans.
+// per-host fusion savings, HostPlan the per-host compiled plans. On a
+// functional cluster a run is two phases split at the network leg: every
+// host runs up to and through it, then every host runs the rest; Submit
+// runs the plan there and then, like Run (a barrier on every host's
+// timeline), and returns a completed future. On a cost-only cluster
+// Submit enqueues one host plan on every host's scheduler.
 type ClusterPlan = core.ClusterPlan
 
-// ClusterFuture is the handle of one submitted cluster execution: one
-// future per host, completing when all hosts have run.
+// ClusterFuture is the handle of one submitted cluster execution: on a
+// functional cluster, complete when Submit returns; on a cost-only one,
+// one future per host, completing when all hosts have run.
 type ClusterFuture = core.ClusterFuture
 
 // NetParams is the parameterized inter-host network model: per-NIC link

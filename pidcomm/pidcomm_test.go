@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/pidcomm"
@@ -350,14 +349,24 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 	})
 }
 
-// Functional cluster hosts rendezvous inside their network legs, so each
-// needs its own executor: on stepped machines a Wait would step host 0
-// into the barrier with no one left to step host 1. NewCluster names the
-// conflict instead; a cost-only cluster has no barriers and steps fine.
+// Clusters of stepped machines: a functional cluster's submission runs at
+// once and returns completed; a cost-only one queues a host plan on every
+// host, which Wait steps.
 func TestSteppedCluster(t *testing.T) {
 	shape := []int{16}
-	if _, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.WithStepped(true)); err == nil || !strings.Contains(err.Error(), "stepped") {
-		t.Fatalf("functional cluster on stepped machines: got %v, want an error naming stepped mode", err)
+	fcl, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.WithStepped(true))
+	if err != nil {
+		t.Fatalf("functional cluster on stepped machines: %v", err)
+	}
+	ff, err := fcl.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ff.Done() || fcl.Machine(1).Pending() != 0 {
+		t.Fatal("a stepped functional cluster's submission returned before it ran")
+	}
+	if bd, err := ff.Wait(); err != nil || bd.Total() <= 0 {
+		t.Fatalf("stepped functional cluster Wait: %v, %v", bd, err)
 	}
 	cl, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.CostOnly(), pidcomm.WithStepped(true))
 	if err != nil {
