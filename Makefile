@@ -73,7 +73,9 @@ benchmark-smoke:
 # CPU and heap profiles written next to the repo root. BENCH picks it:
 # Fig15 (default) runs BFS on a 64k-vertex RMAT graph at Baseline and CM
 # on the functional engine (one application, not all five), Fig14 the
-# primitives on the cost-only backend. Inspect with
+# primitives on the cost-only backend, ColdCompileCostOnly every primitive
+# × level compiled cold on a fresh cost-only 1024-PE machine (the charge
+# tracing every cold compile and Auto candidate pays). Inspect with
 # `go tool pprof cpu.pprof` /
 # `go tool pprof -sample_index=alloc_space mem.pprof`.
 BENCH ?= Fig15
@@ -127,7 +129,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7222
+LOC_CEILING = 7202
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

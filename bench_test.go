@@ -283,3 +283,51 @@ func BenchmarkFig23bMultiHost(b *testing.B) {
 		})
 	}
 }
+
+// Cold cost-only compiles: every primitive at every level, Auto included,
+// on a fresh cost-only paper machine (32×32, dims "10", 64 KiB per PE)
+// per iteration, so each compile lowers, fuses and traces its schedule —
+// the charge path every cold compile and Auto candidate pays.
+// `make profile BENCH=ColdCompileCostOnly` profiles it.
+func BenchmarkColdCompileCostOnly(b *testing.B) {
+	const m, n = 64 << 10, 32
+	hosts := make([][]byte, n) // Broadcast's payloads: read by no cost-only compile
+	for g := range hosts {
+		hosts[g] = make([]byte, m)
+	}
+	var ds []pidcomm.Collective
+	for _, prim := range core.Primitives() {
+		for _, lvl := range append(core.Levels(), core.Auto) {
+			d := pidcomm.Collective{Prim: prim, Dims: "10", Level: lvl, Elem: elem.I32, Op: elem.Sum}
+			switch prim {
+			case core.AlltoAll, core.ReduceScatter, core.AllReduce:
+				d.Src, d.Dst = pidcomm.Span(0, m), pidcomm.At(2*m)
+			case core.AllGather:
+				d.Src, d.Dst = pidcomm.Span(0, m/n), pidcomm.At(2*m)
+			case core.Scatter:
+				d.Dst = pidcomm.Span(0, m)
+			case core.Gather, core.Reduce:
+				d.Src = pidcomm.Span(0, m)
+			case core.Broadcast:
+				d.Dst, d.Hosts = pidcomm.At(0), hosts
+			}
+			ds = append(ds, d)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(512<<10), []int{32, 32}, pidcomm.CostOnly())
+		if err != nil {
+			b.Fatal(err)
+		}
+		comm, err := mach.Comm()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range ds {
+			if _, err := comm.Compile(d); err != nil {
+				b.Fatalf("%v at %v: %v", d.Prim, d.Level, err)
+			}
+		}
+	}
+}

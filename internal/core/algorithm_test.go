@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/elem"
@@ -74,6 +75,26 @@ func TestRsagIsReduceScatterThenAllGather(t *testing.T) {
 	for pe := 0; pe < geo64.NumPEs(); pe++ {
 		if !bytes.Equal(c.GetPEBuffer(pe, m, m), c.GetPEBuffer(pe, 3*m, m)) {
 			t.Fatalf("PE %d: rsag's result differs from the AllGather's", pe)
+		}
+	}
+}
+
+// treeSenders' closed form counts what a scan of every rank counts: in
+// the round of pair distance d, the ranks r < n with r mod 2d == d.
+func TestTreeSendersMatchesRankScan(t *testing.T) {
+	for n := 1; n <= 4096; n++ {
+		var want []int
+		for d := 1; d < n; d <<= 1 {
+			senders := 0
+			for r := range n {
+				if r%(2*d) == d {
+					senders++
+				}
+			}
+			want = append(want, senders)
+		}
+		if got := treeSenders(n); !slices.Equal(got, want) {
+			t.Fatalf("treeSenders(%d) = %v, the scan counts %v", n, got, want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ const runCols = 32
 // c is bank c's 8 bytes, so a PE's element is a whole lane and a run of
 // columns is consecutive bytes of each bank. The seg bodies move a
 // shard's columns as such runs, one copy per PE, each booked first with
-// one tally per entangled group; the bus interleave and its domain
+// one tally on every entangled group; the bus interleave and its domain
 // transfer are charges, never computed.
 type streamCtx struct {
 	c    *Comm
@@ -37,11 +37,7 @@ type streamCtx struct {
 
 // tally books cols column transfers: cols bursts on every entangled
 // group. Must run inside a transfer epoch, before the bytes move.
-func (sc *streamCtx) tally(cols int) {
-	for _, g := range sc.c.allEGs() {
-		sc.sh.TallyBursts(g, int64(cols))
-	}
-}
+func (sc *streamCtx) tally(cols int) { sc.sh.TallyAllGroups(int64(cols)) }
 
 // bank returns PE pe's n bytes at arena offset off.
 func (sc *streamCtx) bank(pe, off, n int) []byte {

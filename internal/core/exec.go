@@ -142,44 +142,33 @@ type costBackend struct{}
 func (costBackend) Name() string     { return "cost" }
 func (costBackend) Functional() bool { return false }
 
+// rotateBlocks charges the rotate-blocks kernel from the step alone: a
+// PE whose rotation is zero exits at once, every other PE does the work
+// rotateBlocksWork describes (the helper the functional kernel reports
+// through, so the backends cannot drift), and the launch costs its
+// slowest PE. Some rank of [0, n) rotates iff rank 1 does, so the launch
+// is busy iff n > 1 and rotation(1) != 0.
 func (costBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks) {
-	// Analytic accounting of the rotate-blocks kernel: a PE whose
-	// rotation is zero exits immediately; every other PE does the work
-	// rotateBlocksWork describes — exactly what the functional kernel
-	// reports per PE (the helper is shared so the backends cannot drift,
-	// including the instruction rounding for odd region sizes).
-	pes, ranks := st.p.launchLists()
-	m := st.N * st.S
-	c.eng.LaunchCharges(dpu.LaunchSpec{
-		PEs:        pes,
-		GroupRanks: ranks,
-		Category:   cost.PEMod,
-	}, h.Meter(), func(_, rank int) (instr, mramBytes int64) {
-		if st.rotation(rank) == 0 {
-			return 0, 0
-		}
-		return rotateBlocksWork(m)
-	})
+	var instr, mramBytes int64
+	if st.p.n > 1 && st.rotation(1) != 0 {
+		instr, mramBytes = rotateBlocksWork(st.N * st.S)
+	}
+	c.eng.LaunchChargesUniform(dpu.LaunchSpec{PEs: st.p.pes, Category: cost.PEMod}, h.Meter(), instr, mramBytes)
 }
 
 func (costBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	if st.Read {
-		h.ChargeBulkRead(c.allEGs(), st.ReadPerPE)
+		h.ChargeBulkRead(st.ReadPerPE)
 	}
 	applyCharges(h, st.Charges)
 	if st.Write {
-		h.ChargeBulkWrite(c.allEGs(), st.WritePerPE)
+		h.ChargeBulkWrite(st.WritePerPE)
 	}
 }
 
 func (costBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStream) {
 	h.BeginXfer()
-	if ops := st.Reads + st.Writes; ops > 0 {
-		nEG := c.hc.sys.Geometry().NumGroups()
-		for g := 0; g < nEG; g++ {
-			h.TallyBursts(g, ops)
-		}
-	}
+	h.TallyAllGroups(st.Reads + st.Writes)
 	h.EndXfer()
 	applyCharges(h, st.Charges)
 }

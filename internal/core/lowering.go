@@ -50,18 +50,13 @@ func stagedRounds(name string, open Step, hops []hop, closing Step) *Schedule {
 
 // treeSenders returns the per-round sender counts of a binomial tree
 // over n ranks: in reduce round j (pair distance d = 1<<j), every rank r
-// with r mod 2d == d sends its full payload to r-d. The counts sum to
-// n-1; the broadcast-down pass replays them in reverse.
+// with r mod 2d == d sends its full payload to r-d. Those ranks are d,
+// 3d, 5d, … below n: (n+d-1)/(2d) of them. The counts sum to n-1; the
+// broadcast-down pass replays them in reverse.
 func treeSenders(n int) []int {
 	var out []int
 	for d := 1; d < n; d <<= 1 {
-		senders := 0
-		for r := 0; r < n; r++ {
-			if r%(2*d) == d {
-				senders++
-			}
-		}
-		out = append(out, senders)
+		out = append(out, (n+d-1)/(2*d))
 	}
 	return out
 }

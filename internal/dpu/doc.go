@@ -22,6 +22,11 @@
 //   - LaunchCharges is the cost-only seam: it charges a launch whose
 //     per-PE work is known analytically, sharing the time arithmetic
 //     with Launch so both backends produce bit-identical meters.
+//     LaunchChargesUniform is its form for a launch in which every PE
+//     does the same work (core's cost-only reorder launch): one PE's
+//     time, at any PE count, bit-identical to a constant account. Every
+//     launch form ends in one charge, the slowest PE's time then
+//     KernelLaunch.
 //
 // Engine.Launch is safe for concurrent use; the Comm's collectives and
 // application kernels share one engine. Callers keep concurrent kernels'

@@ -274,8 +274,7 @@ func (e *Engine) Launch(spec LaunchSpec, meter *cost.Meter, k Kernel) {
 		}
 	}
 	e.putLaunch(ls)
-	meter.Add(spec.Category, maxT)
-	meter.Add(cost.Other, e.params.KernelLaunch)
+	e.book(spec, meter, maxT)
 }
 
 func (s LaunchSpec) ipc() float64 {
@@ -292,8 +291,8 @@ func (s LaunchSpec) ipc() float64 {
 
 // peTime converts one PE's accounted work to its modeled elapsed time:
 // max(instruction time, MRAM DMA time), the overlap model documented on
-// Launch. Shared by Launch and LaunchCharges so both compute identical
-// floating-point results.
+// Launch. Shared by Launch, LaunchCharges and LaunchChargesUniform so
+// all compute identical floating-point results.
 func (e *Engine) peTime(instr, mramBytes int64, ipc float64) cost.Seconds {
 	instrT := cost.Seconds(float64(instr) / (e.params.DPUInstrHz * ipc))
 	dmaT := cost.Seconds(float64(mramBytes) / e.params.DPUMramBW)
@@ -328,6 +327,25 @@ func (e *Engine) LaunchCharges(spec LaunchSpec, meter *cost.Meter, account func(
 			maxT = t
 		}
 	}
+	e.book(spec, meter, maxT)
+}
+
+// LaunchChargesUniform is LaunchCharges for a launch in which every PE
+// of spec does the same work, instr instructions and mramBytes of MRAM
+// DMA (zero for a launch in which every PE exits at once): the charge is
+// that one PE's time, whatever the PE count, and bit-identical to
+// LaunchCharges with a constant account. GroupRanks are not read.
+func (e *Engine) LaunchChargesUniform(spec LaunchSpec, meter *cost.Meter, instr, mramBytes int64) {
+	if len(spec.PEs) == 0 {
+		return
+	}
+	e.book(spec, meter, e.peTime(instr, mramBytes, spec.ipc()))
+}
+
+// book charges a launch whose slowest PE took maxT: maxT in
+// spec.Category, then the launch overhead in Other. Every launch form
+// ends here.
+func (e *Engine) book(spec LaunchSpec, meter *cost.Meter, maxT cost.Seconds) {
 	meter.Add(spec.Category, maxT)
 	meter.Add(cost.Other, e.params.KernelLaunch)
 }

@@ -376,3 +376,44 @@ func TestConcurrentLaunchesShareEngineAndMeter(t *testing.T) {
 		t.Errorf("concurrent launches accrued no time: %v", meter.Snapshot())
 	}
 }
+
+// A uniform launch charge books exactly what LaunchCharges books with a
+// constant account — the same meter entries, in the same order, to the
+// bit — whatever the PE count and tasklets, and only KernelLaunch plus a
+// zero-time entry when no PE works.
+func TestLaunchChargesUniformMatchesConstantAccount(t *testing.T) {
+	e := testEngine(t)
+	type rec struct {
+		cat cost.Category
+		t   uint64
+	}
+	record := func(charge func(m *cost.Meter)) []rec {
+		m := cost.NewMeter()
+		var got []rec
+		m.SetRecorder(func(c cost.Category, s cost.Seconds) { got = append(got, rec{c, math.Float64bits(float64(s))}) })
+		charge(m)
+		return got
+	}
+	all := make([]int, e.System().Geometry().NumPEs())
+	for i := range all {
+		all[i] = i
+	}
+	for _, pes := range [][]int{nil, {3}, all} {
+		for _, tasklets := range []int{0, 1, 5, SaturatingTasklets, 24} {
+			for _, w := range [][2]int64{{0, 0}, {16385, 131072}, {1, 1 << 30}, {1 << 30, 1}} {
+				spec := LaunchSpec{PEs: pes, Category: cost.PEMod, Tasklets: tasklets}
+				want := record(func(m *cost.Meter) {
+					e.LaunchCharges(spec, m, func(_, _ int) (int64, int64) { return w[0], w[1] })
+				})
+				got := record(func(m *cost.Meter) { e.LaunchChargesUniform(spec, m, w[0], w[1]) })
+				if !slices.Equal(got, want) {
+					t.Errorf("%d PEs, %d tasklets, work %v: uniform charged %v, LaunchCharges %v", len(pes), tasklets, w, got, want)
+				}
+			}
+		}
+	}
+	idle := record(func(m *cost.Meter) { e.LaunchChargesUniform(LaunchSpec{PEs: all, Category: cost.PEMod}, m, 0, 0) })
+	if want := []rec{{cost.PEMod, 0}, {cost.Other, math.Float64bits(float64(cost.DefaultParams().KernelLaunch))}}; !slices.Equal(idle, want) {
+		t.Errorf("an idle launch charged %v, want %v", idle, want)
+	}
+}

@@ -29,14 +29,14 @@
 //     channel and charged at epoch end as the *maximum* per-channel time
 //     — channels transfer in parallel, as on real hardware; without
 //     RankParallel the effective bandwidth halves (§ VIII ablation).
-//   - Shard.TallyBursts is the column stream's one burst path: the
+//   - Shard.TallyAllGroups is the column stream's one burst path: the
 //     optimized engine (§ V-A2, core's streamCtx) streams 64-byte
 //     bursts in lane order — lane c is bank c's 8 bytes, the burst
 //     after its domain transfer — so a run of columns is one copy per
-//     PE, between banks or host buffers, booked with one tally per
-//     entangled group before it moves. The bus-order interleave (dram's
-//     ReadBurst/WriteBurst) is never computed on this path, and the
-//     domain transfers a level performs are charged by its schedule
+//     PE, between banks or host buffers, booked before it moves with
+//     one tally on every entangled group. The bus-order interleave
+//     (dram's ReadBurst/WriteBurst) is never computed on this path, and
+//     the domain transfers a level performs are charged by its schedule
 //     steps.
 //   - BulkRead/BulkWrite are the conventional UPMEM-SDK-style staged
 //     paths of the baseline design (§ III-A, Figure 3a): bus + automatic
@@ -50,9 +50,12 @@
 //   - Charge prices a Work — one host-side class (DT, scalar/local/SIMD
 //     modulation, reductions, staging traffic) — from one table of
 //     categories and cost.Params throughput fields.
-//   - Cost-only seams: TallyBursts, ChargeBulkRead, ChargeBulkWrite and
-//     ApplyStats account traffic without moving bytes — the host-side
-//     half of the cost-only backend's bit-identical guarantee.
+//   - Cost-only seams: TallyBursts, TallyAllGroups, ChargeBulkRead,
+//     ChargeBulkWrite and ApplyStats account traffic without moving
+//     bytes — the host-side half of the cost-only backend's
+//     bit-identical guarantee. A cost-only step covers the whole
+//     machine, so it books with TallyAllGroups (ChargeBulk* too), one
+//     sum per channel: its cost does not grow with the group count.
 //
 // XferStats (stats.go) summarizes cumulative bus traffic for tests and
 // cmd/pidtrace.
@@ -61,6 +64,6 @@
 //
 //	Figure 1, § II-B  DomainTransfer
 //	Figure 3a, § III  BulkRead / BulkWrite (baseline staging)
-//	§ V-A2            Shard.TallyBursts (column streaming)
+//	§ V-A2            Shard.TallyAllGroups (column streaming)
 //	§ VIII-D          the ScalarReduce / LocalReduce rows of the Work table
 package host

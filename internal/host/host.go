@@ -117,11 +117,11 @@ func (h *Host) EndXfer() {
 }
 
 // TallyBursts accounts count 64-byte bursts to/from the entangled group
-// without moving any bytes: the cost-only backend's replacement for the
-// functional engine's shard tallies (Shard.TallyBursts). The epoch and statistics bookkeeping is
-// shared with the functional path, so per-channel totals — and therefore
-// the PEMem time charged at EndXfer — are identical. Must run inside a
-// transfer epoch.
+// without moving any bytes: the host-level form of Shard.TallyBursts. The
+// epoch and statistics bookkeeping is shared with the functional path,
+// so per-channel totals — and therefore the PEMem time charged at
+// EndXfer — are identical. The cost-only backend books whole-machine
+// steps with TallyAllGroups instead. Must run inside a transfer epoch.
 func (h *Host) TallyBursts(group int, count int64) {
 	if h.epochDepth == 0 {
 		panic("host: TallyBursts outside transfer epoch")
@@ -131,6 +131,30 @@ func (h *Host) TallyBursts(group int, count int64) {
 	h.chanBytes[ch] += bytes
 	h.totalBursts.Add(count)
 	h.totalByChan[ch].Add(bytes)
+}
+
+// TallyAllGroups is TallyBursts on every entangled group of the machine:
+// count bursts each, booked as count × RanksPerChannel × BanksPerChip
+// bursts per channel in one sum per channel — the same integer totals as
+// a TallyBursts loop over the groups, so Stats, the epoch's per-channel
+// bytes and EndXfer's PEMem charge are unchanged. Must run inside a
+// transfer epoch.
+func (h *Host) TallyAllGroups(count int64) {
+	if h.epochDepth == 0 {
+		panic("host: TallyAllGroups outside transfer epoch")
+	}
+	bytes := count * h.groupsPerChannel() * dram.BurstBytes
+	for ch := range h.chanBytes {
+		h.chanBytes[ch] += bytes
+		h.totalByChan[ch].Add(bytes)
+	}
+	h.totalBursts.Add(count * int64(h.sys.Geometry().NumGroups()))
+}
+
+// groupsPerChannel is the entangled-group count of one channel.
+func (h *Host) groupsPerChannel() int64 {
+	g := h.sys.Geometry()
+	return int64(g.RanksPerChannel * g.BanksPerChip)
 }
 
 // ---------------------------------------------------------------------
@@ -153,11 +177,9 @@ type Shard struct {
 	_ [80]byte
 }
 
-// TallyBursts is the shard-local form of Host.TallyBursts, and the one
-// burst path of the functional column stream: a worker books a run's
-// bursts here before it moves the run's bytes straight between banks (or
-// host buffers), one copy per PE, as BulkRead/BulkWrite do with
-// dram.System.ReadSpan/WriteSpan.
+// TallyBursts is the shard-local form of Host.TallyBursts: a bulk
+// transfer's worker books a group's bursts here before it moves them, one
+// copy per PE (dram.System.ReadSpan/WriteSpan).
 func (s *Shard) TallyBursts(group int, count int64) {
 	if s.h.epochDepth == 0 {
 		panic("host: shard tally outside transfer epoch")
@@ -165,6 +187,21 @@ func (s *Shard) TallyBursts(group int, count int64) {
 	ch, _ := s.h.sys.RankOfGroup(group)
 	s.chanBytes[ch] += count * dram.BurstBytes
 	s.bursts += count
+}
+
+// TallyAllGroups is the shard-local form of Host.TallyAllGroups, and the
+// one burst path of the functional column stream: a worker books a run's
+// bursts on every entangled group here before it moves the run's bytes
+// straight between banks (or host buffers), one copy per PE.
+func (s *Shard) TallyAllGroups(count int64) {
+	if s.h.epochDepth == 0 {
+		panic("host: shard tally outside transfer epoch")
+	}
+	bytes := count * s.h.groupsPerChannel() * dram.BurstBytes
+	for ch := range s.chanBytes {
+		s.chanBytes[ch] += bytes
+	}
+	s.bursts += count * int64(s.h.sys.Geometry().NumGroups())
 }
 
 // Shards returns k reusable per-worker tally contexts (growing the set
@@ -355,16 +392,17 @@ func (h *Host) staging(n int) []byte {
 }
 
 // bulk is the one charge order of a staged transfer of perPE bytes per
-// PE of every listed group: a read charges its bus epoch, then DT, then
-// the staging store; a write charges the staging read, then DT, then its
-// bus epoch. move moves the bytes, sharded over the configured workers;
-// nil tallies the same bursts without moving any, so both backends
-// charge, and count, the same.
-func (h *Host) bulk(groups []int, perPE int, read bool, move par.Runner) {
+// PE of nGroups entangled groups: a read charges its bus epoch, then DT,
+// then the staging store; a write charges the staging read, then DT,
+// then its bus epoch. move moves the bytes of its groups, sharded over
+// the configured workers; nil tallies the same bursts on every group of
+// the machine (nGroups must be all of them) without moving any, so both
+// backends charge, and count, the same.
+func (h *Host) bulk(nGroups, perPE int, read bool, move par.Runner) {
 	if perPE%dram.BankBurstBytes != 0 {
 		panic(fmt.Sprintf("host: perPE %d not burst-aligned", perPE))
 	}
-	total := int64(len(groups)) * dram.ChipsPerRank * int64(perPE)
+	total := int64(nGroups) * dram.ChipsPerRank * int64(perPE)
 	if !read {
 		h.Charge(HostMem, total) // staging read
 		h.Charge(DT, total)
@@ -372,12 +410,10 @@ func (h *Host) bulk(groups []int, perPE int, read bool, move par.Runner) {
 	h.BeginXfer()
 	if move != nil {
 		h.Shards(h.workers)
-		par.Do(h.workers, len(groups), move)
+		par.Do(h.workers, nGroups, move)
 		h.MergeShards()
 	} else {
-		for _, g := range groups {
-			h.TallyBursts(g, int64(perPE/dram.BankBurstBytes))
-		}
+		h.TallyAllGroups(int64(perPE / dram.BankBurstBytes))
 	}
 	h.EndXfer()
 	if read {
@@ -401,7 +437,7 @@ func (h *Host) bulk(groups []int, perPE int, read bool, move par.Runner) {
 func (h *Host) BulkRead(groups []int, off, perPE int) []byte {
 	buf := h.staging(len(groups) * dram.ChipsPerRank * perPE)
 	h.brun = bulkReadRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
-	h.bulk(groups, perPE, true, &h.brun)
+	h.bulk(len(groups), perPE, true, &h.brun)
 	return buf
 }
 
@@ -419,13 +455,13 @@ func (h *Host) BulkWrite(groups []int, off int, buf []byte) {
 	}
 	perPE := len(buf) / n
 	h.wrun = bulkWriteRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
-	h.bulk(groups, perPE, false, &h.wrun)
+	h.bulk(len(groups), perPE, false, &h.wrun)
 }
 
 // ChargeBulkRead accounts a BulkRead of perPE bytes per PE from every
-// listed group without moving data.
-func (h *Host) ChargeBulkRead(groups []int, perPE int) { h.bulk(groups, perPE, true, nil) }
+// entangled group of the machine without moving data.
+func (h *Host) ChargeBulkRead(perPE int) { h.bulk(h.sys.Geometry().NumGroups(), perPE, true, nil) }
 
 // ChargeBulkWrite accounts a BulkWrite of perPE bytes per PE to every
-// listed group without moving data.
-func (h *Host) ChargeBulkWrite(groups []int, perPE int) { h.bulk(groups, perPE, false, nil) }
+// entangled group of the machine without moving data.
+func (h *Host) ChargeBulkWrite(perPE int) { h.bulk(h.sys.Geometry().NumGroups(), perPE, false, nil) }

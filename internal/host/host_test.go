@@ -329,12 +329,13 @@ func TestChargeHelpers(t *testing.T) {
 	}
 }
 
-// The functional bulk transfers and their cost-only twins charge the
-// same meter entries in the same order and count the same traffic, at
-// one worker and at several.
+// The functional bulk transfers over every group and their cost-only
+// twins, which always cover the whole machine, charge the same meter
+// entries in the same order and count the same traffic, at one worker
+// and at several.
 func TestBulkMatchesChargeBulk(t *testing.T) {
 	geo := dram.Geometry{Channels: 2, RanksPerChannel: 2, BanksPerChip: 2, MramPerBank: 2048}
-	groups := []int{5, 0, 3, 6, 1}
+	groups := []int{5, 0, 3, 6, 1, 7, 2, 4}
 	const off, perPE = 256, 128
 	type rec struct {
 		cat cost.Category
@@ -362,8 +363,8 @@ func TestBulkMatchesChargeBulk(t *testing.T) {
 			name        string
 			move, tally func()
 		}{
-			{"BulkWrite", func() { fn.BulkWrite(groups, off, data) }, func() { cf.ChargeBulkWrite(groups, perPE) }},
-			{"BulkRead", func() { fn.BulkRead(groups, off, perPE) }, func() { cf.ChargeBulkRead(groups, perPE) }},
+			{"BulkWrite", func() { fn.BulkWrite(groups, off, data) }, func() { cf.ChargeBulkWrite(perPE) }},
+			{"BulkRead", func() { fn.BulkRead(groups, off, perPE) }, func() { cf.ChargeBulkRead(perPE) }},
 		} {
 			gotFn, gotCf := recorded(fn), recorded(cf)
 			fn.ResetStats()
@@ -417,5 +418,63 @@ func TestStatsMatchExpectedTraffic(t *testing.T) {
 	want := int64(len(data))
 	if got := h.Stats().TotalBytes(); got != want {
 		t.Errorf("bulk write moved %d bytes, want %d", got, want)
+	}
+}
+
+// A whole-machine tally books what a TallyBursts loop over every group
+// books: the same Stats, the same per-channel epoch bytes and the same
+// float bits of EndXfer's PEMem charge, on the host and on a shard,
+// inside nested epochs, on the paper's four channels and on one.
+func TestTallyAllGroupsMatchesPerGroupLoop(t *testing.T) {
+	counts := []int64{3, 0, 1024, 1}
+	for _, geo := range []dram.Geometry{
+		dram.PaperGeometry(1 << 20),
+		{Channels: 1, RanksPerChannel: 2, BanksPerChip: 4, MramPerBank: 2048},
+	} {
+		sys, err := dram.NewPhantomSystem(geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type booked struct {
+			stats XferStats
+			epoch []int64
+			pemem uint64
+		}
+		run := func(tally func(h *Host, count int64)) booked {
+			h := New(sys, cost.DefaultParams())
+			h.BeginXfer()
+			h.BeginXfer()
+			for _, n := range counts {
+				tally(h, n)
+			}
+			h.MergeShards()
+			h.EndXfer()
+			epoch := slices.Clone(h.chanBytes)
+			h.EndXfer()
+			return booked{h.Stats(), epoch, math.Float64bits(float64(h.Meter().Get(cost.PEMem)))}
+		}
+		want := run(func(h *Host, n int64) {
+			for g := range geo.NumGroups() {
+				h.TallyBursts(g, n)
+			}
+		})
+		for _, c := range []struct {
+			name  string
+			tally func(h *Host, count int64)
+		}{
+			{"Host.TallyAllGroups", (*Host).TallyAllGroups},
+			{"Shard.TallyAllGroups", func(h *Host, n int64) { h.Shards(1)[0].TallyAllGroups(n) }},
+			{"Shard.TallyBursts loop", func(h *Host, n int64) {
+				for g := range geo.NumGroups() {
+					h.Shards(1)[0].TallyBursts(g, n)
+				}
+			}},
+		} {
+			got := run(c.tally)
+			if got.stats.Bursts != want.stats.Bursts || !slices.Equal(got.stats.BytesPerChannel, want.stats.BytesPerChannel) ||
+				!slices.Equal(got.epoch, want.epoch) || got.pemem != want.pemem {
+				t.Errorf("%d channels: %s booked %+v, the per-group loop %+v", geo.Channels, c.name, got, want)
+			}
+		}
 	}
 }
