@@ -89,9 +89,10 @@ staticcheck:
 	else echo "staticcheck not installed (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 
 # Documentation gate: every package must carry package-level
-# documentation (docs_test.go enforces it); `check` runs vet separately.
+# documentation, and every `-run` alternative here and in CI must name a
+# declared test (docs_test.go enforces both); `check` runs vet separately.
 checkdocs:
-	$(GO) test -run TestPackageDocs .
+	$(GO) test -run 'TestPackageDocs|TestRunPatternsNameDeclaredTests' .
 
 # Serve godoc locally if the godoc tool is installed; otherwise print
 # every package's documentation with go doc.
@@ -129,7 +130,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7202
+LOC_CEILING = 7137
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

@@ -176,11 +176,8 @@ func (f *frontier) at(j int) *placedPlan {
 type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number: the FIFO policy's
-	// order and the deadline picks' tie-break. Guarded by asyncMu. cluster
-	// marks a cluster host plan (submit); it shares done's word, so a
-	// chunk of Futures stays in its size class.
-	seq     uint64
-	cluster bool
+	// order and the deadline picks' tie-break. Guarded by asyncMu.
+	seq uint64
 
 	// done is stored once, after the results below, under asyncMu
 	// (finishLocked, or rejectLocked before anyone else has the handle);
@@ -324,7 +321,7 @@ type subQueue struct {
 // buffers when the plan *executes*, not when it is submitted: do not
 // refill or read them until the future completes, and read a rooted
 // result (Results) before the plan is submitted again.
-func (cp *CompiledPlan) Submit() *Future { return cp.owner.c.submit(cp, false, SubmitOptions{}) }
+func (cp *CompiledPlan) Submit() *Future { return cp.owner.c.submit(cp, SubmitOptions{}) }
 
 // SubmitOptions carries the serving attributes of one submission.
 type SubmitOptions struct {
@@ -341,23 +338,19 @@ type SubmitOptions struct {
 
 // SubmitOpts is Submit with explicit serving attributes (arrival time,
 // deadline). See CompiledPlan.Submit for queue semantics.
-func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.owner.c.submit(cp, false, o) }
+func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.owner.c.submit(cp, o) }
 
 // submit enqueues a plan execution, starting the worker if idle, in one
 // asyncMu section: admit, wait for a queue slot, re-check closure, check
-// overload, enqueue. cluster marks a host plan the cluster layer has
-// admitted on every host up front (ClusterPlan.Submit): it skips quota and
-// overload admission here and is never shed. A submission allocates
-// nothing of its own: its Future is carved.
-func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
+// overload, enqueue. A submission allocates nothing of its own: its
+// Future is carved.
+func (c *Comm) submit(cp *CompiledPlan, o SubmitOptions) *Future {
 	t := cp.owner
 	c.asyncMu.Lock()
 	defer c.asyncMu.Unlock()
 	f := c.carveLocked(cp, o)
-	if !cluster {
-		if err := t.admitLocked(cp.tr.total.Total()); err != nil {
-			return c.rejectLocked(f, false, err)
-		}
+	if err := t.admitLocked(cp.tr.total.Total()); err != nil {
+		return c.rejectLocked(f, false, err)
 	}
 	// Backpressure: the pending count is the queue slot. The wait is the
 	// only stretch of the section that releases asyncMu.
@@ -370,15 +363,14 @@ func (c *Comm) submit(cp *CompiledPlan, cluster bool, o SubmitOptions) *Future {
 		return c.rejectLocked(f, true, fmt.Errorf("%w: tenant %q", ErrTenantClosed, t.name))
 	}
 	// Per-tenant overload admission: beyond MaxPending in-flight plans,
-	// shed the oldest queued one if the tenant's ShedPolicy says so and it
-	// is not a cluster host plan, else reject this submission.
-	if err := t.overloadedLocked(); err != nil && !cluster {
-		if q := t.sq.q; t.shed != ShedOldest || len(q) == 0 || q[0].cluster {
+	// shed the oldest queued one if the tenant's ShedPolicy says so, else
+	// reject this submission.
+	if err := t.overloadedLocked(); err != nil {
+		if t.shed != ShedOldest || len(t.sq.q) == 0 {
 			return c.rejectLocked(f, true, err)
 		}
 		c.completeDroppedLocked(t.sq.remove(0), err)
 	}
-	f.cluster = cluster
 	t.inflight++
 	q := &t.sq
 	c.seqCounter++

@@ -54,19 +54,18 @@ package core
 // A cluster collective compiles on a ClusterTenant: the same arena
 // carved on every host (Cluster.NewTenant, Cluster.Session), whose
 // regions are relative to it and whose runs are admitted against every
-// shard and metered on each. It keeps no plans: Run and Submit admit on
-// every shard first, which a closed shard refuses, so a plan outliving a
-// shard never runs.
+// shard and metered on each. It keeps no plans: a run (Run, or Submit,
+// which is Run) admits on every shard first, which a closed shard refuses,
+// so a plan outliving a shard never runs.
 //
 // Concurrency: Compile holds the hosts' one compMu from entry to return.
-// Runs and Submits hold the cluster's execMu, and so does a shard's Close,
-// so no shard closes between a run's or a submission's admission and its
-// last host. The functional backend runs a plan as one driver loop over
-// its two phases, split at the wire: every host (through the par pool) up
-// to and through its wire step, the wire's merge once, every host's rest.
-// A functional Submit runs the plan there and then, like Run; a cost-only
-// Submit enqueues one host plan per host, which each host's scheduler
-// replays in its own order.
+// Runs hold the cluster's execMu, and so does a shard's Close, so no shard
+// closes between a run's admission and its last host. The functional
+// backend runs a plan as one driver loop over its two phases, split at the
+// wire: every host (through the par pool) up to and through its wire step,
+// the wire's merge once, every host's rest; the cost-only one replays each
+// host's trace in turn. Submit is Run with a completed future, on either
+// backend: no host queue ever holds a cluster plan.
 
 import (
 	"errors"
@@ -168,9 +167,8 @@ type Cluster struct {
 	p          int // PEs per host
 	functional bool
 
-	// execMu serializes serial cluster runs and makes Submit's multi-host
-	// enqueue atomic (a single global order of cluster plans); a cluster
-	// session's shard closes under it.
+	// execMu serializes cluster runs (a single global order of cluster
+	// plans); a cluster session's shard closes under it.
 	execMu sync.Mutex
 }
 
@@ -200,8 +198,9 @@ func (cl *Cluster) PEsPerHost() int { return cl.p }
 // Host returns host h's communication context.
 func (cl *Cluster) Host(h int) *Comm { return cl.comms[h] }
 
-// Flush blocks until every submitted cluster plan has completed on
-// every host.
+// Flush blocks until every plan submitted on any host has completed. A
+// cluster plan's Submit completes at submission, so Flush drains local
+// plans only.
 func (cl *Cluster) Flush() {
 	for _, c := range cl.comms {
 		c.Flush()
@@ -332,8 +331,8 @@ func (s *ClusterTenant) Run(d ClusterCollective) (cost.Breakdown, error) {
 	return cp.Run()
 }
 
-// Submit compiles d and enqueues one asynchronous execution on every
-// host's scheduler, returning a ClusterFuture.
+// Submit compiles d and runs it once on every host (ClusterPlan.Submit),
+// returning the completed ClusterFuture.
 func (s *ClusterTenant) Submit(d ClusterCollective) (*ClusterFuture, error) {
 	cp, err := s.Compile(d)
 	if err != nil {
@@ -342,7 +341,7 @@ func (s *ClusterTenant) Submit(d ClusterCollective) (*ClusterFuture, error) {
 	return cp.Submit(), nil
 }
 
-// Flush blocks until every plan submitted on any host has completed.
+// Flush is Cluster.Flush: it drains every host's local plans.
 func (s *ClusterTenant) Flush() { s.cl.Flush() }
 
 // Close closes every shard (Tenant.Close), returning their arenas; a
@@ -796,17 +795,12 @@ func (cp *ClusterPlan) admitAll() error {
 // or the first host's error if a host failed mid-schedule: the staging is
 // then undefined and the next run correct. Like a machine's Run, it is a
 // barrier on every host's timeline. Cluster runs are serialized with each
-// other, with Submit and with a shard's Close.
+// other and with a shard's Close. A run is admitted on every shard, then
+// executed host by host on the cost-only backend, phase by phase on the
+// functional one (runPhases).
 func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	cp.cl.execMu.Lock()
 	defer cp.cl.execMu.Unlock()
-	return cp.runLocked()
-}
-
-// runLocked admits a run on every shard and executes it: host by host on
-// the cost-only backend, phase by phase on the functional one (runPhases).
-// Callers hold cl.execMu.
-func (cp *ClusterPlan) runLocked() (cost.Breakdown, error) {
 	if err := cp.admitAll(); err != nil {
 		return cost.Breakdown{}, err
 	}
@@ -884,91 +878,39 @@ func (cp *ClusterPlan) Results() []byte {
 	return cp.st.global
 }
 
-// Submit executes the plan once on every host and returns a ClusterFuture.
-// On a functional cluster it runs the plan as Run does, at submission,
-// and returns the future completed. On a cost-only cluster it enqueues
-// one host plan on every host's scheduler. Admission is all or nothing:
-// every host's session is checked against its overload bound (a cluster
-// submission sheds nothing) and its quota before any host enqueues, and a
-// queued host plan is never shed by a later local submission. The
-// multi-host enqueue is atomic (serialized against other cluster Submits
-// and Runs).
+// Submit executes the plan once on every host, as Run does, and returns
+// its outcome as a completed ClusterFuture. Like Run, it is a barrier on
+// every host's timeline: a cluster plan never waits in a host's queue, so
+// it is never shed and never refused for a host's queue depth, and a
+// stepped cluster needs no stepping to complete it.
 func (cp *ClusterPlan) Submit() *ClusterFuture {
-	cf := &ClusterFuture{cp: cp}
-	cp.cl.execMu.Lock()
-	defer cp.cl.execMu.Unlock()
-	if cp.st != nil {
-		cf.bd, cf.err = cp.runLocked()
-		return cf
-	}
-	for h, hp := range cp.plans {
-		hp.owner.c.asyncMu.Lock()
-		err := hp.owner.overloadedLocked()
-		hp.owner.c.asyncMu.Unlock()
-		if err != nil {
-			cf.err = fmt.Errorf("cluster host %d: %w", h, err)
-			return cf
-		}
-	}
-	if cf.err = cp.admitAll(); cf.err != nil {
-		return cf
-	}
-	cf.fs = make([]*Future, len(cp.plans))
-	for h, hp := range cp.plans {
-		cf.fs[h] = hp.owner.c.submit(hp, true, SubmitOptions{})
-	}
-	return cf
+	bd, err := cp.Run()
+	return &ClusterFuture{cp: cp, bd: bd, err: err}
 }
 
-// ClusterFuture is the handle of one submitted cluster execution: a
-// functional cluster's, completed at submission with its breakdown and
-// error, or one Future per host, completing when all hosts have run.
+// ClusterFuture is the handle of one submitted cluster execution,
+// completed at submission with its breakdown and error.
 type ClusterFuture struct {
 	cp  *ClusterPlan
-	fs  []*Future
 	bd  cost.Breakdown
 	err error
 }
 
-// Done reports without blocking whether every host has completed.
-func (cf *ClusterFuture) Done() bool {
-	for _, f := range cf.fs {
-		if !f.Done() {
-			return false
-		}
-	}
-	return true
-}
+// Done reports whether the execution has completed: always true.
+func (cf *ClusterFuture) Done() bool { return true }
 
-// Wait blocks until every host completes and returns the per-category
-// maximum of the hosts' charges and the first error (an admission
-// rejection completes immediately with no host ever enqueued).
-func (cf *ClusterFuture) Wait() (cost.Breakdown, error) {
-	bd, err := cf.bd, cf.err
-	for _, f := range cf.fs {
-		b, e := f.Wait()
-		bd = bd.Max(b)
-		if err == nil {
-			err = e
-		}
-	}
-	return bd, err
-}
+// Wait returns the per-category maximum of the hosts' charges and the
+// run's error (see ClusterPlan.Run).
+func (cf *ClusterFuture) Wait() (cost.Breakdown, error) { return cf.bd, cf.err }
 
-// Err blocks until every host completes and returns the first error.
-func (cf *ClusterFuture) Err() error {
-	_, err := cf.Wait()
-	return err
-}
+// Err returns the run's error.
+func (cf *ClusterFuture) Err() error { return cf.err }
 
-// Results blocks until every host completes and returns the plan's
-// rooted result (see ClusterPlan.Results).
+// Results returns the plan's rooted result (see ClusterPlan.Results), nil
+// after a failed run.
 func (cf *ClusterFuture) Results() []byte {
 	if cf.err != nil {
 		return nil
-	}
-	for _, f := range cf.fs {
-		f.Wait()
 	}
 	return cf.cp.Results()
 }

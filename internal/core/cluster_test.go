@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -668,36 +669,66 @@ func TestClusterSubmitsCompleteInAnyPickOrder(t *testing.T) {
 	}
 }
 
-// A stepped functional cluster runs like a non-stepped one: a cluster
-// submission steps each host's queued local plans, runs on every host and
-// returns complete, and the local plans queued after it wait for Step or
-// Flush. Every PE's arena ends byte-identical to the same sequence on a
-// non-stepped cluster.
-func TestSteppedFunctionalCluster(t *testing.T) {
+// A cluster Submit runs at submission on either backend, as Run does: it
+// steps each host's queued local plans, runs on every host and returns
+// complete, and the local plans queued after it wait for Step or Flush.
+// Every (functional | cost-only) × (stepped | not) run ends with the same
+// host Elapsed and shard meters, bit for bit, and every functional run
+// with the same bytes in every PE's arena. In the overload rows, a session
+// that sheds its oldest plan beyond one in flight submits the cluster plan
+// while a local one fills its queue: the Submit is not refused, and the
+// local plan runs, not shed.
+func TestClusterSubmitRunsAtSubmission(t *testing.T) {
 	const P, m = 16, 512
+	overload := TenantConfig{MaxPending: 1, Shed: ShedOldest}
+	rows := []struct {
+		costOnly, stepped bool
+		tc                TenantConfig
+	}{
+		{false, false, TenantConfig{}}, {false, true, TenantConfig{}},
+		{true, false, TenantConfig{}}, {true, true, TenantConfig{}},
+		{false, true, overload}, {true, true, overload},
+	}
+	type outcome struct {
+		elapsed []cost.Seconds
+		meters  []cost.Breakdown
+		arena   []byte
+	}
 	for _, H := range []int{2, 3} {
 		t.Run(fmt.Sprintf("H%d", H), func(t *testing.T) {
-			run := func(stepped bool) []byte {
-				cl, err := NewCluster(H, geoHost, []int{P}, Config{Stepped: stepped})
+			var want outcome
+			for k, r := range rows {
+				cfg := Config{Stepped: r.stepped}
+				if r.costOnly {
+					cfg.Backend = CostBackend()
+				}
+				cl, err := NewCluster(H, geoHost, []int{P}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := cl.NewTenant(TenantConfig{Name: "s", ArenaBytes: 4 * m})
+				tc := r.tc
+				tc.Name, tc.ArenaBytes = "s", 4*m
+				s, err := cl.NewTenant(tc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for g, data := range randGlobal(H*P, 4*m, 41) {
-					s.Host(g/P).SetPEBuffer(g%P, 0, data)
+				if !r.costOnly {
+					for g, data := range randGlobal(H*P, 4*m, 41) {
+						s.Host(g/P).SetPEBuffer(g%P, 0, data)
+					}
 				}
+				var locals []*Future
 				local := func(src, dst int) {
 					t.Helper()
 					for h := 0; h < H; h++ {
-						if _, err := s.Host(h).Submit(Collective{Prim: AlltoAll, Dims: "1", Src: Span(src, m), Dst: At(dst), Level: CM}); err != nil {
+						f, err := s.Host(h).Submit(Collective{Prim: AlltoAll, Dims: "1", Src: Span(src, m), Dst: At(dst), Level: CM})
+						if err != nil {
 							t.Fatal(err)
 						}
+						locals = append(locals, f)
 					}
-					if got := cl.Host(H - 1).Pending(); stepped && got != 1 {
-						t.Fatalf("stepped host %d has %d pending plans, want the local one queued", H-1, got)
+					if got := cl.Host(H - 1).Pending(); r.stepped && got != 1 {
+						t.Fatalf("row %d: stepped host %d has %d pending plans, want the local one queued", k, H-1, got)
 					}
 				}
 				local(0, m)
@@ -707,26 +738,39 @@ func TestSteppedFunctionalCluster(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !cf.Done() {
-					t.Fatal("a functional cluster submission returned before it ran")
+					t.Fatalf("row %d: a cluster submission returned before it ran", k)
 				}
 				if err := cf.Err(); err != nil {
-					t.Fatal(err)
+					t.Fatalf("row %d: %v", k, err)
 				}
 				local(2*m, 3*m)
-				if stepped && cl.Host(0).Step() == nil {
-					t.Fatal("stepped host 0 had no local plan to step")
+				if r.stepped && cl.Host(0).Step() == nil {
+					t.Fatalf("row %d: stepped host 0 had no local plan to step", k)
 				}
 				cl.Flush()
-				var out []byte
-				for h := 0; h < H; h++ {
-					for pe := 0; pe < P; pe++ {
-						out = append(out, s.Host(h).GetPEBuffer(pe, 0, 4*m)...)
+				for _, f := range locals {
+					if err := f.Err(); err != nil {
+						t.Fatalf("row %d: local plan: %v", k, err)
 					}
 				}
-				return out
-			}
-			if !bytes.Equal(run(true), run(false)) {
-				t.Error("the stepped cluster left other bytes than the non-stepped one")
+				var got outcome
+				for h := 0; h < H; h++ {
+					got.elapsed = append(got.elapsed, cl.Host(h).Elapsed())
+					got.meters = append(got.meters, s.Host(h).Meter())
+					for pe := 0; pe < P && !r.costOnly; pe++ {
+						got.arena = append(got.arena, s.Host(h).GetPEBuffer(pe, 0, 4*m)...)
+					}
+				}
+				if k == 0 {
+					want = got
+					continue
+				}
+				if !slices.Equal(got.elapsed, want.elapsed) || !slices.Equal(got.meters, want.meters) {
+					t.Errorf("row %d %+v: host elapsed %v, meters %v; want %v, %v", k, r, got.elapsed, got.meters, want.elapsed, want.meters)
+				}
+				if !r.costOnly && !bytes.Equal(got.arena, want.arena) {
+					t.Errorf("row %d %+v: the arenas differ from the serial functional run's", k, r)
+				}
 			}
 		})
 	}
@@ -738,7 +782,7 @@ func TestClusterValidation(t *testing.T) {
 			t.Errorf("cluster of %d hosts accepted", hosts)
 		}
 	}
-	// A functional cluster may be stepped (TestSteppedFunctionalCluster
+	// A functional cluster may be stepped (TestClusterSubmitRunsAtSubmission
 	// drives one).
 	if _, err := NewCluster(2, geoHost, []int{16}, Config{Stepped: true}); err != nil {
 		t.Errorf("functional stepped cluster refused: %v", err)
@@ -1172,11 +1216,11 @@ func TestConcurrentCompilesShareOneTable(t *testing.T) {
 }
 
 // A cluster submission runs on every host or on none, also when one of
-// its shards closes while the submission waits for a queue slot on that
-// host: host 1 is held busy (its execMu taken, MaxPendingPlans local
-// plans queued), the cluster Submit parks on host 1 (cost-only: its slot
-// wait; functional: its Flush before the run), and the session's shard on
-// host 1 closes. The future must succeed with equal shard meters or fail
+// its shards closes while the submission waits for that host's queue to
+// drain: host 1 is held busy (its execMu taken, MaxPendingPlans local
+// plans queued), the cluster Submit parks in host 1's Flush before the run
+// (on either backend: a cluster Submit is a Run), and the session's shard
+// on host 1 closes. The future must succeed with equal shard meters or fail
 // with neither shard charged, and it must complete.
 func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
 	const H, P = 2, 16
@@ -1216,7 +1260,7 @@ func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
 			}
 			submitted := make(chan *ClusterFuture, 1)
 			go func() { submitted <- cp.Submit() }()
-			pollLocked(t, h1, "the cluster submission waits for a slot on host 1", func() bool { return h1.parked > 0 })
+			pollLocked(t, h1, "the cluster submission waits for host 1 to drain", func() bool { return h1.parked > 0 })
 			closed := make(chan error, 1)
 			go func() { closed <- s.Host(1).Close() }()
 			// A close that does not wait for the submission sets its flag

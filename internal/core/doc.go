@@ -190,7 +190,7 @@
 // asyncMu for submission and the session lifecycle, and its shape table's
 // compMu for compilation, which a cluster's hosts share and a compile
 // takes once. The one nesting is a Cluster's execMu before a host's
-// locks: a cluster run or submission takes asyncMu or execMu under it,
+// locks: a cluster run (Submit is one) takes asyncMu or execMu under it,
 // a cluster shard's Close both, and a functional cluster run holds every
 // host's execMu at once, taken in host order, each after flushing that
 // host. compMu is never held with asyncMu or execMu, and only leaf locks,

@@ -209,8 +209,8 @@ func (c *Comm) Session() (*Tenant, error) {
 // compiled while the session closes fails Run and Submit. The tenant's meter survives on the Comm's retired list
 // (Snapshot.Tenants), so machine-total accounting stays bit-identical
 // across create/teardown cycles. A cluster shard closes under the
-// cluster's execMu, never between a cluster run's or submission's
-// admission and its last host. Returns ErrTenantClosed on a double close.
+// cluster's execMu, never between a cluster run's admission and its last
+// host. Returns ErrTenantClosed on a double close.
 func (t *Tenant) Close() error {
 	if t.cl != nil {
 		t.cl.execMu.Lock()
@@ -420,8 +420,8 @@ func (t *Tenant) admitLocked(c cost.Seconds) error {
 	return nil
 }
 
-// refund reverses an admit for a plan that was admitted but never ran
-// (a cluster submission rejected on another host).
+// refund reverses an admit for a plan that was admitted but never ran: a
+// cluster run's host admitted before another host rejected it (admitAll).
 func (t *Tenant) refund(c cost.Seconds) {
 	t.c.asyncMu.Lock()
 	t.admitted -= c

@@ -20,8 +20,8 @@ import "fmt"
 //   - LanePE: the in-DIMM processing elements running reorder kernels and
 //     application kernels;
 //   - LaneNet: the host's NIC(s) moving inter-host rounds of a cluster
-//     collective, so a submitted cluster plan's network leg can overlap
-//     another plan's bus or PE work.
+//     collective. A cluster plan runs as a barrier on every host, so the
+//     lane books the network's busy time, not an overlap.
 //
 // A serial execution occupies its lanes back-to-back; two independent
 // plans may interleave, e.g. plan B's PE-side reordering runs while plan

@@ -14,8 +14,9 @@ import (
 // configuration: H identical hosts of the geometry joined by
 // core.NewCluster, every global collective run over whole-host Dims and
 // compared against the reference model on global-rank-concatenated
-// inputs, and — after each functional call — the same descriptor run on
-// a cost-only twin cluster, whose breakdown must match bit-for-bit.
+// inputs, and — after each functional call — the same descriptor
+// submitted on a cost-only twin cluster, whose breakdown must match
+// bit-for-bit, as every host's Elapsed must at the end.
 // The functional cluster runs every collective in a session carved behind
 // a pad session, so its bytes move at a nonzero arena base; the twin runs
 // it in its whole-cluster session (base 0), so the equal breakdowns also
@@ -92,7 +93,8 @@ func (sc ClusterScenario) mkCluster(costOnly bool) (cluster, error) {
 // Check runs every row of checks but the in-place one on the single
 // group of all H·P global ranks, byte-compares the functional cluster
 // against the reference model, and requires the cost-only twin's
-// breakdown to equal the functional one exactly on every call.
+// breakdown to equal the functional one exactly on every call, and every
+// twin host's Elapsed to equal the functional host's at the end.
 func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	dims := strings.Repeat("1", len(sc.Shape))
 	fn, err := sc.mkCluster(false)
@@ -123,10 +125,11 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	r := ranks{groups: [][]int{all},
 		set: func(g, off int, b []byte) { fn.s.Host(g/P).SetPEBuffer(pes[g/P][g%P], off, b) },
 		get: func(g, off, n int) []byte { return fn.s.Host(g/P).GetPEBuffer(pes[g/P][g%P], off, n) },
-		// run runs d on the functional cluster, then its payload-free twin
-		// on the cost-only cluster, and diffs the breakdowns. A cluster
-		// Gather or Reduce takes no Hosts: its result, the plan's staging,
-		// is copied into the ones d brings.
+		// run runs d on the functional cluster, then submits its
+		// payload-free twin on the cost-only cluster (a cluster Submit
+		// completes at submission, as Run does), and diffs the breakdowns.
+		// A cluster Gather or Reduce takes no Hosts: its result, the plan's
+		// staging, is copied into the ones d brings.
 		run: func(d core.Collective) ([][]byte, error) {
 			var out [][]byte
 			if d.Dst == (core.Region{}) {
@@ -142,11 +145,14 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 				return nil, err
 			}
 			cd.Hosts = nil
-			got, err := co.s.Run(cd)
+			cf, err := co.s.Submit(cd)
+			if err == nil {
+				err = cf.Err()
+			}
 			if err != nil {
 				return nil, fmt.Errorf("cost-only: %w", err)
 			}
-			if want != got {
+			if got, _ := cf.Wait(); want != got {
 				return nil, fmt.Errorf("cost-only breakdown %+v != functional %+v", got, want)
 			}
 			res := cp.Results() // the plan's staging, which its next run overwrites
@@ -168,6 +174,9 @@ func (sc ClusterScenario) Check(rng *rand.Rand) error {
 	for h := 0; h < H; h++ {
 		if err := inSession(fn.Host(h), co.Host(h)); err != nil {
 			return fmt.Errorf("cluster host %d: %w (%+v)", h, err, sc)
+		}
+		if want, got := fn.Host(h).Elapsed(), co.Host(h).Elapsed(); want != got {
+			return fmt.Errorf("cluster host %d: cost-only Elapsed %v != functional %v (%+v)", h, got, want, sc)
 		}
 	}
 	return nil

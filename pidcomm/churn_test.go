@@ -539,85 +539,3 @@ func TestCloseTenantOfForeignSession(t *testing.T) {
 		t.Errorf("Close alone left %d B free, want the whole %d", got, tenantGeo.MramPerBank)
 	}
 }
-
-// A cluster submission is admitted on every host or on none. With one
-// slot per shard (MaxPending 1) and host 0 alone stepped past the first
-// submission, the second must be rejected without host 0 enqueueing it —
-// it used to run there alone. And a local submission on one shard
-// never sheds that shard's queued cluster host plan under ShedOldest: it
-// is rejected instead, and the cluster plan runs on every host.
-func TestClusterSubmitAdmitsAllOrNothing(t *testing.T) {
-	const hosts, P, m = 2, 32, 8 * 32
-	d := pidcomm.ClusterCollective{Collective: pidcomm.Collective{
-		Prim: pidcomm.AllReduce, Dims: "1", Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m),
-		Elem: pidcomm.I32, Op: pidcomm.Sum, Level: pidcomm.Baseline,
-	}}
-	session := func(t *testing.T, shed pidcomm.ShedPolicy) (*pidcomm.Cluster, *pidcomm.ClusterComm) {
-		t.Helper()
-		cl, err := pidcomm.NewCluster(hosts, tenantGeo, []int{P}, pidcomm.CostOnly(), pidcomm.WithStepped(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := cl.NewTenant(pidcomm.TenantConfig{Name: "s", ArenaBytes: 4096, MaxPending: 1, Shed: shed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl, s
-	}
-	sameOnEveryHost := func(t *testing.T, cl *pidcomm.Cluster) {
-		t.Helper()
-		cl.Flush()
-		snap := cl.Snapshot()
-		for h := 1; h < hosts; h++ {
-			if snap.Hosts[h].Meter != snap.Hosts[0].Meter {
-				t.Fatalf("host meters differ: host 0 %v, host %d %v — a cluster plan ran on some hosts only",
-					snap.Hosts[0].Meter, h, snap.Hosts[h].Meter)
-			}
-		}
-	}
-
-	t.Run("overloaded host", func(t *testing.T) {
-		cl, s := session(t, pidcomm.ShedReject)
-		first, err := s.Submit(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cl.Machine(0).Step() == nil {
-			t.Fatal("host 0 had nothing to step")
-		}
-		second, err := s.Submit(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(second.Err(), pidcomm.ErrOverloaded) {
-			t.Fatalf("second submission: %v, want ErrOverloaded", second.Err())
-		}
-		if got := cl.Machine(0).Pending(); got != 0 {
-			t.Fatalf("host 0 enqueued a rejected cluster submission (%d pending)", got)
-		}
-		if err := first.Err(); err != nil {
-			t.Fatal(err)
-		}
-		sameOnEveryHost(t, cl)
-	})
-
-	t.Run("shed oldest", func(t *testing.T) {
-		cl, s := session(t, pidcomm.ShedOldest)
-		cf, err := s.Submit(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local, err := s.Host(0).Submit(pidcomm.Collective{Prim: pidcomm.AlltoAll, Dims: "1",
-			Src: pidcomm.Span(0, m), Dst: pidcomm.At(4 * m), Level: pidcomm.Baseline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(local.Err(), pidcomm.ErrOverloaded) {
-			t.Fatalf("local submission over a queued cluster plan: %v, want ErrOverloaded", local.Err())
-		}
-		if err := cf.Err(); err != nil {
-			t.Fatalf("the queued cluster plan was shed: %v", err)
-		}
-		sameOnEveryHost(t, cl)
-	})
-}

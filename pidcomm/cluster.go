@@ -100,7 +100,9 @@ func (cl *Cluster) Submit(d ClusterCollective) (*ClusterFuture, error) {
 // collective runs in a session (Run's is the row named "machine").
 func (cl *Cluster) Snapshot() ClusterSnapshot { return cl.cc.Snapshot() }
 
-// Flush blocks until every submitted plan has completed on every host.
+// Flush blocks until every plan submitted on a host's Machine has
+// completed. A cluster plan's Submit completes at submission, so Flush
+// drains local plans only.
 func (cl *Cluster) Flush() { cl.cc.Flush() }
 
 // NewTenant carves the same per-PE MRAM arena on every host and returns
@@ -136,15 +138,14 @@ type ClusterCollective = core.ClusterCollective
 // (the plan's staging: the next run overwrites them), FusionReports the
 // per-host fusion savings, HostPlan the per-host compiled plans. On a
 // functional cluster a run is two phases split at the network leg: every
-// host runs up to and through it, then every host runs the rest; Submit
-// runs the plan there and then, like Run (a barrier on every host's
-// timeline), and returns a completed future. On a cost-only cluster
-// Submit enqueues one host plan on every host's scheduler.
+// host runs up to and through it, then every host runs the rest. On
+// either backend Submit runs the plan there and then, like Run (a barrier
+// on every host's timeline), and returns a completed future: no host's
+// queue ever holds a cluster plan.
 type ClusterPlan = core.ClusterPlan
 
-// ClusterFuture is the handle of one submitted cluster execution: on a
-// functional cluster, complete when Submit returns; on a cost-only one,
-// one future per host, completing when all hosts have run.
+// ClusterFuture is the handle of one submitted cluster execution,
+// complete when Submit returns.
 type ClusterFuture = core.ClusterFuture
 
 // NetParams is the parameterized inter-host network model: per-NIC link

@@ -349,42 +349,24 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 	})
 }
 
-// Clusters of stepped machines: a functional cluster's submission runs at
-// once and returns completed; a cost-only one queues a host plan on every
-// host, which Wait steps.
+// Clusters of stepped machines: on either backend, a cluster submission
+// runs at once and returns completed, leaving nothing pending on any host.
 func TestSteppedCluster(t *testing.T) {
 	shape := []int{16}
-	fcl, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.WithStepped(true))
-	if err != nil {
-		t.Fatalf("functional cluster on stepped machines: %v", err)
+	for _, opts := range [][]pidcomm.MachineOption{{pidcomm.WithStepped(true)}, {pidcomm.WithStepped(true), pidcomm.CostOnly()}} {
+		cl, err := pidcomm.NewCluster(2, validGeo, shape, opts...)
+		if err != nil {
+			t.Fatalf("cluster on stepped machines: %v", err)
+		}
+		f, err := cl.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !f.Done() || cl.Machine(0).Pending() != 0 || cl.Machine(1).Pending() != 0 {
+			t.Fatalf("cost-only %v: a stepped cluster's submission returned before it ran", cl.CostOnly())
+		}
+		if bd, err := f.Wait(); err != nil || bd.Total() <= 0 {
+			t.Fatalf("cost-only %v: stepped cluster Wait: %v, %v", cl.CostOnly(), bd, err)
+		}
 	}
-	ff, err := fcl.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ff.Done() || fcl.Machine(1).Pending() != 0 {
-		t.Fatal("a stepped functional cluster's submission returned before it ran")
-	}
-	if bd, err := ff.Wait(); err != nil || bd.Total() <= 0 {
-		t.Fatalf("stepped functional cluster Wait: %v, %v", bd, err)
-	}
-	cl, err := pidcomm.NewCluster(2, validGeo, shape, pidcomm.CostOnly(), pidcomm.WithStepped(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc, err := cl.Comm()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := cc.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.Machine(1).Pending() != 1 {
-		t.Fatal("stepped cluster ran a submission on its own")
-	}
-	if bd, err := f.Wait(); err != nil || bd.Total() <= 0 {
-		t.Fatalf("stepped cost-only cluster Wait: %v, %v", bd, err)
-	}
-	cl.Flush()
 }
