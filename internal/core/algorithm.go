@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file is the algorithm axis of a collective: a Collective carries
 // an Algorithm alongside its Level, and two static tables say everything
@@ -110,7 +113,7 @@ type lowering struct {
 	// inapplicable candidate; an explicit request for one is an error.
 	applies func(eff Level, n int) bool
 	// lower produces the schedule.
-	lower func(e *algoEnv) *Schedule
+	lower func(e algoEnv) Schedule
 }
 
 // lowerings is the lowering table, indexed by Primitive, then Algorithm.
@@ -138,16 +141,32 @@ var lowerings = [len(shapes)][len(algorithms)]lowering{
 // of prim for, in Algorithm order (AlgoReference first): the candidates
 // Auto scans.
 func RegisteredAlgorithms(prim Primitive) []Algorithm {
-	if _, err := shapeOf(prim); err != nil {
+	if !prim.known() {
 		return nil
 	}
-	out := make([]Algorithm, 0, len(algorithms))
-	for alg, row := range lowerings[prim] {
-		if row.lower != nil {
-			out = append(out, Algorithm(alg))
+	return slices.Clone(registered[prim])
+}
+
+// registered is RegisteredAlgorithms' table, which Auto reads in place.
+var registered = func() (t [len(shapes)][]Algorithm) {
+	for prim := range t {
+		for alg, row := range lowerings[prim] {
+			if row.lower != nil {
+				t[prim] = append(t[prim], Algorithm(alg))
+			}
 		}
 	}
-	return out
+	return t
+}()
+
+// lowers is loweringOf's test without its error, which Auto asks of
+// every candidate.
+func lowers(alg Algorithm, prim Primitive, eff Level, n int) bool {
+	row := lowering{}
+	if alg >= 0 && int(alg) < len(algorithms) {
+		row = lowerings[prim][alg]
+	}
+	return row.lower != nil && (row.applies == nil || row.applies(eff, n))
 }
 
 // loweringOf returns the table row of an explicitly requested algorithm
@@ -155,14 +174,11 @@ func RegisteredAlgorithms(prim Primitive) []Algorithm {
 // level eff over groups of n ranks, or why the call cannot have it: no
 // such row, or a row that does not apply.
 func loweringOf(alg Algorithm, prim Primitive, eff Level, n int) (*lowering, error) {
-	if alg < 0 || int(alg) >= len(algorithms) || lowerings[prim][alg].lower == nil {
-		return nil, fmt.Errorf("core: no %v algorithm for %v (have %v)",
-			alg, prim.LongName(), RegisteredAlgorithms(prim))
+	switch {
+	case lowers(alg, prim, eff, n):
+		return &lowerings[prim][alg], nil
+	case alg < 0 || int(alg) >= len(algorithms) || lowerings[prim][alg].lower == nil:
+		return nil, fmt.Errorf("core: no %v algorithm for %v (have %v)", alg, prim.LongName(), registered[prim])
 	}
-	row := &lowerings[prim][alg]
-	if row.applies != nil && !row.applies(eff, n) {
-		return nil, fmt.Errorf("core: algorithm %v does not apply to %v at level %v (use AlgoAuto or another level)",
-			alg, prim.LongName(), eff)
-	}
-	return row, nil
+	return nil, fmt.Errorf("core: algorithm %v does not apply to %v at level %v (use AlgoAuto or another level)", alg, prim.LongName(), eff)
 }

@@ -94,36 +94,36 @@ func (c *Comm) Step() *Future {
 // machine's footprint for that range.
 type span struct{ off, n int }
 
-// anyOverlap reports whether a span of as overlaps one of bs moved by d.
-func anyOverlap(as, bs []span, d int) bool {
-	for _, a := range as {
-		for _, b := range bs {
-			if overlap(a.off, a.n, b.off+d, b.n) {
-				return true
-			}
-		}
-	}
-	return false
+// planRegions is a shape row's per-PE MRAM footprint relative to the
+// arena base, used for hazard detection between submitted plans: each
+// member's source and destination, in order; a collective's two lie in
+// buf. A source region the optimized levels consume (PE-assisted
+// reordering rotates it in place) counts as written: a write subsumes a
+// read for hazard purposes.
+type planRegions struct {
+	all []region
+	buf [2]region
 }
 
-// planRegions is a shape row's per-PE MRAM footprint relative to the
-// arena base, used for hazard detection between submitted plans. A source
-// region the optimized levels consume (PE-assisted reordering rotates it
-// in place) counts as written: a write subsumes a read for hazard
-// purposes.
-type planRegions struct{ reads, writes []span }
+// region is one span of a footprint, and whether the plan writes it.
+type region struct {
+	span
+	write bool
+}
 
-// add records one member's source — written when the effective level
-// rotates it in place (consuming it), read otherwise — and destination;
-// an empty span is none.
-func (r *planRegions) add(src, dst span, consumed bool) {
-	if src.n > 0 && consumed {
-		r.writes = append(r.writes, src)
-	} else if src.n > 0 {
-		r.reads = append(r.reads, src)
+// set records the members' footprint; an empty span is none.
+func (r *planRegions) set(specs []planSpec) {
+	r.all = r.buf[:0]
+	if len(specs) > 1 {
+		r.all = make([]region, 0, 2*len(specs))
 	}
-	if dst.n > 0 {
-		r.writes = append(r.writes, dst)
+	for _, sp := range specs {
+		if sp.src.n > 0 {
+			r.all = append(r.all, region{sp.src, sp.consumed})
+		}
+		if sp.dst.n > 0 {
+			r.all = append(r.all, region{sp.dst, true})
+		}
 	}
 }
 
@@ -131,8 +131,15 @@ func (r *planRegions) add(src, dst span, consumed bool) {
 // regions at its own arena base — carry a data hazard: a RAW, WAR or WAW
 // dependence on any region.
 func (cp *CompiledPlan) conflicts(o *CompiledPlan) bool {
-	r, s, d := &cp.regs, &o.regs, o.base-cp.base
-	return anyOverlap(r.writes, s.writes, d) || anyOverlap(r.writes, s.reads, d) || anyOverlap(r.reads, s.writes, d)
+	d := o.base - cp.base
+	for _, a := range cp.regs.all {
+		for _, b := range o.regs.all {
+			if (a.write || b.write) && overlap(a.off, a.n, b.off+d, b.n) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // placedPlan is a placement visible to hazard checks: later conflicting

@@ -148,6 +148,34 @@ func TestAsyncMatchesSerialBitIdentical(t *testing.T) {
 	}
 }
 
+// Two plans conflict on a region one of them writes — RAW, WAR or WAW,
+// a consumed source counting as written — each footprint at its own
+// arena base, and never on a region both only read.
+func TestConflictsNeedAWrite(t *testing.T) {
+	plan := func(base int, src span, consumed bool, dst span) *CompiledPlan {
+		row := &planEntry{}
+		row.regs.set([]planSpec{{src: src, dst: dst, consumed: consumed}})
+		return &CompiledPlan{planEntry: row, base: base}
+	}
+	r, none, far := span{0, 64}, span{}, span{128, 64}
+	for _, tc := range []struct {
+		name string
+		a, b *CompiledPlan
+		want bool
+	}{
+		{"read/read", plan(0, r, false, none), plan(0, r, false, far), false},
+		{"write/read", plan(0, none, false, r), plan(0, r, false, far), true},
+		{"write/write", plan(0, none, false, r), plan(0, none, false, r), true},
+		{"consumed/read", plan(0, r, true, none), plan(0, r, false, far), true},
+		{"write/read at other bases", plan(0, none, false, r), plan(64, r, false, far), false},
+		{"write/read at the same place", plan(0, none, false, span{64, 64}), plan(64, r, false, far), true},
+	} {
+		if got, rev := tc.a.conflicts(tc.b), tc.b.conflicts(tc.a); got != tc.want || rev != tc.want {
+			t.Errorf("%s: conflicts %v one way, %v the other; want %v", tc.name, got, rev, tc.want)
+		}
+	}
+}
+
 // TestAsyncHazardOrdering checks that dependent plans' timeline windows
 // do not overlap (RAW chain) while independent plans' windows do.
 func TestAsyncHazardOrdering(t *testing.T) {
@@ -339,7 +367,9 @@ func failingPlan(c *testComm) *CompiledPlan {
 	sched.add(&StepSync{})
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
-	return c.s.planOn(&planEntry{key: planKey{prim: Broadcast, dims: "1"}, sched: sched, tr: c.traceSchedule(sched)}, nil)
+	row := &planEntry{key: planKey{prim: Broadcast, dims: "1"}, sched: sched}
+	c.traceSchedule(sched, &row.tr)
+	return c.s.planOn(row, nil)
 }
 
 // TestFutureErrSurfacesBackendErrorExactlyOnce is the regression test for

@@ -105,40 +105,48 @@ func (c *Comm) SetAutoObjective(o AutoObjective) {
 // pair for the key and returns the best under the comm's objective. The
 // algorithm axis is the key's constraint (AlgoAuto means every row the
 // lowering table has for the primitive, reference first); the level axis
-// is the levels field of the primitive's shape row. A candidate whose
-// row cannot be built is inapplicable to this signature (e.g. the
-// streaming levels cannot run an in-place AlltoAll; a row's applies
-// predicate rejects the level) and is skipped; autoPick errors only when
-// no candidate applies.
+// is the levels field of the primitive's shape row. A candidate that does
+// not apply (e.g. the streaming levels cannot run an in-place AlltoAll; a
+// row's applies predicate rejects the level) or whose row cannot be built
+// is skipped; autoPick errors only when no candidate applies.
 // Callers hold compMu.
 func (c *Comm) autoPick(key autoKey, row func(alg Algorithm, lvl Level) (*planEntry, error)) (autoDecision, error) {
 	if dec, ok := c.autoCache[key]; ok {
 		return dec, nil
 	}
+	p, _ := c.planLocked(key.dims) // nil for bad dims, which every row rejects
 	algs := []Algorithm{key.algo}
 	if key.algo == AlgoAuto {
-		algs = RegisteredAlgorithms(key.prim)
+		algs = registered[key.prim]
 	}
 	var best autoDecision
-	found := false
 	var fails []error
-	for _, alg := range algs {
-		for _, eff := range shapes[key.prim].levels {
-			e, err := row(alg, eff)
-			if err != nil {
-				fails = append(fails, err)
-				continue
-			}
-			cand := autoDecision{
-				algo:     alg,
-				lvl:      eff,
-				meter:    e.tr.total.Total(),
-				makespan: cost.PipelinedMakespan(e.tr.segs, AutoPipelineDepth),
-			}
-			// Strict less on the scan keeps the earliest candidate
-			// (reference algorithm, lowest level) on ties.
-			if !found || c.autoLess(cand, best) {
-				best, found = cand, true
+	found := false
+	// The first scan skips, unbuilt, what specIn rejects for its candidate;
+	// a second runs only when none applied, to join every row's error.
+	for scan := 0; scan < 2 && !found; scan++ {
+		fails = fails[:0]
+		for _, alg := range algs {
+			for _, eff := range shapes[key.prim].levels {
+				if scan == 0 && (key.inPlace && eff >= IM || p != nil && !lowers(alg, key.prim, eff, p.n)) {
+					continue
+				}
+				e, err := row(alg, eff)
+				if err != nil {
+					fails = append(fails, err)
+					continue
+				}
+				cand := autoDecision{
+					algo:     alg,
+					lvl:      eff,
+					meter:    e.tr.total.Total(),
+					makespan: cost.PipelinedMakespan(e.tr.segs, AutoPipelineDepth),
+				}
+				// Strict less on the scan keeps the earliest candidate
+				// (reference algorithm, lowest level) on ties.
+				if !found || c.autoLess(cand, best) {
+					best, found = cand, true
+				}
 			}
 		}
 	}
@@ -191,27 +199,22 @@ func (c *Comm) autoResolve(d Collective) (autoDecision, error) {
 	if sh.reducing {
 		key.elemType, key.op = d.Elem, d.Op
 	}
+	// A candidate's row is d's with the candidate filled in, at d's own
+	// offsets on the whole-MRAM arena, a dry spec whose host payload may be
+	// left out (rowLocked): one trace miss per candidate, after which every
+	// lookup of its key, the winner's compile included, is a hit.
 	dec, err := c.autoPick(key, func(alg Algorithm, lvl Level) (*planEntry, error) {
 		d.Algorithm, d.Level = alg, lvl
-		return c.autoRow(d)
+		spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
+		if err != nil {
+			return nil, err
+		}
+		return c.rowLocked([]planSpec{spec}), nil
 	})
 	if err != nil {
 		return autoDecision{}, fmt.Errorf("Auto(%v): %w", d.Prim, err)
 	}
 	return dec, nil
-}
-
-// autoRow returns the shape row of candidate d — a caller's descriptor
-// with the candidate (algorithm, level) filled in — at d's own offsets on
-// the whole-MRAM arena, a dry spec whose host payload may be left out
-// (rowLocked): one trace miss per candidate, after which every lookup of
-// its key, the winner's compile included, is a hit. Callers hold compMu.
-func (c *Comm) autoRow(d Collective) (*planEntry, error) {
-	spec, err := c.specIn(arena{0, c.hc.sys.MramSize()}, d, true)
-	if err != nil {
-		return nil, err
-	}
-	return c.rowLocked([]planSpec{spec}), nil
 }
 
 // AutoDecision is one row of the Auto decision cache as surfaced by

@@ -578,15 +578,15 @@ func (b *clusterBuild) net(name string, rounds int, bytesPerRound int64, wire bo
 
 // member appends a hand-built member that reads src and writes dst of the
 // arena (an empty span: neither).
-func (b *clusterBuild) member(src, dst span, sched *Schedule) {
+func (b *clusterBuild) member(src, dst span, sched Schedule) {
 	key := planKey{prim: b.d.Prim, dims: b.d.Dims}
-	b.specs = append(b.specs, planSpec{env: algoEnv{planKey: key}, src: src, dst: dst, sched: sched})
+	b.specs = append(b.specs, planSpec{env: algoEnv{planKey: key}, src: src, dst: dst, sched: &sched})
 }
 
 // step appends what every member but the redistribution is: one step and
 // its sync.
 func (b *clusterBuild) step(name string, src, dst span, st Step) {
-	b.member(src, dst, &Schedule{Name: name, Steps: []Step{st, &StepSync{}}})
+	b.member(src, dst, Schedule{Name: name, Steps: []Step{st, &StepSync{}}})
 }
 
 // legs lowers one row of the leg table: local leg → wire → (Flat: root
@@ -645,7 +645,7 @@ func (b *clusterBuild) legs() error {
 	if err != nil {
 		return err
 	}
-	b.member(span{}, span{d.Dst.Off, n}, lowerings[row.redist][AlgoReference].lower(&algoEnv{
+	b.member(span{}, span{d.Dst.Off, n}, lowerings[row.redist][AlgoReference].lower(algoEnv{
 		planKey: planKey{prim: row.redist, dstOff: d.Dst.Off, bytes: n, lvl: eff}, p: b.p, s: n, hosts: 1}))
 	return nil
 }

@@ -75,7 +75,7 @@ func diffPlans(got, want *CompiledPlan, gotGlobal, wantGlobal []byte) string {
 		return diffRows(got, want)
 	case !slices.Equal(got.members, want.members):
 		return "members"
-	case !slices.Equal(got.regs.reads, want.regs.reads) || !slices.Equal(got.regs.writes, want.regs.writes):
+	case !slices.Equal(got.regs.all, want.regs.all):
 		return fmt.Sprintf("regs %+v, want %+v", got.regs, want.regs)
 	case (got.sched == nil) != (want.sched == nil):
 		return fmt.Sprintf("schedule %v, want %v", got.sched, want.sched)
@@ -422,7 +422,7 @@ func TestStagedRoundsAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, p: p, s: 8}
+		e := algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, p: p, s: 8}
 		var steps int
 		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e).Steps) })
 		return allocs, steps

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -363,23 +364,18 @@ func (c *Comm) planLocked(dims string) (*plan, error) {
 
 // SetPEBuffer writes raw bytes directly into a PE's MRAM (no cost):
 // test/application setup helper representing data the PE itself produced.
-func (c *Comm) SetPEBuffer(pe, off int, data []byte) {
-	m := c.hc.sys.BankBytes(pe)
-	if off < 0 || off+len(data) > len(m) {
-		panic(fmt.Sprintf("core: PE %d buffer [%d,%d) out of MRAM range %d", pe, off, off+len(data), len(m)))
-	}
-	copy(m[off:], data)
-}
+func (c *Comm) SetPEBuffer(pe, off int, data []byte) { copy(c.peWindow(pe, off, len(data)), data) }
 
 // GetPEBuffer reads raw bytes directly from a PE's MRAM (no cost).
-func (c *Comm) GetPEBuffer(pe, off, n int) []byte {
+func (c *Comm) GetPEBuffer(pe, off, n int) []byte { return bytes.Clone(c.peWindow(pe, off, n)) }
+
+// peWindow returns PE pe's MRAM bytes [off, off+n) or panics out of range.
+func (c *Comm) peWindow(pe, off, n int) []byte {
 	m := c.hc.sys.BankBytes(pe)
 	if off < 0 || off+n > len(m) {
 		panic(fmt.Sprintf("core: PE %d buffer [%d,%d) out of MRAM range %d", pe, off, off+n, len(m)))
 	}
-	out := make([]byte, n)
-	copy(out, m[off:])
-	return out
+	return m[off : off+n]
 }
 
 // blockSize computes and validates the per-block size s = bytesPerPE / n

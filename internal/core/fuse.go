@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cost"
 )
@@ -231,20 +232,27 @@ func coalesceEpochs(a, b *StepColumnStream) *StepColumnStream {
 
 // fuseSteps runs the peephole passes over steps to a fixpoint and
 // returns the rewritten list plus the report. The input slice is not
-// mutated; step values are shared where unchanged.
+// mutated: the first rewrite copies it, so a list no pass changes
+// comes back as it went in; step values are shared where unchanged.
 func fuseSteps(steps []Step) ([]Step, FusionReport) {
 	rep := FusionReport{StepsBefore: len(steps)}
-	out := append([]Step{}, steps...)
-	for changed := true; changed; {
+	out, shared, changed := steps, true, true
+	// rewrite replaces out[i:i+n] with repl; its first call copies steps.
+	rewrite := func(i, n int, repl ...Step) {
+		if shared {
+			out, shared = slices.Clone(out), false
+		}
+		out, changed = slices.Replace(out, i, i+n, repl...), true
+	}
+	for changed {
 		changed = false
 
 		// dropInteriorSyncs: every Sync except the final step goes; a
 		// fused plan synchronizes once, when it completes.
 		for i := 0; i < len(out)-1; i++ {
 			if _, ok := out[i].(*StepSync); ok {
-				out = append(out[:i], out[i+1:]...)
+				rewrite(i, 1)
 				rep.SyncsElided++
-				changed = true
 				i--
 			}
 		}
@@ -262,8 +270,7 @@ func fuseSteps(steps []Step) ([]Step, FusionReport) {
 			} else {
 				rep.OtherElided++
 			}
-			out = append(out[:i], out[i+1:]...)
-			changed = true
+			rewrite(i, 1)
 			i--
 		}
 
@@ -284,9 +291,7 @@ func fuseSteps(steps []Step) ([]Step, FusionReport) {
 			rep.PEInstrSaved += ia + ib - im
 			rep.PEBytesSaved += ba + bb - bm
 			rep.RotatesMerged++
-			out[i] = m
-			out = append(out[:i+1], out[i+2:]...)
-			changed = true
+			rewrite(i, 2, m)
 			i--
 		}
 
@@ -297,10 +302,8 @@ func fuseSteps(steps []Step) ([]Step, FusionReport) {
 			if !ok1 || !ok2 {
 				continue
 			}
-			out[i] = coalesceEpochs(a, b)
-			out = append(out[:i+1], out[i+2:]...)
+			rewrite(i, 2, coalesceEpochs(a, b))
 			rep.EpochsCoalesced++
-			changed = true
 			i--
 		}
 	}

@@ -52,37 +52,6 @@ func (hc *Hypercube) Shape() []int { return append([]int(nil), hc.shape...) }
 // System returns the underlying memory system.
 func (hc *Hypercube) System() *dram.System { return hc.sys }
 
-// NodePE maps hypercube coordinates to the linear PE index. Coordinate 0
-// is the x dimension.
-func (hc *Hypercube) NodePE(coord []int) int {
-	if len(coord) != len(hc.shape) {
-		panic(fmt.Sprintf("core: coordinate rank %d != %d dims", len(coord), len(hc.shape)))
-	}
-	idx := 0
-	stride := 1
-	for d, c := range coord {
-		if c < 0 || c >= hc.shape[d] {
-			panic(fmt.Sprintf("core: coordinate %d out of range for dim %d (len %d)", c, d, hc.shape[d]))
-		}
-		idx += c * stride
-		stride *= hc.shape[d]
-	}
-	return idx
-}
-
-// PECoord is the inverse of NodePE.
-func (hc *Hypercube) PECoord(pe int) []int {
-	if pe < 0 || pe >= hc.sys.Geometry().NumPEs() {
-		panic(fmt.Sprintf("core: PE %d out of range", pe))
-	}
-	coord := make([]int, len(hc.shape))
-	for d, l := range hc.shape {
-		coord[d] = pe % l
-		pe /= l
-	}
-	return coord
-}
-
 // ParseDims parses a comm_dimensions bitmap string (Figure 10): character
 // i selects dimension i ("100" selects x in a 3-D cube, "101" selects x
 // and z). The string length must equal the number of dimensions and at
@@ -151,8 +120,8 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 		pes:     make([]int, numPEs),
 		ranks:   make([]int, numPEs),
 	}
-	// One backing array for all groups and PECoord's arithmetic in place: a
-	// cold plan allocates a constant number of objects, not one per PE.
+	// One backing array for all groups and the coordinate decode in place:
+	// a cold plan allocates a constant number of objects, not one per PE.
 	members := make([]int, numPEs)
 	for g := range p.groups {
 		p.groups[g] = members[g*n : (g+1)*n : (g+1)*n]

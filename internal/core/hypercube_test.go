@@ -22,6 +22,38 @@ func newHC(t *testing.T, geo dram.Geometry, shape []int) *Hypercube {
 	return hc
 }
 
+// NodePE maps hypercube coordinates to the linear PE index. Coordinate 0
+// is the x dimension. It and PECoord, its inverse, are test helpers: the
+// product decodes coordinates inline (buildPlan).
+func (hc *Hypercube) NodePE(coord []int) int {
+	if len(coord) != len(hc.shape) {
+		panic(fmt.Sprintf("core: coordinate rank %d != %d dims", len(coord), len(hc.shape)))
+	}
+	idx := 0
+	stride := 1
+	for d, c := range coord {
+		if c < 0 || c >= hc.shape[d] {
+			panic(fmt.Sprintf("core: coordinate %d out of range for dim %d (len %d)", c, d, hc.shape[d]))
+		}
+		idx += c * stride
+		stride *= hc.shape[d]
+	}
+	return idx
+}
+
+// PECoord is the inverse of NodePE.
+func (hc *Hypercube) PECoord(pe int) []int {
+	if pe < 0 || pe >= hc.sys.Geometry().NumPEs() {
+		panic(fmt.Sprintf("core: PE %d out of range", pe))
+	}
+	coord := make([]int, len(hc.shape))
+	for d, l := range hc.shape {
+		coord[d] = pe % l
+		pe /= l
+	}
+	return coord
+}
+
 func TestNewHypercubeValidation(t *testing.T) {
 	sys, _ := dram.NewSystem(geo64)
 	bad := [][]int{

@@ -28,8 +28,8 @@ type hop struct {
 // write, the sync. The hop steps and their charges are two slabs, not two
 // heap objects per hop (a 1024-rank ring has 2046), each step's charges
 // capped at their own length so no append can reach the next step's.
-func stagedRounds(name string, open Step, hops []hop, closing Step) *Schedule {
-	sched := &Schedule{Name: name, Steps: make([]Step, 0, len(hops)+3)}
+func stagedRounds(name string, open Step, hops []hop, closing Step) Schedule {
+	sched := Schedule{Name: name, Steps: make([]Step, 0, len(hops)+3)}
 	if open != nil {
 		sched.add(open)
 	}
@@ -71,7 +71,7 @@ func treeSenders(n int) []int {
 // replicated to every member — the reference Baseline modulation's
 // arithmetic; the hops already charged the reduction and replication
 // work, so it carries only the write traffic itself.
-func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
+func stagedAllReduce(e *algoEnv, name string, hops []hop) Schedule {
 	p, m, t, op := e.p, e.bytes, e.elemType, e.op
 	return stagedRounds(name, &StepBulk{
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
@@ -98,19 +98,19 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) *Schedule {
 // lowerRingAllReduce moves one s-byte block per PE around the group
 // ring: n-1 reduce-scatter hops (each PE folds the arriving block into
 // its own), then n-1 allgather hops (pure copies).
-func lowerRingAllReduce(e *algoEnv) *Schedule {
+func lowerRingAllReduce(e algoEnv) Schedule {
 	hops := make([]hop, 0, 2*(e.p.n-1))
 	for _, work := range []host.Work{host.ScalarReduce, host.SIMD} {
 		for r := 1; r < e.p.n; r++ {
 			hops = append(hops, hop{work, e.p.numPEBytes(e.s)})
 		}
 	}
-	return stagedAllReduce(e, "AllReduce/ring", hops)
+	return stagedAllReduce(&e, "AllReduce/ring", hops)
 }
 
 // lowerTreeAllReduce climbs and re-descends the binomial tree, each
 // round moving the full m-byte payload per participating pair.
-func lowerTreeAllReduce(e *algoEnv) *Schedule {
+func lowerTreeAllReduce(e algoEnv) Schedule {
 	up := treeSenders(e.p.n)
 	pair := int64(len(e.p.groups)) * int64(e.bytes) // one sender per group
 	hops := make([]hop, 2*len(up))
@@ -118,16 +118,16 @@ func lowerTreeAllReduce(e *algoEnv) *Schedule {
 		hops[i] = hop{host.ScalarReduce, int64(senders) * pair}
 		hops[len(hops)-1-i] = hop{host.SIMD, int64(senders) * pair}
 	}
-	return stagedAllReduce(e, "AllReduce/tree", hops)
+	return stagedAllReduce(&e, "AllReduce/tree", hops)
 }
 
 // lowerRsagAllReduce is the Rabenseifner composition: the staged
 // ReduceScatter pass leaves each PE its rank's reduced block at dst, a
 // sync barrier ends that phase, and the staged AllGather pass reads the
 // blocks back and writes the full replicated result over them.
-func lowerRsagAllReduce(e *algoEnv) *Schedule {
-	return &Schedule{Name: "AllReduce/rsag", Steps: []Step{
-		reduceScatterBulk(e, host.ScalarReduce), &StepSync{},
+func lowerRsagAllReduce(e algoEnv) Schedule {
+	return Schedule{Name: "AllReduce/rsag", Steps: []Step{
+		reduceScatterBulk(&e, host.ScalarReduce), &StepSync{},
 		allGatherBulk(e.p, e.dstOff, e.dstOff, e.s), &StepSync{},
 	}}
 }
@@ -137,7 +137,7 @@ func lowerRsagAllReduce(e *algoEnv) *Schedule {
 // payload, the running plan's, through the bulk write path (the hops
 // already charged the wire; the payload fan-out into the PE-major buffer
 // is memcpy class).
-func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
+func stagedBroadcast(e *algoEnv, name string, hops []hop) Schedule {
 	p, s, at := e.p, e.bytes, e.hosts
 	return stagedRounds(name, nil, hops, &StepBulk{
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
@@ -156,22 +156,22 @@ func stagedBroadcast(e *algoEnv, name string, hops []hop) *Schedule {
 
 // lowerRingBroadcast stages the payload around each group's ring: n-1
 // full-payload hops, one link each.
-func lowerRingBroadcast(e *algoEnv) *Schedule {
+func lowerRingBroadcast(e algoEnv) Schedule {
 	hops := make([]hop, e.p.n-1)
 	for r := range hops {
 		hops[r] = hop{host.HostMem, int64(len(e.p.groups)) * int64(e.bytes)}
 	}
-	return stagedBroadcast(e, "Broadcast/ring", hops)
+	return stagedBroadcast(&e, "Broadcast/ring", hops)
 }
 
 // lowerTreeBroadcast stages the payload down a binomial tree:
 // ceil(log2 n) doubling rounds — round j has min(2^j, n-2^j) senders,
 // each forwarding the full payload.
-func lowerTreeBroadcast(e *algoEnv) *Schedule {
+func lowerTreeBroadcast(e algoEnv) Schedule {
 	var hops []hop
 	for have := 1; have < e.p.n; have *= 2 {
 		senders := min(have, e.p.n-have)
 		hops = append(hops, hop{host.HostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes)})
 	}
-	return stagedBroadcast(e, "Broadcast/tree", hops)
+	return stagedBroadcast(&e, "Broadcast/tree", hops)
 }

@@ -74,27 +74,28 @@ type seqKey struct {
 // planEntry is one shape row: what depends only on the call shape — never
 // on data, meter state, caller buffers or the arena base — and so is
 // shared by every plan built for the key, in any session: the first
-// member's signature, the members, the footprint (which the hazard checks
-// shift by each plan's base), the trace and, on the functional backend,
-// the fused schedule, whose offsets a run shifts by its plan's base.
-// fusion reports what the fusion pipeline did (zero-valued under
-// FuseOff); memberCosts is each member's unfused per-run cost (for
-// proportional attribution by profilers), traced for sequences only: nil
-// when the one member's cost is the plan's. A session's Gather or Reduce
-// row writes outs result buffers of outBytes each (rowLocked).
+// member's signature, the footprint (which the hazard checks shift by
+// each plan's base), the trace and, on the functional backend, the fused
+// schedule, whose offsets a run shifts by its plan's base. fusion reports
+// what the fusion pipeline did (zero-valued under FuseOff); members and
+// memberCosts are a sequence's member primitives and each one's unfused
+// per-run cost (for proportional attribution by profilers), nil for a
+// collective: its one member is key.prim, its cost the plan's. A
+// session's Gather or Reduce row writes outs result buffers of outBytes
+// each (rowLocked).
 type planEntry struct {
 	key            planKey
 	members        []Primitive
 	regs           planRegions
 	sched          *Schedule
-	tr             *chargeTrace
+	tr             chargeTrace
 	fusion         FusionReport
 	memberCosts    []cost.Breakdown
 	outs, outBytes int
 }
 
 // planSpec is one validated, Auto-resolved member: its arena-relative
-// footprint (planRegions.add) and what buildLocked lowers on a row miss —
+// footprint (planRegions.set) and what buildLocked lowers on a row miss —
 // a collective's resolved call, whose key is the member's signature, and
 // lowering-table row, held by value so that a compile that finds its row
 // costs nothing (specIn), or a hand-built member's schedule (cluster.go).
@@ -106,21 +107,20 @@ type planSpec struct {
 	sched    *Schedule
 }
 
-// schedule lowers the member; a collective's closures get a copy of its
-// resolved call to keep.
-func (sp *planSpec) schedule() *Schedule {
+// schedule lowers the member; a collective's lowering gets a copy of its
+// resolved call.
+func (sp *planSpec) schedule() Schedule {
 	if sp.sched != nil {
-		return sp.sched
+		return *sp.sched
 	}
-	env := sp.env
-	return sp.lo.lower(&env)
+	return sp.lo.lower(sp.env)
 }
 
 // chargeTrace is the precomputed accounting of one schedule: the ordered
 // meter additions of a cost-only execution plus the cumulative
 // bus-statistics delta. It depends only on the call shape, never on data
 // or meter state, so it is shared by every plan with the same key
-// (planEntry).
+// (planEntry, which holds it in place: chans may back stats).
 type chargeTrace struct {
 	adds  []cost.TraceEntry
 	stats host.XferStats
@@ -128,13 +128,9 @@ type chargeTrace struct {
 	// segs is the trace coalesced into timeline lane segments, the unit
 	// of overlap-aware elapsed-time placement (async.go).
 	segs []cost.Segment
-}
-
-// memBytes approximates the trace's cached memory footprint.
-func (tr *chargeTrace) memBytes() int64 {
-	const traceEntryBytes = 16 // Category + Seconds
-	const segmentBytes = 16    // Lane + Seconds
-	return int64(len(tr.adds))*traceEntryBytes + int64(len(tr.segs))*segmentBytes
+	// chans holds stats.BytesPerChannel on up to four channels (the
+	// paper's system has four), so a row's trace is two slices.
+	chans [4]int64
 }
 
 // CompiledPlan is a collective compiled once — a shape row of precomputed
@@ -180,8 +176,9 @@ func (cp *CompiledPlan) Algorithm() Algorithm { return cp.key.algo }
 func (cp *CompiledPlan) Cost() cost.Breakdown { return cp.tr.total }
 
 // LaneSegments returns a copy of the plan's per-run charge trace as
-// timeline segments in charge order — the input to dry placement
-// (cost.PipelinedMakespan, the async scheduler's hazard windows).
+// timeline segments in charge order. It is the benchmark's seam: core's
+// own placement (the async scheduler, Makespan) reads the row's segments
+// in place.
 func (cp *CompiledPlan) LaneSegments() []cost.Segment {
 	return append([]cost.Segment(nil), cp.tr.segs...)
 }
@@ -200,7 +197,12 @@ func (cp *CompiledPlan) FusionReport() FusionReport { return cp.fusion }
 // Members returns the plan's member primitives in execution order: the
 // single primitive for an ordinary plan, the sequence members for a
 // CompileSequence plan.
-func (cp *CompiledPlan) Members() []Primitive { return slices.Clone(cp.members) }
+func (cp *CompiledPlan) Members() []Primitive {
+	if cp.members == nil {
+		return []Primitive{cp.key.prim}
+	}
+	return slices.Clone(cp.members)
+}
 
 // MemberCosts returns, for a CompileSequence plan, each member's unfused
 // per-run cost breakdown (their sum is the sequence's FusionReport
@@ -346,11 +348,13 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 	return tc
 }
 
-// traceSchedule keeps a trace as exact-size copies. Callers hold compMu.
-func (c *Comm) traceSchedule(sched *Schedule) *chargeTrace {
+// traceSchedule traces sched into tr, which it keeps as exact-size
+// copies. Callers hold compMu.
+func (c *Comm) traceSchedule(sched *Schedule, tr *chargeTrace) {
 	tc := c.trace(sched)
 	tc.segs = cost.AppendSegments(tc.segs[:0], tc.adds)
-	return &chargeTrace{adds: slices.Clone(tc.adds), stats: tc.h.Stats(), total: tc.h.Meter().Snapshot(), segs: slices.Clone(tc.segs)}
+	tr.adds, tr.segs, tr.total = slices.Clone(tc.adds), slices.Clone(tc.segs), tc.h.Meter().Snapshot()
+	tr.stats = tc.h.StatsInto(tr.chans[:])
 }
 
 // compiled binds owner's plan for specs — one collective or a sequence
@@ -401,21 +405,19 @@ func (t *Tenant) planOn(row *planEntry, hosts [][]byte) *CompiledPlan {
 // of a sequence. It books the build — a trace miss and, under FuseFull,
 // the row's fusion report; its caller stores the row. Callers hold compMu.
 func (c *Comm) buildLocked(specs []planSpec) *planEntry {
-	row := &planEntry{key: specs[0].env.planKey, members: make([]Primitive, len(specs))}
-	for i, sp := range specs {
-		row.members[i] = sp.env.prim
-		row.regs.add(sp.src, sp.dst, sp.consumed)
-	}
-	var sched *Schedule
+	row := &planEntry{key: specs[0].env.planKey}
+	row.regs.set(specs)
+	var sched Schedule
 	if len(specs) == 1 { // a collective is its own schedule
 		sched = specs[0].schedule()
 	} else {
-		sched = &Schedule{}
+		row.members = make([]Primitive, len(specs))
 		names := make([]string, len(specs))
 		for i := range specs {
+			row.members[i] = specs[i].env.prim
 			ms := specs[i].schedule()
 			names[i] = ms.Name
-			row.memberCosts = append(row.memberCosts, c.trace(ms).h.Meter().Snapshot())
+			row.memberCosts = append(row.memberCosts, c.trace(&ms).h.Meter().Snapshot())
 			sched.Steps = append(sched.Steps, ms.Steps...)
 		}
 		sched.Name = "Seq(" + strings.Join(names, "+") + ")"
@@ -426,12 +428,12 @@ func (c *Comm) buildLocked(specs []planSpec) *planEntry {
 		fused, rep = fuseSteps(sched.Steps)
 	}
 	if rep.Changed() {
-		rep.CostBefore = c.trace(sched).h.Meter().Snapshot()
+		rep.CostBefore = c.trace(&sched).h.Meter().Snapshot()
 	}
 	sched.Steps = fused
-	row.tr = c.traceSchedule(sched)
+	c.traceSchedule(&sched, &row.tr)
 	if c.backend.Functional() { // a cost-only run replays the trace
-		row.sched = sched
+		row.sched = &Schedule{Name: sched.Name, Steps: sched.Steps}
 	}
 	if rep.CostAfter = row.tr.total; !rep.Changed() {
 		rep.CostBefore = row.tr.total

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -279,8 +280,9 @@ func TestAutoSkipsInapplicableLevels(t *testing.T) {
 	}
 }
 
-// autoPick mechanism: individual failures are skipped, ties go to the
-// lowest level, and only all-fail aborts.
+// autoPick mechanism: inapplicable candidates and failing rows are
+// skipped, ties go to the lowest level, and only all-fail aborts, with
+// every candidate's row error in scan order.
 func TestAutoPickSkipAndTieRules(t *testing.T) {
 	c := testSystem(t, geo64, []int{8, 8})
 	flat := cost.NewMeter()
@@ -288,7 +290,7 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 	equal := flat.Snapshot()
 
 	fake := func(bd cost.Breakdown) *planEntry {
-		return &planEntry{tr: &chargeTrace{total: bd}}
+		return &planEntry{tr: chargeTrace{total: bd}}
 	}
 	// All candidates equally cheap: the lowest level wins the tie.
 	dec, err := c.autoPick(autoKey{prim: AlltoAll, dims: "t1", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
@@ -307,11 +309,44 @@ func TestAutoPickSkipAndTieRules(t *testing.T) {
 	if err != nil || dec.lvl != IM {
 		t.Fatalf("skip: got %v, %v; want IM", dec.lvl, err)
 	}
+	// A candidate that does not apply is never asked for its row: a ring
+	// AllReduce runs at Baseline only, and an in-place AlltoAll on the
+	// staged levels only.
+	for _, tc := range []struct {
+		k    autoKey
+		want []Level
+	}{
+		{autoKey{prim: AllReduce, dims: "10", bytes: 64, algo: AlgoRing}, []Level{Baseline}},
+		{autoKey{prim: AlltoAll, dims: "10", bytes: 64, inPlace: true}, []Level{Baseline, PR}},
+	} {
+		var asked []Level
+		dec, err = c.autoPick(tc.k, func(_ Algorithm, l Level) (*planEntry, error) {
+			asked = append(asked, l)
+			return fake(equal), nil
+		})
+		if err != nil || dec.lvl != Baseline || !slices.Equal(asked, tc.want) {
+			t.Errorf("%+v: picked %v (%v) after asking for %v; want Baseline after %v", tc.k, dec.lvl, err, asked, tc.want)
+		}
+	}
 	// Every candidate failing aborts with a joined error.
-	if _, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
+	_, err = c.autoPick(autoKey{prim: AlltoAll, dims: "t3", bytes: 1}, func(_ Algorithm, l Level) (*planEntry, error) {
 		return nil, fmt.Errorf("inapplicable at %v", l)
-	}); err == nil {
-		t.Fatal("all-fail did not abort")
+	})
+	const want = "core: no (algorithm, level) candidate applies: inapplicable at Base\ninapplicable at +PR\ninapplicable at +IM\ninapplicable at +CM"
+	if err == nil || err.Error() != want {
+		t.Fatalf("all-fail: got %v, want %q", err, want)
+	}
+}
+
+// An Auto compile that no candidate applies to reports every candidate's
+// own error, as it did when each rejected candidate built one.
+func TestAutoRejectionMessage(t *testing.T) {
+	c := costSystem(t, geo64, []int{8, 8})
+	_, err := c.s.Compile(Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, 512), Dst: At(1024), Level: Auto, Algorithm: AlgoRing})
+	no := "AlltoAll: core: no ring algorithm for AlltoAll (have [ref])"
+	want := "AlltoAll: Auto(AA): core: no (algorithm, level) candidate applies: " + strings.Repeat(no+"\n", 3) + no
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
 	}
 }
 
@@ -536,7 +571,7 @@ func TestHostInputSequenceSharesItsTrace(t *testing.T) {
 		if cp2 == cp1 {
 			t.Fatal("a plan binding caller buffers was served from the cache")
 		}
-		if cp2.tr != cp1.tr || &cp2.memberCosts[0] != &cp1.memberCosts[0] || cp2.fusion != cp1.fusion {
+		if &cp2.tr != &cp1.tr || &cp2.memberCosts[0] != &cp1.memberCosts[0] || cp2.fusion != cp1.fusion {
 			t.Fatal("recompile re-traced instead of sharing the row's trace, member costs and fusion report")
 		}
 	}
@@ -575,9 +610,9 @@ func TestCachedCompileAllocs(t *testing.T) {
 var traceAllReduce = Collective{Prim: AllReduce, Dims: "10", Src: Span(0, 512), Dst: At(1024), Elem: elem.I32, Op: elem.Sum, Level: CM}
 
 // Tracing on a warm cost-only comm allocates only what the row keeps —
-// the trace, its additions, its segments and its bus statistics — at any
-// trace length: the comm's one scratch tracer holds the host, the meter
-// and both buffers.
+// its additions and its segments; the row holds the trace and, on up to
+// four channels, its bus statistics — at any trace length: the comm's
+// one scratch tracer holds the host, the meter and both buffers.
 func TestTraceScheduleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -587,7 +622,8 @@ func TestTraceScheduleAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheds := []*Schedule{spec.schedule()} // a cost-only row keeps none
+	lowered := spec.schedule() // a cost-only row keeps none
+	scheds := []*Schedule{&lowered}
 	for _, n := range []int{2, 512} {
 		// Alternating host and network steps: n additions, n segments.
 		sched := &Schedule{Name: fmt.Sprintf("test/%d-steps", n)}
@@ -599,17 +635,70 @@ func TestTraceScheduleAllocs(t *testing.T) {
 	}
 	c.compMu.Lock()
 	defer c.compMu.Unlock()
+	var want, got chargeTrace
 	for _, sched := range scheds {
-		want := c.traceSchedule(sched)
+		c.traceSchedule(sched, &want)
 		allocs := testing.AllocsPerRun(20, func() {
-			if got := c.traceSchedule(sched); got.total != want.total || len(got.adds) != len(want.adds) {
+			if c.traceSchedule(sched, &got); got.total != want.total || len(got.adds) != len(want.adds) {
 				t.Fatalf("%s: a warm trace gave %v over %d additions, the first %v over %d",
 					sched.Name, got.total, len(got.adds), want.total, len(want.adds))
 			}
 		})
-		if allocs > 4 {
-			t.Errorf("%s (%d additions): a warm trace allocates %v objects, want <= 4", sched.Name, len(want.adds), allocs)
+		if allocs > 2 {
+			t.Errorf("%s (%d additions): a warm trace allocates %v objects, want <= 2", sched.Name, len(want.adds), allocs)
 		}
+		if !slices.Equal(got.stats.BytesPerChannel, want.stats.BytesPerChannel) || &got.stats.BytesPerChannel[0] != &got.chans[0] {
+			t.Errorf("%s: bus statistics %v (the first trace's %v), want them held in the trace", sched.Name, got.stats.BytesPerChannel, want.stats.BytesPerChannel)
+		}
+	}
+}
+
+// A cold compile allocates per row, not per step: every primitive at
+// every level and at Auto — the set of the root
+// BenchmarkColdCompileCostOnly — compiled on a fresh cost-only 32×32
+// paper machine. A row keeps its trace and footprint in place and two
+// trace slices, a lowering sizes its step list once, and Auto builds no
+// error for a candidate that does not apply; this run took 620 objects
+// before those, 350 after.
+func TestColdCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m, n = 64 << 10, 32
+	hosts := make([][]byte, n) // Broadcast's payloads: read by no cost-only compile
+	for g := range hosts {
+		hosts[g] = make([]byte, m)
+	}
+	var ds []Collective
+	for _, prim := range Primitives() {
+		for _, lvl := range append(Levels(), Auto) {
+			d := Collective{Prim: prim, Dims: "10", Level: lvl, Elem: elem.I32, Op: elem.Sum}
+			switch prim {
+			case AlltoAll, ReduceScatter, AllReduce:
+				d.Src, d.Dst = Span(0, m), At(2*m)
+			case AllGather:
+				d.Src, d.Dst = Span(0, m/n), At(2*m)
+			case Scatter:
+				d.Dst = Span(0, m)
+			case Gather, Reduce:
+				d.Src = Span(0, m)
+			case Broadcast:
+				d.Dst, d.Hosts = At(0), hosts
+			}
+			ds = append(ds, d)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		c := costSystem(t, dram.PaperGeometry(512<<10), []int{32, 32})
+		for _, d := range ds {
+			if _, err := c.Compile(d); err != nil {
+				t.Fatalf("%v at %v: %v", d.Prim, d.Level, err)
+			}
+		}
+	})
+	const ceiling = 350
+	if allocs > ceiling {
+		t.Errorf("a cold compile of %d collectives allocates %v objects, want <= %d", len(ds), allocs, ceiling)
 	}
 }
 
@@ -642,7 +731,7 @@ func TestPanickingTraceLeavesNextTraceClean(t *testing.T) {
 				t.Error("the tracer of a panicked trace is back on the comm")
 			}
 		}()
-		c.traceSchedule(bad)
+		c.traceSchedule(bad, new(chargeTrace))
 	}()
 	got, err := freshPlan(c.s, traceAllReduce)
 	if err != nil {

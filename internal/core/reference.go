@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/elem"
 )
 
 // Reference implementations of the eight collective semantics (Figure 2),
 // operating on plain per-rank byte slices. They are the oracle the
-// simulator-backed implementations are verified against, and are also
-// used by the CPU-only application baselines.
+// simulator-backed implementations are verified against: by this
+// package's tests, by internal/fuzz's checks and by the benchmark's
+// output check.
 
 // RefAlltoAll: out[j] block i = in[i] block j. Every in[i] must have n*s
 // bytes where n = len(in).
@@ -74,13 +77,7 @@ func RefScatter(buf []byte, n int) [][]byte {
 }
 
 // RefGather: concatenation of all in[i].
-func RefGather(in [][]byte) []byte {
-	var out []byte
-	for _, b := range in {
-		out = append(out, b...)
-	}
-	return out
-}
+func RefGather(in [][]byte) []byte { return slices.Concat(in...) }
 
 // RefReduce: elementwise reduce over i of in[i].
 func RefReduce(t elem.Type, op elem.Op, in [][]byte) []byte {
@@ -96,10 +93,11 @@ func RefBroadcast(buf []byte, n int) [][]byte {
 	return out
 }
 
+// refReduceBlock folds block [off, off+s) of every later in[i] into a
+// copy of in[0]'s. Its callers never pass it no input.
 func refReduceBlock(t elem.Type, op elem.Op, in [][]byte, off, s int) []byte {
-	out := make([]byte, s)
-	elem.Fill(t, out, op.Identity(t))
-	for _, b := range in {
+	out := bytes.Clone(in[0][off : off+s])
+	for _, b := range in[1:] {
 		elem.ReduceInto(t, op, out, b[off:off+s])
 	}
 	return out

@@ -407,7 +407,7 @@ func TestAutoTracesEachCandidateOnce(t *testing.T) {
 		c.compMu.Lock()
 		row := c.rows[seqKey{head: cp.key}]
 		c.compMu.Unlock()
-		if row == nil || cp.tr != row.tr {
+		if row == nil || &cp.tr != &row.tr {
 			t.Errorf("%v: the winner's plan does not carry its candidate's row", d.Prim)
 		}
 

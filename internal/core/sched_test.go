@@ -79,7 +79,7 @@ func fakeSegFuture(seq uint64, segs []cost.Segment) *Future {
 	}
 	m := cost.NewMeter()
 	m.Add(cost.PEMem, tot)
-	return &Future{seq: seq, cp: &CompiledPlan{planEntry: &planEntry{tr: &chargeTrace{total: m.Snapshot(), segs: segs}}}}
+	return &Future{seq: seq, cp: &CompiledPlan{planEntry: &planEntry{tr: chargeTrace{total: m.Snapshot(), segs: segs}}}}
 }
 
 // The lookahead policy reorders independent queue-mates by projected

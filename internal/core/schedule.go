@@ -176,6 +176,12 @@ type Schedule struct {
 	Steps []Step
 }
 
+// newSchedule returns an empty schedule with its step list sized once:
+// steps[k] holds for level Baseline+k, the last one for all above.
+func newSchedule(name string, lvl Level, steps ...int) Schedule {
+	return Schedule{Name: name, Steps: make([]Step, 0, steps[min(int(lvl-Baseline), len(steps)-1)])}
+}
+
 func (s *Schedule) add(st Step) { s.Steps = append(s.Steps, st) }
 
 // numPEBytes is the total byte count of a perPE-sized region over every
@@ -204,15 +210,15 @@ func (p *plan) columnBytes() int64 {
 // functional backend adds its arena base, Scatter and Broadcast read its
 // host payloads, and the rooted ones fill its result buffers.
 
-func lowerAlltoAll(env *algoEnv) *Schedule {
+func lowerAlltoAll(env algoEnv) Schedule {
 	p, srcOff, dstOff, s, lvl := env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
 	m := n * s
-	sched := &Schedule{Name: "AlltoAll/" + lvl.String()}
+	sched := newSchedule("AlltoAll/"+lvl.String(), lvl, 2, 4)
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarMod, host.LocalMod)
+		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarMod, host.LocalMod)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
@@ -343,14 +349,14 @@ func (p *plan) foldCharges(t elem.Type, iters, simd, dt int64) []Charge {
 	return charges
 }
 
-func lowerReduceScatter(env *algoEnv) *Schedule {
+func lowerReduceScatter(env algoEnv) Schedule {
 	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
-	sched := &Schedule{Name: "ReduceScatter/" + lvl.String()}
+	sched := newSchedule("ReduceScatter/"+lvl.String(), lvl, 2, 3)
 	switch lvl {
 	case Baseline, PR:
-		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
-		sched.add(reduceScatterBulk(env, kind))
+		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
+		sched.add(reduceScatterBulk(&env, kind))
 	default: // IM
 		iters := int64(s / 8)
 		sched.add(&StepRotateBlocks{p: p, Off: srcOff, N: n, S: s, Mul: 1})
@@ -404,16 +410,16 @@ func reduceScatterBulk(env *algoEnv, kind host.Work) *StepBulk {
 // in the running plan's host buffers (Comm.cur.hosts from the env's
 // index), which the functional backend fills and the cost-only backend
 // never touches.
-func lowerReduce(env *algoEnv) *Schedule {
+func lowerReduce(env algoEnv) Schedule {
 	p, at, srcOff, s, t, op, lvl := env.p, env.hosts, env.srcOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
 	store := Charge{host.HostMem, int64(len(p.groups)) * int64(m)} // result store
-	sched := &Schedule{Name: "Reduce/" + lvl.String()}
+	sched := newSchedule("Reduce/"+lvl.String(), lvl, 2, 3)
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
+		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Charges: []Charge{{kind, p.numPEBytes(m)}, store},
@@ -447,15 +453,15 @@ func lowerReduce(env *algoEnv) *Schedule {
 	return sched
 }
 
-func lowerAllReduce(env *algoEnv) *Schedule {
+func lowerAllReduce(env algoEnv) Schedule {
 	p, srcOff, dstOff, s, t, op, lvl := env.p, env.srcOff, env.dstOff, env.s, env.elemType, env.op, env.lvl
 	n := p.n
 	m := n * s
-	sched := &Schedule{Name: "AllReduce/" + lvl.String()}
+	sched := newSchedule("AllReduce/"+lvl.String(), lvl, 2, 3, 4)
 	switch lvl {
 	case Baseline, PR:
 		pr := lvl == PR
-		kind := stagedFront(sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
+		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
@@ -509,11 +515,11 @@ func lowerAllReduce(env *algoEnv) *Schedule {
 // AllGather and Gather (Figure 8(a), § V-B1/B4)
 // ---------------------------------------------------------------------
 
-func lowerAllGather(env *algoEnv) *Schedule {
+func lowerAllGather(env algoEnv) Schedule {
 	p, srcOff, dstOff, s, lvl := env.p, env.srcOff, env.dstOff, env.s, env.lvl
 	n := p.n
 	perPE := n * s
-	sched := &Schedule{Name: "AllGather/" + lvl.String()}
+	sched := newSchedule("AllGather/"+lvl.String(), lvl, 4, 4, 3) // a one-group broadcast takes 4
 	colB := p.columnBytes()
 	switch lvl {
 	case Baseline, PR:
@@ -605,10 +611,10 @@ func (p *plan) gatherPEMajor(c *Comm, stag []byte, s int) []byte {
 	return out
 }
 
-func lowerGather(env *algoEnv) *Schedule {
+func lowerGather(env algoEnv) Schedule {
 	p, at, srcOff, s, lvl := env.p, env.hosts, env.srcOff, env.s, env.lvl
 	n := p.n
-	sched := &Schedule{Name: "Gather/" + lvl.String()}
+	sched := newSchedule("Gather/"+lvl.String(), lvl, 2)
 	if lvl == Baseline {
 		sched.add(&StepBulk{
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
@@ -652,10 +658,10 @@ func lowerGather(env *algoEnv) *Schedule {
 // Scatter and Broadcast (§ V-B4, § VIII-B)
 // ---------------------------------------------------------------------
 
-func lowerScatter(env *algoEnv) *Schedule {
+func lowerScatter(env algoEnv) Schedule {
 	p, at, dstOff, s, lvl := env.p, env.hosts, env.dstOff, env.s, env.lvl
 	n := p.n
-	sched := &Schedule{Name: "Scatter/" + lvl.String()}
+	sched := newSchedule("Scatter/"+lvl.String(), lvl, 2)
 	if lvl == Baseline {
 		// Conventional: assemble a PE-major staging buffer, then bulk
 		// write with DT.
@@ -692,12 +698,12 @@ func lowerScatter(env *algoEnv) *Schedule {
 	return sched
 }
 
-func lowerBroadcast(env *algoEnv) *Schedule {
+func lowerBroadcast(env algoEnv) Schedule {
 	p, at, dstOff, s := env.p, env.hosts, env.dstOff, env.s
 	// The native driver path is already near-optimal (§ VIII-B): one
 	// domain transfer per payload serves all PEs, so all optimization
 	// levels share this lowering.
-	sched := &Schedule{Name: "Broadcast"}
+	sched := newSchedule("Broadcast", Baseline, 3)
 	iters := int64(s / 8)
 	sched.add(&StepHostCompute{
 		Charges: []Charge{

@@ -61,7 +61,7 @@ func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
 		f := fakeFuture(1)
 		f.seq = seq
 		f.deadline = cost.Seconds(deadline)
-		f.cp.regs.add(span{}, span{off, 64}, false)
+		f.cp.regs.set([]planSpec{{dst: span{off, 64}}})
 		return f
 	}
 	slow := mk(1, 0, 0)   // no deadline, owns [0,64)
@@ -344,7 +344,7 @@ func TestTenantCloseEvictsOwnedPlans(t *testing.T) {
 		if st.TraceHits != before.TraceHits+1 || st.TraceMisses != 1 || st.CachedTraces != 1 {
 			t.Errorf("pad %d: successor compile booked %+v after %+v, want a hit on the retiree's row", pad, st, before)
 		}
-		if cp == old || cp.owner != tb || cp.tr != old.tr {
+		if cp == old || cp.owner != tb || &cp.tr != &old.tr {
 			t.Errorf("pad %d: successor plan %p (owner %q), retiree's %p: want a plan of its own on the shared trace", pad, cp, cp.owner.name, old)
 		}
 		if f := cp.Submit(); f.Err() != nil {

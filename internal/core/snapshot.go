@@ -83,7 +83,7 @@ func (c *Comm) Snapshot() Snapshot {
 	s.PlanCache.CachedTraces = len(c.rows)
 	for _, e := range c.rows {
 		s.PlanCache.TraceEntries += int64(len(e.tr.adds))
-		s.PlanCache.TraceBytes += e.tr.memBytes()
+		s.PlanCache.TraceBytes += 16 * int64(len(e.tr.adds)+len(e.tr.segs)) // 16-byte entries and segments
 	}
 	s.Auto = make([]AutoDecision, 0, len(c.autoCache))
 	for k, dec := range c.autoCache {

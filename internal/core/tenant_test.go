@@ -47,7 +47,7 @@ func tenantRow(t *testing.T, ten *Tenant) TenantSnapshot {
 func fakeFuture(totalSeconds float64) *Future {
 	m := cost.NewMeter()
 	m.Add(cost.PEMem, cost.Seconds(totalSeconds))
-	return &Future{cp: &CompiledPlan{planEntry: &planEntry{tr: &chargeTrace{total: m.Snapshot()}}}}
+	return &Future{cp: &CompiledPlan{planEntry: &planEntry{tr: chargeTrace{total: m.Snapshot()}}}}
 }
 
 // bareBuckets registers one bare session per weight on c — no arena, only

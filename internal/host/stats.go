@@ -22,11 +22,15 @@ func (s XferStats) TotalBytes() int64 {
 // Stats returns a snapshot of the host's cumulative transfer statistics.
 // Safe to call while an execution runs on another goroutine (each counter
 // is read atomically; a mid-execution snapshot may straddle a transfer).
-func (h *Host) Stats() XferStats {
-	out := XferStats{
-		Bursts:          h.totalBursts.Load(),
-		BytesPerChannel: make([]int64, len(h.totalByChan)),
+func (h *Host) Stats() XferStats { return h.StatsInto(nil) }
+
+// StatsInto is Stats writing the per-channel counts into buf when it has
+// room for them, and into a new slice when it has not.
+func (h *Host) StatsInto(buf []int64) XferStats {
+	if len(buf) < len(h.totalByChan) {
+		buf = make([]int64, len(h.totalByChan))
 	}
+	out := XferStats{Bursts: h.totalBursts.Load(), BytesPerChannel: buf[:len(h.totalByChan):len(h.totalByChan)]}
 	for ch := range h.totalByChan {
 		out.BytesPerChannel[ch] = h.totalByChan[ch].Load()
 	}
