@@ -625,7 +625,7 @@ func (b *clusterBuild) legs() error {
 	if d.Flat {
 		if root {
 			// The root CPU reduces H*P raw buffers serially.
-			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Charges: []Charge{{host.ScalarReduce, int64(H) * int64(P) * int64(m)}}})
+			b.step("FlatReduce", span{}, span{}, &StepHostCompute{Rounds: 1, Charges: []Charge{{host.ScalarReduce, int64(H) * int64(P) * int64(m)}}})
 		}
 		b.net("flat:bcast", ceilLog2(H), int64(global), false)
 	}

@@ -409,31 +409,47 @@ func TestCostOnlyClusterRunDoesNotAllocate(t *testing.T) {
 // geo1024 is the paper's 1024-PE machine with a token MRAM.
 var geo1024 = dram.Geometry{Channels: 4, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 1 << 14}
 
-// A staged shape's hops are two slabs: lowering the ring AllReduce of a
-// 1024-rank group (2046 hops) allocates what a 16-rank group's does, not
-// two objects per hop.
+// A staged ring is a count, not a step per round: the ring AllReduce and
+// Broadcast of a 1024-rank group (1023 rounds a hop) lower to the steps a
+// 16-rank group's do, allocate the same few objects, and trace to as many
+// entries.
 func TestStagedRoundsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	lower := func(geo dram.Geometry) (float64, int) {
+	lower := func(geo dram.Geometry, prim Primitive, lo func(algoEnv) Schedule) (allocs float64, steps, entries int) {
 		c := newTestComm(t, geo, []int{geo.NumPEs()}, Config{Backend: CostBackend()})
 		p, err := c.plan("1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := algoEnv{planKey: planKey{prim: AllReduce, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, p: p, s: 8}
-		var steps int
-		allocs := testing.AllocsPerRun(10, func() { steps = len(lowerRingAllReduce(e).Steps) })
-		return allocs, steps
+		e := algoEnv{planKey: planKey{prim: prim, lvl: Baseline, dstOff: 8 * p.n, bytes: 8 * p.n, elemType: elem.I32, op: elem.Sum}, p: p, s: 8}
+		allocs = testing.AllocsPerRun(10, func() { steps = len(lo(e).Steps) })
+		sched := lo(e)
+		c.compMu.Lock()
+		defer c.compMu.Unlock()
+		return allocs, steps, len(c.trace(&sched).rec.Adds)
 	}
-	small, _ := lower(geoHost)
-	big, steps := lower(geo1024)
-	if steps != 2*1023+3 {
-		t.Fatalf("ring over 1024 ranks has %d steps, want %d", steps, 2*1023+3)
-	}
-	if big != small || big > 16 {
-		t.Errorf("AllReduce/ring allocates %v objects on 1024 ranks, %v on 16: want equal and <= 16", big, small)
+	for _, r := range []struct {
+		prim   Primitive
+		lo     func(algoEnv) Schedule
+		steps  int
+		allocs float64
+	}{
+		{AllReduce, lowerRingAllReduce, 5, 8},
+		{Broadcast, lowerRingBroadcast, 3, 6},
+	} {
+		small, smallSteps, smallEntries := lower(geoHost, r.prim, r.lo)
+		big, bigSteps, bigEntries := lower(geo1024, r.prim, r.lo)
+		if smallSteps != r.steps || bigSteps != r.steps {
+			t.Fatalf("%v/ring has %d steps over 16 ranks and %d over 1024, want %d on both", r.prim, smallSteps, bigSteps, r.steps)
+		}
+		if big != small || big > r.allocs {
+			t.Errorf("%v/ring allocates %v objects on 1024 ranks, %v on 16: want equal and <= %v", r.prim, big, small, r.allocs)
+		}
+		if bigEntries != smallEntries {
+			t.Errorf("%v/ring traces %d entries over 1024 ranks, %d over 16: want equal", r.prim, bigEntries, smallEntries)
+		}
 	}
 }
 

@@ -58,12 +58,13 @@
 //   - Schedule (schedule.go) is the typed IR every collective lowers to:
 //     StepRotateBlocks (the PE-assisted reorder kernel), StepBulk (a
 //     conventional staged host pass), StepColumnStream (one streaming
-//     epoch of the optimized engine), StepHostCompute, StepNetTransfer (a
-//     cluster's inter-host network leg) and StepSync. Each step carries
-//     both the functional closures that move bytes and the
-//     declarative charge counts the cost-only backend needs. A schedule
-//     holds no comm and no run state: its closures take the comm that
-//     executes them, so one schedule serves every comm of its shape.
+//     epoch of the optimized engine), StepHostCompute (host charges over
+//     Rounds equal rounds), StepNetTransfer (a cluster's inter-host network
+//     leg) and StepSync. Each step carries both the functional closures
+//     that move bytes and the declarative charge counts the cost-only
+//     backend needs. A schedule holds no comm and no run state: its
+//     closures take the comm that executes them, so one schedule serves
+//     every comm of its shape.
 //   - Backend (exec.go) executes steps: the functional backend moves real
 //     bytes; the cost-only backend charges the identical cost (pinned
 //     bit-for-bit by exec_test.go) while moving nothing — the engine for

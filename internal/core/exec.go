@@ -58,7 +58,9 @@ func (c *Comm) executeOn(b Backend, h *host.Host, steps []Step) {
 		case *StepColumnStream:
 			b.columnStream(c, h, s)
 		case *StepHostCompute:
-			applyCharges(h, s.Charges)
+			for range s.Rounds {
+				applyCharges(h, s.Charges)
+			}
 		case *StepNetTransfer:
 			h.ChargeNetRounds(s.Rounds, s.Bytes)
 		case *StepSync:

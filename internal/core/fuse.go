@@ -203,7 +203,7 @@ func stepIsNoop(st Step) bool {
 	case *StepBulk:
 		return !s.Read && !s.Write && len(s.Charges) == 0 && s.Modulate == nil
 	case *StepHostCompute:
-		return len(s.Charges) == 0
+		return s.Rounds <= 0 || len(s.Charges) == 0
 	case *StepColumnStream:
 		return s.Reads == 0 && s.Writes == 0 && len(s.Charges) == 0 && len(s.segs) == 0
 	case *StepNetTransfer:

@@ -14,20 +14,20 @@ import "repro/internal/host"
 // execution, so Baseline only, and a single-member group has no wire.
 func baselineMulti(eff Level, n int) bool { return eff == Baseline && n >= 2 }
 
-// hop is one priced wire round of a staged shape: vol bytes cross the
-// host — a send plus a receive of host-memory traffic — and, unless the
-// round purely forwards (work == host.HostMem), the receivers spend vol
-// bytes of work folding or copying them in.
+// hop is a priced wire round of a staged shape, repeated rounds times: vol
+// bytes cross the host — a send plus a receive of host-memory traffic —
+// and, unless the round purely forwards (work == host.HostMem), the
+// receivers spend vol bytes of work folding or copying them in.
 type hop struct {
-	work host.Work
-	vol  int64
+	work   host.Work
+	vol    int64
+	rounds int
 }
 
 // stagedRounds is the skeleton the ring and tree shapes share: an opening
-// step (nil for none), one host-compute step per hop, the closing bulk
-// write, the sync. The hop steps and their charges are two slabs, not two
-// heap objects per hop (a 1024-rank ring has 2046), each step's charges
-// capped at their own length so no append can reach the next step's.
+// step (nil for none), one host-compute step per hop (Rounds: its
+// rounds), the closing bulk write, the sync. The hop steps and their
+// charges are two slabs, each step's charges capped at their own length.
 func stagedRounds(name string, open Step, hops []hop, closing Step) Schedule {
 	sched := Schedule{Name: name, Steps: make([]Step, 0, len(hops)+3)}
 	if open != nil {
@@ -40,7 +40,7 @@ func stagedRounds(name string, open Step, hops []hop, closing Step) Schedule {
 			charges = append(charges, Charge{h.work, h.vol})
 		}
 		charges = append(charges, Charge{host.HostMem, 2 * h.vol})
-		steps[i].Charges = charges[lo:len(charges):len(charges)]
+		steps[i] = StepHostCompute{Rounds: h.rounds, Charges: charges[lo:len(charges):len(charges)]}
 		sched.add(&steps[i])
 	}
 	sched.add(closing)
@@ -96,16 +96,11 @@ func stagedAllReduce(e *algoEnv, name string, hops []hop) Schedule {
 }
 
 // lowerRingAllReduce moves one s-byte block per PE around the group
-// ring: n-1 reduce-scatter hops (each PE folds the arriving block into
-// its own), then n-1 allgather hops (pure copies).
+// ring: n-1 reduce-scatter rounds (each PE folds the arriving block into
+// its own), then n-1 allgather rounds (pure copies).
 func lowerRingAllReduce(e algoEnv) Schedule {
-	hops := make([]hop, 0, 2*(e.p.n-1))
-	for _, work := range []host.Work{host.ScalarReduce, host.SIMD} {
-		for r := 1; r < e.p.n; r++ {
-			hops = append(hops, hop{work, e.p.numPEBytes(e.s)})
-		}
-	}
-	return stagedAllReduce(&e, "AllReduce/ring", hops)
+	vol, rounds := e.p.numPEBytes(e.s), e.p.n-1
+	return stagedAllReduce(&e, "AllReduce/ring", []hop{{host.ScalarReduce, vol, rounds}, {host.SIMD, vol, rounds}})
 }
 
 // lowerTreeAllReduce climbs and re-descends the binomial tree, each
@@ -115,8 +110,8 @@ func lowerTreeAllReduce(e algoEnv) Schedule {
 	pair := int64(len(e.p.groups)) * int64(e.bytes) // one sender per group
 	hops := make([]hop, 2*len(up))
 	for i, senders := range up {
-		hops[i] = hop{host.ScalarReduce, int64(senders) * pair}
-		hops[len(hops)-1-i] = hop{host.SIMD, int64(senders) * pair}
+		hops[i] = hop{host.ScalarReduce, int64(senders) * pair, 1}
+		hops[len(hops)-1-i] = hop{host.SIMD, int64(senders) * pair, 1}
 	}
 	return stagedAllReduce(&e, "AllReduce/tree", hops)
 }
@@ -155,13 +150,9 @@ func stagedBroadcast(e *algoEnv, name string, hops []hop) Schedule {
 }
 
 // lowerRingBroadcast stages the payload around each group's ring: n-1
-// full-payload hops, one link each.
+// full-payload rounds, one link each.
 func lowerRingBroadcast(e algoEnv) Schedule {
-	hops := make([]hop, e.p.n-1)
-	for r := range hops {
-		hops[r] = hop{host.HostMem, int64(len(e.p.groups)) * int64(e.bytes)}
-	}
-	return stagedBroadcast(&e, "Broadcast/ring", hops)
+	return stagedBroadcast(&e, "Broadcast/ring", []hop{{host.HostMem, int64(len(e.p.groups)) * int64(e.bytes), e.p.n - 1}})
 }
 
 // lowerTreeBroadcast stages the payload down a binomial tree:
@@ -171,7 +162,7 @@ func lowerTreeBroadcast(e algoEnv) Schedule {
 	var hops []hop
 	for have := 1; have < e.p.n; have *= 2 {
 		senders := min(have, e.p.n-have)
-		hops = append(hops, hop{host.HostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes)})
+		hops = append(hops, hop{host.HostMem, int64(len(e.p.groups)) * int64(senders) * int64(e.bytes), 1})
 	}
 	return stagedBroadcast(&e, "Broadcast/tree", hops)
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
 	"repro/internal/dpu"
 	"repro/internal/dram"
+	"repro/internal/elem"
 	"repro/internal/host"
 )
 
@@ -38,6 +41,74 @@ func TestBusTrafficMatchesClosedForms(t *testing.T) {
 		if st.Bursts != r.bursts || slices.ContainsFunc(st.BytesPerChannel, func(b int64) bool { return b != perChan }) {
 			t.Errorf("%v at %v moved %d bursts, %v B per channel; want %d bursts, %d B on each of %d channels",
 				r.prim, r.lvl, st.Bursts, st.BytesPerChannel, r.bursts, perChan, geo.Channels)
+		}
+	}
+}
+
+// Host bytes per host.Work kind stated as closed formulas in the PE count
+// N, the group size n, the group count G = N/n and the per-PE bytes m —
+// what a staged ring or tree moves by construction (lowering.go), not
+// what the simulator computed — summed over the lowered schedule's
+// charges with every step's rounds multiplied in, at Base on the paper's
+// 32×32 machine. A ring and a tree move the same bytes in different
+// rounds: an AllReduce's reduce pass folds and its return pass copies
+// (n-1)·G·m bytes, each hop's volume crossing host memory twice, after
+// the N·m snapshot; a Broadcast forwards (n-1)·G·m bytes, then fans the
+// payload out to all N·m.
+func TestStagedHostBytesMatchClosedForms(t *testing.T) {
+	const N, m = 1024, 65536
+	c := costSystem(t, dram.PaperGeometry(1<<20), []int{32, 32})
+	c.compMu.Lock()
+	defer c.compMu.Unlock()
+	for _, r := range []struct {
+		dims string
+		n    int64
+	}{{"10", 32}, {"11", N}} {
+		n, G := r.n, N/r.n
+		hosts := make([][]byte, G)
+		for g := range hosts {
+			hosts[g] = make([]byte, m)
+		}
+		for _, w := range []struct {
+			prim  Primitive
+			bytes map[host.Work]int64
+		}{
+			{AllReduce, map[host.Work]int64{host.ScalarReduce: (n - 1) * G * m, host.SIMD: (n - 1) * G * m, host.HostMem: N*m + 4*(n-1)*G*m}},
+			{Broadcast, map[host.Work]int64{host.HostMem: 2 * (n - 1) * G * m, host.SIMD: N * m}},
+		} {
+			for _, algo := range []Algorithm{AlgoRing, AlgoTree} {
+				d := Collective{Prim: w.prim, Dims: r.dims, Level: Baseline, Algorithm: algo, Elem: elem.I32, Op: elem.Sum,
+					Src: Span(0, m), Dst: At(2 * m)}
+				if w.prim == Broadcast {
+					d.Src, d.Dst, d.Hosts = Region{}, At(0), hosts
+				}
+				spec, err := c.specIn(c.s.ar, d, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sched := spec.schedule()
+				if !strings.HasSuffix(sched.Name, "/"+algo.String()) {
+					t.Fatalf("%v/%v lowered to %s", w.prim, algo, sched.Name)
+				}
+				got := map[host.Work]int64{}
+				for _, st := range sched.Steps {
+					rounds, charges := 1, []Charge(nil)
+					switch s := st.(type) {
+					case *StepHostCompute:
+						rounds, charges = s.Rounds, s.Charges
+					case *StepBulk:
+						charges = s.Charges
+					case *StepColumnStream:
+						charges = s.Charges
+					}
+					for _, ch := range charges {
+						got[ch.Kind] += int64(rounds) * ch.Bytes
+					}
+				}
+				if !maps.Equal(got, w.bytes) {
+					t.Errorf("%v/%v over n=%d: host bytes %v, want %v", w.prim, algo, n, got, w.bytes)
+				}
+			}
 		}
 	}
 }

@@ -116,8 +116,9 @@ func (sp *planSpec) schedule() Schedule {
 	return sp.lo.lower(sp.env)
 }
 
-// chargeTrace is the precomputed accounting of one schedule: the ordered
-// meter additions of a cost-only execution plus the cumulative
+// chargeTrace is the precomputed accounting of one schedule: the meter
+// additions of a cost-only execution, each run of equal ones to a
+// category stored once (cost.Recorder), plus the cumulative
 // bus-statistics delta. It depends only on the call shape, never on data
 // or meter state, so it is shared by every plan with the same key
 // (planEntry, which holds it in place: chans may back stats).
@@ -315,11 +316,10 @@ func (c *Comm) bind(cp *CompiledPlan) {
 }
 
 // tracer is the shape table's one scratch, reset per trace: a cost-only
-// host (none of a comm's state) recording into adds, and the segs buffer.
+// host (none of a comm's state) whose meter records into rec.
 type tracer struct {
-	h    *host.Host
-	adds []cost.TraceEntry
-	segs []cost.Segment
+	h   *host.Host
+	rec cost.Recorder
 }
 
 // trace resets the table's tracer, runs sched cost-only on it and returns
@@ -329,19 +329,17 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 	tc := c.tracer
 	if c.tracer = nil; tc == nil {
 		tc = &tracer{h: host.New(c.hc.sys, c.h.Params())}
-		tc.h.Meter().SetRecorder(func(cat cost.Category, t cost.Seconds) {
-			tc.adds = append(tc.adds, cost.TraceEntry{Cat: cat, T: t})
-		})
+		tc.h.Meter().SetRecorder(tc.rec.Record)
 	}
-	tc.adds = tc.adds[:0]
+	tc.rec.Reset()
 	tc.h.Meter().Reset()
 	tc.h.ResetStats()
 	c.executeOn(CostBackend(), tc.h, sched.Steps)
 	// Replay fidelity invariant: the recorder only observes Add/AddBytes,
-	// so if any execution path ever drives the meter through Merge/Scale
-	// the trace would silently undercount. Re-summing the trace must
-	// reproduce the meter bit-for-bit (same operands, same order).
-	if cost.SumTrace(tc.adds) != tc.h.Meter().Snapshot() {
+	// so a path driving the meter through Merge/Scale would undercount.
+	// Re-summing the trace must reproduce the meter bit-for-bit (same
+	// operands, same order within each category).
+	if cost.SumTrace(tc.rec.Adds) != tc.h.Meter().Snapshot() {
 		panic(fmt.Sprintf("core: charge trace of %s does not reproduce its meter (an execution path bypassed Add?)", sched.Name))
 	}
 	c.tracer = tc
@@ -352,8 +350,7 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 // copies. Callers hold compMu.
 func (c *Comm) traceSchedule(sched *Schedule, tr *chargeTrace) {
 	tc := c.trace(sched)
-	tc.segs = cost.AppendSegments(tc.segs[:0], tc.adds)
-	tr.adds, tr.segs, tr.total = slices.Clone(tc.adds), slices.Clone(tc.segs), tc.h.Meter().Snapshot()
+	tr.adds, tr.segs, tr.total = slices.Clone(tc.rec.Adds), slices.Clone(tc.rec.Segs), tc.h.Meter().Snapshot()
 	tr.stats = tc.h.StatsInto(tr.chans[:])
 }
 
@@ -458,8 +455,8 @@ type PlanCacheStats struct {
 	TraceHits, TraceMisses uint64
 	// CachedTraces counts the shape rows (one charge trace each).
 	CachedTraces int
-	// TraceEntries is the total recorded meter additions across cached
-	// traces; TraceBytes approximates their memory footprint.
+	// TraceEntries counts the cached traces' entries (runs of equal meter
+	// additions); TraceBytes sizes them and the traces' lane segments.
 	TraceEntries int64
 	TraceBytes   int64
 }

@@ -134,8 +134,10 @@ func (*StepColumnStream) stepName() string { return "ColumnStream" }
 
 // StepHostCompute is host-only work with no PE traffic, charged and not
 // run: storing rooted buffers, driver-side domain transfers of broadcast
-// payloads, the wire rounds of a staged shape.
+// payloads, the wire rounds of a staged shape. It applies Charges Rounds
+// times, round by round, as that many one-round steps would (0: a no-op).
 type StepHostCompute struct {
+	Rounds  int
 	Charges []Charge
 }
 
@@ -542,7 +544,7 @@ func lowerAllGather(env algoEnv) Schedule {
 				return nil
 			},
 		})
-		sched.add(&StepHostCompute{
+		sched.add(&StepHostCompute{Rounds: 1,
 			Charges: []Charge{
 				{host.DT, int64(perPE)}, // DT once, reused for all PEs
 				{host.HostMem, int64(perPE)},
@@ -705,7 +707,7 @@ func lowerBroadcast(env algoEnv) Schedule {
 	// levels share this lowering.
 	sched := newSchedule("Broadcast", Baseline, 3)
 	iters := int64(s / 8)
-	sched.add(&StepHostCompute{
+	sched.add(&StepHostCompute{Rounds: 1,
 		Charges: []Charge{
 			{host.HostMem, int64(len(p.groups)) * int64(s)},
 			{host.DT, int64(len(p.groups)) * int64(s)}, // DT once per payload

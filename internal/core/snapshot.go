@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/dram"
@@ -83,7 +84,7 @@ func (c *Comm) Snapshot() Snapshot {
 	s.PlanCache.CachedTraces = len(c.rows)
 	for _, e := range c.rows {
 		s.PlanCache.TraceEntries += int64(len(e.tr.adds))
-		s.PlanCache.TraceBytes += 16 * int64(len(e.tr.adds)+len(e.tr.segs)) // 16-byte entries and segments
+		s.PlanCache.TraceBytes += int64(len(e.tr.adds))*int64(unsafe.Sizeof(cost.TraceEntry{})) + int64(len(e.tr.segs))*int64(unsafe.Sizeof(cost.Segment{}))
 	}
 	s.Auto = make([]AutoDecision, 0, len(c.autoCache))
 	for k, dec := range c.autoCache {

@@ -23,11 +23,11 @@ import (
 // submission scheduler (async.go), and an optional simulated-time quota.
 //
 // Accounting invariant: every charge a tenant's plan makes on the
-// machine meter is mirrored — same operands, same order — into the
-// tenant's meter (see runScheduleLocked). A tenant's meter is therefore
-// bit-identical to the meter of running that tenant's workload alone on
-// its own machine, and summing all tenant meters reproduces exactly the
-// attributed machine total.
+// machine meter is mirrored — same operands, same order within each
+// category — into the tenant's meter (see runScheduleLocked). A tenant's
+// meter is therefore bit-identical to the meter of running that tenant's
+// workload alone on its own machine, and summing all tenant meters
+// reproduces exactly the attributed machine total.
 
 // ErrQuotaExceeded is wrapped by admission errors of a Tenant whose
 // simulated-time quota cannot cover the next plan.

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -11,7 +12,8 @@ import (
 // breakdown categories of Figure 17 (Domain Transfer, Host-side Modulation,
 // Host Mem Access, PE Mem Access, PE-side Modulation, Other) plus Kernel and
 // Network used by the application studies (Figures 4, 13, 21, 23b).
-type Category int
+// It is 32 bits wide so a TraceEntry's count fits beside it.
+type Category int32
 
 const (
 	// DomainTransfer is host-side 8x8 byte transposition between the PIM
@@ -88,28 +90,62 @@ type Meter struct {
 // NewMeter returns an empty meter.
 func NewMeter() *Meter { return &Meter{} }
 
-// TraceEntry is one recorded meter addition. A sequence of entries is the
-// unit of the compiled-plan replay path: replaying a trace re-applies the
-// original floating-point additions with the same operands in the same
-// order, so the meter evolves bit-identically to a live execution.
+// TraceEntry is a run of N equal recorded meter additions of T to Cat. A
+// sequence of entries is the unit of the compiled-plan replay path:
+// replaying a trace re-applies the original floating-point additions
+// with the same operands in the same order within each category, and
+// each category is its own accumulator, so the meter evolves
+// bit-identically to a live execution.
 type TraceEntry struct {
 	Cat Category
+	N   uint32
 	T   Seconds
 }
 
 // SumTrace re-sums a recorded trace: the breakdown of a fresh meter driven
-// by exactly these additions, same operands in the same order, so bit for
-// bit what that meter would hold.
+// by exactly these additions, same operands in the same order within each
+// category, so bit for bit what that meter would hold.
 func SumTrace(adds []TraceEntry) Breakdown {
 	var b Breakdown
 	for _, e := range adds {
-		b.byCat[e.Cat] += e.T
+		for range e.N {
+			b.byCat[e.Cat] += e.T
+		}
 	}
 	return b
 }
 
+// Recorder turns a meter's additions into a charge trace: pass its Record
+// to SetRecorder. Adds stores each run of equal additions to a category
+// once — an addition merges into its category's last entry when T is
+// equal — and Segs is the additions coalesced into lane segments in call
+// order, as they arrive.
+type Recorder struct {
+	Adds []TraceEntry
+	Segs []Segment
+	// last[c] is 1 + the index in Adds of category c's last entry, 0 for
+	// none.
+	last [numCategories]int
+}
+
+// Reset empties r, keeping its storage.
+func (r *Recorder) Reset() {
+	r.Adds, r.Segs, r.last = r.Adds[:0], r.Segs[:0], [numCategories]int{}
+}
+
+// Record books one addition of t to c.
+func (r *Recorder) Record(c Category, t Seconds) {
+	r.Segs = appendSegment(r.Segs, LaneOf(c), t)
+	if i := r.last[c] - 1; i >= 0 && r.Adds[i].T == t && r.Adds[i].N < math.MaxUint32 {
+		r.Adds[i].N++
+		return
+	}
+	r.Adds = append(r.Adds, TraceEntry{Cat: c, N: 1, T: t})
+	r.last[c] = len(r.Adds)
+}
+
 // SetRecorder registers f to observe every subsequent Add/AddBytes (and
-// AddTrace entry) in call order; nil stops recording. Merge is NOT
+// AddTrace addition) in call order; nil stops recording. Merge is NOT
 // recorded — a recorded meter must only be driven through additions
 // (core's tracer asserts this invariant with SumTrace after every trace).
 // Core records to capture a charge trace and, on a functional run, to
@@ -135,14 +171,14 @@ func (m *Meter) Add(c Category, t Seconds) {
 	}
 }
 
-// AddTrace accrues every entry of adds in order, exactly as a loop of Add
-// would — same operands, same order, the recorder called once per entry
-// — under one acquisition of the lock. It is the cost-only replay of a
-// compiled plan's charge trace: core adds the trace to the machine meter,
-// then to the running tenant's, with no recorder set, so each meter takes
-// one lock per replay. Its body restates Add's rather than
-// sharing a helper: the helper does not inline, and every Add pays for
-// the call.
+// AddTrace accrues every addition of adds, entry by entry and T N times
+// each, exactly as a loop of Add would — same operands, same order —
+// under one acquisition of the lock, then calls the recorder once per
+// addition, in the same order. It is the cost-only replay of a compiled plan's charge trace: core adds
+// the trace to the machine meter, then to the running tenant's, with no
+// recorder set, so each meter takes one lock per replay. Its body
+// restates Add's rather than sharing a helper: the helper does not
+// inline, and every Add pays for the call.
 func (m *Meter) AddTrace(adds []TraceEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,9 +186,20 @@ func (m *Meter) AddTrace(adds []TraceEntry) {
 		if e.T < 0 {
 			panic(fmt.Sprintf("cost: negative time %v for %v", e.T, e.Cat))
 		}
-		m.byCat[e.Cat] += e.T
-		if m.rec != nil {
-			m.rec(e.Cat, e.T)
+		sum := &m.byCat[e.Cat]
+		if e.N == 1 { // most entries: no loop
+			*sum += e.T
+			continue
+		}
+		for range e.N {
+			*sum += e.T
+		}
+	}
+	if m.rec != nil { // a recorder may not read the meter, so it cannot tell
+		for _, e := range adds {
+			for range e.N {
+				m.rec(e.Cat, e.T)
+			}
 		}
 	}
 }

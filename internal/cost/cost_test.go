@@ -2,10 +2,12 @@ package cost
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMeterAddAndTotal(t *testing.T) {
@@ -30,27 +32,85 @@ func TestMeterAddNegativePanics(t *testing.T) {
 	NewMeter().Add(HostMod, -1)
 }
 
-// AddTrace is the Add loop under one lock: the same breakdown bit for
-// bit and the same recorder calls in the same order, on a meter that
-// already holds charges.
+// AddTrace is the Add loop under one lock: every entry's T added N times,
+// the same breakdown bit for bit and the same recorder calls in the same
+// order, on a meter that already holds charges.
 func TestMeterAddTraceMatchesAddLoop(t *testing.T) {
-	adds := []TraceEntry{{PEMem, 0.1}, {HostMod, 1e-7}, {PEMem, 0.2}, {Kernel, 0}, {Other, 1.0 / 3}, {PEMem, 0.3}, {HostMod, 3e9}}
+	adds := []TraceEntry{{PEMem, 1, 0.1}, {HostMod, 3, 1e-7}, {PEMem, 2, 0.2}, {Kernel, 1, 0}, {Other, 1, 1.0 / 3}, {Network, 0, 5}, {PEMem, 1, 0.3}, {HostMod, 1, 3e9}}
+	var want []TraceEntry // one entry per addition
+	for _, e := range adds {
+		for range e.N {
+			want = append(want, TraceEntry{e.Cat, 1, e.T})
+		}
+	}
 	var seqs [2][]TraceEntry
 	var meters [2]Meter
 	for i := range meters {
 		m, i := &meters[i], i
 		m.Add(PEMem, 0.7)
-		m.SetRecorder(func(c Category, t Seconds) { seqs[i] = append(seqs[i], TraceEntry{c, t}) })
+		m.SetRecorder(func(c Category, t Seconds) { seqs[i] = append(seqs[i], TraceEntry{c, 1, t}) })
 	}
-	for _, e := range adds {
+	for _, e := range want {
 		meters[0].Add(e.Cat, e.T)
 	}
 	meters[1].AddTrace(adds)
 	if a, b := meters[0].Snapshot(), meters[1].Snapshot(); a != b {
 		t.Errorf("AddTrace breakdown %v, Add loop %v", b, a)
 	}
-	if !slices.Equal(seqs[0], adds) || !slices.Equal(seqs[1], adds) {
-		t.Errorf("recorder saw %v under AddTrace and %v under the Add loop, want %v", seqs[1], seqs[0], adds)
+	if !slices.Equal(seqs[0], want) || !slices.Equal(seqs[1], want) {
+		t.Errorf("recorder saw %v under AddTrace and %v under the Add loop, want %v", seqs[1], seqs[0], want)
+	}
+}
+
+// A Recorder stores a run of equal additions to a category as one
+// 16-byte entry, whatever other categories take in between, and starts a
+// new entry when T changes or the count is full. Its trace re-sums to the
+// meter it recorded, bit for bit, and replays every category's additions
+// in their order.
+func TestRecorderMergesEqualAdditions(t *testing.T) {
+	if n := unsafe.Sizeof(TraceEntry{}); n != 16 {
+		t.Errorf("TraceEntry is %d bytes, want 16", n)
+	}
+	a, b := Seconds(1e-7), Seconds(1.0/3)
+	calls := []TraceEntry{{HostMod, 1, a}, {HostMem, 1, b}, {HostMod, 1, a}, {HostMem, 1, b},
+		{HostMod, 1, 0.5}, {HostMem, 1, b}, {HostMod, 1, a}, {PEMem, 1, 0}, {PEMem, 1, 0}}
+	want := []TraceEntry{{HostMod, 2, a}, {HostMem, 3, b}, {HostMod, 1, 0.5}, {HostMod, 1, a}, {PEMem, 2, 0}}
+	byCat := func(seq []TraceEntry) map[Category][]Seconds {
+		out := map[Category][]Seconds{}
+		for _, e := range seq {
+			out[e.Cat] = append(out[e.Cat], e.T)
+		}
+		return out
+	}
+	var r Recorder
+	m := NewMeter()
+	m.SetRecorder(r.Record)
+	for range 2 { // a reset recorder starts over
+		r.Reset()
+		m.Reset()
+		for _, e := range calls {
+			m.Add(e.Cat, e.T)
+		}
+		if !slices.Equal(r.Adds, want) {
+			t.Fatalf("recorded %v, want %v", r.Adds, want)
+		}
+	}
+	if got := SumTrace(r.Adds); got != m.Snapshot() {
+		t.Errorf("SumTrace = %v, the recorded meter %v", got, m.Snapshot())
+	}
+	var replayed []TraceEntry
+	replay := NewMeter()
+	replay.SetRecorder(func(c Category, t Seconds) { replayed = append(replayed, TraceEntry{c, 1, t}) })
+	replay.AddTrace(r.Adds)
+	if got, want := byCat(replayed), byCat(calls); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay added %v per category, the recorded calls %v", got, want)
+	}
+
+	r.Reset()
+	r.Record(Other, a)
+	r.Adds[0].N = math.MaxUint32
+	if r.Record(Other, a); !slices.Equal(r.Adds, []TraceEntry{{Other, math.MaxUint32, a}, {Other, 1, a}}) {
+		t.Errorf("a full entry took another addition: %v", r.Adds)
 	}
 }
 

@@ -26,9 +26,10 @@
 //     is its immutable snapshot. The meter never influences functional
 //     data movement — the simulator moves real bytes and reports costs
 //     here. A meter can record its additions (SetRecorder), which is how
-//     core captures a compiled plan's charge trace (TraceEntry); a
-//     cost-only replay re-applies the trace to each meter it charges in
-//     one AddTrace call, bit for bit the additions it recorded.
+//     core captures a compiled plan's charge trace (a Recorder's
+//     TraceEntry runs); a cost-only replay re-applies the trace to each
+//     meter it charges in one AddTrace call, bit for bit the additions it
+//     recorded, in the same order within each category.
 //   - Timeline (timeline.go) is elapsed-time accounting for overlapped
 //     execution: work is placed on one of four lanes (LaneCPU, LaneBus,
 //     LanePE, LaneNet — the independently-clocked resources of the

@@ -82,28 +82,18 @@ func LaneOf(c Category) Lane {
 }
 
 // Segment is one contiguous occupation of a lane. A plan's charge trace
-// coalesces into an ordered segment list (AppendSegments); within a plan
+// coalesces into an ordered segment list (Recorder.Segs); within a plan
 // the segments execute sequentially, across plans each lane serializes.
 type Segment struct {
 	Lane Lane
 	Dur  Seconds
 }
 
-// AppendSegments appends an ordered charge trace to dst as lane segments:
-// consecutive charges on the same lane merge into one segment, and
-// non-positive charges are dropped. The appended durations sum to the
-// trace's total.
-func AppendSegments(dst []Segment, adds []TraceEntry) []Segment {
-	for _, e := range adds {
-		dst = appendSegment(dst, LaneOf(e.Cat), e.T)
-	}
-	return dst
-}
-
-// AppendSegments appends b to dst as lane segments, in category order and
-// coalesced as the package-level AppendSegments does. It places work that
-// was accounted only as a breakdown — e.g. an application kernel launch —
-// onto a timeline.
+// AppendSegments appends b to dst as lane segments, in category order:
+// consecutive categories on the same lane merge into one segment, and
+// non-positive ones are dropped, as a Recorder's segments coalesce. It
+// places work that was accounted only as a breakdown — e.g. an
+// application kernel launch — onto a timeline.
 func (b Breakdown) AppendSegments(dst []Segment) []Segment {
 	for i, v := range b.byCat {
 		dst = appendSegment(dst, LaneOf(Category(i)), v)

@@ -24,17 +24,21 @@ func TestLaneOf(t *testing.T) {
 	}
 }
 
-// Both AppendSegments forms coalesce consecutive same-lane charges, drop
-// non-positive ones, and keep what dst already holds.
+// A Recorder's segments and Breakdown.AppendSegments coalesce
+// consecutive same-lane charges, drop non-positive ones, and keep what
+// the segments already hold.
 func TestAppendSegmentsCoalesces(t *testing.T) {
 	adds := []TraceEntry{
-		{PEMod, 1}, {Other, 2}, {HostMod, 3}, {PEMem, 4}, {Network, 5}, {Kernel, 0}, {Kernel, 6},
+		{PEMod, 1, 1}, {Other, 1, 2}, {HostMod, 1, 3}, {PEMem, 1, 4}, {Network, 1, 5}, {Kernel, 1, 0}, {Kernel, 1, 6},
 	}
 	held := Segment{LaneNet, 9}
-	segs := AppendSegments([]Segment{held}, adds)
+	r := Recorder{Segs: []Segment{held}}
+	for _, e := range adds {
+		r.Record(e.Cat, e.T)
+	}
 	want := []Segment{held, {LanePE, 1}, {LaneCPU, 5}, {LaneBus, 4}, {LaneNet, 5}, {LanePE, 6}}
-	if !slices.Equal(segs, want) {
-		t.Fatalf("AppendSegments = %v, want %v", segs, want)
+	if !slices.Equal(r.Segs, want) {
+		t.Fatalf("Recorder.Segs = %v, want %v", r.Segs, want)
 	}
 
 	var b Breakdown
