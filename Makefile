@@ -56,13 +56,15 @@ bench-gate:
 # A short randomized differential-testing run (fusion enabled — the
 # default), the same budget CI uses. Scenarios also randomize the
 # parallel executor's worker count. Then five seconds each of the parser,
-# descriptor, cluster-descriptor and timeline-rollback fuzz targets.
+# descriptor, cluster-descriptor, timeline-rollback and counted-addition
+# (AddRounds) fuzz targets.
 fuzz-smoke:
 	$(GO) run ./cmd/pidfuzz -n 200 -seed 7
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveCompile -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzClusterCompile -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTimelineRollback -fuzztime 5s ./internal/cost
+	$(GO) test -run '^$$' -fuzz FuzzAddRounds -fuzztime 5s ./internal/cost
 
 # One quick pass over the wall-clock benchmark (benchmark/, the harness
 # BENCHMARK.json declares): every workload runs once with its checks on.
@@ -130,7 +132,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7131
+LOC_CEILING = 7120
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

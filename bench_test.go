@@ -331,3 +331,37 @@ func BenchmarkColdCompileCostOnly(b *testing.B) {
 		}
 	}
 }
+
+// Cold cost-only compiles of one staged AllReduce at Base, 64 KiB per PE,
+// each on a fresh cost-only paper machine (32×32): a ring over one axis
+// ("10", 32 ranks) and over both ("11", 1024 ranks), with the tree and
+// rsag beside it. A ring row's trace is 2(n-1) rounds of host charges,
+// so this is the row whose compile the per-round charge path decides;
+// machine construction is outside the timer.
+func BenchmarkColdCompileRing(b *testing.B) {
+	const m = 64 << 10
+	for _, algo := range []core.Algorithm{core.AlgoRing, core.AlgoTree, core.AlgoRabenseifner} {
+		for _, dims := range []string{"10", "11"} {
+			d := pidcomm.Collective{Prim: core.AllReduce, Dims: dims, Level: core.Baseline, Algorithm: algo,
+				Elem: elem.I32, Op: elem.Sum, Src: pidcomm.Span(0, m), Dst: pidcomm.At(2 * m)}
+			b.Run(algo.String()+"/"+dims, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(512<<10), []int{32, 32}, pidcomm.CostOnly())
+					if err != nil {
+						b.Fatal(err)
+					}
+					comm, err := mach.Comm()
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := comm.Compile(d); err != nil {
+						b.Fatalf("%v over %q: %v", algo, dims, err)
+					}
+				}
+			})
+		}
+	}
+}

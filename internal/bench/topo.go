@@ -113,7 +113,7 @@ func hostBusAllReduce(tree bool, params cost.Params, geo dram.Geometry, n, m int
 	}
 	// Bus traffic spreads uniformly over channels, as in the streaming
 	// engine's epoch accounting.
-	h.Meter().AddBytes(cost.PEMem, busBytes, params.ChannelBW*float64(geo.Channels))
+	h.Meter().Add(cost.PEMem, cost.Seconds(float64(busBytes)/(params.ChannelBW*float64(geo.Channels))))
 	h.Charge(host.SIMD, simdBytes)
 	h.Charge(host.Reduce, reduceBytes)
 	if t != elem.I8 {

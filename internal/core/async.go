@@ -459,17 +459,11 @@ func (c *Comm) finishLocked(f *Future) {
 // the pick cannot return nil while work is queued.
 func (c *Comm) pickLocked() *Future {
 	s := c.sched
-	win := s.Window(c.lookahead)
-	if win < 1 {
-		win = 1
-	}
+	win := max(s.Window(c.lookahead), 1)
 	cands := c.cands[:0]
 	for _, t := range c.tenants {
 		q := &t.sq
-		depth := len(q.q)
-		if depth > win {
-			depth = win
-		}
+		depth := min(len(q.q), win)
 		for i := 0; i < depth; i++ {
 			f := q.q[i]
 			if slices.ContainsFunc(q.q[:i], func(o *Future) bool { return f.cp.conflicts(o.cp) }) {

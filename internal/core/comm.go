@@ -300,10 +300,7 @@ func (gr *groupScratchRunner) RunShard(shard, lo, hi int) {
 // groupsDoScratch is groupsDo with a bytes-sized scratch slab per shard
 // (reused across runs — the parallel replacement for a per-group make).
 func (c *Comm) groupsDoScratch(n, bytes int, fn func(g int, scratch []byte)) {
-	k := c.workers
-	if k > n {
-		k = n
-	}
+	k := min(c.workers, n)
 	for len(c.slabs) < k {
 		c.slabs = append(c.slabs, nil)
 	}

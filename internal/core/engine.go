@@ -152,19 +152,13 @@ func (c *Comm) rotate(ctx *dpu.Ctx) {
 	tmp := ctx.Buf(m)
 	chunk := len(ctx.Wram()) / 2
 	for o := 0; o < m; o += chunk {
-		end := o + chunk
-		if end > m {
-			end = m
-		}
+		end := min(o+chunk, m)
 		ctx.ReadMram(off+o, tmp[o:end])
 	}
 	for l := 0; l < st.N; l++ {
 		srcBlock := (l + r) % st.N
 		for o := 0; o < st.S; o += chunk {
-			end := o + chunk
-			if end > st.S {
-				end = st.S
-			}
+			end := min(o+chunk, st.S)
 			ctx.WriteMram(off+l*st.S+o, tmp[srcBlock*st.S+o:srcBlock*st.S+end])
 		}
 	}

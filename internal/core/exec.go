@@ -58,15 +58,23 @@ func (c *Comm) executeOn(b Backend, h *host.Host, steps []Step) {
 		case *StepColumnStream:
 			b.columnStream(c, h, s)
 		case *StepHostCompute:
-			for range s.Rounds {
-				applyCharges(h, s.Charges)
-			}
+			applyCharges(h, s.Rounds, s.Charges)
 		case *StepNetTransfer:
 			h.ChargeNetRounds(s.Rounds, s.Bytes)
 		case *StepSync:
 			h.ChargeSync()
 		}
 	}
+}
+
+// applyCharges books charges rounds times, round by round, as that many
+// Charge calls would: each priced once, all added in one meter call.
+func applyCharges(h *host.Host, rounds int, charges []Charge) {
+	round := make([]cost.TraceEntry, 0, 16) // on the stack, up to 16 charges
+	for _, ch := range charges {
+		round = append(round, h.Price(ch.Kind, ch.Bytes))
+	}
+	h.Meter().AddRounds(rounds, round)
 }
 
 // ---------------------------------------------------------------------
@@ -101,7 +109,7 @@ func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	if st.Modulate != nil {
 		out = st.Modulate(c, stag)
 	}
-	applyCharges(h, st.Charges)
+	applyCharges(h, 1, st.Charges)
 	if st.Write {
 		h.BulkWrite(c.allEGs(), c.cur.base+st.WriteOff, out)
 	}
@@ -122,17 +130,13 @@ func (functionalBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStrea
 		if sg.cols <= 0 {
 			continue
 		}
-		shards := workers
-		if shards > sg.cols {
-			shards = sg.cols
-		}
-		c.ensureStreams(shards)
+		c.ensureStreams(min(workers, sg.cols))
 		c.srun.c, c.srun.body = c, sg.body
 		par.Do(workers, sg.cols, &c.srun)
 		h.MergeShards()
 	}
 	h.EndXfer()
-	applyCharges(h, st.Charges)
+	applyCharges(h, 1, st.Charges)
 }
 
 // ---------------------------------------------------------------------
@@ -162,7 +166,7 @@ func (costBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
 	if st.Read {
 		h.ChargeBulkRead(st.ReadPerPE)
 	}
-	applyCharges(h, st.Charges)
+	applyCharges(h, 1, st.Charges)
 	if st.Write {
 		h.ChargeBulkWrite(st.WritePerPE)
 	}
@@ -172,5 +176,5 @@ func (costBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStream) {
 	h.BeginXfer()
 	h.TallyAllGroups(st.Reads + st.Writes)
 	h.EndXfer()
-	applyCharges(h, st.Charges)
+	applyCharges(h, 1, st.Charges)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -63,8 +64,8 @@ type planKey struct {
 }
 
 // seqKey is the shape table's key: the first member's signature plus the
-// remaining members' rendered in order — empty for a single collective,
-// whose lookup therefore builds no string — plus a cluster role row's role.
+// remaining members' encoded in order (rowLocked) — empty for a single
+// collective — plus a cluster role row's role.
 type seqKey struct {
 	head planKey
 	tail string
@@ -335,8 +336,8 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 	tc.h.Meter().Reset()
 	tc.h.ResetStats()
 	c.executeOn(CostBackend(), tc.h, sched.Steps)
-	// Replay fidelity invariant: the recorder only observes Add/AddBytes,
-	// so a path driving the meter through Merge/Scale would undercount.
+	// Replay fidelity invariant: the recorder observes each addition of
+	// Add and AddRounds, not Merge, so a path through Merge undercounts.
 	// Re-summing the trace must reproduce the meter bit-for-bit (same
 	// operands, same order within each category).
 	if cost.SumTrace(tc.rec.Adds) != tc.h.Meter().Snapshot() {
@@ -371,11 +372,15 @@ func (c *Comm) compiled(specs []planSpec, owner *Tenant, hosts [][]byte) (*Compi
 // miss that builds the row for every session and Auto to share.
 // ClusterTenant.Compile looks up role rows. Callers hold compMu.
 func (c *Comm) rowLocked(specs []planSpec) *planEntry {
-	key := seqKey{head: specs[0].env.planKey}
-	for _, sp := range specs[1:] {
-		key.tail += fmt.Sprintf("%+v;", sp.env.planKey)
+	tail := make([]byte, 0, 64)    // on the stack: a hit builds no string
+	for _, sp := range specs[1:] { // self-delimiting fields: injective
+		k := &sp.env.planKey
+		for _, v := range [...]int{len(k.dims), int(k.prim), k.srcOff, k.dstOff, k.bytes, int(k.elemType), int(k.op), int(k.lvl), int(k.algo)} {
+			tail = binary.AppendVarint(tail, int64(v))
+		}
+		tail = append(tail, k.dims...)
 	}
-	if row := c.rows[key]; row != nil {
+	if row := c.rows[seqKey{head: specs[0].env.planKey, tail: string(tail)}]; row != nil {
 		c.cacheSt.TraceHits++
 		return row
 	}
@@ -383,7 +388,7 @@ func (c *Comm) rowLocked(specs []planSpec) *planEntry {
 	if env := &specs[0].env; shapes[env.prim].rooted() { // a sequence of one
 		row.outs, row.outBytes = len(env.p.groups), shapes[env.prim].host.of(env.bytes, env.p.n)
 	}
-	c.rows[key] = row
+	c.rows[seqKey{head: specs[0].env.planKey, tail: string(tail)}] = row
 	return row
 }
 

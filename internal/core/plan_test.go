@@ -580,9 +580,9 @@ func TestHostInputSequenceSharesItsTrace(t *testing.T) {
 	}
 }
 
-// The cached-compile hot paths allocate no more than before the single
-// and sequence paths merged: the descriptor's spec (lowering closure,
-// environment, footprint spans) and, for a sequence, its key.
+// A cached compile allocates only its plan, for one collective and for a
+// pair: the specs sit on the stack and a hit looks a sequence's encoded
+// key up without building a string.
 func TestCachedCompileAllocs(t *testing.T) {
 	c := withSession(t, tenantTestComm(t, 1<<13))
 	const m = 16 * 8
@@ -593,14 +593,58 @@ func TestCachedCompileAllocs(t *testing.T) {
 		compile func() (*CompiledPlan, error)
 		max     float64
 	}{
-		{"Compile", func() (*CompiledPlan, error) { return c.Compile(aa) }, 4},
-		{"two-member CompileSequence", func() (*CompiledPlan, error) { return c.CompileSequence(aa, ag) }, 14},
+		{"Compile", func() (*CompiledPlan, error) { return c.Compile(aa) }, 1},
+		{"two-member CompileSequence", func() (*CompiledPlan, error) { return c.CompileSequence(aa, ag) }, 1},
 	} {
 		if _, err := tc.compile(); err != nil {
 			t.Fatal(err)
 		}
 		if got := testing.AllocsPerRun(100, func() { tc.compile() }); got > tc.max {
 			t.Errorf("cached %s hit: %v allocs, want <= %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// A sequence's row key tells apart sequences whose later members differ
+// in any one field of their signature, or in their count: each variant
+// is a row miss of its own, and compiling it again finds that row.
+func TestSequenceKeysTellMembersApart(t *testing.T) {
+	c := withSession(t, tenantTestComm(t, 1<<13))
+	const m = 16 * 8
+	aa := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(2 * m), Level: CM}
+	ar := Collective{Prim: AllReduce, Dims: "1", Src: Span(4*m, m), Dst: At(6 * m), Elem: elem.I32, Op: elem.Sum, Level: CM}
+	vary := func(f func(d *Collective)) []Collective {
+		d := ar
+		f(&d)
+		return []Collective{aa, d}
+	}
+	seqs := [][]Collective{
+		{aa, ar},
+		{aa, ar, ar},
+		vary(func(d *Collective) { d.Src = Span(3*m, m) }),
+		vary(func(d *Collective) { d.Dst = At(7 * m) }),
+		vary(func(d *Collective) { d.Src = Span(4*m, 2*m) }),
+		vary(func(d *Collective) { d.Elem = elem.I64 }),
+		vary(func(d *Collective) { d.Op = elem.Max }),
+		vary(func(d *Collective) { d.Level = Baseline }),
+		vary(func(d *Collective) { d.Level, d.Algorithm = Baseline, AlgoRing }),
+		{ar, aa},
+	}
+	rows := make([]*planEntry, len(seqs))
+	for i, ds := range seqs {
+		misses := c.Snapshot().PlanCache.TraceMisses
+		cp, err := c.CompileSequence(ds...)
+		if err != nil {
+			t.Fatalf("sequence %d: %v", i, err)
+		}
+		if got := c.Snapshot().PlanCache.TraceMisses; got != misses+1 {
+			t.Errorf("sequence %d found the row of an earlier sequence (%d misses, want %d)", i, got, misses+1)
+		}
+		rows[i] = cp.planEntry
+	}
+	for i, ds := range seqs {
+		if cp, err := c.CompileSequence(ds...); err != nil || cp.planEntry != rows[i] {
+			t.Errorf("sequence %d recompiled to another row (%v)", i, err)
 		}
 	}
 }

@@ -32,16 +32,10 @@ import (
 // collective boundaries.
 
 // Charge is one host charge of a step: Bytes of host work of one kind,
-// priced by host.Host.Charge.
+// priced by host.Host.Price.
 type Charge struct {
 	Kind  host.Work
 	Bytes int64
-}
-
-func applyCharges(h *host.Host, charges []Charge) {
-	for _, ch := range charges {
-		h.Charge(ch.Kind, ch.Bytes)
-	}
 }
 
 // Step is one typed operation of a lowered collective.
@@ -135,7 +129,8 @@ func (*StepColumnStream) stepName() string { return "ColumnStream" }
 // StepHostCompute is host-only work with no PE traffic, charged and not
 // run: storing rooted buffers, driver-side domain transfers of broadcast
 // payloads, the wire rounds of a staged shape. It applies Charges Rounds
-// times, round by round, as that many one-round steps would (0: a no-op).
+// times, round by round, as that many one-round steps would (0: a no-op):
+// each charge priced once, all Rounds of them added under one meter lock.
 type StepHostCompute struct {
 	Rounds  int
 	Charges []Charge

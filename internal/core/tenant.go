@@ -285,8 +285,8 @@ func (t *Tenant) CompileSequence(ds ...Collective) (*CompiledPlan, error) {
 	}
 	t.c.compMu.Lock() // the one lock of a compile, held to return
 	defer t.c.compMu.Unlock()
-	var one [1]planSpec
-	specs := one[:0]
+	var few [2]planSpec // a collective or a pair on the stack
+	specs := few[:0]
 	var hosts [][]byte // one payload member's as is, several concatenated
 	for i, d := range ds {
 		sp, err := t.c.specIn(t.ar, d, false)

@@ -108,9 +108,11 @@ type TraceEntry struct {
 func SumTrace(adds []TraceEntry) Breakdown {
 	var b Breakdown
 	for _, e := range adds {
+		sum := b.byCat[e.Cat] // a register, not memory, carries the run
 		for range e.N {
-			b.byCat[e.Cat] += e.T
+			sum += e.T
 		}
+		b.byCat[e.Cat] = sum
 	}
 	return b
 }
@@ -144,13 +146,14 @@ func (r *Recorder) Record(c Category, t Seconds) {
 	r.last[c] = len(r.Adds)
 }
 
-// SetRecorder registers f to observe every subsequent Add/AddBytes (and
-// AddTrace addition) in call order; nil stops recording. Merge is NOT
-// recorded — a recorded meter must only be driven through additions
-// (core's tracer asserts this invariant with SumTrace after every trace).
-// Core records to capture a charge trace and, on a functional run, to
-// mirror the machine meter into the running tenant's; a cost-only replay
-// records nothing.
+// SetRecorder registers f to observe every subsequent addition in call
+// order: each Add, and each addition of an AddRounds or AddTrace, which
+// reach the meter under one lock, round-major, calling f once per
+// addition. nil stops recording. Merge is NOT recorded — a recorded
+// meter must only be driven through additions (core's tracer asserts
+// this invariant with SumTrace after every trace). Core records to
+// capture a charge trace and, on a functional run, to mirror the machine
+// meter into the running tenant's; a cost-only replay records nothing.
 // f runs with the meter's lock held and must not call back into the meter.
 func (m *Meter) SetRecorder(f func(Category, Seconds)) {
 	m.mu.Lock()
@@ -172,44 +175,49 @@ func (m *Meter) Add(c Category, t Seconds) {
 }
 
 // AddTrace accrues every addition of adds, entry by entry and T N times
-// each, exactly as a loop of Add would — same operands, same order —
-// under one acquisition of the lock, then calls the recorder once per
-// addition, in the same order. It is the cost-only replay of a compiled plan's charge trace: core adds
-// the trace to the machine meter, then to the running tenant's, with no
-// recorder set, so each meter takes one lock per replay. Its body
-// restates Add's rather than sharing a helper: the helper does not
+// each, exactly as a loop of Add would: it is AddRounds(1, adds). It is
+// the cost-only replay of a compiled plan's charge trace: core adds the
+// trace to the machine meter, then to the running tenant's, with no
+// recorder set, so each meter takes one lock per replay.
+func (m *Meter) AddTrace(adds []TraceEntry) { m.AddRounds(1, adds) }
+
+// AddRounds accrues round — each entry's T added N times — rounds times,
+// round-major and entry-minor, exactly as that loop of Add would: same
+// operands, same order, the recorder called once per addition in that
+// order, but under one acquisition of the lock. rounds ≤ 0 adds nothing.
+// A negative T panics before anything is added. It is how core books a
+// step's charges, priced once per step, and replays a charge trace. Its
+// body restates Add's rather than sharing a helper: the helper does not
 // inline, and every Add pays for the call.
-func (m *Meter) AddTrace(adds []TraceEntry) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range adds {
+func (m *Meter) AddRounds(rounds int, round []TraceEntry) {
+	for _, e := range round {
 		if e.T < 0 {
 			panic(fmt.Sprintf("cost: negative time %v for %v", e.T, e.Cat))
 		}
-		sum := &m.byCat[e.Cat]
-		if e.N == 1 { // most entries: no loop
-			*sum += e.T
-			continue
-		}
-		for range e.N {
-			*sum += e.T
-		}
 	}
-	if m.rec != nil { // a recorder may not read the meter, so it cannot tell
-		for _, e := range adds {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for range rounds {
+		for _, e := range round {
+			sum := &m.byCat[e.Cat]
+			if e.N == 1 { // most entries: no loop
+				*sum += e.T
+				continue
+			}
 			for range e.N {
-				m.rec(e.Cat, e.T)
+				*sum += e.T
 			}
 		}
 	}
-}
-
-// AddBytes accrues bytes/bw seconds to category c. bw is in bytes/second.
-func (m *Meter) AddBytes(c Category, bytes int64, bw float64) {
-	if bw <= 0 {
-		panic(fmt.Sprintf("cost: non-positive bandwidth %v for %v", bw, c))
+	if m.rec != nil { // a recorder may not read the meter, so it cannot tell
+		for range rounds {
+			for _, e := range round {
+				for range e.N {
+					m.rec(e.Cat, e.T)
+				}
+			}
+		}
 	}
-	m.Add(c, Seconds(float64(bytes)/bw))
 }
 
 // Get returns the accumulated time in category c.

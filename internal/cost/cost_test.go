@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -114,21 +116,110 @@ func TestRecorderMergesEqualAdditions(t *testing.T) {
 	}
 }
 
-func TestMeterAddBytes(t *testing.T) {
+// addRoundsOracle books round rounds times through Add, round by round
+// and entry by entry, T N times each, on a fresh meter recording into a
+// fresh Recorder.
+func addRoundsOracle(rounds int, round []TraceEntry) (Breakdown, Recorder) {
+	var r Recorder
 	m := NewMeter()
-	m.AddBytes(PEMem, 1000, 500)
-	if got := m.Get(PEMem); math.Abs(float64(got)-2.0) > 1e-12 {
-		t.Errorf("AddBytes: got %v, want 2.0", got)
+	m.SetRecorder(r.Record)
+	for range rounds {
+		for _, e := range round {
+			for range e.N {
+				m.Add(e.Cat, e.T)
+			}
+		}
+	}
+	return m.Snapshot(), r
+}
+
+// sameAddRounds reports where AddRounds(rounds, round) and the Add loop
+// differ — the meter, bit for bit, and the recorded Adds and Segs — or
+// "" when they agree.
+func sameAddRounds(rounds int, round []TraceEntry) string {
+	want, wr := addRoundsOracle(rounds, round)
+	var r Recorder
+	m := NewMeter()
+	m.SetRecorder(r.Record)
+	m.AddRounds(rounds, round)
+	got := m.Snapshot()
+	for c := range got.byCat {
+		if math.Float64bits(float64(got.byCat[c])) != math.Float64bits(float64(want.byCat[c])) {
+			return fmt.Sprintf("%v reads %v, the Add loop %v", Category(c), got.byCat[c], want.byCat[c])
+		}
+	}
+	if !slices.Equal(r.Adds, wr.Adds) {
+		return fmt.Sprintf("recorded additions %v, the Add loop's %v", r.Adds, wr.Adds)
+	}
+	if !slices.Equal(r.Segs, wr.Segs) {
+		return fmt.Sprintf("recorded segments %v, the Add loop's %v", r.Segs, wr.Segs)
+	}
+	return ""
+}
+
+// AddRounds is the Add loop under one lock: round-major, entry-minor,
+// each entry's T N times, the same meter bit for bit and the same
+// recorder calls in the same order — where a round repeats a category
+// with a different T, puts two categories on one lane, or adds operands
+// whose order changes the float sum. No rounds add nothing, and a
+// negative T panics before anything is added.
+func TestAddRoundsMatchesAddLoop(t *testing.T) {
+	big, one := Seconds(1e16), Seconds(1) // variables: constants would sum exactly
+	if a, b := one+big+one+big+one+big, one+one+one+big+big+big; a == b {
+		t.Fatal("the order-sensitive case sums alike in both orders: it tests nothing")
+	}
+	for _, tc := range []struct {
+		name   string
+		rounds int
+		round  []TraceEntry
+	}{
+		{"repeated category, different T", 4, []TraceEntry{{HostMod, 1, 0.1}, {HostMem, 1, 0.25}, {HostMod, 1, 1.0 / 3}}},
+		{"two categories on one lane", 3, []TraceEntry{{DomainTransfer, 1, 0.5}, {HostMod, 1, 0.125}, {PEMem, 1, 2}}},
+		{"order-sensitive operands", 3, []TraceEntry{{HostMod, 1, one}, {HostMod, 1, big}}},
+		{"counted entries", 2, []TraceEntry{{HostMod, 3, 1e-7}, {Network, 0, 5}, {HostMod, 2, 0.3}, {Kernel, 1, 0}}},
+		{"one round", 1, []TraceEntry{{PEMod, 1, 0.75}, {Other, 1, 1e-9}}},
+		{"zero rounds", 0, []TraceEntry{{HostMod, 1, 1}}},
+		{"negative rounds", -2, []TraceEntry{{HostMod, 1, 1}}},
+		{"empty round", 5, nil},
+	} {
+		if msg := sameAddRounds(tc.rounds, tc.round); msg != "" {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+	}
+
+	m := NewMeter()
+	m.Add(HostMod, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddRounds took a negative time without panicking")
+			}
+		}()
+		m.AddRounds(2, []TraceEntry{{HostMod, 1, 0.5}, {HostMem, 1, -1}})
+	}()
+	if got := m.Snapshot(); got != (Breakdown{byCat: [numCategories]Seconds{HostMod: 1}}) {
+		t.Errorf("a rejected AddRounds left the meter at %v", got)
 	}
 }
 
-func TestMeterAddBytesBadBW(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on zero bandwidth")
+// FuzzAddRounds holds AddRounds to the Add loop over random rounds: up to
+// eight entries of any category, count 0-3 and a finite non-negative T.
+func FuzzAddRounds(f *testing.F) {
+	f.Add(uint8(3), []byte{1, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 1, 1, 0, 0x20, 0xbc, 0xbe, 0x4c, 0xc3, 0x41, 0x43})
+	f.Add(uint8(2), []byte{2, 1, 1, 2, 3, 4, 5, 6, 7, 8, 0, 2, 9, 9, 9, 9, 9, 9, 9, 9, 1, 1, 0, 0, 0, 0, 0, 0, 0xd0, 0x3f})
+	f.Fuzz(func(t *testing.T, rounds uint8, data []byte) {
+		var round []TraceEntry
+		for ; len(data) >= 10 && len(round) < 8; data = data[10:] {
+			v := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[2:])))
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+			round = append(round, TraceEntry{Category(data[0] % byte(numCategories)), uint32(data[1] % 4), Seconds(v)})
 		}
-	}()
-	NewMeter().AddBytes(PEMem, 1, 0)
+		if msg := sameAddRounds(int(rounds%16), round); msg != "" {
+			t.Fatalf("%d rounds of %v: %s", rounds%16, round, msg)
+		}
+	})
 }
 
 func TestMeterMerge(t *testing.T) {

@@ -29,7 +29,10 @@
 //     core captures a compiled plan's charge trace (a Recorder's
 //     TraceEntry runs); a cost-only replay re-applies the trace to each
 //     meter it charges in one AddTrace call, bit for bit the additions it
-//     recorded, in the same order within each category.
+//     recorded, in the same order within each category. A step's charges
+//     reach the meter the same way: priced once, then one AddRounds call
+//     adds them under one lock, round-major, calling the recorder once
+//     per addition.
 //   - Timeline (timeline.go) is elapsed-time accounting for overlapped
 //     execution: work is placed on one of four lanes (LaneCPU, LaneBus,
 //     LanePE, LaneNet — the independently-clocked resources of the

@@ -295,15 +295,28 @@ var works = [...]struct {
 	HostMem:      {cost.HostMem, func(p *cost.Params) float64 { return p.HostMemBW }},
 }
 
-// Charge charges n bytes of host work w, one meter addition in its
-// category.
-func (h *Host) Charge(w Work, n int64) {
+// Price is the one place host work turns into seconds: n bytes of w as
+// one meter addition in its category (N 1). HostMem is n over main-memory
+// bandwidth, which must be positive; every other kind is n at its
+// bytes/cycle scaled by the DSA what-if.
+func (h *Host) Price(w Work, n int64) cost.TraceEntry {
 	k := works[w]
-	if w == HostMem {
-		h.meter.AddBytes(k.cat, n, k.rate(&h.params))
-		return
+	rate := k.rate(&h.params)
+	if w != HostMem {
+		return cost.TraceEntry{Cat: k.cat, N: 1, T: h.params.HostBytesAt(n, rate*h.dsa())}
 	}
-	h.meter.Add(k.cat, h.params.HostBytesAt(n, k.rate(&h.params)*h.dsa()))
+	if rate <= 0 {
+		panic(fmt.Sprintf("host: non-positive bandwidth %v for %v", rate, k.cat))
+	}
+	return cost.TraceEntry{Cat: k.cat, N: 1, T: cost.Seconds(float64(n) / rate)}
+}
+
+// Charge charges n bytes of host work w: its Price, one meter addition.
+// A step's charges take the counted path instead — each priced once,
+// then one cost.Meter.AddRounds for all its rounds.
+func (h *Host) Charge(w Work, n int64) {
+	e := h.Price(w, n)
+	h.meter.Add(e.Cat, e.T)
 }
 
 // ChargeSync charges a fixed host-side synchronization/launch overhead.

@@ -315,6 +315,9 @@ func TestChargeHelpers(t *testing.T) {
 			if len(got) != 1 || got[0] != want {
 				t.Errorf("DSA %v: Charge(%v, %d) added %v, want one entry %v", dsa, r.w, n, got, want)
 			}
+			if e := h.Price(r.w, n); e != (cost.TraceEntry{Cat: want.cat, N: 1, T: want.t}) {
+				t.Errorf("DSA %v: Price(%v, %d) = %v, want %v once", dsa, r.w, n, e, want)
+			}
 		}
 	}
 	h := testHost(t)
@@ -327,6 +330,32 @@ func TestChargeHelpers(t *testing.T) {
 	if !(p.ScalarModBPC < p.LocalModBPC && p.LocalModBPC < p.SIMDModBPC) {
 		t.Error("modulation throughput ordering violated in defaults")
 	}
+}
+
+// HostMem is priced at main-memory bandwidth in bytes/second: 1000 B at
+// 500 B/s is 2 s, to the bit, through Price and through Charge.
+func TestPriceHostMem(t *testing.T) {
+	h := testHost(t)
+	h.params.HostMemBW = 500
+	if e := h.Price(HostMem, 1000); e != (cost.TraceEntry{Cat: cost.HostMem, N: 1, T: 2}) {
+		t.Errorf("Price(HostMem, 1000) at 500 B/s = %v, want 2 s of HostMem", e)
+	}
+	h.Charge(HostMem, 1000)
+	if got := h.Meter().Get(cost.HostMem); got != 2 {
+		t.Errorf("Charge(HostMem, 1000) at 500 B/s added %v, want 2 s", got)
+	}
+}
+
+// Pricing HostMem at zero bandwidth panics rather than charge +Inf.
+func TestPriceHostMemBadBW(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on zero bandwidth")
+		}
+	}()
+	h := testHost(t)
+	h.params.HostMemBW = 0
+	h.Price(HostMem, 1)
 }
 
 // The functional bulk transfers over every group and their cost-only
