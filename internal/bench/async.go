@@ -79,20 +79,17 @@ func pipelinePlans(s *core.Tenant, m, batches int, rsFirst bool) ([]*core.Compil
 // replayed serially on one comm and submitted asynchronously on another
 // under policy pol, and the overlap-aware elapsed times are compared.
 // Cost-only backend (the elapsed-time model is backend-independent; the
-// functional equivalence is pinned by the core async tests). Unstepped,
-// the queue runs with a live background worker — under the default
-// weighted-fair policy, the configuration the regression baseline pins.
-// With stepped set, the whole pipeline is submitted before the queue
-// drains, so a window-scanning policy (EDF, lookahead) sees the full
-// backlog instead of racing the background worker.
-func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]AsyncResult, error) {
+// functional equivalence is pinned by the core async tests). The whole
+// pipeline is submitted before Flush drains the queue, so a
+// window-scanning policy (EDF, lookahead) sees the full backlog.
+func measureAsync(m int, depths []int, pol core.SchedPolicy) ([]AsyncResult, error) {
 	var out []AsyncResult
 	for _, batches := range depths {
 		_, serial, err := asyncComm(m, batches, core.Config{})
 		if err != nil {
 			return nil, err
 		}
-		_, async, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: stepped})
+		_, async, err := asyncComm(m, batches, core.Config{Sched: pol})
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +124,9 @@ func measureAsync(m int, depths []int, pol core.SchedPolicy, stepped bool) ([]As
 func init() {
 	register("async", "Async overlap: futures/submission-queue elapsed time vs serial replay (DLRM-style pipeline)", func(o Options, c *cells) error {
 		// A non-default Options.Sched reruns the pipeline under that
-		// policy in stepped mode (the policy sees the full backlog).
+		// policy.
 		size := sizeFor(o, 64<<10, 1<<20)
-		results, err := measureAsync(size, []int{1, 2, 4, 8}, o.Sched, o.Sched != core.SchedWFQ)
+		results, err := measureAsync(size, []int{1, 2, 4, 8}, o.Sched)
 		if err != nil {
 			return err
 		}

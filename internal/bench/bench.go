@@ -20,10 +20,10 @@ type Options struct {
 	Full bool
 	// Sched selects the submission scheduling policy of the async
 	// experiment's scheduled comm (`pidbench -sched`). The zero value is
-	// core.SchedWFQ, the machine default. A non-default policy runs the
-	// pipeline in stepped mode — the whole backlog is submitted before
-	// the drain — so window-scanning policies see every candidate. The
-	// reorder experiment ignores this and sweeps all registered policies.
+	// core.SchedWFQ, the machine default. The whole backlog is submitted
+	// before the drain, so window-scanning policies see every candidate.
+	// The reorder experiment ignores this and sweeps all registered
+	// policies.
 	Sched core.SchedPolicy
 }
 

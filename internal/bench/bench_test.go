@@ -243,7 +243,7 @@ func TestRunAllWritesHeaders(t *testing.T) {
 // minimal two-collective pattern, and async elapsed may never exceed
 // serial elapsed.
 func TestAsyncOverlapAtLeast1_3x(t *testing.T) {
-	results, err := measureAsync(64<<10, []int{1, 2, 4}, core.SchedWFQ, false)
+	results, err := measureAsync(64<<10, []int{1, 2, 4}, core.SchedWFQ)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,13 +29,12 @@ type tenantSpec struct {
 }
 
 // multiTenantMachine builds a cost-only paper-scale machine with one
-// session per spec, each bound to a fresh arena of arenaBytes. Stepped,
-// so the weighted-fair order is decided by the whole submitted backlog
-// and not by how far a background worker got while the submit loop ran
-// (the gated makespan would flip from run to run otherwise).
+// session per spec, each bound to a fresh arena of arenaBytes. The queue
+// drains only when the experiment flushes, so the weighted-fair order is
+// decided by the whole submitted backlog.
 func multiTenantMachine(specs []tenantSpec, arenaBytes int) (*pidcomm.Machine, []*pidcomm.Comm, error) {
 	mach, err := pidcomm.NewMachine(pidcomm.PaperSystem(len(specs)*arenaBytes), []int{32, 32},
-		pidcomm.CostOnly(), pidcomm.WithStepped(true))
+		pidcomm.CostOnly())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,8 +13,8 @@ import (
 // rsFirst unset) — which is the
 // order that defeats overlap (the ReduceScatter's CPU pass can no
 // longer hide under the AlltoAll's bus streaming; at depth 1 FIFO drops
-// from 1.58x to ~1.14x). The submission queue runs in stepped mode so
-// every policy sees the whole backlog deterministically, and each
+// from 1.58x to ~1.14x). Every plan is submitted before the first Step,
+// so every policy sees the whole backlog deterministically, and each
 // scheduling policy is measured against the same serial reference: FIFO
 // inherits the adversarial order, while the makespan-aware lookahead
 // policy re-discovers the good order from the plans' charge traces and
@@ -36,10 +36,9 @@ type ReorderResult struct {
 
 // MeasureReorder measures, at per-PE payload m, the overlap each
 // scheduling policy recovers from an adversarial submission order, per
-// pipeline depth. Stepped submission: all plans are enqueued first,
-// then the queue is drained one Step at a time, so the policy's pick
-// order — not the submission interleaving with a background worker —
-// decides the placement order. Every drain is verified bit-identical
+// pipeline depth. All plans are enqueued first, then the queue is
+// drained one Step at a time, so the policy's pick order decides the
+// placement order. Every drain is verified bit-identical
 // against a serial twin replaying the same plans in the same pick order
 // (per-future breakdowns and the machine meter must match bit for bit:
 // a policy reorders who runs next, never what a plan charges).
@@ -60,7 +59,7 @@ func MeasureReorder(m int, depths []int, policies []core.SchedPolicy) ([]Reorder
 			}
 		}
 		for _, pol := range policies {
-			async, as, err := asyncComm(m, batches, core.Config{Sched: pol, Stepped: true})
+			async, as, err := asyncComm(m, batches, core.Config{Sched: pol})
 			if err != nil {
 				return nil, err
 			}

@@ -9,17 +9,20 @@ import (
 )
 
 // This file implements asynchronous plan execution: Submit enqueues a
-// compiled plan on its Comm's submission queue and returns a Future; a
-// per-Comm worker drains the queue in submission order. Execution of the
-// schedule itself still serializes on the Comm (one simulated machine),
-// but the *accounted elapsed time* no longer does: each plan is placed on
-// the Comm's four-lane cost.Timeline, where plans with disjoint MRAM
-// footprints overlap — one plan's PE-side reorder kernels and another's
-// bus epochs occupy different lanes and run concurrently in simulated
-// time, which is the overlap PID-Comm's speedup comes from. Plans whose
-// footprints carry a data hazard (RAW, WAR or WAW on any per-PE region)
-// are ordered: the dependent plan starts no earlier than its latest
-// conflicting predecessor finishes.
+// compiled plan on its Comm's submission queue and returns a Future. The
+// queue drains on demand, on the calling goroutine: Step runs one plan,
+// and a Future's blocking accessors, Flush and Submit's backpressure run
+// plans until what they wait for holds, so every simulated number is a
+// function of the call sequence. Execution of the schedule itself still
+// serializes on the Comm (one simulated machine), but the *accounted
+// elapsed time* no longer does: each plan is placed on the Comm's
+// four-lane cost.Timeline, where plans with disjoint MRAM footprints
+// overlap — one plan's PE-side reorder kernels and another's bus epochs
+// occupy different lanes and run concurrently in simulated time, which is
+// the overlap PID-Comm's speedup comes from. Plans whose footprints carry
+// a data hazard (RAW, WAR or WAW on any per-PE region) are ordered: the
+// dependent plan starts no earlier than its latest conflicting predecessor
+// finishes.
 //
 // The work accounting is unchanged: the meter accrues exactly the charges
 // a serial replay would, in the same order (the queue is FIFO), so async
@@ -27,15 +30,15 @@ import (
 // functional backend — bit-identical MRAM contents. Only Comm.Elapsed,
 // the makespan of the timeline, shows the overlap.
 
-// MaxPendingPlans bounds the per-Comm submission queue: Submit blocks
-// once this many plans are in flight, providing backpressure to
-// serving-style producers. Per-tenant bounds (TenantConfig.MaxPending)
-// reject instead of blocking — see ShedPolicy.
+// MaxPendingPlans bounds the per-Comm submission queue: once this many
+// plans are in flight, Submit runs queued plans until a slot frees,
+// providing backpressure to serving-style producers. Per-tenant bounds
+// (TenantConfig.MaxPending) reject instead — see ShedPolicy.
 const MaxPendingPlans = 1024
 
-// SchedPolicy selects how the submission worker picks the next queued
-// plan across buckets. Every value resolves to a Scheduler through the
-// schedulers table (sched.go); the constants below name its four rows.
+// SchedPolicy selects how a drain picks the next queued plan across
+// buckets. Every value resolves to a Scheduler through the schedulers
+// table (sched.go); the constants below name its four rows.
 type SchedPolicy int
 
 const (
@@ -73,14 +76,13 @@ func (c *Comm) Pending() int {
 
 // Step pops the next plan under the comm's scheduling policy and
 // executes it synchronously, returning its (completed) future. Returns
-// nil when the queue is empty — or when a background worker owns the
-// queue (non-stepped mode with submissions in flight), since stepping
-// would race it.
+// nil when the queue is empty. A plan another goroutine is executing
+// completes first.
 func (c *Comm) Step() *Future {
 	c.asyncMu.Lock()
 	defer c.asyncMu.Unlock()
-	if c.asyncRunning {
-		return nil
+	if c.executing {
+		c.waitLocked(func() bool { return !c.executing })
 	}
 	f := c.pickLocked()
 	if f != nil {
@@ -172,14 +174,13 @@ func (f *frontier) at(j int) *placedPlan {
 }
 
 // Future is the handle of one submitted plan execution. All accessors
-// except Done block until the execution completes — on a stepped comm,
-// where no worker drains the queue, by stepping it themselves. A Future
-// is safe for concurrent use; what it reports never changes once set. A
-// Gather's or Reduce's results are its plan's (Plan().Results()), which
-// the plan's next run overwrites. Futures are carved from per-Comm
-// chunks and never reused: a handle stays valid for as long as it is
-// held, and pins at most its chunk (futureChunk-1 neighbours and their
-// plans) until dropped.
+// except Done block until the execution completes, stepping the queue
+// themselves until it has: nothing else drains it. A Future is safe for
+// concurrent use; what it reports never changes once set. A Gather's or
+// Reduce's results are its plan's (Plan().Results()), which the plan's
+// next run overwrites. Futures are carved from per-Comm chunks and never
+// reused: a handle stays valid for as long as it is held, and pins at most
+// its chunk (futureChunk-1 neighbours and their plans) until dropped.
 type Future struct {
 	cp *CompiledPlan
 	// seq is the global submission sequence number: the FIFO policy's
@@ -219,7 +220,9 @@ func (c *Comm) carveLocked(cp *CompiledPlan, o SubmitOptions) *Future {
 	return f
 }
 
-// Done reports without blocking whether the execution has completed.
+// Done reports without blocking whether the execution has completed. A
+// queued plan runs only when someone drains the queue, so a future is done
+// once someone has waited on a future, flushed or stepped past it.
 func (f *Future) Done() bool { return f.done.Load() }
 
 // wait blocks until the execution completes (waitLocked).
@@ -234,16 +237,15 @@ func (f *Future) wait() {
 }
 
 // waitLocked is the queue's one wait, behind Future.wait, Flush and
-// submit's backpressure: it returns once done holds. On a stepped comm
-// nothing else drains the queue, so the waiter picks and runs the next
-// plan itself; with nothing to pick (another goroutine is executing it)
-// or on a live comm, it parks on asyncCond until a completion broadcasts.
-// done is evaluated under asyncMu, so it cannot flip between the check and
-// the park. Callers hold asyncMu; it is released while a plan runs or the
-// waiter is parked.
+// submit's backpressure: it returns once done holds. Nothing else drains
+// the queue, so the waiter picks and runs the next plan itself; while
+// another goroutine executes a plan, or with nothing to pick, it parks on
+// asyncCond until a completion broadcasts. done is evaluated under
+// asyncMu, so it cannot flip between the check and the park. Callers hold
+// asyncMu; it is released while a plan runs or the waiter is parked.
 func (c *Comm) waitLocked(done func() bool) {
 	for !done() {
-		if c.stepped {
+		if !c.executing {
 			if f := c.pickLocked(); f != nil {
 				c.runLocked(f)
 				continue
@@ -313,12 +315,14 @@ type subQueue struct {
 }
 
 // Submit enqueues one replay of the plan on its owning tenant's bucket of
-// the machine's submission queue and returns immediately with a Future
-// (blocking only if MaxPendingPlans are already in flight; a stepped comm
-// steps the queue instead). Plans of one tenant execute in submission
-// order; across tenants the weighted-fair scheduler interleaves. The
-// elapsed-time timeline overlaps plans with disjoint MRAM footprints and
-// orders plans with data hazards (see Comm.Elapsed).
+// the machine's submission queue and returns immediately with a Future.
+// The plan runs when the queue is drained: by Step, Flush, a blocking
+// accessor of this or a later future, or a submission that finds
+// MaxPendingPlans already in flight and steps the queue to free a slot.
+// Plans of one tenant execute in submission order; across tenants the
+// weighted-fair scheduler interleaves. The elapsed-time timeline overlaps
+// plans with disjoint MRAM footprints and orders plans with data hazards
+// (see Comm.Elapsed).
 //
 // The plan is admitted against its tenant's quota and overload bound at
 // submission: a rejected plan returns an already-completed Future whose
@@ -347,10 +351,9 @@ type SubmitOptions struct {
 // deadline). See CompiledPlan.Submit for queue semantics.
 func (cp *CompiledPlan) SubmitOpts(o SubmitOptions) *Future { return cp.owner.c.submit(cp, o) }
 
-// submit enqueues a plan execution, starting the worker if idle, in one
-// asyncMu section: admit, wait for a queue slot, re-check closure, check
-// overload, enqueue. A submission allocates nothing of its own: its
-// Future is carved.
+// submit enqueues a plan execution in one asyncMu section: admit, wait for
+// a queue slot, re-check closure, check overload, enqueue. A submission
+// allocates nothing of its own: its Future is carved.
 func (c *Comm) submit(cp *CompiledPlan, o SubmitOptions) *Future {
 	t := cp.owner
 	c.asyncMu.Lock()
@@ -390,10 +393,6 @@ func (c *Comm) submit(cp *CompiledPlan, o SubmitOptions) *Future {
 	}
 	q.q = append(q.q, f)
 	c.asyncPending++
-	if !c.asyncRunning && !c.stepped {
-		c.asyncRunning = true
-		go c.asyncLoop()
-	}
 	return f
 }
 
@@ -511,27 +510,19 @@ func edfLess(a, b *Future) bool {
 	return a.seq < b.seq
 }
 
-// asyncLoop is the per-Comm queue worker: it drains the buckets in
-// weighted-fair order and exits when all are empty (a later Submit
-// starts a fresh one).
-func (c *Comm) asyncLoop() {
-	c.asyncMu.Lock()
-	defer c.asyncMu.Unlock()
-	for f := c.pickLocked(); f != nil; f = c.pickLocked() {
-		c.runLocked(f)
-	}
-	c.asyncRunning = false
-}
-
 // runLocked executes one picked future with asyncMu released and
-// completes it. A mid-schedule backend error is captured into f.err by
+// completes it. It holds executing for the whole run, so picked plans
+// execute one at a time in pick order, the order hazard safety rests on
+// (pickLocked). A mid-schedule backend error is captured into f.err by
 // execSubmitted's recover and takes the same completion path
 // (finishLocked), so a failing plan can neither complete twice nor leak
 // or double-release its slot. Callers hold asyncMu.
 func (c *Comm) runLocked(f *Future) {
+	c.executing = true
 	c.asyncMu.Unlock()
 	f.start, f.end, f.err = c.execSubmitted(f.cp, f.notBefore)
 	c.asyncMu.Lock()
+	c.executing = false
 	c.finishLocked(f)
 }
 

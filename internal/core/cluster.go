@@ -881,8 +881,8 @@ func (cp *ClusterPlan) Results() []byte {
 // Submit executes the plan once on every host, as Run does, and returns
 // its outcome as a completed ClusterFuture. Like Run, it is a barrier on
 // every host's timeline: a cluster plan never waits in a host's queue, so
-// it is never shed and never refused for a host's queue depth, and a
-// stepped cluster needs no stepping to complete it.
+// it is never shed, never refused for a host's queue depth and needs no
+// stepping to complete it.
 func (cp *ClusterPlan) Submit() *ClusterFuture {
 	bd, err := cp.Run()
 	return &ClusterFuture{cp: cp, bd: bd, err: err}

@@ -672,22 +672,21 @@ func TestClusterSubmitsCompleteInAnyPickOrder(t *testing.T) {
 // A cluster Submit runs at submission on either backend, as Run does: it
 // steps each host's queued local plans, runs on every host and returns
 // complete, and the local plans queued after it wait for Step or Flush.
-// Every (functional | cost-only) × (stepped | not) run ends with the same
-// host Elapsed and shard meters, bit for bit, and every functional run
-// with the same bytes in every PE's arena. In the overload rows, a session
-// that sheds its oldest plan beyond one in flight submits the cluster plan
-// while a local one fills its queue: the Submit is not refused, and the
-// local plan runs, not shed.
+// Every functional and cost-only run ends with the same host Elapsed and
+// shard meters, bit for bit, and every functional run with the same bytes
+// in every PE's arena. In the overload rows, a session that sheds its
+// oldest plan beyond one in flight submits the cluster plan while a local
+// one fills its queue: the Submit is not refused, and the local plan runs,
+// not shed.
 func TestClusterSubmitRunsAtSubmission(t *testing.T) {
 	const P, m = 16, 512
 	overload := TenantConfig{MaxPending: 1, Shed: ShedOldest}
 	rows := []struct {
-		costOnly, stepped bool
-		tc                TenantConfig
+		costOnly bool
+		tc       TenantConfig
 	}{
-		{false, false, TenantConfig{}}, {false, true, TenantConfig{}},
-		{true, false, TenantConfig{}}, {true, true, TenantConfig{}},
-		{false, true, overload}, {true, true, overload},
+		{false, TenantConfig{}}, {true, TenantConfig{}},
+		{false, overload}, {true, overload},
 	}
 	type outcome struct {
 		elapsed []cost.Seconds
@@ -698,7 +697,7 @@ func TestClusterSubmitRunsAtSubmission(t *testing.T) {
 		t.Run(fmt.Sprintf("H%d", H), func(t *testing.T) {
 			var want outcome
 			for k, r := range rows {
-				cfg := Config{Stepped: r.stepped}
+				var cfg Config
 				if r.costOnly {
 					cfg.Backend = CostBackend()
 				}
@@ -727,8 +726,8 @@ func TestClusterSubmitRunsAtSubmission(t *testing.T) {
 						}
 						locals = append(locals, f)
 					}
-					if got := cl.Host(H - 1).Pending(); r.stepped && got != 1 {
-						t.Fatalf("row %d: stepped host %d has %d pending plans, want the local one queued", k, H-1, got)
+					if got := cl.Host(H - 1).Pending(); got != 1 {
+						t.Fatalf("row %d: host %d has %d pending plans, want the local one queued", k, H-1, got)
 					}
 				}
 				local(0, m)
@@ -744,8 +743,8 @@ func TestClusterSubmitRunsAtSubmission(t *testing.T) {
 					t.Fatalf("row %d: %v", k, err)
 				}
 				local(2*m, 3*m)
-				if r.stepped && cl.Host(0).Step() == nil {
-					t.Fatalf("row %d: stepped host 0 had no local plan to step", k)
+				if cl.Host(0).Step() == nil {
+					t.Fatalf("row %d: host 0 had no local plan to step", k)
 				}
 				cl.Flush()
 				for _, f := range locals {
@@ -782,12 +781,6 @@ func TestClusterValidation(t *testing.T) {
 			t.Errorf("cluster of %d hosts accepted", hosts)
 		}
 	}
-	// A functional cluster may be stepped (TestClusterSubmitRunsAtSubmission
-	// drives one).
-	if _, err := NewCluster(2, geoHost, []int{16}, Config{Stepped: true}); err != nil {
-		t.Errorf("functional stepped cluster refused: %v", err)
-	}
-
 	cl := sessionTestCluster(t, 2, geoHost, []int{4, 4}, false)
 	ar := ClusterCollective{Collective: Collective{
 		Prim: AllReduce, Dims: "10", Src: Span(0, 16), Dst: At(64),
@@ -1215,13 +1208,14 @@ func TestConcurrentCompilesShareOneTable(t *testing.T) {
 	}
 }
 
-// A cluster submission runs on every host or on none, also when one of
-// its shards closes while the submission waits for that host's queue to
-// drain: host 1 is held busy (its execMu taken, MaxPendingPlans local
-// plans queued), the cluster Submit parks in host 1's Flush before the run
-// (on either backend: a cluster Submit is a Run), and the session's shard
-// on host 1 closes. The future must succeed with equal shard meters or fail
-// with neither shard charged, and it must complete.
+// A cluster submission runs on every host or on none, also when one of its
+// shards closes while the submission waits for that host's queue to drain:
+// host 1 is held busy (its execMu taken, MaxPendingPlans local plans
+// queued), the cluster Submit's Flush of host 1 before the run (on either
+// backend: a cluster Submit is a Run) picks the first local plan and
+// blocks on the held lock, and the session's shard on host 1 closes. The
+// future must succeed with equal shard meters or fail with neither shard
+// charged, and it must complete.
 func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
 	const H, P = 2, 16
 	const m = 8 * H * P
@@ -1260,7 +1254,7 @@ func TestClusterCloseDuringSubmitIsAllOrNothing(t *testing.T) {
 			}
 			submitted := make(chan *ClusterFuture, 1)
 			go func() { submitted <- cp.Submit() }()
-			pollLocked(t, h1, "the cluster submission waits for host 1 to drain", func() bool { return h1.parked > 0 })
+			pollLocked(t, h1, "the cluster submission drains host 1", func() bool { return len(local.sq.q) == MaxPendingPlans-1 })
 			closed := make(chan error, 1)
 			go func() { closed <- s.Host(1).Close() }()
 			// A close that does not wait for the submission sets its flag

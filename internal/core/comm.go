@@ -43,13 +43,11 @@ type Comm struct {
 
 	// The rest of the Config, resolved by New and immutable afterwards,
 	// so every path reads it without a lock: the fusion level, the
-	// worker-shard count (never 0), the candidate window depth of the
-	// window-scanning policies, and stepped mode, where the caller
-	// drives execution via Step instead of a background worker.
+	// worker-shard count (never 0) and the candidate window depth of the
+	// window-scanning policies.
 	fuse      FuseLevel
 	workers   int
 	lookahead int
-	stepped   bool
 
 	// execMu serializes schedule execution and all direct access to the
 	// host model (its meter epoch state and transfer statistics).
@@ -74,9 +72,10 @@ type Comm struct {
 	// that default names are drawn from, the retired list of closed
 	// tenants, kept so machine-total accounting still sees their meters,
 	// each tenant's admission ledger and in-flight count (tenant.go), the
-	// weighted-fair virtual clock, the worker state and the pending count,
-	// which is also the queue slot: submissions wait while MaxPendingPlans
-	// are pending. asyncCond is the queue's one wait (waitLocked), broadcast
+	// weighted-fair virtual clock, the pending count, which is also the
+	// queue slot: a submission drains the queue while MaxPendingPlans are
+	// pending, and executing, set while a goroutine runs a picked plan
+	// (runLocked). asyncCond is the queue's one wait (waitLocked), broadcast
 	// by every completion; parked counts the waiters blocked on it. sched is
 	// the policy's Scheduler instance, whose Pick calls asyncMu serializes;
 	// cands is pickLocked's reusable candidate scratch (async.go, sched.go);
@@ -89,8 +88,8 @@ type Comm struct {
 	retired      []*Tenant
 	vclock       float64
 	seqCounter   uint64
-	asyncRunning bool
 	asyncPending int
+	executing    bool
 	parked       int
 	sched        Scheduler
 	cands        []Candidate
@@ -162,13 +161,6 @@ type Config struct {
 	// Sched is the submission scheduling policy, a row of the schedulers
 	// table (sched.go). The zero value is SchedWFQ.
 	Sched SchedPolicy
-	// Stepped selects stepped serving mode: submissions only enqueue, and
-	// the caller drives execution one plan at a time with Step (Flush and
-	// the blocking Future accessors step the queue themselves). It makes
-	// open-loop serving simulations deterministic — a single-threaded
-	// driver fully controls the interleaving of arrivals and picks, with
-	// no background worker racing it.
-	Stepped bool
 	// Lookahead is the candidate window: how deep into each bucket the
 	// window-scanning policies (SchedEDF, SchedLookahead) consider
 	// hazard-free plans at each pick. 0 means DefaultLookahead; otherwise
@@ -229,7 +221,6 @@ func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm
 		workers:    cfg.ExecWorkers,
 		sched:      schedulers[cfg.Sched].New(),
 		lookahead:  cfg.Lookahead,
-		stepped:    cfg.Stepped,
 		shapeTable: tab,
 		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}

@@ -20,9 +20,9 @@
 // builds its hosts with New on one shape table, are the only constructors:
 // New builds the (phantom or real) system, the hypercube and the Comm,
 // validates the Config once and resolves the scheduler once. Backend, cost
-// parameters, fusion level, worker count, scheduling policy, lookahead
-// window and stepped mode are fixed for the Comm's life; the Auto
-// objective (SetAutoObjective) is the one runtime setting.
+// parameters, fusion level, worker count, scheduling policy and lookahead
+// window are fixed for the Comm's life; the Auto objective
+// (SetAutoObjective) is the one runtime setting.
 //
 // A Comm is the machine: it hosts sessions and runs nothing itself.
 // Every collective compiles and runs in a session (Tenant: NewTenant's
@@ -137,19 +137,22 @@
 // # Asynchronous execution
 //
 // Submit (async.go) enqueues a plan on its session's bucket of the
-// Comm's submission queue and returns a Future. Plans execute in
-// submission order — results are bit-identical to serial replay — but
-// elapsed-time accounting is overlap-aware: each plan is placed on a
-// four-lane cost.Timeline (host CPU, external bus, PE array, NIC), plans
-// with disjoint MRAM footprints overlap, and plans with data hazards
-// (RAW/WAR/WAW on a per-PE region) are ordered. Comm.Elapsed reports the
-// makespan; Comm.Flush is the barrier. A submission allocates nothing of
-// its own: its Future is carved from a per-Comm chunk (never reused, so
-// a held handle stays valid), completion is an atomic flag stored on the
-// one completion path, which broadcasts the one condition every blocked
-// waiter parks on, and a cost-only replay adds its charge trace to the
-// machine's and the tenant's meters directly. The bench "async"
-// experiment measures the overlap speedup on a DLRM-style pipeline.
+// Comm's submission queue and returns a Future. The queue drains on
+// demand, on the calling goroutine (Step, Flush, a Future's blocking
+// accessors, Submit's backpressure); no goroutine runs it in the
+// background. Plans execute in submission order — results are
+// bit-identical to serial replay — but elapsed-time accounting is
+// overlap-aware: each plan is placed on a four-lane cost.Timeline (host
+// CPU, external bus, PE array, NIC), plans with disjoint MRAM footprints
+// overlap, and plans with data hazards (RAW/WAR/WAW on a per-PE region)
+// are ordered. Comm.Elapsed reports the makespan; Comm.Flush is the
+// barrier. A submission allocates nothing of its own: its Future is
+// carved from a per-Comm chunk (never reused, so a held handle stays
+// valid), completion is an atomic flag stored on the one completion
+// path, which broadcasts the one condition every blocked waiter parks
+// on, and a cost-only replay adds its charge trace to the machine's and
+// the tenant's meters directly. The bench "async" experiment measures
+// the overlap speedup on a DLRM-style pipeline.
 //
 // # Tenants and weighted-fair scheduling
 //

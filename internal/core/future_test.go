@@ -52,7 +52,7 @@ func TestSubmitStepDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	for _, pol := range []SchedPolicy{SchedWFQ, SchedEDF, SchedLookahead} {
-		c := tenantTestCommWith(t, 1<<14, Config{Stepped: true, Sched: pol})
+		c := tenantTestCommWith(t, 1<<14, Config{Sched: pol})
 		var plans []*CompiledPlan
 		for _, name := range []string{"a", "b"} {
 			ten, err := c.NewTenant(servingTenantCfg(name, 8, ShedReject))
@@ -87,9 +87,8 @@ func TestSubmitStepDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Eight goroutines blocked in every accessor of one future on a live comm
-// all wake once and read the same values, and the same results of its
-// plan.
+// Eight goroutines blocked in every accessor of one future all wake once
+// and read the same values, and the same results of its plan.
 func TestFutureConcurrentAccessorsAgree(t *testing.T) {
 	c := asyncTestComm(t, false)
 	fillPEs(c, 0, 64, 5)
@@ -97,7 +96,7 @@ func TestFutureConcurrentAccessorsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.execMu.Lock() // the worker picks the plan and stops here
+	c.execMu.Lock() // the first waiter picks the plan and stops here
 	f := cp.Submit()
 	type seen struct {
 		bd         cost.Breakdown
@@ -154,11 +153,14 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 		err error
 	}
 
-	// Two in flight of two allowed — one the worker has picked and cannot
-	// finish, f queued behind it — so a third submission sheds f.
+	// Two in flight of two allowed — the first picked by a helper's Wait,
+	// which cannot finish it, f queued behind it — so a third submission
+	// sheds f while f's waiter is parked.
 	c.execMu.Lock()
-	cp.Submit()
-	pollLocked(t, c, "the worker has picked the first plan", func() bool { return len(ten.sq.q) == 0 })
+	first := cp.Submit()
+	firstErr := make(chan error, 1)
+	go func() { firstErr <- first.Err() }()
+	pollLocked(t, c, "the helper has picked the first plan", func() bool { return len(ten.sq.q) == 0 })
 	f := cp.Submit()
 	res := make(chan result, 1)
 	go func() {
@@ -167,6 +169,10 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 	}()
 	waitForWaiter(t, f)
 	newer := cp.Submit()
+	if !f.Done() {
+		c.execMu.Unlock()
+		t.Fatal("the third submission left f queued")
+	}
 	if r := <-res; !errors.Is(r.err, ErrOverloaded) || r.bd != (cost.Breakdown{}) {
 		t.Fatalf("dropped future: Wait = %v, %v; want a zero breakdown and %v", r.bd, r.err, ErrOverloaded)
 	}
@@ -174,6 +180,9 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 		t.Fatalf("dropped future: window [%v, %v), Done %v", s, e, f.Done())
 	}
 	c.execMu.Unlock()
+	if err := <-firstErr; err != nil {
+		t.Fatal(err)
+	}
 	if err := newer.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,65 +192,49 @@ func TestBlockedWaiterReleasedByDrop(t *testing.T) {
 	}
 }
 
-// A submission racing Close either runs or fails with ErrTenantClosed,
-// and none is left queued: submit checks the closed flag in the section
-// that enqueues, and Close sets it before its drain. On a live comm and a
-// stepped one, one goroutine submits 64 times while another closes the
-// tenant; once both return, every future is complete and nothing is
-// pending.
-func TestSubmitRacingCloseDrains(t *testing.T) {
-	for _, stepped := range []bool{false, true} {
-		c := tenantTestCommWith(t, 1<<13, Config{Stepped: stepped})
-		for round := 0; round < 50; round++ {
-			ten, err := c.NewTenant(TenantConfig{Name: "racer", ArenaBytes: 1 << 12})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp, err := ten.Compile(servingCollective)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := make([]*Future, 64)
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				<-start
-				for i := range fs {
-					fs[i] = cp.Submit()
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				<-start
-				if err := ten.Close(); err != nil {
-					t.Error(err)
-				}
-			}()
-			close(start)
-			wg.Wait()
-			for i, f := range fs {
-				if !f.Done() {
-					t.Fatalf("stepped=%v round %d: submission %d is still queued after Close", stepped, round, i)
-				}
-				if err := f.Err(); err != nil && !errors.Is(err, ErrTenantClosed) {
-					t.Fatalf("stepped=%v round %d: submission %d failed with %v", stepped, round, i, err)
-				}
-			}
-			if got := c.Pending(); got != 0 {
-				t.Fatalf("stepped=%v round %d: Pending %d after Close", stepped, round, got)
-			}
-		}
+// Picked plans execute one at a time, in pick order, whichever
+// goroutines drain the queue. While a waiter's pick is blocked on the held
+// execMu, a Flush from a second goroutine parks instead of picking the
+// plan queued behind it: that plan depends on the first (the same plan
+// again, a write-after-write hazard), and a second picker could take
+// execMu first and run it before the plan it must follow.
+func TestConcurrentDrainersKeepPickOrder(t *testing.T) {
+	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{}))
+	cp, err := c.Compile(servingCollective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.execMu.Lock()
+	first, second := cp.Submit(), cp.Submit()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); first.Wait() }()
+	pollLocked(t, c.Comm, "the first waiter has picked its plan", func() bool { return len(c.s.sq.q) == 1 })
+	go func() { defer wg.Done(); c.Flush() }()
+	pollLocked(t, c.Comm, "the flush parks or picks", func() bool { return c.parked > 0 || len(c.s.sq.q) == 0 })
+	c.asyncMu.Lock()
+	queued := len(c.s.sq.q)
+	c.asyncMu.Unlock()
+	c.execMu.Unlock()
+	wg.Wait()
+	if queued != 1 {
+		t.Fatal("a second drainer picked a plan while the first pick was still executing")
+	}
+	_, e1 := first.Window()
+	if s2, _ := second.Window(); s2 < e1 {
+		t.Fatalf("the dependent plan started at %v, before the plan it follows ended at %v", s2, e1)
 	}
 }
 
-// A future rejected at admission is complete when submit returns: no
-// accessor blocks, on a live comm or a stepped one.
-func TestRejectedFutureIsDone(t *testing.T) {
-	for _, stepped := range []bool{false, true} {
-		c := tenantTestCommWith(t, 1<<13, Config{Stepped: stepped})
-		ten, err := c.NewTenant(TenantConfig{Name: "capped", ArenaBytes: 1 << 12, Quota: 1e-12})
+// A submission racing Close either runs or fails with ErrTenantClosed,
+// and none is left queued: submit checks the closed flag in the section
+// that enqueues, and Close sets it before its drain. One goroutine
+// submits 64 times while another closes the tenant; once both return,
+// every future is complete and nothing is pending.
+func TestSubmitRacingCloseDrains(t *testing.T) {
+	c := tenantTestCommWith(t, 1<<13, Config{})
+	for round := 0; round < 50; round++ {
+		ten, err := c.NewTenant(TenantConfig{Name: "racer", ArenaBytes: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,35 +242,80 @@ func TestRejectedFutureIsDone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := cp.Submit()
-		if !f.Done() {
-			t.Fatalf("stepped=%v: a quota-rejected future is not Done on return", stepped)
-		}
-		done := make(chan struct{})
+		fs := make([]*Future, 64)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
 		go func() {
-			defer close(done)
-			bd, err := f.Wait()
-			s, e := f.Window()
-			if !errors.Is(err, ErrQuotaExceeded) || !errors.Is(f.Err(), ErrQuotaExceeded) ||
-				bd != (cost.Breakdown{}) || f.Cost() != bd || s != 0 || e != 0 || f.Plan() != cp {
-				t.Errorf("stepped=%v: rejected future: %v, %v, window [%v, %v)", stepped, bd, err, s, e)
+			defer wg.Done()
+			<-start
+			for i := range fs {
+				fs[i] = cp.Submit()
 			}
 		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("stepped=%v: an accessor of a rejected future blocked", stepped)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := ten.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		for i, f := range fs {
+			if !f.Done() {
+				t.Fatalf("round %d: submission %d is still queued after Close", round, i)
+			}
+			if err := f.Err(); err != nil && !errors.Is(err, ErrTenantClosed) {
+				t.Fatalf("round %d: submission %d failed with %v", round, i, err)
+			}
 		}
-		if c.Pending() != 0 {
-			t.Fatalf("stepped=%v: the rejection left %d pending", stepped, c.Pending())
+		if got := c.Pending(); got != 0 {
+			t.Fatalf("round %d: Pending %d after Close", round, got)
 		}
+	}
+}
+
+// A future rejected at admission is complete when submit returns: no
+// accessor blocks.
+func TestRejectedFutureIsDone(t *testing.T) {
+	c := tenantTestCommWith(t, 1<<13, Config{})
+	ten, err := c.NewTenant(TenantConfig{Name: "capped", ArenaBytes: 1 << 12, Quota: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ten.Compile(servingCollective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := cp.Submit()
+	if !f.Done() {
+		t.Fatal("a quota-rejected future is not Done on return")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		bd, err := f.Wait()
+		s, e := f.Window()
+		if !errors.Is(err, ErrQuotaExceeded) || !errors.Is(f.Err(), ErrQuotaExceeded) ||
+			bd != (cost.Breakdown{}) || f.Cost() != bd || s != 0 || e != 0 || f.Plan() != cp {
+			t.Errorf("rejected future: %v, %v, window [%v, %v)", bd, err, s, e)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an accessor of a rejected future blocked")
+	}
+	if c.Pending() != 0 {
+		t.Fatalf("the rejection left %d pending", c.Pending())
 	}
 }
 
 // Done polled from a second goroutine while the first steps flips from
 // false to true once, and the poller then reads the final window.
 func TestDonePolledWhileStepping(t *testing.T) {
-	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{Stepped: true}))
+	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{}))
 	cp, err := c.Compile(servingCollective)
 	if err != nil {
 		t.Fatal(err)

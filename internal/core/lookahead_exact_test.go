@@ -127,7 +127,7 @@ func TestLookaheadStepAllocs(t *testing.T) {
 	}
 	const nPlans, m = 11, 16 * 8
 	allocs := func(pol SchedPolicy) float64 {
-		c := withSession(t, tenantTestCommWith(t, 1<<14, Config{Stepped: true, Sched: pol}))
+		c := withSession(t, tenantTestCommWith(t, 1<<14, Config{Sched: pol}))
 		var spare *CompiledPlan
 		for i := 0; i < nPlans; i++ {
 			cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "1",
@@ -170,7 +170,7 @@ func TestLookaheadStepAllocs(t *testing.T) {
 // mid-sequence, get the windows the parent's rule gives them, and the
 // frontier holds as many live entries as the parent's.
 func TestFrontierRetiresOldestExactly(t *testing.T) {
-	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend(), Stepped: true})
+	c := newTestComm(t, geo64, []int{8, 8}, Config{Backend: CostBackend()})
 	var plans []*CompiledPlan
 	off := 0
 	for i := 0; i < 12; i++ {

@@ -287,7 +287,7 @@ func TestRowHitCompileAllocs(t *testing.T) {
 // pair stays RAW-ordered, across sessions the same shapes overlap.
 func TestHazardsAcrossBases(t *testing.T) {
 	const m = 256
-	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend(), Stepped: true})
+	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend()})
 	a, b := rowSessions(t, c, 4*m)
 	var plans [2][2]*CompiledPlan
 	for i, s := range []*Tenant{a, b} {
@@ -327,7 +327,7 @@ func TestHazardsAcrossBases(t *testing.T) {
 	}
 }
 
-// Tenant churn on a stepped cost-only machine that has traced the DLRM
+// Tenant churn on a cost-only machine that has traced the DLRM
 // pair: closing the session, opening its successor and compiling the
 // pair lowers nothing. It costs the session (its struct and recorder)
 // and its two plans: 4 objects. Lowering the two schedules would add
@@ -337,7 +337,7 @@ func TestChurnReopenAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	const m = 256
-	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend(), Stepped: true})
+	c := newMachine(t, geoHost, []int{4, 4}, Config{Backend: CostBackend()})
 	ds := dlrmPair(m)
 	var s *Tenant
 	open := func() {

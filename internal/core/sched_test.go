@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -186,7 +187,7 @@ func schedPropertyPlans(t *testing.T, c *Comm) []*CompiledPlan {
 func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
-			c := tenantTestCommWith(t, 1<<13, Config{Stepped: true, Sched: pol, Lookahead: 4})
+			c := tenantTestCommWith(t, 1<<13, Config{Sched: pol, Lookahead: 4})
 			plans := schedPropertyPlans(t, c)
 			idx := map[*Future]int{}
 			for i, cp := range plans {
@@ -234,18 +235,27 @@ func TestSchedulersBitIdenticalToSerialReplay(t *testing.T) {
 	}
 }
 
-// Every policy drains a live (non-stepped) queue cleanly:
-// the background worker picks while submissions race in, which puts the
+// Every policy drains a queue cleanly while submissions race in: a
+// second goroutine steps the queue as the first submits, which puts the
 // funnel's locking under the race detector for each policy.
 func TestSchedulersConcurrentDrain(t *testing.T) {
 	for _, pol := range SchedPolicies() {
 		t.Run(pol.String(), func(t *testing.T) {
 			c := tenantTestCommWith(t, 1<<13, Config{Sched: pol})
 			plans := schedPropertyPlans(t, c)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range plans {
+					c.Step()
+				}
+			}()
 			var fs []*Future
 			for _, cp := range plans {
 				fs = append(fs, cp.Submit())
 			}
+			wg.Wait()
 			c.Flush()
 			for i, f := range fs {
 				if err := f.Err(); err != nil {

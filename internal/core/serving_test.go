@@ -79,11 +79,11 @@ func TestEDFHoldsConflictingPlanToSeqOrder(t *testing.T) {
 	}
 }
 
-// Stepped mode: submissions queue without a worker, Pending reports the
+// Stepped execution: submissions only queue, Pending reports the
 // backlog, Step retires exactly one plan per call in scheduling order,
 // and Flush drains the remainder. Step on an idle comm is a no-op.
 func TestSteppedStepAndFlush(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := tenantTestCommWith(t, 1<<13, Config{})
 	if f := c.Step(); f != nil {
 		t.Fatalf("Step on an idle comm returned %v", f)
 	}
@@ -126,12 +126,12 @@ func TestSteppedStepAndFlush(t *testing.T) {
 	}
 }
 
-// On a stepped comm nothing drains the queue behind the caller's back,
-// so a blocking Future accessor steps it itself: Err on the last of
+// Nothing drains the queue behind the caller's back, so a blocking
+// Future accessor steps it itself: Err on the last of
 // three submissions, with no Step or Flush, retires all three in order
 // instead of blocking forever.
 func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := tenantTestCommWith(t, 1<<13, Config{})
 	ta, err := c.NewTenant(servingTenantCfg("a", 0, ShedReject))
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Future.Err blocked on a stepped comm nobody else steps")
+		t.Fatal("Future.Err blocked on a comm nobody else steps")
 	}
 	if got := c.Pending(); got != 0 {
 		t.Fatalf("Pending = %d after waiting on the last submission, want 0", got)
@@ -162,11 +162,11 @@ func TestSteppedFutureAccessorsDrainTheQueue(t *testing.T) {
 	}
 }
 
-// The same rule at the queue bound: with MaxPendingPlans in flight on a
-// stepped comm the next Submit steps one plan itself instead of blocking
-// on a slot no one will ever free.
+// The same rule at the queue bound: with MaxPendingPlans in flight the
+// next Submit steps one plan itself instead of blocking on a slot no one
+// will ever free.
 func TestSteppedSubmitBeyondMaxPending(t *testing.T) {
-	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{Stepped: true}))
+	c := withSession(t, tenantTestCommWith(t, 1<<13, Config{}))
 	cp, err := c.Compile(servingCollective)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestSteppedSubmitBeyondMaxPending(t *testing.T) {
 // completed Future carrying ErrOverloaded and a zero Window — callers
 // never block on a shed request.
 func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := tenantTestCommWith(t, 1<<13, Config{})
 	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedReject))
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestOverloadRejectReturnsCompletedZeroWindow(t *testing.T) {
 
 // ShedOldest sacrifices the oldest queued plan for the incoming one.
 func TestShedOldestDropsQueuedVictim(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := tenantTestCommWith(t, 1<<13, Config{})
 	ta, err := c.NewTenant(servingTenantCfg("a", 1, ShedOldest))
 	if err != nil {
 		t.Fatal(err)

@@ -99,11 +99,11 @@ func TestWeightedFairPickOrder(t *testing.T) {
 // The funnel scans only a plan's own bucket for hazards, because no
 // queued plan can conflict with a queued plan of another bucket: live
 // arenas are disjoint, and Close drains a bucket before its arena is
-// freed for reuse. Churn tenants on a stepped comm — every new
+// freed for reuse. Churn tenants on one comm — every new
 // one carved where a closed one was, its plans queued behind live
 // tenants' conflicting-within-the-bucket plans — and check at every Step.
 func TestQueuedPlansOfTwoBucketsNeverConflict(t *testing.T) {
-	c := tenantTestCommWith(t, 1<<13, Config{Stepped: true})
+	c := tenantTestCommWith(t, 1<<13, Config{})
 	const m = 16 * 8
 	d := Collective{Prim: AlltoAll, Dims: "1", Src: Span(0, m), Dst: At(m), Level: CM}
 	step := func() {

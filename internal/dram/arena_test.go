@@ -7,6 +7,13 @@ import (
 
 const arenaTestMram = 1 << 12 // 4 KiB per bank keeps the state space small
 
+// CarvedBytes returns the per-bank bytes currently carved into arenas.
+func (s *System) CarvedBytes() int {
+	s.carveMu.Lock()
+	defer s.carveMu.Unlock()
+	return s.carvedLocked()
+}
+
 func arenaTestSystem(t *testing.T) *System {
 	t.Helper()
 	geo := Geometry{Channels: 1, RanksPerChannel: 1, BanksPerChip: 1, MramPerBank: arenaTestMram}

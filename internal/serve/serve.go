@@ -533,8 +533,8 @@ func (cfg *Config) resolve() (base, arenaBytes, n int, err error) {
 	return base, arenaBytes, n, nil
 }
 
-// machineFor builds the serving machine: cost-only, stepped, under the
-// configured scheduling policy, with MRAM sized for the tenant arenas.
+// machineFor builds the serving machine: cost-only, under the configured
+// scheduling policy, with MRAM sized for the tenant arenas.
 func machineFor(cfg *Config, arenaBytes int) (*pidcomm.Machine, error) {
 	geo := cfg.Geometry
 	if geo == (dram.Geometry{}) {
@@ -542,7 +542,6 @@ func machineFor(cfg *Config, arenaBytes int) (*pidcomm.Machine, error) {
 	}
 	opts := []pidcomm.MachineOption{
 		pidcomm.CostOnly(),
-		pidcomm.WithStepped(true),
 		pidcomm.WithSched(cfg.Policy),
 	}
 	if cfg.Lookahead != 0 {

@@ -63,13 +63,13 @@ func WithSched(p SchedPolicy) MachineOption {
 	return func(c *core.Config) { c.Sched = p }
 }
 
-// WithStepped builds the machine in stepped serving mode: Submit only
-// enqueues and the caller drives execution one plan at a time with
-// Machine.Step — the deterministic substrate of the open-loop serving
-// driver (internal/serve). Flush and a Future's blocking accessors
-// step the queue themselves.
-func WithStepped(on bool) MachineOption {
-	return func(c *core.Config) { c.Stepped = on }
+// WithStepped sets nothing: every machine steps, running queued plans on
+// the goroutine that calls Machine.Step, Flush or a Future's accessors.
+//
+// Deprecated: the argument is ignored. Only the wall-clock benchmark
+// (benchmark/replica.go) still passes it; its next change deletes it.
+func WithStepped(bool) MachineOption {
+	return func(*core.Config) {}
 }
 
 // WithLookahead sets the candidate window of the window-scanning
@@ -173,8 +173,9 @@ func (m *Machine) SetAutoObjective(o AutoObjective) { m.cc.SetAutoObjective(o) }
 
 // Step pops the next queued plan under the scheduling policy and
 // executes it synchronously, returning its completed future (nil when
-// the queue is empty or a background worker owns it). Only meaningful
-// in stepped mode.
+// the queue is empty). Nothing else runs a submission before Flush or a
+// blocking accessor of its future does, so a caller that steps controls
+// the interleaving of arrivals and picks.
 func (m *Machine) Step() *Future { return m.cc.Step() }
 
 // Pending returns the number of submitted plans not yet completed.

@@ -221,10 +221,12 @@ type ReduceOp = elem.Op
 // metered on its meter).
 type CompiledPlan = core.CompiledPlan
 
-// Future is the handle of one asynchronously submitted plan execution;
-// see Comm.Submit and CompiledPlan.Submit. Wait/Err/Cost/Window block
-// until the execution completes; Done polls. A Gather's or Reduce's
-// results are its plan's (Plan().Results()), overwritten by its next run.
+// Future is the handle of one asynchronously submitted plan execution; see
+// Comm.Submit and CompiledPlan.Submit. Wait/Err/Cost/Window run the
+// machine's queue on the calling goroutine until the execution completes;
+// Done polls, and turns true once someone has waited, flushed or stepped
+// past the plan. A Gather's or Reduce's results are its plan's
+// (Plan().Results()), overwritten by its next run.
 type Future = core.Future
 
 // Snapshot is a machine's run-time state as plain fields (Machine.Snapshot;
@@ -291,8 +293,8 @@ const (
 	ShedOldest = core.ShedOldest
 )
 
-// MaxPendingPlans bounds a machine's submission queue; Submit blocks
-// once this many plans are in flight.
+// MaxPendingPlans bounds a machine's submission queue; once this many
+// plans are in flight, Submit runs queued plans until a slot frees.
 const MaxPendingPlans = core.MaxPendingPlans
 
 // DefaultParams returns the calibrated timing parameters (cost.DefaultParams).

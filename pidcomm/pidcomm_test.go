@@ -212,7 +212,7 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 	// earlier deadline, and reports which one the machine steps first.
 	firstStepped := func(t *testing.T, opts ...pidcomm.MachineOption) int {
 		t.Helper()
-		mach, comm := session(t, append(opts, pidcomm.CostOnly(), pidcomm.WithStepped(true))...)
+		mach, comm := session(t, append(opts, pidcomm.CostOnly())...)
 		var fs [2]*pidcomm.Future
 		for i := range fs {
 			cp, err := comm.Compile(aa(i * 4 * m))
@@ -298,24 +298,23 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 		}
 	})
 	t.Run("Stepped", func(t *testing.T) {
-		mach, comm := session(t, pidcomm.CostOnly(), pidcomm.WithStepped(true))
+		mach, comm := session(t, pidcomm.CostOnly())
 		f, err := comm.Submit(aa(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if f.Done() || mach.Pending() != 1 {
-			t.Fatalf("stepped machine ran a submission on its own (done=%v pending=%d)", f.Done(), mach.Pending())
+			t.Fatalf("machine ran a submission on its own (done=%v pending=%d)", f.Done(), mach.Pending())
 		}
 		if mach.Step() != f || !f.Done() {
 			t.Fatal("Step did not retire the submission")
 		}
-		mach, comm = session(t, pidcomm.CostOnly())
 		if f, err = comm.Submit(aa(0)); err != nil {
 			t.Fatal(err)
 		}
 		mach.Flush()
 		if !f.Done() || mach.Step() != nil {
-			t.Fatal("default machine left a submission for Step")
+			t.Fatal("Flush left a submission for Step")
 		}
 	})
 	t.Run("SchedAndLookahead", func(t *testing.T) {
@@ -349,24 +348,24 @@ func TestMachineOptionsReachBehaviour(t *testing.T) {
 	})
 }
 
-// Clusters of stepped machines: on either backend, a cluster submission
-// runs at once and returns completed, leaving nothing pending on any host.
+// On either backend, a cluster submission runs at once and returns
+// completed, leaving nothing pending on any host.
 func TestSteppedCluster(t *testing.T) {
 	shape := []int{16}
-	for _, opts := range [][]pidcomm.MachineOption{{pidcomm.WithStepped(true)}, {pidcomm.WithStepped(true), pidcomm.CostOnly()}} {
+	for _, opts := range [][]pidcomm.MachineOption{nil, {pidcomm.CostOnly()}} {
 		cl, err := pidcomm.NewCluster(2, validGeo, shape, opts...)
 		if err != nil {
-			t.Fatalf("cluster on stepped machines: %v", err)
+			t.Fatalf("cluster: %v", err)
 		}
 		f, err := cl.Submit(pidcomm.ClusterCollective{Collective: validShape(pidcomm.AllGather, 2*16)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !f.Done() || cl.Machine(0).Pending() != 0 || cl.Machine(1).Pending() != 0 {
-			t.Fatalf("cost-only %v: a stepped cluster's submission returned before it ran", cl.CostOnly())
+			t.Fatalf("cost-only %v: a cluster's submission returned before it ran", cl.CostOnly())
 		}
 		if bd, err := f.Wait(); err != nil || bd.Total() <= 0 {
-			t.Fatalf("cost-only %v: stepped cluster Wait: %v, %v", cl.CostOnly(), bd, err)
+			t.Fatalf("cost-only %v: cluster Wait: %v, %v", cl.CostOnly(), bd, err)
 		}
 	}
 }
