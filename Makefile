@@ -18,8 +18,9 @@ build:
 # suite, the transfer layers and core's column-stream span kernels again
 # at one and four CPUs: the inline and the pooled shard path both see
 # reused arena slabs, the panic hand-off, the staged passes sharded
-# through groupsDo and groupsDoScratch, bulk copies sharded across group
-# ranges, and column runs split mid-run across shards.
+# across communication groups or one group's members, bulk copies
+# sharded across group ranges, and column runs split mid-run across
+# shards.
 test:
 	$(GO) test ./...
 	$(GO) test -cpu 1,4 ./internal/dpu ./internal/par ./internal/apps/... ./internal/algo ./internal/host ./internal/dram
@@ -132,7 +133,7 @@ loc:
 # types above may not grow past the exported-method counts of the last PR
 # that narrowed them. A shrinking PR lowers the constants to its own
 # numbers; raising one needs a reason in CHANGES.md.
-LOC_CEILING = 7108
+LOC_CEILING = 7056
 COMM_METHODS_CEILING = 18
 MACHINE_METHODS_CEILING = 15
 TENANT_METHODS_CEILING = 15

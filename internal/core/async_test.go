@@ -359,10 +359,14 @@ func TestExtendElapsedAllocs(t *testing.T) {
 // backend error inside a schedule step: the modulation of a bulk step,
 // which only the functional backend runs.
 func failingPlan(c *testComm) *CompiledPlan {
+	p, err := c.plan("1")
+	if err != nil {
+		panic(err)
+	}
 	sched := &Schedule{Name: "test/failing"}
-	sched.add(&StepBulk{
+	sched.add(&StepBulk{p: p,
 		Charges:  []Charge{{host.HostMem, 64}},
-		Modulate: func(*Comm, []byte) []byte { panic("injected backend failure") },
+		Modulate: func(*Comm, int, []byte, []byte) { panic("injected backend failure") },
 	})
 	sched.add(&StepSync{})
 	c.compMu.Lock()

@@ -683,13 +683,13 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 	}
 	per := (dstHi - dstLo) * PS
 	p, h, H, P := b.p, b.h, len(b.cl.comms), b.cl.p
-	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{
+	b.step("ClusterPack", span{readOff, per}, span{}, &StepBulk{p: p,
 		Read: true, ReadOff: readOff, ReadPerPE: per,
 		Charges: []Charge{{host.HostMem, p.numPEBytes(per)}}, // slab store
-		Modulate: func(c *Comm, stag []byte) []byte {
+		Modulate: func(c *Comm, _ int, in, _ []byte) {
 			st := c.cur.st
-			for j, pe := range p.groups[0] {
-				src := stag[pe*per : (pe+1)*per]
+			for j := range P {
+				src := in[j*per : (j+1)*per]
 				for dh := dstLo; dh < dstHi; dh++ {
 					slab := st.slab(h, dh, H, P*PS)
 					for k := 0; k < P; k++ {
@@ -697,7 +697,6 @@ func (b *clusterBuild) pack(readOff, dstLo, dstHi, PS, s int) {
 					}
 				}
 			}
-			return nil
 		},
 	})
 }
@@ -712,16 +711,16 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 	}
 	per := (srcHi - srcLo) * PS
 	p, h, H, P := b.p, b.h, len(b.cl.comms), b.cl.p
-	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{
+	b.step("ClusterUnpack", span{}, span{writeOff, per}, &StepBulk{p: p,
 		Write: true, WriteOff: writeOff, WritePerPE: per,
 		Charges: []Charge{
 			{host.LocalMod, p.numPEBytes(per)}, // receive-side transpose
 			{host.HostMem, p.numPEBytes(per)},  // staging assembly
 		},
-		Modulate: func(c *Comm, _ []byte) []byte {
-			st, out := c.cur.st, c.bulkOut(len(p.rankOf)*per)
-			for k, pe := range p.groups[0] {
-				dst := out[pe*per : (pe+1)*per]
+		Modulate: func(c *Comm, _ int, _, out []byte) {
+			st := c.cur.st
+			for k := range P {
+				dst := out[k*per : (k+1)*per]
 				for sh := srcLo; sh < srcHi; sh++ {
 					slab := st.slab(sh, h, H, P*PS)
 					for j := 0; j < P; j++ {
@@ -729,7 +728,6 @@ func (b *clusterBuild) unpack(writeOff, srcLo, srcHi, PS, s int) {
 					}
 				}
 			}
-			return out
 		},
 	})
 }
@@ -842,7 +840,7 @@ func (cp *ClusterPlan) runPhases() {
 	}()
 	H := len(cp.plans)
 	phase := func(afterWire bool) {
-		par.Do(H, H, &groupRunner{fn: func(h int) {
+		par.Do(H, H, &hostRunner{fn: func(h int) {
 			hp := cp.plans[h]
 			c, steps := hp.owner.c, hp.sched.Steps
 			w := 1 + slices.IndexFunc(steps, func(st Step) bool { n, ok := st.(*StepNetTransfer); return ok && n.wire })
@@ -862,6 +860,15 @@ func (cp *ClusterPlan) runPhases() {
 		cp.st.merge()
 	}
 	phase(true)
+}
+
+// hostRunner adapts a per-host closure to par.Runner.
+type hostRunner struct{ fn func(h int) }
+
+func (hr *hostRunner) RunShard(_, lo, hi int) {
+	for h := lo; h < hi; h++ {
+		hr.fn(h)
+	}
 }
 
 // Results returns the rooted result of the plan's most recent completed

@@ -436,7 +436,7 @@ func TestStagedRoundsAllocs(t *testing.T) {
 		steps  int
 		allocs float64
 	}{
-		{AllReduce, lowerRingAllReduce, 5, 8},
+		{AllReduce, lowerRingAllReduce, 5, 7},
 		{Broadcast, lowerRingBroadcast, 3, 6},
 	} {
 		small, smallSteps, smallEntries := lower(geoHost, r.prim, r.lo)

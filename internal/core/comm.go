@@ -96,20 +96,17 @@ type Comm struct {
 	futs         []Future
 
 	// Parallel-execution state, all guarded by execMu (the per-shard
-	// contexts are only touched while an execution holds the lock). egs
-	// is precomputed at construction and immutable, so the tracing path
-	// (under compMu) may read it too. cur is the running plan
-	// (runScheduleLocked): the steps read its base and host buffers.
-	// rotKern is rotate, bound on the first functional launch, for rotStep.
+	// contexts are only touched while an execution holds the lock). cur
+	// is the running plan (runScheduleLocked): the steps read its base and
+	// host buffers. rotKern is rotate, bound on the first functional
+	// launch, for rotStep.
 	cur     *CompiledPlan
-	egs     []int        // [0..numGroups): every entangled group
 	streams []*streamCtx // per-shard streaming contexts (engine.go)
-	modBuf  []byte       // reusable Modulate output arena (bulkOut)
-	slabs   [][]byte     // per-shard scratch slabs (groupsDoScratch)
+	slabs   [][]byte     // per-shard staging scratch (stage)
+	image   []byte       // a single-group AllGather's image, read to broadcast
 	rotKern dpu.Kernel
 	rotStep *StepRotateBlocks
-	grun    groupRunner
-	gsrun   groupScratchRunner
+	brun    bulkRunner
 	srun    segRunner
 }
 
@@ -222,46 +219,105 @@ func newComm(geo dram.Geometry, shape []int, cfg Config, tab *shapeTable) (*Comm
 		sched:      schedulers[cfg.Sched].New(),
 		lookahead:  cfg.Lookahead,
 		shapeTable: tab,
-		egs:        make([]int, hc.sys.Geometry().NumGroups()),
 	}
 	if c.workers <= 0 {
 		c.workers = runtime.GOMAXPROCS(0)
 	}
 	c.h.SetWorkers(c.workers)
-	for i := range c.egs {
-		c.egs[i] = i
-	}
 	c.asyncCond = sync.NewCond(&c.asyncMu)
 	return c, nil
 }
 
-// allEGs returns [0..numGroups) for bulk transfers covering the machine.
-// The slice is precomputed and immutable — callers must not modify it.
-func (c *Comm) allEGs() []int { return c.egs }
-
 // ExecWorkers returns the worker-shard count (Config.ExecWorkers).
 func (c *Comm) ExecWorkers() int { return c.workers }
 
-// groupRunner adapts a per-group closure to par.Runner; the Comm keeps
-// one so staged-path modulation can fan out without allocating a runner
-// per call. Guarded by execMu like all execution state.
-type groupRunner struct{ fn func(g int) }
+// bulkRunner is the comm's one par.Runner of a staged step's functional
+// pass (stage). With g < 0 its shards own contiguous ranges of st's
+// groups and stage each in the shard's own slab; with g >= 0 they copy
+// ranges of group g's members into slab 0, or out of it when write is
+// set.
+type bulkRunner struct {
+	c     *Comm
+	st    *StepBulk
+	g     int
+	write bool
+}
 
-func (gr *groupRunner) RunShard(_, lo, hi int) {
+func (br *bulkRunner) RunShard(shard, lo, hi int) {
+	c, st := br.c, br.st
+	if br.g >= 0 {
+		in, out := c.staging(st, 0)
+		c.moveMembers(st, br.g, lo, hi, in, out, br.write)
+		return
+	}
+	in, out := c.staging(st, shard)
 	for g := lo; g < hi; g++ {
-		gr.fn(g)
+		c.moveMembers(st, g, 0, st.p.n, in, out, false)
+		st.Modulate(c, g, in, out)
+		c.moveMembers(st, g, 0, st.p.n, in, out, true)
 	}
 }
 
-// groupsDo runs fn(g) for every g in [0, n) sharded across the comm's
-// workers. fn must only write state owned by group g. Callers hold execMu.
-func (c *Comm) groupsDo(n int, fn func(g int)) {
-	c.grun.fn = fn
-	par.Do(c.workers, n, &c.grun)
-	c.grun.fn = nil
+// stage is a staged step's functional pass: each communication group of
+// st.p in turn has its members' bytes read into scratch of
+// n·(ReadPerPE+WritePerPE) bytes, modulated, and written back. The
+// groups shard across the workers, each shard staging its groups in a
+// slab of its own; a plan with fewer groups than workers stages one group
+// at a time in slab 0 and shards the group's member copies instead, so a
+// single-group pass stays parallel. Callers hold execMu.
+func (c *Comm) stage(st *StepBulk) {
+	p := st.p
+	k, need := min(c.workers, len(p.groups)), p.n*(st.ReadPerPE+st.WritePerPE)
+	for len(c.slabs) < k {
+		c.slabs = append(c.slabs, nil)
+	}
+	for i := range k {
+		if cap(c.slabs[i]) < need {
+			c.slabs[i] = make([]byte, need)
+		}
+	}
+	br := &c.brun
+	br.c, br.st, br.g = c, st, -1
+	if len(p.groups) >= c.workers {
+		par.Do(c.workers, len(p.groups), br)
+	} else {
+		in, out := c.staging(st, 0)
+		for g := range p.groups {
+			br.g, br.write = g, false
+			par.Do(c.workers, p.n, br)
+			st.Modulate(c, g, in, out)
+			br.write = true
+			par.Do(c.workers, p.n, br)
+		}
+	}
+	br.st = nil
 }
 
-// segRunner is groupRunner for a streaming seg's body: it runs on the
+// staging splits shard's slab into st's in and out scratch.
+func (c *Comm) staging(st *StepBulk, shard int) (in, out []byte) {
+	r, w := st.p.n*st.ReadPerPE, st.p.n*st.WritePerPE
+	return c.slabs[shard][:r], c.slabs[shard][r : r+w]
+}
+
+// moveMembers reads members [lo, hi) of st's group g — ReadPerPE
+// bytes each at ReadOff of the running plan's arena — into in, in rank
+// order, or, when write is set, writes their WritePerPE bytes from out to
+// WriteOff: one copy per PE.
+func (c *Comm) moveMembers(st *StepBulk, g, lo, hi int, in, out []byte, write bool) {
+	grp, r, w := st.p.groups[g], st.ReadPerPE, st.WritePerPE
+	for i := lo; i < hi; i++ {
+		bank := c.hc.sys.BankBytes(grp[i])
+		if write {
+			off := c.cur.base + st.WriteOff
+			copy(bank[off:off+w], out[i*w:(i+1)*w])
+		} else {
+			off := c.cur.base + st.ReadOff
+			copy(in[i*r:(i+1)*r], bank[off:off+r])
+		}
+	}
+}
+
+// segRunner is the par.Runner of a streaming seg's body: it runs on the
 // comm's per-shard streaming contexts at the running plan's arena base.
 type segRunner struct {
 	c    *Comm
@@ -272,52 +328,6 @@ func (sr *segRunner) RunShard(shard, lo, hi int) {
 	sc := sr.c.streams[shard]
 	sc.base = sr.c.cur.base
 	sr.body(sc, lo, hi)
-}
-
-// groupScratchRunner is groupRunner plus a per-shard scratch slab.
-type groupScratchRunner struct {
-	c     *Comm
-	bytes int
-	fn    func(g int, scratch []byte)
-}
-
-func (gr *groupScratchRunner) RunShard(shard, lo, hi int) {
-	s := gr.c.slabs[shard][:gr.bytes]
-	for g := lo; g < hi; g++ {
-		gr.fn(g, s)
-	}
-}
-
-// groupsDoScratch is groupsDo with a bytes-sized scratch slab per shard
-// (reused across runs — the parallel replacement for a per-group make).
-func (c *Comm) groupsDoScratch(n, bytes int, fn func(g int, scratch []byte)) {
-	k := min(c.workers, n)
-	for len(c.slabs) < k {
-		c.slabs = append(c.slabs, nil)
-	}
-	for i := 0; i < k; i++ {
-		if cap(c.slabs[i]) < bytes {
-			c.slabs[i] = make([]byte, bytes)
-		}
-	}
-	c.gsrun.c, c.gsrun.bytes, c.gsrun.fn = c, bytes, fn
-	par.Do(c.workers, n, &c.gsrun)
-	c.gsrun.fn = nil
-}
-
-// bulkOut returns the comm's reusable n-byte modulation-output arena.
-// Every staged (StepBulk) Modulate that fully overwrites its output uses
-// it, so cached replays allocate no fresh buffer per step. At most one
-// Bulk step is in flight at a time (steps execute sequentially), so a
-// single arena suffices — and hands data on to a later step where no Bulk
-// step runs in between: the ring/tree AllReduce snapshot and the
-// single-group AllGather image live there, not on the schedule. Callers
-// hold execMu.
-func (c *Comm) bulkOut(n int) []byte {
-	if cap(c.modBuf) < n {
-		c.modBuf = make([]byte, n)
-	}
-	return c.modBuf[:n]
 }
 
 // Backend returns the comm's execution backend.

@@ -121,7 +121,11 @@
 // pool (internal/par): RotateBlocks launches split the PE list,
 // column-stream epochs split their column range onto per-shard
 // streaming contexts (engine.go), and staged bulk passes split their
-// entangled-group list. Config.ExecWorkers sizes the pool (default
+// communication groups, each shard staging one group at a time in a
+// scratch slab of its own (Comm.stage; a plan with fewer groups than
+// workers splits each group's member copies instead). Staging never
+// holds more than one group per shard: the machine is not copied whole.
+// Config.ExecWorkers sizes the pool (default
 // GOMAXPROCS; purely a simulator-throughput knob). The determinism
 // contract is structural: shards only write disjoint regions,
 // shard-local tallies merge in shard order with order-insensitive folds
@@ -130,7 +134,7 @@
 // bus statistics are bit-for-bit identical at any worker count
 // (parallel_test.go pins this, and the fuzz harness randomizes the
 // knob). Replay of a warmed
-// CompiledPlan is also allocation-free on the streaming paths: scratch
+// CompiledPlan is also allocation-free, streaming and staged: scratch
 // lives in per-shard arenas, rooted results in the plan's Hosts, and
 // every rotation launches the comm's one bound kernel (TestReplayAllocs*).
 //

@@ -100,18 +100,13 @@ func (functionalBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlock
 	}, h.Meter(), c.rotKern)
 }
 
+// bulk books the step as the cost-only backend does — the same charges
+// in the same order, so the two cannot drift — then moves its bytes one
+// communication group at a time (Comm.stage).
 func (functionalBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
-	var stag []byte
-	if st.Read {
-		stag = h.BulkRead(c.allEGs(), c.cur.base+st.ReadOff, st.ReadPerPE)
-	}
-	out := stag
+	costBackend{}.bulk(c, h, st)
 	if st.Modulate != nil {
-		out = st.Modulate(c, stag)
-	}
-	applyCharges(h, 1, st.Charges)
-	if st.Write {
-		h.BulkWrite(c.allEGs(), c.cur.base+st.WriteOff, out)
+		c.stage(st)
 	}
 }
 

@@ -62,36 +62,23 @@ func treeSenders(n int) []int {
 }
 
 // stagedAllReduce wraps an AllReduce shape's hops between the snapshot
-// and the write-back. The opening bulk read copies every PE's payload
-// into the buffer the wire rounds conceptually pass around, the executing
-// comm's modulation arena (Comm.bulkOut: the hops run no Bulk step, so it
-// survives to the close; the staging slab does not, so the copy is
-// mandatory — and charged as host-memory traffic). The closing bulk write
-// reduces each group in place to its canonical-rank-order reduction,
+// and the write-back. The opening bulk read books every PE's payload
+// into the buffer the wire rounds conceptually pass around (and the copy
+// into it as host-memory traffic); it moves nothing, for the hops write
+// no MRAM: the closing step rereads each group's source, unbooked, and
+// writes it back reduced to its canonical-rank-order reduction,
 // replicated to every member — the reference Baseline modulation's
-// arithmetic; the hops already charged the reduction and replication
-// work, so it carries only the write traffic itself.
+// arithmetic. The hops already charged the reduction and replication
+// work, so the close carries only the write traffic itself.
 func stagedAllReduce(e *algoEnv, name string, hops []hop) Schedule {
-	p, m, t, op := e.p, e.bytes, e.elemType, e.op
-	return stagedRounds(name, &StepBulk{
+	p, m, s, t, op := e.p, e.bytes, e.s, e.elemType, e.op
+	return stagedRounds(name, &StepBulk{p: p,
 		Read: true, ReadOff: e.srcOff, ReadPerPE: m,
 		Charges: []Charge{{host.HostMem, p.numPEBytes(m)}},
-		Modulate: func(c *Comm, stag []byte) []byte {
-			copy(c.bulkOut(len(stag)), stag)
-			return nil
-		},
-	}, hops, &StepBulk{
+	}, hops, &StepBulk{p: p,
+		ReadOff: e.srcOff, ReadPerPE: m,
 		Write: true, WriteOff: e.dstOff, WritePerPE: m,
-		Modulate: func(c *Comm, _ []byte) []byte {
-			data := c.bulkOut(len(p.rankOf) * m)
-			c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
-				foldGroup(t, op, red, data, p.groups[g], m, e.s, false)
-				for _, pe := range p.groups[g] {
-					copy(data[pe*m:(pe+1)*m], red)
-				}
-			})
-			return data
-		},
+		Modulate: func(_ *Comm, _ int, in, out []byte) { foldGroup(t, op, out, in, m, s, false) },
 	})
 }
 
@@ -134,18 +121,10 @@ func lowerRsagAllReduce(e algoEnv) Schedule {
 // is memcpy class).
 func stagedBroadcast(e *algoEnv, name string, hops []hop) Schedule {
 	p, s, at := e.p, e.bytes, e.hosts
-	return stagedRounds(name, nil, hops, &StepBulk{
+	return stagedRounds(name, nil, hops, &StepBulk{p: p,
 		Write: true, WriteOff: e.dstOff, WritePerPE: s,
-		Charges: []Charge{{host.SIMD, p.numPEBytes(s)}},
-		Modulate: func(c *Comm, _ []byte) []byte {
-			out, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
-			c.groupsDo(len(p.groups), func(g int) {
-				for _, pe := range p.groups[g] {
-					copy(out[pe*s:(pe+1)*s], bufs[g][:s])
-				}
-			})
-			return out
-		},
+		Charges:  []Charge{{host.SIMD, p.numPEBytes(s)}},
+		Modulate: func(c *Comm, g int, _, out []byte) { replicate(out, c.cur.hosts[at+g][:s]) },
 	})
 }
 

@@ -120,6 +120,15 @@ func runParallelWorkload(t *testing.T, c *testComm, dims string) []byte {
 		}
 		collect(got)
 	}
+	// The staged AllReduce shapes: the ring and tree close by rereading
+	// their source, the rsag composes two staged passes.
+	for i, algo := range []Algorithm{AlgoRing, AlgoTree, AlgoRabenseifner} {
+		fillSrc(c, 0, m, int64(450+i))
+		if _, err := c.Run(Collective{Prim: AllReduce, Dims: dims, Src: Span(0, m), Dst: At(2 * m),
+			Elem: elem.I32, Op: elem.Sum, Level: Baseline, Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, lvl := range Levels() {
 		fillSrc(c, 0, s, int64(500+i))
 		if _, err := c.Run(Collective{Prim: AllGather, Dims: dims,
@@ -158,13 +167,16 @@ func runParallelWorkload(t *testing.T, c *testComm, dims string) []byte {
 }
 
 // TestParallelDeterminism runs the full primitive x level matrix on
-// regular, sub-entangled-group, and irregular (non-power-of-two) shapes
-// at several worker counts and requires byte-identical MRAM, rooted
-// results, meter, and bus statistics. Shard-merge ordering bugs and
-// write overlap both surface here (the latter also as a -race failure).
+// regular, sub-entangled-group, single-group and irregular
+// (non-power-of-two) shapes at several worker counts and requires
+// byte-identical MRAM, rooted results, meter, and bus statistics.
+// Shard-merge ordering bugs and write overlap both surface here (the
+// latter also as a -race failure). A single group stages with its member
+// copies sharded rather than its groups.
 func TestParallelDeterminism(t *testing.T) {
 	shapes := []caseSpec{
 		{"2D-x", geo64, []int{8, 8}, "10"},
+		{"2D-one-group", geo64, []int{8, 8}, "11"},
 		{"2D-subEG-y", geo64, []int{4, 16}, "01"},
 		{"3D-xz", geo64, []int{4, 2, 8}, "101"},
 		{"nonpow2-x", geo24, []int{8, 3}, "10"},
@@ -267,20 +279,89 @@ func TestReplayAllocsRooted(t *testing.T) {
 	}
 }
 
-// TestReplayAllocsStaged: the staged bulk paths (Baseline/PR) spend a
-// few closure allocations per Modulate on the group-parallel helpers;
-// they must stay bounded and small, not creep back toward per-byte
-// allocation.
+// TestReplayAllocsStaged: a warmed staged replay allocates nothing.
+// Every staged row — each primitive's Baseline and PR pass, the
+// single-group AllGather, the ring, tree and rsag AllReduce and the ring
+// and tree Broadcast — stages its groups through the comm's reused
+// scratch, whether the groups shard across the workers (one worker, or
+// dims "10") or one group's member copies do (two workers over dims "11").
 func TestReplayAllocsStaged(t *testing.T) {
-	c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: 1})
-	s := 16
-	m := 8 * s
-	fillSrc(c, 0, m, 13)
-	if n := replayAllocs(t, c, func() (*CompiledPlan, error) {
-		return c.Compile(Collective{Prim: AlltoAll, Dims: "10",
-			Src: Span(0, m), Dst: At(2 * m), Level: Baseline})
-	}); n > 16 {
-		t.Errorf("staged Baseline AlltoAll replay allocates %.1f objects/run, want <= 16", n)
+	const s = 16
+	for _, workers := range []int{1, 2} {
+		if workers > 1 && raceEnabled {
+			continue // under -race the par pool's sync.Pool drops jobs at random
+		}
+		c := newTestComm(t, geo64, []int{8, 8}, Config{ExecWorkers: workers})
+		for _, dims := range []string{"10", "11"} {
+			p, err := c.plan(dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := p.n * s
+			fillSrc(c, 0, m, 13)
+			payloads := func(bytes int) [][]byte {
+				bufs := make([][]byte, len(p.groups))
+				for g := range bufs {
+					bufs[g] = make([]byte, bytes)
+				}
+				return bufs
+			}
+			src, dst := Span(0, m), At(2*m)
+			var ds []Collective
+			for _, lvl := range []Level{Baseline, PR} {
+				ds = append(ds,
+					Collective{Prim: AlltoAll, Src: src, Dst: dst, Level: lvl},
+					Collective{Prim: ReduceScatter, Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: lvl},
+					Collective{Prim: AllReduce, Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: lvl},
+					Collective{Prim: Reduce, Src: src, Elem: elem.I32, Op: elem.Sum, Level: lvl})
+			}
+			for _, algo := range []Algorithm{AlgoRing, AlgoTree, AlgoRabenseifner} {
+				ds = append(ds, Collective{Prim: AllReduce, Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: Baseline, Algorithm: algo})
+			}
+			for _, algo := range []Algorithm{AlgoRing, AlgoTree} {
+				ds = append(ds, Collective{Prim: Broadcast, Dst: dst, Hosts: payloads(s), Level: Baseline, Algorithm: algo})
+			}
+			ds = append(ds,
+				Collective{Prim: AllGather, Src: Span(0, s), Dst: dst, Level: Baseline},
+				Collective{Prim: Gather, Src: Span(0, s), Level: Baseline},
+				Collective{Prim: Scatter, Dst: Span(0, s), Hosts: payloads(m), Level: Baseline})
+			for _, d := range ds {
+				d.Dims = dims
+				if n := replayAllocs(t, c, func() (*CompiledPlan, error) { return c.Compile(d) }); n != 0 {
+					t.Errorf("workers %d: staged %v/%v/%v replay over dims %q allocates %.1f objects/run, want 0",
+						workers, d.Prim, d.Level, d.Algorithm, dims, n)
+				}
+			}
+		}
+	}
+}
+
+// TestStagingFollowsGroupSize: a staged pass's scratch is one group's
+// read and write bytes per worker, n·(ReadPerPE+WritePerPE), not the
+// machine. The first Baseline AlltoAll on a fresh 16×16 comm, 32 KiB per
+// PE, two workers, must allocate no more than that and a little slack;
+// staging the whole machine through two machine-sized buffers took
+// 16 MiB.
+func TestStagingFollowsGroupSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const m, n, workers, slack = 32 << 10, 16, 2, 64 << 10
+	geo := dram.Geometry{Channels: 1, RanksPerChannel: 4, BanksPerChip: 8, MramPerBank: 4 * m}
+	c := newTestComm(t, geo, []int{n, n}, Config{ExecWorkers: workers})
+	cp, err := c.Compile(Collective{Prim: AlltoAll, Dims: "10", Src: Span(0, m), Dst: At(2 * m), Level: Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := cp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(workers*n*(m+m)+slack); got > bound {
+		t.Errorf("the first staged AlltoAll allocates %d bytes, want <= %d (%d workers × %d members × %d bytes + %d)",
+			got, bound, workers, n, m+m, slack)
 	}
 }
 

@@ -20,14 +20,14 @@ import (
 // cross-backend equivalence test in exec_test.go pins them equal.
 //
 // Functional work comes in two parallel-safe shapes. Staged steps
-// (StepBulk) carry a Modulate closure that transforms a whole staging
-// buffer; the lowerings internally fan modulation out per communication
-// group (Comm.groupsDo) — groups partition the PEs, so per-group writes
-// are disjoint. Streaming steps (StepColumnStream) carry a list of
-// streamSegs: each seg is a column-indexed loop whose iterations are
-// mutually write-disjoint, which is what lets the executor shard a seg
-// across the worker pool (internal/par) with byte-identical results at
-// any worker count. Segs within one step execute in order with a barrier
+// (StepBulk) carry a Modulate closure that transforms one communication
+// group's staged bytes; the executor stages the groups one at a time,
+// sharded across the worker pool (Comm.stage) — groups partition the
+// PEs, so per-group writes are disjoint. Streaming steps
+// (StepColumnStream) carry a list of streamSegs: each seg is a
+// column-indexed loop whose iterations are mutually write-disjoint,
+// which is what lets the executor shard a seg across the worker pool
+// (internal/par) with byte-identical results at any worker count. Segs within one step execute in order with a barrier
 // between them, preserving read-after-write dependencies across fused
 // collective boundaries.
 
@@ -68,11 +68,18 @@ func (st *StepRotateBlocks) rotation(rank int) int {
 	return r
 }
 
-// StepBulk is one conventional host-memory phase: an optional staged
-// BulkRead, host-side modulation over the staging buffer, an optional
-// BulkWrite. Rooted primitives that keep results on the host set
-// Write=false and let Modulate capture its output.
+// StepBulk is one conventional host-memory phase (Figure 3a): an
+// optional staged BulkRead, host-side modulation, an optional BulkWrite.
+// Read and Write book the two transfers over the whole machine, as
+// host.Host.ChargeBulkRead and ChargeBulkWrite price them, on either
+// backend. The functional backend then moves the bytes one communication
+// group of p at a time (Comm.stage): it reads group g's members'
+// ReadPerPE bytes at ReadOff, runs Modulate, and writes the members'
+// WritePerPE bytes to WriteOff. Rooted primitives that keep results on
+// the host set Write false and let Modulate store them.
 type StepBulk struct {
+	p *plan
+
 	Read      bool
 	ReadOff   int
 	ReadPerPE int
@@ -86,14 +93,16 @@ type StepBulk struct {
 	// affect the per-category breakdown).
 	Charges []Charge
 
-	// Modulate consumes the staging buffer (nil when Read is false) on the
-	// comm c that executes the step and returns the PE-major buffer to
-	// write (ignored when Write is false). Only the functional backend
-	// calls it; nil means identity. The staging buffer is the host's
-	// reusable slab and the returned buffer is typically c's modulation
-	// arena (Comm.bulkOut) — both are fully overwritten by each run, so
-	// replays allocate no fresh buffers.
-	Modulate func(c *Comm, stag []byte) []byte
+	// Modulate turns group g's staged bytes in — ReadPerPE per member, in
+	// rank order — into out, WritePerPE per member in rank order, which
+	// it must fully overwrite, on the comm c that executes the step. Only
+	// the functional backend calls it, once per group, on scratch the comm
+	// reuses. Every member of g is read before any is written, so a step
+	// may write the region it reads (the in-place AlltoAll). ReadPerPE
+	// and WritePerPE size what moves whether or not Read and Write book
+	// it: the closing step of a staged AllReduce shape rereads the source
+	// its opening step booked. nil moves nothing: the step only books.
+	Modulate func(c *Comm, g int, in, out []byte)
 }
 
 func (*StepBulk) stepName() string { return "Bulk" }
@@ -216,36 +225,25 @@ func lowerAlltoAll(env algoEnv) Schedule {
 	case Baseline, PR:
 		pr := lvl == PR
 		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarMod, host.LocalMod)
-		sched.add(&StepBulk{
+		sched.add(&StepBulk{p: p,
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
 			Charges: []Charge{{kind, p.numPEBytes(m)}},
-			Modulate: func(c *Comm, stag []byte) []byte {
-				out := c.bulkOut(len(stag))
-				c.groupsDo(len(p.groups), func(gi int) {
-					grp := p.groups[gi]
-					if pr {
-						// Data is pre-rotated: slot k of rank i holds block
-						// (i+k)%n. The host applies the local phase-B
-						// movement: slot k of rank i goes to slot (n-k)%n of
-						// rank (i+k)%n.
-						for i, srcPE := range grp {
-							for k := 0; k < n; k++ {
-								j := (i + k) % n
-								w := (n - k) % n
-								copy(out[grp[j]*m+w*s:grp[j]*m+w*s+s], stag[srcPE*m+k*s:srcPE*m+k*s+s])
-							}
+			Modulate: func(_ *Comm, _ int, in, out []byte) {
+				for i := range n {
+					for k := range n {
+						// Direct semantics: dst[j] block i = src[i] block
+						// j, for j = k. At PR the data is pre-rotated —
+						// slot k of rank i holds block (i+k)%n — and the
+						// host applies the local phase-B movement: slot k
+						// of rank i goes to slot (n-k)%n of rank (i+k)%n.
+						j, w := k, i
+						if pr {
+							j, w = (i+k)%n, (n-k)%n
 						}
-					} else {
-						// Direct semantics: dst[j] block i = src[i] block j.
-						for i, srcPE := range grp {
-							for j, dstPE := range grp {
-								copy(out[dstPE*m+i*s:dstPE*m+i*s+s], stag[srcPE*m+j*s:srcPE*m+j*s+s])
-							}
-						}
+						copy(out[j*m+w*s:j*m+w*s+s], in[i*m+k*s:i*m+k*s+s])
 					}
-				})
-				return out
+				}
 			},
 		})
 		if pr {
@@ -310,15 +308,17 @@ func stagedFront(sched *Schedule, p *plan, lvl Level, srcOff, s int, scalar, loc
 	return local
 }
 
-// foldGroup reduces the m-byte payloads that group grp's PEs staged in
-// stag into red, in rank order. At PR (pr) rank i pre-rotated its blocks
-// of s bytes left by i, so the fold puts its slot k back at block
-// (k+i) mod n.
-func foldGroup(t elem.Type, op elem.Op, red, stag []byte, grp []int, m, s int, pr bool) {
-	n := len(grp)
+// foldGroup reduces the m-byte payloads a group's members staged in in,
+// in rank order, into the first m bytes of red, and repeats the result
+// over the rest of red (AllReduce's replication; Reduce's red holds one).
+// At PR (pr) rank i pre-rotated its blocks of s bytes left by i, so the
+// fold puts its slot k back at block (k+i) mod n.
+func foldGroup(t elem.Type, op elem.Op, red, in []byte, m, s int, pr bool) {
+	n := len(in) / m
+	red, rest := red[:m], red[m:]
 	elem.Fill(t, red, op.Identity(t))
-	for i, pe := range grp {
-		src := stag[pe*m : (pe+1)*m]
+	for i := range n {
+		src := in[i*m : (i+1)*m]
 		if !pr {
 			elem.ReduceInto(t, op, red, src)
 			continue
@@ -327,6 +327,15 @@ func foldGroup(t elem.Type, op elem.Op, red, stag []byte, grp []int, m, s int, p
 			blk := (k + i) % n
 			elem.ReduceInto(t, op, red[blk*s:blk*s+s], src[k*s:k*s+s])
 		}
+	}
+	replicate(rest, red)
+}
+
+// replicate fills dst with repeated copies of blk, len(dst) a multiple
+// of len(blk).
+func replicate(dst, blk []byte) {
+	for o := 0; o < len(dst); o += len(blk) {
+		copy(dst[o:o+len(blk)], blk)
 	}
 }
 
@@ -378,27 +387,22 @@ func lowerReduceScatter(env algoEnv) Schedule {
 func reduceScatterBulk(env *algoEnv, kind host.Work) *StepBulk {
 	p, s, t, op, pr := env.p, env.s, env.elemType, env.op, env.lvl == PR
 	n, m := p.n, p.n*s
-	return &StepBulk{
+	return &StepBulk{p: p,
 		Read: true, ReadOff: env.srcOff, ReadPerPE: m,
 		Write: true, WriteOff: env.dstOff, WritePerPE: s,
 		Charges: []Charge{{kind, p.numPEBytes(m)}},
-		Modulate: func(c *Comm, stag []byte) []byte {
-			out := c.bulkOut(len(p.rankOf) * s)
-			c.groupsDo(len(p.groups), func(gi int) {
-				grp := p.groups[gi]
-				for pIdx, dstPE := range grp {
-					blk := out[dstPE*s : (dstPE+1)*s]
-					elem.Fill(t, blk, op.Identity(t))
-					for i, srcPE := range grp {
-						slot := pIdx
-						if pr {
-							slot = ((pIdx-i)%n + n) % n
-						}
-						elem.ReduceInto(t, op, blk, stag[srcPE*m+slot*s:srcPE*m+slot*s+s])
+		Modulate: func(_ *Comm, _ int, in, out []byte) {
+			for r := range n {
+				blk := out[r*s : (r+1)*s]
+				elem.Fill(t, blk, op.Identity(t))
+				for i := range n {
+					slot := r
+					if pr {
+						slot = ((r-i)%n + n) % n
 					}
+					elem.ReduceInto(t, op, blk, in[i*m+slot*s:i*m+slot*s+s])
 				}
-			})
-			return out
+			}
 		},
 	}
 }
@@ -417,15 +421,11 @@ func lowerReduce(env algoEnv) Schedule {
 	case Baseline, PR:
 		pr := lvl == PR
 		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
-		sched.add(&StepBulk{
+		sched.add(&StepBulk{p: p,
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Charges: []Charge{{kind, p.numPEBytes(m)}, store},
-			Modulate: func(c *Comm, stag []byte) []byte {
-				res := c.cur.hosts[at:]
-				c.groupsDo(len(p.groups), func(g int) {
-					foldGroup(t, op, res[g], stag, p.groups[g], m, s, pr)
-				})
-				return nil
+			Modulate: func(c *Comm, g int, in, _ []byte) {
+				foldGroup(t, op, c.cur.hosts[at+g], in, m, s, pr)
 			},
 		})
 	default: // IM
@@ -459,7 +459,7 @@ func lowerAllReduce(env algoEnv) Schedule {
 	case Baseline, PR:
 		pr := lvl == PR
 		kind := stagedFront(&sched, p, lvl, srcOff, s, host.ScalarReduce, host.LocalReduce)
-		sched.add(&StepBulk{
+		sched.add(&StepBulk{p: p,
 			Read: true, ReadOff: srcOff, ReadPerPE: m,
 			Write: true, WriteOff: dstOff, WritePerPE: m,
 			// Reduction pass over all input plus a memcpy-class
@@ -468,16 +468,7 @@ func lowerAllReduce(env algoEnv) Schedule {
 				{kind, p.numPEBytes(m)},
 				{host.SIMD, p.numPEBytes(m)},
 			},
-			Modulate: func(c *Comm, stag []byte) []byte {
-				out := c.bulkOut(len(stag))
-				c.groupsDoScratch(len(p.groups), m, func(g int, red []byte) {
-					foldGroup(t, op, red, stag, p.groups[g], m, s, pr)
-					for _, dstPE := range p.groups[g] {
-						copy(out[dstPE*m:(dstPE+1)*m], red)
-					}
-				})
-				return out
-			},
+			Modulate: func(_ *Comm, _ int, in, out []byte) { foldGroup(t, op, out, in, m, s, pr) },
 		})
 	default: // IM
 		// Fused streaming ReduceScatter + AllGather: per element column,
@@ -529,15 +520,12 @@ func lowerAllGather(env algoEnv) Schedule {
 		}
 		// Single group: the gathered buffer is identical for every PE,
 		// so the driver's fast broadcast applies — one domain transfer
-		// total (§ VIII-E). The broadcast streams the image out of the
-		// arena the assembly left it in (Comm.bulkOut).
-		sched.add(&StepBulk{
+		// total (§ VIII-E). The read hands the group's staged blocks, the
+		// image, on to the broadcast (Comm.image).
+		sched.add(&StepBulk{p: p,
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
-			Charges: []Charge{{host.LocalMod, int64(perPE)}},
-			Modulate: func(c *Comm, stag []byte) []byte {
-				p.gatherPEMajor(c, stag, s)
-				return nil
-			},
+			Charges:  []Charge{{host.LocalMod, int64(perPE)}},
+			Modulate: func(c *Comm, _ int, in, _ []byte) { c.image = append(c.image[:0], in...) },
 		})
 		sched.add(&StepHostCompute{Rounds: 1,
 			Charges: []Charge{
@@ -548,8 +536,8 @@ func lowerAllGather(env algoEnv) Schedule {
 		sched.add(&StepColumnStream{
 			Writes:  int64(perPE / 8),
 			Charges: []Charge{{host.SIMD, int64(perPE/8) * colB}},
-			segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, pe, e int) []byte {
-				return c.modBuf[pe*perPE+e:]
+			segs: []*streamSeg{p.streamBroadcast(dstOff, perPE, func(c *Comm, _, e int) []byte {
+				return c.image[e:]
 			})},
 		})
 	default: // IM or CM
@@ -583,29 +571,12 @@ func lowerAllGather(env algoEnv) Schedule {
 // class).
 func allGatherBulk(p *plan, srcOff, dstOff, s int) *StepBulk {
 	m := p.n * s
-	return &StepBulk{
+	return &StepBulk{p: p,
 		Read: true, ReadOff: srcOff, ReadPerPE: s,
 		Write: true, WriteOff: dstOff, WritePerPE: m,
 		Charges:  []Charge{{host.SIMD, p.numPEBytes(m)}},
-		Modulate: func(c *Comm, stag []byte) []byte { return p.gatherPEMajor(c, stag, s) },
+		Modulate: func(_ *Comm, _ int, in, out []byte) { replicate(out, in) },
 	}
-}
-
-// gatherPEMajor assembles, in c's modulation arena (Comm.bulkOut), the
-// gathered PE-major image of the s-byte blocks staged in stag — each
-// group's blocks in rank order, once per member — and returns it.
-func (p *plan) gatherPEMajor(c *Comm, stag []byte, s int) []byte {
-	m := p.n * s
-	out := c.bulkOut(len(p.rankOf) * m)
-	c.groupsDo(len(p.groups), func(gi int) {
-		grp := p.groups[gi]
-		for _, dstPE := range grp {
-			for i, srcPE := range grp {
-				copy(out[dstPE*m+i*s:dstPE*m+i*s+s], stag[srcPE*s:(srcPE+1)*s])
-			}
-		}
-	})
-	return out
 }
 
 func lowerGather(env algoEnv) Schedule {
@@ -613,19 +584,10 @@ func lowerGather(env algoEnv) Schedule {
 	n := p.n
 	sched := newSchedule("Gather/"+lvl.String(), lvl, 2)
 	if lvl == Baseline {
-		sched.add(&StepBulk{
+		sched.add(&StepBulk{p: p,
 			Read: true, ReadOff: srcOff, ReadPerPE: s,
-			Charges: []Charge{{host.HostMem, p.numPEBytes(s)}}, // copy out of staging
-			Modulate: func(c *Comm, stag []byte) []byte {
-				res := c.cur.hosts[at:]
-				c.groupsDo(len(p.groups), func(g int) {
-					grp := p.groups[g]
-					for i, pe := range grp {
-						copy(res[g][i*s:], stag[pe*s:(pe+1)*s])
-					}
-				})
-				return nil
-			},
+			Charges:  []Charge{{host.HostMem, p.numPEBytes(s)}}, // copy out of staging
+			Modulate: func(c *Comm, g int, in, _ []byte) { copy(c.cur.hosts[at+g], in) },
 		})
 	} else { // IM: stream straight into the user buffers
 		iters := int64(s / 8)
@@ -662,19 +624,10 @@ func lowerScatter(env algoEnv) Schedule {
 	if lvl == Baseline {
 		// Conventional: assemble a PE-major staging buffer, then bulk
 		// write with DT.
-		sched.add(&StepBulk{
+		sched.add(&StepBulk{p: p,
 			Write: true, WriteOff: dstOff, WritePerPE: s,
-			Charges: []Charge{{host.HostMem, p.numPEBytes(s)}}, // staging assembly
-			Modulate: func(c *Comm, _ []byte) []byte {
-				stag, bufs := c.bulkOut(len(p.rankOf)*s), c.cur.hosts[at:]
-				c.groupsDo(len(p.groups), func(g int) {
-					grp := p.groups[g]
-					for i, pe := range grp {
-						copy(stag[pe*s:(pe+1)*s], bufs[g][i*s:(i+1)*s])
-					}
-				})
-				return stag
-			},
+			Charges:  []Charge{{host.HostMem, p.numPEBytes(s)}}, // staging assembly
+			Modulate: func(c *Comm, g int, _, out []byte) { copy(out, c.cur.hosts[at+g]) },
 		})
 	} else { // IM: stream user buffers straight into bursts
 		iters := int64(s / 8)

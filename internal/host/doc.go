@@ -38,13 +38,17 @@
 //     (dram's ReadBurst/WriteBurst) is never computed on this path, and
 //     the domain transfers a level performs are charged by its schedule
 //     steps.
-//   - BulkRead/BulkWrite are the conventional UPMEM-SDK-style staged
-//     paths of the baseline design (§ III-A, Figure 3a): bus + automatic
-//     domain transfer + staging-memory traffic, in one charge order
-//     (bulk) that ChargeBulkRead/ChargeBulkWrite share. Staging is
-//     PE-major, so a group's bursts land as one contiguous copy per PE
-//     (dram's ReadSpan/WriteSpan), after one span check and one tally
-//     per group — the same integer tallies as burst by burst.
+//   - ChargeBulkRead/ChargeBulkWrite price the conventional
+//     UPMEM-SDK-style staged paths of the baseline design (§ III-A,
+//     Figure 3a): bus + automatic domain transfer + staging-memory
+//     traffic, in one charge order (bulk). Both backends of core book a
+//     staged step with them; core's functional backend then moves the
+//     bytes one communication group at a time, through per-worker
+//     scratch of its own. BulkRead/BulkWrite are the same charge order
+//     with the bytes moved through the host's machine-sized staging
+//     slab, PE-major, one contiguous copy per PE (dram's
+//     ReadSpan/WriteSpan) after one span check and one tally per group;
+//     core no longer calls them, only the benchmark's host layer does.
 //   - DomainTransfer is the driver's 8x8 byte transpose between PIM and
 //     host byte domains (§ II-B, Figure 1).
 //   - Charge prices a Work — one host-side class (DT, scalar/local/SIMD
@@ -63,7 +67,8 @@
 // # Paper map
 //
 //	Figure 1, § II-B  DomainTransfer
-//	Figure 3a, § III  BulkRead / BulkWrite (baseline staging)
+//	Figure 3a, § III  ChargeBulkRead / ChargeBulkWrite (baseline staging;
+//	                  BulkRead / BulkWrite move the bytes too)
 //	§ V-A2            Shard.TallyAllGroups (column streaming)
 //	§ VIII-D          the ScalarReduce / LocalReduce rows of the Work table
 package host

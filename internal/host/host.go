@@ -446,7 +446,9 @@ func (h *Host) bulk(nGroups, perPE int, read bool, move par.Runner) {
 // The returned buffer is the host's own staging slab: it stays valid
 // until the next BulkRead on this host. The group loop is sharded across
 // the configured workers (SetWorkers); results and accounting are
-// byte-identical at any worker count.
+// byte-identical at any worker count. Only the benchmark's host layer
+// calls it: core books staged steps with ChargeBulkRead and moves their
+// bytes one group at a time.
 func (h *Host) BulkRead(groups []int, off, perPE int) []byte {
 	buf := h.staging(len(groups) * dram.ChipsPerRank * perPE)
 	h.brun = bulkReadRun{h: h, groups: groups, off: off, perPE: perPE, buf: buf}
@@ -457,7 +459,8 @@ func (h *Host) BulkRead(groups []int, off, perPE int) []byte {
 // BulkWrite is the inverse of BulkRead: it scatters a PE-major host buffer
 // back to the PEs' MRAM at offset off, applying domain transfer, and
 // charges host-memory (staging read), DT and bus costs. The group loop is
-// sharded like BulkRead's.
+// sharded like BulkRead's. Like BulkRead, only the benchmark's host layer
+// calls it.
 func (h *Host) BulkWrite(groups []int, off int, buf []byte) {
 	n := len(groups) * dram.ChipsPerRank
 	if n == 0 {
