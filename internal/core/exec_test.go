@@ -29,72 +29,86 @@ func diffBreakdowns(a, b cost.Breakdown) string {
 	return ""
 }
 
-// runOnBackend executes one primitive call on the given comm and returns
-// its breakdown. For the functional comm, PE source regions are filled
-// with deterministic data first; the cost comm runs the identical call
-// signature with no data.
-func runOnBackend(t *testing.T, c *testComm, prim Primitive, dims string, lvl Level, s int) cost.Breakdown {
+// testCall returns the call runOnBackend runs for prim over dims at lvl
+// with s-byte blocks: sources at 0, destinations past them, I32 sums,
+// and host payloads of deterministic data for Scatter and Broadcast.
+func testCall(t *testing.T, c *testComm, prim Primitive, dims string, lvl Level, s int) Collective {
 	t.Helper()
 	p, err := c.plan(dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	functional := c.Backend().Functional()
 	m := p.n * s
-	fill := func(n int) {
-		if functional {
-			fillSrcComm(c, 0, n, 11)
-		}
-	}
 	hostBufs := func(perGroup int) [][]byte {
 		bufs := make([][]byte, len(p.groups))
 		rng := rand.New(rand.NewSource(6))
 		for g := range bufs {
 			bufs[g] = make([]byte, perGroup)
-			if functional {
+			if c.Backend().Functional() {
 				rng.Read(bufs[g])
 			}
 		}
 		return bufs
 	}
-	var bd cost.Breakdown
+	d := Collective{Prim: prim, Dims: dims, Level: lvl, Elem: elem.I32, Op: elem.Sum}
 	switch prim {
-	case AlltoAll:
-		fill(m)
-		bd, err = c.Run(Collective{Prim: AlltoAll, Dims: dims,
-			Src: Span(0, m), Dst: At(2 * m), Level: lvl})
-	case ReduceScatter:
-		fill(m)
-		bd, err = c.Run(Collective{Prim: ReduceScatter, Dims: dims,
-			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
-	case AllReduce:
-		fill(m)
-		bd, err = c.Run(Collective{Prim: AllReduce, Dims: dims,
-			Src: Span(0, m), Dst: At(2 * m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
+	case AlltoAll, ReduceScatter, AllReduce:
+		d.Src, d.Dst = Span(0, m), At(2*m)
 	case AllGather:
-		fill(s)
-		bd, err = c.Run(Collective{Prim: AllGather, Dims: dims,
-			Src: Span(0, s), Dst: At(2 * s), Level: lvl})
-	case Scatter:
-		bd, err = c.Run(Collective{Prim: Scatter, Dims: dims,
-			Hosts: hostBufs(p.n * s), Dst: Span(0, s), Level: lvl})
-	case Gather:
-		fill(s)
-		_, bd, err = runRooted(c, Collective{Prim: Gather, Dims: dims, Src: Span(0, s), Level: lvl})
+		d.Src, d.Dst = Span(0, s), At(2*s)
 	case Reduce:
-		fill(m)
-		_, bd, err = runRooted(c, Collective{Prim: Reduce, Dims: dims, Src: Span(0, m), Elem: elem.I32, Op: elem.Sum, Level: lvl})
+		d.Src = Span(0, m)
+	case Gather:
+		d.Src = Span(0, s)
+	case Scatter:
+		d.Hosts, d.Dst = hostBufs(m), Span(0, s)
 	case Broadcast:
-		bd, err = c.Run(Collective{Prim: Broadcast, Dims: dims,
-			Hosts: hostBufs(s), Dst: At(0), Level: lvl})
+		d.Hosts, d.Dst = hostBufs(s), At(0)
 	default:
 		t.Fatalf("unknown primitive %v", prim)
+	}
+	if !shapes[prim].reducing {
+		d.Elem, d.Op = 0, 0
+	}
+	return d
+}
+
+// runOnBackend executes testCall's call on the given comm and returns
+// its breakdown. For the functional comm, PE source regions are filled
+// with deterministic data first; the cost comm runs the identical call
+// signature with no data.
+func runOnBackend(t *testing.T, c *testComm, prim Primitive, dims string, lvl Level, s int) cost.Breakdown {
+	t.Helper()
+	d := testCall(t, c, prim, dims, lvl, s)
+	if c.Backend().Functional() && d.Src.Bytes > 0 {
+		fillSrcComm(c, 0, d.Src.Bytes, 11)
+	}
+	var bd cost.Breakdown
+	var err error
+	if shapes[prim].rooted() {
+		_, bd, err = runRooted(c, d)
+	} else {
+		bd, err = c.Run(d)
 	}
 	if err != nil {
 		t.Fatalf("%v/%v on %s backend: %v", prim, lvl, c.Backend().Name(), err)
 	}
 	return bd
 }
+
+// backendShapes are irregular hypercube shapes, and backendBlocks block
+// sizes, odd multiples of the burst grain among them, that the
+// backend-equivalence and closed-form tables run over.
+var (
+	backendShapes = []caseSpec{
+		{"2D-x", geo64, []int{8, 8}, "10"},
+		{"2D-subEG-y", geo64, []int{4, 16}, "01"},
+		{"3D-xz", geo64, []int{4, 2, 8}, "101"},
+		{"nonpow2-strided", geo24, []int{4, 6}, "01"},
+		{"paper-32x32", dram.PaperGeometry(1 << 14), []int{32, 32}, "10"},
+	}
+	backendBlocks = []int{16, 24, 40}
+)
 
 // TestCostBackendMatchesFunctional pins the refactor's core guarantee:
 // for every primitive x level x a set of irregular hypercube shapes x
@@ -104,17 +118,10 @@ func runOnBackend(t *testing.T, c *testComm, prim Primitive, dims string, lvl Le
 // bit-identical to the functional backend's, and so are the cumulative
 // bus-transfer statistics.
 func TestCostBackendMatchesFunctional(t *testing.T) {
-	shapes := []caseSpec{
-		{"2D-x", geo64, []int{8, 8}, "10"},
-		{"2D-subEG-y", geo64, []int{4, 16}, "01"},
-		{"3D-xz", geo64, []int{4, 2, 8}, "101"},
-		{"nonpow2-strided", geo24, []int{4, 6}, "01"},
-		{"paper-32x32", dram.PaperGeometry(1 << 14), []int{32, 32}, "10"},
-	}
-	for _, tc := range shapes {
+	for _, tc := range backendShapes {
 		for _, prim := range Primitives() {
 			for _, lvl := range Levels() {
-				for _, s := range []int{16, 24, 40} {
+				for _, s := range backendBlocks {
 					t.Run(fmt.Sprintf("%s/%v/%v/s%d", tc.name, prim, lvl, s), func(t *testing.T) {
 						fc := testSystem(t, tc.geo, tc.shape)
 						cc := costSystem(t, tc.geo, tc.shape)

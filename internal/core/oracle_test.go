@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -113,23 +114,169 @@ func TestStagedHostBytesMatchClosedForms(t *testing.T) {
 	}
 }
 
+// Column-streaming bus traffic stated as closed formulas in the PE count
+// N, the group size n and the block size s, on backendShapes and
+// backendBlocks. Every transfer moves whole columns, one burst on each of
+// the N/8 entangled groups, so a call moving k columns per element column
+// of a block books k·(s/8)·(N/8) bursts, an equal share on every channel.
+// Per element column, an AlltoAll reads and writes each of its n slots
+// (k = 2n), an AllGather reads one and writes n, a ReduceScatter reads n
+// and writes one (n+1), a Reduce reads n, an AllReduce reads and writes
+// n each (2n), and a Gather, Scatter or Broadcast moves one. The
+// streaming levels (IM, CM; every non-Baseline Gather and Scatter; every
+// Broadcast) move them in column-stream epochs, the staged ones in bulk
+// reads and writes of the same bytes, so k holds at every level. The
+// single-group AllGather (every dimension selected, n = N) reads its s
+// bytes and streams the n·s-byte image to every PE: n+1 again.
+func TestColumnStreamBurstsMatchClosedForms(t *testing.T) {
+	k := map[Primitive]func(n int64) int64{
+		AlltoAll:      func(n int64) int64 { return 2 * n },
+		AllGather:     func(n int64) int64 { return n + 1 },
+		ReduceScatter: func(n int64) int64 { return n + 1 },
+		Reduce:        func(n int64) int64 { return n },
+		AllReduce:     func(n int64) int64 { return 2 * n },
+		Gather:        func(int64) int64 { return 1 },
+		Scatter:       func(int64) int64 { return 1 },
+		Broadcast:     func(int64) int64 { return 1 },
+	}
+	for _, tc := range backendShapes {
+		N := int64(tc.geo.NumPEs())
+		oneGroup := strings.Repeat("1", len(tc.shape))
+		for _, s := range backendBlocks {
+			check := func(prim Primitive, dims string, lvl Level, n int64) {
+				t.Helper()
+				c := costSystem(t, tc.geo, tc.shape)
+				runOnBackend(t, c, prim, dims, lvl, s)
+				bursts := k[prim](n) * int64(s/8) * N / dram.ChipsPerRank
+				perChan := bursts * dram.BurstBytes / int64(tc.geo.Channels)
+				st := c.Host().Stats()
+				if st.Bursts != bursts || slices.ContainsFunc(st.BytesPerChannel, func(b int64) bool { return b != perChan }) {
+					t.Errorf("%s dims %s s=%d: %v at %v moved %d bursts, %v B per channel; want %d bursts, %d B on each of %d channels",
+						tc.name, dims, s, prim, lvl, st.Bursts, st.BytesPerChannel, bursts, perChan, tc.geo.Channels)
+				}
+			}
+			p, err := costSystem(t, tc.geo, tc.shape).plan(tc.dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, prim := range Primitives() {
+				for _, lvl := range Levels() {
+					check(prim, tc.dims, lvl, int64(p.n))
+				}
+			}
+			if (N+2)*int64(s) > int64(tc.geo.MramPerBank) {
+				continue // the paper machine's 16 KiB banks cannot hold a 1024-rank gather
+			}
+			for _, lvl := range Levels() {
+				check(AllGather, oneGroup, lvl, N)
+			}
+		}
+	}
+}
+
+// Every busy StepRotateBlocks stated as closed formulas in the group
+// size n and the block size s, on backendShapes and backendBlocks: a
+// lowering's rotation turns its group's n blocks of s bytes, and every PE
+// of the launch does one pass in and out of MRAM with an instruction per
+// 4 bytes, rounded up — ((n·s+3)/4 instructions, 2·n·s MRAM bytes) —
+// booked as the DPU model prices that work. A staged pass rotates only
+// at PR, pre-rotating its source (an AlltoAll undoes it on its
+// destination too); a streaming level pre-rotates a source it shifts or
+// folds and undoes a shifted write on its destination. Hand-built steps
+// of 1, 3 and 5-byte blocks, which no lowering emits (its blocks are
+// whole bursts), pin the rounding.
+func TestRotateBlocksWorkMatchesClosedForms(t *testing.T) {
+	rotates := map[Primitive][4]int{ // busy rotations at Baseline, PR, IM, CM
+		AlltoAll:      {0, 2, 2, 2},
+		AllGather:     {0, 0, 1, 1},
+		ReduceScatter: {0, 1, 1, 1},
+		Reduce:        {0, 1, 1, 1},
+		AllReduce:     {0, 1, 2, 2},
+		// Gather, Scatter and Broadcast never rotate.
+	}
+	for _, tc := range backendShapes {
+		c := costSystem(t, tc.geo, tc.shape)
+		p, err := c.plan(tc.dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWork := func(what string, st *StepRotateBlocks) {
+			t.Helper()
+			instr, mram := int64((st.N*st.S+3)/4), int64(2*st.N*st.S)
+			if gi, gm := rotateBlocksWork(st.N * st.S); gi != instr || gm != mram {
+				t.Errorf("%s %s: a PE does (%d instr, %d MRAM bytes), want (%d, %d)", tc.name, what, gi, gm, instr, mram)
+			}
+			got := recordAdds(c.Comm, func(h *host.Host) { costBackend{}.rotateBlocks(c.Comm, h, st) })
+			want := recordAdds(c.Comm, func(h *host.Host) {
+				c.eng.LaunchChargesUniform(dpu.LaunchSpec{PEs: p.pes, Category: cost.PEMod}, h.Meter(), instr, mram)
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("%s %s: booked %v, the closed-form work prices to %v", tc.name, what, got, want)
+			}
+		}
+		for _, s := range backendBlocks {
+			for li, lvl := range Levels() {
+				for _, prim := range Primitives() {
+					d := testCall(t, c, prim, tc.dims, lvl, s)
+					c.compMu.Lock()
+					spec, err := c.specIn(c.s.ar, d, false)
+					c.compMu.Unlock()
+					if err != nil {
+						t.Fatal(err)
+					}
+					busy := 0
+					for _, st := range spec.schedule().Steps {
+						st, ok := st.(*StepRotateBlocks)
+						if !ok {
+							continue
+						}
+						what := fmt.Sprintf("%v/%v s=%d rotation %+d", prim, lvl, s, st.Mul)
+						if st.N != p.n || st.S != s || (st.Mul != 1 && st.Mul != -1) {
+							t.Errorf("%s %s: turns %d blocks of %d bytes by %d per rank, want %d of %d by ±1",
+								tc.name, what, st.N, st.S, st.Mul, p.n, s)
+						}
+						busy++
+						checkWork(what, st)
+					}
+					if want := rotates[prim][li]; busy != want {
+						t.Errorf("%s %v/%v s=%d: %d busy rotations, want %d", tc.name, prim, lvl, s, busy, want)
+					}
+				}
+			}
+		}
+		for _, N := range []int{3, p.n} {
+			for _, S := range []int{1, 3, 5} {
+				checkWork(fmt.Sprintf("hand-built N=%d S=%d", N, S), &StepRotateBlocks{p: p, N: N, S: S, Mul: 1})
+			}
+		}
+	}
+}
+
+// meterAdd is one recorded meter addition, its seconds as float bits.
+type meterAdd struct {
+	cat cost.Category
+	t   uint64
+}
+
+// recordAdds returns the meter additions book makes on a fresh cost-only
+// host of c's system.
+func recordAdds(c *Comm, book func(h *host.Host)) []meterAdd {
+	h := host.New(c.hc.sys, c.Host().Params())
+	var got []meterAdd
+	h.Meter().SetRecorder(func(cat cost.Category, s cost.Seconds) {
+		got = append(got, meterAdd{cat, math.Float64bits(float64(s))})
+	})
+	book(h)
+	return got
+}
+
 // The cost backend charges a rotate-blocks launch from the step alone.
 // It must book what a per-PE account books — each PE's rotation(rank)
 // checked, the slowest PE taken — to the bit, idle launches included:
 // n = 1, or Mul ≡ 0 mod N, where no rank rotates.
 func TestCostRotateBlocksMatchesPerPEAccount(t *testing.T) {
 	c := costSystem(t, geo64, []int{1, 8, 8})
-	type rec struct {
-		cat cost.Category
-		t   uint64
-	}
-	record := func(charge func(h *host.Host)) []rec {
-		h := host.New(c.hc.sys, c.Host().Params())
-		var got []rec
-		h.Meter().SetRecorder(func(cat cost.Category, s cost.Seconds) { got = append(got, rec{cat, math.Float64bits(float64(s))}) })
-		charge(h)
-		return got
-	}
+	record := func(book func(h *host.Host)) []meterAdd { return recordAdds(c.Comm, book) }
 	idle := 0
 	for _, dims := range []string{"100", "010", "011", "111"} { // n = 1, 8, 64, 64
 		p, err := c.plan(dims)

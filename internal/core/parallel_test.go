@@ -285,6 +285,9 @@ func TestReplayAllocsRooted(t *testing.T) {
 // and tree Broadcast — stages its groups through the comm's reused
 // scratch, whether the groups shard across the workers (one worker, or
 // dims "10") or one group's member copies do (two workers over dims "11").
+// So do the streaming IM and CM AlltoAll and AllGather and the IM
+// ReduceScatter and AllReduce, whose rotations and epochs run on the
+// same reused scratch and streaming contexts.
 func TestReplayAllocsStaged(t *testing.T) {
 	const s = 16
 	for _, workers := range []int{1, 2} {
@@ -321,7 +324,14 @@ func TestReplayAllocsStaged(t *testing.T) {
 			for _, algo := range []Algorithm{AlgoRing, AlgoTree} {
 				ds = append(ds, Collective{Prim: Broadcast, Dst: dst, Hosts: payloads(s), Level: Baseline, Algorithm: algo})
 			}
+			for _, lvl := range []Level{IM, CM} {
+				ds = append(ds,
+					Collective{Prim: AlltoAll, Src: src, Dst: dst, Level: lvl},
+					Collective{Prim: AllGather, Src: Span(0, s), Dst: dst, Level: lvl})
+			}
 			ds = append(ds,
+				Collective{Prim: ReduceScatter, Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: IM},
+				Collective{Prim: AllReduce, Src: src, Dst: dst, Elem: elem.I32, Op: elem.Sum, Level: IM},
 				Collective{Prim: AllGather, Src: Span(0, s), Dst: dst, Level: Baseline},
 				Collective{Prim: Gather, Src: Span(0, s), Level: Baseline},
 				Collective{Prim: Scatter, Dst: Span(0, s), Hosts: payloads(m), Level: Baseline})
