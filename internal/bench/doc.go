@@ -38,8 +38,8 @@
 //     the async experiment's scheduled comm. There is no engine choice:
 //     every experiment but the applications runs on the cost-only
 //     backend over phantom (no-MRAM) systems, whose breakdowns are the
-//     functional backend's bit for bit (core's
-//     TestCostBackendMatchesFunctional).
+//     functional backend's bit for bit: a run on either backend books
+//     its row's charge trace (core's CompiledPlan.Run).
 //   - PrimSpec / RunPrimitive (prims.go) is the single primitive-
 //     measurement path all figure experiments and cmd/pidtrace share;
 //     apps.go wires the five application benchmarks (Table III) through

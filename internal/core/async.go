@@ -529,8 +529,8 @@ func (c *Comm) runLocked(f *Future) {
 // execSubmitted places one plan on the timeline after the placements it
 // conflicts with (newest first, only as far back as one could delay it) and
 // runs it under the execution lock. A backend panic mid-schedule becomes
-// the returned error; the plan's window stays booked (its partial charges
-// stay on the meter) and dependents stay ordered after it.
+// the returned error; the plan's window and its whole charge trace stay
+// booked (CompiledPlan.Run) and dependents stay ordered after it.
 func (c *Comm) execSubmitted(cp *CompiledPlan, notBefore cost.Seconds) (start, end cost.Seconds, err error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()

@@ -818,10 +818,11 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 	return cp.Cost(), nil
 }
 
-// runPhases is the functional driver loop. Every host is flushed, locked
-// and bound to its host plan as a serial run binds it; then every host
-// runs its steps up to and through its wire step and, unless one failed,
-// the wire's merge runs once and every host runs the rest. The hosts of a
+// runPhases is the functional driver loop. Every host is flushed, locked,
+// booked and bound to its host plan as a serial run books and binds it;
+// then every host moves its steps up to and through its wire step and,
+// unless one failed, the wire's merge runs once and every host moves the
+// rest. The hosts of a
 // phase run through the par pool, each recovering its failure into its
 // error, so a failure skips the phases after it. Callers hold cl.execMu.
 func (cp *ClusterPlan) runPhases() {
@@ -830,6 +831,7 @@ func (cp *ClusterPlan) runPhases() {
 		c.Flush()
 		c.execMu.Lock()
 		c.placeSerialLocked(hp.tr.segs)
+		c.book(hp)
 		c.bind(hp)
 	}
 	defer func() {
@@ -847,7 +849,7 @@ func (cp *ClusterPlan) runPhases() {
 			if steps = steps[:w]; afterWire {
 				steps = hp.sched.Steps[w:]
 			}
-			cp.errs[h] = hp.try(func() { c.executeOn(c.backend, c.h, steps) })
+			cp.errs[h] = hp.try(func() { c.moveSteps(steps) })
 		}})
 	}
 	phase(false)

@@ -7,42 +7,25 @@ import (
 	"time"
 
 	"repro/internal/elem"
-	"repro/internal/host"
 )
 
 // faultBackend is the functional backend with one injected fault: the
-// at-th backend step (rotate, bulk or column stream, counted from 0
-// across runs) that comm target executes panics; at < 0 never fires.
-// Only target's steps touch the count, one run at a time under its
-// execMu.
+// at-th step (counted from 0 across runs) that comm target moves panics;
+// at < 0 never fires. Only target's steps touch the count, one run at a
+// time under its execMu.
 type faultBackend struct {
 	functionalBackend
 	target *Comm
 	at, n  int
 }
 
-func (f *faultBackend) tick(c *Comm) {
-	if c != f.target {
-		return
+func (f *faultBackend) move(c *Comm, st Step) {
+	if c == f.target {
+		if f.n++; f.n-1 == f.at {
+			panic(fmt.Sprintf("injected fault at step %d", f.at))
+		}
 	}
-	if f.n++; f.n-1 == f.at {
-		panic(fmt.Sprintf("injected fault at step %d", f.at))
-	}
-}
-
-func (f *faultBackend) rotateBlocks(c *Comm, h *host.Host, st *StepRotateBlocks) {
-	f.tick(c)
-	f.functionalBackend.rotateBlocks(c, h, st)
-}
-
-func (f *faultBackend) bulk(c *Comm, h *host.Host, st *StepBulk) {
-	f.tick(c)
-	f.functionalBackend.bulk(c, h, st)
-}
-
-func (f *faultBackend) columnStream(c *Comm, h *host.Host, st *StepColumnStream) {
-	f.tick(c)
-	f.functionalBackend.columnStream(c, h, st)
+	f.functionalBackend.move(c, st)
 }
 
 // within runs fn and fails the test if it does not return in time: a
@@ -125,7 +108,7 @@ func TestClusterHostFaultUnwindsPeers(t *testing.T) {
 					check(cp, 2*m) // a clean run counts host 0's steps per run
 					steps := fb.n
 					if steps < 2 {
-						t.Fatalf("host 0 ran %d backend steps, want a local leg on each side of the wire", steps)
+						t.Fatalf("host 0 moved %d steps, want a local leg on each side of the wire", steps)
 					}
 					// The first step is the local leg before the wire; the
 					// last, the redistribution leg after it.

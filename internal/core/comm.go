@@ -98,15 +98,13 @@ type Comm struct {
 	// Parallel-execution state, all guarded by execMu (the per-shard
 	// contexts are only touched while an execution holds the lock). cur
 	// is the running plan (runScheduleLocked): the steps read its base and
-	// host buffers. rotKern is rotate, bound on the first functional
-	// launch, for rotStep.
+	// host buffers.
 	cur     *CompiledPlan
 	streams []*streamCtx // per-shard streaming contexts (engine.go)
-	slabs   [][]byte     // per-shard staging scratch (stage)
+	slabs   [][]byte     // per-shard scratch (stage, rotate)
 	image   []byte       // a single-group AllGather's image, read to broadcast
-	rotKern dpu.Kernel
-	rotStep *StepRotateBlocks
 	brun    bulkRunner
+	rrun    rotateRunner
 	srun    segRunner
 }
 
@@ -139,10 +137,10 @@ type Config struct {
 	// Params is the timing model; the zero value means
 	// cost.DefaultParams().
 	Params cost.Params
-	// Backend executes the schedules; nil means the byte-accurate
-	// functional backend. A non-functional backend gets a phantom
-	// (no-MRAM) system: collectives charge the meter exactly as the
-	// functional backend would but move no bytes, rooted primitives return
+	// Backend is what runs move besides booking their charge traces; nil
+	// means the byte-accurate functional backend. A non-functional backend
+	// gets a phantom (no-MRAM) system: collectives charge the meter exactly
+	// as on the functional backend but move no bytes, rooted primitives return
 	// nil result buffers, and Scatter accepts nil host buffers (sizes are
 	// implied by the call).
 	Backend Backend
@@ -151,7 +149,7 @@ type Config struct {
 	Fuse FuseLevel
 	// ExecWorkers is the number of worker shards the functional backend
 	// splits schedule-step work across (bulk transfers, streaming epochs,
-	// kernel launches); <= 0 means GOMAXPROCS. Purely a simulator-
+	// rotations); <= 0 means GOMAXPROCS. Purely a simulator-
 	// throughput setting: results, meter charges, bus statistics and MRAM
 	// contents are byte-identical at any worker count.
 	ExecWorkers int
@@ -267,15 +265,7 @@ func (br *bulkRunner) RunShard(shard, lo, hi int) {
 // single-group pass stays parallel. Callers hold execMu.
 func (c *Comm) stage(st *StepBulk) {
 	p := st.p
-	k, need := min(c.workers, len(p.groups)), p.n*(st.ReadPerPE+st.WritePerPE)
-	for len(c.slabs) < k {
-		c.slabs = append(c.slabs, nil)
-	}
-	for i := range k {
-		if cap(c.slabs[i]) < need {
-			c.slabs[i] = make([]byte, need)
-		}
-	}
+	c.growSlabs(min(c.workers, len(p.groups)), p.n*(st.ReadPerPE+st.WritePerPE))
 	br := &c.brun
 	br.c, br.st, br.g = c, st, -1
 	if len(p.groups) >= c.workers {
@@ -291,6 +281,19 @@ func (c *Comm) stage(st *StepBulk) {
 		}
 	}
 	br.st = nil
+}
+
+// growSlabs makes the comm's first k per-shard slabs hold need bytes
+// each. Callers hold execMu.
+func (c *Comm) growSlabs(k, need int) {
+	for len(c.slabs) < k {
+		c.slabs = append(c.slabs, nil)
+	}
+	for i := range k {
+		if cap(c.slabs[i]) < need {
+			c.slabs[i] = make([]byte, need)
+		}
+	}
 }
 
 // staging splits shard's slab into st's in and out scratch.

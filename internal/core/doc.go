@@ -60,15 +60,19 @@
 //     conventional staged host pass), StepColumnStream (one streaming
 //     epoch of the optimized engine), StepHostCompute (host charges over
 //     Rounds equal rounds), StepNetTransfer (a cluster's inter-host network
-//     leg) and StepSync. Each step carries both the functional closures
-//     that move bytes and the declarative charge counts the cost-only
-//     backend needs. A schedule holds no comm and no run state: its
-//     closures take the comm that executes them, so one schedule serves
-//     every comm of its shape.
-//   - Backend (exec.go) executes steps: the functional backend moves real
-//     bytes; the cost-only backend charges the identical cost (pinned
-//     bit-for-bit by exec_test.go) while moving nothing — the engine for
-//     paper-scale sweeps and Auto dry runs.
+//     leg) and StepSync. Each step carries both the declarative counts
+//     and charges it books and the functional closures that move its
+//     bytes. A schedule holds no comm and no run state: its closures take
+//     the comm that executes them, so one schedule serves every comm of
+//     its shape.
+//   - Booking and moving are apart (exec.go). One booking loop,
+//     executeOn, books a schedule when its row is traced; every run, on
+//     either backend, books the row's charge trace. Backend is then only
+//     what a run moves: the functional backend walks the schedule with
+//     movers that move real bytes and book nothing; the cost-only backend
+//     moves nothing, on a phantom system — the engine for paper-scale
+//     sweeps and Auto dry runs. The two cannot disagree on a cost, and
+//     the closed-form tables of oracle_test.go hold the booking itself.
 //   - CompiledPlan (plan.go) is the plan/execute split: a call signature
 //     compiled once and replayed many times. A plan is its shape row —
 //     signature, members, arena-relative footprint, fused schedule at
@@ -117,9 +121,10 @@
 //
 // # Parallel functional execution
 //
-// The functional backend shards every schedule step across a worker
-// pool (internal/par): RotateBlocks launches split the PE list,
-// column-stream epochs split their column range onto per-shard
+// The functional backend shards every moving step across a worker pool
+// (internal/par): rotations split the PE list, each shard rotating its
+// PEs' regions through a slab of its own, column-stream epochs split
+// their column range onto per-shard
 // streaming contexts (engine.go), and staged bulk passes split their
 // communication groups, each shard staging one group at a time in a
 // scratch slab of its own (Comm.stage; a plan with fewer groups than
@@ -127,16 +132,15 @@
 // holds more than one group per shard: the machine is not copied whole.
 // Config.ExecWorkers sizes the pool (default
 // GOMAXPROCS; purely a simulator-throughput knob). The determinism
-// contract is structural: shards only write disjoint regions,
-// shard-local tallies merge in shard order with order-insensitive folds
-// (integer sums, exact float max), and every meter addition happens on
-// the executing goroutine after the merge — so results, breakdowns, and
-// bus statistics are bit-for-bit identical at any worker count
-// (parallel_test.go pins this, and the fuzz harness randomizes the
-// knob). Replay of a warmed
-// CompiledPlan is also allocation-free, streaming and staged: scratch
-// lives in per-shard arenas, rooted results in the plan's Hosts, and
-// every rotation launches the comm's one bound kernel (TestReplayAllocs*).
+// contract is structural: shards only write disjoint regions and book
+// nothing — a run's meter additions and bus statistics are its row's
+// trace, booked on the executing goroutine before any shard starts — so
+// results, breakdowns, and bus statistics are bit-for-bit identical at
+// any worker count (parallel_test.go pins this, and the fuzz harness
+// randomizes the knob). Replay of a warmed CompiledPlan is also
+// allocation-free, streaming and staged: scratch lives in per-shard
+// slabs and contexts, and rooted results in the plan's Hosts
+// (TestReplayAllocs*).
 //
 // # Asynchronous execution
 //
@@ -154,16 +158,16 @@
 // carved from a per-Comm chunk (never reused, so a held handle stays
 // valid), completion is an atomic flag stored on the one completion
 // path, which broadcasts the one condition every blocked waiter parks
-// on, and a cost-only replay adds its charge trace to the machine's and
-// the tenant's meters directly. The bench "async" experiment measures
+// on, and every run adds its charge trace to the machine's and the
+// tenant's meters directly. The bench "async" experiment measures
 // the overlap speedup on a DLRM-style pipeline.
 //
 // # Tenants and weighted-fair scheduling
 //
 // Tenant sessions (tenant.go) let many workloads share one Comm: each
 // tenant owns a disjoint per-PE MRAM arena its descriptors are resolved
-// against, a meter that mirrors every charge of its plans (bit-identical
-// to running alone), a weight, and an optional simulated-time quota
+// against, a meter that books every run of its plans as the machine's
+// does (bit-identical to running alone), a weight, and an optional simulated-time quota
 // enforced at admission. The whole lifecycle lives there: NewTenant
 // carves the arena from the system's free-list allocator and registers
 // the session, Close retires it and frees the arena —

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
@@ -110,13 +111,17 @@ var (
 	backendBlocks = []int{16, 24, 40}
 )
 
-// TestCostBackendMatchesFunctional pins the refactor's core guarantee:
-// for every primitive x level x a set of irregular hypercube shapes x
-// block sizes (including odd multiples of the burst grain, which pin the
-// shared rotate-blocks instruction rounding), the cost-only backend's
-// breakdown — computed on a phantom system with no MRAM — is
-// bit-identical to the functional backend's, and so are the cumulative
-// bus-transfer statistics.
+// TestCostBackendMatchesFunctional holds the one booking path: for every
+// primitive × level × backendShapes shape × backendBlocks block size, a
+// run on a functional machine books what a run on a cost-only (phantom)
+// machine books — its returned breakdown, the snapshot (machine and
+// session meters, admitted time, timeline, shape table) and the bus
+// statistics, bit for bit — so a functional run neither skips nor repeats
+// a booking, and lowering and tracing do not depend on the backend. What
+// the booking itself is, is held to closed formulas by
+// TestColumnStreamBurstsMatchClosedForms,
+// TestRotateBlocksWorkMatchesClosedForms and
+// TestStagedHostBytesMatchClosedForms.
 func TestCostBackendMatchesFunctional(t *testing.T) {
 	for _, tc := range backendShapes {
 		for _, prim := range Primitives() {
@@ -130,10 +135,11 @@ func TestCostBackendMatchesFunctional(t *testing.T) {
 						if d := diffBreakdowns(fbd, cbd); d != "" {
 							t.Errorf("breakdown mismatch: %s", d)
 						}
-						fs, cs := fc.Host().Stats(), cc.Host().Stats()
-						if fs.Bursts != cs.Bursts || fs.TotalBytes() != cs.TotalBytes() {
-							t.Errorf("bus stats mismatch: functional %d bursts/%d B, cost %d bursts/%d B",
-								fs.Bursts, fs.TotalBytes(), cs.Bursts, cs.TotalBytes())
+						if fs, cs := fc.Snapshot(), cc.Snapshot(); !reflect.DeepEqual(fs, cs) {
+							t.Errorf("snapshot mismatch: functional\n%v\ncost\n%v", fs, cs)
+						}
+						if fs, cs := fc.Host().Stats(), cc.Host().Stats(); !reflect.DeepEqual(fs, cs) {
+							t.Errorf("bus stats mismatch: functional %+v, cost %+v", fs, cs)
 						}
 					})
 				}

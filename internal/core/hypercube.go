@@ -89,10 +89,7 @@ type plan struct {
 	groups  [][]int // group index -> rank -> linear PE
 	groupOf []int32 // PE -> group index
 	rankOf  []int32 // PE -> rank within group
-
-	// pes/ranks are the precomputed full-machine kernel-launch lists
-	// (launchLists), immutable after buildPlan.
-	pes, ranks []int
+	pes     []int   // every PE, the rotate-blocks launch list (chargeRotate)
 }
 
 // buildPlan enumerates groups for the dims selection.
@@ -118,7 +115,6 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 		groupOf: make([]int32, numPEs),
 		rankOf:  make([]int32, numPEs),
 		pes:     make([]int, numPEs),
-		ranks:   make([]int, numPEs),
 	}
 	// One backing array for all groups and the coordinate decode in place:
 	// a cold plan allocates a constant number of objects, not one per PE.
@@ -142,17 +138,10 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 		}
 		p.groups[group][rank] = pe
 		p.groupOf[pe], p.rankOf[pe] = int32(group), int32(rank)
-		p.pes[pe], p.ranks[pe] = pe, rank
+		p.pes[pe] = pe
 	}
 	return p, nil
 }
-
-// launchLists returns the full-machine PE list and per-PE group ranks
-// for a kernel launch over every PE — shared by the functional launcher
-// and the cost backend's analytic accounting so the two can't drift.
-// The lists are precomputed by buildPlan and immutable; callers must not
-// modify them.
-func (p *plan) launchLists() (pes, ranks []int) { return p.pes, p.ranks }
 
 // Groups returns, for the dims selection, the communication groups as
 // ordered PE lists (rank order within each group). The group order is the

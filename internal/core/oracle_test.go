@@ -206,7 +206,7 @@ func TestRotateBlocksWorkMatchesClosedForms(t *testing.T) {
 			if gi, gm := rotateBlocksWork(st.N * st.S); gi != instr || gm != mram {
 				t.Errorf("%s %s: a PE does (%d instr, %d MRAM bytes), want (%d, %d)", tc.name, what, gi, gm, instr, mram)
 			}
-			got := recordAdds(c.Comm, func(h *host.Host) { costBackend{}.rotateBlocks(c.Comm, h, st) })
+			got := recordAdds(c.Comm, func(h *host.Host) { c.chargeRotate(h, st) })
 			want := recordAdds(c.Comm, func(h *host.Host) {
 				c.eng.LaunchChargesUniform(dpu.LaunchSpec{PEs: p.pes, Category: cost.PEMod}, h.Meter(), instr, mram)
 			})
@@ -270,8 +270,8 @@ func recordAdds(c *Comm, book func(h *host.Host)) []meterAdd {
 	return got
 }
 
-// The cost backend charges a rotate-blocks launch from the step alone.
-// It must book what a per-PE account books — each PE's rotation(rank)
+// The booking loop charges a rotate-blocks launch from the step alone
+// (chargeRotate). It must book what a per-PE account books — each PE's rotation(rank)
 // checked, the slowest PE taken — to the bit, idle launches included:
 // n = 1, or Mul ≡ 0 mod N, where no rank rotates.
 func TestCostRotateBlocksMatchesPerPEAccount(t *testing.T) {
@@ -288,8 +288,11 @@ func TestCostRotateBlocksMatchesPerPEAccount(t *testing.T) {
 				for mul := -2 * N; mul <= 2*N; mul++ {
 					st := &StepRotateBlocks{p: p, N: N, S: S, Mul: mul}
 					want := record(func(h *host.Host) {
-						pes, ranks := p.launchLists()
-						c.eng.LaunchCharges(dpu.LaunchSpec{PEs: pes, GroupRanks: ranks, Category: cost.PEMod}, h.Meter(),
+						ranks := make([]int, len(p.rankOf))
+						for pe, r := range p.rankOf {
+							ranks[pe] = int(r)
+						}
+						c.eng.LaunchCharges(dpu.LaunchSpec{PEs: p.pes, GroupRanks: ranks, Category: cost.PEMod}, h.Meter(),
 							func(_, rank int) (int64, int64) {
 								if st.rotation(rank) == 0 {
 									return 0, 0
@@ -297,7 +300,7 @@ func TestCostRotateBlocksMatchesPerPEAccount(t *testing.T) {
 								return rotateBlocksWork(N * S)
 							})
 					})
-					got := record(func(h *host.Host) { costBackend{}.rotateBlocks(c.Comm, h, st) })
+					got := record(func(h *host.Host) { c.chargeRotate(h, st) })
 					if !slices.Equal(got, want) {
 						t.Errorf("dims %s, N %d, S %d, Mul %d: charged %v, the per-PE account %v", dims, N, S, mul, got, want)
 					}

@@ -38,12 +38,12 @@ import (
 // copies). Each addition's value depends only on the call shape
 // — never on prior meter state, nor on where the arena sits
 // (TestChargeTraceIsPositionIndependent) — so replaying the trace applies
-// the same floating-point operands in the same order as a live execution
-// and the meter evolves bit-identically, while skipping the per-PE kernel
-// accounting and per-burst bus tallying loops entirely. On the functional
-// backend a Run still executes the schedule (bytes must move); on the
-// cost-only backend a Run is just the trace replay, which is what makes
-// cached replay orders of magnitude faster than compile-each-call.
+// the same floating-point operands in the same order as the booking loop
+// and the meter evolves bit-identically, while skipping its per-step
+// pricing entirely. Every Run books the trace: on the cost-only backend
+// that is the whole run, which is what makes cached replay orders of
+// magnitude faster than compile-each-call; on the functional backend the
+// schedule's steps then move the bytes, and book nothing.
 
 // planKey identifies one compiled collective on a Comm: the full call
 // signature with Auto already resolved to the effective level, its
@@ -218,11 +218,13 @@ func (cp *CompiledPlan) MemberCosts() []cost.Breakdown {
 }
 
 // Run executes one replay of the compiled plan and returns its cost
-// breakdown. On the functional backend the schedule executes in full
-// (real bytes move); on the cost-only backend the precomputed charge
-// trace is applied, which is bit-identical to a live execution. The run
-// is admitted against the owning tenant's quota first and its charges
-// accrue on the tenant's meter as well as the machine's.
+// breakdown. The run is admitted against the owning tenant's quota
+// first; then, on either backend, the row's precomputed charge trace is
+// booked on the tenant's meter and the machine's, and on the functional
+// backend the schedule's bytes move. A run is booked whole before any
+// byte moves: one that fails mid-schedule (a panic out of Run; the error
+// of its Future, submitted) leaves the whole trace on both meters, as its
+// admission and its place on the timeline already counted it.
 func (cp *CompiledPlan) Run() (cost.Breakdown, error) {
 	if err := cp.owner.admit(cp.tr.total.Total()); err != nil {
 		return cost.Breakdown{}, err
@@ -279,20 +281,14 @@ func (cp *CompiledPlan) fail(r any) error {
 	return fmt.Errorf("core: %s (dims %q, %v, %v) failed mid-schedule: %v", k.prim.LongName(), k.dims, k.lvl, k.algo, r)
 }
 
-// runScheduleLocked executes one replay of cp on the comm's backend: the
-// row's schedule, for cp as the running plan, on the functional backend,
-// the precomputed charge trace on the cost-only one. It is the one
-// execution block of the serial (run) and asynchronous (execSubmitted)
-// paths, and it attributes every charge to cp's tenant, whose meter takes
-// the machine meter's additions in the same order, bit for bit
-// (tenant.go): a cost-only replay adds the trace to both meters, and only
-// a functional run binds the tenant's recorder. Callers hold execMu.
+// runScheduleLocked executes one replay of cp on the comm's backend. It
+// is the one execution block of the serial (run) and asynchronous
+// (execSubmitted) paths, and on either backend it first books the row's
+// charge trace (book); a functional run then moves the bytes of the row's
+// schedule, with cp as the running plan. Callers hold execMu.
 func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
-	m := c.h.Meter()
+	c.book(cp)
 	if !c.backend.Functional() {
-		m.AddTrace(cp.tr.adds)
-		cp.owner.meter.AddTrace(cp.tr.adds)
-		c.h.ApplyStats(cp.tr.stats)
 		return
 	}
 	c.bind(cp)
@@ -303,17 +299,30 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
 			cp.hosts[g] = make([]byte, cp.outBytes)
 		}
 	}
-	c.executeOn(c.backend, c.h, cp.sched.Steps)
+	c.moveSteps(cp.sched.Steps)
 }
 
-// bind makes cp the running plan of a functional comm and its tenant's
-// recorder the meter's; nil unbinds both. Callers hold execMu.
-func (c *Comm) bind(cp *CompiledPlan) {
-	var rec func(cost.Category, cost.Seconds)
-	if c.cur = cp; cp != nil {
-		rec = cp.owner.rec
+// book books what one run of cp costs, its row's charge trace, on the
+// machine meter and on its tenant's — the same operands in the same
+// order, so the tenant's meter is bit-identical to running its workload
+// alone (tenant.go) — and the row's bus statistics on the host. Callers
+// hold execMu.
+func (c *Comm) book(cp *CompiledPlan) {
+	c.h.Meter().AddTrace(cp.tr.adds)
+	cp.owner.meter.AddTrace(cp.tr.adds)
+	c.h.ApplyStats(cp.tr.stats)
+}
+
+// bind makes cp the running plan of a functional comm; nil unbinds it.
+// Callers hold execMu.
+func (c *Comm) bind(cp *CompiledPlan) { c.cur = cp }
+
+// moveSteps moves the bytes of steps, on the comm's backend, for its
+// running plan. Callers hold execMu.
+func (c *Comm) moveSteps(steps []Step) {
+	for _, st := range steps {
+		c.backend.move(c, st)
 	}
-	c.h.Meter().SetRecorder(rec)
 }
 
 // tracer is the shape table's one scratch, reset per trace: a cost-only
@@ -335,7 +344,7 @@ func (c *Comm) trace(sched *Schedule) *tracer {
 	tc.rec.Reset()
 	tc.h.Meter().Reset()
 	tc.h.ResetStats()
-	c.executeOn(CostBackend(), tc.h, sched.Steps)
+	c.executeOn(tc.h, sched.Steps)
 	// Replay fidelity invariant: the recorder observes each addition of
 	// Add and AddRounds, not Merge, so a path through Merge undercounts.
 	// Re-summing the trace must reproduce the meter bit-for-bit (same

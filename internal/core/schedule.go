@@ -8,16 +8,17 @@ import (
 
 // This file defines the schedule IR every collective lowers to, plus the
 // per-primitive lowering rules. A Schedule is an ordered list of typed
-// steps; internal/core/exec.go holds the single executor that runs a
-// schedule against a pluggable Backend (functional or cost-only).
+// steps; internal/core/exec.go holds the one booking loop and the
+// backends' movers.
 //
-// Design contract: a step carries BOTH the declarative description the
-// cost-only backend needs (byte counts, column-transfer counts, charge
-// lists) AND the functional work that moves real bytes. The executor
-// applies the declarative charges for every backend, so the two backends
-// charge identical amounts by construction; only bus-burst tallies and
-// DPU-kernel accounting are computed twice (real vs. analytic), and the
-// cross-backend equivalence test in exec_test.go pins them equal.
+// Design contract: a step carries BOTH the declarative description of
+// what it costs (byte counts, column-transfer counts, charge lists) AND
+// the functional work that moves real bytes, and the two are used apart.
+// The booking loop (executeOn) prices only the description, once, when a
+// row is traced; every run books that trace; a functional run then calls
+// only the movers, which book nothing. So a cost is computed once, from
+// the description alone, and oracle_test.go holds the descriptions to
+// closed formulas.
 //
 // Functional work comes in two parallel-safe shapes. Staged steps
 // (StepBulk) carry a Modulate closure that transforms one communication
@@ -46,9 +47,9 @@ type Step interface{ stepName() string }
 // left-rotated by Mul times the PE's group rank (rotation). A lowering
 // pre-rotates a source with Mul 1 and undoes it on a destination with
 // Mul -1; fusion composes two rotations of one region by adding their
-// multipliers. The functional backend launches the executing comm's one
-// kernel (Comm.rotate) on the step; the cost-only backend reproduces its
-// MRAM/instruction accounting analytically.
+// multipliers. The booking loop charges the kernel's launch from the
+// step alone (chargeRotate); the functional backend rotates every PE's
+// region in place (Comm.rotate).
 type StepRotateBlocks struct {
 	p    *plan
 	Off  int
@@ -68,12 +69,16 @@ func (st *StepRotateBlocks) rotation(rank int) int {
 	return r
 }
 
+// busy reports whether some rank of [0, n) rotates, which it does iff
+// rank 1 does.
+func (st *StepRotateBlocks) busy() bool { return st.p.n > 1 && st.rotation(1) != 0 }
+
 // StepBulk is one conventional host-memory phase (Figure 3a): an
 // optional staged BulkRead, host-side modulation, an optional BulkWrite.
 // Read and Write book the two transfers over the whole machine, as
-// host.Host.ChargeBulkRead and ChargeBulkWrite price them, on either
-// backend. The functional backend then moves the bytes one communication
-// group of p at a time (Comm.stage): it reads group g's members'
+// host.Host.ChargeBulkRead and ChargeBulkWrite price them. The functional
+// backend moves the bytes one communication group of p at a time
+// (Comm.stage): it reads group g's members'
 // ReadPerPE bytes at ReadOff, runs Modulate, and writes the members'
 // WritePerPE bytes to WriteOff. Rooted primitives that keep results on
 // the host set Write false and let Modulate store them.
@@ -123,10 +128,10 @@ type streamSeg struct {
 // engine: burst columns move between host registers and every entangled
 // group, with in-register shifts and reductions. Reads and Writes
 // count column transfers (each touches every entangled group once — one
-// burst per group), which is all the cost-only backend needs to reproduce
-// the bus accounting. segs perform the real data movement and are
-// executed by the functional backend only, inside the epoch, in order,
-// each sharded across the worker pool.
+// burst per group), which is all the booking loop needs to price the
+// epoch's bus time. segs perform the real data movement and are executed
+// by the functional backend only, in order, each sharded across the
+// worker pool.
 type StepColumnStream struct {
 	Reads, Writes int64
 	Charges       []Charge
@@ -273,7 +278,6 @@ func lowerAlltoAll(env algoEnv) Schedule {
 				for i := lo; i < hi; {
 					k, e := i/ecols, i%ecols*8
 					cols := min(hi-i, ecols-e/8)
-					sc.tally(2 * cols)
 					sc.shift(p, k, dstOff+(n-k)%n*s+e, srcOff+k*s+e, cols*8)
 					i += cols
 				}
@@ -372,7 +376,7 @@ func lowerReduceScatter(env algoEnv) Schedule {
 			// Per element column e: fold the n slot bursts, write one
 			// burst. Iterations touch distinct columns — shardable.
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				sc.fold(p, t, op, srcOff, s, lo, hi, n+1, func(e, b int, acc []byte) { sc.store(dstOff+e, acc, b) })
+				sc.fold(p, t, op, srcOff, s, lo, hi, func(e, b int, acc []byte) { sc.store(dstOff+e, acc, b) })
 			}}},
 		})
 	}
@@ -436,7 +440,7 @@ func lowerReduce(env algoEnv) Schedule {
 			Charges: append(p.foldCharges(t, iters, int64(n), int64(n)), store),
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				res := sc.c.cur.hosts[at:]
-				sc.fold(p, t, op, srcOff, s, lo, hi, n, func(e, b int, acc []byte) {
+				sc.fold(p, t, op, srcOff, s, lo, hi, func(e, b int, acc []byte) {
 					for g, grp := range p.groups {
 						for j, pe := range grp {
 							copy(res[g][j*s+e:], acc[pe*b:pe*b+b])
@@ -481,7 +485,7 @@ func lowerAllReduce(env algoEnv) Schedule {
 			Reads: int64(n) * iters, Writes: int64(n) * iters,
 			Charges: p.foldCharges(t, iters, 2*int64(n), int64(n+1)),
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
-				sc.fold(p, t, op, srcOff, s, lo, hi, 2*n, func(e, b int, acc []byte) {
+				sc.fold(p, t, op, srcOff, s, lo, hi, func(e, b int, acc []byte) {
 					// The n outbound writes' shifts are pure
 					// redistribution of the folded run: shift 0 lands
 					// in slot 0, and shift k copies slot 0 on to slot
@@ -553,7 +557,6 @@ func lowerAllGather(env algoEnv) Schedule {
 			Charges: charges,
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				e, b := lo*8, (hi-lo)*8
-				sc.tally((n + 1) * (hi - lo))
 				for k := 0; k < n; k++ {
 					sc.shift(p, k, dstOff+(n-k)%n*s+e, srcOff+e, b)
 				}
@@ -600,7 +603,6 @@ func lowerGather(env algoEnv) Schedule {
 			},
 			segs: []*streamSeg{{cols: s / 8, body: func(sc *streamCtx, lo, hi int) {
 				res, e, b := sc.c.cur.hosts[at:], lo*8, (hi-lo)*8
-				sc.tally(hi - lo)
 				for g, grp := range p.groups {
 					for j, pe := range grp {
 						copy(res[g][j*s+e:], sc.bank(pe, srcOff+e, b))
@@ -683,7 +685,6 @@ func lowerBroadcast(env algoEnv) Schedule {
 func (p *plan) streamBroadcast(dstOff, perPE int, from func(c *Comm, pe, e int) []byte) *streamSeg {
 	return &streamSeg{cols: perPE / 8, body: func(sc *streamCtx, lo, hi int) {
 		e, b := lo*8, (hi-lo)*8
-		sc.tally(hi - lo)
 		for pe := range p.rankOf {
 			copy(sc.bank(pe, dstOff+e, b), from(sc.c, pe, e))
 		}

@@ -22,9 +22,9 @@ import (
 // cost.Meter, a weight in the machine's weighted-fair
 // submission scheduler (async.go), and an optional simulated-time quota.
 //
-// Accounting invariant: every charge a tenant's plan makes on the
-// machine meter is mirrored — same operands, same order within each
-// category — into the tenant's meter (see runScheduleLocked). A tenant's
+// Accounting invariant: every run of a tenant's plan books its charge
+// trace on the machine meter and on the tenant's — same operands, same
+// order within each category (Comm.book). A tenant's
 // meter is therefore bit-identical to the meter of running that tenant's
 // workload alone on its own machine, and summing all tenant meters
 // reproduces exactly the attributed machine total.
@@ -81,7 +81,6 @@ type Tenant struct {
 	name   string
 	ar     arena
 	meter  cost.Meter
-	rec    func(cost.Category, cost.Seconds) // meter.Add: the machine meter's recorder while the tenant's plans run functionally
 	weight float64
 	quota  cost.Seconds
 	sq     subQueue // the tenant's scheduler bucket, guarded by the Comm's asyncMu
@@ -181,7 +180,6 @@ func (c *Comm) NewTenant(cfg TenantConfig) (*Tenant, error) {
 		shed:       cfg.Shed,
 		sq:         subQueue{weight: weight},
 	}
-	t.rec = t.meter.Add
 	c.tenantSeq++
 	c.tenants = append(c.tenants, t)
 	return t, nil

@@ -151,9 +151,9 @@ func (r *Recorder) Record(c Category, t Seconds) {
 // reach the meter under one lock, round-major, calling f once per
 // addition. nil stops recording. Merge is NOT recorded — a recorded
 // meter must only be driven through additions (core's tracer asserts
-// this invariant with SumTrace after every trace). Core records to
-// capture a charge trace and, on a functional run, to mirror the machine
-// meter into the running tenant's; a cost-only replay records nothing.
+// this invariant with SumTrace after every trace). Core records only to
+// capture a charge trace; a run books the trace with AddTrace on an
+// unrecorded meter.
 // f runs with the meter's lock held and must not call back into the meter.
 func (m *Meter) SetRecorder(f func(Category, Seconds)) {
 	m.mu.Lock()

@@ -16,8 +16,8 @@ import (
 // for the cumulative transfer statistics and the meter, which may be read
 // concurrently (Stats, Meter) while an execution runs.
 //
-// Inside one execution, bulk transfers and the streaming engine shard
-// their per-group work across worker goroutines (SetWorkers); each worker
+// Inside one execution, bulk transfers shard their per-group work across
+// worker goroutines (SetWorkers); each worker
 // tallies bus traffic on a private Shard and the owner merges the shard
 // totals deterministically, so the epoch accounting, the cumulative
 // statistics and the charged times are byte-identical at any worker
@@ -120,8 +120,8 @@ func (h *Host) EndXfer() {
 // without moving any bytes: the host-level form of Shard.TallyBursts. The
 // epoch and statistics bookkeeping is shared with the functional path,
 // so per-channel totals — and therefore the PEMem time charged at
-// EndXfer — are identical. The cost-only backend books whole-machine
-// steps with TallyAllGroups instead. Must run inside a transfer epoch.
+// EndXfer — are identical. core's booking loop books whole-machine steps
+// with TallyAllGroups instead. Must run inside a transfer epoch.
 func (h *Host) TallyBursts(group int, count int64) {
 	if h.epochDepth == 0 {
 		panic("host: TallyBursts outside transfer epoch")
@@ -187,21 +187,6 @@ func (s *Shard) TallyBursts(group int, count int64) {
 	ch, _ := s.h.sys.RankOfGroup(group)
 	s.chanBytes[ch] += count * dram.BurstBytes
 	s.bursts += count
-}
-
-// TallyAllGroups is the shard-local form of Host.TallyAllGroups, and the
-// one burst path of the functional column stream: a worker books a run's
-// bursts on every entangled group here before it moves the run's bytes
-// straight between banks (or host buffers), one copy per PE.
-func (s *Shard) TallyAllGroups(count int64) {
-	if s.h.epochDepth == 0 {
-		panic("host: shard tally outside transfer epoch")
-	}
-	bytes := count * s.h.groupsPerChannel() * dram.BurstBytes
-	for ch := range s.chanBytes {
-		s.chanBytes[ch] += bytes
-	}
-	s.bursts += count * int64(s.h.sys.Geometry().NumGroups())
 }
 
 // Shards returns k reusable per-worker tally contexts (growing the set

@@ -451,9 +451,9 @@ func TestStatsMatchExpectedTraffic(t *testing.T) {
 }
 
 // A whole-machine tally books what a TallyBursts loop over every group
-// books: the same Stats, the same per-channel epoch bytes and the same
-// float bits of EndXfer's PEMem charge, on the host and on a shard,
-// inside nested epochs, on the paper's four channels and on one.
+// books, on the host or on a shard: the same Stats, the same per-channel
+// epoch bytes and the same float bits of EndXfer's PEMem charge, inside
+// nested epochs, on the paper's four channels and on one.
 func TestTallyAllGroupsMatchesPerGroupLoop(t *testing.T) {
 	counts := []int64{3, 0, 1024, 1}
 	for _, geo := range []dram.Geometry{
@@ -492,7 +492,6 @@ func TestTallyAllGroupsMatchesPerGroupLoop(t *testing.T) {
 			tally func(h *Host, count int64)
 		}{
 			{"Host.TallyAllGroups", (*Host).TallyAllGroups},
-			{"Shard.TallyAllGroups", func(h *Host, n int64) { h.Shards(1)[0].TallyAllGroups(n) }},
 			{"Shard.TallyBursts loop", func(h *Host, n int64) {
 				for g := range geo.NumGroups() {
 					h.Shards(1)[0].TallyBursts(g, n)
