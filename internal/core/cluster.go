@@ -822,9 +822,9 @@ func (cp *ClusterPlan) Run() (cost.Breakdown, error) {
 // booked and bound to its host plan as a serial run books and binds it;
 // then every host moves its steps up to and through its wire step and,
 // unless one failed, the wire's merge runs once and every host moves the
-// rest. The hosts of a
-// phase run through the par pool, each recovering its failure into its
-// error, so a failure skips the phases after it. Callers hold cl.execMu.
+// rest. The hosts of a phase run through the par pool, each recovering
+// its failure into its error, so a failure skips the phases after it.
+// Callers hold cl.execMu.
 func (cp *ClusterPlan) runPhases() {
 	for _, hp := range cp.plans {
 		c := hp.owner.c
@@ -832,11 +832,11 @@ func (cp *ClusterPlan) runPhases() {
 		c.execMu.Lock()
 		c.placeSerialLocked(hp.tr.segs)
 		c.book(hp)
-		c.bind(hp)
+		c.cur = hp
 	}
 	defer func() {
 		for _, hp := range cp.plans {
-			hp.owner.c.bind(nil)
+			hp.owner.c.cur = nil
 			hp.owner.c.execMu.Unlock()
 		}
 	}()

@@ -139,10 +139,10 @@ type Config struct {
 	Params cost.Params
 	// Backend is what runs move besides booking their charge traces; nil
 	// means the byte-accurate functional backend. A non-functional backend
-	// gets a phantom (no-MRAM) system: collectives charge the meter exactly
-	// as on the functional backend but move no bytes, rooted primitives return
-	// nil result buffers, and Scatter accepts nil host buffers (sizes are
-	// implied by the call).
+	// gets a phantom (no-MRAM) system: collectives charge the meter
+	// exactly as on the functional backend but move no bytes, rooted
+	// primitives return nil result buffers, and Scatter accepts nil host
+	// buffers (sizes are implied by the call).
 	Backend Backend
 	// Fuse is the schedule-fusion level every plan of the comm is
 	// compiled at (fuse.go); the zero value is FuseFull.

@@ -291,8 +291,8 @@ func (c *Comm) runScheduleLocked(cp *CompiledPlan) {
 	if !c.backend.Functional() {
 		return
 	}
-	c.bind(cp)
-	defer c.bind(nil)
+	c.cur = cp
+	defer func() { c.cur = nil }()
 	if cp.hosts == nil && cp.outs > 0 {
 		cp.hosts = make([][]byte, cp.outs)
 		for g := range cp.hosts {
@@ -312,10 +312,6 @@ func (c *Comm) book(cp *CompiledPlan) {
 	cp.owner.meter.AddTrace(cp.tr.adds)
 	c.h.ApplyStats(cp.tr.stats)
 }
-
-// bind makes cp the running plan of a functional comm; nil unbinds it.
-// Callers hold execMu.
-func (c *Comm) bind(cp *CompiledPlan) { c.cur = cp }
 
 // moveSteps moves the bytes of steps, on the comm's backend, for its
 // running plan. Callers hold execMu.

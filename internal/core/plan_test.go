@@ -453,8 +453,8 @@ func TestConcurrentCollectives(t *testing.T) {
 	}
 }
 
-// The rotate-blocks instruction accounting rounds up and is shared by
-// both backends (regression for the m/4 truncation mismatch).
+// The rotate-blocks instruction accounting rounds up (regression for the
+// m/4 truncation mismatch).
 func TestRotateBlocksWorkRounding(t *testing.T) {
 	for _, tc := range []struct {
 		m     int

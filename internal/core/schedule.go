@@ -78,10 +78,10 @@ func (st *StepRotateBlocks) busy() bool { return st.p.n > 1 && st.rotation(1) !=
 // Read and Write book the two transfers over the whole machine, as
 // host.Host.ChargeBulkRead and ChargeBulkWrite price them. The functional
 // backend moves the bytes one communication group of p at a time
-// (Comm.stage): it reads group g's members'
-// ReadPerPE bytes at ReadOff, runs Modulate, and writes the members'
-// WritePerPE bytes to WriteOff. Rooted primitives that keep results on
-// the host set Write false and let Modulate store them.
+// (Comm.stage): it reads group g's members' ReadPerPE bytes at ReadOff,
+// runs Modulate, and writes the members' WritePerPE bytes to WriteOff.
+// Rooted primitives that keep results on the host set Write false and
+// let Modulate store them.
 type StepBulk struct {
 	p *plan
 

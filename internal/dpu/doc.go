@@ -23,13 +23,13 @@
 //     per-PE work is known analytically, sharing the time arithmetic
 //     with Launch so both backends produce bit-identical meters.
 //     LaunchChargesUniform is its form for a launch in which every PE
-//     does the same work (core's cost-only reorder launch): one PE's
+//     does the same work (core's booking of a reorder launch): one PE's
 //     time, at any PE count, bit-identical to a constant account. Every
 //     launch form ends in one charge, the slowest PE's time then
 //     KernelLaunch.
 //
-// Engine.Launch is safe for concurrent use; the Comm's collectives and
-// application kernels share one engine. Callers keep concurrent kernels'
+// Engine.Launch is safe for concurrent use; application kernels share
+// one engine. Callers keep concurrent kernels'
 // MRAM regions disjoint, as on real hardware. A kernel panic on any
 // worker reaches Launch's caller.
 //
@@ -57,6 +57,6 @@
 // # Paper map
 //
 //	§ II-A    the PE/bank/WRAM architecture Ctx models
-//	§ V-A1    the reorder kernels core launches with Category PEMod
+//	§ V-A1    the reorder launches core books with Category PEMod
 //	§ VII     application kernels (Category Kernel) in internal/apps
 package dpu
