@@ -10,9 +10,10 @@ import (
 )
 
 // faultBackend is the functional backend with one injected fault: the
-// at-th step (counted from 0 across runs) that comm target moves panics;
-// at < 0 never fires. Only target's steps touch the count, one run at a
-// time under its execMu.
+// at-th byte-moving step (rotate, bulk or column stream, counted from 0
+// across runs) that comm target moves panics; at < 0 never fires.
+// Booking-only steps move nothing and are not counted. Only target's
+// steps touch the count, one run at a time under its execMu.
 type faultBackend struct {
 	functionalBackend
 	target *Comm
@@ -20,9 +21,12 @@ type faultBackend struct {
 }
 
 func (f *faultBackend) move(c *Comm, st Step) {
-	if c == f.target {
-		if f.n++; f.n-1 == f.at {
-			panic(fmt.Sprintf("injected fault at step %d", f.at))
+	switch st.(type) {
+	case *StepRotateBlocks, *StepBulk, *StepColumnStream:
+		if c == f.target {
+			if f.n++; f.n-1 == f.at {
+				panic(fmt.Sprintf("injected fault at step %d", f.at))
+			}
 		}
 	}
 	f.functionalBackend.move(c, st)

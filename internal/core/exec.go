@@ -90,7 +90,7 @@ func (c *Comm) chargeRotate(h *host.Host, st *StepRotateBlocks) {
 	if st.busy() {
 		instr, mramBytes = rotateBlocksWork(st.N * st.S)
 	}
-	c.eng.LaunchChargesUniform(dpu.LaunchSpec{PEs: st.p.pes, Category: cost.PEMod}, h.Meter(), instr, mramBytes)
+	c.eng.LaunchChargesUniform(dpu.LaunchSpec{Category: cost.PEMod}, len(st.p.rankOf), h.Meter(), instr, mramBytes)
 }
 
 type functionalBackend struct{}

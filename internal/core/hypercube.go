@@ -89,7 +89,6 @@ type plan struct {
 	groups  [][]int // group index -> rank -> linear PE
 	groupOf []int32 // PE -> group index
 	rankOf  []int32 // PE -> rank within group
-	pes     []int   // every PE, the rotate-blocks launch list (chargeRotate)
 }
 
 // buildPlan enumerates groups for the dims selection.
@@ -114,7 +113,6 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 		groups:  make([][]int, numGroups),
 		groupOf: make([]int32, numPEs),
 		rankOf:  make([]int32, numPEs),
-		pes:     make([]int, numPEs),
 	}
 	// One backing array for all groups and the coordinate decode in place:
 	// a cold plan allocates a constant number of objects, not one per PE.
@@ -138,7 +136,6 @@ func (hc *Hypercube) buildPlan(dims string) (*plan, error) {
 		}
 		p.groups[group][rank] = pe
 		p.groupOf[pe], p.rankOf[pe] = int32(group), int32(rank)
-		p.pes[pe] = pe
 	}
 	return p, nil
 }

@@ -208,7 +208,7 @@ func TestRotateBlocksWorkMatchesClosedForms(t *testing.T) {
 			}
 			got := recordAdds(c.Comm, func(h *host.Host) { c.chargeRotate(h, st) })
 			want := recordAdds(c.Comm, func(h *host.Host) {
-				c.eng.LaunchChargesUniform(dpu.LaunchSpec{PEs: p.pes, Category: cost.PEMod}, h.Meter(), instr, mram)
+				c.eng.LaunchChargesUniform(dpu.LaunchSpec{Category: cost.PEMod}, len(p.rankOf), h.Meter(), instr, mram)
 			})
 			if !slices.Equal(got, want) {
 				t.Errorf("%s %s: booked %v, the closed-form work prices to %v", tc.name, what, got, want)
@@ -288,11 +288,11 @@ func TestCostRotateBlocksMatchesPerPEAccount(t *testing.T) {
 				for mul := -2 * N; mul <= 2*N; mul++ {
 					st := &StepRotateBlocks{p: p, N: N, S: S, Mul: mul}
 					want := record(func(h *host.Host) {
-						ranks := make([]int, len(p.rankOf))
+						pes, ranks := make([]int, len(p.rankOf)), make([]int, len(p.rankOf))
 						for pe, r := range p.rankOf {
-							ranks[pe] = int(r)
+							pes[pe], ranks[pe] = pe, int(r)
 						}
-						c.eng.LaunchCharges(dpu.LaunchSpec{PEs: p.pes, GroupRanks: ranks, Category: cost.PEMod}, h.Meter(),
+						c.eng.LaunchCharges(dpu.LaunchSpec{PEs: pes, GroupRanks: ranks, Category: cost.PEMod}, h.Meter(),
 							func(_, rank int) (int64, int64) {
 								if st.rotation(rank) == 0 {
 									return 0, 0

@@ -330,13 +330,14 @@ func (e *Engine) LaunchCharges(spec LaunchSpec, meter *cost.Meter, account func(
 	e.book(spec, meter, maxT)
 }
 
-// LaunchChargesUniform is LaunchCharges for a launch in which every PE
-// of spec does the same work, instr instructions and mramBytes of MRAM
+// LaunchChargesUniform is LaunchCharges for a launch on pes PEs in which
+// every PE does the same work, instr instructions and mramBytes of MRAM
 // DMA (zero for a launch in which every PE exits at once): the charge is
 // that one PE's time, whatever the PE count, and bit-identical to
-// LaunchCharges with a constant account. GroupRanks are not read.
-func (e *Engine) LaunchChargesUniform(spec LaunchSpec, meter *cost.Meter, instr, mramBytes int64) {
-	if len(spec.PEs) == 0 {
+// LaunchCharges with a constant account on spec's Tasklets and Category.
+// spec's PE list and GroupRanks are not read.
+func (e *Engine) LaunchChargesUniform(spec LaunchSpec, pes int, meter *cost.Meter, instr, mramBytes int64) {
+	if pes == 0 {
 		return
 	}
 	e.book(spec, meter, e.peTime(instr, mramBytes, spec.ipc()))

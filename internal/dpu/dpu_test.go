@@ -405,14 +405,14 @@ func TestLaunchChargesUniformMatchesConstantAccount(t *testing.T) {
 				want := record(func(m *cost.Meter) {
 					e.LaunchCharges(spec, m, func(_, _ int) (int64, int64) { return w[0], w[1] })
 				})
-				got := record(func(m *cost.Meter) { e.LaunchChargesUniform(spec, m, w[0], w[1]) })
+				got := record(func(m *cost.Meter) { e.LaunchChargesUniform(spec, len(pes), m, w[0], w[1]) })
 				if !slices.Equal(got, want) {
 					t.Errorf("%d PEs, %d tasklets, work %v: uniform charged %v, LaunchCharges %v", len(pes), tasklets, w, got, want)
 				}
 			}
 		}
 	}
-	idle := record(func(m *cost.Meter) { e.LaunchChargesUniform(LaunchSpec{PEs: all, Category: cost.PEMod}, m, 0, 0) })
+	idle := record(func(m *cost.Meter) { e.LaunchChargesUniform(LaunchSpec{Category: cost.PEMod}, len(all), m, 0, 0) })
 	if want := []rec{{cost.PEMod, 0}, {cost.Other, math.Float64bits(float64(cost.DefaultParams().KernelLaunch))}}; !slices.Equal(idle, want) {
 		t.Errorf("an idle launch charged %v, want %v", idle, want)
 	}
